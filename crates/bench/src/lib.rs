@@ -73,6 +73,10 @@ pub struct JsonRecord {
     /// emitted as a `config` key when set) — keeps trajectory rows
     /// comparable across PRs as the front-end evolves.
     pub config: Option<String>,
+    /// Revision of the code that was measured (emitted as a `git_rev` key
+    /// when set): a `pre_pr` row names the parent commit, the rows next to
+    /// it the tree that replaced it.
+    pub git_rev: Option<String>,
     /// Extra observability columns (queue depths, occupancy, utilization)
     /// from an `hs_obs::MetricsSnapshot` — empty for plain measurements.
     pub metrics: Vec<(String, f64)>,
@@ -87,6 +91,7 @@ impl JsonRecord {
             source_threads: None,
             ordering: None,
             config: None,
+            git_rev: None,
             metrics: Vec::new(),
         }
     }
@@ -114,6 +119,12 @@ impl JsonRecord {
     /// Record the front-end configuration (`"id_block"` / `"batch"` / …).
     pub fn with_config(mut self, config: impl Into<String>) -> JsonRecord {
         self.config = Some(config.into());
+        self
+    }
+
+    /// Record which revision of the code the row measured.
+    pub fn with_git_rev(mut self, rev: impl Into<String>) -> JsonRecord {
+        self.git_rev = Some(rev.into());
         self
     }
 
@@ -178,6 +189,10 @@ pub fn write_bench_json(path: &str, records: &[JsonRecord]) {
             assert_json_safe(c);
             out.push_str(&format!(", \"config\": \"{c}\""));
         }
+        if let Some(rev) = &r.git_rev {
+            assert_json_safe(rev);
+            out.push_str(&format!(", \"git_rev\": \"{rev}\""));
+        }
         for (k, v) in &r.metrics {
             assert_json_safe(k);
             out.push_str(&format!(", \"{}\": {}", k, metric_val(*v)));
@@ -190,6 +205,19 @@ pub fn write_bench_json(path: &str, records: &[JsonRecord]) {
     out.push_str("]\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("writing bench artifact {path}: {e}"));
     println!("\nwrote {} records to {path}", records.len());
+}
+
+/// `git describe --always --dirty` of the tree the bench was built from
+/// (`unknown` outside a checkout).
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Format a float with sensible precision for tables.

@@ -36,7 +36,7 @@ pub use registry::{FnRegistry, RunFunction};
 pub use server::{
     inflight_requests, request_shutdown, serve_tcp, serve_uds, shutdown_requested, WorkerState,
 };
-pub use workgroup::{worker_spawn_count, Workgroup};
+pub use workgroup::Workgroup;
 
 use hs_chaos::ChaosHub;
 use hs_fabric::{Endpoint, Fabric, NodeId, Pacer, WindowId};

@@ -502,15 +502,12 @@ impl RunCtx<'_> {
     /// output tile of one kernel).
     pub fn buf_f64_pair_mut(&mut self, ro: usize, rw: usize) -> (&[f64], &mut [f64]) {
         assert_ne!(ro, rw, "operand indices must differ");
-        let (lo, hi) = if ro < rw { (ro, rw) } else { (rw, ro) };
-        let (a, b) = self.guards.split_at_mut(hi);
-        let (first, second) = (&a[lo], &mut b[0]);
         if ro < rw {
-            (first.as_f64_slice(), second.as_f64_mut_slice())
+            let (below, from_rw) = self.guards.split_at_mut(rw);
+            (below[ro].as_f64_slice(), from_rw[0].as_f64_mut_slice())
         } else {
-            // SAFETY-free: just swapped borrows.
-            let (r, w) = (second, first);
-            (w.as_f64_slice(), r.as_f64_mut_slice())
+            let (below, from_ro) = self.guards.split_at_mut(ro);
+            (from_ro[0].as_f64_slice(), below[rw].as_f64_mut_slice())
         }
     }
 
@@ -613,6 +610,44 @@ mod tests {
         let mem = rt.fabric().window(b.id()).expect("window exists");
         let g = mem.lock_range(0..8, false).expect("in bounds");
         assert_eq!(g.as_f64_slice()[0], 10.0);
+    }
+
+    #[test]
+    fn f64_pair_hands_out_the_named_operands_in_either_order() {
+        let rt = rt1();
+        // out[i] = 2 * in[i]; the operand order is in the args byte.
+        rt.register(
+            "double_into",
+            Arc::new(|ctx: &mut RunCtx| {
+                let (ro, rw) = (ctx.args()[0] as usize, ctx.args()[1] as usize);
+                let (src, dst) = ctx.buf_f64_pair_mut(ro, rw);
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d = 2.0 * s;
+                }
+            }),
+        );
+        let pipe = rt.pipeline_create(EngineId(1), 1);
+        for (ro, rw) in [(0u8, 1u8), (1, 0)] {
+            let src = rt.buffer_alloc(EngineId(1), 16, true);
+            let dst = rt.buffer_alloc(EngineId(1), 16, true);
+            {
+                let mem = rt.fabric().window(src.id()).expect("window exists");
+                mem.lock_range(0..16, true)
+                    .expect("in bounds")
+                    .as_f64_mut_slice()
+                    .copy_from_slice(&[1.5, -4.0]);
+            }
+            let mut bufs = vec![(src.id(), 0..16, false), (dst.id(), 0..16, true)];
+            if ro > rw {
+                bufs.swap(0, 1);
+            }
+            pipe.run("double_into", Bytes::from(vec![ro, rw]), bufs)
+                .wait()
+                .unwrap_or_else(|e| panic!("ro={ro} rw={rw}: {e}"));
+            let mem = rt.fabric().window(dst.id()).expect("window exists");
+            let g = mem.lock_range(0..16, false).expect("in bounds");
+            assert_eq!(g.as_f64_slice(), &[3.0, -8.0], "ro={ro} rw={rw}");
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 use crate::pipeline::execute_on;
 use crate::registry::FnRegistry;
 use crate::workgroup::Workgroup;
-use hs_fabric::proto::{self, ExecStatus, Kind};
-use hs_fabric::WindowMem;
+use hs_fabric::proto::{self, ExecStatus, FrameHeader, Kind};
+use hs_fabric::{RangeGuard, WindowMem};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -133,39 +133,81 @@ impl WorkerState {
             .ok_or_else(|| format!("no such window {win}"))
     }
 
-    fn checked_range(mem: &WindowMem, off: usize, len: usize) -> Result<Range<usize>, String> {
-        let end = off.checked_add(len).filter(|&e| e <= mem.len());
-        match end {
-            Some(end) => Ok(off..end),
-            None => Err(format!(
-                "range {off}..{} out of bounds for window of {}",
-                off.wrapping_add(len),
-                mem.len()
-            )),
+    /// Lock the byte range a transfer of `len` bytes at `off` names. `mem`
+    /// is the looked-up window (held by the caller, so the guard can borrow
+    /// it); every value here is the peer's, so every failure is a message
+    /// for an `Err` frame, never a panic.
+    fn lock_xfer(
+        mem: &Result<Arc<WindowMem>, String>,
+        off: u64,
+        len: u64,
+        write: bool,
+    ) -> Result<RangeGuard<'_>, String> {
+        let mem = mem.as_ref().map_err(String::clone)?;
+        let end = off
+            .checked_add(len)
+            .filter(|&end| end <= mem.len() as u64)
+            .ok_or_else(|| {
+                format!(
+                    "range {off}..{} out of bounds for window of {}",
+                    off.wrapping_add(len),
+                    mem.len()
+                )
+            })?;
+        // In bounds of a `usize`-sized window, so the casts keep the value.
+        mem.lock_range(off as usize..end as usize, write)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Receive the data of a `Write` frame whose header is `hdr`: parse the
+    /// `win|off` head, then read the payload from the socket straight into
+    /// the write-locked window range. The frame CRC is computed over the
+    /// bytes as they sit in the window, so the one pass is both the wire
+    /// check and the end-to-end check; it is returned for the `WriteAck`.
+    ///
+    /// `Ok(Err(msg))` is a request the worker cannot place (no such window,
+    /// range out of bounds): its payload has been drained and checked, so
+    /// the connection is still in sync and gets a typed `Err` frame. The
+    /// outer `Err` is a broken stream — truncation or a CRC mismatch, after
+    /// which the window may hold corrupt bytes: the connection ends, the
+    /// host poisons the card and degradation replays its work elsewhere,
+    /// so nothing reads them.
+    fn recv_write(
+        &self,
+        mut hdr: FrameHeader,
+        s: &mut impl Read,
+    ) -> std::io::Result<Result<u32, String>> {
+        let mut head = [0u8; 16];
+        if hdr.remaining() < head.len() {
+            hdr.drain(s)?;
+            return Ok(Err("malformed Write".to_string()));
+        }
+        hdr.recv_head(s, &mut head)?;
+        let mut c = proto::Cursor::new(&head);
+        let (win, off) = (
+            c.get_u64().expect("head holds 16 bytes"),
+            c.get_u64().expect("head holds 16 bytes"),
+        );
+        let mem = self.window(win);
+        let locked = Self::lock_xfer(&mem, off, hdr.remaining() as u64, true);
+        match locked {
+            Ok(mut g) => hdr.recv_payload_into(s, g.as_mut_slice()).map(Ok),
+            Err(msg) => {
+                hdr.drain(s)?;
+                Ok(Err(msg))
+            }
         }
     }
 
-    /// Store an H2D payload; returns the CRC of the bytes as stored (read
-    /// back from the window, so the ack is a genuine end-to-end check).
-    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<u32, String> {
-        let mem = self.window(win)?;
-        let range = Self::checked_range(&mem, off, data.len())?;
-        if data.is_empty() {
-            return Ok(proto::crc32(&[]));
+    /// Answer a `Read`: the read-locked window slice goes to the socket as
+    /// the `ReadData` payload, no copy in between.
+    fn send_read(&self, win: u64, off: u64, len: u64, s: &mut impl Write) -> std::io::Result<()> {
+        let mem = self.window(win);
+        let locked = Self::lock_xfer(&mem, off, len, false);
+        match locked {
+            Ok(g) => proto::send_frame_parts(s, Kind::ReadData, &[], g.as_slice()).map(drop),
+            Err(msg) => proto::send_frame(s, Kind::Err, msg.as_bytes()).map(drop),
         }
-        let mut g = mem.lock_range(range, true).map_err(|e| e.to_string())?;
-        g.as_mut_slice().copy_from_slice(data);
-        Ok(proto::crc32(g.as_slice()))
-    }
-
-    fn read(&self, win: u64, off: usize, len: usize) -> Result<Vec<u8>, String> {
-        let mem = self.window(win)?;
-        let range = Self::checked_range(&mem, off, len)?;
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let g = mem.lock_range(range, false).map_err(|e| e.to_string())?;
-        Ok(g.as_slice().to_vec())
     }
 
     fn zero(&self, win: u64) -> Result<(), String> {
@@ -235,8 +277,8 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
 /// connection.
 pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::io::Result<()> {
     loop {
-        let (kind, payload, _) = match proto::recv_frame(&mut s) {
-            Ok(f) => f,
+        let hdr = match proto::recv_header(&mut s) {
+            Ok(h) => h,
             // Client hung up between requests: a normal end of session.
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(()),
             Err(e) => return Err(e),
@@ -245,90 +287,85 @@ pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::i
         // even when a shutdown lands mid-flight; the wind-down check at
         // the bottom of the loop runs only after the reply is on the wire.
         let _inflight = InflightGuard::enter();
-        let mut c = proto::Cursor::new(&payload);
-        match kind {
-            Kind::Hello => {
-                let mut p = Vec::with_capacity(2);
-                proto::put_u16(&mut p, proto::VERSION);
-                proto::send_frame(&mut s, Kind::HelloAck, &p)?;
-            }
-            Kind::Ping => {
-                proto::send_frame(&mut s, Kind::Pong, &[])?;
-            }
-            Kind::Shutdown => {
-                proto::send_frame(&mut s, Kind::Ack, &[])?;
-                return Ok(());
-            }
-            Kind::Alloc => {
-                let r = match (c.get_u64(), c.get_u64()) {
-                    (Some(win), Some(len)) => state.alloc(win, len as usize),
-                    _ => Err("malformed Alloc".to_string()),
-                };
-                reply_ack(&mut s, r)?;
-            }
-            Kind::Free => {
-                let r = match c.get_u64() {
-                    Some(win) => state.free(win),
-                    None => Err("malformed Free".to_string()),
-                };
-                reply_ack(&mut s, r)?;
-            }
-            Kind::Zero => {
-                let r = match c.get_u64() {
-                    Some(win) => state.zero(win),
-                    None => Err("malformed Zero".to_string()),
-                };
-                reply_ack(&mut s, r)?;
-            }
-            Kind::Write => match (c.get_u64(), c.get_u64()) {
-                (Some(win), Some(off)) => match state.write(win, off as usize, c.rest()) {
-                    Ok(crc) => {
-                        let mut p = Vec::with_capacity(4);
-                        proto::put_u32(&mut p, crc);
-                        proto::send_frame(&mut s, Kind::WriteAck, &p)?;
+        let kind = hdr.kind();
+        if kind == Kind::Write {
+            // The one request whose payload is not staged: it goes from the
+            // socket into its window.
+            match state.recv_write(hdr, &mut s)? {
+                Ok(crc) => proto::send_frame(&mut s, Kind::WriteAck, &crc.to_le_bytes())?,
+                Err(msg) => proto::send_frame(&mut s, Kind::Err, msg.as_bytes())?,
+            };
+        } else {
+            let payload = hdr.recv_payload(&mut s)?;
+            let mut c = proto::Cursor::new(&payload);
+            match kind {
+                Kind::Hello => match (c.get_u8(), c.get_u16()) {
+                    (Some(_role), Some(proto::VERSION)) => {
+                        proto::send_frame(&mut s, Kind::HelloAck, &proto::VERSION.to_le_bytes())?;
                     }
-                    Err(msg) => {
+                    (_, ver) => {
+                        let msg = format!(
+                            "protocol version mismatch: worker {}, host {}",
+                            proto::VERSION,
+                            ver.map_or("unreadable".to_string(), |v| v.to_string())
+                        );
                         proto::send_frame(&mut s, Kind::Err, msg.as_bytes())?;
+                        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
                     }
                 },
-                _ => {
-                    proto::send_frame(&mut s, Kind::Err, b"malformed Write")?;
+                Kind::Ping => {
+                    proto::send_frame(&mut s, Kind::Pong, &[])?;
                 }
-            },
-            Kind::Read => {
-                let r = match (c.get_u64(), c.get_u64(), c.get_u64()) {
-                    (Some(win), Some(off), Some(len)) => {
-                        state.read(win, off as usize, len as usize)
-                    }
-                    _ => Err("malformed Read".to_string()),
-                };
-                match r {
-                    Ok(data) => {
-                        proto::send_frame(&mut s, Kind::ReadData, &data)?;
-                    }
-                    Err(msg) => {
-                        proto::send_frame(&mut s, Kind::Err, msg.as_bytes())?;
-                    }
+                Kind::Shutdown => {
+                    proto::send_frame(&mut s, Kind::Ack, &[])?;
+                    return Ok(());
                 }
-            }
-            Kind::Exec => {
-                let (status, msg) = state.exec(&payload);
-                let mut p = Vec::with_capacity(1 + msg.len());
-                p.push(status as u8);
-                p.extend_from_slice(msg.as_bytes());
-                proto::send_frame(&mut s, Kind::ExecAck, &p)?;
-            }
-            other => {
-                // Reply-kinds arriving as requests are a protocol violation.
-                proto::send_frame(
-                    &mut s,
-                    Kind::Err,
-                    format!("unexpected request frame {other:?}").as_bytes(),
-                )?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unexpected request frame {other:?}"),
-                ));
+                Kind::Alloc => {
+                    let r = match (c.get_u64(), c.get_u64()) {
+                        (Some(win), Some(len)) => state.alloc(win, len as usize),
+                        _ => Err("malformed Alloc".to_string()),
+                    };
+                    reply_ack(&mut s, r)?;
+                }
+                Kind::Free => {
+                    let r = match c.get_u64() {
+                        Some(win) => state.free(win),
+                        None => Err("malformed Free".to_string()),
+                    };
+                    reply_ack(&mut s, r)?;
+                }
+                Kind::Zero => {
+                    let r = match c.get_u64() {
+                        Some(win) => state.zero(win),
+                        None => Err("malformed Zero".to_string()),
+                    };
+                    reply_ack(&mut s, r)?;
+                }
+                Kind::Read => match (c.get_u64(), c.get_u64(), c.get_u64()) {
+                    (Some(win), Some(off), Some(len)) => state.send_read(win, off, len, &mut s)?,
+                    _ => {
+                        proto::send_frame(&mut s, Kind::Err, b"malformed Read")?;
+                    }
+                },
+                Kind::Exec => {
+                    let (status, msg) = state.exec(&payload);
+                    let mut p = Vec::with_capacity(1 + msg.len());
+                    p.push(status as u8);
+                    p.extend_from_slice(msg.as_bytes());
+                    proto::send_frame(&mut s, Kind::ExecAck, &p)?;
+                }
+                other => {
+                    // Reply-kinds arriving as requests are a protocol violation.
+                    proto::send_frame(
+                        &mut s,
+                        Kind::Err,
+                        format!("unexpected request frame {other:?}").as_bytes(),
+                    )?;
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("unexpected request frame {other:?}"),
+                    ));
+                }
             }
         }
         if shutdown_requested() {
@@ -497,5 +534,253 @@ mod tests {
         t.read(1, 0, &mut out).expect("read");
         assert_eq!(out, [0u8; 8]);
         assert!(t.free(1).expect("free rpc"));
+    }
+
+    #[test]
+    fn tcp_ping_is_not_nagled() {
+        let addr = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        let t = RemoteDomain::connect(&Endpoint::Tcp(addr.to_string()), 1, ChaosHub::default())
+            .expect("connect");
+        let mut trips: Vec<_> = (0..50).map(|_| t.ping().expect("ping")).collect();
+        trips.sort();
+        // Nagle against the peer's delayed ACK costs ~40 ms a trip.
+        assert!(
+            trips[25] < std::time::Duration::from_millis(5),
+            "median TCP ping {:?}",
+            trips[25]
+        );
+    }
+
+    /// An in-memory connection: scripted request bytes in, replies out.
+    struct Duplex<'a> {
+        input: &'a [u8],
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
+        }
+    }
+
+    impl Write for Duplex<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run `input` through `serve_conn`; the session's result and the
+    /// (kind, payload) of every reply frame.
+    fn serve_bytes(
+        state: &Arc<WorkerState>,
+        input: &[u8],
+    ) -> (std::io::Result<()>, Vec<(Kind, Vec<u8>)>) {
+        let mut conn = Duplex {
+            input,
+            output: Vec::new(),
+        };
+        let result = serve_conn(state, &mut conn);
+        let mut replies = Vec::new();
+        let mut out = conn.output.as_slice();
+        while !out.is_empty() {
+            let (kind, payload, _) =
+                proto::recv_frame(&mut out).expect("worker sends whole frames");
+            replies.push((kind, payload));
+        }
+        (result, replies)
+    }
+
+    fn frame(kind: Kind, head: &[u8], data: &[u8]) -> Vec<u8> {
+        let mut f = Vec::new();
+        proto::send_frame_parts(&mut f, kind, head, data).expect("frame");
+        f
+    }
+
+    fn write_frame(win: u64, off: u64, data: &[u8]) -> Vec<u8> {
+        frame(
+            Kind::Write,
+            &[win.to_le_bytes(), off.to_le_bytes()].concat(),
+            data,
+        )
+    }
+
+    fn window_bytes(state: &WorkerState, win: u64) -> Vec<u8> {
+        let mem = state.window(win).expect("window");
+        let g = mem.lock_range(0..mem.len(), false).expect("in bounds");
+        g.as_slice().to_vec()
+    }
+
+    #[test]
+    fn host_of_another_version_is_refused() {
+        let state = WorkerState::new(test_registry());
+        let mut hello = vec![0u8];
+        hello.extend_from_slice(&(proto::VERSION - 1).to_le_bytes());
+        let input = [frame(Kind::Hello, &hello, &[]), frame(Kind::Ping, &[], &[])].concat();
+        let (result, replies) = serve_bytes(&state, &input);
+        assert!(result.is_err(), "the connection ends");
+        let [(Kind::Err, msg)] = &replies[..] else {
+            panic!("one Err frame and no Pong, got {replies:?}");
+        };
+        assert!(String::from_utf8_lossy(msg).contains("version mismatch"));
+    }
+
+    #[test]
+    fn unplaceable_write_is_drained_and_the_connection_stays_in_sync() {
+        let state = WorkerState::new(test_registry());
+        state.alloc(1, 64).expect("alloc");
+        let data = [0xabu8; 48];
+        let input = [
+            write_frame(9, 0, &data),            // no such window
+            write_frame(1, 32, &data),           // runs past the end
+            write_frame(1, u64::MAX, &data),     // off + len overflows
+            frame(Kind::Write, &[1, 2, 3], &[]), // too short for its head
+            write_frame(1, 8, &data),            // fits
+            write_frame(1, 64, &[]),             // empty, at the very end
+            frame(Kind::Ping, &[], &[]),
+        ]
+        .concat();
+        let (result, replies) = serve_bytes(&state, &input);
+        result.expect("every frame was well-formed");
+        let text = |p: &[u8]| String::from_utf8_lossy(p).into_owned();
+        let kinds: Vec<Kind> = replies.iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            kinds,
+            [
+                Kind::Err,
+                Kind::Err,
+                Kind::Err,
+                Kind::Err,
+                Kind::WriteAck,
+                Kind::WriteAck,
+                Kind::Pong
+            ]
+        );
+        assert_eq!(text(&replies[0].1), "no such window 9");
+        assert!(text(&replies[1].1).contains("out of bounds"));
+        assert!(text(&replies[2].1).contains("out of bounds"));
+        assert_eq!(text(&replies[3].1), "malformed Write");
+        // The ack is the CRC of the request frame, as the sender computed it.
+        let sent = write_frame(1, 8, &data);
+        assert_eq!(replies[4].1, sent[sent.len() - 4..]);
+        let mut want = vec![0u8; 64];
+        want[8..56].fill(0xab);
+        assert_eq!(window_bytes(&state, 1), want);
+    }
+
+    /// Seeded byte mutation of a `Write` frame on its way into the worker's
+    /// receive-into-window path: the worker never panics and never
+    /// acknowledges bytes that are not the sender's.
+    #[test]
+    fn mutated_write_frames_are_never_acknowledged() {
+        let state = WorkerState::new(test_registry());
+        state.alloc(1, 512).expect("alloc");
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..6 {
+            let data: Vec<u8> = (0..1 + next() % 200).map(|_| next() as u8).collect();
+            let good = write_frame(1, next() % 300, &data);
+            let ping = frame(Kind::Ping, &[], &[]);
+
+            for cut in 0..good.len() {
+                // A torn header reads as a hang-up, a torn payload as an
+                // error; neither produces a reply.
+                let (_, replies) = serve_bytes(&state, &good[..cut]);
+                assert!(replies.is_empty(), "cut {cut}: {replies:?}");
+            }
+            for bit in 0..good.len() * 8 {
+                let mut bad = good.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                bad.extend_from_slice(&ping);
+                let (result, replies) = serve_bytes(&state, &bad);
+                assert!(result.is_err(), "bit {bit}: the connection must end");
+                assert!(
+                    replies.iter().all(|(k, _)| *k == Kind::Err),
+                    "bit {bit}: no ack and no Pong after a corrupt frame, got {replies:?}"
+                );
+            }
+            // Lengths past the bound are refused from the header alone.
+            let mut bad = good.clone();
+            bad[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+            let (result, replies) = serve_bytes(&state, &bad);
+            assert!(result.is_err() && replies.is_empty());
+
+            // And the untouched frame is stored and acknowledged.
+            let (result, replies) = serve_bytes(&state, &[good.clone(), ping].concat());
+            result.expect("clean session");
+            assert_eq!(
+                replies[0],
+                (Kind::WriteAck, good[good.len() - 4..].to_vec())
+            );
+            assert_eq!(replies[1].0, Kind::Pong);
+        }
+    }
+
+    /// A TCP relay in front of a real worker that flips one bit of the
+    /// `nth` byte the host sends on its H2D channel.
+    fn corrupting_relay(worker: SocketAddr, nth: usize) -> SocketAddr {
+        use std::net::{Shutdown, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound");
+        std::thread::spawn(move || {
+            for down in listener.incoming() {
+                let (Ok(down), Ok(up)) = (down, TcpStream::connect(worker)) else {
+                    return;
+                };
+                let pump = move |mut from: TcpStream, mut to: TcpStream, corrupt: bool| {
+                    let (mut buf, mut seen, mut h2d) = (vec![0u8; 16 << 10], 0usize, false);
+                    while let Ok(n @ 1..) = from.read(&mut buf) {
+                        // Byte 9 of a connection is its Hello's role.
+                        h2d |= corrupt && seen <= 9 && 9 < seen + n && buf[9 - seen] == 1;
+                        if h2d && seen <= nth && nth < seen + n {
+                            buf[nth - seen] ^= 0x04;
+                        }
+                        seen += n;
+                        if to.write_all(&buf[..n]).is_err() {
+                            break;
+                        }
+                    }
+                    let _ = to.shutdown(Shutdown::Both);
+                };
+                let (down2, up2) = (
+                    down.try_clone().expect("clone"),
+                    up.try_clone().expect("clone"),
+                );
+                std::thread::spawn(move || pump(down, up, true));
+                std::thread::spawn(move || pump(up2, down2, false));
+            }
+        });
+        addr
+    }
+
+    #[test]
+    fn byte_flipped_in_flight_loses_the_card() {
+        let worker = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        // Past the Hello (16 bytes), the Write's envelope and head, well
+        // into the first payload.
+        let relay = corrupting_relay(worker, 16 + 25 + 1000);
+        let chaos = ChaosHub::default();
+        let t = RemoteDomain::connect(&Endpoint::Tcp(relay.to_string()), 1, chaos.clone())
+            .expect("connect");
+        t.alloc(1, 4096).expect("alloc");
+        let err = t
+            .write(1, 0, &[0x55u8; 4096])
+            .expect_err("corrupt in flight");
+        // The worker saw the CRC mismatch and hung up; the host reads that
+        // as a lost card, which is what degradation consumes.
+        assert!(
+            matches!(err, hs_fabric::transport::TransportError::Closed(_)),
+            "{err}"
+        );
+        assert_eq!(chaos.dead_cards(), vec![1]);
+        assert!(t.read(1, 0, &mut [0u8; 8]).is_err(), "poisoned: fails fast");
     }
 }

@@ -8,8 +8,8 @@
 //! resident worker threads per sink pipeline, parked on a condvar and woken
 //! by publishing a job in a shared epoch-stamped slot. `par_for` /
 //! `par_chunks_mut` become submit-to-resident-pool; after warm-up no thread
-//! is ever spawned on the compute path (asserted by the spawn-counter in
-//! `tests/workgroup_pool.rs`).
+//! is ever spawned on the compute path (asserted through
+//! [`Workgroup::spawned`] in `tests/workgroup_pool.rs`).
 //!
 //! Handoff protocol (memory ordering documented in DESIGN.md §9): the
 //! submitter publishes `(epoch+1, job)` under the slot mutex and notifies;
@@ -28,15 +28,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// Global count of OS threads ever spawned by workgroups — the
-/// "no spawns after warm-up" regression guard.
-static WORKER_SPAWNS: AtomicUsize = AtomicUsize::new(0);
-
-/// Total workgroup worker threads spawned process-wide since start.
-pub fn worker_spawn_count() -> usize {
-    WORKER_SPAWNS.load(Ordering::Relaxed)
-}
 
 /// A type-erased reference to the current parallel job. The pointee is a
 /// `dyn Fn() + Sync` closure on the *submitter's stack*; the submit
@@ -80,6 +71,10 @@ pub struct Workgroup {
     affinity: Option<u128>,
     label: String,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// OS threads this group has ever spawned — the "no spawns after
+    /// warm-up" regression guard. Per group, so tests that run side by side
+    /// cannot see each other's pools.
+    spawned: AtomicUsize,
     /// Serializes parallel regions submitted from different threads.
     submit: Mutex<()>,
     /// Pool occupancy/spawn metrics sink (a disabled hub by default).
@@ -107,12 +102,13 @@ impl Workgroup {
             affinity,
             label: label.into(),
             workers: Mutex::new(Vec::new()),
+            spawned: AtomicUsize::new(0),
             submit: Mutex::new(()),
             obs: ObsHub::new(),
         }
     }
 
-    /// Route pool metrics (occupancy gauge, region/spawn counters) to `hub`.
+    /// Route pool metrics (occupancy gauge, region counter) to `hub`.
     /// Called by the owning pipeline before the group is shared.
     pub fn set_obs(&mut self, hub: ObsHub) {
         self.obs = hub;
@@ -132,6 +128,11 @@ impl Workgroup {
         self.workers.lock().expect("workgroup mutex").len()
     }
 
+    /// Worker threads this group has spawned since it was created.
+    pub fn spawned(&self) -> usize {
+        self.spawned.load(Ordering::Relaxed)
+    }
+
     /// Spawn the resident workers if this is the first parallel region.
     fn ensure_workers(&self) {
         let mut ws = self.workers.lock().expect("workgroup mutex");
@@ -146,8 +147,7 @@ impl Workgroup {
         for w in 1..self.width {
             let shared = self.shared.clone();
             let core = cores.get(w).copied().unwrap_or(w as u32);
-            WORKER_SPAWNS.fetch_add(1, Ordering::Relaxed);
-            self.obs.counter_add("wg.spawned_workers", 1);
+            self.spawned.fetch_add(1, Ordering::Relaxed);
             let h = std::thread::Builder::new()
                 .name(format!("hs-wg-{}-c{core}", self.label))
                 .spawn(move || worker_loop(&shared))

@@ -310,6 +310,12 @@ impl ThreadExec {
         &self.coi
     }
 
+    /// Expansion worker threads spawned by the live streams' workgroups.
+    pub fn spawned_workers(&self) -> usize {
+        let pipes = self.pipes.lock();
+        pipes.iter().map(|p| p.workgroup().spawned()).sum()
+    }
+
     /// The fault-injection hub shared with the fabric and dispatch points.
     pub fn chaos(&self) -> &ChaosHub {
         &self.chaos

@@ -3041,10 +3041,8 @@ impl HStreams {
                 snap.extra
                     .insert(format!("{key}.rtt_us"), link.rtt_ns as f64 / 1e3);
             }
-            snap.extra.insert(
-                "wg.spawned_workers.global".to_string(),
-                hs_coi::worker_spawn_count() as f64,
-            );
+            snap.extra
+                .insert("wg.spawned_workers".to_string(), t.spawned_workers() as f64);
         }
         snap
     }

@@ -16,12 +16,12 @@
 //! Sockets also carry a read timeout as a backstop, so a wedged (rather
 //! than dead) worker converts to `Closed` instead of hanging a drain.
 
-use crate::proto::{self, ExecBuf, Kind};
+use crate::proto::{self, FrameHeader, Kind};
 use crate::transport::{Endpoint, ExecReply, ExecRequest, LinkStats, Transport, TransportError};
 use crate::window::WindowMem;
 use hs_chaos::{ChaosHub, RetryPolicy};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::{IoSlice, IoSliceMut, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -64,6 +64,13 @@ impl Read for Stream {
             Stream::Tcp(s) => s.read(buf),
         }
     }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.read_vectored(bufs),
+            Stream::Tcp(s) => s.read_vectored(bufs),
+        }
+    }
 }
 
 impl Write for Stream {
@@ -71,6 +78,15 @@ impl Write for Stream {
         match self {
             Stream::Uds(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    // The frame writer's one-syscall-per-frame property rests on this: the
+    // default `write_vectored` sends only the first slice.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Uds(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -192,14 +208,19 @@ impl RemoteDomain {
     }
 
     /// One request/reply round-trip on a channel, with poisoning, byte
-    /// accounting and RTT measurement. `head`+`data` form the payload.
-    fn rpc(
+    /// accounting and RTT measurement. `head`+`data` form the request
+    /// payload; `recv` consumes the payload of a reply of kind `want`
+    /// (anything else is a worker `Err` frame or a protocol violation).
+    /// Returns what `recv` made of the reply, the request's frame CRC and
+    /// the round-trip time.
+    fn rpc<T>(
         &self,
         chan: usize,
-        kind: Kind,
+        (kind, want): (Kind, Kind),
         head: &[u8],
         data: &[u8],
-    ) -> Result<(Kind, Vec<u8>, Duration), TransportError> {
+        recv: impl FnOnce(FrameHeader, &mut Stream) -> std::io::Result<T>,
+    ) -> Result<(T, u32, Duration), TransportError> {
         if self.is_dead() {
             return Err(TransportError::Closed(format!(
                 "card {} already lost",
@@ -210,33 +231,47 @@ impl RemoteDomain {
         let start = Instant::now();
         let sent =
             proto::send_frame_parts(&mut *s, kind, head, data).map_err(|e| self.io_err(&e))?;
-        let (rk, payload, rcvd) = proto::recv_frame(&mut *s).map_err(|e| self.io_err(&e))?;
+        let hdr = proto::recv_header(&mut *s).map_err(|e| self.io_err(&e))?;
+        let (got, rcvd) = (hdr.kind(), hdr.wire_len());
+        let reply = if got == want {
+            Ok(recv(hdr, &mut s).map_err(|e| self.io_err(&e))?)
+        } else if got == Kind::Err {
+            Err(hdr.recv_payload(&mut *s).map_err(|e| self.io_err(&e))?)
+        } else {
+            return Err(self.poison(&format!("expected {want:?}, got {got:?}")));
+        };
         let rtt = start.elapsed();
         drop(s);
-        self.tx_bytes.fetch_add(sent as u64, Ordering::Relaxed);
+        self.tx_bytes
+            .fetch_add(sent.bytes as u64, Ordering::Relaxed);
         self.rx_bytes.fetch_add(rcvd as u64, Ordering::Relaxed);
         self.reqs.fetch_add(1, Ordering::Relaxed);
         self.rtt_ns.store(rtt.as_nanos() as u64, Ordering::Relaxed);
-        if rk == Kind::Err {
-            let msg = String::from_utf8_lossy(&payload).into_owned();
-            return Err(match msg.strip_prefix("no such window ") {
-                Some(w) => match w.parse::<u64>() {
-                    Ok(id) => TransportError::NoSuchWindow(id),
-                    Err(_) => TransportError::Remote(msg),
-                },
-                None if msg.contains("out of bounds") => TransportError::OutOfBounds,
-                None => TransportError::Remote(msg),
-            });
+        match reply {
+            Ok(v) => Ok((v, sent.crc, rtt)),
+            Err(payload) => {
+                let msg = String::from_utf8_lossy(&payload).into_owned();
+                Err(match msg.strip_prefix("no such window ") {
+                    Some(w) => match w.parse::<u64>() {
+                        Ok(id) => TransportError::NoSuchWindow(id),
+                        Err(_) => TransportError::Remote(msg),
+                    },
+                    None if msg.contains("out of bounds") => TransportError::OutOfBounds,
+                    None => TransportError::Remote(msg),
+                })
+            }
         }
-        Ok((rk, payload, rtt))
     }
 
-    fn expect(&self, got: Kind, want: Kind) -> Result<(), TransportError> {
-        if got == want {
-            Ok(())
-        } else {
-            Err(self.poison(&format!("expected {want:?}, got {got:?}")))
-        }
+    /// [`Self::rpc`] for a control request: the reply payload as a `Vec`.
+    fn ctrl(
+        &self,
+        chan: usize,
+        kinds: (Kind, Kind),
+        payload: &[u8],
+    ) -> Result<(Vec<u8>, Duration), TransportError> {
+        self.rpc(chan, kinds, payload, &[], |hdr, s| hdr.recv_payload(s))
+            .map(|(reply, _, rtt)| (reply, rtt))
     }
 }
 
@@ -260,28 +295,20 @@ impl Transport for RemoteDomain {
         let mut p = Vec::with_capacity(16);
         proto::put_u64(&mut p, win);
         proto::put_u64(&mut p, len as u64);
-        let (k, _, _) = self.rpc(ROLE_CTRL, Kind::Alloc, &p, &[])?;
-        self.expect(k, Kind::Ack)
+        self.ctrl(ROLE_CTRL, (Kind::Alloc, Kind::Ack), &p).map(drop)
     }
 
     fn free(&self, win: u64) -> Result<bool, TransportError> {
-        let mut p = Vec::with_capacity(8);
-        proto::put_u64(&mut p, win);
-        match self.rpc(ROLE_CTRL, Kind::Free, &p, &[]) {
-            Ok((k, _, _)) => {
-                self.expect(k, Kind::Ack)?;
-                Ok(true)
-            }
+        match self.ctrl(ROLE_CTRL, (Kind::Free, Kind::Ack), &win.to_le_bytes()) {
+            Ok(_) => Ok(true),
             Err(TransportError::NoSuchWindow(_)) => Ok(false),
             Err(e) => Err(e),
         }
     }
 
     fn zero(&self, win: u64) -> Result<(), TransportError> {
-        let mut p = Vec::with_capacity(8);
-        proto::put_u64(&mut p, win);
-        let (k, _, _) = self.rpc(ROLE_CTRL, Kind::Zero, &p, &[])?;
-        self.expect(k, Kind::Ack)
+        self.ctrl(ROLE_CTRL, (Kind::Zero, Kind::Ack), &win.to_le_bytes())
+            .map(drop)
     }
 
     fn window(&self, _win: u64) -> Option<Arc<WindowMem>> {
@@ -289,46 +316,45 @@ impl Transport for RemoteDomain {
     }
 
     fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<Duration, TransportError> {
-        let mut head = Vec::with_capacity(16);
-        proto::put_u64(&mut head, win);
-        proto::put_u64(&mut head, off as u64);
-        let (k, payload, rtt) = self.rpc(ROLE_H2D, Kind::Write, &head, data)?;
-        self.expect(k, Kind::WriteAck)?;
-        let acked = proto::Cursor::new(&payload)
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&win.to_le_bytes());
+        head[8..].copy_from_slice(&(off as u64).to_le_bytes());
+        let (ack, sent_crc, rtt) = self.rpc(
+            ROLE_H2D,
+            (Kind::Write, Kind::WriteAck),
+            &head,
+            data,
+            |h, s| h.recv_payload(s),
+        )?;
+        let acked = proto::Cursor::new(&ack)
             .get_u32()
             .ok_or_else(|| TransportError::Protocol("short WriteAck".into()))?;
-        let crc = proto::crc32(data);
-        if acked != crc {
+        // The worker acks the frame CRC it computed over the bytes as they
+        // sit in its window; ours was computed over `data` while sending.
+        if acked != sent_crc {
             return Err(self.poison(&format!(
-                "H2D payload CRC mismatch: sent {crc:#010x}, worker stored {acked:#010x}"
+                "H2D payload CRC mismatch: sent {sent_crc:#010x}, worker stored {acked:#010x}"
             )));
         }
         Ok(rtt)
     }
 
     fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<Duration, TransportError> {
-        let mut p = Vec::with_capacity(24);
-        proto::put_u64(&mut p, win);
-        proto::put_u64(&mut p, off as u64);
-        proto::put_u64(&mut p, out.len() as u64);
-        let (k, payload, rtt) = self.rpc(ROLE_D2H, Kind::Read, &p, &[])?;
-        self.expect(k, Kind::ReadData)?;
-        if payload.len() != out.len() {
-            return Err(self.poison(&format!(
-                "D2H length mismatch: asked {}, got {}",
-                out.len(),
-                payload.len()
-            )));
-        }
-        out.copy_from_slice(&payload);
+        let mut p = [0u8; 24];
+        p[..8].copy_from_slice(&win.to_le_bytes());
+        p[8..16].copy_from_slice(&(off as u64).to_le_bytes());
+        p[16..].copy_from_slice(&(out.len() as u64).to_le_bytes());
+        // A `ReadData` of any other length fails in `recv_payload_into` as a
+        // protocol violation, before a byte of it is received.
+        let (_, _, rtt) = self.rpc(ROLE_D2H, (Kind::Read, Kind::ReadData), &p, &[], |h, s| {
+            h.recv_payload_into(s, out)
+        })?;
         Ok(rtt)
     }
 
     fn exec(&self, req: &ExecRequest<'_>) -> Result<ExecReply, TransportError> {
-        let bufs: Vec<ExecBuf> = req.bufs.to_vec();
-        let p = proto::encode_exec(req.name, req.args, req.width, &bufs);
-        let (k, payload, _) = self.rpc(ROLE_EXEC, Kind::Exec, &p, &[])?;
-        self.expect(k, Kind::ExecAck)?;
+        let p = proto::encode_exec(req.name, req.args, req.width, req.bufs);
+        let (payload, _) = self.ctrl(ROLE_EXEC, (Kind::Exec, Kind::ExecAck), &p)?;
         let mut c = proto::Cursor::new(&payload);
         let status = c
             .get_u8()
@@ -343,9 +369,8 @@ impl Transport for RemoteDomain {
     }
 
     fn ping(&self) -> Result<Duration, TransportError> {
-        let (k, _, rtt) = self.rpc(ROLE_CTRL, Kind::Ping, &[], &[])?;
-        self.expect(k, Kind::Pong)?;
-        Ok(rtt)
+        self.ctrl(ROLE_CTRL, (Kind::Ping, Kind::Pong), &[])
+            .map(|(_, rtt)| rtt)
     }
 
     fn link_stats(&self) -> LinkStats {
@@ -370,6 +395,15 @@ fn open_channels(endpoint: &Endpoint) -> std::io::Result<[Stream; N_CHANNELS]> {
         proto::put_u16(&mut hello, proto::VERSION);
         proto::send_frame(&mut s, Kind::Hello, &hello)?;
         let (kind, payload, _) = proto::recv_frame(&mut s)?;
+        if kind == Kind::Err {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "worker refused the connection: {}",
+                    String::from_utf8_lossy(&payload)
+                ),
+            ));
+        }
         if kind != Kind::HelloAck {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -400,7 +434,11 @@ fn connect_stream(endpoint: &Endpoint) -> std::io::Result<Stream> {
     loop {
         let r = match endpoint {
             Endpoint::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+            // Request/reply frames are small and latency-bound: with Nagle
+            // on, each waits out the peer's delayed ACK (~40 ms a round trip).
+            Endpoint::Tcp(addr) => TcpStream::connect(addr)
+                .and_then(|s| s.set_nodelay(true).map(|()| s))
+                .map(Stream::Tcp),
         };
         match r {
             Ok(s) => return Ok(s),
@@ -416,6 +454,100 @@ fn connect_stream(endpoint: &Endpoint) -> std::io::Result<Stream> {
                 }
                 std::thread::sleep(Duration::from_millis(20));
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A scripted worker: greets each of the four channels with `version`,
+    /// then hands the connection to `serve` with its role.
+    fn fake_worker(version: u16, serve: fn(usize, TcpStream)) -> Endpoint {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound");
+        std::thread::spawn(move || {
+            for conn in listener.incoming().take(N_CHANNELS) {
+                let mut conn = conn.expect("accept");
+                let (kind, hello, _) = proto::recv_frame(&mut conn).expect("hello");
+                assert_eq!(kind, Kind::Hello);
+                proto::send_frame(&mut conn, Kind::HelloAck, &version.to_le_bytes())
+                    .expect("hello ack");
+                let role = hello[0] as usize;
+                std::thread::spawn(move || serve(role, conn));
+            }
+        });
+        Endpoint::Tcp(addr.to_string())
+    }
+
+    fn assert_card_lost(t: &RemoteDomain, chaos: &ChaosHub) {
+        assert!(t.is_dead());
+        assert_eq!(chaos.dead_cards(), vec![3]);
+        // Poisoned: later calls fail fast, on every channel.
+        assert!(matches!(t.ping(), Err(TransportError::Closed(_))));
+    }
+
+    #[test]
+    fn worker_of_another_version_is_refused() {
+        let ep = fake_worker(proto::VERSION - 1, |_, _| {});
+        let err = RemoteDomain::connect(&ep, 3, ChaosHub::default())
+            .err()
+            .expect("v1 worker must be refused");
+        assert!(err.to_string().contains("version mismatch"), "{err}");
+    }
+
+    #[test]
+    fn write_ack_of_different_bytes_loses_the_card() {
+        // The worker "stored" something else than was sent: its ack carries
+        // another CRC.
+        let ep = fake_worker(proto::VERSION, |role, mut conn| {
+            if role == ROLE_H2D {
+                let hdr = proto::recv_header(&mut conn).expect("write header");
+                let mut sink = vec![0u8; hdr.remaining()];
+                let crc = hdr.recv_payload_into(&mut conn, &mut sink).expect("write");
+                let _ = proto::send_frame(&mut conn, Kind::WriteAck, &(crc ^ 1).to_le_bytes());
+            }
+        });
+        let chaos = ChaosHub::default();
+        let t = RemoteDomain::connect(&ep, 3, chaos.clone()).expect("connect");
+        let err = t.write(1, 0, &[5u8; 4096]).expect_err("ack mismatch");
+        assert!(
+            matches!(&err, TransportError::Closed(m) if m.contains("CRC")),
+            "{err}"
+        );
+        assert_card_lost(&t, &chaos);
+    }
+
+    #[test]
+    fn corrupt_or_missized_read_data_loses_the_card() {
+        for flip_len in [false, true] {
+            let serve: fn(usize, TcpStream) = if flip_len {
+                |role, mut conn| {
+                    if role == ROLE_D2H {
+                        let _ = proto::recv_frame(&mut conn);
+                        let _ = proto::send_frame(&mut conn, Kind::ReadData, &[9u8; 100]);
+                    }
+                }
+            } else {
+                |role, mut conn| {
+                    if role == ROLE_D2H {
+                        let _ = proto::recv_frame(&mut conn);
+                        let mut frame = Vec::new();
+                        proto::send_frame(&mut frame, Kind::ReadData, &[9u8; 4096]).expect("frame");
+                        frame[2000] ^= 0x10;
+                        let _ = conn.write_all(&frame);
+                    }
+                }
+            };
+            let chaos = ChaosHub::default();
+            let t = RemoteDomain::connect(&fake_worker(proto::VERSION, serve), 3, chaos.clone())
+                .expect("connect");
+            let mut out = vec![0u8; 4096];
+            let err = t.read(1, 0, &mut out).expect_err("bad ReadData");
+            assert!(matches!(err, TransportError::Protocol(_)), "{err}");
+            assert_card_lost(&t, &chaos);
         }
     }
 }
