@@ -3,24 +3,31 @@
 //! hStreams marshals scalar arguments as bytes; these helpers pack/unpack
 //! little-endian `u32` dimension lists the way the apps' kernels expect.
 //!
-//! Every data-parallel kernel *expands* across the executing stream's width
+//! Every data-parallel kernel *expands* across the executing stream's lanes
 //! (paper §II, Fig. 3): the output tile's rows are partitioned into
 //! micro-tile-aligned slabs and claimed dynamically by the stream's
 //! resident [`hs_coi::Workgroup`] — row slabs of C (GEMM/SYRK) and of B
 //! (the right-side TRSMs) are independent, so each lane runs the packed
 //! blocked kernel on its slab. Sequential factorizations (POTRF, LDLᵀ, LU)
 //! and the left-side TRSM (rows are coupled) stay single-lane.
+//!
+//! Lane invariance: which arithmetic an output element gets never depends
+//! on the slab it falls in. A kernel picks its code path from the whole
+//! tile's dimensions and every slab then runs that path, so the result is
+//! bit-identical for every lane count — an in-process card at 1 lane and a
+//! worker at 2 agree (`tests/lane_invariance.rs`, `tests/remote_transport.rs`).
+//! Operands are read in place through [`TaskCtx::buf_f64_split`].
 
 use bytes::Bytes;
 use hs_coi::Workgroup;
-use hs_linalg::blas3::{dgemm, dgemm_nt, dsyrk_ln, dtrsm_rlt};
 use hs_linalg::factor::{dpotrf, ldlt};
-use hs_linalg::microkernel;
+use hs_linalg::microkernel::{self, BSrc, PackedB};
+use hs_linalg::{blas3, naive};
 use hstreams_core::{HStreams, TaskCtx, TaskFn};
 use std::sync::Arc;
 
-/// Partition the m×n output slab's rows across the stream's workgroup and
-/// run `f(row0, slab)` on each micro-tile-aligned row slab.
+/// Partition the m×n output slab's rows across the stream's lanes and run
+/// `f(row0, slab)` on each micro-tile-aligned row slab.
 fn expand_rows(
     wg: &Workgroup,
     c: &mut [f64],
@@ -37,6 +44,35 @@ fn expand_rows(
         return;
     }
     wg.par_chunks_mut(c, rows * n, |idx, slab| f(idx * rows, slab));
+}
+
+/// `C(m×n) += alpha · A(m×k) · B` with C's rows expanded across the lanes.
+/// Tiles too small to be worth packing run the naive loops whole; the rest
+/// pack B once, and every slab's micro-kernel sweep reads that one panel.
+#[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
+fn gemm_expanded(
+    wg: &Workgroup,
+    alpha: f64,
+    a: &[f64],
+    b: BSrc<'_>,
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    if blas3::gemm_is_small(m, n, k) {
+        match b {
+            BSrc::Normal { b, .. } => naive::dgemm(alpha, a, b, 1.0, c, m, n, k),
+            BSrc::Trans { bt, .. } => naive::dgemm_nt(alpha, a, bt, 1.0, c, m, n, k),
+        }
+        return;
+    }
+    let bp = PackedB::pack(b, k, n);
+    expand_rows(wg, c, m, n, |row0, slab| {
+        let nrows = slab.len() / n;
+        let a_rows = &a[row0 * k..(row0 + nrows) * k];
+        microkernel::gemm_prepacked(alpha, a_rows, k, &bp, 1.0, slab, n, nrows);
+    });
 }
 
 /// Pack u32 scalars as task args.
@@ -61,25 +97,11 @@ fn tile_gemm_nn(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n, k, beta) = (d[0] as usize, d[1] as usize, d[2] as usize, d[3]);
     let wg = ctx.workgroup().clone();
-    let a: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b: Vec<f64> = ctx.buf_f64(1).to_vec();
-    let c = ctx.buf_f64_mut(2);
+    let ([a, b], c) = ctx.buf_f64_split([0, 1], 2);
     if beta == 0 {
         c.fill(0.0);
     }
-    expand_rows(&wg, c, m, n, |row0, slab| {
-        let nrows = slab.len() / n;
-        dgemm(
-            1.0,
-            &a[row0 * k..(row0 + nrows) * k],
-            &b,
-            1.0,
-            slab,
-            nrows,
-            n,
-            k,
-        );
-    });
+    gemm_expanded(&wg, 1.0, a, BSrc::Normal { b, ldb: n }, c, m, n, k);
 }
 
 /// `tile_gemm_nt`: `C -= A · Bᵀ`; operands (A in, B in, C inout); args m,n,k.
@@ -87,22 +109,8 @@ fn tile_gemm_nt(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n, k) = (d[0] as usize, d[1] as usize, d[2] as usize);
     let wg = ctx.workgroup().clone();
-    let a: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b: Vec<f64> = ctx.buf_f64(1).to_vec();
-    let c = ctx.buf_f64_mut(2);
-    expand_rows(&wg, c, m, n, |row0, slab| {
-        let nrows = slab.len() / n;
-        dgemm_nt(
-            -1.0,
-            &a[row0 * k..(row0 + nrows) * k],
-            &b,
-            1.0,
-            slab,
-            nrows,
-            n,
-            k,
-        );
-    });
+    let ([a, b], c) = ctx.buf_f64_split([0, 1], 2);
+    gemm_expanded(&wg, -1.0, a, BSrc::Trans { bt: b, ldbt: k }, c, m, n, k);
 }
 
 /// `tile_syrk`: `C -= A·Aᵀ` (lower); operands (A in, C inout); args n, k.
@@ -110,14 +118,9 @@ fn tile_syrk(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (n, k) = (d[0] as usize, d[1] as usize);
     let wg = ctx.workgroup().clone();
-    let a: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let c = ctx.buf_f64_mut(1);
-    if wg.width() <= 1 {
-        dsyrk_ln(&a, c, n, k);
-        return;
-    }
+    let (a, c) = ctx.buf_f64_pair_mut(0, 1);
     expand_rows(&wg, c, n, n, |row0, slab| {
-        microkernel::dsyrk_ln_rows(&a, slab, row0, slab.len() / n, n, k);
+        microkernel::dsyrk_ln_rows(a, slab, row0, slab.len() / n, n, k);
     });
 }
 
@@ -128,10 +131,9 @@ fn tile_trsm(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n) = (d[0] as usize, d[1] as usize);
     let wg = ctx.workgroup().clone();
-    let l: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b = ctx.buf_f64_mut(1);
+    let (l, b) = ctx.buf_f64_pair_mut(0, 1);
     expand_rows(&wg, b, m, n, |_row0, slab| {
-        dtrsm_rlt(&l, slab, slab.len() / n, n);
+        microkernel::dtrsm_rlt(l, slab, slab.len() / n, n);
     });
 }
 
@@ -168,9 +170,8 @@ fn tile_lu_nopiv(ctx: &mut TaskCtx) {
 fn tile_trsm_llu(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n) = (d[0] as usize, d[1] as usize);
-    let l: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b = ctx.buf_f64_mut(1);
-    hs_linalg::blas3::dtrsm_llu(&l, b, m, n);
+    let (l, b) = ctx.buf_f64_pair_mut(0, 1);
+    blas3::dtrsm_llu(l, b, m, n);
 }
 
 /// `tile_trsm_runn`: `B = B U⁻¹` (block-LU column panel); operands (LU in,
@@ -180,10 +181,9 @@ fn tile_trsm_runn(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n) = (d[0] as usize, d[1] as usize);
     let wg = ctx.workgroup().clone();
-    let u: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b = ctx.buf_f64_mut(1);
+    let (u, b) = ctx.buf_f64_pair_mut(0, 1);
     expand_rows(&wg, b, m, n, |_row0, slab| {
-        hs_linalg::blas3::dtrsm_runn(&u, slab, slab.len() / n, n);
+        microkernel::dtrsm_runn(u, slab, slab.len() / n, n);
     });
 }
 
@@ -192,22 +192,8 @@ fn tile_gemm_sub(ctx: &mut TaskCtx) {
     let d = unpack_dims(ctx.args());
     let (m, n, k) = (d[0] as usize, d[1] as usize, d[2] as usize);
     let wg = ctx.workgroup().clone();
-    let a: Vec<f64> = ctx.buf_f64(0).to_vec();
-    let b: Vec<f64> = ctx.buf_f64(1).to_vec();
-    let c = ctx.buf_f64_mut(2);
-    expand_rows(&wg, c, m, n, |row0, slab| {
-        let nrows = slab.len() / n;
-        dgemm(
-            -1.0,
-            &a[row0 * k..(row0 + nrows) * k],
-            &b,
-            1.0,
-            slab,
-            nrows,
-            n,
-            k,
-        );
-    });
+    let ([a, b], c) = ctx.buf_f64_split([0, 1], 2);
+    gemm_expanded(&wg, -1.0, a, BSrc::Normal { b, ldb: n }, c, m, n, k);
 }
 
 /// `whole_getrf`: full-matrix LU with partial pivoting (the untiled

@@ -16,13 +16,12 @@
 //! `crc32` and `uds/write` rows at twice their `pre_pr` rows (the constants
 //! below, which are what the committed artifact's `pre_pr` rows hold).
 
-use hs_bench::{f, git_rev, write_bench_json, JsonRecord, Table};
+use hs_bench::{f, git_rev, median_secs, write_bench_json, JsonRecord, Table};
 use hs_coi::FnRegistry;
 use hs_fabric::proto::{self, Kind};
 use hs_fabric::{Endpoint, LocalTransport, RemoteDomain, Transport};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 const XFER_BYTES: usize = 128 << 10;
 const ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_transport.json");
@@ -48,21 +47,6 @@ const PRE_PR: &[(&str, &str, f64)] = &[
     ("tcp/read", "MBps", 2.98),
 ];
 
-/// Median seconds of `f` over `samples` calls after `warm` unmeasured ones.
-fn sample((warm, samples): (usize, usize), mut f: impl FnMut()) -> f64 {
-    let mut secs = Vec::with_capacity(samples);
-    for i in 0..warm + samples {
-        let t = Instant::now();
-        f();
-        let dt = t.elapsed().as_secs_f64();
-        if i >= warm {
-            secs.push(dt);
-        }
-    }
-    secs.sort_by(f64::total_cmp);
-    secs[secs.len() / 2]
-}
-
 fn mbps(secs: f64) -> f64 {
     XFER_BYTES as f64 / secs / 1e6
 }
@@ -70,18 +54,18 @@ fn mbps(secs: f64) -> f64 {
 /// `(name, unit, value)` rows of the in-memory framing costs.
 fn framing(n: (usize, usize), rows: &mut Vec<(String, &'static str, f64)>) {
     let payload: Vec<u8> = (0..XFER_BYTES).map(|i| (i * 31) as u8).collect();
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         black_box(proto::crc32(black_box(&payload)));
     });
     rows.push(("crc32".into(), "MBps", mbps(secs)));
 
     let mut wire = Vec::with_capacity(XFER_BYTES + 64);
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         wire.clear();
         proto::send_frame(&mut wire, Kind::Write, &payload).expect("encodes");
     });
     rows.push(("frame_encode".into(), "MBps", mbps(secs)));
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         let (_, got, _) = proto::recv_frame(&mut wire.as_slice()).expect("decodes");
         assert_eq!(black_box(got).len(), XFER_BYTES);
     });
@@ -95,15 +79,15 @@ fn transport(n: (usize, usize), t: &dyn Transport, rows: &mut Vec<(String, &'sta
     t.alloc(WIN, XFER_BYTES).expect("alloc");
     let data: Vec<u8> = (0..XFER_BYTES).map(|i| (i * 7) as u8).collect();
     let mut back = vec![0u8; XFER_BYTES];
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         t.ping().expect("ping");
     });
     rows.push((format!("{kind}/ping"), "us", secs * 1e6));
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         t.write(WIN, 0, &data).expect("write");
     });
     rows.push((format!("{kind}/write"), "MBps", mbps(secs)));
-    let secs = sample(n, || {
+    let secs = median_secs(n, || {
         t.read(WIN, 0, &mut back).expect("read");
     });
     rows.push((format!("{kind}/read"), "MBps", mbps(secs)));

@@ -220,6 +220,23 @@ pub fn git_rev() -> String {
         .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
+/// Median seconds of `f` over `samples` calls after `warm` unmeasured ones:
+/// the timing of the per-layer microbenches, whose operations are short
+/// enough for a shared host's hiccups to own a mean.
+pub fn median_secs((warm, samples): (usize, usize), mut f: impl FnMut()) -> f64 {
+    let mut secs = Vec::with_capacity(samples);
+    for i in 0..warm + samples {
+        let t = std::time::Instant::now();
+        f();
+        let dt = t.elapsed().as_secs_f64();
+        if i >= warm {
+            secs.push(dt);
+        }
+    }
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
 /// Format a float with sensible precision for tables.
 pub fn f(v: f64) -> String {
     if v >= 100.0 {

@@ -10,9 +10,9 @@
 //! * [`CoiRuntime`] — owns the fabric and the engine table (engine 0 is
 //!   the host).
 //! * [`pipeline::Pipeline`] — a sink thread executing [`RunFunction`]s in
-//!   arrival order, with a *width* used by [`RunCtx::par_for`] so a
-//!   task expands across the pipeline's threads (the hStreams stream-width
-//!   semantics).
+//!   arrival order, with a logical *width* (the stream's mask) and the
+//!   physical *lanes* [`RunCtx::par_for`] expands a task across (the
+//!   hStreams stream-width semantics on the machine that exists).
 //! * [`registry::FnRegistry`] — name → function table shared by all
 //!   processes, mirroring COI's symbol lookup of sink binaries (and letting
 //!   the same task code run on any engine, the paper's portability point).
@@ -168,21 +168,24 @@ impl CoiRuntime {
     }
 
     /// Create a pipeline on `engine` with `width` threads for task
-    /// expansion.
+    /// expansion: the explicit-lane constructor, logical width and physical
+    /// lanes both `width`.
     pub fn pipeline_create(self: &Arc<Self>, engine: EngineId, width: usize) -> Pipeline {
-        Pipeline::spawn(self.clone(), engine, width, None)
+        Pipeline::spawn(self.clone(), engine, width, width, None)
     }
 
-    /// Like [`Self::pipeline_create`], with the owning stream's CPU-mask
-    /// bits: the pipeline's resident workgroup is keyed off the mask, so
-    /// stream width stays the tuner-visible knob end to end.
-    pub fn pipeline_create_masked(
+    /// A stream's pipeline: logical `width` and CPU-mask bits `affinity`
+    /// are the stream's (what tuners and the wire see), while tasks expand
+    /// across `lanes <= width` OS threads — the share of the real machine
+    /// the caller worked out for the stream.
+    pub fn pipeline_create_stream(
         self: &Arc<Self>,
         engine: EngineId,
         width: usize,
-        affinity: u128,
+        lanes: usize,
+        affinity: Option<u128>,
     ) -> Pipeline {
-        Pipeline::spawn(self.clone(), engine, width, Some(affinity))
+        Pipeline::spawn(self.clone(), engine, width, lanes, affinity)
     }
 
     /// Allocate a window on `engine`, through the engine's buffer pool when

@@ -2,9 +2,12 @@
 //!
 //! A COI pipeline is an in-order command queue bound to a set of sink CPUs.
 //! Here each pipeline is a dedicated thread that executes run functions in
-//! arrival order; its *width* says how many threads the task may expand
-//! across via [`RunCtx`]'s parallel helpers (the hStreams "task naturally
-//! expands to use all of the resources given to a stream" semantics).
+//! arrival order. Its *width* is the logical size of the stream it serves
+//! (the cores of the stream's mask on the modelled platform — what tuners
+//! and the wire see); its *lanes* are how many OS threads a task really
+//! expands across via [`RunCtx`]'s parallel helpers (the hStreams "task
+//! naturally expands to use all of the resources given to a stream"
+//! semantics, on the machine that exists).
 //!
 //! Ordering note: hStreams enqueues work to a pipeline only when its
 //! dependences are satisfied, so pipeline FIFO order is *dispatch* order,
@@ -57,7 +60,8 @@ pub struct Pipeline {
     handle: Option<JoinHandle<()>>,
     engine: EngineId,
     width: usize,
-    /// The resident expansion pool shared with the sink thread.
+    /// The resident expansion pool shared with the sink thread; its width
+    /// is this pipeline's lane count.
     wg: Arc<Workgroup>,
 }
 
@@ -66,13 +70,18 @@ impl Pipeline {
         rt: Arc<CoiRuntime>,
         engine: EngineId,
         width: usize,
+        lanes: usize,
         affinity: Option<u128>,
     ) -> Pipeline {
         assert!(width >= 1, "pipeline width must be >= 1");
+        assert!(
+            (1..=width).contains(&lanes),
+            "pipeline lanes must be in 1..=width"
+        );
         let (tx, rx) = unbounded::<Command>();
-        // The resident expansion pool: width-1 parked workers, woken per
+        // The resident expansion pool: lanes-1 parked workers, woken per
         // parallel region — tasks expand without spawning threads.
-        let mut pool = Workgroup::new(width, format!("e{}", engine.0), affinity);
+        let mut pool = Workgroup::new(lanes, format!("e{}", engine.0), affinity);
         pool.set_obs(rt.obs().clone());
         let wg = Arc::new(pool);
         let wg_sink = wg.clone();
@@ -99,7 +108,7 @@ impl Pipeline {
                         } => {
                             obs.phase_wall(ObsPhase::SinkStart);
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                execute(&rt, &name, &args, &bufs, &wg_sink)
+                                execute(&rt, &name, &args, &bufs, width, &wg_sink)
                             }));
                             match r {
                                 Ok(Ok(())) => done.signal(),
@@ -124,8 +133,15 @@ impl Pipeline {
         self.engine
     }
 
+    /// Logical width: the core count of the owning stream's mask.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// Physical lanes: the OS threads a parallel region of a task runs on
+    /// (the sink thread included).
+    pub fn lanes(&self) -> usize {
+        self.wg.width()
     }
 
     /// The pipeline's resident expansion pool (for diagnostics/tests).
@@ -273,6 +289,7 @@ fn execute(
     name: &str,
     args: &Bytes,
     bufs: &[BufAccess],
+    width: usize,
     wg: &Arc<Workgroup>,
 ) -> Result<(), FailureCause> {
     // Any operand living on a remote node routes the whole task through the
@@ -282,7 +299,7 @@ fn execute(
         .map(|(w, _, _)| w.node)
         .find(|&n| rt.fabric().is_remote(n));
     if let Some(node) = remote {
-        return execute_remote(rt, node, name, args, bufs, wg);
+        return execute_remote(rt, node, name, args, bufs, width, wg);
     }
     let mems: Vec<_> = bufs
         .iter()
@@ -358,9 +375,11 @@ fn wire_cause(node: NodeId, e: TransportError) -> FailureCause {
 /// Execute a task whose operands live (at least partly) on remote `node`.
 ///
 /// Fast path: every operand is on `node` and the worker knows the function —
-/// one `Exec` frame, zero data motion. Fallback (worker replies `UnknownFn`,
-/// e.g. a closure registered only host-side, or operands are mixed
-/// host/remote): fetch the remote operand bytes into private scratch
+/// one `Exec` frame, zero data motion; the frame carries the stream's
+/// logical `width` and the worker picks its own lanes. Fallback (worker
+/// replies `UnknownFn`, e.g. a closure registered only host-side, or
+/// operands are mixed host/remote): fetch the remote operand bytes into
+/// private scratch
 /// windows, run the function locally, and write back the write-operands.
 /// The fallback uses the raw transport (not the DMA engines) so the
 /// `dma.cN.*` gauges keep meaning "buffer instantiation traffic" and stay
@@ -371,6 +390,7 @@ fn execute_remote(
     name: &str,
     args: &Bytes,
     bufs: &[BufAccess],
+    width: usize,
     wg: &Arc<Workgroup>,
 ) -> Result<(), FailureCause> {
     for (w, _, _) in bufs {
@@ -390,7 +410,7 @@ fn execute_remote(
         let req = ExecRequest {
             name,
             args,
-            width: wg.width() as u32,
+            width: width as u32,
             bufs: &raw,
         };
         match t.exec(&req) {
@@ -461,8 +481,8 @@ impl RunCtx<'_> {
         self.args
     }
 
-    /// Number of threads this task may expand across.
-    pub fn width(&self) -> usize {
+    /// Number of OS threads this task may expand across.
+    pub fn lanes(&self) -> usize {
         self.wg.width()
     }
 
@@ -501,17 +521,34 @@ impl RunCtx<'_> {
     /// Take two distinct operands, the second mutably (e.g. input tile and
     /// output tile of one kernel).
     pub fn buf_f64_pair_mut(&mut self, ro: usize, rw: usize) -> (&[f64], &mut [f64]) {
-        assert_ne!(ro, rw, "operand indices must differ");
-        if ro < rw {
-            let (below, from_rw) = self.guards.split_at_mut(rw);
-            (below[ro].as_f64_slice(), from_rw[0].as_f64_mut_slice())
-        } else {
-            let (below, from_ro) = self.guards.split_at_mut(ro);
-            (from_ro[0].as_f64_slice(), below[rw].as_f64_mut_slice())
-        }
+        let ([src], dst) = self.buf_f64_split([ro], rw);
+        (src, dst)
     }
 
-    /// Dynamic-balanced parallel loop over `0..n` across the task's width,
+    /// Shared `f64` views of the operands `ro` together with the exclusive
+    /// view of operand `rw` (which must be a write operand and none of
+    /// `ro`): a kernel reads its inputs in place while it writes its output.
+    pub fn buf_f64_split<const N: usize>(
+        &mut self,
+        ro: [usize; N],
+        rw: usize,
+    ) -> ([&[f64]; N], &mut [f64]) {
+        assert!(!ro.contains(&rw), "operand indices must differ");
+        let (below, rest) = self.guards.split_at_mut(rw);
+        let (out, above) = rest.split_first_mut().expect("operand index in range");
+        let (below, above) = (&*below, &*above);
+        let views = ro.map(|i| {
+            let guard = if i < rw {
+                &below[i]
+            } else {
+                &above[i - rw - 1]
+            };
+            guard.as_f64_slice()
+        });
+        (views, out.as_f64_mut_slice())
+    }
+
+    /// Dynamic-balanced parallel loop over `0..n` across the task's lanes,
     /// executed by the stream's resident pool (no thread spawns).
     pub fn par_for(&self, n: usize, f: impl Fn(usize) + Sync) {
         self.wg.par_for(n, f);
@@ -561,14 +598,14 @@ mod tests {
     }
 
     #[test]
-    fn run_ctx_exposes_args_and_width() {
+    fn run_ctx_exposes_args_and_lanes() {
         let rt = rt1();
         let seen = Arc::new(parking_lot::Mutex::new((0usize, Vec::new())));
         let seen2 = seen.clone();
         rt.register(
             "probe",
             Arc::new(move |ctx: &mut RunCtx| {
-                *seen2.lock() = (ctx.width(), ctx.args().to_vec());
+                *seen2.lock() = (ctx.lanes(), ctx.args().to_vec());
             }),
         );
         let pipe = rt.pipeline_create(EngineId(1), 3);
@@ -648,6 +685,59 @@ mod tests {
             let g = mem.lock_range(0..16, false).expect("in bounds");
             assert_eq!(g.as_f64_slice(), &[3.0, -8.0], "ro={ro} rw={rw}");
         }
+    }
+
+    #[test]
+    fn f64_split_reads_the_inputs_in_place_wherever_the_output_sits() {
+        let rt = rt1();
+        // out = x + 10 * y; args: the operand indices of x, y and out.
+        rt.register(
+            "axpy_into",
+            Arc::new(|ctx: &mut RunCtx| {
+                let [x, y, out] = [0, 1, 2].map(|i| ctx.args()[i] as usize);
+                let ([x, y], out) = ctx.buf_f64_split([x, y], out);
+                for ((o, x), y) in out.iter_mut().zip(x).zip(y) {
+                    *o = x + 10.0 * y;
+                }
+            }),
+        );
+        rt.register(
+            "aliased",
+            Arc::new(|ctx: &mut RunCtx| {
+                ctx.buf_f64_split([0, 1], 1);
+            }),
+        );
+        let pipe = rt.pipeline_create(EngineId(1), 1);
+        let fill = |vals: [f64; 2]| {
+            let w = rt.buffer_alloc(EngineId(1), 16, true);
+            let mem = rt.fabric().window(w.id()).expect("window exists");
+            mem.lock_range(0..16, true)
+                .expect("in bounds")
+                .as_f64_mut_slice()
+                .copy_from_slice(&vals);
+            w
+        };
+        for order in [[0u8, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]] {
+            let wins = [fill([1.0, 2.0]), fill([3.0, 4.0]), fill([0.0, 0.0])];
+            let mut bufs = vec![(wins[0].id(), 0..16, false); 3];
+            for (w, &slot) in wins.iter().zip(&order) {
+                bufs[slot as usize] = (w.id(), 0..16, slot == order[2]);
+            }
+            pipe.run("axpy_into", Bytes::from(order.to_vec()), bufs)
+                .wait()
+                .unwrap_or_else(|e| panic!("order {order:?}: {e}"));
+            let mem = rt.fabric().window(wins[2].id()).expect("window exists");
+            let g = mem.lock_range(0..16, false).expect("in bounds");
+            assert_eq!(g.as_f64_slice(), &[31.0, 42.0], "order {order:?}");
+        }
+        // The output may not also be handed out as an input.
+        let (a, b) = (fill([0.0; 2]), fill([0.0; 2]));
+        let bufs = vec![(a.id(), 0..16, false), (b.id(), 0..16, true)];
+        let err = pipe
+            .run("aliased", Bytes::new(), bufs)
+            .wait()
+            .expect_err("aliasing split must fail the task");
+        assert!(err.to_string().contains("must differ"), "{err}");
     }
 
     #[test]

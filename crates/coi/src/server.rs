@@ -71,19 +71,28 @@ impl Drop for InflightGuard {
 }
 
 /// Shared state of one worker process: its window table, its function
-/// registry, and a cache of expansion pools keyed by requested width.
+/// registry, and its expansion pools, one per lane count up to the cores of
+/// the machine the worker runs on.
 pub struct WorkerState {
     windows: RwLock<HashMap<u64, Arc<WindowMem>>>,
     registry: Arc<FnRegistry>,
     wgs: Mutex<HashMap<usize, Arc<Workgroup>>>,
+    /// Cores of this machine: the most lanes any task gets here.
+    host_cores: usize,
 }
 
 impl WorkerState {
     pub fn new(registry: Arc<FnRegistry>) -> Arc<WorkerState> {
+        let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::with_host_cores(registry, host_cores)
+    }
+
+    fn with_host_cores(registry: Arc<FnRegistry>, host_cores: usize) -> Arc<WorkerState> {
         Arc::new(WorkerState {
             windows: RwLock::new(HashMap::new()),
             registry,
             wgs: Mutex::new(HashMap::new()),
+            host_cores,
         })
     }
 
@@ -96,12 +105,18 @@ impl WorkerState {
         self.windows.read().len()
     }
 
-    /// The resident expansion pool for tasks of `width` — built on first
-    /// use, reused after, mirroring the per-pipeline pools host-side.
-    fn workgroup(&self, width: usize) -> Arc<Workgroup> {
+    /// The resident expansion pool for a task of logical `width` — built
+    /// on first use, reused after, mirroring the per-pipeline pools
+    /// host-side. `width` is the peer's: a stream's share of the modelled
+    /// card, or garbage. The worker hosts one card and owns its process, so
+    /// the task gets as many lanes of it as this machine has cores for —
+    /// never a thread count taken from the wire, and at most one pool per
+    /// lane count.
+    fn workgroup(&self, width: u32) -> Arc<Workgroup> {
+        let lanes = (width as usize).clamp(1, self.host_cores);
         let mut wgs = self.wgs.lock();
-        wgs.entry(width)
-            .or_insert_with(|| Arc::new(Workgroup::new(width, format!("wrk{width}"), None)))
+        wgs.entry(lanes)
+            .or_insert_with(|| Arc::new(Workgroup::new(lanes, format!("wrk{lanes}"), None)))
             .clone()
     }
 
@@ -245,7 +260,7 @@ impl WorkerState {
         // invariant as the host-side sink path.
         let mut order: Vec<usize> = (0..fr.bufs.len()).collect();
         order.sort_by_key(|&i| (fr.bufs[i].0, fr.bufs[i].1));
-        let wg = self.workgroup((fr.width.max(1)) as usize);
+        let wg = self.workgroup(fr.width);
         let name = fr.name;
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_on(&self.registry, name, fr.args, &ops, &order, &wg)
@@ -721,6 +736,69 @@ mod tests {
                 (Kind::WriteAck, good[good.len() - 4..].to_vec())
             );
             assert_eq!(replies[1].0, Kind::Pong);
+        }
+    }
+
+    /// Seeded mutation of an `Exec` frame's `width` field, the one number
+    /// in it that sizes a thread pool: the worker answers every value with
+    /// an `ExecAck`, never builds a pool wider than its own cores, keeps at
+    /// most one pool per lane count, and computes the same bytes.
+    #[test]
+    fn exec_width_from_the_wire_never_sizes_a_pool() {
+        let registry = test_registry();
+        // Expands over the pool the worker picked: byte i becomes i + 1.
+        registry.register(
+            "stamp",
+            Arc::new(|ctx: &mut RunCtx| {
+                let wg = ctx.workgroup().clone();
+                wg.par_chunks_mut(ctx.buf_mut(0), 16, |idx, chunk| {
+                    for (o, b) in chunk.iter_mut().enumerate() {
+                        *b = (idx * 16 + o + 1) as u8;
+                    }
+                });
+            }),
+        );
+        let want: Vec<u8> = (1..=200u8).collect();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for cores in [1usize, 2, 5] {
+            let state = WorkerState::with_host_cores(registry.clone(), cores);
+            state.alloc(1, want.len()).expect("alloc");
+            let p = cores as u32;
+            let mut widths = vec![0, 1, p, p + 1, u32::MAX];
+            widths.extend((0..40).map(|_| (next() >> (next() % 64)) as u32));
+            for width in widths {
+                state.zero(1).expect("zero");
+                let bufs = [(1u64, 0u64, want.len() as u64, true)];
+                let exec = frame(
+                    Kind::Exec,
+                    &proto::encode_exec("stamp", &[], width, &bufs),
+                    &[],
+                );
+                let (result, replies) = serve_bytes(&state, &exec);
+                result.expect("clean session");
+                assert_eq!(
+                    replies,
+                    [(Kind::ExecAck, vec![ExecStatus::Ok as u8])],
+                    "width {width} on {cores} cores"
+                );
+                assert_eq!(window_bytes(&state, 1), want, "width {width}");
+            }
+            let wgs = state.wgs.lock();
+            assert!(wgs.len() <= cores, "one pool per lane count up to {cores}");
+            for (lanes, wg) in wgs.iter() {
+                assert!(
+                    (1..=cores).contains(lanes),
+                    "{lanes} lanes on {cores} cores"
+                );
+                assert_eq!(wg.width(), *lanes);
+                assert!(wg.spawned() < cores, "pool of {lanes} lanes");
+            }
         }
     }
 

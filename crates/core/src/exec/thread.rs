@@ -1,12 +1,12 @@
 //! The real-thread executor.
 //!
-//! Streams map to COI pipelines (one sink thread each, `width` threads for
-//! task expansion); transfers run on per-(card, direction) DMA worker
-//! threads, serialized per direction like PCIe DMA channels and optionally
-//! paced to link speed. Dependences resolve via event callbacks: the last
-//! completing dependence dispatches the action from its own thread, so the
-//! source never blocks and independent actions overtake blocked ones — the
-//! out-of-order-under-FIFO-semantics behaviour of the paper.
+//! Streams map to COI pipelines (one sink thread each, [`physical_lanes`]
+//! threads for task expansion); transfers run on per-(card, direction) DMA
+//! worker threads, serialized per direction like PCIe DMA channels and
+//! optionally paced to link speed. Dependences resolve via event callbacks:
+//! the last completing dependence dispatches the action from its own thread,
+//! so the source never blocks and independent actions overtake blocked ones
+//! — the out-of-order-under-FIFO-semantics behaviour of the paper.
 //!
 //! Error-path invariant: dispatch never panics. Malformed specs (bad stream
 //! index, real transfer without a card), dispatch after executor shutdown,
@@ -190,6 +190,24 @@ impl Drop for TimerWheel {
 /// dispatch into closed channels.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
 
+/// How many OS threads a stream's parallel regions use: the stream owns the
+/// same fraction of the real machine (`host_cores`) as its mask
+/// (`mask_cores`) owns of the platform this process emulates
+/// (`modelled_cores`, summed over the domains hosted in-process), at least
+/// one and never more than the mask is wide.
+///
+/// The mask's core count stays the stream's *logical* width — what the sim
+/// cost model, the tuner, hsan and the wire see. It is not a thread count:
+/// 14 of a modelled 28-core host's cores on a 2-core machine are one lane,
+/// not fourteen threads taking turns. Disjoint masks that cover the
+/// platform therefore never run more lanes than `max(host_cores, streams)`.
+/// A function of the platform and the machine, on purpose: a knob would
+/// have to be re-tuned on every host, and this is what it would be set to.
+pub fn physical_lanes(mask_cores: u32, modelled_cores: u32, host_cores: usize) -> usize {
+    let share = u64::from(mask_cores) * host_cores as u64 / u64::from(modelled_cores.max(1));
+    share.clamp(1, u64::from(mask_cores.max(1))) as usize
+}
+
 /// Real-thread executor state.
 ///
 /// Submission is `&self` and internally synchronized: the only mutable
@@ -201,6 +219,11 @@ const DRAIN_BUDGET: Duration = Duration::from_secs(2);
 /// vectors of handles.
 pub struct ThreadExec {
     coi: Arc<CoiRuntime>,
+    /// Cores of the platform's domains hosted in this process (everything
+    /// but cards behind a remote worker) and of the machine itself: the two
+    /// denominators of [`physical_lanes`].
+    modelled_cores: u32,
+    host_cores: usize,
     /// Stream pipelines; mutated only by `add_stream`/`remap_stream_to_host`
     /// (both rebuild the cached dispatch context under this lock).
     pipes: Mutex<Vec<hs_coi::Pipeline>>,
@@ -292,8 +315,17 @@ impl ThreadExec {
             .collect();
         let timer = TimerWheel::spawn();
         let ctx = Arc::new(make_ctx(&coi, &[], &dma, &obs, &chaos, &timer.shared));
+        let modelled_cores = platform
+            .domains
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !coi.fabric().is_remote(hs_fabric::NodeId(*i as u16)))
+            .map(|(_, d)| d.cores)
+            .sum();
         Ok(ThreadExec {
             coi,
+            modelled_cores,
+            host_cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
             pipes: Mutex::new(Vec::new()),
             ctx: RwLock::new(ctx),
             dma,
@@ -316,6 +348,12 @@ impl ThreadExec {
         pipes.iter().map(|p| p.workgroup().spawned()).sum()
     }
 
+    /// Physical lanes summed over the live streams: the OS threads their
+    /// tasks can occupy at once (sink threads included).
+    pub fn lanes(&self) -> usize {
+        self.pipes.lock().iter().map(|p| p.lanes()).sum()
+    }
+
     /// The fault-injection hub shared with the fabric and dispatch points.
     pub fn chaos(&self) -> &ChaosHub {
         &self.chaos
@@ -324,15 +362,41 @@ impl ThreadExec {
     /// Rebind stream `idx`'s sink pipeline to the host engine (card-loss
     /// degradation). The old pipeline drops: its queued commands drain
     /// against the lost card's windows (their results are discarded by the
-    /// replay) and its sink thread joins.
+    /// replay) and its sink thread joins. The stream keeps its logical
+    /// width and mask; its lanes are worked out afresh for the host.
     pub fn remap_stream_to_host(&self, idx: usize) {
         let mut pipes = self.pipes.lock();
         if idx >= pipes.len() {
             return;
         }
-        let width = pipes[idx].width();
-        pipes[idx] = self.coi.pipeline_create(EngineId::HOST, width);
+        let (width, affinity) = (pipes[idx].width(), pipes[idx].workgroup().affinity());
+        pipes[idx] = self.stream_pipeline(idx, EngineId::HOST, width, affinity);
         self.rebuild_ctx(&pipes);
+    }
+
+    /// The sink pipeline of stream `idx`, `width` cores wide, on `engine`.
+    fn stream_pipeline(
+        &self,
+        idx: usize,
+        engine: EngineId,
+        width: usize,
+        affinity: Option<u128>,
+    ) -> hs_coi::Pipeline {
+        // A stream on a card behind a worker owns none of this process's
+        // cores: its tasks run over there, on lanes the worker picks.
+        let lanes = if self.coi.fabric().is_remote(engine.node()) {
+            1
+        } else {
+            physical_lanes(width as u32, self.modelled_cores, self.host_cores)
+        };
+        if self.obs.is_enabled() {
+            self.obs
+                .gauge_set(&format!("stream.{idx}.width"), width as i64);
+            self.obs
+                .gauge_set(&format!("stream.{idx}.lanes"), lanes as i64);
+        }
+        self.coi
+            .pipeline_create_stream(engine, width, lanes, affinity)
     }
 
     /// Wall seconds since the first submit (0.0 before any work).
@@ -345,13 +409,16 @@ impl ThreadExec {
 
     pub fn add_stream(&self, domain_idx: usize, mask: crate::CpuMask) {
         // Domain indices correspond 1:1 to COI engines (host = 0). The
-        // stream's mask rides down to the pipeline's resident workgroup so
-        // width/affinity stay the tuner-visible knobs (paper §II).
+        // stream's mask rides down to the pipeline as its logical width and
+        // affinity, which stay the tuner-visible knobs (paper §II).
         let width = mask.count().max(1) as usize;
-        let pipe = self
-            .coi
-            .pipeline_create_masked(EngineId(domain_idx as u16), width, mask.0);
         let mut pipes = self.pipes.lock();
+        let pipe = self.stream_pipeline(
+            pipes.len(),
+            EngineId(domain_idx as u16),
+            width,
+            Some(mask.0),
+        );
         pipes.push(pipe);
         self.rebuild_ctx(&pipes);
     }
@@ -807,5 +874,52 @@ fn dispatch_with(ctx: &DispatchCtx, spec: &ActionSpec, done: CoiEvent, obs: ObsA
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::physical_lanes;
+    use crate::CpuMask;
+    use hs_machine::{Device, PlatformCfg};
+
+    #[test]
+    fn lanes_follow_the_machine_not_the_model() {
+        let platform = PlatformCfg::hetero(Device::Hsw, 1);
+        let modelled: u32 = platform.domains.iter().map(|d| d.cores).sum();
+        for host_cores in [1usize, 2, 8, 28, 128] {
+            for per_domain in [1usize, 2, 4] {
+                let masks: Vec<CpuMask> = platform
+                    .domains
+                    .iter()
+                    .flat_map(|d| CpuMask::partition_evenly(d.cores, per_domain))
+                    .collect();
+                let lanes: Vec<usize> = masks
+                    .iter()
+                    .map(|m| physical_lanes(m.count(), modelled, host_cores))
+                    .collect();
+                for (m, &l) in masks.iter().zip(&lanes) {
+                    assert!(l >= 1, "a stream always has its sink thread");
+                    assert!(l <= m.count() as usize, "never wider than the mask");
+                }
+                let total: usize = lanes.iter().sum();
+                assert!(
+                    total <= host_cores.max(masks.len()),
+                    "{per_domain} streams/domain on {host_cores} cores: {lanes:?}"
+                );
+            }
+        }
+        // The two hosts the rule was sized on: this 2-core one runs every
+        // stream of the 28 + 60 core model on its sink thread alone; a real
+        // 28-core host gives the halves of each domain 4 + 4 + 9 + 9.
+        assert_eq!(physical_lanes(14, 88, 2), 1);
+        assert_eq!(physical_lanes(30, 88, 2), 1);
+        let on_28: Vec<usize> = [14, 14, 30, 30]
+            .map(|cores| physical_lanes(cores, 88, 28))
+            .to_vec();
+        assert_eq!(on_28, [4, 4, 9, 9]);
+        // A machine larger than the model never widens a stream past its mask.
+        assert_eq!(physical_lanes(14, 88, 1024), 14);
+        assert_eq!(physical_lanes(0, 0, 0), 1);
     }
 }

@@ -3043,6 +3043,7 @@ impl HStreams {
             }
             snap.extra
                 .insert("wg.spawned_workers".to_string(), t.spawned_workers() as f64);
+            snap.extra.insert("wg.lanes".to_string(), t.lanes() as f64);
         }
         snap
     }

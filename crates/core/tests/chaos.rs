@@ -33,8 +33,9 @@ fn runtime(mode: ExecMode) -> HStreams {
 /// Returns Ok(()) when the final synchronize succeeds.
 fn pipelined_workload(hs: &mut HStreams, rounds: usize) -> Result<(), HsError> {
     let card = DomainId(1);
-    let s0 = hs.stream_create(card, CpuMask::first(1))?;
-    let s1 = hs.stream_create(card, CpuMask::first(1))?;
+    // The two halves of the card, 30 cores wide each.
+    let s0 = hs.stream_create(card, CpuMask::range(0, 30))?;
+    let s1 = hs.stream_create(card, CpuMask::range(30, 30))?;
     let buf = hs.buffer_create(1024, BufProps::default());
     hs.buffer_instantiate(buf, card)?;
     for i in 0..rounds {
@@ -212,6 +213,7 @@ fn fatal_injection_is_not_retried() {
 fn card_loss_degrades_to_host_and_workload_completes() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let mut hs = runtime(mode);
+        hs.obs_enable(true);
         hs.chaos_install(
             FaultPlan::new(5)
                 .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead),
@@ -219,6 +221,22 @@ fn card_loss_degrades_to_host_and_workload_completes() {
         pipelined_workload(&mut hs, 8).expect("degradation must let the workload complete");
         assert_eq!(hs.degraded_cards(), &[1], "card 1 degraded ({mode:?})");
         assert!(hs.chaos().is_card_dead(1));
+        if mode == ExecMode::Threads {
+            // The remapped streams keep their logical width (a 30-core
+            // share of the lost card) but get the host's lanes for it, not
+            // a 30-thread pool each.
+            let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+            let m = hs.metrics();
+            for stream in 0..2 {
+                assert_eq!(m.gauges[&format!("stream.{stream}.width")].current, 30);
+                let lanes = m.gauges[&format!("stream.{stream}.lanes")].current;
+                assert!(
+                    (1..=host_cores as i64).contains(&lanes),
+                    "stream {stream}: {lanes} lanes on {host_cores} cores"
+                );
+            }
+            assert!(m.extra["wg.lanes"] <= (2 * host_cores) as f64);
+        }
         // The remapped streams keep working for post-degradation enqueues.
         let s = StreamId(0);
         let ev = hs

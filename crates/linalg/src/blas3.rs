@@ -15,6 +15,14 @@ use crate::{microkernel, naive};
 /// loops beat the packed path's panel-allocation and packing overhead.
 const SMALL_FLOPS: usize = 16 * 1024;
 
+/// Does an m×n×k GEMM take the naive loops? Callers that cut one GEMM into
+/// row slabs (task expansion in `hs-apps`) ask this once with the *whole*
+/// tile's dimensions and run every slab down the same path, so the result
+/// does not depend on how many slabs there are.
+pub fn gemm_is_small(m: usize, n: usize, k: usize) -> bool {
+    m * n * k <= SMALL_FLOPS
+}
+
 /// `C = alpha * A(m×k) * B(k×n) + beta * C(m×n)` — row-major, no transposes.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
 pub fn dgemm(
@@ -30,7 +38,7 @@ pub fn dgemm(
     assert_eq!(a.len(), m * k, "A dims");
     assert_eq!(b.len(), k * n, "B dims");
     assert_eq!(c.len(), m * n, "C dims");
-    if m * n * k <= SMALL_FLOPS {
+    if gemm_is_small(m, n, k) {
         naive::dgemm(alpha, a, b, beta, c, m, n, k);
     } else {
         microkernel::dgemm(alpha, a, b, beta, c, m, n, k);
@@ -54,7 +62,7 @@ pub fn dgemm_nt(
     assert_eq!(a.len(), m * k, "A dims");
     assert_eq!(b.len(), n * k, "B dims (stored n×k)");
     assert_eq!(c.len(), m * n, "C dims");
-    if m * n * k <= SMALL_FLOPS {
+    if gemm_is_small(m, n, k) {
         naive::dgemm_nt(alpha, a, b, beta, c, m, n, k);
     } else {
         microkernel::dgemm_nt(alpha, a, b, beta, c, m, n, k);

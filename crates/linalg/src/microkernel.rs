@@ -68,6 +68,113 @@ pub fn gemm_strided(
     n: usize,
     k: usize,
 ) {
+    let panels = BPanels::OnTheFly {
+        src: b,
+        buf: vec![0.0f64; NC.min(n.next_multiple_of(NR)) * KC.min(k)],
+    };
+    gemm_panels(alpha, a, lda, panels, beta, c, ldc, m, n, k);
+}
+
+/// The right-hand operand of a GEMM packed once into micro-kernel panels.
+///
+/// A task that expands across a stream's lanes cuts C (and A) into row
+/// slabs, and every slab multiplies by the *same* B: packing it per slab
+/// repeats the work once per lane. The panels are read-only after
+/// [`PackedB::pack`], so all lanes share one through [`gemm_prepacked`].
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    /// The panels of [`panel_grid`], in its order, each zero-padded to whole
+    /// `NR`-wide strips.
+    panels: Vec<f64>,
+}
+
+impl PackedB {
+    /// Pack the logical k×n matrix `b`.
+    pub fn pack(b: BSrc<'_>, k: usize, n: usize) -> PackedB {
+        let mut panels = vec![0.0f64; n.next_multiple_of(NR) * k];
+        let mut off = 0;
+        for (jc, nc, pc, kc) in panel_grid(n, k) {
+            let len = nc.next_multiple_of(NR) * kc;
+            pack_b(b, pc, kc, jc, nc, &mut panels[off..off + len]);
+            off += len;
+        }
+        PackedB { k, n, panels }
+    }
+}
+
+/// `C = alpha·A·B + beta·C` with B already packed: `a` is m×k (leading
+/// dimension `lda`), `c` m×n (`ldc`), k and n those `b` was packed with.
+/// Same sweep, same micro-kernel and same accumulation order as
+/// [`gemm_strided`], so the two agree bit for bit.
+#[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
+pub fn gemm_prepacked(
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &PackedB,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+    m: usize,
+) {
+    let panels = BPanels::Packed {
+        panels: &b.panels,
+        next: 0,
+    };
+    gemm_panels(alpha, a, lda, panels, beta, c, ldc, m, b.n, b.k);
+}
+
+/// The `(jc, nc, pc, kc)` panels of a k×n right-hand operand in sweep
+/// order: `NC`-wide column blocks outermost, `KC`-deep slabs within each.
+fn panel_grid(n: usize, k: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    (0..n).step_by(NC).flat_map(move |jc| {
+        (0..k)
+            .step_by(KC)
+            .map(move |pc| (jc, NC.min(n - jc), pc, KC.min(k - pc)))
+    })
+}
+
+/// Where [`gemm_panels`] gets its packed B panels from.
+enum BPanels<'a> {
+    /// Pack each panel from `src` into `buf` as the sweep reaches it.
+    OnTheFly { src: BSrc<'a>, buf: Vec<f64> },
+    /// Walk the panels of a [`PackedB`].
+    Packed { panels: &'a [f64], next: usize },
+}
+
+impl BPanels<'_> {
+    /// The packed panel at (`pc`, `jc`); calls follow [`panel_grid`] order.
+    fn panel(&mut self, jc: usize, nc: usize, pc: usize, kc: usize) -> &[f64] {
+        let len = nc.next_multiple_of(NR) * kc;
+        match self {
+            BPanels::OnTheFly { src, buf } => {
+                pack_b(*src, pc, kc, jc, nc, &mut buf[..len]);
+                &buf[..len]
+            }
+            BPanels::Packed { panels, next } => {
+                let at = *next;
+                *next += len;
+                &panels[at..at + len]
+            }
+        }
+    }
+}
+
+/// The blocked sweep shared by [`gemm_strided`] and [`gemm_prepacked`].
+#[allow(clippy::too_many_arguments)]
+fn gemm_panels(
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    mut b: BPanels<'_>,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -76,31 +183,26 @@ pub fn gemm_strided(
         scale_rows(c, ldc, m, n, beta);
         return;
     }
-    // Packed panels, zero-padded to full micro-tile strips.
-    let mut ap = vec![0.0f64; MC * KC.min(k)];
-    let mut bp = vec![0.0f64; NC * KC.min(k)];
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            pack_b(b, pc, kc, jc, nc, &mut bp);
-            // beta applies exactly once per C element: on the first k-slab.
-            let beta_eff = if pc == 0 { beta } else { 1.0 };
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                pack_a(a, lda, ic, mc, pc, kc, &mut ap);
-                macro_kernel_dispatch(
-                    alpha,
-                    &ap,
-                    &bp,
-                    mc,
-                    nc,
-                    kc,
-                    beta_eff,
-                    &mut c[ic * ldc + jc..],
-                    ldc,
-                );
-            }
+    // Packed A block, zero-padded to full micro-tile strips.
+    let mut ap = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
+    for (jc, nc, pc, kc) in panel_grid(n, k) {
+        let bp = b.panel(jc, nc, pc, kc);
+        // beta applies exactly once per C element: on the first k-slab.
+        let beta_eff = if pc == 0 { beta } else { 1.0 };
+        for ic in (0..m).step_by(MC) {
+            let mc = MC.min(m - ic);
+            pack_a(a, lda, ic, mc, pc, kc, &mut ap);
+            macro_kernel_dispatch(
+                alpha,
+                &ap,
+                bp,
+                mc,
+                nc,
+                kc,
+                beta_eff,
+                &mut c[ic * ldc + jc..],
+                ldc,
+            );
         }
     }
 }
@@ -329,9 +431,9 @@ pub fn dgemm_nt(
 }
 
 /// Blocked symmetric rank-k update, lower: `C = C − A·Aᵀ` on the lower
-/// triangle of the n×n tile `C`, `A` n×k. Off-diagonal blocks go through
-/// the packed GEMM; only the `MC`-sized diagonal blocks run the small
-/// dot-product loop.
+/// triangle of the n×n tile `C`, `A` n×k. Everything left of the `MC`-sized
+/// diagonal blocks goes through the packed GEMM; only the diagonal blocks
+/// run the small dot-product loop.
 pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
     assert_eq!(a.len(), n * k, "A dims");
     assert_eq!(c.len(), n * n, "C dims");
@@ -341,66 +443,49 @@ pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
 /// The row-slab form of [`dsyrk_ln`] used by task expansion: update rows
 /// `[row0, row0+nrows)` of the lower-triangular update, where `a` is the
 /// *full* n×k A and `c_rows` is the nrows×n slab of C starting at `row0`.
+///
+/// The diagonal blocks sit at multiples of `MC` counted from row 0 of the
+/// tile, not from the slab: whether an element takes the dot-product loop
+/// or the packed GEMM depends on its (i, j) alone, so every partition of the
+/// rows into slabs produces the same bits.
 pub fn dsyrk_ln_rows(a: &[f64], c_rows: &mut [f64], row0: usize, nrows: usize, n: usize, k: usize) {
     assert_eq!(a.len(), n * k, "A dims");
     assert_eq!(c_rows.len(), nrows * n, "C slab dims");
     assert!(row0 + nrows <= n, "slab in range");
-    if nrows == 0 {
-        return;
-    }
-    // Rectangle: columns 0..row0 are full for every row of the slab.
-    if row0 > 0 {
+    let end = row0 + nrows;
+    let mut r = row0;
+    while r < end {
+        // Rows [r, re) of the slab lie in the diagonal block starting at d0.
+        let d0 = r / MC * MC;
+        let re = end.min(d0 + MC);
+        let rows = &mut c_rows[(r - row0) * n..(re - row0) * n];
+        // Rectangle: columns 0..d0 are full for every one of these rows.
         gemm_strided(
             -1.0,
-            &a[row0 * k..],
+            &a[r * k..],
             k,
             BSrc::Trans { bt: a, ldbt: k },
             1.0,
-            c_rows,
+            rows,
             n,
-            nrows,
-            row0,
+            re - r,
+            d0,
             k,
         );
-    }
-    // Triangle: the nrows×nrows diagonal block, processed in MC sub-blocks
-    // whose own off-diagonal parts are again packed GEMMs.
-    let mut jb = 0;
-    while jb < nrows {
-        let nb = MC.min(nrows - jb);
-        // Small triangular block: dot products (j <= i within the block).
-        for i in 0..nb {
-            let arow = &a[(row0 + jb + i) * k..(row0 + jb + i + 1) * k];
-            let crow = &mut c_rows[(jb + i) * n + row0 + jb..];
-            for j in 0..=i {
-                let brow = &a[(row0 + jb + j) * k..(row0 + jb + j + 1) * k];
+        // Triangle: dot products against the block's own rows (j <= i).
+        for i in r..re {
+            let arow = &a[i * k..(i + 1) * k];
+            let crow = &mut rows[(i - r) * n + d0..];
+            for j in d0..=i {
+                let brow = &a[j * k..(j + 1) * k];
                 let mut dot = 0.0;
                 for (x, y) in arow.iter().zip(brow) {
                     dot += x * y;
                 }
-                crow[j] -= dot;
+                crow[j - d0] -= dot;
             }
         }
-        // Rows of the slab below this block vs. the block's columns.
-        let m2 = nrows - jb - nb;
-        if m2 > 0 {
-            gemm_strided(
-                -1.0,
-                &a[(row0 + jb + nb) * k..],
-                k,
-                BSrc::Trans {
-                    bt: &a[(row0 + jb) * k..(row0 + jb + nb) * k],
-                    ldbt: k,
-                },
-                1.0,
-                &mut c_rows[(jb + nb) * n + row0 + jb..],
-                n,
-                m2,
-                nb,
-                k,
-            );
-        }
-        jb += nb;
+        r = re;
     }
 }
 
@@ -411,7 +496,8 @@ pub fn dsyrk_ln_rows(a: &[f64], c_rows: &mut [f64], row0: usize, nrows: usize, n
 pub fn dtrsm_rlt(l: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(l.len(), n * n, "L dims");
     assert_eq!(b.len(), m * n, "B dims");
-    let mut scratch = vec![0.0f64; m * MC.min(n.max(1))];
+    // The delta panel of the blocks past the first; none for n <= MC.
+    let mut scratch = vec![0.0f64; if n > MC { m * MC } else { 0 }];
     let mut jb = 0;
     while jb < n {
         let nb = MC.min(n - jb);
@@ -509,7 +595,7 @@ pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
 pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(u.len(), n * n, "U dims");
     assert_eq!(b.len(), m * n, "B dims");
-    let mut scratch = vec![0.0f64; m * MC.min(n.max(1))];
+    let mut scratch = vec![0.0f64; if n > MC { m * MC } else { 0 }];
     let mut jb = 0;
     while jb < n {
         let nb = MC.min(n - jb);
@@ -555,13 +641,13 @@ pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
 }
 
 /// Rows per chunk when a compute task partitions an m-row tile across a
-/// stream's `width` workers: ~2 chunks per worker for dynamic balance,
-/// rounded up to a micro-tile multiple so no worker gets a partial strip.
-pub fn expansion_rows(m: usize, width: usize) -> usize {
-    if width <= 1 {
+/// stream's `lanes` threads: ~2 chunks per lane for dynamic balance,
+/// rounded up to a micro-tile multiple so no lane gets a partial strip.
+pub fn expansion_rows(m: usize, lanes: usize) -> usize {
+    if lanes <= 1 {
         return m.max(1);
     }
-    let target = m.div_ceil(width * 2).max(1);
+    let target = m.div_ceil(lanes * 2).max(1);
     target.next_multiple_of(MR).min(m.max(1))
 }
 
@@ -657,20 +743,80 @@ mod tests {
     }
 
     #[test]
-    fn syrk_row_slabs_compose_to_full_update() {
-        let (n, k) = (37usize, 19usize);
-        let a = random(n, k, 21);
-        let mut c1 = random(n, n, 22);
-        let mut c2 = c1.clone();
-        naive::dsyrk_ln(a.as_slice(), c1.as_mut_slice(), n, k);
-        // Apply the slab form in three uneven pieces.
-        let mut row0 = 0;
-        for nrows in [11usize, 20, 6] {
-            let slab = &mut c2.as_mut_slice()[row0 * n..(row0 + nrows) * n];
-            dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
-            row0 += nrows;
+    fn prepacked_b_matches_packing_on_the_fly_bit_for_bit() {
+        // Crosses NC and KC, with ragged edges in every dimension; the
+        // slabs of A and C are what task expansion hands each lane.
+        let (m, n, k) = (MC + 9, NC + 13, KC + 5);
+        let a = random(m, k, 31);
+        let b = random(k, n, 32);
+        let bt = random(n, k, 33);
+        for src in [
+            BSrc::Normal {
+                b: b.as_slice(),
+                ldb: n,
+            },
+            BSrc::Trans {
+                bt: bt.as_slice(),
+                ldbt: k,
+            },
+        ] {
+            let mut whole = random(m, n, 34);
+            let mut slabs = whole.clone();
+            gemm_strided(
+                -1.0,
+                a.as_slice(),
+                k,
+                src,
+                1.0,
+                whole.as_mut_slice(),
+                n,
+                m,
+                n,
+                k,
+            );
+            let bp = PackedB::pack(src, k, n);
+            let mut row0 = 0;
+            for nrows in [4usize, 1, 40, m - 45] {
+                gemm_prepacked(
+                    -1.0,
+                    &a.as_slice()[row0 * k..(row0 + nrows) * k],
+                    k,
+                    &bp,
+                    1.0,
+                    &mut slabs.as_mut_slice()[row0 * n..(row0 + nrows) * n],
+                    n,
+                    nrows,
+                );
+                row0 += nrows;
+            }
+            assert_eq!(row0, m);
+            assert_eq!(slabs.as_slice(), whole.as_slice());
         }
-        assert_close(c2.as_slice(), c1.as_slice(), 1e-12);
+    }
+
+    #[test]
+    fn syrk_row_slabs_compose_to_the_whole_update_bit_for_bit() {
+        // Two diagonal blocks and a ragged third; slabs that straddle them.
+        let (n, k) = (2 * MC + 9, 19usize);
+        let a = random(n, k, 21);
+        let c0 = random(n, n, 22);
+        let mut oracle = c0.clone();
+        naive::dsyrk_ln(a.as_slice(), oracle.as_mut_slice(), n, k);
+        let mut whole = c0.clone();
+        dsyrk_ln(a.as_slice(), whole.as_mut_slice(), n, k);
+        assert_close(whole.as_slice(), oracle.as_slice(), 1e-12);
+        for pieces in [vec![n], vec![11, 60, 6, n - 77], vec![4; n / 4 + 1]] {
+            let mut c = c0.clone();
+            let mut row0 = 0;
+            for nrows in pieces {
+                let nrows = nrows.min(n - row0);
+                let slab = &mut c.as_mut_slice()[row0 * n..(row0 + nrows) * n];
+                dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
+                row0 += nrows;
+            }
+            assert_eq!(row0, n);
+            assert_eq!(c.as_slice(), whole.as_slice());
+        }
     }
 
     #[test]
