@@ -5,30 +5,48 @@
 //! (`config: "batch"`).
 //!
 //! Writes `BENCH_enqueue.json` at the workspace root. Every row carries
-//! contention evidence next to the rate: `frontend.stream_lock.contended`,
-//! `id_rmw_per_action` (global id-allocation RMWs amortized over actions —
-//! 1.0 before per-thread id blocks, ~1/32 after), and `deps.redundant`.
-//! The `wal_on` row repeats the single-thread drive with durable logging
-//! enabled and gates the append overhead (<10% on full-length runs).
+//! `host_cores`, the revision measured and, next to the rate, contention
+//! evidence: `frontend.stream_lock.contended`, `id_rmw_per_action` (global
+//! id-allocation RMWs amortized over actions — 1.0 before per-thread id
+//! blocks, ~1/32 after), `deps.redundant`, and `allocs_per_action` — heap
+//! allocations on every thread of the process per enqueued action, counted
+//! (by a counting global allocator) over a second, untimed pass of the same
+//! drive. The `pre_pr` rows are the parent commit measured with this file.
+//! A row with more source threads than the host has cores is omitted, with
+//! the reason printed: it would measure the scheduler. The `wal_on` row
+//! repeats the single-thread drive with durable logging enabled and gates
+//! the append overhead (<10% on full-length runs; `overhead_us` is the same
+//! measurement in microseconds per action, recorded beside it).
 //!
 //! Env knobs:
 //! * `HS_BENCH_SMOKE=1` shrinks the run for CI;
 //! * `HS_BENCH_CHECK=1` compares the measured single-thread rate against
-//!   the committed artifact and fails loudly on a >20% regression;
+//!   the committed artifact and fails loudly on a >20% regression, and
+//!   fails when `allocs_per_action` of either single-thread row exceeds the
+//!   committed count (a count, so it gates on any runner);
 //! * `HS_BENCH_SCALE_GATE=1` enforces the scaling acceptance gate:
 //!   aggregate throughput non-decreasing from 1→2 source threads when the
 //!   host has ≥2 cores; on a 1-core runner the gate is skipped with a
 //!   notice and the contention counters are gated instead (id RMWs per
 //!   action must stay well below the pre-PR 1.0).
 
+// Shared with `crates/core/tests/alloc_budget.rs`, which also uses the
+// per-thread split and the free counts.
+#[allow(dead_code)]
+#[path = "../../core/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use bytes::Bytes;
-use hs_bench::{f, write_bench_json, JsonRecord, Table};
+use hs_bench::{f, git_rev, write_bench_json, JsonRecord, Table};
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
     Access, BatchAction, BufProps, CostHint, CpuMask, DomainId, ExecMode, HStreams, Operand,
     OrderingMode, StreamId,
 };
 use std::sync::Arc;
+
+#[global_allocator]
+static ALLOC: counting_alloc::Counting = counting_alloc::Counting;
 
 const STREAMS_PER_THREAD: usize = 2;
 const BUFS_PER_STREAM: usize = 8;
@@ -120,12 +138,14 @@ struct Evidence {
     lock_contended: f64,
     id_rmw_per_action: f64,
     deps_redundant: f64,
+    /// Heap allocations per action, summed over every thread.
+    allocs_per_action: f64,
     wal_flushes: f64,
     wal_fsyncs: f64,
     wal_fsync_batched: f64,
 }
 
-fn evidence(hs: &HStreams) -> Evidence {
+fn evidence(hs: &HStreams, allocs_per_action: f64) -> Evidence {
     let rows = hs.metrics().rows();
     let get = |key: &str| {
         rows.iter()
@@ -139,6 +159,7 @@ fn evidence(hs: &HStreams) -> Evidence {
         lock_contended: get("frontend.stream_lock.contended"),
         id_rmw_per_action: get("events.id_block.mints") / reserved,
         deps_redundant: get("deps.redundant"),
+        allocs_per_action,
         wal_flushes: wal.as_ref().map_or(0.0, |s| s.flushes as f64),
         wal_fsyncs: wal.as_ref().map_or(0.0, |s| s.fsyncs as f64),
         wal_fsync_batched: wal.as_ref().map_or(0.0, |s| s.fsync_batched as f64),
@@ -183,27 +204,33 @@ fn measure(
         }
     }
     let total = threads * actions_per_thread;
-    let start = std::time::Instant::now();
-    if threads == 1 {
-        let per_lane = actions_per_thread / STREAMS_PER_THREAD;
-        for lane in &lanes[0] {
-            go(&hs, lane, per_lane);
-        }
-    } else {
-        std::thread::scope(|scope| {
-            for tl in &lanes {
-                let hs = hs.clone();
-                scope.spawn(move || {
-                    let per_lane = actions_per_thread / STREAMS_PER_THREAD;
-                    for lane in tl {
-                        go(&hs, lane, per_lane);
-                    }
-                });
+    let pass = || {
+        if threads == 1 {
+            let per_lane = actions_per_thread / STREAMS_PER_THREAD;
+            for lane in &lanes[0] {
+                go(&hs, lane, per_lane);
             }
-        });
-    }
+        } else {
+            std::thread::scope(|scope| {
+                for tl in &lanes {
+                    let hs = hs.clone();
+                    scope.spawn(move || {
+                        let per_lane = actions_per_thread / STREAMS_PER_THREAD;
+                        for lane in tl {
+                            go(&hs, lane, per_lane);
+                        }
+                    });
+                }
+            });
+        }
+    };
+    let start = std::time::Instant::now();
+    pass();
     let rate = total as f64 / start.elapsed().as_secs_f64();
-    (rate, evidence(&hs))
+    // Counted apart from the timed pass: the counters are shared atomics.
+    let (driver, others) = counting_alloc::counted(pass);
+    let allocs = (driver.allocs + others.allocs) as f64 / total as f64;
+    (rate, evidence(&hs, allocs))
 }
 
 fn ordering_tag(o: OrderingMode) -> &'static str {
@@ -213,17 +240,12 @@ fn ordering_tag(o: OrderingMode) -> &'static str {
     }
 }
 
-/// Pre-PR single-thread rate, measured on this box at the seed commit
-/// (one-big-lock front-end, growable event vec) with the same op mix.
-/// Override with HS_ENQ_BASELINE=<actions/sec> when benching elsewhere.
-const PRE_PR_BASELINE: f64 = 101_000.0;
-
-fn pre_pr_baseline() -> f64 {
-    std::env::var("HS_ENQ_BASELINE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(PRE_PR_BASELINE)
-}
+/// The parent commit, measured with this file on the host that recorded
+/// the committed artifact: (config, actions/s, allocations per action) of
+/// its two single-thread out-of-order rows.
+const PRE_PR_REV: &str = "ef551e3";
+const PRE_PR_CORES: f64 = 2.0;
+const PRE_PR: [(&str, f64, f64); 2] = [("id_block", 132_271.0, 22.93), ("batch", 162_957.0, 26.11)];
 
 /// Parse `"key": value` out of our own hand-written bench JSON (the
 /// workspace has no serde_json; the format is fixed by write_bench_json).
@@ -237,15 +259,26 @@ fn json_value(row: &str, key: &str) -> Option<f64> {
 
 const ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_enqueue.json");
 
-fn check_regression(measured: f64) {
-    let committed = std::fs::read_to_string(ARTIFACT)
-        .expect("HS_BENCH_CHECK: committed BENCH_enqueue.json must exist");
-    let row = committed
+/// The committed row of the current code for `config`'s single-thread,
+/// out-of-order drive.
+fn committed_row<'a>(committed: &'a str, config: &str) -> &'a str {
+    let tag = format!("\"config\": \"{config}\"");
+    committed
         .lines()
         .find(|l| {
-            l.contains("\"name\": \"single_thread\"") && l.contains("\"config\": \"id_block\"")
+            l.contains("\"name\": \"single_thread\"")
+                && l.contains("\"ordering\": \"ooo\"")
+                && l.contains(&tag)
         })
-        .expect("committed BENCH_enqueue.json has a single_thread id_block row");
+        .unwrap_or_else(|| panic!("committed BENCH_enqueue.json has a single_thread {config} row"))
+}
+
+/// `HS_BENCH_CHECK`: the single-enqueue rate against the committed one, and
+/// both single-thread rows' allocation counts against theirs.
+fn check_regression(measured: f64, allocs: &[(&str, f64)]) {
+    let committed = std::fs::read_to_string(ARTIFACT)
+        .expect("HS_BENCH_CHECK: committed BENCH_enqueue.json must exist");
+    let row = committed_row(&committed, "id_block");
     let reference = json_value(row, "actions_per_sec").expect("row has actions_per_sec");
     // The committed artifact comes from a full-length run; a smoke run is
     // both shorter (warmup is a larger share) and noisier, so it gets a
@@ -265,7 +298,27 @@ fn check_regression(measured: f64) {
         "single-thread enqueue throughput regressed below {frac:.0}x of the committed \
          rate: {measured:.0} < {floor:.0} actions/sec"
     );
+    for &(config, measured) in allocs {
+        let row = committed_row(&committed, config);
+        let reference = json_value(row, "allocs_per_action").expect("row has allocs_per_action");
+        // What an action allocates is a count and repeats on any runner; the
+        // slack covers what is amortised (channel blocks, list regrowth) and
+        // so moves a little with timing and run length. One more block per
+        // action is four times it.
+        let cap = reference + ALLOC_SLACK;
+        println!(
+            "allocation check ({config}): {measured:.3} per action vs committed \
+             {reference:.3} (cap {cap:.3})"
+        );
+        assert!(
+            measured <= cap,
+            "{config}: {measured:.3} heap allocations per action, committed {reference:.3}"
+        );
+    }
 }
+
+/// Headroom of the allocation gate, in allocations per action.
+const ALLOC_SLACK: f64 = 0.25;
 
 /// The concurrency-smoke scaling gate (CI): with ≥2 host cores, aggregate
 /// throughput must be non-decreasing from 1→2 source threads; on a 1-core
@@ -306,6 +359,7 @@ fn main() {
     let gate = std::env::var("HS_BENCH_SCALE_GATE").is_ok();
     let actions = if smoke { 8 * 1024 } else { 64 * 1024 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rev = git_rev();
 
     let mut records = Vec::new();
     let mut table = Table::new(vec![
@@ -316,9 +370,11 @@ fn main() {
         "vs 1T",
         "rmw/act",
         "contended",
+        "allocs/act",
     ]);
 
     let mut single = 0.0;
+    let mut single_allocs = Vec::new();
     let mut single_fifo = 0.0;
     let mut single_ev = None;
     let mut rate_2t = None;
@@ -338,9 +394,19 @@ fn main() {
                 if smoke && t > 2 {
                     continue;
                 }
+                if t > cores {
+                    println!(
+                        "omitted: threads_{t} ({config}) — {t} source threads on a \
+                         {cores}-core host would measure the scheduler, not the front-end"
+                    );
+                    continue;
+                }
                 let (rate, ev) = measure(t, actions / t.min(4), ordering, batched, None);
                 if t == 1 {
                     base = rate;
+                    if ordering == OrderingMode::OutOfOrder {
+                        single_allocs.push((config, ev.allocs_per_action));
+                    }
                     if ordering == OrderingMode::OutOfOrder && !batched {
                         single = rate;
                         single_ev = Some(ev);
@@ -360,6 +426,7 @@ fn main() {
                     format!("{:.2}x", rate / base),
                     format!("{:.4}", ev.id_rmw_per_action),
                     format!("{:.0}", ev.lock_contended),
+                    format!("{:.2}", ev.allocs_per_action),
                 ]);
                 let name = if t == 1 {
                     "single_thread".to_string()
@@ -372,12 +439,14 @@ fn main() {
                         .with_source_threads(t)
                         .with_ordering(ordering_tag(ordering))
                         .with_config(config)
+                        .with_git_rev(rev.clone())
                         .with_metrics(vec![
                             ("actions_per_sec".to_string(), rate),
                             ("host_cores".to_string(), cores as f64),
                             ("stream_lock_contended".to_string(), ev.lock_contended),
                             ("id_rmw_per_action".to_string(), ev.id_rmw_per_action),
                             ("deps_redundant".to_string(), ev.deps_redundant),
+                            ("allocs_per_action".to_string(), ev.allocs_per_action),
                         ]),
                 );
             }
@@ -388,21 +457,23 @@ fn main() {
     // ~1.3x gap, which was avoidable index-scan work (since pruned: the
     // two paths now measure equal up to noise). The bound leaves headroom
     // for single-run jitter on small hosts (±10% run-to-run on a 1-core
-    // box) while still catching a systematic regression.
+    // box) while still catching a systematic regression. (Asserted with the
+    // other gates, once the artifact is written.)
+    let mut fifo_gap = None;
     if single > 0.0 && single_fifo > 0.0 {
         let gap = single_fifo / single;
+        fifo_gap = Some(gap);
         records.push(
             JsonRecord::new("fifo_ooo_gap", actions, 0.0)
                 .with_source_threads(1)
                 .with_config("id_block")
-                .with_metrics(vec![("gap".to_string(), gap)]),
+                .with_git_rev(rev.clone())
+                .with_metrics(vec![
+                    ("gap".to_string(), gap),
+                    ("host_cores".to_string(), cores as f64),
+                ]),
         );
         println!("\nfifo/ooo single-thread gap: {gap:.3}x (bound 1.25x)");
-        assert!(
-            gap <= 1.25,
-            "single-thread fifo ({single_fifo:.0}/s) outpaces ooo ({single:.0}/s) by \
-             {gap:.2}x — the ooo dependence-analysis path has regressed"
-        );
     }
     // Durable append overhead: the same single-thread id_block/ooo drive
     // with the WAL on — every enqueue appends its record, every sync
@@ -422,6 +493,7 @@ fn main() {
     let mut wal_rate = f64::MIN;
     let mut wal_base = f64::MIN;
     let mut overhead = f64::MAX;
+    let mut overhead_us = f64::MAX;
     let mut wal_ev = None;
     for _ in 0..5 {
         let (b, _) = measure(1, actions, OrderingMode::OutOfOrder, false, None);
@@ -445,6 +517,7 @@ fn main() {
             );
         }
         overhead = overhead.min(b / w - 1.0);
+        overhead_us = overhead_us.min((1.0 / w - 1.0 / b) * 1e6);
         wal_base = wal_base.max(b);
         if w > wal_rate {
             wal_rate = w;
@@ -460,6 +533,7 @@ fn main() {
         format!("{:.2}x", wal_rate / wal_base),
         format!("{:.4}", wal_ev.id_rmw_per_action),
         format!("{:.0}", wal_ev.lock_contended),
+        format!("{:.2}", wal_ev.allocs_per_action),
     ]);
     records.push(
         JsonRecord::new("wal_on", actions, 0.0)
@@ -467,14 +541,18 @@ fn main() {
             .with_source_threads(1)
             .with_ordering("ooo")
             .with_config("wal_on")
+            .with_git_rev(rev.clone())
             .with_metrics(vec![
                 ("actions_per_sec".to_string(), wal_rate),
                 ("overhead_frac".to_string(), overhead),
+                ("overhead_us".to_string(), overhead_us),
                 ("host_cores".to_string(), cores as f64),
+                ("allocs_per_action".to_string(), wal_ev.allocs_per_action),
             ]),
     );
     println!(
-        "wal append overhead: {:.1}% off the in-memory rate (min of 5 pairs)",
+        "wal append overhead: {overhead_us:.2} us per action, {:.1}% off the in-memory rate \
+         (min of 5 pairs)",
         overhead * 100.0
     );
     // Media durability with group-commit: the same drive with fsync on and
@@ -515,6 +593,7 @@ fn main() {
         format!("{:.2}x", fsync_rate / wal_base),
         format!("{:.4}", fsync_ev.id_rmw_per_action),
         format!("{:.0}", fsync_ev.lock_contended),
+        format!("{:.2}", fsync_ev.allocs_per_action),
     ]);
     records.push(
         JsonRecord::new("wal_fsync", actions, 0.0)
@@ -522,6 +601,7 @@ fn main() {
             .with_source_threads(1)
             .with_ordering("ooo")
             .with_config("wal_fsync")
+            .with_git_rev(rev.clone())
             .with_metrics(vec![
                 ("actions_per_sec".to_string(), fsync_rate),
                 ("overhead_frac".to_string(), fsync_overhead),
@@ -553,26 +633,29 @@ fn main() {
         fsync_ev.wal_flushes
     );
 
-    let baseline = pre_pr_baseline();
-    if baseline > 0.0 {
+    for (config, rate, allocs) in PRE_PR {
         records.push(
-            JsonRecord::new("pre_pr_baseline", actions, 0.0)
+            JsonRecord::new(format!("single_thread_{config}_pre_pr"), actions, 0.0)
+                .with_name("single_thread")
                 .with_source_threads(1)
                 .with_ordering("ooo")
-                .with_config("pre_pr")
+                .with_config(format!("pre_pr/{config}"))
+                .with_git_rev(PRE_PR_REV)
                 .with_metrics(vec![
-                    ("actions_per_sec".to_string(), baseline),
-                    ("host_cores".to_string(), cores as f64),
+                    ("actions_per_sec".to_string(), rate),
+                    ("host_cores".to_string(), PRE_PR_CORES),
+                    ("allocs_per_action".to_string(), allocs),
                 ]),
         );
         table.row(vec![
-            "1 (pre-PR)".to_string(),
-            "pre_pr".to_string(),
+            format!("1 ({PRE_PR_REV})"),
+            format!("pre_pr/{config}"),
             "ooo".to_string(),
-            f(baseline),
-            format!("{:.2}x", single / baseline),
-            "1.0000".to_string(),
+            f(rate),
             "-".to_string(),
+            "-".to_string(),
+            "-".to_string(),
+            format!("{allocs:.2}"),
         ]);
     }
     table.print("enqueue throughput (thread executor, host streams)");
@@ -582,6 +665,19 @@ fn main() {
             single,
             rate_2t,
             single_ev.as_ref().expect("1-thread measurement ran"),
+        );
+    }
+    if !check && !smoke {
+        // Recorded before the gates below: a row that fails its gate is
+        // still the measurement of record, and a run is not picked for the
+        // record by having passed them.
+        write_bench_json(ARTIFACT, &records);
+    }
+    if let Some(gap) = fifo_gap {
+        assert!(
+            gap <= 1.25,
+            "single-thread fifo ({single_fifo:.0}/s) outpaces ooo ({single:.0}/s) by \
+             {gap:.2}x — the ooo dependence-analysis path has regressed"
         );
     }
     if check || !smoke {
@@ -602,8 +698,6 @@ fn main() {
         );
     }
     if check {
-        check_regression(single);
-    } else if !smoke {
-        write_bench_json(ARTIFACT, &records);
+        check_regression(single, &single_allocs);
     }
 }

@@ -1,9 +1,22 @@
 //! Completion events with wait/poll semantics and error propagation.
+//!
+//! The completion state is an [`EventCore`] that lives *inside* whatever it
+//! completes: a bare event allocates just the core, while a task record (the
+//! pipelines' own, or the executor's per-action record above this crate)
+//! embeds one and hands out [`CoiEvent`]s that are views of itself — an
+//! action's event costs no allocation of its own. What waits on an event is
+//! a list of [`Dependent`]s walked in place at completion: never taken,
+//! never freed by the completing thread, so a sink thread that completes an
+//! action releases nothing the enqueuing thread allocated. The list goes
+//! when its owner sweeps the finished event ([`EventCore::retire`]) — or,
+//! for an event nobody sweeps, with the core.
 
+use crate::small::SmallVec;
 use hs_chaos::FailureCause;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Observable status of an event.
 #[derive(Clone, PartialEq, Debug)]
@@ -13,27 +26,247 @@ pub enum EventStatus {
     Failed(FailureCause),
 }
 
-type Callback = Box<dyn FnOnce(&EventStatus) + Send>;
-
-struct EventCore {
-    status: Mutex<EventStatus>,
-    cv: Condvar,
-    callbacks: Mutex<Vec<Callback>>,
-    /// Lock-free completion flag, set (under the status lock) when the
-    /// status leaves `Pending`. `is_complete` polls — retire sweeps and
-    /// outstanding-list pruning call it once per action — so the common
-    /// "already done" answer must not take the status mutex.
-    done: AtomicBool,
-    /// Companion to `done`: set before it when completion is a failure, so
-    /// `completed_ok` can answer lock-free too (reads are ordered by
-    /// `done`'s Release/Acquire pair).
-    failed: AtomicBool,
+/// Something released by an event's completion: a dependent action's
+/// countdown, or an [`CoiEvent::on_complete`] callback.
+pub trait Dependent: Send + Sync {
+    /// The producer completed with `status` (never `Pending`). Runs on the
+    /// completing thread, or inline on the registering thread when the
+    /// producer was already complete.
+    fn resolved(self: Arc<Self>, status: &EventStatus);
 }
 
-/// A shareable one-shot completion event. Cloning shares the same core.
+/// The owner of an [`EventCore`]: what a [`CoiEvent`] points at.
+pub trait EventHost: Send + Sync {
+    fn event_core(&self) -> &EventCore;
+
+    /// Called once with the final status, on the completing thread, before
+    /// any dependent is released.
+    fn completed(&self, _status: &EventStatus) {}
+}
+
+struct EventState {
+    status: EventStatus,
+    /// Threads parked on `cv`. Counted under the state lock — the lock a
+    /// waiter holds from its status check until it parks and a completer
+    /// holds while it publishes the status — so a completion either sees
+    /// the waiter and notifies it, or the waiter sees the completion and
+    /// never parks. With nobody parked, completion skips the futex syscall.
+    waiters: u32,
+    /// Registered while pending, frozen at completion, dropped by
+    /// [`EventCore::retire`] or with the core.
+    dependents: SmallVec<Option<Arc<dyn Dependent>>, 2>,
+    /// How many of `dependents` the completing thread has released.
+    walked: usize,
+}
+
+/// One-shot completion state: status, parked waiters, dependents.
+pub struct EventCore {
+    state: Mutex<EventState>,
+    cv: Condvar,
+    /// Lock-free mirror of the settled status ([`PENDING`], [`OK`] or
+    /// [`FAILED`]), stored under the state lock when the status leaves
+    /// `Pending`. Retire sweeps and outstanding-list pruning poll once per
+    /// action, so the common "already done" answer must not take the mutex.
+    settled: AtomicU8,
+}
+
+const PENDING: u8 = 0;
+const OK: u8 = 1;
+const FAILED: u8 = 2;
+
+impl Default for EventCore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventHost for EventCore {
+    fn event_core(&self) -> &EventCore {
+        self
+    }
+}
+
+impl EventCore {
+    pub fn new() -> EventCore {
+        EventCore {
+            state: Mutex::new(EventState {
+                status: EventStatus::Pending,
+                waiters: 0,
+                dependents: SmallVec::new(),
+                walked: 0,
+            }),
+            cv: Condvar::new(),
+            settled: AtomicU8::new(PENDING),
+        }
+    }
+
+    /// Settle the event (first completion wins; later ones are ignored),
+    /// wake parked waiters, tell `host`, then release the dependents in
+    /// registration order. `host` is the owner of this core.
+    pub fn complete(&self, new: EventStatus, host: &(impl EventHost + ?Sized)) {
+        let status = {
+            let mut st = self.state.lock();
+            if st.status != EventStatus::Pending {
+                return;
+            }
+            let settled = if new == EventStatus::Done { OK } else { FAILED };
+            st.status = new;
+            self.settled.store(settled, Ordering::Release);
+            if st.waiters > 0 {
+                self.cv.notify_all();
+            }
+            st.status.clone()
+        };
+        host.completed(&status);
+        // The list is frozen now (registrations that find the event complete
+        // run inline), so it is walked by cursor outside the lock: a
+        // dependent may dispatch, complete and walk its own list from here.
+        loop {
+            let dep = {
+                let mut st = self.state.lock();
+                let Some(dep) = st.dependents.as_slice().get(st.walked).cloned() else {
+                    return;
+                };
+                st.walked += 1;
+                dep
+            };
+            dep.expect("registered dependents stay in place")
+                .resolved(&status);
+        }
+    }
+
+    /// Complete, with every dependent released? Then drop the dependent list
+    /// here, on the calling thread, and say so. The owner's sweep of finished
+    /// events calls this: a finished producer stops pinning the records that
+    /// registered on it (and, through them, theirs), and what the list held
+    /// is freed by the sweeping thread, never by the completing one.
+    pub fn retire(&self) -> bool {
+        if self.settled.load(Ordering::Acquire) == PENDING {
+            return false;
+        }
+        let released = {
+            let mut st = self.state.lock();
+            if st.walked < st.dependents.len() {
+                return false; // the completing thread is still walking
+            }
+            std::mem::take(&mut st.dependents)
+        };
+        drop(released); // outside the lock: a last reference frees a record
+        true
+    }
+
+    /// Release `dep` when the event completes — inline, on this thread, if
+    /// it already has.
+    pub fn add_dependent(&self, dep: Arc<dyn Dependent>) {
+        let status = {
+            let mut st = self.state.lock();
+            if st.status == EventStatus::Pending {
+                st.dependents.push(Some(dep));
+                return;
+            }
+            st.status.clone()
+        };
+        dep.resolved(&status);
+    }
+
+    pub fn status(&self) -> EventStatus {
+        self.state.lock().status.clone()
+    }
+
+    /// The mirror is stored under the state lock before any waiter or
+    /// dependent can observe completion, so a settled read is never stale.
+    /// A pending read falls back to the locked status — the caller may be
+    /// racing the completing thread.
+    fn settled(&self) -> u8 {
+        match self.settled.load(Ordering::Acquire) {
+            PENDING => match &self.state.lock().status {
+                EventStatus::Pending => PENDING,
+                EventStatus::Done => OK,
+                EventStatus::Failed(_) => FAILED,
+            },
+            settled => settled,
+        }
+    }
+
+    pub fn is_complete(&self) -> bool {
+        self.settled() != PENDING
+    }
+
+    /// Completed *successfully*? (The retirement predicate calls this once
+    /// per pending action per enqueue.)
+    pub fn completed_ok(&self) -> bool {
+        self.settled() == OK
+    }
+
+    /// Run `cb` with the final status once the event completes. If the event
+    /// is already complete the callback runs inline on the calling thread;
+    /// otherwise it runs on the completing thread.
+    pub fn on_complete(&self, cb: impl FnOnce(&EventStatus) + Send + 'static) {
+        self.add_dependent(Arc::new(Callback(Mutex::new(Some(cb)))));
+    }
+
+    /// Park on the condvar (until notified, or for `timeout`), counted as a
+    /// waiter for the duration.
+    fn park(&self, st: &mut MutexGuard<'_, EventState>, timeout: Option<Duration>) {
+        st.waiters += 1;
+        match timeout {
+            Some(t) => {
+                self.cv.wait_for(st, t);
+            }
+            None => self.cv.wait(st),
+        }
+        st.waiters -= 1;
+    }
+
+    /// Block until complete; `Err` carries the failure cause.
+    pub fn wait(&self) -> Result<(), FailureCause> {
+        self.wait_until(None)
+            .expect("an unbounded wait returns only on completion")
+    }
+
+    /// Block until complete or until `deadline` passes. Returns `None` on
+    /// timeout (the event is left pending). Used by executor shutdown to
+    /// drain outstanding actions with a bounded budget instead of hanging
+    /// on an action whose dependence will never resolve.
+    pub fn wait_deadline(&self, deadline: Instant) -> Option<Result<(), FailureCause>> {
+        self.wait_until(Some(deadline))
+    }
+
+    fn wait_until(&self, deadline: Option<Instant>) -> Option<Result<(), FailureCause>> {
+        let mut st = self.state.lock();
+        loop {
+            match &st.status {
+                EventStatus::Done => return Some(Ok(())),
+                EventStatus::Failed(m) => return Some(Err(m.clone())),
+                EventStatus::Pending => {}
+            }
+            let left = match deadline {
+                Some(d) => Some(
+                    d.checked_duration_since(Instant::now())
+                        .filter(|t| !t.is_zero())?,
+                ),
+                None => None,
+            };
+            self.park(&mut st, left);
+        }
+    }
+}
+
+struct Callback<F>(Mutex<Option<F>>);
+
+impl<F: FnOnce(&EventStatus) + Send> Dependent for Callback<F> {
+    fn resolved(self: Arc<Self>, status: &EventStatus) {
+        if let Some(cb) = self.0.lock().take() {
+            cb(status);
+        }
+    }
+}
+
+/// A shareable one-shot completion event: a view of the [`EventCore`] its
+/// host embeds (it derefs to it). Cloning shares the same core.
 #[derive(Clone)]
 pub struct CoiEvent {
-    core: Arc<EventCore>,
+    host: Arc<dyn EventHost>,
 }
 
 impl Default for CoiEvent {
@@ -42,17 +275,22 @@ impl Default for CoiEvent {
     }
 }
 
+impl std::ops::Deref for CoiEvent {
+    type Target = EventCore;
+
+    fn deref(&self) -> &EventCore {
+        self.host.event_core()
+    }
+}
+
 impl CoiEvent {
     pub fn new() -> CoiEvent {
-        CoiEvent {
-            core: Arc::new(EventCore {
-                status: Mutex::new(EventStatus::Pending),
-                cv: Condvar::new(),
-                callbacks: Mutex::new(Vec::new()),
-                done: AtomicBool::new(false),
-                failed: AtomicBool::new(false),
-            }),
-        }
+        CoiEvent::of(Arc::new(EventCore::new()))
+    }
+
+    /// The event of `host`.
+    pub fn of(host: Arc<dyn EventHost>) -> CoiEvent {
+        CoiEvent { host }
     }
 
     /// An event that is already complete.
@@ -65,111 +303,12 @@ impl CoiEvent {
     /// Mark complete and wake waiters. Signalling twice is idempotent;
     /// signalling after `fail` keeps the failure.
     pub fn signal(&self) {
-        self.complete(EventStatus::Done);
+        self.complete(EventStatus::Done, &*self.host);
     }
 
     /// Mark failed and wake waiters.
     pub fn fail(&self, cause: impl Into<FailureCause>) {
-        self.complete(EventStatus::Failed(cause.into()));
-    }
-
-    fn complete(&self, new: EventStatus) {
-        let final_status;
-        {
-            let mut st = self.core.status.lock();
-            if *st != EventStatus::Pending {
-                return;
-            }
-            *st = new;
-            final_status = st.clone();
-            if matches!(*st, EventStatus::Failed(_)) {
-                self.core.failed.store(true, Ordering::Relaxed);
-            }
-            self.core.done.store(true, Ordering::Release);
-            self.core.cv.notify_all();
-        }
-        // Run callbacks outside the status lock; new registrations observe
-        // the final status and run inline.
-        let cbs = std::mem::take(&mut *self.core.callbacks.lock());
-        for cb in cbs {
-            cb(&final_status);
-        }
-    }
-
-    /// Run `cb` with the final status once the event completes. If the event
-    /// is already complete the callback runs inline on the calling thread;
-    /// otherwise it runs on the completing thread.
-    pub fn on_complete(&self, cb: impl FnOnce(&EventStatus) + Send + 'static) {
-        {
-            // Hold the status lock across the push: `complete` sets the
-            // status under this lock before draining callbacks, so a
-            // registration that observes Pending is guaranteed to be drained
-            // (lock order is status -> callbacks on this path only; the
-            // drain in `complete` takes callbacks without status).
-            let st = self.core.status.lock();
-            if *st == EventStatus::Pending {
-                self.core.callbacks.lock().push(Box::new(cb));
-                return;
-            }
-        }
-        cb(&self.status());
-    }
-
-    pub fn status(&self) -> EventStatus {
-        self.core.status.lock().clone()
-    }
-
-    pub fn is_complete(&self) -> bool {
-        // Fast path: the flag is set under the status lock before any
-        // waiter/callback can observe completion, so a true read here is
-        // never stale. A false read falls back to the locked check — the
-        // caller may be racing the completing thread.
-        if self.core.done.load(Ordering::Acquire) {
-            return true;
-        }
-        !matches!(self.status(), EventStatus::Pending)
-    }
-
-    /// Completed *successfully*? Lock-free when already complete (the
-    /// retirement predicate calls this once per pending action per enqueue).
-    pub fn completed_ok(&self) -> bool {
-        if self.core.done.load(Ordering::Acquire) {
-            return !self.core.failed.load(Ordering::Relaxed);
-        }
-        matches!(self.status(), EventStatus::Done)
-    }
-
-    /// Block until complete; `Err` carries the failure cause.
-    pub fn wait(&self) -> Result<(), FailureCause> {
-        let mut st = self.core.status.lock();
-        while *st == EventStatus::Pending {
-            self.core.cv.wait(&mut st);
-        }
-        match &*st {
-            EventStatus::Done => Ok(()),
-            EventStatus::Failed(m) => Err(m.clone()),
-            EventStatus::Pending => unreachable!("loop exits only when complete"),
-        }
-    }
-
-    /// Block until complete or until `deadline` passes. Returns `None` on
-    /// timeout (the event is left pending). Used by executor shutdown to
-    /// drain outstanding actions with a bounded budget instead of hanging
-    /// on an action whose dependence will never resolve.
-    pub fn wait_deadline(&self, deadline: std::time::Instant) -> Option<Result<(), FailureCause>> {
-        let mut st = self.core.status.lock();
-        while *st == EventStatus::Pending {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.core.cv.wait_for(&mut st, deadline - now);
-        }
-        match &*st {
-            EventStatus::Done => Some(Ok(())),
-            EventStatus::Failed(m) => Some(Err(m.clone())),
-            EventStatus::Pending => unreachable!("loop exits only when complete"),
-        }
+        self.complete(EventStatus::Failed(cause.into()), &*self.host);
     }
 
     /// Wait for all events; the first failure (in list order) is reported.
@@ -182,13 +321,10 @@ impl CoiEvent {
 
     /// Wait until at least one event *succeeds*; returns its index. Only
     /// when every member has failed does it return an error — the first
-    /// failure in list order. (The previous implementation returned the
-    /// first failure it scanned even while another member could still
-    /// succeed, and parked on `events[0]` — which, once failed, returned
-    /// immediately and turned the wait into a busy spin.) The paper
-    /// highlights wait-any ("being signaled when one or all the events are
-    /// finished ... can save CPU spinning time"); this implementation parks
-    /// on a still-pending member's condvar rather than spinning.
+    /// failure in list order. The paper highlights wait-any ("being signaled
+    /// when one or all the events are finished ... can save CPU spinning
+    /// time"); this implementation parks on a still-pending member's condvar
+    /// rather than spinning.
     pub fn wait_any(events: &[CoiEvent]) -> Result<usize, FailureCause> {
         assert!(!events.is_empty(), "wait_any on empty set");
         loop {
@@ -197,16 +333,8 @@ impl CoiEvent {
             for (i, ev) in events.iter().enumerate() {
                 match ev.status() {
                     EventStatus::Done => return Ok(i),
-                    EventStatus::Failed(c) => {
-                        if first_fail.is_none() {
-                            first_fail = Some(c);
-                        }
-                    }
-                    EventStatus::Pending => {
-                        if pending.is_none() {
-                            pending = Some(i);
-                        }
-                    }
+                    EventStatus::Failed(c) => first_fail = first_fail.or(Some(c)),
+                    EventStatus::Pending => pending = pending.or(Some(i)),
                 }
             }
             let Some(p) = pending else {
@@ -214,12 +342,10 @@ impl CoiEvent {
             };
             // Park on a pending member; re-scan on wake or timeout (another
             // member may have completed while we were parked elsewhere).
-            let ev = &events[p];
-            let mut st = ev.core.status.lock();
-            if *st == EventStatus::Pending {
-                ev.core
-                    .cv
-                    .wait_for(&mut st, std::time::Duration::from_micros(200));
+            let core: &EventCore = &events[p];
+            let mut st = core.state.lock();
+            if st.status == EventStatus::Pending {
+                core.park(&mut st, Some(Duration::from_micros(200)));
             }
         }
     }
@@ -292,6 +418,51 @@ mod tests {
         assert!(!ev.is_complete());
         ev.signal();
         assert_eq!(t.join().expect("thread completes"), Ok(()));
+    }
+
+    #[test]
+    fn a_waiter_racing_the_completion_is_never_left_asleep() {
+        // Waiter and completer leave a barrier together, so the wait's
+        // status check, its park and the completion's waiter check collide
+        // in every order over the rounds. A completion that skipped the
+        // wake-up for a waiter about to park would time the wait out.
+        for _ in 0..2_000 {
+            let ev = CoiEvent::new();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let (ev2, start2) = (ev.clone(), start.clone());
+            let waiter = std::thread::spawn(move || {
+                start2.wait();
+                ev2.wait_deadline(Instant::now() + Duration::from_secs(10))
+            });
+            start.wait();
+            ev.signal();
+            let woke = waiter.join().expect("waiter thread");
+            assert_eq!(woke, Some(Ok(())), "waiter slept through the signal");
+            assert_eq!(ev.state.lock().waiters, 0, "waiter count returns to zero");
+        }
+    }
+
+    #[test]
+    fn retire_drops_the_dependents_once_all_are_released() {
+        // A dependent that tries to retire its producer from inside the walk.
+        struct Probe(CoiEvent, Mutex<Vec<bool>>);
+        impl Dependent for Probe {
+            fn resolved(self: Arc<Self>, _: &EventStatus) {
+                let retired = self.0.retire();
+                self.1.lock().push(retired);
+            }
+        }
+        let ev = CoiEvent::new();
+        let probe = Arc::new(Probe(ev.clone(), Mutex::new(Vec::new())));
+        for _ in 0..3 {
+            ev.add_dependent(probe.clone());
+        }
+        assert!(!ev.retire(), "pending");
+        ev.signal();
+        // Mid-walk the list stays; the last dependent runs with it released.
+        assert_eq!(*probe.1.lock(), [false, false, true]);
+        assert!(ev.retire(), "idempotent");
+        assert_eq!(Arc::strong_count(&probe), 1, "the held event pins nothing");
     }
 
     #[test]

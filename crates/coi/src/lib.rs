@@ -27,10 +27,11 @@ pub mod pipeline;
 pub mod pool;
 pub mod registry;
 pub mod server;
+pub mod small;
 pub mod workgroup;
 
-pub use event::{CoiEvent, CompletionLog, EventStatus};
-pub use pipeline::{execute_on, Pipeline, PipelineHandle, RunCtx};
+pub use event::{CoiEvent, CompletionLog, Dependent, EventCore, EventHost, EventStatus};
+pub use pipeline::{execute_on, Pipeline, PipelineHandle, RunCtx, SinkTask};
 pub use pool::{BufferPool, PoolStats, PooledWindow};
 pub use registry::{FnRegistry, RunFunction};
 pub use server::{

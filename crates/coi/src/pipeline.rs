@@ -14,16 +14,16 @@
 //! not program order — that is exactly what lets hStreams execute actions
 //! out of order while the pipeline itself stays simple.
 
-use crate::event::CoiEvent;
+use crate::event::{CoiEvent, EventCore, EventHost, EventStatus};
 use crate::registry::FnRegistry;
+use crate::small::SmallVec;
 use crate::workgroup::Workgroup;
 use crate::{CoiRuntime, EngineId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, SendError, Sender};
 use hs_chaos::FailureCause;
 use hs_fabric::transport::{ExecReply, ExecRequest, TransportError};
 use hs_fabric::{NodeId, RangeGuard, WindowId, WindowMem};
-use hs_obs::{ObsAction, ObsPhase};
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -31,35 +31,66 @@ use std::thread::JoinHandle;
 /// Buffer operand of a run function: window, byte range, writable?
 pub type BufAccess = (WindowId, Range<usize>, bool);
 
+/// A run-function invocation as the sink sees it. The queue carries an `Arc`
+/// of the *caller's* task, so enqueueing copies nothing: the sink borrows
+/// the call for the duration of the run and reports the result straight
+/// back to the task.
+pub trait SinkTask: Send + Sync {
+    /// Function name, opaque argument bytes, operand windows.
+    fn call(&self) -> (&str, &[u8], &[BufAccess]);
+    /// The task reached the front of the queue and is about to run (where
+    /// a traced caller stamps `SinkStart`).
+    fn started(&self) {}
+    /// The run's outcome; a panicking run function arrives as
+    /// [`FailureCause::SinkPanic`], a stopped pipeline as an `Exec` failure.
+    fn finish(self: Arc<Self>, result: Result<(), FailureCause>);
+}
+
 enum Command {
-    Run {
-        name: String,
-        args: Bytes,
-        bufs: Vec<BufAccess>,
-        done: CoiEvent,
-        /// Lifecycle handle: the sink stamps `SinkStart` the moment the
-        /// command reaches the front of the queue (inert when tracing is
-        /// off). Completion is stamped by whoever owns `done`.
-        obs: ObsAction,
-    },
-    /// Execute an arbitrary closure on the pipeline thread (used by upper
-    /// layers for transfers and bookkeeping that must serialize with
-    /// computes of the same stream).
-    Call {
-        f: Box<dyn FnOnce() + Send>,
-        done: CoiEvent,
-        obs: ObsAction,
-    },
+    Run(Arc<dyn SinkTask>),
+    /// Execute an arbitrary closure on the pipeline thread (bookkeeping
+    /// that must serialize with computes of the same stream).
+    Call(Box<dyn FnOnce() + Send>, CoiEvent),
     Stop,
+}
+
+/// The task behind [`PipelineHandle::run`]: event and command in one block.
+struct RunTask {
+    ev: EventCore,
+    name: String,
+    args: Bytes,
+    bufs: Vec<BufAccess>,
+}
+
+impl EventHost for RunTask {
+    fn event_core(&self) -> &EventCore {
+        &self.ev
+    }
+}
+
+impl SinkTask for RunTask {
+    fn call(&self) -> (&str, &[u8], &[BufAccess]) {
+        (&self.name, &self.args, &self.bufs)
+    }
+
+    fn finish(self: Arc<Self>, result: Result<(), FailureCause>) {
+        self.ev.complete(status_of(result), &*self);
+    }
+}
+
+fn status_of(result: Result<(), FailureCause>) -> EventStatus {
+    match result {
+        Ok(()) => EventStatus::Done,
+        Err(cause) => EventStatus::Failed(cause),
+    }
 }
 
 /// Handle to a sink pipeline. Dropping the handle stops the thread after
 /// the queued commands drain.
 pub struct Pipeline {
-    tx: Sender<Command>,
+    sender: PipelineHandle,
     handle: Option<JoinHandle<()>>,
     engine: EngineId,
-    width: usize,
     /// The resident expansion pool shared with the sink thread; its width
     /// is this pipeline's lane count.
     wg: Arc<Workgroup>,
@@ -91,40 +122,28 @@ impl Pipeline {
                 while let Ok(cmd) = rx.recv() {
                     match cmd {
                         Command::Stop => break,
-                        Command::Call { f, done, obs } => {
-                            obs.phase_wall(ObsPhase::SinkStart);
+                        Command::Call(f, done) => {
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                             match r {
                                 Ok(()) => done.signal(),
                                 Err(p) => done.fail(panic_msg(p.as_ref())),
                             }
                         }
-                        Command::Run {
-                            name,
-                            args,
-                            bufs,
-                            done,
-                            obs,
-                        } => {
-                            obs.phase_wall(ObsPhase::SinkStart);
+                        Command::Run(task) => {
+                            task.started();
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                execute(&rt, &name, &args, &bufs, width, &wg_sink)
+                                execute(&rt, &*task, width, &wg_sink)
                             }));
-                            match r {
-                                Ok(Ok(())) => done.signal(),
-                                Ok(Err(msg)) => done.fail(msg),
-                                Err(p) => done.fail(panic_msg(p.as_ref())),
-                            }
+                            task.finish(r.unwrap_or_else(|p| Err(panic_msg(p.as_ref()))));
                         }
                     }
                 }
             })
             .expect("spawning a pipeline thread");
         Pipeline {
-            tx,
+            sender: PipelineHandle { tx, width },
             handle: Some(handle),
             engine,
-            width,
             wg,
         }
     }
@@ -135,7 +154,7 @@ impl Pipeline {
 
     /// Logical width: the core count of the owning stream's mask.
     pub fn width(&self) -> usize {
-        self.width
+        self.sender.width
     }
 
     /// Physical lanes: the OS threads a parallel region of a task runs on
@@ -151,57 +170,17 @@ impl Pipeline {
 
     /// A cloneable handle that can enqueue commands from any thread.
     pub fn sender_handle(&self) -> PipelineHandle {
-        PipelineHandle {
-            tx: self.tx.clone(),
-            width: self.width,
-        }
+        self.sender.clone()
     }
 
-    /// Enqueue a run function; returns its completion event.
+    /// See [`PipelineHandle::run`].
     pub fn run(&self, name: &str, args: Bytes, bufs: Vec<BufAccess>) -> CoiEvent {
-        self.run_obs(name, args, bufs, ObsAction::disabled())
+        self.sender.run(name, args, bufs)
     }
 
-    /// Like [`Self::run`], with a lifecycle handle the sink stamps
-    /// `SinkStart` on when the command starts executing.
-    pub fn run_obs(
-        &self,
-        name: &str,
-        args: Bytes,
-        bufs: Vec<BufAccess>,
-        obs: ObsAction,
-    ) -> CoiEvent {
-        let done = CoiEvent::new();
-        let cmd = Command::Run {
-            name: name.to_string(),
-            args,
-            bufs,
-            done: done.clone(),
-            obs,
-        };
-        if self.tx.send(cmd).is_err() {
-            done.fail("pipeline stopped");
-        }
-        done
-    }
-
-    /// Enqueue an arbitrary closure (transfers, sync bookkeeping).
+    /// See [`PipelineHandle::call`].
     pub fn call(&self, f: impl FnOnce() + Send + 'static) -> CoiEvent {
-        self.call_obs(f, ObsAction::disabled())
-    }
-
-    /// Like [`Self::call`], with a lifecycle handle for `SinkStart`.
-    pub fn call_obs(&self, f: impl FnOnce() + Send + 'static, obs: ObsAction) -> CoiEvent {
-        let done = CoiEvent::new();
-        let cmd = Command::Call {
-            f: Box::new(f),
-            done: done.clone(),
-            obs,
-        };
-        if self.tx.send(cmd).is_err() {
-            done.fail("pipeline stopped");
-        }
-        done
+        self.sender.call(f)
     }
 }
 
@@ -217,48 +196,34 @@ impl PipelineHandle {
         self.width
     }
 
-    /// Enqueue a run function; returns its completion event.
-    pub fn run(&self, name: &str, args: Bytes, bufs: Vec<BufAccess>) -> CoiEvent {
-        self.run_obs(name, args, bufs, ObsAction::disabled())
+    /// Enqueue the caller's task. A stopped pipeline finishes it with an
+    /// error at once.
+    pub fn submit(&self, task: Arc<dyn SinkTask>) {
+        if let Err(SendError(Command::Run(task))) = self.tx.send(Command::Run(task)) {
+            task.finish(Err("pipeline stopped".into()));
+        }
     }
 
-    /// Like [`Self::run`], with a lifecycle handle the sink stamps
-    /// `SinkStart` on.
-    pub fn run_obs(
-        &self,
-        name: &str,
-        args: Bytes,
-        bufs: Vec<BufAccess>,
-        obs: ObsAction,
-    ) -> CoiEvent {
-        let done = CoiEvent::new();
-        let cmd = Command::Run {
+    /// Enqueue a run function; returns its completion event.
+    pub fn run(&self, name: &str, args: Bytes, bufs: Vec<BufAccess>) -> CoiEvent {
+        let task = Arc::new(RunTask {
+            ev: EventCore::new(),
             name: name.to_string(),
             args,
             bufs,
-            done: done.clone(),
-            obs,
-        };
-        if self.tx.send(cmd).is_err() {
-            done.fail("pipeline stopped");
-        }
-        done
+        });
+        self.submit(task.clone());
+        CoiEvent::of(task)
     }
 
-    /// Enqueue an arbitrary closure.
+    /// Enqueue an arbitrary closure; returns its completion event.
     pub fn call(&self, f: impl FnOnce() + Send + 'static) -> CoiEvent {
-        self.call_obs(f, ObsAction::disabled())
-    }
-
-    /// Like [`Self::call`], with a lifecycle handle for `SinkStart`.
-    pub fn call_obs(&self, f: impl FnOnce() + Send + 'static, obs: ObsAction) -> CoiEvent {
         let done = CoiEvent::new();
-        let cmd = Command::Call {
-            f: Box::new(f),
-            done: done.clone(),
-            obs,
-        };
-        if self.tx.send(cmd).is_err() {
+        if self
+            .tx
+            .send(Command::Call(Box::new(f), done.clone()))
+            .is_err()
+        {
             done.fail("pipeline stopped");
         }
         done
@@ -267,7 +232,7 @@ impl PipelineHandle {
 
 impl Drop for Pipeline {
     fn drop(&mut self) {
-        let _ = self.tx.send(Command::Stop);
+        let _ = self.sender.tx.send(Command::Stop);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -284,14 +249,27 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> FailureCause {
     }
 }
 
+/// Operand lists of the usual size live on the sink's stack.
+type Inline<T> = SmallVec<T, 4>;
+
+/// Operand indices in canonical (window, offset) order: every pipeline takes
+/// its range locks in this order, so racing on shared operands cannot
+/// deadlock.
+fn acquire_order(bufs: &[BufAccess]) -> Inline<usize> {
+    let mut order: Inline<usize> = (0..bufs.len()).collect();
+    order
+        .as_mut_slice()
+        .sort_by_key(|&i| (bufs[i].0, bufs[i].1.start));
+    order
+}
+
 fn execute(
     rt: &CoiRuntime,
-    name: &str,
-    args: &Bytes,
-    bufs: &[BufAccess],
+    task: &dyn SinkTask,
     width: usize,
     wg: &Arc<Workgroup>,
 ) -> Result<(), FailureCause> {
+    let (name, args, bufs) = task.call();
     // Any operand living on a remote node routes the whole task through the
     // wire (the worker process owns that memory — there is no local view).
     let remote = bufs
@@ -301,24 +279,20 @@ fn execute(
     if let Some(node) = remote {
         return execute_remote(rt, node, name, args, bufs, width, wg);
     }
-    let mems: Vec<_> = bufs
-        .iter()
-        .map(|(w, _, _)| {
-            rt.fabric().window(*w).ok_or_else(|| {
-                FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let ops: Vec<(Arc<WindowMem>, Range<usize>, bool)> = mems
-        .into_iter()
-        .zip(bufs)
-        .map(|(m, (_, r, wr))| (m, r.clone(), *wr))
-        .collect();
-    // Acquire operand guards in canonical (window, offset) order so pipelines
-    // racing on the same operands cannot deadlock, then restore call order.
-    let mut order: Vec<usize> = (0..bufs.len()).collect();
-    order.sort_by_key(|&i| (bufs[i].0, bufs[i].1.start));
-    execute_on(rt.registry(), name, args, &ops, &order, wg)
+    let mut mems: Inline<Option<Arc<WindowMem>>> = Inline::new();
+    for (w, _, _) in bufs {
+        let mem = rt.fabric().window(*w).ok_or_else(|| {
+            FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
+        })?;
+        mems.push(Some(mem));
+    }
+    let mems = mems.as_slice();
+    let operand = |i: usize| {
+        let mem = mems[i].as_deref().expect("every window resolved above");
+        (mem, bufs[i].1.clone(), bufs[i].2)
+    };
+    let order = acquire_order(bufs);
+    run_locked(rt.registry(), name, args, operand, order.as_slice(), wg)
 }
 
 /// Run a registered function against already-resolved operand memories.
@@ -336,22 +310,32 @@ pub fn execute_on(
     acquire_order: &[usize],
     wg: &Arc<Workgroup>,
 ) -> Result<(), FailureCause> {
+    debug_assert_eq!(acquire_order.len(), ops.len());
+    let operand = |i: usize| (&*ops[i].0, ops[i].1.clone(), ops[i].2);
+    run_locked(registry, name, args, operand, acquire_order, wg)
+}
+
+/// [`execute_on`] over an operand accessor (memory, byte range, writable?)
+/// instead of a slice, so the in-process sink need not build one.
+fn run_locked<'a>(
+    registry: &FnRegistry,
+    name: &str,
+    args: &'a [u8],
+    operand: impl Fn(usize) -> (&'a WindowMem, Range<usize>, bool),
+    acquire_order: &[usize],
+    wg: &Arc<Workgroup>,
+) -> Result<(), FailureCause> {
     let f = registry
         .lookup(name)
         .ok_or_else(|| FailureCause::Malformed(format!("no run function named '{name}'")))?;
-    debug_assert_eq!(acquire_order.len(), ops.len());
-    let mut guards: Vec<Option<RangeGuard<'_>>> = (0..ops.len()).map(|_| None).collect();
+    let mut guards: Inline<Option<RangeGuard<'a>>> = acquire_order.iter().map(|_| None).collect();
     for &i in acquire_order {
-        let (mem, range, write) = &ops[i];
+        let (mem, range, write) = operand(i);
         let g = mem
-            .lock_range(range.clone(), *write)
+            .lock_range(range, write)
             .map_err(|e| FailureCause::Exec(format!("run function '{name}': {e}")))?;
-        guards[i] = Some(g);
+        guards.as_mut_slice()[i] = Some(g);
     }
-    let guards: Vec<RangeGuard<'_>> = guards
-        .into_iter()
-        .map(|g| g.expect("all guards acquired above"))
-        .collect();
     let mut ctx = RunCtx {
         args,
         guards,
@@ -388,7 +372,7 @@ fn execute_remote(
     rt: &CoiRuntime,
     node: NodeId,
     name: &str,
-    args: &Bytes,
+    args: &[u8],
     bufs: &[BufAccess],
     width: usize,
     wg: &Arc<Workgroup>,
@@ -452,9 +436,14 @@ fn execute_remote(
     }
     // Scratch windows are private, so ordering only matters among the real
     // (local) operands — the canonical (window, offset) sort keeps them safe.
-    let mut order: Vec<usize> = (0..bufs.len()).collect();
-    order.sort_by_key(|&i| (bufs[i].0, bufs[i].1.start));
-    execute_on(rt.registry(), name, args, &ops, &order, wg)?;
+    execute_on(
+        rt.registry(),
+        name,
+        args,
+        &ops,
+        acquire_order(bufs).as_slice(),
+        wg,
+    )?;
     for i in fetched {
         let (scratch, srange, wr) = &ops[i];
         if *wr {
@@ -471,11 +460,12 @@ fn execute_remote(
 /// Execution context handed to a run function.
 pub struct RunCtx<'a> {
     args: &'a [u8],
-    guards: Vec<RangeGuard<'a>>,
+    /// One per operand, all `Some` by the time a run function sees them.
+    guards: Inline<Option<RangeGuard<'a>>>,
     wg: Arc<Workgroup>,
 }
 
-impl RunCtx<'_> {
+impl<'a> RunCtx<'a> {
     /// Opaque argument bytes (hStreams marshals scalar args this way).
     pub fn args(&self) -> &[u8] {
         self.args
@@ -498,24 +488,32 @@ impl RunCtx<'_> {
         self.guards.len()
     }
 
+    fn guard(&self, i: usize) -> &RangeGuard<'a> {
+        held(&self.guards.as_slice()[i])
+    }
+
+    fn guard_mut(&mut self, i: usize) -> &mut RangeGuard<'a> {
+        held_mut(&mut self.guards.as_mut_slice()[i])
+    }
+
     /// Shared byte view of operand `i`.
     pub fn buf(&self, i: usize) -> &[u8] {
-        self.guards[i].as_slice()
+        self.guard(i).as_slice()
     }
 
     /// Exclusive byte view of operand `i` (must be a write operand).
     pub fn buf_mut(&mut self, i: usize) -> &mut [u8] {
-        self.guards[i].as_mut_slice()
+        self.guard_mut(i).as_mut_slice()
     }
 
     /// Shared `f64` view of operand `i` (8-byte aligned operands).
     pub fn buf_f64(&self, i: usize) -> &[f64] {
-        self.guards[i].as_f64_slice()
+        self.guard(i).as_f64_slice()
     }
 
     /// Exclusive `f64` view of operand `i`.
     pub fn buf_f64_mut(&mut self, i: usize) -> &mut [f64] {
-        self.guards[i].as_f64_mut_slice()
+        self.guard_mut(i).as_f64_mut_slice()
     }
 
     /// Take two distinct operands, the second mutably (e.g. input tile and
@@ -534,7 +532,7 @@ impl RunCtx<'_> {
         rw: usize,
     ) -> ([&[f64]; N], &mut [f64]) {
         assert!(!ro.contains(&rw), "operand indices must differ");
-        let (below, rest) = self.guards.split_at_mut(rw);
+        let (below, rest) = self.guards.as_mut_slice().split_at_mut(rw);
         let (out, above) = rest.split_first_mut().expect("operand index in range");
         let (below, above) = (&*below, &*above);
         let views = ro.map(|i| {
@@ -543,9 +541,9 @@ impl RunCtx<'_> {
             } else {
                 &above[i - rw - 1]
             };
-            guard.as_f64_slice()
+            held(guard).as_f64_slice()
         });
-        (views, out.as_f64_mut_slice())
+        (views, held_mut(out).as_f64_mut_slice())
     }
 
     /// Dynamic-balanced parallel loop over `0..n` across the task's lanes,
@@ -553,6 +551,14 @@ impl RunCtx<'_> {
     pub fn par_for(&self, n: usize, f: impl Fn(usize) + Sync) {
         self.wg.par_for(n, f);
     }
+}
+
+fn held<'g, 'a>(slot: &'g Option<RangeGuard<'a>>) -> &'g RangeGuard<'a> {
+    slot.as_ref().expect("operand guards are all held")
+}
+
+fn held_mut<'g, 'a>(slot: &'g mut Option<RangeGuard<'a>>) -> &'g mut RangeGuard<'a> {
+    slot.as_mut().expect("operand guards are all held")
 }
 
 // Tasks that hold `buf_mut` borrows expand via `ctx.workgroup().clone()`

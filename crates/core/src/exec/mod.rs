@@ -15,6 +15,7 @@ use hs_machine::Device;
 use hs_sim::Token;
 
 use crate::lockorder::LockClass;
+use crate::small::SmallVec;
 use crate::types::CostHint;
 use crate::with_class;
 
@@ -35,6 +36,9 @@ pub struct RealXfer {
     pub dst: (hs_fabric::WindowId, usize),
 }
 
+/// Real-mode operand views of a compute, inline for the usual few.
+pub type BufList = SmallVec<BufAccess, 4>;
+
 /// A fully-resolved action handed to an executor.
 pub enum ActionSpec {
     Compute {
@@ -45,7 +49,7 @@ pub enum ActionSpec {
         func: String,
         args: Bytes,
         /// Real-mode operand views in the sink domain.
-        bufs: Vec<BufAccess>,
+        bufs: BufList,
         cost: CostHint,
         label: String,
     },
@@ -91,7 +95,8 @@ pub type BatchObserver<'a> = &'a dyn Fn(usize, &CoiEvent);
 /// One action of a batched submission ([`Executor::submit_batch`]).
 pub struct BatchSubmitItem {
     pub spec: ActionSpec,
-    pub deps: Vec<BatchDep>,
+    /// This item's slice of the batch's shared dependence list.
+    pub deps: std::ops::Range<usize>,
     pub obs: hs_obs::ObsAction,
     pub opts: SubmitOpts,
 }
@@ -127,7 +132,7 @@ impl BackendEvent {
 /// virtual time has a single global clock, so sim-mode concurrency degrades
 /// to interleaving, which is all the semantics require.
 pub enum Executor {
-    Thread(thread::ThreadExec),
+    Thread(Box<thread::ThreadExec>),
     Sim(crate::sync::Mutex<Box<sim::SimExec>>),
 }
 
@@ -179,20 +184,16 @@ impl Executor {
     pub fn submit_batch(
         &self,
         items: Vec<BatchSubmitItem>,
+        deps: &[BatchDep],
         observe: Option<BatchObserver<'_>>,
     ) -> Vec<BackendEvent> {
         match self {
-            Executor::Thread(t) => t
-                .submit_batch(items, observe)
-                .into_iter()
-                .map(BackendEvent::Thread)
-                .collect(),
+            Executor::Thread(t) => t.submit_batch(items, deps, observe),
             Executor::Sim(s) => with_class(LockClass::SimExec, || {
                 let mut sim = s.lock();
                 let mut out: Vec<BackendEvent> = Vec::with_capacity(items.len());
                 for item in items {
-                    let deps: Vec<BackendEvent> = item
-                        .deps
+                    let deps: Vec<BackendEvent> = deps[item.deps]
                         .iter()
                         .map(|d| match d {
                             BatchDep::External(be) => be.clone(),

@@ -525,7 +525,7 @@ mod tests {
             cores,
             func: String::new(),
             args: bytes::Bytes::new(),
-            bufs: vec![],
+            bufs: Default::default(),
             cost: CostHint::new(KernelKind::Dgemm, flops, 2000),
             label: label.to_string(),
         }

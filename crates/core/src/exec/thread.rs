@@ -14,24 +14,28 @@
 //! propagates to waiters and dependents instead of aborting whichever
 //! thread happened to run the dispatch callback.
 
-use super::{ActionSpec, BackendEvent, SubmitOpts};
+use super::{ActionSpec, BackendEvent, BatchDep, SubmitOpts};
 use crate::sync::{
     Arc, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OnceLock, Ordering, RwLock,
 };
 use crossbeam::channel::{unbounded, Sender};
 use hs_chaos::{ChaosHub, FailureCause, Injection, RetryPolicy};
-use hs_coi::{CoiEvent, CoiRuntime, EngineId, EventStatus};
+use hs_coi::pipeline::BufAccess;
+use hs_coi::{
+    CoiEvent, CoiRuntime, Dependent, EngineId, EventCore, EventHost, EventStatus, SinkTask,
+};
 use hs_fabric::Pacer;
 use hs_machine::PlatformCfg;
 use hs_obs::{ObsAction, ObsHub, ObsPhase};
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
+use std::sync::Weak;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-type DmaJob = Box<dyn FnOnce() + Send>;
-
 enum DmaMsg {
-    Job(DmaJob),
+    /// A transfer whose dependences resolved: the worker borrows the
+    /// caller's record for the copy and reports the result to it.
+    Job(Arc<ActionRun>),
     /// Shutdown sentinel: the worker drains everything queued before it
     /// (channel FIFO), then exits — dropping the receiver, so any *later*
     /// send fails and the sender fails the action instead of panicking.
@@ -51,7 +55,7 @@ impl DmaWorker {
             .spawn(move || {
                 while let Ok(msg) = rx.recv() {
                     match msg {
-                        DmaMsg::Job(job) => job(),
+                        DmaMsg::Job(run) => run.transfer(),
                         DmaMsg::Stop => break,
                     }
                 }
@@ -66,9 +70,9 @@ impl DmaWorker {
 
 impl Drop for DmaWorker {
     fn drop(&mut self) {
-        // A sentinel, not a channel swap: sender clones held by pending
-        // dispatch callbacks would otherwise keep the old receiver's loop
-        // blocked in recv() forever and this join would hang.
+        // A sentinel, not a channel swap: sender clones held by the dispatch
+        // context would otherwise keep the old receiver's loop blocked in
+        // recv() forever and this join would hang.
         let _ = self.tx.send(DmaMsg::Stop);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -76,42 +80,25 @@ impl Drop for DmaWorker {
     }
 }
 
-type TimerJob = Box<dyn FnOnce() + Send>;
-
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    job: TimerJob,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest deadline
-        // on top (ties broken by insertion order).
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
+/// What the timer wheel does to an action's record when its instant comes.
+enum TimerJob {
+    /// Backoff over: run the next attempt.
+    Retry(Arc<ActionRun>),
+    /// Deadline (of this many nanoseconds) reached: fail-then-poison. Weak:
+    /// a generous deadline must not keep a finished action's record alive.
+    Deadline(Weak<ActionRun>, u64),
 }
 
 #[derive(Default)]
 struct TimerState {
-    queue: BinaryHeap<TimerEntry>,
+    /// Keyed by (instant, insertion order): the first entry is due first.
+    queue: BTreeMap<(Instant, u64), TimerJob>,
     seq: u64,
     stop: bool,
 }
 
 /// Shared core of the timer wheel: deadline expiries and retry backoffs
-/// are jobs scheduled at absolute instants, run by one dedicated thread.
+/// are scheduled at absolute instants and run by one dedicated thread.
 #[derive(Default)]
 struct TimerShared {
     state: Mutex<TimerState>,
@@ -124,9 +111,9 @@ impl TimerShared {
         if st.stop {
             return; // executor tearing down; late timers are meaningless
         }
-        let seq = st.seq;
         st.seq += 1;
-        st.queue.push(TimerEntry { at, seq, job });
+        let seq = st.seq;
+        st.queue.insert((at, seq), job);
         self.cv.notify_one();
     }
 }
@@ -151,20 +138,31 @@ impl TimerWheel {
                         if st.stop {
                             return;
                         }
-                        match st.queue.peek() {
-                            Some(e) if e.at <= Instant::now() => {
-                                break st.queue.pop().expect("peeked entry").job;
+                        let now = Instant::now();
+                        match st.queue.first_key_value() {
+                            Some((&(at, _), _)) if at <= now => {
+                                break st.queue.pop_first().expect("first entry seen").1;
                             }
-                            Some(e) => {
-                                let dur = e.at - Instant::now();
-                                let _ = sh.cv.wait_for(&mut st, dur);
+                            Some((&(at, _), _)) => {
+                                let _ = sh.cv.wait_for(&mut st, at - now);
                             }
                             None => sh.cv.wait(&mut st),
                         }
                     }
                 };
-                // Run outside the lock: jobs may schedule further timers.
-                job();
+                // Run outside the lock: a retry may schedule further timers.
+                match job {
+                    TimerJob::Retry(run) => dispatch_attempt(&run),
+                    // `complete` is first-wins, so a deadline firing after
+                    // success is a no-op; one firing first fails the action
+                    // and poisons dependents — no silent hangs. (Sink work
+                    // is not cancelled; its late result is discarded.)
+                    TimerJob::Deadline(run, ns) => {
+                        if let Some(run) = run.upgrade() {
+                            run.fail(FailureCause::Timeout { deadline_ns: ns });
+                        }
+                    }
+                }
             })
             .expect("spawning the timer-wheel thread");
         TimerWheel {
@@ -181,6 +179,10 @@ impl Drop for TimerWheel {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
+        // A pending retry holds its record, whose dispatch context holds
+        // this queue: left in place, the cycle would leak the whole runtime.
+        let pending = std::mem::take(&mut self.shared.state.lock().queue);
+        drop(pending);
     }
 }
 
@@ -234,9 +236,10 @@ pub struct ThreadExec {
     /// Measurement baseline: stamped at the *first submit*, not at `new()`,
     /// so pipeline/worker spawn cost does not leak into measured time.
     started: OnceLock<Instant>,
-    /// Completion events of every submitted action, pruned as they
-    /// complete; `Drop` drains these before joining workers.
-    outstanding: Mutex<Vec<CoiEvent>>,
+    /// Every submitted action still in flight at the last sweep; `Drop`
+    /// drains these before joining workers. With the event table it is what
+    /// keeps a finished record alive until an enqueuing thread frees it.
+    outstanding: Mutex<Outstanding>,
     obs: ObsHub,
     chaos: ChaosHub,
     /// Monotonic submission counter, used as the deterministic per-action
@@ -252,28 +255,14 @@ impl ThreadExec {
     /// pacing (for real-mode overlap experiments); functional tests leave it
     /// off.
     pub fn new(platform: &PlatformCfg, paced: bool) -> ThreadExec {
-        Self::new_with_obs(platform, paced, ObsHub::new())
-    }
-
-    /// Like [`Self::new`], routing lifecycle events and gauges to `obs`.
-    pub fn new_with_obs(platform: &PlatformCfg, paced: bool, obs: ObsHub) -> ThreadExec {
-        Self::new_with_obs_chaos(platform, paced, obs, ChaosHub::default())
-    }
-
-    /// Like [`Self::new_with_obs`], sharing `chaos` with every fabric DMA
-    /// channel and dispatch point.
-    pub fn new_with_obs_chaos(
-        platform: &PlatformCfg,
-        paced: bool,
-        obs: ObsHub,
-        chaos: ChaosHub,
-    ) -> ThreadExec {
-        Self::new_with_remotes(platform, paced, obs, chaos, &[])
+        Self::new_with_remotes(platform, paced, ObsHub::new(), ChaosHub::default(), &[])
             .expect("in-process executor construction is infallible")
     }
 
-    /// Like [`Self::new_with_obs_chaos`], with some card domains hosted by
-    /// out-of-process workers: `remotes` maps card engine index (1-based —
+    /// Like [`Self::new`], routing lifecycle events and gauges to `obs`,
+    /// sharing `chaos` with every fabric DMA channel and dispatch point, and
+    /// with some card domains hosted by out-of-process workers: `remotes`
+    /// maps card engine index (1-based —
     /// the host is engine 0 and cannot be remote) to the worker's endpoint.
     /// Connecting is synchronous, so a worker that never comes up errors
     /// here; one that dies later surfaces as `CardLost` at first use. The
@@ -330,7 +319,7 @@ impl ThreadExec {
             ctx: RwLock::new(ctx),
             dma,
             started: OnceLock::new(),
-            outstanding: Mutex::new(Vec::new()),
+            outstanding: Mutex::new(Outstanding::default()),
             obs,
             chaos,
             submitted: AtomicU64::new(0),
@@ -352,6 +341,13 @@ impl ThreadExec {
     /// tasks can occupy at once (sink threads included).
     pub fn lanes(&self) -> usize {
         self.pipes.lock().iter().map(|p| p.lanes()).sum()
+    }
+
+    /// Completion probes the outstanding list's sweeps have made so far
+    /// (for the linearity test).
+    #[doc(hidden)]
+    pub fn sweep_probes(&self) -> u64 {
+        self.outstanding.lock().probes
     }
 
     /// The fault-injection hub shared with the fabric and dispatch points.
@@ -432,180 +428,82 @@ impl ThreadExec {
     ) -> CoiEvent {
         self.started.get_or_init(Instant::now);
         let salt = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let done = CoiEvent::new();
-        self.track(done.clone());
-        let deps: Vec<CoiEvent> = deps.iter().map(|d| d.as_thread().clone()).collect();
-        self.wire(spec, &deps, obs, opts, self.ctx.read().clone(), &done, salt);
-        done
+        let run = ActionRun::new(self.ctx.read().clone(), spec, obs, opts.retry, salt);
+        self.outstanding.lock().track(std::iter::once(&run));
+        self.wire(
+            &run,
+            deps.iter().map(|d| &**d.as_thread()),
+            opts.deadline_ns,
+        );
+        CoiEvent::of(run)
     }
 
     /// Submit a whole batch, amortizing the per-submit shared-state traffic:
     /// one submission-counter RMW (salts are the batch's ordinal range), one
     /// outstanding-list lock, one dispatch-context read-lock for all items.
     /// [`BatchDep::Internal`] dependences resolve against the batch's own
-    /// completion events, which exist up front — an item may depend on any
-    /// earlier item of the same batch.
+    /// records — an item may depend on any earlier item of the same batch,
+    /// which is wired (and observed) by the time the item is.
     pub fn submit_batch(
         &self,
         items: Vec<super::BatchSubmitItem>,
+        deps: &[BatchDep],
         observe: Option<super::BatchObserver<'_>>,
-    ) -> Vec<CoiEvent> {
+    ) -> Vec<BackendEvent> {
         self.started.get_or_init(Instant::now);
         let salt0 = self
             .submitted
             .fetch_add(items.len() as u64, Ordering::Relaxed)
             + 1;
         let ctx = self.ctx.read().clone();
-        let dones: Vec<CoiEvent> = items.iter().map(|_| CoiEvent::new()).collect();
-        // Observers register before any wiring: their completion callbacks
-        // must precede dependence countdowns in each event's callback list
-        // (see `Executor::submit_batch`).
-        if let Some(observe) = observe {
-            for (i, d) in dones.iter().enumerate() {
-                observe(i, d);
-            }
-        }
-        {
-            let mut out = self.outstanding.lock();
-            if out.len() + dones.len() >= 64 {
-                out.retain(|e| !e.is_complete());
-            }
-            out.extend(dones.iter().cloned());
-        }
+        let mut runs: Vec<Arc<ActionRun>> = Vec::with_capacity(items.len());
         for (i, item) in items.into_iter().enumerate() {
-            let deps: Vec<CoiEvent> = item
-                .deps
-                .iter()
-                .map(|d| match d {
-                    super::BatchDep::External(be) => be.as_thread().clone(),
-                    super::BatchDep::Internal(j) => {
-                        debug_assert!(*j < i, "batch dep must point at an earlier item");
-                        dones[*j].clone()
-                    }
-                })
-                .collect();
-            self.wire(
-                item.spec,
-                &deps,
-                item.obs,
-                item.opts,
-                ctx.clone(),
-                &dones[i],
-                salt0 + i as u64,
-            );
+            let salt = salt0 + i as u64;
+            let run = ActionRun::new(ctx.clone(), item.spec, item.obs, item.opts.retry, salt);
+            // Observers register before the item is wired, hence before any
+            // dependent can: they come first in its dependent list (see
+            // `Executor::submit_batch`).
+            if let Some(observe) = observe {
+                observe(i, &CoiEvent::of(run.clone()));
+            }
+            let deps = deps[item.deps].iter().map(|d| match d {
+                BatchDep::External(be) => &**be.as_thread(),
+                BatchDep::Internal(j) => {
+                    debug_assert!(*j < i, "batch dep must point at an earlier item");
+                    &runs[*j].ev
+                }
+            });
+            self.wire(&run, deps, item.opts.deadline_ns);
+            runs.push(run);
         }
-        dones
+        self.outstanding.lock().track(runs.iter());
+        runs.into_iter()
+            .map(|run| BackendEvent::Thread(CoiEvent::of(run)))
+            .collect()
     }
 
-    /// Shared tail of `submit`/`submit_batch`: attach observability and
-    /// deadline hooks to `done`, then dispatch now or park the action on a
-    /// dependence countdown.
-    #[allow(clippy::too_many_arguments)]
-    fn wire(
+    /// Shared tail of `submit`/`submit_batch`: arm the deadline, then park
+    /// the action on its dependence countdown — which dispatches it at once
+    /// when nothing is pending.
+    fn wire<'a>(
         &self,
-        spec: ActionSpec,
-        deps: &[CoiEvent],
-        obs: ObsAction,
-        opts: SubmitOpts,
-        ctx: Arc<DispatchCtx>,
-        done: &CoiEvent,
-        salt: u64,
+        run: &Arc<ActionRun>,
+        deps: impl Iterator<Item = &'a EventCore>,
+        deadline_ns: Option<u64>,
     ) {
-        let done = done.clone();
-        let run = Arc::new(ActionRun {
-            ctx,
-            spec,
-            done: done.clone(),
-            obs: obs.clone(),
-            retry: opts.retry,
-            attempts: AtomicU32::new(0),
-            salt,
-        });
-        if obs.is_enabled() {
-            let o = obs.clone();
-            let run_obs = run.clone();
-            done.on_complete(move |st| match st {
-                EventStatus::Failed(c) => {
-                    o.fail_cause_wall(c, run_obs.attempts.load(Ordering::Relaxed).max(1));
-                }
-                _ => o.finish_wall(true),
-            });
-        }
-        // Deadline: fail-then-poison on expiry. `CoiEvent` completion is
-        // first-wins, so a timer firing after success is a no-op; a timer
-        // firing first fails the action and poisons dependents — no silent
-        // hangs. (The sink work itself is not cancelled; its late result is
-        // discarded.)
-        if let Some(ns) = opts.deadline_ns {
-            let d = done.clone();
+        if let Some(ns) = deadline_ns {
             self.timer.shared.schedule(
                 Instant::now() + Duration::from_nanos(ns),
-                Box::new(move || d.fail(FailureCause::Timeout { deadline_ns: ns })),
+                TimerJob::Deadline(Arc::downgrade(run), ns),
             );
         }
-        // Partition deps in one pass: successfully-completed ones answer
-        // via the lock-free flag; only still-pending or failed ones pay the
-        // status lock.
-        let mut pending: Vec<&CoiEvent> = Vec::new();
-        for d in deps {
-            if d.completed_ok() {
-                continue;
-            }
-            match d.status() {
-                EventStatus::Failed(m) => {
-                    done.fail(FailureCause::poisoned_by(m.clone()));
-                    return;
-                }
-                EventStatus::Pending => pending.push(d),
-                EventStatus::Done => {}
-            }
+        // Successfully-completed dependences answer via the lock-free flag
+        // and are never registered on; a failed one poisons `run` inline.
+        for dep in deps.filter(|d| !d.completed_ok()) {
+            run.remaining.fetch_add(1, Ordering::Relaxed);
+            dep.add_dependent(run.clone());
         }
-        if pending.is_empty() {
-            dispatch_attempt(run);
-            return;
-        }
-        // Countdown: the last completing dependence dispatches. The runner
-        // is stashed in an Arc so whichever thread finishes last can run it.
-        struct PendingDispatch {
-            run: Mutex<Option<Arc<ActionRun>>>,
-            remaining: AtomicUsize,
-            done: CoiEvent,
-        }
-        let pd = Arc::new(PendingDispatch {
-            run: Mutex::new(Some(run)),
-            remaining: AtomicUsize::new(pending.len()),
-            done: done.clone(),
-        });
-        for dep in pending {
-            let pd = pd.clone();
-            dep.on_complete(move |st| {
-                match st {
-                    EventStatus::Failed(m) => {
-                        // Poison: fail once; the runner (and spec) is dropped.
-                        pd.run.lock().take();
-                        pd.done.fail(FailureCause::poisoned_by(m.clone()));
-                    }
-                    _ => {
-                        if pd.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            if let Some(run) = pd.run.lock().take() {
-                                dispatch_attempt(run);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    }
-
-    /// Remember an in-flight completion event, opportunistically pruning
-    /// finished ones so the list stays proportional to actual in-flight
-    /// work.
-    fn track(&self, ev: CoiEvent) {
-        let mut out = self.outstanding.lock();
-        if out.len() >= 64 {
-            out.retain(|e| !e.is_complete());
-        }
-        out.push(ev);
+        run.clone().resolved(&EventStatus::Done); // the wiring's own hold
     }
 
     /// Recompute the cached dispatch context after a topology change.
@@ -644,9 +542,42 @@ fn make_ctx(
             .iter()
             .map(|pair| [pair[0].tx.clone(), pair[1].tx.clone()])
             .collect(),
+        dma_queue_keys: (1..=dma.len())
+            .map(|card| ["h2d", "d2h"].map(|dir| format!("dma.c{card}.{dir}.queue")))
+            .collect(),
         obs: obs.clone(),
         chaos: chaos.clone(),
         timer: timer.clone(),
+    }
+}
+
+/// Floor of the outstanding list's sweep threshold.
+const SWEEP_MIN: usize = 64;
+
+/// The in-flight list, pruned on an amortised schedule: a sweep probes every
+/// entry (each probe may pull another core's cache line), so it runs only
+/// when the list has doubled since the last one — n submits behind a slow
+/// sink cost O(n) probes in total, where a sweep per submit cost O(n²).
+/// A finished record leaves with its dependent list dropped
+/// ([`EventCore::retire`]), so whoever still holds its event pins that one
+/// record and none of the actions that waited on it.
+#[derive(Default)]
+struct Outstanding {
+    runs: Vec<Arc<ActionRun>>,
+    /// List length at which the next sweep is due.
+    sweep_at: usize,
+    /// Completion probes made by sweeps so far.
+    probes: u64,
+}
+
+impl Outstanding {
+    fn track<'a>(&mut self, new: impl Iterator<Item = &'a Arc<ActionRun>>) {
+        if self.runs.len() >= self.sweep_at.max(SWEEP_MIN) {
+            self.probes += self.runs.len() as u64;
+            self.runs.retain(|run| !run.ev.retire());
+            self.sweep_at = 2 * self.runs.len();
+        }
+        self.runs.extend(new.cloned());
     }
 }
 
@@ -656,8 +587,8 @@ impl Drop for ThreadExec {
         // and DMA threads, so normally-completing work finishes and only
         // genuinely stuck actions see closed channels.
         let deadline = Instant::now() + DRAIN_BUDGET;
-        let out = self.outstanding.get_mut();
-        for ev in out.iter() {
+        let out = &mut self.outstanding.get_mut().runs;
+        for run in out.iter() {
             // A dead card completes nothing: once the chaos hub knows one
             // is gone (a remote worker died, say), stop waiting — spending
             // the budget per event would turn one lost worker into a
@@ -665,7 +596,7 @@ impl Drop for ThreadExec {
             if !self.chaos.dead_cards().is_empty() {
                 break;
             }
-            if ev.wait_deadline(deadline).is_none() {
+            if run.ev.wait_deadline(deadline).is_none() {
                 break; // budget exhausted; remaining actions fail on dispatch
             }
         }
@@ -673,11 +604,14 @@ impl Drop for ThreadExec {
         // cause when a card is down, so late waiters see `CardLost`, not a
         // silent hang.
         if let Some(&card) = self.chaos.dead_cards().first() {
-            for ev in out.drain(..) {
-                if !ev.is_complete() {
-                    ev.fail(FailureCause::CardLost { card });
-                }
+            for run in out.iter() {
+                run.fail(FailureCause::CardLost { card });
             }
+        }
+        // Unlink what finished since the last sweep, so an event that
+        // outlives the executor holds one record, not a chain of them.
+        for run in out.iter() {
+            run.ev.retire();
         }
         // Fields then drop in declaration order: pipelines (join their sink
         // threads) before DMA workers (Stop sentinel + join).
@@ -692,186 +626,258 @@ struct DispatchCtx {
     /// fault consultation.
     pipe_cards: Vec<u32>,
     dma: Vec<[Sender<DmaMsg>; 2]>,
+    /// Queue-depth gauge names, per card and direction like `dma`.
+    dma_queue_keys: Vec<[String; 2]>,
     obs: ObsHub,
     chaos: ChaosHub,
     timer: Arc<TimerShared>,
 }
 
-/// One submitted action with its retry budget: the spec is retained (not
-/// consumed) so transient-fault attempts can re-dispatch it, and the
-/// attempt counter feeds both backoff jitter and the obs failure record.
+/// One submitted action, in one heap block for its whole life: the resolved
+/// spec (retained, not consumed, so transient-fault attempts re-dispatch
+/// it), the completion state `BackendEvent::Thread` hands out views of, the
+/// dependence countdown, and the retry state. The enqueuing thread allocates
+/// it; sink pipelines ([`SinkTask`]) and DMA workers borrow it through an
+/// `Arc` and report each attempt's result to [`ActionRun::finish`]; producers
+/// list it as their [`Dependent`]. The outstanding list and the event-table
+/// slot hold the references that outlive completion, and both are swept on
+/// enqueuing threads — so that is where the block is freed.
 struct ActionRun {
+    ev: EventCore,
     ctx: Arc<DispatchCtx>,
     spec: ActionSpec,
-    done: CoiEvent,
     obs: ObsAction,
     retry: RetryPolicy,
+    /// Attempts dispatched so far; feeds backoff jitter and the obs failure
+    /// record.
     attempts: AtomicU32,
+    /// Dependences still pending, plus one held by `wire` while it registers
+    /// them; whoever takes it to zero dispatches.
+    remaining: AtomicUsize,
     /// Deterministic jitter salt (the submission ordinal).
     salt: u64,
 }
 
-/// Run one attempt of an action; on a transient failure with budget left,
-/// schedule the next attempt on the timer wheel after a jittered backoff.
-/// Each attempt completes an internal per-attempt event; the tracked
-/// `done` only settles on success, on a non-retryable cause, or when the
-/// budget is exhausted — so dependents never see intermediate transient
-/// failures.
-fn dispatch_attempt(run: Arc<ActionRun>) {
-    if run.done.is_complete() {
-        return; // deadline expired (or dependence poisoned) while queued
+impl ActionRun {
+    fn new(
+        ctx: Arc<DispatchCtx>,
+        spec: ActionSpec,
+        obs: ObsAction,
+        retry: RetryPolicy,
+        salt: u64,
+    ) -> Arc<ActionRun> {
+        Arc::new(ActionRun {
+            ev: EventCore::new(),
+            ctx,
+            spec,
+            obs,
+            retry,
+            attempts: AtomicU32::new(0),
+            remaining: AtomicUsize::new(1),
+            salt,
+        })
     }
-    let made = run.attempts.fetch_add(1, Ordering::AcqRel) + 1;
-    let attempt = CoiEvent::new();
-    let run2 = run.clone();
-    attempt.on_complete(move |st| match st {
-        EventStatus::Done => run2.done.signal(),
-        EventStatus::Failed(c) => {
-            if run2.done.is_complete() {
-                return; // deadline beat the attempt; its verdict is void
-            }
-            if c.is_transient() && made < run2.retry.max_attempts {
-                let jitter = run2.ctx.chaos.jitter01(run2.salt ^ u64::from(made));
-                let backoff = run2.retry.backoff_us(made, jitter);
-                run2.obs.retry_wall(made, backoff);
-                let run3 = run2.clone();
-                run2.ctx.timer.schedule(
-                    Instant::now() + Duration::from_micros(backoff),
-                    Box::new(move || dispatch_attempt(run3)),
-                );
-            } else {
-                run2.done.fail(c.clone());
-            }
+
+    fn fail(&self, cause: FailureCause) {
+        self.ev.complete(EventStatus::Failed(cause), self);
+    }
+
+    /// The result of one attempt, from whichever thread ran it: success
+    /// settles the action; a transient failure with budget left schedules
+    /// the next attempt on the timer wheel after a jittered backoff; any
+    /// other failure — or an exhausted budget — fails it. Dependents only
+    /// ever see the settled status, never an intermediate transient failure.
+    fn finish(self: Arc<Self>, result: Result<(), FailureCause>) {
+        let cause = match result {
+            Ok(()) => return self.ev.complete(EventStatus::Done, &*self),
+            Err(cause) => cause,
+        };
+        if self.ev.is_complete() {
+            return; // deadline beat the attempt; its verdict is void
         }
-        EventStatus::Pending => unreachable!("on_complete only fires when complete"),
-    });
-    dispatch_with(&run.ctx, &run.spec, attempt, run.obs.clone());
+        let made = self.attempts.load(Ordering::Acquire);
+        if cause.is_transient() && made < self.retry.max_attempts {
+            let jitter = self.ctx.chaos.jitter01(self.salt ^ u64::from(made));
+            let backoff = self.retry.backoff_us(made, jitter);
+            self.obs.retry_wall(made, backoff);
+            let timer = self.ctx.timer.clone();
+            timer.schedule(
+                Instant::now() + Duration::from_micros(backoff),
+                TimerJob::Retry(self),
+            );
+        } else {
+            self.fail(cause);
+        }
+    }
+
+    /// The DMA worker's half of a transfer: copy, then report.
+    fn transfer(self: Arc<Self>) {
+        let ActionSpec::Transfer {
+            card_domain: Some(card),
+            h2d,
+            bytes,
+            real: Some(real),
+            ..
+        } = &self.spec
+        else {
+            unreachable!("only real card transfers are queued on DMA workers");
+        };
+        if self.obs.is_enabled() {
+            let key = &self.ctx.dma_queue_keys[card - 1][usize::from(!h2d)];
+            self.ctx.obs.gauge_add(key, -1);
+        }
+        self.obs.phase_wall(ObsPhase::SinkStart);
+        let r = self
+            .ctx
+            .coi
+            .dma_copy(real.src.0, real.src.1, real.dst.0, real.dst.1, *bytes);
+        self.finish(r.map_err(|e| e.into_cause()));
+    }
 }
 
-fn dispatch_with(ctx: &DispatchCtx, spec: &ActionSpec, done: CoiEvent, obs: ObsAction) {
-    // Dispatch runs the moment the last dependence resolves (or inline at
-    // submit when none were pending).
+impl EventHost for ActionRun {
+    fn event_core(&self) -> &EventCore {
+        &self.ev
+    }
+
+    fn completed(&self, status: &EventStatus) {
+        match status {
+            EventStatus::Failed(c) => {
+                let attempts = self.attempts.load(Ordering::Relaxed).max(1);
+                self.obs.fail_cause_wall(c, attempts);
+            }
+            _ => self.obs.finish_wall(true),
+        }
+    }
+}
+
+impl Dependent for ActionRun {
+    /// One dependence settled: a failure poisons this action (fail once; it
+    /// never dispatches), the last success dispatches it from the
+    /// producer's completing thread.
+    fn resolved(self: Arc<Self>, status: &EventStatus) {
+        match status {
+            EventStatus::Failed(m) => self.fail(FailureCause::poisoned_by(m.clone())),
+            _ => {
+                if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    dispatch_attempt(&self);
+                }
+            }
+        }
+    }
+}
+
+impl SinkTask for ActionRun {
+    fn call(&self) -> (&str, &[u8], &[BufAccess]) {
+        match &self.spec {
+            ActionSpec::Compute {
+                func, args, bufs, ..
+            } => (func, args, bufs.as_slice()),
+            _ => unreachable!("only computes are queued on sink pipelines"),
+        }
+    }
+
+    fn started(&self) {
+        self.obs.phase_wall(ObsPhase::SinkStart);
+    }
+
+    fn finish(self: Arc<Self>, result: Result<(), FailureCause>) {
+        ActionRun::finish(self, result);
+    }
+}
+
+/// Run one attempt of an action whose dependences have all resolved (or
+/// whose backoff is over): route it to its sink pipeline or DMA worker,
+/// which reports back through [`ActionRun::finish`].
+///
+/// Never panics: a malformed spec, a stopped pipeline and a closed DMA
+/// channel all *finish the attempt with an error*, which reaches waiters and
+/// dependents instead of aborting whichever thread ran the dispatch.
+fn dispatch_attempt(run: &Arc<ActionRun>) {
+    if run.ev.is_complete() {
+        return; // deadline expired (or dependence poisoned) while queued
+    }
+    run.attempts.fetch_add(1, Ordering::AcqRel);
+    let (ctx, obs) = (&run.ctx, &run.obs);
+    let refuse = |cause: FailureCause| run.clone().finish(Err(cause));
     obs.phase_wall(ObsPhase::DepsResolved);
-    match spec {
+    match &run.spec {
         ActionSpec::Noop => {
             obs.phase_wall(ObsPhase::Dispatched);
-            done.signal();
+            run.clone().finish(Ok(()));
         }
         ActionSpec::Compute {
-            stream_idx,
-            func,
-            args,
-            bufs,
-            ..
+            stream_idx, func, ..
         } => {
             let stream_idx = *stream_idx;
             let Some(pipe) = ctx.pipes.get(stream_idx) else {
-                done.fail(FailureCause::Malformed(format!(
+                return refuse(FailureCause::Malformed(format!(
                     "malformed compute '{func}': no pipeline for stream index {stream_idx}"
                 )));
-                return;
             };
-            // Chaos consult at the compute site: injected failures complete
-            // the attempt event without touching the sink; injected panics
-            // ride the real sink path so unwinding is exercised end to end.
+            obs.phase_wall(ObsPhase::Dispatched);
+            // Chaos consult at the compute site: injected failures finish
+            // the attempt without touching the sink; injected panics ride
+            // the real sink path so unwinding is exercised end to end.
             if ctx.chaos.is_armed() {
                 let card = ctx.pipe_cards.get(stream_idx).copied().unwrap_or(0);
-                if let Some(inj) = ctx.chaos.check_compute(stream_idx as u32, card) {
-                    match inj {
-                        Injection::Fail(c) => {
-                            obs.phase_wall(ObsPhase::Dispatched);
-                            done.fail(c);
-                            return;
-                        }
-                        Injection::Panic(msg) => {
-                            obs.phase_wall(ObsPhase::Dispatched);
-                            let ev = pipe.call_obs(move || panic!("{msg}"), obs);
-                            ev.on_complete(move |st| match st {
-                                EventStatus::Done => done.signal(),
-                                EventStatus::Failed(m) => done.fail(m.clone()),
-                                EventStatus::Pending => {
-                                    unreachable!("on_complete only fires when complete")
-                                }
-                            });
-                            return;
-                        }
+                match ctx.chaos.check_compute(stream_idx as u32, card) {
+                    Some(Injection::Fail(c)) => return refuse(c),
+                    Some(Injection::Panic(msg)) => {
+                        let run = run.clone();
+                        let panicked = pipe.call(move || panic!("{msg}"));
+                        return panicked.on_complete(move |st| {
+                            run.finish(match st {
+                                EventStatus::Failed(m) => Err(m.clone()),
+                                _ => Ok(()),
+                            })
+                        });
                     }
+                    None => {}
                 }
             }
-            obs.phase_wall(ObsPhase::Dispatched);
-            let ev = pipe.run_obs(func, args.clone(), bufs.clone(), obs);
-            ev.on_complete(move |st| match st {
-                EventStatus::Done => done.signal(),
-                EventStatus::Failed(m) => done.fail(m.clone()),
-                EventStatus::Pending => unreachable!("on_complete only fires when complete"),
-            });
+            pipe.submit(run.clone());
         }
         ActionSpec::Transfer {
             card_domain,
             h2d,
-            bytes,
             real,
             label,
+            ..
         } => {
-            let (card_domain, h2d, bytes) = (*card_domain, *h2d, *bytes);
-            let Some(real) = real.clone() else {
+            if real.is_none() {
                 // Host-as-target alias: "transfers en-queued in host streams
                 // are aliased and optimized away".
                 obs.phase_wall(ObsPhase::Dispatched);
-                done.signal();
-                return;
-            };
+                return run.clone().finish(Ok(()));
+            }
             let Some(card) = card_domain.and_then(|d| d.checked_sub(1)) else {
-                done.fail(FailureCause::Malformed(format!(
+                return refuse(FailureCause::Malformed(format!(
                     "malformed transfer '{label}': real transfer without a card domain"
                 )));
-                return;
             };
             let Some(workers) = ctx.dma.get(card) else {
-                done.fail(FailureCause::Malformed(format!(
+                return refuse(FailureCause::Malformed(format!(
                     "malformed transfer '{label}': card domain {} out of range ({} cards)",
                     card + 1,
                     ctx.dma.len()
                 )));
-                return;
             };
             let dir = usize::from(!h2d);
             obs.phase_wall(ObsPhase::Dispatched);
-            let queue_key = ctx.obs.is_enabled().then(|| {
-                let key = format!(
-                    "dma.c{}.{}.queue",
-                    card + 1,
-                    if h2d { "h2d" } else { "d2h" }
-                );
-                ctx.obs.gauge_add(&key, 1);
-                key
-            });
-            let coi = ctx.coi.clone();
-            let hub = ctx.obs.clone();
-            let queue_key2 = queue_key.clone();
-            let done2 = done.clone();
-            let job: DmaJob = Box::new(move || {
-                if let Some(key) = &queue_key2 {
-                    hub.gauge_add(key, -1);
-                }
-                obs.phase_wall(ObsPhase::SinkStart);
-                let r = coi.dma_copy(real.src.0, real.src.1, real.dst.0, real.dst.1, bytes);
-                match r {
-                    Ok(()) => done.signal(),
-                    Err(e) => done.fail(e.into_cause()),
-                }
-            });
-            if workers[dir].send(DmaMsg::Job(job)).is_err() {
+            let queue_key = obs.is_enabled().then(|| &ctx.dma_queue_keys[card][dir]);
+            if let Some(key) = queue_key {
+                ctx.obs.gauge_add(key, 1);
+            }
+            if workers[dir].send(DmaMsg::Job(run.clone())).is_err() {
                 // Executor shut down between dependence resolution and
-                // dispatch: the channel's receiver is gone. Fail the action
-                // (propagates to waiters/dependents) instead of panicking on
-                // whichever foreign thread ran this callback.
-                if let Some(key) = &queue_key {
+                // dispatch: the channel's receiver is gone.
+                if let Some(key) = queue_key {
                     ctx.obs.gauge_add(key, -1);
                 }
-                done2.fail(format!(
+                refuse(FailureCause::from(format!(
                     "transfer '{label}' dropped: executor shut down before dispatch"
-                ));
+                )));
             }
         }
     }

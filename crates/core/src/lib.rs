@@ -442,6 +442,7 @@ impl HStreams {
                 chaos.clone(),
                 remotes,
             )
+            .map(Box::new)
             .map_err(|e| HsError::ExecFailed(format!("connecting remote domains: {e}")))
         };
         let exec = match mode {
@@ -1023,7 +1024,7 @@ impl HStreams {
             let _lo_world = lockorder::acquiring(LockClass::World);
             let _world = self.inner.world.read();
             let (spec, footprint) =
-                self.build_compute_spec(s, func, args.clone(), operands, cost)?;
+                self.build_compute_spec(s, func.to_string(), args.clone(), operands, cost)?;
             let logged = self.log_actions().then(|| LoggedOp::Compute {
                 func: func.to_string(),
                 args,
@@ -1050,7 +1051,7 @@ impl HStreams {
     fn build_compute_spec(
         &self,
         s: StreamId,
-        func: &str,
+        func: String,
         args: Bytes,
         operands: &[Operand],
         cost: CostHint,
@@ -1064,7 +1065,7 @@ impl HStreams {
         };
         // Validate + resolve operands.
         let mut footprint: Footprint = Vec::with_capacity(operands.len());
-        let mut bufs: Vec<hs_coi::pipeline::BufAccess> = Vec::new();
+        let mut bufs = exec::BufList::new();
         let real = matches!(self.inner.exec, Executor::Thread(_));
         let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
         let buffers = self.inner.buffers.read();
@@ -1115,7 +1116,7 @@ impl HStreams {
             stream_idx: s.0 as usize,
             device,
             cores,
-            func: func.to_string(),
+            func,
             args,
             bufs,
             cost,
@@ -1365,14 +1366,14 @@ impl HStreams {
                         cost,
                     } => {
                         inner.stats.note_compute();
-                        let (spec, footprint) =
-                            self.build_compute_spec(s, &func, args.clone(), &operands, cost)?;
-                        let logged = armed.then_some(LoggedOp::Compute {
-                            func,
-                            args,
-                            operands,
+                        let logged = armed.then(|| LoggedOp::Compute {
+                            func: func.clone(),
+                            args: args.clone(),
+                            operands: operands.clone(),
                             cost,
                         });
+                        let (spec, footprint) =
+                            self.build_compute_spec(s, func, args, &operands, cost)?;
                         built.push(BuiltAction {
                             spec,
                             footprint,
@@ -1481,6 +1482,8 @@ impl HStreams {
         // would otherwise stall the retirement watermark forever.
         let mut ids = ReservedIds::new(&inner.events, n);
         let mut batch: Vec<exec::BatchSubmitItem> = Vec::with_capacity(n);
+        // Every item's dependences, back to back (items hold their range).
+        let mut deps: Vec<exec::BatchDep> = Vec::new();
         let mut logs: Vec<LoggedAction> = Vec::new();
         #[cfg(feature = "hsan-record")]
         let mut rec_buf: Vec<record::ActionRecord> = Vec::new();
@@ -1535,7 +1538,7 @@ impl HStreams {
             // Intra-batch dependences point at reserved-but-unpublished
             // slots; route them straight to the batch's own completion
             // events. Everything else resolves through the table as usual.
-            let mut deps: Vec<exec::BatchDep> = Vec::with_capacity(dep_events.len());
+            let first_dep = deps.len();
             for e in dep_events.iter() {
                 if let Some(j) = ids.as_slice().iter().position(|&id| id == e.0) {
                     deps.push(exec::BatchDep::Internal(j));
@@ -1584,7 +1587,7 @@ impl HStreams {
             ids.push(id);
             batch.push(exec::BatchSubmitItem {
                 spec,
-                deps,
+                deps: first_dep..deps.len(),
                 obs,
                 opts: submit_opts,
             });
@@ -1627,12 +1630,13 @@ impl HStreams {
         #[cfg(feature = "hsan-record")]
         let backends = inner.exec.submit_batch(
             batch,
+            &deps,
             track
                 .as_ref()
                 .map(|t| t as &dyn Fn(usize, &hs_coi::CoiEvent)),
         );
         #[cfg(not(feature = "hsan-record"))]
-        let backends = inner.exec.submit_batch(batch, None);
+        let backends = inner.exec.submit_batch(batch, &deps, None);
         if !logs.is_empty() {
             with_class(LockClass::Recovery, || inner.recovery.lock().extend(logs));
         }
@@ -2803,7 +2807,7 @@ impl HStreams {
                     args,
                     operands,
                     cost,
-                } => self.build_compute_spec(s, func, args.clone(), operands, *cost)?,
+                } => self.build_compute_spec(s, func.clone(), args.clone(), operands, *cost)?,
                 LoggedOp::Xfer {
                     buf,
                     range,

@@ -1,127 +1,14 @@
-//! Allocation-lean helpers for the enqueue hot path: an inline-first small
-//! vector for dependence lists and thread-local reusable scratch for the
+//! Allocation-lean helpers for the enqueue hot path: the inline-first small
+//! vector (shared with the sink side, so it lives in `hs-coi`) for
+//! dependence lists, and thread-local reusable scratch for the
 //! backend-event collection in `enqueue_common`.
 //!
 //! The enqueue fast path runs once per action; with typical dependence
 //! fan-in well under eight events, the inline array keeps the whole
 //! find-deps → sort → dedup → collect pipeline off the heap.
 
+pub use hs_coi::small::SmallVec;
 use std::cell::RefCell;
-
-/// A vector of `Copy` items that stores up to `N` of them inline and spills
-/// to a contiguous heap `Vec` beyond that. Unlike a fragmented
-/// inline+overflow split, the storage is always one contiguous slice, so
-/// in-place sort and dedup work directly.
-pub struct SmallVec<T: Copy + Default, const N: usize> {
-    inline: [T; N],
-    /// Length of the inline prefix; ignored once `heap` is `Some`.
-    len: usize,
-    heap: Option<Vec<T>>,
-}
-
-impl<T: Copy + Default, const N: usize> SmallVec<T, N> {
-    pub fn new() -> SmallVec<T, N> {
-        SmallVec {
-            inline: [T::default(); N],
-            len: 0,
-            heap: None,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match &self.heap {
-            Some(h) => h.len(),
-            None => self.len,
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Did this vector ever overflow its inline capacity? (Once spilled, a
-    /// `clear` keeps the heap allocation for reuse.)
-    pub fn spilled(&self) -> bool {
-        self.heap.is_some()
-    }
-
-    pub fn push(&mut self, v: T) {
-        match &mut self.heap {
-            Some(h) => h.push(v),
-            None if self.len < N => {
-                self.inline[self.len] = v;
-                self.len += 1;
-            }
-            None => {
-                let mut h = Vec::with_capacity(2 * N);
-                h.extend_from_slice(&self.inline[..self.len]);
-                h.push(v);
-                self.heap = Some(h);
-            }
-        }
-    }
-
-    pub fn extend_from_slice(&mut self, vs: &[T]) {
-        for v in vs {
-            self.push(*v);
-        }
-    }
-
-    pub fn clear(&mut self) {
-        match &mut self.heap {
-            Some(h) => h.clear(),
-            None => self.len = 0,
-        }
-    }
-
-    pub fn as_slice(&self) -> &[T] {
-        match &self.heap {
-            Some(h) => h.as_slice(),
-            None => &self.inline[..self.len],
-        }
-    }
-
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.heap {
-            Some(h) => h.as_mut_slice(),
-            None => &mut self.inline[..self.len],
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        match &mut self.heap {
-            Some(h) => h.truncate(n),
-            None => self.len = self.len.min(n),
-        }
-    }
-
-    /// Sort ascending and drop duplicates, in place.
-    pub fn sort_dedup(&mut self)
-    where
-        T: Ord,
-    {
-        let s = self.as_mut_slice();
-        s.sort_unstable();
-        let mut keep = 0;
-        for i in 0..s.len() {
-            if i == 0 || s[i] != s[keep - 1] {
-                s[keep] = s[i];
-                keep += 1;
-            }
-        }
-        self.truncate(keep);
-    }
-
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.as_slice().iter()
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Default for SmallVec<T, N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 thread_local! {
     /// Reusable buffer for the per-enqueue backend-dependence collection.
@@ -140,50 +27,4 @@ pub(crate) fn with_be_scratch<R>(f: impl FnOnce(&mut Vec<crate::exec::BackendEve
         }
         Err(_) => f(&mut Vec::new()),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inline_until_capacity_then_spills() {
-        let mut v: SmallVec<u64, 4> = SmallVec::new();
-        for i in 0..4 {
-            v.push(i);
-        }
-        assert!(!v.spilled());
-        assert_eq!(v.as_slice(), &[0, 1, 2, 3]);
-        v.push(4);
-        assert!(v.spilled());
-        assert_eq!(v.as_slice(), &[0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn sort_dedup_inline_and_spilled() {
-        let mut v: SmallVec<u64, 4> = SmallVec::new();
-        v.extend_from_slice(&[3, 1, 3, 2]);
-        v.sort_dedup();
-        assert_eq!(v.as_slice(), &[1, 2, 3]);
-        v.extend_from_slice(&[2, 9, 9, 0, 1]);
-        v.sort_dedup();
-        assert_eq!(v.as_slice(), &[0, 1, 2, 3, 9]);
-        assert!(v.spilled());
-    }
-
-    #[test]
-    fn clear_keeps_spilled_capacity() {
-        let mut v: SmallVec<u64, 2> = SmallVec::new();
-        v.extend_from_slice(&[1, 2, 3]);
-        v.clear();
-        assert!(v.is_empty());
-        assert!(v.spilled(), "heap allocation is retained for reuse");
-    }
-
-    #[test]
-    fn empty_sort_dedup_is_fine() {
-        let mut v: SmallVec<u64, 2> = SmallVec::new();
-        v.sort_dedup();
-        assert!(v.is_empty());
-    }
 }

@@ -49,7 +49,7 @@ fn compute_spec(stream_idx: usize, func: &str) -> ActionSpec {
         cores: 1,
         func: func.to_string(),
         args: Bytes::new(),
-        bufs: Vec::new(),
+        bufs: Default::default(),
         cost: CostHint::trivial(),
         label: format!("{func}@test"),
     }
@@ -130,6 +130,124 @@ fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
             "unexpected error: {err}"
         );
     });
+}
+
+/// Enqueueing behind a slow sink is linear: the in-flight list is swept only
+/// when it has doubled, so n submits that cannot complete probe O(n) entries
+/// in total. (It used to be swept on every submit past 64 in flight:
+/// n²/2 = 2·10⁸ probes of other cores' cache lines here.)
+#[test]
+fn submits_behind_a_gate_probe_the_in_flight_list_linearly() {
+    const N: u64 = 20_000;
+    let ex = thread_exec(1);
+    let gate = CoiEvent::new();
+    let deps = [BackendEvent::Thread(gate.clone())];
+    let events: Vec<CoiEvent> = (0..N)
+        .map(|_| {
+            ex.submit(
+                ActionSpec::Noop,
+                &deps,
+                ObsAction::disabled(),
+                SubmitOpts::default(),
+            )
+        })
+        .collect();
+    let probes = ex.sweep_probes();
+    assert!(
+        probes <= 2 * N,
+        "{probes} completion probes for {N} gated submits"
+    );
+    assert!(events.iter().all(|e| !e.is_complete()));
+    gate.signal();
+    CoiEvent::wait_all(&events).expect("the gate releases every action");
+}
+
+/// Dropping the executor releases the runtime even with timers pending: a
+/// deadline far in the future on a finished action, and a retry parked in
+/// its backoff. (The timer queue once kept both records, hence their
+/// dispatch context, hence the queue itself — a cycle that leaked the
+/// `CoiRuntime` with its windows, sockets and DMA channels.)
+#[test]
+fn pending_timers_do_not_keep_the_runtime_alive_past_drop() {
+    use hs_chaos::{FaultKind, FaultPlan, FaultSite, RetryPolicy};
+    with_timeout(20, || {
+        let ex = thread_exec(1);
+        let coi = ex.coi().clone();
+        ex.chaos().arm(
+            FaultPlan::new(7)
+                .with_trigger(
+                    FaultSite::Compute { stream: 0, nth: 1 },
+                    FaultKind::Transient,
+                )
+                .with_auto_degrade(false),
+        );
+        let done = ex.submit(
+            ActionSpec::Noop,
+            &[],
+            ObsAction::disabled(),
+            SubmitOpts {
+                deadline_ns: Some(60_000_000_000),
+                ..SubmitOpts::default()
+            },
+        );
+        done.wait()
+            .expect("noop completes long before its deadline");
+        let retrying = ex.submit(
+            compute_spec(0, "nosuch"),
+            &[],
+            ObsAction::disabled(),
+            SubmitOpts {
+                deadline_ns: None,
+                retry: RetryPolicy {
+                    max_attempts: 2,
+                    base_backoff_us: 60_000_000,
+                    multiplier: 1.0,
+                    jitter: 0.0,
+                },
+            },
+        );
+        drop(ex); // drain budget runs out on the parked retry
+        assert!(!retrying.is_complete(), "still in its backoff");
+        drop((done, retrying));
+        assert_eq!(Arc::strong_count(&coi), 1, "the runtime leaked");
+    });
+}
+
+/// A finished producer does not pin the actions that waited on it: once the
+/// in-flight list has swept it, a held event keeps one record alive, however
+/// long the chain behind it — and letting go of it frees one record, not the
+/// chain recursively.
+#[test]
+fn a_held_head_event_does_not_pin_the_chain_behind_it() {
+    const N: usize = 100_000;
+    let ex = thread_exec(1);
+    ex.coi()
+        .register("nop", Arc::new(|_ctx: &mut hstreams_core::TaskCtx| {}));
+    let gate = CoiEvent::new();
+    let submit = |dep: &CoiEvent| {
+        ex.submit(
+            compute_spec(0, "nop"),
+            &[BackendEvent::Thread(dep.clone())],
+            ObsAction::disabled(),
+            SubmitOpts::default(),
+        )
+    };
+    // Every link registers on a pending producer: enqueue-ahead.
+    let head = submit(&gate);
+    let mut tail = head.clone();
+    for _ in 1..N {
+        tail = submit(&tail);
+    }
+    gate.signal();
+    tail.wait().expect("chain completes");
+    drop((gate, tail));
+    drop(ex); // sweeps what finished; `head` alone outlives it
+    std::thread::Builder::new()
+        .stack_size(64 << 10)
+        .spawn(move || drop(head))
+        .expect("spawning a small-stack thread")
+        .join()
+        .expect("dropping the head event must not recurse down the chain");
 }
 
 #[test]

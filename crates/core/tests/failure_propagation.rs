@@ -134,7 +134,7 @@ fn sim_failure_poisons_chain_and_fan_in() {
             cores: 1,
             func: "ghost".into(),
             args: Bytes::new(),
-            bufs: Vec::new(),
+            bufs: Default::default(),
             cost: CostHint::trivial(),
             label: "ghost@sim".into(),
         },

@@ -18,7 +18,7 @@
 use hstreams_core::events::{EventTable, EventView};
 use hstreams_core::exec::BackendEvent;
 use hstreams_core::stream::StreamState;
-use hstreams_core::sync::{Arc, Mutex, RwLock};
+use hstreams_core::sync::{Arc, Condvar, Mutex, RwLock};
 use hstreams_core::types::{DomainId, Event, StreamId};
 use hstreams_core::{ActionKind, CpuMask};
 
@@ -248,4 +248,52 @@ fn loom_replay_vs_enqueue_same_stream() {
             "watermark not rewound below the revived slot"
         );
     });
+}
+
+/// The wake-on-demand protocol of `hs_coi::EventCore`: completion notifies
+/// the condvar only when the waiter count, kept under the state lock, is
+/// non-zero. A model of the protocol, not of the compiled code — hs-coi is
+/// built on parking_lot and cannot take a loom edge (the frozen `benchmark/`
+/// workspace locks its dependency set); the compiled code is raced by
+/// `a_waiter_racing_the_completion_is_never_left_asleep` in hs-coi.
+/// `count_under_lock: false` is the tempting variant — check the status,
+/// drop the lock, then announce the wait — which opens the window for a
+/// completion to see no waiter and skip the wake-up one is about to need.
+fn wake_on_demand_model(count_under_lock: bool) {
+    loom::model(move || {
+        // (done, parked waiters)
+        let ev = Arc::new((Mutex::new((false, 0u32)), Condvar::new()));
+        let ev2 = ev.clone();
+        let waiter = loom::thread::spawn(move || {
+            let mut st = ev2.0.lock();
+            while !st.0 {
+                if !count_under_lock {
+                    drop(st);
+                    st = ev2.0.lock();
+                }
+                st.1 += 1;
+                ev2.1.wait(&mut st);
+                st.1 -= 1;
+            }
+        });
+        {
+            let mut st = ev.0.lock();
+            st.0 = true;
+            if st.1 > 0 {
+                ev.1.notify_all();
+            }
+        }
+        // A waiter left asleep is a deadlock, which the scheduler reports.
+        waiter.join().unwrap();
+    });
+}
+
+/// A waiter racing the completion is never left asleep, on every schedule —
+/// and the model does find the lost wake-up when the count is published
+/// outside the critical section that checked the status.
+#[test]
+fn loom_completion_wakes_a_racing_waiter() {
+    wake_on_demand_model(true);
+    let lost = std::panic::catch_unwind(|| wake_on_demand_model(false));
+    assert!(lost.is_err(), "the model missed the lost wake-up schedule");
 }

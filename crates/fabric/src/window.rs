@@ -19,7 +19,7 @@ use std::ops::Range;
 use crate::NodeId;
 
 /// Identifies a registered window on a node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 pub struct WindowId {
     pub node: NodeId,
     pub(crate) id: u64,
