@@ -19,8 +19,9 @@
 //! * [`event::CoiEvent`] — completion events with wait/poll, error-carrying
 //!   (a panicking run function *fails* the event instead of hanging the
 //!   host).
-//! * [`pool::BufferPool`] — the 2 MB buffer pool whose absence the paper's
-//!   §III overhead analysis flags as significant.
+//! * [`pool::BufferPool`] — the buffer pool (§III's "pool of 2MB buffers")
+//!   whose absence the paper's overhead analysis flags as significant:
+//!   per-size-class free lists, windows sized to their data.
 
 pub mod event;
 pub mod pipeline;
@@ -32,7 +33,7 @@ pub mod workgroup;
 
 pub use event::{CoiEvent, CompletionLog, Dependent, EventCore, EventHost, EventStatus};
 pub use pipeline::{execute_on, Pipeline, PipelineHandle, RunCtx, SinkTask};
-pub use pool::{BufferPool, PoolStats, PooledWindow};
+pub use pool::{BufferPool, PoolStats, PooledWindow, WindowTooLarge};
 pub use registry::{FnRegistry, RunFunction};
 pub use server::{
     inflight_requests, request_shutdown, serve_tcp, serve_uds, shutdown_requested, WorkerState,
@@ -190,9 +191,23 @@ impl CoiRuntime {
     }
 
     /// Allocate a window on `engine`, through the engine's buffer pool when
-    /// `pooled` (COI's 2 MB pool) or directly otherwise.
-    pub fn buffer_alloc(&self, engine: EngineId, len: usize, pooled: bool) -> PooledWindow {
+    /// `pooled` (COI's buffer pool) or directly otherwise. On a remote
+    /// engine a length above the per-window cap
+    /// ([`hs_fabric::proto::MAX_WINDOW`]) is refused.
+    pub fn try_buffer_alloc(
+        &self,
+        engine: EngineId,
+        len: usize,
+        pooled: bool,
+    ) -> Result<PooledWindow, WindowTooLarge> {
         self.pools[engine.0 as usize].alloc(&self.fabric, engine.node(), len, pooled)
+    }
+
+    /// [`CoiRuntime::try_buffer_alloc`] for lengths the caller knows to be
+    /// within the cap. Panics where that one refuses.
+    pub fn buffer_alloc(&self, engine: EngineId, len: usize, pooled: bool) -> PooledWindow {
+        self.try_buffer_alloc(engine, len, pooled)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Return a pooled window for reuse.

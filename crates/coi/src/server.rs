@@ -128,7 +128,18 @@ impl WorkerState {
             .ok_or_else(|| format!("no such window {win}"))
     }
 
-    fn alloc(&self, win: u64, len: usize) -> Result<(), String> {
+    /// Register window `win` of `len` zeroed bytes. `len` is the peer's: the
+    /// cap is checked before anything is sized by it.
+    fn alloc(&self, win: u64, len: u64) -> Result<(), String> {
+        let len = match usize::try_from(len) {
+            Ok(n) if len <= proto::MAX_WINDOW => n,
+            _ => {
+                return Err(format!(
+                    "window of {len} bytes exceeds the {} byte cap",
+                    proto::MAX_WINDOW
+                ))
+            }
+        };
         match self.windows.write().entry(win) {
             std::collections::hash_map::Entry::Occupied(_) => {
                 Err(format!("window {win} already allocated"))
@@ -337,7 +348,7 @@ pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::i
                 }
                 Kind::Alloc => {
                     let r = match (c.get_u64(), c.get_u64()) {
-                        (Some(win), Some(len)) => state.alloc(win, len as usize),
+                        (Some(win), Some(len)) => state.alloc(win, len),
                         _ => Err("malformed Alloc".to_string()),
                     };
                     reply_ack(&mut s, r)?;
@@ -609,6 +620,16 @@ mod tests {
         (result, replies)
     }
 
+    /// The seeded generator of the mutation tests.
+    fn xorshift(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
     fn frame(kind: Kind, head: &[u8], data: &[u8]) -> Vec<u8> {
         let mut f = Vec::new();
         proto::send_frame_parts(&mut f, kind, head, data).expect("frame");
@@ -693,13 +714,7 @@ mod tests {
     fn mutated_write_frames_are_never_acknowledged() {
         let state = WorkerState::new(test_registry());
         state.alloc(1, 512).expect("alloc");
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for _ in 0..6 {
             let data: Vec<u8> = (0..1 + next() % 200).map(|_| next() as u8).collect();
             let good = write_frame(1, next() % 300, &data);
@@ -739,6 +754,101 @@ mod tests {
         }
     }
 
+    fn alloc_frame(win: u64, len: u64) -> Vec<u8> {
+        frame(
+            Kind::Alloc,
+            &[win.to_le_bytes(), len.to_le_bytes()].concat(),
+            &[],
+        )
+    }
+
+    /// Seeded mutation of an `Alloc` frame, whose `len` sizes memory on the
+    /// peer's word: a well-framed length above the cap gets an `Err` frame,
+    /// allocates nothing and leaves the connection in sync; a frame torn or
+    /// flipped in flight is never acknowledged.
+    #[test]
+    fn alloc_len_from_the_wire_never_sizes_an_allocation_above_the_cap() {
+        let state = WorkerState::new(test_registry());
+        let mut next = xorshift(0xd1b5_4a32_d192_ed03);
+        let ping = frame(Kind::Ping, &[], &[]);
+        let mut lens = vec![proto::MAX_WINDOW + 1, 1 << 40, u64::MAX];
+        lens.extend(
+            (0..40).map(|_| (proto::MAX_WINDOW + 1).saturating_add(next() >> (next() % 64))),
+        );
+        for len in lens {
+            let input = [alloc_frame(1, len), ping.clone()].concat();
+            let (result, replies) = serve_bytes(&state, &input);
+            result.expect("clean session");
+            let [(Kind::Err, msg), (Kind::Pong, _)] = &replies[..] else {
+                panic!("len {len}: want Err then Pong, got {replies:?}");
+            };
+            assert!(String::from_utf8_lossy(msg).contains("cap"), "len {len}");
+            assert_eq!(state.window_count(), 0, "len {len} allocated");
+        }
+        // Too short for its two fields.
+        let (result, replies) = serve_bytes(&state, &frame(Kind::Alloc, &[0; 15], &[]));
+        result.expect("clean session");
+        assert_eq!(replies, [(Kind::Err, b"malformed Alloc".to_vec())]);
+
+        for _ in 0..6 {
+            let len = 1 + next() % (64 << 10);
+            let good = alloc_frame(1, len);
+            for cut in 0..good.len() {
+                let (_, replies) = serve_bytes(&state, &good[..cut]);
+                assert!(replies.is_empty(), "cut {cut}: {replies:?}");
+            }
+            for bit in 0..good.len() * 8 {
+                let mut bad = good.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                bad.extend_from_slice(&ping);
+                let (result, replies) = serve_bytes(&state, &bad);
+                assert!(result.is_err(), "bit {bit}: the connection must end");
+                assert!(
+                    replies.iter().all(|(k, _)| *k == Kind::Err),
+                    "bit {bit}: no ack and no Pong after a corrupt frame, got {replies:?}"
+                );
+            }
+            assert_eq!(state.window_count(), 0, "a corrupt Alloc allocated");
+            // And the untouched frame allocates exactly what it names.
+            let free = frame(Kind::Free, &1u64.to_le_bytes(), &[]);
+            let (result, replies) = serve_bytes(&state, &good);
+            result.expect("clean session");
+            assert_eq!(replies, [(Kind::Ack, vec![])]);
+            assert_eq!(window_bytes(&state, 1), vec![0u8; len as usize]);
+            let (_, replies) = serve_bytes(&state, &free);
+            assert_eq!(replies, [(Kind::Ack, vec![])]);
+        }
+    }
+
+    /// The host enforces the same cap: a pool allocation above it on a
+    /// remote node is refused before the worker hears of it, takes no
+    /// window and counts no bytes; the next one registers as usual.
+    #[test]
+    fn remote_pool_alloc_above_the_cap_is_refused_on_the_host() {
+        use crate::pool::{BufferPool, PoolStats, WindowTooLarge};
+        use hs_fabric::{Fabric, NodeId, Pacer};
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let ep = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
+        let state = WorkerState::new(test_registry());
+        let serving = state.clone();
+        std::thread::spawn(move || accept_tcp(listener, serving));
+        let fabric =
+            Fabric::new_with_endpoints(2, vec![Pacer::unpaced()], ChaosHub::default(), &[(1, ep)])
+                .expect("connect");
+        let pool = BufferPool::new();
+        let len = proto::MAX_WINDOW as usize + 1;
+        for pooled in [true, false] {
+            let refused = pool.alloc(&fabric, NodeId(1), len, pooled);
+            assert_eq!(refused.map(|w| w.id()), Err(WindowTooLarge(len)));
+        }
+        assert_eq!(pool.stats(), PoolStats::default());
+        assert_eq!(state.window_count(), 0);
+        let w = pool.alloc(&fabric, NodeId(1), 5000, true).expect("alloc");
+        assert_eq!(fabric.win_len(w.id()), Some(8192));
+        assert_eq!(pool.stats().registered_bytes, 8192);
+        assert_eq!(state.window_count(), 1);
+    }
+
     /// Seeded mutation of an `Exec` frame's `width` field, the one number
     /// in it that sizes a thread pool: the worker answers every value with
     /// an `ExecAck`, never builds a pool wider than its own cores, keeps at
@@ -759,16 +869,10 @@ mod tests {
             }),
         );
         let want: Vec<u8> = (1..=200u8).collect();
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         for cores in [1usize, 2, 5] {
             let state = WorkerState::with_host_cores(registry.clone(), cores);
-            state.alloc(1, want.len()).expect("alloc");
+            state.alloc(1, want.len() as u64).expect("alloc");
             let p = cores as u32;
             let mut widths = vec![0, 1, p, p + 1, u32::MAX];
             widths.extend((0..40).map(|_| (next() >> (next() % 64)) as u32));

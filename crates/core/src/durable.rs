@@ -630,8 +630,12 @@ impl WalShared {
 pub(crate) trait ActionLog: Send {
     fn push(&mut self, la: LoggedAction);
     fn extend(&mut self, las: Vec<LoggedAction>);
+    /// The in-memory entries, in enqueue order.
+    fn entries(&self) -> &[LoggedAction];
     /// Clone of the in-memory entries (card-loss replay snapshot).
-    fn snapshot(&self) -> Vec<LoggedAction>;
+    fn snapshot(&self) -> Vec<LoggedAction> {
+        self.entries().to_vec()
+    }
     /// Prune the in-memory entries (compaction). Disk records are pruned
     /// only by watermark retirement, never here.
     fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool);
@@ -661,8 +665,8 @@ impl ActionLog for MemLog {
         self.entries.extend(las);
     }
 
-    fn snapshot(&self) -> Vec<LoggedAction> {
-        self.entries.clone()
+    fn entries(&self) -> &[LoggedAction] {
+        &self.entries
     }
 
     fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool) {
@@ -771,8 +775,8 @@ impl ActionLog for WalLog {
         }
     }
 
-    fn snapshot(&self) -> Vec<LoggedAction> {
-        self.entries.clone()
+    fn entries(&self) -> &[LoggedAction] {
+        &self.entries
     }
 
     fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool) {

@@ -77,6 +77,7 @@ pub mod events;
 pub mod exec;
 pub mod lockorder;
 pub mod record;
+mod replay;
 pub mod small;
 pub mod stats;
 pub mod stream;
@@ -236,8 +237,9 @@ impl Drop for ReservedIds<'_> {
     }
 }
 
-/// One recovery-log entry: the op, its enqueue-time dependences and which
-/// domains it wrote — the inputs to the card-loss replay closure.
+/// One recovery-log entry: the op and its enqueue-time dependences. The
+/// card-loss replay set is decided from the op's operands ([`replay`]);
+/// `wrote` (the domains written) is part of the durable record only.
 #[derive(Clone)]
 struct LoggedAction {
     ev: u64,
@@ -770,7 +772,8 @@ impl HStreams {
             Executor::Thread(t) => {
                 let w = t
                     .coi()
-                    .buffer_alloc(EngineId(domain.0 as u16), len.max(8), pooled);
+                    .try_buffer_alloc(EngineId(domain.0 as u16), len.max(8), pooled)
+                    .map_err(|e| HsError::InvalidArg(format!("instantiate {buf:?}: {e}")))?;
                 Instantiation::Window(w)
             }
             Executor::Sim(_) => {
@@ -880,8 +883,48 @@ impl HStreams {
     /// for conflicting in-flight actions first (source↔stream dependences
     /// are explicit in hStreams; this API is the explicit-sync entry point).
     pub fn buffer_write(&self, buf: BufferId, offset: usize, data: &[u8]) -> HsResult<()> {
+        self.host_write_with(buf, offset..offset + data.len(), |dst| {
+            dst.copy_from_slice(data)
+        })
+    }
+
+    /// Synchronously read from the buffer's **host** instantiation, waiting
+    /// for conflicting in-flight actions first.
+    pub fn buffer_read(&self, buf: BufferId, offset: usize, out: &mut [u8]) -> HsResult<()> {
+        self.host_read_with(buf, offset..offset + out.len(), |src| {
+            out.copy_from_slice(src)
+        })
+    }
+
+    /// `f64` convenience over [`HStreams::buffer_write`] (`offset` in
+    /// elements): little-endian, straight into the host instantiation.
+    pub fn buffer_write_f64(&self, buf: BufferId, offset: usize, data: &[f64]) -> HsResult<()> {
+        self.host_write_with(buf, offset * 8..(offset + data.len()) * 8, |dst| {
+            for (b, x) in dst.chunks_exact_mut(8).zip(data) {
+                b.copy_from_slice(&x.to_le_bytes());
+            }
+        })
+    }
+
+    /// `f64` convenience over [`HStreams::buffer_read`].
+    pub fn buffer_read_f64(&self, buf: BufferId, offset: usize, out: &mut [f64]) -> HsResult<()> {
+        self.host_read_with(buf, offset * 8..(offset + out.len()) * 8, |src| {
+            for (x, b) in out.iter_mut().zip(src.chunks_exact(8)) {
+                *x = f64::from_le_bytes(b.try_into().expect("chunk of 8"));
+            }
+        })
+    }
+
+    /// Wait for in-flight actions that touch `range` of `buf`, then let
+    /// `fill` write the range's bytes in the host instantiation: the locked
+    /// window range in thread mode, the shadow in sim mode.
+    fn host_write_with(
+        &self,
+        buf: BufferId,
+        range: Range<usize>,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> HsResult<()> {
         self.inner.stats.bump("buffer_write");
-        let range = offset..offset + data.len();
         with_class(LockClass::Buffers, || {
             self.inner.buffers.read().get(buf)?.check_range(&range)
         })?;
@@ -901,7 +944,7 @@ impl HStreams {
                 let mut g = mem
                     .lock_range(range, true)
                     .map_err(|e| HsError::ExecFailed(e.to_string()))?;
-                g.as_mut_slice().copy_from_slice(data);
+                fill(g.as_mut_slice());
             }
             Executor::Sim(_) => {
                 let len = with_class(LockClass::Buffers, || {
@@ -910,17 +953,21 @@ impl HStreams {
                 let _lo = lockorder::acquiring(LockClass::SimShadow);
                 let mut shadow = self.inner.sim_shadow.lock();
                 let bytes = shadow.entry(buf).or_insert_with(|| vec![0; len]);
-                bytes[range].copy_from_slice(data);
+                fill(&mut bytes[range]);
             }
         }
         Ok(())
     }
 
-    /// Synchronously read from the buffer's **host** instantiation, waiting
-    /// for conflicting in-flight actions first.
-    pub fn buffer_read(&self, buf: BufferId, offset: usize, out: &mut [u8]) -> HsResult<()> {
+    /// The reading counterpart of [`Self::host_write_with`]; a sim-mode
+    /// buffer nothing was written to reads as zeros.
+    fn host_read_with(
+        &self,
+        buf: BufferId,
+        range: Range<usize>,
+        take: impl FnOnce(&[u8]),
+    ) -> HsResult<()> {
         self.inner.stats.bump("buffer_read");
-        let range = offset..offset + out.len();
         with_class(LockClass::Buffers, || {
             self.inner.buffers.read().get(buf)?.check_range(&range)
         })?;
@@ -940,32 +987,15 @@ impl HStreams {
                 let g = mem
                     .lock_range(range, false)
                     .map_err(|e| HsError::ExecFailed(e.to_string()))?;
-                out.copy_from_slice(g.as_slice());
+                take(g.as_slice());
             }
             Executor::Sim(_) => {
                 let _lo = lockorder::acquiring(LockClass::SimShadow);
                 match self.inner.sim_shadow.lock().get(&buf) {
-                    Some(shadow) => out.copy_from_slice(&shadow[range]),
-                    None => out.fill(0),
+                    Some(shadow) => take(&shadow[range]),
+                    None => take(&vec![0; range.len()]),
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// `f64` convenience over [`HStreams::buffer_write`] (`offset` in
-    /// elements).
-    pub fn buffer_write_f64(&self, buf: BufferId, offset: usize, data: &[f64]) -> HsResult<()> {
-        let bytes: Vec<u8> = data.iter().flat_map(|x| x.to_le_bytes()).collect();
-        self.buffer_write(buf, offset * 8, &bytes)
-    }
-
-    /// `f64` convenience over [`HStreams::buffer_read`].
-    pub fn buffer_read_f64(&self, buf: BufferId, offset: usize, out: &mut [f64]) -> HsResult<()> {
-        let mut bytes = vec![0u8; out.len() * 8];
-        self.buffer_read(buf, offset * 8, &mut bytes)?;
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            out[i] = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
         }
         Ok(())
     }
@@ -2002,23 +2032,39 @@ impl HStreams {
             Some(inner.exec.failure_of(be).is_none())
         });
         if self.log_actions() {
-            // An in-memory recovery entry is dead weight once its action
-            // completed successfully AND all its writes landed in host
-            // domains: host memory survives card loss, and the replay
-            // closure only pulls in producers whose results lived on the
-            // lost card. Failed or pending actions always stay. This prunes
-            // the in-memory mirror only — on-disk WAL records are pruned
-            // solely by watermark retirement at a checkpoint.
+            // An in-memory recovery entry is dead weight once no card loss
+            // can make the replay need it (`replay::live`): it completed
+            // successfully and either touched the host only — host memory
+            // survives — or left a result on a card that has since come
+            // home or been overwritten there. Failed or pending actions
+            // always stay. This prunes the in-memory mirror only — on-disk
+            // WAL records are pruned solely by watermark retirement at a
+            // checkpoint.
+            let card_of_stream: Vec<Option<DomainId>> = {
+                let _lo_streams = lockorder::acquiring(LockClass::Streams);
+                let streams = inner.streams.read();
+                let _lo_stream = lockorder::acquiring(LockClass::Stream);
+                streams
+                    .iter()
+                    .map(|st| Some(st.lock().domain).filter(|d| !d.is_host()))
+                    .collect()
+            };
             let _lo = lockorder::acquiring(LockClass::Recovery);
             let mut log = inner.recovery.lock();
-            log.retain(&mut |la: &LoggedAction| {
-                let done_ok = match inner.events.view_id(la.ev) {
+            let ok: Vec<bool> = log
+                .entries()
+                .iter()
+                .map(|la| match inner.events.view_id(la.ev) {
                     EventView::Retired(_) => true,
                     EventView::Live(be, _) => inner.exec.completed_ok(&be),
                     EventView::Missing => false,
-                };
-                !(done_ok && la.wrote.iter().all(|d| *d == 0))
-            });
+                })
+                .collect();
+            let mut keep = replay::live(log.entries(), &ok, |la| {
+                card_of_stream.get(la.stream.0 as usize).copied().flatten()
+            })
+            .into_iter();
+            log.retain(&mut |_| keep.next().unwrap_or(true));
         }
         // Durable runs: buffered appends reach the page cache on the same
         // cadence, and a fully-quiescent table is the chance to checkpoint
@@ -2642,20 +2688,23 @@ impl HStreams {
         }
         // 2. Remap the lost card's streams to host sinks. Stream ids stay
         //    valid; subsequent (and replayed) actions resolve on the host.
-        let mut remapped = 0u32;
-        {
+        //    `on_card[i]`: stream i sat on the lost card until now.
+        let on_card: Vec<bool> = {
             let _lo_streams = lockorder::acquiring(LockClass::Streams);
             let streams = inner.streams.read();
+            let mut on_card = vec![false; streams.len()];
             for (i, st_arc) in streams.iter().enumerate() {
                 let _lo_stream = lockorder::acquiring(LockClass::Stream);
                 let mut st = st_arc.lock();
                 if st.domain == dom {
                     st.domain = DomainId::HOST;
                     inner.exec.remap_stream_to_host(i);
-                    remapped += 1;
+                    on_card[i] = true;
                 }
             }
-        }
+            on_card
+        };
+        let remapped = on_card.iter().filter(|lost| **lost).count() as u32;
         // 3. Drop the card's buffer instantiations — that memory is gone.
         //    The source proxy (host instantiation) is the recovery copy.
         let mut dropped = 0u32;
@@ -2678,7 +2727,7 @@ impl HStreams {
             }
         }
         // 4. Replay the affected actions on the surviving domains.
-        let replayed = self.replay_after_loss(dom)?;
+        let replayed = self.replay_after_loss(dom, &on_card)?;
         // 5. Surface the event to tuners/tests.
         inner
             .obs
@@ -2751,52 +2800,30 @@ impl HStreams {
     }
 
     /// Select and re-submit the actions invalidated by losing `dom`: every
-    /// failed action, plus (transitively) its dependence producers whose
-    /// results lived on the lost card. Replays run in original event-id
-    /// order and overwrite the event-table slot in place, so
-    /// application-held [`Event`] handles transparently track the replayed
-    /// attempt.
-    fn replay_after_loss(&self, dom: DomainId) -> HsResult<u32> {
+    /// failed action, plus the successful computes of the lost card whose
+    /// results a replayed action needs and no card→host transfer had
+    /// brought home ([`replay::select`]; `on_card[i]` says stream `i` sat on
+    /// `dom`). Replays run in original enqueue order and overwrite the
+    /// event-table slot in place, so application-held [`Event`] handles
+    /// transparently track the replayed attempt.
+    fn replay_after_loss(&self, dom: DomainId, on_card: &[bool]) -> HsResult<u32> {
         let inner = &*self.inner;
         // Snapshot under a short lock; the rest of the replay touches
         // streams/buffers and must respect the lock order.
         let log: Vec<LoggedAction> =
             with_class(LockClass::Recovery, || inner.recovery.lock().snapshot());
-        let by_ev: std::collections::HashMap<u64, usize> =
-            log.iter().enumerate().map(|(i, la)| (la.ev, i)).collect();
         let n = log.len();
-        let mut in_set = vec![false; n];
-        for (i, la) in log.iter().enumerate() {
-            let failed = match inner.events.view_id(la.ev) {
+        let failed: Vec<bool> = log
+            .iter()
+            .map(|la| match inner.events.view_id(la.ev) {
                 EventView::Live(be, _) => inner.exec.failure_of(&be).is_some(),
                 _ => false, // retired = success; missing = never published
-            };
-            if failed {
-                in_set[i] = true;
-            }
-        }
-        // Backward closure: a replayed consumer needs every producer whose
-        // result lived (only) on the lost card — its successful effects are
-        // gone with the card's memory. Host-resident results survive and
-        // are NOT re-run (re-running a successful accumulate would
-        // double-apply it).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..n {
-                if !in_set[i] {
-                    continue;
-                }
-                for d in &log[i].deps {
-                    if let Some(&j) = by_ev.get(d) {
-                        if !in_set[j] && log[j].wrote.contains(&dom.0) {
-                            in_set[j] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
+            })
+            .collect();
+        let in_set = replay::select(&log, &failed, dom, |la| {
+            on_card.get(la.stream.0 as usize).copied().unwrap_or(false)
+        });
+        let mut hazards = replay::Hazards::default();
         let mut replayed = 0u32;
         for i in (0..n).filter(|&i| in_set[i]) {
             let la = &log[i];
@@ -2823,12 +2850,16 @@ impl HStreams {
                 }
                 LoggedOp::Sync => (ActionSpec::Noop, Vec::new()),
             };
-            // Ascending id order means replayed dependences already point at
-            // their replayed events; untouched dependences are complete
-            // (quiesced) successes — including tombstoned ones, which need
-            // no backend handle at all.
-            let deps: Vec<BackendEvent> = la
-                .deps
+            // The logged dependences plus the conflicts with what was
+            // replayed before this action. Enqueue order means replayed
+            // dependences already point at their replayed events; untouched
+            // dependences are complete (quiesced) successes — including
+            // tombstoned ones, which need no backend handle at all.
+            let mut dep_ids = la.deps.clone();
+            hazards.order(la.ev, &footprint, &mut dep_ids);
+            dep_ids.sort_unstable();
+            dep_ids.dedup();
+            let deps: Vec<BackendEvent> = dep_ids
                 .iter()
                 .filter_map(|d| match inner.events.view_id(*d) {
                     EventView::Live(be, _) => Some(be),
@@ -3048,6 +3079,15 @@ impl HStreams {
             snap.extra
                 .insert("wg.spawned_workers".to_string(), t.spawned_workers() as f64);
             snap.extra.insert("wg.lanes".to_string(), t.lanes() as f64);
+            // Window capacity the buffer pools hold registered, all domains:
+            // against the bytes of the live buffers it is what pooling costs.
+            let coi = t.coi();
+            let registered: u64 = coi
+                .engines()
+                .map(|e| coi.pool_stats(e).registered_bytes)
+                .sum();
+            snap.extra
+                .insert("pool.registered_bytes".to_string(), registered as f64);
         }
         snap
     }

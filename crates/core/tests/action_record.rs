@@ -248,6 +248,48 @@ fn card_loss_mid_chain_replays_in_order_behind_the_same_events() {
     }
 }
 
+/// The same chain with an in-place *accumulate*: wherever the card dies,
+/// every round's `bump` reaches the host copy exactly once — one that
+/// succeeded on the card but never came home is re-run although it had
+/// retired before its consumer was enqueued, and one whose d2h had landed is
+/// not run again. A host-side wait and a compaction half way make the
+/// early rounds' events retire and prune what the log may prune.
+#[test]
+fn card_loss_mid_accumulate_chain_applies_every_update_once() {
+    const ROUNDS: usize = 6;
+    for dies_at in 1..=3 * ROUNDS as u64 {
+        for sync_half_way in [false, true] {
+            let (hs, _release) = runtime();
+            hs.chaos_install(FaultPlan::new(9).with_trigger(
+                FaultSite::CardOp {
+                    card: 1,
+                    nth: dies_at,
+                },
+                FaultKind::CardDead,
+            ));
+            let s = card_stream(&hs);
+            let buf = card_buffer(&hs);
+            for round in 1..=ROUNDS {
+                hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
+                compute(&hs, s, "bump", Some(buf), ActionOpts::default());
+                hs.xfer_to_source(s, buf, 0..N * 8).expect("d2h");
+                if sync_half_way && round == ROUNDS / 2 {
+                    hs.stream_synchronize(s).expect("first half");
+                    hs.compact_now();
+                }
+            }
+            hs.thread_synchronize()
+                .expect("degradation completes the chain");
+            assert_eq!(hs.degraded_cards(), &[1], "card op {dies_at}");
+            assert_eq!(
+                read(&hs, buf),
+                vec![ROUNDS as f64; N],
+                "card died at its op {dies_at} (sync half way: {sync_half_way})"
+            );
+        }
+    }
+}
+
 /// With an hsan recording live, a producer's completion is logged before
 /// those of dependents that dispatch and complete inside its completion
 /// walk — on the single and on the batched enqueue path.

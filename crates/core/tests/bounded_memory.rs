@@ -35,17 +35,20 @@ fn metric(hs: &HStreams, key: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Drive `CYCLES` enqueue/wait cycles, sampling the live-event gauge and
-/// (when chaos is armed) the recovery-log length at quiesce points.
-/// Returns (peak live, peak recovery entries).
-fn run_cycles(hs: &HStreams) -> (f64, f64) {
-    let s = hs
-        .stream_create(DomainId::HOST, CpuMask::first(1))
-        .expect("stream");
+/// Drive `CYCLES` enqueue/wait cycles on a stream of `domain` — a compute,
+/// between an h2d and a d2h when the domain is a card — sampling the
+/// live-event gauge and (when chaos is armed) the recovery-log length at
+/// quiesce points. Returns (peak live, peak recovery entries).
+fn run_cycles(hs: &HStreams, domain: DomainId) -> (f64, f64) {
+    let s = hs.stream_create(domain, CpuMask::first(1)).expect("stream");
     let b = hs.buffer_create(4096, BufProps::default());
+    hs.buffer_instantiate(b, domain).expect("instantiate");
     let mut peak_live = 0.0f64;
     let mut peak_log = 0.0f64;
     for i in 0..CYCLES {
+        if !domain.is_host() {
+            hs.xfer_to_sink(s, b, 0..4096).expect("h2d");
+        }
         hs.enqueue_compute(
             s,
             "nop",
@@ -54,6 +57,9 @@ fn run_cycles(hs: &HStreams) -> (f64, f64) {
             CostHint::trivial(),
         )
         .expect("enqueue");
+        if !domain.is_host() {
+            hs.xfer_to_source(s, b, 0..4096).expect("d2h");
+        }
         if (i + 1) % SYNC_EVERY == 0 {
             hs.stream_synchronize(s).expect("sync");
         }
@@ -69,7 +75,7 @@ fn run_cycles(hs: &HStreams) -> (f64, f64) {
 #[test]
 fn event_table_memory_is_flat_over_100k_cycles() {
     let hs = runtime();
-    let (peak_live, _) = run_cycles(&hs);
+    let (peak_live, _) = run_cycles(&hs, DomainId::HOST);
     assert!(
         peak_live < LIVE_CEILING,
         "live-event window must stay bounded: peak {peak_live} >= {LIVE_CEILING}"
@@ -90,24 +96,27 @@ fn event_table_memory_is_flat_over_100k_cycles() {
 
 /// Same run with a fault plan armed (zero fault rates: the *log*, not the
 /// faults, is under test). The recovery log must not retain one entry per
-/// action: completed host-only actions are replay-dead and get pruned.
+/// action: completed host-only actions are replay-dead and get pruned, and
+/// so is card work once its result has come home.
 #[test]
 fn recovery_log_is_bounded_while_chaos_is_armed() {
-    let hs = runtime();
-    hs.chaos_install(FaultPlan::new(7));
-    let (peak_live, peak_log) = run_cycles(&hs);
-    assert!(
-        peak_live < LIVE_CEILING,
-        "live-event window bounded under chaos too: peak {peak_live}"
-    );
-    assert!(
-        peak_log < LIVE_CEILING,
-        "recovery log must prune replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
-    );
-    hs.compact_now();
-    let entries = metric(&hs, "frontend.recovery.entries");
-    assert_eq!(
-        entries, 0.0,
-        "a quiesced sweep empties the log (everything completed on the host)"
-    );
+    for domain in [DomainId::HOST, DomainId(1)] {
+        let hs = runtime();
+        hs.chaos_install(FaultPlan::new(7));
+        let (peak_live, peak_log) = run_cycles(&hs, domain);
+        assert!(
+            peak_live < LIVE_CEILING,
+            "{domain:?}: live-event window bounded under chaos too: peak {peak_live}"
+        );
+        assert!(
+            peak_log < LIVE_CEILING,
+            "{domain:?}: recovery log must prune replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
+        );
+        hs.compact_now();
+        let entries = metric(&hs, "frontend.recovery.entries");
+        assert_eq!(
+            entries, 0.0,
+            "{domain:?}: a quiesced sweep empties the log (every result is on the host)"
+        );
+    }
 }

@@ -355,6 +355,38 @@ fn api_stats_count_calls() {
     assert_eq!(st.transfers(), 1);
 }
 
+/// The matmul (n=256, tile=64) tile set — A, B and C, sixteen 32 KiB tiles
+/// each — on the host and on a card: the pools register what the tiles hold,
+/// not a 2 MB chunk per tile (which would be 64x).
+#[test]
+fn pooled_buffers_register_what_they_hold() {
+    const TILE_BYTES: usize = 64 * 64 * 8;
+    let hs = real_runtime(1);
+    let registered = |hs: &HStreams| hs.metrics().extra["pool.registered_bytes"];
+    let before = registered(&hs);
+    let tiles: Vec<_> = (0..3 * 16)
+        .map(|_| hs.buffer_create(TILE_BYTES, BufProps::default()))
+        .collect();
+    for &t in &tiles {
+        hs.buffer_instantiate(t, DomainId(1)).expect("inst");
+    }
+    let data = (2 * tiles.len() * TILE_BYTES) as f64;
+    let grown = registered(&hs) - before;
+    assert!(
+        grown >= data && grown <= 1.1 * data,
+        "{grown} bytes registered for {data} bytes of tiles"
+    );
+    // Destroyed buffers leave their windows on the free lists, still
+    // registered, and the next tile set takes them from there.
+    for t in tiles {
+        hs.buffer_destroy(t).expect("destroy");
+    }
+    assert_eq!(registered(&hs) - before, grown);
+    let again = hs.buffer_create(TILE_BYTES, BufProps::default());
+    hs.buffer_instantiate(again, DomainId(1)).expect("inst");
+    assert_eq!(registered(&hs) - before, grown);
+}
+
 // ---------------------------------------------------------------------------
 // The FIFO-equivalence property: whatever overlap the runtime finds, the
 // observable result equals sequential in-order interpretation.

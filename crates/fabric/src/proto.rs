@@ -39,10 +39,19 @@ pub const MAGIC: u32 = 0x4853_4652;
 /// Protocol version carried in `Hello`/`HelloAck`.
 pub const VERSION: u16 = 2;
 
-/// Upper bound on a frame payload (a transfer of one pooled buffer chunk
-/// plus headroom). Anything larger is a protocol violation — it protects
-/// the receiver from allocating on a corrupt length field.
+/// Upper bound on a frame payload, and so on one `Write` or `ReadData`
+/// transfer. A window may be larger (up to [`MAX_WINDOW`]), but nothing here
+/// splits a transfer: the caller moves such a window in ranges of at most
+/// this size. Anything larger is a protocol violation — it protects the
+/// receiver from allocating on a corrupt length field.
 pub const MAX_PAYLOAD: usize = 256 << 20;
+
+/// Upper bound on the `len` of an [`Kind::Alloc`]: 4 GiB per window. The
+/// worker zero-fills what it allocates, so the length is the one number in
+/// the protocol that sizes memory on the peer's word alone; above the cap
+/// the worker answers `Err` and allocates nothing, and the host's buffer
+/// pool refuses the allocation before sending it.
+pub const MAX_WINDOW: u64 = 4 << 30;
 
 /// Frame kinds. Requests originate host-side; each has one reply kind.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -52,7 +61,8 @@ pub enum Kind {
     Hello = 1,
     /// `version u16` — worker accepts the connection.
     HelloAck = 2,
-    /// `win u64 | len u64` — register a window on the worker.
+    /// `win u64 | len u64` — register a window on the worker; `len` is at
+    /// most [`MAX_WINDOW`].
     Alloc = 3,
     /// Empty — generic success reply (Alloc/Free/Zero/Shutdown).
     Ack = 4,

@@ -4,8 +4,8 @@
 # Failures are loud: stderr is shown, every failing bench is reported, and
 # the script exits nonzero if any bench failed. fig6/fig7/kernel_gemm also
 # emit machine-readable BENCH_fig6.json / BENCH_fig7.json /
-# BENCH_kernel_gemm.json at the repo root (and enqueue_throughput, tune and
-# transport their BENCH_enqueue/tune/transport.json).
+# BENCH_kernel_gemm.json at the repo root (and enqueue_throughput, tune,
+# transport and sec3_overheads their BENCH_enqueue/tune/transport/pool.json).
 set -u
 # HS_CHAOS_SEED passes through to every bench: fig6 switches into its
 # fault-injection smoke (recovery assertions instead of the figure sweep)
@@ -35,5 +35,5 @@ fi
 if [ -n "${HS_CHAOS_SEED:-}" ]; then
   echo "all benches passed under fault injection (seed ${HS_CHAOS_SEED}); no JSON artifacts written"
 else
-  echo "all benches passed; JSON artifacts: BENCH_fig6.json BENCH_fig7.json BENCH_kernel_gemm.json BENCH_enqueue.json BENCH_tune.json BENCH_transport.json"
+  echo "all benches passed; JSON artifacts: BENCH_fig6.json BENCH_fig7.json BENCH_kernel_gemm.json BENCH_enqueue.json BENCH_tune.json BENCH_transport.json BENCH_pool.json"
 fi
