@@ -108,7 +108,7 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
     register_all(hs);
     let map = TileMap::new(cfg.n, cfg.tile);
     let nt = map.nt;
-    let real = hs.trace().is_none();
+    let real = hs.mode() != ExecMode::Sim;
 
     let cards: Vec<DomainId> = hs.domains().iter().skip(1).map(|d| d.id).collect();
     let first_card = cards.first().copied();

@@ -71,7 +71,7 @@ pub struct LuResult {
 /// Run an LU scheme on an initialized runtime.
 pub fn run(hs: &mut HStreams, cfg: &LuConfig) -> HsResult<LuResult> {
     register_all(hs);
-    let real = hs.trace().is_none();
+    let real = hs.mode() != hstreams_core::ExecMode::Sim;
     let n = cfg.n;
 
     match cfg.variant {

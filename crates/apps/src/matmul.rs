@@ -124,7 +124,7 @@ pub fn run(hs: &mut HStreams, cfg: &MatmulConfig) -> HsResult<MatmulResult> {
     devices.extend(cards.iter().copied());
 
     // Streams per device.
-    let real = hs.trace().is_none(); // thread mode has no sim trace
+    let real = hs.mode() != hstreams_core::ExecMode::Sim;
     let mut dev_streams: Vec<Vec<StreamId>> = Vec::new();
     for d in &devices {
         let n_streams = if d.is_host() {

@@ -245,7 +245,7 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     let alloc_planes = nzl + 2 * R;
     let alloc_bytes = alloc_planes * plane * 8;
     let nz_total = nzl * cfg.ranks;
-    let real = hs.trace().is_none();
+    let real = hs.mode() != hstreams_core::ExecMode::Sim;
     assert!(nzl >= 2 * R, "subdomain must be at least 2R planes deep");
 
     let cards: Vec<DomainId> = hs.domains().iter().skip(1).map(|d| d.id).collect();

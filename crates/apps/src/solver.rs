@@ -66,7 +66,7 @@ pub fn run_supernode(hs: &mut HStreams, cfg: &SupernodeConfig) -> HsResult<Super
     register_all(hs);
     let map = TileMap::new(cfg.n, cfg.tile);
     let nt = map.nt;
-    let real = hs.trace().is_none();
+    let real = hs.mode() != ExecMode::Sim;
 
     let target = match cfg.target {
         SupernodeTarget::CardOffload => DomainId(1),

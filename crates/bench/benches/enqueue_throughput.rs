@@ -1,8 +1,8 @@
 //! Source-endpoint throughput: how many actions per second the front-end
 //! can enqueue, single-threaded and from N concurrent source threads
-//! driving disjoint streams, through both the single-action path
-//! (`config: "id_block"`) and the batched `enqueue_many` path
-//! (`config: "batch"`).
+//! driving disjoint streams, one action per call (`config: "id_block"`) and
+//! 64 per `enqueue_many` call (`config: "batch"`) — one enqueue path, two
+//! call shapes.
 //!
 //! Writes `BENCH_enqueue.json` at the workspace root. Every row carries
 //! `host_cores`, the revision measured and, next to the rate, contention
@@ -241,11 +241,15 @@ fn ordering_tag(o: OrderingMode) -> &'static str {
 }
 
 /// The parent commit, measured with this file on the host that recorded
-/// the committed artifact: (config, actions/s, allocations per action) of
-/// its two single-thread out-of-order rows.
-const PRE_PR_REV: &str = "ef551e3";
+/// the committed artifact — the medians of ten runs alternated with the
+/// change's: (config, actions/s, allocations per action, redundant
+/// dependence probes) of its two single-thread out-of-order rows.
+const PRE_PR_REV: &str = "8eafd02";
 const PRE_PR_CORES: f64 = 2.0;
-const PRE_PR: [(&str, f64, f64); 2] = [("id_block", 132_271.0, 22.93), ("batch", 162_957.0, 26.11)];
+const PRE_PR: [(&str, f64, f64, f64); 2] = [
+    ("id_block", 343_600.0, 4.117, 107_300.0),
+    ("batch", 635_300.0, 5.283, 9_032.0),
+];
 
 /// Parse `"key": value` out of our own hand-written bench JSON (the
 /// workspace has no serde_json; the format is fixed by write_bench_json).
@@ -633,7 +637,7 @@ fn main() {
         fsync_ev.wal_flushes
     );
 
-    for (config, rate, allocs) in PRE_PR {
+    for (config, rate, allocs, redundant) in PRE_PR {
         records.push(
             JsonRecord::new(format!("single_thread_{config}_pre_pr"), actions, 0.0)
                 .with_name("single_thread")
@@ -644,6 +648,7 @@ fn main() {
                 .with_metrics(vec![
                     ("actions_per_sec".to_string(), rate),
                     ("host_cores".to_string(), PRE_PR_CORES),
+                    ("deps_redundant".to_string(), redundant),
                     ("allocs_per_action".to_string(), allocs),
                 ]),
         );

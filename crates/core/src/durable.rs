@@ -165,10 +165,6 @@ pub(crate) fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
     for d in &la.deps {
         put_u64(out, *d);
     }
-    put_u32(out, la.wrote.len() as u32);
-    for w in &la.wrote {
-        put_u32(out, *w as u32);
-    }
     match &la.op {
         LoggedOp::Compute {
             func,
@@ -232,11 +228,6 @@ pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option
     for _ in 0..n_deps {
         deps.push(r.u64()?);
     }
-    let n_wrote = r.u32()? as usize;
-    let mut wrote = Vec::with_capacity(n_wrote.min(1 << 16));
-    for _ in 0..n_wrote {
-        wrote.push(r.u32()? as usize);
-    }
     let op = match r.u8()? {
         0 => {
             let func = String::from_utf8(r.bytes()?.to_vec()).ok()?;
@@ -292,7 +283,6 @@ pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option
         stream,
         op,
         deps,
-        wrote,
         retry,
     })
 }
@@ -628,8 +618,9 @@ impl WalShared {
 /// in-memory entry list that card-loss degradation replays from;
 /// [`WalLog`] additionally mirrors entries to disk.
 pub(crate) trait ActionLog: Send {
-    fn push(&mut self, la: LoggedAction);
-    fn extend(&mut self, las: Vec<LoggedAction>);
+    /// Append `las` in order, leaving the vector empty (its capacity is the
+    /// enqueuing thread's to reuse).
+    fn extend(&mut self, las: &mut Vec<LoggedAction>);
     /// The in-memory entries, in enqueue order.
     fn entries(&self) -> &[LoggedAction];
     /// Clone of the in-memory entries (card-loss replay snapshot).
@@ -657,12 +648,8 @@ pub(crate) struct MemLog {
 }
 
 impl ActionLog for MemLog {
-    fn push(&mut self, la: LoggedAction) {
-        self.entries.push(la);
-    }
-
-    fn extend(&mut self, las: Vec<LoggedAction>) {
-        self.entries.extend(las);
+    fn extend(&mut self, las: &mut Vec<LoggedAction>) {
+        self.entries.append(las);
     }
 
     fn entries(&self) -> &[LoggedAction] {
@@ -764,15 +751,11 @@ impl WalLog {
 }
 
 impl ActionLog for WalLog {
-    fn push(&mut self, la: LoggedAction) {
-        self.append_wal(&la);
-        self.entries.push(la);
-    }
-
-    fn extend(&mut self, las: Vec<LoggedAction>) {
-        for la in las {
-            self.push(la);
+    fn extend(&mut self, las: &mut Vec<LoggedAction>) {
+        for la in las.iter() {
+            self.append_wal(la);
         }
+        self.entries.append(las);
     }
 
     fn entries(&self) -> &[LoggedAction] {
@@ -859,7 +842,6 @@ mod tests {
                     },
                 },
                 deps: vec![1, 5],
-                wrote: vec![0, 1],
                 retry: RetryPolicy {
                     max_attempts: 3,
                     base_backoff_us: 50,
@@ -877,7 +859,6 @@ mod tests {
                     to: DomainId(1),
                 },
                 deps: vec![],
-                wrote: vec![1],
                 retry: RetryPolicy::none(),
             },
             LoggedAction {
@@ -885,7 +866,6 @@ mod tests {
                 stream: StreamId(1),
                 op: LoggedOp::Sync,
                 deps: vec![7, 8],
-                wrote: vec![],
                 retry: RetryPolicy::none(),
             },
         ]
@@ -895,7 +875,6 @@ mod tests {
         assert_eq!(a.ev, b.ev);
         assert_eq!(a.stream, b.stream);
         assert_eq!(a.deps, b.deps);
-        assert_eq!(a.wrote, b.wrote);
         assert_eq!(a.retry.max_attempts, b.retry.max_attempts);
         assert_eq!(a.retry.base_backoff_us, b.retry.base_backoff_us);
         assert_eq!(a.retry.multiplier, b.retry.multiplier);
@@ -1005,14 +984,11 @@ mod tests {
     }
 
     /// A structurally random action derived from one seed: every op
-    /// variant, variable-length deps/wrote/operands/args, full retry range.
+    /// variant, variable-length deps/operands/args, full retry range.
     fn action_from_seed(ev: u64, seed: u64) -> LoggedAction {
         let mut s = seed | 1;
         let deps = (0..rng_next(&mut s) % 4)
             .map(|_| rng_next(&mut s) % 64)
-            .collect();
-        let wrote = (0..rng_next(&mut s) % 3)
-            .map(|_| (rng_next(&mut s) % 2) as usize)
             .collect();
         let retry = RetryPolicy {
             max_attempts: (rng_next(&mut s) % 8) as u32,
@@ -1068,7 +1044,6 @@ mod tests {
             stream: StreamId(0),
             op,
             deps,
-            wrote,
             retry,
         }
     }

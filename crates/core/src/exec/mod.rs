@@ -10,12 +10,12 @@ pub mod thread;
 use bytes::Bytes;
 use hs_chaos::{FailureCause, RetryPolicy};
 use hs_coi::pipeline::BufAccess;
+use hs_coi::small::SmallVec;
 use hs_coi::CoiEvent;
 use hs_machine::Device;
 use hs_sim::Token;
 
 use crate::lockorder::LockClass;
-use crate::small::SmallVec;
 use crate::types::CostHint;
 use crate::with_class;
 
@@ -98,7 +98,6 @@ pub struct BatchSubmitItem {
     /// This item's slice of the batch's shared dependence list.
     pub deps: std::ops::Range<usize>,
     pub obs: hs_obs::ObsAction,
-    pub opts: SubmitOpts,
 }
 
 /// Backend completion handle.
@@ -149,30 +148,13 @@ impl Executor {
         }
     }
 
-    /// Submit an action with its dependences; returns its completion event.
-    /// `obs` is the action's lifecycle handle (inert when tracing is off);
-    /// `opts` carries the deadline and retry budget.
-    pub fn submit(
-        &self,
-        spec: ActionSpec,
-        deps: &[BackendEvent],
-        obs: hs_obs::ObsAction,
-        opts: SubmitOpts,
-    ) -> BackendEvent {
-        match self {
-            Executor::Thread(t) => BackendEvent::Thread(t.submit(spec, deps, obs, opts)),
-            Executor::Sim(s) => BackendEvent::Sim(with_class(LockClass::SimExec, || {
-                s.lock().submit(spec, deps, obs, opts)
-            })),
-        }
-    }
-
-    /// Submit a batch of actions in one executor round-trip; returns their
-    /// completion events, index-aligned with `items`. Thread mode amortizes
-    /// the shared-state traffic (one counter RMW, one outstanding-list
-    /// lock, one context read for the whole batch); sim mode takes the
-    /// executor mutex once instead of per action. Intra-batch dependences
-    /// ([`BatchDep::Internal`]) must point at earlier items.
+    /// Submit actions in one executor round-trip — the front-end's whole
+    /// enqueue, be it one action or a batch, all under the same `opts`: the
+    /// items' completion events replace the contents of `out`, index-aligned.
+    /// Thread mode shares one counter RMW, one outstanding-list lock and one
+    /// context read among the items; sim mode takes the executor mutex once.
+    /// Intra-batch dependences ([`BatchDep::Internal`]) must point at
+    /// earlier items.
     ///
     /// `observe` (thread mode only) is invoked with each item's completion
     /// event *after creation but before any dependence wiring*. Observers
@@ -183,27 +165,25 @@ impl Executor {
     /// producer would then record the completions inverted.
     pub fn submit_batch(
         &self,
-        items: Vec<BatchSubmitItem>,
+        items: impl ExactSizeIterator<Item = BatchSubmitItem>,
         deps: &[BatchDep],
+        opts: SubmitOpts,
         observe: Option<BatchObserver<'_>>,
-    ) -> Vec<BackendEvent> {
+        out: &mut Vec<BackendEvent>,
+    ) {
         match self {
-            Executor::Thread(t) => t.submit_batch(items, deps, observe),
+            Executor::Thread(t) => t.submit_batch(items, deps, opts, observe, out),
             Executor::Sim(s) => with_class(LockClass::SimExec, || {
                 let mut sim = s.lock();
-                let mut out: Vec<BackendEvent> = Vec::with_capacity(items.len());
+                out.clear();
                 for item in items {
-                    let deps: Vec<BackendEvent> = deps[item.deps]
-                        .iter()
-                        .map(|d| match d {
-                            BatchDep::External(be) => be.clone(),
-                            BatchDep::Internal(j) => out[*j].clone(),
-                        })
-                        .collect();
-                    let tok = sim.submit(item.spec, &deps, item.obs, item.opts);
+                    let deps = deps[item.deps].iter().map(|d| match d {
+                        BatchDep::External(be) => be,
+                        BatchDep::Internal(j) => &out[*j],
+                    });
+                    let tok = sim.submit(item.spec, deps, item.obs, opts);
                     out.push(BackendEvent::Sim(tok));
                 }
-                out
             }),
         }
     }

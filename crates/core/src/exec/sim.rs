@@ -331,10 +331,10 @@ impl SimExec {
             .token_on_fire(issue, move |sim| sim.token_fire(done));
     }
 
-    pub fn submit(
+    pub fn submit<'a>(
         &mut self,
         spec: ActionSpec,
-        deps: &[super::BackendEvent],
+        deps: impl IntoIterator<Item = &'a super::BackendEvent>,
         obs: ObsAction,
         opts: SubmitOpts,
     ) -> Token {
@@ -352,7 +352,7 @@ impl SimExec {
         self.sim.schedule_at(at, move |sim| sim.token_fire(issue));
         self.submitted += 1;
 
-        let real_deps: Vec<Token> = deps.iter().map(|d| d.as_sim()).collect();
+        let real_deps: Vec<Token> = deps.into_iter().map(|d| d.as_sim()).collect();
         let mut dep_toks = real_deps.clone();
         dep_toks.push(issue);
         let done = self.sim.token_create();

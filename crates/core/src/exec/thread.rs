@@ -419,6 +419,9 @@ impl ThreadExec {
         self.rebuild_ctx(&pipes);
     }
 
+    /// Submit one action whose dependences are all external: a batch of one
+    /// (for callers that drive the executor directly; the runtime hands
+    /// [`Self::submit_batch`] its whole enqueue).
     pub fn submit(
         &self,
         spec: ActionSpec,
@@ -426,40 +429,45 @@ impl ThreadExec {
         obs: ObsAction,
         opts: SubmitOpts,
     ) -> CoiEvent {
-        self.started.get_or_init(Instant::now);
-        let salt = self.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let run = ActionRun::new(self.ctx.read().clone(), spec, obs, opts.retry, salt);
-        self.outstanding.lock().track(std::iter::once(&run));
-        self.wire(
-            &run,
-            deps.iter().map(|d| &**d.as_thread()),
-            opts.deadline_ns,
-        );
-        CoiEvent::of(run)
+        let item = super::BatchSubmitItem {
+            spec,
+            deps: 0..deps.len(),
+            obs,
+        };
+        let deps: Vec<BatchDep> = deps.iter().cloned().map(BatchDep::External).collect();
+        let mut out = Vec::with_capacity(1);
+        self.submit_batch(std::iter::once(item), &deps, opts, None, &mut out);
+        out.remove(0).as_thread().clone()
     }
 
-    /// Submit a whole batch, amortizing the per-submit shared-state traffic:
-    /// one submission-counter RMW (salts are the batch's ordinal range), one
+    /// Submit `items`, their completion events replacing the contents of
+    /// `out`, with the shared-state traffic paid once per call:
+    /// one submission-counter RMW (salts are the call's ordinal range), one
     /// outstanding-list lock, one dispatch-context read-lock for all items.
-    /// [`BatchDep::Internal`] dependences resolve against the batch's own
-    /// records — an item may depend on any earlier item of the same batch,
+    /// [`BatchDep::Internal`] dependences resolve against the call's own
+    /// records — an item may depend on any earlier item of the same call,
     /// which is wired (and observed) by the time the item is.
     pub fn submit_batch(
         &self,
-        items: Vec<super::BatchSubmitItem>,
+        items: impl ExactSizeIterator<Item = super::BatchSubmitItem>,
         deps: &[BatchDep],
+        opts: SubmitOpts,
         observe: Option<super::BatchObserver<'_>>,
-    ) -> Vec<BackendEvent> {
+        out: &mut Vec<BackendEvent>,
+    ) {
         self.started.get_or_init(Instant::now);
         let salt0 = self
             .submitted
             .fetch_add(items.len() as u64, Ordering::Relaxed)
             + 1;
-        let ctx = self.ctx.read().clone();
-        let mut runs: Vec<Arc<ActionRun>> = Vec::with_capacity(items.len());
-        for (i, item) in items.into_iter().enumerate() {
+        // The context is read-locked across the call rather than cloned for
+        // it: a topology change (`add_stream`, the card-loss remap) waits the
+        // call out, and nothing the wiring runs takes this lock.
+        let ctx = self.ctx.read();
+        out.clear();
+        for (i, item) in items.enumerate() {
             let salt = salt0 + i as u64;
-            let run = ActionRun::new(ctx.clone(), item.spec, item.obs, item.opts.retry, salt);
+            let run = ActionRun::new(ctx.clone(), item.spec, item.obs, opts.retry, salt);
             // Observers register before the item is wired, hence before any
             // dependent can: they come first in its dependent list (see
             // `Executor::submit_batch`).
@@ -468,23 +476,19 @@ impl ThreadExec {
             }
             let deps = deps[item.deps].iter().map(|d| match d {
                 BatchDep::External(be) => &**be.as_thread(),
-                BatchDep::Internal(j) => {
-                    debug_assert!(*j < i, "batch dep must point at an earlier item");
-                    &runs[*j].ev
-                }
+                BatchDep::Internal(j) => &**out[*j].as_thread(),
             });
-            self.wire(&run, deps, item.opts.deadline_ns);
-            runs.push(run);
+            self.wire(&run, deps, opts.deadline_ns);
+            out.push(BackendEvent::Thread(CoiEvent::of(run)));
         }
-        self.outstanding.lock().track(runs.iter());
-        runs.into_iter()
-            .map(|run| BackendEvent::Thread(CoiEvent::of(run)))
-            .collect()
+        drop(ctx);
+        self.outstanding
+            .lock()
+            .track(out.iter().map(BackendEvent::as_thread));
     }
 
-    /// Shared tail of `submit`/`submit_batch`: arm the deadline, then park
-    /// the action on its dependence countdown — which dispatches it at once
-    /// when nothing is pending.
+    /// Arm the deadline, then park the action on its dependence countdown —
+    /// which dispatches it at once when nothing is pending.
     fn wire<'a>(
         &self,
         run: &Arc<ActionRun>,
@@ -563,7 +567,7 @@ const SWEEP_MIN: usize = 64;
 /// record and none of the actions that waited on it.
 #[derive(Default)]
 struct Outstanding {
-    runs: Vec<Arc<ActionRun>>,
+    runs: Vec<CoiEvent>,
     /// List length at which the next sweep is due.
     sweep_at: usize,
     /// Completion probes made by sweeps so far.
@@ -571,10 +575,10 @@ struct Outstanding {
 }
 
 impl Outstanding {
-    fn track<'a>(&mut self, new: impl Iterator<Item = &'a Arc<ActionRun>>) {
+    fn track<'a>(&mut self, new: impl Iterator<Item = &'a CoiEvent>) {
         if self.runs.len() >= self.sweep_at.max(SWEEP_MIN) {
             self.probes += self.runs.len() as u64;
-            self.runs.retain(|run| !run.ev.retire());
+            self.runs.retain(|run| !run.retire());
             self.sweep_at = 2 * self.runs.len();
         }
         self.runs.extend(new.cloned());
@@ -596,7 +600,7 @@ impl Drop for ThreadExec {
             if !self.chaos.dead_cards().is_empty() {
                 break;
             }
-            if run.ev.wait_deadline(deadline).is_none() {
+            if run.wait_deadline(deadline).is_none() {
                 break; // budget exhausted; remaining actions fail on dispatch
             }
         }
@@ -611,7 +615,7 @@ impl Drop for ThreadExec {
         // Unlink what finished since the last sweep, so an event that
         // outlives the executor holds one record, not a chain of them.
         for run in out.iter() {
-            run.ev.retire();
+            run.retire();
         }
         // Fields then drop in declaration order: pipelines (join their sink
         // threads) before DMA workers (Stop sentinel + join).

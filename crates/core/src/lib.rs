@@ -67,6 +67,7 @@ pub mod buffer;
 pub mod cpumask;
 pub mod deps;
 mod durable;
+mod enqueue;
 /// Segmented event table. Private in normal builds; public under
 /// `--cfg loom` so the model suite (`tests/loom_frontend.rs`) can drive
 /// the publish/compact protocol directly.
@@ -78,7 +79,6 @@ pub mod exec;
 pub mod lockorder;
 pub mod record;
 mod replay;
-pub mod small;
 pub mod stats;
 pub mod stream;
 pub mod sync;
@@ -87,6 +87,7 @@ pub mod types;
 pub use buffer::{BufProps, Instantiation, MemType};
 pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
+pub use enqueue::{ActionOpts, BatchAction};
 pub use record::{ActionRecord, ActionTrace, TraceOp};
 pub use stats::ApiStats;
 pub use stream::ActionKind;
@@ -111,57 +112,15 @@ use buffer::BufferTable;
 use bytes::Bytes;
 use deps::{Footprint, FootprintItem};
 use events::{EventTable, EventView};
-use exec::{ActionSpec, BackendEvent, Executor, RealXfer, SubmitOpts};
+use exec::{ActionSpec, BackendEvent, Executor, SubmitOpts};
 use hs_coi::EngineId;
 use hs_machine::{Device, DomainRole, PlatformCfg};
-use hs_obs::{ActionMeta, MetricsSnapshot, ObsAction, ObsHub, ObsKind, ObsRecord};
+use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
 use lockorder::LockClass;
 use stats::ShardedU64;
 use std::ops::Range;
 use stream::{DepList, StreamState};
 use sync::{Arc, AtomicBool, AtomicU64, Mutex, Once, OnceLock, Ordering, RwLock};
-
-/// Per-action execution options for the `*_opts` enqueue variants.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ActionOpts {
-    /// Fail the action if it has not completed this long after submission
-    /// (wall time in thread modes, virtual time in sim mode). Expiry fails
-    /// the action with [`FailureCause::Timeout`] and poisons dependents —
-    /// never a silent hang.
-    pub deadline: Option<std::time::Duration>,
-    /// Retry budget for transient injected faults. Defaults to the armed
-    /// fault plan's policy (or no retries when chaos is off).
-    pub retry: Option<RetryPolicy>,
-}
-
-/// One action of a batched [`HStreams::enqueue_many`] submission, in
-/// source terms. The batch is validated all-or-nothing, analyzed
-/// incrementally under **one** stream-window lock, and submitted to the
-/// executor in one round-trip.
-#[derive(Clone)]
-pub enum BatchAction {
-    /// [`HStreams::enqueue_compute`].
-    Compute {
-        func: String,
-        args: Bytes,
-        operands: Vec<Operand>,
-        cost: CostHint,
-    },
-    /// [`HStreams::enqueue_xfer`].
-    Xfer {
-        buf: BufferId,
-        range: Range<usize>,
-        from: DomainId,
-        to: DomainId,
-    },
-    /// [`HStreams::enqueue_marker`].
-    Marker,
-    /// [`HStreams::enqueue_event_wait`]. The awaited events must exist
-    /// *before* the batch (batch-internal ids are not knowable by the
-    /// caller — intra-batch ordering is already carried by the FIFO +
-    /// operand semantics).
-    EventWait { events: Vec<Event> },
-}
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
 /// during card-loss degradation. Recorded only while a fault plan is armed.
@@ -184,69 +143,14 @@ enum LoggedOp {
     Sync,
 }
 
-/// A batch item that passed validation, awaiting the windowed phase of
-/// [`HStreams::enqueue_batch_common`].
-struct BuiltAction {
-    spec: ActionSpec,
-    footprint: Footprint,
-    kind: stream::ActionKind,
-    waits: Vec<Event>,
-    logged: Option<LoggedOp>,
-}
-
-/// Ids reserved for an in-flight batch enqueue. While armed, dropping the
-/// guard hands every id back as a tombstone ([`EventTable::tombstone_reserved`]);
-/// the success path [`ReservedIds::disarm`]s once publishing is guaranteed.
-/// This is what keeps a failing (or panicking) batch from leaving
-/// reserved-but-never-published slots that stall the retirement watermark.
-struct ReservedIds<'a> {
-    events: &'a EventTable,
-    ids: Vec<u64>,
-    armed: bool,
-}
-
-impl<'a> ReservedIds<'a> {
-    fn new(events: &'a EventTable, cap: usize) -> ReservedIds<'a> {
-        ReservedIds {
-            events,
-            ids: Vec::with_capacity(cap),
-            armed: true,
-        }
-    }
-
-    fn push(&mut self, id: u64) {
-        self.ids.push(id);
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        &self.ids
-    }
-
-    /// Take the ids out of the guard; they are now the caller's to publish.
-    fn disarm(mut self) -> Vec<u64> {
-        self.armed = false;
-        std::mem::take(&mut self.ids)
-    }
-}
-
-impl Drop for ReservedIds<'_> {
-    fn drop(&mut self) {
-        if self.armed && !self.ids.is_empty() {
-            self.events.tombstone_reserved(self.ids.iter().copied());
-        }
-    }
-}
-
 /// One recovery-log entry: the op and its enqueue-time dependences. The
-/// card-loss replay set is decided from the op's operands ([`replay`]);
-/// `wrote` (the domains written) is part of the durable record only.
+/// card-loss replay set is decided from the op's operands ([`replay`]).
 #[derive(Clone)]
 struct LoggedAction {
     ev: u64,
     stream: StreamId,
     op: LoggedOp,
     deps: Vec<u64>,
-    wrote: Vec<usize>,
     retry: RetryPolicy,
 }
 
@@ -308,6 +212,7 @@ pub(crate) fn with_class<R>(class: LockClass, f: impl FnOnce() -> R) -> R {
 /// `recorder`/`recovery` → event-table slot → sim executor.
 pub(crate) struct Inner {
     platform: PlatformCfg,
+    mode: ExecMode,
     ordering: OrderingMode,
     /// The stop-the-world lock: enqueues and stream creation hold it
     /// shared; card-loss degradation holds it exclusively while it
@@ -457,6 +362,7 @@ impl HStreams {
         Ok(HStreams {
             inner: Arc::new(Inner {
                 platform,
+                mode,
                 ordering,
                 world: RwLock::new(()),
                 streams: RwLock::new(Vec::new()),
@@ -615,6 +521,11 @@ impl HStreams {
 
     pub fn ordering(&self) -> OrderingMode {
         self.inner.ordering
+    }
+
+    /// The executor this runtime was initialized with.
+    pub fn mode(&self) -> ExecMode {
+        self.inner.mode
     }
 
     // ----------------------------------------------------------- core APIs
@@ -1011,720 +922,12 @@ impl HStreams {
         // Sim mode: tasks never run; names need no resolution.
     }
 
-    // ------------------------------------------------------------- actions
-
-    /// Do enqueue-time labels carry content? Skipped (empty) on the bare
-    /// thread-mode fast path: labels only surface through sim traces, obs
-    /// records, hsan recordings and chaos diagnostics.
-    fn wants_labels(&self) -> bool {
-        matches!(self.inner.exec, Executor::Sim(_))
-            || self.inner.obs.is_enabled()
-            || self.inner.chaos.is_armed()
-            || self.is_recording()
-    }
-
-    /// Enqueue a compute action. `operands` drive the dependence analysis;
-    /// `cost` drives the virtual-time executor ([`CostHint::trivial`] for
-    /// real-mode-only code).
-    pub fn enqueue_compute(
-        &self,
-        s: StreamId,
-        func: &str,
-        args: Bytes,
-        operands: &[Operand],
-        cost: CostHint,
-    ) -> HsResult<Event> {
-        self.enqueue_compute_opts(s, func, args, operands, cost, ActionOpts::default())
-    }
-
-    /// Like [`HStreams::enqueue_compute`], with a deadline and/or retry
-    /// budget.
-    pub fn enqueue_compute_opts(
-        &self,
-        s: StreamId,
-        func: &str,
-        args: Bytes,
-        operands: &[Operand],
-        cost: CostHint,
-        opts: ActionOpts,
-    ) -> HsResult<Event> {
-        self.inner.stats.bump("enqueue_compute");
-        self.inner.stats.note_compute();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let (spec, footprint) =
-                self.build_compute_spec(s, func.to_string(), args.clone(), operands, cost)?;
-            let logged = self.log_actions().then(|| LoggedOp::Compute {
-                func: func.to_string(),
-                args,
-                operands: operands.to_vec(),
-                cost,
-            });
-            self.enqueue_common(
-                s,
-                spec,
-                footprint,
-                stream::ActionKind::Normal,
-                &[],
-                opts,
-                logged,
-            )?
-        };
-        self.maybe_compact();
-        Ok(ev)
-    }
-
-    /// Validate + resolve a compute action against the stream's *current*
-    /// domain (shared by enqueue and card-loss replay, which re-resolves on
-    /// the remapped stream).
-    fn build_compute_spec(
-        &self,
-        s: StreamId,
-        func: String,
-        args: Bytes,
-        operands: &[Operand],
-        cost: CostHint,
-    ) -> HsResult<(ActionSpec, Footprint)> {
-        let (domain, device, cores) = {
-            let st_arc = self.stream_arc(s)?;
-            let _lo = lockorder::acquiring(LockClass::Stream);
-            let st = st_arc.lock();
-            let dev = self.inner.platform.domains[st.domain.0].device;
-            (st.domain, dev, st.cores())
-        };
-        // Validate + resolve operands.
-        let mut footprint: Footprint = Vec::with_capacity(operands.len());
-        let mut bufs = exec::BufList::new();
-        let real = matches!(self.inner.exec, Executor::Thread(_));
-        let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
-        let buffers = self.inner.buffers.read();
-        for op in operands {
-            let rec = buffers.get(op.buffer)?;
-            rec.check_range(&op.range)?;
-            if rec.props.read_only && op.access.is_write() {
-                return Err(HsError::InvalidArg(format!(
-                    "write operand on read-only buffer {:?}",
-                    op.buffer
-                )));
-            }
-            if !rec.is_instantiated(domain) {
-                return Err(HsError::NotInstantiated(op.buffer, domain));
-            }
-            // Overlapping operands within ONE action would self-conflict at
-            // the sink's range locks (read+write of the same bytes by the
-            // same task); reject eagerly with a clear error instead.
-            for prev in &footprint {
-                if prev.buffer == op.buffer
-                    && prev.range.start < op.range.end
-                    && op.range.start < prev.range.end
-                    && (prev.write || op.access.is_write())
-                {
-                    return Err(HsError::InvalidArg(format!(
-                        "operands of one task overlap with a write on buffer {:?}                          ({:?} vs {:?}); pass a single merged operand instead",
-                        op.buffer, prev.range, op.range
-                    )));
-                }
-            }
-            footprint.push(FootprintItem::new(
-                domain,
-                op.buffer,
-                op.range.clone(),
-                op.access.is_write(),
-            ));
-            if real {
-                let w = rec.window(domain)?;
-                bufs.push((w.id(), op.range.clone(), op.access.is_write()));
-            }
-        }
-        let label = if self.wants_labels() {
-            format!("{}@{}s{}", func, device.short(), s.0)
-        } else {
-            String::new()
-        };
-        let spec = ActionSpec::Compute {
-            stream_idx: s.0 as usize,
-            device,
-            cores,
-            func,
-            args,
-            bufs,
-            cost,
-            label,
-        };
-        Ok((spec, footprint))
-    }
-
-    /// Enqueue a data transfer of `buf[range]` from `from`'s instantiation
-    /// to `to`'s. Same-domain transfers are aliased away (host-as-target
-    /// optimization). Card↔card is rejected; route via the host.
-    pub fn enqueue_xfer(
-        &self,
-        s: StreamId,
-        buf: BufferId,
-        range: Range<usize>,
-        from: DomainId,
-        to: DomainId,
-    ) -> HsResult<Event> {
-        self.enqueue_xfer_opts(s, buf, range, from, to, ActionOpts::default())
-    }
-
-    /// Like [`HStreams::enqueue_xfer`], with a deadline and/or retry budget.
-    pub fn enqueue_xfer_opts(
-        &self,
-        s: StreamId,
-        buf: BufferId,
-        range: Range<usize>,
-        from: DomainId,
-        to: DomainId,
-        opts: ActionOpts,
-    ) -> HsResult<Event> {
-        self.inner.stats.bump("enqueue_xfer");
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let (spec, footprint) = self.build_xfer_spec(buf, range.clone(), from, to)?;
-            self.inner
-                .stats
-                .note_transfer(range.len() as u64, from == to);
-            let logged = self.log_actions().then_some(LoggedOp::Xfer {
-                buf,
-                range,
-                from,
-                to,
-            });
-            self.enqueue_common(
-                s,
-                spec,
-                footprint,
-                stream::ActionKind::Normal,
-                &[],
-                opts,
-                logged,
-            )?
-        };
-        self.maybe_compact();
-        Ok(ev)
-    }
-
-    /// Validate + resolve a transfer (shared by enqueue and card-loss
-    /// replay, which rewrites lost-card endpoints to the host first).
-    fn build_xfer_spec(
-        &self,
-        buf: BufferId,
-        range: Range<usize>,
-        from: DomainId,
-        to: DomainId,
-    ) -> HsResult<(ActionSpec, Footprint)> {
-        for d in [from, to] {
-            if d.0 >= self.inner.platform.domains.len() {
-                return Err(HsError::UnknownDomain(d));
-            }
-        }
-        let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
-        let buffers = self.inner.buffers.read();
-        let rec = buffers.get(buf)?;
-        rec.check_range(&range)?;
-        for d in [from, to] {
-            if !rec.is_instantiated(d) {
-                return Err(HsError::NotInstantiated(buf, d));
-            }
-        }
-        let elide = from == to;
-        let card_domain = if elide {
-            None
-        } else {
-            match (from.is_host(), to.is_host()) {
-                (true, false) => Some(to.0),
-                (false, true) => Some(from.0),
-                (true, true) => None,
-                (false, false) => return Err(HsError::CardToCard),
-            }
-        };
-        let h2d = !to.is_host();
-        let bytes = range.len();
-        let real = if matches!(self.inner.exec, Executor::Thread(_)) && !elide {
-            let src = rec.window(from)?;
-            let dst = rec.window(to)?;
-            Some(RealXfer {
-                src: (src.id(), range.start),
-                dst: (dst.id(), range.start),
-            })
-        } else {
-            None
-        };
-        let footprint: Footprint = if elide {
-            vec![FootprintItem::new(from, buf, range.clone(), false)]
-        } else {
-            vec![
-                FootprintItem::new(from, buf, range.clone(), false),
-                FootprintItem::new(to, buf, range.clone(), true),
-            ]
-        };
-        let label = if self.wants_labels() {
-            format!("xfer:{}:d{}->d{}", rec.label(), from.0, to.0)
-        } else {
-            String::new()
-        };
-        let spec = ActionSpec::Transfer {
-            card_domain,
-            h2d,
-            bytes,
-            real,
-            label,
-        };
-        Ok((spec, footprint))
-    }
-
-    /// Transfer from the host instantiation to the stream's sink domain.
-    pub fn xfer_to_sink(&self, s: StreamId, buf: BufferId, range: Range<usize>) -> HsResult<Event> {
-        let to = self.stream_domain(s)?;
-        self.enqueue_xfer(s, buf, range, DomainId::HOST, to)
-    }
-
-    /// Transfer from the stream's sink domain back to the host.
-    pub fn xfer_to_source(
-        &self,
-        s: StreamId,
-        buf: BufferId,
-        range: Range<usize>,
-    ) -> HsResult<Event> {
-        let from = self.stream_domain(s)?;
-        self.enqueue_xfer(s, buf, range, from, DomainId::HOST)
-    }
-
-    /// Enqueue a synchronization action: later actions in stream `s` wait
-    /// until all of `events` (typically from *other* streams) complete.
-    /// Prior actions of `s` are unaffected and keep executing out of order
-    /// — this is hStreams' non-serializing cross-stream dependence
-    /// mechanism (streams imply nothing about each other by themselves).
-    pub fn enqueue_event_wait(&self, s: StreamId, events: &[Event]) -> HsResult<Event> {
-        self.inner.stats.bump("enqueue_event_wait");
-        self.inner.stats.note_sync();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let known = self.inner.events.len();
-            for e in events {
-                if e.0 >= known {
-                    return Err(HsError::UnknownEvent(*e));
-                }
-            }
-            let logged = self.log_actions().then_some(LoggedOp::Sync);
-            self.enqueue_common(
-                s,
-                ActionSpec::Noop,
-                Vec::new(),
-                stream::ActionKind::EventWait,
-                events,
-                ActionOpts::default(),
-                logged,
-            )?
-        };
-        self.maybe_compact();
-        Ok(ev)
-    }
-
-    /// Enqueue a stream marker: it completes when **every** action already
-    /// enqueued in `s` has completed, and later actions in `s` order after
-    /// it (CUDA's `cudaEventRecord` shape; also a full intra-stream fence).
-    pub fn enqueue_marker(&self, s: StreamId) -> HsResult<Event> {
-        self.inner.stats.bump("enqueue_marker");
-        self.inner.stats.note_sync();
-        let ev = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = self.inner.world.read();
-            let logged = self.log_actions().then_some(LoggedOp::Sync);
-            self.enqueue_common(
-                s,
-                ActionSpec::Noop,
-                Vec::new(),
-                stream::ActionKind::Marker,
-                &[],
-                ActionOpts::default(),
-                logged,
-            )?
-        };
-        self.maybe_compact();
-        Ok(ev)
-    }
-
-    /// Enqueue a batch of actions on one stream in a single front-end
-    /// round-trip. Semantically identical to calling the per-action
-    /// enqueues in order (same dependences, same event graph, same
-    /// recorded trace), but the shared-state traffic is amortized across
-    /// the batch: one world-lock share, one stream-window lock (with one
-    /// retirement sweep), one executor hand-off, one recovery-log lock —
-    /// and intra-batch dependences are wired directly to the batch's
-    /// freshly minted backend events without re-reading the event table.
-    ///
-    /// Returns the actions' events, index-aligned with `actions`. On any
-    /// validation error nothing is enqueued (all-or-nothing).
-    pub fn enqueue_many(&self, s: StreamId, actions: Vec<BatchAction>) -> HsResult<Vec<Event>> {
-        self.enqueue_many_opts(s, actions, ActionOpts::default())
-    }
-
-    /// Like [`HStreams::enqueue_many`], with a deadline and/or retry
-    /// budget applied to every action of the batch.
-    pub fn enqueue_many_opts(
-        &self,
-        s: StreamId,
-        actions: Vec<BatchAction>,
-        opts: ActionOpts,
-    ) -> HsResult<Vec<Event>> {
-        self.inner.stats.bump("enqueue_many");
-        if actions.is_empty() {
-            return Ok(Vec::new());
-        }
-        let inner = &*self.inner;
-        let evs = {
-            let _lo_world = lockorder::acquiring(LockClass::World);
-            let _world = inner.world.read();
-            // Phase 1: validate + resolve every action before touching the
-            // stream window, so an invalid item enqueues nothing. (EventWait
-            // ids are the exception: they are checked against the table in
-            // phase 2, where the batch's own reservations are visible — see
-            // `enqueue_batch_common`.)
-            let armed = self.log_actions();
-            let mut built: Vec<BuiltAction> = Vec::with_capacity(actions.len());
-            for a in actions {
-                match a {
-                    BatchAction::Compute {
-                        func,
-                        args,
-                        operands,
-                        cost,
-                    } => {
-                        inner.stats.note_compute();
-                        let logged = armed.then(|| LoggedOp::Compute {
-                            func: func.clone(),
-                            args: args.clone(),
-                            operands: operands.clone(),
-                            cost,
-                        });
-                        let (spec, footprint) =
-                            self.build_compute_spec(s, func, args, &operands, cost)?;
-                        built.push(BuiltAction {
-                            spec,
-                            footprint,
-                            kind: stream::ActionKind::Normal,
-                            waits: Vec::new(),
-                            logged,
-                        });
-                    }
-                    BatchAction::Xfer {
-                        buf,
-                        range,
-                        from,
-                        to,
-                    } => {
-                        let (spec, footprint) =
-                            self.build_xfer_spec(buf, range.clone(), from, to)?;
-                        inner.stats.note_transfer(range.len() as u64, from == to);
-                        let logged = armed.then_some(LoggedOp::Xfer {
-                            buf,
-                            range,
-                            from,
-                            to,
-                        });
-                        built.push(BuiltAction {
-                            spec,
-                            footprint,
-                            kind: stream::ActionKind::Normal,
-                            waits: Vec::new(),
-                            logged,
-                        });
-                    }
-                    BatchAction::Marker => {
-                        inner.stats.note_sync();
-                        built.push(BuiltAction {
-                            spec: ActionSpec::Noop,
-                            footprint: Vec::new(),
-                            kind: stream::ActionKind::Marker,
-                            waits: Vec::new(),
-                            logged: armed.then_some(LoggedOp::Sync),
-                        });
-                    }
-                    BatchAction::EventWait { events } => {
-                        inner.stats.note_sync();
-                        built.push(BuiltAction {
-                            spec: ActionSpec::Noop,
-                            footprint: Vec::new(),
-                            kind: stream::ActionKind::EventWait,
-                            waits: events,
-                            logged: armed.then_some(LoggedOp::Sync),
-                        });
-                    }
-                }
-            }
-            self.enqueue_batch_common(s, built, opts)?
-        };
-        self.maybe_compact();
-        Ok(evs)
-    }
-
-    /// The batched enqueue hot path. Caller holds the world lock (shared)
-    /// and has fully validated `items`. Mirrors [`Self::enqueue_common`]
-    /// exactly in per-item semantics; the difference is amortization:
-    ///
-    /// * **one** stream-window lock and **one** retirement sweep;
-    /// * per-item dependence analysis is still incremental (item *i* is
-    ///   pushed into the window before item *i+1*'s `find_deps`), but
-    ///   dependences on the batch's own items resolve to
-    ///   [`exec::BatchDep::Internal`] — no event-table round-trip;
-    /// * **one** executor hand-off ([`Executor::submit_batch`]);
-    /// * **one** recovery-log lock for all logged items;
-    /// * all events publish before the stream lock is released, so
-    ///   concurrent observers never see a window entry without its slot.
-    fn enqueue_batch_common(
-        &self,
-        s: StreamId,
-        items: Vec<BuiltAction>,
-        opts: ActionOpts,
-    ) -> HsResult<Vec<Event>> {
-        let inner = &*self.inner;
-        let st_arc = self.stream_arc(s)?;
-        let submit_opts = self.submit_opts(&opts);
-        // One timestamp for the whole batch (sim mode: one executor lock).
-        let now_ns = inner.obs.is_enabled().then(|| self.source_now_ns());
-        let _lo_stream = lockorder::acquiring(LockClass::Stream);
-        let mut st = match st_arc.try_lock() {
-            Some(g) => g,
-            None => {
-                inner.contended.incr();
-                st_arc.lock()
-            }
-        };
-        st.retire(|e| self.event_retired_ok(e));
-        // Hold the recorder across the whole batch: its ops land in the
-        // trace as one contiguous ascending id run.
-        #[cfg(feature = "hsan-record")]
-        let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
-            let lo = lockorder::acquiring(LockClass::Recorder);
-            (Some(lo), Some(inner.recorder.lock()))
-        } else {
-            (None, None)
-        };
-        let n = items.len();
-        // Drop-guard over the reserved ids: if this loop exits early (the
-        // wait validation below) or panics, every id reserved so far is
-        // handed back as a tombstone — a reserved-but-never-published slot
-        // would otherwise stall the retirement watermark forever.
-        let mut ids = ReservedIds::new(&inner.events, n);
-        let mut batch: Vec<exec::BatchSubmitItem> = Vec::with_capacity(n);
-        // Every item's dependences, back to back (items hold their range).
-        let mut deps: Vec<exec::BatchDep> = Vec::new();
-        let mut logs: Vec<LoggedAction> = Vec::new();
-        #[cfg(feature = "hsan-record")]
-        let mut rec_buf: Vec<record::ActionRecord> = Vec::new();
-        let mut abort: Option<HsError> = None;
-        let mut dep_events = DepList::new();
-        'items: for item in items {
-            let BuiltAction {
-                spec,
-                footprint,
-                kind,
-                waits,
-                logged,
-            } = item;
-            // Wait ids are validated here, not in phase 1: earlier batch
-            // items have already reserved their slots by now, so a failure
-            // at item i > 0 genuinely exercises the tombstone guard (and
-            // the table can only have grown since phase 1, so nothing that
-            // would have passed there fails here).
-            for e in &waits {
-                if e.0 >= inner.events.len() {
-                    abort = Some(HsError::UnknownEvent(*e));
-                    break 'items;
-                }
-            }
-            dep_events.clear();
-            let redundant = match kind {
-                stream::ActionKind::EventWait => match inner.ordering {
-                    OrderingMode::OutOfOrder => {
-                        // Chain on the pending barrier: the wait will
-                        // replace it as `last_barrier`, and without this
-                        // edge a marker's gate would be severed for every
-                        // action enqueued after the wait.
-                        dep_events.extend_from_slice(st.sync_chain().as_slice());
-                        0
-                    }
-                    OrderingMode::StrictFifo => {
-                        st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-                    }
-                },
-                stream::ActionKind::Marker => {
-                    st.find_deps(&footprint, true, inner.ordering, &mut dep_events)
-                }
-                stream::ActionKind::Normal => {
-                    st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-                }
-            };
-            if redundant != 0 {
-                inner.redundant.add(redundant);
-            }
-            dep_events.extend_from_slice(&waits);
-            dep_events.sort_dedup();
-            // Intra-batch dependences point at reserved-but-unpublished
-            // slots; route them straight to the batch's own completion
-            // events. Everything else resolves through the table as usual.
-            let first_dep = deps.len();
-            for e in dep_events.iter() {
-                if let Some(j) = ids.as_slice().iter().position(|&id| id == e.0) {
-                    deps.push(exec::BatchDep::Internal(j));
-                    continue;
-                }
-                match inner.events.view(*e) {
-                    EventView::Live(be, _) => deps.push(exec::BatchDep::External(be)),
-                    // Tombstoned = completed success: nothing to wait on.
-                    EventView::Retired(_) => {}
-                    EventView::Missing => {}
-                }
-            }
-            let id = inner.events.reserve();
-            let ev = Event(id);
-            let obs = self.mint_obs_at(s, &spec, &footprint, now_ns);
-            if let Some(op) = logged {
-                logs.push(LoggedAction {
-                    ev: id,
-                    stream: s,
-                    op,
-                    deps: dep_events.iter().map(|e| e.0).collect(),
-                    wrote: footprint
-                        .iter()
-                        .filter(|f| f.write)
-                        .map(|f| f.domain.0)
-                        .collect(),
-                    retry: submit_opts.retry,
-                });
-            }
-            // Recorder entries are buffered and pushed only once the whole
-            // batch is through validation: an aborted batch must leave no
-            // enqueue records for actions that never submitted (their ids
-            // tombstone, and the trace would otherwise name events with no
-            // completion).
-            #[cfg(feature = "hsan-record")]
-            if rec_guard.as_ref().is_some_and(|g| g.is_some()) {
-                rec_buf.push(record::ActionRecord {
-                    event: id,
-                    stream: s.0,
-                    kind,
-                    label: spec.label().to_string(),
-                    footprint: footprint.clone(),
-                    waits: waits.iter().map(|e| e.0).collect(),
-                });
-            }
-            ids.push(id);
-            batch.push(exec::BatchSubmitItem {
-                spec,
-                deps: first_dep..deps.len(),
-                obs,
-                opts: submit_opts,
-            });
-            // Window the item *now* so the next item's find_deps sees it.
-            st.push(ev, footprint, kind);
-        }
-        if let Some(err) = abort {
-            // All-or-nothing: nothing was submitted (submit_batch is below)
-            // and nothing published. Dropping the guard tombstones every
-            // reserved id, so earlier items' window entries read as retired
-            // (completed success — no dependence edges form on them) and
-            // the next retire sweep clears them.
-            drop(ids);
-            return Err(err);
-        }
-        let ids = ids.disarm();
-        #[cfg(feature = "hsan-record")]
-        if let Some(rec) = rec_guard.as_mut().and_then(|g| g.as_mut()) {
-            for r in rec_buf {
-                rec.push(record::TraceOp::Enqueue(r));
-            }
-        }
-        // Phase 3: one executor round-trip for the whole batch. While a
-        // recording is live, the completion log hooks each item's done
-        // event *before* its dependents wire onto it — registering after
-        // (as a post-submit loop would) records synchronously-dispatched
-        // dependents ahead of their producers, inverting the observed
-        // completion order.
-        #[cfg(feature = "hsan-record")]
-        let comp_log = rec_guard
-            .as_ref()
-            .and_then(|g| g.as_ref())
-            .map(|rec| rec.completions.clone());
-        #[cfg(feature = "hsan-record")]
-        let ids_ref: &[u64] = &ids;
-        #[cfg(feature = "hsan-record")]
-        let track = comp_log
-            .as_ref()
-            .map(|log| move |i: usize, ce: &hs_coi::CoiEvent| log.track(ce, ids_ref[i]));
-        #[cfg(feature = "hsan-record")]
-        let backends = inner.exec.submit_batch(
-            batch,
-            &deps,
-            track
-                .as_ref()
-                .map(|t| t as &dyn Fn(usize, &hs_coi::CoiEvent)),
-        );
-        #[cfg(not(feature = "hsan-record"))]
-        let backends = inner.exec.submit_batch(batch, &deps, None);
-        if !logs.is_empty() {
-            with_class(LockClass::Recovery, || inner.recovery.lock().extend(logs));
-        }
-        // Phase 4: publish everything before the stream lock drops.
-        for (id, be) in ids.iter().zip(backends) {
-            inner.events.publish(*id, s, be);
-        }
-        Ok(ids.into_iter().map(Event).collect())
-    }
-
     /// The stream that produced an event.
     pub fn event_stream(&self, ev: Event) -> HsResult<StreamId> {
         self.inner
             .events
             .stream_of(ev)
             .ok_or(HsError::UnknownEvent(ev))
-    }
-
-    /// Like [`HStreams::enqueue_event_wait`], but **only** for dependences
-    /// that actually cross streams: events produced by `s` itself are
-    /// dropped (the FIFO + operand semantics already order them — the
-    /// paper's recipe: "Otherwise, the FIFO semantic will manage the
-    /// dependences within a stream implicitly"), and if nothing remains no
-    /// synchronization action is enqueued at all — preserving `s`'s
-    /// out-of-order freedom. Returns the barrier's event when one was
-    /// needed.
-    pub fn enqueue_cross_wait(&self, s: StreamId, events: &[Event]) -> HsResult<Option<Event>> {
-        // While an hsan recording is live, already-complete events are kept:
-        // waiting on them is a no-op at runtime (fast-path dispatch), but the
-        // recorded wait edge is what lets the analyzer prove the dependence
-        // was synchronized — pruning it would make a correctly-synced run
-        // look racy.
-        let keep_complete = self.is_recording();
-        let mut cross = Vec::with_capacity(events.len());
-        for e in events {
-            match self.inner.events.view(*e) {
-                EventView::Missing => return Err(HsError::UnknownEvent(*e)),
-                // Tombstoned = completed success: prunable like any other
-                // complete event.
-                EventView::Retired(ps) => {
-                    if ps != s && keep_complete {
-                        cross.push(*e);
-                    }
-                }
-                EventView::Live(be, ps) => {
-                    // A completed *failure* is never pruned: the poison edge
-                    // must still reach the dependent.
-                    let live = !self.inner.exec.completed_ok(&be);
-                    if ps != s && (keep_complete || live) {
-                        cross.push(*e);
-                    }
-                }
-            }
-        }
-        if cross.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(self.enqueue_event_wait(s, &cross)?))
     }
 
     /// Has this event's action completed **successfully**? This is the
@@ -1738,204 +941,6 @@ impl HStreams {
         self.inner
             .events
             .retired_ok(e, |be| self.inner.exec.completed_ok(be))
-    }
-
-    /// The enqueue hot path. Caller holds the world lock (shared).
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_common(
-        &self,
-        s: StreamId,
-        spec: ActionSpec,
-        footprint: Footprint,
-        kind: stream::ActionKind,
-        extra_events: &[Event],
-        opts: ActionOpts,
-        logged: Option<LoggedOp>,
-    ) -> HsResult<Event> {
-        let inner = &*self.inner;
-        let st_arc = self.stream_arc(s)?;
-        // Fine-grained per-stream window: contention here means multiple
-        // source threads feed the *same* stream (distinct streams never
-        // touch each other's locks on this path).
-        let _lo_stream = lockorder::acquiring(LockClass::Stream);
-        let mut st = match st_arc.try_lock() {
-            Some(g) => g,
-            None => {
-                inner.contended.incr();
-                st_arc.lock()
-            }
-        };
-        st.retire(|e| self.event_retired_ok(e));
-        // EventWait actions depend on the awaited events plus the pending
-        // sync barrier, if any (out-of-order mode: the wait replaces
-        // `last_barrier`, so it must chain on the old one or a marker's
-        // gate would be severed for post-wait actions) — and under
-        // StrictFifo on the stream's previous action, or the strict chain
-        // would break at every wait (the wait could complete before its
-        // predecessor, releasing the successor early). Markers depend on
-        // everything pending; normal actions on their operand conflicts
-        // (or the chain, in strict mode).
-        let mut dep_events = DepList::new();
-        let redundant = match kind {
-            stream::ActionKind::EventWait => match inner.ordering {
-                OrderingMode::OutOfOrder => {
-                    dep_events.extend_from_slice(st.sync_chain().as_slice());
-                    0
-                }
-                OrderingMode::StrictFifo => {
-                    st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-                }
-            },
-            stream::ActionKind::Marker => {
-                st.find_deps(&footprint, true, inner.ordering, &mut dep_events)
-            }
-            stream::ActionKind::Normal => {
-                st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-            }
-        };
-        if redundant != 0 {
-            inner.redundant.add(redundant);
-        }
-        dep_events.extend_from_slice(extra_events);
-        dep_events.sort_dedup();
-        small::with_be_scratch(|bes| {
-            for e in dep_events.iter() {
-                match inner.events.view(*e) {
-                    EventView::Live(be, _) => bes.push(be),
-                    // Tombstoned = completed success: nothing to wait on.
-                    EventView::Retired(_) => {}
-                    // Only reachable for extra_events validated against
-                    // `events.len()` whose slot is mid-publish on another
-                    // thread — which implies the event is not complete;
-                    // treat like a completed dep is wrong, but such an
-                    // event cannot be a *dependence source* either (its
-                    // enqueue has not returned). Intra-stream deps are
-                    // always published (same stream lock).
-                    EventView::Missing => {}
-                }
-            }
-            // While an hsan recording is live, hold the recorder from id
-            // mint to trace push: ops stay in ascending event order, at the
-            // cost of serializing concurrent enqueues for the recording's
-            // duration.
-            #[cfg(feature = "hsan-record")]
-            let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
-                let lo = lockorder::acquiring(LockClass::Recorder);
-                (Some(lo), Some(inner.recorder.lock()))
-            } else {
-                (None, None)
-            };
-            let id = inner.events.reserve();
-            let ev = Event(id);
-            #[cfg(feature = "hsan-record")]
-            let label = rec_guard
-                .as_ref()
-                .map(|_| spec.label().to_string())
-                .unwrap_or_default();
-            // The lifecycle record must be minted *before* submit: the spec
-            // is consumed, and the fast path dispatches (emitting later
-            // phases) inside submit itself.
-            let obs = self.mint_obs(s, &spec, &footprint);
-            let submit_opts = self.submit_opts(&opts);
-            let backend = inner.exec.submit(spec, bes, obs, submit_opts);
-            if let Some(op) = logged {
-                with_class(LockClass::Recovery, || {
-                    inner.recovery.lock().push(LoggedAction {
-                        ev: id,
-                        stream: s,
-                        op,
-                        deps: dep_events.iter().map(|e| e.0).collect(),
-                        wrote: footprint
-                            .iter()
-                            .filter(|f| f.write)
-                            .map(|f| f.domain.0)
-                            .collect(),
-                        retry: submit_opts.retry,
-                    })
-                });
-            }
-            #[cfg(feature = "hsan-record")]
-            if let Some(rec) = rec_guard.as_mut().and_then(|g| g.as_mut()) {
-                if let BackendEvent::Thread(ce) = &backend {
-                    rec.completions.track(ce, id);
-                }
-                rec.push(record::TraceOp::Enqueue(record::ActionRecord {
-                    event: id,
-                    stream: s.0,
-                    kind,
-                    label,
-                    footprint: footprint.clone(),
-                    waits: extra_events.iter().map(|e| e.0).collect(),
-                }));
-            }
-            inner.events.publish(id, s, backend);
-            st.push(ev, footprint, kind);
-            Ok(ev)
-        })
-    }
-
-    /// Build the lifecycle record for an action about to be submitted.
-    /// Returns an inert handle (no allocation beyond the `Option`) when
-    /// tracing is off.
-    fn mint_obs(&self, s: StreamId, spec: &ActionSpec, footprint: &Footprint) -> ObsAction {
-        self.mint_obs_at(s, spec, footprint, None)
-    }
-
-    /// [`Self::mint_obs`] with an optional pre-captured source timestamp:
-    /// a batch stamps all its actions with one `source_now_ns` reading
-    /// instead of one clock round-trip (and, in sim mode, one executor
-    /// lock) per action.
-    fn mint_obs_at(
-        &self,
-        s: StreamId,
-        spec: &ActionSpec,
-        footprint: &Footprint,
-        now_ns: Option<u64>,
-    ) -> ObsAction {
-        if !self.inner.obs.is_enabled() {
-            return ObsAction::disabled();
-        }
-        let (kind, card, h2d, bytes) = match spec {
-            ActionSpec::Compute { .. } => (
-                ObsKind::Compute,
-                None,
-                false,
-                footprint.iter().map(|f| f.range.len() as u64).sum(),
-            ),
-            ActionSpec::Transfer {
-                card_domain,
-                h2d,
-                bytes,
-                ..
-            } => (
-                ObsKind::Transfer,
-                card_domain.map(|c| c as u32),
-                *h2d,
-                *bytes as u64,
-            ),
-            ActionSpec::Noop => (ObsKind::Sync, None, false, 0),
-        };
-        // Per-kind enqueue counters surface in `metrics()` for both
-        // executors (gauges like DMA queue depth are thread-mode-only).
-        self.inner.obs.counter_add(
-            match kind {
-                ObsKind::Compute => "actions.compute",
-                ObsKind::Transfer => "actions.transfer",
-                ObsKind::Sync => "actions.sync",
-            },
-            1,
-        );
-        let meta = ActionMeta {
-            stream: s.0,
-            kind,
-            card,
-            h2d,
-            bytes,
-            footprint: footprint.len() as u32,
-            label: spec.label().to_string(),
-        };
-        let now = now_ns.unwrap_or_else(|| self.source_now_ns());
-        self.inner.obs.action(meta, now)
     }
 
     /// Source-side "now" in nanoseconds (wall in thread mode, virtual in
@@ -2835,19 +1840,13 @@ impl HStreams {
                     operands,
                     cost,
                 } => self.build_compute_spec(s, func.clone(), args.clone(), operands, *cost)?,
+                // Endpoints on the lost card resolve to the host by now.
                 LoggedOp::Xfer {
                     buf,
                     range,
                     from,
                     to,
-                } => {
-                    // Lost-card endpoints move to the host: a h2d re-stage
-                    // becomes an elided host alias (the data is already in
-                    // the source proxy), a d2h result lands straight from
-                    // the host replay of its producer.
-                    let remap = |d: DomainId| if d == dom { DomainId::HOST } else { d };
-                    self.build_xfer_spec(*buf, range.clone(), remap(*from), remap(*to))?
-                }
+                } => self.build_xfer_spec(*buf, range.clone(), *from, *to)?,
                 LoggedOp::Sync => (ActionSpec::Noop, Vec::new()),
             };
             // The logged dependences plus the conflicts with what was
@@ -2859,37 +1858,33 @@ impl HStreams {
             hazards.order(la.ev, &footprint, &mut dep_ids);
             dep_ids.sort_unstable();
             dep_ids.dedup();
-            let deps: Vec<BackendEvent> = dep_ids
+            let deps: Vec<exec::BatchDep> = dep_ids
                 .iter()
                 .filter_map(|d| match inner.events.view_id(*d) {
-                    EventView::Live(be, _) => Some(be),
+                    EventView::Live(be, _) => Some(exec::BatchDep::External(be)),
                     _ => None,
                 })
                 .collect();
-            let obs = self.mint_obs(s, &spec, &footprint);
+            // One action per hand-off: its event must be in the table
+            // before the next replay resolves its dependences there.
+            let item = exec::BatchSubmitItem {
+                obs: self.mint_obs(s, &spec, &footprint, None),
+                spec,
+                deps: 0..deps.len(),
+            };
             let opts = SubmitOpts {
                 deadline_ns: None,
                 retry: la.retry,
             };
-            let backend = inner.exec.submit(spec, &deps, obs, opts);
+            let mut done = Vec::with_capacity(1);
+            inner
+                .exec
+                .submit_batch(std::iter::once(item), &deps, opts, None, &mut done);
+            let backend = done.pop().expect("one action in, one event out");
             inner.events.overwrite(la.ev, backend);
             replayed += 1;
         }
         Ok(replayed)
-    }
-
-    /// Resolve per-action options against the armed plan's defaults.
-    fn submit_opts(&self, opts: &ActionOpts) -> SubmitOpts {
-        SubmitOpts {
-            deadline_ns: opts.deadline.map(|d| d.as_nanos() as u64),
-            retry: opts.retry.unwrap_or_else(|| {
-                if self.inner.chaos.is_armed() {
-                    self.inner.chaos.default_retry()
-                } else {
-                    RetryPolicy::none()
-                }
-            }),
-        }
     }
 
     /// Wait until every action enqueued in `s` has completed.

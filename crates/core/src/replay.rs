@@ -282,7 +282,6 @@ mod tests {
             stream,
             op,
             deps: Vec::new(),
-            wrote: Vec::new(),
             retry: RetryPolicy::none(),
         }
     }

@@ -10,8 +10,8 @@
 
 use crate::cpumask::CpuMask;
 use crate::deps::{covers, Footprint};
-use crate::small::SmallVec;
 use crate::types::{BufferId, DomainId, Event, OrderingMode, StreamId};
+use hs_coi::small::SmallVec;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;

@@ -161,9 +161,10 @@ enum Step {
     Sync(usize),
 }
 
-/// Lay the whole drive out beforehand: first half single calls, second half
-/// batches of [`BATCH`], a stream synchronise every [`SYNC_EVERY`] actions.
-fn script(rig: &Rig, tasks: &[Task]) -> Vec<Step> {
+/// Lay the whole drive out beforehand: single calls up to task
+/// `batched_from`, batches of [`BATCH`] from there on, a stream synchronise
+/// every [`SYNC_EVERY`] actions.
+fn script(rig: &Rig, tasks: &[Task], batched_from: usize) -> Vec<Step> {
     let n = rig.streams.len();
     let mut steps = Vec::new();
     let mut pending: Vec<Vec<BatchAction>> = (0..n).map(|_| Vec::new()).collect();
@@ -176,7 +177,7 @@ fn script(rig: &Rig, tasks: &[Task]) -> Vec<Step> {
     };
     for (i, t) in tasks.iter().enumerate() {
         let s = t.stream;
-        if i < tasks.len() / 2 {
+        if i < batched_from {
             steps.push(Step::Single(i));
         } else {
             let xfer = |from, to| BatchAction::Xfer {
@@ -260,15 +261,18 @@ fn an_actions_life_is_a_handful_of_allocations_freed_where_they_were_made() {
     // Warm-up: thread-local id blocks, channel blocks, window buckets and
     // the allocator's own per-thread caches exist before anything is counted.
     let warm = plan(&rig, 2_048, 7);
-    let steps = script(&rig, &warm);
+    let steps = script(&rig, &warm, warm.len() / 2);
     drive(&rig, &warm, steps);
 
     let tasks = plan(&rig, 8_192, 11);
     let planned: usize = tasks.iter().map(Task::actions).sum();
-    let steps = script(&rig, &tasks);
     // The sink pipelines, the DMA workers and the timer wheel are the
     // "other" threads: the executors.
-    let (driver, executors) = counting_alloc::counted(|| drive(&rig, &tasks, steps));
+    let count = |batched_from: usize| {
+        let steps = script(&rig, &tasks, batched_from);
+        counting_alloc::counted(|| drive(&rig, &tasks, steps))
+    };
+    let (driver, executors) = count(tasks.len() / 2);
 
     let per = |n: u64| n as f64 / planned as f64;
     let total = per(driver.allocs + executors.allocs);
@@ -296,6 +300,19 @@ fn an_actions_life_is_a_handful_of_allocations_freed_where_they_were_made() {
         executors.allocs
     );
 
+    // One enqueue path: the same tasks one call per action, then all in
+    // batches. A batch pays for its lists once, so an action in one costs
+    // the allocator no more than an action enqueued alone.
+    let all = |(driver, executors): (counting_alloc::Counts, counting_alloc::Counts)| {
+        per(driver.allocs + executors.allocs)
+    };
+    let (single, batched) = (all(count(tasks.len())), all(count(0)));
+    println!("alloc_budget: allocations/action single {single:.2}, batched {batched:.2}");
+    assert!(
+        batched <= single,
+        "{batched:.2} allocations per batched action, {single:.2} per single one"
+    );
+
     // The drive did what it says: every action ran, and ran in FIFO-equivalent
     // order (streams own their buffers, so per-stream order fixes the result).
     let mut expect: Vec<Vec<Vec<f64>>> = (0..2 * STREAMS)
@@ -305,7 +322,10 @@ fn an_actions_life_is_a_handful_of_allocations_freed_where_they_were_made() {
                 .collect()
         })
         .collect();
-    for t in warm.iter().chain(&tasks) {
+    for t in warm
+        .iter()
+        .chain(tasks.iter().cycle().take(3 * tasks.len()))
+    {
         let row = &mut expect[t.stream];
         let src = t.src.map(|s| row[s].clone());
         apply(&mut row[t.dst], src.as_deref(), t.c);

@@ -7,9 +7,10 @@ use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
     Access, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode,
-    HStreams, HsError, Operand, StreamId, TaskCtx,
+    FaultPlan, HStreams, HsError, Operand, StreamId, TaskCtx,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const N: usize = 4; // f64 lanes per buffer
@@ -38,7 +39,14 @@ struct Rig {
 }
 
 fn rig(mode: ExecMode) -> Rig {
+    rig_with(mode, |_| {})
+}
+
+/// [`rig`], with `setup` run on the fresh runtime before anything is
+/// enqueued (durability can only be switched on then).
+fn rig_with(mode: ExecMode, setup: impl FnOnce(&HStreams)) -> Rig {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
+    setup(&hs);
     hs.register(
         "addk",
         Arc::new(|ctx: &mut TaskCtx| {
@@ -112,10 +120,18 @@ fn run_single(rig: &Rig, op: &Op) -> Event {
     }
 }
 
+/// What a drive leaves behind: (host data, computes, transfers, syncs).
+type Outcome = ([f64; N], u64, u64, u64);
+
 /// Drive `ops` through `rig`, batched into chunks of the given sizes
 /// (an empty `splits` means one enqueue per op), then synchronize and
 /// return (host data, computes, transfers, syncs).
-fn drive(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) -> ([f64; N], u64, u64, u64) {
+fn drive(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) -> Outcome {
+    enqueue_ops(rig, ops, splits);
+    settle(rig)
+}
+
+fn enqueue_ops(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) {
     match splits {
         None => {
             for op in ops {
@@ -135,6 +151,9 @@ fn drive(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) -> ([f64; N], u64, u64
             assert!(rest.is_empty(), "splits must cover all ops");
         }
     }
+}
+
+fn settle(rig: &Rig) -> Outcome {
     rig.hs.thread_synchronize().expect("sync");
     // Sim mode has no real data movement; the read returns the host
     // shadow, which both variants treat identically.
@@ -142,6 +161,76 @@ fn drive(rig: &Rig, ops: &[Op], splits: Option<&[usize]>) -> ([f64; N], u64, u64
     rig.hs.buffer_read_f64(rig.b, 0, &mut out).expect("read");
     let st = rig.hs.stats();
     (out, st.computes(), st.transfers(), st.syncs())
+}
+
+/// One WAL record as read back from disk: (stream, event, payload — the
+/// retry policy, the dependence list and the op in source terms).
+type WalRecord = (u32, u64, Vec<u8>);
+
+/// [`drive`] with the recovery log on — a fault plan armed, the durable log
+/// on, or both — returning what the log held: its entry count, and with
+/// durability the records on disk. Everything is enqueued behind a compute
+/// that does not finish until the whole sequence is in (`WaitRoot` waits on
+/// it too, and the rig's own transfer has settled before it), so no action
+/// retires while the window is being analyzed and the logged dependences
+/// depend on the sequence alone, not on timing.
+fn drive_logged(
+    ops: &[Op],
+    splits: Option<&[usize]>,
+    chaos: bool,
+    durable: bool,
+) -> (Outcome, f64, Vec<WalRecord>) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let root = std::env::temp_dir().join(format!(
+        "hs-batch-log-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut run_dir = None;
+    let mut rig = rig_with(ExecMode::Threads, |hs| {
+        if chaos {
+            hs.chaos_install(FaultPlan::new(1));
+        }
+        if durable {
+            let run = hs.durability(&root).expect("durability on");
+            run_dir = Some(root.join(format!("run-{run:016x}")));
+        }
+    });
+    rig.hs.thread_synchronize().expect("root settles");
+    let open = Arc::new(AtomicBool::new(false));
+    let gate = open.clone();
+    rig.hs.register(
+        "gate",
+        Arc::new(move |_: &mut TaskCtx| {
+            while !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }),
+    );
+    rig.root = rig
+        .hs
+        .enqueue_compute(
+            rig.s,
+            "gate",
+            Bytes::new(),
+            &[Operand::f64s(rig.b, 0, N, Access::InOut)],
+            CostHint::trivial(),
+        )
+        .expect("gate");
+    enqueue_ops(&rig, ops, splits);
+    let entries = rig.hs.metrics().extra["frontend.recovery.entries"];
+    open.store(true, Ordering::Release);
+    let result = settle(&rig);
+    let records = run_dir.map_or(Vec::new(), |dir| {
+        let scan = hs_wal::recover_dir(&dir).expect("scan the run");
+        assert!(scan.torn.is_empty(), "{:?}", scan.torn);
+        scan.records
+            .into_iter()
+            .map(|r| (r.partition, r.ev, r.payload))
+            .collect()
+    });
+    let _ = std::fs::remove_dir_all(&root);
+    (result, entries, records)
 }
 
 /// The canonical pipeline: h2d → compute* → d2h, repeated. Batch (one
@@ -339,7 +428,9 @@ proptest! {
 
     /// Any op sequence, split into batches at any boundaries, produces the
     /// same data and counters as one-at-a-time enqueues (thread executor:
-    /// real data flows through the card window and back).
+    /// real data flows through the card window and back) — and, with the
+    /// recovery log on, the same log: entry for entry, the same event,
+    /// stream, dependences and op.
     #[test]
     fn random_batch_splits_match_singles(
         ops in proptest::collection::vec(
@@ -366,5 +457,13 @@ proptest! {
         let single = drive(&rig(ExecMode::Threads), &ops, None);
         let batched = drive(&rig(ExecMode::Threads), &ops, Some(&sizes));
         prop_assert_eq!(single, batched);
+        for (chaos, durable) in [(true, false), (false, true), (true, true)] {
+            let single = drive_logged(&ops, None, chaos, durable);
+            let batched = drive_logged(&ops, Some(&sizes), chaos, durable);
+            // The gate, the root transfer before it, and every op.
+            prop_assert_eq!(single.1, (ops.len() + 2) as f64);
+            prop_assert_eq!(single.2.len(), if durable { ops.len() + 2 } else { 0 });
+            prop_assert_eq!(single, batched, "chaos {}, durable {}", chaos, durable);
+        }
     }
 }

@@ -243,5 +243,35 @@ fn card_loss_degrades_to_host_and_workload_completes() {
             .enqueue_compute(s, "noop", Bytes::new(), &[], CostHint::trivial())
             .expect("enqueue after degradation");
         hs.event_wait(ev).expect("runs on the host now");
+        // So do transfers that still name the lost card: its copy of a
+        // buffer is the host's now, so they alias away like the replayed
+        // ones instead of failing with `NotInstantiated`.
+        let (card, elided) = (DomainId(1), hs.stats().transfers_elided());
+        let buf = hs.buffer_create(64, BufProps::default());
+        hs.buffer_write_f64(buf, 0, &[1.0; 8]).expect("fill");
+        hs.enqueue_xfer(s, buf, 0..64, DomainId::HOST, card)
+            .expect("h2d to the lost card");
+        hs.enqueue_compute(
+            s,
+            "bump",
+            Bytes::new(),
+            &[Operand::f64s(buf, 0, 8, Access::InOut)],
+            CostHint::trivial(),
+        )
+        .expect("compute on the remapped stream");
+        hs.enqueue_xfer(s, buf, 0..64, card, DomainId::HOST)
+            .expect("d2h from the lost card");
+        hs.stream_synchronize(s).expect("settles on the host");
+        assert_eq!(hs.stats().transfers_elided(), elided + 2, "{mode:?}");
+        if mode == ExecMode::Threads {
+            let mut out = [0.0; 8];
+            hs.buffer_read_f64(buf, 0, &mut out).expect("read back");
+            assert_eq!(out, [2.0; 8]);
+        }
+        // A card that was never lost is still a card: nothing to alias.
+        assert!(matches!(
+            hs.enqueue_xfer(s, buf, 0..64, DomainId::HOST, DomainId(7)),
+            Err(HsError::UnknownDomain(_))
+        ));
     }
 }

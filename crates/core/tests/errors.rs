@@ -4,12 +4,26 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsError, Operand,
-    StreamId,
+    Access, BufProps, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsError, HsResult,
+    Operand, StreamId,
 };
 
 fn rt() -> HStreams {
     HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads)
+}
+
+/// The error of an enqueue that must fail before it reserves anything: the
+/// event table's length, retirement watermark and tombstone count are where
+/// they were (an id reserved and handed back would show in all three).
+fn fails_clean(hs: &HStreams, enqueue: impl FnOnce() -> HsResult<Event>) -> HsError {
+    let table = || {
+        let m = hs.metrics();
+        ["reserved", "watermark", "id_block.tombstoned"].map(|k| m.extra[&format!("events.{k}")])
+    };
+    let before = table();
+    let err = enqueue().expect_err("the enqueue is invalid");
+    assert_eq!(table(), before, "a failed enqueue touched the event table");
+    err
 }
 
 #[test]
@@ -43,8 +57,14 @@ fn unknown_buffer_everywhere() {
         .expect("stream");
     let ghost = hstreams_core::BufferId(99);
     assert!(matches!(
-        hs.enqueue_xfer(s, ghost, 0..8, DomainId::HOST, DomainId(1)),
-        Err(HsError::UnknownBuffer(_))
+        fails_clean(&hs, || hs.enqueue_xfer(
+            s,
+            ghost,
+            0..8,
+            DomainId::HOST,
+            DomainId(1)
+        )),
+        HsError::UnknownBuffer(_)
     ));
     assert!(matches!(
         hs.buffer_write_f64(ghost, 0, &[1.0]),
@@ -80,8 +100,8 @@ fn unknown_domain_and_event() {
         .stream_create(DomainId(1), CpuMask::first(1))
         .expect("stream");
     assert!(matches!(
-        hs.enqueue_event_wait(s, &[Event(1234)]),
-        Err(HsError::UnknownEvent(_))
+        fails_clean(&hs, || hs.enqueue_event_wait(s, &[Event(1234)])),
+        HsError::UnknownEvent(_)
     ));
 }
 
@@ -139,8 +159,8 @@ fn overlapping_operands_within_one_task_are_rejected() {
         .expect("stream");
     let buf = hs.buffer_create(64, BufProps::default());
     hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
-    let err = hs
-        .enqueue_compute(
+    let err = fails_clean(&hs, || {
+        hs.enqueue_compute(
             s,
             "f",
             Bytes::new(),
@@ -150,7 +170,7 @@ fn overlapping_operands_within_one_task_are_rejected() {
             ],
             CostHint::trivial(),
         )
-        .expect_err("overlap with a write");
+    });
     assert!(matches!(err, HsError::InvalidArg(_)), "{err}");
     // Overlapping reads are fine.
     assert!(hs

@@ -5,7 +5,7 @@
 //! spawns free-running OS workers outside the model scheduler — so these
 //! models drive the *front-end data structures* (`EventTable`,
 //! `StreamState`, the world `RwLock`, the per-stream `Mutex`) through the
-//! exact acquisition sequence `enqueue_common`/`degrade_card` use, per the
+//! exact acquisition sequence `enqueue_built`/`degrade_card` use, per the
 //! documented lock order (DESIGN.md §13): `world` → `streams` (vec) →
 //! per-stream mutex → event-table slot.
 //!
@@ -55,23 +55,16 @@ impl Frontend {
         }
     }
 
-    /// One `enqueue_common`-shaped enqueue: world shared → stream-table
-    /// shared (dropped before the per-stream lock, as `stream_arc` does) →
-    /// per-stream mutex → event-slot reserve/publish under it.
+    /// A single enqueue: a batch of one.
     fn enqueue(&self, s: usize) -> u64 {
-        let _world = self.world.read();
-        let st_arc = { self.streams.read()[s].clone() };
-        let mut st = st_arc.lock();
-        let id = self.events.reserve();
-        self.events.publish(id, StreamId(s as u32), done_event());
-        st.push(Event(id), Vec::new(), ActionKind::Normal);
-        id
+        self.enqueue_batch(s, 1)[0]
     }
 
-    /// One `enqueue_batch_common`-shaped batch: same lock sequence as
-    /// [`Frontend::enqueue`], but K slots are reserved and windowed
-    /// incrementally and *all* of them publish before the stream lock
-    /// drops (the batch publish ordering contract, DESIGN.md §13).
+    /// One `enqueue_built`-shaped enqueue of K actions: world shared →
+    /// stream-table shared (dropped before the per-stream lock, as
+    /// `stream_arc` does) → per-stream mutex, under which K slots are
+    /// reserved and windowed incrementally and *all* of them publish
+    /// before the lock drops (the publish ordering contract, DESIGN.md §13).
     fn enqueue_batch(&self, s: usize, k: usize) -> Vec<u64> {
         let _world = self.world.read();
         let st_arc = { self.streams.read()[s].clone() };

@@ -33,8 +33,11 @@ use std::time::Instant;
 pub const MAGIC: [u8; 8] = *b"HSWAL1\0\0";
 /// Checkpoint blob magic.
 pub const BLOB_MAGIC: [u8; 8] = *b"HSBLOB1\0";
-/// On-disk format version in every segment header.
-pub const VERSION: u16 = 1;
+/// On-disk format version in every segment header; a segment of any other
+/// version is refused whole at its header. Version 2: the runtime's action
+/// payload dropped its written-domains list, so a version-1 record would
+/// decode as garbage.
+pub const VERSION: u16 = 2;
 /// Segment header size: magic(8) + version(2) + partition(4) + run_id(8) +
 /// seq(4) + crc(4).
 pub const HEADER_LEN: usize = 30;

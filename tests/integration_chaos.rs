@@ -52,22 +52,28 @@ fn matmul_survives_card_loss_in_sim_mode() {
 
 /// Cholesky's dependence structure is much deeper than matmul's (panel →
 /// column → trailing updates); card loss mid-factorization exercises
-/// replay across long chains.
+/// replay across long chains. `Hetero` waits once, at the end, so the
+/// degradation runs inside that wait; `MklAoLike` waits every step, so the
+/// card is lost under one step's wait and every later step enqueues
+/// transfers that still name it.
 #[test]
 fn cholesky_survives_mid_run_card_loss_with_correct_result() {
-    let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-    hs.chaos_install(card_loss_plan(3, 7));
-    let mut cfg = CholConfig::new(24, 6, CholVariant::Hetero);
-    cfg.streams_per_card = 2;
-    cfg.streams_host = 2;
-    cfg.verify = true;
-    let r = cholesky::run(&mut hs, &cfg).expect("degraded factorization completes");
-    assert_eq!(hs.degraded_cards(), &[1]);
-    assert!(
-        r.max_err.expect("verified") < 1e-8,
-        "L·Lt must still reconstruct A: err {:?}",
-        r.max_err
-    );
+    for variant in [CholVariant::Hetero, CholVariant::MklAoLike] {
+        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
+        hs.chaos_install(card_loss_plan(3, 7));
+        let mut cfg = CholConfig::new(24, 6, variant);
+        cfg.streams_per_card = 2;
+        cfg.streams_host = 2;
+        cfg.verify = true;
+        let r = cholesky::run(&mut hs, &cfg)
+            .unwrap_or_else(|e| panic!("{variant:?}: degraded factorization fails: {e}"));
+        assert_eq!(hs.degraded_cards(), &[1], "{variant:?}");
+        assert!(
+            r.max_err.expect("verified") < 1e-8,
+            "{variant:?}: L·Lt must still reconstruct A: err {:?}",
+            r.max_err
+        );
+    }
 }
 
 proptest! {
