@@ -1,40 +1,42 @@
-//! Durable action log: the sink behind `Inner::recovery`.
+//! Durable action log: the recovery log and its on-disk stage.
 //!
-//! The in-memory replay log (PR 4) becomes a trait-backed sink:
-//! [`MemLog`] keeps today's semantics (a `Vec` kept while chaos is armed),
-//! [`WalLog`] — installed by `HStreams::durability` — mirrors every entry
-//! into an `hs-wal` run directory, partitioned by stream, so the action
-//! history survives death of the host process itself. This module owns:
+//! The recovery log is one sequence. [`RecoveryLog`] holds the entries
+//! card-loss degradation replays from, in the order they were appended —
+//! under the `Recovery` lock, while the enqueuing thread still holds its
+//! stream's lock, so that order is a valid sequential order of the program
+//! for any number of source threads. Once `HStreams::durability` gives it a
+//! stage, every entry is also framed into **one** `hs-wal` partition in the
+//! same order, so the action history survives death of the host process
+//! itself and a torn tail is a prefix of that order. This module owns:
 //!
 //! * the hand-rolled wire encoding of `LoggedAction` (no serde, no
 //!   bincode — the WAL payload format is a stability surface of its own,
 //!   DESIGN.md §16);
-//! * the [`ActionLog`] trait and both sinks;
+//! * [`RecoveryLog`];
 //! * [`WalShared`], the writer handle behind `LockClass::Wal` that the
 //!   wait-entry flush hooks and the checkpoint path reach without taking
 //!   the `Recovery` lock;
 //! * checkpoint blob encode/decode (host+card buffer bytes at a quiesce
 //!   point, enabling watermark truncation of the log);
-//! * run-directory layout helpers and the [`RecoveryReport`] surfaced by
-//!   `HStreams::recover`.
+//! * run-directory layout helpers, `HStreams::durability`/`recover` and
+//!   the [`RecoveryReport`] the latter returns.
 //!
 //! Durability boundary: appends are buffered in userspace; `flush` at the
 //! runtime's wait entries pushes them to the kernel page cache, which is
 //! exactly what surviving `kill -9` requires (media durability via fsync is
-//! an opt-in). A WAL I/O error never fails an enqueue: the sink marks
+//! an opt-in). A WAL I/O error never fails an enqueue: the writer marks
 //! itself broken, notes the loss of durability on the chaos log, and the
 //! run continues in-memory-only.
 
 use crate::lockorder::{self, LockClass};
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use crate::types::{Access, BufferId, CostHint, DomainId, Operand, StreamId};
-use crate::{LoggedAction, LoggedOp};
+use crate::types::{Access, BufferId, CostHint, DomainId, HsError, HsResult, Operand, StreamId};
+use crate::{with_class, HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause, RetryPolicy, WalFault};
 use hs_machine::KernelKind;
 use hs_obs::ObsHub;
 use hs_wal::{Wal, WalStats, META_PARTITION};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,6 +44,9 @@ use std::sync::Arc;
 /// Event id used for metadata records (see [`hs_wal::META_PARTITION`]):
 /// above any real watermark, so retirement never deletes them mid-run.
 pub(crate) const META_EV: u64 = u64::MAX;
+
+/// The one WAL partition every action record goes to, in log order.
+pub(crate) const ACTION_PARTITION: u32 = 0;
 
 /// Don't bother writing a checkpoint until at least this many framed bytes
 /// accumulated since the last one — a checkpoint copies every buffer, so
@@ -114,6 +119,20 @@ impl<'a> Rd<'a> {
         self.take(n)
     }
 
+    /// A byte range, start then end; reversed is refused.
+    fn range(&mut self) -> Option<std::ops::Range<usize>> {
+        let (start, end) = (self.u64()? as usize, self.u64()? as usize);
+        (start <= end).then_some(start..end)
+    }
+
+    /// An element count, refused unless the rest of the payload can hold
+    /// that many elements of at least `elem` bytes each: a list is never
+    /// sized beyond the bytes that are there to fill it.
+    fn count(&mut self, elem: usize) -> Option<usize> {
+        let n = self.u32()? as usize;
+        (n.checked_mul(elem)? <= self.b.len() - self.i).then_some(n)
+    }
+
     fn done(&self) -> bool {
         self.i == self.b.len()
     }
@@ -147,14 +166,15 @@ fn kernel_from(tag: u8) -> Option<KernelKind> {
     KernelKind::ALL.get(tag as usize).copied()
 }
 
-/// Encode a logged action's payload. The surrounding WAL frame already
-/// carries the event id and the partition (= stream), so neither is
-/// duplicated here. A leading flags byte elides the retry block in the
-/// common no-retry case — this encoder runs once per enqueue on durable
-/// runs, so the record stays as short as the action allows.
+/// Encode a logged action's payload: flags, stream, [retry], dependences,
+/// op. The surrounding WAL frame already carries the event id, so it is not
+/// duplicated here. The flags byte elides the retry block in the common
+/// no-retry case — this encoder runs once per enqueue on durable runs, so
+/// the record stays as short as the action allows.
 pub(crate) fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
     let retry_none = la.retry == RetryPolicy::none();
     out.push(if retry_none { 0 } else { 1 });
+    put_u32(out, la.stream.0);
     if !retry_none {
         put_u32(out, la.retry.max_attempts);
         put_u64(out, la.retry.base_backoff_us);
@@ -204,15 +224,18 @@ pub(crate) fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
 }
 
 /// Decode one action payload back into a [`LoggedAction`]. Strict: any
-/// truncation, unknown tag, or trailing garbage yields `None` — a record
-/// that passed the CRC but fails here is treated as a skipped action by
-/// recovery, never a guess.
-pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option<LoggedAction> {
+/// truncation, unknown tag, reversed range or trailing garbage yields
+/// `None` — a record that passed the CRC but fails here is treated as a
+/// skipped action by recovery, never a guess. What cannot be judged here
+/// (does the stream, buffer or domain exist?) is judged by the enqueue that
+/// replays the action.
+pub(crate) fn decode_action(ev: u64, payload: &[u8]) -> Option<LoggedAction> {
     let mut r = Rd::new(payload);
     let flags = r.u8()?;
     if flags > 1 {
         return None;
     }
+    let stream = StreamId(r.u32()?);
     let retry = if flags & 1 != 0 {
         RetryPolicy {
             max_attempts: r.u32()?,
@@ -223,8 +246,8 @@ pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option
     } else {
         RetryPolicy::none()
     };
-    let n_deps = r.u32()? as usize;
-    let mut deps = Vec::with_capacity(n_deps.min(1 << 16));
+    let n_deps = r.count(8)?;
+    let mut deps = Vec::with_capacity(n_deps);
     for _ in 0..n_deps {
         deps.push(r.u64()?);
     }
@@ -232,16 +255,15 @@ pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option
         0 => {
             let func = String::from_utf8(r.bytes()?.to_vec()).ok()?;
             let args = Bytes::copy_from_slice(r.bytes()?);
-            let n_ops = r.u32()? as usize;
-            let mut operands = Vec::with_capacity(n_ops.min(1 << 16));
+            let n_ops = r.count(8 + 16 + 1)?; // buffer, range, access
+            let mut operands = Vec::with_capacity(n_ops);
             for _ in 0..n_ops {
                 let buffer = BufferId(r.u64()?);
-                let start = r.u64()? as usize;
-                let end = r.u64()? as usize;
+                let range = r.range()?;
                 let access = access_from(r.u8()?)?;
                 operands.push(Operand {
                     buffer,
-                    range: start..end,
+                    range,
                     access,
                 });
             }
@@ -261,13 +283,12 @@ pub(crate) fn decode_action(ev: u64, stream: StreamId, payload: &[u8]) -> Option
         }
         1 => {
             let buf = BufferId(r.u64()?);
-            let start = r.u64()? as usize;
-            let end = r.u64()? as usize;
+            let range = r.range()?;
             let from = DomainId(r.u32()? as usize);
             let to = DomainId(r.u32()? as usize);
             LoggedOp::Xfer {
                 buf,
-                range: start..end,
+                range,
                 from,
                 to,
             }
@@ -315,8 +336,8 @@ pub(crate) fn encode_checkpoint(watermark: u64, bufs: &[CheckpointBuf]) -> Vec<u
 pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, Vec<CheckpointBuf>)> {
     let mut r = Rd::new(b);
     let watermark = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut bufs = Vec::with_capacity(n.min(1 << 16));
+    let n = r.count(8 + 4 + 4)?; // id, domain, length of the bytes
+    let mut bufs = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r.u64()?;
         let domain = r.u32()?;
@@ -378,7 +399,7 @@ pub(crate) fn fresh_run_id() -> u64 {
 // ---------------------------------------------------------------------------
 // The shared WAL writer.
 
-/// The durable writer, shared between the recovery-log sink (appends while
+/// The durable writer, shared between the recovery log (appends while
 /// `LockClass::Recovery` is held) and the runtime's flush/checkpoint hooks
 /// (which take only `LockClass::Wal`). Every acquisition of the inner mutex
 /// is witnessed as `LockClass::Wal`, ranked just inside `Recovery`.
@@ -396,9 +417,6 @@ struct WalState {
     /// An I/O error (real or injected) permanently broke durability for
     /// this run: appends become no-ops, noted once.
     broken: bool,
-    /// Partition of the most recent append — the target of an injected
-    /// torn-write fault.
-    last_partition: Option<u32>,
     /// `appended_bytes` at the last checkpoint (throttles checkpoints).
     ckpt_bytes: u64,
     /// Size of the last checkpoint's buffer snapshot: the throttle scales
@@ -415,7 +433,6 @@ impl WalShared {
             state: Mutex::new(WalState {
                 wal,
                 broken: false,
-                last_partition: None,
                 ckpt_bytes: 0,
                 ckpt_blob_bytes: 0,
                 published_fsync_batched: 0,
@@ -444,26 +461,12 @@ impl WalShared {
         }
     }
 
-    /// Append one framed record. Called with `LockClass::Recovery` held
-    /// (ranked outside `Wal`). Never fails the caller.
-    pub(crate) fn append(&self, partition: u32, ev: u64, payload: &[u8]) {
-        let (_lo, mut st) = self.lock();
-        if st.broken {
-            return;
-        }
-        match st.wal.append(partition, ev, payload) {
-            Ok(framed) => {
-                st.last_partition = Some(partition);
-                self.pending.fetch_add(framed, Ordering::Relaxed);
-            }
-            Err(e) => Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string()),
-        }
-    }
-
     /// Append a batch of pre-framed records ([`hs_wal::frame_record`]
-    /// output) in one writer pass. Same locking contract as [`Self::append`];
-    /// one lock acquisition covers the whole batch, which is what keeps the
-    /// durable enqueue path off the single-record lock cadence.
+    /// output) in one writer pass — the writer's one append path. Called
+    /// with `LockClass::Recovery` held (ranked outside `Wal`) or with no
+    /// lock at all; never fails the caller. One lock acquisition covers the
+    /// whole batch, which is what keeps the durable enqueue path off the
+    /// single-record lock cadence.
     pub(crate) fn append_framed(&self, partition: u32, framed: &[u8], records: u64, max_ev: u64) {
         if framed.is_empty() {
             return;
@@ -474,7 +477,6 @@ impl WalShared {
         }
         match st.wal.append_framed(partition, framed, records, max_ev) {
             Ok(n) => {
-                st.last_partition = Some(partition);
                 self.pending.fetch_add(n, Ordering::Relaxed);
             }
             Err(e) => Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string()),
@@ -486,7 +488,7 @@ impl WalShared {
     /// the points where an application could observe completion and act on
     /// it, so everything it could have observed is on disk first. Consults
     /// the chaos hub: an injected [`WalFault::Torn`] flushes and then chops
-    /// the last-written partition's tail (what a mid-write crash leaves);
+    /// the action partition's tail (what a mid-write crash leaves);
     /// [`WalFault::Io`] breaks durability like a real I/O error.
     pub(crate) fn flush(&self) {
         if self.pending.load(Ordering::Relaxed) == 0 {
@@ -504,8 +506,10 @@ impl WalShared {
                 return;
             }
             Some(WalFault::Torn) => {
-                let part = st.last_partition.unwrap_or(0);
-                let r = st.wal.flush().and_then(|()| st.wal.chop_tail(part, 7));
+                let r = st
+                    .wal
+                    .flush()
+                    .and_then(|()| st.wal.chop_tail(ACTION_PARTITION, 7));
                 if let Err(e) = r {
                     Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string());
                 }
@@ -607,178 +611,131 @@ impl WalShared {
     /// Takes only `LockClass::Wal`; safe from the degradation path, which
     /// holds the world lock exclusively.
     pub(crate) fn append_meta(&self, cause: &FailureCause) {
-        self.append(META_PARTITION, META_EV, &cause.to_bytes());
+        let mut framed = Vec::new();
+        match hs_wal::frame_record(META_EV, &cause.to_bytes(), &mut framed) {
+            Ok(()) => self.append_framed(META_PARTITION, &framed, 1, META_EV),
+            Err(e) => self.poison(&e.to_string()),
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The sink trait.
+// The recovery log.
 
-/// The recovery-log sink behind `Inner::recovery`. Implementations keep the
-/// in-memory entry list that card-loss degradation replays from;
-/// [`WalLog`] additionally mirrors entries to disk.
-pub(crate) trait ActionLog: Send {
-    /// Append `las` in order, leaving the vector empty (its capacity is the
-    /// enqueuing thread's to reuse).
-    fn extend(&mut self, las: &mut Vec<LoggedAction>);
-    /// The in-memory entries, in enqueue order.
-    fn entries(&self) -> &[LoggedAction];
-    /// Clone of the in-memory entries (card-loss replay snapshot).
-    fn snapshot(&self) -> Vec<LoggedAction> {
-        self.entries().to_vec()
-    }
-    /// Prune the in-memory entries (compaction). Disk records are pruned
-    /// only by watermark retirement, never here.
-    fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool);
-    fn len(&self) -> usize;
-    /// Drop the in-memory entries (chaos re-arm). Disk is untouched.
-    fn clear(&mut self);
-    /// Hand staged durable records to the WAL writer (no-op for the
-    /// in-memory log). The runtime calls this at every wait entry, just
-    /// before the WAL flush, so everything an application could have
-    /// observed complete is framed and buffered before the flush pushes it
-    /// to the page cache.
-    fn drain(&mut self);
-}
-
-/// Today's semantics: in-memory only, populated while chaos is armed.
-#[derive(Default)]
-pub(crate) struct MemLog {
-    entries: Vec<LoggedAction>,
-}
-
-impl ActionLog for MemLog {
-    fn extend(&mut self, las: &mut Vec<LoggedAction>) {
-        self.entries.append(las);
-    }
-
-    fn entries(&self) -> &[LoggedAction] {
-        &self.entries
-    }
-
-    fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool) {
-        self.entries.retain(|la| keep(la));
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    fn drain(&mut self) {}
-}
-
-/// How much framed data a partition stages before `WalLog` hands it to the
-/// writer mid-stream (between wait-entry drains). Large enough to amortize
-/// the writer lock over hundreds of records, small enough that staging
-/// never holds more than a few buffer-writes' worth of history.
+/// How much framed data the log stages before handing it to the writer
+/// mid-stream (between wait-entry drains). Large enough to amortize the
+/// writer lock over hundreds of records, small enough that staging never
+/// holds more than a few buffer-writes' worth of history.
 const STAGE_DRAIN_BYTES: usize = 32 << 10;
 
-/// Per-partition staging: concatenated [`hs_wal::frame_record`] output
+/// The log's durable half: concatenated [`hs_wal::frame_record`] output
 /// waiting for one batched writer pass.
-#[derive(Default)]
+///
+/// Appends are *staged*: each entry is encoded and framed (CRC paid here,
+/// under the Recovery lock the caller already holds) and handed to the
+/// writer in batches — when the stage fills, and at every wait entry via
+/// [`RecoveryLog::drain`]. Batching keeps the per-enqueue durable cost to
+/// the encode + frame; the writer lock and its `BufWriter` are touched once
+/// per hundreds of records. The durability boundary is unchanged: before
+/// staging, a record this young sat in the writer's `BufWriter` at the same
+/// points in its life.
 struct Stage {
+    wal: Arc<WalShared>,
+    scratch: Vec<u8>,
     buf: Vec<u8>,
     records: u64,
     max_ev: u64,
 }
 
-/// Durable sink: the in-memory mirror plus an append to the shared WAL for
-/// every entry, partitioned by stream (per-partition append order is
-/// exactly per-stream enqueue order, which is what replay needs — event
-/// ids are *not* globally ordered across threads).
-///
-/// Appends are *staged*: each entry is encoded and framed (CRC paid here,
-/// under the Recovery lock the caller already holds) into a per-partition
-/// buffer, and handed to the writer in batches — when a partition's stage
-/// fills, and at every wait entry via [`ActionLog::drain`]. Batching keeps
-/// the per-enqueue durable cost to the encode + frame; the writer lock and
-/// its `BufWriter` are touched once per hundreds of records. The
-/// durability boundary is unchanged: before staging, a record this young
-/// sat in the writer's `BufWriter` at the same points in its life.
-pub(crate) struct WalLog {
-    entries: Vec<LoggedAction>,
-    wal: Arc<WalShared>,
-    scratch: Vec<u8>,
-    staged: BTreeMap<u32, Stage>,
-}
-
-impl WalLog {
-    pub(crate) fn new(wal: Arc<WalShared>) -> WalLog {
-        WalLog {
-            entries: Vec::new(),
-            wal,
-            scratch: Vec::new(),
-            staged: BTreeMap::new(),
-        }
-    }
-
-    fn append_wal(&mut self, la: &LoggedAction) {
+impl Stage {
+    fn push(&mut self, la: &LoggedAction) {
         self.scratch.clear();
         encode_action(la, &mut self.scratch);
-        let stage = self.staged.entry(la.stream.0).or_default();
-        if let Err(e) = hs_wal::frame_record(la.ev, &self.scratch, &mut stage.buf) {
+        if let Err(e) = hs_wal::frame_record(la.ev, &self.scratch, &mut self.buf) {
             // An action too large for the record envelope cannot be made
             // durable; like a disk error, that loses durability for the
             // run — never the enqueue itself.
             self.wal.poison(&format!("ev {}: {e}", la.ev));
             return;
         }
-        stage.records += 1;
-        stage.max_ev = stage.max_ev.max(la.ev);
-        if stage.buf.len() >= STAGE_DRAIN_BYTES {
-            self.wal
-                .append_framed(la.stream.0, &stage.buf, stage.records, stage.max_ev);
-            stage.buf.clear();
-            stage.records = 0;
+        self.records += 1;
+        self.max_ev = self.max_ev.max(la.ev);
+        if self.buf.len() >= STAGE_DRAIN_BYTES {
+            self.drain();
         }
     }
 
-    fn drain_staged(&mut self) {
-        for (part, stage) in &mut self.staged {
-            if stage.buf.is_empty() {
-                continue;
-            }
-            self.wal
-                .append_framed(*part, &stage.buf, stage.records, stage.max_ev);
-            stage.buf.clear();
-            stage.records = 0;
-        }
+    fn drain(&mut self) {
+        self.wal
+            .append_framed(ACTION_PARTITION, &self.buf, self.records, self.max_ev);
+        self.buf.clear();
+        self.records = 0;
+        self.max_ev = 0;
     }
 }
 
-impl ActionLog for WalLog {
-    fn extend(&mut self, las: &mut Vec<LoggedAction>) {
-        for la in las.iter() {
-            self.append_wal(la);
+/// The recovery log behind `Inner::recovery`: the entries card-loss
+/// degradation replays from, in append order, and — once durability is on —
+/// the stage that writes every entry to the WAL's action partition in that
+/// same order (event ids are *not* globally ordered across threads; the
+/// log's order is the program's).
+#[derive(Default)]
+pub(crate) struct RecoveryLog {
+    entries: Vec<LoggedAction>,
+    stage: Option<Stage>,
+}
+
+impl RecoveryLog {
+    /// Write every entry appended from now on through `wal` as well.
+    pub(crate) fn make_durable(&mut self, wal: Arc<WalShared>) {
+        self.stage = Some(Stage {
+            wal,
+            scratch: Vec::new(),
+            buf: Vec::new(),
+            records: 0,
+            max_ev: 0,
+        });
+    }
+
+    /// Append `las` in order, leaving the vector empty (its capacity is the
+    /// enqueuing thread's to reuse).
+    pub(crate) fn extend(&mut self, las: &mut Vec<LoggedAction>) {
+        if let Some(stage) = &mut self.stage {
+            for la in las.iter() {
+                stage.push(la);
+            }
         }
         self.entries.append(las);
     }
 
-    fn entries(&self) -> &[LoggedAction] {
+    /// The in-memory entries, in log order.
+    pub(crate) fn entries(&self) -> &[LoggedAction] {
         &self.entries
     }
 
-    fn retain(&mut self, keep: &mut dyn FnMut(&LoggedAction) -> bool) {
-        self.entries.retain(|la| keep(la));
+    /// Prune the in-memory entries (compaction). Disk records are pruned
+    /// only by watermark retirement, never here.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&LoggedAction) -> bool) {
+        self.entries.retain(keep);
     }
 
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn clear(&mut self) {
-        // Staged records describe real enqueues; hand them to the writer
-        // before dropping the mirror so disk history stays complete.
-        self.drain_staged();
+    /// Drop the in-memory entries (chaos re-arm). Staged records describe
+    /// real enqueues: they go to the writer first, so disk history stays
+    /// complete.
+    pub(crate) fn clear(&mut self) {
+        self.drain();
         self.entries.clear();
     }
 
-    fn drain(&mut self) {
-        self.drain_staged();
+    /// Hand staged durable records to the WAL writer (nothing to do for an
+    /// in-memory log). The runtime calls this at every wait entry, just
+    /// before the WAL flush, so everything an application could have
+    /// observed complete is framed and buffered before the flush pushes it
+    /// to the page cache.
+    pub(crate) fn drain(&mut self) {
+        if let Some(stage) = &mut self.stage {
+            stage.drain();
+        }
     }
 }
 
@@ -809,6 +766,209 @@ pub struct RecoveryReport {
     pub prior_failures: Vec<FailureCause>,
     /// Watermark of the checkpoint that was overlaid, if any.
     pub checkpoint_watermark: Option<u64>,
+}
+
+// ---------------------------------------------------------------------------
+// Turning durability on, and recovering a run.
+
+impl HStreams {
+    /// Enable durable action logging into a fresh run directory under
+    /// `root`. Must be called before any action is enqueued; from then on
+    /// every enqueue appends a checksummed record to the WAL's action
+    /// partition, wait entries flush to the page cache (surviving `kill
+    /// -9`), and compaction checkpoints + truncates at quiesce points.
+    /// Returns the new run id. A broken WAL (disk error) downgrades to
+    /// in-memory logging with a note on the chaos log — it never fails an
+    /// enqueue after this call succeeds.
+    ///
+    /// `root` must hold no prior run directories: an existing run is a
+    /// crashed (or merely finished) generation that [`HStreams::recover`]
+    /// treats as authoritative — and `recover` deletes every *newer* run
+    /// as an interrupted-recovery leftover, so a fresh generation minted
+    /// here over an old root would be destroyed by the next recovery.
+    /// Recover the old run first, or point at a clean root.
+    pub fn durability(&self, root: impl AsRef<Path>) -> HsResult<u64> {
+        self.durability_opts(root, false, 0)
+    }
+
+    /// [`HStreams::durability`] with explicit media-durability knobs:
+    /// `fsync` syncs segment data to media on every runtime flush, and
+    /// `batch_ms > 0` group-commits those syncs — flushes landing within
+    /// `batch_ms` of the last fsync skip the syscall (counted on the
+    /// `wal.fsync_batched` counter) and ride the next one, trading a
+    /// bounded post-crash media-durability window for one fsync per
+    /// window instead of one per flush. `batch_ms` is ignored when
+    /// `fsync` is off. Same preconditions and return value as
+    /// [`HStreams::durability`].
+    pub fn durability_opts(
+        &self,
+        root: impl AsRef<Path>,
+        fsync: bool,
+        batch_ms: u64,
+    ) -> HsResult<u64> {
+        let root = root.as_ref();
+        let runs = list_runs(root)
+            .map_err(|e| HsError::ExecFailed(format!("wal: listing {}: {e}", root.display())))?;
+        if let Some((id, _)) = runs.first() {
+            return Err(HsError::InvalidArg(format!(
+                "durability: {} already holds run {:016x} — recover() it or use a fresh \
+                 root (recover treats the oldest run as authoritative and deletes newer ones)",
+                root.display(),
+                id
+            )));
+        }
+        let run_id = fresh_run_id();
+        let opts = hs_wal::WalOptions {
+            fsync,
+            fsync_batch_ms: batch_ms,
+            ..hs_wal::WalOptions::default()
+        };
+        self.enable_durability(root, run_id, opts)?;
+        Ok(run_id)
+    }
+
+    fn enable_durability(
+        &self,
+        root: &Path,
+        run_id: u64,
+        opts: hs_wal::WalOptions,
+    ) -> HsResult<()> {
+        if self.inner.events.len() != 0 {
+            return Err(HsError::InvalidArg(
+                "durability must be enabled before any action is enqueued".into(),
+            ));
+        }
+        let dir = root.join(run_dir_name(run_id));
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| HsError::ExecFailed(format!("wal: creating {}: {e}", dir.display())))?;
+        let wal = Wal::create(&dir, run_id, opts)
+            .map_err(|e| HsError::ExecFailed(format!("wal: opening {}: {e}", dir.display())))?;
+        let shared = Arc::new(WalShared::new(
+            wal,
+            self.inner.chaos.clone(),
+            self.inner.obs.clone(),
+        ));
+        self.inner
+            .wal
+            .set(shared.clone())
+            .map_err(|_| HsError::InvalidArg("durability already enabled".into()))?;
+        // Stage first, flag second: an enqueue that observes
+        // `durable == true` then takes the Recovery lock and must find the
+        // stage there.
+        with_class(LockClass::Recovery, || {
+            self.inner.recovery.lock().make_durable(shared)
+        });
+        self.inner.durable.store(true, Ordering::Release);
+        Ok(())
+    }
+
+    /// Recover a crashed durable run from `root`: scan the oldest run
+    /// directory's segments (tolerating torn tails), overlay its checkpoint
+    /// blob, and re-enqueue every un-retired action through the normal
+    /// paths — re-logged into a fresh run directory, so recovery itself is
+    /// crash-safe (an interrupted recovery leaves the source run intact and
+    /// a partial newer generation that the next recovery deletes).
+    ///
+    /// Call on a freshly initialized runtime after recreating the same
+    /// kernels, streams and buffers the crashed run had (ids are assigned
+    /// in creation order, so "the same init code" suffices). `buffer_write`
+    /// is *not* logged — the restarted process re-applies its initial
+    /// buffer contents as part of that init, except for state a checkpoint
+    /// overlay restores. Afterwards the runtime is live and durable;
+    /// `stream_synchronize`/`event_wait` the replayed work as usual.
+    pub fn recover(&self, root: impl AsRef<Path>) -> HsResult<RecoveryReport> {
+        let root = root.as_ref();
+        if self.inner.events.len() != 0 {
+            return Err(HsError::InvalidArg(
+                "recover requires a fresh runtime (no actions enqueued)".into(),
+            ));
+        }
+        let runs = list_runs(root).map_err(|e| {
+            HsError::ExecFailed(format!("recover: listing {}: {e}", root.display()))
+        })?;
+        let Some((src_id, src_dir)) = runs.first().cloned() else {
+            return Err(HsError::InvalidArg(format!(
+                "recover: no run directories under {}",
+                root.display()
+            )));
+        };
+        // Newer runs are partial re-logs from an interrupted recovery —
+        // nothing else can mint a run over a non-empty root, because
+        // `durability()` refuses one. The oldest run is authoritative.
+        for (_, dir) in &runs[1..] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        let scanned = hs_wal::recover_dir(&src_dir).map_err(|e| {
+            HsError::ExecFailed(format!("recover: scanning {}: {e}", src_dir.display()))
+        })?;
+        let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
+            .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
+            .and_then(|b| decode_checkpoint(&b));
+        let mut report = RecoveryReport {
+            run_id: src_id,
+            torn: scanned.torn,
+            checkpoint_watermark: ckpt.as_ref().map(|(wm, _)| *wm),
+            ..Default::default()
+        };
+        let wm = ckpt.as_ref().map_or(0, |(wm, _)| *wm);
+        // Split the scan into meta records (prior failure history) and
+        // replayable actions above the checkpoint watermark.
+        let mut actions: Vec<LoggedAction> = Vec::new();
+        for r in scanned.records {
+            if r.partition == META_PARTITION {
+                if let Some(cause) = FailureCause::decode(&r.payload) {
+                    report.prior_failures.push(cause);
+                }
+                continue;
+            }
+            if r.ev < wm {
+                report.checkpointed += 1;
+                continue;
+            }
+            match decode_action(r.ev, &r.payload) {
+                Some(la) => actions.push(la),
+                None => {
+                    report.skipped += 1;
+                    self.inner
+                        .chaos
+                        .note(format!("recover: undecodable record ev {}", r.ev));
+                }
+            }
+        }
+        report.records = actions.len() as u32;
+        // Re-log into a fresh generation, strictly newer than the source.
+        let new_id = fresh_run_id().max(src_id + 1);
+        self.enable_durability(root, new_id, hs_wal::WalOptions::default())?;
+        let mut ckpt_persisted = true;
+        if let Some((_, bufs)) = &ckpt {
+            self.wal_overlay_checkpoint(bufs);
+            // Persist the overlaid state into the new generation *now*:
+            // the source checkpoint is the only copy of the pre-watermark
+            // buffer state (its log records were retired), so until the
+            // new run carries it on disk, that state exists solely in
+            // memory — a second crash before the new generation's first
+            // throttled checkpoint would replay the tail against
+            // init-state buffers. Watermark 0: every re-logged record of
+            // the new generation is above it.
+            ckpt_persisted = self.wal().is_some_and(|w| w.checkpoint(0, bufs));
+        }
+        self.replay_recovered(&actions, &mut report);
+        self.wal_flush();
+        if ckpt_persisted {
+            // The new generation now carries everything; drop the source.
+            let _ = std::fs::remove_dir_all(&src_dir);
+        } else {
+            // Could not write the checkpoint into the new run (durability
+            // already noted as lost): keep the source run — it is still
+            // the only durable copy of the pre-watermark state, and a
+            // later recover() will pick it (the oldest) again.
+            self.inner.chaos.note(format!(
+                "recover: checkpoint not persisted into run {new_id:016x}; \
+                 keeping source run {src_id:016x}"
+            ));
+        }
+        Ok(report)
+    }
 }
 
 #[cfg(test)]
@@ -935,26 +1095,123 @@ mod tests {
         for la in sample_actions() {
             let mut buf = Vec::new();
             encode_action(&la, &mut buf);
-            let back = decode_action(la.ev, la.stream, &buf).expect("decodes");
+            let back = decode_action(la.ev, &buf).expect("decodes");
             assert_actions_eq(&la, &back);
         }
     }
 
+    /// The hand-written samples plus a dozen seeded records.
+    fn good_records() -> Vec<LoggedAction> {
+        let mut seed = 0x0123_4567_89ab_cdefu64;
+        let seeded = (0..12).map(|i| action_from_seed(100 + i, rng_next(&mut seed)));
+        sample_actions().into_iter().chain(seeded).collect()
+    }
+
     #[test]
     fn action_decode_rejects_truncation_and_trailing_garbage() {
-        for la in sample_actions() {
+        for la in good_records() {
             let mut buf = Vec::new();
             encode_action(&la, &mut buf);
             for cut in 0..buf.len() {
                 assert!(
-                    decode_action(la.ev, la.stream, &buf[..cut]).is_none(),
+                    decode_action(la.ev, &buf[..cut]).is_none(),
                     "strict prefix of len {cut} must not decode"
                 );
             }
             let mut long = buf.clone();
             long.push(0);
-            assert!(decode_action(la.ev, la.stream, &long).is_none());
+            assert!(decode_action(la.ev, &long).is_none());
         }
+    }
+
+    /// Untrusted bytes: a record that passed its CRC can still hold
+    /// anything. Every single-bit flip of every good record decodes to
+    /// nothing or to a well-formed action — ranges forward, no list sized
+    /// beyond the payload that had to fill it — and never panics.
+    #[test]
+    fn action_decode_survives_every_single_bit_flip() {
+        for la in good_records() {
+            let mut buf = Vec::new();
+            encode_action(&la, &mut buf);
+            for bit in 0..buf.len() * 8 {
+                buf[bit / 8] ^= 1 << (bit % 8);
+                if let Some(back) = decode_action(la.ev, &buf) {
+                    assert!(back.deps.capacity() <= buf.len(), "bit {bit}: deps");
+                    match &back.op {
+                        LoggedOp::Compute {
+                            func,
+                            args,
+                            operands,
+                            ..
+                        } => {
+                            assert!(operands.capacity() <= buf.len(), "bit {bit}: operands");
+                            assert!(func.len() + args.len() <= buf.len(), "bit {bit}");
+                            for op in operands {
+                                assert!(op.range.start <= op.range.end, "bit {bit}");
+                            }
+                        }
+                        LoggedOp::Xfer { range, .. } => {
+                            assert!(range.start <= range.end, "bit {bit}")
+                        }
+                        LoggedOp::Sync => {}
+                    }
+                }
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
+
+    /// Records that pass the CRC and cannot run — a stream, a domain that
+    /// does not exist, a range written backwards — cost themselves only:
+    /// `recover` returns, counts each as skipped and replays the rest.
+    #[test]
+    fn recover_counts_records_that_cannot_run_as_skipped() {
+        use hs_machine::{Device, PlatformCfg};
+        let root = std::env::temp_dir().join(format!("hs-durable-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let xfer = |ev, stream, range, to| LoggedAction {
+            ev,
+            stream: StreamId(stream),
+            op: LoggedOp::Xfer {
+                buf: BufferId(0),
+                range,
+                from: DomainId::HOST,
+                to: DomainId(to),
+            },
+            deps: Vec::new(),
+            retry: RetryPolicy::none(),
+        };
+        #[allow(clippy::reversed_empty_ranges)]
+        let records = [
+            xfer(0, 0, 0..64, 1),
+            xfer(1, 99, 0..64, 1),
+            xfer(2, 0, 64..0, 1),
+            xfer(3, 0, 0..64, 77),
+            xfer(4, 0, 0..64, 1),
+        ];
+        let mut wal = Wal::create(&root.join(run_dir_name(1)), 1, Default::default()).unwrap();
+        let mut payload = Vec::new();
+        for la in &records {
+            payload.clear();
+            encode_action(la, &mut payload);
+            wal.append(ACTION_PARTITION, la.ev, &payload).unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+
+        let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), crate::ExecMode::Sim);
+        hs.stream_create(DomainId(1), crate::CpuMask::first(1))
+            .unwrap();
+        let buf = hs.buffer_create(64, crate::BufProps::default());
+        hs.buffer_instantiate(buf, DomainId(1)).unwrap();
+        let report = hs.recover(&root).expect("bad records are not an error");
+        assert_eq!(
+            (report.records, report.replayed, report.skipped),
+            (4, 2, 3),
+            "{report:?}"
+        );
+        hs.thread_synchronize().expect("the good records run");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1041,7 +1298,7 @@ mod tests {
         };
         LoggedAction {
             ev,
-            stream: StreamId(0),
+            stream: StreamId((rng_next(&mut s) % 4) as u32),
             op,
             deps,
             retry,
@@ -1082,7 +1339,7 @@ mod tests {
             for la in &actions {
                 scratch.clear();
                 encode_action(la, &mut scratch);
-                wal.append(0, la.ev, &scratch).unwrap();
+                wal.append(ACTION_PARTITION, la.ev, &scratch).unwrap();
                 frames.push(8 + 8 + scratch.len() as u64);
             }
             wal.flush().unwrap();
@@ -1112,8 +1369,7 @@ mod tests {
             prop_assert_eq!(rec.records.len(), expect, "exactly the longest prefix");
             for (r, la) in rec.records.iter().zip(&actions) {
                 prop_assert_eq!(r.ev, la.ev);
-                let back = decode_action(r.ev, StreamId(r.partition), &r.payload)
-                    .expect("surviving record decodes");
+                let back = decode_action(r.ev, &r.payload).expect("surviving record decodes");
                 assert_actions_eq(la, &back);
             }
             let _ = std::fs::remove_dir_all(&dir);

@@ -112,7 +112,7 @@ use buffer::BufferTable;
 use bytes::Bytes;
 use deps::{Footprint, FootprintItem};
 use events::{EventTable, EventView};
-use exec::{ActionSpec, BackendEvent, Executor, SubmitOpts};
+use exec::{BackendEvent, Executor};
 use hs_coi::EngineId;
 use hs_machine::{Device, DomainRole, PlatformCfg};
 use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
@@ -246,12 +246,12 @@ pub(crate) struct Inner {
     chaos: ChaosHub,
     /// Replayable record of enqueued actions, kept while a fault plan is
     /// armed (card-loss degradation replays the affected subset) and/or
-    /// durability is on ([`durable::WalLog`] mirrors every entry to disk).
-    recovery: Mutex<Box<dyn durable::ActionLog>>,
+    /// durability is on (the log then writes every entry to disk as well).
+    recovery: Mutex<durable::RecoveryLog>,
     /// Durable logging enabled? Checked (one relaxed load) on every
-    /// enqueue; set once by [`HStreams::durability`] *after* the WAL sink
-    /// is swapped in, so an enqueue that observes `true` always finds the
-    /// [`durable::WalLog`] behind the `recovery` lock.
+    /// enqueue; set once by [`HStreams::durability`] *after* the log got
+    /// its durable stage, so an enqueue that observes `true` always finds
+    /// the stage behind the `recovery` lock.
     durable: AtomicBool,
     /// The shared WAL writer, installed at most once per runtime.
     wal: OnceLock<Arc<durable::WalShared>>,
@@ -378,9 +378,7 @@ impl HStreams {
                 recording: crate::sync::AtomicBool::new(false),
                 obs,
                 chaos,
-                recovery: Mutex::new(
-                    Box::new(durable::MemLog::default()) as Box<dyn durable::ActionLog>
-                ),
+                recovery: Mutex::new(durable::RecoveryLog::default()),
                 durable: AtomicBool::new(false),
                 wal: OnceLock::new(),
                 degraded: Mutex::new(Vec::new()),
@@ -1069,7 +1067,7 @@ impl HStreams {
                 card_of_stream.get(la.stream.0 as usize).copied().flatten()
             })
             .into_iter();
-            log.retain(&mut |_| keep.next().unwrap_or(true));
+            log.retain(|_| keep.next().unwrap_or(true));
         }
         // Durable runs: buffered appends reach the page cache on the same
         // cadence, and a fully-quiescent table is the chance to checkpoint
@@ -1201,109 +1199,6 @@ impl HStreams {
         }
     }
 
-    /// Enable durable action logging into a fresh run directory under
-    /// `root`. Must be called before any action is enqueued; from then on
-    /// every enqueue appends a checksummed record to a per-stream WAL
-    /// partition, wait entries flush to the page cache (surviving `kill
-    /// -9`), and compaction checkpoints + truncates at quiesce points.
-    /// Returns the new run id. A broken WAL (disk error) downgrades to
-    /// in-memory logging with a note on the chaos log — it never fails an
-    /// enqueue after this call succeeds.
-    ///
-    /// `root` must hold no prior run directories: an existing run is a
-    /// crashed (or merely finished) generation that [`HStreams::recover`]
-    /// treats as authoritative — and `recover` deletes every *newer* run
-    /// as an interrupted-recovery leftover, so a fresh generation minted
-    /// here over an old root would be destroyed by the next recovery.
-    /// Recover the old run first, or point at a clean root.
-    pub fn durability(&self, root: impl AsRef<std::path::Path>) -> HsResult<u64> {
-        let root = root.as_ref();
-        let runs = durable::list_runs(root)
-            .map_err(|e| HsError::ExecFailed(format!("wal: listing {}: {e}", root.display())))?;
-        if let Some((id, _)) = runs.first() {
-            return Err(HsError::InvalidArg(format!(
-                "durability: {} already holds run {:016x} — recover() it or use a fresh \
-                 root (recover treats the oldest run as authoritative and deletes newer ones)",
-                root.display(),
-                id
-            )));
-        }
-        let run_id = durable::fresh_run_id();
-        self.enable_durability(root, run_id, hs_wal::WalOptions::default())?;
-        Ok(run_id)
-    }
-
-    /// [`HStreams::durability`] with explicit media-durability knobs:
-    /// `fsync` syncs segment data to media on every runtime flush, and
-    /// `batch_ms > 0` group-commits those syncs — flushes landing within
-    /// `batch_ms` of the last fsync skip the syscall (counted on the
-    /// `wal.fsync_batched` counter) and ride the next one, trading a
-    /// bounded post-crash media-durability window for one fsync per
-    /// window instead of one per flush. `batch_ms` is ignored when
-    /// `fsync` is off. Same preconditions and return value as
-    /// [`HStreams::durability`].
-    pub fn durability_opts(
-        &self,
-        root: impl AsRef<std::path::Path>,
-        fsync: bool,
-        batch_ms: u64,
-    ) -> HsResult<u64> {
-        let root = root.as_ref();
-        let runs = durable::list_runs(root)
-            .map_err(|e| HsError::ExecFailed(format!("wal: listing {}: {e}", root.display())))?;
-        if let Some((id, _)) = runs.first() {
-            return Err(HsError::InvalidArg(format!(
-                "durability: {} already holds run {:016x} — recover() it or use a fresh \
-                 root (recover treats the oldest run as authoritative and deletes newer ones)",
-                root.display(),
-                id
-            )));
-        }
-        let run_id = durable::fresh_run_id();
-        let opts = hs_wal::WalOptions {
-            fsync,
-            fsync_batch_ms: batch_ms,
-            ..hs_wal::WalOptions::default()
-        };
-        self.enable_durability(root, run_id, opts)?;
-        Ok(run_id)
-    }
-
-    fn enable_durability(
-        &self,
-        root: &std::path::Path,
-        run_id: u64,
-        opts: hs_wal::WalOptions,
-    ) -> HsResult<()> {
-        if self.inner.events.len() != 0 {
-            return Err(HsError::InvalidArg(
-                "durability must be enabled before any action is enqueued".into(),
-            ));
-        }
-        let dir = root.join(durable::run_dir_name(run_id));
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| HsError::ExecFailed(format!("wal: creating {}: {e}", dir.display())))?;
-        let wal = hs_wal::Wal::create(&dir, run_id, opts)
-            .map_err(|e| HsError::ExecFailed(format!("wal: opening {}: {e}", dir.display())))?;
-        let shared = Arc::new(durable::WalShared::new(
-            wal,
-            self.inner.chaos.clone(),
-            self.inner.obs.clone(),
-        ));
-        self.inner
-            .wal
-            .set(shared.clone())
-            .map_err(|_| HsError::InvalidArg("durability already enabled".into()))?;
-        // Swap the sink in *before* releasing the flag: an enqueue that
-        // observes `durable == true` then takes the Recovery lock and must
-        // find the WalLog there.
-        with_class(LockClass::Recovery, || {
-            *self.inner.recovery.lock() = Box::new(durable::WalLog::new(shared));
-        });
-        self.inner.durable.store(true, Ordering::Release);
-        Ok(())
-    }
-
     /// Force a WAL flush and, if the runtime is quiescent, a checkpoint +
     /// segment retirement — the same work `compact_now` performs on its
     /// amortized cadence, without the appended-bytes throttle. No-op when
@@ -1318,224 +1213,6 @@ impl HStreams {
     /// WAL statistics (None when durability is off).
     pub fn wal_stats(&self) -> Option<hs_wal::WalStats> {
         self.wal().map(|w| w.stats())
-    }
-
-    /// Recover a crashed durable run from `root`: scan the oldest run
-    /// directory's segments (tolerating torn tails), overlay its checkpoint
-    /// blob, and re-enqueue every un-retired action through the normal
-    /// paths — re-logged into a fresh run directory, so recovery itself is
-    /// crash-safe (an interrupted recovery leaves the source run intact and
-    /// a partial newer generation that the next recovery deletes).
-    ///
-    /// Call on a freshly initialized runtime after recreating the same
-    /// kernels, streams and buffers the crashed run had (ids are assigned
-    /// in creation order, so "the same init code" suffices). `buffer_write`
-    /// is *not* logged — the restarted process re-applies its initial
-    /// buffer contents as part of that init, except for state a checkpoint
-    /// overlay restores. Afterwards the runtime is live and durable;
-    /// `stream_synchronize`/`event_wait` the replayed work as usual.
-    pub fn recover(&self, root: impl AsRef<std::path::Path>) -> HsResult<durable::RecoveryReport> {
-        let root = root.as_ref();
-        if self.inner.events.len() != 0 {
-            return Err(HsError::InvalidArg(
-                "recover requires a fresh runtime (no actions enqueued)".into(),
-            ));
-        }
-        let runs = durable::list_runs(root).map_err(|e| {
-            HsError::ExecFailed(format!("recover: listing {}: {e}", root.display()))
-        })?;
-        let Some((src_id, src_dir)) = runs.first().cloned() else {
-            return Err(HsError::InvalidArg(format!(
-                "recover: no run directories under {}",
-                root.display()
-            )));
-        };
-        // Newer runs are partial re-logs from an interrupted recovery —
-        // nothing else can mint a run over a non-empty root, because
-        // `durability()` refuses one. The oldest run is authoritative.
-        for (_, dir) in &runs[1..] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let scanned = hs_wal::recover_dir(&src_dir).map_err(|e| {
-            HsError::ExecFailed(format!("recover: scanning {}: {e}", src_dir.display()))
-        })?;
-        let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
-            .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
-            .and_then(|b| durable::decode_checkpoint(&b));
-        let mut report = durable::RecoveryReport {
-            run_id: src_id,
-            torn: scanned.torn,
-            checkpoint_watermark: ckpt.as_ref().map(|(wm, _)| *wm),
-            ..Default::default()
-        };
-        let wm = ckpt.as_ref().map_or(0, |(wm, _)| *wm);
-        // Split the scan into meta records (prior failure history) and
-        // replayable actions above the checkpoint watermark.
-        let mut actions: Vec<LoggedAction> = Vec::new();
-        for r in scanned.records {
-            if r.partition == hs_wal::META_PARTITION {
-                if let Some(cause) = FailureCause::decode(&r.payload) {
-                    report.prior_failures.push(cause);
-                }
-                continue;
-            }
-            if r.ev < wm {
-                report.checkpointed += 1;
-                continue;
-            }
-            match durable::decode_action(r.ev, StreamId(r.partition), &r.payload) {
-                Some(la) => actions.push(la),
-                None => {
-                    report.skipped += 1;
-                    self.inner.chaos.note(format!(
-                        "recover: undecodable record ev {} on stream {}",
-                        r.ev, r.partition
-                    ));
-                }
-            }
-        }
-        report.records = actions.len() as u32;
-        // Re-log into a fresh generation, strictly newer than the source.
-        let new_id = durable::fresh_run_id().max(src_id + 1);
-        self.enable_durability(root, new_id, hs_wal::WalOptions::default())?;
-        let mut ckpt_persisted = true;
-        if let Some((_, bufs)) = &ckpt {
-            self.wal_overlay_checkpoint(bufs);
-            // Persist the overlaid state into the new generation *now*:
-            // the source checkpoint is the only copy of the pre-watermark
-            // buffer state (its log records were retired), so until the
-            // new run carries it on disk, that state exists solely in
-            // memory — a second crash before the new generation's first
-            // throttled checkpoint would replay the tail against
-            // init-state buffers. Watermark 0: every re-logged record of
-            // the new generation is above it.
-            ckpt_persisted = self.wal().is_some_and(|w| w.checkpoint(0, bufs));
-        }
-        self.replay_recovered(actions, &mut report);
-        self.wal_flush();
-        if ckpt_persisted {
-            // The new generation now carries everything; drop the source.
-            let _ = std::fs::remove_dir_all(&src_dir);
-        } else {
-            // Could not write the checkpoint into the new run (durability
-            // already noted as lost): keep the source run — it is still
-            // the only durable copy of the pre-watermark state, and a
-            // later recover() will pick it (the oldest) again.
-            self.inner.chaos.note(format!(
-                "recover: checkpoint not persisted into run {new_id:016x}; \
-                 keeping source run {src_id:016x}"
-            ));
-        }
-        Ok(report)
-    }
-
-    /// Re-enqueue recovered actions. Per-partition WAL order is per-stream
-    /// enqueue order, so each stream replays as a FIFO queue; streams
-    /// round-robin so cross-stream `Sync` dependences can resolve. Compute
-    /// and transfer actions re-derive their intra-stream dependences from
-    /// operands at enqueue; only `Sync` actions carry explicit (old-id)
-    /// dependences, which are mapped to the replayed events — a dependence
-    /// absent from the recovered set was complete before the crash and is
-    /// dropped.
-    fn replay_recovered(&self, actions: Vec<LoggedAction>, report: &mut durable::RecoveryReport) {
-        use std::collections::{HashMap, HashSet, VecDeque};
-        let retained: HashSet<u64> = actions.iter().map(|la| la.ev).collect();
-        let mut queues: std::collections::BTreeMap<u32, VecDeque<LoggedAction>> =
-            std::collections::BTreeMap::new();
-        for la in actions {
-            queues.entry(la.stream.0).or_default().push_back(la);
-        }
-        let mut mapped: HashMap<u64, Event> = HashMap::new();
-        let mut resolved: HashSet<u64> = HashSet::new();
-        let mut force = false;
-        loop {
-            if queues.values().all(|q| q.is_empty()) {
-                break;
-            }
-            let mut progress = false;
-            for q in queues.values_mut() {
-                while let Some(front) = q.front() {
-                    let ready = force
-                        || match &front.op {
-                            LoggedOp::Sync => front
-                                .deps
-                                .iter()
-                                .all(|d| !retained.contains(d) || resolved.contains(d)),
-                            _ => true,
-                        };
-                    if !ready {
-                        break;
-                    }
-                    let la = q.pop_front().expect("front just observed");
-                    let opts = ActionOpts {
-                        deadline: None,
-                        retry: Some(la.retry),
-                    };
-                    let res = match la.op {
-                        LoggedOp::Compute {
-                            func,
-                            args,
-                            operands,
-                            cost,
-                        } => self
-                            .enqueue_compute_opts(la.stream, &func, args, &operands, cost, opts)
-                            .map(Some),
-                        LoggedOp::Xfer {
-                            buf,
-                            range,
-                            from,
-                            to,
-                        } => self
-                            .enqueue_xfer_opts(la.stream, buf, range, from, to, opts)
-                            .map(Some),
-                        LoggedOp::Sync => {
-                            let deps: Vec<Event> = la
-                                .deps
-                                .iter()
-                                .filter_map(|d| mapped.get(d).copied())
-                                .collect();
-                            if deps.is_empty() {
-                                // Every awaited event predates the recovered
-                                // set: the wait is satisfied by construction.
-                                Ok(None)
-                            } else {
-                                self.enqueue_event_wait(la.stream, &deps).map(Some)
-                            }
-                        }
-                    };
-                    resolved.insert(la.ev);
-                    match res {
-                        Ok(ev) => {
-                            if let Some(ev) = ev {
-                                mapped.insert(la.ev, ev);
-                            }
-                            report.replayed += 1;
-                        }
-                        Err(e) => {
-                            report.skipped += 1;
-                            self.inner
-                                .chaos
-                                .note(format!("recover: replay of ev {} failed: {e}", la.ev));
-                        }
-                    }
-                    progress = true;
-                }
-            }
-            // A full round without progress means a dependence cycle through
-            // records the log cannot express (or deps on skipped records):
-            // force the fronts through with whatever dependences resolved.
-            if !progress {
-                if force {
-                    break;
-                }
-                force = true;
-                self.inner
-                    .chaos
-                    .note("recover: forcing stuck replay fronts".to_string());
-            } else {
-                force = false;
-            }
-        }
     }
 
     // ---------------------------------------------------------------- waits
@@ -1804,89 +1481,6 @@ impl HStreams {
         Ok(())
     }
 
-    /// Select and re-submit the actions invalidated by losing `dom`: every
-    /// failed action, plus the successful computes of the lost card whose
-    /// results a replayed action needs and no card→host transfer had
-    /// brought home ([`replay::select`]; `on_card[i]` says stream `i` sat on
-    /// `dom`). Replays run in original enqueue order and overwrite the
-    /// event-table slot in place, so application-held [`Event`] handles
-    /// transparently track the replayed attempt.
-    fn replay_after_loss(&self, dom: DomainId, on_card: &[bool]) -> HsResult<u32> {
-        let inner = &*self.inner;
-        // Snapshot under a short lock; the rest of the replay touches
-        // streams/buffers and must respect the lock order.
-        let log: Vec<LoggedAction> =
-            with_class(LockClass::Recovery, || inner.recovery.lock().snapshot());
-        let n = log.len();
-        let failed: Vec<bool> = log
-            .iter()
-            .map(|la| match inner.events.view_id(la.ev) {
-                EventView::Live(be, _) => inner.exec.failure_of(&be).is_some(),
-                _ => false, // retired = success; missing = never published
-            })
-            .collect();
-        let in_set = replay::select(&log, &failed, dom, |la| {
-            on_card.get(la.stream.0 as usize).copied().unwrap_or(false)
-        });
-        let mut hazards = replay::Hazards::default();
-        let mut replayed = 0u32;
-        for i in (0..n).filter(|&i| in_set[i]) {
-            let la = &log[i];
-            let s = la.stream;
-            let (spec, footprint) = match &la.op {
-                LoggedOp::Compute {
-                    func,
-                    args,
-                    operands,
-                    cost,
-                } => self.build_compute_spec(s, func.clone(), args.clone(), operands, *cost)?,
-                // Endpoints on the lost card resolve to the host by now.
-                LoggedOp::Xfer {
-                    buf,
-                    range,
-                    from,
-                    to,
-                } => self.build_xfer_spec(*buf, range.clone(), *from, *to)?,
-                LoggedOp::Sync => (ActionSpec::Noop, Vec::new()),
-            };
-            // The logged dependences plus the conflicts with what was
-            // replayed before this action. Enqueue order means replayed
-            // dependences already point at their replayed events; untouched
-            // dependences are complete (quiesced) successes — including
-            // tombstoned ones, which need no backend handle at all.
-            let mut dep_ids = la.deps.clone();
-            hazards.order(la.ev, &footprint, &mut dep_ids);
-            dep_ids.sort_unstable();
-            dep_ids.dedup();
-            let deps: Vec<exec::BatchDep> = dep_ids
-                .iter()
-                .filter_map(|d| match inner.events.view_id(*d) {
-                    EventView::Live(be, _) => Some(exec::BatchDep::External(be)),
-                    _ => None,
-                })
-                .collect();
-            // One action per hand-off: its event must be in the table
-            // before the next replay resolves its dependences there.
-            let item = exec::BatchSubmitItem {
-                obs: self.mint_obs(s, &spec, &footprint, None),
-                spec,
-                deps: 0..deps.len(),
-            };
-            let opts = SubmitOpts {
-                deadline_ns: None,
-                retry: la.retry,
-            };
-            let mut done = Vec::with_capacity(1);
-            inner
-                .exec
-                .submit_batch(std::iter::once(item), &deps, opts, None, &mut done);
-            let backend = done.pop().expect("one action in, one event out");
-            inner.events.overwrite(la.ev, backend);
-            replayed += 1;
-        }
-        Ok(replayed)
-    }
-
     /// Wait until every action enqueued in `s` has completed.
     ///
     /// Walks the pending window incrementally (one event at a time under a
@@ -2021,7 +1615,9 @@ impl HStreams {
             .insert("deps.redundant".into(), self.inner.redundant.get() as f64);
         snap.extra.insert(
             "frontend.recovery.entries".into(),
-            with_class(LockClass::Recovery, || self.inner.recovery.lock().len()) as f64,
+            with_class(LockClass::Recovery, || {
+                self.inner.recovery.lock().entries().len()
+            }) as f64,
         );
         if let Some(ws) = self.wal_stats() {
             snap.extra

@@ -1,10 +1,24 @@
-//! Card-loss replay: which logged actions re-run on the host once a card's
-//! memory is gone, and in what order.
+//! Replay of logged actions: which of them re-run, and in what order —
+//! after a card's memory is gone (degradation) and after the host process
+//! itself died (WAL recovery).
 //!
-//! Both answers come from the *operands* in the recovery log, not from its
-//! enqueue-time dependence lists: those omit every producer that had
-//! already retired when its consumer was enqueued (and every edge a covering
-//! writer made transitive), so what they contain depends on timing.
+//! **One ordering rule.** The recovery log is appended under the `Recovery`
+//! lock while the enqueuing thread still holds its stream's lock, so *log
+//! order is a valid sequential order of the program* for any number of
+//! source threads: whatever one thread observed complete before it
+//! enqueued — through an event, a `stream_synchronize`, a join — is
+//! earlier in the log. [`in_log_order`] walks a log in that order and gives
+//! each replayed entry its dependences: the ones logged at enqueue plus
+//! every earlier replayed entry its footprint conflicts with ([`Hazards`]).
+//! Both replays are that walk with a different sink — degradation submits
+//! to the executor and overwrites the event slot, recovery calls the
+//! public enqueues — and neither keeps an ordering rule of its own.
+//!
+//! **Which entries re-run after a card loss** comes from the *operands* in
+//! the log, not from its enqueue-time dependence lists: those omit every
+//! producer that had already retired when its consumer was enqueued (and
+//! every edge a covering writer made transitive), so what they contain
+//! depends on timing.
 //!
 //! After degradation the lost card's copy of a buffer is the host's copy:
 //! its streams run on the host and its transfers are elided. The replay has
@@ -27,8 +41,12 @@
 //! landed cannot be cut and is replayed whole.
 
 use crate::deps::Footprint;
-use crate::types::{BufferId, DomainId};
-use crate::{LoggedAction, LoggedOp};
+use crate::durable::RecoveryReport;
+use crate::events::EventView;
+use crate::exec::{self, ActionSpec, SubmitOpts};
+use crate::lockorder::LockClass;
+use crate::types::{BufferId, DomainId, Event, HsResult};
+use crate::{with_class, ActionOpts, HStreams, LoggedAction, LoggedOp};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -220,13 +238,14 @@ pub(crate) fn live(
     keep
 }
 
-/// Orders the replayed actions among themselves. Re-derived from their
-/// post-degradation footprints because the logged dependences are not
-/// enough: an edge onto a producer that had completed at enqueue time was
-/// never recorded, and with the card's copies folded into the host's two
-/// actions can conflict that never shared a location before.
+/// The conflicts among replayed actions. Re-derived from their footprints
+/// because the logged dependences are not enough: an edge onto a producer
+/// that had completed at enqueue time was never recorded, nothing records
+/// that the source thread itself waited between two enqueues, and with a
+/// lost card's copies folded into the host's two actions can conflict that
+/// never shared a location before.
 #[derive(Default)]
-pub(crate) struct Hazards {
+struct Hazards {
     by_loc: HashMap<(BufferId, DomainId), Vec<Access>>,
 }
 
@@ -240,7 +259,7 @@ impl Hazards {
     /// Append to `deps` the earlier replayed events `footprint` conflicts
     /// with (read-after-write, write-after-read, write-after-write), then
     /// record it as event `ev`.
-    pub(crate) fn order(&mut self, ev: u64, footprint: &Footprint, deps: &mut Vec<u64>) {
+    fn order(&mut self, ev: u64, footprint: &Footprint, deps: &mut Vec<u64>) {
         for f in footprint {
             let accesses = self.by_loc.entry((f.buffer, f.domain)).or_default();
             deps.extend(
@@ -259,6 +278,193 @@ impl Hazards {
                 write: f.write,
                 ev,
             });
+        }
+    }
+}
+
+/// One entry of a replay: what `resolve` made of it — the action to submit
+/// and the footprint it has *now* — and the old ids of the events it waits
+/// for, sorted.
+pub(crate) struct Replayed<T> {
+    pub action: T,
+    pub footprint: Footprint,
+    pub deps: Vec<u64>,
+}
+
+/// Walk `log` in log order and yield each selected entry with its replay
+/// dependences: the logged ones plus every earlier yielded entry it
+/// conflicts with. A dependence that is not itself replayed is complete —
+/// it points backwards in an order the program was already held to. An
+/// entry `resolve` refuses is yielded as that error and orders nothing.
+pub(crate) fn in_log_order<'a, T, E>(
+    log: &'a [LoggedAction],
+    selected: impl Fn(usize) -> bool + 'a,
+    mut resolve: impl FnMut(&LoggedAction) -> Result<(T, Footprint), E> + 'a,
+) -> impl Iterator<Item = (&'a LoggedAction, Result<Replayed<T>, E>)> + 'a {
+    let mut hazards = Hazards::default();
+    let entries = log.iter().enumerate().filter(move |(i, _)| selected(*i));
+    entries.map(move |(_, la)| {
+        let step = resolve(la).map(|(action, footprint)| {
+            let mut deps = la.deps.clone();
+            hazards.order(la.ev, &footprint, &mut deps);
+            deps.sort_unstable();
+            deps.dedup();
+            Replayed {
+                action,
+                footprint,
+                deps,
+            }
+        });
+        (la, step)
+    })
+}
+
+impl HStreams {
+    /// A logged action against the runtime as it stands now: streams a
+    /// degradation remapped resolve on the host, endpoints on a lost card
+    /// are the host.
+    fn resolve_logged(&self, la: &LoggedAction) -> HsResult<(ActionSpec, Footprint)> {
+        match &la.op {
+            LoggedOp::Compute {
+                func,
+                args,
+                operands,
+                cost,
+            } => self.build_compute_spec(la.stream, func.clone(), args.clone(), operands, *cost),
+            LoggedOp::Xfer {
+                buf,
+                range,
+                from,
+                to,
+            } => self.build_xfer_spec(*buf, range.clone(), *from, *to),
+            LoggedOp::Sync => Ok((ActionSpec::Noop, Vec::new())),
+        }
+    }
+
+    /// Select and re-submit the actions invalidated by losing `dom`: every
+    /// failed action, plus the successful computes of the lost card whose
+    /// results a replayed action needs and no card→host transfer had
+    /// brought home ([`select`]; `on_card[i]` says stream `i` sat on
+    /// `dom`). Replays run in log order and overwrite the event-table slot
+    /// in place, so application-held [`Event`] handles transparently track
+    /// the replayed attempt.
+    pub(crate) fn replay_after_loss(&self, dom: DomainId, on_card: &[bool]) -> HsResult<u32> {
+        let inner = &*self.inner;
+        // Snapshot under a short lock; the rest of the replay touches
+        // streams/buffers and must respect the lock order.
+        let log: Vec<LoggedAction> = with_class(LockClass::Recovery, || {
+            inner.recovery.lock().entries().to_vec()
+        });
+        let failed: Vec<bool> = log
+            .iter()
+            .map(|la| match inner.events.view_id(la.ev) {
+                EventView::Live(be, _) => inner.exec.failure_of(&be).is_some(),
+                _ => false, // retired = success; missing = never published
+            })
+            .collect();
+        let in_set = select(&log, &failed, dom, |la| {
+            on_card.get(la.stream.0 as usize).copied().unwrap_or(false)
+        });
+        let mut replayed = 0u32;
+        for (la, step) in in_log_order(&log, |i| in_set[i], |la| self.resolve_logged(la)) {
+            let step = step?;
+            // Replayed dependences already point at their replayed events;
+            // untouched ones are complete (quiesced) successes — including
+            // tombstoned ones, which need no backend handle at all.
+            let deps: Vec<exec::BatchDep> = step
+                .deps
+                .iter()
+                .filter_map(|d| match inner.events.view_id(*d) {
+                    EventView::Live(be, _) => Some(exec::BatchDep::External(be)),
+                    _ => None,
+                })
+                .collect();
+            // One action per hand-off: its event must be in the table
+            // before the next replay resolves its dependences there.
+            let item = exec::BatchSubmitItem {
+                obs: self.mint_obs(la.stream, &step.action, &step.footprint, None),
+                spec: step.action,
+                deps: 0..deps.len(),
+            };
+            let opts = SubmitOpts {
+                deadline_ns: None,
+                retry: la.retry,
+            };
+            let mut done = Vec::with_capacity(1);
+            inner
+                .exec
+                .submit_batch(std::iter::once(item), &deps, opts, None, &mut done);
+            let backend = done.pop().expect("one action in, one event out");
+            inner.events.overwrite(la.ev, backend);
+            replayed += 1;
+        }
+        Ok(replayed)
+    }
+
+    /// Re-enqueue recovered actions — `actions` is the crashed run's log,
+    /// or a prefix of it — through the public enqueues, in log order. An
+    /// enqueue re-derives the dependences inside its own stream from the
+    /// operands; the ones that cross streams are issued first, as one
+    /// [`HStreams::enqueue_cross_wait`] on the replayed events (an event
+    /// of the stream itself, or one already complete, is dropped there). A
+    /// `Sync` entry waits on its logged dependences alone. A dependence
+    /// absent from the recovered set was complete before the crash. An
+    /// entry is resolved here for its footprint — which also refuses one
+    /// that cannot run before any wait is enqueued on its behalf — and once
+    /// more by the enqueue that takes it; recovery is not a hot path.
+    pub(crate) fn replay_recovered(&self, actions: &[LoggedAction], report: &mut RecoveryReport) {
+        let mut mapped: HashMap<u64, Event> = HashMap::new();
+        for (la, step) in in_log_order(actions, |_| true, |la| self.resolve_logged(la)) {
+            let s = la.stream;
+            let opts = ActionOpts {
+                deadline: None,
+                retry: Some(la.retry),
+            };
+            let replay = step.and_then(|step| {
+                let deps: Vec<Event> = step
+                    .deps
+                    .iter()
+                    .filter_map(|d| mapped.get(d).copied())
+                    .collect();
+                match &la.op {
+                    // Every awaited event predates the recovered set: the
+                    // wait is satisfied by construction.
+                    LoggedOp::Sync if deps.is_empty() => Ok(None),
+                    LoggedOp::Sync => self.enqueue_event_wait(s, &deps).map(Some),
+                    LoggedOp::Compute {
+                        func,
+                        args,
+                        operands,
+                        cost,
+                    } => {
+                        self.enqueue_cross_wait(s, &deps)?;
+                        self.enqueue_compute_opts(s, func, args.clone(), operands, *cost, opts)
+                            .map(Some)
+                    }
+                    LoggedOp::Xfer {
+                        buf,
+                        range,
+                        from,
+                        to,
+                    } => {
+                        self.enqueue_cross_wait(s, &deps)?;
+                        self.enqueue_xfer_opts(s, *buf, range.clone(), *from, *to, opts)
+                            .map(Some)
+                    }
+                }
+            });
+            match replay {
+                Ok(ev) => {
+                    mapped.extend(ev.map(|ev| (la.ev, ev)));
+                    report.replayed += 1;
+                }
+                Err(e) => {
+                    report.skipped += 1;
+                    self.inner
+                        .chaos
+                        .note(format!("recover: replay of ev {} failed: {e}", la.ev));
+                }
+            }
         }
     }
 }
@@ -522,6 +728,68 @@ mod tests {
             let full_on_survivors: Vec<bool> = survivors.iter().map(|&i| full[i]).collect();
             assert_eq!(pruned, full_on_survivors, "{what}: survivors {survivors:?}");
         }
+    }
+
+    /// What `resolve_logged` does, without a runtime: a compute touches
+    /// its operands on the card, a transfer reads one copy and writes the
+    /// other.
+    fn footprint(la: &LoggedAction) -> Result<((), Footprint), ()> {
+        Ok((
+            (),
+            match &la.op {
+                LoggedOp::Compute { operands, .. } => operands
+                    .iter()
+                    .map(|o| {
+                        FootprintItem::new(CARD, o.buffer, o.range.clone(), o.access.is_write())
+                    })
+                    .collect(),
+                LoggedOp::Xfer {
+                    buf,
+                    range,
+                    from,
+                    to,
+                } => vec![
+                    FootprintItem::new(*from, *buf, range.clone(), false),
+                    FootprintItem::new(*to, *buf, range.clone(), true),
+                ],
+                LoggedOp::Sync => Vec::new(),
+            },
+        ))
+    }
+
+    #[test]
+    fn the_walk_orders_by_log_position_and_adds_the_edges_nobody_logged() {
+        // A round on one stream, then — the source waited in between, which
+        // no record says — an h2d on another, enqueued by a thread whose
+        // event ids are *lower*. Its one logged dependence predates the log.
+        let mut late = xfer(3, DomainId::HOST, CARD);
+        late.stream = StreamId(2);
+        late.deps = vec![1];
+        let log = vec![
+            xfer(32, DomainId::HOST, CARD),
+            bump(33, CARD_STREAM, Acc::InOut),
+            xfer(34, CARD, DomainId::HOST),
+            late,
+        ];
+        let deps_of = |selected: &[usize]| -> Vec<(u64, Vec<u64>)> {
+            in_log_order(&log, |i| selected.contains(&i), footprint)
+                .map(|(la, step)| (la.ev, step.expect("resolves").deps))
+                .collect()
+        };
+        assert_eq!(
+            deps_of(&[0, 1, 2, 3]),
+            vec![
+                (32, vec![]),
+                (33, vec![32]),
+                // Reads what 33 wrote, overwrites the host copy 32 read.
+                (34, vec![32, 33]),
+                // Reads what 34 wrote on the host, overwrites what 33 wrote
+                // and 34 read on the card; 32 is behind covering writes.
+                (3, vec![1, 33, 34]),
+            ]
+        );
+        // Only replayed entries order anything: the others are complete.
+        assert_eq!(deps_of(&[1, 3]), vec![(33, vec![]), (3, vec![1, 33])]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, FaultKind, FaultPlan, FaultSite,
-    HStreams, Operand, StreamId, TaskCtx,
+    Access, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode, FaultKind, FaultPlan,
+    FaultSite, HStreams, Operand, StreamId, TaskCtx,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,8 +26,9 @@ fn tmp_root(tag: &str) -> PathBuf {
     root
 }
 
-/// A runtime with the test kernel registered: `bump` adds 1.0 to every
-/// element of its operand.
+/// A runtime with the test kernels registered: `bump` adds 1.0 to every
+/// element of its operand, `double` doubles it — the two do not commute, so
+/// the order they ran in shows in the data.
 fn runtime(mode: ExecMode) -> HStreams {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
     hs.register(
@@ -38,12 +39,20 @@ fn runtime(mode: ExecMode) -> HStreams {
             }
         }),
     );
+    hs.register(
+        "double",
+        Arc::new(|ctx: &mut TaskCtx| {
+            for x in ctx.buf_f64_mut(0) {
+                *x *= 2.0;
+            }
+        }),
+    );
     hs
 }
 
 /// The deterministic init both the original and the restarted process run:
 /// two streams on the card, one buffer instantiated there, input written.
-fn init_workload(hs: &HStreams) -> (StreamId, StreamId, hstreams_core::BufferId) {
+fn init_workload(hs: &HStreams) -> (StreamId, StreamId, BufferId) {
     let card = DomainId(1);
     let s0 = hs.stream_create(card, CpuMask::first(1)).expect("s0");
     let s1 = hs.stream_create(card, CpuMask::first(1)).expect("s1");
@@ -54,43 +63,40 @@ fn init_workload(hs: &HStreams) -> (StreamId, StreamId, hstreams_core::BufferId)
     (s0, s1, buf)
 }
 
+/// One round on stream `s`: h2d → `func` → d2h; returns the d2h's event.
+fn round(hs: &HStreams, s: StreamId, buf: BufferId, func: &str) -> Event {
+    let card = DomainId(1);
+    hs.enqueue_xfer(s, buf, 0..N * 8, DomainId::HOST, card)
+        .expect("h2d");
+    hs.enqueue_compute(
+        s,
+        func,
+        Bytes::new(),
+        &[Operand::f64s(buf, 0, N, Access::InOut)],
+        CostHint::trivial(),
+    )
+    .expect("compute");
+    hs.enqueue_xfer(s, buf, 0..N * 8, card, DomainId::HOST)
+        .expect("d2h")
+}
+
 /// `rounds` of h2d → bump → d2h, alternating streams, with a cross-stream
 /// event wait each round so recovery exercises `Sync` dependence mapping.
-fn enqueue_rounds(
-    hs: &HStreams,
-    s0: StreamId,
-    s1: StreamId,
-    buf: hstreams_core::BufferId,
-    rounds: usize,
-) {
-    let card = DomainId(1);
+fn enqueue_rounds(hs: &HStreams, s0: StreamId, s1: StreamId, buf: BufferId, rounds: usize) {
     let mut last = None;
     for i in 0..rounds {
         let s = if i % 2 == 0 { s0 } else { s1 };
         if let Some(prev) = last {
             hs.enqueue_event_wait(s, &[prev]).expect("cross wait");
         }
-        hs.enqueue_xfer(s, buf, 0..N * 8, DomainId::HOST, card)
-            .expect("h2d");
-        hs.enqueue_compute(
-            s,
-            "bump",
-            Bytes::new(),
-            &[Operand::f64s(buf, 0, N, Access::InOut)],
-            CostHint::trivial(),
-        )
-        .expect("compute");
-        last = Some(
-            hs.enqueue_xfer(s, buf, 0..N * 8, card, DomainId::HOST)
-                .expect("d2h"),
-        );
+        last = Some(round(hs, s, buf, "bump"));
     }
 }
 
 /// Init *without* rewriting the input: buffer state must come entirely
 /// from the checkpoint overlay (plus replay) — used by the checkpoint
 /// recovery tests.
-fn init_no_input(hs: &HStreams) -> hstreams_core::BufferId {
+fn init_no_input(hs: &HStreams) -> BufferId {
     let card = DomainId(1);
     hs.stream_create(card, CpuMask::first(1)).expect("s0");
     hs.stream_create(card, CpuMask::first(1)).expect("s1");
@@ -99,7 +105,7 @@ fn init_no_input(hs: &HStreams) -> hstreams_core::BufferId {
     buf
 }
 
-fn read_result(hs: &HStreams, buf: hstreams_core::BufferId) -> Vec<f64> {
+fn read_result(hs: &HStreams, buf: BufferId) -> Vec<f64> {
     let mut out = vec![0.0; N];
     hs.buffer_read_f64(buf, 0, &mut out).expect("read");
     out
@@ -210,28 +216,254 @@ fn checkpoint_truncates_and_recovery_overlays() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// An injected torn write (crash mid-`write(2)`) costs exactly the torn
-/// tail: recovery reports it, replays the surviving prefix, and does not
-/// error.
+// ------------------------------------------------ torn tail: a consistent cut
+
+fn rng_next(s: &mut u64) -> u64 {
+    *s ^= *s << 13;
+    *s ^= *s >> 7;
+    *s ^= *s << 17;
+    *s
+}
+
+/// Buffers of a generated program; each has a host and a card copy.
+const BUFS: usize = 3;
+/// Streams of a generated program: two on the card, the last on the host.
+const STREAMS: usize = 3;
+
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    H2d,
+    D2h,
+    Bump,
+    Double,
+}
+
+/// One action of a generated program: `op` on half `half` (0 = the whole
+/// buffer, 1 = low half, 2 = high half) of buffer `buf`, in stream `stream`.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    stream: usize,
+    buf: usize,
+    half: usize,
+    op: Op,
+    /// Order this step after conflicting work of other streams by waiting
+    /// on the host (which the log does not see) instead of enqueuing an
+    /// event wait (which it does).
+    host_sync: bool,
+}
+
+impl Step {
+    fn elems(&self) -> std::ops::Range<usize> {
+        [0..N, 0..N / 2, N / 2..N][self.half].clone()
+    }
+
+    /// Does the step run against the card's copy?
+    fn on_card(&self) -> bool {
+        self.stream < STREAMS - 1
+    }
+}
+
+/// What the log holds for one enqueue of a generated program.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Wait,
+    Act(Step),
+}
+
+fn program(seed: u64, len: usize) -> Vec<Step> {
+    let mut s = seed | 1;
+    (0..len)
+        .map(|_| {
+            let stream = (rng_next(&mut s) % STREAMS as u64) as usize;
+            // The host stream computes; card streams also move data.
+            let ops: &[Op] = if stream == STREAMS - 1 {
+                &[Op::Bump, Op::Double]
+            } else {
+                &[Op::H2d, Op::Bump, Op::Double, Op::D2h]
+            };
+            Step {
+                stream,
+                buf: (rng_next(&mut s) % BUFS as u64) as usize,
+                half: (rng_next(&mut s) % 3) as usize,
+                op: ops[(rng_next(&mut s) % ops.len() as u64) as usize],
+                host_sync: rng_next(&mut s) & 1 == 0,
+            }
+        })
+        .collect()
+}
+
+/// The init both lives of a generated program run: its streams, and its
+/// buffers on the card with buffer `b` holding `b·100 + i`.
+fn init_program(hs: &HStreams) -> (Vec<StreamId>, Vec<BufferId>) {
+    let card = DomainId(1);
+    let streams = (0..STREAMS)
+        .map(|i| {
+            let dom = if i < STREAMS - 1 {
+                card
+            } else {
+                DomainId::HOST
+            };
+            hs.stream_create(dom, CpuMask::first(1)).expect("stream")
+        })
+        .collect();
+    let bufs = (0..BUFS)
+        .map(|b| {
+            let buf = hs.buffer_create(N * 8, BufProps::labeled("data"));
+            hs.buffer_instantiate(buf, card).expect("instantiate");
+            hs.buffer_write_f64(buf, 0, &initial(b)).expect("write");
+            buf
+        })
+        .collect();
+    (streams, bufs)
+}
+
+fn initial(b: usize) -> Vec<f64> {
+    (0..N).map(|i| (b * 100 + i) as f64).collect()
+}
+
+/// Enqueue `steps` as a correctly synchronized program and return what it
+/// logged, in order. Every (buffer, copy, half) keeps the last action that
+/// touched it; a step is ordered after those of its own locations — by the
+/// runtime inside its stream, across streams by an event wait or by the
+/// host waiting for the other stream, as the step says.
+fn drive(hs: &HStreams, streams: &[StreamId], bufs: &[BufferId], steps: &[Step]) -> Vec<Entry> {
+    let card = DomainId(1);
+    // Per buffer, per copy (host, card), per half: the event, and its stream.
+    type Toucher = Option<(Event, usize)>;
+    let mut last: [[[Toucher; 2]; 2]; BUFS] = Default::default();
+    let mut entries = Vec::new();
+    for st in steps {
+        let s = streams[st.stream];
+        let halves: &[usize] = [&[0, 1][..], &[0], &[1]][st.half];
+        let copies: &[usize] = match st.op {
+            Op::H2d | Op::D2h => &[0, 1],
+            _ if st.on_card() => &[1],
+            _ => &[0],
+        };
+        let mut waits = Vec::new();
+        for &c in copies {
+            for &h in halves {
+                if let Some((ev, other)) = last[st.buf][c][h].filter(|(_, o)| *o != st.stream) {
+                    if st.host_sync {
+                        hs.stream_synchronize(streams[other]).expect("host wait");
+                    } else {
+                        waits.push(ev);
+                    }
+                }
+            }
+        }
+        if !waits.is_empty() {
+            hs.enqueue_event_wait(s, &waits).expect("event wait");
+            entries.push(Entry::Wait);
+        }
+        let (buf, elems) = (bufs[st.buf], st.elems());
+        let bytes = elems.start * 8..elems.end * 8;
+        let ev = match st.op {
+            Op::H2d => hs.enqueue_xfer(s, buf, bytes, DomainId::HOST, card),
+            Op::D2h => hs.enqueue_xfer(s, buf, bytes, card, DomainId::HOST),
+            Op::Bump | Op::Double => hs.enqueue_compute(
+                s,
+                if matches!(st.op, Op::Bump) {
+                    "bump"
+                } else {
+                    "double"
+                },
+                Bytes::new(),
+                &[Operand::f64s(buf, elems.start, elems.len(), Access::InOut)],
+                CostHint::trivial(),
+            ),
+        }
+        .expect("enqueue");
+        entries.push(Entry::Act(*st));
+        for &c in copies {
+            for &h in halves {
+                last[st.buf][c][h] = Some((ev, st.stream));
+            }
+        }
+    }
+    entries
+}
+
+/// The sequential reference: `entries` one at a time on plain vectors (the
+/// card's copies start zeroed, as its windows do). Returns the host copies.
+fn oracle(entries: &[Entry]) -> Vec<Vec<f64>> {
+    let mut host: Vec<Vec<f64>> = (0..BUFS).map(initial).collect();
+    let mut card = vec![vec![0.0; N]; BUFS];
+    for e in entries {
+        let Entry::Act(st) = e else { continue };
+        let (b, r) = (st.buf, st.elems());
+        match st.op {
+            Op::H2d => card[b][r.clone()].copy_from_slice(&host[b][r]),
+            Op::D2h => host[b][r.clone()].copy_from_slice(&card[b][r]),
+            Op::Bump | Op::Double => {
+                let copy = if st.on_card() { &mut card } else { &mut host };
+                for x in &mut copy[b][r] {
+                    *x = if matches!(st.op, Op::Bump) {
+                        *x + 1.0
+                    } else {
+                        *x * 2.0
+                    };
+                }
+            }
+        }
+    }
+    host
+}
+
+/// Recover `root` on a fresh runtime and require a consistent cut: nothing
+/// skipped, nothing noted, and the buffers hold exactly what running the
+/// recovered prefix of `entries` one action at a time leaves.
+fn recover_consistent_cut(root: &Path, entries: &[Entry]) -> hstreams_core::RecoveryReport {
+    let hs = runtime(ExecMode::Threads);
+    let (_streams, bufs) = init_program(&hs);
+    let report = hs.recover(root).expect("recover");
+    assert_eq!(report.skipped, 0, "{report:?}");
+    assert_eq!(report.replayed, report.records, "{report:?}");
+    let notes = hs.chaos().injected_log();
+    assert!(
+        !notes.iter().any(|l| l.contains("recover:")),
+        "recovery had nothing to remark on: {notes:?}"
+    );
+    hs.thread_synchronize().expect("post-recover sync");
+    let prefix = &entries[..report.records as usize];
+    for (b, expect) in oracle(prefix).iter().enumerate() {
+        assert_eq!(
+            &read_result(&hs, bufs[b]),
+            expect,
+            "buffer {b} after the first {} of {entries:#?}",
+            prefix.len()
+        );
+    }
+    report
+}
+
+/// A torn write costs exactly the torn tail, and what is left is a
+/// *consistent cut*: a prefix of the logged sequence — so closed under
+/// every dependence, including the ones only the host's waiting made — that
+/// recovers to the state of running that prefix sequentially. First the
+/// injected fault (a flush mid-run chops the action partition mid-record;
+/// everything appended after the tear is lost with it), then generated
+/// programs, shortest first, their action partition chopped at seeded byte
+/// offsets.
 #[test]
 fn torn_tail_recovers_longest_prefix() {
     let root = tmp_root("torn");
-    let logged = {
+    let steps = program(0x9e37_79b9_7f4a_7c15, 24);
+    let (entries, logged) = {
         let hs = runtime(ExecMode::Threads);
         hs.durability(&root).expect("durability on");
         hs.chaos_install(
             FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Torn),
         );
-        let (s0, s1, buf) = init_workload(&hs);
-        enqueue_rounds(&hs, s0, s1, buf, 4);
-        // First real flush fires the torn-write fault: the tail of the
-        // last-appended partition is chopped mid-record.
+        let (streams, bufs) = init_program(&hs);
+        let entries = drive(&hs, &streams, &bufs, &steps);
+        // The first real flush — a host wait inside the program, or this
+        // one — fires the torn-write fault.
         hs.thread_synchronize().expect("sync");
-        hs.wal_stats().expect("stats").records
+        (entries, hs.wal_stats().expect("stats").records)
     };
-    let hs = runtime(ExecMode::Threads);
-    let (_s0, _s1, _buf) = init_workload(&hs);
-    let report = hs.recover(&root).expect("recover");
+    assert_eq!(entries.len() as u64, logged);
+    let report = recover_consistent_cut(&root, &entries);
     assert!(
         !report.torn.is_empty(),
         "torn tail must be reported: {report:?}"
@@ -240,9 +472,59 @@ fn torn_tail_recovers_longest_prefix() {
         u64::from(report.records) < logged,
         "the torn record is lost: {report:?} vs {logged} logged"
     );
-    assert_eq!(report.replayed, report.records, "{report:?}");
-    hs.thread_synchronize().expect("post-recover sync");
     let _ = std::fs::remove_dir_all(&root);
+
+    let mut seed = 0x2545_f491_4f6c_dd1du64;
+    for len in [1, 2, 4, 8, 16, 32].into_iter().flat_map(|n| [n; 2]) {
+        let steps = program(rng_next(&mut seed), len);
+        let entries = {
+            let hs = runtime(ExecMode::Threads);
+            hs.durability(&root).expect("durability on");
+            let (streams, bufs) = init_program(&hs);
+            let entries = drive(&hs, &streams, &bufs, &steps);
+            hs.thread_synchronize().expect("sync");
+            for (b, expect) in oracle(&entries).iter().enumerate() {
+                assert_eq!(
+                    &read_result(&hs, bufs[b]),
+                    expect,
+                    "the run itself: {steps:#?}"
+                );
+            }
+            entries
+        };
+        // The run directory holds one segment: the action partition's.
+        let run = std::fs::read_dir(&root).unwrap().next().unwrap().unwrap();
+        let seg = std::fs::read_dir(run.path())
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap();
+        let data = std::fs::read(seg.path()).expect("segment");
+        let _ = std::fs::remove_dir_all(&root);
+        let mut cuts: Vec<usize> = (0..6)
+            .map(|_| (rng_next(&mut seed) % (data.len() as u64 + 1)) as usize)
+            .chain([data.len()])
+            .collect();
+        cuts.sort_unstable();
+        let mut recovered = 0;
+        for cut in cuts {
+            let dir = root.join(run.file_name());
+            std::fs::create_dir_all(&dir).expect("run dir");
+            std::fs::write(dir.join(seg.file_name()), &data[..cut]).expect("chopped segment");
+            let report = recover_consistent_cut(&root, &entries);
+            assert!(
+                report.records >= recovered,
+                "a longer file never recovers less: {report:?} at byte {cut}"
+            );
+            recovered = report.records;
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        assert_eq!(
+            recovered as usize,
+            entries.len(),
+            "the whole file, the whole log"
+        );
+    }
 }
 
 /// An injected WAL I/O failure breaks durability but never the run: the
@@ -477,23 +759,58 @@ fn durability_opts_group_commits_fsyncs() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// KNOWN DEFECT, tracked in ROADMAP.md ("Known defects"): the cycles above
-/// are ordered only by a host-side `thread_synchronize`, which the log does
-/// not record, so recovery re-enqueues cycle k+1's first h2d (stream 0)
-/// unordered against cycle k's last round (stream 1) and a bump can be
-/// lost — the buffer comes back one short, by timing. This is the buffer
-/// check `durability_opts_group_commits_fsyncs` carried until PR 15, whose
-/// faster enqueue took the race from rare to one run in two.
+/// Thread A (the caller) mints the first id block with a `bump` round on
+/// stream 0 and waits for it; thread B — every id it takes lies above A's
+/// block — runs a `double` round on stream 1 and synchronizes; then A runs
+/// another `bump` round on stream 0, its ids *below* B's. Only the host
+/// orders the three rounds (a synchronize, a join). Event-id order is
+/// A, A, B: the wrong one. Log order is the order they were enqueued in.
+fn two_source_threads(hs: &HStreams, s0: StreamId, s1: StreamId, buf: BufferId) {
+    round(hs, s0, buf, "bump");
+    hs.stream_synchronize(s0).expect("A's first round");
+    std::thread::scope(|t| {
+        t.spawn(|| {
+            round(hs, s1, buf, "double");
+            hs.stream_synchronize(s1).expect("B's round");
+        });
+    });
+    round(hs, s0, buf, "bump");
+}
+
+/// Work ordered across streams *only* by the source waiting — nothing the
+/// log records — comes back in the order it was enqueued in. Input one: the
+/// cycles of `group_commit_run`, separated by a `thread_synchronize`, so
+/// cycle k+1's first h2d (stream 0) conflicts with cycle k's last round
+/// (stream 1) with no event between them. Input two: `two_source_threads`.
+/// Until the log became one sequence (one WAL partition per stream before
+/// it), recovery lost a bump on input one about one run in four.
 #[test]
-#[ignore = "known defect: recovery does not reproduce host-side synchronize ordering"]
 fn recovery_keeps_cycles_ordered_only_by_a_host_synchronize() {
     let root = group_commit_run("host-sync-order");
     let expect = fault_free(ExecMode::Threads, 6);
     let hs2 = runtime(ExecMode::Threads);
     let (_s0, _s1, buf2) = init_workload(&hs2);
-    hs2.recover(&root).expect("recover");
+    let report = hs2.recover(&root).expect("recover");
     hs2.thread_synchronize().expect("post-recover sync");
-    assert_eq!(read_result(&hs2, buf2), expect);
+    assert_eq!(read_result(&hs2, buf2), expect, "{report:?}");
+    let _ = std::fs::remove_dir_all(&root);
+
+    let root = tmp_root("two-sources");
+    let expect: Vec<f64> = (0..N).map(|i| (i as f64 + 1.0) * 2.0 + 1.0).collect();
+    {
+        let hs = runtime(ExecMode::Threads);
+        hs.durability(&root).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        two_source_threads(&hs, s0, s1, buf);
+        hs.thread_synchronize().expect("sync");
+        assert_eq!(read_result(&hs, buf), expect, "the run itself");
+    }
+    let hs2 = runtime(ExecMode::Threads);
+    let (_s0, _s1, buf2) = init_workload(&hs2);
+    let report = hs2.recover(&root).expect("recover");
+    assert_eq!((report.records, report.skipped), (9, 0), "{report:?}");
+    hs2.thread_synchronize().expect("post-recover sync");
+    assert_eq!(read_result(&hs2, buf2), expect, "{report:?}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -18,10 +18,8 @@
 //! * [`dma::Pacer`] — converts a [`hs_machine::LinkSpec`] into real-time
 //!   pacing for DMA operations (per-direction serialization like a DMA
 //!   channel).
-//! * [`msg`] — typed control-message channels between nodes.
 
 pub mod dma;
-pub mod msg;
 pub mod proto;
 pub mod remote;
 pub mod transport;

@@ -1,7 +1,7 @@
 //! JSON serialization of [`ActionTrace`] for the `hsan` CLI.
 //!
 //! The build environment has no `serde_json`, so this is a small hand-rolled
-//! reader/writer for exactly one schema:
+//! writer, and a reader over [`hs_obs::json`], for exactly one schema:
 //!
 //! ```json
 //! {
@@ -25,6 +25,7 @@
 //! `"event_wait"` or `"marker"`. Unknown object keys are rejected, which
 //! catches typos in hand-written traces.
 
+use hs_obs::json::{self, Value};
 use hstreams_core::deps::FootprintItem;
 use hstreams_core::record::{ActionRecord, ActionTrace, TraceOp};
 use hstreams_core::types::{BufferId, DomainId, OrderingMode};
@@ -130,216 +131,9 @@ fn quote(s: &str) -> String {
 
 // ------------------------------------------------------------------ parsing
 
-/// A parsed JSON value (only what the trace and edge schemas need).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
 /// Parse a JSON trace. Errors carry a byte offset and a message.
 pub fn from_json(text: &str) -> Result<ActionTrace, String> {
-    let value = Parser::new(text).parse()?;
-    trace_from_value(&value)
-}
-
-pub(crate) struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    pub(crate) fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    pub(crate) fn parse(mut self) -> Result<Value, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing data after the top-level value"));
-        }
-        Ok(v)
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Value::Bool(true)),
-            Some(b'f') => self.keyword("false", Value::Bool(false)),
-            Some(b'n') => self.keyword("null", Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(self.err(&format!("unexpected byte '{}'", b as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not supported; the writer
-                            // never emits them (labels are plain ASCII-ish).
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty by match arm");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
+    trace_from_value(&json::parse(text)?)
 }
 
 // ------------------------------------------------- value -> trace mapping
@@ -444,10 +238,9 @@ fn op_from_value(v: &Value) -> Result<TraceOp, String> {
                         .map_err(|e| format!("footprint[{i}]: {e}"))?;
                     let start = get_u64(it, "start")? as usize;
                     let end = get_u64(it, "end")? as usize;
-                    let write = match get(it, "write")? {
-                        Value::Bool(b) => *b,
-                        _ => return Err(format!("footprint[{i}]: 'write' must be a bool")),
-                    };
+                    let write = get(it, "write")?
+                        .as_bool()
+                        .ok_or_else(|| format!("footprint[{i}]: 'write' must be a bool"))?;
                     footprint.push(FootprintItem::new(
                         DomainId(get_u64(it, "domain")? as usize),
                         BufferId(get_u64(it, "buffer")?),
@@ -483,24 +276,17 @@ pub(crate) fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v
 }
 
 pub(crate) fn as_obj<'v>(v: &'v Value, what: &str) -> Result<&'v BTreeMap<String, Value>, String> {
-    match v {
-        Value::Obj(m) => Ok(m),
-        _ => Err(format!("{what} must be an object")),
-    }
+    v.as_object()
+        .ok_or_else(|| format!("{what} must be an object"))
 }
 
 pub(crate) fn as_arr<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], String> {
-    match v {
-        Value::Arr(a) => Ok(a),
-        _ => Err(format!("{what} must be an array")),
-    }
+    v.as_array()
+        .ok_or_else(|| format!("{what} must be an array"))
 }
 
 pub(crate) fn as_str<'v>(v: &'v Value, what: &str) -> Result<&'v str, String> {
-    match v {
-        Value::Str(s) => Ok(s),
-        _ => Err(format!("{what} must be a string")),
-    }
+    v.as_str().ok_or_else(|| format!("{what} must be a string"))
 }
 
 pub(crate) fn get_str<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v str, String> {
@@ -590,12 +376,6 @@ mod tests {
                       "completions": []}"#;
         let err = from_json(bad).expect_err("bad kind rejected");
         assert!(err.contains("sideways"), "{err}");
-    }
-
-    #[test]
-    fn parses_escapes_and_unicode() {
-        let v = Parser::new(r#""a\"b\\c\ndAé""#).parse().expect("parses");
-        assert_eq!(v, Value::Str(String::from("a\"b\\c\ndAé")));
     }
 
     #[test]

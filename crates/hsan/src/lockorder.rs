@@ -35,7 +35,7 @@
 //! }
 //! ```
 
-use crate::json::{as_arr, as_obj, check_keys, get, get_str, get_u64, Parser};
+use crate::json::{as_arr, as_obj, check_keys, get, get_str, get_u64};
 use hstreams_core::lockorder::LockClass;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -177,7 +177,7 @@ impl fmt::Display for LockOrderReport {
 
 /// Parse the `edges_json` format and [`check_edges`] it.
 pub fn check_json(text: &str) -> Result<LockOrderReport, String> {
-    let value = Parser::new(text).parse()?;
+    let value = hs_obs::json::parse(text)?;
     let obj = as_obj(&value, "edges document")?;
     check_keys(obj, &["edges"])?;
     let rows = as_arr(get(obj, "edges")?, "edges")?;

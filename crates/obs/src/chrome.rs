@@ -13,7 +13,7 @@
 //! sink); queueing is visible as `queue_us` in the args. Timestamps are
 //! microseconds, as the trace viewer expects.
 
-use crate::{ActionMeta, ObsKind, ObsPhase, ObsRecord};
+use crate::{json, ActionMeta, ObsKind, ObsPhase, ObsRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -263,195 +263,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
         rows: per_row.len(),
         stream_rows,
     })
-}
-
-/// A minimal JSON reader (the workspace has no serde_json) — enough to
-/// re-parse our own emitted traces plus reject malformed hand edits.
-mod json {
-    use std::collections::BTreeMap;
-
-    #[derive(Debug)]
-    pub enum Value {
-        Null,
-        // Parsed so `"ok":true/false` round-trips; the validator never
-        // inspects the payload.
-        Bool(#[allow(dead_code)] bool),
-        Num(f64),
-        Str(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Object(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let b = s.as_bytes();
-        let mut pos = 0usize;
-        let v = value(b, &mut pos)?;
-        skip_ws(b, &mut pos);
-        if pos != b.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
-            Some(b'"') => Ok(Value::Str(string(b, pos)?)),
-            Some(b't') => lit(b, pos, "true", Value::Bool(true)),
-            Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
-            Some(b'n') => lit(b, pos, "null", Value::Null),
-            Some(_) => number(b, pos),
-        }
-    }
-
-    fn lit(b: &[u8], pos: &mut usize, word: &str, v: Value) -> Result<Value, String> {
-        if b[*pos..].starts_with(word.as_bytes()) {
-            *pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {pos}"))
-        }
-    }
-
-    fn number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        while let Some(&c) = b.get(*pos) {
-            *pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *b.get(*pos).ok_or("unterminated escape")?;
-                    *pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = b
-                                .get(*pos..*pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("bad \\u escape")?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("unknown escape at byte {pos}")),
-                    }
-                }
-                c => out.push(c as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // [
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected , or ] at byte {pos}")),
-            }
-        }
-    }
-
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        *pos += 1; // {
-        let mut map = BTreeMap::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b'"') {
-                return Err(format!("expected object key at byte {pos}"));
-            }
-            let key = string(b, pos)?;
-            skip_ws(b, pos);
-            if b.get(*pos) != Some(&b':') {
-                return Err(format!("expected : at byte {pos}"));
-            }
-            *pos += 1;
-            map.insert(key, value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(format!("expected , or }} at byte {pos}")),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

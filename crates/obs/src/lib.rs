@@ -6,7 +6,9 @@
 //! (enqueue → deps-resolved → dispatch → sink start → complete) plus
 //! runtime gauges (DMA queue depth, workgroup occupancy) and counters —
 //! and exports them as Chrome `chrome://tracing` JSON ([`chrome`]) or a
-//! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`.
+//! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`. The
+//! reader that validates those traces ([`json`]) is the workspace's JSON
+//! reader; `hsan` parses its trace and lock-order files with it.
 //!
 //! Design constraints:
 //!
@@ -21,6 +23,7 @@
 //!   in the graph so every runtime layer can emit into the same hub.
 
 pub mod chrome;
+pub mod json;
 
 use hs_chaos::FailureCause;
 use parking_lot::Mutex;

@@ -1,10 +1,11 @@
 //! `hs-wal`: a durable, partitioned, checksummed append-only action log.
 //!
 //! The redpanda/Kafka shape scaled down to what the runtime needs: one
-//! directory per run, one file sequence per partition (= stream), each
-//! segment a fixed header followed by length-prefixed CRC32-checked
-//! records. The writer buffers appends in userspace and pushes them to the
-//! kernel page cache on [`Wal::flush`] — that is the durability boundary
+//! directory per run, one file sequence per partition (the runtime keeps
+//! two: every action in one, metadata in [`META_PARTITION`]), each segment
+//! a fixed header followed by length-prefixed CRC32-checked records. The
+//! writer buffers appends in userspace and pushes them to the kernel page
+//! cache on [`Wal::flush`] — that is the durability boundary
 //! against *process* death (`kill -9`); full media durability is an opt-in
 //! fsync per flush. Recovery ([`recover_dir`]) is torn-tail tolerant: each
 //! partition yields exactly the longest valid prefix of its record
@@ -34,10 +35,11 @@ pub const MAGIC: [u8; 8] = *b"HSWAL1\0\0";
 /// Checkpoint blob magic.
 pub const BLOB_MAGIC: [u8; 8] = *b"HSBLOB1\0";
 /// On-disk format version in every segment header; a segment of any other
-/// version is refused whole at its header. Version 2: the runtime's action
-/// payload dropped its written-domains list, so a version-1 record would
-/// decode as garbage.
-pub const VERSION: u16 = 2;
+/// version is refused whole at its header. Version 3: the runtime writes
+/// every action record to one partition and carries the stream id in the
+/// payload, so a version-2 record (stream = partition) would decode as
+/// garbage.
+pub const VERSION: u16 = 3;
 /// Segment header size: magic(8) + version(2) + partition(4) + run_id(8) +
 /// seq(4) + crc(4).
 pub const HEADER_LEN: usize = 30;
