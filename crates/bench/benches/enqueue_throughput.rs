@@ -1,17 +1,16 @@
 //! Source-endpoint throughput: how many actions per second the front-end
 //! can enqueue, single-threaded and from N concurrent source threads
-//! driving disjoint streams, one action per call (`config: "id_block"`) and
+//! driving disjoint streams, one action per call (`config: "single"`) and
 //! 64 per `enqueue_many` call (`config: "batch"`) — one enqueue path, two
 //! call shapes.
 //!
 //! Writes `BENCH_enqueue.json` at the workspace root. Every row carries
 //! `host_cores`, the revision measured and, next to the rate, contention
-//! evidence: `frontend.stream_lock.contended`, `id_rmw_per_action` (global
-//! id-allocation RMWs amortized over actions — 1.0 before per-thread id
-//! blocks, ~1/32 after), `deps.redundant`, and `allocs_per_action` — heap
-//! allocations on every thread of the process per enqueued action, counted
-//! (by a counting global allocator) over a second, untimed pass of the same
-//! drive. The `pre_pr` rows are the parent commit measured with this file.
+//! evidence: `frontend.stream_lock.contended`, `deps.redundant`, and
+//! `allocs_per_action` — heap allocations on every thread of the process
+//! per enqueued action, counted (by a counting global allocator) over a
+//! second, untimed pass of the same drive. The `pre_pr` rows are the parent
+//! commit measured with its own copy of this file.
 //! A row with more source threads than the host has cores is omitted, with
 //! the reason printed: it would measure the scheduler. The `wal_on` row
 //! repeats the single-thread drive with durable logging enabled and gates
@@ -27,8 +26,7 @@
 //! * `HS_BENCH_SCALE_GATE=1` enforces the scaling acceptance gate:
 //!   aggregate throughput non-decreasing from 1→2 source threads when the
 //!   host has ≥2 cores; on a 1-core runner the gate is skipped with a
-//!   notice and the contention counters are gated instead (id RMWs per
-//!   action must stay well below the pre-PR 1.0).
+//!   notice.
 
 // Shared with `crates/core/tests/alloc_budget.rs`, which also uses the
 // per-thread split and the free counts.
@@ -136,7 +134,6 @@ fn drive_batched(hs: &HStreams, lane: &Lane, actions: usize) {
 #[derive(Clone, Copy)]
 struct Evidence {
     lock_contended: f64,
-    id_rmw_per_action: f64,
     deps_redundant: f64,
     /// Heap allocations per action, summed over every thread.
     allocs_per_action: f64,
@@ -153,11 +150,9 @@ fn evidence(hs: &HStreams, allocs_per_action: f64) -> Evidence {
             .map(|(_, v)| *v)
             .unwrap_or(0.0)
     };
-    let reserved = get("events.reserved").max(1.0);
     let wal = hs.wal_stats();
     Evidence {
         lock_contended: get("frontend.stream_lock.contended"),
-        id_rmw_per_action: get("events.id_block.mints") / reserved,
         deps_redundant: get("deps.redundant"),
         allocs_per_action,
         wal_flushes: wal.as_ref().map_or(0.0, |s| s.flushes as f64),
@@ -233,6 +228,15 @@ fn measure(
     (rate, evidence(&hs, allocs))
 }
 
+/// The `name` of an out-of-order row driven by `threads` source threads.
+fn row_name(threads: usize) -> String {
+    if threads == 1 {
+        "single_thread".to_string()
+    } else {
+        format!("threads_{threads}")
+    }
+}
+
 fn ordering_tag(o: OrderingMode) -> &'static str {
     match o {
         OrderingMode::OutOfOrder => "ooo",
@@ -240,15 +244,18 @@ fn ordering_tag(o: OrderingMode) -> &'static str {
     }
 }
 
-/// The parent commit, measured with this file on the host that recorded
-/// the committed artifact — the medians of ten runs alternated with the
-/// change's: (config, actions/s, allocations per action, redundant
-/// dependence probes) of its two single-thread out-of-order rows.
-const PRE_PR_REV: &str = "8eafd02";
+/// The parent commit, measured with its own copy of this file (the same
+/// drive) on the host that recorded the committed artifact — the medians
+/// of ten runs alternated with the change's: (config, source threads,
+/// actions/s, allocations per action, redundant dependence probes) of its
+/// out-of-order rows.
+const PRE_PR_REV: &str = "704026a";
 const PRE_PR_CORES: f64 = 2.0;
-const PRE_PR: [(&str, f64, f64, f64); 2] = [
-    ("id_block", 343_600.0, 4.117, 107_300.0),
-    ("batch", 635_300.0, 5.283, 9_032.0),
+const PRE_PR: [(&str, usize, f64, f64, f64); 4] = [
+    ("single", 1, 364_100.0, 4.115, 107_500.0),
+    ("single", 2, 531_200.0, 4.068, 29_070.0),
+    ("batch", 1, 745_300.0, 5.143, 12_830.0),
+    ("batch", 2, 764_700.0, 5.143, 3_590.0),
 ];
 
 /// Parse `"key": value` out of our own hand-written bench JSON (the
@@ -282,12 +289,12 @@ fn committed_row<'a>(committed: &'a str, config: &str) -> &'a str {
 fn check_regression(measured: f64, allocs: &[(&str, f64)]) {
     let committed = std::fs::read_to_string(ARTIFACT)
         .expect("HS_BENCH_CHECK: committed BENCH_enqueue.json must exist");
-    let row = committed_row(&committed, "id_block");
+    let row = committed_row(&committed, "single");
     let reference = json_value(row, "actions_per_sec").expect("row has actions_per_sec");
     // The committed artifact comes from a full-length run; a smoke run is
     // both shorter (warmup is a larger share) and noisier, so it gets a
     // deeper floor — it still catches order-of-magnitude regressions
-    // (e.g. the pre-PR global-RMW path) without flaking on jitter.
+    // without flaking on jitter.
     let frac = if std::env::var("HS_BENCH_SMOKE").is_ok() {
         0.5
     } else {
@@ -327,8 +334,8 @@ const ALLOC_SLACK: f64 = 0.25;
 /// The concurrency-smoke scaling gate (CI): with ≥2 host cores, aggregate
 /// throughput must be non-decreasing from 1→2 source threads; on a 1-core
 /// runner parallel sources can only interleave, so the gate is skipped
-/// with a notice and the contention counters are gated instead.
-fn scale_gate(cores: usize, rate_1t: f64, rate_2t: Option<f64>, ev_1t: &Evidence) {
+/// with a notice.
+fn scale_gate(cores: usize, rate_1t: f64, rate_2t: Option<f64>) {
     if cores >= 2 {
         let r2 = rate_2t.expect("scale gate needs the 2-thread measurement");
         // 5% measurement-noise allowance on "non-decreasing".
@@ -340,20 +347,7 @@ fn scale_gate(cores: usize, rate_1t: f64, rate_2t: Option<f64>, ev_1t: &Evidence
              {r2:.0} < {floor:.0} actions/s"
         );
     } else {
-        println!(
-            "NOTICE: scale gate skipped — 1-core runner cannot scale source \
-             threads; gating contention counters instead"
-        );
-        println!(
-            "  id_rmw_per_action = {:.4} (pre-PR: 1.0), stream_lock.contended = {}",
-            ev_1t.id_rmw_per_action, ev_1t.lock_contended
-        );
-        assert!(
-            ev_1t.id_rmw_per_action <= 0.5,
-            "per-thread id blocks should amortize the global id RMW well below \
-             1 per action; measured {:.4}",
-            ev_1t.id_rmw_per_action
-        );
+        println!("NOTICE: scale gate skipped — 1-core runner cannot scale source threads");
     }
 }
 
@@ -372,7 +366,6 @@ fn main() {
         "ordering",
         "actions/s",
         "vs 1T",
-        "rmw/act",
         "contended",
         "allocs/act",
     ]);
@@ -380,9 +373,8 @@ fn main() {
     let mut single = 0.0;
     let mut single_allocs = Vec::new();
     let mut single_fifo = 0.0;
-    let mut single_ev = None;
     let mut rate_2t = None;
-    for (config, batched) in [("id_block", false), ("batch", true)] {
+    for (config, batched) in [("single", false), ("batch", true)] {
         for ordering in [OrderingMode::OutOfOrder, OrderingMode::StrictFifo] {
             // FIFO ordering only matters single-threaded (the fifo/ooo gap
             // row); the scaling story is out-of-order.
@@ -413,7 +405,6 @@ fn main() {
                     }
                     if ordering == OrderingMode::OutOfOrder && !batched {
                         single = rate;
-                        single_ev = Some(ev);
                     }
                     if ordering == OrderingMode::StrictFifo && !batched {
                         single_fifo = rate;
@@ -428,15 +419,10 @@ fn main() {
                     ordering_tag(ordering).to_string(),
                     f(rate),
                     format!("{:.2}x", rate / base),
-                    format!("{:.4}", ev.id_rmw_per_action),
                     format!("{:.0}", ev.lock_contended),
                     format!("{:.2}", ev.allocs_per_action),
                 ]);
-                let name = if t == 1 {
-                    "single_thread".to_string()
-                } else {
-                    format!("threads_{t}")
-                };
+                let name = row_name(t);
                 records.push(
                     JsonRecord::new(format!("{name}_{config}"), actions, 0.0)
                         .with_name(name)
@@ -448,7 +434,6 @@ fn main() {
                             ("actions_per_sec".to_string(), rate),
                             ("host_cores".to_string(), cores as f64),
                             ("stream_lock_contended".to_string(), ev.lock_contended),
-                            ("id_rmw_per_action".to_string(), ev.id_rmw_per_action),
                             ("deps_redundant".to_string(), ev.deps_redundant),
                             ("allocs_per_action".to_string(), ev.allocs_per_action),
                         ]),
@@ -470,7 +455,7 @@ fn main() {
         records.push(
             JsonRecord::new("fifo_ooo_gap", actions, 0.0)
                 .with_source_threads(1)
-                .with_config("id_block")
+                .with_config("single")
                 .with_git_rev(rev.clone())
                 .with_metrics(vec![
                     ("gap".to_string(), gap),
@@ -479,7 +464,7 @@ fn main() {
         );
         println!("\nfifo/ooo single-thread gap: {gap:.3}x (bound 1.25x)");
     }
-    // Durable append overhead: the same single-thread id_block/ooo drive
+    // Durable append overhead: the same single-thread single/ooo drive
     // with the WAL on — every enqueue appends its record, every sync
     // flushes to the page cache. ROADMAP acceptance: <10% off the
     // in-memory rate (relative within this run, so no committed artifact
@@ -535,7 +520,6 @@ fn main() {
         "ooo".to_string(),
         f(wal_rate),
         format!("{:.2}x", wal_rate / wal_base),
-        format!("{:.4}", wal_ev.id_rmw_per_action),
         format!("{:.0}", wal_ev.lock_contended),
         format!("{:.2}", wal_ev.allocs_per_action),
     ]);
@@ -595,7 +579,6 @@ fn main() {
         "ooo".to_string(),
         f(fsync_rate),
         format!("{:.2}x", fsync_rate / wal_base),
-        format!("{:.4}", fsync_ev.id_rmw_per_action),
         format!("{:.0}", fsync_ev.lock_contended),
         format!("{:.2}", fsync_ev.allocs_per_action),
     ]);
@@ -637,11 +620,12 @@ fn main() {
         fsync_ev.wal_flushes
     );
 
-    for (config, rate, allocs, redundant) in PRE_PR {
+    for (config, threads, rate, allocs, redundant) in PRE_PR {
+        let name = row_name(threads);
         records.push(
-            JsonRecord::new(format!("single_thread_{config}_pre_pr"), actions, 0.0)
-                .with_name("single_thread")
-                .with_source_threads(1)
+            JsonRecord::new(format!("{name}_{config}_pre_pr"), actions, 0.0)
+                .with_name(name)
+                .with_source_threads(threads)
                 .with_ordering("ooo")
                 .with_config(format!("pre_pr/{config}"))
                 .with_git_rev(PRE_PR_REV)
@@ -653,11 +637,10 @@ fn main() {
                 ]),
         );
         table.row(vec![
-            format!("1 ({PRE_PR_REV})"),
+            format!("{threads} ({PRE_PR_REV})"),
             format!("pre_pr/{config}"),
             "ooo".to_string(),
             f(rate),
-            "-".to_string(),
             "-".to_string(),
             "-".to_string(),
             format!("{allocs:.2}"),
@@ -665,12 +648,7 @@ fn main() {
     }
     table.print("enqueue throughput (thread executor, host streams)");
     if gate {
-        scale_gate(
-            cores,
-            single,
-            rate_2t,
-            single_ev.as_ref().expect("1-thread measurement ran"),
-        );
+        scale_gate(cores, single, rate_2t);
     }
     if !check && !smoke {
         // Recorded before the gates below: a row that fails its gate is

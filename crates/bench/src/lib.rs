@@ -67,9 +67,9 @@ pub struct JsonRecord {
     /// Intra-stream ordering mode the runtime ran with (`"ooo"` /
     /// `"fifo"`; emitted as an `ordering` key when set).
     pub ordering: Option<String>,
-    /// Front-end configuration that produced the row (`"id_block"` for the
-    /// per-thread id-block single-enqueue path, `"batch"` for
-    /// `enqueue_many`, `"pre_pr"` for the recorded pre-refactor baseline;
+    /// Front-end configuration that produced the row (`"single"` for one
+    /// action per enqueue call, `"batch"` for `enqueue_many`, `"pre_pr/…"`
+    /// for the parent commit measured with the same bench file;
     /// emitted as a `config` key when set) — keeps trajectory rows
     /// comparable across PRs as the front-end evolves.
     pub config: Option<String>,
@@ -116,7 +116,7 @@ impl JsonRecord {
         self
     }
 
-    /// Record the front-end configuration (`"id_block"` / `"batch"` / …).
+    /// Record the front-end configuration (`"single"` / `"batch"` / …).
     pub fn with_config(mut self, config: impl Into<String>) -> JsonRecord {
         self.config = Some(config.into());
         self

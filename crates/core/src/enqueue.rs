@@ -803,6 +803,8 @@ impl HStreams {
                     EventView::Missing => {}
                 }
             }
+            // Minted under the stream lock: a stream's ids ascend in enqueue
+            // order (`StreamState::push` checks it).
             let id = inner.events.reserve();
             // The lifecycle record is minted before submit: the spec is
             // consumed there, and the fast path dispatches (emitting later

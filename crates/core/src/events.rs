@@ -2,20 +2,11 @@
 //! [`Event`](crate::types::Event) id to its backend completion handle and
 //! producing stream.
 //!
-//! Four properties drive the design:
+//! Three properties drive the design:
 //!
 //! * **No reallocation under readers.** Storage is fixed-size segments
 //!   reached through a preallocated array of `OnceLock`'d pointers, so a
 //!   concurrent reader never observes a `Vec` being regrown.
-//! * **Per-thread id blocks.** Ids are minted in blocks of [`ID_BLOCK`]
-//!   (one `fetch_add` per block, held in a thread-local cell), so N source
-//!   threads do not serialize on one counter cache line per action. The
-//!   watermark/compaction sweep still sees a dense id space because
-//!   untaken block tails are handed back as *tombstones*: on thread exit,
-//!   on [`EventTable::drain_blocks`] (called before each periodic
-//!   compaction and when an hsan recording starts), the unspent range of
-//!   every registered cell is stolen and its slots marked retired-unused,
-//!   so the retirement watermark never stalls on a gap.
 //! * **Mutable slots.** Card-loss replay overwrites an event's backend in
 //!   place (application-held handles transparently track the replayed
 //!   attempt), so each slot guards its payload with a short per-slot lock
@@ -27,16 +18,21 @@
 //!   completed success. Failures are never tombstoned: their cause feeds
 //!   poison edges, `wait_any` verdicts and the card-loss replay closure.
 //!
+//! Ids come from one counter ([`EventTable::reserve`] is one `fetch_add`),
+//! so [`EventTable::len`] is exact and — the one call site runs under the
+//! stream lock — a stream's ids ascend in enqueue order.
+//!
 //! The occupancy gauge is sharded ([`OCC_SHARDS`] cache-padded packed
-//! words, folded on read) so concurrent publishers on different id blocks
+//! words, folded on read) so concurrent publishers on different id ranges
 //! do not bounce a single counter line.
 
 use crate::exec::BackendEvent;
 use crate::lockorder::{self, LockClass};
-use crate::sync::{Arc, AtomicBool, AtomicU32, AtomicU64, Mutex, OnceLock, Ordering};
+#[cfg(debug_assertions)]
+use crate::sync::AtomicBool;
+use crate::sync::{AtomicU32, AtomicU64, Mutex, OnceLock, Ordering};
 use crate::types::{Event, StreamId};
 use crossbeam::utils::CachePadded;
-use std::ops::Range;
 
 /// log2 of the slots per segment.
 const SEG_BITS: u64 = 12;
@@ -46,17 +42,10 @@ const SEG_LEN: u64 = 1 << SEG_BITS;
 /// so segment lookup is a plain indexed load. Caps a run at ~16.7M events.
 const MAX_SEGS: usize = 4096;
 
-/// log2 of [`ID_BLOCK`]. Also the occupancy shard stride: one block maps to
-/// one shard, so a given id's publish/retire/revive steps all hit the same
+/// log2 of the occupancy shard stride: this many consecutive ids map to one
+/// shard, so a given id's publish/retire/revive steps all hit the same
 /// packed word and the borrow-carry arithmetic stays shard-local.
-#[cfg(not(loom))]
-const BLOCK_BITS: u64 = 5;
-#[cfg(loom)]
-const BLOCK_BITS: u64 = 2;
-
-/// Ids reserved per thread-local block mint (one shared RMW per this many
-/// enqueues). Small under loom so the take-vs-steal model stays tractable.
-pub(crate) const ID_BLOCK: u64 = 1 << BLOCK_BITS;
+const OCC_STRIDE_BITS: u64 = 5;
 
 /// Occupancy gauge shards (folded on read).
 #[cfg(not(loom))]
@@ -66,14 +55,15 @@ const OCC_SHARDS: usize = 2;
 
 /// Sentinel in `Slot::stream` until the slot is published.
 const UNPUBLISHED: u32 = u32::MAX;
-/// Sentinel in `Slot::stream` for a reserved-but-never-used id handed back
-/// by a block drain. Reads as `Retired` (no producing stream exists; the id
-/// was never returned from `reserve`, so nothing legitimately waits on it).
+/// Sentinel in `Slot::stream` for a reserved id handed back unused by a
+/// failed batch ([`EventTable::tombstone_reserved`]). Reads as `Retired`
+/// (no producing stream exists; the id was never returned to a caller, so
+/// nothing legitimately waits on it).
 const TOMBSTONE: u32 = u32::MAX - 1;
 
 struct Slot {
     /// Producing stream id; `UNPUBLISHED` until [`EventTable::publish`],
-    /// `TOMBSTONE` for an untaken block-tail id handed back by a drain.
+    /// `TOMBSTONE` for a reserved id a failed batch handed back.
     /// Stored with `Release` after the payload so an `Acquire` reader that
     /// sees it set also sees the payload.
     stream: AtomicU32,
@@ -89,7 +79,7 @@ pub enum EventView {
     /// Pending or completed, backend handle still held.
     Live(BackendEvent, StreamId),
     /// Tombstoned: completed successfully and compacted away (or a
-    /// never-used block-tail id handed back by a drain).
+    /// reserved id a failed batch handed back).
     Retired(StreamId),
 }
 
@@ -113,9 +103,7 @@ pub struct TableStats {
     pub live: u64,
     pub retired: u64,
     pub watermark: u64,
-    /// Id blocks minted so far (block-mode shared RMWs on the id counter).
-    pub mints: u64,
-    /// Reserved-but-never-used ids handed back as tombstones by drains.
+    /// Reserved-but-never-published ids handed back by failed batches.
     pub tombstoned: u64,
 }
 
@@ -128,68 +116,7 @@ fn new_segment() -> Box<[Slot]> {
         .collect()
 }
 
-/// One thread's current id block, packed `next | end << 32` (empty when
-/// `next ≥ end`). The owning thread `take`s and `refill`s; a drain `steal`s
-/// the whole remaining range in one swap. The CAS-vs-swap atomicity is what
-/// makes the handoff safe: an id is observed by exactly one side — either
-/// the owner's `take` wins the CAS (and the stealer gets the rest), or the
-/// steal's swap lands first (and the owner's CAS fails, re-loads an empty
-/// cell and mints a fresh block). Modeled by `loom_block_take_vs_steal`.
-struct IdBlockCell {
-    state: AtomicU64,
-}
-
-impl IdBlockCell {
-    fn new() -> IdBlockCell {
-        IdBlockCell {
-            state: AtomicU64::new(0),
-        }
-    }
-
-    /// Owner-only: take the next id of the current block, if any.
-    fn take(&self) -> Option<u64> {
-        let mut cur = self.state.load(Ordering::Relaxed);
-        loop {
-            let (next, end) = (cur & 0xFFFF_FFFF, cur >> 32);
-            if next >= end {
-                return None;
-            }
-            // Relaxed is enough on the owner side: the owner minted the
-            // block itself (program order covers the segment init).
-            match self.state.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(next),
-                Err(c) => cur = c,
-            }
-        }
-    }
-
-    /// Drain-side: empty the cell, returning the untaken range (if any).
-    /// Acquire pairs with `refill`'s Release so the stolen ids' segments
-    /// (initialized by the minting thread before the refill) are visible
-    /// to the tombstoning drain.
-    fn steal(&self) -> Option<Range<u64>> {
-        let old = self.state.swap(0, Ordering::Acquire);
-        let (next, end) = (old & 0xFFFF_FFFF, old >> 32);
-        (next < end).then_some(next..end)
-    }
-
-    /// Owner-only: install a freshly minted block. Release: see `steal`.
-    /// A steal racing a refill harmlessly takes the whole fresh block; the
-    /// owner's next `take` fails and re-mints.
-    fn refill(&self, start: u64, end: u64) {
-        self.state.store(start | (end << 32), Ordering::Release);
-    }
-}
-
-/// The table state proper. Behind an `Arc` so thread-local block cells can
-/// hold a `Weak` back-reference and hand their unspent ids back when the
-/// thread exits (without keeping a dropped table alive).
-struct Shared {
+pub struct EventTable {
     segs: Box<[OnceLock<Box<[Slot]>>]>,
     next: AtomicU64,
     /// Every id below this is retired (scan start for compaction).
@@ -201,28 +128,14 @@ struct Shared {
     /// the high 32. One word per shard so the two counts move in a single
     /// atomic step; [`EventTable::stats`] folds the shards (total ids ≪
     /// 2³², so the halves never carry into each other under summation).
-    /// Shard = block index mod [`OCC_SHARDS`]: all of one id's transitions
-    /// hit one word, and publishers on different blocks hit different
-    /// cache lines.
+    /// Shard = `id >> OCC_STRIDE_BITS` mod [`OCC_SHARDS`]: all of one id's
+    /// transitions hit one word, and publishers on different id ranges hit
+    /// different cache lines.
     occupancy: Box<[CachePadded<AtomicU64>]>,
     /// Single-compactor guard; contenders skip (compaction is periodic).
     compactor: Mutex<()>,
-    /// Registered per-thread id-block cells (for drains). Guarded by
-    /// [`LockClass::IdBlocks`].
-    blocks: Mutex<Vec<Arc<IdBlockCell>>>,
-    /// Blocks minted (the block-mode shared-RMW count — the per-action
-    /// contended-RMW metric the bench records is `mints / actions`).
-    mints: AtomicU64,
-    /// Never-used ids handed back as tombstones.
+    /// Never-published ids handed back as tombstones.
     tombstoned: AtomicU64,
-    /// Dense-mint mode: `reserve` bypasses the block cells and mints single
-    /// sequential ids. On while an hsan recording is live (the trace is a
-    /// total order in ascending event-id sequence, which per-thread blocks
-    /// would break).
-    dense: AtomicBool,
-    /// Identity of this table for the thread-local cell lookup.
-    #[cfg(not(loom))]
-    uid: u64,
     /// Debug-only tripwire for the quiesce contract: `overwrite` (which
     /// runs under the world *write* lock during degradation) must never
     /// race `compact` (which runs under the world *read* lock).
@@ -230,86 +143,25 @@ struct Shared {
     compacting: AtomicBool,
 }
 
-pub struct EventTable {
-    shared: Arc<Shared>,
-}
-
-#[cfg(not(loom))]
-fn next_uid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-#[cfg(not(loom))]
-mod tls {
-    //! Per-thread id-block cells, keyed by table uid. Entries hold a `Weak`
-    //! table reference: on thread exit the destructor steals each cell's
-    //! unspent range, tombstones it in the (still-live) table and
-    //! deregisters the cell — the block-drain handoff that keeps the id
-    //! space dense for the watermark sweep.
-
-    use super::{IdBlockCell, Shared};
-    use crate::sync::Arc;
-    use std::cell::RefCell;
-    use std::sync::Weak;
-
-    struct Entry {
-        uid: u64,
-        table: Weak<Shared>,
-        cell: Arc<IdBlockCell>,
-    }
-
-    struct ThreadBlocks {
-        entries: Vec<Entry>,
-    }
-
-    impl Drop for ThreadBlocks {
-        fn drop(&mut self) {
-            for e in self.entries.drain(..) {
-                if let Some(sh) = e.table.upgrade() {
-                    if let Some(r) = e.cell.steal() {
-                        sh.tombstone_unused(r);
-                    }
-                    sh.deregister(&e.cell);
-                }
-            }
+impl EventTable {
+    pub fn new() -> EventTable {
+        EventTable {
+            segs: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
+            next: AtomicU64::new(0),
+            watermark: AtomicU64::new(0),
+            occupancy: (0..OCC_SHARDS)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
+            compactor: Mutex::new(()),
+            tombstoned: AtomicU64::new(0),
+            #[cfg(debug_assertions)]
+            compacting: AtomicBool::new(false),
         }
     }
 
-    thread_local! {
-        static BLOCKS: RefCell<ThreadBlocks> =
-            const { RefCell::new(ThreadBlocks { entries: Vec::new() }) };
-    }
-
-    /// Run `f` with this thread's cell for `shared`, creating + registering
-    /// it on first use (and pruning cells of dropped tables).
-    pub(super) fn with_cell<R>(shared: &Arc<Shared>, f: impl FnOnce(&IdBlockCell) -> R) -> R {
-        BLOCKS.with(|b| {
-            let mut b = b.borrow_mut();
-            let i = match b.entries.iter().position(|e| e.uid == shared.uid) {
-                Some(i) => i,
-                None => {
-                    b.entries.retain(|e| e.table.strong_count() > 0);
-                    let cell = Arc::new(IdBlockCell::new());
-                    shared.register(cell.clone());
-                    b.entries.push(Entry {
-                        uid: shared.uid,
-                        table: Arc::downgrade(shared),
-                        cell,
-                    });
-                    b.entries.len() - 1
-                }
-            };
-            f(&b.entries[i].cell)
-        })
-    }
-}
-
-impl Shared {
-    /// Ids handed out so far (reserved, not necessarily published; in block
-    /// mode, rounded up to the last minted block's end).
-    fn len(&self) -> u64 {
-        // Acquire: pairs with the AcqRel fetch_add in the mint paths, so a
+    /// Ids handed out so far (reserved, not necessarily published).
+    pub fn len(&self) -> u64 {
+        // Acquire: pairs with the AcqRel fetch_add in `reserve`, so a
         // thread that learned an id through this bound also sees the
         // side effects sequenced before that id's reservation. (The
         // segment itself is published by the `OnceLock`, which carries its
@@ -325,12 +177,13 @@ impl Shared {
 
     /// The occupancy shard a given id's gauge transitions land in.
     fn occ(&self, id: u64) -> &AtomicU64 {
-        &self.occupancy[((id >> BLOCK_BITS) as usize) % OCC_SHARDS]
+        &self.occupancy[((id >> OCC_STRIDE_BITS) as usize) % OCC_SHARDS]
     }
 
-    /// Dense mint: one id per shared RMW (recording mode, and all loom
-    /// builds — the frontier models rely on a gap-free id space).
-    fn reserve_dense(&self) -> u64 {
+    /// Mint the next event id (one shared RMW) and make sure its segment
+    /// exists. The id is not visible to lookups until
+    /// [`EventTable::publish`].
+    pub fn reserve(&self) -> u64 {
         // AcqRel: the release half pairs with the Acquire load in `len`
         // (see there); the acquire half orders this mint after any prior
         // reservation whose count we observe.
@@ -345,27 +198,15 @@ impl Shared {
         id
     }
 
-    /// Mint a fresh [`ID_BLOCK`]-sized id block (one shared RMW) and make
-    /// sure its segments exist (a block spans at most two).
-    fn mint_block(&self) -> (u64, u64) {
-        let start = self.next.fetch_add(ID_BLOCK, Ordering::AcqRel);
-        let last_seg = ((start + ID_BLOCK - 1) >> SEG_BITS) as usize;
-        assert!(
-            last_seg < MAX_SEGS,
-            "event table exhausted ({} events); raise MAX_SEGS",
-            MAX_SEGS as u64 * SEG_LEN
-        );
-        self.segs[(start >> SEG_BITS) as usize].get_or_init(new_segment);
-        self.segs[last_seg].get_or_init(new_segment);
-        self.mints.fetch_add(1, Ordering::Relaxed);
-        (start, start + ID_BLOCK)
-    }
-
-    /// Mark a stolen (reserved, never handed out) id range as retired. The
-    /// slots read as `Retired` and the compaction sweep's watermark passes
-    /// them — the dense-id-space guarantee behind block minting.
-    fn tombstone_unused(&self, range: Range<u64>) {
-        for id in range.clone() {
+    /// Hand back ids that were [`EventTable::reserve`]d but will never be
+    /// published — a batch enqueue that validated, reserved, and then
+    /// failed before submit. The slots retire immediately (they read as
+    /// `Retired`, i.e. completed success, so nothing acquires a dependence
+    /// edge on them) and the compaction watermark crosses them instead of
+    /// stalling forever on a slot no one will ever fill.
+    pub fn tombstone_reserved(&self, ids: impl IntoIterator<Item = u64>) {
+        let mut n = 0;
+        for id in ids {
             let slot = self.slot(id).expect("tombstone of unreserved id");
             let _lo = lockorder::acquiring(LockClass::EventSlot);
             let g = slot.be.lock();
@@ -380,132 +221,15 @@ impl Shared {
             self.occ(id).fetch_add(TOMBSTONE_STEP, Ordering::Relaxed);
             slot.stream.store(TOMBSTONE, Ordering::Release);
             drop(g);
+            n += 1;
         }
-        self.tombstoned
-            .fetch_add(range.end - range.start, Ordering::Relaxed);
-    }
-
-    #[cfg(not(loom))]
-    fn register(&self, cell: Arc<IdBlockCell>) {
-        let _lo = lockorder::acquiring(LockClass::IdBlocks);
-        self.blocks.lock().push(cell);
-    }
-
-    #[cfg(not(loom))]
-    fn deregister(&self, cell: &Arc<IdBlockCell>) {
-        let _lo = lockorder::acquiring(LockClass::IdBlocks);
-        self.blocks.lock().retain(|c| !Arc::ptr_eq(c, cell));
-    }
-}
-
-impl EventTable {
-    pub fn new() -> EventTable {
-        EventTable {
-            shared: Arc::new(Shared {
-                segs: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
-                next: AtomicU64::new(0),
-                watermark: AtomicU64::new(0),
-                occupancy: (0..OCC_SHARDS)
-                    .map(|_| CachePadded::new(AtomicU64::new(0)))
-                    .collect(),
-                compactor: Mutex::new(()),
-                blocks: Mutex::new(Vec::new()),
-                mints: AtomicU64::new(0),
-                tombstoned: AtomicU64::new(0),
-                dense: AtomicBool::new(false),
-                #[cfg(not(loom))]
-                uid: next_uid(),
-                #[cfg(debug_assertions)]
-                compacting: AtomicBool::new(false),
-            }),
-        }
-    }
-
-    /// Ids handed out so far (reserved, not necessarily published; in block
-    /// mode this is the last minted block's end, so it over-counts by at
-    /// most [`ID_BLOCK`] per active source thread between drains).
-    pub fn len(&self) -> u64 {
-        self.shared.len()
-    }
-
-    /// Mint the next event id and make sure its segment exists. The id is
-    /// not visible to lookups until [`EventTable::publish`].
-    ///
-    /// Fast path: one CAS on this thread's cached id block; a shared RMW
-    /// only every [`ID_BLOCK`] calls (block mint). Dense mode (hsan
-    /// recording live) bypasses the cells — the trace needs ascending ids.
-    #[cfg(not(loom))]
-    pub fn reserve(&self) -> u64 {
-        if self.shared.dense.load(Ordering::Relaxed) {
-            return self.shared.reserve_dense();
-        }
-        tls::with_cell(&self.shared, |cell| loop {
-            if let Some(id) = cell.take() {
-                return id;
-            }
-            let (start, end) = self.shared.mint_block();
-            cell.refill(start, end);
-        })
-    }
-
-    /// Under loom every reserve is dense: the frontier models assert a
-    /// gap-free id space, and loom threads are too short-lived for block
-    /// amortization to matter. The block protocol itself is modeled
-    /// directly by `loom_block_take_vs_steal`.
-    #[cfg(loom)]
-    pub fn reserve(&self) -> u64 {
-        self.shared.reserve_dense()
-    }
-
-    /// Switch between dense single-id minting (ascending ids; required
-    /// while an hsan recording is live) and block minting. Call
-    /// [`EventTable::drain_blocks`] after enabling so already-cached block
-    /// ids don't surface later out of order.
-    #[cfg_attr(not(feature = "hsan-record"), allow(dead_code))]
-    pub fn set_dense(&self, on: bool) {
-        self.shared.dense.store(on, Ordering::Release);
-    }
-
-    /// Steal every registered thread-block's unspent ids and tombstone
-    /// them, restoring a dense id space for the watermark sweep. Owners
-    /// race safely (CAS-vs-swap) and simply mint fresh blocks. Called
-    /// before periodic compaction and when an hsan recording starts.
-    pub fn drain_blocks(&self) {
-        let cells: Vec<Arc<IdBlockCell>> = {
-            let _lo = lockorder::acquiring(LockClass::IdBlocks);
-            self.shared.blocks.lock().clone()
-        };
-        for cell in cells {
-            if let Some(r) = cell.steal() {
-                self.shared.tombstone_unused(r);
-            }
-        }
-    }
-
-    /// Id blocks minted so far (drives the amortized-compaction cadence).
-    pub fn mints(&self) -> u64 {
-        self.shared.mints.load(Ordering::Relaxed)
-    }
-
-    /// Hand back ids that were [`EventTable::reserve`]d but will never be
-    /// published — a batch enqueue that validated, reserved, and then
-    /// failed before submit. The slots retire immediately (they read as
-    /// `Retired`, i.e. completed success, so nothing acquires a dependence
-    /// edge on them) and the compaction watermark crosses them instead of
-    /// stalling forever on a slot no one will ever fill.
-    pub fn tombstone_reserved(&self, ids: impl IntoIterator<Item = u64>) {
-        for id in ids {
-            self.shared.tombstone_unused(id..id + 1);
-        }
+        self.tombstoned.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Fill a reserved slot. Called once per id, after the backend accepted
     /// the submission.
     pub fn publish(&self, id: u64, stream: StreamId, be: BackendEvent) {
-        let slot = self
-            .shared
-            .slot(id)
-            .expect("publish of unreserved event id");
+        let slot = self.slot(id).expect("publish of unreserved event id");
         let _lo = lockorder::acquiring(LockClass::EventSlot);
         let mut g = slot.be.lock();
         debug_assert!(g.is_none(), "double publish of event {id}");
@@ -522,7 +246,7 @@ impl EventTable {
         // *would* underflow — the `loom_publish_vs_compact` observer thread
         // catches exactly that mutation.) Relaxed is enough: the lock
         // serializes the RMW pair and the gauge feeds metrics only.
-        self.shared.occ(id).fetch_add(1, Ordering::Relaxed);
+        self.occ(id).fetch_add(1, Ordering::Relaxed);
         // Publication point. Release: pairs with the Acquire loads in
         // `view_id`/`stream_of`/`compact`, so a reader that observes the
         // stream id also observes the payload written above (`stream_of`
@@ -546,13 +270,10 @@ impl EventTable {
     pub fn overwrite(&self, id: u64, be: BackendEvent) {
         #[cfg(debug_assertions)]
         debug_assert!(
-            !self.shared.compacting.load(Ordering::Relaxed),
+            !self.compacting.load(Ordering::Relaxed),
             "overwrite racing compact violates the world-lock quiesce contract"
         );
-        let slot = self
-            .shared
-            .slot(id)
-            .expect("overwrite of unreserved event id");
+        let slot = self.slot(id).expect("overwrite of unreserved event id");
         // Acquire: pairs with publish's Release store — overwrite is only
         // legal on a slot whose publication we have observed.
         debug_assert_ne!(slot.stream.load(Ordering::Acquire), UNPUBLISHED);
@@ -563,12 +284,10 @@ impl EventTable {
             // slot lock serializes this with the tombstone that set `None`,
             // so retired ≥ 1 here and the subtraction cannot borrow across
             // the halves. Relaxed: gauge only, ordering via the slot lock.
-            self.shared
-                .occ(id)
-                .fetch_sub(RETIRE_STEP, Ordering::Relaxed);
+            self.occ(id).fetch_sub(RETIRE_STEP, Ordering::Relaxed);
             // AcqRel for the RMW handshake with other rewinds; the next
             // compactor re-reads the watermark under the compactor mutex.
-            self.shared.watermark.fetch_min(id, Ordering::AcqRel);
+            self.watermark.fetch_min(id, Ordering::AcqRel);
         }
         *g = Some(be);
     }
@@ -578,7 +297,7 @@ impl EventTable {
     }
 
     pub fn view_id(&self, id: u64) -> EventView {
-        let Some(slot) = self.shared.slot(id) else {
+        let Some(slot) = self.slot(id) else {
             return EventView::Missing;
         };
         // Acquire: pairs with publish's Release store. Observing the
@@ -602,7 +321,7 @@ impl EventTable {
     /// are retired successes by construction; unpublished or missing ids
     /// are not retired.
     pub fn retired_ok(&self, ev: Event, ok: impl FnOnce(&BackendEvent) -> bool) -> bool {
-        let Some(slot) = self.shared.slot(ev.0) else {
+        let Some(slot) = self.slot(ev.0) else {
             return false;
         };
         // Acquire: pairs with publish's Release store (see `view_id`).
@@ -618,7 +337,7 @@ impl EventTable {
 
     /// Producing stream of a published event.
     pub fn stream_of(&self, ev: Event) -> Option<StreamId> {
-        let slot = self.shared.slot(ev.0)?;
+        let slot = self.slot(ev.0)?;
         // Acquire: pairs with publish's Release store (same as `view_id`;
         // here it only gates publication visibility — no payload read).
         match slot.stream.load(Ordering::Acquire) {
@@ -635,29 +354,27 @@ impl EventTable {
     /// state cost is proportional to the live window, not to table length.
     pub fn compact(&self, verdict: impl Fn(&BackendEvent) -> Option<bool>) {
         let _lo = lockorder::acquiring(LockClass::Compactor);
-        let Some(_g) = self.shared.compactor.try_lock() else {
+        let Some(_g) = self.compactor.try_lock() else {
             return;
         };
         #[cfg(debug_assertions)]
-        self.shared.compacting.store(true, Ordering::Relaxed);
+        self.compacting.store(true, Ordering::Relaxed);
         let len = self.len();
         // Acquire: pairs with the Release store below (a previous
         // compactor's watermark) and with overwrite's rewind; the compactor
         // mutex already orders compactor-to-compactor handoffs — the
         // pairing additionally covers the lock-free metrics reader.
-        let start = self.shared.watermark.load(Ordering::Acquire);
+        let start = self.watermark.load(Ordering::Acquire);
         let mut wm = start;
         let mut contiguous = true;
         for id in start..len {
-            let retired_here = match self.shared.slot(id) {
+            let retired_here = match self.slot(id) {
                 None => false, // reserved, segment raced away: treat as live
                 Some(slot) => {
                     // Acquire: pairs with publish's Release store — only
                     // published slots are candidates; a mid-publish slot
                     // (payload written, stream not yet stored) is skipped
-                    // and retried next sweep. An untaken block id reads
-                    // UNPUBLISHED too and stops the contiguous prefix —
-                    // until a drain tombstones it.
+                    // and retried next sweep.
                     if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
                         false // mid-publish on another thread
                     } else {
@@ -674,9 +391,7 @@ impl EventTable {
                                     // became visible, so live ≥ 1 and the
                                     // borrow stays within the low half.
                                     // Relaxed: gauge only (see publish).
-                                    self.shared
-                                        .occ(id)
-                                        .fetch_add(RETIRE_STEP, Ordering::Relaxed);
+                                    self.occ(id).fetch_add(RETIRE_STEP, Ordering::Relaxed);
                                     true
                                 }
                                 _ => false, // pending or failed: keep
@@ -697,9 +412,9 @@ impl EventTable {
         // watermark only ever covers slots this sweep (or a predecessor
         // under the same mutex) observed as retired — never a live or
         // failed slot, the invariant the loom models check.
-        self.shared.watermark.store(wm, Ordering::Release);
+        self.watermark.store(wm, Ordering::Release);
         #[cfg(debug_assertions)]
-        self.shared.compacting.store(false, Ordering::Relaxed);
+        self.compacting.store(false, Ordering::Relaxed);
     }
 
     pub fn stats(&self) -> TableStats {
@@ -709,7 +424,7 @@ impl EventTable {
         // because total ids ≪ 2³². The fold is a snapshot across shards —
         // fine for a metrics gauge.
         let mut packed = 0u64;
-        for c in self.shared.occupancy.iter() {
+        for c in self.occupancy.iter() {
             packed = packed.wrapping_add(c.load(Ordering::Relaxed));
         }
         let (live, retired) = unpack_occupancy(packed);
@@ -718,16 +433,15 @@ impl EventTable {
             live,
             retired,
             // Acquire: pairs with compact's Release store (metrics-only).
-            watermark: self.shared.watermark.load(Ordering::Acquire),
-            mints: self.shared.mints.load(Ordering::Relaxed),
-            tombstoned: self.shared.tombstoned.load(Ordering::Relaxed),
+            watermark: self.watermark.load(Ordering::Acquire),
+            tombstoned: self.tombstoned.load(Ordering::Relaxed),
         }
     }
 }
 
 // Under `--cfg loom` the loom models below replace these (the std unit
-// tests drive block arithmetic sized for real runs, e.g. `ID_BLOCK - 5`,
-// which loom's tiny test blocks would underflow).
+// tests spawn real threads and fill whole segments, which loom's
+// scheduler would neither see nor afford).
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -785,57 +499,19 @@ mod tests {
         let t = EventTable::new();
         let n = SEG_LEN + 10;
         for i in 0..n {
-            // One thread's takes are sequential: block minting keeps ids
-            // dense for a single source thread.
             assert_eq!(t.reserve(), i);
             t.publish(i, StreamId(0), done_event());
         }
-        // Block-rounded: at most one block of unspent ids outstanding.
-        assert!(t.len() >= n && t.len() - n < ID_BLOCK);
+        assert_eq!(t.len(), n);
         assert!(matches!(t.view_id(SEG_LEN + 5), EventView::Live(..)));
-        // The sharded gauge folds across many blocks (> OCC_SHARDS).
+        // The sharded gauge folds across many strides (> OCC_SHARDS).
         let st = t.stats();
         assert_eq!(st.live, n);
         assert_eq!(st.retired, 0);
     }
 
     #[test]
-    fn drain_tombstones_untaken_tail() {
-        let t = EventTable::new();
-        for i in 0..5u64 {
-            let id = t.reserve();
-            assert_eq!(id, i);
-            t.publish(id, StreamId(0), done_event());
-        }
-        // Hand the current block's unspent tail back.
-        t.drain_blocks();
-        let st = t.stats();
-        assert_eq!(st.live, 5);
-        assert_eq!(st.retired, ID_BLOCK - 5, "tail tombstoned");
-        assert_eq!(st.tombstoned, ID_BLOCK - 5);
-        assert!(matches!(t.view_id(7), EventView::Retired(_)));
-        // The sweep passes the tombstoned tail: the id space stays dense.
-        t.compact(thread_verdict);
-        assert_eq!(t.stats().watermark, ID_BLOCK);
-        // The drained cell refills from a fresh block.
-        assert_eq!(t.reserve(), ID_BLOCK);
-    }
-
-    #[test]
-    fn dense_mode_mints_single_sequential_ids() {
-        let t = EventTable::new();
-        t.set_dense(true);
-        assert_eq!(t.reserve(), 0);
-        assert_eq!(t.reserve(), 1);
-        assert_eq!(t.len(), 2, "dense mode reserves exactly what it mints");
-        t.set_dense(false);
-        // Back to blocks: the next reserve mints from the dense frontier.
-        assert_eq!(t.reserve(), 2);
-        assert_eq!(t.len(), 2 + ID_BLOCK);
-    }
-
-    #[test]
-    fn concurrent_reserves_are_unique_and_drain_on_thread_exit() {
+    fn concurrent_reserves_are_unique_and_gap_free() {
         let t = EventTable::new();
         const THREADS: usize = 4;
         const PER: usize = 100;
@@ -862,11 +538,11 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), THREADS * PER, "duplicate ids handed out");
-        // Thread exit handed every unspent tail back as tombstones: the
-        // sweep retires the entire reserved range, no gaps.
+        // Exactly what was asked for was minted: one sweep retires the
+        // entire reserved range, no gaps.
         let st = t.stats();
-        assert_eq!(st.live, (THREADS * PER) as u64);
-        assert_eq!(st.live + st.retired, st.reserved, "dense after drain");
+        assert_eq!(st.reserved, (THREADS * PER) as u64);
+        assert_eq!((st.live, st.retired), (st.reserved, 0));
         t.compact(thread_verdict);
         let st = t.stats();
         assert_eq!(st.live, 0);
@@ -996,8 +672,7 @@ mod tests {
 
         fn check(t: &EventTable, shadow: &[Shadow]) {
             let st = t.stats();
-            // Block minting reserves ahead: at least every shadowed id.
-            assert!(st.reserved >= shadow.len() as u64);
+            assert_eq!(st.reserved, shadow.len() as u64);
             assert!(st.watermark <= st.reserved, "watermark past next");
             let live_shadow = shadow
                 .iter()
@@ -1242,62 +917,6 @@ mod loom_models {
             assert_eq!(st.live, 0, "revived slot never re-collected");
             assert_eq!(st.retired, 2);
             assert_eq!(st.watermark, 2, "watermark stuck below revived slot");
-        });
-    }
-
-    /// The id-block handoff protocol: an owner `take`ing from its cell
-    /// (re-minting when empty) races a drain `steal`ing the cell. The
-    /// CAS-vs-swap atomicity must hand every reserved id to exactly one
-    /// side: the published id stays live (a torn steal would tombstone a
-    /// taken id and unbalance the gauge), and after the final drain the
-    /// whole reserved range is accounted for — the sweep's watermark
-    /// reaches the frontier with no gaps.
-    #[test]
-    fn loom_block_take_vs_steal() {
-        loom::model(|| {
-            let t = Arc::new(EventTable::new());
-            let cell = Arc::new(IdBlockCell::new());
-            let (s, e) = t.shared.mint_block();
-            cell.refill(s, e);
-            let (t2, c2) = (t.clone(), cell.clone());
-            let taker = loom::thread::spawn(move || {
-                let id = loop {
-                    if let Some(id) = c2.take() {
-                        break id;
-                    }
-                    // Cell stolen underneath us: mint a fresh block, as
-                    // `reserve` does.
-                    let (s, e) = t2.shared.mint_block();
-                    c2.refill(s, e);
-                };
-                t2.publish(id, StreamId(0), done_event());
-                id
-            });
-            // The drain (as run before a periodic compaction).
-            if let Some(r) = cell.steal() {
-                t.shared.tombstone_unused(r);
-            }
-            let id = taker.join().unwrap();
-            // Quiesced: drain whatever the owner still holds.
-            if let Some(r) = cell.steal() {
-                t.shared.tombstone_unused(r);
-            }
-            assert!(
-                matches!(t.view_id(id), EventView::Live(..)),
-                "taken id {id} was tombstoned by the drain"
-            );
-            let st = t.stats();
-            assert_eq!(st.live, 1);
-            assert_eq!(
-                st.live + st.retired,
-                st.reserved,
-                "an id leaked from the take/steal handoff"
-            );
-            t.compact(thread_verdict);
-            let st = t.stats();
-            assert_eq!(st.live, 0);
-            assert_eq!(st.retired, st.reserved);
-            assert_eq!(st.watermark, st.reserved, "sweep stalled on a gap");
         });
     }
 }

@@ -180,20 +180,7 @@ pub struct DomainInfo {
 }
 
 /// Enqueues between amortized event-table / recovery-log compactions.
-const COMPACT_EVERY: u32 = 1024;
-
-/// [`COMPACT_EVERY`] expressed in id-block mints: the compaction cadence is
-/// observed through the event table's block-mint counter (one mint per
-/// [`events::ID_BLOCK`] reserves), which the enqueue path already pays for.
-/// `max(1)` keeps the cadence sane under loom's tiny test blocks.
-const COMPACT_BLOCKS: u64 = {
-    let blocks = COMPACT_EVERY as u64 / events::ID_BLOCK;
-    if blocks == 0 {
-        1
-    } else {
-        blocks
-    }
-};
+const COMPACT_EVERY: u64 = 1024;
 
 /// Witness a lock-class acquisition for exactly the duration of `f` — for
 /// sites where the guard is a statement temporary. Sites that bind the
@@ -261,11 +248,10 @@ pub(crate) struct Inner {
     /// loops snapshot it before waiting; a failed wait whose snapshot is
     /// stale re-waits instead of racing a concurrent degradation.
     degrade_gen: AtomicU64,
-    /// Event-table *block-mint* count at which the next amortized
-    /// compaction is due. Driven off the table's existing mint counter so
-    /// the per-action check is two relaxed loads and zero RMWs (the old
-    /// per-enqueue counter was itself a shared hot-path RMW; one thread's
-    /// CAS here claims the whole compaction).
+    /// Event-table length at which the next amortized compaction is due.
+    /// Driven off the table's id counter so the per-action check is two
+    /// loads and no RMW of its own (one thread's CAS here claims the whole
+    /// compaction).
     compact_due: AtomicU64,
     /// Times an enqueue found its stream's lock held (multi-source
     /// contention probe; surfaced as `frontend.stream_lock.contended`).
@@ -383,7 +369,7 @@ impl HStreams {
                 wal: OnceLock::new(),
                 degraded: Mutex::new(Vec::new()),
                 degrade_gen: AtomicU64::new(0),
-                compact_due: AtomicU64::new(COMPACT_BLOCKS),
+                compact_due: AtomicU64::new(COMPACT_EVERY),
                 contended: ShardedU64::new(),
                 redundant: ShardedU64::new(),
             }),
@@ -445,13 +431,6 @@ impl HStreams {
     /// order in event-id sequence).
     #[cfg(feature = "hsan-record")]
     pub fn recording_start(&self) {
-        // The trace is a total order in event-id sequence, so ids minted
-        // while recording must be gap-free ascending: hand every thread's
-        // private id block back (unused tails tombstone) and switch the
-        // allocator to sequential single-id mints — both *before* the
-        // recording flag is released to concurrent enqueuers.
-        self.inner.events.set_dense(true);
-        self.inner.events.drain_blocks();
         *with_class(LockClass::Recorder, || self.inner.recorder.lock()) = Some(
             record::Recorder::new(self.inner.ordering, self.inner.platform.domains.len()),
         );
@@ -465,10 +444,6 @@ impl HStreams {
     pub fn recording_take(&self) -> Option<record::ActionTrace> {
         self.inner.recording.store(false, Ordering::Release);
         let rec = with_class(LockClass::Recorder, || self.inner.recorder.lock().take());
-        // Back to block-mode id minting only once the recorder is gone: an
-        // enqueue that raced the flag store serialized on the recorder lock
-        // above and therefore minted its (dense) id before this point.
-        self.inner.events.set_dense(false);
         let rec = rec?;
         let streams = with_class(LockClass::Streams, || self.inner.streams.read().len()) as u32;
         let trace = match &self.inner.exec {
@@ -983,23 +958,22 @@ impl HStreams {
 
     /// Amortized bounded-memory sweep, run outside the enqueue locks.
     ///
-    /// Cadence is observed through the event table's block-mint counter
-    /// rather than a dedicated per-enqueue counter: the common case is two
-    /// relaxed loads and **zero** shared RMWs per action, and the CAS —
-    /// attempted only once per [`COMPACT_BLOCKS`] mints — elects a single
-    /// compacting thread.
+    /// Cadence is observed through the event table's id counter rather
+    /// than a dedicated per-enqueue counter: the common case is two loads
+    /// and no RMW per action, and the CAS — attempted only once per
+    /// [`COMPACT_EVERY`] ids — elects a single compacting thread.
     fn maybe_compact(&self) {
         let inner = &*self.inner;
-        let mints = inner.events.mints();
+        let minted = inner.events.len();
         let due = inner.compact_due.load(Ordering::Relaxed);
-        if mints < due {
+        if minted < due {
             return;
         }
         if inner
             .compact_due
             .compare_exchange(
                 due,
-                mints + COMPACT_BLOCKS,
+                minted + COMPACT_EVERY,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             )
@@ -1024,10 +998,6 @@ impl HStreams {
         let inner = &*self.inner;
         let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = inner.world.read();
-        // Hand back every thread's private id block first: unused tail ids
-        // tombstone, so the watermark below can sweep past them instead of
-        // stalling at the first untaken id. Threads re-mint on next use.
-        inner.events.drain_blocks();
         inner.events.compact(|be| {
             if !inner.exec.is_complete(be) {
                 return None;
@@ -1203,8 +1173,8 @@ impl HStreams {
     /// segment retirement — the same work `compact_now` performs on its
     /// amortized cadence, without the appended-bytes throttle. No-op when
     /// durability is off. Compacts first: the quiesce requirement
-    /// (`watermark == reserved`) only holds once per-thread id blocks are
-    /// drained and the retirement watermark sweeps forward.
+    /// (`watermark == reserved`) only holds once the retirement watermark
+    /// sweeps forward.
     pub fn wal_checkpoint(&self) {
         self.compact_now();
         self.wal_maybe_checkpoint(true);
@@ -1604,9 +1574,11 @@ impl HStreams {
         snap.extra
             .insert("events.watermark".into(), table.watermark as f64);
         snap.extra
-            .insert("events.id_block.mints".into(), table.mints as f64);
+            .insert("events.tombstoned".into(), table.tombstoned as f64);
+        // One id per mint. Exported because the frozen benchmark's ledger
+        // divides it by `events.reserved` (`core.id_rmw_per_action`).
         snap.extra
-            .insert("events.id_block.tombstoned".into(), table.tombstoned as f64);
+            .insert("events.id_block.mints".into(), table.reserved as f64);
         snap.extra.insert(
             "frontend.stream_lock.contended".into(),
             self.inner.contended.get() as f64,

@@ -52,18 +52,15 @@ pub enum LockClass {
     SimShadow = 8,
     /// The single-compactor guard (`EventTable::compactor`).
     Compactor = 9,
-    /// The per-table id-block registry (`events::Shared::blocks`): the list
-    /// of per-thread id-block cells a drain sweeps before compaction.
-    IdBlocks = 10,
     /// A per-slot event-table mutex (`Slot::be`).
-    EventSlot = 11,
+    EventSlot = 10,
     /// The serialized virtual-time executor (`Executor::Sim`).
-    SimExec = 12,
+    SimExec = 11,
 }
 
 impl LockClass {
     /// Every class, in rank order.
-    pub const ALL: [LockClass; 13] = [
+    pub const ALL: [LockClass; 12] = [
         LockClass::World,
         LockClass::Streams,
         LockClass::Stream,
@@ -74,7 +71,6 @@ impl LockClass {
         LockClass::Degraded,
         LockClass::SimShadow,
         LockClass::Compactor,
-        LockClass::IdBlocks,
         LockClass::EventSlot,
         LockClass::SimExec,
     ];
@@ -97,7 +93,6 @@ impl LockClass {
             LockClass::Degraded => "degraded",
             LockClass::SimShadow => "sim_shadow",
             LockClass::Compactor => "compactor",
-            LockClass::IdBlocks => "id_blocks",
             LockClass::EventSlot => "event_slot",
             LockClass::SimExec => "sim_exec",
         }

@@ -87,20 +87,15 @@ pub struct StreamState {
     pub mask: CpuMask,
     /// Pending items indexed by touched location.
     by_loc: LocMap<Vec<PendingItem>>,
-    /// Every pending (not yet observed complete) event, in enqueue order.
+    /// Every pending (not yet observed complete) event, in enqueue order —
+    /// which is ascending id order: ids are minted under this stream's lock
+    /// (checked in `push`).
     all: Vec<Event>,
     /// The most recent pending sync action (event-wait or marker): later
     /// actions order on it.
     last_barrier: Option<Event>,
     /// Most recent pending action (strict-FIFO chaining).
     last_event: Option<Event>,
-    /// A *floor* on the pending ids: `<=` every id in `all`, recomputed
-    /// exactly on full sweeps, only lowered by pushes in between. Index
-    /// entries below it are provably retired leftovers (stale-skip); a
-    /// floor that lags merely forgoes some skips, never drops a pending
-    /// dependence — with per-thread id blocks, enqueue order is not id
-    /// order, so `all.first()` stopped being a valid minimum.
-    min_pending: u64,
     enqueued: u64,
     since_full_retire: u32,
 }
@@ -115,7 +110,6 @@ impl StreamState {
             all: Vec::new(),
             last_barrier: None,
             last_event: None,
-            min_pending: u64::MAX,
             enqueued: 0,
             since_full_retire: 0,
         }
@@ -150,12 +144,7 @@ impl StreamState {
             // until the next full sweep — or until the first `find_deps`
             // probe touches them, which prunes them in place).
             let drop = self.all.iter().take_while(|e| is_complete(**e)).count();
-            if drop > 0 {
-                self.all.drain(..drop);
-                // The drain already moved every survivor; refreshing the
-                // pending-id floor over them is asymptotically free.
-                self.min_pending = self.all.iter().map(|e| e.0).min().unwrap_or(u64::MAX);
-            }
+            self.all.drain(..drop);
         }
         self.settle_sync_markers(is_complete);
     }
@@ -170,8 +159,6 @@ impl StreamState {
             items.retain(|it| !is_complete(it.event));
         }
         self.by_loc.retain(|_, v| !v.is_empty());
-        // The index was just swept, so the floor can be exact again.
-        self.min_pending = self.all.iter().map(|e| e.0).min().unwrap_or(u64::MAX);
         self.settle_sync_markers(is_complete);
     }
 
@@ -198,9 +185,7 @@ impl StreamState {
         self.last_barrier
     }
 
-    /// Events of all pending actions, in enqueue order. NOT necessarily
-    /// ascending by id: concurrent sources mint ids from per-thread blocks,
-    /// so interleaved enqueues on one stream produce non-monotone id runs.
+    /// Events of all pending actions, in enqueue (= ascending id) order.
     /// A borrow — callers iterate or copy under the stream's lock.
     pub fn pending(&self) -> &[Event] {
         &self.all
@@ -208,15 +193,11 @@ impl StreamState {
 
     /// The lowest-id pending event strictly after `last` (None = from the
     /// start). Lets `stream_synchronize` walk the pending window one event
-    /// at a time without cloning it — by id, not by enqueue position, so
-    /// the walk terminates even though enqueue order is not id order and
-    /// concurrent enqueuers keep appending.
+    /// at a time without cloning it — by id, not by position, so the walk
+    /// survives retirements shifting the list between calls.
     pub fn first_pending_after(&self, last: Option<Event>) -> Option<Event> {
-        self.all
-            .iter()
-            .copied()
-            .filter(|e| last.is_none_or(|l| *e > l))
-            .min()
+        let i = last.map_or(0, |l| self.all.partition_point(|e| *e <= l));
+        self.all.get(i).copied()
     }
 
     /// Dependences a new action with `footprint` must wait for, per the
@@ -244,7 +225,7 @@ impl StreamState {
                     out.extend_from_slice(&self.all);
                     return 0;
                 }
-                // An index entry below the pending-id floor cannot be
+                // An index entry below the oldest pending id cannot be
                 // pending: it is a retired leftover and induces no
                 // dependence — so it is pruned *here*, in place, rather
                 // than skipped. Skipping let a stale entry charge one
@@ -253,15 +234,15 @@ impl StreamState {
                 // pruning on first contact bounds its lifetime cost to
                 // one probe, matching what the batch path's amortized
                 // sweep already achieved. (An already-retired entry
-                // *above* the floor merely resolves to a completed event
+                // *above* it merely resolves to a completed event
                 // downstream — safe, just not counted as redundant.)
-                let min_pending = self.min_pending;
+                let oldest_pending = self.all.first().map_or(u64::MAX, |e| e.0);
                 let mut redundant = 0u64;
                 out.extend_from_slice(self.last_barrier.as_slice());
                 for item in footprint {
                     if let Some(items) = self.by_loc.get_mut(&(item.domain, item.buffer)) {
                         items.retain(|p| {
-                            if p.event.0 < min_pending {
+                            if p.event.0 < oldest_pending {
                                 redundant += 1;
                                 return false;
                             }
@@ -323,8 +304,13 @@ impl StreamState {
                 }
             }
         }
+        debug_assert!(
+            self.all.last().is_none_or(|l| *l < event),
+            "stream {:?}: event {event:?} pushed after {:?} — ids must be minted under the stream lock",
+            self.id,
+            self.all.last()
+        );
         self.all.push(event);
-        self.min_pending = self.min_pending.min(event.0);
         self.last_event = Some(event);
         self.enqueued += 1;
     }

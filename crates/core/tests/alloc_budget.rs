@@ -258,7 +258,7 @@ fn drive(rig: &Rig, tasks: &[Task], steps: Vec<Step>) {
 fn an_actions_life_is_a_handful_of_allocations_freed_where_they_were_made() {
     counting_alloc::mark_driver();
     let rig = rig();
-    // Warm-up: thread-local id blocks, channel blocks, window buckets and
+    // Warm-up: the event table's first segment, channel blocks, window buckets and
     // the allocator's own per-thread caches exist before anything is counted.
     let warm = plan(&rig, 2_048, 7);
     let steps = script(&rig, &warm, warm.len() / 2);

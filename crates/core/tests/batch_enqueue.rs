@@ -342,9 +342,9 @@ fn failed_batches_tombstone_reserved_ids() {
     // Every id the failed batches reserved (2 per batch) came back as a
     // tombstone, so the watermark can cross the whole range.
     assert!(
-        m.extra["events.id_block.tombstoned"] >= 20_000.0,
+        m.extra["events.tombstoned"] >= 20_000.0,
         "tombstoned: {}",
-        m.extra["events.id_block.tombstoned"]
+        m.extra["events.tombstoned"]
     );
 }
 
@@ -372,7 +372,7 @@ fn batch_event_wait_validates_ids() {
 }
 
 /// While an hsan recording is live, a batch records exactly the ops that
-/// the equivalent singles record — same ids (dense mode), same kinds,
+/// the equivalent singles record — same ids, same kinds,
 /// footprints and wait edges.
 #[cfg(feature = "hsan-record")]
 #[test]

@@ -90,7 +90,9 @@ fn concurrent_enqueue_disjoint_streams() {
 /// Four threads feed ONE stream. The per-stream lock serializes the window
 /// updates; the dependence chain over the single shared buffer must still
 /// hold (final value = total increments) and the contention probe must
-/// have observed the fight.
+/// have observed the fight. Ids are minted under that same lock, so the
+/// stream's ids ascend in enqueue order: debug builds assert it on every
+/// window push, and a recorded round checks the trace.
 #[test]
 fn concurrent_enqueue_shared_stream() {
     let hs = rt(ExecMode::Threads);
@@ -101,30 +103,56 @@ fn concurrent_enqueue_shared_stream() {
     hs.buffer_write_f64(b, 0, &[0.0; 4]).expect("init");
     let nthreads = 4usize;
     let per = 250usize;
-    std::thread::scope(|scope| {
-        for _ in 0..nthreads {
-            let hs = hs.clone();
-            scope.spawn(move || {
-                for _ in 0..per {
-                    hs.enqueue_compute(
-                        s,
-                        "addk",
-                        Bytes::copy_from_slice(&1.0f64.to_le_bytes()),
-                        &[Operand::f64s(b, 0, 4, Access::InOut)],
-                        CostHint::trivial(),
-                    )
-                    .expect("enqueue");
-                }
-            });
-        }
-    });
-    hs.stream_synchronize(s).expect("sync");
+    let round = || {
+        std::thread::scope(|scope| {
+            for _ in 0..nthreads {
+                let hs = hs.clone();
+                scope.spawn(move || {
+                    let mut last = None;
+                    for _ in 0..per {
+                        let ev = hs
+                            .enqueue_compute(
+                                s,
+                                "addk",
+                                Bytes::copy_from_slice(&1.0f64.to_le_bytes()),
+                                &[Operand::f64s(b, 0, 4, Access::InOut)],
+                                CostHint::trivial(),
+                            )
+                            .expect("enqueue");
+                        assert!(last < Some(ev), "one source's ids went backwards");
+                        last = Some(ev);
+                    }
+                });
+            }
+        });
+        hs.stream_synchronize(s).expect("sync");
+    };
+    round();
     let mut out = [0.0; 4];
     hs.buffer_read_f64(b, 0, &mut out).expect("read");
     assert_eq!(out, [(nthreads * per) as f64; 4]);
     // Not asserted > 0: on a single-core host the threads may serialize
     // perfectly. Merely read the gauge to prove it is wired.
     let _ = metric(&hs, "frontend.stream_lock.contended");
+    #[cfg(feature = "hsan-record")]
+    {
+        hs.recording_start();
+        round();
+        let trace = hs.recording_take().expect("recording was on");
+        let ids: Vec<u64> = trace
+            .ops
+            .iter()
+            .filter_map(|op| match op {
+                hstreams_core::TraceOp::Enqueue(a) if a.stream == s.0 => Some(a.event),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids.len(), nthreads * per);
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "recorded ids of one stream must ascend in enqueue order"
+        );
+    }
 }
 
 /// Cross-thread event edges: each thread enqueues into its own stream but

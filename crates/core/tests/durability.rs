@@ -759,12 +759,12 @@ fn durability_opts_group_commits_fsyncs() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Thread A (the caller) mints the first id block with a `bump` round on
-/// stream 0 and waits for it; thread B — every id it takes lies above A's
-/// block — runs a `double` round on stream 1 and synchronizes; then A runs
-/// another `bump` round on stream 0, its ids *below* B's. Only the host
-/// orders the three rounds (a synchronize, a join). Event-id order is
-/// A, A, B: the wrong one. Log order is the order they were enqueued in.
+/// Thread A (the caller) runs a `bump` round on stream 0 and waits for it;
+/// thread B runs a `double` round on stream 1 and synchronizes; then A runs
+/// another `bump` round on stream 0. Only the host orders the three rounds
+/// (a synchronize, a join). Ids come from one counter, so they cannot
+/// contradict that order; log order — the order they were enqueued in —
+/// remains the rule recovery uses.
 fn two_source_threads(hs: &HStreams, s0: StreamId, s1: StreamId, buf: BufferId) {
     round(hs, s0, buf, "bump");
     hs.stream_synchronize(s0).expect("A's first round");

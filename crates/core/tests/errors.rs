@@ -18,7 +18,7 @@ fn rt() -> HStreams {
 fn fails_clean(hs: &HStreams, enqueue: impl FnOnce() -> HsResult<Event>) -> HsError {
     let table = || {
         let m = hs.metrics();
-        ["reserved", "watermark", "id_block.tombstoned"].map(|k| m.extra[&format!("events.{k}")])
+        ["reserved", "watermark", "tombstoned"].map(|k| m.extra[&format!("events.{k}")])
     };
     let before = table();
     let err = enqueue().expect_err("the enqueue is invalid");
@@ -103,6 +103,25 @@ fn unknown_domain_and_event() {
         fails_clean(&hs, || hs.enqueue_event_wait(s, &[Event(1234)])),
         HsError::UnknownEvent(_)
     ));
+    // One past the newest id: nobody was ever given it, and the table's
+    // length says so exactly.
+    let first = hs.enqueue_marker(s).expect("marker");
+    let next = Event(first.0 + 1);
+    assert!(matches!(
+        fails_clean(&hs, || hs.enqueue_event_wait(s, &[next])),
+        HsError::UnknownEvent(_)
+    ));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = hs.clone();
+    let helper = std::thread::spawn(move || tx.send(waiter.event_wait(next)));
+    let waited = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("event_wait on an id nobody was given must return, not spin");
+    helper.join().expect("helper").expect("sent");
+    assert!(
+        matches!(waited, Err(HsError::UnknownEvent(_))),
+        "{waited:?}"
+    );
 }
 
 #[test]

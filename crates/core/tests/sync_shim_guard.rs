@@ -11,6 +11,8 @@
 //!   documented as deliberately *not* part of the protocol under
 //!   verification (it must not add schedule points to the models). The
 //!   atomic it uses still comes from `crate::sync`.
+//!
+//! A second pattern list keeps per-thread id state out of `src/events.rs`.
 
 use std::path::Path;
 
@@ -19,6 +21,12 @@ use std::path::Path;
 /// `parking_lot`, so a std lock is an odd choice but not a model-soundness
 /// hole, and lockorder.rs uses one on purpose.
 const FORBIDDEN: &[&str] = &["std::sync::atomic", "parking_lot"];
+
+/// Patterns that mean "`events.rs` grew per-thread id state again". Event
+/// ids come from one counter; amortising it per thread was measured, bought
+/// nothing, and cost exact `len()` and ascending per-stream ids (DESIGN.md
+/// §13) — re-measure at ≥ 4 source threads before bringing it back.
+const EVENTS_FORBIDDEN: &[&str] = &["thread_local!"];
 
 #[test]
 fn core_uses_the_sync_facade_exclusively() {
@@ -29,15 +37,35 @@ fn core_uses_the_sync_facade_exclusively() {
         files.iter().any(|p| p.ends_with("sync.rs")),
         "source scan found no sync.rs — wrong directory?"
     );
+    files.retain(|p| p.file_name().is_none_or(|n| n != "sync.rs"));
+    let violations = scan(&files, FORBIDDEN);
+    assert!(
+        violations.is_empty(),
+        "sync primitives must come through crate::sync (loom swaps it out \
+         under cfg(loom); direct uses escape the models):\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn event_ids_come_from_one_counter() {
+    let events = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/events.rs");
+    let violations = scan(&[events], EVENTS_FORBIDDEN);
+    assert!(
+        violations.is_empty(),
+        "events.rs must not keep per-thread id state:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Every line of `files` containing one of `patterns`, as `file:line: …`.
+fn scan(files: &[std::path::PathBuf], patterns: &[&str]) -> Vec<String> {
     let mut violations = Vec::new();
-    for path in &files {
-        if path.file_name().is_some_and(|n| n == "sync.rs") {
-            continue;
-        }
+    for path in files {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
         for (lineno, line) in text.lines().enumerate() {
-            for pat in FORBIDDEN {
+            for pat in patterns {
                 if line.contains(pat) {
                     violations.push(format!(
                         "{}:{}: `{pat}`: {}",
@@ -49,12 +77,7 @@ fn core_uses_the_sync_facade_exclusively() {
             }
         }
     }
-    assert!(
-        violations.is_empty(),
-        "sync primitives must come through crate::sync (loom swaps it out \
-         under cfg(loom); direct uses escape the models):\n{}",
-        violations.join("\n")
-    );
+    violations
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
