@@ -7,8 +7,9 @@
 //!
 //! Every expanding kernel runs on pipelines built with the explicit-lane
 //! constructor (`CoiRuntime::pipeline_create`), over tiles small enough for
-//! the naive loops, at the packing threshold, ragged against the micro-tile
-//! and the diagonal-block size, and at the benchmark's sizes.
+//! the naive loops, at the packing threshold, ragged against the micro-tile,
+//! multiples of `MR` that are not multiples of `NR` (60, 68), around GEMM's
+//! `MC` = 64 (60, 68, 72), and at the benchmark's sizes.
 
 use hs_apps::kernels::{kernel_table, pack_dims};
 use hs_coi::{CoiRuntime, EngineId, Pipeline};
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 const LANES: [usize; 5] = [1, 2, 3, 5, 8];
-const TILES: [usize; 5] = [6, 24, 64, 100, 128];
+const TILES: [usize; 8] = [6, 24, 60, 64, 68, 72, 100, 128];
 
 /// Run kernel `name` with `dims` as its args over `operands` (the last one
 /// is the output, the others inputs) and return the output.

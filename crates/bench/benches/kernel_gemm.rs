@@ -1,49 +1,108 @@
-//! Compute-path microbench, three groups of rows:
+//! Compute-path microbench, four groups of rows:
 //!
 //! * `gemm/*` — naive reference DGEMM vs the packed cache-blocked
 //!   microkernel, single-lane and expanded across persistent workgroups
 //!   (the row-slab partitioning and pack-once B panel the sink kernels use).
 //! * `expand/t128`, `expand/t64` — one whole tile through the apps' own
 //!   `tile_gemm_nn` (matmul's kernel, tile 128) and `tile_gemm_nt`
-//!   (Cholesky's, tile 64) on a sink pipeline, at 1 lane and at 2. The
-//!   `pre_pr` rows were measured with this file's `expand_gflops` on the
-//!   parent commit at 14 and 30 lanes: what a stream of half the modelled
-//!   host (or card) ran as, when a mask's core count was used verbatim as a
-//!   thread count.
+//!   (Cholesky's, tile 64) on a sink pipeline, at 1 lane and at 2. Their
+//!   `pre_pr/shared_out_tile` rows were measured on the commit before PR 14
+//!   with that PR's `expand_gflops` (one output tile shared by a burst), at
+//!   14 and 30 lanes: what a stream of half the modelled host (or card) ran
+//!   as, when a mask's core count was used verbatim as a thread count.
+//! * `syrk/*`, `trsm_rlt/*`, `potrf/*` at tiles 64 and 128 — Cholesky's
+//!   other three tile kernels (`tile_syrk`, `tile_trsm`, `tile_potrf`), the
+//!   same way. Their `pre_pr` rows are this file's `expand_gflops` on the
+//!   parent of the PR that took SYRK and the TRSMs off their `MC`-sized
+//!   scalar diagonal blocks (PR 21), at the same lanes on the same host and
+//!   day — with the `expand` rows of that parent beside them as the control
+//!   (and `potrf/*`, which that PR left on its scalar loop).
 //! * `workgroup/forkjoin` — one empty two-lane parallel region (µs).
 //!
 //! Every row carries `host_cores` and the revision measured. A row of the
 //! current code that needs more lanes than the host has cores is omitted
 //! and the reason printed: it would measure oversubscription, not
-//! expansion. The `pre_pr` rows are the labelled exception — they record
-//! what the parent actually did on the recording host.
+//! expansion. The 14- and 30-lane `pre_pr/*` rows are the labelled exception —
+//! they record what that parent actually did on the recording host.
 //!
 //! Writes `BENCH_kernel_gemm.json` at the workspace root. `HS_BENCH_SMOKE=1`
 //! is the minimal CI run (fewest samples, smallest GEMM size only);
-//! `HS_BENCH_CHECK=1` gates `expand/t128` on 2 lanes at 0.8× its single-lane
-//! rate or better (hosts with 2+ cores) — expansion may not cost more than
-//! it buys.
+//! `HS_BENCH_CHECK=1` gates, each within this one run so that the host's
+//! speed cancels: `expand/t128` on 2 lanes at 0.8× its single-lane rate or
+//! better (hosts with 2+ cores) — expansion may not cost more than it buys —
+//! and single-lane `syrk/t64` at 0.5× and `trsm_rlt/t64` at 0.3× the
+//! single-lane `expand/t64` rate or better (the parent: 0.31× and 0.17×) — a
+//! triangular tile kernel may not fall back out of the packed micro-kernel.
 
 use bytes::Bytes;
 use criterion::{black_box, Criterion};
 use hs_apps::kernels::{kernel_table, pack_dims};
-use hs_bench::{f, git_rev, median_secs, write_bench_json, JsonRecord, Table};
+use hs_bench::{f, git_rev, median_secs, median_secs_with, write_bench_json, JsonRecord, Table};
 use hs_coi::{CoiRuntime, EngineId, Workgroup};
 use hs_fabric::Pacer;
+use hs_linalg::dense::{random, random_spd, zero_upper};
 use hs_linalg::microkernel::{self, BSrc, PackedB};
-use hs_linalg::naive;
+use hs_linalg::{factor, flops, naive};
 
-/// This file's `expand/*` rows on the parent commit (`(tile, lanes,
-/// Gflop/s)`), full-length run on the 2-core host that recorded the
+/// `pre_pr` rows: `(row, tile, lanes, Gflop/s)` of `expand_gflops` on an
+/// earlier commit, full-length runs on the 2-core host that recorded the
 /// artifact.
-const PRE_PR_REV: &str = "b284a91";
-const PRE_PR_CORES: f64 = 2.0;
-const PRE_PR: &[(usize, usize, f64)] = &[
-    (128, 14, 11.27),
-    (128, 30, 6.33),
-    (64, 14, 4.64),
-    (64, 30, 1.29),
-];
+struct PrePr {
+    rev: &'static str,
+    /// The rows' `config`: `pre_pr`, with a suffix where the method differed.
+    config: &'static str,
+    host_cores: f64,
+    rows: &'static [(&'static str, usize, usize, f64)],
+}
+
+/// The parent of PR 14: a mask's core count used as a thread count. Measured
+/// with the `expand_gflops` of that PR, where the tasks of a burst shared one
+/// output tile: a sixteenth of today's working set, so these rows stand
+/// beside the `expand/*` rows of now as a record, not as a like-for-like pair
+/// (`PRE_TRIANGULAR` has that pair), and their `config` says so.
+const PRE_LANES: PrePr = PrePr {
+    rev: "b284a91",
+    config: "pre_pr/shared_out_tile",
+    host_cores: 2.0,
+    rows: &[
+        ("expand", 128, 14, 11.27),
+        ("expand", 128, 30, 6.33),
+        ("expand", 64, 14, 4.64),
+        ("expand", 64, 30, 1.29),
+    ],
+};
+
+/// The parent of PR 21, with this file's `expand_gflops`: SYRK and the TRSMs
+/// scalar below `MC`-sized tiles; the `expand` rows are the control (GEMM's
+/// code did not change) and so are the `potrf` rows (scalar then as now: 1 %
+/// of a Cholesky, kept in view). Medians of five runs alternated with the
+/// change's. The host woke a parked thread in ~40 µs that day
+/// (`workgroup/forkjoin`) and not the ~7 µs of the PR 14 recording, which
+/// costs every row here a fixed per-task price on both sides: rows of one day
+/// compare, rows across days do not.
+const PRE_TRIANGULAR: PrePr = PrePr {
+    rev: "975afa8",
+    config: "pre_pr",
+    host_cores: 2.0,
+    rows: &[
+        ("expand", 128, 1, 16.92),
+        ("expand", 128, 2, 18.68),
+        ("expand", 64, 1, 10.86),
+        ("expand", 64, 2, 8.60),
+        ("syrk", 64, 1, 3.33),
+        ("syrk", 64, 2, 3.87),
+        ("trsm_rlt", 64, 1, 1.82),
+        ("trsm_rlt", 64, 2, 2.65),
+        ("potrf", 64, 1, 1.51),
+        ("potrf", 64, 2, 1.47),
+        ("syrk", 128, 1, 5.02),
+        ("syrk", 128, 2, 7.53),
+        ("trsm_rlt", 128, 1, 3.43),
+        ("trsm_rlt", 128, 2, 5.39),
+        ("potrf", 128, 1, 2.38),
+        ("potrf", 128, 2, 2.17),
+    ],
+};
 
 /// Deterministic fill so every variant multiplies identical matrices.
 fn fill(seed: u64, v: &mut [f64]) {
@@ -72,42 +131,131 @@ fn gemm_expanded(wg: &Workgroup, a: &[f64], b: &[f64], c: &mut [f64], n: usize) 
 /// pays the cross-thread wake-up once per burst, not once per task.
 const BURST: usize = 16;
 
-/// Gflop/s of `t`-sized tiles through the apps' kernel `name` on a sink
-/// pipeline of `lanes` lanes: median over the samples of a burst's first
-/// enqueue → last completion, per task.
-fn expand_gflops(name: &str, t: usize, lanes: usize, n: (usize, usize)) -> f64 {
+/// One tile kernel of the apps' table and a `t`-sized tile's worth of
+/// operands for it.
+struct TileRun {
+    /// Row name without the tile (`expand`, `syrk`, ...).
+    row: &'static str,
+    kernel: &'static str,
+    tile: usize,
+    dims: Vec<u32>,
+    inputs: Vec<Vec<f64>>,
+    /// The in/out operand as every task finds it.
+    out: Vec<f64>,
+    flops: f64,
+}
+
+impl TileRun {
+    /// `expand/t{t}`: the GEMM of matmul (`tile_gemm_nn`) or of Cholesky
+    /// (`tile_gemm_nt`).
+    fn gemm(kernel: &'static str, t: usize) -> TileRun {
+        let tile = |seed: u64| {
+            let mut v = vec![0.0; t * t];
+            fill(0x51ab + seed, &mut v);
+            v
+        };
+        TileRun {
+            row: "expand",
+            kernel,
+            tile: t,
+            dims: vec![t as u32, t as u32, t as u32, 1],
+            inputs: vec![tile(0), tile(1)],
+            out: tile(2),
+            flops: flops::gemm(t, t, t),
+        }
+    }
+
+    /// Cholesky's other three kernels on a `t`-sized tile.
+    fn triangular(t: usize) -> [TileRun; 3] {
+        let spd = random_spd(t, 4).into_vec();
+        let mut l = spd.clone();
+        factor::dpotrf(&mut l, t).expect("random_spd is positive definite");
+        zero_upper(&mut l, t);
+        let run = |row, kernel, dims: &[usize], inputs, out, flops| TileRun {
+            row,
+            kernel,
+            tile: t,
+            dims: dims.iter().map(|&d| d as u32).collect(),
+            inputs,
+            out,
+            flops,
+        };
+        let a = random(t, t, 3).into_vec();
+        let b = random(t, t, 5).into_vec();
+        [
+            run(
+                "syrk",
+                "tile_syrk",
+                &[t, t],
+                vec![a],
+                b.clone(),
+                flops::syrk(t, t),
+            ),
+            run(
+                "trsm_rlt",
+                "tile_trsm",
+                &[t, t],
+                vec![l],
+                b,
+                flops::trsm(t, t),
+            ),
+            run("potrf", "tile_potrf", &[t], vec![], spd, flops::potrf(t)),
+        ]
+    }
+
+    fn name(&self) -> String {
+        format!("{}/t{}", self.row, self.tile)
+    }
+}
+
+/// Gflop/s of `run`'s kernel on a sink pipeline of `lanes` lanes: median
+/// over the samples of a burst's first enqueue → last completion, per task.
+/// Every task of a burst has an in/out tile of its own, restored before each
+/// sample: the triangular kernels work in place, and a tile solved or
+/// factored over and over drifts out of the range it is timed for.
+fn expand_gflops(run: &TileRun, lanes: usize, n: (usize, usize)) -> f64 {
     let rt = CoiRuntime::new(0, Pacer::unpaced());
     for (kernel, f) in kernel_table() {
         rt.register(kernel, f);
     }
     let pipe = rt.pipeline_create(EngineId::HOST, lanes);
-    let bytes = t * t * 8;
-    let wins: Vec<_> = (0..3u64)
-        .map(|i| {
-            let win = rt.buffer_alloc(EngineId::HOST, bytes, false);
-            let mem = rt.fabric().window(win.id()).expect("window exists");
-            let mut g = mem.lock_range(0..bytes, true).expect("in bounds");
-            fill(0x51ab + i, g.as_f64_mut_slice());
-            win
-        })
-        .collect();
-    let dims: Bytes = pack_dims(&[t as u32, t as u32, t as u32, 1]);
-    let secs = median_secs(n, || {
-        let burst: Vec<_> = (0..BURST)
-            .map(|_| {
-                let bufs = wins
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| (w.id(), 0..bytes, i == 2))
-                    .collect();
-                pipe.run(name, dims.clone(), bufs)
-            })
-            .collect();
-        for done in burst {
-            done.wait().expect("tile kernel");
-        }
-    });
-    2.0 * (t as f64).powi(3) * BURST as f64 / secs / 1e9
+    let window = |data: &[f64]| {
+        let win = rt.buffer_alloc(EngineId::HOST, data.len() * 8, false);
+        write_window(&rt, &win, data);
+        win
+    };
+    let inputs: Vec<_> = run.inputs.iter().map(|d| window(d)).collect();
+    let outs: Vec<_> = (0..BURST).map(|_| window(&run.out)).collect();
+    let bytes = run.out.len() * 8;
+    let dims: Bytes = pack_dims(&run.dims);
+    let secs = median_secs_with(
+        n,
+        || outs.iter().for_each(|w| write_window(&rt, w, &run.out)),
+        || {
+            let burst: Vec<_> = outs
+                .iter()
+                .map(|out| {
+                    let mut bufs: Vec<_> =
+                        inputs.iter().map(|w| (w.id(), 0..bytes, false)).collect();
+                    bufs.push((out.id(), 0..bytes, true));
+                    pipe.run(run.kernel, dims.clone(), bufs)
+                })
+                .collect();
+            for done in burst {
+                done.wait().expect("tile kernel");
+            }
+        },
+    );
+    run.flops * BURST as f64 / secs / 1e9
+}
+
+/// Overwrite a window's contents with `data`.
+fn write_window(rt: &CoiRuntime, win: &hs_coi::PooledWindow, data: &[f64]) {
+    let mem = rt.fabric().window(win.id()).expect("window exists");
+    mem.lock_range(0..data.len() * 8, true)
+        .expect("in bounds")
+        .as_f64_mut_slice()
+        .copy_from_slice(data);
 }
 
 fn main() {
@@ -191,47 +339,55 @@ fn main() {
         "\nblocked/naive at largest size: {speedup:.2}x  (acceptance floor: 3x single-thread at n=512)"
     );
 
-    // ---- expand/*: one tile through the apps' kernels on a sink pipeline.
+    // ---- one tile through the apps' kernels on a sink pipeline.
     let n = if smoke { (5, 30) } else { (20, 200) };
     let mut t = Table::new(vec!["row", "kernel", "lanes", "Gflop/s", "rev"]);
-    let mut t128 = Vec::new();
-    for (tile, kernel) in [(128usize, "tile_gemm_nn"), (64, "tile_gemm_nt")] {
-        let row = format!("expand/t{tile}");
+    let mut runs = vec![
+        TileRun::gemm("tile_gemm_nn", 128),
+        TileRun::gemm("tile_gemm_nt", 64),
+    ];
+    runs.extend(TileRun::triangular(64));
+    runs.extend(TileRun::triangular(128));
+    // (row, lanes) -> Gflop/s of this run, for the gates below.
+    let mut rates = Vec::new();
+    for run in &runs {
+        let row = run.name();
         for lanes in [1usize, 2] {
             if lanes > host_cores {
                 omit(&row, lanes);
                 continue;
             }
-            let gf = expand_gflops(kernel, tile, lanes, n);
-            if tile == 128 {
-                t128.push((lanes, gf));
-            }
+            let gf = expand_gflops(run, lanes, n);
+            rates.push((row.clone(), lanes, gf));
             t.row(vec![
                 row.clone(),
-                kernel.to_string(),
+                run.kernel.to_string(),
                 lanes.to_string(),
                 f(gf),
                 rev.clone(),
             ]);
-            records.push(now(JsonRecord::new(row.clone(), tile, gf), lanes));
+            records.push(now(JsonRecord::new(row.clone(), run.tile, gf), lanes));
         }
-        for &(_, lanes, gf) in PRE_PR.iter().filter(|r| r.0 == tile) {
-            t.row(vec![
-                row.clone(),
-                kernel.to_string(),
-                lanes.to_string(),
-                f(gf),
-                format!("{PRE_PR_REV} (pre_pr)"),
-            ]);
-            records.push(
-                JsonRecord::new(row.clone(), tile, gf)
-                    .with_config("pre_pr")
-                    .with_git_rev(PRE_PR_REV)
-                    .with_metrics(vec![
-                        ("lanes".to_string(), lanes as f64),
-                        ("host_cores".to_string(), PRE_PR_CORES),
-                    ]),
-            );
+        for pre in [&PRE_LANES, &PRE_TRIANGULAR] {
+            let of_run = |r: &&(&str, usize, usize, f64)| (r.0, r.1) == (run.row, run.tile);
+            for &(_, _, lanes, gf) in pre.rows.iter().filter(of_run) {
+                t.row(vec![
+                    row.clone(),
+                    run.kernel.to_string(),
+                    lanes.to_string(),
+                    f(gf),
+                    format!("{} ({})", pre.rev, pre.config),
+                ]);
+                records.push(
+                    JsonRecord::new(row.clone(), run.tile, gf)
+                        .with_config(pre.config)
+                        .with_git_rev(pre.rev)
+                        .with_metrics(vec![
+                            ("lanes".to_string(), lanes as f64),
+                            ("host_cores".to_string(), pre.host_cores),
+                        ]),
+                );
+            }
         }
     }
     t.print("kernel_gemm — one tile through a sink pipeline, by lanes");
@@ -254,8 +410,13 @@ fn main() {
     }
 
     if check {
-        let rate = |lanes| t128.iter().find(|r| r.0 == lanes).map(|r| r.1);
-        match (rate(1), rate(2)) {
+        let rate = |row: &str, lanes| {
+            rates
+                .iter()
+                .find(|r| r.0 == row && r.1 == lanes)
+                .map(|r| r.2)
+        };
+        match (rate("expand/t128", 1), rate("expand/t128", 2)) {
             (Some(one), Some(two)) => {
                 println!(
                     "floor gate: expand/t128 {two:.1} Gflop/s on 2 lanes \
@@ -269,6 +430,19 @@ fn main() {
                 );
             }
             _ => println!("floor gate: one core, nothing to expand across — not armed"),
+        }
+        let gemm = rate("expand/t64", 1).expect("single-lane rows always run");
+        for (row, floor) in [("syrk/t64", 0.5), ("trsm_rlt/t64", 0.3)] {
+            let gf = rate(row, 1).expect("single-lane rows always run");
+            println!(
+                "floor gate: {row} {gf:.1} Gflop/s (floor {:.1} = {floor}x expand/t64's {gemm:.1})",
+                floor * gemm
+            );
+            assert!(
+                gf >= floor * gemm,
+                "{row} has fallen out of the packed micro-kernel: \
+                 {gf:.1} < {floor} x {gemm:.1} Gflop/s"
+            );
         }
     }
 

@@ -223,9 +223,20 @@ pub fn git_rev() -> String {
 /// Median seconds of `f` over `samples` calls after `warm` unmeasured ones:
 /// the timing of the per-layer microbenches, whose operations are short
 /// enough for a shared host's hiccups to own a mean.
-pub fn median_secs((warm, samples): (usize, usize), mut f: impl FnMut()) -> f64 {
+pub fn median_secs(n: (usize, usize), f: impl FnMut()) -> f64 {
+    median_secs_with(n, || {}, f)
+}
+
+/// [`median_secs`] with an untimed `setup` before every call of `f`, for an
+/// operation that consumes its input.
+pub fn median_secs_with(
+    (warm, samples): (usize, usize),
+    mut setup: impl FnMut(),
+    mut f: impl FnMut(),
+) -> f64 {
     let mut secs = Vec::with_capacity(samples);
     for i in 0..warm + samples {
+        setup();
         let t = std::time::Instant::now();
         f();
         let dt = t.elapsed().as_secs_f64();

@@ -16,10 +16,11 @@
 //!   (resp. `MR`) times per load instead of once.
 //!
 //! Edge tiles are handled by zero-padding inside the packed panels, so the
-//! hot loop is shape-oblivious; only the write-back is masked. All entry
-//! points take leading dimensions, which is what lets the blocked
-//! triangular-solve and SYRK wrappers (and the row-partitioned task
-//! expansion in `hs-apps`) reuse one kernel on sub-views.
+//! hot loop is shape-oblivious; only the write-back is masked. The GEMM
+//! entry points take leading dimensions, which is what lets the
+//! row-partitioned task expansion in `hs-apps` run one kernel on row slabs.
+//! SYRK and the triangular solves feed the same packed strips to the same
+//! [`micro_kernel`] at every size (see "triangular kernels" below).
 //!
 //! Differential tests against [`crate::naive`] live in
 //! `crates/linalg/tests/blocked_vs_naive.rs`.
@@ -300,8 +301,10 @@ fn macro_kernel_dispatch(
 }
 
 /// AVX2+FMA instantiation of [`macro_kernel`]: same code, compiled with the
-/// wider vector ISA enabled so the accumulator block lives in ymm registers
-/// and the inner update becomes fused multiply-adds.
+/// wider vector ISA enabled so the accumulator block lives in ymm registers.
+/// The inner update stays a multiply and an add (`vmulpd` + `vaddpd`): rustc
+/// never contracts `a * b + c` into a fused multiply-add, whatever the
+/// enabled features, which is also why every instantiation rounds alike.
 ///
 /// # Safety
 /// Callers must ensure the CPU supports avx2 and fma.
@@ -430,10 +433,65 @@ pub fn dgemm_nt(
     );
 }
 
+// ------------------------------------------------------ triangular kernels
+//
+// SYRK and the triangular solves run the same packed strips through the same
+// `micro_kernel` as GEMM. None of them has a size below which it falls back
+// to scalar loops: the only scalar work is the masked write-back of a
+// micro-tile (SYRK) and what happens inside one `TB`×`TB` diagonal block (the
+// solves), so no tile size is a cliff. Each call takes its packing storage in
+// one `vec!`, the way GEMM's sweep takes its two.
+
+/// Columns (rows, for the left-side solve) a triangular solve finishes per
+/// step: the diagonal block is `TB`×`TB`, the rest of the step is one
+/// micro-kernel call per micro-tile. One B strip wide and a whole number of
+/// A strips high — the register tile's size, not a tuning knob.
+const TB: usize = NR;
+
+const _: () = assert!(TB.is_multiple_of(MR), "TB must be a multiple of MR");
+
+/// Run `f` compiled for the widest vector ISA the CPU supports — what
+/// [`macro_kernel_dispatch`] does for GEMM's sweep, for any kernel body.
+/// `f` must be an `#[inline(always)]` closure around a call of an
+/// `#[inline(always)]` function: only code inlined into the
+/// `#[target_feature]` clone is compiled with that ISA (a closure left as a
+/// function of its own runs, correctly, at the baseline's half rate). The
+/// arithmetic is the same either way.
+#[inline(always)]
+fn with_widest_isa<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        /// Callers must ensure the CPU supports avx2 and fma.
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+        {
+            // SAFETY: the avx2/fma requirement of the target_feature function
+            // is established by the runtime detection directly above.
+            return unsafe { avx2(f) };
+        }
+    }
+    f()
+}
+
+/// [`micro_kernel`] with its result materialised before the caller consumes
+/// it. The triangular sweeps pick the accumulator block apart (masked rows, a
+/// transposed solve); left to fuse that into the k loop, LLVM re-lays the
+/// accumulators to suit the consumer and fills the loop with permutes and
+/// blends — SYRK at a 64-tile ran at 12 Gflop/s against 17 with the loop
+/// kept as GEMM compiles it, `dtrsm_rlt` at 14.5 against 18. An optimisation
+/// barrier, not a semantic one.
+#[inline(always)]
+fn micro_tile(kc: usize, astrip: &[f64], bstrip: &[f64]) -> [[f64; NR]; MR] {
+    std::hint::black_box(micro_kernel(kc, astrip, bstrip))
+}
+
 /// Blocked symmetric rank-k update, lower: `C = C − A·Aᵀ` on the lower
-/// triangle of the n×n tile `C`, `A` n×k. Everything left of the `MC`-sized
-/// diagonal blocks goes through the packed GEMM; only the diagonal blocks
-/// run the small dot-product loop.
+/// triangle of the n×n tile `C`, `A` n×k: one packed sweep with A as both
+/// operands ([`dsyrk_ln_rows`] over all the rows).
 pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
     assert_eq!(a.len(), n * k, "A dims");
     assert_eq!(c.len(), n * n, "C dims");
@@ -444,199 +502,308 @@ pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
 /// `[row0, row0+nrows)` of the lower-triangular update, where `a` is the
 /// *full* n×k A and `c_rows` is the nrows×n slab of C starting at `row0`.
 ///
-/// The diagonal blocks sit at multiples of `MC` counted from row 0 of the
-/// tile, not from the slab: whether an element takes the dot-product loop
-/// or the packed GEMM depends on its (i, j) alone, so every partition of the
-/// rows into slabs produces the same bits.
+/// GEMM's sweep with A's rows packed as the left operand and A (a
+/// transposed source) as the right one: micro-tiles wholly above the
+/// diagonal are skipped, the ones that straddle it are computed whole and
+/// written back up to the diagonal. Every element is `c − Σₚ aᵢₚ·aⱼₚ`
+/// accumulated in p order per `KC` slab, whatever micro-tile, block or slab
+/// it sits in, so every partition of the rows into slabs produces the same
+/// bits.
 pub fn dsyrk_ln_rows(a: &[f64], c_rows: &mut [f64], row0: usize, nrows: usize, n: usize, k: usize) {
     assert_eq!(a.len(), n * k, "A dims");
     assert_eq!(c_rows.len(), nrows * n, "C slab dims");
     assert!(row0 + nrows <= n, "slab in range");
+    if nrows == 0 || k == 0 {
+        return;
+    }
+    // Columns past the slab's last row are above the diagonal in every row.
+    // Within them the sweep is `gemm_panels`' own blocking: `KC`-deep slabs,
+    // `NC`-wide panels of the right operand, `MC` rows of the left one packed
+    // at a time.
     let end = row0 + nrows;
-    let mut r = row0;
-    while r < end {
-        // Rows [r, re) of the slab lie in the diagonal block starting at d0.
-        let d0 = r / MC * MC;
-        let re = end.min(d0 + MC);
-        let rows = &mut c_rows[(r - row0) * n..(re - row0) * n];
-        // Rectangle: columns 0..d0 are full for every one of these rows.
-        gemm_strided(
-            -1.0,
-            &a[r * k..],
-            k,
-            BSrc::Trans { bt: a, ldbt: k },
-            1.0,
-            rows,
-            n,
-            re - r,
-            d0,
-            k,
-        );
-        // Triangle: dot products against the block's own rows (j <= i).
-        for i in r..re {
-            let arow = &a[i * k..(i + 1) * k];
-            let crow = &mut rows[(i - r) * n + d0..];
-            for j in d0..=i {
-                let brow = &a[j * k..(j + 1) * k];
-                let mut dot = 0.0;
-                for (x, y) in arow.iter().zip(brow) {
-                    dot += x * y;
-                }
-                crow[j - d0] -= dot;
+    let ap_len = MC.min(nrows.next_multiple_of(MR)) * KC.min(k);
+    let bp_len = NC.min(end.next_multiple_of(NR)) * KC.min(k);
+    let mut scratch = vec![0.0f64; ap_len + bp_len];
+    let (ap, bp) = scratch.split_at_mut(ap_len);
+    for (jc, nc, pc, kc) in panel_grid(end, k) {
+        let bp = &mut bp[..nc.next_multiple_of(NR) * kc];
+        pack_b(BSrc::Trans { bt: a, ldbt: k }, pc, kc, jc, nc, bp);
+        for ic in (row0..end).step_by(MC) {
+            let mc = MC.min(end - ic);
+            if ic + mc <= jc {
+                continue; // the whole block is above the diagonal
             }
+            pack_a(a, k, ic, mc, pc, kc, ap);
+            let c = &mut c_rows[(ic - row0) * n + jc..];
+            with_widest_isa(
+                #[inline(always)]
+                || syrk_macro_kernel(ap, bp, mc, nc, kc, ic, jc, c, n),
+            );
         }
-        r = re;
     }
 }
 
-/// Blocked `B = B·L⁻ᵀ` (right/lower/transposed, the Cholesky panel solve):
-/// left-looking over `MC`-wide column blocks, with the bulk of the flops in
-/// a packed GEMM into a scratch panel and only the diagonal blocks in the
-/// naive per-row solve.
+/// [`macro_kernel`] for the lower triangle: `C −= A_block · B_panel` on the
+/// `mc`×`nc` block of C whose top-left element is (`i0`, `j0`) of the tile,
+/// touching only elements on or below the tile's diagonal.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn syrk_macro_kernel(
+    ap: &[f64],
+    bp: &[f64],
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    i0: usize,
+    j0: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    for (sj, col0) in (0..nc).step_by(NR).enumerate() {
+        let bstrip = &bp[sj * kc * NR..(sj + 1) * kc * NR];
+        let nr = NR.min(nc - col0);
+        for (si, row0) in (0..mc).step_by(MR).enumerate() {
+            let mr = MR.min(mc - row0);
+            // Row i of the micro-tile owns the columns up to its diagonal
+            // element: `below(i)` of them lie in this strip or left of it.
+            let below = |i: usize| (i0 + row0 + i + 1).saturating_sub(j0 + col0);
+            if below(mr - 1) == 0 {
+                continue; // the whole micro-tile is above the diagonal
+            }
+            let astrip = &ap[si * kc * MR..(si + 1) * kc * MR];
+            let acc = micro_tile(kc, astrip, bstrip);
+            for i in 0..mr {
+                let crow = &mut c[(row0 + i) * ldc + col0..][..nr.min(below(i))];
+                // A whole row of the micro-tile, spelled with a constant trip
+                // count, is two vector subtractions; a masked one is scalar.
+                match <&mut [f64; NR]>::try_from(&mut *crow) {
+                    Ok(full) => {
+                        for j in 0..NR {
+                            full[j] -= acc[i][j];
+                        }
+                    }
+                    Err(_) => {
+                        for (x, d) in crow.iter_mut().zip(&acc[i]) {
+                            *x -= d;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Blocked `B = B·L⁻ᵀ` (right/lower/transposed, the Cholesky panel solve),
+/// `L` n×n lower, `B` m×n: [`trsm_right`] with `Lᵀ` as the upper triangle.
+/// The strict upper triangle of `l` is never read.
 pub fn dtrsm_rlt(l: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(l.len(), n * n, "L dims");
     assert_eq!(b.len(), m * n, "B dims");
-    // The delta panel of the blocks past the first; none for n <= MC.
-    let mut scratch = vec![0.0f64; if n > MC { m * MC } else { 0 }];
-    let mut jb = 0;
-    while jb < n {
-        let nb = MC.min(n - jb);
-        if jb > 0 {
-            // delta = B[:, 0..jb] · L[jb.., 0..jb]ᵀ  (m×nb, into scratch —
-            // B is both read and written in-place, so the update cannot
-            // target it directly).
-            let delta = &mut scratch[..m * nb];
-            gemm_strided(
-                1.0,
-                b,
-                n,
-                BSrc::Trans {
-                    bt: &l[jb * n..],
-                    ldbt: n,
-                },
-                0.0,
-                delta,
-                nb,
-                m,
-                nb,
-                jb,
-            );
-            for r in 0..m {
-                let brow = &mut b[r * n + jb..r * n + jb + nb];
-                let drow = &delta[r * nb..(r + 1) * nb];
-                for (x, d) in brow.iter_mut().zip(drow) {
-                    *x -= d;
-                }
-            }
-        }
-        // Solve the nb-wide panel against the diagonal block of L.
-        for r in 0..m {
-            let row = &mut b[r * n + jb..r * n + jb + nb];
-            for j in 0..nb {
-                let lrow = &l[(jb + j) * n + jb..];
-                let mut v = row[j];
-                for p in 0..j {
-                    v -= row[p] * lrow[p];
-                }
-                row[j] = v / lrow[j];
-            }
-        }
-        jb += nb;
-    }
+    trsm_right(BSrc::Trans { bt: l, ldbt: n }, b, m, n);
 }
 
-/// Blocked `B = L⁻¹·B` (left/lower/unit, block-LU row panel): row blocks;
-/// the rectangular update is a packed GEMM on disjoint row ranges.
-pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
-    assert_eq!(l.len(), m * m, "L dims");
-    assert_eq!(b.len(), m * n, "B dims");
-    let mut rb = 0;
-    while rb < m {
-        let nb = MC.min(m - rb);
-        let (done, rest) = b.split_at_mut(rb * n);
-        let block = &mut rest[..nb * n];
-        if rb > 0 {
-            // B[rb..rb+nb] -= L[rb.., 0..rb] · B[0..rb]
-            gemm_strided(
-                -1.0,
-                &l[rb * m..],
-                m,
-                BSrc::Normal { b: done, ldb: n },
-                1.0,
-                block,
-                n,
-                nb,
-                n,
-                rb,
-            );
-        }
-        // Unit-lower solve within the diagonal block.
-        for r in 1..nb {
-            let (prev, cur) = block.split_at_mut(r * n);
-            let row = &mut cur[..n];
-            let lrow = &l[(rb + r) * m + rb..];
-            for p in 0..r {
-                let lrp = lrow[p];
-                if lrp == 0.0 {
-                    continue;
-                }
-                for (x, y) in row.iter_mut().zip(&prev[p * n..(p + 1) * n]) {
-                    *x -= lrp * y;
-                }
-            }
-        }
-        rb += nb;
-    }
-}
-
-/// Blocked `B = B·U⁻¹` (right/upper/non-unit, block-LU column panel):
-/// left-looking over column blocks with a scratch delta panel, like
-/// [`dtrsm_rlt`].
+/// Blocked `B = B·U⁻¹` (right/upper/non-unit, block-LU column panel), `U`
+/// n×n upper, `B` m×n: [`trsm_right`] on `U` as stored. The strict lower
+/// triangle of `u` (block LU keeps `L` there) is never read.
 pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(u.len(), n * n, "U dims");
     assert_eq!(b.len(), m * n, "B dims");
-    let mut scratch = vec![0.0f64; if n > MC { m * MC } else { 0 }];
-    let mut jb = 0;
-    while jb < n {
-        let nb = MC.min(n - jb);
-        if jb > 0 {
-            // delta = B[:, 0..jb] · U[0..jb, jb..jb+nb]
-            let delta = &mut scratch[..m * nb];
-            gemm_strided(
-                1.0,
-                b,
-                n,
-                BSrc::Normal {
-                    b: &u[jb..],
-                    ldb: n,
-                },
-                0.0,
-                delta,
-                nb,
-                m,
-                nb,
-                jb,
-            );
-            for r in 0..m {
-                let brow = &mut b[r * n + jb..r * n + jb + nb];
-                let drow = &delta[r * nb..(r + 1) * nb];
-                for (x, d) in brow.iter_mut().zip(drow) {
-                    *x -= d;
-                }
+    trsm_right(BSrc::Normal { b: u, ldb: n }, b, m, n);
+}
+
+/// `X·T = B` in place for an upper-triangular, non-unit n×n `T` given in
+/// either layout of [`BSrc`], `B` m×n. Left-looking over `TB`-wide column
+/// blocks: a block's columns first lose `X[:, ..jb] · T[..jb, block]` — a
+/// packed GEMM, the micro-kernel on the strips below — and are then solved
+/// against the `TB`×`TB` diagonal block, one micro-tile at a time.
+///
+/// The solved columns are packed as the left operand as they are produced
+/// (the solve works on the micro-tile transposed, which *is* the packed
+/// layout) and `T`'s strip as each block reaches it, so every element of
+/// either is packed once per call, and B is never read while it is borrowed
+/// for writing. A row's arithmetic involves no other row, so any partition
+/// of B into row slabs produces the same bits.
+fn trsm_right(t: BSrc<'_>, b: &mut [f64], m: usize, n: usize) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Solved X as MR-high row strips, each n deep; one NR-wide strip of T.
+    let xp_len = m.next_multiple_of(MR) * n;
+    let mut scratch = vec![0.0f64; xp_len + n * NR];
+    let (xp, tp) = scratch.split_at_mut(xp_len);
+    with_widest_isa(
+        #[inline(always)]
+        || trsm_right_sweep(t, b, m, n, xp, tp),
+    );
+}
+
+#[inline(always)]
+fn trsm_right_sweep(
+    t: BSrc<'_>,
+    b: &mut [f64],
+    m: usize,
+    n: usize,
+    xp: &mut [f64],
+    tp: &mut [f64],
+) {
+    for jb in (0..n).step_by(TB) {
+        let nb = TB.min(n - jb);
+        // T[..jb, jb..jb+nb]: what the block's columns lose to the solved ones.
+        let tstrip = &mut tp[..jb * NR];
+        pack_b(t, 0, jb, jb, nb, tstrip);
+        let diag = DiagBlock::new(nb, |p, j| match t {
+            BSrc::Normal { b: t, ldb } => t[(jb + p) * ldb + jb + j],
+            BSrc::Trans { bt, ldbt } => bt[(jb + j) * ldbt + jb + p],
+        });
+        for (xstrip, row0) in xp.chunks_exact_mut(n * MR).zip((0..m).step_by(MR)) {
+            let mr = MR.min(m - row0);
+            solve_micro_tile(b, n, row0, mr, jb, nb, xstrip, tstrip, &diag);
+        }
+    }
+}
+
+/// The `TB`×`TB` diagonal block of an upper-triangular `T`, as the
+/// substitution reads it.
+struct DiagBlock {
+    /// `above[j][p] = T[p][j]`, p < j: column j above its diagonal element.
+    above: [[f64; TB]; TB],
+    /// `1 / T[j][j]`: the solve multiplies where the naive loops divide
+    /// (≤ 1 ulp apart, and off the critical path of the substitution).
+    inv: [f64; TB],
+}
+
+impl DiagBlock {
+    /// The leading `nb`×`nb` block from `at(p, j) = T[p][j]`, p <= j. Columns
+    /// past `nb` are those of the identity, so the solve is shape-oblivious.
+    #[inline(always)]
+    fn new(nb: usize, at: impl Fn(usize, usize) -> f64) -> DiagBlock {
+        let mut d = DiagBlock {
+            above: [[0.0; TB]; TB],
+            inv: [1.0; TB],
+        };
+        for j in 0..nb {
+            for p in 0..j {
+                d.above[j][p] = at(p, j);
+            }
+            d.inv[j] = 1.0 / at(j, j);
+        }
+        d
+    }
+}
+
+/// One micro-tile of a right-side solve's block step: rows
+/// `row0..row0+mr`, columns `jb..jb+nb` of B (leading dimension `ldb`) lose
+/// `X[rows, ..jb] · tstrip` and are solved against `diag`. `xstrip` is the
+/// rows' strip of the packed X, `ldb`-deep; the solved columns are appended
+/// to it.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn solve_micro_tile(
+    b: &mut [f64],
+    ldb: usize,
+    row0: usize,
+    mr: usize,
+    jb: usize,
+    nb: usize,
+    xstrip: &mut [f64],
+    tstrip: &[f64],
+    diag: &DiagBlock,
+) {
+    let acc = micro_tile(jb, &xstrip[..jb * MR], tstrip);
+    // r = B's micro-tile less what the solved columns took; rows past `mr`
+    // and columns past `nb` are zero padding.
+    let mut r = [[0.0f64; NR]; MR];
+    for i in 0..mr {
+        let brow = &b[(row0 + i) * ldb + jb..][..nb];
+        for (j, v) in brow.iter().enumerate() {
+            r[i][j] = v - acc[i][j];
+        }
+    }
+    // x[j][i] = X[row0+i][jb+j]: the micro-tile transposed, so each step of
+    // the substitution is one MR-wide vector operation and the result is
+    // already in the packed layout.
+    let mut x = [[0.0f64; MR]; TB];
+    for j in 0..TB {
+        let mut v = [0.0f64; MR];
+        for i in 0..MR {
+            v[i] = r[i][j];
+        }
+        for (xp, t) in x.iter().zip(&diag.above[j]).take(j) {
+            for i in 0..MR {
+                v[i] -= xp[i] * t;
             }
         }
-        // Upper non-unit solve within the diagonal block.
-        for r in 0..m {
-            let row = &mut b[r * n + jb..r * n + jb + nb];
-            for j in 0..nb {
-                let mut v = row[j];
-                for p in 0..j {
-                    v -= row[p] * u[(jb + p) * n + jb + j];
-                }
-                row[j] = v / u[(jb + j) * n + jb + j];
-            }
+        for i in 0..MR {
+            x[j][i] = v[i] * diag.inv[j];
         }
-        jb += nb;
+    }
+    for i in 0..mr {
+        let brow = &mut b[(row0 + i) * ldb + jb..][..nb];
+        for (j, v) in brow.iter_mut().enumerate() {
+            *v = x[j][i];
+        }
+    }
+    xstrip[jb * MR..(jb + nb) * MR].copy_from_slice(x[..nb].as_flattened());
+}
+
+/// Blocked `B = L⁻¹·B` (left/lower/unit, block-LU row panel), `L` m×m unit
+/// lower (its diagonal and upper triangle are never read), `B` m×n.
+/// Left-looking over `TB`-high row blocks, the mirror image of
+/// [`trsm_right`]: a block's rows lose `L[block, ..rb] · X[..rb]` through
+/// the micro-kernel, then the block is solved against its own `TB`×`TB`
+/// corner of `L`; the solved rows are packed as the right operand as they
+/// are produced. A column's arithmetic involves no other column.
+pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
+    assert_eq!(l.len(), m * m, "L dims");
+    assert_eq!(b.len(), m * n, "B dims");
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Solved X as NR-wide column strips, each m deep; TB rows of L.
+    let xp_len = n.next_multiple_of(NR) * m;
+    let mut scratch = vec![0.0f64; xp_len + TB * m];
+    let (xp, lp) = scratch.split_at_mut(xp_len);
+    with_widest_isa(
+        #[inline(always)]
+        || trsm_left_sweep(l, b, m, n, xp, lp),
+    );
+}
+
+#[inline(always)]
+fn trsm_left_sweep(l: &[f64], b: &mut [f64], m: usize, n: usize, xp: &mut [f64], lp: &mut [f64]) {
+    for rb in (0..m).step_by(TB) {
+        let nb = TB.min(m - rb);
+        // L[rb..rb+nb, ..rb]: what the block's rows lose to the solved ones.
+        pack_a(l, m, rb, nb, 0, rb, lp);
+        for (sj, col0) in (0..n).step_by(NR).enumerate() {
+            let nr = NR.min(n - col0);
+            let xstrip = &mut xp[sj * m * NR..(sj + 1) * m * NR];
+            // x[r][j] = X[rb+r][col0+j]; columns past `nr` are padding.
+            let mut x = [[0.0f64; NR]; TB];
+            for (si, row0) in (0..nb).step_by(MR).enumerate() {
+                let lstrip = &lp[si * rb * MR..(si + 1) * rb * MR];
+                let acc = micro_tile(rb, lstrip, &xstrip[..rb * NR]);
+                for i in 0..MR.min(nb - row0) {
+                    let brow = &b[(rb + row0 + i) * n + col0..][..nr];
+                    for (j, v) in brow.iter().enumerate() {
+                        x[row0 + i][j] = v - acc[i][j];
+                    }
+                }
+            }
+            for r in 1..nb {
+                let (done, rest) = x.split_at_mut(r);
+                for (p, xprow) in done.iter().enumerate() {
+                    let lrp = l[(rb + r) * m + rb + p];
+                    for j in 0..NR {
+                        rest[0][j] -= lrp * xprow[j];
+                    }
+                }
+            }
+            for (r, xrow) in x.iter().enumerate().take(nb) {
+                b[(rb + r) * n + col0..][..nr].copy_from_slice(&xrow[..nr]);
+            }
+            xstrip[rb * NR..(rb + nb) * NR].copy_from_slice(x[..nb].as_flattened());
+        }
     }
 }
 
@@ -796,26 +963,29 @@ mod tests {
 
     #[test]
     fn syrk_row_slabs_compose_to_the_whole_update_bit_for_bit() {
-        // Two diagonal blocks and a ragged third; slabs that straddle them.
-        let (n, k) = (2 * MC + 9, 19usize);
-        let a = random(n, k, 21);
-        let c0 = random(n, n, 22);
-        let mut oracle = c0.clone();
-        naive::dsyrk_ln(a.as_slice(), oracle.as_mut_slice(), n, k);
-        let mut whole = c0.clone();
-        dsyrk_ln(a.as_slice(), whole.as_mut_slice(), n, k);
-        assert_close(whole.as_slice(), oracle.as_slice(), 1e-12);
-        for pieces in [vec![n], vec![11, 60, 6, n - 77], vec![4; n / 4 + 1]] {
-            let mut c = c0.clone();
-            let mut row0 = 0;
-            for nrows in pieces {
-                let nrows = nrows.min(n - row0);
-                let slab = &mut c.as_mut_slice()[row0 * n..(row0 + nrows) * n];
-                dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
-                row0 += nrows;
+        // Past two `MC` row blocks, ragged against MR and NR; then past `NC`
+        // and `KC` as well (a second panel, a second k-slab's subtraction).
+        // Slabs that straddle micro-tiles and blocks any which way.
+        for (n, k) in [(2 * MC + 9, 19usize), (NC + 13, KC + 5)] {
+            let a = random(n, k, 21);
+            let c0 = random(n, n, 22);
+            let mut oracle = c0.clone();
+            naive::dsyrk_ln(a.as_slice(), oracle.as_mut_slice(), n, k);
+            let mut whole = c0.clone();
+            dsyrk_ln(a.as_slice(), whole.as_mut_slice(), n, k);
+            assert_close(whole.as_slice(), oracle.as_slice(), 1e-12);
+            for pieces in [vec![n], vec![11, 60, 6, n - 77], vec![4; n / 4 + 1]] {
+                let mut c = c0.clone();
+                let mut row0 = 0;
+                for nrows in pieces {
+                    let nrows = nrows.min(n - row0);
+                    let slab = &mut c.as_mut_slice()[row0 * n..(row0 + nrows) * n];
+                    dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
+                    row0 += nrows;
+                }
+                assert_eq!(row0, n);
+                assert_eq!(c.as_slice(), whole.as_slice(), "n={n} k={k}");
             }
-            assert_eq!(row0, n);
-            assert_eq!(c.as_slice(), whole.as_slice());
         }
     }
 

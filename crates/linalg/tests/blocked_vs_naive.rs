@@ -2,12 +2,17 @@
 //! retained naive reference loops (`hs_linalg::naive`), across shapes chosen
 //! to stress every edge case of the blocking scheme — dimensions below one
 //! register tile, exact multiples of MR/NR/MC/KC, and off-by-one neighbours
-//! of the block sizes — and the full alpha/beta special-case grid.
+//! of the block sizes — and the full alpha/beta special-case grid. The
+//! triangular kernels (SYRK, the TRSMs, POTRF) run at *every* size from 1 to
+//! 130: their diagonal is where a blocking boundary bites, and it moves with
+//! n.
 //!
 //! The microkernel entry points are called directly (not through the
 //! `blas3` small-operand dispatcher) so small shapes genuinely exercise the
 //! packed path rather than falling back to the oracle under test.
 
+use hs_linalg::dense::{random_spd, reconstruct_llt, zero_upper};
+use hs_linalg::factor::dpotrf;
 use hs_linalg::{microkernel, naive};
 
 /// Deterministic pseudo-random fill (no rand dep): splitmix64 mapped to
@@ -43,8 +48,19 @@ fn dims() -> Vec<usize> {
     d
 }
 
+/// Adversarial (m, n, k) corners: degenerate, one past a register tile with
+/// k one past KC, one past MC everywhere, and the two long-and-thin extremes.
+const CORNERS: [(usize, usize, usize); 6] = [
+    (1, 1, 1),
+    (4, 8, 1),
+    (5, 9, 257),
+    (65, 65, 65),
+    (3, 129, 127),
+    (129, 3, 31),
+];
+
 /// A reduced (m, n, k) grid over `dims`: full cross-product is too slow, so
-/// pair each m with rotated n/k picks plus a few adversarial corners.
+/// pair each m with rotated n/k picks plus the adversarial corners.
 fn shapes() -> Vec<(usize, usize, usize)> {
     let d = dims();
     let mut out = Vec::new();
@@ -53,14 +69,7 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         let k = d[(i * 11 + 5) % d.len()];
         out.push((m, n, k));
     }
-    out.extend([
-        (1, 1, 1),
-        (4, 8, 1),
-        (5, 9, 257),
-        (65, 65, 65),
-        (3, 129, 127),
-        (129, 3, 31),
-    ]);
+    out.extend(CORNERS);
     out
 }
 
@@ -116,19 +125,61 @@ fn gemm_nt_blocked_matches_naive() {
     }
 }
 
+/// Every size a triangular kernel can meet a blocking boundary at: below
+/// one micro-tile, ragged against MR, NR and the solves' diagonal block,
+/// through GEMM's MC = 64 and out past two of them. Nothing in these kernels
+/// switches algorithm with size, so no n may be skipped on that account.
+const DENSE: std::ops::RangeInclusive<usize> = 1..=130;
+
+/// A triangular kernel's sweep as (order of the triangle, the operand's other
+/// dimension, k): every order in `DENSE` with the rotated picks `shapes`
+/// pairs its m with, then `CORNERS` either way round (the kernels disagree
+/// on which dimension the triangle has), then one ragged shape past NC and
+/// KC — SYRK's panel and k-slab loops, which no 130 reaches.
+fn triangular_shapes() -> Vec<(usize, usize, usize)> {
+    let d = dims();
+    let mut out: Vec<_> = DENSE
+        .map(|n| (n, d[(n * 7 + 3) % d.len()], d[(n * 11 + 5) % d.len()]))
+        .collect();
+    for (m, n, k) in CORNERS {
+        out.extend([(m, n, k), (n, m, k)]);
+    }
+    out.push((microkernel::NC + 13, 21, microkernel::KC + 5));
+    out
+}
+
+/// A well-conditioned triangular operand: random entries, dominant diagonal.
+fn triangular(seed: u64, n: usize) -> Vec<f64> {
+    let mut t = vec![0.0; n * n];
+    fill(seed, &mut t);
+    for i in 0..n {
+        t[i * n + i] = 2.0 + i as f64 * 0.01;
+    }
+    t
+}
+
 #[test]
 fn syrk_blocked_matches_naive() {
-    for (n, _, k) in shapes() {
+    for (n, _, k) in triangular_shapes() {
         let mut a = vec![0.0; n * k];
         let mut c0 = vec![0.0; n * n];
         fill(21 + (n * 1000 + k) as u64, &mut a);
         fill(22 + (n * 1000 + k) as u64, &mut c0);
         let mut got = c0.clone();
-        let mut want = c0;
+        let mut want = c0.clone();
         microkernel::dsyrk_ln(&a, &mut got, n, k);
         naive::dsyrk_ln(&a, &mut want, n, k);
         let e = rel_err(&got, &want);
         assert!(e <= TOL, "syrk n={n} k={k}: rel err {e:.3e}");
+        for i in 0..n {
+            for j in i + 1..n {
+                assert_eq!(
+                    got[i * n + j].to_bits(),
+                    c0[i * n + j].to_bits(),
+                    "syrk n={n} k={k}: ({i},{j}) is above the diagonal"
+                );
+            }
+        }
     }
 }
 
@@ -136,7 +187,17 @@ fn syrk_blocked_matches_naive() {
 fn syrk_rows_slab_matches_whole() {
     // The expansion entry point: computing the update in row slabs must
     // agree with the one-shot lower-triangular update.
-    for (n, k) in [(13usize, 7usize), (64, 33), (97, 65), (129, 16)] {
+    // The last two cross KC (a second k-slab's subtraction) and NC (a second
+    // panel of the right operand, offset into the slab).
+    let beyond = (microkernel::NC + 13, microkernel::KC + 5);
+    for (n, k) in [
+        (13usize, 7usize),
+        (64, 33),
+        (97, 65),
+        (129, 16),
+        (5, 257),
+        beyond,
+    ] {
         let mut a = vec![0.0; n * k];
         let mut c0 = vec![0.0; n * n];
         fill(31 + (n * 1000 + k) as u64, &mut a);
@@ -169,13 +230,8 @@ fn syrk_rows_slab_matches_whole() {
 
 #[test]
 fn trsm_rlt_blocked_matches_naive() {
-    for (m, n, _) in shapes() {
-        let mut l = vec![0.0; n * n];
-        fill(41 + (m * 1000 + n) as u64, &mut l);
-        // Make L well conditioned: dominant diagonal.
-        for i in 0..n {
-            l[i * n + i] = 2.0 + i as f64 * 0.01;
-        }
+    for (n, m, _) in triangular_shapes() {
+        let l = triangular(41 + (m * 1000 + n) as u64, n);
         let mut b0 = vec![0.0; m * n];
         fill(42 + (m * 1000 + n) as u64, &mut b0);
         let mut got = b0.clone();
@@ -189,7 +245,7 @@ fn trsm_rlt_blocked_matches_naive() {
 
 #[test]
 fn trsm_llu_blocked_matches_naive() {
-    for (m, n, _) in shapes() {
+    for (m, n, _) in triangular_shapes() {
         let mut lu = vec![0.0; m * m];
         fill(51 + (m * 1000 + n) as u64, &mut lu);
         let mut b0 = vec![0.0; m * n];
@@ -205,12 +261,8 @@ fn trsm_llu_blocked_matches_naive() {
 
 #[test]
 fn trsm_runn_blocked_matches_naive() {
-    for (m, n, _) in shapes() {
-        let mut u = vec![0.0; n * n];
-        fill(61 + (m * 1000 + n) as u64, &mut u);
-        for i in 0..n {
-            u[i * n + i] = 2.0 + i as f64 * 0.01;
-        }
+    for (n, m, _) in triangular_shapes() {
+        let u = triangular(61 + (m * 1000 + n) as u64, n);
         let mut b0 = vec![0.0; m * n];
         fill(62 + (m * 1000 + n) as u64, &mut b0);
         let mut got = b0.clone();
@@ -219,6 +271,54 @@ fn trsm_runn_blocked_matches_naive() {
         naive::dtrsm_runn(&u, &mut want, m, n);
         let e = rel_err(&got, &want);
         assert!(e <= TOL, "trsm_runn m={m} n={n}: rel err {e:.3e}");
+    }
+}
+
+#[test]
+fn right_side_trsm_row_slabs_compose_to_the_whole_solve_bit_for_bit() {
+    // What task expansion does to B: a row's solve involves no other row,
+    // so slabs that straddle micro-tiles any which way change no bit.
+    type Trsm = fn(&[f64], &mut [f64], usize, usize);
+    let kernels: [(&str, Trsm); 2] = [
+        ("trsm_rlt", microkernel::dtrsm_rlt),
+        ("trsm_runn", microkernel::dtrsm_runn),
+    ];
+    for (name, trsm) in kernels {
+        for (m, n) in [(137usize, 64usize), (137, 37), (90, 130)] {
+            let t = triangular(71 + n as u64, n);
+            let mut b0 = vec![0.0; m * n];
+            fill(72 + (m * 1000 + n) as u64, &mut b0);
+            let mut whole = b0.clone();
+            trsm(&t, &mut whole, m, n);
+            for pieces in [vec![11, 60, 6, m], vec![4; m / 4 + 1]] {
+                let mut b = b0.clone();
+                let mut row0 = 0;
+                for nrows in pieces {
+                    let nrows = nrows.min(m - row0);
+                    trsm(&t, &mut b[row0 * n..(row0 + nrows) * n], nrows, n);
+                    row0 += nrows;
+                }
+                assert_eq!(row0, m);
+                assert!(
+                    b.iter()
+                        .zip(&whole)
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{name} m={m} n={n}: slabs differ from the whole solve"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn potrf_reconstructs_at_every_size() {
+    for n in DENSE {
+        let a = random_spd(n, 80 + n as u64);
+        let mut l = a.as_slice().to_vec();
+        dpotrf(&mut l, n).expect("random_spd is positive definite");
+        zero_upper(&mut l, n);
+        let e = rel_err(reconstruct_llt(&l, n).as_slice(), a.as_slice());
+        assert!(e <= TOL, "potrf n={n}: L·Lᵀ off A by {e:.3e}");
     }
 }
 
