@@ -33,15 +33,15 @@
 //! overlaps updates; panels are a vanishing fraction of total flops, and
 //! DESIGN.md records the approximation.
 
-use crate::kernels::{pack_dims, register_all};
+use crate::kernels::{self, register_all, Call};
 use crate::tilebuf::TileBufs;
-use bytes::Bytes;
+use crate::wait_for;
 use hs_linalg::dense::{max_abs_diff, random_spd, reconstruct_llt, zero_upper, Matrix};
 use hs_linalg::{flops, TileMap};
 use hs_machine::KernelKind;
-use hs_ompss::{Backend, DataAccess, OmpSs};
+use hs_ompss::{Backend, OmpSs};
 use hstreams_core::{
-    Access, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsResult, Operand, StreamId,
+    BufferId, CpuMask, DomainId, Event, ExecMode, HStreams, HsError, HsResult, StreamId,
 };
 
 /// Which Fig. 7 implementation to run.
@@ -99,8 +99,92 @@ pub struct CholResult {
     pub checksum: Option<u64>,
 }
 
-fn cost(kind: KernelKind, fl: f64, tile: usize) -> CostHint {
-    CostHint::new(kind, fl, tile as u64)
+/// The trailing update of tile (i, j) by column k: SYRK on the diagonal,
+/// GEMM below it. `t` names tile (row, col) in the caller's handle type.
+fn trailing_update<H: Copy>(
+    map: &TileMap,
+    t: impl Fn(usize, usize) -> H,
+    (i, j, k): (usize, usize, usize),
+) -> Call<H> {
+    let (bi, bj, bk) = (map.dim(i), map.dim(j), map.dim(k));
+    if i == j {
+        kernels::syrk(t(i, k), t(i, i), bi, bk)
+    } else {
+        kernels::gemm_nt(t(i, k), t(j, k), t(i, j), [bi, bj, bk])
+    }
+}
+
+/// `max |L·Lᵀ - A|` and the factor's checksum, upper triangle zeroed.
+fn verify_factor(mut l: Matrix, a: &Matrix, n: usize) -> (Option<f64>, Option<u64>) {
+    zero_upper(l.as_mut_slice(), n);
+    let r = reconstruct_llt(l.as_slice(), n);
+    (
+        Some(max_abs_diff(r.as_slice(), a.as_slice())),
+        Some(crate::remote::checksum_f64s(l.as_slice())),
+    )
+}
+
+/// Right-looking tiled factorization of `ta`'s lower triangle entirely on
+/// the streams of one domain: the single-target schedule of
+/// [`CholVariant::Offload`] and of the supernode solver, which differ only
+/// in `diag`, the call that factors a diagonal tile. Tiles are staged in up
+/// front, spread across the streams (pipelined with the first panel; the
+/// transfers alias away when `target` is the host), and staged back out.
+pub(crate) fn right_looking_on(
+    hs: &HStreams,
+    ta: &TileBufs,
+    streams: &[StreamId],
+    target: DomainId,
+    diag: fn(BufferId, usize) -> Call<BufferId>,
+) -> HsResult<()> {
+    let map = &ta.map;
+    let nt = map.nt;
+    let mut tile_ev: Vec<Option<Event>> = vec![None; nt * nt];
+    for i in 0..nt {
+        for j in 0..=i {
+            let s = streams[(i + j) % streams.len()];
+            let ev = hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), DomainId::HOST, target)?;
+            tile_ev[map.id(i, j)] = Some(ev);
+        }
+    }
+    let mut rr = 0usize;
+    for k in 0..nt {
+        let bk = map.dim(k);
+        // The diagonal factor on stream 0.
+        let s0 = streams[0];
+        wait_for(hs, s0, &[tile_ev[map.id(k, k)]])?;
+        let diag_ev = diag(ta.buf(k, k), bk).enqueue(hs, s0)?;
+        tile_ev[map.id(k, k)] = Some(diag_ev);
+        // TRSMs round-robin across the streams.
+        let mut trsm_ev: Vec<Option<Event>> = vec![None; nt];
+        for i in k + 1..nt {
+            let s = streams[rr % streams.len()];
+            rr += 1;
+            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(i, k)]])?;
+            let ev = kernels::trsm(ta.buf(k, k), ta.buf(i, k), map.dim(i), bk).enqueue(hs, s)?;
+            trsm_ev[i] = Some(ev);
+            tile_ev[map.id(i, k)] = Some(ev);
+        }
+        // Trailing updates.
+        for i in k + 1..nt {
+            for j in k + 1..=i {
+                let s = streams[rr % streams.len()];
+                rr += 1;
+                wait_for(hs, s, &[trsm_ev[i], trsm_ev[j], tile_ev[map.id(i, j)]])?;
+                let ev = trailing_update(map, |r, c| ta.buf(r, c), (i, j, k)).enqueue(hs, s)?;
+                tile_ev[map.id(i, j)] = Some(ev);
+            }
+        }
+    }
+    // The factor back to the host.
+    for i in 0..nt {
+        for j in 0..=i {
+            let s = streams[(i + j) % streams.len()];
+            wait_for(hs, s, &[tile_ev[map.id(i, j)]])?;
+            hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), target, DomainId::HOST)?;
+        }
+    }
+    Ok(())
 }
 
 /// Run a Cholesky schedule on an initialized runtime.
@@ -110,233 +194,73 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
     let nt = map.nt;
     let real = hs.mode() != ExecMode::Sim;
 
-    let cards: Vec<DomainId> = hs.domains().iter().skip(1).map(|d| d.id).collect();
-    let first_card = cards.first().copied();
+    // The cards in play: all of them, or the Offload variant's one.
+    let offload = matches!(cfg.variant, CholVariant::Offload);
+    let balanced = matches!(cfg.variant, CholVariant::Hetero | CholVariant::MklAoLike);
+    let mut cards: Vec<DomainId> = hs.domains().iter().skip(1).map(|d| d.id).collect();
+    if offload {
+        cards.truncate(1);
+        if cards.is_empty() {
+            return Err(HsError::InvalidArg("offload variant needs a card".into()));
+        }
+    }
 
-    // Row owners per variant.
-    let owners: Vec<DomainId> = (0..nt)
-        .map(|i| match cfg.variant {
-            CholVariant::Offload => first_card.unwrap_or(DomainId::HOST),
-            CholVariant::MagmaLike => {
-                if cards.is_empty() {
-                    DomainId::HOST
-                } else {
-                    cards[i % cards.len()]
-                }
-            }
-            CholVariant::Hetero | CholVariant::MklAoLike => {
-                // Row ownership balanced by device update rates, with the
-                // host discounted for its panel duty (the paper's tuners
-                // used plain round-robin because their host and card DGEMM
-                // rates were near-equal; the balancing generalizes that).
-                DomainId(0) // placeholder, replaced below
-            }
-        })
-        .collect();
-    let owners: Vec<DomainId> =
-        if matches!(cfg.variant, CholVariant::Hetero | CholVariant::MklAoLike) && !cards.is_empty()
-        {
-            let cm = hs.platform().cost_model();
-            let tile_n = cfg.tile as u64;
-            let host_info = &hs.domains()[0];
-            // Knob for shaving the host's row share when panel duty crowds its
-            // workers; at the sweep's tile counts the remainder rounding already
-            // leaves the host headroom, so no extra discount is applied.
-            const HOST_PANEL_DISCOUNT: f64 = 1.0;
-            let mut weights = vec![
-                cm.kernel_gflops(host_info.device, host_info.cores, KernelKind::Dgemm, tile_n)
-                    * HOST_PANEL_DISCOUNT,
-            ];
-            for card in &cards {
-                let info = &hs.domains()[card.0];
-                weights.push(cm.kernel_gflops(info.device, info.cores, KernelKind::Dgemm, tile_n));
-            }
-            let assignment = crate::matmul::assign_panels(nt, &weights);
-            assignment
-                .into_iter()
-                .map(|di| {
-                    if di == 0 {
-                        DomainId::HOST
-                    } else {
-                        cards[di - 1]
-                    }
-                })
-                .collect()
-        } else {
-            owners
+    // Row owners (Offload never consults them: every row lives on its card).
+    let owners: Vec<DomainId> = if cards.is_empty() {
+        vec![DomainId::HOST; nt]
+    } else if balanced {
+        // Row ownership balanced by device update rates (the paper's tuners
+        // used plain round-robin because their host and card DGEMM rates
+        // were near-equal; the balancing generalizes that). The host's
+        // panel duty earns it no discount: at the sweep's tile counts the
+        // remainder rounding already leaves it headroom.
+        let cm = hs.platform().cost_model();
+        let devices: Vec<DomainId> = [DomainId::HOST].into_iter().chain(cards.clone()).collect();
+        let rate = |d: &DomainId| {
+            let info = &hs.domains()[d.0];
+            cm.kernel_gflops(info.device, info.cores, KernelKind::Dgemm, cfg.tile as u64)
         };
-
-    // Streams: a machine-wide host panel stream + host workers + card
-    // streams. In the Offload variant the panel runs on the card instead.
-    let host_cores = hs.domains()[0].cores;
-    let panel_stream: StreamId;
-    let mut host_workers: Vec<StreamId> = Vec::new();
-    let mut card_streams: Vec<Vec<StreamId>> = Vec::new();
-    match cfg.variant {
-        CholVariant::Offload => {
-            let card = first_card.ok_or_else(|| {
-                hstreams_core::HsError::InvalidArg("offload variant needs a card".into())
-            })?;
-            let streams = crate::domain_streams(hs, card, cfg.streams_per_card, cfg.mask_width)?;
-            panel_stream = streams[0];
-            card_streams = vec![streams];
-        }
-        _ => {
-            panel_stream = hs.stream_create(DomainId::HOST, CpuMask::first(host_cores))?;
-            if matches!(cfg.variant, CholVariant::Hetero | CholVariant::MklAoLike) {
-                host_workers =
-                    crate::domain_streams(hs, DomainId::HOST, cfg.streams_host, cfg.mask_width)?;
-            }
-            for card in &cards {
-                card_streams.push(crate::domain_streams(
-                    hs,
-                    *card,
-                    cfg.streams_per_card,
-                    cfg.mask_width,
-                )?);
-            }
-        }
-    }
-    if host_workers.is_empty() {
-        host_workers.push(panel_stream);
-    }
-
-    // One buffer per lower-triangle tile (upper tiles never touched).
-    let ta = TileBufs::create(hs, map, "A");
-    let a_ref = if real && cfg.verify {
-        let a = random_spd(cfg.n, 31);
-        ta.write_matrix(hs, &a)?;
-        Some(a)
+        let weights: Vec<f64> = devices.iter().map(rate).collect();
+        let assignment = crate::matmul::assign_panels(nt, &weights);
+        assignment.into_iter().map(|di| devices[di]).collect()
     } else {
-        None
+        (0..nt).map(|i| cards[i % cards.len()]).collect()
     };
 
-    // Instantiate lower tiles where they will be touched: on the single
-    // offload card, or on every card (broadcast targets + row ownership).
-    let offload = matches!(cfg.variant, CholVariant::Offload);
-    for i in 0..nt {
-        for j in 0..=i {
-            if offload {
-                if let Some(card) = first_card {
-                    hs.buffer_instantiate(ta.buf(i, j), card)?;
-                }
-            } else {
-                for card in &cards {
-                    hs.buffer_instantiate(ta.buf(i, j), *card)?;
-                }
-            }
+    // Streams, ids in creation order: a machine-wide host panel stream and
+    // the host workers — neither in the Offload variant, whose panel runs
+    // on its card — then each card's.
+    let mut host_streams: Vec<StreamId> = Vec::new();
+    if !offload {
+        let host_cores = hs.domains()[0].cores;
+        host_streams.push(hs.stream_create(DomainId::HOST, CpuMask::first(host_cores))?);
+        if balanced {
+            let (n, width) = (cfg.streams_host, cfg.mask_width);
+            host_streams.extend(crate::domain_streams(hs, DomainId::HOST, n, width)?);
         }
     }
+    let mut card_streams: Vec<Vec<StreamId>> = Vec::new();
+    for card in &cards {
+        let (n, width) = (cfg.streams_per_card, cfg.mask_width);
+        card_streams.push(crate::domain_streams(hs, *card, n, width)?);
+    }
+
+    // One buffer per lower-triangle tile (upper tiles never touched),
+    // instantiated where it will be touched: on the single offload card, or
+    // on every card (broadcast targets + row ownership).
+    let ta = TileBufs::create(hs, map, "A");
+    let a_ref = ta.seed(hs, real && cfg.verify, || random_spd(cfg.n, 31))?;
+    ta.instantiate_lower(hs, &cards)?;
 
     let t0 = hs.now_secs();
     let card_of = |d: DomainId| cards.iter().position(|c| *c == d);
 
     if offload {
-        let card = first_card.expect("offload variant has a card");
-        let streams = &card_streams[0];
-        // Ship the whole lower triangle to the card up front, tile by tile,
-        // spread across streams (pipelined with the first panel).
-        let mut tile_ev: Vec<Option<Event>> = vec![None; nt * nt];
-        for i in 0..nt {
-            for j in 0..=i {
-                let s = streams[(i + j) % streams.len()];
-                let ev =
-                    hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), DomainId::HOST, card)?;
-                tile_ev[map.id(i, j)] = Some(ev);
-            }
-        }
-        // Right-looking factorization entirely on the card.
-        let mut rr = 0usize;
-        for k in 0..nt {
-            let bk = map.dim(k);
-            // POTRF on stream 0 of the card.
-            let s0 = streams[0];
-            if let Some(e) = tile_ev[map.id(k, k)] {
-                hs.enqueue_cross_wait(s0, &[e])?;
-            }
-            let potrf_ev = hs.enqueue_compute(
-                s0,
-                "tile_potrf",
-                pack_dims(&[bk as u32]),
-                &[Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::InOut)],
-                cost(KernelKind::Dpotrf, flops::potrf(bk), bk),
-            )?;
-            tile_ev[map.id(k, k)] = Some(potrf_ev);
-            // TRSMs round-robin across the card's streams.
-            let mut trsm_ev: Vec<Option<Event>> = vec![None; nt];
-            for i in k + 1..nt {
-                let bi = map.dim(i);
-                let s = streams[rr % streams.len()];
-                rr += 1;
-                let mut waits = vec![potrf_ev];
-                waits.extend(tile_ev[map.id(i, k)]);
-                hs.enqueue_cross_wait(s, &waits)?;
-                let ev = hs.enqueue_compute(
-                    s,
-                    "tile_trsm",
-                    pack_dims(&[bi as u32, bk as u32]),
-                    &[
-                        Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::In),
-                        Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::InOut),
-                    ],
-                    cost(KernelKind::Dtrsm, flops::trsm(bi, bk), bk),
-                )?;
-                trsm_ev[i] = Some(ev);
-                tile_ev[map.id(i, k)] = Some(ev);
-            }
-            // Trailing updates.
-            for i in k + 1..nt {
-                let bi = map.dim(i);
-                for j in k + 1..=i {
-                    let bj = map.dim(j);
-                    let s = streams[rr % streams.len()];
-                    rr += 1;
-                    let mut waits: Vec<Event> = Vec::new();
-                    waits.extend(trsm_ev[i]);
-                    waits.extend(trsm_ev[j]);
-                    waits.extend(tile_ev[map.id(i, j)]);
-                    if !waits.is_empty() {
-                        hs.enqueue_cross_wait(s, &waits)?;
-                    }
-                    let ev = if i == j {
-                        hs.enqueue_compute(
-                            s,
-                            "tile_syrk",
-                            pack_dims(&[bi as u32, bk as u32]),
-                            &[
-                                Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                                Operand::f64s(ta.buf(i, i), 0, bi * bi, Access::InOut),
-                            ],
-                            cost(KernelKind::Dsyrk, flops::syrk(bi, bk), bk),
-                        )?
-                    } else {
-                        hs.enqueue_compute(
-                            s,
-                            "tile_gemm_nt",
-                            pack_dims(&[bi as u32, bj as u32, bk as u32]),
-                            &[
-                                Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                                Operand::f64s(ta.buf(j, k), 0, bj * bk, Access::In),
-                                Operand::f64s(ta.buf(i, j), 0, bi * bj, Access::InOut),
-                            ],
-                            cost(KernelKind::Dgemm, flops::gemm(bi, bj, bk), bk),
-                        )?
-                    };
-                    tile_ev[map.id(i, j)] = Some(ev);
-                }
-            }
-        }
-        // Final factor back to the host.
-        for i in 0..nt {
-            for j in 0..=i {
-                let s = streams[(i + j) % streams.len()];
-                if let Some(e) = tile_ev[map.id(i, j)] {
-                    hs.enqueue_cross_wait(s, &[e])?;
-                }
-                hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), card, DomainId::HOST)?;
-            }
-        }
+        right_looking_on(hs, &ta, &card_streams[0], cards[0], kernels::potrf)?;
     } else {
+        let panel_stream = host_streams[0];
+        // MagmaLike has no host workers: its TRSMs share the panel stream.
+        let host_workers = &host_streams[usize::from(balanced)..];
         // Hetero / MklAoLike / MagmaLike: host panel stream + distributed
         // trailing updates (Fig. 5).
         //
@@ -367,17 +291,8 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
             let bk = map.dim(k);
             // Panel: POTRF + TRSMs on the machine-wide host stream, reading
             // host copies made current by col_ev.
-            let waits: Vec<Event> = col_ev[k].into_iter().collect();
-            if !waits.is_empty() {
-                hs.enqueue_cross_wait(panel_stream, &waits)?;
-            }
-            let _potrf_ev = hs.enqueue_compute(
-                panel_stream,
-                "tile_potrf",
-                pack_dims(&[bk as u32]),
-                &[Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::InOut)],
-                cost(KernelKind::Dpotrf, flops::potrf(bk), bk),
-            )?;
+            wait_for(hs, panel_stream, &[col_ev[k]])?;
+            let potrf_ev = kernels::potrf(ta.buf(k, k), bk).enqueue(hs, panel_stream)?;
             // DTRSMs round-robin across the host worker streams ("each
             // subsequent compute ... is round-robin'd across the available
             // streams"); only DPOTRF uses the machine-wide stream. The L_kk
@@ -387,19 +302,8 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                 let bi = map.dim(i);
                 let s = host_workers[host_rr % host_workers.len()];
                 host_rr += 1;
-                let mut waits: Vec<Event> = col_ev[i].into_iter().collect();
-                waits.push(_potrf_ev);
-                hs.enqueue_cross_wait(s, &waits)?;
-                let ev = hs.enqueue_compute(
-                    s,
-                    "tile_trsm",
-                    pack_dims(&[bi as u32, bk as u32]),
-                    &[
-                        Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::In),
-                        Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::InOut),
-                    ],
-                    cost(KernelKind::Dtrsm, flops::trsm(bi, bk), bk),
-                )?;
+                wait_for(hs, s, &[col_ev[i], Some(potrf_ev)])?;
+                let ev = kernels::trsm(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s)?;
                 trsm_ev[i] = Some(ev);
             }
             // Broadcast the L column to every card.
@@ -409,7 +313,7 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                     let streams = &card_streams[ci];
                     let s = streams[card_rr[ci] % streams.len()];
                     card_rr[ci] += 1;
-                    hs.enqueue_cross_wait(s, &[trsm_ev[i].expect("trsm enqueued above")])?;
+                    wait_for(hs, s, &[trsm_ev[i]])?;
                     let bi = map.dim(i);
                     let ev =
                         hs.enqueue_xfer(s, ta.buf(i, k), 0..bi * bk * 8, DomainId::HOST, *card)?;
@@ -434,37 +338,9 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                         card_rr[ci] += 1;
                         (s, bcast_ev[ci][i], bcast_ev[ci][j])
                     };
-                    let mut waits: Vec<Event> = Vec::new();
-                    waits.extend(lik_ev);
-                    waits.extend(ljk_ev);
-                    waits.extend(upd_ev[map.id(i, j)]);
-                    if !waits.is_empty() {
-                        hs.enqueue_cross_wait(s, &waits)?;
-                    }
-                    let ev = if i == j {
-                        hs.enqueue_compute(
-                            s,
-                            "tile_syrk",
-                            pack_dims(&[bi as u32, bk as u32]),
-                            &[
-                                Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                                Operand::f64s(ta.buf(i, i), 0, bi * bi, Access::InOut),
-                            ],
-                            cost(KernelKind::Dsyrk, flops::syrk(bi, bk), bk),
-                        )?
-                    } else {
-                        hs.enqueue_compute(
-                            s,
-                            "tile_gemm_nt",
-                            pack_dims(&[bi as u32, bj as u32, bk as u32]),
-                            &[
-                                Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                                Operand::f64s(ta.buf(j, k), 0, bj * bk, Access::In),
-                                Operand::f64s(ta.buf(i, j), 0, bi * bj, Access::InOut),
-                            ],
-                            cost(KernelKind::Dgemm, flops::gemm(bi, bj, bk), bk),
-                        )?
-                    };
+                    wait_for(hs, s, &[lik_ev, ljk_ev, upd_ev[map.id(i, j)]])?;
+                    let ev =
+                        trailing_update(&map, |r, c| ta.buf(r, c), (i, j, k)).enqueue(hs, s)?;
                     upd_ev[map.id(i, j)] = Some(ev);
                     // The (k+1)-column tile becomes next panel input.
                     if j == k + 1 {
@@ -495,16 +371,9 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
     hs.thread_synchronize()?;
     let secs = hs.now_secs() - t0;
 
-    let (max_err, checksum) = if let Some(a) = a_ref {
-        let mut l = ta.read_matrix(hs)?;
-        zero_upper(l.as_mut_slice(), cfg.n);
-        let r = reconstruct_llt(l.as_slice(), cfg.n);
-        (
-            Some(max_abs_diff(r.as_slice(), a.as_slice())),
-            Some(crate::remote::checksum_f64s(l.as_slice())),
-        )
-    } else {
-        (None, None)
+    let (max_err, checksum) = match a_ref {
+        Some(a) => verify_factor(ta.read_matrix(hs)?, &a, cfg.n),
+        None => (None, None),
     };
 
     Ok(CholResult {
@@ -560,48 +429,13 @@ pub fn run_ompss(
     let t0 = o.now_secs();
     for k in 0..nt {
         let bk = map.dim(k);
-        o.task(
-            "tile_potrf",
-            pack_dims(&[bk as u32]),
-            &[DataAccess::inout(d(k, k))],
-            cost(KernelKind::Dpotrf, flops::potrf(bk), bk),
-            card,
-        )?;
+        kernels::potrf(d(k, k), bk).task(&mut o, card)?;
         for i in k + 1..nt {
-            let bi = map.dim(i);
-            o.task(
-                "tile_trsm",
-                pack_dims(&[bi as u32, bk as u32]),
-                &[DataAccess::input(d(k, k)), DataAccess::inout(d(i, k))],
-                cost(KernelKind::Dtrsm, flops::trsm(bi, bk), bk),
-                card,
-            )?;
+            kernels::trsm(d(k, k), d(i, k), map.dim(i), bk).task(&mut o, card)?;
         }
         for i in k + 1..nt {
-            let bi = map.dim(i);
             for j in k + 1..=i {
-                let bj = map.dim(j);
-                if i == j {
-                    o.task(
-                        "tile_syrk",
-                        pack_dims(&[bi as u32, bk as u32]),
-                        &[DataAccess::input(d(i, k)), DataAccess::inout(d(i, i))],
-                        cost(KernelKind::Dsyrk, flops::syrk(bi, bk), bk),
-                        card,
-                    )?;
-                } else {
-                    o.task(
-                        "tile_gemm_nt",
-                        pack_dims(&[bi as u32, bj as u32, bk as u32]),
-                        &[
-                            DataAccess::input(d(i, k)),
-                            DataAccess::input(d(j, k)),
-                            DataAccess::inout(d(i, j)),
-                        ],
-                        cost(KernelKind::Dgemm, flops::gemm(bi, bj, bk), bk),
-                        card,
-                    )?;
-                }
+                trailing_update(&map, d, (i, j, k)).task(&mut o, card)?;
             }
         }
     }
@@ -610,38 +444,27 @@ pub fn run_ompss(
     // automatic movement makes this a host-placed read task per tile).
     for i in 0..nt {
         for j in 0..=i {
-            o.task(
-                "tile_touch",
-                Bytes::new(),
-                &[DataAccess::input(d(i, j))],
-                CostHint::trivial(),
-                DomainId::HOST,
-            )?;
+            kernels::touch(d(i, j), map.dim(i) * map.dim(j)).task(&mut o, DomainId::HOST)?;
         }
     }
     o.taskwait()?;
     let secs = o.now_secs() - t0;
 
-    let (max_err, checksum) = if let Some(a) = a_ref {
-        let mut tiles = vec![Vec::new(); nt * nt];
-        for i in 0..nt {
-            for j in 0..nt {
-                let mut t = vec![0.0; map.dim(i) * map.dim(j)];
-                if j <= i {
-                    o.data_read_f64(d(i, j), 0, &mut t).expect("read");
+    let (max_err, checksum) = match a_ref {
+        Some(a) => {
+            let mut tiles = vec![Vec::new(); nt * nt];
+            for i in 0..nt {
+                for j in 0..nt {
+                    let mut t = vec![0.0; map.dim(i) * map.dim(j)];
+                    if j <= i {
+                        o.data_read_f64(d(i, j), 0, &mut t).expect("read");
+                    }
+                    tiles[map.id(i, j)] = t;
                 }
-                tiles[map.id(i, j)] = t;
             }
+            verify_factor(map.unpack(&tiles), &a, n)
         }
-        let mut l = map.unpack(&tiles);
-        zero_upper(l.as_mut_slice(), n);
-        let r = reconstruct_llt(l.as_slice(), n);
-        (
-            Some(max_abs_diff(r.as_slice(), a.as_slice())),
-            Some(crate::remote::checksum_f64s(l.as_slice())),
-        )
-    } else {
-        (None, None)
+        None => (None, None),
     };
 
     Ok(CholResult {
@@ -650,15 +473,6 @@ pub fn run_ompss(
         max_err,
         checksum,
     })
-}
-
-/// Reference factor for tests.
-pub fn reference_factor(n: usize, seed: u64) -> Matrix {
-    let a = random_spd(n, seed);
-    let mut l = a.clone();
-    hs_linalg::factor::dpotrf(l.as_mut_slice(), n).expect("SPD");
-    zero_upper(l.as_mut_slice(), n);
-    l
 }
 
 #[cfg(test)]
@@ -726,16 +540,16 @@ mod tests {
         assert!(r.max_err.expect("verified") < 1e-8);
     }
 
+    fn sim_gflops(variant: CholVariant, cards: usize) -> f64 {
+        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, cards), ExecMode::Sim);
+        let r = run(&mut hs, &CholConfig::new(12000, 750, variant));
+        r.expect("factorization runs").gflops
+    }
+
     #[test]
     fn sim_hetero_beats_offload() {
-        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-        let hetero = run(&mut hs, &CholConfig::new(12000, 750, CholVariant::Hetero))
-            .expect("hetero")
-            .gflops;
-        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-        let offload = run(&mut hs, &CholConfig::new(12000, 750, CholVariant::Offload))
-            .expect("offload")
-            .gflops;
+        let hetero = sim_gflops(CholVariant::Hetero, 1);
+        let offload = sim_gflops(CholVariant::Offload, 1);
         assert!(
             hetero > offload * 1.2,
             "host+card ({hetero}) must clearly beat pure offload ({offload})"
@@ -744,17 +558,8 @@ mod tests {
 
     #[test]
     fn sim_hetero_beats_bulk_synchronous() {
-        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-        let hetero = run(&mut hs, &CholConfig::new(12000, 750, CholVariant::Hetero))
-            .expect("hetero")
-            .gflops;
-        let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-        let ao = run(
-            &mut hs,
-            &CholConfig::new(12000, 750, CholVariant::MklAoLike),
-        )
-        .expect("mkl-ao")
-        .gflops;
+        let hetero = sim_gflops(CholVariant::Hetero, 2);
+        let ao = sim_gflops(CholVariant::MklAoLike, 2);
         assert!(
             hetero > ao,
             "pipelined hetero ({hetero}) must beat bulk-synchronous AO ({ao})"

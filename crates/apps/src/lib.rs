@@ -27,7 +27,7 @@ pub mod solver;
 pub mod tilebuf;
 pub mod tuned;
 
-use hstreams_core::{DomainId, HStreams, HsResult, StreamId};
+use hstreams_core::{DomainId, Event, HStreams, HsResult, StreamId};
 
 /// Create `n` worker streams on `domain`, honoring an optional tuned mask
 /// width: `None` keeps the classic even partition of the domain's cores
@@ -63,4 +63,16 @@ pub fn domain_streams(
         None => hs.app_init(&[(domain, n)]),
         Some(w) => hs.app_init_masked(domain, n, w.clamp(1, (cores / n as u32).max(1))),
     }
+}
+
+/// Make stream `s` wait for whichever of `events` exist, in the order
+/// given; none at all enqueues nothing. A schedule's dependence tables hold
+/// `None` for "nothing produced this yet" (a tile not staged, a copy that
+/// aliased away), so its wait sets are written as the table lookups.
+pub(crate) fn wait_for(hs: &HStreams, s: StreamId, events: &[Option<Event>]) -> HsResult<()> {
+    let waits: Vec<Event> = events.iter().flatten().copied().collect();
+    if !waits.is_empty() {
+        hs.enqueue_cross_wait(s, &waits)?;
+    }
+    Ok(())
 }

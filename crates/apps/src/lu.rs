@@ -18,12 +18,12 @@
 //! is backward stable. The untiled variant uses full partial pivoting. The
 //! `ablation_lu` bench sweeps n to show the paper's < 4K crossover.
 
-use crate::kernels::{pack_dims, register_all};
+use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
+use crate::wait_for;
 use hs_linalg::dense::{max_abs_diff, random_diag_dominant, Matrix};
 use hs_linalg::{flops, TileMap};
-use hs_machine::KernelKind;
-use hstreams_core::{Access, CostHint, CpuMask, DomainId, Event, HStreams, HsResult, Operand};
+use hstreams_core::{BufferId, CpuMask, DomainId, Event, HStreams, HsResult};
 
 /// Which LU scheme to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,17 +98,11 @@ fn run_untiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, 
         None
     };
     let t0 = hs.now_secs();
-    hs.enqueue_compute(
-        s,
-        "whole_getrf",
-        pack_dims(&[n as u32]),
-        &[Operand::f64s(buf, 0, n * n, Access::InOut)],
-        CostHint::new(KernelKind::Dgetrf, flops::getrf(n), n as u64),
-    )?;
+    kernels::whole_getrf(buf, n).enqueue(hs, s)?;
     hs.stream_synchronize(s)?;
     let secs = hs.now_secs() - t0;
     let max_err = match a_ref {
-        Some(a) => Some(verify_lu_buffer(hs, buf, &a, n, true)?),
+        Some(a) => Some(verify_lu_buffer(hs, buf, &a, n)?),
         None => None,
     };
     Ok((secs, max_err))
@@ -129,13 +123,7 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
     let streams = crate::domain_streams(hs, target, cfg.streams, cfg.mask_width)?;
 
     let ta = TileBufs::create(hs, map, "LU");
-    let a_ref = if real && cfg.verify {
-        let a = random_diag_dominant(cfg.n, 61);
-        ta.write_matrix(hs, &a)?;
-        Some(a)
-    } else {
-        None
-    };
+    let a_ref = ta.seed(hs, real && cfg.verify, || random_diag_dominant(cfg.n, 61))?;
     if !target.is_host() {
         ta.instantiate_all(hs, target)?;
     }
@@ -157,17 +145,8 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
     for k in 0..nt {
         let bk = map.dim(k);
         let s0 = streams[0];
-        let waits: Vec<Event> = tile_ev[map.id(k, k)].into_iter().collect();
-        if !waits.is_empty() {
-            hs.enqueue_cross_wait(s0, &waits)?;
-        }
-        let diag_ev = hs.enqueue_compute(
-            s0,
-            "tile_lu_nopiv",
-            pack_dims(&[bk as u32]),
-            &[Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::InOut)],
-            CostHint::new(KernelKind::Dgetrf, flops::getrf(bk), bk as u64),
-        )?;
+        wait_for(hs, s0, &[tile_ev[map.id(k, k)]])?;
+        let diag_ev = kernels::lu_nopiv(ta.buf(k, k), bk).enqueue(hs, s0)?;
         tile_ev[map.id(k, k)] = Some(diag_ev);
         // Row panel (A_kj <- L^-1 A_kj) and column panel (A_ik <- A_ik U^-1).
         let mut row_ev: Vec<Option<Event>> = vec![None; nt];
@@ -176,19 +155,8 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
             let bj = map.dim(j);
             let s = streams[rr % streams.len()];
             rr += 1;
-            let mut waits = vec![diag_ev];
-            waits.extend(tile_ev[map.id(k, j)]);
-            hs.enqueue_cross_wait(s, &waits)?;
-            let ev = hs.enqueue_compute(
-                s,
-                "tile_trsm_llu",
-                pack_dims(&[bk as u32, bj as u32]),
-                &[
-                    Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::In),
-                    Operand::f64s(ta.buf(k, j), 0, bk * bj, Access::InOut),
-                ],
-                CostHint::new(KernelKind::Dtrsm, flops::trsm(bj, bk), bk as u64),
-            )?;
+            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(k, j)]])?;
+            let ev = kernels::trsm_llu(ta.buf(k, k), ta.buf(k, j), bk, bj).enqueue(hs, s)?;
             row_ev[j] = Some(ev);
             tile_ev[map.id(k, j)] = Some(ev);
         }
@@ -196,19 +164,8 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
             let bi = map.dim(i);
             let s = streams[rr % streams.len()];
             rr += 1;
-            let mut waits = vec![diag_ev];
-            waits.extend(tile_ev[map.id(i, k)]);
-            hs.enqueue_cross_wait(s, &waits)?;
-            let ev = hs.enqueue_compute(
-                s,
-                "tile_trsm_runn",
-                pack_dims(&[bi as u32, bk as u32]),
-                &[
-                    Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::In),
-                    Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::InOut),
-                ],
-                CostHint::new(KernelKind::Dtrsm, flops::trsm(bi, bk), bk as u64),
-            )?;
+            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(i, k)]])?;
+            let ev = kernels::trsm_runn(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s)?;
             col_ev[i] = Some(ev);
             tile_ev[map.id(i, k)] = Some(ev);
         }
@@ -219,24 +176,9 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
                 let bj = map.dim(j);
                 let s = streams[rr % streams.len()];
                 rr += 1;
-                let mut waits: Vec<Event> = Vec::new();
-                waits.extend(col_ev[i]);
-                waits.extend(row_ev[j]);
-                waits.extend(tile_ev[map.id(i, j)]);
-                if !waits.is_empty() {
-                    hs.enqueue_cross_wait(s, &waits)?;
-                }
-                let ev = hs.enqueue_compute(
-                    s,
-                    "tile_gemm_sub",
-                    pack_dims(&[bi as u32, bj as u32, bk as u32]),
-                    &[
-                        Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                        Operand::f64s(ta.buf(k, j), 0, bk * bj, Access::In),
-                        Operand::f64s(ta.buf(i, j), 0, bi * bj, Access::InOut),
-                    ],
-                    CostHint::new(KernelKind::Dgemm, flops::gemm(bi, bj, bk), bk as u64),
-                )?;
+                wait_for(hs, s, &[col_ev[i], row_ev[j], tile_ev[map.id(i, j)]])?;
+                let ev = kernels::gemm_sub(ta.buf(i, k), ta.buf(k, j), ta.buf(i, j), [bi, bj, bk])
+                    .enqueue(hs, s)?;
                 tile_ev[map.id(i, j)] = Some(ev);
             }
         }
@@ -246,9 +188,7 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
         for i in 0..nt {
             for j in 0..nt {
                 let s = streams[(i + j) % streams.len()];
-                if let Some(e) = tile_ev[map.id(i, j)] {
-                    hs.enqueue_cross_wait(s, &[e])?;
-                }
+                wait_for(hs, s, &[tile_ev[map.id(i, j)]])?;
                 hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), target, DomainId::HOST)?;
             }
         }
@@ -257,10 +197,7 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
     let secs = hs.now_secs() - t0;
 
     let max_err = match a_ref {
-        Some(a) => {
-            let lu = ta.read_matrix(hs)?;
-            Some(reconstruct_lu_error(&lu, &a, cfg.n))
-        }
+        Some(a) => Some(reconstruct_lu_error(&ta.read_matrix(hs)?, &a, cfg.n)),
         None => None,
     };
     Ok((secs, max_err))
@@ -287,13 +224,7 @@ fn reconstruct_lu_error(lu: &Matrix, a: &Matrix, n: usize) -> f64 {
 /// Verify the untiled (pivoted) factorization by re-running the reference
 /// DGETRF and comparing the stored factors (the kernel computes in place on
 /// the buffer; pivots are deterministic, so factors must match exactly).
-fn verify_lu_buffer(
-    hs: &mut HStreams,
-    buf: hstreams_core::BufferId,
-    a: &Matrix,
-    n: usize,
-    _pivoted: bool,
-) -> HsResult<f64> {
+fn verify_lu_buffer(hs: &mut HStreams, buf: BufferId, a: &Matrix, n: usize) -> HsResult<f64> {
     let mut got = vec![0.0f64; n * n];
     hs.buffer_read_f64(buf, 0, &mut got)?;
     let mut expect = a.clone();
@@ -350,7 +281,6 @@ mod tests {
             PlatformCfg::native(Device::Hsw)
         };
         let mut hs = HStreams::init(platform, ExecMode::Sim);
-        hs.set_tracing(false);
         let mut cfg = LuConfig::new(n, tile, variant);
         cfg.streams = 6;
         run(&mut hs, &cfg).expect("runs").secs

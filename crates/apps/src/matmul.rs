@@ -14,12 +14,13 @@
 //! DGEMM rate; otherwise evenly — reproducing the 1.58× gap the paper
 //! reports for IVB + 2 KNC (Fig. 6).
 
-use crate::kernels::{pack_dims, register_all};
+use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
-use hs_linalg::dense::{max_abs_diff, random, Matrix};
+use crate::wait_for;
+use hs_linalg::dense::{max_abs_diff, random};
 use hs_linalg::{flops, TileMap};
 use hs_machine::KernelKind;
-use hstreams_core::{Access, CostHint, DomainId, Event, HStreams, HsResult, Operand, StreamId};
+use hstreams_core::{DomainId, Event, HStreams, HsResult, StreamId};
 
 /// Configuration of one hetero matmul run.
 #[derive(Clone, Debug)]
@@ -156,15 +157,8 @@ pub fn run(hs: &mut HStreams, cfg: &MatmulConfig) -> HsResult<MatmulResult> {
     let tc = TileBufs::create(hs, map, "C");
 
     // Real-mode data + instantiation.
-    let (a_ref, b_ref) = if real && cfg.verify {
-        let a = random(cfg.n, cfg.n, 101);
-        let b = random(cfg.n, cfg.n, 202);
-        ta.write_matrix(hs, &a)?;
-        tb.write_matrix(hs, &b)?;
-        (Some(a), Some(b))
-    } else {
-        (None, None)
-    };
+    let a_ref = ta.seed(hs, real && cfg.verify, || random(cfg.n, cfg.n, 101))?;
+    let b_ref = tb.seed(hs, real && cfg.verify, || random(cfg.n, cfg.n, 202))?;
     // A broadcast: instantiate every A tile on every card. B/C panels only
     // on their owner.
     for card in &cards {
@@ -242,27 +236,10 @@ pub fn run(hs: &mut HStreams, cfg: &MatmulConfig) -> HsResult<MatmulResult> {
                     // explicitly ("if the predecessor is in the same domain
                     // but a different stream, a synchronization action is
                     // needed").
-                    let mut waits = vec![a_ev[di][i * nt + k]];
-                    waits.extend(b_ev[k]);
-                    hs.enqueue_cross_wait(s, &waits)?;
+                    wait_for(hs, s, &[Some(a_ev[di][i * nt + k]), b_ev[k]])?;
                 }
-                let ops = [
-                    Operand::f64s(ta.buf(i, k), 0, mi * kk, Access::In),
-                    Operand::f64s(tb.buf(k, j), 0, kk * nj, Access::In),
-                    Operand::f64s(
-                        tc.buf(i, j),
-                        0,
-                        mi * nj,
-                        if k == 0 { Access::Out } else { Access::InOut },
-                    ),
-                ];
-                hs.enqueue_compute(
-                    s,
-                    "tile_gemm_nn",
-                    pack_dims(&[mi as u32, nj as u32, kk as u32, u32::from(k > 0)]),
-                    &ops,
-                    CostHint::new(KernelKind::Dgemm, flops::gemm(mi, nj, kk), cfg.tile as u64),
-                )?;
+                let (a, b, c) = (ta.buf(i, k), tb.buf(k, j), tc.buf(i, j));
+                kernels::gemm_nn(a, b, c, [mi, nj, kk], cfg.tile, k == 0).enqueue(hs, s)?;
             }
             hs.enqueue_xfer(s, tc.buf(i, j), 0..tc.bytes(i, j), dev, DomainId::HOST)?;
         }
@@ -289,14 +266,6 @@ pub fn run(hs: &mut HStreams, cfg: &MatmulConfig) -> HsResult<MatmulResult> {
         max_err,
         checksum,
     })
-}
-
-/// Reference for real-mode tests.
-pub fn reference_product(n: usize) -> (Matrix, Matrix, Matrix) {
-    let a = random(n, n, 101);
-    let b = random(n, n, 202);
-    let c = a.matmul_ref(&b);
-    (a, b, c)
 }
 
 #[cfg(test)]

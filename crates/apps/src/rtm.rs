@@ -25,7 +25,7 @@
 //! than the Xeons, which changes the comm-to-compute ratio and thereby the
 //! pipelining benefit).
 
-use crate::kernels::unpack_dims;
+use crate::kernels::{dims, pack};
 use bytes::Bytes;
 use hs_linalg::flops;
 use hs_machine::{Device, KernelKind};
@@ -33,6 +33,7 @@ use hstreams_core::{
     Access, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, HStreams, HsResult, Operand,
     StreamId, TaskCtx,
 };
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Stencil radius (8th order).
@@ -164,8 +165,7 @@ fn stencil_planes(
 /// Sink kernel: args = [nx, ny, planes]; operands = (cur In, prev In,
 /// next Out) with the plane windows described above.
 fn stencil_task(ctx: &mut TaskCtx) {
-    let d = unpack_dims(ctx.args());
-    let (nx, ny, planes) = (d[0] as usize, d[1] as usize, d[2] as usize);
+    let [nx, ny, planes] = dims(ctx);
     let cur: Vec<f64> = ctx.buf_f64(0).to_vec();
     let prev: Vec<f64> = ctx.buf_f64(1).to_vec();
     let next = ctx.buf_f64_mut(2);
@@ -234,6 +234,39 @@ struct Rank {
     stream: StreamId,
     /// Rotating field buffers; each holds (nz_per_rank + 2R) planes.
     fields: [BufferId; 3],
+}
+
+impl Rank {
+    /// Move byte window `w` of field `f` between the rank's device and the
+    /// host, in the rank's stream.
+    fn xfer(&self, hs: &HStreams, f: usize, w: Range<usize>, to_host: bool) -> HsResult<Event> {
+        let (from, to) = if to_host {
+            (self.device, DomainId::HOST)
+        } else {
+            (DomainId::HOST, self.device)
+        };
+        hs.enqueue_xfer(self.stream, self.fields[f], w, from, to)
+    }
+}
+
+/// Halo directions: towards rank `r + 1` and towards rank `r - 1`.
+const DOWN: usize = 0;
+const UP: usize = 1;
+
+/// The halo hops out of rank `r`, downward then upward: (direction,
+/// neighbour, byte window of `r`'s boundary planes, byte window of the
+/// neighbour's ghost planes). `plane_bytes` is one plane; `nzl` the
+/// interior planes per rank.
+fn hops(
+    r: usize,
+    ranks: usize,
+    nzl: usize,
+    plane_bytes: usize,
+) -> impl Iterator<Item = (usize, usize, Range<usize>, Range<usize>)> {
+    let w = move |z0: usize, z1: usize| z0 * plane_bytes..z1 * plane_bytes;
+    let down = (r + 1 < ranks).then(|| (DOWN, r + 1, w(nzl, nzl + R), w(0, R)));
+    let up = (r > 0).then(|| (UP, r - 1, w(R, 2 * R), w(nzl + R, nzl + 2 * R)));
+    [down, up].into_iter().flatten()
 }
 
 /// Run the decomposed propagator under a scheme. Returns timing and, in
@@ -321,8 +354,8 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     // Ship the initial fields to the cards.
     if offload {
         for rank in &ranks {
-            for f in rank.fields {
-                hs.enqueue_xfer(rank.stream, f, 0..alloc_bytes, DomainId::HOST, rank.device)?;
+            for f in 0..3 {
+                rank.xfer(hs, f, 0..alloc_bytes, false)?;
             }
         }
     }
@@ -365,7 +398,7 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
             hs.enqueue_compute(
                 rank.stream,
                 "rtm_stencil",
-                crate::kernels::pack_dims(&[nx as u32, ny as u32, (z1 - z0) as u32]),
+                pack([nx, ny, z1 - z0]),
                 &ops,
                 hint(r, z0, z1, halo),
             )
@@ -378,13 +411,13 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                     compute(hs, r, R, R + nzl, false)?;
                 }
                 hs.thread_synchronize()?;
-                exchange(hs, cfg, &ranks, ni, exchange_stream, &planes_bytes, true)?;
+                exchange(hs, cfg, &ranks, ni, exchange_stream, plane * 8)?;
             }
             Scheme::HostOnly | Scheme::AsyncPipelined => {
                 // Halo slabs first; their transfers queue behind them in the
                 // same stream (implicit FIFO deps); bulk overlaps.
-                let mut d2h_top: Vec<Option<Event>> = vec![None; cfg.ranks];
-                let mut d2h_bot: Vec<Option<Event>> = vec![None; cfg.ranks];
+                // d2h[r][dir]: r's boundary towards `dir` on its way to the host.
+                let mut d2h: Vec<[Option<Event>; 2]> = vec![[None; 2]; cfg.ranks];
                 for r in 0..cfg.ranks {
                     compute(hs, r, R, 2 * R, true)?;
                     compute(hs, r, nzl, nzl + R, true)?;
@@ -392,81 +425,37 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                     if offload {
                         // Only boundaries a neighbour consumes travel.
                         if r > 0 {
-                            d2h_top[r] = Some(hs.enqueue_xfer(
-                                rank.stream,
-                                rank.fields[ni],
-                                planes_bytes(R, 2 * R),
-                                rank.device,
-                                DomainId::HOST,
-                            )?);
+                            d2h[r][UP] = Some(rank.xfer(hs, ni, planes_bytes(R, 2 * R), true)?);
                         }
                         if r + 1 < cfg.ranks {
-                            d2h_bot[r] = Some(hs.enqueue_xfer(
-                                rank.stream,
-                                rank.fields[ni],
-                                planes_bytes(nzl, nzl + R),
-                                rank.device,
-                                DomainId::HOST,
-                            )?);
+                            d2h[r][DOWN] =
+                                Some(rank.xfer(hs, ni, planes_bytes(nzl, nzl + R), true)?);
                         }
                     }
                     compute(hs, r, 2 * R, nzl, false)?;
                 }
-                // Exchange: host copies between rank buffers, then ghost
-                // h2d. Each copy waits only on the one d2h it needs.
+                // Exchange: host copies between rank buffers (r's bottom
+                // boundary -> (r+1)'s top ghost, r's top boundary -> (r-1)'s
+                // bottom ghost), then ghost h2d. Each copy waits only on the
+                // one d2h it needs.
                 for r in 0..cfg.ranks {
-                    // r's bottom boundary -> (r+1)'s top ghost.
-                    if r + 1 < cfg.ranks {
-                        let mut waits = Vec::new();
-                        waits.extend(d2h_bot[r]);
+                    for (dir, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane * 8) {
+                        let waits: Vec<Event> = d2h[r][dir].into_iter().collect();
                         // In HostOnly mode the producing compute is in a
                         // different (host) stream: wait on the rank stream.
                         let cp = copy_between(
                             hs,
                             exchange_stream,
                             ranks[r].fields[ni],
-                            planes_bytes(nzl, nzl + R),
-                            ranks[r + 1].fields[ni],
-                            planes_bytes(0, R),
+                            boundary,
+                            ranks[nb].fields[ni],
+                            ghost.clone(),
                             &waits,
                             if offload { None } else { Some(ranks[r].stream) },
                         )?;
                         if offload {
-                            let nb = &ranks[r + 1];
-                            hs.enqueue_cross_wait(nb.stream, &[cp])?;
-                            hs.enqueue_xfer(
-                                nb.stream,
-                                nb.fields[ni],
-                                planes_bytes(0, R),
-                                DomainId::HOST,
-                                nb.device,
-                            )?;
-                        }
-                    }
-                    // r's top boundary -> (r-1)'s bottom ghost.
-                    if r > 0 {
-                        let mut waits = Vec::new();
-                        waits.extend(d2h_top[r]);
-                        let cp = copy_between(
-                            hs,
-                            exchange_stream,
-                            ranks[r].fields[ni],
-                            planes_bytes(R, 2 * R),
-                            ranks[r - 1].fields[ni],
-                            planes_bytes(nzl + R, nzl + 2 * R),
-                            &waits,
-                            if offload { None } else { Some(ranks[r].stream) },
-                        )?;
-                        if offload {
-                            let nb = &ranks[r - 1];
-                            hs.enqueue_cross_wait(nb.stream, &[cp])?;
-                            hs.enqueue_xfer(
-                                nb.stream,
-                                nb.fields[ni],
-                                planes_bytes(nzl + R, nzl + 2 * R),
-                                DomainId::HOST,
-                                nb.device,
-                            )?;
+                            hs.enqueue_cross_wait(ranks[nb].stream, &[cp])?;
+                            ranks[nb].xfer(hs, ni, ghost, false)?;
                         }
                     }
                 }
@@ -489,13 +478,7 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     let ci = rot[1];
     if offload {
         for rank in &ranks {
-            hs.enqueue_xfer(
-                rank.stream,
-                rank.fields[ci],
-                0..alloc_bytes,
-                rank.device,
-                DomainId::HOST,
-            )?;
+            rank.xfer(hs, ci, 0..alloc_bytes, true)?;
         }
     }
     hs.thread_synchronize()?;
@@ -529,84 +512,35 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     })
 }
 
-/// Host-side exchange used by the bulk-synchronous scheme: everything
-/// barriered, nothing overlapped.
+/// Host-side exchange used by the bulk-synchronous offload scheme:
+/// everything barriered, nothing overlapped.
 fn exchange(
     hs: &mut HStreams,
     cfg: &RtmConfig,
     ranks: &[Rank],
     ni: usize,
     exchange_stream: StreamId,
-    planes_bytes: &dyn Fn(usize, usize) -> std::ops::Range<usize>,
-    offload: bool,
+    plane_bytes: usize,
 ) -> HsResult<()> {
     let nzl = cfg.nz_per_rank;
-    if offload {
-        for rank in ranks {
-            hs.enqueue_xfer(
-                rank.stream,
-                rank.fields[ni],
-                planes_bytes(R, 2 * R),
-                rank.device,
-                DomainId::HOST,
-            )?;
-            hs.enqueue_xfer(
-                rank.stream,
-                rank.fields[ni],
-                planes_bytes(nzl, nzl + R),
-                rank.device,
-                DomainId::HOST,
-            )?;
-        }
-        hs.thread_synchronize()?;
+    let w = |z0: usize, z1: usize| z0 * plane_bytes..z1 * plane_bytes;
+    for rank in ranks {
+        rank.xfer(hs, ni, w(R, 2 * R), true)?;
+        rank.xfer(hs, ni, w(nzl, nzl + R), true)?;
     }
+    hs.thread_synchronize()?;
     for r in 0..cfg.ranks {
-        if r + 1 < cfg.ranks {
-            copy_between(
-                hs,
-                exchange_stream,
-                ranks[r].fields[ni],
-                planes_bytes(nzl, nzl + R),
-                ranks[r + 1].fields[ni],
-                planes_bytes(0, R),
-                &[],
-                None,
-            )?;
-        }
-        if r > 0 {
-            copy_between(
-                hs,
-                exchange_stream,
-                ranks[r].fields[ni],
-                planes_bytes(R, 2 * R),
-                ranks[r - 1].fields[ni],
-                planes_bytes(nzl + R, nzl + 2 * R),
-                &[],
-                None,
-            )?;
+        for (_, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane_bytes) {
+            let (src, dst) = (ranks[r].fields[ni], ranks[nb].fields[ni]);
+            copy_between(hs, exchange_stream, src, boundary, dst, ghost, &[], None)?;
         }
     }
     hs.thread_synchronize()?;
-    if offload {
-        for rank in ranks {
-            hs.enqueue_xfer(
-                rank.stream,
-                rank.fields[ni],
-                planes_bytes(0, R),
-                DomainId::HOST,
-                rank.device,
-            )?;
-            hs.enqueue_xfer(
-                rank.stream,
-                rank.fields[ni],
-                planes_bytes(nzl + R, nzl + 2 * R),
-                DomainId::HOST,
-                rank.device,
-            )?;
-        }
-        hs.thread_synchronize()?;
+    for rank in ranks {
+        rank.xfer(hs, ni, w(0, R), false)?;
+        rank.xfer(hs, ni, w(nzl + R, nzl + 2 * R), false)?;
     }
-    Ok(())
+    hs.thread_synchronize()
 }
 
 /// Copy `src[sr]` into `dst[dr]` on the exchange stream, after `waits` and,
@@ -617,9 +551,9 @@ fn copy_between(
     hs: &mut HStreams,
     exchange_stream: StreamId,
     src: BufferId,
-    sr: std::ops::Range<usize>,
+    sr: Range<usize>,
     dst: BufferId,
-    dr: std::ops::Range<usize>,
+    dr: Range<usize>,
     waits: &[Event],
     also_after: Option<StreamId>,
 ) -> HsResult<Event> {

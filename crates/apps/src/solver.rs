@@ -20,14 +20,12 @@
 //!   describes ("the difference in speedups obtained for the solver and the
 //!   full application is dependent on how solver-dominant the workload is").
 
-use crate::kernels::{pack_dims, register_all};
+use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
 use hs_linalg::dense::{max_abs_diff, random_spd, reconstruct_ldlt};
 use hs_linalg::{flops, TileMap};
 use hs_machine::{Device, KernelKind, PlatformCfg};
-use hstreams_core::{
-    Access, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsResult, Operand,
-};
+use hstreams_core::{CpuMask, DomainId, ExecMode, HStreams, HsResult};
 
 /// Where the standalone supernode factorizes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,7 +63,6 @@ pub struct SupernodeResult {
 pub fn run_supernode(hs: &mut HStreams, cfg: &SupernodeConfig) -> HsResult<SupernodeResult> {
     register_all(hs);
     let map = TileMap::new(cfg.n, cfg.tile);
-    let nt = map.nt;
     let real = hs.mode() != ExecMode::Sim;
 
     let target = match cfg.target {
@@ -82,128 +79,24 @@ pub fn run_supernode(hs: &mut HStreams, cfg: &SupernodeConfig) -> HsResult<Super
     }
 
     let ta = TileBufs::create(hs, map, "S");
-    let a_ref = if real && cfg.verify {
-        let a = random_spd(cfg.n, 91);
-        ta.write_matrix(hs, &a)?;
-        Some(a)
-    } else {
-        None
-    };
+    let a_ref = ta.seed(hs, real && cfg.verify, || random_spd(cfg.n, 91))?;
     if !target.is_host() {
-        for i in 0..nt {
-            for j in 0..=i {
-                hs.buffer_instantiate(ta.buf(i, j), target)?;
-            }
-        }
+        ta.instantiate_lower(hs, &[target])?;
     }
 
     let t0 = hs.now_secs();
-    // Stage the lower triangle in (aliased away on the host).
-    let mut tile_ev: Vec<Option<Event>> = vec![None; nt * nt];
-    for i in 0..nt {
-        for j in 0..=i {
-            let s = streams[(i + j) % streams.len()];
-            let ev = hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), DomainId::HOST, target)?;
-            tile_ev[map.id(i, j)] = Some(ev);
-        }
-    }
-    // Tiled LDLᵀ, right-looking. The diagonal factor kernel is `tile_ldlt`;
-    // panel solves and updates use the same BLAS-3 tiles as Cholesky (the
-    // D-scaling is folded into the update kernels' flop counts — identical
-    // leading terms).
-    let mut rr = 0usize;
-    for k in 0..nt {
-        let bk = map.dim(k);
-        let s0 = streams[0];
-        if let Some(e) = tile_ev[map.id(k, k)] {
-            hs.enqueue_cross_wait(s0, &[e])?;
-        }
-        let diag_ev = hs.enqueue_compute(
-            s0,
-            "tile_potrf",
-            pack_dims(&[bk as u32]),
-            &[Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::InOut)],
-            CostHint::new(KernelKind::Ldlt, flops::ldlt(bk), bk as u64),
-        )?;
-        tile_ev[map.id(k, k)] = Some(diag_ev);
-        let mut trsm_ev: Vec<Option<Event>> = vec![None; nt];
-        for i in k + 1..nt {
-            let bi = map.dim(i);
-            let s = streams[rr % streams.len()];
-            rr += 1;
-            let mut waits = vec![diag_ev];
-            waits.extend(tile_ev[map.id(i, k)]);
-            hs.enqueue_cross_wait(s, &waits)?;
-            let ev = hs.enqueue_compute(
-                s,
-                "tile_trsm",
-                pack_dims(&[bi as u32, bk as u32]),
-                &[
-                    Operand::f64s(ta.buf(k, k), 0, bk * bk, Access::In),
-                    Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::InOut),
-                ],
-                CostHint::new(KernelKind::Dtrsm, flops::trsm(bi, bk), bk as u64),
-            )?;
-            trsm_ev[i] = Some(ev);
-            tile_ev[map.id(i, k)] = Some(ev);
-        }
-        for i in k + 1..nt {
-            let bi = map.dim(i);
-            for j in k + 1..=i {
-                let bj = map.dim(j);
-                let s = streams[rr % streams.len()];
-                rr += 1;
-                let mut waits: Vec<Event> = Vec::new();
-                waits.extend(trsm_ev[i]);
-                waits.extend(trsm_ev[j]);
-                waits.extend(tile_ev[map.id(i, j)]);
-                if !waits.is_empty() {
-                    hs.enqueue_cross_wait(s, &waits)?;
-                }
-                let ev = if i == j {
-                    hs.enqueue_compute(
-                        s,
-                        "tile_syrk",
-                        pack_dims(&[bi as u32, bk as u32]),
-                        &[
-                            Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                            Operand::f64s(ta.buf(i, i), 0, bi * bi, Access::InOut),
-                        ],
-                        CostHint::new(KernelKind::Dsyrk, flops::syrk(bi, bk), bk as u64),
-                    )?
-                } else {
-                    hs.enqueue_compute(
-                        s,
-                        "tile_gemm_nt",
-                        pack_dims(&[bi as u32, bj as u32, bk as u32]),
-                        &[
-                            Operand::f64s(ta.buf(i, k), 0, bi * bk, Access::In),
-                            Operand::f64s(ta.buf(j, k), 0, bj * bk, Access::In),
-                            Operand::f64s(ta.buf(i, j), 0, bi * bj, Access::InOut),
-                        ],
-                        CostHint::new(KernelKind::Dgemm, flops::gemm(bi, bj, bk), bk as u64),
-                    )?
-                };
-                tile_ev[map.id(i, j)] = Some(ev);
-            }
-        }
-    }
-    // Factor back to the host.
-    for i in 0..nt {
-        for j in 0..=i {
-            let s = streams[(i + j) % streams.len()];
-            if let Some(e) = tile_ev[map.id(i, j)] {
-                hs.enqueue_cross_wait(s, &[e])?;
-            }
-            hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), target, DomainId::HOST)?;
-        }
-    }
+    // Tiled LDLᵀ, right-looking: Cholesky's single-target schedule. What
+    // runs on the diagonal is `tile_potrf` — real mode factors LLᵀ, which
+    // has LDLᵀ's dependence structure and leading flop term — costed as
+    // LDLᵀ; panel solves and updates use the same BLAS-3 tiles as Cholesky
+    // (the D-scaling is folded into the update kernels' flop counts).
+    crate::cholesky::right_looking_on(hs, &ta, &streams, target, kernels::potrf_as_ldlt)?;
     hs.thread_synchronize()?;
     let secs = hs.now_secs() - t0;
 
     let max_err = if let Some(a) = a_ref {
-        // The real-mode kernels perform LLᵀ (identical dependence structure
-        // and flops; see the kernel note above), so verify against LLᵀ.
+        // The real-mode kernels perform LLᵀ (see the note above), so
+        // verify against LLᵀ.
         let mut l = ta.read_matrix(hs)?;
         hs_linalg::dense::zero_upper(l.as_mut_slice(), cfg.n);
         let r = hs_linalg::dense::reconstruct_llt(l.as_slice(), cfg.n);
@@ -220,32 +113,19 @@ pub fn run_supernode(hs: &mut HStreams, cfg: &SupernodeConfig) -> HsResult<Super
 
 /// Fig. 9 stream configurations, per device.
 pub fn fig9_config(device: Device, n: usize, tile: usize) -> SupernodeConfig {
-    match device {
-        Device::Knc => SupernodeConfig {
-            n,
-            tile,
-            target: SupernodeTarget::CardOffload,
-            streams: 4,
-            cores_per_stream: 15, // 60 threads at 4 threads/core
-            verify: false,
-        },
-        Device::Hsw => SupernodeConfig {
-            n,
-            tile,
-            target: SupernodeTarget::HostStreams,
-            streams: 3,
-            cores_per_stream: 9,
-            verify: false,
-        },
-        Device::Ivb => SupernodeConfig {
-            n,
-            tile,
-            target: SupernodeTarget::HostStreams,
-            streams: 3,
-            cores_per_stream: 7,
-            verify: false,
-        },
+    let (target, streams, cores_per_stream) = match device {
+        Device::Knc => (SupernodeTarget::CardOffload, 4, 15), // 60 threads at 4 threads/core
+        Device::Hsw => (SupernodeTarget::HostStreams, 3, 9),
+        Device::Ivb => (SupernodeTarget::HostStreams, 3, 7),
         Device::K40x => panic!("Fig. 9 has no K40x row"),
+    };
+    SupernodeConfig {
+        n,
+        tile,
+        target,
+        streams,
+        cores_per_stream,
+        verify: false,
     }
 }
 
@@ -362,7 +242,7 @@ pub fn run_workload(platform: &PlatformCfg, w: &Workload) -> HsResult<WorkloadRe
     for (m, n) in &w.levels {
         let mut events = Vec::new();
         let mut rr = 0usize;
-        for snode in 0..*m {
+        for _ in 0..*m {
             // Pick a device: round-robin over all for big fronts, host for
             // small ones.
             let di = if *n >= OFFLOAD_THRESHOLD {
@@ -379,14 +259,7 @@ pub fn run_workload(platform: &PlatformCfg, w: &Workload) -> HsResult<WorkloadRe
                 hs.buffer_instantiate(buf, dev)?;
                 hs.enqueue_xfer(s, buf, 0..bytes, DomainId::HOST, dev)?;
             }
-            let _ = snode;
-            let ev = hs.enqueue_compute(
-                s,
-                "tile_potrf",
-                pack_dims(&[*n as u32]),
-                &[Operand::f64s(buf, 0, n * n, Access::InOut)],
-                CostHint::new(KernelKind::Ldlt, flops::ldlt(*n), *n as u64),
-            )?;
+            let ev = kernels::potrf_as_ldlt(buf, *n).enqueue(&hs, s)?;
             let ev = if !dev.is_host() {
                 hs.enqueue_xfer(s, buf, 0..bytes, dev, DomainId::HOST)?
             } else {

@@ -42,10 +42,15 @@ impl TileBufs {
         Ok(())
     }
 
-    /// Instantiate only row `i`'s tiles in `domain`.
-    pub fn instantiate_row(&self, hs: &mut HStreams, i: usize, domain: DomainId) -> HsResult<()> {
-        for j in 0..self.map.nt {
-            hs.buffer_instantiate(self.buf(i, j), domain)?;
+    /// Instantiate every lower-triangle tile in each of `domains`
+    /// (symmetric factorizations never touch the upper tiles).
+    pub fn instantiate_lower(&self, hs: &mut HStreams, domains: &[DomainId]) -> HsResult<()> {
+        for i in 0..self.map.nt {
+            for j in 0..=i {
+                for d in domains {
+                    hs.buffer_instantiate(self.buf(i, j), *d)?;
+                }
+            }
         }
         Ok(())
     }
@@ -57,6 +62,22 @@ impl TileBufs {
             hs.buffer_write_f64(self.bufs[idx], 0, t)?;
         }
         Ok(())
+    }
+
+    /// Real-mode input: when `on`, write `make()` into the host
+    /// instantiations and return it as the reference to verify against.
+    pub fn seed(
+        &self,
+        hs: &mut HStreams,
+        on: bool,
+        make: impl FnOnce() -> Matrix,
+    ) -> HsResult<Option<Matrix>> {
+        if !on {
+            return Ok(None);
+        }
+        let a = make();
+        self.write_matrix(hs, &a)?;
+        Ok(Some(a))
     }
 
     /// Read the host instantiations back into a full matrix (real mode).

@@ -25,6 +25,7 @@ use crate::cholesky::CholConfig;
 use crate::lu::LuConfig;
 use crate::matmul::MatmulConfig;
 use hs_tune::{SearchSpace, TuneSpec, TunedConfig, WorkloadSig};
+use hstreams_core::HStreams;
 
 /// Apply the tuned knobs to a matmul template.
 pub fn matmul_config(template: &MatmulConfig, t: &TunedConfig) -> MatmulConfig {
@@ -75,34 +76,45 @@ impl ProbeMemo {
     }
 }
 
+/// The one spec builder behind the three apps. `template` arrives with
+/// `verify` off, which is what the virtual-time search runs once `apply`
+/// has set the tuned knobs. With a validation size, the wall-clock probe
+/// runs the same template after `fit` has resized it to that `n` (and
+/// switched on whatever seeds real-mode input), its tile held at
+/// [`probe_tile`] (module docs) and its results memoized.
+fn spec<C: Clone + 'static>(
+    workload: WorkloadSig,
+    template: C,
+    space: SearchSpace,
+    validate_n: Option<usize>,
+    apply: fn(&C, &TunedConfig) -> C,
+    fit: fn(&mut C, usize),
+    run: fn(&mut HStreams, &C) -> Option<f64>,
+) -> TuneSpec<'static> {
+    let mut probe_t = template.clone();
+    let spec = TuneSpec::new(workload, space, move |hs, t| run(hs, &apply(&template, t)));
+    let Some(vn) = validate_n else {
+        return spec;
+    };
+    fit(&mut probe_t, vn);
+    let mut memo = ProbeMemo::new();
+    spec.validate_with(move |hs, t| {
+        let tile = probe_tile(vn);
+        memo.probe(t, || run(hs, &apply(&probe_t, &TunedConfig { tile, ..*t })))
+    })
+}
+
 /// A tuning spec for the Fig. 4 matmul schedule.
 pub fn matmul_spec(
-    template: MatmulConfig,
+    mut template: MatmulConfig,
     space: SearchSpace,
     validate_n: Option<usize>,
 ) -> TuneSpec<'static> {
-    let workload = WorkloadSig::new("matmul", template.n as u64, 8);
-    let sim_t = template.clone();
-    let spec = TuneSpec::new(workload, space, move |hs, t| {
-        let mut cfg = matmul_config(&sim_t, t);
-        cfg.verify = false;
-        crate::matmul::run(hs, &cfg).ok().map(|r| r.secs)
-    });
-    match validate_n {
-        Some(vn) => {
-            let mut memo = ProbeMemo::new();
-            spec.validate_with(move |hs, t| {
-                memo.probe(t, || {
-                    let mut cfg = matmul_config(&template, t);
-                    cfg.n = vn;
-                    cfg.tile = probe_tile(vn);
-                    cfg.verify = false;
-                    crate::matmul::run(hs, &cfg).ok().map(|r| r.secs)
-                })
-            })
-        }
-        None => spec,
-    }
+    template.verify = false;
+    let sig = WorkloadSig::new("matmul", template.n as u64, 8);
+    let fit = |c: &mut MatmulConfig, n| c.n = n;
+    let run = |hs: &mut HStreams, c: &MatmulConfig| crate::matmul::run(hs, c).ok().map(|r| r.secs);
+    spec(sig, template, space, validate_n, matmul_config, fit, run)
 }
 
 /// Apply the tuned knobs to a Cholesky template.
@@ -116,34 +128,17 @@ pub fn cholesky_config(template: &CholConfig, t: &TunedConfig) -> CholConfig {
 
 /// A tuning spec for the Fig. 5 Cholesky schedule (any variant).
 pub fn cholesky_spec(
-    template: CholConfig,
+    mut template: CholConfig,
     space: SearchSpace,
     validate_n: Option<usize>,
 ) -> TuneSpec<'static> {
-    let workload = WorkloadSig::new("cholesky", template.n as u64, 8);
-    let sim_t = template.clone();
-    let spec = TuneSpec::new(workload, space, move |hs, t| {
-        let mut cfg = cholesky_config(&sim_t, t);
-        cfg.verify = false;
-        crate::cholesky::run(hs, &cfg).ok().map(|r| r.secs)
-    });
-    match validate_n {
-        Some(vn) => {
-            let mut memo = ProbeMemo::new();
-            spec.validate_with(move |hs, t| {
-                memo.probe(t, || {
-                    let mut cfg = cholesky_config(&template, t);
-                    cfg.n = vn;
-                    cfg.tile = probe_tile(vn);
-                    // Real-mode potrf needs a seeded SPD matrix, and only
-                    // the verify path writes one; zeros are singular.
-                    cfg.verify = true;
-                    crate::cholesky::run(hs, &cfg).ok().map(|r| r.secs)
-                })
-            })
-        }
-        None => spec,
-    }
+    template.verify = false;
+    let sig = WorkloadSig::new("cholesky", template.n as u64, 8);
+    // Real-mode potrf needs a seeded SPD matrix, and only the verify path
+    // writes one; zeros are singular.
+    let fit = |c: &mut CholConfig, n| (c.n, c.verify) = (n, true);
+    let run = |hs: &mut HStreams, c: &CholConfig| crate::cholesky::run(hs, c).ok().map(|r| r.secs);
+    spec(sig, template, space, validate_n, cholesky_config, fit, run)
 }
 
 /// Apply the tuned knobs to an LU template.
@@ -157,34 +152,17 @@ pub fn lu_config(template: &LuConfig, t: &TunedConfig) -> LuConfig {
 
 /// A tuning spec for the tiled LU schedules.
 pub fn lu_spec(
-    template: LuConfig,
+    mut template: LuConfig,
     space: SearchSpace,
     validate_n: Option<usize>,
 ) -> TuneSpec<'static> {
-    let workload = WorkloadSig::new("lu", template.n as u64, 8);
-    let sim_t = template.clone();
-    let spec = TuneSpec::new(workload, space, move |hs, t| {
-        let mut cfg = lu_config(&sim_t, t);
-        cfg.verify = false;
-        crate::lu::run(hs, &cfg).ok().map(|r| r.secs)
-    });
-    match validate_n {
-        Some(vn) => {
-            let mut memo = ProbeMemo::new();
-            spec.validate_with(move |hs, t| {
-                memo.probe(t, || {
-                    let mut cfg = lu_config(&template, t);
-                    cfg.n = vn;
-                    cfg.tile = probe_tile(vn);
-                    // Same as Cholesky: real-mode getrf pivots on zeros
-                    // unless the verify path seeds the matrix.
-                    cfg.verify = true;
-                    crate::lu::run(hs, &cfg).ok().map(|r| r.secs)
-                })
-            })
-        }
-        None => spec,
-    }
+    template.verify = false;
+    let sig = WorkloadSig::new("lu", template.n as u64, 8);
+    // Same as Cholesky: real-mode getrf pivots on zeros unless the verify
+    // path seeds the matrix.
+    let fit = |c: &mut LuConfig, n| (c.n, c.verify) = (n, true);
+    let run = |hs: &mut HStreams, c: &LuConfig| crate::lu::run(hs, c).ok().map(|r| r.secs);
+    spec(sig, template, space, validate_n, lu_config, fit, run)
 }
 
 #[cfg(test)]

@@ -14,7 +14,6 @@ fn traced_matmul_span_count_matches_enqueued_actions() {
     cfg.host_participates = true;
     cfg.load_balance = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.set_tracing(false);
     hs.obs_enable(true);
     run(&mut hs, &cfg).expect("matmul runs");
 
@@ -40,7 +39,6 @@ fn metrics_snapshot_has_action_counters() {
     let mut cfg = MatmulConfig::new(2000, 500);
     cfg.host_participates = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(false);
     hs.obs_enable(true);
     run(&mut hs, &cfg).expect("matmul runs");
     let rows = hs.metrics().rows();
@@ -54,7 +52,6 @@ fn disabled_hub_records_nothing() {
     let mut cfg = MatmulConfig::new(2000, 500);
     cfg.host_participates = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(false);
     run(&mut hs, &cfg).expect("matmul runs");
     assert!(hs.take_obs_records().is_empty(), "no sink, no records");
     // The event-table occupancy and front-end contention gauges are

@@ -18,7 +18,6 @@ fn secs(variant: LuVariant, n: usize, tile: usize) -> f64 {
         PlatformCfg::native(Device::Hsw)
     };
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     let mut cfg = LuConfig::new(n, tile, variant);
     cfg.streams = 6;
     run(&mut hs, &cfg).expect("LU runs").secs

@@ -20,7 +20,6 @@ fn gflops(streams: usize, tile: usize) -> f64 {
     cfg.host_participates = false;
     cfg.streams_per_card = streams;
     let mut hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(false);
     run(&mut hs, &cfg).expect("matmul runs").gflops
 }
 

@@ -37,7 +37,6 @@ const OFFLOAD_REGION_DERATE: f64 = 978.0 / 460.0;
 
 fn hstreams_run() -> (usize, u64, f64) {
     let mut hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(false);
     let mut cfg = MatmulConfig::new(N, TILE);
     cfg.host_participates = false;
     let r = hs_matmul(&mut hs, &cfg).expect("hStreams matmul");

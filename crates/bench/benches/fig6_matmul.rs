@@ -20,7 +20,6 @@ fn gflops(platform: PlatformCfg, n: usize, host: bool, balance: bool) -> f64 {
     cfg.host_participates = host;
     cfg.load_balance = balance;
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     run(&mut hs, &cfg).expect("matmul runs").gflops
 }
 
@@ -32,7 +31,6 @@ fn traced_run(path: &str, n: usize, records: &mut Vec<JsonRecord>) {
     cfg.host_participates = true;
     cfg.load_balance = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.set_tracing(false);
     hs.obs_enable(true);
     let res = run(&mut hs, &cfg).expect("matmul runs");
     let trace = hs.export_chrome_trace();
@@ -90,7 +88,6 @@ fn chaos_smoke(seed: u64) {
         cfg.streams_per_card = 2;
         cfg.streams_host = 2;
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-        hs.set_tracing(false);
         hs.obs_enable(true);
         hs.chaos_install(FaultPlan::smoke(seed));
         run(&mut hs, &cfg).expect("chaotic sim matmul must recover");

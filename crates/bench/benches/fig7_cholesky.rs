@@ -17,7 +17,6 @@ fn tile_for(n: usize) -> usize {
 
 fn gflops(platform: PlatformCfg, n: usize, variant: CholVariant) -> f64 {
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     run(&mut hs, &CholConfig::new(n, tile_for(n), variant))
         .expect("cholesky runs")
         .gflops

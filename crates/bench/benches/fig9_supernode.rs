@@ -20,7 +20,6 @@ fn run_dev(dev: Device) -> f64 {
         PlatformCfg::native(dev)
     };
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     run_supernode(&mut hs, &fig9_config(dev, N, TILE))
         .expect("supernode factorizes")
         .secs

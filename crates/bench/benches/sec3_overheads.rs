@@ -257,7 +257,6 @@ fn ompss_overheads() {
     for n in [4800usize, 6400, 8000, 10000] {
         let tile = 600;
         let mut hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-        hs.set_tracing(false);
         let direct = run(&mut hs, &CholConfig::new(n, tile, CholVariant::Offload))
             .expect("direct")
             .secs;

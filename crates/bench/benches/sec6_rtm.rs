@@ -28,7 +28,6 @@ fn cfg(scheme: Scheme, ranks: usize, optimized: bool) -> RtmConfig {
 
 fn secs(platform: PlatformCfg, c: &RtmConfig) -> f64 {
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     run(&mut hs, c).expect("rtm runs").secs
 }
 

@@ -44,7 +44,6 @@ struct Workload {
 /// Sim gflops of one (streams, tile, optional width) config.
 fn run_sim(w: &Workload, streams: u32, tile: usize, width: Option<u32>) -> f64 {
     let mut hs = HStreams::init(w.platform.clone(), ExecMode::Sim);
-    hs.set_tracing(false);
     match w.name {
         "matmul" => {
             let mut cfg = MatmulConfig::new(w.n, tile);

@@ -72,39 +72,24 @@ pub struct CoiRuntime {
 }
 
 impl CoiRuntime {
-    /// A runtime with the host plus `n_cards` card engines. `pacer` controls
-    /// real-time DMA pacing (use [`Pacer::unpaced`] for functional tests).
+    /// A runtime with the host plus `n_cards` in-process card engines.
+    /// `pacer` controls real-time DMA pacing (use [`Pacer::unpaced`] for
+    /// functional tests).
     pub fn new(n_cards: usize, pacer: Pacer) -> Arc<CoiRuntime> {
-        Self::new_with_pacers(vec![pacer; n_cards], ObsHub::new())
+        let per_card = vec![pacer; n_cards];
+        Self::new_with_endpoints(per_card, ObsHub::new(), ChaosHub::default(), &[])
+            .expect("no endpoint to connect: in-process construction is infallible")
     }
 
-    /// A runtime where each card engine gets its own DMA pacer (index `i`
-    /// paces engine `i + 1`) and lifecycle/gauge events go to `obs`.
-    pub fn new_with_pacers(per_card: Vec<Pacer>, obs: ObsHub) -> Arc<CoiRuntime> {
-        Self::new_with_pacers_chaos(per_card, obs, ChaosHub::default())
-    }
-
-    /// Like [`Self::new_with_pacers`], with a shared fault-injection hub
-    /// wired into every DMA channel (and consulted by dispatchers above).
-    pub fn new_with_pacers_chaos(
-        per_card: Vec<Pacer>,
-        obs: ObsHub,
-        chaos: ChaosHub,
-    ) -> Arc<CoiRuntime> {
-        let n_engines = per_card.len() + 1;
-        let fabric = Arc::new(Fabric::new_with_pacers_chaos(
-            n_engines,
-            per_card,
-            chaos.clone(),
-        ));
-        Self::with_fabric(fabric, n_engines, obs, chaos)
-    }
-
-    /// Like [`Self::new_with_pacers_chaos`], with some card engines backed
-    /// by out-of-process workers: `remotes` maps engine index (1-based; the
-    /// host cannot be remote) to the worker's endpoint. Connecting is
-    /// synchronous — a worker that never comes up is an error here, while a
-    /// worker that dies *later* surfaces as `CardLost` at first use.
+    /// The full constructor. Each card engine gets its own DMA pacer (index
+    /// `i` paces engine `i + 1`); lifecycle/gauge events go to `obs`;
+    /// `chaos` is the fault-injection hub wired into every DMA channel (and
+    /// consulted by dispatchers above). `remotes` backs some card engines
+    /// with out-of-process workers: it maps engine index (1-based; the host
+    /// cannot be remote) to the worker's endpoint, and an empty slice is
+    /// the all-in-process case. Connecting is synchronous — a worker that
+    /// never comes up is an error here, while a worker that dies *later*
+    /// surfaces as `CardLost` at first use.
     pub fn new_with_endpoints(
         per_card: Vec<Pacer>,
         obs: ObsHub,
@@ -112,30 +97,15 @@ impl CoiRuntime {
         remotes: &[(usize, Endpoint)],
     ) -> std::io::Result<Arc<CoiRuntime>> {
         let n_engines = per_card.len() + 1;
-        let fabric = Arc::new(Fabric::new_with_endpoints(
-            n_engines,
-            per_card,
-            chaos.clone(),
-            remotes,
-        )?);
-        Ok(Self::with_fabric(fabric, n_engines, obs, chaos))
-    }
-
-    fn with_fabric(
-        fabric: Arc<Fabric>,
-        n_engines: usize,
-        obs: ObsHub,
-        chaos: ChaosHub,
-    ) -> Arc<CoiRuntime> {
-        let pools = (0..n_engines).map(|_| BufferPool::new()).collect();
-        Arc::new(CoiRuntime {
-            fabric,
+        let fabric = Fabric::new_with_endpoints(n_engines, per_card, chaos.clone(), remotes)?;
+        Ok(Arc::new(CoiRuntime {
+            fabric: Arc::new(fabric),
             registry: Arc::new(FnRegistry::new()),
-            pools,
+            pools: (0..n_engines).map(|_| BufferPool::new()).collect(),
             n_engines,
             obs,
             chaos,
-        })
+        }))
     }
 
     /// The observability hub shared by this runtime's pipelines/workgroups.

@@ -146,19 +146,18 @@ pub struct SimExec {
 
 impl SimExec {
     pub fn new(platform: &PlatformCfg) -> SimExec {
-        Self::new_with_obs(platform, ObsHub::new())
+        Self::new_with_obs_chaos(platform, ObsHub::new(), ChaosHub::default())
     }
 
     /// Like [`Self::new`], routing lifecycle events (virtual timestamps) to
-    /// `obs`.
-    pub fn new_with_obs(platform: &PlatformCfg, obs: ObsHub) -> SimExec {
-        Self::new_with_obs_chaos(platform, obs, ChaosHub::default())
-    }
-
-    /// Like [`Self::new_with_obs`], consulting `chaos` at every compute and
-    /// transfer site (in virtual time; backoffs advance the virtual clock).
+    /// `obs` and consulting `chaos` at every compute and transfer site (in
+    /// virtual time; backoffs advance the virtual clock).
     pub fn new_with_obs_chaos(platform: &PlatformCfg, obs: ObsHub, chaos: ChaosHub) -> SimExec {
         let mut sim = Sim::new();
+        // Spans are a side record nobody but a trace reader wants; a sweep
+        // of large graphs should not pay for them. `set_tracing(true)`
+        // before enqueueing turns them on; virtual times are unaffected.
+        sim.set_tracing(false);
         let cost = platform.cost_model();
         let devices: Vec<Device> = platform.domains.iter().map(|d| d.device).collect();
         let domain_sems: Vec<SemId> = platform
@@ -743,6 +742,7 @@ mod tests {
     #[test]
     fn trace_records_compute_spans() {
         let mut ex = SimExec::new(&platform());
+        ex.set_tracing(true);
         ex.add_stream(1, 60);
         let ev = ex.submit(
             compute(0, 1e9, "traced"),

@@ -289,11 +289,7 @@ impl ThreadExec {
             })
             .collect();
         let ncards = pacers.len();
-        let coi = if remotes.is_empty() {
-            CoiRuntime::new_with_pacers_chaos(pacers, obs.clone(), chaos.clone())
-        } else {
-            CoiRuntime::new_with_endpoints(pacers, obs.clone(), chaos.clone(), remotes)?
-        };
+        let coi = CoiRuntime::new_with_endpoints(pacers, obs.clone(), chaos.clone(), remotes)?;
         let dma: Vec<[DmaWorker; 2]> = (0..ncards)
             .map(|c| {
                 [

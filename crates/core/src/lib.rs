@@ -1526,7 +1526,8 @@ impl HStreams {
         }
     }
 
-    /// Enable/disable sim-mode span recording.
+    /// Enable/disable sim-mode span recording (off until enabled: call
+    /// this before enqueueing what [`HStreams::trace`] should show).
     pub fn set_tracing(&self, enabled: bool) {
         if let Executor::Sim(s) = &self.inner.exec {
             s.lock().set_tracing(enabled);

@@ -60,6 +60,7 @@ fn ooo_pipelines_transfers_under_compute() {
 #[test]
 fn trace_shows_compute_transfer_overlap() {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
+    hs.set_tracing(true);
     let card = DomainId(1);
     let s = hs.stream_create(card, CpuMask::first(15)).expect("stream");
     let bytes = 64 << 20;

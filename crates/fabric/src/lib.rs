@@ -76,38 +76,31 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Create a fabric of `n_nodes` nodes (>= 1; node 0 is the host). Card
-    /// nodes get a pair of DMA engines paced by `pacer` (use
-    /// [`Pacer::unpaced`] for functional tests).
+    /// Create a fabric of `n_nodes` nodes (>= 1; node 0 is the host), all
+    /// in-process. Card nodes get a pair of DMA engines paced by `pacer`
+    /// (use [`Pacer::unpaced`] for functional tests).
     pub fn new(n_nodes: usize, pacer: Pacer) -> Fabric {
         let per_card = vec![pacer; n_nodes.saturating_sub(1)];
-        Fabric::new_with_pacers(n_nodes, per_card)
+        Fabric::new_with_endpoints(n_nodes, per_card, ChaosHub::default(), &[])
+            .expect("no endpoint to connect: in-process construction is infallible")
     }
 
-    /// Create a fabric where each card node gets its *own* pacer — required
+    /// The full constructor. Each card node gets its *own* pacer — required
     /// for heterogeneous platforms where cards sit on different links (e.g.
-    /// a PCIe card next to a fabric-attached remote node). `per_card[i]`
-    /// paces node `i + 1`; both directions of that node share the spec.
-    pub fn new_with_pacers(n_nodes: usize, per_card: Vec<Pacer>) -> Fabric {
-        Fabric::new_with_pacers_chaos(n_nodes, per_card, ChaosHub::default())
-    }
-
-    /// Like [`Fabric::new_with_pacers`], with a shared fault-injection hub
-    /// the DMA channels consult (one relaxed load per op when disarmed).
-    pub fn new_with_pacers_chaos(n_nodes: usize, per_card: Vec<Pacer>, chaos: ChaosHub) -> Fabric {
-        Fabric::new_with_transports(n_nodes, per_card, chaos, Vec::new())
-    }
-
-    /// Like [`Fabric::new_with_pacers_chaos`], with some card nodes backed
-    /// by explicit transports: `(node_index, transport)` pairs override the
-    /// default in-process [`LocalTransport`]. Node 0 (the host) must stay
-    /// local.
-    pub fn new_with_transports(
+    /// a PCIe card next to a fabric-attached remote node): `per_card[i]`
+    /// paces node `i + 1`, both directions sharing the spec. `chaos` is the
+    /// fault-injection hub the DMA channels consult (one relaxed load per op
+    /// when disarmed). Each `(node_index, endpoint)` pair backs that card
+    /// node with a connected [`RemoteDomain`] worker instead of the default
+    /// in-process [`LocalTransport`]; node 0 (the host) must stay local, and
+    /// an empty slice is the all-in-process case. Connection failures
+    /// surface here, at init, rather than on first use.
+    pub fn new_with_endpoints(
         n_nodes: usize,
         per_card: Vec<Pacer>,
         chaos: ChaosHub,
-        transports: Vec<(usize, Arc<dyn Transport>)>,
-    ) -> Fabric {
+        endpoints: &[(usize, Endpoint)],
+    ) -> std::io::Result<Fabric> {
         assert!(n_nodes >= 1, "fabric needs at least the host node");
         assert_eq!(
             per_card.len(),
@@ -115,10 +108,11 @@ impl Fabric {
             "need exactly one pacer per card node"
         );
         let mut nodes: Vec<NodeCtl> = (0..n_nodes).map(|_| NodeCtl::local()).collect();
-        for (idx, t) in transports {
-            assert!(idx != 0, "the host node cannot be remote");
-            assert!(idx < n_nodes, "transport for nonexistent node {idx}");
-            nodes[idx].transport = t;
+        for (idx, ep) in endpoints {
+            assert!(*idx != 0, "the host node cannot be remote");
+            assert!(*idx < n_nodes, "endpoint for nonexistent node {idx}");
+            nodes[*idx].transport =
+                Arc::new(RemoteDomain::connect(ep, *idx as u32, chaos.clone())?);
         }
         let engines = per_card
             .iter()
@@ -131,26 +125,7 @@ impl Fabric {
                 ]
             })
             .collect();
-        Fabric { nodes, engines }
-    }
-
-    /// Like [`Fabric::new_with_transports`], connecting a [`RemoteDomain`]
-    /// worker per `(node_index, endpoint)` pair. Connection failures
-    /// surface here, at init, rather than on first use.
-    pub fn new_with_endpoints(
-        n_nodes: usize,
-        per_card: Vec<Pacer>,
-        chaos: ChaosHub,
-        endpoints: &[(usize, Endpoint)],
-    ) -> std::io::Result<Fabric> {
-        let mut transports: Vec<(usize, Arc<dyn Transport>)> = Vec::new();
-        for (idx, ep) in endpoints {
-            let dom = RemoteDomain::connect(ep, *idx as u32, chaos.clone())?;
-            transports.push((*idx, Arc::new(dom)));
-        }
-        Ok(Fabric::new_with_transports(
-            n_nodes, per_card, chaos, transports,
-        ))
+        Ok(Fabric { nodes, engines })
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -554,7 +529,8 @@ mod tests {
         use hs_machine::{LinkSpec, Overheads};
         let fast = Pacer::pcie(LinkSpec::pcie_knc(), Overheads::paper());
         let slow = Pacer::pcie(LinkSpec::fabric(), Overheads::paper());
-        let f = Fabric::new_with_pacers(3, vec![fast.clone(), slow.clone()]);
+        let pacers = vec![fast.clone(), slow.clone()];
+        let f = Fabric::new_with_endpoints(3, pacers, ChaosHub::default(), &[]).expect("local");
         let mb = 1 << 20;
         assert_eq!(
             f.engine(NodeId(1), true).pacer().target(mb, true),

@@ -293,7 +293,6 @@ impl Tune for HStreams {
                 return None;
             }
             let mut sim = HStreams::init(platform.clone(), ExecMode::Sim);
-            sim.set_tracing(false);
             simulated.set(simulated.get() + 1);
             runner(&mut sim, &cfg)
         });

@@ -135,7 +135,6 @@ fn chosen_config_beats_grid_corners() {
                     tile: t,
                 };
                 let mut sim = offload();
-                sim.set_tracing(false);
                 if let Some(secs) = synth_runner(&mut sim, &cfg) {
                     assert!(
                         best <= secs + 1e-12,

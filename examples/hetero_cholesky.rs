@@ -44,7 +44,6 @@ fn main() {
         ("pure offload,    1 KNC   ", 1, CholVariant::Offload),
     ] {
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, cards), ExecMode::Sim);
-        hs.set_tracing(false);
         let r = run(&mut hs, &CholConfig::new(20000, 1250, variant)).expect("cholesky");
         println!("sim  mode, n=20000, {label}: {:6.0} GFlop/s", r.gflops);
     }

@@ -84,7 +84,6 @@ fn main() {
         cfg.host_participates = host;
         cfg.load_balance = balance;
         let mut hs = HStreams::init(platform, ExecMode::Sim);
-        hs.set_tracing(false);
         let r = run(&mut hs, &cfg).expect("matmul");
         println!("sim  mode, n=16000, {label:28}: {:7.0} GFlop/s", r.gflops);
     }

@@ -43,7 +43,6 @@ fn main() {
         let tile = (n / 12).clamp(200, 1500);
         let secs = |variant: LuVariant, t: usize| {
             let mut hs = HStreams::init(PlatformCfg::native(Device::Hsw), ExecMode::Sim);
-            hs.set_tracing(false);
             let mut cfg = LuConfig::new(n, t, variant);
             cfg.streams = 6;
             run(&mut hs, &cfg).expect("LU").secs

@@ -47,6 +47,7 @@ fn main() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
     let t_sync = run(&mut hs, &mk(Scheme::SyncOffload)).expect("sync").secs;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
+    hs.set_tracing(true);
     let t_async = run(&mut hs, &mk(Scheme::AsyncPipelined))
         .expect("async")
         .secs;

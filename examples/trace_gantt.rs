@@ -13,6 +13,7 @@ use hstreams_core::{
 fn build(ordering: OrderingMode) -> HStreams {
     let hs =
         HStreams::init_with_ordering(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim, ordering);
+    hs.set_tracing(true);
     let card = DomainId(1);
     let s = hs.stream_create(card, CpuMask::first(30)).expect("stream");
     let bytes = 96 << 20;

@@ -19,7 +19,6 @@ fn main() {
     cfg.host_participates = true;
     cfg.load_balance = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.set_tracing(false);
     hs.obs_enable(true); // one flag: lifecycle recording on
 
     let res = run(&mut hs, &cfg).expect("matmul runs");

@@ -37,7 +37,6 @@ fn tune_mode(n: usize) {
     );
     template = tuned::matmul_config(&template, &out.config);
     let mut sim = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-    sim.set_tracing(false);
     let g = run(&mut sim, &template).expect("matmul").gflops;
     println!("  sim rate with the tuned config: {g:.0} GF/s");
 }
@@ -57,7 +56,6 @@ fn main() {
             cfg.host_participates = false;
             cfg.streams_per_card = streams;
             let mut hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-            hs.set_tracing(false);
             let g = run(&mut hs, &cfg).expect("matmul").gflops;
             if g > best.0 {
                 best = (g, streams, tile);
@@ -76,7 +74,6 @@ fn main() {
     cfg.streams_per_card = best.1.max(2);
     cfg.host_participates = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(false);
     let g = run(&mut hs, &cfg).expect("matmul").gflops;
     println!("\nretarget: host joins as a compute domain (host-as-target streams): {g:.0} GF/s");
 }

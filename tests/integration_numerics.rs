@@ -128,7 +128,6 @@ fn remote_node_domain_works_end_to_end() {
 fn remote_node_is_slower_to_reach_than_a_local_card_in_sim() {
     let secs = |platform: PlatformCfg| {
         let hs = HStreams::init(platform, ExecMode::Sim);
-        hs.set_tracing(false);
         let dev = hstreams_core::DomainId(1);
         let s = hs
             .stream_create(dev, hstreams_core::CpuMask::first(4))

@@ -59,7 +59,6 @@ fn sim_strict_never_beats_ooo_on_the_matmul_pipeline() {
             ExecMode::Sim,
             ordering,
         );
-        hs.set_tracing(false);
         let mut cfg = MatmulConfig::new(8000, 500);
         cfg.host_participates = false;
         matmul(&mut hs, &cfg).expect("matmul").secs
@@ -80,7 +79,6 @@ fn sim_strict_never_beats_ooo_on_cholesky() {
             ExecMode::Sim,
             ordering,
         );
-        hs.set_tracing(false);
         chol(&mut hs, &CholConfig::new(8000, 800, CholVariant::Offload))
             .expect("chol")
             .secs

@@ -14,13 +14,11 @@ fn mm(platform: PlatformCfg, n: usize, tile: usize, host: bool, bal: bool) -> f6
     cfg.host_participates = host;
     cfg.load_balance = bal;
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     matmul(&mut hs, &cfg).expect("matmul").gflops
 }
 
 fn ch(platform: PlatformCfg, n: usize, tile: usize, v: CholVariant) -> f64 {
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.set_tracing(false);
     chol(&mut hs, &CholConfig::new(n, tile, v))
         .expect("chol")
         .gflops
@@ -144,7 +142,6 @@ fn sec6_rtm_bands() {
     };
     let secs = |platform: PlatformCfg, cfg: &RtmConfig| {
         let mut hs = HStreams::init(platform, ExecMode::Sim);
-        hs.set_tracing(false);
         rtm(&mut hs, cfg).expect("rtm").secs
     };
     let host_opt = secs(
@@ -183,7 +180,6 @@ fn sec3_ompss_overhead_band() {
     for (n, t) in [(4800usize, 600usize), (8000, 600)] {
         let direct = {
             let mut hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-            hs.set_tracing(false);
             chol(&mut hs, &CholConfig::new(n, t, CholVariant::Offload))
                 .expect("direct")
                 .secs
