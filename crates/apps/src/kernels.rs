@@ -37,18 +37,20 @@ use hstreams_core::{
 use std::sync::Arc;
 
 /// Partition the m×n output slab's rows across the stream's lanes and run
-/// `f(row0, slab)` on each micro-tile-aligned row slab.
+/// `f(row0, slab)` on each micro-tile-aligned row slab. `flops` is the whole
+/// kernel's work: a tile too short to feed two lanes runs as one slab.
 fn expand_rows(
     wg: &Workgroup,
     c: &mut [f64],
     m: usize,
     n: usize,
+    flops: f64,
     f: impl Fn(usize, &mut [f64]) + Sync,
 ) {
     if m == 0 || n == 0 {
         return;
     }
-    let rows = microkernel::expansion_rows(m, wg.width());
+    let rows = microkernel::expansion_rows(m, wg.width(), flops);
     if rows >= m {
         f(0, c);
         return;
@@ -78,7 +80,7 @@ fn gemm_expanded(
         return;
     }
     let bp = PackedB::pack(b, k, n);
-    expand_rows(wg, c, m, n, |row0, slab| {
+    expand_rows(wg, c, m, n, flops::gemm(m, n, k), |row0, slab| {
         let nrows = slab.len() / n;
         let a_rows = &a[row0 * k..(row0 + nrows) * k];
         microkernel::gemm_prepacked(alpha, a_rows, k, &bp, 1.0, slab, n, nrows);
@@ -234,7 +236,7 @@ fn tile_syrk(ctx: &mut TaskCtx) {
     let [n, k] = dims(ctx);
     let wg = ctx.workgroup().clone();
     let (a, c) = ctx.buf_f64_pair_mut(0, 1);
-    expand_rows(&wg, c, n, n, |row0, slab| {
+    expand_rows(&wg, c, n, n, flops::syrk(n, k), |row0, slab| {
         microkernel::dsyrk_ln_rows(a, slab, row0, slab.len() / n, n, k);
     });
 }
@@ -255,7 +257,7 @@ fn tile_trsm(ctx: &mut TaskCtx) {
     let [m, n] = dims(ctx);
     let wg = ctx.workgroup().clone();
     let (l, b) = ctx.buf_f64_pair_mut(0, 1);
-    expand_rows(&wg, b, m, n, |_row0, slab| {
+    expand_rows(&wg, b, m, n, flops::trsm(m, n), |_row0, slab| {
         microkernel::dtrsm_rlt(l, slab, slab.len() / n, n);
     });
 }
@@ -330,7 +332,7 @@ fn tile_trsm_runn(ctx: &mut TaskCtx) {
     let [m, n] = dims(ctx);
     let wg = ctx.workgroup().clone();
     let (u, b) = ctx.buf_f64_pair_mut(0, 1);
-    expand_rows(&wg, b, m, n, |_row0, slab| {
+    expand_rows(&wg, b, m, n, flops::trsm(m, n), |_row0, slab| {
         microkernel::dtrsm_runn(u, slab, slab.len() / n, n);
     });
 }

@@ -111,7 +111,9 @@ fn expansion_engages_on_an_explicit_two_lane_pipeline() {
         rt.register(name, f);
     }
     let pipe = rt.pipeline_create(EngineId::HOST, 2);
-    let t = 64usize;
+    // The benchmark's matmul tile: its Cholesky tile, 64, is less than two
+    // lanes' worth of work and runs as one slab (`microkernel::expansion_rows`).
+    let t = 128usize;
     let wins: Vec<_> = (0..3)
         .map(|_| rt.buffer_alloc(EngineId::HOST, t * t * 8, false))
         .collect();
@@ -131,7 +133,7 @@ fn expansion_engages_on_an_explicit_two_lane_pipeline() {
     assert_eq!(
         pipe.workgroup().spawned(),
         1,
-        "a 64-row tile on two lanes fans out to the one resident worker"
+        "a 128-row tile on two lanes fans out to the one resident worker"
     );
 }
 

@@ -7,20 +7,37 @@
 //!
 //! Every expanding kernel runs on pipelines built with the explicit-lane
 //! constructor (`CoiRuntime::pipeline_create`), over tiles small enough for
-//! the naive loops, at the packing threshold, ragged against the micro-tile,
-//! multiples of `MR` that are not multiples of `NR` (60, 68), around GEMM's
-//! `MC` = 64 (60, 68, 72), and at the benchmark's sizes.
+//! the naive loops, at the packing threshold, and ragged against the
+//! register tile of the instantiation the kernels dispatch to
+//! (`Isa::widest().tile()`): one either side of `NR` (= `TB`), a strip either
+//! side of GEMM's `MC` = 64, one past a strip, a multiple of `MR` that is no
+//! multiple of `NR`, and the benchmark's sizes. A lane is woken only for
+//! ~16 µs of work or more (`microkernel::expansion_rows`), so under a
+//! vectorising instantiation the tiles of 80 rows and fewer run as one slab
+//! whatever the lanes; slabs are cut from 100 up — GEMM's at 100, every
+//! kernel's at the benchmark's 128 (GEMM over up to five lanes), at 137 (one
+//! past a strip of either width) and at 175 (ragged against both, every lane
+//! count distinct). What a cut does at the smaller sizes is pinned kernel by
+//! kernel in `hs-linalg`'s slab-composition tests, per instantiation.
 
 use hs_apps::kernels::{kernel_table, pack_dims};
 use hs_coi::{CoiRuntime, EngineId, Pipeline};
 use hs_fabric::Pacer;
 use hs_linalg::dense::{max_abs_diff, random, random_diag_dominant, random_spd, zero_upper};
+use hs_linalg::microkernel::{Isa, Tile, MC};
 use hs_linalg::{factor, naive};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const LANES: [usize; 5] = [1, 2, 3, 5, 8];
-const TILES: [usize; 8] = [6, 24, 60, 64, 68, 72, 100, 128];
+
+/// Tile sizes, from the register tile the kernels run on this host.
+fn tiles() -> Vec<usize> {
+    let Tile { mr, nr } = Isa::widest().tile();
+    let mut t = vec![6, 24, nr - 1, nr + 1, MC - mr, MC, MC + mr, MC + nr];
+    t.extend([100, 128, 137, 175]);
+    t
+}
 
 /// Run kernel `name` with `dims` as its args over `operands` (the last one
 /// is the output, the others inputs) and return the output.
@@ -168,7 +185,7 @@ proptest! {
             .iter()
             .map(|&lanes| rt.pipeline_create(EngineId::HOST, lanes))
             .collect();
-        for t in TILES {
+        for t in tiles() {
             // A ragged row count now and then: edge tiles of a matrix whose
             // size the tile does not divide.
             let m = t - (seed as usize + t) % 3;

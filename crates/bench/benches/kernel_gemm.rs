@@ -1,5 +1,14 @@
-//! Compute-path microbench, four groups of rows:
+//! Compute-path microbench, five groups of rows:
 //!
+//! * `peak_fma/<isa>` — a register-only multiply-add chain on one lane, as
+//!   each instantiation of the register kernel the CPU runs issues it
+//!   (`hs_linalg::microkernel::Isa`: SSE2 multiply + add, 256-bit FMA,
+//!   512-bit FMA): the ceiling the kernel rows are a `frac_of_peak` of. The
+//!   host's clock moves by a third from one second to the next, so every
+//!   row that carries a `frac_of_peak` measures the dispatched
+//!   instantiation's chain right before it runs and divides by that (and by
+//!   its lanes); the `peak_fma` row of that instantiation is the median of
+//!   those.
 //! * `gemm/*` — naive reference DGEMM vs the packed cache-blocked
 //!   microkernel, single-lane and expanded across persistent workgroups
 //!   (the row-slab partitioning and pack-once B panel the sink kernels use).
@@ -16,7 +25,9 @@
 //!   parent of the PR that took SYRK and the TRSMs off their `MC`-sized
 //!   scalar diagonal blocks (PR 21), at the same lanes on the same host and
 //!   day — with the `expand` rows of that parent beside them as the control
-//!   (and `potrf/*`, which that PR left on its scalar loop).
+//!   (and `potrf/*`, which that PR left on its scalar loop) — and again on
+//!   the parent of the PR that fused the register kernel and gave AVX-512F
+//!   its own tile (PR 23).
 //! * `workgroup/forkjoin` — one empty two-lane parallel region (µs).
 //!
 //! Every row carries `host_cores` and the revision measured. A row of the
@@ -29,10 +40,14 @@
 //! is the minimal CI run (fewest samples, smallest GEMM size only);
 //! `HS_BENCH_CHECK=1` gates, each within this one run so that the host's
 //! speed cancels: `expand/t128` on 2 lanes at 0.8× its single-lane rate or
-//! better (hosts with 2+ cores) — expansion may not cost more than it buys —
-//! and single-lane `syrk/t64` at 0.5× and `trsm_rlt/t64` at 0.3× the
-//! single-lane `expand/t64` rate or better (the parent: 0.31× and 0.17×) — a
-//! triangular tile kernel may not fall back out of the packed micro-kernel.
+//! better (hosts with 2+ cores) — expansion may not cost more than it buys;
+//! single-lane `syrk/t64` at 0.5× and `trsm_rlt/t64` at 0.3× the
+//! single-lane `expand/t64` rate or better (the parent of PR 21: 0.31× and
+//! 0.17×) — a triangular tile kernel may not fall back out of the packed
+//! micro-kernel; and — in the smoke configuration, where `Avx512f` is
+//! dispatched: the run the floor was recorded in — single-lane `expand/t128`
+//! at [`PEAK_FLOOR`] of `peak_fma` or better: the register kernel may not fall
+//! back to multiply + add on half-empty vectors (0.24 of peak before PR 23).
 
 use bytes::Bytes;
 use criterion::{black_box, Criterion};
@@ -41,7 +56,7 @@ use hs_bench::{f, git_rev, median_secs, median_secs_with, write_bench_json, Json
 use hs_coi::{CoiRuntime, EngineId, Workgroup};
 use hs_fabric::Pacer;
 use hs_linalg::dense::{random, random_spd, zero_upper};
-use hs_linalg::microkernel::{self, BSrc, PackedB};
+use hs_linalg::microkernel::{self, BSrc, Isa, PackedB};
 use hs_linalg::{factor, flops, naive};
 
 /// `pre_pr` rows: `(row, tile, lanes, Gflop/s)` of `expand_gflops` on an
@@ -104,6 +119,135 @@ const PRE_TRIANGULAR: PrePr = PrePr {
     ],
 };
 
+/// The `HS_BENCH_CHECK` floor on single-lane `expand/t128` as a fraction of
+/// the dispatched instantiation's `peak_fma`: 0.8× the lowest of ten
+/// `HS_BENCH_SMOKE=1` runs of the code as committed on the recording host,
+/// which dispatches `Avx512f` — 0.37–0.62, median 0.43, in an hour when
+/// `workgroup/forkjoin` read ~38 µs (the row goes through a sink pipeline,
+/// whose wake-ups a busy neighbour stretches and the chain does not see); the
+/// parent read 0.24–0.27. Armed only where it was measured: in the smoke
+/// configuration, and for `Avx512f` — no `Avx2Fma` or `Baseline` host has
+/// recorded its fraction, so they print it, unasserted, until one has.
+const PEAK_FLOOR: f64 = 0.29;
+
+/// Register-only multiply-add chains, `acc = acc·x + y` on independent
+/// accumulators (enough of them to cover the unit's latency on both ports),
+/// one per instantiation of the register kernel. Each returns a value that
+/// depends on every accumulator, so nothing is dead code.
+#[cfg(target_arch = "x86_64")]
+mod chain {
+    use std::arch::x86_64::*;
+
+    /// Twelve 128-bit accumulators, multiply then add: 48 flops per
+    /// iteration.
+    #[target_feature(enable = "sse2")]
+    pub fn baseline(iters: usize) -> f64 {
+        let (x, y) = (_mm_set1_pd(1.000_000_001), _mm_set1_pd(1e-9));
+        let mut acc = [_mm_set1_pd(1.0); 12];
+        for _ in 0..iters {
+            for a in &mut acc {
+                *a = _mm_add_pd(_mm_mul_pd(*a, x), y);
+            }
+        }
+        let sum = acc.into_iter().reduce(|s, a| _mm_add_pd(s, a));
+        _mm_cvtsd_f64(sum.expect("twelve accumulators"))
+    }
+
+    /// Twelve 256-bit accumulators, fused: 96 flops per iteration.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn avx2fma(iters: usize) -> f64 {
+        let (x, y) = (_mm256_set1_pd(1.000_000_001), _mm256_set1_pd(1e-9));
+        let mut acc = [_mm256_set1_pd(1.0); 12];
+        for _ in 0..iters {
+            for a in &mut acc {
+                *a = _mm256_fmadd_pd(*a, x, y);
+            }
+        }
+        let sum = acc.into_iter().reduce(|s, a| _mm256_add_pd(s, a));
+        _mm256_cvtsd_f64(sum.expect("twelve accumulators"))
+    }
+
+    /// Sixteen 512-bit accumulators, fused: 256 flops per iteration.
+    #[target_feature(enable = "avx512f")]
+    pub fn avx512f(iters: usize) -> f64 {
+        let (x, y) = (_mm512_set1_pd(1.000_000_001), _mm512_set1_pd(1e-9));
+        let mut acc = [_mm512_set1_pd(1.0); 16];
+        for _ in 0..iters {
+            for a in &mut acc {
+                *a = _mm512_fmadd_pd(*a, x, y);
+            }
+        }
+        let sum = acc.into_iter().reduce(|s, a| _mm512_add_pd(s, a));
+        _mm512_reduce_add_pd(sum.expect("sixteen accumulators"))
+    }
+}
+
+/// Gflop/s of `isa`'s multiply-add chain on this thread: the median of a few
+/// ~0.3 ms bursts, short enough to sit beside the row it normalises.
+fn peak_fma_gflops(isa: Isa) -> f64 {
+    assert!(isa.detected(), "this CPU does not run {isa:?}");
+    const ITERS: usize = 100_000;
+    #[cfg(target_arch = "x86_64")]
+    let (flops, run): (f64, fn(usize) -> f64) = match isa {
+        Isa::Baseline => (48.0, |iters| {
+            // SAFETY: sse2 is part of the x86-64 baseline.
+            unsafe { chain::baseline(iters) }
+        }),
+        Isa::Avx2Fma => (96.0, |iters| {
+            // SAFETY: `detected` above checked avx2 and fma at run time.
+            unsafe { chain::avx2fma(iters) }
+        }),
+        Isa::Avx512f => (256.0, |iters| {
+            // SAFETY: `detected` above checked avx512f at run time.
+            unsafe { chain::avx512f(iters) }
+        }),
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let (flops, run): (f64, fn(usize) -> f64) = (24.0, |iters| {
+        let mut acc = [1.0f64; 12];
+        for _ in 0..iters {
+            for a in &mut acc {
+                *a = *a * 1.000_000_001 + 1e-9;
+            }
+        }
+        acc.iter().sum()
+    });
+    let secs = median_secs((1, 9), || {
+        black_box(run(black_box(ITERS)));
+    });
+    flops * ITERS as f64 / secs / 1e9
+}
+
+/// The parent of PR 23, with this file's `expand_gflops`: the register kernel
+/// one auto-vectorised 4×8 body, multiply + add in 256-bit registers under
+/// AVX2, expansion without a floor. Medians of seven full-length runs
+/// alternated with the change's (the third such set, the one made with the
+/// code as committed), in the hour `BENCH_kernel_gemm.json` was recorded
+/// (`workgroup/forkjoin` ~41 µs on both sides, as for `PRE_TRIANGULAR`).
+const PRE_FUSED: PrePr = PrePr {
+    rev: "95b5845",
+    config: "pre_pr",
+    host_cores: 2.0,
+    rows: &[
+        ("expand", 128, 1, 17.5),
+        ("expand", 128, 2, 18.6),
+        ("expand", 64, 1, 9.38),
+        ("expand", 64, 2, 8.10),
+        ("syrk", 64, 1, 5.80),
+        ("syrk", 64, 2, 4.59),
+        ("trsm_rlt", 64, 1, 6.96),
+        ("trsm_rlt", 64, 2, 4.87),
+        ("potrf", 64, 1, 1.63),
+        ("potrf", 64, 2, 1.49),
+        ("syrk", 128, 1, 12.2),
+        ("syrk", 128, 2, 12.5),
+        ("trsm_rlt", 128, 1, 12.3),
+        ("trsm_rlt", 128, 2, 13.8),
+        ("potrf", 128, 1, 1.65),
+        ("potrf", 128, 2, 1.77),
+    ],
+};
+
 /// Deterministic fill so every variant multiplies identical matrices.
 fn fill(seed: u64, v: &mut [f64]) {
     let mut s = seed;
@@ -119,7 +263,7 @@ fn fill(seed: u64, v: &mut [f64]) {
 /// partitioning (see `hs_apps::kernels`), driven directly for the bench.
 fn gemm_expanded(wg: &Workgroup, a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
     let bp = PackedB::pack(BSrc::Normal { b, ldb: n }, n, n);
-    let rows = microkernel::expansion_rows(n, wg.width());
+    let rows = microkernel::expansion_rows(n, wg.width(), flops::gemm(n, n, n));
     wg.par_chunks_mut(c, rows * n, |idx, slab| {
         let (row0, nrows) = (idx * rows, slab.len() / n);
         let a_rows = &a[row0 * n..(row0 + nrows) * n];
@@ -281,6 +425,26 @@ fn main() {
         );
     };
     let mut records = Vec::new();
+    let isa = Isa::widest();
+    println!(
+        "register kernel: {} ({}x{} tile), of {:?} on this CPU",
+        isa.name(),
+        isa.tile().mr,
+        isa.tile().nr,
+        Isa::supported().map(Isa::name).collect::<Vec<_>>()
+    );
+    // Every reading of the dispatched instantiation's chain, one taken right
+    // before each row that carries a `frac_of_peak`.
+    let mut peaks = Vec::new();
+    let mut peak_now = || {
+        peaks.push(peak_fma_gflops(isa));
+        *peaks.last().expect("just pushed")
+    };
+    let with_frac_of_peak = |mut r: JsonRecord, lanes: usize, peak: f64| {
+        let frac = r.gflops / (lanes as f64 * peak);
+        r.metrics.push(("frac_of_peak".to_string(), frac));
+        r
+    };
 
     // ---- gemm/*: the microkernel against the reference, and expanded.
     let mut pools = Vec::new();
@@ -309,6 +473,7 @@ fn main() {
         });
         gfs.push(("gemm/naive".to_string(), 1, c.last_mean_secs()));
 
+        let peak = peak_now();
         c.bench_function(&format!("gemm/blocked/{n}"), |bch| {
             bch.iter(|| microkernel::dgemm(1.0, &a, &b, 0.0, black_box(&mut cbuf), n, n, n));
         });
@@ -331,7 +496,12 @@ fn main() {
         row.extend(gfs.iter().map(|g| f(g.2)));
         t.row(row);
         for (name, lanes, gf) in gfs {
-            records.push(now(JsonRecord::new(name, n, gf), lanes));
+            let r = now(JsonRecord::new(name.clone(), n, gf), lanes);
+            records.push(if name.starts_with("gemm/blocked") {
+                with_frac_of_peak(r, lanes, peak)
+            } else {
+                r
+            });
         }
     }
     t.print("kernel_gemm — DGEMM Gflop/s (wall time, this machine)");
@@ -348,8 +518,10 @@ fn main() {
     ];
     runs.extend(TileRun::triangular(64));
     runs.extend(TileRun::triangular(128));
-    // (row, lanes) -> Gflop/s of this run, for the gates below.
+    // (row, lanes) -> Gflop/s of this run, and single-lane `expand/t128` over
+    // the chain beside it, for the gates below.
     let mut rates = Vec::new();
+    let mut t128_frac_of_peak = 0.0;
     for run in &runs {
         let row = run.name();
         for lanes in [1usize, 2] {
@@ -357,7 +529,11 @@ fn main() {
                 omit(&row, lanes);
                 continue;
             }
+            // The chain on either side of the row: the clock may move while
+            // the row runs.
+            let before = peak_now();
             let gf = expand_gflops(run, lanes, n);
+            let peak = (before + peak_now()) / 2.0;
             rates.push((row.clone(), lanes, gf));
             t.row(vec![
                 row.clone(),
@@ -366,9 +542,17 @@ fn main() {
                 f(gf),
                 rev.clone(),
             ]);
-            records.push(now(JsonRecord::new(row.clone(), run.tile, gf), lanes));
+            let r = now(JsonRecord::new(row.clone(), run.tile, gf), lanes);
+            if run.row == "expand" {
+                if (run.tile, lanes) == (128, 1) {
+                    t128_frac_of_peak = gf / peak;
+                }
+                records.push(with_frac_of_peak(r, lanes, peak));
+            } else {
+                records.push(r);
+            }
         }
-        for pre in [&PRE_LANES, &PRE_TRIANGULAR] {
+        for pre in [&PRE_LANES, &PRE_TRIANGULAR, &PRE_FUSED] {
             let of_run = |r: &&(&str, usize, usize, f64)| (r.0, r.1) == (run.row, run.tile);
             for &(_, _, lanes, gf) in pre.rows.iter().filter(of_run) {
                 t.row(vec![
@@ -391,6 +575,33 @@ fn main() {
         }
     }
     t.print("kernel_gemm — one tile through a sink pipeline, by lanes");
+
+    // ---- peak_fma/*: the chains, one lane each.
+    peaks.sort_by(f64::total_cmp);
+    println!();
+    for each in Isa::supported() {
+        let gf = if each == isa {
+            peaks[peaks.len() / 2]
+        } else {
+            peak_fma_gflops(each)
+        };
+        println!(
+            "peak_fma/{}: {} Gflop/s on one lane{}",
+            each.name(),
+            f(gf),
+            if each == isa {
+                format!(
+                    " (median of {} readings); expand/t128 on one lane is {:.2} of it",
+                    peaks.len(),
+                    t128_frac_of_peak
+                )
+            } else {
+                String::new()
+            }
+        );
+        let name = format!("peak_fma/{}", each.name());
+        records.push(now(JsonRecord::new(name, 1, gf), 1));
+    }
 
     // ---- workgroup/forkjoin: what opening a parallel region costs.
     if host_cores >= 2 {
@@ -430,6 +641,25 @@ fn main() {
                 );
             }
             _ => println!("floor gate: one core, nothing to expand across — not armed"),
+        }
+        if smoke && isa == Isa::Avx512f {
+            println!(
+                "floor gate: expand/t128 at {t128_frac_of_peak:.2} of peak_fma/{} on one lane \
+                 (floor {PEAK_FLOOR})",
+                isa.name()
+            );
+            assert!(
+                t128_frac_of_peak >= PEAK_FLOOR,
+                "the register kernel has fallen off its vector unit: a 128-tile GEMM runs at \
+                 {t128_frac_of_peak:.2} of the {} chain's rate, floor {PEAK_FLOOR}",
+                isa.name()
+            );
+        } else {
+            println!(
+                "floor gate: expand/t128 at {t128_frac_of_peak:.2} of peak_fma/{} on one lane — \
+                 not armed (the floor was recorded in HS_BENCH_SMOKE runs of avx512f)",
+                isa.name()
+            );
         }
         let gemm = rate("expand/t64", 1).expect("single-lane rows always run");
         for (row, floor) in [("syrk/t64", 0.5), ("trsm_rlt/t64", 0.3)] {

@@ -10,35 +10,668 @@
 //!   column strips (contiguous per micro-tile, streamed from L2/L3);
 //! * an `MC`×`KC` block of A is packed into `MR`-high row strips that stay
 //!   L1/L2-resident while they sweep the whole B panel;
-//! * the innermost [`micro_kernel`] keeps an `MR`×`NR` block of C in a
-//!   `f64` accumulator array that the compiler keeps in registers and
-//!   auto-vectorizes — each packed element of A and B is reused `NR`
-//!   (resp. `MR`) times per load instead of once.
+//! * the innermost register kernel ([`RegKernel`]) keeps an `MR`×`NR` block
+//!   of C in vector registers — each packed element of A and B is reused
+//!   `NR` (resp. `MR`) times per load instead of once.
+//!
+//! **The register kernel is a property of the ISA instantiation** ([`Isa`]),
+//! not one body compiled three ways: the baseline multiplies then adds on a
+//! 4×8 tile, the AVX2+FMA instantiation fuses on the same tile, and the
+//! AVX-512F one holds an 8×16 tile in sixteen zmm accumulators, written with
+//! intrinsics (LLVM vectorises the scalar loop at that shape across the
+//! wrong axis, with gathers). `MR`, `NR` and the solves' `TB` are const
+//! parameters of everything below — packing, the sweeps, the diagonal
+//! blocks — and [`with_isa`] is the one place an instantiation is chosen,
+//! once per kernel call.
+//!
+//! **Bit contract.** A result is a function of (inputs, instantiation).
+//! Lanes, row slabs, prepacked-versus-on-the-fly B and the transport never
+//! change a bit. A GEMM or SYRK element is `Σₚ aᵢₚ·bₚⱼ` accumulated in p
+//! order per `KC` slab whatever register tile it falls in, so the two fused
+//! instantiations agree on them bit for bit and the baseline (two roundings
+//! per update instead of one) within rounding. A triangular solve splits its
+//! triangle into `TB`-sized diagonal blocks, so its bits are
+//! per-instantiation.
 //!
 //! Edge tiles are handled by zero-padding inside the packed panels, so the
 //! hot loop is shape-oblivious; only the write-back is masked. The GEMM
 //! entry points take leading dimensions, which is what lets the
 //! row-partitioned task expansion in `hs-apps` run one kernel on row slabs.
 //! SYRK and the triangular solves feed the same packed strips to the same
-//! [`micro_kernel`] at every size (see "triangular kernels" below).
+//! register kernel at every size (see "triangular kernels" below).
 //!
-//! Differential tests against [`crate::naive`] live in
+//! Differential tests against [`crate::naive`], per instantiation, live in
 //! `crates/linalg/tests/blocked_vs_naive.rs`.
 
-/// Micro-tile rows: C rows held concurrently in the accumulator block.
-pub const MR: usize = 4;
-/// Micro-tile columns: C columns per accumulator block (one or two SIMD
-/// vectors per row on SSE2/AVX).
-pub const NR: usize = 8;
-/// Rows of A packed per macro-block (MR multiple; A block is `MC`×`KC`).
+use std::mem::MaybeUninit;
+
+/// Rows of A packed per macro-block (a multiple of every `MR`; the A block
+/// is `MC`×`KC`).
 pub const MC: usize = 64;
 /// Depth of one packed slab of A and B.
 pub const KC: usize = 256;
-/// Columns of B packed per panel (NR multiple; B panel is `KC`×`NC`).
+/// Columns of B packed per panel (a multiple of every `NR`; the B panel is
+/// `KC`×`NC`).
 pub const NC: usize = 256;
 
-const _: () = assert!(MC.is_multiple_of(MR), "MC must be a multiple of MR");
-const _: () = assert!(NC.is_multiple_of(NR), "NC must be a multiple of NR");
+// ---------------------------------------------------------- instantiations
+
+/// One instantiation of the register kernel: which vector ISA the sweeps are
+/// compiled for, how an update rounds, and the register tile everything else
+/// is shaped around. The free functions of this module run
+/// [`Isa::widest`]; the `#[doc(hidden)]` methods below run the one they are
+/// called on, which is how the tests reach every instantiation the CPU has.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Isa {
+    /// The build target's own vectors (SSE2 on x86-64), a 4×8 tile, and a
+    /// multiply followed by an add: two roundings per update. Never
+    /// `f64::mul_add` — without the FMA feature that is a libm call.
+    Baseline,
+    /// AVX2 + FMA: the baseline's loop on the baseline's 4×8 tile, compiled
+    /// for 256-bit vectors, with the update fused (`vfmadd`, one rounding).
+    Avx2Fma,
+    /// AVX-512F: an 8×16 tile in sixteen 512-bit accumulators, fused, the k
+    /// loop and the GEMM write-back written with `core::arch` intrinsics.
+    Avx512f,
+}
+
+/// An instantiation's register tile. A triangular solve's diagonal block is
+/// `TB = nr` square: one B strip wide and a whole number of A strips high.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tile {
+    /// C rows per micro-tile; the height of a packed strip of A.
+    pub mr: usize,
+    /// C columns per micro-tile; the width of a packed strip of B.
+    pub nr: usize,
+}
+
+impl Isa {
+    /// Every instantiation, widest first.
+    pub const ALL: [Isa; 3] = [Isa::Avx512f, Isa::Avx2Fma, Isa::Baseline];
+
+    /// Does this CPU run it? The only feature detection in the module.
+    pub fn detected(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2Fma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512f => {
+                Isa::Avx2Fma.detected() && std::arch::is_x86_feature_detected!("avx512f")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The instantiations this CPU runs, widest first; never empty.
+    pub fn supported() -> impl Iterator<Item = Isa> {
+        Isa::ALL.into_iter().filter(|isa| isa.detected())
+    }
+
+    /// The instantiation the free functions of this module dispatch to.
+    pub fn widest() -> Isa {
+        Isa::supported().next().expect("the baseline always runs")
+    }
+
+    /// One rounding per update? Fused instantiations agree bit for bit on
+    /// GEMM and SYRK.
+    pub fn fused(self) -> bool {
+        self != Isa::Baseline
+    }
+
+    /// The register tile.
+    pub fn tile(self) -> Tile {
+        let (mr, nr) = match self {
+            Isa::Baseline | Isa::Avx2Fma => (4, 8),
+            Isa::Avx512f => (8, 16),
+        };
+        Tile { mr, nr }
+    }
+
+    /// Lower-case name for bench rows and messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2Fma => "avx2fma",
+            Isa::Avx512f => "avx512f",
+        }
+    }
+}
+
+/// What an instantiation supplies: how `a·b + c` rounds, and the
+/// register-blocked inner product on its `MR`×`NR` tile. `MR` and `NR` are
+/// const parameters (not associated consts) so the sweeps can hold
+/// `[[f64; NR]; MR]` blocks.
+trait RegKernel<const MR: usize, const NR: usize>: Copy {
+    /// `a·b + c` as this instantiation rounds it.
+    fn madd(a: f64, b: f64, c: f64) -> f64;
+
+    /// The `MR`×`NR` block of `A_strip · B_strip`, accumulated in p order
+    /// over the strips' common depth. The accumulator array is small enough
+    /// for the compiler to keep in vector registers; the i/j loops have
+    /// constant trip counts and the j loop auto-vectorizes.
+    #[inline(always)]
+    fn tile(self, astrip: &[f64], bstrip: &[f64]) -> [[f64; NR]; MR] {
+        let (a, _) = astrip.as_chunks::<MR>();
+        let (b, _) = bstrip.as_chunks::<NR>();
+        debug_assert_eq!(a.len(), b.len(), "strips of one depth");
+        let mut acc = [[0.0f64; NR]; MR];
+        for (a, b) in a.iter().zip(b) {
+            for i in 0..MR {
+                for j in 0..NR {
+                    acc[i][j] = Self::madd(a[i], b[j], acc[i][j]);
+                }
+            }
+        }
+        acc
+    }
+
+    /// Eight steps of a transposing pack: `steps[p][j] = src[j·ld + p]` — the
+    /// next eight elements of `W` source rows become eight `W`-lane steps of
+    /// a strip. Reads and writes are whole cache lines either way; what an
+    /// instantiation can add is doing the transposition in registers.
+    #[inline(always)]
+    fn pack_lanes8<const W: usize>(
+        self,
+        src: &[f64],
+        ld: usize,
+        steps: &mut [[MaybeUninit<f64>; W]; 8],
+    ) {
+        for j in 0..W {
+            let row = &src[j * ld..][..8];
+            for (step, x) in steps.iter_mut().zip(row) {
+                step[j].write(*x);
+            }
+        }
+    }
+
+    /// The micro-tile update, GEMM's and SYRK's: `C = alpha·(A_strip ·
+    /// B_strip) + beta·C` on the leading `cols[i]` elements of each row i of
+    /// the tile at `c` (leading dimension `ldc`) — all of `nr` for GEMM, up to
+    /// the diagonal for SYRK, none for a row past the tile's last.
+    ///
+    /// Every instantiation's elements go through this formula (AVX-512
+    /// spells it in masked vectors), so the register tile never shows in a
+    /// bit. `beta·c` is exact at `beta == 1.0`, which is every k-slab after
+    /// the first; `madd(-1, t, 1·c)` is `c − t` under either rounding.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn gemm_tile(
+        self,
+        astrip: &[f64],
+        bstrip: &[f64],
+        alpha: f64,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+        cols: [usize; MR],
+    ) {
+        let acc = self.tile(astrip, bstrip);
+        for (i, acc) in acc.iter().enumerate() {
+            if cols[i] > 0 {
+                update_row(&mut c[i * ldc..][..cols[i]], acc, |c, t| {
+                    Self::madd(alpha, t, beta * c)
+                });
+            }
+        }
+    }
+}
+
+/// `c[j] = f(c[j], acc[j])` along one row of a micro-tile. A whole row,
+/// spelled with a constant trip count, is a couple of vector operations; a
+/// masked one is scalar.
+#[inline(always)]
+fn update_row<const NR: usize>(crow: &mut [f64], acc: &[f64; NR], f: impl Fn(f64, f64) -> f64) {
+    match <&mut [f64; NR]>::try_from(&mut *crow) {
+        Ok(full) => {
+            for j in 0..NR {
+                full[j] = f(full[j], acc[j]);
+            }
+        }
+        Err(_) => {
+            for (x, t) in crow.iter_mut().zip(acc) {
+                *x = f(*x, *t);
+            }
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Baseline;
+
+impl RegKernel<4, 8> for Baseline {
+    #[inline(always)]
+    fn madd(a: f64, b: f64, c: f64) -> f64 {
+        a * b + c
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Avx2Fma;
+
+impl RegKernel<4, 8> for Avx2Fma {
+    #[inline(always)]
+    fn madd(a: f64, b: f64, c: f64) -> f64 {
+        a.mul_add(b, c)
+    }
+}
+
+/// Proof that `avx512f` was detected: [`with_isa`] constructs the only
+/// values, in the arm that has just checked.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512f(());
+
+#[cfg(target_arch = "x86_64")]
+impl RegKernel<8, 16> for Avx512f {
+    #[inline(always)]
+    fn madd(a: f64, b: f64, c: f64) -> f64 {
+        a.mul_add(b, c)
+    }
+
+    #[inline(always)]
+    fn tile(self, astrip: &[f64], bstrip: &[f64]) -> [[f64; 16]; 8] {
+        // SAFETY: `self` exists, so `with_isa` saw avx512f detected.
+        unsafe { zmm::tile(astrip, bstrip) }
+    }
+
+    #[inline(always)]
+    fn pack_lanes8<const W: usize>(
+        self,
+        src: &[f64],
+        ld: usize,
+        steps: &mut [[MaybeUninit<f64>; W]; 8],
+    ) {
+        const { assert!(W.is_multiple_of(8), "strips of whole 8×8 blocks") };
+        let dst = steps.as_mut_ptr().cast::<f64>();
+        for g in 0..W / 8 {
+            // SAFETY: `self` exists, so `with_isa` saw avx512f detected; and
+            // `steps` is 8 steps of `W` lanes, so lanes `8g..8g+8` of step p
+            // are the 8 f64s at `dst + p·W + 8g`.
+            unsafe { zmm::transpose8(&src[8 * g * ld..], ld, dst.add(8 * g), W) };
+        }
+    }
+
+    #[inline(always)]
+    fn gemm_tile(
+        self,
+        astrip: &[f64],
+        bstrip: &[f64],
+        alpha: f64,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+        cols: [usize; 8],
+    ) {
+        // SAFETY: `self` exists, so `with_isa` saw avx512f detected.
+        unsafe { zmm::gemm_tile(astrip, bstrip, alpha, beta, c, ldc, cols) }
+    }
+}
+
+/// The AVX-512F register kernel: an 8×16 tile of C as 8 rows × 2 vectors of
+/// 8 lanes — 16 of the 32 zmm registers, which covers the 4-cycle × 2-port
+/// FMA latency twice over and leaves room for the two B vectors and the
+/// broadcasts. Per k step: two loads of B, eight broadcasts of A, sixteen
+/// `vfmadd231pd`.
+#[cfg(target_arch = "x86_64")]
+mod zmm {
+    use std::arch::x86_64::*;
+
+    const MR: usize = 8;
+    const NR: usize = 16;
+
+    /// The k loop. Updates go in p order, one fused rounding each — the
+    /// order and rounding of `RegKernel::tile` under `Avx2Fma`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn accumulate(astrip: &[f64], bstrip: &[f64]) -> [[__m512d; 2]; MR] {
+        let (a, _) = astrip.as_chunks::<MR>();
+        let (b, _) = bstrip.as_chunks::<NR>();
+        debug_assert_eq!(a.len(), b.len(), "strips of one depth");
+        let mut acc = [[_mm512_setzero_pd(); 2]; MR];
+        for (a, b) in a.iter().zip(b) {
+            // SAFETY: `b` is 16 f64s; unaligned 8-lane loads at 0 and 8 stay
+            // inside it.
+            let (b0, b1) = unsafe {
+                (
+                    _mm512_loadu_pd(b.as_ptr()),
+                    _mm512_loadu_pd(b.as_ptr().add(8)),
+                )
+            };
+            for i in 0..MR {
+                let ai = _mm512_set1_pd(a[i]);
+                acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);
+                acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);
+            }
+        }
+        acc
+    }
+
+    /// The accumulators as the triangular sweeps and the masked write-back
+    /// read them.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn spill(acc: [[__m512d; 2]; MR]) -> [[f64; NR]; MR] {
+        let mut out = [[0.0f64; NR]; MR];
+        for (row, acc) in out.iter_mut().zip(acc) {
+            // SAFETY: `row` is 16 f64s; unaligned 8-lane stores at 0 and 8
+            // stay inside it.
+            unsafe {
+                _mm512_storeu_pd(row.as_mut_ptr(), acc[0]);
+                _mm512_storeu_pd(row.as_mut_ptr().add(8), acc[1]);
+            }
+        }
+        out
+    }
+
+    /// An 8×8 transpose in registers, `out[p]` lane j = `r[j]` lane p: 8
+    /// in-lane unpacks, then two rounds of 128-bit-lane shuffles — where the
+    /// scalar loop does 64 loads and 64 stores.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transposed(r: [__m512d; 8]) -> [__m512d; 8] {
+        // t[2q] / t[2q+1]: elements 0,2,4,6 / 1,3,5,7 of rows 2q and 2q+1,
+        // interleaved — each 128-bit lane is a pair of output neighbours.
+        let t = [
+            _mm512_unpacklo_pd(r[0], r[1]),
+            _mm512_unpackhi_pd(r[0], r[1]),
+            _mm512_unpacklo_pd(r[2], r[3]),
+            _mm512_unpackhi_pd(r[2], r[3]),
+            _mm512_unpacklo_pd(r[4], r[5]),
+            _mm512_unpackhi_pd(r[4], r[5]),
+            _mm512_unpacklo_pd(r[6], r[7]),
+            _mm512_unpackhi_pd(r[6], r[7]),
+        ];
+        // Gather the 128-bit lanes: 0x88 picks lanes 0 and 2 of each source,
+        // 0xDD lanes 1 and 3.
+        let mut out = [_mm512_setzero_pd(); 8];
+        for parity in 0..2 {
+            let u0 = _mm512_shuffle_f64x2::<0x88>(t[parity], t[2 + parity]);
+            let u1 = _mm512_shuffle_f64x2::<0xDD>(t[parity], t[2 + parity]);
+            let v0 = _mm512_shuffle_f64x2::<0x88>(t[4 + parity], t[6 + parity]);
+            let v1 = _mm512_shuffle_f64x2::<0xDD>(t[4 + parity], t[6 + parity]);
+            out[parity] = _mm512_shuffle_f64x2::<0x88>(u0, v0);
+            out[2 + parity] = _mm512_shuffle_f64x2::<0x88>(u1, v1);
+            out[4 + parity] = _mm512_shuffle_f64x2::<0xDD>(u0, v0);
+            out[6 + parity] = _mm512_shuffle_f64x2::<0xDD>(u1, v1);
+        }
+        out
+    }
+
+    /// `dst[p·stride + j] = src[j·ld + p]`, p and j below 8.
+    ///
+    /// # Safety
+    /// `dst + p·stride` must be valid for writing 8 f64s for every p below 8.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn transpose8(src: &[f64], ld: usize, dst: *mut f64, stride: usize) {
+        let mut rows = [_mm512_setzero_pd(); 8];
+        for (j, row) in rows.iter_mut().enumerate() {
+            // SAFETY: the slice is 8 f64s, one unaligned 8-lane load.
+            *row = unsafe { _mm512_loadu_pd(src[j * ld..][..8].as_ptr()) };
+        }
+        for (p, step) in transposed(rows).into_iter().enumerate() {
+            // SAFETY: the caller's contract.
+            unsafe { _mm512_storeu_pd(dst.add(p * stride), step) };
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn tile(astrip: &[f64], bstrip: &[f64]) -> [[f64; NR]; MR] {
+        spill(accumulate(astrip, bstrip))
+    }
+
+    /// The accumulators go to C without touching the stack: `c = fma(alpha,
+    /// acc, beta·c)`, the trait's formula eight lanes at a time, each row
+    /// masked to its `cols[i]` leading elements — a whole tile, a ragged edge
+    /// and SYRK's diagonal are one path.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm_tile(
+        astrip: &[f64],
+        bstrip: &[f64],
+        alpha: f64,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+        cols: [usize; MR],
+    ) {
+        let acc = accumulate(astrip, bstrip);
+        let (alpha, beta) = (_mm512_set1_pd(alpha), _mm512_set1_pd(beta));
+        for i in 0..MR {
+            if cols[i] == 0 {
+                continue;
+            }
+            let row = &mut c[i * ldc..][..cols[i]];
+            let live = (1u32 << row.len().min(NR)) - 1;
+            for (h, acc) in acc[i].into_iter().enumerate() {
+                let mask = (live >> (8 * h)) as __mmask8;
+                let lanes = row.as_mut_ptr().wrapping_add(8 * h);
+                // SAFETY: lane l of `mask` is set only if `8h + l` is below
+                // `row.len()`, so every lane read or written is inside
+                // `row`; masked-off lanes are not accessed.
+                unsafe {
+                    let scaled = _mm512_mul_pd(beta, _mm512_maskz_loadu_pd(mask, lanes));
+                    let updated = _mm512_fmadd_pd(alpha, acc, scaled);
+                    _mm512_mask_storeu_pd(lanes, mask, updated);
+                }
+            }
+        }
+    }
+}
+
+/// One kernel call's worth of work, generic over the instantiation that
+/// runs it: what [`with_isa`] dispatches. (A closure cannot be generic over
+/// the register tile; a trait method can.)
+trait Sweep {
+    type Out;
+    /// `run` must be `#[inline(always)]` and reach the register kernel only
+    /// through `#[inline(always)]` functions: only code inlined into
+    /// `with_isa`'s `#[target_feature]` clone is compiled for that ISA (a
+    /// function left standing alone runs, correctly, at the baseline's rate).
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) -> Self::Out;
+}
+
+/// Run `sweep` as instantiation `isa`, compiled for its vector ISA — the
+/// module's one dispatch, taken once per kernel call.
+///
+/// # Panics
+/// If the CPU does not run `isa`: no instantiation is entered without its
+/// feature check.
+#[inline(always)]
+fn with_isa<S: Sweep>(isa: Isa, sweep: S) -> S::Out {
+    assert!(isa.detected(), "this CPU does not run {isa:?}");
+    match isa {
+        Isa::Baseline => sweep.run(Baseline),
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2Fma => {
+            /// # Safety
+            /// Callers must ensure the CPU supports avx2 and fma.
+            #[target_feature(enable = "avx2,fma")]
+            unsafe fn avx2fma<S: Sweep>(sweep: S) -> S::Out {
+                sweep.run(Avx2Fma)
+            }
+            // SAFETY: `detected` above checked avx2 and fma at run time.
+            unsafe { avx2fma(sweep) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512f => {
+            /// # Safety
+            /// Callers must ensure the CPU supports avx512f, avx2 and fma.
+            #[target_feature(enable = "avx512f,avx2,fma")]
+            unsafe fn avx512f<S: Sweep>(sweep: S) -> S::Out {
+                sweep.run(Avx512f(()))
+            }
+            // SAFETY: `detected` above checked avx512f, avx2 and fma at run
+            // time.
+            unsafe { avx512f(sweep) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("`detected` is false for the x86-64 instantiations"),
+    }
+}
+
+// ----------------------------------------------------------------- packing
+//
+// Packing storage is spare capacity of a `Vec` — allocated, never
+// zero-filled, never `set_len`'d while unwritten. The pack routines take it
+// as `MaybeUninit`, write every element of what they are given (padding
+// included) and hand back the initialised view.
+
+/// `dst[p·W + j] = src[j·ld + p]` for `p < depth`, `j < live`; lanes
+/// `live..W` are zero. The transposing pack: rows of `src` become the `W`
+/// lanes of a strip. `dst` is `depth·W` long and is written whole.
+#[inline(always)]
+fn pack_rows_as_lanes<const W: usize, const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
+    src: &[f64],
+    ld: usize,
+    live: usize,
+    depth: usize,
+    dst: &mut [MaybeUninit<f64>],
+) {
+    let (steps, rest) = dst.as_chunks_mut::<W>();
+    assert!(steps.len() == depth && rest.is_empty(), "a strip's storage");
+    // Whole strips go eight steps at a time; what is left, and a ragged
+    // strip, element by element.
+    let mut p0 = 0;
+    if live == W {
+        let (blocks, _) = steps.as_chunks_mut::<8>();
+        for block in blocks {
+            kern.pack_lanes8(&src[p0..], ld, block);
+            p0 += 8;
+        }
+    }
+    for (p, step) in steps.iter_mut().enumerate().skip(p0) {
+        for (j, d) in step.iter_mut().enumerate() {
+            d.write(if j < live { src[j * ld + p] } else { 0.0 });
+        }
+    }
+}
+
+/// `dst[p·W + j] = src[p·ld + j]` for `p < depth`, `j < live`; lanes
+/// `live..W` are zero. The copying pack: a row of `src` is one step of the
+/// strip. `dst` is `depth·W` long and is written whole.
+#[inline(always)]
+fn pack_rows_as_steps<const W: usize>(
+    src: &[f64],
+    ld: usize,
+    live: usize,
+    depth: usize,
+    dst: &mut [MaybeUninit<f64>],
+) {
+    let (steps, rest) = dst.as_chunks_mut::<W>();
+    assert!(steps.len() == depth && rest.is_empty(), "a strip's storage");
+    for (p, step) in steps.iter_mut().enumerate() {
+        let row = &src[p * ld..][..live];
+        match <&[f64; W]>::try_from(row) {
+            // A whole step is a constant-length copy: vector moves.
+            Ok(row) => {
+                step.write_copy_of_slice(row);
+            }
+            Err(_) => {
+                step[..live].write_copy_of_slice(row);
+                for d in &mut step[live..] {
+                    d.write(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// Pack the `mc`×`kc` block of A at (`ic`, `pc`) into MR-high row strips:
+/// strip s holds columns-of-the-strip contiguously, `ap[s·kc·MR + p·MR + i]
+/// = A[ic+s·MR+i][pc+p]`, with rows past `mc` zero-padded. Writes, and
+/// returns initialised, the first `⌈mc/MR⌉·MR·kc` elements of `ap`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pack_a<'p, const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
+    a: &[f64],
+    lda: usize,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    ap: &'p mut [MaybeUninit<f64>],
+) -> &'p mut [f64] {
+    let ap = &mut ap[..mc.next_multiple_of(MR) * kc];
+    if kc > 0 {
+        for (strip, row0) in ap.chunks_exact_mut(kc * MR).zip((0..mc).step_by(MR)) {
+            let live = MR.min(mc - row0);
+            pack_rows_as_lanes::<MR, MR, NR, K>(
+                kern,
+                &a[(ic + row0) * lda + pc..],
+                lda,
+                live,
+                kc,
+                strip,
+            );
+        }
+    }
+    // SAFETY: `ap` is `⌈mc/MR⌉` strips of `kc·MR`, and the loop handed each
+    // to a pack routine that writes all of it.
+    unsafe { ap.assume_init_mut() }
+}
+
+/// Pack the `kc`×`nc` panel of B at (`pc`, `jc`) into NR-wide column strips:
+/// `bp[s·kc·NR + p·NR + j] = B[pc+p][jc+s·NR+j]`, zero-padded past `nc`.
+/// Writes, and returns initialised, the first `⌈nc/NR⌉·NR·kc` elements of
+/// `bp`.
+#[inline(always)]
+fn pack_b<'p, const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
+    b: BSrc<'_>,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    bp: &'p mut [MaybeUninit<f64>],
+) -> &'p mut [f64] {
+    let bp = &mut bp[..nc.next_multiple_of(NR) * kc];
+    if kc > 0 {
+        for (strip, col0) in bp.chunks_exact_mut(kc * NR).zip((0..nc).step_by(NR)) {
+            let live = NR.min(nc - col0);
+            match b {
+                BSrc::Normal { b, ldb } => {
+                    pack_rows_as_steps::<NR>(&b[pc * ldb + jc + col0..], ldb, live, kc, strip)
+                }
+                BSrc::Trans { bt, ldbt } => pack_rows_as_lanes::<NR, MR, NR, K>(
+                    kern,
+                    &bt[(jc + col0) * ldbt + pc..],
+                    ldbt,
+                    live,
+                    kc,
+                    strip,
+                ),
+            }
+        }
+    }
+    // SAFETY: `bp` is `⌈nc/NR⌉` strips of `kc·NR`, and the loop handed each
+    // to a pack routine that writes all of it.
+    unsafe { bp.assume_init_mut() }
+}
+
+/// A packed strip that a triangular solve appends to as it goes, split into
+/// what it has written and what it has not.
+///
+/// # Safety
+/// The first `done` elements of `strip` must have been written.
+#[inline(always)]
+unsafe fn written_prefix(
+    strip: &mut [MaybeUninit<f64>],
+    done: usize,
+) -> (&[f64], &mut [MaybeUninit<f64>]) {
+    let (written, rest) = strip.split_at_mut(done);
+    // SAFETY: the caller's contract.
+    (unsafe { written.assume_init_ref() }, rest)
+}
+
+// -------------------------------------------------------------------- GEMM
 
 /// Storage of the right-hand operand of [`gemm_strided`].
 #[derive(Clone, Copy)]
@@ -69,11 +702,7 @@ pub fn gemm_strided(
     n: usize,
     k: usize,
 ) {
-    let panels = BPanels::OnTheFly {
-        src: b,
-        buf: vec![0.0f64; NC.min(n.next_multiple_of(NR)) * KC.min(k)],
-    };
-    gemm_panels(alpha, a, lda, panels, beta, c, ldc, m, n, k);
+    Isa::widest().gemm_strided(alpha, a, lda, b, beta, c, ldc, m, n, k);
 }
 
 /// The right-hand operand of a GEMM packed once into micro-kernel panels.
@@ -83,6 +712,9 @@ pub fn gemm_strided(
 /// repeats the work once per lane. The panels are read-only after
 /// [`PackedB::pack`], so all lanes share one through [`gemm_prepacked`].
 pub struct PackedB {
+    /// The instantiation whose `NR` the strips have, and which therefore
+    /// sweeps them.
+    isa: Isa,
     k: usize,
     n: usize,
     /// The panels of [`panel_grid`], in its order, each zero-padded to whole
@@ -93,21 +725,15 @@ pub struct PackedB {
 impl PackedB {
     /// Pack the logical k×n matrix `b`.
     pub fn pack(b: BSrc<'_>, k: usize, n: usize) -> PackedB {
-        let mut panels = vec![0.0f64; n.next_multiple_of(NR) * k];
-        let mut off = 0;
-        for (jc, nc, pc, kc) in panel_grid(n, k) {
-            let len = nc.next_multiple_of(NR) * kc;
-            pack_b(b, pc, kc, jc, nc, &mut panels[off..off + len]);
-            off += len;
-        }
-        PackedB { k, n, panels }
+        Isa::widest().pack_b(b, k, n)
     }
 }
 
 /// `C = alpha·A·B + beta·C` with B already packed: `a` is m×k (leading
 /// dimension `lda`), `c` m×n (`ldc`), k and n those `b` was packed with.
-/// Same sweep, same micro-kernel and same accumulation order as
-/// [`gemm_strided`], so the two agree bit for bit.
+/// Same sweep, same register kernel and same accumulation order as
+/// [`gemm_strided`] under the instantiation that packed `b`, so the two
+/// agree bit for bit.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
 pub fn gemm_prepacked(
     alpha: f64,
@@ -119,11 +745,19 @@ pub fn gemm_prepacked(
     ldc: usize,
     m: usize,
 ) {
-    let panels = BPanels::Packed {
-        panels: &b.panels,
-        next: 0,
+    let sweep = Gemm {
+        alpha,
+        a,
+        lda,
+        b: BOperand::Packed(&b.panels),
+        beta,
+        c,
+        ldc,
+        m,
+        n: b.n,
+        k: b.k,
     };
-    gemm_panels(alpha, a, lda, panels, beta, c, ldc, m, b.n, b.k);
+    with_isa(b.isa, sweep);
 }
 
 /// The `(jc, nc, pc, kc)` panels of a k×n right-hand operand in sweep
@@ -136,74 +770,121 @@ fn panel_grid(n: usize, k: usize) -> impl Iterator<Item = (usize, usize, usize, 
     })
 }
 
-/// Where [`gemm_panels`] gets its packed B panels from.
-enum BPanels<'a> {
-    /// Pack each panel from `src` into `buf` as the sweep reaches it.
-    OnTheFly { src: BSrc<'a>, buf: Vec<f64> },
-    /// Walk the panels of a [`PackedB`].
-    Packed { panels: &'a [f64], next: usize },
+/// [`PackedB::pack`] as a sweep: the strips are `NR` wide. Gives back a
+/// [`PackedB`]'s `panels`.
+struct PackB<'a> {
+    b: BSrc<'a>,
+    k: usize,
+    n: usize,
 }
 
-impl BPanels<'_> {
-    /// The packed panel at (`pc`, `jc`); calls follow [`panel_grid`] order.
-    fn panel(&mut self, jc: usize, nc: usize, pc: usize, kc: usize) -> &[f64] {
-        let len = nc.next_multiple_of(NR) * kc;
-        match self {
-            BPanels::OnTheFly { src, buf } => {
-                pack_b(*src, pc, kc, jc, nc, &mut buf[..len]);
-                &buf[..len]
-            }
-            BPanels::Packed { panels, next } => {
-                let at = *next;
-                *next += len;
-                &panels[at..at + len]
-            }
+impl Sweep for PackB<'_> {
+    type Out = Vec<f64>;
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) -> Self::Out {
+        let PackB { b, k, n } = self;
+        // `NC` is a whole number of strips, so only the last column block is
+        // padded.
+        let total = n.next_multiple_of(NR) * k;
+        let mut panels = Vec::with_capacity(total);
+        let spare = &mut panels.spare_capacity_mut()[..total];
+        let mut off = 0;
+        for (jc, nc, pc, kc) in panel_grid(n, k) {
+            off += pack_b(kern, b, pc, kc, jc, nc, &mut spare[off..]).len();
         }
+        assert_eq!(off, total, "the panels tile the storage");
+        // SAFETY: `pack_b` wrote the `off == total` elements it returned,
+        // back to back from the start of the spare capacity.
+        unsafe { panels.set_len(total) };
+        panels
     }
 }
 
+/// Where a [`Gemm`] gets its right-hand operand from.
+enum BOperand<'a> {
+    /// Pack each panel as the sweep reaches it.
+    Src(BSrc<'a>),
+    /// Walk the panels of a [`PackedB`] of the same instantiation.
+    Packed(&'a [f64]),
+}
+
 /// The blocked sweep shared by [`gemm_strided`] and [`gemm_prepacked`].
-#[allow(clippy::too_many_arguments)]
-fn gemm_panels(
+struct Gemm<'a> {
     alpha: f64,
-    a: &[f64],
+    a: &'a [f64],
     lda: usize,
-    mut b: BPanels<'_>,
+    b: BOperand<'a>,
     beta: f64,
-    c: &mut [f64],
+    c: &'a mut [f64],
     ldc: usize,
     m: usize,
     n: usize,
     k: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    debug_assert!(lda >= k && ldc >= n, "leading dimensions cover the view");
-    if k == 0 || alpha == 0.0 {
-        scale_rows(c, ldc, m, n, beta);
-        return;
-    }
-    // Packed A block, zero-padded to full micro-tile strips.
-    let mut ap = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
-    for (jc, nc, pc, kc) in panel_grid(n, k) {
-        let bp = b.panel(jc, nc, pc, kc);
-        // beta applies exactly once per C element: on the first k-slab.
-        let beta_eff = if pc == 0 { beta } else { 1.0 };
-        for ic in (0..m).step_by(MC) {
-            let mc = MC.min(m - ic);
-            pack_a(a, lda, ic, mc, pc, kc, &mut ap);
-            macro_kernel_dispatch(
-                alpha,
-                &ap,
-                bp,
-                mc,
-                nc,
-                kc,
-                beta_eff,
-                &mut c[ic * ldc + jc..],
-                ldc,
-            );
+}
+
+impl Sweep for Gemm<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) {
+        const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR)) };
+        let Gemm {
+            alpha,
+            a,
+            lda,
+            b,
+            beta,
+            c,
+            ldc,
+            m,
+            n,
+            k,
+        } = self;
+        if m == 0 || n == 0 {
+            return;
+        }
+        debug_assert!(lda >= k && ldc >= n, "leading dimensions cover the view");
+        if k == 0 || alpha == 0.0 {
+            scale_rows(c, ldc, m, n, beta);
+            return;
+        }
+        // One allocation: the packed A block, then (packing on the fly) one
+        // packed B panel.
+        let ap_len = MC.min(m.next_multiple_of(MR)) * KC.min(k);
+        let bp_len = match b {
+            BOperand::Src(_) => NC.min(n.next_multiple_of(NR)) * KC.min(k),
+            BOperand::Packed(_) => 0,
+        };
+        let mut storage = Vec::<f64>::with_capacity(ap_len + bp_len);
+        let (ap, bp) = storage.spare_capacity_mut()[..ap_len + bp_len].split_at_mut(ap_len);
+        let mut next = 0;
+        for (jc, nc, pc, kc) in panel_grid(n, k) {
+            let bp: &[f64] = match b {
+                BOperand::Src(src) => pack_b(kern, src, pc, kc, jc, nc, bp),
+                BOperand::Packed(panels) => {
+                    let at = next;
+                    next += nc.next_multiple_of(NR) * kc;
+                    &panels[at..next]
+                }
+            };
+            // beta applies exactly once per C element: on the first k-slab.
+            let beta_eff = if pc == 0 { beta } else { 1.0 };
+            for ic in (0..m).step_by(MC) {
+                let mc = MC.min(m - ic);
+                let ap = pack_a(kern, a, lda, ic, mc, pc, kc, ap);
+                let c = &mut c[ic * ldc + jc..];
+                // Sweep the packed A block against the packed B panel.
+                for (bstrip, col0) in bp.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
+                    let nr = NR.min(nc - col0);
+                    for (astrip, row0) in ap.chunks_exact(kc * MR).zip((0..mc).step_by(MR)) {
+                        let mut cols = [0; MR];
+                        cols[..MR.min(mc - row0)].fill(nr);
+                        let c = &mut c[row0 * ldc + col0..];
+                        kern.gemm_tile(astrip, bstrip, alpha, beta_eff, c, ldc, cols);
+                    }
+                }
+            }
         }
     }
 }
@@ -219,172 +900,6 @@ fn scale_rows(c: &mut [f64], ldc: usize, m: usize, n: usize, beta: f64) {
         }
     }
 }
-
-/// Pack the `mc`×`kc` block of A at (`ic`, `pc`) into MR-high row strips:
-/// strip s holds columns-of-the-strip contiguously, `ap[s·kc·MR + p·MR + i]
-/// = A[ic+s·MR+i][pc+p]`, with rows past `mc` zero-padded.
-fn pack_a(a: &[f64], lda: usize, ic: usize, mc: usize, pc: usize, kc: usize, ap: &mut [f64]) {
-    for (s, row0) in (0..mc).step_by(MR).enumerate() {
-        let strip = &mut ap[s * kc * MR..(s + 1) * kc * MR];
-        let live = MR.min(mc - row0);
-        for p in 0..kc {
-            let dst = &mut strip[p * MR..p * MR + MR];
-            for (i, d) in dst.iter_mut().enumerate() {
-                *d = if i < live {
-                    a[(ic + row0 + i) * lda + pc + p]
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// Pack the `kc`×`nc` panel of B at (`pc`, `jc`) into NR-wide column strips:
-/// `bp[s·kc·NR + p·NR + j] = B[pc+p][jc+s·NR+j]`, zero-padded past `nc`.
-fn pack_b(b: BSrc<'_>, pc: usize, kc: usize, jc: usize, nc: usize, bp: &mut [f64]) {
-    for (s, col0) in (0..nc).step_by(NR).enumerate() {
-        let strip = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-        let live = NR.min(nc - col0);
-        match b {
-            BSrc::Normal { b, ldb } => {
-                for p in 0..kc {
-                    let src = &b[(pc + p) * ldb + jc + col0..];
-                    let dst = &mut strip[p * NR..p * NR + NR];
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        *d = if j < live { src[j] } else { 0.0 };
-                    }
-                }
-            }
-            BSrc::Trans { bt, ldbt } => {
-                for j in 0..NR {
-                    if j < live {
-                        let src = &bt[(jc + col0 + j) * ldbt + pc..];
-                        for p in 0..kc {
-                            strip[p * NR + j] = src[p];
-                        }
-                    } else {
-                        for p in 0..kc {
-                            strip[p * NR + j] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Select the widest macro-kernel instantiation the CPU supports. The
-/// arithmetic is identical in every instantiation (same loops, same
-/// accumulation order); `#[target_feature]` only changes the vector ISA the
-/// compiler may use, so results are bit-identical across paths.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel_dispatch(
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    beta_eff: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: the avx2/fma requirement of the target_feature function is
-        // established by the runtime detection directly above.
-        unsafe { macro_kernel_avx2(alpha, ap, bp, mc, nc, kc, beta_eff, c, ldc) };
-        return;
-    }
-    macro_kernel(alpha, ap, bp, mc, nc, kc, beta_eff, c, ldc);
-}
-
-/// AVX2+FMA instantiation of [`macro_kernel`]: same code, compiled with the
-/// wider vector ISA enabled so the accumulator block lives in ymm registers.
-/// The inner update stays a multiply and an add (`vmulpd` + `vaddpd`): rustc
-/// never contracts `a * b + c` into a fused multiply-add, whatever the
-/// enabled features, which is also why every instantiation rounds alike.
-///
-/// # Safety
-/// Callers must ensure the CPU supports avx2 and fma.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn macro_kernel_avx2(
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    beta_eff: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    macro_kernel(alpha, ap, bp, mc, nc, kc, beta_eff, c, ldc);
-}
-
-/// Sweep the packed A block against the packed B panel, writing the
-/// `mc`×`nc` block of C at leading dimension `ldc`.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn macro_kernel(
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    beta_eff: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    for (sj, col0) in (0..nc).step_by(NR).enumerate() {
-        let bstrip = &bp[sj * kc * NR..(sj + 1) * kc * NR];
-        let nr = NR.min(nc - col0);
-        for (si, row0) in (0..mc).step_by(MR).enumerate() {
-            let astrip = &ap[si * kc * MR..(si + 1) * kc * MR];
-            let mr = MR.min(mc - row0);
-            let acc = micro_kernel(kc, astrip, bstrip);
-            // Masked write-back of the (possibly partial) micro-tile.
-            for i in 0..mr {
-                let crow = &mut c[(row0 + i) * ldc + col0..(row0 + i) * ldc + col0 + nr];
-                if beta_eff == 1.0 {
-                    for (j, x) in crow.iter_mut().enumerate() {
-                        *x += alpha * acc[i][j];
-                    }
-                } else {
-                    for (j, x) in crow.iter_mut().enumerate() {
-                        *x = alpha * acc[i][j] + beta_eff * *x;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The register-blocked inner product: an MR×NR block of `A_strip · B_strip`
-/// accumulated over `kc`. The accumulator array is small enough for the
-/// compiler to keep in vector registers; the i/j loops are fully unrollable
-/// (constant trip counts) and the j loop auto-vectorizes.
-#[inline(always)]
-fn micro_kernel(kc: usize, astrip: &[f64], bstrip: &[f64]) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
-    for p in 0..kc {
-        let a = &astrip[p * MR..p * MR + MR];
-        let b = &bstrip[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i][j] += ai * b[j];
-            }
-        }
-    }
-    acc
-}
-
-// ------------------------------------------------------------ entry points
 
 /// Blocked `C = alpha·A·B + beta·C` on contiguous row-major operands.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
@@ -436,57 +951,27 @@ pub fn dgemm_nt(
 // ------------------------------------------------------ triangular kernels
 //
 // SYRK and the triangular solves run the same packed strips through the same
-// `micro_kernel` as GEMM. None of them has a size below which it falls back
+// register kernel as GEMM. None of them has a size below which it falls back
 // to scalar loops: the only scalar work is the masked write-back of a
 // micro-tile (SYRK) and what happens inside one `TB`×`TB` diagonal block (the
-// solves), so no tile size is a cliff. Each call takes its packing storage in
-// one `vec!`, the way GEMM's sweep takes its two.
+// solves), so no tile size is a cliff. `TB` is `NR`: one B strip wide and a
+// whole number of A strips high. Each call takes its packing storage in one
+// allocation, as GEMM's sweep does.
 
-/// Columns (rows, for the left-side solve) a triangular solve finishes per
-/// step: the diagonal block is `TB`×`TB`, the rest of the step is one
-/// micro-kernel call per micro-tile. One B strip wide and a whole number of
-/// A strips high — the register tile's size, not a tuning knob.
-const TB: usize = NR;
-
-const _: () = assert!(TB.is_multiple_of(MR), "TB must be a multiple of MR");
-
-/// Run `f` compiled for the widest vector ISA the CPU supports — what
-/// [`macro_kernel_dispatch`] does for GEMM's sweep, for any kernel body.
-/// `f` must be an `#[inline(always)]` closure around a call of an
-/// `#[inline(always)]` function: only code inlined into the
-/// `#[target_feature]` clone is compiled with that ISA (a closure left as a
-/// function of its own runs, correctly, at the baseline's half rate). The
-/// arithmetic is the same either way.
+/// [`RegKernel::tile`] with its result materialised before the caller
+/// consumes it. The triangular sweeps pick the accumulator block apart
+/// (masked rows, a transposed solve); left to fuse that into the k loop,
+/// LLVM re-lays the accumulators to suit the consumer and fills the loop
+/// with permutes and blends — SYRK at a 64-tile ran at 12 Gflop/s against 17
+/// with the loop kept as GEMM compiles it, `dtrsm_rlt` at 14.5 against 18.
+/// An optimisation barrier, not a semantic one.
 #[inline(always)]
-fn with_widest_isa<R>(f: impl FnOnce() -> R) -> R {
-    #[cfg(target_arch = "x86_64")]
-    {
-        /// # Safety
-        /// Callers must ensure the CPU supports avx2 and fma.
-        #[target_feature(enable = "avx2,fma")]
-        unsafe fn avx2<R>(f: impl FnOnce() -> R) -> R {
-            f()
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: the avx2/fma requirement of the target_feature function
-            // is established by the runtime detection directly above.
-            return unsafe { avx2(f) };
-        }
-    }
-    f()
-}
-
-/// [`micro_kernel`] with its result materialised before the caller consumes
-/// it. The triangular sweeps pick the accumulator block apart (masked rows, a
-/// transposed solve); left to fuse that into the k loop, LLVM re-lays the
-/// accumulators to suit the consumer and fills the loop with permutes and
-/// blends — SYRK at a 64-tile ran at 12 Gflop/s against 17 with the loop
-/// kept as GEMM compiles it, `dtrsm_rlt` at 14.5 against 18. An optimisation
-/// barrier, not a semantic one.
-#[inline(always)]
-fn micro_tile(kc: usize, astrip: &[f64], bstrip: &[f64]) -> [[f64; NR]; MR] {
-    std::hint::black_box(micro_kernel(kc, astrip, bstrip))
+fn micro_tile<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
+    astrip: &[f64],
+    bstrip: &[f64],
+) -> [[f64; NR]; MR] {
+    std::hint::black_box(kern.tile(astrip, bstrip))
 }
 
 /// Blocked symmetric rank-k update, lower: `C = C − A·Aᵀ` on the lower
@@ -510,45 +995,65 @@ pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
 /// it sits in, so every partition of the rows into slabs produces the same
 /// bits.
 pub fn dsyrk_ln_rows(a: &[f64], c_rows: &mut [f64], row0: usize, nrows: usize, n: usize, k: usize) {
-    assert_eq!(a.len(), n * k, "A dims");
-    assert_eq!(c_rows.len(), nrows * n, "C slab dims");
-    assert!(row0 + nrows <= n, "slab in range");
-    if nrows == 0 || k == 0 {
-        return;
-    }
-    // Columns past the slab's last row are above the diagonal in every row.
-    // Within them the sweep is `gemm_panels`' own blocking: `KC`-deep slabs,
-    // `NC`-wide panels of the right operand, `MC` rows of the left one packed
-    // at a time.
-    let end = row0 + nrows;
-    let ap_len = MC.min(nrows.next_multiple_of(MR)) * KC.min(k);
-    let bp_len = NC.min(end.next_multiple_of(NR)) * KC.min(k);
-    let mut scratch = vec![0.0f64; ap_len + bp_len];
-    let (ap, bp) = scratch.split_at_mut(ap_len);
-    for (jc, nc, pc, kc) in panel_grid(end, k) {
-        let bp = &mut bp[..nc.next_multiple_of(NR) * kc];
-        pack_b(BSrc::Trans { bt: a, ldbt: k }, pc, kc, jc, nc, bp);
-        for ic in (row0..end).step_by(MC) {
-            let mc = MC.min(end - ic);
-            if ic + mc <= jc {
-                continue; // the whole block is above the diagonal
+    Isa::widest().dsyrk_ln_rows(a, c_rows, row0, nrows, n, k);
+}
+
+struct SyrkRows<'a> {
+    a: &'a [f64],
+    c_rows: &'a mut [f64],
+    row0: usize,
+    nrows: usize,
+    n: usize,
+    k: usize,
+}
+
+impl Sweep for SyrkRows<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) {
+        let SyrkRows {
+            a,
+            c_rows,
+            row0,
+            nrows,
+            n,
+            k,
+        } = self;
+        if nrows == 0 || k == 0 {
+            return;
+        }
+        // Columns past the slab's last row are above the diagonal in every
+        // row. Within them the sweep is `Gemm`'s own blocking: `KC`-deep
+        // slabs, `NC`-wide panels of the right operand, `MC` rows of the left
+        // one packed at a time.
+        let end = row0 + nrows;
+        let ap_len = MC.min(nrows.next_multiple_of(MR)) * KC.min(k);
+        let bp_len = NC.min(end.next_multiple_of(NR)) * KC.min(k);
+        let mut storage = Vec::<f64>::with_capacity(ap_len + bp_len);
+        let (ap, bp) = storage.spare_capacity_mut()[..ap_len + bp_len].split_at_mut(ap_len);
+        for (jc, nc, pc, kc) in panel_grid(end, k) {
+            let bp = pack_b(kern, BSrc::Trans { bt: a, ldbt: k }, pc, kc, jc, nc, bp);
+            for ic in (row0..end).step_by(MC) {
+                let mc = MC.min(end - ic);
+                if ic + mc <= jc {
+                    continue; // the whole block is above the diagonal
+                }
+                let ap = pack_a(kern, a, k, ic, mc, pc, kc, ap);
+                let c = &mut c_rows[(ic - row0) * n + jc..];
+                syrk_macro_kernel(kern, ap, bp, mc, nc, kc, ic, jc, c, n);
             }
-            pack_a(a, k, ic, mc, pc, kc, ap);
-            let c = &mut c_rows[(ic - row0) * n + jc..];
-            with_widest_isa(
-                #[inline(always)]
-                || syrk_macro_kernel(ap, bp, mc, nc, kc, ic, jc, c, n),
-            );
         }
     }
 }
 
-/// [`macro_kernel`] for the lower triangle: `C −= A_block · B_panel` on the
+/// The macro-kernel for the lower triangle: `C −= A_block · B_panel` on the
 /// `mc`×`nc` block of C whose top-left element is (`i0`, `j0`) of the tile,
 /// touching only elements on or below the tile's diagonal.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn syrk_macro_kernel(
+fn syrk_macro_kernel<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
     ap: &[f64],
     bp: &[f64],
     mc: usize,
@@ -559,10 +1064,9 @@ fn syrk_macro_kernel(
     c: &mut [f64],
     ldc: usize,
 ) {
-    for (sj, col0) in (0..nc).step_by(NR).enumerate() {
-        let bstrip = &bp[sj * kc * NR..(sj + 1) * kc * NR];
+    for (bstrip, col0) in bp.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
         let nr = NR.min(nc - col0);
-        for (si, row0) in (0..mc).step_by(MR).enumerate() {
+        for (astrip, row0) in ap.chunks_exact(kc * MR).zip((0..mc).step_by(MR)) {
             let mr = MR.min(mc - row0);
             // Row i of the micro-tile owns the columns up to its diagonal
             // element: `below(i)` of them lie in this strip or left of it.
@@ -570,52 +1074,37 @@ fn syrk_macro_kernel(
             if below(mr - 1) == 0 {
                 continue; // the whole micro-tile is above the diagonal
             }
-            let astrip = &ap[si * kc * MR..(si + 1) * kc * MR];
-            let acc = micro_tile(kc, astrip, bstrip);
-            for i in 0..mr {
-                let crow = &mut c[(row0 + i) * ldc + col0..][..nr.min(below(i))];
-                // A whole row of the micro-tile, spelled with a constant trip
-                // count, is two vector subtractions; a masked one is scalar.
-                match <&mut [f64; NR]>::try_from(&mut *crow) {
-                    Ok(full) => {
-                        for j in 0..NR {
-                            full[j] -= acc[i][j];
-                        }
-                    }
-                    Err(_) => {
-                        for (x, d) in crow.iter_mut().zip(&acc[i]) {
-                            *x -= d;
-                        }
-                    }
-                }
+            // GEMM's micro-tile with alpha −1 and beta 1, each row up to
+            // its diagonal element.
+            let mut cols = [0; MR];
+            for (i, n) in cols.iter_mut().enumerate().take(mr) {
+                *n = nr.min(below(i));
             }
+            let c = &mut c[row0 * ldc + col0..];
+            kern.gemm_tile(astrip, bstrip, -1.0, 1.0, c, ldc, cols);
         }
     }
 }
 
 /// Blocked `B = B·L⁻ᵀ` (right/lower/transposed, the Cholesky panel solve),
-/// `L` n×n lower, `B` m×n: [`trsm_right`] with `Lᵀ` as the upper triangle.
-/// The strict upper triangle of `l` is never read.
+/// `L` n×n lower, `B` m×n: the right-side solve with `Lᵀ` as the upper
+/// triangle. The strict upper triangle of `l` is never read.
 pub fn dtrsm_rlt(l: &[f64], b: &mut [f64], m: usize, n: usize) {
-    assert_eq!(l.len(), n * n, "L dims");
-    assert_eq!(b.len(), m * n, "B dims");
-    trsm_right(BSrc::Trans { bt: l, ldbt: n }, b, m, n);
+    Isa::widest().dtrsm_rlt(l, b, m, n);
 }
 
 /// Blocked `B = B·U⁻¹` (right/upper/non-unit, block-LU column panel), `U`
-/// n×n upper, `B` m×n: [`trsm_right`] on `U` as stored. The strict lower
-/// triangle of `u` (block LU keeps `L` there) is never read.
+/// n×n upper, `B` m×n: the right-side solve on `U` as stored. The strict
+/// lower triangle of `u` (block LU keeps `L` there) is never read.
 pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
-    assert_eq!(u.len(), n * n, "U dims");
-    assert_eq!(b.len(), m * n, "B dims");
-    trsm_right(BSrc::Normal { b: u, ldb: n }, b, m, n);
+    Isa::widest().dtrsm_runn(u, b, m, n);
 }
 
 /// `X·T = B` in place for an upper-triangular, non-unit n×n `T` given in
 /// either layout of [`BSrc`], `B` m×n. Left-looking over `TB`-wide column
 /// blocks: a block's columns first lose `X[:, ..jb] · T[..jb, block]` — a
-/// packed GEMM, the micro-kernel on the strips below — and are then solved
-/// against the `TB`×`TB` diagonal block, one micro-tile at a time.
+/// packed GEMM, the register kernel on the strips below — and are then
+/// solved against the `TB`×`TB` diagonal block, one micro-tile at a time.
 ///
 /// The solved columns are packed as the left operand as they are produced
 /// (the solve works on the micro-tile transposed, which *is* the packed
@@ -623,67 +1112,71 @@ pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
 /// either is packed once per call, and B is never read while it is borrowed
 /// for writing. A row's arithmetic involves no other row, so any partition
 /// of B into row slabs produces the same bits.
-fn trsm_right(t: BSrc<'_>, b: &mut [f64], m: usize, n: usize) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    // Solved X as MR-high row strips, each n deep; one NR-wide strip of T.
-    let xp_len = m.next_multiple_of(MR) * n;
-    let mut scratch = vec![0.0f64; xp_len + n * NR];
-    let (xp, tp) = scratch.split_at_mut(xp_len);
-    with_widest_isa(
-        #[inline(always)]
-        || trsm_right_sweep(t, b, m, n, xp, tp),
-    );
-}
-
-#[inline(always)]
-fn trsm_right_sweep(
-    t: BSrc<'_>,
-    b: &mut [f64],
+struct TrsmRight<'a> {
+    t: BSrc<'a>,
+    b: &'a mut [f64],
     m: usize,
     n: usize,
-    xp: &mut [f64],
-    tp: &mut [f64],
-) {
-    for jb in (0..n).step_by(TB) {
-        let nb = TB.min(n - jb);
-        // T[..jb, jb..jb+nb]: what the block's columns lose to the solved ones.
-        let tstrip = &mut tp[..jb * NR];
-        pack_b(t, 0, jb, jb, nb, tstrip);
-        let diag = DiagBlock::new(nb, |p, j| match t {
-            BSrc::Normal { b: t, ldb } => t[(jb + p) * ldb + jb + j],
-            BSrc::Trans { bt, ldbt } => bt[(jb + j) * ldbt + jb + p],
-        });
-        for (xstrip, row0) in xp.chunks_exact_mut(n * MR).zip((0..m).step_by(MR)) {
-            let mr = MR.min(m - row0);
-            solve_micro_tile(b, n, row0, mr, jb, nb, xstrip, tstrip, &diag);
+}
+
+impl Sweep for TrsmRight<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) {
+        const { assert!(NR.is_multiple_of(MR), "TB is a whole number of A strips") };
+        let TrsmRight { t, b, m, n } = self;
+        if m == 0 || n == 0 {
+            return;
+        }
+        // Solved X as MR-high row strips, each n deep; one NR-wide strip of T.
+        let xp_len = m.next_multiple_of(MR) * n;
+        let mut storage = Vec::<f64>::with_capacity(xp_len + n * NR);
+        let (xp, tp) = storage.spare_capacity_mut()[..xp_len + n * NR].split_at_mut(xp_len);
+        for jb in (0..n).step_by(NR) {
+            let nb = NR.min(n - jb);
+            // T[..jb, jb..jb+nb]: what the block's columns lose to the
+            // solved ones.
+            let tstrip = pack_b(kern, t, 0, jb, jb, nb, tp);
+            let diag = DiagBlock::<NR>::new(nb, |p, j| match t {
+                BSrc::Normal { b: t, ldb } => t[(jb + p) * ldb + jb + j],
+                BSrc::Trans { bt, ldbt } => bt[(jb + j) * ldbt + jb + p],
+            });
+            for (xstrip, row0) in xp.chunks_exact_mut(n * MR).zip((0..m).step_by(MR)) {
+                let mr = MR.min(m - row0);
+                // SAFETY: every earlier block step appended its `NR` solved
+                // columns to this strip, `jb` of them in all.
+                let (solved, rest) = unsafe { written_prefix(xstrip, jb * MR) };
+                let tile = &mut b[row0 * n + jb..];
+                let x = solve_tile(kern, solved, tstrip, &diag, tile, n, mr, nb);
+                rest[..nb * MR].write_copy_of_slice(x[..nb].as_flattened());
+            }
         }
     }
 }
 
 /// The `TB`×`TB` diagonal block of an upper-triangular `T`, as the
 /// substitution reads it.
-struct DiagBlock {
-    /// `above[j][p] = T[p][j]`, p < j: column j above its diagonal element.
-    above: [[f64; TB]; TB],
+struct DiagBlock<const TB: usize> {
+    /// `right[p][j] = T[p][j]`, p < j: row p right of its diagonal element.
+    right: [[f64; TB]; TB],
     /// `1 / T[j][j]`: the solve multiplies where the naive loops divide
     /// (≤ 1 ulp apart, and off the critical path of the substitution).
     inv: [f64; TB],
 }
 
-impl DiagBlock {
+impl<const TB: usize> DiagBlock<TB> {
     /// The leading `nb`×`nb` block from `at(p, j) = T[p][j]`, p <= j. Columns
     /// past `nb` are those of the identity, so the solve is shape-oblivious.
     #[inline(always)]
-    fn new(nb: usize, at: impl Fn(usize, usize) -> f64) -> DiagBlock {
+    fn new(nb: usize, at: impl Fn(usize, usize) -> f64) -> Self {
         let mut d = DiagBlock {
-            above: [[0.0; TB]; TB],
+            right: [[0.0; TB]; TB],
             inv: [1.0; TB],
         };
         for j in 0..nb {
             for p in 0..j {
-                d.above[j][p] = at(p, j);
+                d.right[p][j] = at(p, j);
             }
             d.inv[j] = 1.0 / at(j, j);
         }
@@ -691,46 +1184,47 @@ impl DiagBlock {
     }
 }
 
-/// One micro-tile of a right-side solve's block step: rows
-/// `row0..row0+mr`, columns `jb..jb+nb` of B (leading dimension `ldb`) lose
-/// `X[rows, ..jb] · tstrip` and are solved against `diag`. `xstrip` is the
-/// rows' strip of the packed X, `ldb`-deep; the solved columns are appended
-/// to it.
+/// The right-side solve's micro-tile: rows `..mr`, columns `..nb` of the
+/// tile at `b` (leading dimension `ldb`) lose `solved · tstrip` and are
+/// solved against `diag`. `solved` is the rows' strip of the packed X so
+/// far. Returns the solved micro-tile transposed, `x[j][i]` for row i and
+/// column j — the packed layout, for the caller to append to the strip.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn solve_micro_tile(
+fn solve_tile<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(
+    kern: K,
+    solved: &[f64],
+    tstrip: &[f64],
+    diag: &DiagBlock<NR>,
     b: &mut [f64],
     ldb: usize,
-    row0: usize,
     mr: usize,
-    jb: usize,
     nb: usize,
-    xstrip: &mut [f64],
-    tstrip: &[f64],
-    diag: &DiagBlock,
-) {
-    let acc = micro_tile(jb, &xstrip[..jb * MR], tstrip);
+) -> [[f64; MR]; NR] {
+    let acc = micro_tile(kern, solved, tstrip);
     // r = B's micro-tile less what the solved columns took; rows past `mr`
     // and columns past `nb` are zero padding.
     let mut r = [[0.0f64; NR]; MR];
     for i in 0..mr {
-        let brow = &b[(row0 + i) * ldb + jb..][..nb];
+        let brow = &b[i * ldb..][..nb];
         for (j, v) in brow.iter().enumerate() {
             r[i][j] = v - acc[i][j];
         }
     }
-    // x[j][i] = X[row0+i][jb+j]: the micro-tile transposed, so each step of
-    // the substitution is one MR-wide vector operation and the result is
-    // already in the packed layout.
-    let mut x = [[0.0f64; MR]; TB];
-    for j in 0..TB {
+    // x[j][i] for row i and column j: the micro-tile transposed, so each
+    // step of the substitution is one MR-wide vector operation and the
+    // result is already in the packed layout. Left-looking: the sum over p
+    // is a chain LLVM may not reorder, so it vectorises along i (given
+    // independent column updates it goes across columns, with gathers).
+    let mut x = [[0.0f64; MR]; NR];
+    for j in 0..NR {
         let mut v = [0.0f64; MR];
         for i in 0..MR {
             v[i] = r[i][j];
         }
-        for (xp, t) in x.iter().zip(&diag.above[j]).take(j) {
+        for (xp, row) in x.iter().zip(&diag.right).take(j) {
             for i in 0..MR {
-                v[i] -= xp[i] * t;
+                v[i] = K::madd(-xp[i], row[j], v[i]);
             }
         }
         for i in 0..MR {
@@ -738,84 +1232,225 @@ fn solve_micro_tile(
         }
     }
     for i in 0..mr {
-        let brow = &mut b[(row0 + i) * ldb + jb..][..nb];
+        let brow = &mut b[i * ldb..][..nb];
         for (j, v) in brow.iter_mut().enumerate() {
             *v = x[j][i];
         }
     }
-    xstrip[jb * MR..(jb + nb) * MR].copy_from_slice(x[..nb].as_flattened());
+    x
 }
 
 /// Blocked `B = L⁻¹·B` (left/lower/unit, block-LU row panel), `L` m×m unit
 /// lower (its diagonal and upper triangle are never read), `B` m×n.
-/// Left-looking over `TB`-high row blocks, the mirror image of
-/// [`trsm_right`]: a block's rows lose `L[block, ..rb] · X[..rb]` through
-/// the micro-kernel, then the block is solved against its own `TB`×`TB`
+/// Left-looking over `TB`-high row blocks, the mirror image of the
+/// right-side solve: a block's rows lose `L[block, ..rb] · X[..rb]` through
+/// the register kernel, then the block is solved against its own `TB`×`TB`
 /// corner of `L`; the solved rows are packed as the right operand as they
 /// are produced. A column's arithmetic involves no other column.
 pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
-    assert_eq!(l.len(), m * m, "L dims");
-    assert_eq!(b.len(), m * n, "B dims");
-    if m == 0 || n == 0 {
-        return;
-    }
-    // Solved X as NR-wide column strips, each m deep; TB rows of L.
-    let xp_len = n.next_multiple_of(NR) * m;
-    let mut scratch = vec![0.0f64; xp_len + TB * m];
-    let (xp, lp) = scratch.split_at_mut(xp_len);
-    with_widest_isa(
-        #[inline(always)]
-        || trsm_left_sweep(l, b, m, n, xp, lp),
-    );
+    Isa::widest().dtrsm_llu(l, b, m, n);
 }
 
-#[inline(always)]
-fn trsm_left_sweep(l: &[f64], b: &mut [f64], m: usize, n: usize, xp: &mut [f64], lp: &mut [f64]) {
-    for rb in (0..m).step_by(TB) {
-        let nb = TB.min(m - rb);
-        // L[rb..rb+nb, ..rb]: what the block's rows lose to the solved ones.
-        pack_a(l, m, rb, nb, 0, rb, lp);
-        for (sj, col0) in (0..n).step_by(NR).enumerate() {
-            let nr = NR.min(n - col0);
-            let xstrip = &mut xp[sj * m * NR..(sj + 1) * m * NR];
-            // x[r][j] = X[rb+r][col0+j]; columns past `nr` are padding.
-            let mut x = [[0.0f64; NR]; TB];
-            for (si, row0) in (0..nb).step_by(MR).enumerate() {
-                let lstrip = &lp[si * rb * MR..(si + 1) * rb * MR];
-                let acc = micro_tile(rb, lstrip, &xstrip[..rb * NR]);
-                for i in 0..MR.min(nb - row0) {
-                    let brow = &b[(rb + row0 + i) * n + col0..][..nr];
-                    for (j, v) in brow.iter().enumerate() {
-                        x[row0 + i][j] = v - acc[i][j];
+struct TrsmLeft<'a> {
+    l: &'a [f64],
+    b: &'a mut [f64],
+    m: usize,
+    n: usize,
+}
+
+impl Sweep for TrsmLeft<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) {
+        const { assert!(NR.is_multiple_of(MR), "TB is a whole number of A strips") };
+        let TrsmLeft { l, b, m, n } = self;
+        if m == 0 || n == 0 {
+            return;
+        }
+        // Solved X as NR-wide column strips, each m deep; TB rows of L.
+        let xp_len = n.next_multiple_of(NR) * m;
+        let mut storage = Vec::<f64>::with_capacity(xp_len + NR * m);
+        let (xp, lp) = storage.spare_capacity_mut()[..xp_len + NR * m].split_at_mut(xp_len);
+        for rb in (0..m).step_by(NR) {
+            let nb = NR.min(m - rb);
+            // L[rb..rb+nb, ..rb]: what the block's rows lose to the solved
+            // ones.
+            let lp = pack_a(kern, l, m, rb, nb, 0, rb, lp);
+            for (xstrip, col0) in xp.chunks_exact_mut(m * NR).zip((0..n).step_by(NR)) {
+                let nr = NR.min(n - col0);
+                // SAFETY: every earlier block step appended its `NR` solved
+                // rows to this strip, `rb` of them in all.
+                let (solved, rest) = unsafe { written_prefix(xstrip, rb * NR) };
+                // x[r][j] = X[rb+r][col0+j]; columns past `nr` are padding.
+                let mut x = [[0.0f64; NR]; NR];
+                for (si, row0) in (0..nb).step_by(MR).enumerate() {
+                    let lstrip = &lp[si * rb * MR..(si + 1) * rb * MR];
+                    let acc = micro_tile(kern, lstrip, solved);
+                    for i in 0..MR.min(nb - row0) {
+                        let brow = &b[(rb + row0 + i) * n + col0..][..nr];
+                        for (j, v) in brow.iter().enumerate() {
+                            x[row0 + i][j] = v - acc[i][j];
+                        }
                     }
                 }
-            }
-            for r in 1..nb {
-                let (done, rest) = x.split_at_mut(r);
-                for (p, xprow) in done.iter().enumerate() {
-                    let lrp = l[(rb + r) * m + rb + p];
-                    for j in 0..NR {
-                        rest[0][j] -= lrp * xprow[j];
+                for r in 1..nb {
+                    let (done, rest) = x.split_at_mut(r);
+                    for (p, xprow) in done.iter().enumerate() {
+                        let lrp = l[(rb + r) * m + rb + p];
+                        for j in 0..NR {
+                            rest[0][j] = K::madd(-lrp, xprow[j], rest[0][j]);
+                        }
                     }
                 }
+                for (r, xrow) in x.iter().enumerate().take(nb) {
+                    b[(rb + r) * n + col0..][..nr].copy_from_slice(&xrow[..nr]);
+                }
+                rest[..nb * NR].write_copy_of_slice(x[..nb].as_flattened());
             }
-            for (r, xrow) in x.iter().enumerate().take(nb) {
-                b[(rb + r) * n + col0..][..nr].copy_from_slice(&xrow[..nr]);
-            }
-            xstrip[rb * NR..(rb + nb) * NR].copy_from_slice(x[..nb].as_flattened());
         }
     }
 }
 
-/// Rows per chunk when a compute task partitions an m-row tile across a
-/// stream's `lanes` threads: ~2 chunks per lane for dynamic balance,
-/// rounded up to a micro-tile multiple so no lane gets a partial strip.
-pub fn expansion_rows(m: usize, lanes: usize) -> usize {
+/// The kernels as one chosen instantiation runs them. Not part of the API —
+/// the free functions above are, and they run [`Isa::widest`] — but public
+/// so that the differential tests and `kernel_gemm` reach every
+/// instantiation the CPU has, without an environment variable or a feature.
+/// Each panics if the CPU does not run `self`.
+#[doc(hidden)]
+impl Isa {
+    /// [`gemm_strided`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_strided(
+        self,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: BSrc<'_>,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
+        let sweep = Gemm {
+            alpha,
+            a,
+            lda,
+            b: BOperand::Src(b),
+            beta,
+            c,
+            ldc,
+            m,
+            n,
+            k,
+        };
+        with_isa(self, sweep);
+    }
+
+    /// [`PackedB::pack`]; [`gemm_prepacked`] then runs `self`.
+    pub fn pack_b(self, b: BSrc<'_>, k: usize, n: usize) -> PackedB {
+        let panels = with_isa(self, PackB { b, k, n });
+        PackedB {
+            isa: self,
+            k,
+            n,
+            panels,
+        }
+    }
+
+    /// [`dsyrk_ln_rows`].
+    pub fn dsyrk_ln_rows(
+        self,
+        a: &[f64],
+        c_rows: &mut [f64],
+        row0: usize,
+        nrows: usize,
+        n: usize,
+        k: usize,
+    ) {
+        assert_eq!(a.len(), n * k, "A dims");
+        assert_eq!(c_rows.len(), nrows * n, "C slab dims");
+        assert!(row0 + nrows <= n, "slab in range");
+        let sweep = SyrkRows {
+            a,
+            c_rows,
+            row0,
+            nrows,
+            n,
+            k,
+        };
+        with_isa(self, sweep);
+    }
+
+    /// [`dtrsm_rlt`].
+    pub fn dtrsm_rlt(self, l: &[f64], b: &mut [f64], m: usize, n: usize) {
+        assert_eq!(l.len(), n * n, "L dims");
+        assert_eq!(b.len(), m * n, "B dims");
+        let t = BSrc::Trans { bt: l, ldbt: n };
+        with_isa(self, TrsmRight { t, b, m, n });
+    }
+
+    /// [`dtrsm_runn`].
+    pub fn dtrsm_runn(self, u: &[f64], b: &mut [f64], m: usize, n: usize) {
+        assert_eq!(u.len(), n * n, "U dims");
+        assert_eq!(b.len(), m * n, "B dims");
+        let t = BSrc::Normal { b: u, ldb: n };
+        with_isa(self, TrsmRight { t, b, m, n });
+    }
+
+    /// [`dtrsm_llu`].
+    pub fn dtrsm_llu(self, l: &[f64], b: &mut [f64], m: usize, n: usize) {
+        assert_eq!(l.len(), m * m, "L dims");
+        assert_eq!(b.len(), m * n, "B dims");
+        with_isa(self, TrsmLeft { l, b, m, n });
+    }
+}
+
+// --------------------------------------------------------------- expansion
+
+/// How long a lane's share of a kernel has to last, in µs, before a parallel
+/// region is worth opening for it: a couple of fork/joins
+/// (`coi.workgroup_forkjoin_us_w2`, ~8 µs on a quiet host). Stated in time —
+/// what a region costs does not depend on how fast the lanes multiply.
+const MIN_LANE_US: f64 = 16.0;
+
+impl Isa {
+    /// Flop per µs one lane sustains on a packed 64-tile under this
+    /// instantiation, to the nearest few (bare `gemm_strided`: 12, 36 and
+    /// 50 Gflop/s on the recording host). Only [`expansion_rows`] reads it, to
+    /// turn [`MIN_LANE_US`] into work; it never reaches a result.
+    fn lane_flops_per_us(self) -> f64 {
+        match self {
+            Isa::Baseline => 12e3,
+            Isa::Avx2Fma => 36e3,
+            Isa::Avx512f => 50e3,
+        }
+    }
+
+    /// How many lanes a kernel of `flops` gives [`MIN_LANE_US`] of work each.
+    fn lanes_fed(self, flops: f64) -> usize {
+        (flops / self.lane_flops_per_us() / MIN_LANE_US) as usize
+    }
+}
+
+/// Rows per chunk when a compute task of `flops` floating-point operations
+/// partitions an m-row tile across a stream's `lanes` threads: ~2 chunks per
+/// lane for dynamic balance, rounded up to a micro-tile multiple so no lane
+/// gets a partial strip — over no more lanes than get [`MIN_LANE_US`] of work
+/// each, and as one slab (`m` rows) when that is fewer than two: under
+/// AVX-512F a 64-tile GEMM is ~10 µs whole and stays together, a 128-tile
+/// (~80 µs) feeds up to five lanes. Slabs never change a bit, so neither does
+/// this choice.
+pub fn expansion_rows(m: usize, lanes: usize, flops: f64) -> usize {
+    let isa = Isa::widest();
+    let lanes = lanes.min(isa.lanes_fed(flops));
     if lanes <= 1 {
         return m.max(1);
     }
     let target = m.div_ceil(lanes * 2).max(1);
-    target.next_multiple_of(MR).min(m.max(1))
+    target.next_multiple_of(isa.tile().mr).min(m.max(1))
 }
 
 #[cfg(test)]
@@ -840,29 +1475,38 @@ mod tests {
         let (m, n, k) = (MC + 5, NC + 3, KC + 7);
         let a = random(m, k, 1);
         let b = random(k, n, 2);
-        let mut c1 = random(m, n, 3);
-        let mut c2 = c1.clone();
-        dgemm(
-            1.5,
-            a.as_slice(),
-            b.as_slice(),
-            -0.5,
-            c1.as_mut_slice(),
-            m,
-            n,
-            k,
-        );
+        let c0 = random(m, n, 3);
+        let mut want = c0.clone();
         naive::dgemm(
             1.5,
             a.as_slice(),
             b.as_slice(),
             -0.5,
-            c2.as_mut_slice(),
+            want.as_mut_slice(),
             m,
             n,
             k,
         );
-        assert_close(c1.as_slice(), c2.as_slice(), 1e-12);
+        for isa in Isa::supported() {
+            let mut got = c0.clone();
+            let b = BSrc::Normal {
+                b: b.as_slice(),
+                ldb: n,
+            };
+            isa.gemm_strided(
+                1.5,
+                a.as_slice(),
+                k,
+                b,
+                -0.5,
+                got.as_mut_slice(),
+                n,
+                m,
+                n,
+                k,
+            );
+            assert_close(got.as_slice(), want.as_slice(), 1e-12);
+        }
     }
 
     #[test]
@@ -871,24 +1515,8 @@ mod tests {
         let (m, n, k) = (3usize, 4usize, 5usize);
         let a = random(m, k, 11);
         let b = random(k, n, 12);
-        let mut full = random(6, 8, 13);
-        let before = full.clone();
+        let before = random(6, 8, 13);
         let ldc = 8;
-        gemm_strided(
-            2.0,
-            a.as_slice(),
-            k,
-            BSrc::Normal {
-                b: b.as_slice(),
-                ldb: n,
-            },
-            1.0,
-            &mut full.as_mut_slice()[ldc + 2..],
-            ldc,
-            m,
-            n,
-            k,
-        );
         let mut expect = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
@@ -896,14 +1524,36 @@ mod tests {
             }
         }
         naive::dgemm(2.0, a.as_slice(), b.as_slice(), 1.0, &mut expect, m, n, k);
-        for i in 0..6 {
-            for j in 0..8 {
-                let inside = (1..4).contains(&i) && (2..6).contains(&j);
-                if inside {
-                    let e = expect[(i - 1) * n + (j - 2)];
-                    assert!((full.at(i, j) - e).abs() < 1e-12, "({i},{j})");
-                } else {
-                    assert_eq!(full.at(i, j), before.at(i, j), "({i},{j}) untouched");
+        for isa in Isa::supported() {
+            let mut full = before.clone();
+            isa.gemm_strided(
+                2.0,
+                a.as_slice(),
+                k,
+                BSrc::Normal {
+                    b: b.as_slice(),
+                    ldb: n,
+                },
+                1.0,
+                &mut full.as_mut_slice()[ldc + 2..],
+                ldc,
+                m,
+                n,
+                k,
+            );
+            for i in 0..6 {
+                for j in 0..8 {
+                    let inside = (1..4).contains(&i) && (2..6).contains(&j);
+                    if inside {
+                        let e = expect[(i - 1) * n + (j - 2)];
+                        assert!((full.at(i, j) - e).abs() < 1e-12, "{isa:?} ({i},{j})");
+                    } else {
+                        assert_eq!(
+                            full.at(i, j),
+                            before.at(i, j),
+                            "{isa:?} ({i},{j}) untouched"
+                        );
+                    }
                 }
             }
         }
@@ -917,47 +1567,52 @@ mod tests {
         let a = random(m, k, 31);
         let b = random(k, n, 32);
         let bt = random(n, k, 33);
-        for src in [
-            BSrc::Normal {
-                b: b.as_slice(),
-                ldb: n,
-            },
-            BSrc::Trans {
-                bt: bt.as_slice(),
-                ldbt: k,
-            },
-        ] {
-            let mut whole = random(m, n, 34);
-            let mut slabs = whole.clone();
-            gemm_strided(
-                -1.0,
-                a.as_slice(),
-                k,
-                src,
-                1.0,
-                whole.as_mut_slice(),
-                n,
-                m,
-                n,
-                k,
-            );
-            let bp = PackedB::pack(src, k, n);
-            let mut row0 = 0;
-            for nrows in [4usize, 1, 40, m - 45] {
-                gemm_prepacked(
+        for isa in Isa::supported() {
+            let Tile { mr, nr } = isa.tile();
+            for src in [
+                BSrc::Normal {
+                    b: b.as_slice(),
+                    ldb: n,
+                },
+                BSrc::Trans {
+                    bt: bt.as_slice(),
+                    ldbt: k,
+                },
+            ] {
+                let mut whole = random(m, n, 34);
+                let mut slabs = whole.clone();
+                isa.gemm_strided(
                     -1.0,
-                    &a.as_slice()[row0 * k..(row0 + nrows) * k],
+                    a.as_slice(),
                     k,
-                    &bp,
+                    src,
                     1.0,
-                    &mut slabs.as_mut_slice()[row0 * n..(row0 + nrows) * n],
+                    whole.as_mut_slice(),
                     n,
-                    nrows,
+                    m,
+                    n,
+                    k,
                 );
-                row0 += nrows;
+                let bp = isa.pack_b(src, k, n);
+                let mut row0 = 0;
+                // A whole strip, one row, strips and a bit, the rest.
+                let pieces = [mr, 1, 2 * nr + mr + 1];
+                for nrows in pieces.into_iter().chain([m - pieces.iter().sum::<usize>()]) {
+                    gemm_prepacked(
+                        -1.0,
+                        &a.as_slice()[row0 * k..(row0 + nrows) * k],
+                        k,
+                        &bp,
+                        1.0,
+                        &mut slabs.as_mut_slice()[row0 * n..(row0 + nrows) * n],
+                        n,
+                        nrows,
+                    );
+                    row0 += nrows;
+                }
+                assert_eq!(row0, m);
+                assert_eq!(slabs.as_slice(), whole.as_slice(), "{isa:?}");
             }
-            assert_eq!(row0, m);
-            assert_eq!(slabs.as_slice(), whole.as_slice());
         }
     }
 
@@ -971,33 +1626,63 @@ mod tests {
             let c0 = random(n, n, 22);
             let mut oracle = c0.clone();
             naive::dsyrk_ln(a.as_slice(), oracle.as_mut_slice(), n, k);
-            let mut whole = c0.clone();
-            dsyrk_ln(a.as_slice(), whole.as_mut_slice(), n, k);
-            assert_close(whole.as_slice(), oracle.as_slice(), 1e-12);
-            for pieces in [vec![n], vec![11, 60, 6, n - 77], vec![4; n / 4 + 1]] {
-                let mut c = c0.clone();
-                let mut row0 = 0;
-                for nrows in pieces {
-                    let nrows = nrows.min(n - row0);
-                    let slab = &mut c.as_mut_slice()[row0 * n..(row0 + nrows) * n];
-                    dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
-                    row0 += nrows;
+            for isa in Isa::supported() {
+                let Tile { mr, nr } = isa.tile();
+                let mut whole = c0.clone();
+                isa.dsyrk_ln_rows(a.as_slice(), whole.as_mut_slice(), 0, n, n, k);
+                assert_close(whole.as_slice(), oracle.as_slice(), 1e-12);
+                let ragged = vec![nr + 3, MC - mr, mr + 2, n];
+                for pieces in [vec![n], ragged, vec![mr; n / mr + 1]] {
+                    let mut c = c0.clone();
+                    let mut row0 = 0;
+                    for nrows in pieces {
+                        let nrows = nrows.min(n - row0);
+                        let slab = &mut c.as_mut_slice()[row0 * n..(row0 + nrows) * n];
+                        isa.dsyrk_ln_rows(a.as_slice(), slab, row0, nrows, n, k);
+                        row0 += nrows;
+                    }
+                    assert_eq!(row0, n);
+                    assert_eq!(c.as_slice(), whole.as_slice(), "{isa:?} n={n} k={k}");
                 }
-                assert_eq!(row0, n);
-                assert_eq!(c.as_slice(), whole.as_slice(), "n={n} k={k}");
             }
         }
     }
 
     #[test]
     fn expansion_rows_is_balanced_and_micro_aligned() {
-        assert_eq!(expansion_rows(64, 1), 64);
-        let r = expansion_rows(64, 4);
-        assert_eq!(r % MR, 0);
-        assert!((MR..=64).contains(&r));
+        let mr = Isa::widest().tile().mr;
+        let plenty = 1e9;
+        assert_eq!(expansion_rows(64, 1, plenty), 64);
+        let r = expansion_rows(64, 4, plenty);
+        assert_eq!(r % mr, 0);
+        assert!((mr..=64).contains(&r));
         // Tiny loops never produce zero-row chunks.
-        assert!(expansion_rows(1, 8) >= 1);
-        assert!(expansion_rows(0, 2) >= 1);
+        assert!(expansion_rows(1, 8, plenty) >= 1);
+        assert!(expansion_rows(0, 2, plenty) >= 1);
+        // The benchmark's Cholesky tile is one slab under every instantiation
+        // that vectorises (a 64-tile GEMM is ~10 µs whole; the baseline, a
+        // quarter as fast, cuts its GEMM in two), its matmul tile expands.
+        let gemm = |t| crate::flops::gemm(t, t, t);
+        for (isa, gemm64, syrk64, gemm128) in [
+            (Isa::Avx512f, 0, 0, 5),
+            (Isa::Avx2Fma, 0, 0, 7),
+            (Isa::Baseline, 2, 1, 21),
+        ] {
+            assert_eq!(isa.lanes_fed(gemm(64)), gemm64, "{isa:?}");
+            assert_eq!(isa.lanes_fed(crate::flops::syrk(64, 64)), syrk64, "{isa:?}");
+            assert_eq!(isa.lanes_fed(gemm(128)), gemm128, "{isa:?}");
+        }
+        // No more lanes than are fed, and one slab below two.
+        let isa = Isa::widest();
+        assert!(expansion_rows(128, 2, gemm(128)) < 128);
+        assert_eq!(
+            expansion_rows(128, 30, gemm(128)),
+            expansion_rows(128, isa.lanes_fed(gemm(128)), gemm(128))
+        );
+        assert_eq!(
+            expansion_rows(64, 8, 1.9 * MIN_LANE_US * isa.lane_flops_per_us()),
+            64
+        );
     }
 }
 

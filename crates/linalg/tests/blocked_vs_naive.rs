@@ -7,12 +7,22 @@
 //! 130: their diagonal is where a blocking boundary bites, and it moves with
 //! n.
 //!
+//! Every instantiation of the register kernel the CPU runs
+//! (`Isa::supported()`) is run explicitly, with the ragged sizes taken from
+//! *its* register tile, against `naive` and against the others: GEMM and
+//! SYRK elements do not depend on the tile, so the fused instantiations must
+//! agree on them bit for bit (the baseline rounds twice per update and is
+//! held to the tolerance; the solves split their triangle by `TB` and are
+//! per-instantiation). A host without AVX-512F, or without FMA, runs the
+//! same suite through what it has.
+//!
 //! The microkernel entry points are called directly (not through the
 //! `blas3` small-operand dispatcher) so small shapes genuinely exercise the
 //! packed path rather than falling back to the oracle under test.
 
 use hs_linalg::dense::{random_spd, reconstruct_llt, zero_upper};
 use hs_linalg::factor::dpotrf;
+use hs_linalg::microkernel::{BSrc, Isa, Tile, KC, MC, NC};
 use hs_linalg::{microkernel, naive};
 
 /// Deterministic pseudo-random fill (no rand dep): splitmix64 mapped to
@@ -40,44 +50,85 @@ fn rel_err(got: &[f64], want: &[f64]) -> f64 {
 
 const TOL: f64 = 1e-10;
 
-/// Shapes that straddle the register block (MR=4, NR=8) and cache block
-/// (MC=64, KC=256) boundaries.
-fn dims() -> Vec<usize> {
-    let mut d: Vec<usize> = (1..=17).collect();
-    d.extend([31, 32, 33, 63, 64, 65, 96, 127, 129]);
+/// Sizes that straddle `tile`'s register block — every size up to one past
+/// `NR` (= `TB`), which takes in `MR` ± 1 on the way, then around two strips
+/// — and the cache blocks (`MC`; a `KC` is in the corners).
+fn dims(tile: Tile) -> Vec<usize> {
+    let Tile { mr, nr } = tile;
+    assert!(mr < nr, "the ranges below assume it");
+    let mut d: Vec<usize> = (1..=nr + 1).collect();
+    d.extend([2 * nr - 1, 2 * nr, 2 * nr + 1]);
+    d.extend([MC - 1, MC, MC + 1, 96, 127, 129]);
     d
 }
 
-/// Adversarial (m, n, k) corners: degenerate, one past a register tile with
-/// k one past KC, one past MC everywhere, and the two long-and-thin extremes.
-const CORNERS: [(usize, usize, usize); 6] = [
-    (1, 1, 1),
-    (4, 8, 1),
-    (5, 9, 257),
-    (65, 65, 65),
-    (3, 129, 127),
-    (129, 3, 31),
-];
+/// Adversarial (m, n, k) corners: degenerate, one register tile, one past it
+/// with k one past KC, one past MC everywhere, and the two long-and-thin
+/// extremes.
+fn corners(tile: Tile) -> [(usize, usize, usize); 6] {
+    [
+        (1, 1, 1),
+        (tile.mr, tile.nr, 1),
+        (tile.mr + 1, tile.nr + 1, KC + 1),
+        (MC + 1, MC + 1, MC + 1),
+        (3, 129, 127),
+        (129, 3, 31),
+    ]
+}
 
 /// A reduced (m, n, k) grid over `dims`: full cross-product is too slow, so
 /// pair each m with rotated n/k picks plus the adversarial corners.
-fn shapes() -> Vec<(usize, usize, usize)> {
-    let d = dims();
+fn shapes(tile: Tile) -> Vec<(usize, usize, usize)> {
+    let d = dims(tile);
     let mut out = Vec::new();
     for (i, &m) in d.iter().enumerate() {
         let n = d[(i * 7 + 3) % d.len()];
         let k = d[(i * 11 + 5) % d.len()];
         out.push((m, n, k));
     }
-    out.extend(CORNERS);
+    out.extend(corners(tile));
     out
+}
+
+/// The shapes of every supported instantiation's tile, once each: what a
+/// cross-instantiation comparison runs, so that each instantiation meets
+/// the others' awkward sizes as well as its own.
+fn all_shapes(of: fn(Tile) -> Vec<(usize, usize, usize)>) -> Vec<(usize, usize, usize)> {
+    let mut out: Vec<_> = Isa::supported().flat_map(|isa| of(isa.tile())).collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+/// `run(isa)` for every instantiation the CPU has: each result within `TOL`
+/// of `want`, and — where `tile_free` says an element's arithmetic does not
+/// depend on the register tile — the fused ones equal bit for bit.
+fn check_every_isa(what: &str, want: &[f64], tile_free: bool, run: impl Fn(Isa) -> Vec<f64>) {
+    let mut fused: Option<(Isa, Vec<f64>)> = None;
+    for isa in Isa::supported() {
+        let got = run(isa);
+        let e = rel_err(&got, want);
+        assert!(e <= TOL, "{what} on {isa:?}: rel err {e:.3e}");
+        if !(tile_free && isa.fused()) {
+            continue;
+        }
+        match &fused {
+            None => fused = Some((isa, got)),
+            Some((first, bits)) => assert!(
+                got.iter()
+                    .zip(bits)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{what}: {isa:?} and {first:?} both fuse, and differ"
+            ),
+        }
+    }
 }
 
 const COEFFS: [f64; 4] = [0.0, 1.0, -1.0, 0.5];
 
 #[test]
 fn gemm_blocked_matches_naive() {
-    for (m, n, k) in shapes() {
+    for (m, n, k) in all_shapes(shapes) {
         let mut a = vec![0.0; m * k];
         let mut b = vec![0.0; k * n];
         let mut c0 = vec![0.0; m * n];
@@ -86,15 +137,15 @@ fn gemm_blocked_matches_naive() {
         fill(3 + (m * 1000 + n * 10 + k) as u64, &mut c0);
         for alpha in COEFFS {
             for beta in COEFFS {
-                let mut got = c0.clone();
                 let mut want = c0.clone();
-                microkernel::dgemm(alpha, &a, &b, beta, &mut got, m, n, k);
                 naive::dgemm(alpha, &a, &b, beta, &mut want, m, n, k);
-                let e = rel_err(&got, &want);
-                assert!(
-                    e <= TOL,
-                    "gemm m={m} n={n} k={k} alpha={alpha} beta={beta}: rel err {e:.3e}"
-                );
+                let what = format!("gemm m={m} n={n} k={k} alpha={alpha} beta={beta}");
+                check_every_isa(&what, &want, true, |isa| {
+                    let mut got = c0.clone();
+                    let b = BSrc::Normal { b: &b, ldb: n };
+                    isa.gemm_strided(alpha, &a, k, b, beta, &mut got, n, m, n, k);
+                    got
+                });
             }
         }
     }
@@ -102,7 +153,7 @@ fn gemm_blocked_matches_naive() {
 
 #[test]
 fn gemm_nt_blocked_matches_naive() {
-    for (m, n, k) in shapes() {
+    for (m, n, k) in all_shapes(shapes) {
         let mut a = vec![0.0; m * k];
         let mut bt = vec![0.0; n * k];
         let mut c0 = vec![0.0; m * n];
@@ -111,15 +162,15 @@ fn gemm_nt_blocked_matches_naive() {
         fill(13 + (m * 1000 + n * 10 + k) as u64, &mut c0);
         for alpha in COEFFS {
             for beta in COEFFS {
-                let mut got = c0.clone();
                 let mut want = c0.clone();
-                microkernel::dgemm_nt(alpha, &a, &bt, beta, &mut got, m, n, k);
                 naive::dgemm_nt(alpha, &a, &bt, beta, &mut want, m, n, k);
-                let e = rel_err(&got, &want);
-                assert!(
-                    e <= TOL,
-                    "gemm_nt m={m} n={n} k={k} alpha={alpha} beta={beta}: rel err {e:.3e}"
-                );
+                let what = format!("gemm_nt m={m} n={n} k={k} alpha={alpha} beta={beta}");
+                check_every_isa(&what, &want, true, |isa| {
+                    let mut got = c0.clone();
+                    let b = BSrc::Trans { bt: &bt, ldbt: k };
+                    isa.gemm_strided(alpha, &a, k, b, beta, &mut got, n, m, n, k);
+                    got
+                });
             }
         }
     }
@@ -133,18 +184,18 @@ const DENSE: std::ops::RangeInclusive<usize> = 1..=130;
 
 /// A triangular kernel's sweep as (order of the triangle, the operand's other
 /// dimension, k): every order in `DENSE` with the rotated picks `shapes`
-/// pairs its m with, then `CORNERS` either way round (the kernels disagree
+/// pairs its m with, then `corners` either way round (the kernels disagree
 /// on which dimension the triangle has), then one ragged shape past NC and
 /// KC — SYRK's panel and k-slab loops, which no 130 reaches.
-fn triangular_shapes() -> Vec<(usize, usize, usize)> {
-    let d = dims();
+fn triangular_shapes(tile: Tile) -> Vec<(usize, usize, usize)> {
+    let d = dims(tile);
     let mut out: Vec<_> = DENSE
         .map(|n| (n, d[(n * 7 + 3) % d.len()], d[(n * 11 + 5) % d.len()]))
         .collect();
-    for (m, n, k) in CORNERS {
+    for (m, n, k) in corners(tile) {
         out.extend([(m, n, k), (n, m, k)]);
     }
-    out.push((microkernel::NC + 13, 21, microkernel::KC + 5));
+    out.push((NC + 13, 21, KC + 5));
     out
 }
 
@@ -160,26 +211,27 @@ fn triangular(seed: u64, n: usize) -> Vec<f64> {
 
 #[test]
 fn syrk_blocked_matches_naive() {
-    for (n, _, k) in triangular_shapes() {
+    for (n, _, k) in all_shapes(triangular_shapes) {
         let mut a = vec![0.0; n * k];
         let mut c0 = vec![0.0; n * n];
         fill(21 + (n * 1000 + k) as u64, &mut a);
         fill(22 + (n * 1000 + k) as u64, &mut c0);
-        let mut got = c0.clone();
         let mut want = c0.clone();
-        microkernel::dsyrk_ln(&a, &mut got, n, k);
         naive::dsyrk_ln(&a, &mut want, n, k);
-        let e = rel_err(&got, &want);
-        assert!(e <= TOL, "syrk n={n} k={k}: rel err {e:.3e}");
-        for i in 0..n {
-            for j in i + 1..n {
-                assert_eq!(
-                    got[i * n + j].to_bits(),
-                    c0[i * n + j].to_bits(),
-                    "syrk n={n} k={k}: ({i},{j}) is above the diagonal"
-                );
+        check_every_isa(&format!("syrk n={n} k={k}"), &want, true, |isa| {
+            let mut got = c0.clone();
+            isa.dsyrk_ln_rows(&a, &mut got, 0, n, n, k);
+            for i in 0..n {
+                for j in i + 1..n {
+                    assert_eq!(
+                        got[i * n + j].to_bits(),
+                        c0[i * n + j].to_bits(),
+                        "syrk n={n} k={k} on {isa:?}: ({i},{j}) is above the diagonal"
+                    );
+                }
             }
-        }
+            got
+        });
     }
 }
 
@@ -189,7 +241,7 @@ fn syrk_rows_slab_matches_whole() {
     // agree with the one-shot lower-triangular update.
     // The last two cross KC (a second k-slab's subtraction) and NC (a second
     // panel of the right operand, offset into the slab).
-    let beyond = (microkernel::NC + 13, microkernel::KC + 5);
+    let beyond = (NC + 13, KC + 5);
     for (n, k) in [
         (13usize, 7usize),
         (64, 33),
@@ -204,73 +256,73 @@ fn syrk_rows_slab_matches_whole() {
         fill(32 + (n * 1000 + k) as u64, &mut c0);
         let mut want = c0.clone();
         naive::dsyrk_ln(&a, &mut want, n, k);
-        for rows in [1usize, 4, 5, 64, 100] {
-            let mut got = c0.clone();
-            let mut row0 = 0;
-            while row0 < n {
-                let nrows = rows.min(n - row0);
-                microkernel::dsyrk_ln_rows(
-                    &a,
-                    &mut got[row0 * n..(row0 + nrows) * n],
-                    row0,
-                    nrows,
-                    n,
-                    k,
+        for isa in Isa::supported() {
+            let mr = isa.tile().mr;
+            for rows in [1usize, mr, mr + 1, MC, 100] {
+                let mut got = c0.clone();
+                let mut row0 = 0;
+                while row0 < n {
+                    let nrows = rows.min(n - row0);
+                    let slab = &mut got[row0 * n..(row0 + nrows) * n];
+                    isa.dsyrk_ln_rows(&a, slab, row0, nrows, n, k);
+                    row0 += nrows;
+                }
+                let e = rel_err(&got, &want);
+                assert!(
+                    e <= TOL,
+                    "syrk_rows n={n} k={k} rows={rows} on {isa:?}: rel err {e:.3e}"
                 );
-                row0 += nrows;
             }
-            let e = rel_err(&got, &want);
-            assert!(
-                e <= TOL,
-                "syrk_rows n={n} k={k} rows={rows}: rel err {e:.3e}"
-            );
         }
     }
 }
 
 #[test]
 fn trsm_rlt_blocked_matches_naive() {
-    for (n, m, _) in triangular_shapes() {
+    for (n, m, _) in all_shapes(triangular_shapes) {
         let l = triangular(41 + (m * 1000 + n) as u64, n);
         let mut b0 = vec![0.0; m * n];
         fill(42 + (m * 1000 + n) as u64, &mut b0);
-        let mut got = b0.clone();
-        let mut want = b0;
-        microkernel::dtrsm_rlt(&l, &mut got, m, n);
+        let mut want = b0.clone();
         naive::dtrsm_rlt(&l, &mut want, m, n);
-        let e = rel_err(&got, &want);
-        assert!(e <= TOL, "trsm_rlt m={m} n={n}: rel err {e:.3e}");
+        check_every_isa(&format!("trsm_rlt m={m} n={n}"), &want, false, |isa| {
+            let mut got = b0.clone();
+            isa.dtrsm_rlt(&l, &mut got, m, n);
+            got
+        });
     }
 }
 
 #[test]
 fn trsm_llu_blocked_matches_naive() {
-    for (m, n, _) in triangular_shapes() {
+    for (m, n, _) in all_shapes(triangular_shapes) {
         let mut lu = vec![0.0; m * m];
         fill(51 + (m * 1000 + n) as u64, &mut lu);
         let mut b0 = vec![0.0; m * n];
         fill(52 + (m * 1000 + n) as u64, &mut b0);
-        let mut got = b0.clone();
-        let mut want = b0;
-        microkernel::dtrsm_llu(&lu, &mut got, m, n);
+        let mut want = b0.clone();
         naive::dtrsm_llu(&lu, &mut want, m, n);
-        let e = rel_err(&got, &want);
-        assert!(e <= TOL, "trsm_llu m={m} n={n}: rel err {e:.3e}");
+        check_every_isa(&format!("trsm_llu m={m} n={n}"), &want, false, |isa| {
+            let mut got = b0.clone();
+            isa.dtrsm_llu(&lu, &mut got, m, n);
+            got
+        });
     }
 }
 
 #[test]
 fn trsm_runn_blocked_matches_naive() {
-    for (n, m, _) in triangular_shapes() {
+    for (n, m, _) in all_shapes(triangular_shapes) {
         let u = triangular(61 + (m * 1000 + n) as u64, n);
         let mut b0 = vec![0.0; m * n];
         fill(62 + (m * 1000 + n) as u64, &mut b0);
-        let mut got = b0.clone();
-        let mut want = b0;
-        microkernel::dtrsm_runn(&u, &mut got, m, n);
+        let mut want = b0.clone();
         naive::dtrsm_runn(&u, &mut want, m, n);
-        let e = rel_err(&got, &want);
-        assert!(e <= TOL, "trsm_runn m={m} n={n}: rel err {e:.3e}");
+        check_every_isa(&format!("trsm_runn m={m} n={n}"), &want, false, |isa| {
+            let mut got = b0.clone();
+            isa.dtrsm_runn(&u, &mut got, m, n);
+            got
+        });
     }
 }
 
@@ -278,33 +330,33 @@ fn trsm_runn_blocked_matches_naive() {
 fn right_side_trsm_row_slabs_compose_to_the_whole_solve_bit_for_bit() {
     // What task expansion does to B: a row's solve involves no other row,
     // so slabs that straddle micro-tiles any which way change no bit.
-    type Trsm = fn(&[f64], &mut [f64], usize, usize);
-    let kernels: [(&str, Trsm); 2] = [
-        ("trsm_rlt", microkernel::dtrsm_rlt),
-        ("trsm_runn", microkernel::dtrsm_runn),
-    ];
-    for (name, trsm) in kernels {
-        for (m, n) in [(137usize, 64usize), (137, 37), (90, 130)] {
-            let t = triangular(71 + n as u64, n);
-            let mut b0 = vec![0.0; m * n];
-            fill(72 + (m * 1000 + n) as u64, &mut b0);
-            let mut whole = b0.clone();
-            trsm(&t, &mut whole, m, n);
-            for pieces in [vec![11, 60, 6, m], vec![4; m / 4 + 1]] {
-                let mut b = b0.clone();
-                let mut row0 = 0;
-                for nrows in pieces {
-                    let nrows = nrows.min(m - row0);
-                    trsm(&t, &mut b[row0 * n..(row0 + nrows) * n], nrows, n);
-                    row0 += nrows;
+    type Trsm = fn(Isa, &[f64], &mut [f64], usize, usize);
+    let kernels: [(&str, Trsm); 2] = [("trsm_rlt", Isa::dtrsm_rlt), ("trsm_runn", Isa::dtrsm_runn)];
+    for isa in Isa::supported() {
+        let Tile { mr, nr } = isa.tile();
+        for (name, trsm) in kernels {
+            for (m, n) in [(137usize, 64usize), (137, 37), (90, 130)] {
+                let t = triangular(71 + n as u64, n);
+                let mut b0 = vec![0.0; m * n];
+                fill(72 + (m * 1000 + n) as u64, &mut b0);
+                let mut whole = b0.clone();
+                trsm(isa, &t, &mut whole, m, n);
+                for pieces in [vec![nr + 3, MC - mr, mr + 2, m], vec![mr; m / mr + 1]] {
+                    let mut b = b0.clone();
+                    let mut row0 = 0;
+                    for nrows in pieces {
+                        let nrows = nrows.min(m - row0);
+                        trsm(isa, &t, &mut b[row0 * n..(row0 + nrows) * n], nrows, n);
+                        row0 += nrows;
+                    }
+                    assert_eq!(row0, m);
+                    assert!(
+                        b.iter()
+                            .zip(&whole)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{name} m={m} n={n} on {isa:?}: slabs differ from the whole solve"
+                    );
                 }
-                assert_eq!(row0, m);
-                assert!(
-                    b.iter()
-                        .zip(&whole)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{name} m={m} n={n}: slabs differ from the whole solve"
-                );
             }
         }
     }
