@@ -27,7 +27,7 @@ use bytes::Bytes;
 use hs_coi::Workgroup;
 use hs_linalg::factor::dpotrf;
 use hs_linalg::microkernel::{self, BSrc, PackedB};
-use hs_linalg::{blas3, flops, naive};
+use hs_linalg::{blas3, flops};
 use hs_machine::KernelKind;
 use hs_ompss::{DataAccess, DataId, OmpSs};
 use hstreams_core::Access::{self, In, InOut, Out};
@@ -59,8 +59,8 @@ fn expand_rows(
 }
 
 /// `C(m×n) += alpha · A(m×k) · B` with C's rows expanded across the lanes.
-/// Tiles too small to be worth packing run the naive loops whole; the rest
-/// pack B once, and every slab's micro-kernel sweep reads that one panel.
+/// B is packed once, and every slab's micro-kernel sweep reads that one
+/// panel.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
 fn gemm_expanded(
     wg: &Workgroup,
@@ -72,13 +72,6 @@ fn gemm_expanded(
     n: usize,
     k: usize,
 ) {
-    if blas3::gemm_is_small(m, n, k) {
-        match b {
-            BSrc::Normal { b, .. } => naive::dgemm(alpha, a, b, 1.0, c, m, n, k),
-            BSrc::Trans { bt, .. } => naive::dgemm_nt(alpha, a, bt, 1.0, c, m, n, k),
-        }
-        return;
-    }
     let bp = PackedB::pack(b, k, n);
     expand_rows(wg, c, m, n, flops::gemm(m, n, k), |row0, slab| {
         let nrows = slab.len() / n;

@@ -6,8 +6,8 @@
 //! follow the machine without touching a checksum.
 //!
 //! Every expanding kernel runs on pipelines built with the explicit-lane
-//! constructor (`CoiRuntime::pipeline_create`), over tiles small enough for
-//! the naive loops, at the packing threshold, and ragged against the
+//! constructor (`CoiRuntime::pipeline_create`), over tiles smaller than one
+//! register tile and ragged against the
 //! register tile of the instantiation the kernels dispatch to
 //! (`Isa::widest().tile()`): one either side of `NR` (= `TB`), a strip either
 //! side of GEMM's `MC` = 64, one past a strip, a multiple of `MR` that is no

@@ -28,12 +28,12 @@
 //! itself broken, notes the loss of durability on the chaos log, and the
 //! run continues in-memory-only.
 
-use crate::lockorder::{self, LockClass};
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use crate::sync::{class, AtomicU64, ClassedMutex, Ordering};
 use crate::types::{Access, BufferId, CostHint, DomainId, HsError, HsResult, Operand, StreamId};
-use crate::{with_class, HStreams, LoggedAction, LoggedOp};
+use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause, RetryPolicy, WalFault};
+use hs_fabric::proto::{put_u32, put_u64, Cursor};
 use hs_machine::KernelKind;
 use hs_obs::ObsHub;
 use hs_wal::{Wal, WalStats, META_PARTITION};
@@ -60,18 +60,11 @@ const CHECKPOINT_MIN_BYTES: u64 = 1 << 20;
 const CHECKPOINT_BLOB_FACTOR: u64 = 4;
 
 // ---------------------------------------------------------------------------
-// Wire encoding (little-endian throughout).
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+// Wire encoding (little-endian throughout): fabric's fixed-width `put_*` /
+// [`Cursor`], plus the few shapes only the WAL payloads have.
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+    put_u64(out, v.to_bits());
 }
 
 fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
@@ -79,63 +72,28 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// Bounds-checked little-endian reader over a decode payload.
-struct Rd<'a> {
-    b: &'a [u8],
-    i: usize,
+fn get_f64(r: &mut Cursor<'_>) -> Option<f64> {
+    r.get_u64().map(f64::from_bits)
 }
 
-impl<'a> Rd<'a> {
-    fn new(b: &'a [u8]) -> Rd<'a> {
-        Rd { b, i: 0 }
-    }
+/// The inverse of [`put_bytes`].
+fn get_bytes<'a>(r: &mut Cursor<'a>) -> Option<&'a [u8]> {
+    let n = r.get_u32()? as usize;
+    r.get_bytes(n)
+}
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.b.get(self.i..self.i + n)?;
-        self.i += n;
-        Some(s)
-    }
+/// A byte range, start then end; reversed is refused.
+fn get_range(r: &mut Cursor<'_>) -> Option<std::ops::Range<usize>> {
+    let (start, end) = (r.get_u64()? as usize, r.get_u64()? as usize);
+    (start <= end).then_some(start..end)
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn bytes(&mut self) -> Option<&'a [u8]> {
-        let n = self.u32()? as usize;
-        self.take(n)
-    }
-
-    /// A byte range, start then end; reversed is refused.
-    fn range(&mut self) -> Option<std::ops::Range<usize>> {
-        let (start, end) = (self.u64()? as usize, self.u64()? as usize);
-        (start <= end).then_some(start..end)
-    }
-
-    /// An element count, refused unless the rest of the payload can hold
-    /// that many elements of at least `elem` bytes each: a list is never
-    /// sized beyond the bytes that are there to fill it.
-    fn count(&mut self, elem: usize) -> Option<usize> {
-        let n = self.u32()? as usize;
-        (n.checked_mul(elem)? <= self.b.len() - self.i).then_some(n)
-    }
-
-    fn done(&self) -> bool {
-        self.i == self.b.len()
-    }
+/// An element count, refused unless the rest of the payload can hold that
+/// many elements of at least `elem` bytes each: a list is never sized
+/// beyond the bytes that are there to fill it.
+fn get_count(r: &mut Cursor<'_>, elem: usize) -> Option<usize> {
+    let n = r.get_u32()? as usize;
+    (n.checked_mul(elem)? <= r.remaining()).then_some(n)
 }
 
 fn access_tag(a: Access) -> u8 {
@@ -230,46 +188,46 @@ pub(crate) fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
 /// (does the stream, buffer or domain exist?) is judged by the enqueue that
 /// replays the action.
 pub(crate) fn decode_action(ev: u64, payload: &[u8]) -> Option<LoggedAction> {
-    let mut r = Rd::new(payload);
-    let flags = r.u8()?;
+    let mut r = Cursor::new(payload);
+    let flags = r.get_u8()?;
     if flags > 1 {
         return None;
     }
-    let stream = StreamId(r.u32()?);
+    let stream = StreamId(r.get_u32()?);
     let retry = if flags & 1 != 0 {
         RetryPolicy {
-            max_attempts: r.u32()?,
-            base_backoff_us: r.u64()?,
-            multiplier: r.f64()?,
-            jitter: r.f64()?,
+            max_attempts: r.get_u32()?,
+            base_backoff_us: r.get_u64()?,
+            multiplier: get_f64(&mut r)?,
+            jitter: get_f64(&mut r)?,
         }
     } else {
         RetryPolicy::none()
     };
-    let n_deps = r.count(8)?;
+    let n_deps = get_count(&mut r, 8)?;
     let mut deps = Vec::with_capacity(n_deps);
     for _ in 0..n_deps {
-        deps.push(r.u64()?);
+        deps.push(r.get_u64()?);
     }
-    let op = match r.u8()? {
+    let op = match r.get_u8()? {
         0 => {
-            let func = String::from_utf8(r.bytes()?.to_vec()).ok()?;
-            let args = Bytes::copy_from_slice(r.bytes()?);
-            let n_ops = r.count(8 + 16 + 1)?; // buffer, range, access
+            let func = String::from_utf8(get_bytes(&mut r)?.to_vec()).ok()?;
+            let args = Bytes::copy_from_slice(get_bytes(&mut r)?);
+            let n_ops = get_count(&mut r, 8 + 16 + 1)?; // buffer, range, access
             let mut operands = Vec::with_capacity(n_ops);
             for _ in 0..n_ops {
-                let buffer = BufferId(r.u64()?);
-                let range = r.range()?;
-                let access = access_from(r.u8()?)?;
+                let buffer = BufferId(r.get_u64()?);
+                let range = get_range(&mut r)?;
+                let access = access_from(r.get_u8()?)?;
                 operands.push(Operand {
                     buffer,
                     range,
                     access,
                 });
             }
-            let kernel = kernel_from(r.u8()?)?;
-            let flops = r.f64()?;
-            let tile_n = r.u64()?;
+            let kernel = kernel_from(r.get_u8()?)?;
+            let flops = get_f64(&mut r)?;
+            let tile_n = r.get_u64()?;
             LoggedOp::Compute {
                 func,
                 args,
@@ -282,10 +240,10 @@ pub(crate) fn decode_action(ev: u64, payload: &[u8]) -> Option<LoggedAction> {
             }
         }
         1 => {
-            let buf = BufferId(r.u64()?);
-            let range = r.range()?;
-            let from = DomainId(r.u32()? as usize);
-            let to = DomainId(r.u32()? as usize);
+            let buf = BufferId(r.get_u64()?);
+            let range = get_range(&mut r)?;
+            let from = DomainId(r.get_u32()? as usize);
+            let to = DomainId(r.get_u32()? as usize);
             LoggedOp::Xfer {
                 buf,
                 range,
@@ -296,7 +254,7 @@ pub(crate) fn decode_action(ev: u64, payload: &[u8]) -> Option<LoggedAction> {
         2 => LoggedOp::Sync,
         _ => return None,
     };
-    if !r.done() {
+    if r.remaining() != 0 {
         return None;
     }
     Some(LoggedAction {
@@ -334,17 +292,17 @@ pub(crate) fn encode_checkpoint(watermark: u64, bufs: &[CheckpointBuf]) -> Vec<u
 /// Decode a checkpoint blob; `None` on any structural mismatch (the blob's
 /// CRC framing already rejected torn writes — this guards format drift).
 pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, Vec<CheckpointBuf>)> {
-    let mut r = Rd::new(b);
-    let watermark = r.u64()?;
-    let n = r.count(8 + 4 + 4)?; // id, domain, length of the bytes
+    let mut r = Cursor::new(b);
+    let watermark = r.get_u64()?;
+    let n = get_count(&mut r, 8 + 4 + 4)?; // id, domain, length of the bytes
     let mut bufs = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = r.u64()?;
-        let domain = r.u32()?;
-        let bytes = r.bytes()?.to_vec();
+        let id = r.get_u64()?;
+        let domain = r.get_u32()?;
+        let bytes = get_bytes(&mut r)?.to_vec();
         bufs.push((id, domain, bytes));
     }
-    if !r.done() {
+    if r.remaining() != 0 {
         return None;
     }
     Some((watermark, bufs))
@@ -401,10 +359,9 @@ pub(crate) fn fresh_run_id() -> u64 {
 
 /// The durable writer, shared between the recovery log (appends while
 /// `LockClass::Recovery` is held) and the runtime's flush/checkpoint hooks
-/// (which take only `LockClass::Wal`). Every acquisition of the inner mutex
-/// is witnessed as `LockClass::Wal`, ranked just inside `Recovery`.
+/// (which take only `LockClass::Wal`, ranked just inside `Recovery`).
 pub(crate) struct WalShared {
-    state: Mutex<WalState>,
+    state: ClassedMutex<class::Wal, WalState>,
     /// Userspace-buffered bytes: lets wait entries skip the lock entirely
     /// when there is nothing to flush.
     pending: AtomicU64,
@@ -430,7 +387,7 @@ struct WalState {
 impl WalShared {
     pub(crate) fn new(wal: Wal, chaos: ChaosHub, obs: ObsHub) -> WalShared {
         WalShared {
-            state: Mutex::new(WalState {
+            state: ClassedMutex::new(WalState {
                 wal,
                 broken: false,
                 ckpt_bytes: 0,
@@ -441,16 +398,6 @@ impl WalShared {
             chaos,
             obs,
         }
-    }
-
-    fn lock(
-        &self,
-    ) -> (
-        lockorder::Acquired,
-        impl std::ops::DerefMut<Target = WalState> + '_,
-    ) {
-        let w = lockorder::acquiring(LockClass::Wal);
-        (w, self.state.lock())
     }
 
     fn mark_broken(st: &mut WalState, chaos: &ChaosHub, obs: &ObsHub, why: &str) {
@@ -471,7 +418,7 @@ impl WalShared {
         if framed.is_empty() {
             return;
         }
-        let (_lo, mut st) = self.lock();
+        let mut st = self.state.lock();
         if st.broken {
             return;
         }
@@ -494,7 +441,7 @@ impl WalShared {
         if self.pending.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let (_lo, mut st) = self.lock();
+        let mut st = self.state.lock();
         if st.broken {
             self.pending.store(0, Ordering::Relaxed);
             return;
@@ -544,7 +491,7 @@ impl WalShared {
     }
 
     pub(crate) fn stats(&self) -> WalStats {
-        let (_lo, st) = self.lock();
+        let st = self.state.lock();
         st.wal.stats()
     }
 
@@ -555,7 +502,7 @@ impl WalShared {
     /// grew by at least that much would spend more than it saves — the
     /// checkpoint work stays a bounded fraction of the append work.
     pub(crate) fn wants_checkpoint(&self) -> bool {
-        let (_lo, st) = self.lock();
+        let st = self.state.lock();
         let threshold = CHECKPOINT_MIN_BYTES.max(CHECKPOINT_BLOB_FACTOR * st.ckpt_blob_bytes);
         !st.broken && st.wal.stats().appended_bytes - st.ckpt_bytes >= threshold
     }
@@ -566,7 +513,7 @@ impl WalShared {
     /// the watermark name the same instant. Returns true if written.
     pub(crate) fn checkpoint(&self, watermark: u64, bufs: &[(u64, u32, Vec<u8>)]) -> bool {
         let payload = encode_checkpoint(watermark, bufs);
-        let (_lo, mut st) = self.lock();
+        let mut st = self.state.lock();
         if st.broken {
             return false;
         }
@@ -603,7 +550,7 @@ impl WalShared {
     /// note): for failures detected *outside* the writer, like a record
     /// too large for the on-disk envelope.
     pub(crate) fn poison(&self, why: &str) {
-        let (_lo, mut st) = self.lock();
+        let mut st = self.state.lock();
         Self::mark_broken(&mut st, &self.chaos, &self.obs, why);
     }
 
@@ -855,9 +802,7 @@ impl HStreams {
         // Stage first, flag second: an enqueue that observes
         // `durable == true` then takes the Recovery lock and must find the
         // stage there.
-        with_class(LockClass::Recovery, || {
-            self.inner.recovery.lock().make_durable(shared)
-        });
+        self.inner.recovery.lock().make_durable(shared);
         self.inner.durable.store(true, Ordering::Release);
         Ok(())
     }
@@ -1090,6 +1035,16 @@ mod tests {
         }
     }
 
+    #[rustfmt::skip]
+    const PINNED_SAMPLE_0: [u8; 141] = [
+        1, 2, 0, 0, 0, 3, 0, 0, 0, 50, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        64, 154, 153, 153, 153, 153, 153, 185, 63, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0,
+        0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 100, 103, 101, 109, 109, 3, 0, 0, 0, 1, 2, 3, 2, 0,
+        0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0,
+        0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 128, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+        0, 0, 0, 2, 0, 0, 0, 0, 192, 11, 90, 214, 65, 0, 2, 0, 0, 0, 0, 0, 0,
+    ];
+
     #[test]
     fn action_wire_round_trip() {
         for la in sample_actions() {
@@ -1098,6 +1053,12 @@ mod tests {
             let back = decode_action(la.ev, &buf).expect("decodes");
             assert_actions_eq(&la, &back);
         }
+        // On-disk bytes are a stability surface (`hs_wal::VERSION` 3): the
+        // first sample — retry block, dependences, operands, cost — exactly
+        // as the encoder wrote it before it moved onto fabric's codec.
+        let mut buf = Vec::new();
+        encode_action(&sample_actions()[0], &mut buf);
+        assert_eq!(buf, PINNED_SAMPLE_0);
     }
 
     /// The hand-written samples plus a dozen seeded records.

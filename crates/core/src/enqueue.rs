@@ -14,14 +14,12 @@
 use crate::deps::{Footprint, FootprintItem};
 use crate::events::{EventTable, EventView};
 use crate::exec::{self, ActionSpec, BackendEvent, Executor, RealXfer, SubmitOpts};
-use crate::lockorder::{self, LockClass};
 use crate::stream::{ActionKind, DepList};
-#[cfg(feature = "hsan-record")]
 use crate::sync::Ordering;
 use crate::types::{
     BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, OrderingMode, StreamId,
 };
-use crate::{with_class, HStreams, LoggedAction, LoggedOp};
+use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::RetryPolicy;
 use hs_obs::{ActionMeta, ObsAction, ObsKind};
@@ -482,7 +480,6 @@ impl HStreams {
     ) -> HsResult<(ActionSpec, Footprint)> {
         let (domain, device, cores) = {
             let st_arc = self.stream_arc(s)?;
-            let _lo = lockorder::acquiring(LockClass::Stream);
             let st = st_arc.lock();
             let dev = self.inner.platform.domains[st.domain.0].device;
             (st.domain, dev, st.cores())
@@ -491,7 +488,6 @@ impl HStreams {
         let mut footprint: Footprint = Vec::with_capacity(operands.len());
         let mut bufs = exec::BufList::new();
         let real = matches!(self.inner.exec, Executor::Thread(_));
-        let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
         let buffers = self.inner.buffers.read();
         for op in operands {
             let rec = buffers.get(op.buffer)?;
@@ -568,7 +564,6 @@ impl HStreams {
                 return Err(HsError::UnknownDomain(d));
             }
         }
-        let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
         let buffers = self.inner.buffers.read();
         let rec = buffers.get(buf)?;
         rec.check_range(&range)?;
@@ -578,9 +573,7 @@ impl HStreams {
             if rec.is_instantiated(d) {
                 return Ok(d);
             }
-            let degraded = with_class(LockClass::Degraded, || {
-                self.inner.degraded.lock().contains(&(d.0 as u32))
-            });
+            let degraded = self.inner.degraded.lock().contains(&(d.0 as u32));
             if degraded && rec.is_instantiated(DomainId::HOST) {
                 Ok(DomainId::HOST)
             } else {
@@ -664,7 +657,6 @@ impl HStreams {
         }
         {
             let mut lease = ScratchLease::take();
-            let _lo_world = lockorder::acquiring(LockClass::World);
             let _world = self.inner.world.read();
             build(&mut lease.0.built)?;
             self.enqueue_built(s, &mut lease.0, opts, out)?;
@@ -703,7 +695,6 @@ impl HStreams {
         // Fine-grained per-stream window: contention here means multiple
         // source threads feed the *same* stream (distinct streams never
         // touch each other's locks on this path).
-        let _lo_stream = lockorder::acquiring(LockClass::Stream);
         let mut st = match st_arc.try_lock() {
             Some(g) => g,
             None => {
@@ -716,16 +707,11 @@ impl HStreams {
         // id mint to the last trace push: the call's ops land in the trace
         // as one contiguous ascending id run, at the cost of serializing
         // concurrent enqueues for the recording's duration.
-        #[cfg(feature = "hsan-record")]
-        let (_lo_rec, mut rec_guard) = if inner.recording.load(Ordering::Acquire) {
-            let lo = lockorder::acquiring(LockClass::Recorder);
-            (Some(lo), Some(inner.recorder.lock()))
-        } else {
-            (None, None)
-        };
-        #[cfg(feature = "hsan-record")]
+        let mut rec_guard = inner
+            .recording
+            .load(Ordering::Acquire)
+            .then(|| inner.recorder.lock());
         let mut rec = rec_guard.as_mut().and_then(|g| g.as_mut());
-        #[cfg(feature = "hsan-record")]
         let ops_mark = rec.as_ref().map_or(0, |r| r.ops.len());
         let mut ids = Reserved {
             events: &inner.events,
@@ -745,7 +731,6 @@ impl HStreams {
             // next retire sweep clears them; and the trace must not name
             // actions that never submitted.
             if let Some(unknown) = waits.iter().find(|e| e.0 >= inner.events.len()) {
-                #[cfg(feature = "hsan-record")]
                 if let Some(rec) = rec.as_deref_mut() {
                     rec.ops.truncate(ops_mark);
                 }
@@ -819,7 +804,6 @@ impl HStreams {
                     retry: submit_opts.retry,
                 });
             }
-            #[cfg(feature = "hsan-record")]
             if let Some(rec) = rec.as_deref_mut() {
                 rec.push(crate::record::TraceOp::Enqueue(
                     crate::record::ActionRecord {
@@ -842,15 +826,11 @@ impl HStreams {
         // log hooks each item's done event *before* its dependents wire onto
         // it — registering after records synchronously-dispatched dependents
         // ahead of their producers, inverting the observed completion order.
-        #[cfg(feature = "hsan-record")]
         let track = rec.as_deref().map(|rec| {
             let (log, ids) = (rec.completions.clone(), ids.as_slice());
             move |i: usize, ce: &hs_coi::CoiEvent| log.track(ce, ids[i].0)
         });
-        #[cfg(feature = "hsan-record")]
         let observe = track.as_ref().map(|t| t as exec::BatchObserver<'_>);
-        #[cfg(not(feature = "hsan-record"))]
-        let observe = None;
         // Specs are taken out of their slots, not drained through the list by
         // value: a spec is a few hundred bytes, and this path runs per action.
         let items = sc.built.iter_mut().map(|b| exec::BatchSubmitItem {
@@ -862,9 +842,7 @@ impl HStreams {
             .exec
             .submit_batch(items, &sc.deps, submit_opts, observe, &mut sc.backends);
         if !sc.logs.is_empty() {
-            with_class(LockClass::Recovery, || {
-                inner.recovery.lock().extend(&mut sc.logs)
-            });
+            inner.recovery.lock().extend(&mut sc.logs);
         }
         // Publish everything before the stream lock drops.
         for (ev, be) in ids.as_slice().iter().zip(sc.backends.drain(..)) {

@@ -27,10 +27,9 @@
 //! do not bounce a single counter line.
 
 use crate::exec::BackendEvent;
-use crate::lockorder::{self, LockClass};
 #[cfg(debug_assertions)]
 use crate::sync::AtomicBool;
-use crate::sync::{AtomicU32, AtomicU64, Mutex, OnceLock, Ordering};
+use crate::sync::{class, AtomicU32, AtomicU64, ClassedMutex, OnceLock, Ordering};
 use crate::types::{Event, StreamId};
 use crossbeam::utils::CachePadded;
 
@@ -69,7 +68,7 @@ struct Slot {
     stream: AtomicU32,
     /// `Some` while live; `None` after tombstoning (with `stream` still
     /// set, distinguishing "retired" from "never published").
-    be: Mutex<Option<BackendEvent>>,
+    be: ClassedMutex<class::EventSlot, Option<BackendEvent>>,
 }
 
 /// What a table lookup found.
@@ -111,7 +110,7 @@ fn new_segment() -> Box<[Slot]> {
     (0..SEG_LEN)
         .map(|_| Slot {
             stream: AtomicU32::new(UNPUBLISHED),
-            be: Mutex::new(None),
+            be: ClassedMutex::new(None),
         })
         .collect()
 }
@@ -133,7 +132,7 @@ pub struct EventTable {
     /// different cache lines.
     occupancy: Box<[CachePadded<AtomicU64>]>,
     /// Single-compactor guard; contenders skip (compaction is periodic).
-    compactor: Mutex<()>,
+    compactor: ClassedMutex<class::Compactor, ()>,
     /// Never-published ids handed back as tombstones.
     tombstoned: AtomicU64,
     /// Debug-only tripwire for the quiesce contract: `overwrite` (which
@@ -152,7 +151,7 @@ impl EventTable {
             occupancy: (0..OCC_SHARDS)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            compactor: Mutex::new(()),
+            compactor: ClassedMutex::new(()),
             tombstoned: AtomicU64::new(0),
             #[cfg(debug_assertions)]
             compacting: AtomicBool::new(false),
@@ -208,7 +207,6 @@ impl EventTable {
         let mut n = 0;
         for id in ids {
             let slot = self.slot(id).expect("tombstone of unreserved id");
-            let _lo = lockorder::acquiring(LockClass::EventSlot);
             let g = slot.be.lock();
             debug_assert!(g.is_none(), "tombstone of a published slot {id}");
             debug_assert_eq!(
@@ -230,7 +228,6 @@ impl EventTable {
     /// the submission.
     pub fn publish(&self, id: u64, stream: StreamId, be: BackendEvent) {
         let slot = self.slot(id).expect("publish of unreserved event id");
-        let _lo = lockorder::acquiring(LockClass::EventSlot);
         let mut g = slot.be.lock();
         debug_assert!(g.is_none(), "double publish of event {id}");
         debug_assert_eq!(
@@ -277,7 +274,6 @@ impl EventTable {
         // Acquire: pairs with publish's Release store — overwrite is only
         // legal on a slot whose publication we have observed.
         debug_assert_ne!(slot.stream.load(Ordering::Acquire), UNPUBLISHED);
-        let _lo = lockorder::acquiring(LockClass::EventSlot);
         let mut g = slot.be.lock();
         if g.is_none() {
             // Un-retire: live += 1, retired -= 1 in one packed step. The
@@ -308,7 +304,6 @@ impl EventTable {
         if s == UNPUBLISHED {
             return EventView::Missing;
         }
-        let _lo = lockorder::acquiring(LockClass::EventSlot);
         match &*slot.be.lock() {
             Some(be) => EventView::Live(be.clone(), StreamId(s)),
             None => EventView::Retired(StreamId(s)),
@@ -328,7 +323,6 @@ impl EventTable {
         if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
             return false;
         }
-        let _lo = lockorder::acquiring(LockClass::EventSlot);
         match &*slot.be.lock() {
             Some(be) => ok(be),
             None => true,
@@ -353,7 +347,6 @@ impl EventTable {
     /// retirement watermark (the longest fully-retired prefix), so steady
     /// state cost is proportional to the live window, not to table length.
     pub fn compact(&self, verdict: impl Fn(&BackendEvent) -> Option<bool>) {
-        let _lo = lockorder::acquiring(LockClass::Compactor);
         let Some(_g) = self.compactor.try_lock() else {
             return;
         };
@@ -378,7 +371,6 @@ impl EventTable {
                     if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
                         false // mid-publish on another thread
                     } else {
-                        let _lo = lockorder::acquiring(LockClass::EventSlot);
                         let mut g = slot.be.lock();
                         match &*g {
                             None => true, // already tombstoned

@@ -15,9 +15,8 @@ use hs_coi::CoiEvent;
 use hs_machine::Device;
 use hs_sim::Token;
 
-use crate::lockorder::LockClass;
+use crate::sync::{class, ClassedMutex};
 use crate::types::CostHint;
-use crate::with_class;
 
 /// Per-submission execution options (deadline + retry budget).
 #[derive(Clone, Copy, Debug, Default)]
@@ -132,7 +131,7 @@ impl BackendEvent {
 /// to interleaving, which is all the semantics require.
 pub enum Executor {
     Thread(Box<thread::ThreadExec>),
-    Sim(crate::sync::Mutex<Box<sim::SimExec>>),
+    Sim(ClassedMutex<class::SimExec, Box<sim::SimExec>>),
 }
 
 impl Executor {
@@ -142,9 +141,7 @@ impl Executor {
     pub fn add_stream(&self, domain_idx: usize, mask: crate::CpuMask) {
         match self {
             Executor::Thread(t) => t.add_stream(domain_idx, mask),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || {
-                s.lock().add_stream(domain_idx, mask.count())
-            }),
+            Executor::Sim(s) => s.lock().add_stream(domain_idx, mask.count()),
         }
     }
 
@@ -173,7 +170,7 @@ impl Executor {
     ) {
         match self {
             Executor::Thread(t) => t.submit_batch(items, deps, opts, observe, out),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || {
+            Executor::Sim(s) => {
                 let mut sim = s.lock();
                 out.clear();
                 for item in items {
@@ -184,7 +181,7 @@ impl Executor {
                     let tok = sim.submit(item.spec, deps, item.obs, opts);
                     out.push(BackendEvent::Sim(tok));
                 }
-            }),
+            }
         }
     }
 
@@ -194,18 +191,14 @@ impl Executor {
     pub fn remap_stream_to_host(&self, stream_idx: usize) {
         match self {
             Executor::Thread(t) => t.remap_stream_to_host(stream_idx),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || {
-                s.lock().remap_stream_to_host(stream_idx)
-            }),
+            Executor::Sim(s) => s.lock().remap_stream_to_host(stream_idx),
         }
     }
 
     pub fn is_complete(&self, ev: &BackendEvent) -> bool {
         match self {
             Executor::Thread(_) => ev.as_thread().is_complete(),
-            Executor::Sim(s) => {
-                with_class(LockClass::SimExec, || s.lock().is_complete(ev.as_sim()))
-            }
+            Executor::Sim(s) => s.lock().is_complete(ev.as_sim()),
         }
     }
 
@@ -215,10 +208,10 @@ impl Executor {
     pub fn completed_ok(&self, ev: &BackendEvent) -> bool {
         match self {
             Executor::Thread(_) => ev.as_thread().completed_ok(),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || {
+            Executor::Sim(s) => {
                 let g = s.lock();
                 g.is_complete(ev.as_sim()) && g.failure_of(ev.as_sim()).is_none()
-            }),
+            }
         }
     }
 
@@ -226,7 +219,7 @@ impl Executor {
     pub fn wait(&self, ev: &BackendEvent) -> Result<(), FailureCause> {
         match self {
             Executor::Thread(_) => ev.as_thread().wait(),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || s.lock().wait(ev.as_sim())),
+            Executor::Sim(s) => s.lock().wait(ev.as_sim()),
         }
     }
 
@@ -238,10 +231,9 @@ impl Executor {
                 let evs: Vec<CoiEvent> = evs.iter().map(|e| e.as_thread().clone()).collect();
                 CoiEvent::wait_any(&evs)
             }
-            Executor::Sim(s) => with_class(LockClass::SimExec, || {
-                s.lock()
-                    .wait_any(&evs.iter().map(|e| e.as_sim()).collect::<Vec<_>>())
-            }),
+            Executor::Sim(s) => s
+                .lock()
+                .wait_any(&evs.iter().map(|e| e.as_sim()).collect::<Vec<_>>()),
         }
     }
 
@@ -253,7 +245,7 @@ impl Executor {
                 hs_coi::EventStatus::Failed(c) => Some(c),
                 _ => None,
             },
-            Executor::Sim(s) => with_class(LockClass::SimExec, || s.lock().failure_of(ev.as_sim())),
+            Executor::Sim(s) => s.lock().failure_of(ev.as_sim()),
         }
     }
 
@@ -263,7 +255,7 @@ impl Executor {
     /// status before selecting the replay set.
     pub fn run_all(&self) {
         if let Executor::Sim(s) = self {
-            with_class(LockClass::SimExec, || s.lock().run_all());
+            s.lock().run_all();
         }
     }
 
@@ -271,7 +263,7 @@ impl Executor {
     /// runtimes' per-task overheads). No-op in real mode.
     pub fn charge_source(&self, dur: hs_sim::Dur) {
         if let Executor::Sim(s) = self {
-            with_class(LockClass::SimExec, || s.lock().charge_source(dur));
+            s.lock().charge_source(dur);
         }
     }
 
@@ -279,7 +271,7 @@ impl Executor {
     pub fn now_secs(&self) -> f64 {
         match self {
             Executor::Thread(t) => t.elapsed_secs(),
-            Executor::Sim(s) => with_class(LockClass::SimExec, || s.lock().now_secs()),
+            Executor::Sim(s) => s.lock().now_secs(),
         }
     }
 }

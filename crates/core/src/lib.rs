@@ -116,11 +116,12 @@ use exec::{BackendEvent, Executor};
 use hs_coi::EngineId;
 use hs_machine::{Device, DomainRole, PlatformCfg};
 use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
-use lockorder::LockClass;
 use stats::ShardedU64;
 use std::ops::Range;
 use stream::{DepList, StreamState};
-use sync::{Arc, AtomicBool, AtomicU64, Mutex, Once, OnceLock, Ordering, RwLock};
+use sync::{
+    class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, OnceLock, Ordering,
+};
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
 /// during card-loss degradation. Recorded only while a fault plan is armed.
@@ -182,21 +183,16 @@ pub struct DomainInfo {
 /// Enqueues between amortized event-table / recovery-log compactions.
 const COMPACT_EVERY: u64 = 1024;
 
-/// Witness a lock-class acquisition for exactly the duration of `f` — for
-/// sites where the guard is a statement temporary. Sites that bind the
-/// guard to a local place a matching `lockorder::acquiring` binding inline
-/// instead, so the witness lifetime tracks the guard lifetime.
-#[inline]
-pub(crate) fn with_class<R>(class: LockClass, f: impl FnOnce() -> R) -> R {
-    let _witness = lockorder::acquiring(class);
-    f()
-}
+/// A stream's dependence window behind its own lock.
+type StreamLock = ClassedMutex<class::Stream, StreamState>;
 
 /// Shared runtime state behind the [`HStreams`] handle.
 ///
 /// Lock order (outer → inner; never acquire leftward while holding
 /// rightward): `world` → `streams` (vec) → per-stream mutex → `buffers` →
-/// `recorder`/`recovery` → event-table slot → sim executor.
+/// `recorder`/`recovery` → event-table slot → sim executor. Each lock's
+/// class is in its type, which is what witnesses its acquisitions
+/// ([`lockorder`]).
 pub(crate) struct Inner {
     platform: PlatformCfg,
     mode: ExecMode,
@@ -204,26 +200,24 @@ pub(crate) struct Inner {
     /// The stop-the-world lock: enqueues and stream creation hold it
     /// shared; card-loss degradation holds it exclusively while it
     /// quiesces, remaps and replays.
-    world: RwLock<()>,
+    world: ClassedRwLock<class::World, ()>,
     /// Dense stream table; each stream's dependence window has its own
     /// fine-grained lock so distinct streams enqueue fully concurrently.
-    streams: RwLock<Vec<Arc<Mutex<StreamState>>>>,
-    buffers: RwLock<BufferTable>,
+    streams: ClassedRwLock<class::Streams, Vec<Arc<StreamLock>>>,
+    buffers: ClassedRwLock<class::Buffers, BufferTable>,
     /// Append-only segmented event table (see [`events`]).
     events: EventTable,
     exec: Executor,
     stats: ApiStats,
     /// Sim-mode host shadows for `buffer_write`/`buffer_read`.
-    sim_shadow: Mutex<std::collections::HashMap<BufferId, Vec<u8>>>,
+    sim_shadow: ClassedMutex<class::SimShadow, std::collections::HashMap<BufferId, Vec<u8>>>,
     /// Built-in app-API kernels registered once (see [`app`]).
     pub(crate) builtins: Once,
     /// Live `hsan` action-trace recording (None = off). The flag mirrors
     /// `recorder.is_some()` so the hot path checks one atomic instead of
     /// taking the lock.
-    #[cfg(feature = "hsan-record")]
-    recorder: Mutex<Option<record::Recorder>>,
-    #[cfg(feature = "hsan-record")]
-    recording: crate::sync::AtomicBool,
+    recorder: ClassedMutex<class::Recorder, Option<record::Recorder>>,
+    recording: AtomicBool,
     /// Action-lifecycle observability hub, shared with both executors and
     /// the COI layer. Disabled (near-zero cost) until [`HStreams::obs_enable`].
     obs: ObsHub,
@@ -234,7 +228,7 @@ pub(crate) struct Inner {
     /// Replayable record of enqueued actions, kept while a fault plan is
     /// armed (card-loss degradation replays the affected subset) and/or
     /// durability is on (the log then writes every entry to disk as well).
-    recovery: Mutex<durable::RecoveryLog>,
+    recovery: ClassedMutex<class::Recovery, durable::RecoveryLog>,
     /// Durable logging enabled? Checked (one relaxed load) on every
     /// enqueue; set once by [`HStreams::durability`] *after* the log got
     /// its durable stage, so an enqueue that observes `true` always finds
@@ -243,7 +237,7 @@ pub(crate) struct Inner {
     /// The shared WAL writer, installed at most once per runtime.
     wal: OnceLock<Arc<durable::WalShared>>,
     /// Cards already degraded (each card degrades at most once).
-    degraded: Mutex<Vec<u32>>,
+    degraded: ClassedMutex<class::Degraded, Vec<u32>>,
     /// Degradation generation: bumped once per completed degradation. Wait
     /// loops snapshot it before waiting; a failed wait whose snapshot is
     /// stale re-waits instead of racing a concurrent degradation.
@@ -341,7 +335,7 @@ impl HStreams {
         let exec = match mode {
             ExecMode::Threads => Executor::Thread(connect(false)?),
             ExecMode::ThreadsPaced => Executor::Thread(connect(true)?),
-            ExecMode::Sim => Executor::Sim(Mutex::new(Box::new(
+            ExecMode::Sim => Executor::Sim(ClassedMutex::new(Box::new(
                 exec::sim::SimExec::new_with_obs_chaos(&platform, obs.clone(), chaos.clone()),
             ))),
         };
@@ -350,24 +344,22 @@ impl HStreams {
                 platform,
                 mode,
                 ordering,
-                world: RwLock::new(()),
-                streams: RwLock::new(Vec::new()),
-                buffers: RwLock::new(BufferTable::new()),
+                world: ClassedRwLock::new(()),
+                streams: ClassedRwLock::new(Vec::new()),
+                buffers: ClassedRwLock::new(BufferTable::new()),
                 events: EventTable::new(),
                 exec,
                 stats: ApiStats::new(),
-                sim_shadow: Mutex::new(std::collections::HashMap::new()),
+                sim_shadow: ClassedMutex::new(std::collections::HashMap::new()),
                 builtins: Once::new(),
-                #[cfg(feature = "hsan-record")]
-                recorder: Mutex::new(None),
-                #[cfg(feature = "hsan-record")]
-                recording: crate::sync::AtomicBool::new(false),
+                recorder: ClassedMutex::new(None),
+                recording: AtomicBool::new(false),
                 obs,
                 chaos,
-                recovery: Mutex::new(durable::RecoveryLog::default()),
+                recovery: ClassedMutex::new(durable::RecoveryLog::default()),
                 durable: AtomicBool::new(false),
                 wal: OnceLock::new(),
-                degraded: Mutex::new(Vec::new()),
+                degraded: ClassedMutex::new(Vec::new()),
                 degrade_gen: AtomicU64::new(0),
                 compact_due: AtomicU64::new(COMPACT_EVERY),
                 contended: ShardedU64::new(),
@@ -385,7 +377,7 @@ impl HStreams {
     /// fault triggers card-loss degradation on the next wait that observes
     /// it. Also starts the recovery log that degradation replays from.
     pub fn chaos_install(&self, plan: FaultPlan) {
-        with_class(LockClass::Recovery, || self.inner.recovery.lock().clear());
+        self.inner.recovery.lock().clear();
         self.inner.chaos.arm(plan);
     }
 
@@ -408,50 +400,49 @@ impl HStreams {
 
     /// Cards that have been degraded to the host so far.
     pub fn degraded_cards(&self) -> Vec<u32> {
-        with_class(LockClass::Degraded, || self.inner.degraded.lock().clone())
+        self.inner.degraded.lock().clone()
     }
 
     // ----------------------------------------------------- hsan recording
 
     /// Is an hsan action-trace recording live?
-    #[cfg(feature = "hsan-record")]
     fn is_recording(&self) -> bool {
         self.inner.recording.load(Ordering::Acquire)
     }
 
-    #[cfg(not(feature = "hsan-record"))]
-    fn is_recording(&self) -> bool {
-        false
+    /// Append a buffer operation to the live recording, if there is one.
+    fn record_op(&self, op: TraceOp) {
+        if self.is_recording() {
+            if let Some(rec) = self.inner.recorder.lock().as_mut() {
+                rec.push(op);
+            }
+        }
     }
 
     /// Start recording the enqueued action graph for the `hsan` sanitizer.
-    /// Only available with the `hsan-record` feature; actions enqueued
-    /// before this call are not in the trace. While a recording is live,
-    /// concurrent enqueues serialize on the recorder (the trace is a total
-    /// order in event-id sequence).
-    #[cfg(feature = "hsan-record")]
+    /// Actions enqueued before this call are not in the trace. While a
+    /// recording is live, concurrent enqueues serialize on the recorder
+    /// (the trace is a total order in event-id sequence).
     pub fn recording_start(&self) {
-        *with_class(LockClass::Recorder, || self.inner.recorder.lock()) = Some(
-            record::Recorder::new(self.inner.ordering, self.inner.platform.domains.len()),
-        );
+        *self.inner.recorder.lock() = Some(record::Recorder::new(
+            self.inner.ordering,
+            self.inner.platform.domains.len(),
+        ));
         self.inner.recording.store(true, Ordering::Release);
     }
 
     /// Stop recording and return the trace (None if recording was never
     /// started). Call after synchronizing if completion order matters —
     /// still-pending actions simply have no completion entry.
-    #[cfg(feature = "hsan-record")]
     pub fn recording_take(&self) -> Option<record::ActionTrace> {
         self.inner.recording.store(false, Ordering::Release);
-        let rec = with_class(LockClass::Recorder, || self.inner.recorder.lock().take());
-        let rec = rec?;
-        let streams = with_class(LockClass::Streams, || self.inner.streams.read().len()) as u32;
+        let rec = self.inner.recorder.lock().take()?;
+        let streams = self.inner.streams.read().len() as u32;
         let trace = match &self.inner.exec {
             Executor::Sim(sim) => {
                 rec.into_trace(streams, |ev| match self.inner.events.view_id(ev) {
                     EventView::Live(BackendEvent::Sim(t), _) => {
-                        with_class(LockClass::SimExec, || sim.lock().fire_time(t))
-                            .map(|t| t.as_nanos())
+                        sim.lock().fire_time(t).map(|t| t.as_nanos())
                     }
                     _ => None,
                 })
@@ -513,15 +504,15 @@ impl HStreams {
         if mask.is_empty() {
             return Err(HsError::InvalidArg("stream mask is empty".into()));
         }
-        let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = self.inner.world.read();
         // Id assignment, executor registration and table insertion are one
         // critical section: concurrent creators get dense, matching indices.
-        let _lo_streams = lockorder::acquiring(LockClass::Streams);
         let mut streams = self.inner.streams.write();
         let id = StreamId(streams.len() as u32);
         self.inner.exec.add_stream(domain.0, mask);
-        streams.push(Arc::new(Mutex::new(StreamState::new(id, domain, mask))));
+        streams.push(Arc::new(StreamLock::new(StreamState::new(
+            id, domain, mask,
+        ))));
         Ok(id)
     }
 
@@ -582,27 +573,28 @@ impl HStreams {
             .collect()
     }
 
-    fn stream_arc(&self, s: StreamId) -> HsResult<Arc<Mutex<StreamState>>> {
-        with_class(LockClass::Streams, || {
-            self.inner.streams.read().get(s.0 as usize).cloned()
-        })
-        .ok_or(HsError::UnknownStream(s))
+    fn stream_arc(&self, s: StreamId) -> HsResult<Arc<StreamLock>> {
+        let streams = self.inner.streams.read();
+        streams
+            .get(s.0 as usize)
+            .cloned()
+            .ok_or(HsError::UnknownStream(s))
     }
 
     /// The domain a stream's sink lives in.
     pub fn stream_domain(&self, s: StreamId) -> HsResult<DomainId> {
-        let st = self.stream_arc(s)?;
-        Ok(with_class(LockClass::Stream, || st.lock().domain))
+        let domain = self.stream_arc(s)?.lock().domain;
+        Ok(domain)
     }
 
     /// Cores bound to a stream.
     pub fn stream_cores(&self, s: StreamId) -> HsResult<u32> {
-        let st = self.stream_arc(s)?;
-        Ok(with_class(LockClass::Stream, || st.lock().cores()))
+        let cores = self.stream_arc(s)?.lock().cores();
+        Ok(cores)
     }
 
     pub fn num_streams(&self) -> usize {
-        with_class(LockClass::Streams, || self.inner.streams.read().len())
+        self.inner.streams.read().len()
     }
 
     // -------------------------------------------------------------- buffers
@@ -612,17 +604,8 @@ impl HStreams {
     /// instantiations require explicit [`HStreams::buffer_instantiate`].
     pub fn buffer_create(&self, len: usize, props: BufProps) -> BufferId {
         self.inner.stats.bump("buffer_create");
-        let id = with_class(LockClass::Buffers, || {
-            self.inner.buffers.write().create(len, props)
-        });
-        #[cfg(feature = "hsan-record")]
-        if self.is_recording() {
-            with_class(LockClass::Recorder, || {
-                if let Some(rec) = self.inner.recorder.lock().as_mut() {
-                    rec.push(record::TraceOp::BufferCreate { buffer: id.0, len });
-                }
-            });
-        }
+        let id = self.inner.buffers.write().create(len, props);
+        self.record_op(TraceOp::BufferCreate { buffer: id.0, len });
         self.instantiate_unchecked(id, DomainId::HOST)
             .expect("fresh buffer instantiates on host");
         id
@@ -641,7 +624,6 @@ impl HStreams {
     fn instantiate_unchecked(&self, buf: BufferId, domain: DomainId) -> HsResult<()> {
         let pooled = self.inner.platform.coi_buffer_pool;
         let len = {
-            let _lo = lockorder::acquiring(LockClass::Buffers);
             let buffers = self.inner.buffers.read();
             let rec = buffers.get(buf)?;
             if rec.is_instantiated(domain) {
@@ -670,7 +652,6 @@ impl HStreams {
             }
         };
         let surplus = {
-            let _lo = lockorder::acquiring(LockClass::Buffers);
             let mut buffers = self.inner.buffers.write();
             match buffers.get_mut(buf) {
                 Ok(rec) if rec.is_instantiated(domain) => Some(inst),
@@ -695,40 +676,22 @@ impl HStreams {
             }
             return Ok(());
         }
-        #[cfg(feature = "hsan-record")]
-        if self.is_recording() {
-            with_class(LockClass::Recorder, || {
-                if let Some(rec) = self.inner.recorder.lock().as_mut() {
-                    rec.push(record::TraceOp::BufferInstantiate {
-                        buffer: buf.0,
-                        domain: domain.0,
-                    });
-                }
-            });
-        }
+        self.record_op(TraceOp::BufferInstantiate {
+            buffer: buf.0,
+            domain: domain.0,
+        });
         Ok(())
     }
 
     /// Destroy a buffer, returning its windows to the COI pool.
     pub fn buffer_destroy(&self, buf: BufferId) -> HsResult<()> {
         self.inner.stats.bump("buffer_destroy");
-        let len = with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().get(buf).map(|r| r.len)
-        })?;
+        let len = self.buffer_len(buf)?;
         // Wait for any action still touching the buffer.
         let deps = self.conflicting_events(buf, 0..len, true);
         self.wait_events_recovering(&deps)?;
-        let insts = with_class(LockClass::Buffers, || {
-            self.inner.buffers.write().destroy(buf)
-        })?;
-        #[cfg(feature = "hsan-record")]
-        if self.is_recording() {
-            with_class(LockClass::Recorder, || {
-                if let Some(rec) = self.inner.recorder.lock().as_mut() {
-                    rec.push(record::TraceOp::BufferDestroy { buffer: buf.0 });
-                }
-            });
-        }
+        let insts = self.inner.buffers.write().destroy(buf)?;
+        self.record_op(TraceOp::BufferDestroy { buffer: buf.0 });
         if let Executor::Thread(t) = &self.inner.exec {
             for (domain, inst) in insts {
                 if let Instantiation::Window(w) = inst {
@@ -736,31 +699,23 @@ impl HStreams {
                 }
             }
         }
-        with_class(LockClass::SimShadow, || {
-            self.inner.sim_shadow.lock().remove(&buf)
-        });
+        self.inner.sim_shadow.lock().remove(&buf);
         Ok(())
     }
 
     pub fn buffer_len(&self, buf: BufferId) -> HsResult<usize> {
-        with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().get(buf).map(|r| r.len)
-        })
+        self.inner.buffers.read().get(buf).map(|r| r.len)
     }
 
     /// Resolve a proxy address into (buffer, offset) — the source proxy
     /// address translation of the paper.
     pub fn resolve_addr(&self, addr: addrspace::ProxyAddr) -> Option<(BufferId, usize)> {
-        with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().resolve_addr(addr)
-        })
+        self.inner.buffers.read().resolve_addr(addr)
     }
 
     /// Proxy base address of a buffer.
     pub fn buffer_addr(&self, buf: BufferId) -> HsResult<addrspace::ProxyAddr> {
-        with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().get(buf).map(|r| r.proxy)
-        })
+        self.inner.buffers.read().get(buf).map(|r| r.proxy)
     }
 
     /// Synchronously write into the buffer's **host** instantiation. Waits
@@ -809,14 +764,11 @@ impl HStreams {
         fill: impl FnOnce(&mut [u8]),
     ) -> HsResult<()> {
         self.inner.stats.bump("buffer_write");
-        with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().get(buf)?.check_range(&range)
-        })?;
+        self.inner.buffers.read().get(buf)?.check_range(&range)?;
         let deps = self.conflicting_events(buf, range.clone(), true);
         self.wait_events_recovering(&deps)?;
         match &self.inner.exec {
             Executor::Thread(t) => {
-                let _lo = lockorder::acquiring(LockClass::Buffers);
                 let buffers = self.inner.buffers.read();
                 let rec = buffers.get(buf)?;
                 let win = rec.window(DomainId::HOST)?;
@@ -831,10 +783,7 @@ impl HStreams {
                 fill(g.as_mut_slice());
             }
             Executor::Sim(_) => {
-                let len = with_class(LockClass::Buffers, || {
-                    self.inner.buffers.read().get(buf).map(|r| r.len)
-                })?;
-                let _lo = lockorder::acquiring(LockClass::SimShadow);
+                let len = self.buffer_len(buf)?;
                 let mut shadow = self.inner.sim_shadow.lock();
                 let bytes = shadow.entry(buf).or_insert_with(|| vec![0; len]);
                 fill(&mut bytes[range]);
@@ -852,14 +801,11 @@ impl HStreams {
         take: impl FnOnce(&[u8]),
     ) -> HsResult<()> {
         self.inner.stats.bump("buffer_read");
-        with_class(LockClass::Buffers, || {
-            self.inner.buffers.read().get(buf)?.check_range(&range)
-        })?;
+        self.inner.buffers.read().get(buf)?.check_range(&range)?;
         let deps = self.conflicting_events(buf, range.clone(), false);
         self.wait_events_recovering(&deps)?;
         match &self.inner.exec {
             Executor::Thread(t) => {
-                let _lo = lockorder::acquiring(LockClass::Buffers);
                 let buffers = self.inner.buffers.read();
                 let rec = buffers.get(buf)?;
                 let win = rec.window(DomainId::HOST)?;
@@ -873,13 +819,10 @@ impl HStreams {
                     .map_err(|e| HsError::ExecFailed(e.to_string()))?;
                 take(g.as_slice());
             }
-            Executor::Sim(_) => {
-                let _lo = lockorder::acquiring(LockClass::SimShadow);
-                match self.inner.sim_shadow.lock().get(&buf) {
-                    Some(shadow) => take(&shadow[range]),
-                    None => take(&vec![0; range.len()]),
-                }
-            }
+            Executor::Sim(_) => match self.inner.sim_shadow.lock().get(&buf) {
+                Some(shadow) => take(&shadow[range]),
+                None => take(&vec![0; range.len()]),
+            },
         }
         Ok(())
     }
@@ -935,15 +878,13 @@ impl HStreams {
             .map(|d| FootprintItem::new(DomainId(d), buf, range.clone(), write))
             .collect();
         let mut deps = Vec::new();
-        let _lo_streams = lockorder::acquiring(LockClass::Streams);
         let streams = self.inner.streams.read();
         let mut tmp = DepList::new();
         for st in streams.iter() {
             tmp.clear();
-            let red = with_class(LockClass::Stream, || {
-                st.lock()
-                    .find_deps(&probe, false, OrderingMode::OutOfOrder, &mut tmp)
-            });
+            let red = st
+                .lock()
+                .find_deps(&probe, false, OrderingMode::OutOfOrder, &mut tmp);
             if red != 0 {
                 self.inner.redundant.add(red);
             }
@@ -996,7 +937,6 @@ impl HStreams {
             return;
         }
         let inner = &*self.inner;
-        let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = inner.world.read();
         inner.events.compact(|be| {
             if !inner.exec.is_complete(be) {
@@ -1014,15 +954,12 @@ impl HStreams {
             // WAL records are pruned solely by watermark retirement at a
             // checkpoint.
             let card_of_stream: Vec<Option<DomainId>> = {
-                let _lo_streams = lockorder::acquiring(LockClass::Streams);
                 let streams = inner.streams.read();
-                let _lo_stream = lockorder::acquiring(LockClass::Stream);
                 streams
                     .iter()
                     .map(|st| Some(st.lock().domain).filter(|d| !d.is_host()))
                     .collect()
             };
-            let _lo = lockorder::acquiring(LockClass::Recovery);
             let mut log = inner.recovery.lock();
             let ok: Vec<bool> = log
                 .entries()
@@ -1063,7 +1000,7 @@ impl HStreams {
     /// flushes. No-op when durability is off.
     fn wal_flush(&self) {
         if let Some(wal) = self.wal() {
-            with_class(LockClass::Recovery, || self.inner.recovery.lock().drain());
+            self.inner.recovery.lock().drain();
             wal.flush();
         }
     }
@@ -1095,7 +1032,6 @@ impl HStreams {
         let mut out = Vec::new();
         match &self.inner.exec {
             Executor::Thread(t) => {
-                let _lo = lockorder::acquiring(LockClass::Buffers);
                 let buffers = self.inner.buffers.read();
                 for rec in buffers.iter() {
                     for (domain, inst) in &rec.inst {
@@ -1114,7 +1050,6 @@ impl HStreams {
             }
             Executor::Sim(_) => {
                 // Sim mode: bytes only exist in the host shadow map.
-                let _lo = lockorder::acquiring(LockClass::SimShadow);
                 for (buf, bytes) in self.inner.sim_shadow.lock().iter() {
                     out.push((buf.0, 0, bytes.clone()));
                 }
@@ -1133,7 +1068,6 @@ impl HStreams {
             let dom = DomainId(*domain as usize);
             match &self.inner.exec {
                 Executor::Thread(t) => {
-                    let _lo = lockorder::acquiring(LockClass::Buffers);
                     let buffers = self.inner.buffers.read();
                     let mem = buffers
                         .get(buf)
@@ -1160,9 +1094,7 @@ impl HStreams {
                 }
                 Executor::Sim(_) => {
                     if dom.is_host() {
-                        with_class(LockClass::SimShadow, || {
-                            self.inner.sim_shadow.lock().insert(buf, bytes.clone())
-                        });
+                        self.inner.sim_shadow.lock().insert(buf, bytes.clone());
                     }
                 }
             }
@@ -1298,16 +1230,13 @@ impl HStreams {
         if card == 0 || card as usize >= self.inner.platform.domains.len() {
             return Ok(false);
         }
-        let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = self.inner.world.write();
         if self.inner.degrade_gen.load(Ordering::Acquire) != seen_gen {
             // A degradation completed since the caller's snapshot; its
             // failed wait may now resolve against a replayed action.
             return Ok(true);
         }
-        if with_class(LockClass::Degraded, || {
-            self.inner.degraded.lock().contains(&card)
-        }) {
+        if self.inner.degraded.lock().contains(&card) {
             return Ok(false);
         }
         self.degrade_card(card)?;
@@ -1324,7 +1253,7 @@ impl HStreams {
         let inner = &*self.inner;
         let dom = DomainId(card as usize);
         inner.chaos.mark_card_dead(card);
-        with_class(LockClass::Degraded, || inner.degraded.lock().push(card));
+        inner.degraded.lock().push(card);
         // 1. Quiesce: settle every in-flight action's status. Everything
         //    completes — card ops fail fast against the dead set, failures
         //    poison dependents, and deadlines bound the rest.
@@ -1342,11 +1271,9 @@ impl HStreams {
         //    valid; subsequent (and replayed) actions resolve on the host.
         //    `on_card[i]`: stream i sat on the lost card until now.
         let on_card: Vec<bool> = {
-            let _lo_streams = lockorder::acquiring(LockClass::Streams);
             let streams = inner.streams.read();
             let mut on_card = vec![false; streams.len()];
             for (i, st_arc) in streams.iter().enumerate() {
-                let _lo_stream = lockorder::acquiring(LockClass::Stream);
                 let mut st = st_arc.lock();
                 if st.domain == dom {
                     st.domain = DomainId::HOST;
@@ -1362,7 +1289,6 @@ impl HStreams {
         let mut dropped = 0u32;
         let mut freed = Vec::new();
         {
-            let _lo_buffers = lockorder::acquiring(LockClass::Buffers);
             let mut buffers = inner.buffers.write();
             for rec in buffers.iter_mut() {
                 if let Some(inst) = rec.inst.remove(&dom) {
@@ -1422,7 +1348,6 @@ impl HStreams {
         }
         // Exclusive frontend: no enqueue may race the flip from dead to
         // live, or it could observe a half-revived card.
-        let _lo_world = lockorder::acquiring(LockClass::World);
         let _world = inner.world.write();
         let fabric = t.coi().fabric();
         let transport = fabric.transport(hs_fabric::NodeId(card as u16));
@@ -1442,9 +1367,7 @@ impl HStreams {
         // has never heard of.
         t.coi().pool_purge(EngineId(card as u16));
         inner.chaos.revive_card(card);
-        with_class(LockClass::Degraded, || {
-            inner.degraded.lock().retain(|c| *c != card)
-        });
+        inner.degraded.lock().retain(|c| *c != card);
         inner
             .chaos
             .note(format!("readmitted: card {card} at {endpoint}"));
@@ -1463,9 +1386,7 @@ impl HStreams {
         let st_arc = self.stream_arc(s)?;
         let mut last = None;
         loop {
-            let next = with_class(LockClass::Stream, || {
-                st_arc.lock().first_pending_after(last)
-            });
+            let next = st_arc.lock().first_pending_after(last);
             match next {
                 None => break,
                 Some(e) => {
@@ -1476,9 +1397,7 @@ impl HStreams {
         }
         // Everything observed complete: full sweep so no stale index
         // entries linger past a synchronize point.
-        with_class(LockClass::Stream, || {
-            st_arc.lock().retire_now(|e| self.event_retired_ok(e))
-        });
+        st_arc.lock().retire_now(|e| self.event_retired_ok(e));
         // The wait loop above also covers actions other threads enqueued
         // *while it ran*; their records may postdate the entry flush, so
         // flush again — nothing observed complete here returns unflushed.
@@ -1588,9 +1507,7 @@ impl HStreams {
             .insert("deps.redundant".into(), self.inner.redundant.get() as f64);
         snap.extra.insert(
             "frontend.recovery.entries".into(),
-            with_class(LockClass::Recovery, || {
-                self.inner.recovery.lock().entries().len()
-            }) as f64,
+            self.inner.recovery.lock().entries().len() as f64,
         );
         if let Some(ws) = self.wal_stats() {
             snap.extra

@@ -4,24 +4,32 @@
 //! The runtime's deadlock-freedom argument is a total order on its lock
 //! classes (DESIGN.md §13): every thread acquires locks in ascending
 //! [`LockClass::rank`] order, so a cycle in the waits-for graph is
-//! impossible. This module makes that argument *checkable*: acquisition
-//! sites call [`acquiring`] just before taking the lock; while recording is
-//! [`enable`]d, every (held-class → acquired-class) pair is accumulated
-//! into a global edge multiset, and [`edges_json`] serializes it for the
-//! `hsan lock-order` subcommand, which reports rank inversions and cycles.
+//! impossible. This module makes that argument *checkable*: a lock of one
+//! of the classes is declared with its class in its type
+//! ([`crate::sync::ClassedMutex`], [`crate::sync::ClassedRwLock`]) and
+//! calls [`acquiring`] on every acquisition, so coverage is every
+//! acquisition, by construction. While recording is [`enable`]d, every
+//! (held-class → acquired-class) pair is accumulated into a global edge
+//! multiset, and [`edges_json`] serializes it for the `hsan lock-order`
+//! subcommand, which reports rank inversions and cycles.
 //!
 //! The class list and ranks live here — in the runtime, next to the locks
 //! they describe — and `hsan` imports them, so the checker can never drift
 //! from the code it checks.
 //!
-//! Costs: with the `lock-order` feature off (the default) the hooks are
-//! empty inline functions and vanish entirely. With the feature on but
-//! recording disabled, each site costs one relaxed atomic load. Recording
-//! itself takes a global `std::sync::Mutex` per acquisition — strictly a
-//! diagnostics mode, never a production configuration. The witness
-//! structures use plain `std` primitives (not [`crate::sync`]): they are
+//! Costs: the witness is always compiled. With recording disabled each
+//! acquisition costs one relaxed atomic load. Recording itself takes a
+//! global `std::sync::Mutex` per acquisition — strictly a diagnostics mode,
+//! never a production configuration. The witness structures — enable flag
+//! included — use plain `std` primitives (not [`crate::sync`]): they are
 //! observer infrastructure, not part of the protocol under verification,
 //! and must not add schedule points to loom models.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// One lock class from the documented order. Ranks ascend in legal
 /// acquisition order: while holding a class of rank *r*, only classes of
@@ -106,116 +114,104 @@ impl LockClass {
 
 /// RAII witness for one held lock: created by [`acquiring`] immediately
 /// before the acquisition, dropped with (or after) the lock guard.
-/// With the `lock-order` feature off this is a zero-sized no-op.
 #[must_use = "bind to a local so the class stays on the held stack while the lock is held"]
 pub struct Acquired {
-    #[cfg(feature = "lock-order")]
+    /// `None`: recording was off at the acquisition, nothing to pop.
     class: Option<LockClass>,
 }
 
-#[cfg(feature = "lock-order")]
-mod imp {
-    use super::{Acquired, LockClass};
-    use crate::sync::{AtomicBool, Ordering};
-    use std::cell::RefCell;
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-    use std::sync::Mutex as StdMutex;
+// Relaxed everywhere: the flag publishes no data (the edge map has its own
+// mutex, the held stack is thread-local).
+static ENABLED: AtomicBool = AtomicBool::new(false);
+/// (held, acquired) → occurrences, across all threads since `clear`.
+static EDGES: Mutex<BTreeMap<(LockClass, LockClass), u64>> = Mutex::new(BTreeMap::new());
 
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-    /// (held, acquired) → occurrences, across all threads since `clear`.
-    static EDGES: StdMutex<BTreeMap<(LockClass, LockClass), u64>> = StdMutex::new(BTreeMap::new());
-
-    thread_local! {
-        /// Classes this thread currently holds, in acquisition order.
-        static HELD: RefCell<Vec<LockClass>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Start recording acquisition edges (global, all threads).
-    pub fn enable() {
-        ENABLED.store(true, Ordering::Release);
-    }
-
-    /// Stop recording. Edges already recorded are kept until [`clear`].
-    pub fn disable() {
-        ENABLED.store(false, Ordering::Release);
-    }
-
-    /// Drop all recorded edges.
-    pub fn clear() {
-        EDGES.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-
-    /// Snapshot of the recorded edges as `(held, acquired, count)` rows.
-    pub fn edges() -> Vec<(LockClass, LockClass, u64)> {
-        EDGES
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(&(h, a), &n)| (h, a, n))
-            .collect()
-    }
-
-    /// The recorded edges in the `hsan lock-order` input format.
-    pub fn edges_json() -> String {
-        let rows = edges();
-        let mut s = String::from("{\n  \"edges\": [\n");
-        for (i, (h, a, n)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {n}}}{comma}",
-                h.name(),
-                a.name()
-            );
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    pub fn acquiring(class: LockClass) -> Acquired {
-        if !ENABLED.load(Ordering::Acquire) {
-            return Acquired { class: None };
-        }
-        HELD.with(|held| {
-            let mut held = held.borrow_mut();
-            if !held.is_empty() {
-                let mut edges = EDGES.lock().unwrap_or_else(|e| e.into_inner());
-                for &h in held.iter() {
-                    *edges.entry((h, class)).or_insert(0) += 1;
-                }
-            }
-            held.push(class);
-        });
-        Acquired { class: Some(class) }
-    }
-
-    impl Drop for Acquired {
-        fn drop(&mut self) {
-            let Some(class) = self.class else { return };
-            HELD.with(|held| {
-                let mut held = held.borrow_mut();
-                // Guards usually drop LIFO, but `drop(g)` patterns may
-                // release out of order: remove the *last* matching entry.
-                if let Some(i) = held.iter().rposition(|&c| c == class) {
-                    held.remove(i);
-                }
-            });
-        }
-    }
+thread_local! {
+    /// Classes this thread currently holds, in acquisition order.
+    static HELD: RefCell<Vec<LockClass>> = const { RefCell::new(Vec::new()) };
 }
 
-#[cfg(feature = "lock-order")]
-pub use imp::{clear, disable, edges, edges_json, enable};
+/// Start recording acquisition edges (global, all threads).
+pub fn enable() {
+    ENABLED.store(true, Ordering::Relaxed);
+}
 
-#[cfg(feature = "lock-order")]
-pub use imp::acquiring;
+/// Stop recording. Edges already recorded are kept until [`clear`].
+pub fn disable() {
+    ENABLED.store(false, Ordering::Relaxed);
+}
 
-/// Witness an acquisition of `class` (no-op: `lock-order` feature is off).
-#[cfg(not(feature = "lock-order"))]
-#[inline(always)]
-pub fn acquiring(_class: LockClass) -> Acquired {
-    Acquired {}
+/// Drop all recorded edges.
+pub fn clear() {
+    EDGES.lock().unwrap_or_else(|e| e.into_inner()).clear();
+}
+
+/// Snapshot of the recorded edges as `(held, acquired, count)` rows.
+pub fn edges() -> Vec<(LockClass, LockClass, u64)> {
+    EDGES
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .iter()
+        .map(|(&(h, a), &n)| (h, a, n))
+        .collect()
+}
+
+/// The recorded edges in the `hsan lock-order` input format.
+pub fn edges_json() -> String {
+    let rows = edges();
+    let mut s = String::from("{\n  \"edges\": [\n");
+    for (i, (h, a, n)) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(
+            s,
+            "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {n}}}{comma}",
+            h.name(),
+            a.name()
+        );
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// Witness an acquisition of `class`: one relaxed load while recording is
+/// off. [`crate::sync::ClassedMutex`] and [`crate::sync::ClassedRwLock`]
+/// call this on every acquisition; nothing else in the runtime does.
+#[inline]
+pub fn acquiring(class: LockClass) -> Acquired {
+    if !ENABLED.load(Ordering::Relaxed) {
+        return Acquired { class: None };
+    }
+    record(class);
+    Acquired { class: Some(class) }
+}
+
+#[cold]
+fn record(class: LockClass) {
+    HELD.with(|held| {
+        let mut held = held.borrow_mut();
+        if !held.is_empty() {
+            let mut edges = EDGES.lock().unwrap_or_else(|e| e.into_inner());
+            for &h in held.iter() {
+                *edges.entry((h, class)).or_insert(0) += 1;
+            }
+        }
+        held.push(class);
+    });
+}
+
+impl Drop for Acquired {
+    #[inline]
+    fn drop(&mut self) {
+        let Some(class) = self.class else { return };
+        HELD.with(|held| {
+            let mut held = held.borrow_mut();
+            // Guards usually drop LIFO, but `drop(g)` patterns may
+            // release out of order: remove the *last* matching entry.
+            if let Some(i) = held.iter().rposition(|&c| c == class) {
+                held.remove(i);
+            }
+        });
+    }
 }
 
 #[cfg(test)]

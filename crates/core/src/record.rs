@@ -1,10 +1,9 @@
 //! Action-trace recording for the `hsan` stream-semantics sanitizer.
 //!
-//! The types here are always compiled (they are plain data, and the `hsan`
-//! crate consumes them); the *hooks* that populate them inside the runtime
-//! are gated behind the `hsan-record` feature so that a production build
-//! pays nothing. With the feature on but recording not started, the cost is
-//! one `Option` check per enqueue.
+//! The hooks that populate these types inside the runtime are always
+//! compiled and switched at run time by `HStreams::recording_start` /
+//! `recording_take`: with no recording live, an enqueue or buffer operation
+//! pays one atomic load.
 //!
 //! What gets recorded is exactly the information the paper's correctness
 //! contract is stated in terms of: per-stream enqueue order, each action's
@@ -17,7 +16,6 @@
 use crate::deps::Footprint;
 use crate::stream::ActionKind;
 use crate::types::OrderingMode;
-#[cfg(feature = "hsan-record")]
 use hs_coi::CompletionLog;
 
 /// One enqueued action, as the dependence engine saw it.
@@ -76,7 +74,6 @@ impl ActionTrace {
 }
 
 /// Live recording state owned by an `HStreams` instance.
-#[cfg(feature = "hsan-record")]
 pub struct Recorder {
     pub(crate) ordering: OrderingMode,
     pub(crate) domains: usize,
@@ -86,7 +83,6 @@ pub struct Recorder {
     pub(crate) completions: CompletionLog,
 }
 
-#[cfg(feature = "hsan-record")]
 impl Recorder {
     pub(crate) fn new(ordering: OrderingMode, domains: usize) -> Recorder {
         Recorder {

@@ -44,9 +44,8 @@ use crate::deps::Footprint;
 use crate::durable::RecoveryReport;
 use crate::events::EventView;
 use crate::exec::{self, ActionSpec, SubmitOpts};
-use crate::lockorder::LockClass;
 use crate::types::{BufferId, DomainId, Event, HsResult};
-use crate::{with_class, ActionOpts, HStreams, LoggedAction, LoggedOp};
+use crate::{ActionOpts, HStreams, LoggedAction, LoggedOp};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -352,9 +351,7 @@ impl HStreams {
         let inner = &*self.inner;
         // Snapshot under a short lock; the rest of the replay touches
         // streams/buffers and must respect the lock order.
-        let log: Vec<LoggedAction> = with_class(LockClass::Recovery, || {
-            inner.recovery.lock().entries().to_vec()
-        });
+        let log: Vec<LoggedAction> = inner.recovery.lock().entries().to_vec();
         let failed: Vec<bool> = log
             .iter()
             .map(|la| match inner.events.view_id(la.ev) {

@@ -293,7 +293,6 @@ fn card_loss_mid_accumulate_chain_applies_every_update_once() {
 /// With an hsan recording live, a producer's completion is logged before
 /// those of dependents that dispatch and complete inside its completion
 /// walk — on the single and on the batched enqueue path.
-#[cfg(feature = "hsan-record")]
 #[test]
 fn recorded_completion_order_puts_producers_before_their_dependents() {
     use hstreams_core::BatchAction;

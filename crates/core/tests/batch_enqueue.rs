@@ -374,7 +374,6 @@ fn batch_event_wait_validates_ids() {
 /// While an hsan recording is live, a batch records exactly the ops that
 /// the equivalent singles record — same ids, same kinds,
 /// footprints and wait edges.
-#[cfg(feature = "hsan-record")]
 #[test]
 fn batch_trace_matches_singles_trace() {
     use hstreams_core::TraceOp;

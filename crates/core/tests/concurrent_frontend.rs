@@ -134,25 +134,22 @@ fn concurrent_enqueue_shared_stream() {
     // Not asserted > 0: on a single-core host the threads may serialize
     // perfectly. Merely read the gauge to prove it is wired.
     let _ = metric(&hs, "frontend.stream_lock.contended");
-    #[cfg(feature = "hsan-record")]
-    {
-        hs.recording_start();
-        round();
-        let trace = hs.recording_take().expect("recording was on");
-        let ids: Vec<u64> = trace
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                hstreams_core::TraceOp::Enqueue(a) if a.stream == s.0 => Some(a.event),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(ids.len(), nthreads * per);
-        assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "recorded ids of one stream must ascend in enqueue order"
-        );
-    }
+    hs.recording_start();
+    round();
+    let trace = hs.recording_take().expect("recording was on");
+    let ids: Vec<u64> = trace
+        .ops
+        .iter()
+        .filter_map(|op| match op {
+            hstreams_core::TraceOp::Enqueue(a) if a.stream == s.0 => Some(a.event),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ids.len(), nthreads * per);
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "recorded ids of one stream must ascend in enqueue order"
+    );
 }
 
 /// Cross-thread event edges: each thread enqueues into its own stream but

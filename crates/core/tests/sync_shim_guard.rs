@@ -7,12 +7,16 @@
 //!
 //! Allowed exceptions:
 //! * `src/sync.rs` — the facade itself re-exports the real primitives.
-//! * `std::sync::Mutex` in `src/lockorder.rs` — observer infrastructure
-//!   documented as deliberately *not* part of the protocol under
-//!   verification (it must not add schedule points to the models). The
-//!   atomic it uses still comes from `crate::sync`.
+//! * `std::sync::Mutex` and the `std::sync::atomic` enable flag in
+//!   `src/lockorder.rs` — observer infrastructure documented as
+//!   deliberately *not* part of the protocol under verification (it is
+//!   compiled into every build and must not add schedule points to the
+//!   models).
 //!
-//! A second pattern list keeps per-thread id state out of `src/events.rs`.
+//! A second pattern list keeps per-thread id state out of `src/events.rs`;
+//! the last three tests keep the crate at one build (no cargo feature, no
+//! feature-conditional code anywhere in the workspace's crates) and the
+//! lock-order witness inside the classed locks of `sync.rs`.
 
 use std::path::Path;
 
@@ -38,7 +42,11 @@ fn core_uses_the_sync_facade_exclusively() {
         "source scan found no sync.rs — wrong directory?"
     );
     files.retain(|p| p.file_name().is_none_or(|n| n != "sync.rs"));
-    let violations = scan(&files, FORBIDDEN);
+    // lockorder.rs's enable flag is a std atomic on purpose (see above).
+    let (lockorder, rest): (Vec<_>, Vec<_>) =
+        files.into_iter().partition(|p| p.ends_with("lockorder.rs"));
+    let mut violations = scan(&rest, FORBIDDEN);
+    violations.extend(scan(&lockorder, &["parking_lot"]));
     assert!(
         violations.is_empty(),
         "sync primitives must come through crate::sync (loom swaps it out \
@@ -54,6 +62,59 @@ fn event_ids_come_from_one_counter() {
     assert!(
         violations.is_empty(),
         "events.rs must not keep per-thread id state:\n{}",
+        violations.join("\n")
+    );
+}
+
+/// A cargo feature is a second build of the crate: the tests would check
+/// one and the benchmark measure the other (before PR 24 they did).
+#[test]
+fn the_workspace_crates_have_one_build() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates/");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(crates).expect("readable crates dir") {
+        let krate = krate.expect("readable dir entry").path();
+        for sub in ["src", "tests"] {
+            if krate.join(sub).is_dir() {
+                collect_rs(&krate.join(sub), &mut files);
+            }
+        }
+    }
+    assert!(files.len() > 100, "source scan found {}", files.len());
+    // Spelled in two halves so that this file does not match itself.
+    let patterns = [concat!("cfg(", "feature"), concat!("cfg(not(", "feature")];
+    let violations = scan(&files, &patterns);
+    assert!(
+        violations.is_empty(),
+        "no code may compile under a cargo feature:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn core_declares_no_cargo_feature() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml");
+    let violations = scan(&[manifest], &["[features]"]);
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// A class is witnessed by its lock (`ClassedMutex` / `ClassedRwLock`), not
+/// by a call somebody remembered to place beside the acquisition.
+#[test]
+fn only_the_classed_locks_call_the_witness() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    collect_rs(&src, &mut files);
+    files.retain(|p| {
+        p.file_name()
+            .is_none_or(|n| n != "sync.rs" && n != "lockorder.rs")
+    });
+    let violations = scan(&files, &["lockorder::acquiring(", "with_class("]);
+    assert!(
+        violations.is_empty(),
+        "declare the lock with its class instead:\n{}",
         violations.join("\n")
     );
 }

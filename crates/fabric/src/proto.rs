@@ -361,6 +361,11 @@ impl<'a> Cursor<'a> {
         Some(b)
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Everything not yet consumed.
     pub fn rest(self) -> &'a [u8] {
         &self.buf[self.pos..]

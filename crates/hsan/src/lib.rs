@@ -21,8 +21,7 @@
 //!
 //! Use [`check`] from tests, or the `hsan` binary on a JSON trace
 //! (`cargo run -p hsan -- trace.json`; see [`json`] for the format).
-//! Record a trace with `HStreams::recording_start` / `recording_take`
-//! (requires the `hsan-record` feature of `hstreams-core`).
+//! Record a trace with `HStreams::recording_start` / `recording_take`.
 
 pub mod hb;
 pub mod json;

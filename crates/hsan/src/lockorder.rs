@@ -2,9 +2,9 @@
 //!
 //! The runtime's deadlock-freedom argument is a total order on its lock
 //! classes (DESIGN.md §13): every thread acquires locks in ascending
-//! [`LockClass::rank`] order. With the `lock-order` feature of
-//! `hstreams-core` on and `lockorder::enable()` called, every acquisition
-//! site records a *(held-class → acquired-class)* edge;
+//! [`LockClass::rank`] order. After `lockorder::enable()`, every
+//! acquisition of a classed lock records a *(held-class → acquired-class)*
+//! edge;
 //! `lockorder::edges_json()` serializes the multiset, and this module checks
 //! it:
 //!

@@ -1,4 +1,4 @@
-//! End-to-end: record real runs with `hsan-record` and analyze them. The
+//! End-to-end: record real runs live and analyze them. The
 //! racy fixtures must be detected (positive), the synchronized versions
 //! must be clean (negative), in both executor modes.
 

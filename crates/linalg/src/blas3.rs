@@ -3,25 +3,12 @@
 //! These are the kernels the tiled algorithms enqueue as hStreams compute
 //! tasks: `dgemm` (the workhorse), `dsyrk_ln` (symmetric rank-k update,
 //! lower) and `dtrsm_rlt` (triangular solve, right/lower/transpose — the
-//! Cholesky panel solve). Each dispatches by operand size: tiny shapes run
-//! the retained [`crate::naive`] loops (packing would cost more than the
-//! work), everything else runs the packed cache-blocked fast path in
-//! [`crate::microkernel`]. The naive module is also the oracle for the
-//! differential tests in `tests/blocked_vs_naive.rs`.
+//! Cholesky panel solve). Each checks its operand dimensions and runs the
+//! packed cache-blocked path in [`crate::microkernel`], whatever the size.
+//! [`crate::naive`] is the oracle for the differential tests in
+//! `tests/blocked_vs_naive.rs`, and nothing else.
 
-use crate::{microkernel, naive};
-
-/// Flop threshold (m·n·k or its triangular analogue) below which the naive
-/// loops beat the packed path's panel-allocation and packing overhead.
-const SMALL_FLOPS: usize = 16 * 1024;
-
-/// Does an m×n×k GEMM take the naive loops? Callers that cut one GEMM into
-/// row slabs (task expansion in `hs-apps`) ask this once with the *whole*
-/// tile's dimensions and run every slab down the same path, so the result
-/// does not depend on how many slabs there are.
-pub fn gemm_is_small(m: usize, n: usize, k: usize) -> bool {
-    m * n * k <= SMALL_FLOPS
-}
+use crate::microkernel;
 
 /// `C = alpha * A(m×k) * B(k×n) + beta * C(m×n)` — row-major, no transposes.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
@@ -38,11 +25,7 @@ pub fn dgemm(
     assert_eq!(a.len(), m * k, "A dims");
     assert_eq!(b.len(), k * n, "B dims");
     assert_eq!(c.len(), m * n, "C dims");
-    if gemm_is_small(m, n, k) {
-        naive::dgemm(alpha, a, b, beta, c, m, n, k);
-    } else {
-        microkernel::dgemm(alpha, a, b, beta, c, m, n, k);
-    }
+    microkernel::dgemm(alpha, a, b, beta, c, m, n, k);
 }
 
 /// `C = alpha * A(m×k) * B(k×n)ᵀ + beta * C(m×n)` where `b` is stored as
@@ -62,11 +45,7 @@ pub fn dgemm_nt(
     assert_eq!(a.len(), m * k, "A dims");
     assert_eq!(b.len(), n * k, "B dims (stored n×k)");
     assert_eq!(c.len(), m * n, "C dims");
-    if gemm_is_small(m, n, k) {
-        naive::dgemm_nt(alpha, a, b, beta, c, m, n, k);
-    } else {
-        microkernel::dgemm_nt(alpha, a, b, beta, c, m, n, k);
-    }
+    microkernel::dgemm_nt(alpha, a, b, beta, c, m, n, k);
 }
 
 /// Symmetric rank-k update, lower: `C = C - A·Aᵀ` restricted to the lower
@@ -74,11 +53,7 @@ pub fn dgemm_nt(
 pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
     assert_eq!(a.len(), n * k, "A dims");
     assert_eq!(c.len(), n * n, "C dims");
-    if n * n * k / 2 <= SMALL_FLOPS {
-        naive::dsyrk_ln(a, c, n, k);
-    } else {
-        microkernel::dsyrk_ln(a, c, n, k);
-    }
+    microkernel::dsyrk_ln(a, c, n, k);
 }
 
 /// Triangular solve, right/lower/transposed: `B = B · L⁻ᵀ` where `L` is the
@@ -88,11 +63,7 @@ pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
 pub fn dtrsm_rlt(l: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(l.len(), n * n, "L dims");
     assert_eq!(b.len(), m * n, "B dims");
-    if m * n * n / 2 <= SMALL_FLOPS {
-        naive::dtrsm_rlt(l, b, m, n);
-    } else {
-        microkernel::dtrsm_rlt(l, b, m, n);
-    }
+    microkernel::dtrsm_rlt(l, b, m, n);
 }
 
 /// Triangular solve, left/lower/unit: `B = L⁻¹·B` with `L` m×m unit lower
@@ -101,11 +72,7 @@ pub fn dtrsm_rlt(l: &[f64], b: &mut [f64], m: usize, n: usize) {
 pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(l.len(), m * m, "L dims");
     assert_eq!(b.len(), m * n, "B dims");
-    if m * m * n / 2 <= SMALL_FLOPS {
-        naive::dtrsm_llu(l, b, m, n);
-    } else {
-        microkernel::dtrsm_llu(l, b, m, n);
-    }
+    microkernel::dtrsm_llu(l, b, m, n);
 }
 
 /// Triangular solve, right/upper/non-unit: `B = B·U⁻¹` with `U` n×n upper
@@ -114,11 +81,7 @@ pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
 pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(u.len(), n * n, "U dims");
     assert_eq!(b.len(), m * n, "B dims");
-    if m * n * n / 2 <= SMALL_FLOPS {
-        naive::dtrsm_runn(u, b, m, n);
-    } else {
-        microkernel::dtrsm_runn(u, b, m, n);
-    }
+    microkernel::dtrsm_runn(u, b, m, n);
 }
 
 #[cfg(test)]

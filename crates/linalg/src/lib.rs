@@ -5,12 +5,11 @@
 //! provides those kernels in pure Rust so the applications compute real
 //! numbers in real-thread mode:
 //!
-//! * [`blas3`] — `dgemm`, `dsyrk`, `dtrsm` on row-major tiles, dispatching
-//!   by size between the naive loops and the packed fast path;
+//! * [`blas3`] — `dgemm`, `dsyrk`, `dtrsm` on row-major tiles: dimension
+//!   checks over the packed path;
 //! * [`microkernel`] — the packed, cache-blocked (MC/KC/NC), register-blocked
 //!   (MR×NR) GEMM fast path plus blocked SYRK/TRSM built on it;
-//! * [`naive`] — the retained reference loops (differential-test oracle and
-//!   small-operand path);
+//! * [`naive`] — the retained reference loops (differential-test oracle);
 //! * [`factor`] — `dpotrf` (Cholesky), `dgetrf` (LU with partial pivoting),
 //!   `ldlt` (the Simulia-style symmetric-indefinite supernode kernel);
 //! * [`dense`] — a row-major matrix type, SPD generators, norms;

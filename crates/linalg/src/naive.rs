@@ -5,8 +5,7 @@
 //! These loops are the *oracle* for differential testing: simple enough to
 //! audit by eye, streaming-friendly loop orders (i-k-j with the `a[i][k]`
 //! scalar hoisted), and bit-for-bit stable across refactors of the fast
-//! path. They also remain the execution path for tiny operands, where
-//! packing overhead exceeds the work itself.
+//! path. Nothing but tests calls them.
 
 /// `C = alpha * A(m×k) * B(k×n) + beta * C(m×n)` — row-major, no transposes.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface

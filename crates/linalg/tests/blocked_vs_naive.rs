@@ -16,9 +16,9 @@
 //! per-instantiation). A host without AVX-512F, or without FMA, runs the
 //! same suite through what it has.
 //!
-//! The microkernel entry points are called directly (not through the
-//! `blas3` small-operand dispatcher) so small shapes genuinely exercise the
-//! packed path rather than falling back to the oracle under test.
+//! Since `blas3` lost its small-operand fork this is also the suite that
+//! stands behind every tiny tile an application can enqueue: the packed
+//! path is the only path, at every size.
 
 use hs_linalg::dense::{random_spd, reconstruct_llt, zero_upper};
 use hs_linalg::factor::dpotrf;

@@ -13,6 +13,9 @@
 //! * the paced `dma.cN.*` gauges must have byte parity with the local
 //!   transport (the model accounts the same traffic; `link.cN.*` reports
 //!   the raw framed bytes on top);
+//! * a task function registered on the host only still runs on the remote
+//!   card's stream, through the fetch-compute-writeback fallback, to the
+//!   same bits and the same `dma.cN.*` accounting;
 //! * `kill -9` of the worker surfaces as a literal `CardLost`, runtime
 //!   drop stays fast, and — with a fault plan armed — mid-Cholesky death
 //!   degrades to the host and replays to the fault-free checksum.
@@ -22,7 +25,10 @@ use hs_apps::matmul::{self, MatmulConfig};
 use hs_apps::remote::WorkerProc;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::record::ActionTrace;
-use hstreams_core::{BufProps, CpuMask, ExecMode, FaultKind, FaultPlan, FaultSite, HStreams};
+use hstreams_core::{
+    Access, BufProps, CostHint, CpuMask, ExecMode, FaultKind, FaultPlan, FaultSite, HStreams,
+    Operand, TaskCtx,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -166,6 +172,81 @@ fn dma_gauges_have_byte_parity_local_vs_remote() {
     assert!(key(&remote, "link.c1.tx_bytes") > key(&remote, "dma.c1.h2d.bytes"));
     assert!(key(&remote, "link.c1.rx_bytes") > 0.0);
     assert!(key(&remote, "link.c1.reqs") > 0.0);
+}
+
+/// A task function registered through `hs.register` exists on the host
+/// only: the worker answers `UnknownFn`, and the pipeline fetches the card
+/// operands over the raw transport, computes here and writes the written
+/// ones back (DESIGN.md §15). Same bits as the in-process card, and — the
+/// fallback bypasses the DMA engines — the same `dma.c1.*` accounting.
+#[test]
+fn host_only_task_function_runs_on_a_remote_card_through_the_fallback() {
+    const N: usize = 300;
+    let run = |hs: HStreams| {
+        hs.register(
+            "host_only_scale_add",
+            std::sync::Arc::new(|ctx: &mut TaskCtx| {
+                let k = f64::from_le_bytes(ctx.args().try_into().expect("one f64"));
+                let x = ctx.buf_f64(0).to_vec();
+                for (y, x) in ctx.buf_f64_mut(1).iter_mut().zip(x) {
+                    *y = k * x + *y / 3.0;
+                }
+            }),
+        );
+        let card = hs.domains()[1].id;
+        let s = hs.stream_create(card, CpuMask::first(4)).expect("stream");
+        let bufs = [0.1f64, 0.7].map(|phase| {
+            let buf = hs.buffer_create(N * 8, BufProps::default());
+            hs.buffer_instantiate(buf, card).expect("instantiate");
+            let data: Vec<f64> = (0..N).map(|i| (i as f64 + phase).sin()).collect();
+            hs.buffer_write_f64(buf, 0, &data).expect("host write");
+            hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
+            buf
+        });
+        hs.enqueue_compute(
+            s,
+            "host_only_scale_add",
+            bytes::Bytes::copy_from_slice(&1.25f64.to_le_bytes()),
+            &[
+                Operand::f64s(bufs[0], 0, N, Access::In),
+                Operand::f64s(bufs[1], 0, N, Access::InOut),
+            ],
+            CostHint::trivial(),
+        )
+        .expect("enqueue");
+        hs.xfer_to_source(s, bufs[1], 0..N * 8).expect("d2h");
+        hs.stream_synchronize(s).expect("sync");
+        let mut out = vec![0.0; N];
+        hs.buffer_read_f64(bufs[1], 0, &mut out).expect("host read");
+        (out, hs.metrics().extra)
+    };
+
+    let (local_out, local) = run(local_rt());
+    let w = worker();
+    let (remote_out, remote) = run(remote_rt(&w));
+
+    assert!(local_out.iter().any(|y| *y != 0.0));
+    assert_eq!(
+        local_out.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+        remote_out.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+        "the fallback must compute the bits the in-process card computes"
+    );
+    for k in [
+        "dma.c1.h2d.bytes",
+        "dma.c1.d2h.bytes",
+        "dma.c1.h2d.ops",
+        "dma.c1.d2h.ops",
+    ] {
+        assert_eq!(local[k], remote[k], "{k}: the fallback is not DMA traffic");
+        assert!(local[k] > 0.0, "{k}: the operands were staged");
+    }
+    // It did take the fallback: besides the one result transfer, the wire
+    // carried both operands back to the host for the compute.
+    assert!(
+        remote["link.c1.rx_bytes"] >= (3 * N * 8) as f64,
+        "fetched operands must show on the link: {} B received",
+        remote["link.c1.rx_bytes"]
+    );
 }
 
 /// Satellite: a `kill -9`'d worker is a *literal* CardLost — the failure
