@@ -5,7 +5,7 @@
 //! order and access, cost hint) and shares one single-domain right-looking
 //! Cholesky schedule between `cholesky::run`'s Offload variant and
 //! `solver::run_supernode`. Neither may change what the runtime sees. For
-//! every app × variant, in sim mode under `recording_start()`, this file
+//! every app × variant, in sim mode with lifecycle records on, this file
 //! pins:
 //!
 //! * an FNV-1a digest of the recorded trace's per-stream projections —
@@ -85,9 +85,9 @@ fn digest(trace: &hsan::ActionTrace) -> u64 {
 /// Run `app` on a fresh sim runtime under a recording; (digest, secs bits).
 fn recorded(platform: PlatformCfg, app: impl FnOnce(&mut HStreams) -> f64) -> (u64, u64) {
     let mut hs = HStreams::init(platform, ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
     let secs = app(&mut hs);
-    let trace = hs.recording_take().expect("recording was started");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     assert!(trace.actions().count() > 0, "the app enqueued something");
     (digest(&trace), secs.to_bits())
 }

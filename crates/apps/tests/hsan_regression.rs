@@ -10,7 +10,7 @@ use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{ExecMode, HStreams};
 
 fn assert_clean(hs: &mut HStreams, what: &str) {
-    let trace = hs.recording_take().expect("recording was started");
+    let trace = hsan::ActionTrace::from_records(hs, &hs.take_obs_records());
     let report = hsan::check(&trace);
     assert!(
         report.is_clean(),
@@ -33,7 +33,7 @@ fn small_matmul() -> MatmulConfig {
 #[test]
 fn matmul_pipeline_is_race_free_thread_mode() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let r = matmul::run(&mut hs, &small_matmul()).expect("matmul runs");
     assert!(r.max_err.expect("verified") < 1e-10);
     assert_clean(&mut hs, "matmul/threads");
@@ -44,7 +44,7 @@ fn matmul_pipeline_is_race_free_sim_mode() {
     let mut cfg = MatmulConfig::new(2000, 500);
     cfg.verify = false;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
     matmul::run(&mut hs, &cfg).expect("matmul runs");
     assert_clean(&mut hs, "matmul/sim");
 }
@@ -56,7 +56,7 @@ fn cholesky_hetero_is_race_free_thread_mode() {
     cfg.streams_host = 2;
     cfg.verify = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let r = cholesky::run(&mut hs, &cfg).expect("cholesky runs");
     assert!(r.max_err.expect("verified") < 1e-8);
     assert_clean(&mut hs, "cholesky-hetero/threads");
@@ -79,7 +79,7 @@ fn matmul_and_cholesky_race_free_with_expansion() {
     mcfg.streams_host = 2;
     mcfg.verify = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let r = matmul::run(&mut hs, &mcfg).expect("matmul runs");
     assert!(r.max_err.expect("verified") < 1e-10);
     assert_clean(&mut hs, "matmul/threads+expansion");
@@ -91,7 +91,7 @@ fn matmul_and_cholesky_race_free_with_expansion() {
     ccfg.streams_host = 2;
     ccfg.verify = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let r = cholesky::run(&mut hs, &ccfg).expect("cholesky runs");
     assert!(r.max_err.expect("verified") < 1e-8);
     assert_clean(&mut hs, "cholesky/threads+expansion");
@@ -147,9 +147,9 @@ fn cholesky_variants_are_race_free_sim_mode() {
     ] {
         let cfg = CholConfig::new(2000, 500, variant);
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-        hs.recording_start();
+        hs.obs_enable(true);
         cholesky::run(&mut hs, &cfg).expect("cholesky runs");
-        let trace = hs.recording_take().expect("recording was started");
+        let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
         let report = hsan::check(&trace);
         assert!(
             report.is_clean(),

@@ -250,11 +250,6 @@ impl CudaLike {
         self.hs.now_secs()
     }
 
-    /// Sim-mode execution trace.
-    pub fn trace(&self) -> Option<hs_sim::Trace> {
-        self.hs.trace()
-    }
-
     /// Escape hatch for tests.
     pub fn hstreams(&mut self) -> &mut HStreams {
         &mut self.hs

@@ -40,7 +40,10 @@ pub trait EventHost: Send + Sync {
     fn event_core(&self) -> &EventCore;
 
     /// Called once with the final status, on the completing thread, before
-    /// any dependent is released.
+    /// the completion is observable: no waiter, poll or dependent sees it
+    /// until this returns (so a completion stamp taken here never exceeds
+    /// one its dependents take). Runs under the event's lock: it must not
+    /// touch the event.
     fn completed(&self, _status: &EventStatus) {}
 }
 
@@ -100,15 +103,17 @@ impl EventCore {
         }
     }
 
-    /// Settle the event (first completion wins; later ones are ignored),
-    /// wake parked waiters, tell `host`, then release the dependents in
-    /// registration order. `host` is the owner of this core.
+    /// Settle the event (first completion wins; later ones are ignored):
+    /// tell `host`, publish the status and wake parked waiters, then
+    /// release the dependents in registration order. `host` is the owner of
+    /// this core.
     pub fn complete(&self, new: EventStatus, host: &(impl EventHost + ?Sized)) {
         let status = {
             let mut st = self.state.lock();
             if st.status != EventStatus::Pending {
                 return;
             }
+            host.completed(&new);
             let settled = if new == EventStatus::Done { OK } else { FAILED };
             st.status = new;
             self.settled.store(settled, Ordering::Release);
@@ -117,7 +122,6 @@ impl EventCore {
             }
             st.status.clone()
         };
-        host.completed(&status);
         // The list is frozen now (registrations that find the event complete
         // run inline), so it is walked by cursor outside the lock: a
         // dependent may dispatch, complete and walk its own list from here.
@@ -351,62 +355,33 @@ impl CoiEvent {
     }
 }
 
-/// A shared, signal-ordered completion log.
-///
-/// Tracking an event appends a caller-chosen id to the log at the moment
-/// the event completes (on the completing thread, inside the callback
-/// drain), so the log's order *is* real completion order — the property
-/// the `hsan` FIFO-equivalence check relies on. Clones share the log.
-#[derive(Clone, Default)]
-pub struct CompletionLog {
-    entries: Arc<Mutex<Vec<u64>>>,
-}
-
-impl CompletionLog {
-    pub fn new() -> CompletionLog {
-        CompletionLog::default()
-    }
-
-    /// Append `id` to the log when `ev` completes (done or failed). If `ev`
-    /// is already complete the append happens inline, preserving the
-    /// caller's registration order.
-    pub fn track(&self, ev: &CoiEvent, id: u64) {
-        let entries = self.entries.clone();
-        ev.on_complete(move |_| entries.lock().push(id));
-    }
-
-    /// The ids logged so far, in completion order.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.entries.lock().clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn completion_log_orders_by_signal_time() {
-        let log = CompletionLog::new();
-        let a = CoiEvent::new();
-        let b = CoiEvent::new();
-        log.track(&a, 10);
-        log.track(&b, 20);
-        b.signal();
-        a.signal();
-        assert_eq!(
-            log.snapshot(),
-            vec![20, 10],
-            "signal order, not registration order"
-        );
-    }
-
-    #[test]
-    fn completion_log_tracks_already_complete_inline() {
-        let log = CompletionLog::new();
-        let a = CoiEvent::done();
-        log.track(&a, 1);
-        assert_eq!(log.snapshot(), vec![1]);
+    fn the_host_hears_of_a_completion_before_anyone_can_observe_it() {
+        // What a lock-free poll (`is_complete`, `completed_ok`) reads when
+        // the host is told: a dependent that polled the event complete and
+        // skipped waiting must never stamp its own completion first.
+        struct Host {
+            ev: EventCore,
+            seen: Mutex<Option<u8>>,
+        }
+        impl EventHost for Host {
+            fn event_core(&self) -> &EventCore {
+                &self.ev
+            }
+            fn completed(&self, _: &EventStatus) {
+                *self.seen.lock() = Some(self.ev.settled.load(Ordering::Acquire));
+            }
+        }
+        let host = Arc::new(Host {
+            ev: EventCore::new(),
+            seen: Mutex::new(None),
+        });
+        CoiEvent::of(host.clone()).signal();
+        assert_eq!(*host.seen.lock(), Some(PENDING));
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod server;
 pub mod small;
 pub mod workgroup;
 
-pub use event::{CoiEvent, CompletionLog, Dependent, EventCore, EventHost, EventStatus};
+pub use event::{CoiEvent, Dependent, EventCore, EventHost, EventStatus};
 pub use pipeline::{execute_on, Pipeline, PipelineHandle, RunCtx, SinkTask};
 pub use pool::{BufferPool, PoolStats, PooledWindow, WindowTooLarge};
 pub use registry::{FnRegistry, RunFunction};

@@ -2,9 +2,9 @@
 //!
 //! Every public enqueue validates and resolves its arguments into a
 //! [`BuiltAction`] and hands it to one core, [`HStreams::enqueue_built`]:
-//! find dependences → reserve an event id → mint the lifecycle record →
-//! window the action → (all items through) → record → submit → log →
-//! publish. A single action is a batch of one; [`HStreams::enqueue_many`]
+//! find dependences → reserve an event id → window the action → (all items
+//! through) → mint the lifecycle records → submit → log → publish. A
+//! single action is a batch of one; [`HStreams::enqueue_many`]
 //! passes N and amortizes the shared-state traffic over them. The built
 //! actions and the core's lists live in a per-thread [`Scratch`] reused
 //! across calls and the reserved ids are written straight into the
@@ -15,14 +15,13 @@ use crate::deps::{Footprint, FootprintItem};
 use crate::events::{EventTable, EventView};
 use crate::exec::{self, ActionSpec, BackendEvent, Executor, RealXfer, SubmitOpts};
 use crate::stream::{ActionKind, DepList};
-use crate::sync::Ordering;
 use crate::types::{
     BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, OrderingMode, StreamId,
 };
 use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::RetryPolicy;
-use hs_obs::{ActionMeta, ObsAction, ObsKind};
+use hs_obs::{ActionMeta, ObsAccess, ObsAction, ObsKind};
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -78,10 +77,9 @@ struct BuiltAction {
     waits: DepList,
     /// The action in source terms, when the recovery log wants it.
     logged: Option<LoggedOp>,
-    /// Filled in by the core on the way to the executor: the action's
-    /// slice of the call's dependence list, and its lifecycle record.
+    /// Filled in by the core: the action's slice of the call's dependence
+    /// list.
     deps: Range<usize>,
-    obs: ObsAction,
 }
 
 impl BuiltAction {
@@ -101,7 +99,6 @@ impl BuiltAction {
             waits: list,
             logged,
             deps: 0..0,
-            obs: ObsAction::disabled(),
         }
     }
 }
@@ -113,6 +110,9 @@ struct Scratch {
     built: Vec<BuiltAction>,
     /// Every action's dependences, back to back (actions hold their range).
     deps: Vec<exec::BatchDep>,
+    /// The actions' lifecycle metadata, index-aligned with `built` (empty
+    /// while obs is off).
+    metas: Vec<ActionMeta>,
     logs: Vec<LoggedAction>,
     /// The items' completion events, as the executor hands them back.
     backends: Vec<BackendEvent>,
@@ -139,6 +139,7 @@ impl Drop for ScratchLease {
         let sc = &mut self.0;
         sc.built.clear();
         sc.deps.clear();
+        sc.metas.clear();
         sc.logs.clear();
         sc.backends.clear();
         let _ = SCRATCH.try_with(|cell| cell.set(std::mem::take(sc)));
@@ -182,12 +183,11 @@ impl Drop for Reserved<'_> {
 impl HStreams {
     /// Do enqueue-time labels carry content? Skipped (empty) on the bare
     /// thread-mode fast path: labels only surface through sim traces, obs
-    /// records, hsan recordings and chaos diagnostics.
+    /// records (hsan's traces included) and chaos diagnostics.
     fn wants_labels(&self) -> bool {
         matches!(self.inner.exec, Executor::Sim(_))
             || self.inner.obs.is_enabled()
             || self.inner.chaos.is_armed()
-            || self.is_recording()
     }
 
     // ------------------------------------------------------- public enqueues
@@ -356,12 +356,12 @@ impl HStreams {
     /// out-of-order freedom. Returns the barrier's event when one was
     /// needed.
     pub fn enqueue_cross_wait(&self, s: StreamId, events: &[Event]) -> HsResult<Option<Event>> {
-        // While an hsan recording is live, already-complete events are kept:
+        // While lifecycle records are on, already-complete events are kept:
         // waiting on them is a no-op at runtime (fast-path dispatch), but the
-        // recorded wait edge is what lets the analyzer prove the dependence
-        // was synchronized — pruning it would make a correctly-synced run
-        // look racy.
-        let keep_complete = self.is_recording();
+        // recorded wait edge is what lets hsan prove the dependence was
+        // synchronized — pruning it would make a correctly-synced run look
+        // racy.
+        let keep_complete = self.inner.obs.is_enabled();
         let mut cross = Vec::with_capacity(events.len());
         for e in events {
             match self.inner.events.view(*e) {
@@ -703,16 +703,6 @@ impl HStreams {
             }
         };
         st.retire(|e| self.event_retired_ok(e));
-        // While an hsan recording is live, hold the recorder from the first
-        // id mint to the last trace push: the call's ops land in the trace
-        // as one contiguous ascending id run, at the cost of serializing
-        // concurrent enqueues for the recording's duration.
-        let mut rec_guard = inner
-            .recording
-            .load(Ordering::Acquire)
-            .then(|| inner.recorder.lock());
-        let mut rec = rec_guard.as_mut().and_then(|g| g.as_mut());
-        let ops_mark = rec.as_ref().map_or(0, |r| r.ops.len());
         let mut ids = Reserved {
             events: &inner.events,
             out,
@@ -728,12 +718,10 @@ impl HStreams {
             // or published yet; dropping `ids` tombstones every id reserved
             // so far, so earlier items' window entries read as retired
             // (completed success — no dependence edges form on them) and the
-            // next retire sweep clears them; and the trace must not name
-            // actions that never submitted.
+            // next retire sweep clears them; and no lifecycle record names
+            // an action that never submitted (they are minted after the
+            // loop).
             if let Some(unknown) = waits.iter().find(|e| e.0 >= inner.events.len()) {
-                if let Some(rec) = rec.as_deref_mut() {
-                    rec.ops.truncate(ops_mark);
-                }
                 return Err(HsError::UnknownEvent(*unknown));
             }
             // Event-waits depend on the awaited events plus the pending sync
@@ -791,10 +779,12 @@ impl HStreams {
             // Minted under the stream lock: a stream's ids ascend in enqueue
             // order (`StreamState::push` checks it).
             let id = inner.events.reserve();
-            // The lifecycle record is minted before submit: the spec is
-            // consumed there, and the fast path dispatches (emitting later
-            // phases) inside submit itself.
-            item.obs = self.mint_obs(s, &item.spec, &footprint, now_ns);
+            // Described while the footprint is at hand; minted once the whole
+            // call has passed its checks.
+            if now_ns.is_some() {
+                let meta = self.obs_meta(s, id, kind, &item.spec, &footprint, waits.as_slice());
+                sc.metas.push(meta);
+            }
             if let Some(op) = item.logged.take() {
                 sc.logs.push(LoggedAction {
                     ev: id,
@@ -804,43 +794,28 @@ impl HStreams {
                     retry: submit_opts.retry,
                 });
             }
-            if let Some(rec) = rec.as_deref_mut() {
-                rec.push(crate::record::TraceOp::Enqueue(
-                    crate::record::ActionRecord {
-                        event: id,
-                        stream: s.0,
-                        kind,
-                        label: item.spec.label().to_string(),
-                        footprint: footprint.clone(),
-                        waits: waits.iter().map(|e| e.0).collect(),
-                    },
-                ));
-            }
             ids.push(id);
             item.deps = first_dep..sc.deps.len();
             // Window the item *now* so the next item's find_deps sees it.
             st.push(Event(id), footprint, kind);
         }
         ids.armed = false;
-        // One executor round-trip. While a recording is live, the completion
-        // log hooks each item's done event *before* its dependents wire onto
-        // it — registering after records synchronously-dispatched dependents
-        // ahead of their producers, inverting the observed completion order.
-        let track = rec.as_deref().map(|rec| {
-            let (log, ids) = (rec.completions.clone(), ids.as_slice());
-            move |i: usize, ce: &hs_coi::CoiEvent| log.track(ce, ids[i].0)
-        });
-        let observe = track.as_ref().map(|t| t as exec::BatchObserver<'_>);
-        // Specs are taken out of their slots, not drained through the list by
-        // value: a spec is a few hundred bytes, and this path runs per action.
+        // One executor round-trip. Specs are taken out of their slots, not
+        // drained through the list by value: a spec is a few hundred bytes,
+        // and this path runs per action. Each lifecycle record is minted as
+        // the executor takes its item — ahead of the phases the fast path
+        // emits inside submit.
+        let mut metas = sc.metas.drain(..);
         let items = sc.built.iter_mut().map(|b| exec::BatchSubmitItem {
             spec: std::mem::replace(&mut b.spec, ActionSpec::Noop),
             deps: b.deps.clone(),
-            obs: std::mem::replace(&mut b.obs, ObsAction::disabled()),
+            obs: metas
+                .next()
+                .map_or_else(ObsAction::disabled, |meta| self.mint_obs(meta, now_ns)),
         });
         inner
             .exec
-            .submit_batch(items, &sc.deps, submit_opts, observe, &mut sc.backends);
+            .submit_batch(items, &sc.deps, submit_opts, &mut sc.backends);
         if !sc.logs.is_empty() {
             inner.recovery.lock().extend(&mut sc.logs);
         }
@@ -865,21 +840,18 @@ impl HStreams {
         }
     }
 
-    /// Build the lifecycle record for an action about to be submitted: an
-    /// inert handle (no allocation beyond the `Option`) when tracing is off.
-    /// `now_ns` is a pre-captured source timestamp — an enqueue stamps all
-    /// its actions with one [`Self::source_now_ns`] reading instead of one
-    /// clock round-trip (and, in sim mode, one executor lock) per action.
-    pub(crate) fn mint_obs(
+    /// The lifecycle metadata of action `event` (stream `s`, ordering
+    /// `order`), about to be submitted: what the Chrome export draws and
+    /// what `hsan` folds ([`crate::record`]).
+    pub(crate) fn obs_meta(
         &self,
         s: StreamId,
+        event: u64,
+        order: ActionKind,
         spec: &ActionSpec,
         footprint: &Footprint,
-        now_ns: Option<u64>,
-    ) -> ObsAction {
-        if !self.inner.obs.is_enabled() {
-            return ObsAction::disabled();
-        }
+        waits: &[Event],
+    ) -> ActionMeta {
         let (kind, card, h2d, bytes) = match spec {
             ActionSpec::Compute { .. } => (
                 ObsKind::Compute,
@@ -900,25 +872,44 @@ impl HStreams {
             ),
             ActionSpec::Noop => (ObsKind::Sync, None, false, 0),
         };
+        ActionMeta {
+            stream: s.0,
+            event,
+            kind,
+            order,
+            card,
+            h2d,
+            bytes,
+            footprint: footprint
+                .iter()
+                .map(|f| ObsAccess {
+                    domain: f.domain.0,
+                    buffer: f.buffer.0,
+                    range: f.range.clone(),
+                    write: f.write,
+                })
+                .collect(),
+            waits: waits.iter().map(|e| e.0).collect(),
+            label: spec.label().to_string(),
+        }
+    }
+
+    /// Record an action's enqueue and mint its lifecycle handle (inert when
+    /// tracing is off). `now_ns` is a pre-captured source timestamp — an
+    /// enqueue stamps all its actions with one [`Self::source_now_ns`]
+    /// reading instead of one clock round-trip (and, in sim mode, one
+    /// executor lock) per action.
+    pub(crate) fn mint_obs(&self, meta: ActionMeta, now_ns: Option<u64>) -> ObsAction {
         // Per-kind enqueue counters surface in `metrics()` for both
         // executors (gauges like DMA queue depth are thread-mode-only).
         self.inner.obs.counter_add(
-            match kind {
+            match meta.kind {
                 ObsKind::Compute => "actions.compute",
                 ObsKind::Transfer => "actions.transfer",
                 ObsKind::Sync => "actions.sync",
             },
             1,
         );
-        let meta = ActionMeta {
-            stream: s.0,
-            kind,
-            card,
-            h2d,
-            bytes,
-            footprint: footprint.len() as u32,
-            label: spec.label().to_string(),
-        };
         let now = now_ns.unwrap_or_else(|| self.source_now_ns());
         self.inner.obs.action(meta, now)
     }

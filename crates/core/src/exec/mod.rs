@@ -87,10 +87,6 @@ pub enum BatchDep {
     Internal(usize),
 }
 
-/// Per-item completion-event hook for [`Executor::submit_batch`]: called
-/// with (batch index, completion event) after creation, before wiring.
-pub type BatchObserver<'a> = &'a dyn Fn(usize, &CoiEvent);
-
 /// One action of a batched submission ([`Executor::submit_batch`]).
 pub struct BatchSubmitItem {
     pub spec: ActionSpec,
@@ -152,24 +148,15 @@ impl Executor {
     /// context read among the items; sim mode takes the executor mutex once.
     /// Intra-batch dependences ([`BatchDep::Internal`]) must point at
     /// earlier items.
-    ///
-    /// `observe` (thread mode only) is invoked with each item's completion
-    /// event *after creation but before any dependence wiring*. Observers
-    /// that register `on_complete` callbacks (the hsan completion log) must
-    /// come first in each event's callback list: an intra-batch dependence
-    /// countdown can dispatch-and-complete a dependent synchronously inside
-    /// its producer's callback drain, and a later-registered observer on the
-    /// producer would then record the completions inverted.
     pub fn submit_batch(
         &self,
         items: impl ExactSizeIterator<Item = BatchSubmitItem>,
         deps: &[BatchDep],
         opts: SubmitOpts,
-        observe: Option<BatchObserver<'_>>,
         out: &mut Vec<BackendEvent>,
     ) {
         match self {
-            Executor::Thread(t) => t.submit_batch(items, deps, opts, observe, out),
+            Executor::Thread(t) => t.submit_batch(items, deps, opts, out),
             Executor::Sim(s) => {
                 let mut sim = s.lock();
                 out.clear();

@@ -245,17 +245,8 @@ impl SimExec {
         self.sim.trace()
     }
 
-    pub fn take_trace(&mut self) -> Trace {
-        self.sim.take_trace()
-    }
-
     pub fn is_complete(&self, tok: Token) -> bool {
         self.sim.token_fired(tok)
-    }
-
-    /// Virtual completion time of a token, if it has fired.
-    pub fn fire_time(&self, tok: Token) -> Option<Time> {
-        self.sim.token_fire_time(tok)
     }
 
     /// The failure cause of a fired-and-failed token (None while pending

@@ -432,7 +432,7 @@ impl ThreadExec {
         };
         let deps: Vec<BatchDep> = deps.iter().cloned().map(BatchDep::External).collect();
         let mut out = Vec::with_capacity(1);
-        self.submit_batch(std::iter::once(item), &deps, opts, None, &mut out);
+        self.submit_batch(std::iter::once(item), &deps, opts, &mut out);
         out.remove(0).as_thread().clone()
     }
 
@@ -442,13 +442,12 @@ impl ThreadExec {
     /// outstanding-list lock, one dispatch-context read-lock for all items.
     /// [`BatchDep::Internal`] dependences resolve against the call's own
     /// records — an item may depend on any earlier item of the same call,
-    /// which is wired (and observed) by the time the item is.
+    /// which is wired by the time the item is.
     pub fn submit_batch(
         &self,
         items: impl ExactSizeIterator<Item = super::BatchSubmitItem>,
         deps: &[BatchDep],
         opts: SubmitOpts,
-        observe: Option<super::BatchObserver<'_>>,
         out: &mut Vec<BackendEvent>,
     ) {
         self.started.get_or_init(Instant::now);
@@ -464,12 +463,6 @@ impl ThreadExec {
         for (i, item) in items.enumerate() {
             let salt = salt0 + i as u64;
             let run = ActionRun::new(ctx.clone(), item.spec, item.obs, opts.retry, salt);
-            // Observers register before the item is wired, hence before any
-            // dependent can: they come first in its dependent list (see
-            // `Executor::submit_batch`).
-            if let Some(observe) = observe {
-                observe(i, &CoiEvent::of(run.clone()));
-            }
             let deps = deps[item.deps].iter().map(|d| match d {
                 BatchDep::External(be) => &**be.as_thread(),
                 BatchDep::Internal(j) => &**out[*j].as_thread(),

@@ -190,7 +190,7 @@ type StreamLock = ClassedMutex<class::Stream, StreamState>;
 ///
 /// Lock order (outer → inner; never acquire leftward while holding
 /// rightward): `world` → `streams` (vec) → per-stream mutex → `buffers` →
-/// `recorder`/`recovery` → event-table slot → sim executor. Each lock's
+/// `recovery` → event-table slot → sim executor. Each lock's
 /// class is in its type, which is what witnesses its acquisitions
 /// ([`lockorder`]).
 pub(crate) struct Inner {
@@ -213,13 +213,9 @@ pub(crate) struct Inner {
     sim_shadow: ClassedMutex<class::SimShadow, std::collections::HashMap<BufferId, Vec<u8>>>,
     /// Built-in app-API kernels registered once (see [`app`]).
     pub(crate) builtins: Once,
-    /// Live `hsan` action-trace recording (None = off). The flag mirrors
-    /// `recorder.is_some()` so the hot path checks one atomic instead of
-    /// taking the lock.
-    recorder: ClassedMutex<class::Recorder, Option<record::Recorder>>,
-    recording: AtomicBool,
     /// Action-lifecycle observability hub, shared with both executors and
-    /// the COI layer. Disabled (near-zero cost) until [`HStreams::obs_enable`].
+    /// the COI layer — and what `hsan` reads ([`record`]). Disabled
+    /// (near-zero cost) until [`HStreams::obs_enable`].
     obs: ObsHub,
     /// Fault-injection hub, shared with the executors and every fabric DMA
     /// channel. Disarmed (one relaxed atomic load per site) until
@@ -352,8 +348,6 @@ impl HStreams {
                 stats: ApiStats::new(),
                 sim_shadow: ClassedMutex::new(std::collections::HashMap::new()),
                 builtins: Once::new(),
-                recorder: ClassedMutex::new(None),
-                recording: AtomicBool::new(false),
                 obs,
                 chaos,
                 recovery: ClassedMutex::new(durable::RecoveryLog::default()),
@@ -401,55 +395,6 @@ impl HStreams {
     /// Cards that have been degraded to the host so far.
     pub fn degraded_cards(&self) -> Vec<u32> {
         self.inner.degraded.lock().clone()
-    }
-
-    // ----------------------------------------------------- hsan recording
-
-    /// Is an hsan action-trace recording live?
-    fn is_recording(&self) -> bool {
-        self.inner.recording.load(Ordering::Acquire)
-    }
-
-    /// Append a buffer operation to the live recording, if there is one.
-    fn record_op(&self, op: TraceOp) {
-        if self.is_recording() {
-            if let Some(rec) = self.inner.recorder.lock().as_mut() {
-                rec.push(op);
-            }
-        }
-    }
-
-    /// Start recording the enqueued action graph for the `hsan` sanitizer.
-    /// Actions enqueued before this call are not in the trace. While a
-    /// recording is live, concurrent enqueues serialize on the recorder
-    /// (the trace is a total order in event-id sequence).
-    pub fn recording_start(&self) {
-        *self.inner.recorder.lock() = Some(record::Recorder::new(
-            self.inner.ordering,
-            self.inner.platform.domains.len(),
-        ));
-        self.inner.recording.store(true, Ordering::Release);
-    }
-
-    /// Stop recording and return the trace (None if recording was never
-    /// started). Call after synchronizing if completion order matters —
-    /// still-pending actions simply have no completion entry.
-    pub fn recording_take(&self) -> Option<record::ActionTrace> {
-        self.inner.recording.store(false, Ordering::Release);
-        let rec = self.inner.recorder.lock().take()?;
-        let streams = self.inner.streams.read().len() as u32;
-        let trace = match &self.inner.exec {
-            Executor::Sim(sim) => {
-                rec.into_trace(streams, |ev| match self.inner.events.view_id(ev) {
-                    EventView::Live(BackendEvent::Sim(t), _) => {
-                        sim.lock().fire_time(t).map(|t| t.as_nanos())
-                    }
-                    _ => None,
-                })
-            }
-            Executor::Thread(_) => rec.into_trace(streams, |_| None),
-        };
-        Some(trace)
     }
 
     // ------------------------------------------------------------ discovery
@@ -605,7 +550,6 @@ impl HStreams {
     pub fn buffer_create(&self, len: usize, props: BufProps) -> BufferId {
         self.inner.stats.bump("buffer_create");
         let id = self.inner.buffers.write().create(len, props);
-        self.record_op(TraceOp::BufferCreate { buffer: id.0, len });
         self.instantiate_unchecked(id, DomainId::HOST)
             .expect("fresh buffer instantiates on host");
         id
@@ -674,12 +618,7 @@ impl HStreams {
             if let Executor::Thread(t) = &self.inner.exec {
                 t.coi().buffer_free(EngineId(domain.0 as u16), w);
             }
-            return Ok(());
         }
-        self.record_op(TraceOp::BufferInstantiate {
-            buffer: buf.0,
-            domain: domain.0,
-        });
         Ok(())
     }
 
@@ -691,7 +630,6 @@ impl HStreams {
         let deps = self.conflicting_events(buf, 0..len, true);
         self.wait_events_recovering(&deps)?;
         let insts = self.inner.buffers.write().destroy(buf)?;
-        self.record_op(TraceOp::BufferDestroy { buffer: buf.0 });
         if let Executor::Thread(t) = &self.inner.exec {
             for (domain, inst) in insts {
                 if let Instantiation::Window(w) = inst {
@@ -931,11 +869,6 @@ impl HStreams {
     /// public so long-running tests and services can force a sweep at a
     /// quiesce point.
     pub fn compact_now(&self) {
-        // An hsan recording resolves sim fire-times through the backend
-        // tokens at `recording_take`; don't drop them mid-recording.
-        if self.is_recording() {
-            return;
-        }
         let inner = &*self.inner;
         let _world = inner.world.read();
         inner.events.compact(|be| {
@@ -1455,8 +1388,10 @@ impl HStreams {
 
     // ------------------------------------------------------- observability
 
-    /// Enable/disable action-lifecycle recording (both executor modes).
-    /// While disabled — the default — enqueues pay one relaxed atomic load.
+    /// Enable/disable action-lifecycle recording (both executor modes) —
+    /// the one switch for the Chrome export, the metrics counters and
+    /// `hsan` alike. While disabled — the default — enqueues pay one
+    /// relaxed atomic load.
     pub fn obs_enable(&self, on: bool) {
         self.inner.obs.enable(on);
     }
@@ -1467,7 +1402,7 @@ impl HStreams {
     }
 
     /// Drain the lifecycle records collected so far (for export via
-    /// `hs_obs::chrome`).
+    /// `hs_obs::chrome`, and for `hsan` via [`ActionTrace::from_records`]).
     pub fn take_obs_records(&self) -> Vec<ObsRecord> {
         self.inner.obs.take_records()
     }

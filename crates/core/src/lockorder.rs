@@ -1,8 +1,8 @@
 //! Lock-order witness: records which lock *classes* are held at each
 //! acquisition, for offline analysis by `hsan lock-order`.
 //!
-//! The runtime's deadlock-freedom argument is a total order on its lock
-//! classes (DESIGN.md §13): every thread acquires locks in ascending
+//! The runtime's deadlock-freedom argument is a total order on its eleven
+//! lock classes (DESIGN.md §13): every thread acquires locks in ascending
 //! [`LockClass::rank`] order, so a cycle in the waits-for graph is
 //! impossible. This module makes that argument *checkable*: a lock of one
 //! of the classes is declared with its class in its type
@@ -45,35 +45,32 @@ pub enum LockClass {
     Stream = 2,
     /// The buffer-table RwLock (`Inner::buffers`).
     Buffers = 3,
-    /// The hsan action-trace recorder (`Inner::recorder`).
-    Recorder = 4,
     /// The replay log (`Inner::recovery`).
-    Recovery = 5,
+    Recovery = 4,
     /// The durable WAL writer (`durable::WalShared`). Appends happen while
     /// the `Recovery` lock is held (the log entry and its on-disk record
     /// must land atomically w.r.t. other enqueuers), so `Wal` ranks just
     /// inside `Recovery`; flushes at wait entries take `Wal` alone.
-    Wal = 6,
+    Wal = 5,
     /// The degraded-cards list (`Inner::degraded`).
-    Degraded = 7,
+    Degraded = 6,
     /// Sim-mode host shadow map (`Inner::sim_shadow`).
-    SimShadow = 8,
+    SimShadow = 7,
     /// The single-compactor guard (`EventTable::compactor`).
-    Compactor = 9,
+    Compactor = 8,
     /// A per-slot event-table mutex (`Slot::be`).
-    EventSlot = 10,
+    EventSlot = 9,
     /// The serialized virtual-time executor (`Executor::Sim`).
-    SimExec = 11,
+    SimExec = 10,
 }
 
 impl LockClass {
     /// Every class, in rank order.
-    pub const ALL: [LockClass; 12] = [
+    pub const ALL: [LockClass; 11] = [
         LockClass::World,
         LockClass::Streams,
         LockClass::Stream,
         LockClass::Buffers,
-        LockClass::Recorder,
         LockClass::Recovery,
         LockClass::Wal,
         LockClass::Degraded,
@@ -95,7 +92,6 @@ impl LockClass {
             LockClass::Streams => "streams",
             LockClass::Stream => "stream",
             LockClass::Buffers => "buffers",
-            LockClass::Recorder => "recorder",
             LockClass::Recovery => "recovery",
             LockClass::Wal => "wal",
             LockClass::Degraded => "degraded",

@@ -1,22 +1,27 @@
-//! Action-trace recording for the `hsan` stream-semantics sanitizer.
+//! Action traces for the `hsan` stream-semantics sanitizer.
 //!
-//! The hooks that populate these types inside the runtime are always
-//! compiled and switched at run time by `HStreams::recording_start` /
-//! `recording_take`: with no recording live, an enqueue or buffer operation
-//! pays one atomic load.
-//!
-//! What gets recorded is exactly the information the paper's correctness
+//! What a trace holds is exactly the information the paper's correctness
 //! contract is stated in terms of: per-stream enqueue order, each action's
 //! memory footprint, its sync kind (normal / event-wait / marker), and the
-//! explicit events it waits on. Completion order is captured too (real
-//! signal order in thread mode, virtual fire times in sim mode) so the
-//! analyzer can check that out-of-order execution stayed linearizable to
-//! the sequential FIFO semantics.
+//! explicit events it waits on — plus the observed completion order, so
+//! the analyzer can check that out-of-order execution stayed linearizable
+//! to the sequential FIFO semantics.
+//!
+//! A live run is not recorded by a mechanism of its own: the `hs-obs`
+//! lifecycle records (`HStreams::obs_enable`) carry all of it, and
+//! [`ActionTrace::from_records`] folds one drained slice of them — the same
+//! slice the Chrome export reads. Such a trace has no buffer operations:
+//! the runtime refuses every buffer lifetime hazard at enqueue
+//! (`crates/core/tests/errors.rs`, both executors). Hand-written and JSON
+//! traces keep [`TraceOp`]'s buffer operations, and the analyzer checks
+//! them.
 
-use crate::deps::Footprint;
+use crate::deps::{Footprint, FootprintItem};
 use crate::stream::ActionKind;
-use crate::types::OrderingMode;
-use hs_coi::CompletionLog;
+use crate::types::{BufferId, DomainId, OrderingMode};
+use crate::HStreams;
+use hs_obs::{ActionMeta, ObsPhase, ObsRecord};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One enqueued action, as the dependence engine saw it.
 #[derive(Clone, Debug)]
@@ -35,7 +40,31 @@ pub struct ActionRecord {
     pub waits: Vec<u64>,
 }
 
-/// One recorded runtime operation, in program order.
+impl ActionRecord {
+    fn of(meta: &ActionMeta) -> ActionRecord {
+        ActionRecord {
+            event: meta.event,
+            stream: meta.stream,
+            kind: meta.order,
+            label: meta.label.clone(),
+            footprint: meta
+                .footprint
+                .iter()
+                .map(|a| {
+                    FootprintItem::new(
+                        DomainId(a.domain),
+                        BufferId(a.buffer),
+                        a.range.clone(),
+                        a.write,
+                    )
+                })
+                .collect(),
+            waits: meta.waits.clone(),
+        }
+    }
+}
+
+/// One runtime operation, in program order.
 #[derive(Clone, Debug)]
 pub enum TraceOp {
     Enqueue(ActionRecord),
@@ -44,7 +73,7 @@ pub enum TraceOp {
     BufferDestroy { buffer: u64 },
 }
 
-/// A completed recording: everything `hsan::check` needs.
+/// Everything `hsan::check` needs.
 #[derive(Clone, Debug)]
 pub struct ActionTrace {
     /// The intra-stream ordering mode the runtime ran with (the analyzer
@@ -56,10 +85,12 @@ pub struct ActionTrace {
     pub domains: usize,
     /// Operations in program (source-thread) order.
     pub ops: Vec<TraceOp>,
-    /// Observed completions as `(event id, order key)`. Thread mode: the
-    /// key is a process-wide sequence number taken at signal time, so keys
-    /// order exactly as completions happened. Sim mode: the key is the
-    /// virtual fire time in nanoseconds (ties = same virtual instant).
+    /// Observed completions as `(event id, order key)`, in completion
+    /// order. The key is the timestamp of the event's first terminal
+    /// lifecycle phase: wall nanoseconds in thread mode — stamped before
+    /// the completion is observable, so a dependent's key is never below
+    /// its producer's — and the virtual fire time in sim mode (ties = same
+    /// virtual instant).
     pub completions: Vec<(u64, u64)>,
 }
 
@@ -71,61 +102,47 @@ impl ActionTrace {
             _ => None,
         })
     }
-}
 
-/// Live recording state owned by an `HStreams` instance.
-pub struct Recorder {
-    pub(crate) ordering: OrderingMode,
-    pub(crate) domains: usize,
-    pub(crate) ops: Vec<TraceOp>,
-    /// Thread-mode completion log, appended from completing threads (see
-    /// `hs_coi::CompletionLog`); shared with event callbacks.
-    pub(crate) completions: CompletionLog,
-}
-
-impl Recorder {
-    pub(crate) fn new(ordering: OrderingMode, domains: usize) -> Recorder {
-        Recorder {
-            ordering,
-            domains,
-            ops: Vec::new(),
-            completions: CompletionLog::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, op: TraceOp) {
-        self.ops.push(op);
-    }
-
-    /// Freeze into an [`ActionTrace`]. `fire_time` resolves an event id to
-    /// its virtual completion time in nanoseconds (sim mode); thread mode
-    /// passes a closure returning `None` and the signal-order log is used.
-    pub(crate) fn into_trace(
-        self,
-        streams: u32,
-        fire_time: impl Fn(u64) -> Option<u64>,
-    ) -> ActionTrace {
-        let signal_order = self.completions.snapshot();
-        let mut completions: Vec<(u64, u64)> = signal_order
-            .iter()
-            .enumerate()
-            .map(|(seq, &ev)| (ev, seq as u64))
-            .collect();
-        if completions.is_empty() {
-            // Sim mode: derive keys from virtual fire times.
-            for op in &self.ops {
-                if let TraceOp::Enqueue(a) = op {
-                    if let Some(t) = fire_time(a.event) {
-                        completions.push((a.event, t));
+    /// Fold lifecycle records drained from `hs` ([`HStreams::take_obs_records`])
+    /// into a trace. Actions are ordered by event id — a stream's ids ascend
+    /// in enqueue order, and a waited event is always reserved before its
+    /// waiter — and the first `Enqueued` record of an event is the one kept
+    /// (a card-loss replay is a later lifecycle of the same event). Phases
+    /// of lifecycles enqueued before the slice are skipped.
+    pub fn from_records(hs: &HStreams, records: &[ObsRecord]) -> ActionTrace {
+        let mut event_of: HashMap<u64, u64> = HashMap::new();
+        let mut actions: BTreeMap<u64, ActionRecord> = BTreeMap::new();
+        let mut completions: Vec<(u64, u64)> = Vec::new();
+        let mut completed: HashSet<u64> = HashSet::new();
+        for rec in records {
+            match rec {
+                ObsRecord::Enqueued { action, meta, .. } => {
+                    event_of.insert(*action, meta.event);
+                    actions
+                        .entry(meta.event)
+                        .or_insert_with(|| ActionRecord::of(meta));
+                }
+                ObsRecord::Phase {
+                    action,
+                    phase: ObsPhase::Completed | ObsPhase::Failed,
+                    t_ns,
+                } => {
+                    if let Some(&ev) = event_of.get(action) {
+                        if completed.insert(ev) {
+                            completions.push((ev, *t_ns));
+                        }
                     }
                 }
+                _ => {}
             }
         }
+        // Stable: equal keys keep the order their records were pushed in.
+        completions.sort_by_key(|&(_, key)| key);
         ActionTrace {
-            ordering: self.ordering,
-            streams,
-            domains: self.domains,
-            ops: self.ops,
+            ordering: hs.ordering(),
+            streams: hs.num_streams() as u32,
+            domains: hs.num_domains(),
+            ops: actions.into_values().map(TraceOp::Enqueue).collect(),
             completions,
         }
     }

@@ -44,6 +44,7 @@ use crate::deps::Footprint;
 use crate::durable::RecoveryReport;
 use crate::events::EventView;
 use crate::exec::{self, ActionSpec, SubmitOpts};
+use crate::stream::ActionKind;
 use crate::types::{BufferId, DomainId, Event, HsResult};
 use crate::{ActionOpts, HStreams, LoggedAction, LoggedOp};
 use std::collections::HashMap;
@@ -376,10 +377,20 @@ impl HStreams {
                     _ => None,
                 })
                 .collect();
+            // A lifecycle of its own, behind the original event.
+            let obs = inner.obs.is_enabled().then(|| {
+                let kind = match la.op {
+                    LoggedOp::Sync => ActionKind::EventWait,
+                    _ => ActionKind::Normal,
+                };
+                let (s, ev) = (la.stream, la.ev);
+                let meta = self.obs_meta(s, ev, kind, &step.action, &step.footprint, &[]);
+                self.mint_obs(meta, None)
+            });
             // One action per hand-off: its event must be in the table
             // before the next replay resolves its dependences there.
             let item = exec::BatchSubmitItem {
-                obs: self.mint_obs(la.stream, &step.action, &step.footprint, None),
+                obs: obs.unwrap_or_default(),
                 spec: step.action,
                 deps: 0..deps.len(),
             };
@@ -390,7 +401,7 @@ impl HStreams {
             let mut done = Vec::with_capacity(1);
             inner
                 .exec
-                .submit_batch(std::iter::once(item), &deps, opts, None, &mut done);
+                .submit_batch(std::iter::once(item), &deps, opts, &mut done);
             let backend = done.pop().expect("one action in, one event out");
             inner.events.overwrite(la.ev, backend);
             replayed += 1;

@@ -66,19 +66,9 @@ struct PendingItem {
     write: bool,
 }
 
-/// How an action participates in intra-stream ordering.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ActionKind {
-    /// Ordinary compute/transfer: ordered by operand overlap.
-    Normal,
-    /// An event-wait: later actions in the stream order after it; it does
-    /// NOT order against prior stream actions (its only dependences are the
-    /// awaited events) — hStreams' non-serializing cross-stream sync.
-    EventWait,
-    /// A marker/barrier: orders against every prior action AND gates every
-    /// later one (CUDA's `cudaEventRecord` semantics; stream-wide fences).
-    Marker,
-}
+/// How an action participates in intra-stream ordering. Declared in
+/// `hs-obs`, whose lifecycle records carry it.
+pub use hs_obs::ActionKind;
 
 /// Source-side state of one stream.
 pub struct StreamState {

@@ -290,15 +290,15 @@ fn card_loss_mid_accumulate_chain_applies_every_update_once() {
     }
 }
 
-/// With an hsan recording live, a producer's completion is logged before
-/// those of dependents that dispatch and complete inside its completion
-/// walk — on the single and on the batched enqueue path.
+/// With lifecycle records on, the fold orders a producer's completion
+/// before those of dependents that dispatch and complete inside its
+/// completion walk — on the single and on the batched enqueue path.
 #[test]
 fn recorded_completion_order_puts_producers_before_their_dependents() {
     use hstreams_core::BatchAction;
     let (hs, release) = runtime();
     let (s, other) = (card_stream(&hs), card_stream(&hs));
-    hs.recording_start();
+    hs.obs_enable(true);
     // Everything below waits, directly or not, on `hold`: its completion
     // walk releases the whole graph from the sink thread.
     let hold = compute(&hs, s, "hold", None, ActionOpts::default());
@@ -317,7 +317,7 @@ fn recorded_completion_order_puts_producers_before_their_dependents() {
         .expect("batch");
     release.send(()).expect("sink is parked in hold");
     hs.thread_synchronize().expect("sync");
-    let trace = hs.recording_take().expect("recording was live");
+    let trace = hstreams_core::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let position = |ev: Event| {
         trace
             .completions

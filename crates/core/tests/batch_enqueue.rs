@@ -310,11 +310,15 @@ fn batch_is_all_or_nothing() {
 /// as tombstones. Before the guard, each failing batch leaked its reserved
 /// ids as forever-unpublished slots, so the retirement watermark stalled
 /// and the table grew without bound. 10k failing batches: `events.live`
-/// stays flat and every leaked reservation shows up as a tombstone.
+/// stays flat and every leaked reservation shows up as a tombstone. With
+/// lifecycle records on, no record and no `actions.*` count names an item
+/// of a failed batch: they are what hsan reads as "enqueued".
 #[test]
 fn failed_batches_tombstone_reserved_ids() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
+    r.hs.obs_enable(true);
+    let counters0 = r.hs.obs().metrics().counters;
     let live0 = r.hs.metrics().extra["events.live"];
     for i in 0..10_000u64 {
         // Two valid items reserve ids, then the bogus event-wait aborts
@@ -329,6 +333,17 @@ fn failed_batches_tombstone_reserved_ids() {
         let err = r.hs.enqueue_many(r.s, batch).expect_err("bogus wait");
         assert!(matches!(err, HsError::UnknownEvent(_)), "{err:?}");
     }
+    let records = r.hs.take_obs_records();
+    assert!(
+        records.is_empty(),
+        "failed batches left {} lifecycle records",
+        records.len()
+    );
+    assert_eq!(
+        r.hs.obs().metrics().counters,
+        counters0,
+        "failed batches bumped the action counters"
+    );
     r.hs.thread_synchronize().expect("sync");
     let mut out = [0.0; N];
     r.hs.buffer_read_f64(r.b, 0, &mut out).expect("read");
@@ -371,15 +386,15 @@ fn batch_event_wait_validates_ids() {
     assert!(matches!(err, HsError::UnknownEvent(_)), "{err:?}");
 }
 
-/// While an hsan recording is live, a batch records exactly the ops that
-/// the equivalent singles record — same ids, same kinds,
-/// footprints and wait edges.
+/// With lifecycle records on, a batch folds into exactly the trace the
+/// equivalent singles fold into — same ids, same kinds, footprints and
+/// wait edges.
 #[test]
 fn batch_trace_matches_singles_trace() {
     use hstreams_core::TraceOp;
     let ops = vec![Op::H2d, Op::AddK(2.0), Op::Marker, Op::D2h, Op::WaitRoot];
     let project = |rig: &Rig, splits: Option<&[usize]>| {
-        rig.hs.recording_start();
+        rig.hs.obs_enable(true);
         match splits {
             None => {
                 for op in &ops {
@@ -398,7 +413,7 @@ fn batch_trace_matches_singles_trace() {
             }
         }
         rig.hs.thread_synchronize().expect("sync");
-        let trace = rig.hs.recording_take().expect("trace");
+        let trace = hstreams_core::ActionTrace::from_records(&rig.hs, &rig.hs.take_obs_records());
         trace
             .ops
             .iter()

@@ -134,9 +134,9 @@ fn concurrent_enqueue_shared_stream() {
     // Not asserted > 0: on a single-core host the threads may serialize
     // perfectly. Merely read the gauge to prove it is wired.
     let _ = metric(&hs, "frontend.stream_lock.contended");
-    hs.recording_start();
+    hs.obs_enable(true);
     round();
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hstreams_core::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let ids: Vec<u64> = trace
         .ops
         .iter()

@@ -1,5 +1,9 @@
 //! Exhaustive error-path coverage of the public API: every misuse must
 //! produce a typed error (never a panic, hang, or silent corruption).
+//!
+//! The buffer lifetime hazards — use after destroy, out of bounds, a domain
+//! the buffer was never instantiated in — are refused at enqueue by both
+//! executors. That is why a live hsan trace needs no buffer operations.
 
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
@@ -9,8 +13,14 @@ use hstreams_core::{
 };
 
 fn rt() -> HStreams {
-    HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads)
+    rt_in(ExecMode::Threads)
 }
+
+fn rt_in(mode: ExecMode) -> HStreams {
+    HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode)
+}
+
+const BOTH: [ExecMode; 2] = [ExecMode::Threads, ExecMode::Sim];
 
 /// The error of an enqueue that must fail before it reserves anything: the
 /// event table's length, retirement watermark and tombstone count are where
@@ -126,35 +136,69 @@ fn unknown_domain_and_event() {
 
 #[test]
 fn out_of_bounds_operands_and_ranges() {
-    let hs = rt();
-    let s = hs
-        .stream_create(DomainId(1), CpuMask::first(1))
-        .expect("stream");
-    let buf = hs.buffer_create(64, BufProps::default());
-    hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
-    assert!(matches!(
-        hs.enqueue_xfer(s, buf, 0..65, DomainId::HOST, DomainId(1)),
-        Err(HsError::OutOfBounds { .. })
-    ));
-    assert!(matches!(
-        hs.enqueue_compute(
-            s,
-            "f",
-            Bytes::new(),
-            &[Operand::new(buf, 60..72, Access::In)],
-            CostHint::trivial()
-        ),
-        Err(HsError::OutOfBounds { .. })
-    ));
-    assert!(matches!(
-        hs.buffer_write_f64(buf, 7, &[1.0, 2.0]),
-        Err(HsError::OutOfBounds { .. })
-    ));
-    let mut out = [0.0; 9];
-    assert!(matches!(
-        hs.buffer_read_f64(buf, 0, &mut out),
-        Err(HsError::OutOfBounds { .. })
-    ));
+    for mode in BOTH {
+        let hs = rt_in(mode);
+        let s = hs
+            .stream_create(DomainId(1), CpuMask::first(1))
+            .expect("stream");
+        let buf = hs.buffer_create(64, BufProps::default());
+        hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
+        assert!(matches!(
+            fails_clean(&hs, || hs.enqueue_xfer(
+                s,
+                buf,
+                0..65,
+                DomainId::HOST,
+                DomainId(1)
+            )),
+            HsError::OutOfBounds { .. }
+        ));
+        assert!(matches!(
+            fails_clean(&hs, || hs.enqueue_compute(
+                s,
+                "f",
+                Bytes::new(),
+                &[Operand::new(buf, 60..72, Access::In)],
+                CostHint::trivial()
+            )),
+            HsError::OutOfBounds { .. }
+        ));
+        assert!(matches!(
+            hs.buffer_write_f64(buf, 7, &[1.0, 2.0]),
+            Err(HsError::OutOfBounds { .. })
+        ));
+        let mut out = [0.0; 9];
+        assert!(matches!(
+            hs.buffer_read_f64(buf, 0, &mut out),
+            Err(HsError::OutOfBounds { .. })
+        ));
+    }
+}
+
+#[test]
+fn never_instantiated_operands_are_refused_in_both_executors() {
+    for mode in BOTH {
+        let hs = rt_in(mode);
+        let card = DomainId(1);
+        let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
+        // Host-only buffer: a compute on the card stream cannot touch it...
+        let buf = hs.buffer_create(64, BufProps::default());
+        assert!(matches!(
+            fails_clean(&hs, || hs.enqueue_compute(
+                s,
+                "f",
+                Bytes::new(),
+                &[Operand::new(buf, 0..64, Access::In)],
+                CostHint::trivial()
+            )),
+            HsError::NotInstantiated(b, d) if b == buf && d == card
+        ));
+        // ...and a transfer to the card has nowhere to land.
+        assert!(matches!(
+            fails_clean(&hs, || hs.enqueue_xfer(s, buf, 0..64, DomainId::HOST, card)),
+            HsError::NotInstantiated(b, d) if b == buf && d == card
+        ));
+    }
 }
 
 #[test]
@@ -291,15 +335,27 @@ fn destroy_waits_for_inflight_actions() {
 
 #[test]
 fn use_after_destroy_is_an_error() {
-    let hs = rt();
-    let s = hs
-        .stream_create(DomainId(1), CpuMask::first(1))
-        .expect("stream");
-    let buf = hs.buffer_create(64, BufProps::default());
-    hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
-    hs.buffer_destroy(buf).expect("destroy");
-    assert!(matches!(
-        hs.xfer_to_sink(s, buf, 0..64),
-        Err(HsError::UnknownBuffer(_))
-    ));
+    for mode in BOTH {
+        let hs = rt_in(mode);
+        let s = hs
+            .stream_create(DomainId(1), CpuMask::first(1))
+            .expect("stream");
+        let buf = hs.buffer_create(64, BufProps::default());
+        hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
+        hs.buffer_destroy(buf).expect("destroy");
+        assert!(matches!(
+            fails_clean(&hs, || hs.xfer_to_sink(s, buf, 0..64)),
+            HsError::UnknownBuffer(_)
+        ));
+        assert!(matches!(
+            fails_clean(&hs, || hs.enqueue_compute(
+                s,
+                "f",
+                Bytes::new(),
+                &[Operand::new(buf, 0..8, Access::In)],
+                CostHint::trivial()
+            )),
+            HsError::UnknownBuffer(_)
+        ));
+    }
 }

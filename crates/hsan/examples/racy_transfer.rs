@@ -20,7 +20,7 @@ use hstreams_core::{BufProps, DomainId, ExecMode, HStreams};
 fn main() {
     let fixed = std::env::args().any(|a| a == "--fixed");
     let hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
 
     let card = DomainId(1);
     let streams = hs.app_init(&[(card, 2)]).expect("two card streams");
@@ -39,7 +39,7 @@ fn main() {
         .expect("drain d2h");
     hs.thread_synchronize().expect("sync");
 
-    let trace = hs.recording_take().expect("recording was started");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let report = hsan::check(&trace);
     println!("{report}");
 

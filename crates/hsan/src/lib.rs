@@ -21,12 +21,15 @@
 //!
 //! Use [`check`] from tests, or the `hsan` binary on a JSON trace
 //! (`cargo run -p hsan -- trace.json`; see [`json`] for the format).
-//! Record a trace with `HStreams::recording_start` / `recording_take`.
+//! A live run is traced by its lifecycle records: `hs.obs_enable(true)`,
+//! run, then [`ActionTrace::from_records`] over `hs.take_obs_records()` —
+//! the slice the Chrome export reads too. Live traces carry no buffer
+//! operations (the runtime refuses every lifetime hazard at enqueue), so
+//! the lifetime checks speak to hand-written and JSON traces.
 
 pub mod hb;
 pub mod json;
 pub mod lockorder;
-pub mod simtrace;
 
 use hstreams_core::record::{ActionRecord, TraceOp};
 use std::collections::{HashMap, HashSet};
@@ -339,7 +342,7 @@ fn check_races(g: &hb::HbGraph<'_>, report: &mut Report) {
 }
 
 /// Walk the trace in program order tracking each buffer's lifecycle.
-/// Buffers created before recording started (no `BufferCreate` in the
+/// Buffers with no `BufferCreate` in the trace (every buffer of a live
 /// trace) have unknown provenance and are skipped.
 fn check_lifetimes(trace: &ActionTrace, report: &mut Report) {
     struct BufState {
@@ -410,8 +413,8 @@ fn check_lifetimes(trace: &ActionTrace, report: &mut Report) {
 
 /// The observed completion order must linearize happens-before: whenever
 /// `a` happens-before `b` and both completions were observed, `a`'s key
-/// must not exceed `b`'s. (Keys are signal-order sequence numbers in thread
-/// mode and virtual fire times in sim mode; ties are fine.)
+/// must not exceed `b`'s. (Keys are completion timestamps: wall ns in
+/// thread mode, virtual fire times in sim mode; ties are fine.)
 fn check_fifo(trace: &ActionTrace, g: &hb::HbGraph<'_>, report: &mut Report) {
     let keys: HashMap<u64, u64> = trace.completions.iter().copied().collect();
     let completed: Vec<(usize, u64)> = g

@@ -21,7 +21,7 @@ fn usage() -> ExitCode {
     eprintln!("races, event-cycle deadlocks, buffer lifetime hazards and");
     eprintln!("FIFO-equivalence violations. The `lock-order` subcommand");
     eprintln!("checks a recorded lock-acquisition edge graph (from");
-    eprintln!("`hstreams_core::lockorder::edges_json`, feature `lock-order`)");
+    eprintln!("`hstreams_core::lockorder::edges_json`)");
     eprintln!("for rank inversions and deadlock cycles against the");
     eprintln!("documented lock order. Exit status: 0 clean, 1 when findings");
     eprintln!("exist, 2 on bad input.");

@@ -201,7 +201,7 @@ fn run(mode: ExecMode, style: Style) -> hsan::ActionTrace {
     let progs: Vec<Vec<Op>> = (0..NTHREADS)
         .map(|t| gen_program(0xC0FFEE + t as u64))
         .collect();
-    hs.recording_start();
+    hs.obs_enable(true);
     match style {
         Style::Concurrent | Style::Batched => {
             std::thread::scope(|scope| {
@@ -222,7 +222,7 @@ fn run(mode: ExecMode, style: Style) -> hsan::ActionTrace {
         }
     }
     hs.thread_synchronize().expect("sync");
-    hs.recording_take().expect("recording was on")
+    hsan::ActionTrace::from_records(&hs, &hs.take_obs_records())
 }
 
 #[test]
@@ -275,9 +275,8 @@ fn batched_enqueue_is_hsan_equivalent_to_serial_replay() {
 }
 
 /// The global trace of a concurrent run is itself a valid program order:
-/// every wait refers to an already-recorded event (no torn publication of
-/// the recorder under concurrency). Batched runs hold the recorder across
-/// each chunk, so their chunks additionally appear contiguously.
+/// every wait refers to an event recorded before it (an id is reserved
+/// before anyone can wait on it, and the fold orders actions by id).
 #[test]
 fn concurrent_trace_wait_edges_point_backwards() {
     for style in [Style::Concurrent, Style::Batched] {

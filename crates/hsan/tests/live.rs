@@ -43,9 +43,9 @@ fn synced_run(hs: &mut HStreams) {
 #[test]
 fn live_race_is_detected_in_thread_mode() {
     let mut hs = offload(ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let (s0, s1) = racy_run(&mut hs);
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let report = hsan::check(&trace);
     assert_eq!(report.count_of("race"), 1, "{report}");
     let Finding::Race {
@@ -70,9 +70,9 @@ fn live_race_is_detected_in_thread_mode() {
 #[test]
 fn live_race_is_detected_in_sim_mode() {
     let mut hs = offload(ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
     racy_run(&mut hs);
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let report = hsan::check(&trace);
     assert_eq!(report.count_of("race"), 1, "{report}");
 }
@@ -81,9 +81,9 @@ fn live_race_is_detected_in_sim_mode() {
 fn event_wait_makes_the_run_clean_in_both_modes() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let mut hs = offload(mode);
-        hs.recording_start();
+        hs.obs_enable(true);
         synced_run(&mut hs);
-        let trace = hs.recording_take().expect("recording was on");
+        let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
         let report = hsan::check(&trace);
         assert!(report.is_clean(), "{mode:?}: {report}");
         assert!(report.pairs_checked > 0, "the conflict was examined");
@@ -92,13 +92,13 @@ fn event_wait_makes_the_run_clean_in_both_modes() {
 
 #[test]
 fn completions_are_recorded_and_fifo_equivalent() {
-    // Thread mode: completion keys come from real signal order; the synced
+    // Thread mode: completion keys are wall-clock completion stamps; the synced
     // run must be a linearization (checked inside `check`), and every
     // action must actually have completed after thread_synchronize.
     let mut hs = offload(ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     synced_run(&mut hs);
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     assert_eq!(
         trace.completions.len(),
         trace.actions().count(),
@@ -110,9 +110,9 @@ fn completions_are_recorded_and_fifo_equivalent() {
 #[test]
 fn sim_mode_records_virtual_fire_times() {
     let mut hs = offload(ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
     synced_run(&mut hs);
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     assert_eq!(trace.completions.len(), trace.actions().count());
     // The dependent d2h cannot fire before the h2d it waits on.
     let keys: std::collections::HashMap<u64, u64> = trace.completions.iter().copied().collect();
@@ -124,12 +124,12 @@ fn sim_mode_records_virtual_fire_times() {
 #[test]
 fn recording_can_restart_and_traces_are_independent() {
     let mut hs = offload(ExecMode::Sim);
-    hs.recording_start();
+    hs.obs_enable(true);
     racy_run(&mut hs);
-    let racy = hs.recording_take().expect("first recording");
-    hs.recording_start();
+    let racy = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
+    hs.obs_enable(true);
     synced_run(&mut hs);
-    let clean = hs.recording_take().expect("second recording");
+    let clean = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     assert_eq!(hsan::check(&racy).count_of("race"), 1);
     // The second trace knows nothing of the first run's actions...
     assert!(clean.actions().count() < racy.actions().count() + 4);
@@ -142,7 +142,7 @@ fn destroyed_buffer_lifecycle_is_clean_when_properly_synced() {
     // buffer_destroy waits for in-flight actions, so a live run can never
     // produce a use-after-free — assert the trace agrees.
     let hs = offload(ExecMode::Threads);
-    hs.recording_start();
+    hs.obs_enable(true);
     let card = DomainId(1);
     let streams = hs.app_init(&[(card, 1)]).expect("stream");
     let buf = hs.buffer_create(1024, BufProps::labeled("short-lived"));
@@ -151,7 +151,7 @@ fn destroyed_buffer_lifecycle_is_clean_when_properly_synced() {
         .expect("h2d");
     hs.buffer_destroy(buf).expect("destroy");
     hs.thread_synchronize().expect("sync");
-    let trace = hs.recording_take().expect("recording was on");
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let report = hsan::check(&trace);
     assert!(report.is_clean(), "{report}");
 }

@@ -149,7 +149,7 @@ pub fn chrome_trace_json(records: &[ObsRecord]) -> String {
             lc.meta.kind.as_str(),
             lc.meta.stream,
             lc.meta.bytes,
-            lc.meta.footprint,
+            lc.meta.footprint.len(),
             us(start.saturating_sub(queue_from)),
             ok,
         ));
@@ -268,16 +268,19 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ObsHub, ObsPhase};
+    use crate::{ActionKind, ObsHub, ObsPhase};
 
     fn meta(kind: ObsKind, stream: u32, card: Option<u32>, h2d: bool, label: &str) -> ActionMeta {
         ActionMeta {
             stream,
+            event: 0,
             kind,
+            order: ActionKind::Normal,
             card,
             h2d,
             bytes: 100,
-            footprint: 1,
+            footprint: Vec::new(),
+            waits: Vec::new(),
             label: label.to_string(),
         }
     }

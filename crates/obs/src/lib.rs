@@ -7,6 +7,9 @@
 //! runtime gauges (DMA queue depth, workgroup occupancy) and counters —
 //! and exports them as Chrome `chrome://tracing` JSON ([`chrome`]) or a
 //! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`. The
+//! `Enqueued` record's [`ActionMeta`] also carries the action's event id,
+//! ordering kind, footprint and waits, so one drained slice of records is
+//! what `hsan` folds into the trace it checks as well. The
 //! reader that validates those traces ([`json`]) is the workspace's JSON
 //! reader; `hsan` parses its trace and lock-order files with it.
 //!
@@ -28,6 +31,7 @@ pub mod json;
 use hs_chaos::FailureCause;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -81,12 +85,41 @@ impl ObsPhase {
     }
 }
 
-/// Static description of an action, captured at enqueue.
+/// How an action participates in its stream's ordering (`hstreams-core`
+/// re-exports it as `hstreams_core::ActionKind`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ActionKind {
+    /// Ordinary compute/transfer: ordered by operand overlap.
+    Normal,
+    /// An event-wait: later actions in the stream order after it; it does
+    /// NOT order against prior stream actions (its only dependences are the
+    /// awaited events) — hStreams' non-serializing cross-stream sync.
+    EventWait,
+    /// A marker/barrier: orders against every prior action AND gates every
+    /// later one (CUDA's `cudaEventRecord` semantics; stream-wide fences).
+    Marker,
+}
+
+/// One memory operand of an action, as the dependence analysis saw it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ObsAccess {
+    pub domain: usize,
+    pub buffer: u64,
+    pub range: Range<usize>,
+    pub write: bool,
+}
+
+/// Static description of an action, captured at enqueue: what the Chrome
+/// export draws and everything `hsan` checks.
 #[derive(Clone, Debug)]
 pub struct ActionMeta {
     /// Dense stream index the action was enqueued into.
     pub stream: u32,
+    /// The runtime event the action produces. A card-loss replay re-runs
+    /// an action behind its original event, as a lifecycle of its own.
+    pub event: u64,
     pub kind: ObsKind,
+    pub order: ActionKind,
     /// Card domain index for non-elided transfers (None = host-aliased or
     /// not a transfer).
     pub card: Option<u32>,
@@ -94,8 +127,10 @@ pub struct ActionMeta {
     pub h2d: bool,
     /// Payload bytes (transfer size, or summed operand bytes for computes).
     pub bytes: u64,
-    /// Number of footprint items (operands) the dependence analysis saw.
-    pub footprint: u32,
+    /// The operands the dependence analysis saw.
+    pub footprint: Vec<ObsAccess>,
+    /// The events an event-wait names (empty for every other action).
+    pub waits: Vec<u64>,
     pub label: String,
 }
 
@@ -464,11 +499,14 @@ mod tests {
     fn meta(stream: u32, label: &str) -> ActionMeta {
         ActionMeta {
             stream,
+            event: 0,
             kind: ObsKind::Compute,
+            order: ActionKind::Normal,
             card: None,
             h2d: false,
             bytes: 64,
-            footprint: 2,
+            footprint: Vec::new(),
+            waits: Vec::new(),
             label: label.to_string(),
         }
     }

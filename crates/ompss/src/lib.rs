@@ -371,14 +371,6 @@ impl OmpSs {
         }
     }
 
-    /// Sim-mode execution trace (either backend).
-    pub fn trace(&self) -> Option<hs_sim::Trace> {
-        match &self.be {
-            Be::Hs { hs, .. } => hs.trace(),
-            Be::Cu { cu, .. } => cu.trace(),
-        }
-    }
-
     fn charge_task_overhead(&mut self) {
         let secs = self.task_overhead_secs;
         match &mut self.be {

@@ -116,11 +116,6 @@ impl Sim {
         &self.trace
     }
 
-    /// Take the trace out of the simulator (e.g. after `run`).
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Enable or disable span recording. Disabled recording makes large
     /// sweeps cheaper; token/server semantics are unaffected.
     pub fn set_tracing(&mut self, enabled: bool) {

@@ -2,7 +2,8 @@
 //! dispatch → sink start → complete) during a hetero tiled matmul and export
 //! it as Chrome-trace JSON — open the file at `chrome://tracing` or
 //! <https://ui.perfetto.dev> to see one row per stream and per DMA channel,
-//! with transfers riding underneath computes.
+//! with transfers riding underneath computes. The same drained records are
+//! folded into an `hsan` trace and checked; any finding exits 1.
 //!
 //! Run with: `cargo run --release --example trace_matmul [out.json]`
 
@@ -27,16 +28,22 @@ fn main() {
         cfg.n, res.gflops, res.secs
     );
 
-    let json = hs.export_chrome_trace();
+    let records = hs.take_obs_records();
+    let json = hs_obs::chrome::chrome_trace_json(&records);
     std::fs::write(&out, &json).expect("write trace");
     let check = hs_obs::chrome::validate(&json).expect("trace is well-formed");
     println!(
         "wrote {out}: {} spans on {} rows ({} stream rows) — open at chrome://tracing",
         check.spans, check.rows, check.stream_rows
     );
+    let report = hsan::check(&hsan::ActionTrace::from_records(&hs, &records));
+    println!("{report}");
 
     println!("\nmetrics snapshot:");
     for (k, v) in hs.metrics().rows() {
         println!("  {k:<28} {v:.3}");
+    }
+    if !report.is_clean() {
+        std::process::exit(1);
     }
 }

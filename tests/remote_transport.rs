@@ -111,16 +111,16 @@ fn matmul_over_the_wire_is_bit_identical_to_local() {
 #[test]
 fn cholesky_over_the_wire_is_bit_identical_hsan_clean_and_same_projection() {
     let mut local = local_rt();
-    local.recording_start();
+    local.obs_enable(true);
     let lr = cholesky::run(&mut local, &chol_cfg()).expect("local run");
-    let lt = local.recording_take().expect("recording was started");
+    let lt = ActionTrace::from_records(&local, &local.take_obs_records());
     assert_clean(&lt, "cholesky/local");
 
     let w = worker();
     let mut hs = remote_rt(&w);
-    hs.recording_start();
+    hs.obs_enable(true);
     let rr = cholesky::run(&mut hs, &chol_cfg()).expect("remote run");
-    let rt = hs.recording_take().expect("recording was started");
+    let rt = ActionTrace::from_records(&hs, &hs.take_obs_records());
     assert_clean(&rt, "cholesky/remote");
 
     assert!(rr.max_err.expect("verified") < 1e-8);
