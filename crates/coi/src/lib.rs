@@ -32,7 +32,7 @@ pub mod small;
 pub mod workgroup;
 
 pub use event::{CoiEvent, Dependent, EventCore, EventHost, EventStatus};
-pub use pipeline::{execute_on, Pipeline, PipelineHandle, RunCtx, SinkTask};
+pub use pipeline::{execute_on, physical_lanes, Pipeline, PipelineHandle, RunCtx, SinkTask};
 pub use pool::{BufferPool, PoolStats, PooledWindow, WindowTooLarge};
 pub use registry::{FnRegistry, RunFunction};
 pub use server::{
@@ -67,6 +67,9 @@ pub struct CoiRuntime {
     registry: Arc<FnRegistry>,
     pools: Vec<BufferPool>,
     n_engines: usize,
+    /// Cores of this machine: the `host_cores` of [`physical_lanes`] for
+    /// the in-process engines' streams.
+    host_cores: usize,
     obs: ObsHub,
     chaos: ChaosHub,
 }
@@ -103,6 +106,7 @@ impl CoiRuntime {
             registry: Arc::new(FnRegistry::new()),
             pools: (0..n_engines).map(|_| BufferPool::new()).collect(),
             n_engines,
+            host_cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
             obs,
             chaos,
         }))
@@ -141,23 +145,35 @@ impl CoiRuntime {
 
     /// Create a pipeline on `engine` with `width` threads for task
     /// expansion: the explicit-lane constructor, logical width and physical
-    /// lanes both `width`.
+    /// lanes both `width`. On a remote card its exec connection announces a
+    /// stream spanning `width` cores of a card that size, which the worker
+    /// runs on `width` lanes, up to its own cores.
     pub fn pipeline_create(self: &Arc<Self>, engine: EngineId, width: usize) -> Pipeline {
-        Pipeline::spawn(self.clone(), engine, width, width, None)
+        Pipeline::spawn(self.clone(), engine, width, width, width as u32, None)
     }
 
     /// A stream's pipeline: logical `width` and CPU-mask bits `affinity`
-    /// are the stream's (what tuners and the wire see), while tasks expand
-    /// across `lanes <= width` OS threads — the share of the real machine
-    /// the caller worked out for the stream.
+    /// are the stream's (what tuners and the wire see), and `modelled_cores`
+    /// are the cores of the modelled platform the machine running the
+    /// stream emulates — the in-process domains for an in-process engine,
+    /// the card alone for a remote one. Tasks expand across the
+    /// [`physical_lanes`] of that machine: here, or in the worker, which
+    /// learns `width` and `modelled_cores` from the stream's exec connection
+    /// (the pipeline then keeps one lane here, for the fetch-compute-writeback
+    /// fallback).
     pub fn pipeline_create_stream(
         self: &Arc<Self>,
         engine: EngineId,
         width: usize,
-        lanes: usize,
+        modelled_cores: u32,
         affinity: Option<u128>,
     ) -> Pipeline {
-        Pipeline::spawn(self.clone(), engine, width, lanes, affinity)
+        let lanes = if self.fabric.is_remote(engine.node()) {
+            1
+        } else {
+            physical_lanes(width as u32, modelled_cores, self.host_cores)
+        };
+        Pipeline::spawn(self.clone(), engine, width, lanes, modelled_cores, affinity)
     }
 
     /// Allocate a window on `engine`, through the engine's buffer pool when

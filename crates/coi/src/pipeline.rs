@@ -7,7 +7,10 @@
 //! and the wire see); its *lanes* are how many OS threads a task really
 //! expands across via [`RunCtx`]'s parallel helpers (the hStreams "task
 //! naturally expands to use all of the resources given to a stream"
-//! semantics, on the machine that exists).
+//! semantics, on the machine that exists), by [`physical_lanes`] — here for
+//! an in-process engine, in the worker for a remote card. A pipeline on a
+//! remote card holds that stream's exec connection to the worker, so the
+//! card's streams run there side by side as they would here.
 //!
 //! Ordering note: hStreams enqueues work to a pipeline only when its
 //! dependences are satisfied, so pipeline FIFO order is *dispatch* order,
@@ -23,13 +26,34 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, SendError, Sender};
 use hs_chaos::FailureCause;
 use hs_fabric::transport::{ExecReply, ExecRequest, TransportError};
-use hs_fabric::{NodeId, RangeGuard, WindowId, WindowMem};
+use hs_fabric::{ExecConn, NodeId, RangeGuard, WindowId, WindowMem};
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Buffer operand of a run function: window, byte range, writable?
 pub type BufAccess = (WindowId, Range<usize>, bool);
+
+/// How many OS threads a stream's parallel regions use: the stream owns the
+/// same fraction of the real machine (`host_cores`) as its mask
+/// (`mask_cores`) owns of the platform that machine emulates
+/// (`modelled_cores`: the domains hosted in this process, or the one card a
+/// worker hosts), at least one and never more than the mask is wide.
+///
+/// The mask's core count stays the stream's *logical* width — what the sim
+/// cost model, the tuner, hsan and the wire see. It is not a thread count:
+/// 14 of a modelled 28-core host's cores on a 2-core machine are one lane,
+/// not fourteen threads taking turns. Disjoint masks that cover the
+/// platform therefore never run more lanes than `max(host_cores, streams)`.
+/// A function of the platform and the machine, on purpose: a knob would
+/// have to be re-tuned on every host, and this is what it would be set to.
+/// The one rule on both sides of the wire: the in-process executor sizes a
+/// stream with it, and so does the worker, from the stream's exec
+/// connection's `Hello`.
+pub fn physical_lanes(mask_cores: u32, modelled_cores: u32, host_cores: usize) -> usize {
+    let share = u64::from(mask_cores) * host_cores as u64 / u64::from(modelled_cores.max(1));
+    share.clamp(1, u64::from(mask_cores.max(1))) as usize
+}
 
 /// A run-function invocation as the sink sees it. The queue carries an `Arc`
 /// of the *caller's* task, so enqueueing copies nothing: the sink borrows
@@ -97,11 +121,17 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
+    /// A pipeline of `width` logical cores expanding over `lanes` threads
+    /// here. On a remote card it opens the stream's exec connection, whose
+    /// `Hello` gives the worker `width` and the card's `cores`; a connection
+    /// that cannot be opened has poisoned the card, so its tasks fail as
+    /// `CardLost`.
     pub(crate) fn spawn(
         rt: Arc<CoiRuntime>,
         engine: EngineId,
         width: usize,
         lanes: usize,
+        cores: u32,
         affinity: Option<u128>,
     ) -> Pipeline {
         assert!(width >= 1, "pipeline width must be >= 1");
@@ -115,7 +145,17 @@ impl Pipeline {
         let mut pool = Workgroup::new(lanes, format!("e{}", engine.0), affinity);
         pool.set_obs(rt.obs().clone());
         let wg = Arc::new(pool);
-        let wg_sink = wg.clone();
+        let node = engine.node();
+        let exec = rt.fabric().transport(node).as_remote().and_then(|remote| {
+            let conn = remote.open_exec(width as u32, cores);
+            conn.ok().map(|conn| (node, conn))
+        });
+        let sink = Sink {
+            rt,
+            width,
+            wg: wg.clone(),
+            exec,
+        };
         let handle = std::thread::Builder::new()
             .name(format!("coi-pipe-e{}", engine.0))
             .spawn(move || {
@@ -132,7 +172,7 @@ impl Pipeline {
                         Command::Run(task) => {
                             task.started();
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                execute(&rt, &*task, width, &wg_sink)
+                                sink.execute(&*task)
                             }));
                             task.finish(r.unwrap_or_else(|p| Err(panic_msg(p.as_ref()))));
                         }
@@ -263,36 +303,155 @@ fn acquire_order(bufs: &[BufAccess]) -> Inline<usize> {
     order
 }
 
-fn execute(
-    rt: &CoiRuntime,
-    task: &dyn SinkTask,
+/// What a pipeline's sink thread runs tasks with.
+struct Sink {
+    rt: Arc<CoiRuntime>,
     width: usize,
-    wg: &Arc<Workgroup>,
-) -> Result<(), FailureCause> {
-    let (name, args, bufs) = task.call();
-    // Any operand living on a remote node routes the whole task through the
-    // wire (the worker process owns that memory — there is no local view).
-    let remote = bufs
-        .iter()
-        .map(|(w, _, _)| w.node)
-        .find(|&n| rt.fabric().is_remote(n));
-    if let Some(node) = remote {
-        return execute_remote(rt, node, name, args, bufs, width, wg);
+    wg: Arc<Workgroup>,
+    /// The stream's exec connection, on a pipeline whose engine is a remote
+    /// card (that card's node).
+    exec: Option<(NodeId, ExecConn)>,
+}
+
+impl Sink {
+    fn execute(&self, task: &dyn SinkTask) -> Result<(), FailureCause> {
+        let rt = &*self.rt;
+        let (name, args, bufs) = task.call();
+        // Any operand living on a remote node routes the whole task through
+        // the wire (the worker process owns that memory — there is no local
+        // view).
+        let remote = bufs
+            .iter()
+            .map(|(w, _, _)| w.node)
+            .find(|&n| rt.fabric().is_remote(n));
+        if let Some(node) = remote {
+            return self.execute_remote(node, name, args, bufs);
+        }
+        let mut mems: Inline<Option<Arc<WindowMem>>> = Inline::new();
+        for (w, _, _) in bufs {
+            let mem = rt.fabric().window(*w).ok_or_else(|| {
+                FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
+            })?;
+            mems.push(Some(mem));
+        }
+        let mems = mems.as_slice();
+        let operand = |i: usize| {
+            let mem = mems[i].as_deref().expect("every window resolved above");
+            (mem, bufs[i].1.clone(), bufs[i].2)
+        };
+        let order = acquire_order(bufs);
+        run_locked(
+            rt.registry(),
+            name,
+            args,
+            operand,
+            order.as_slice(),
+            &self.wg,
+        )
     }
-    let mut mems: Inline<Option<Arc<WindowMem>>> = Inline::new();
-    for (w, _, _) in bufs {
-        let mem = rt.fabric().window(*w).ok_or_else(|| {
-            FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
-        })?;
-        mems.push(Some(mem));
+
+    /// Execute a task whose operands live (at least partly) on remote `node`.
+    ///
+    /// Fast path: every operand is on `node` and the worker knows the function —
+    /// one `Exec` frame on the stream's exec connection, zero data motion; the
+    /// worker runs it on the lanes it sized from that connection's `Hello`.
+    /// Fallback (worker replies `UnknownFn`, e.g. a closure registered only
+    /// host-side, or operands are mixed host/remote): fetch the remote operand
+    /// bytes into private scratch windows, run the function locally, and write
+    /// back the write-operands. The fallback uses the raw transport (not the
+    /// DMA engines) so the `dma.cN.*` gauges keep meaning "buffer instantiation
+    /// traffic" and stay comparable between Local and Remote transports.
+    fn execute_remote(
+        &self,
+        node: NodeId,
+        name: &str,
+        args: &[u8],
+        bufs: &[BufAccess],
+    ) -> Result<(), FailureCause> {
+        let rt = &*self.rt;
+        for (w, _, _) in bufs {
+            if rt.fabric().is_remote(w.node) && w.node != node {
+                return Err(FailureCause::Malformed(format!(
+                    "run function '{name}': operands span remote nodes {} and {}",
+                    node.0, w.node.0
+                )));
+            }
+        }
+        let t = rt.fabric().transport(node).clone();
+        if bufs.iter().all(|(w, _, _)| w.node == node) {
+            let raw: Vec<(u64, u64, u64, bool)> = bufs
+                .iter()
+                .map(|(w, r, wr)| (w.raw(), r.start as u64, r.end as u64, *wr))
+                .collect();
+            let req = ExecRequest {
+                name,
+                args,
+                width: self.width as u32,
+                bufs: &raw,
+            };
+            let reply = match &self.exec {
+                Some((on, conn)) if *on == node => conn.exec(&req),
+                _ => t.exec(&req),
+            };
+            match reply {
+                Ok(ExecReply::Done) => return Ok(()),
+                Ok(ExecReply::UnknownFn) => {} // fall through to fetch-compute-writeback
+                Ok(ExecReply::Failed(msg)) => {
+                    return Err(match msg.strip_prefix("panic: ") {
+                        Some(p) => FailureCause::SinkPanic(p.to_string()),
+                        None => FailureCause::Exec(format!("remote exec '{name}': {msg}")),
+                    })
+                }
+                Err(e) => return Err(wire_cause(node, e)),
+            }
+        }
+        // Fetch-compute-writeback: remote operands become private scratch
+        // windows (no lock contention — each call gets fresh ones), local
+        // operands keep their real memories and canonical lock order.
+        let mut ops: Vec<(Arc<WindowMem>, Range<usize>, bool)> = Vec::with_capacity(bufs.len());
+        let mut fetched: Vec<usize> = Vec::new();
+        for (i, (w, range, wr)) in bufs.iter().enumerate() {
+            if w.node == node {
+                let len = range.len();
+                let scratch = Arc::new(WindowMem::new(len));
+                {
+                    let mut g = scratch
+                        .lock_range(0..len, true)
+                        .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
+                    t.read(w.raw(), range.start, g.as_mut_slice())
+                        .map_err(|e| wire_cause(node, e))?;
+                }
+                ops.push((scratch, 0..len, *wr));
+                fetched.push(i);
+            } else {
+                let mem = rt.fabric().window(*w).ok_or_else(|| {
+                    FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
+                })?;
+                ops.push((mem, range.clone(), *wr));
+            }
+        }
+        // Scratch windows are private, so ordering only matters among the real
+        // (local) operands — the canonical (window, offset) sort keeps them safe.
+        execute_on(
+            rt.registry(),
+            name,
+            args,
+            &ops,
+            acquire_order(bufs).as_slice(),
+            &self.wg,
+        )?;
+        for i in fetched {
+            let (scratch, srange, wr) = &ops[i];
+            if *wr {
+                let g = scratch
+                    .lock_range(srange.clone(), false)
+                    .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
+                t.write(bufs[i].0.raw(), bufs[i].1.start, g.as_slice())
+                    .map_err(|e| wire_cause(node, e))?;
+            }
+        }
+        Ok(())
     }
-    let mems = mems.as_slice();
-    let operand = |i: usize| {
-        let mem = mems[i].as_deref().expect("every window resolved above");
-        (mem, bufs[i].1.clone(), bufs[i].2)
-    };
-    let order = acquire_order(bufs);
-    run_locked(rt.registry(), name, args, operand, order.as_slice(), wg)
 }
 
 /// Run a registered function against already-resolved operand memories.
@@ -354,107 +513,6 @@ fn wire_cause(node: NodeId, e: TransportError) -> FailureCause {
         },
         other => FailureCause::Exec(format!("remote exec on node {}: {other}", node.0)),
     }
-}
-
-/// Execute a task whose operands live (at least partly) on remote `node`.
-///
-/// Fast path: every operand is on `node` and the worker knows the function —
-/// one `Exec` frame, zero data motion; the frame carries the stream's
-/// logical `width` and the worker picks its own lanes. Fallback (worker
-/// replies `UnknownFn`, e.g. a closure registered only host-side, or
-/// operands are mixed host/remote): fetch the remote operand bytes into
-/// private scratch
-/// windows, run the function locally, and write back the write-operands.
-/// The fallback uses the raw transport (not the DMA engines) so the
-/// `dma.cN.*` gauges keep meaning "buffer instantiation traffic" and stay
-/// comparable between Local and Remote transports.
-fn execute_remote(
-    rt: &CoiRuntime,
-    node: NodeId,
-    name: &str,
-    args: &[u8],
-    bufs: &[BufAccess],
-    width: usize,
-    wg: &Arc<Workgroup>,
-) -> Result<(), FailureCause> {
-    for (w, _, _) in bufs {
-        if rt.fabric().is_remote(w.node) && w.node != node {
-            return Err(FailureCause::Malformed(format!(
-                "run function '{name}': operands span remote nodes {} and {}",
-                node.0, w.node.0
-            )));
-        }
-    }
-    let t = rt.fabric().transport(node).clone();
-    if bufs.iter().all(|(w, _, _)| w.node == node) {
-        let raw: Vec<(u64, u64, u64, bool)> = bufs
-            .iter()
-            .map(|(w, r, wr)| (w.raw(), r.start as u64, r.end as u64, *wr))
-            .collect();
-        let req = ExecRequest {
-            name,
-            args,
-            width: width as u32,
-            bufs: &raw,
-        };
-        match t.exec(&req) {
-            Ok(ExecReply::Done) => return Ok(()),
-            Ok(ExecReply::UnknownFn) => {} // fall through to fetch-compute-writeback
-            Ok(ExecReply::Failed(msg)) => {
-                return Err(match msg.strip_prefix("panic: ") {
-                    Some(p) => FailureCause::SinkPanic(p.to_string()),
-                    None => FailureCause::Exec(format!("remote exec '{name}': {msg}")),
-                })
-            }
-            Err(e) => return Err(wire_cause(node, e)),
-        }
-    }
-    // Fetch-compute-writeback: remote operands become private scratch
-    // windows (no lock contention — each call gets fresh ones), local
-    // operands keep their real memories and canonical lock order.
-    let mut ops: Vec<(Arc<WindowMem>, Range<usize>, bool)> = Vec::with_capacity(bufs.len());
-    let mut fetched: Vec<usize> = Vec::new();
-    for (i, (w, range, wr)) in bufs.iter().enumerate() {
-        if w.node == node {
-            let len = range.len();
-            let scratch = Arc::new(WindowMem::new(len));
-            {
-                let mut g = scratch
-                    .lock_range(0..len, true)
-                    .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
-                t.read(w.raw(), range.start, g.as_mut_slice())
-                    .map_err(|e| wire_cause(node, e))?;
-            }
-            ops.push((scratch, 0..len, *wr));
-            fetched.push(i);
-        } else {
-            let mem = rt.fabric().window(*w).ok_or_else(|| {
-                FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
-            })?;
-            ops.push((mem, range.clone(), *wr));
-        }
-    }
-    // Scratch windows are private, so ordering only matters among the real
-    // (local) operands — the canonical (window, offset) sort keeps them safe.
-    execute_on(
-        rt.registry(),
-        name,
-        args,
-        &ops,
-        acquire_order(bufs).as_slice(),
-        wg,
-    )?;
-    for i in fetched {
-        let (scratch, srange, wr) = &ops[i];
-        if *wr {
-            let g = scratch
-                .lock_range(srange.clone(), false)
-                .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
-            t.write(bufs[i].0.raw(), bufs[i].1.start, g.as_slice())
-                .map_err(|e| wire_cause(node, e))?;
-        }
-    }
-    Ok(())
 }
 
 /// Execution context handed to a run function.

@@ -1,11 +1,19 @@
 //! Worker-side protocol server: a card as a separate process.
 //!
 //! `hs-worker` (see `hs-apps`) hosts this loop. The host's
-//! [`hs_fabric::RemoteDomain`] opens a small pool of connections (control,
-//! H2D, D2H, exec) and speaks the length-prefixed framed protocol from
-//! [`hs_fabric::proto`]; each accepted connection gets its own thread here,
-//! so transfers genuinely overlap compute — the same property the in-process
-//! fabric gets from per-direction DMA channels.
+//! [`hs_fabric::RemoteDomain`] opens a fixed set of connections (control,
+//! H2D, D2H) plus one exec connection per card stream, and speaks the
+//! length-prefixed framed protocol from [`hs_fabric::proto`]; each accepted
+//! connection gets its own thread here, so transfers genuinely overlap
+//! compute — the same property the in-process fabric gets from
+//! per-direction DMA channels — and the card's streams compute side by side,
+//! as in-process pipelines do.
+//!
+//! **Lanes.** A connection owns its expansion pool, sized once, at its
+//! `Hello`, by the in-process executor's rule ([`physical_lanes`]): the
+//! stream's width over the card's modelled cores, as a share of this
+//! machine's cores, and never more than this machine's cores whatever the
+//! peer sent. A connection that has not said `Hello` runs tasks on one lane.
 //!
 //! Window memory on the worker is real [`WindowMem`]s with the same range
 //! locks as the in-process arena, so concurrent H2D writes and exec operand
@@ -15,12 +23,12 @@
 //! through the exact sink path the in-process pipelines use
 //! ([`crate::pipeline::execute_on`]).
 
-use crate::pipeline::execute_on;
+use crate::pipeline::{execute_on, physical_lanes};
 use crate::registry::FnRegistry;
 use crate::workgroup::Workgroup;
-use hs_fabric::proto::{self, ExecStatus, FrameHeader, Kind};
+use hs_fabric::proto::{self, ExecStatus, FrameHeader, Hello, Kind};
 use hs_fabric::{RangeGuard, WindowMem};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -70,13 +78,11 @@ impl Drop for InflightGuard {
     }
 }
 
-/// Shared state of one worker process: its window table, its function
-/// registry, and its expansion pools, one per lane count up to the cores of
-/// the machine the worker runs on.
+/// Shared state of one worker process: its window table and its function
+/// registry. Expansion pools are the connections' own.
 pub struct WorkerState {
     windows: RwLock<HashMap<u64, Arc<WindowMem>>>,
     registry: Arc<FnRegistry>,
-    wgs: Mutex<HashMap<usize, Arc<Workgroup>>>,
     /// Cores of this machine: the most lanes any task gets here.
     host_cores: usize,
 }
@@ -91,7 +97,6 @@ impl WorkerState {
         Arc::new(WorkerState {
             windows: RwLock::new(HashMap::new()),
             registry,
-            wgs: Mutex::new(HashMap::new()),
             host_cores,
         })
     }
@@ -105,19 +110,16 @@ impl WorkerState {
         self.windows.read().len()
     }
 
-    /// The resident expansion pool for a task of logical `width` — built
-    /// on first use, reused after, mirroring the per-pipeline pools
-    /// host-side. `width` is the peer's: a stream's share of the modelled
-    /// card, or garbage. The worker hosts one card and owns its process, so
-    /// the task gets as many lanes of it as this machine has cores for —
-    /// never a thread count taken from the wire, and at most one pool per
-    /// lane count.
-    fn workgroup(&self, width: u32) -> Arc<Workgroup> {
-        let lanes = (width as usize).clamp(1, self.host_cores);
-        let mut wgs = self.wgs.lock();
-        wgs.entry(lanes)
-            .or_insert_with(|| Arc::new(Workgroup::new(lanes, format!("wrk{lanes}"), None)))
-            .clone()
+    /// The expansion pool of a connection whose `Hello` is `hello`: the
+    /// lanes [`physical_lanes`] gives a stream `hello.width` cores wide on a
+    /// card of `hello.cores`, on this machine. Both numbers are the peer's —
+    /// a stream's share of the modelled card, or garbage — and a mask wider
+    /// than the card it names would get more lanes than the machine has, so
+    /// the count is also held to this machine's cores: never a thread count
+    /// taken from the wire.
+    fn workgroup(&self, hello: &Hello) -> Arc<Workgroup> {
+        let lanes = physical_lanes(hello.width, hello.cores, self.host_cores).min(self.host_cores);
+        Arc::new(Workgroup::new(lanes, format!("wrk{lanes}"), None))
     }
 
     fn window(&self, win: u64) -> Result<Arc<WindowMem>, String> {
@@ -248,10 +250,11 @@ impl WorkerState {
         Ok(())
     }
 
-    /// Run an `Exec` request; the (status, message) pair becomes the
-    /// `ExecAck`. Panics are caught so a buggy kernel fails one task, not
-    /// the worker — exactly the host-side sink contract.
-    fn exec(&self, payload: &[u8]) -> (ExecStatus, String) {
+    /// Run an `Exec` request on the connection's pool `wg`; the (status,
+    /// message) pair becomes the `ExecAck`. Panics are caught so a buggy
+    /// kernel fails one task, not the worker — exactly the host-side sink
+    /// contract.
+    fn exec(&self, payload: &[u8], wg: &Arc<Workgroup>) -> (ExecStatus, String) {
         let Some(fr) = proto::decode_exec(payload) else {
             return (ExecStatus::Failed, "malformed Exec payload".to_string());
         };
@@ -271,10 +274,9 @@ impl WorkerState {
         // invariant as the host-side sink path.
         let mut order: Vec<usize> = (0..fr.bufs.len()).collect();
         order.sort_by_key(|&i| (fr.bufs[i].0, fr.bufs[i].1));
-        let wg = self.workgroup(fr.width);
         let name = fr.name;
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_on(&self.registry, name, fr.args, &ops, &order, &wg)
+            execute_on(&self.registry, name, fr.args, &ops, &order, wg)
         }));
         match r {
             Ok(Ok(())) => (ExecStatus::Ok, String::new()),
@@ -302,6 +304,7 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
 /// frames (the connection survives), protocol violations end the
 /// connection.
 pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::io::Result<()> {
+    let mut wg = Arc::new(Workgroup::new(1, "wrk1", None));
     loop {
         let hdr = match proto::recv_header(&mut s) {
             Ok(h) => h,
@@ -325,16 +328,12 @@ pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::i
             let payload = hdr.recv_payload(&mut s)?;
             let mut c = proto::Cursor::new(&payload);
             match kind {
-                Kind::Hello => match (c.get_u8(), c.get_u16()) {
-                    (Some(_role), Some(proto::VERSION)) => {
+                Kind::Hello => match Hello::decode(&payload) {
+                    Ok(hello) => {
+                        wg = state.workgroup(&hello);
                         proto::send_frame(&mut s, Kind::HelloAck, &proto::VERSION.to_le_bytes())?;
                     }
-                    (_, ver) => {
-                        let msg = format!(
-                            "protocol version mismatch: worker {}, host {}",
-                            proto::VERSION,
-                            ver.map_or("unreadable".to_string(), |v| v.to_string())
-                        );
+                    Err(msg) => {
                         proto::send_frame(&mut s, Kind::Err, msg.as_bytes())?;
                         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, msg));
                     }
@@ -374,7 +373,7 @@ pub fn serve_conn<S: Read + Write>(state: &Arc<WorkerState>, mut s: S) -> std::i
                     }
                 },
                 Kind::Exec => {
-                    let (status, msg) = state.exec(&payload);
+                    let (status, msg) = state.exec(&payload, &wg);
                     let mut p = Vec::with_capacity(1 + msg.len());
                     p.push(status as u8);
                     p.extend_from_slice(msg.as_bytes());
@@ -653,15 +652,21 @@ mod tests {
     #[test]
     fn host_of_another_version_is_refused() {
         let state = WorkerState::new(test_registry());
-        let mut hello = vec![0u8];
-        hello.extend_from_slice(&(proto::VERSION - 1).to_le_bytes());
-        let input = [frame(Kind::Hello, &hello, &[]), frame(Kind::Ping, &[], &[])].concat();
-        let (result, replies) = serve_bytes(&state, &input);
-        assert!(result.is_err(), "the connection ends");
-        let [(Kind::Err, msg)] = &replies[..] else {
-            panic!("one Err frame and no Pong, got {replies:?}");
-        };
-        assert!(String::from_utf8_lossy(msg).contains("version mismatch"));
+        let mut v2 = vec![0u8];
+        v2.extend_from_slice(&(proto::VERSION - 1).to_le_bytes());
+        // This version, cut short in its `cores` field.
+        let mut short = vec![3u8];
+        short.extend_from_slice(&proto::VERSION.to_le_bytes());
+        short.extend_from_slice(&[30, 0, 0, 0, 60]);
+        for (hello, want) in [(v2, "version mismatch"), (short, "malformed Hello")] {
+            let input = [frame(Kind::Hello, &hello, &[]), frame(Kind::Ping, &[], &[])].concat();
+            let (result, replies) = serve_bytes(&state, &input);
+            assert!(result.is_err(), "the connection ends");
+            let [(Kind::Err, msg)] = &replies[..] else {
+                panic!("one Err frame and no Pong, got {replies:?}");
+            };
+            assert!(String::from_utf8_lossy(msg).contains(want), "{want}");
+        }
     }
 
     #[test]
@@ -849,61 +854,185 @@ mod tests {
         assert_eq!(state.window_count(), 1);
     }
 
-    /// Seeded mutation of an `Exec` frame's `width` field, the one number
-    /// in it that sizes a thread pool: the worker answers every value with
-    /// an `ExecAck`, never builds a pool wider than its own cores, keeps at
-    /// most one pool per lane count, and computes the same bytes.
+    fn hello_frame(width: u32, cores: u32) -> Vec<u8> {
+        let hello = Hello {
+            role: 3,
+            width,
+            cores,
+        };
+        frame(Kind::Hello, &hello.encode(), &[])
+    }
+
+    /// `ctx.lanes()` of a task run on a connection that said `hello` (none:
+    /// no `Hello` at all), on a worker with `cores` cores. The `lanes`
+    /// kernel writes its lane count into its operand.
+    fn lanes_on(cores: usize, hello: Option<(u32, u32)>) -> usize {
+        let registry = test_registry();
+        registry.register(
+            "lanes",
+            Arc::new(|ctx: &mut RunCtx| {
+                let lanes = ctx.lanes() as u64;
+                ctx.buf_mut(0).copy_from_slice(&lanes.to_le_bytes());
+            }),
+        );
+        let state = WorkerState::with_host_cores(registry, cores);
+        state.alloc(1, 8).expect("alloc");
+        let exec = proto::encode_exec("lanes", &[], 7, &[(1, 0, 8, true)]);
+        let mut input = hello.map_or(vec![], |(w, c)| hello_frame(w, c));
+        input.extend(frame(Kind::Exec, &exec, &[]));
+        let (result, replies) = serve_bytes(&state, &input);
+        result.expect("clean session");
+        let want_acks = usize::from(hello.is_some());
+        assert_eq!(replies.len(), want_acks + 1, "{replies:?}");
+        assert_eq!(
+            replies[want_acks],
+            (Kind::ExecAck, vec![ExecStatus::Ok as u8])
+        );
+        let lanes = window_bytes(&state, 1);
+        u64::from_le_bytes(lanes.try_into().expect("8 bytes")) as usize
+    }
+
+    /// A connection's lanes are the in-process executor's rule over the
+    /// width and card cores of its `Hello`, held to the worker's cores
+    /// whatever the peer sent.
+    #[test]
+    fn worker_lanes_follow_the_lane_rule() {
+        // (width, card cores, worker cores) -> lanes.
+        for ((width, cores, host), want) in [
+            ((30, 60, 2), 1),
+            ((60, 60, 2), 2),
+            ((30, 60, 28), 14),
+            ((14, 28, 1024), 14),
+        ] {
+            let lanes = lanes_on(host, Some((width, cores)));
+            assert_eq!(lanes, want, "width {width} of {cores} on {host} cores");
+            assert_eq!(lanes, physical_lanes(width, cores, host));
+        }
+        // No Hello: one lane.
+        assert_eq!(lanes_on(2, None), 1);
+        // Hostile values: a mask wider than the card it names would get
+        // more lanes than the machine has by the rule alone.
+        let mut next = xorshift(0x51ed_270b_0a1c_3f4d);
+        let mut hellos = vec![(u32::MAX, 0), (u32::MAX, 1), (0, 0), (0, u32::MAX), (5, 1)];
+        hellos.extend((0..20).map(|_| ((next() >> (next() % 64)) as u32, next() as u32 % 64)));
+        for host in [1usize, 2, 5] {
+            for &(width, cores) in &hellos {
+                let lanes = lanes_on(host, Some((width, cores)));
+                assert!(
+                    (1..=host).contains(&lanes),
+                    "width {width} of {cores} on {host} cores: {lanes} lanes"
+                );
+            }
+        }
+    }
+
+    /// Seeded mutation of an `Exec` frame's `width` field: the worker sizes
+    /// lanes from the connection's `Hello` alone, so every value gets an
+    /// `ExecAck`, the same lanes and the same bytes.
     #[test]
     fn exec_width_from_the_wire_never_sizes_a_pool() {
         let registry = test_registry();
-        // Expands over the pool the worker picked: byte i becomes i + 1.
+        // Expands over the connection's pool: byte i becomes i + 1; the
+        // last byte is the lane count.
         registry.register(
             "stamp",
             Arc::new(|ctx: &mut RunCtx| {
                 let wg = ctx.workgroup().clone();
-                wg.par_chunks_mut(ctx.buf_mut(0), 16, |idx, chunk| {
+                let buf = ctx.buf_mut(0);
+                wg.par_chunks_mut(buf, 16, |idx, chunk| {
                     for (o, b) in chunk.iter_mut().enumerate() {
                         *b = (idx * 16 + o + 1) as u8;
                     }
                 });
+                *buf.last_mut().expect("non-empty") = wg.width() as u8;
             }),
         );
-        let want: Vec<u8> = (1..=200u8).collect();
+        let len = 200u64;
         let mut next = xorshift(0x2545_f491_4f6c_dd1d);
         for cores in [1usize, 2, 5] {
             let state = WorkerState::with_host_cores(registry.clone(), cores);
-            state.alloc(1, want.len() as u64).expect("alloc");
+            state.alloc(1, len).expect("alloc");
             let p = cores as u32;
             let mut widths = vec![0, 1, p, p + 1, u32::MAX];
             widths.extend((0..40).map(|_| (next() >> (next() % 64)) as u32));
+            let mut want: Vec<u8> = (1..=len as u8).collect();
+            *want.last_mut().expect("non-empty") = cores as u8;
             for width in widths {
                 state.zero(1).expect("zero");
-                let bufs = [(1u64, 0u64, want.len() as u64, true)];
-                let exec = frame(
-                    Kind::Exec,
-                    &proto::encode_exec("stamp", &[], width, &bufs),
-                    &[],
-                );
-                let (result, replies) = serve_bytes(&state, &exec);
+                let bufs = [(1u64, 0u64, len, true)];
+                let exec = proto::encode_exec("stamp", &[], width, &bufs);
+                let input = [hello_frame(60, 60), frame(Kind::Exec, &exec, &[])].concat();
+                let (result, replies) = serve_bytes(&state, &input);
                 result.expect("clean session");
                 assert_eq!(
-                    replies,
+                    replies[1..],
                     [(Kind::ExecAck, vec![ExecStatus::Ok as u8])],
                     "width {width} on {cores} cores"
                 );
                 assert_eq!(window_bytes(&state, 1), want, "width {width}");
             }
-            let wgs = state.wgs.lock();
-            assert!(wgs.len() <= cores, "one pool per lane count up to {cores}");
-            for (lanes, wg) in wgs.iter() {
-                assert!(
-                    (1..=cores).contains(lanes),
-                    "{lanes} lanes on {cores} cores"
-                );
-                assert_eq!(wg.width(), *lanes);
-                assert!(wg.spawned() < cores, "pool of {lanes} lanes");
-            }
         }
+    }
+
+    /// A remote card's two streams compute side by side in the worker: each
+    /// stream's task waits (up to 2 s) for the other's to arrive, which it
+    /// can only do if the worker runs them at the same time — one exec
+    /// connection for the card would queue the second behind the first.
+    #[test]
+    fn two_card_streams_compute_side_by_side_in_the_worker() {
+        use crate::{CoiRuntime, EngineId};
+        use hs_fabric::Pacer;
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+
+        let registry = test_registry();
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let seen = arrived.clone();
+        registry.register(
+            "rendezvous",
+            Arc::new(move |ctx: &mut RunCtx| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while seen.load(Ordering::SeqCst) < 2 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the other stream's task never ran"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                ctx.buf_mut(0).fill(1);
+            }),
+        );
+        let addr = spawn_tcp_server("127.0.0.1:0", registry).expect("bind");
+        let ep = Endpoint::Tcp(addr.to_string());
+        let chaos = ChaosHub::default();
+        let rt = CoiRuntime::new_with_endpoints(
+            vec![Pacer::unpaced()],
+            hs_obs::ObsHub::new(),
+            chaos.clone(),
+            &[(1, ep)],
+        )
+        .expect("connect");
+        let card = EngineId(1);
+        let streams = [0, 1].map(|_| rt.pipeline_create_stream(card, 30, 60, None));
+        let wins = [0, 1].map(|_| rt.buffer_alloc(card, 8, false));
+        let events: Vec<_> = streams
+            .iter()
+            .zip(&wins)
+            .map(|(p, w)| {
+                p.run(
+                    "rendezvous",
+                    bytes::Bytes::new(),
+                    vec![(w.id(), 0..8, true)],
+                )
+            })
+            .collect();
+        for (i, ev) in events.iter().enumerate() {
+            ev.wait()
+                .unwrap_or_else(|e| panic!("stream {i}'s task: {e}"));
+        }
+        assert_eq!(arrived.load(Ordering::SeqCst), 2);
+        assert!(chaos.dead_cards().is_empty());
     }
 
     /// A TCP relay in front of a real worker that flips one bit of the
@@ -946,9 +1075,9 @@ mod tests {
     #[test]
     fn byte_flipped_in_flight_loses_the_card() {
         let worker = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
-        // Past the Hello (16 bytes), the Write's envelope and head, well
+        // Past the Hello (24 bytes), the Write's envelope and head, well
         // into the first payload.
-        let relay = corrupting_relay(worker, 16 + 25 + 1000);
+        let relay = corrupting_relay(worker, 24 + 25 + 1000);
         let chaos = ChaosHub::default();
         let t = RemoteDomain::connect(&Endpoint::Tcp(relay.to_string()), 1, chaos.clone())
             .expect("connect");
@@ -964,5 +1093,51 @@ mod tests {
         );
         assert_eq!(chaos.dead_cards(), vec![1]);
         assert!(t.read(1, 0, &mut [0u8; 8]).is_err(), "poisoned: fails fast");
+    }
+
+    /// A stream's exec connection is the domain's: a card lost on another
+    /// connection fails it fast, and `reconnect` re-opens it, with its own
+    /// `Hello`, on the worker that replaces the lost one.
+    #[test]
+    fn exec_connections_share_the_domains_poisoning_and_reconnect() {
+        use hs_chaos::RetryPolicy;
+        let first = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        let relay = corrupting_relay(first, 24 + 25 + 1000);
+        let chaos = ChaosHub::default();
+        let t = RemoteDomain::connect(&Endpoint::Tcp(relay.to_string()), 1, chaos.clone())
+            .expect("connect");
+        let conn = t.open_exec(30, 60).expect("exec connection");
+        let add1 = ExecRequest {
+            name: "add1",
+            args: &[],
+            width: 30,
+            bufs: &[(7, 0, 16, true)],
+        };
+        t.alloc(7, 16).expect("alloc");
+        assert_eq!(conn.exec(&add1), Ok(ExecReply::Done));
+        t.write(1, 0, &[0x55u8; 4096])
+            .expect_err("corrupt in flight");
+        assert_eq!(chaos.dead_cards(), vec![1]);
+        assert!(
+            matches!(
+                conn.exec(&add1),
+                Err(hs_fabric::transport::TransportError::Closed(_))
+            ),
+            "a lost card's exec connection fails fast"
+        );
+        assert!(t.open_exec(30, 60).is_err(), "and opens no more");
+
+        let second = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        t.reconnect(
+            &Endpoint::Tcp(second.to_string()),
+            &RetryPolicy::standard(3),
+        )
+        .expect("reconnect");
+        t.alloc(7, 16).expect("alloc on the new worker");
+        t.write(7, 0, &[41u8; 16]).expect("write");
+        assert_eq!(conn.exec(&add1), Ok(ExecReply::Done));
+        let mut out = [0u8; 16];
+        t.read(7, 0, &mut out).expect("read");
+        assert_eq!(out, [42u8; 16]);
     }
 }

@@ -1,7 +1,8 @@
 //! The real-thread executor.
 //!
-//! Streams map to COI pipelines (one sink thread each, [`physical_lanes`]
-//! threads for task expansion); transfers run on per-(card, direction) DMA
+//! Streams map to COI pipelines (one sink thread each,
+//! [`hs_coi::physical_lanes`] threads for task expansion, here or in the
+//! worker of a remote card); transfers run on per-(card, direction) DMA
 //! worker threads, serialized per direction like PCIe DMA channels and
 //! optionally paced to link speed. Dependences resolve via event callbacks:
 //! the last completing dependence dispatches the action from its own thread,
@@ -192,24 +193,6 @@ impl Drop for TimerWheel {
 /// dispatch into closed channels.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
 
-/// How many OS threads a stream's parallel regions use: the stream owns the
-/// same fraction of the real machine (`host_cores`) as its mask
-/// (`mask_cores`) owns of the platform this process emulates
-/// (`modelled_cores`, summed over the domains hosted in-process), at least
-/// one and never more than the mask is wide.
-///
-/// The mask's core count stays the stream's *logical* width — what the sim
-/// cost model, the tuner, hsan and the wire see. It is not a thread count:
-/// 14 of a modelled 28-core host's cores on a 2-core machine are one lane,
-/// not fourteen threads taking turns. Disjoint masks that cover the
-/// platform therefore never run more lanes than `max(host_cores, streams)`.
-/// A function of the platform and the machine, on purpose: a knob would
-/// have to be re-tuned on every host, and this is what it would be set to.
-pub fn physical_lanes(mask_cores: u32, modelled_cores: u32, host_cores: usize) -> usize {
-    let share = u64::from(mask_cores) * host_cores as u64 / u64::from(modelled_cores.max(1));
-    share.clamp(1, u64::from(mask_cores.max(1))) as usize
-}
-
 /// Real-thread executor state.
 ///
 /// Submission is `&self` and internally synchronized: the only mutable
@@ -221,11 +204,11 @@ pub fn physical_lanes(mask_cores: u32, modelled_cores: u32, host_cores: usize) -
 /// vectors of handles.
 pub struct ThreadExec {
     coi: Arc<CoiRuntime>,
-    /// Cores of the platform's domains hosted in this process (everything
-    /// but cards behind a remote worker) and of the machine itself: the two
-    /// denominators of [`physical_lanes`].
-    modelled_cores: u32,
-    host_cores: usize,
+    /// Per domain, the modelled cores of the machine its streams run on —
+    /// the `modelled_cores` of [`hs_coi::physical_lanes`]: the domains
+    /// hosted in this process share this machine, a card behind a remote
+    /// worker has that worker's machine to itself.
+    modelled_cores: Vec<u32>,
     /// Stream pipelines; mutated only by `add_stream`/`remap_stream_to_host`
     /// (both rebuild the cached dispatch context under this lock).
     pipes: Mutex<Vec<hs_coi::Pipeline>>,
@@ -300,17 +283,23 @@ impl ThreadExec {
             .collect();
         let timer = TimerWheel::spawn();
         let ctx = Arc::new(make_ctx(&coi, &[], &dma, &obs, &chaos, &timer.shared));
+        let remote = |i: usize| coi.fabric().is_remote(hs_fabric::NodeId(i as u16));
+        let in_process: u32 = platform
+            .domains
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !remote(i))
+            .map(|(_, d)| d.cores)
+            .sum();
         let modelled_cores = platform
             .domains
             .iter()
             .enumerate()
-            .filter(|(i, _)| !coi.fabric().is_remote(hs_fabric::NodeId(*i as u16)))
-            .map(|(_, d)| d.cores)
-            .sum();
+            .map(|(i, d)| if remote(i) { d.cores } else { in_process })
+            .collect();
         Ok(ThreadExec {
             coi,
             modelled_cores,
-            host_cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
             pipes: Mutex::new(Vec::new()),
             ctx: RwLock::new(ctx),
             dma,
@@ -375,20 +364,19 @@ impl ThreadExec {
         affinity: Option<u128>,
     ) -> hs_coi::Pipeline {
         // A stream on a card behind a worker owns none of this process's
-        // cores: its tasks run over there, on lanes the worker picks.
-        let lanes = if self.coi.fabric().is_remote(engine.node()) {
-            1
-        } else {
-            physical_lanes(width as u32, self.modelled_cores, self.host_cores)
-        };
+        // cores: its tasks run over there, on lanes the worker sizes by the
+        // same rule from the card's cores and its own.
+        let modelled = self.modelled_cores[usize::from(engine.0)];
+        let pipe = self
+            .coi
+            .pipeline_create_stream(engine, width, modelled, affinity);
         if self.obs.is_enabled() {
             self.obs
                 .gauge_set(&format!("stream.{idx}.width"), width as i64);
             self.obs
-                .gauge_set(&format!("stream.{idx}.lanes"), lanes as i64);
+                .gauge_set(&format!("stream.{idx}.lanes"), pipe.lanes() as i64);
         }
-        self.coi
-            .pipeline_create_stream(engine, width, lanes, affinity)
+        pipe
     }
 
     /// Wall seconds since the first submit (0.0 before any work).
@@ -878,8 +866,8 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
 
 #[cfg(test)]
 mod tests {
-    use super::physical_lanes;
     use crate::CpuMask;
+    use hs_coi::physical_lanes;
     use hs_machine::{Device, PlatformCfg};
 
     #[test]

@@ -26,7 +26,7 @@ pub mod transport;
 pub mod window;
 
 pub use dma::{DmaEngine, Pacer};
-pub use remote::RemoteDomain;
+pub use remote::{ExecConn, RemoteDomain};
 pub use transport::{Endpoint, LinkStats, LocalTransport, Transport, TransportError};
 pub use window::{RangeGuard, WindowId, WindowMem};
 

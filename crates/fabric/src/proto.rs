@@ -14,10 +14,17 @@
 //! not speaking hs-fabric, or the stream corrupted, and the connection is
 //! unusable from that point on.
 //!
+//! **The CRC.** On a CPU with carry-less multiply (PCLMULQDQ, detected at
+//! run time) [`crc32`] folds 64-byte blocks through four 128-bit
+//! accumulators and ends in a Barrett reduction; slicing-by-16 tables take
+//! inputs under 64 bytes, the last bytes of a fold, and everything on a CPU
+//! without it. Both compute the same bits, so the choice never shows on the
+//! wire.
+//!
 //! Payload encodings are fixed-layout little-endian structs built with the
 //! `put_*`/`get_*` helpers below; no serde on the wire.
 //!
-//! **One checksum pass and one copy per side (protocol version 2).** A
+//! **One checksum pass and one copy per side (since protocol version 2).** A
 //! sender folds the CRC while it gathers the frame and hands header, payload
 //! parts and trailer to one vectored write. A receiver reads the header
 //! ([`recv_header`]), decides from it where the payload belongs, receives it
@@ -27,9 +34,13 @@
 //! echoes the `Write` frame's CRC as the worker computed it from its window,
 //! and the host compares it with the CRC it folded while sending, so a
 //! delivered-but-mangled H2D transfer is still detected by the sender
-//! without either side reading the payload twice. Versions differ only in
-//! what `WriteAck` carries, but a v1 peer would compare it against the
-//! wrong thing, so `Hello` refuses any version but its own.
+//! without either side reading the payload twice.
+//!
+//! **Version 3** adds two fields to [`Hello`]: a card stream's exec
+//! connection tells the worker the stream's width and the card's modelled
+//! cores, once, and the worker sizes that connection's lanes from them. A
+//! peer of another version would send or expect the other `Hello` (and a v1
+//! peer another `WriteAck`), so `Hello` refuses any version but its own.
 
 use std::io::{IoSlice, IoSliceMut, Read, Write};
 
@@ -37,7 +48,7 @@ use std::io::{IoSlice, IoSliceMut, Read, Write};
 pub const MAGIC: u32 = 0x4853_4652;
 
 /// Protocol version carried in `Hello`/`HelloAck`.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 /// Upper bound on a frame payload, and so on one `Write` or `ReadData`
 /// transfer. A window may be larger (up to [`MAX_WINDOW`]), but nothing here
@@ -57,7 +68,8 @@ pub const MAX_WINDOW: u64 = 4 << 30;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum Kind {
-    /// `role u8 | version u16` — first frame on every connection.
+    /// `role u8 | version u16 | width u32 | cores u32` — first frame on
+    /// every connection; see [`Hello`].
     Hello = 1,
     /// `version u16` — worker accepts the connection.
     HelloAck = 2,
@@ -81,7 +93,9 @@ pub enum Kind {
     ReadData = 10,
     /// `width u32 | name_len u16 | name | args_len u32 | args |
     ///  nbufs u16 | (win u64 | start u64 | end u64 | write u8)*` —
-    /// run a named sink function against worker-resident windows.
+    /// run a named sink function against worker-resident windows. `width`
+    /// repeats the stream width of the connection's `Hello`; the worker
+    /// sizes lanes from the `Hello` alone and does not read it.
     Exec = 11,
     /// `status u8 | msg…` — see [`ExecStatus`].
     ExecAck = 12,
@@ -133,6 +147,44 @@ pub enum ExecStatus {
     Failed = 2,
 }
 
+/// The payload of a [`Kind::Hello`]. On a card stream's exec connection
+/// `width` is the stream's logical width (its mask's cores) and `cores` the
+/// modelled cores of the card it runs on — the two numbers the worker sizes
+/// the connection's lanes from; the fixed channels send zeros. Both are the
+/// peer's word: the worker bounds what it derives from them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hello {
+    pub role: u8,
+    pub width: u32,
+    pub cores: u32,
+}
+
+impl Hello {
+    pub fn encode(&self) -> Vec<u8> {
+        let mut p = vec![self.role];
+        put_u16(&mut p, VERSION);
+        put_u32(&mut p, self.width);
+        put_u32(&mut p, self.cores);
+        p
+    }
+
+    /// Decode a `Hello` payload; the error is the message the worker sends
+    /// back in its `Err` frame before it closes the connection.
+    pub fn decode(payload: &[u8]) -> Result<Hello, String> {
+        let mut c = Cursor::new(payload);
+        match (c.get_u8(), c.get_u16()) {
+            (Some(role), Some(VERSION)) => match (c.get_u32(), c.get_u32()) {
+                (Some(width), Some(cores)) => Ok(Hello { role, width, cores }),
+                _ => Err("malformed Hello".to_string()),
+            },
+            (_, ver) => Err(format!(
+                "protocol version mismatch: worker {VERSION}, host {}",
+                ver.map_or("unreadable".to_string(), |v| v.to_string())
+            )),
+        }
+    }
+}
+
 const fn crc_tables() -> [[u32; 256]; 16] {
     let mut t = [[0u32; 256]; 16];
     let mut i = 0;
@@ -172,135 +224,127 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(CRC_INIT, data) ^ CRC_INIT
 }
 
+/// [`crc32`] through the table loop alone, whatever the CPU has: what the
+/// tests and the transport bench hold the carry-less path against.
+#[doc(hidden)]
+pub fn crc32_sliced(data: &[u8]) -> u32 {
+    crc32_update_sliced(CRC_INIT, data) ^ CRC_INIT
+}
+
 const CRC_INIT: u32 = 0xFFFF_FFFF;
-
-/// Fold sixteen bytes into a running CRC state (slicing-by-16).
-#[inline(always)]
-fn crc32_step16(state: u32, ch: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-    let (a, b, c, d) = (
-        word(&ch[0..4]) ^ state,
-        word(&ch[4..8]),
-        word(&ch[8..12]),
-        word(&ch[12..16]),
-    );
-    t[15][(a & 0xFF) as usize]
-        ^ t[14][((a >> 8) & 0xFF) as usize]
-        ^ t[13][((a >> 16) & 0xFF) as usize]
-        ^ t[12][(a >> 24) as usize]
-        ^ t[11][(b & 0xFF) as usize]
-        ^ t[10][((b >> 8) & 0xFF) as usize]
-        ^ t[9][((b >> 16) & 0xFF) as usize]
-        ^ t[8][(b >> 24) as usize]
-        ^ t[7][(c & 0xFF) as usize]
-        ^ t[6][((c >> 8) & 0xFF) as usize]
-        ^ t[5][((c >> 16) & 0xFF) as usize]
-        ^ t[4][(c >> 24) as usize]
-        ^ t[3][(d & 0xFF) as usize]
-        ^ t[2][((d >> 8) & 0xFF) as usize]
-        ^ t[1][((d >> 16) & 0xFF) as usize]
-        ^ t[0][(d >> 24) as usize]
-}
-
-/// `a · b mod P` over GF(2), bit-reflected like the CRC register (bit 31 is
-/// x^0).
-const fn crc_mulmod(a: u32, mut b: u32) -> u32 {
-    let mut m = 1u32 << 31;
-    let mut p = 0;
-    loop {
-        if a & m != 0 {
-            p ^= b;
-            if a & (m - 1) == 0 {
-                return p;
-            }
-        }
-        m >>= 1;
-        b = if b & 1 != 0 {
-            (b >> 1) ^ 0xEDB8_8320
-        } else {
-            b >> 1
-        };
-    }
-}
-
-/// `x^(2^n) mod P` for `n` in `0..32`.
-static CRC_X2N: [u32; 32] = {
-    let mut t = [0u32; 32];
-    t[0] = 1 << 30;
-    let mut n = 1;
-    while n < 32 {
-        t[n] = crc_mulmod(t[n - 1], t[n - 1]);
-        n += 1;
-    }
-    t
-};
-
-/// The operator that advances a CRC state across `len` zero bytes:
-/// `x^(8·len) mod P`, by square-and-multiply.
-fn crc_shift_op(mut len: usize) -> u32 {
-    let mut op = 1u32 << 31;
-    let mut k = 3;
-    while len != 0 {
-        if len & 1 != 0 {
-            op = crc_mulmod(CRC_X2N[k & 31], op);
-        }
-        len >>= 1;
-        k += 1;
-    }
-    op
-}
-
-/// Below this the three-lane split costs more (its combine step) than it
-/// saves; control frames stay on the plain loop.
-const CRC_LANES_MIN: usize = 4096;
 
 /// Fold `data` into a running (un-finalised) CRC state. Every payload byte
 /// on the wire passes through here exactly once per process, so this is the
-/// per-byte cost of the whole transport.
-///
-/// One slicing-by-16 chain is bound by the latency of its table lookups,
-/// not by their number, so a bulk payload is cut in three, the three chains
-/// run interleaved in one loop, and the states are joined afterwards: the
-/// register update is linear, so `state(A‖B) = state(A)·x^(8|B|) ^ state₀(B)`.
+/// per-byte cost of the whole transport. A CPU with carry-less multiply
+/// folds the bulk 64 bytes a step ([`clmul::update`]); the table loop takes
+/// short inputs, the last few bytes, and every byte on a CPU without it.
 fn crc32_update(state: u32, data: &[u8]) -> u32 {
-    if data.len() < CRC_LANES_MIN {
-        return crc32_update_one_lane(state, data);
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= clmul::MIN_LEN && std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: the CPU has PCLMULQDQ, checked on the line above.
+        let (state, tail) = unsafe { clmul::update(state, data) };
+        return crc32_update_sliced(state, tail);
     }
-    let lane = data.len() / 48 * 16;
-    let (l0, rest) = data.split_at(lane);
-    let (l1, rest) = rest.split_at(lane);
-    let (l2, tail) = rest.split_at(lane);
-    let (mut a, mut b, mut c) = (state, 0, 0);
-    let lanes = l0
-        .chunks_exact(16)
-        .zip(l1.chunks_exact(16))
-        .zip(l2.chunks_exact(16));
-    for ((x, y), z) in lanes {
-        a = crc32_step16(a, x);
-        b = crc32_step16(b, y);
-        c = crc32_step16(c, z);
-    }
-    let op = crc_shift_op(lane);
-    let joined = crc_mulmod(op, crc_mulmod(op, a) ^ b) ^ c;
-    crc32_update_one_lane(joined, tail)
+    crc32_update_sliced(state, data)
 }
 
-fn crc32_update_one_lane(mut state: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(16);
-    for ch in &mut chunks {
-        state = crc32_step16(state, ch);
+/// Slicing-by-16: sixteen input bytes fold with sixteen independent table
+/// lookups.
+fn crc32_update_sliced(mut state: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let (blocks, tail) = data.as_chunks::<16>();
+    for ch in blocks {
+        let w = |i: usize| u32::from_le_bytes([ch[i], ch[i + 1], ch[i + 2], ch[i + 3]]);
+        let words = [w(0) ^ state, w(4), w(8), w(12)];
+        state = 0;
+        for (k, word) in words.into_iter().enumerate() {
+            for (b, byte) in word.to_le_bytes().into_iter().enumerate() {
+                state ^= t[15 - 4 * k - b][byte as usize];
+            }
+        }
     }
-    crc32_update_bytewise(state, chunks.remainder())
+    crc32_update_bytewise(state, tail)
 }
 
-/// One byte per step: the tail of the sliced loops, and the reference the
-/// tests hold them to.
+/// One byte per step: the tail of the sliced loop, and the reference the
+/// tests hold both fast paths to.
 fn crc32_update_bytewise(mut state: u32, data: &[u8]) -> u32 {
     for &b in data {
         state = CRC_TABLES[0][((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
     }
     state
+}
+
+/// CRC-32 by carry-less multiplication, bit-reflected (Gopal et al., "Fast
+/// CRC Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+/// Intel, 2009): four 128-bit accumulators fold 64 bytes a step, merge into
+/// one that folds 16 bytes a step, and a Barrett reduction takes its 128 bits
+/// to the 32-bit state. Every constant is `x^n mod P` bit-reflected and
+/// shifted left once; `clmul_constants_are_powers_of_x` derives them.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// The shortest input [`update`] takes: the four accumulators' first load.
+    pub(super) const MIN_LEN: usize = 64;
+    /// `x^(4·128+32)`, `x^(4·128−32)`: an accumulator across 64 bytes.
+    pub(super) const FOLD_BY_4: [i64; 2] = [0x1_5444_2BD4, 0x1_C6E4_1596];
+    /// `x^(128+32)`, `x^(128−32)`: across 16 bytes.
+    pub(super) const FOLD_BY_1: [i64; 2] = [0x1_7519_97D0, 0x0_CCAA_009E];
+    /// `x^64`: 96 bits to 64.
+    pub(super) const FOLD_64: i64 = 0x1_63CD_6124;
+    /// `P` and `µ = ⌊x^64 / P⌋`, reflected to 33 bits.
+    pub(super) const BARRETT: [i64; 2] = [0x1_DB71_0641, 0x1_F701_1641];
+
+    #[target_feature(enable = "pclmulqdq")]
+    fn load(b: &[u8; 16]) -> __m128i {
+        // SAFETY: an unaligned 16-byte load of a 16-byte array.
+        unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
+    }
+
+    /// `acc`'s two halves times the two constants of `k`, onto `next`.
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, k: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Fold every whole 16-byte block of `data` (at least [`MIN_LEN`] bytes)
+    /// into `state`; returns the new state and the bytes left over.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn update(state: u32, data: &[u8]) -> (u32, &[u8]) {
+        let (blocks, tail) = data.as_chunks::<16>();
+        let (first, rest) = blocks.split_at(4);
+        let mut acc = [0, 1, 2, 3].map(|i| load(&first[i]));
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(state as i32));
+        let (quads, singles) = rest.as_chunks::<4>();
+        let k = _mm_set_epi64x(FOLD_BY_4[1], FOLD_BY_4[0]);
+        for quad in quads {
+            acc = [0, 1, 2, 3].map(|i| fold(acc[i], load(&quad[i]), k));
+        }
+        let k = _mm_set_epi64x(FOLD_BY_1[1], FOLD_BY_1[0]);
+        let mut x = acc[0];
+        for next in acc[1..]
+            .iter()
+            .copied()
+            .chain(singles.iter().map(|b| load(b)))
+        {
+            x = fold(x, next, k);
+        }
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, k), _mm_srli_si128::<8>(x));
+        let x64 = _mm_set_epi64x(0, FOLD_64);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), x64),
+            _mm_srli_si128::<4>(x),
+        );
+        let pu = _mm_set_epi64x(BARRETT[1], BARRETT[0]);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), pu);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pu);
+        let state = _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, t2)));
+        (state as u32, tail)
+    }
 }
 
 // ------------------------------------------------------- payload builders
@@ -698,21 +742,55 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every (start, length) a frame's CRC input can take that a fast path
+    /// could get wrong: every length up to 300 and the lengths around the
+    /// 16-, 64- and 128-byte block boundaries and around 4096, each at every
+    /// start offset in a 16-byte block.
+    fn shapes() -> impl Iterator<Item = (usize, usize)> {
+        let around = |b: usize| b - 3..=b + 3;
+        let lens = (0..=300)
+            .chain([16, 64, 128, 4096].into_iter().flat_map(around))
+            .chain([4096 + 64 * 7 + 15, 9000]);
+        lens.flat_map(|len| (0..16).map(move |start| (start, len)))
+    }
+
     #[test]
     fn sliced_crc_equals_bytewise_reference() {
-        let data = noise(0x5eed, 3 * CRC_LANES_MIN + 300);
-        // Every length across several 16-byte groups, at every alignment.
-        for start in 0..8 {
-            for len in 0..=300 {
-                let d = &data[start..start + len];
-                assert_eq!(crc32(d), crc32_bytewise(d), "start {start} len {len}");
-            }
+        let data = noise(0x5eed, 9000 + 16);
+        for (start, len) in shapes() {
+            let d = &data[start..start + len];
+            assert_eq!(
+                crc32_sliced(d),
+                crc32_bytewise(d),
+                "start {start} len {len}"
+            );
         }
-        // Both sides of the three-lane threshold, lanes of every remainder.
-        for len in (CRC_LANES_MIN - 50..CRC_LANES_MIN + 100).chain([data.len() - 7, data.len()]) {
-            for start in [0, 3] {
-                let d = &data[start..len];
-                assert_eq!(crc32(d), crc32_bytewise(d), "start {start} len {len}");
+    }
+
+    /// The carry-less path, called directly (skipped, with a notice, on a CPU
+    /// without it), and the dispatched [`crc32`] equal the reference on every
+    /// shape.
+    #[test]
+    fn clmul_crc_equals_the_reference_on_every_frame_shape() {
+        let data = noise(0xc1a55, 9000 + 16);
+        #[cfg(target_arch = "x86_64")]
+        let clmul = std::arch::is_x86_feature_detected!("pclmulqdq");
+        #[cfg(not(target_arch = "x86_64"))]
+        let clmul = false;
+        if !clmul {
+            eprintln!("NOTICE: no PCLMULQDQ on this CPU; only the dispatched CRC is checked");
+        }
+        for (start, len) in shapes() {
+            let d = &data[start..start + len];
+            let want = crc32_bytewise(d);
+            assert_eq!(crc32(d), want, "dispatched: start {start} len {len}");
+            #[cfg(target_arch = "x86_64")]
+            if clmul && len >= clmul::MIN_LEN {
+                // SAFETY: PCLMULQDQ was detected above.
+                let (state, tail) = unsafe { clmul::update(CRC_INIT, d) };
+                assert!(tail.len() < 16, "len {len}: the fold leaves under a block");
+                let got = crc32_update_bytewise(state, tail) ^ CRC_INIT;
+                assert_eq!(got, want, "clmul: start {start} len {len}");
             }
         }
     }
@@ -720,12 +798,52 @@ mod tests {
     #[test]
     fn crc_state_folds_across_any_split() {
         // The frame CRC is folded over header, head and data separately.
-        let data = noise(7, 2 * CRC_LANES_MIN);
-        for cut in [0, 1, 5, 16, 21, CRC_LANES_MIN, data.len()] {
+        let data = noise(7, 4096 + 300);
+        let want = crc32_bytewise(&data);
+        let cuts = (0..=300).chain([4095, 4096, 4097, data.len()]);
+        for cut in cuts {
             let (a, b) = data.split_at(cut);
-            let folded = crc32_update(crc32_update(CRC_INIT, a), b) ^ CRC_INIT;
-            assert_eq!(folded, crc32_bytewise(&data), "cut {cut}");
+            for update in [crc32_update, crc32_update_sliced] {
+                let folded = update(update(CRC_INIT, a), b) ^ CRC_INIT;
+                assert_eq!(folded, want, "cut {cut}");
+            }
+            // Three parts, as a `Write` frame: header, 16-byte head, data.
+            let (b, c) = b.split_at(b.len().min(16));
+            let folded = crc32_update(crc32_update(crc32_update(CRC_INIT, a), b), c);
+            assert_eq!(folded ^ CRC_INIT, want, "cut {cut} + 16");
         }
+    }
+
+    /// Each folding constant is `x^n mod P` over GF(2), bit-reflected and
+    /// shifted left once; µ is `⌊x^64 / P⌋` and P the polynomial itself, both
+    /// reflected to 33 bits.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn clmul_constants_are_powers_of_x() {
+        const P: u64 = 0x1_04C1_1DB7;
+        let x_pow_mod_p = |n: usize| {
+            let mut r = 1u64;
+            for _ in 0..n {
+                r <<= 1;
+                if r >> 32 != 0 {
+                    r ^= P;
+                }
+            }
+            r as u32
+        };
+        let k = |n| i64::from(x_pow_mod_p(n).reverse_bits()) << 1;
+        assert_eq!(clmul::FOLD_BY_4, [k(4 * 128 + 32), k(4 * 128 - 32)]);
+        assert_eq!(clmul::FOLD_BY_1, [k(128 + 32), k(128 - 32)]);
+        assert_eq!(clmul::FOLD_64, k(64));
+        let (mut rem, mut mu) = (1u128 << 64, 0u64);
+        for bit in (32..=64).rev() {
+            if rem >> bit & 1 != 0 {
+                rem ^= u128::from(P) << (bit - 32);
+                mu |= 1 << (bit - 32);
+            }
+        }
+        let reflect33 = |v: u64| (v.reverse_bits() >> 31) as i64;
+        assert_eq!(clmul::BARRETT, [reflect33(P), reflect33(mu)]);
     }
 
     #[test]
@@ -971,6 +1089,30 @@ mod tests {
         assert_eq!(f.args, &[1, 2, 3, 4]);
         assert_eq!(f.width, 4);
         assert_eq!(f.bufs, bufs);
+    }
+
+    #[test]
+    fn hello_round_trips_and_refuses_other_versions() {
+        let hello = Hello {
+            role: 3,
+            width: 30,
+            cores: 60,
+        };
+        let wire = hello.encode();
+        assert_eq!(wire.len(), 11);
+        assert_eq!(Hello::decode(&wire), Ok(hello));
+        for cut in 3..wire.len() {
+            assert_eq!(Hello::decode(&wire[..cut]), Err("malformed Hello".into()));
+        }
+        let mut v2 = wire[..3].to_vec();
+        v2[1..3].copy_from_slice(&2u16.to_le_bytes());
+        let err = Hello::decode(&v2).expect_err("a v2 Hello");
+        assert!(
+            err.contains("version mismatch") && err.contains("host 2"),
+            "{err}"
+        );
+        let err = Hello::decode(&[3]).expect_err("no version");
+        assert!(err.contains("unreadable"), "{err}");
     }
 
     #[test]

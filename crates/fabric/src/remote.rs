@@ -1,22 +1,27 @@
 //! [`RemoteDomain`]: a fabric node whose memory lives in a worker process.
 //!
 //! The host side of the wire protocol in [`crate::proto`]. A remote domain
-//! holds a small pool of connections to its worker, one per traffic class —
-//! control, H2D payload, D2H payload, exec — so a long transfer on the link
-//! never serializes against a compute dispatch: the overlap the paper
-//! measures must survive the process boundary.
+//! holds connections to its worker: a fixed set, one per traffic class —
+//! control, H2D payload, D2H payload — so a long transfer on the link never
+//! serializes against another class, and one exec connection per card stream
+//! ([`RemoteDomain::open_exec`], opened with the stream's pipeline), so the
+//! worker runs the card's streams side by side as in-process pipelines run
+//! them. The overlap the paper measures must survive the process boundary.
 //!
-//! **Failure semantics.** The first I/O or protocol error *poisons* the
-//! domain: the card is marked dead on the shared [`ChaosHub`] and every
-//! subsequent operation fails immediately with [`TransportError::Closed`]
-//! without touching a socket. Upper layers map that to
+//! **Failure semantics.** The first I/O or protocol error on any of the
+//! domain's connections *poisons* the domain: the card is marked dead on the
+//! shared [`ChaosHub`] and every subsequent operation, exec connections
+//! included, fails immediately with [`TransportError::Closed`] without
+//! touching a socket. Upper layers map that to
 //! `FailureCause::CardLost { card }`, which is exactly the signal the PR 4
 //! degradation machinery already consumes — a literal `kill -9` of the
 //! worker walks the same remap-and-replay path as an injected `CardDead`.
 //! Sockets also carry a read timeout as a backstop, so a wedged (rather
 //! than dead) worker converts to `Closed` instead of hanging a drain.
+//! [`RemoteDomain::reconnect`] re-opens the fixed set and every exec
+//! connection still held, each with its own `Hello`.
 
-use crate::proto::{self, FrameHeader, Kind};
+use crate::proto::{self, FrameHeader, Hello, Kind};
 use crate::transport::{Endpoint, ExecReply, ExecRequest, LinkStats, Transport, TransportError};
 use crate::window::WindowMem;
 use hs_chaos::{ChaosHub, RetryPolicy};
@@ -25,7 +30,7 @@ use std::io::{IoSlice, IoSliceMut, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Backstop for a wedged worker: a socket read that makes no progress for
@@ -36,12 +41,13 @@ const READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long `connect` retries while the worker is still binding its socket.
 const CONNECT_BUDGET: Duration = Duration::from_secs(5);
 
-/// Connection roles, also the `Hello` role byte. One connection each.
+/// Connection roles, also the `Hello` role byte: the fixed set, one
+/// connection each, and the role of every card stream's exec connection.
 const ROLE_CTRL: usize = 0;
 const ROLE_H2D: usize = 1;
 const ROLE_D2H: usize = 2;
 const ROLE_EXEC: usize = 3;
-const N_CHANNELS: usize = 4;
+const N_CHANNELS: usize = 3;
 
 enum Stream {
     Uds(UnixStream),
@@ -98,17 +104,40 @@ impl Write for Stream {
     }
 }
 
-/// Host-side handle to a worker-process card. See module docs.
-pub struct RemoteDomain {
+/// What every connection of a domain shares: the card's identity, its
+/// health and the link's counters.
+struct Link {
     card: u32,
     endpoint: Mutex<Endpoint>,
     chaos: ChaosHub,
-    chans: [Mutex<Stream>; N_CHANNELS],
     dead: AtomicBool,
     tx_bytes: AtomicU64,
     rx_bytes: AtomicU64,
     reqs: AtomicU64,
     rtt_ns: AtomicU64,
+}
+
+/// Host-side handle to a worker-process card. See module docs.
+pub struct RemoteDomain {
+    link: Arc<Link>,
+    chans: [Mutex<Stream>; N_CHANNELS],
+    /// The exec connections opened on this domain, for `reconnect`; a
+    /// dropped one is pruned on the next open.
+    execs: Mutex<Vec<Weak<ExecSlot>>>,
+}
+
+/// One card stream's exec connection to the worker: its `Hello` carried
+/// the stream's width and the card's modelled cores, and the worker runs
+/// the stream's tasks on that connection's own thread and lanes. It shares
+/// the domain's health and counters; dropping it closes the connection.
+pub struct ExecConn {
+    link: Arc<Link>,
+    slot: Arc<ExecSlot>,
+}
+
+struct ExecSlot {
+    hello: Hello,
+    stream: Mutex<Stream>,
 }
 
 impl RemoteDomain {
@@ -122,32 +151,72 @@ impl RemoteDomain {
     ) -> std::io::Result<RemoteDomain> {
         let chans = open_channels(endpoint)?.map(Mutex::new);
         Ok(RemoteDomain {
-            card,
-            endpoint: Mutex::new(endpoint.clone()),
-            chaos,
+            link: Arc::new(Link {
+                card,
+                endpoint: Mutex::new(endpoint.clone()),
+                chaos,
+                dead: AtomicBool::new(false),
+                tx_bytes: AtomicU64::new(0),
+                rx_bytes: AtomicU64::new(0),
+                reqs: AtomicU64::new(0),
+                rtt_ns: AtomicU64::new(0),
+            }),
             chans,
-            dead: AtomicBool::new(false),
-            tx_bytes: AtomicU64::new(0),
-            rx_bytes: AtomicU64::new(0),
-            reqs: AtomicU64::new(0),
-            rtt_ns: AtomicU64::new(0),
+            execs: Mutex::new(Vec::new()),
         })
     }
 
     /// The endpoint this domain is connected to.
     pub fn endpoint(&self) -> Endpoint {
-        self.endpoint.lock().clone()
+        self.link.endpoint.lock().clone()
     }
 
-    /// Re-establish all four channels to a (re)started worker at
-    /// `endpoint`, retrying with `retry`'s exponential backoff schedule.
-    /// The existing connections — dead sockets after a worker crash — are
-    /// replaced wholesale, and only once every channel has completed its
-    /// `Hello` handshake does the domain come back to life (`is_dead()`
-    /// flips to false last, so concurrent ops fail fast rather than racing
-    /// a half-built pool). The caller owns reviving the card on the chaos
-    /// hub: this layer reports transport health, not scheduling policy.
+    /// Open the exec connection of a card stream `width` cores wide on a
+    /// card of `cores` modelled cores; the worker sizes the stream's lanes
+    /// from the two. A failure to connect poisons the domain like any other
+    /// I/O error, and a poisoned domain opens nothing.
+    pub fn open_exec(&self, width: u32, cores: u32) -> Result<ExecConn, TransportError> {
+        self.link.alive()?;
+        let hello = Hello {
+            role: ROLE_EXEC as u8,
+            width,
+            cores,
+        };
+        let endpoint = self.endpoint();
+        let stream = handshake(&endpoint, hello).map_err(|e| self.link.io_err(&e))?;
+        let slot = Arc::new(ExecSlot {
+            hello,
+            stream: Mutex::new(stream),
+        });
+        let mut execs = self.execs.lock();
+        execs.retain(|e| e.strong_count() > 0);
+        execs.push(Arc::downgrade(&slot));
+        Ok(ExecConn {
+            link: self.link.clone(),
+            slot,
+        })
+    }
+
+    /// Re-establish the fixed channels and every exec connection still held
+    /// to a (re)started worker at `endpoint`, retrying with `retry`'s
+    /// exponential backoff schedule. The existing connections — dead sockets
+    /// after a worker crash — are replaced wholesale, and only once every
+    /// one has completed its `Hello` handshake does the domain come back to
+    /// life (`is_dead()` flips to false last, so concurrent ops fail fast
+    /// rather than racing a half-built pool). The caller owns reviving the
+    /// card on the chaos hub: this layer reports transport health, not
+    /// scheduling policy.
     pub fn reconnect(&self, endpoint: &Endpoint, retry: &RetryPolicy) -> std::io::Result<()> {
+        let execs: Vec<Arc<ExecSlot>> =
+            self.execs.lock().iter().filter_map(Weak::upgrade).collect();
+        let open_all = || -> std::io::Result<_> {
+            let chans = open_channels(endpoint)?;
+            let exec_streams = execs
+                .iter()
+                .map(|e| handshake(endpoint, e.hello))
+                .collect::<std::io::Result<Vec<Stream>>>()?;
+            Ok((chans, exec_streams))
+        };
         let attempts = retry.max_attempts.max(1);
         let mut backoff_us = retry.base_backoff_us;
         let mut last_err = None;
@@ -156,16 +225,19 @@ impl RemoteDomain {
                 std::thread::sleep(Duration::from_micros(backoff_us));
                 backoff_us = ((backoff_us as f64) * retry.multiplier) as u64;
             }
-            match open_channels(endpoint) {
-                Ok(fresh) => {
+            match open_all() {
+                Ok((fresh, fresh_execs)) => {
                     for (slot, s) in self.chans.iter().zip(fresh) {
                         *slot.lock() = s;
                     }
-                    *self.endpoint.lock() = endpoint.clone();
-                    self.dead.store(false, Ordering::Release);
-                    self.chaos.note(format!(
+                    for (exec, s) in execs.iter().zip(fresh_execs) {
+                        *exec.stream.lock() = s;
+                    }
+                    *self.link.endpoint.lock() = endpoint.clone();
+                    self.link.dead.store(false, Ordering::Release);
+                    self.link.chaos.note(format!(
                         "card {} reconnected to {endpoint} (attempt {})",
-                        self.card,
+                        self.link.card,
                         attempt + 1
                     ));
                     return Ok(());
@@ -180,7 +252,20 @@ impl RemoteDomain {
 
     /// Has this domain been poisoned by a failed operation?
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
+        self.link.dead.load(Ordering::Acquire)
+    }
+}
+
+impl Link {
+    /// `Closed` at once on a poisoned domain.
+    fn alive(&self) -> Result<(), TransportError> {
+        if self.dead.load(Ordering::Acquire) {
+            return Err(TransportError::Closed(format!(
+                "card {} already lost",
+                self.card
+            )));
+        }
+        Ok(())
     }
 
     /// Poison the domain: all subsequent ops fail fast, and the shared
@@ -207,27 +292,22 @@ impl RemoteDomain {
         }
     }
 
-    /// One request/reply round-trip on a channel, with poisoning, byte
-    /// accounting and RTT measurement. `head`+`data` form the request
+    /// One request/reply round-trip on connection `chan`, with poisoning,
+    /// byte accounting and RTT measurement. `head`+`data` form the request
     /// payload; `recv` consumes the payload of a reply of kind `want`
     /// (anything else is a worker `Err` frame or a protocol violation).
     /// Returns what `recv` made of the reply, the request's frame CRC and
     /// the round-trip time.
     fn rpc<T>(
         &self,
-        chan: usize,
+        chan: &Mutex<Stream>,
         (kind, want): (Kind, Kind),
         head: &[u8],
         data: &[u8],
         recv: impl FnOnce(FrameHeader, &mut Stream) -> std::io::Result<T>,
     ) -> Result<(T, u32, Duration), TransportError> {
-        if self.is_dead() {
-            return Err(TransportError::Closed(format!(
-                "card {} already lost",
-                self.card
-            )));
-        }
-        let mut s = self.chans[chan].lock();
+        self.alive()?;
+        let mut s = chan.lock();
         let start = Instant::now();
         let sent =
             proto::send_frame_parts(&mut *s, kind, head, data).map_err(|e| self.io_err(&e))?;
@@ -266,7 +346,7 @@ impl RemoteDomain {
     /// [`Self::rpc`] for a control request: the reply payload as a `Vec`.
     fn ctrl(
         &self,
-        chan: usize,
+        chan: &Mutex<Stream>,
         kinds: (Kind, Kind),
         payload: &[u8],
     ) -> Result<(Vec<u8>, Duration), TransportError> {
@@ -275,9 +355,30 @@ impl RemoteDomain {
     }
 }
 
+impl ExecConn {
+    /// Run `req` on the worker, on this connection's lanes.
+    pub fn exec(&self, req: &ExecRequest<'_>) -> Result<ExecReply, TransportError> {
+        let p = proto::encode_exec(req.name, req.args, req.width, req.bufs);
+        let (payload, _) = self
+            .link
+            .ctrl(&self.slot.stream, (Kind::Exec, Kind::ExecAck), &p)?;
+        let mut c = proto::Cursor::new(&payload);
+        let status = c
+            .get_u8()
+            .ok_or_else(|| TransportError::Protocol("short ExecAck".into()))?;
+        match status {
+            0 => Ok(ExecReply::Done),
+            1 => Ok(ExecReply::UnknownFn),
+            _ => Ok(ExecReply::Failed(
+                String::from_utf8_lossy(c.rest()).into_owned(),
+            )),
+        }
+    }
+}
+
 impl Transport for RemoteDomain {
     fn kind(&self) -> &'static str {
-        match &*self.endpoint.lock() {
+        match &*self.link.endpoint.lock() {
             Endpoint::Uds(_) => "uds",
             Endpoint::Tcp(_) => "tcp",
         }
@@ -295,11 +396,17 @@ impl Transport for RemoteDomain {
         let mut p = Vec::with_capacity(16);
         proto::put_u64(&mut p, win);
         proto::put_u64(&mut p, len as u64);
-        self.ctrl(ROLE_CTRL, (Kind::Alloc, Kind::Ack), &p).map(drop)
+        self.link
+            .ctrl(&self.chans[ROLE_CTRL], (Kind::Alloc, Kind::Ack), &p)
+            .map(drop)
     }
 
     fn free(&self, win: u64) -> Result<bool, TransportError> {
-        match self.ctrl(ROLE_CTRL, (Kind::Free, Kind::Ack), &win.to_le_bytes()) {
+        let req = (Kind::Free, Kind::Ack);
+        match self
+            .link
+            .ctrl(&self.chans[ROLE_CTRL], req, &win.to_le_bytes())
+        {
             Ok(_) => Ok(true),
             Err(TransportError::NoSuchWindow(_)) => Ok(false),
             Err(e) => Err(e),
@@ -307,7 +414,9 @@ impl Transport for RemoteDomain {
     }
 
     fn zero(&self, win: u64) -> Result<(), TransportError> {
-        self.ctrl(ROLE_CTRL, (Kind::Zero, Kind::Ack), &win.to_le_bytes())
+        let req = (Kind::Zero, Kind::Ack);
+        self.link
+            .ctrl(&self.chans[ROLE_CTRL], req, &win.to_le_bytes())
             .map(drop)
     }
 
@@ -319,8 +428,8 @@ impl Transport for RemoteDomain {
         let mut head = [0u8; 16];
         head[..8].copy_from_slice(&win.to_le_bytes());
         head[8..].copy_from_slice(&(off as u64).to_le_bytes());
-        let (ack, sent_crc, rtt) = self.rpc(
-            ROLE_H2D,
+        let (ack, sent_crc, rtt) = self.link.rpc(
+            &self.chans[ROLE_H2D],
             (Kind::Write, Kind::WriteAck),
             &head,
             data,
@@ -332,7 +441,7 @@ impl Transport for RemoteDomain {
         // The worker acks the frame CRC it computed over the bytes as they
         // sit in its window; ours was computed over `data` while sending.
         if acked != sent_crc {
-            return Err(self.poison(&format!(
+            return Err(self.link.poison(&format!(
                 "H2D payload CRC mismatch: sent {sent_crc:#010x}, worker stored {acked:#010x}"
             )));
         }
@@ -346,85 +455,86 @@ impl Transport for RemoteDomain {
         p[16..].copy_from_slice(&(out.len() as u64).to_le_bytes());
         // A `ReadData` of any other length fails in `recv_payload_into` as a
         // protocol violation, before a byte of it is received.
-        let (_, _, rtt) = self.rpc(ROLE_D2H, (Kind::Read, Kind::ReadData), &p, &[], |h, s| {
-            h.recv_payload_into(s, out)
-        })?;
+        let kinds = (Kind::Read, Kind::ReadData);
+        let (_, _, rtt) = self
+            .link
+            .rpc(&self.chans[ROLE_D2H], kinds, &p, &[], |h, s| {
+                h.recv_payload_into(s, out)
+            })?;
         Ok(rtt)
     }
 
+    /// A caller without a stream of its own (tests, diagnostics, a task whose
+    /// operands sit on a card its pipeline is not on) gets an exec
+    /// connection for this one request: a stream spanning `req.width` cores
+    /// of a card that size.
     fn exec(&self, req: &ExecRequest<'_>) -> Result<ExecReply, TransportError> {
-        let p = proto::encode_exec(req.name, req.args, req.width, req.bufs);
-        let (payload, _) = self.ctrl(ROLE_EXEC, (Kind::Exec, Kind::ExecAck), &p)?;
-        let mut c = proto::Cursor::new(&payload);
-        let status = c
-            .get_u8()
-            .ok_or_else(|| TransportError::Protocol("short ExecAck".into()))?;
-        match status {
-            0 => Ok(ExecReply::Done),
-            1 => Ok(ExecReply::UnknownFn),
-            _ => Ok(ExecReply::Failed(
-                String::from_utf8_lossy(c.rest()).into_owned(),
-            )),
-        }
+        self.open_exec(req.width, req.width)?.exec(req)
     }
 
     fn ping(&self) -> Result<Duration, TransportError> {
-        self.ctrl(ROLE_CTRL, (Kind::Ping, Kind::Pong), &[])
+        self.link
+            .ctrl(&self.chans[ROLE_CTRL], (Kind::Ping, Kind::Pong), &[])
             .map(|(_, rtt)| rtt)
     }
 
     fn link_stats(&self) -> LinkStats {
+        let l = &self.link;
         LinkStats {
-            tx_bytes: self.tx_bytes.load(Ordering::Relaxed),
-            rx_bytes: self.rx_bytes.load(Ordering::Relaxed),
-            reqs: self.reqs.load(Ordering::Relaxed),
-            rtt_ns: self.rtt_ns.load(Ordering::Relaxed),
+            tx_bytes: l.tx_bytes.load(Ordering::Relaxed),
+            rx_bytes: l.rx_bytes.load(Ordering::Relaxed),
+            reqs: l.reqs.load(Ordering::Relaxed),
+            rtt_ns: l.rtt_ns.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Open and handshake all four channels to `endpoint`. Fully succeeds or
+/// Open and handshake the fixed channels to `endpoint`. Fully succeeds or
 /// touches nothing the caller keeps.
 fn open_channels(endpoint: &Endpoint) -> std::io::Result<[Stream; N_CHANNELS]> {
-    let mut chans = Vec::with_capacity(N_CHANNELS);
-    for role in 0..N_CHANNELS {
-        let mut s = connect_stream(endpoint)?;
-        s.set_read_timeout(READ_TIMEOUT)?;
-        let mut hello = Vec::with_capacity(3);
-        hello.push(role as u8);
-        proto::put_u16(&mut hello, proto::VERSION);
-        proto::send_frame(&mut s, Kind::Hello, &hello)?;
-        let (kind, payload, _) = proto::recv_frame(&mut s)?;
-        if kind == Kind::Err {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "worker refused the connection: {}",
-                    String::from_utf8_lossy(&payload)
-                ),
-            ));
-        }
-        if kind != Kind::HelloAck {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("expected HelloAck, got {kind:?}"),
-            ));
-        }
-        let ver = proto::Cursor::new(&payload).get_u16().unwrap_or(0);
-        if ver != proto::VERSION {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "protocol version mismatch: ours {}, worker {ver}",
-                    proto::VERSION
-                ),
-            ));
-        }
-        chans.push(s);
+    let open = |role: usize| {
+        let hello = Hello {
+            role: role as u8,
+            width: 0,
+            cores: 0,
+        };
+        handshake(endpoint, hello)
+    };
+    Ok([open(ROLE_CTRL)?, open(ROLE_H2D)?, open(ROLE_D2H)?])
+}
+
+/// Connect to `endpoint` and greet the worker with `hello`.
+fn handshake(endpoint: &Endpoint, hello: Hello) -> std::io::Result<Stream> {
+    let mut s = connect_stream(endpoint)?;
+    s.set_read_timeout(READ_TIMEOUT)?;
+    proto::send_frame(&mut s, Kind::Hello, &hello.encode())?;
+    let (kind, payload, _) = proto::recv_frame(&mut s)?;
+    if kind == Kind::Err {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "worker refused the connection: {}",
+                String::from_utf8_lossy(&payload)
+            ),
+        ));
     }
-    Ok(chans
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("exactly N_CHANNELS pushed")))
+    if kind != Kind::HelloAck {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("expected HelloAck, got {kind:?}"),
+        ));
+    }
+    let ver = proto::Cursor::new(&payload).get_u16().unwrap_or(0);
+    if ver != proto::VERSION {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "protocol version mismatch: ours {}, worker {ver}",
+                proto::VERSION
+            ),
+        ));
+    }
+    Ok(s)
 }
 
 /// Connect with a retry budget: spawning the worker and connecting to it
@@ -463,7 +573,7 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// A scripted worker: greets each of the four channels with `version`,
+    /// A scripted worker: greets each of the fixed channels with `version`,
     /// then hands the connection to `serve` with its role.
     fn fake_worker(version: u16, serve: fn(usize, TcpStream)) -> Endpoint {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
