@@ -249,13 +249,13 @@ fn ordering_tag(o: OrderingMode) -> &'static str {
 /// of ten runs alternated with the change's: (config, source threads,
 /// actions/s, allocations per action, redundant dependence probes) of its
 /// out-of-order rows.
-const PRE_PR_REV: &str = "704026a";
+const PRE_PR_REV: &str = "2db6926";
 const PRE_PR_CORES: f64 = 2.0;
 const PRE_PR: [(&str, usize, f64, f64, f64); 4] = [
-    ("single", 1, 364_100.0, 4.115, 107_500.0),
-    ("single", 2, 531_200.0, 4.068, 29_070.0),
-    ("batch", 1, 745_300.0, 5.143, 12_830.0),
-    ("batch", 2, 764_700.0, 5.143, 3_590.0),
+    ("single", 1, 523_400.0, 4.124, 116_300.0),
+    ("single", 2, 468_200.0, 4.072, 37_250.0),
+    ("batch", 1, 597_000.0, 5.142, 14_280.0),
+    ("batch", 2, 535_700.0, 5.142, 3_102.0),
 ];
 
 /// Parse `"key": value` out of our own hand-written bench JSON (the

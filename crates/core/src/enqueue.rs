@@ -181,13 +181,12 @@ impl Drop for Reserved<'_> {
 }
 
 impl HStreams {
-    /// Do enqueue-time labels carry content? Skipped (empty) on the bare
-    /// thread-mode fast path: labels only surface through sim traces, obs
-    /// records (hsan's traces included) and chaos diagnostics.
+    /// Do enqueue-time labels carry content? Skipped (empty) unless
+    /// something reads them: labels only surface through obs records
+    /// (hsan's traces and the span fold included) and chaos diagnostics,
+    /// in either executor mode.
     fn wants_labels(&self) -> bool {
-        matches!(self.inner.exec, Executor::Sim(_))
-            || self.inner.obs.is_enabled()
-            || self.inner.chaos.is_armed()
+        self.inner.obs.is_enabled() || self.inner.chaos.is_armed()
     }
 
     // ------------------------------------------------------- public enqueues

@@ -137,7 +137,7 @@ impl Executor {
     pub fn add_stream(&self, domain_idx: usize, mask: crate::CpuMask) {
         match self {
             Executor::Thread(t) => t.add_stream(domain_idx, mask),
-            Executor::Sim(s) => s.lock().add_stream(domain_idx, mask.count()),
+            Executor::Sim(s) => s.lock().add_stream(domain_idx),
         }
     }
 

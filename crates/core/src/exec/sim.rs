@@ -21,9 +21,9 @@
 use super::{ActionSpec, SubmitOpts};
 use crate::sync::Mutex;
 use hs_chaos::{ChaosHub, FailureCause, Injection, RetryPolicy};
-use hs_machine::{CostModel, Device, PlatformCfg};
+use hs_machine::{CostModel, PlatformCfg};
 use hs_obs::{ObsAction, ObsHub, ObsPhase};
-use hs_sim::{Dur, SemId, ServerId, Sim, SpanKind, Time, Token, Trace};
+use hs_sim::{Dur, SemId, ServerId, Sim, Time, Token};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,10 +56,8 @@ enum SimSite {
 struct SimAction {
     done: Token,
     server: ServerId,
-    kind: SpanKind,
     gate: Option<(SemId, u32)>,
     dur: Dur,
-    label: String,
     site: SimSite,
     chaos: ChaosHub,
     retry: RetryPolicy,
@@ -108,7 +106,7 @@ fn sim_attempt(sim: &mut Sim, act: Arc<SimAction>, attempt: u32) {
         }
     }
     act.obs.phase(ObsPhase::Dispatched, now);
-    let job = sim.server_enqueue_gated(act.server, act.label.clone(), act.kind, act.dur, act.gate);
+    let job = sim.server_enqueue(act.server, act.dur, act.gate);
     let act2 = act.clone();
     sim.token_on_fire(job, move |sim| {
         if sim.token_fired(act2.done) {
@@ -128,7 +126,6 @@ fn sim_attempt(sim: &mut Sim, act: Arc<SimAction>, attempt: u32) {
 pub struct SimExec {
     sim: Sim,
     cost: CostModel,
-    devices: Vec<Device>,
     /// Per-domain core capacity gate: streams whose masks overlap (e.g. a
     /// machine-wide panel stream over worker streams) time-share the
     /// domain's physical cores instead of multiplying them.
@@ -154,12 +151,7 @@ impl SimExec {
     /// virtual time; backoffs advance the virtual clock).
     pub fn new_with_obs_chaos(platform: &PlatformCfg, obs: ObsHub, chaos: ChaosHub) -> SimExec {
         let mut sim = Sim::new();
-        // Spans are a side record nobody but a trace reader wants; a sweep
-        // of large graphs should not pay for them. `set_tracing(true)`
-        // before enqueueing turns them on; virtual times are unaffected.
-        sim.set_tracing(false);
         let cost = platform.cost_model();
-        let devices: Vec<Device> = platform.domains.iter().map(|d| d.device).collect();
         let domain_sems: Vec<SemId> = platform
             .domains
             .iter()
@@ -168,19 +160,15 @@ impl SimExec {
         let domain_cores: Vec<u32> = platform.domains.iter().map(|d| d.cores).collect();
         let cards = platform
             .cards()
-            .map(|(i, c)| {
-                let name = format!("pcie{i}");
-                CardRes {
-                    h2d: sim.server_create(format!("{name}:h2d"), 1),
-                    d2h: sim.server_create(format!("{name}:d2h"), 1),
-                    link: c.link.expect("cards have links"),
-                }
+            .map(|(_, c)| CardRes {
+                h2d: sim.server_create(1),
+                d2h: sim.server_create(1),
+                link: c.link.expect("cards have links"),
             })
             .collect();
         SimExec {
             sim,
             cost,
-            devices,
             domain_sems,
             domain_cores,
             streams: Vec::new(),
@@ -208,12 +196,8 @@ impl SimExec {
         &self.chaos
     }
 
-    pub fn add_stream(&mut self, domain_idx: usize, cores: u32) {
-        let dev = self.devices[domain_idx];
-        let idx = self.streams.len();
-        let server = self
-            .sim
-            .server_create(format!("{}:d{domain_idx}:s{idx}x{cores}", dev.short()), 1);
+    pub fn add_stream(&mut self, domain_idx: usize) {
+        let server = self.sim.server_create(1);
         self.streams.push(StreamRes { server, domain_idx });
     }
 
@@ -226,7 +210,7 @@ impl SimExec {
             return;
         };
         s.domain_idx = 0;
-        s.server = self.sim.server_create(format!("host:s{idx}:remapped"), 1);
+        s.server = self.sim.server_create(1);
     }
 
     pub fn charge_source(&mut self, dur: Dur) {
@@ -235,14 +219,6 @@ impl SimExec {
 
     pub fn now_secs(&self) -> f64 {
         self.sim.now().as_secs_f64()
-    }
-
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.sim.set_tracing(enabled);
-    }
-
-    pub fn trace(&self) -> &Trace {
-        self.sim.trace()
     }
 
     pub fn is_complete(&self, tok: Token) -> bool {
@@ -401,12 +377,12 @@ impl SimExec {
                 device,
                 cores,
                 cost,
-                label,
+                func,
                 ..
             } => {
                 let Some(stream) = self.streams.get(stream_idx) else {
                     let cause = FailureCause::Malformed(format!(
-                        "malformed compute '{label}': no stream with index {stream_idx}"
+                        "malformed compute '{func}': no stream with index {stream_idx}"
                     ));
                     self.poison(done, issue, cause, &obs);
                     return done;
@@ -420,10 +396,8 @@ impl SimExec {
                 SimAction {
                     done,
                     server: stream.server,
-                    kind: SpanKind::Compute,
                     gate: Some((self.domain_sems[dom], cores)),
                     dur,
-                    label,
                     site: SimSite::Compute {
                         stream: stream_idx as u32,
                         card: dom as u32,
@@ -455,10 +429,8 @@ impl SimExec {
                 SimAction {
                     done,
                     server: if h2d { card.h2d } else { card.d2h },
-                    kind: SpanKind::Transfer,
                     gate: None,
                     dur: self.cost.transfer_dur(&card.link, bytes as u64, h2d),
-                    label,
                     site: SimSite::Dma {
                         card: dom as u32,
                         h2d,
@@ -502,7 +474,7 @@ mod tests {
     use super::*;
     use crate::exec::BackendEvent;
     use crate::types::CostHint;
-    use hs_machine::KernelKind;
+    use hs_machine::{Device, KernelKind};
 
     fn compute(stream_idx: usize, flops: f64, label: &str) -> ActionSpec {
         compute_w(stream_idx, 60, flops, label)
@@ -532,7 +504,7 @@ mod tests {
     #[test]
     fn compute_takes_modelled_time() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let ev = ex.submit(
             compute(0, 1e12, "big"),
             &[],
@@ -548,8 +520,8 @@ mod tests {
     #[test]
     fn independent_computes_on_two_streams_overlap() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 30);
-        ex.add_stream(1, 30);
+        ex.add_stream(1);
+        ex.add_stream(1);
         let a = ex.submit(
             compute_w(0, 30, 1e11, "a"),
             &[],
@@ -567,7 +539,7 @@ mod tests {
         let t2 = ex.now_secs();
         // Serial would be ~2x one stream's time; overlap keeps it ~1x.
         let mut ser = SimExec::new(&platform());
-        ser.add_stream(1, 30);
+        ser.add_stream(1);
         let c = ser.submit(
             compute_w(0, 30, 1e11, "c"),
             &[],
@@ -589,8 +561,8 @@ mod tests {
     #[test]
     fn dependent_actions_serialize() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
+        ex.add_stream(1);
         let a = ex.submit(
             compute(0, 1e11, "a"),
             &[],
@@ -612,7 +584,7 @@ mod tests {
     #[test]
     fn transfers_use_link_servers_and_directions_overlap() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let mb = 64 << 20;
         let up = ActionSpec::Transfer {
             card_domain: Some(1),
@@ -643,7 +615,7 @@ mod tests {
     #[test]
     fn host_alias_transfer_is_free() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(0, 28);
+        ex.add_stream(0);
         let x = ActionSpec::Transfer {
             card_domain: None,
             h2d: true,
@@ -661,7 +633,7 @@ mod tests {
     #[test]
     fn source_enqueue_overhead_accumulates() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let mut last = None;
         for i in 0..1000 {
             last = Some(ex.submit(
@@ -679,7 +651,7 @@ mod tests {
     #[test]
     fn deadlock_is_reported_not_hung() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let never = ex.sim.token_create();
         let ev = ex.submit(
             compute(0, 1.0, "stuck"),
@@ -697,8 +669,8 @@ mod tests {
         // run concurrently (each claims all 60 cores), even though they are
         // separate streams — the overlapping-mask case.
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
+        ex.add_stream(1);
         let a = ex.submit(
             compute(0, 1e11, "a"),
             &[],
@@ -715,7 +687,7 @@ mod tests {
         ex.wait(b).expect("b");
         let both = ex.now_secs();
         let mut one = SimExec::new(&platform());
-        one.add_stream(1, 60);
+        one.add_stream(1);
         let c = one.submit(
             compute(0, 1e11, "c"),
             &[],
@@ -732,18 +704,34 @@ mod tests {
 
     #[test]
     fn trace_records_compute_spans() {
-        let mut ex = SimExec::new(&platform());
-        ex.set_tracing(true);
-        ex.add_stream(1, 60);
-        let ev = ex.submit(
-            compute(0, 1e9, "traced"),
-            &[],
-            hs_obs::ObsAction::disabled(),
-            opts(),
-        );
+        let obs = ObsHub::new();
+        obs.enable(true);
+        let mut ex = SimExec::new_with_obs_chaos(&platform(), obs.clone(), ChaosHub::default());
+        ex.add_stream(1);
+        let meta = hs_obs::ActionMeta {
+            stream: 0,
+            event: 0,
+            kind: hs_obs::ObsKind::Compute,
+            order: hs_obs::ActionKind::Normal,
+            card: None,
+            h2d: false,
+            bytes: 0,
+            footprint: Vec::new(),
+            waits: Vec::new(),
+            label: "traced".into(),
+        };
+        let action = obs.action(meta, ex.source_now_ns());
+        let ev = ex.submit(compute(0, 1e9, "traced"), &[], action, opts());
         ex.wait(ev).expect("ok");
-        let spans = ex.trace().spans();
-        assert!(spans.iter().any(|s| s.label == "traced"));
+        let records = obs.take_records();
+        let spans = hs_obs::spans(&records);
+        assert_eq!(spans.len(), 1);
+        let span = &spans[0];
+        assert_eq!(span.meta.label, "traced");
+        assert_eq!(span.row, hs_obs::Row::Stream(0));
+        assert!(span.ok);
+        assert_eq!(span.end_ns, ex.sim.now().as_nanos());
+        assert!(span.start_ns < span.end_ns, "the sink was occupied");
     }
 
     #[test]
@@ -751,7 +739,7 @@ mod tests {
         // A deadline failure postdates the dependent's submit: only
         // fire-time poisoning can catch it.
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let slow = ex.submit(
             compute(0, 1e12, "slow"),
             &[],
@@ -780,7 +768,7 @@ mod tests {
     #[test]
     fn virtual_deadline_does_not_fail_a_fast_action() {
         let mut ex = SimExec::new(&platform());
-        ex.add_stream(1, 60);
+        ex.add_stream(1);
         let ev = ex.submit(
             compute(0, 1e9, "fast"),
             &[],

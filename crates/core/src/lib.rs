@@ -1367,25 +1367,6 @@ impl HStreams {
             .charge_source(hs_sim::Dur::from_secs_f64(secs));
     }
 
-    /// Sim-mode execution trace (None in real mode). An owned snapshot:
-    /// the simulator lives behind the executor lock, so borrowing out of
-    /// it is not possible — and traces are read at analysis time, not on
-    /// hot paths.
-    pub fn trace(&self) -> Option<hs_sim::Trace> {
-        match &self.inner.exec {
-            Executor::Sim(s) => Some(s.lock().trace().clone()),
-            Executor::Thread(_) => None,
-        }
-    }
-
-    /// Enable/disable sim-mode span recording (off until enabled: call
-    /// this before enqueueing what [`HStreams::trace`] should show).
-    pub fn set_tracing(&self, enabled: bool) {
-        if let Executor::Sim(s) = &self.inner.exec {
-            s.lock().set_tracing(enabled);
-        }
-    }
-
     // ------------------------------------------------------- observability
 
     /// Enable/disable action-lifecycle recording (both executor modes) —

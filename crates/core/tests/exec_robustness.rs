@@ -383,7 +383,7 @@ fn elapsed_baseline_is_first_submit_not_construction() {
 #[test]
 fn sim_malformed_compute_fails_wait() {
     let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1, 4);
+    ex.add_stream(1);
     let tok = ex.submit(
         compute_spec(7, "ghost"),
         &[],
@@ -392,8 +392,8 @@ fn sim_malformed_compute_fails_wait() {
     );
     let err = ex.wait(tok).expect_err("bad stream index must fail");
     assert!(
-        err.to_string().contains("malformed compute"),
-        "unexpected error: {err}"
+        err.to_string().contains("malformed compute 'ghost'"),
+        "the message names the function: {err}"
     );
     assert!(ex.is_complete(tok), "poisoned token still completes");
 }
@@ -401,7 +401,7 @@ fn sim_malformed_compute_fails_wait() {
 #[test]
 fn sim_transfer_to_out_of_range_card_fails_wait() {
     let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1, 4);
+    ex.add_stream(1);
     let tok = ex.submit(
         ActionSpec::Transfer {
             card_domain: Some(9),

@@ -124,7 +124,7 @@ fn thread_failure_poisons_fan_in_join() {
 #[test]
 fn sim_failure_poisons_chain_and_fan_in() {
     let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1, 4);
+    ex.add_stream(1);
     let opts = SubmitOpts::default();
     // Failure origin: a malformed compute (sim failures arise at submit).
     let bad = ex.submit(

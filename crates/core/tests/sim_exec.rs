@@ -1,10 +1,10 @@
 //! Virtual-time executor behaviour: out-of-order vs strict-FIFO schedules,
-//! overlap verification through the trace, wait-any semantics, and the
+//! overlap verification through the obs drain, wait-any semantics, and the
 //! sim/thread semantic agreement on a fixed scenario.
 
 use bytes::Bytes;
 use hs_machine::{Device, KernelKind, PlatformCfg};
-use hs_sim::SpanKind;
+use hs_obs::ObsKind;
 use hstreams_core::{
     Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, HStreams, Operand, OrderingMode,
 };
@@ -57,10 +57,15 @@ fn ooo_pipelines_transfers_under_compute() {
     );
 }
 
+/// Compute/transfer overlap of the scenario below, in virtual ns. The
+/// schedule is deterministic, so a change to it or to the span fold shows
+/// here as a different number.
+const OVERLAP_NS: u64 = 10_344_441;
+
 #[test]
 fn trace_shows_compute_transfer_overlap() {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-    hs.set_tracing(true);
+    hs.obs_enable(true);
     let card = DomainId(1);
     let s = hs.stream_create(card, CpuMask::first(15)).expect("stream");
     let bytes = 64 << 20;
@@ -80,13 +85,18 @@ fn trace_shows_compute_transfer_overlap() {
     // Independent transfer of b: must overlap the compute on a.
     hs.xfer_to_sink(s, b, 0..bytes).expect("h2d b");
     hs.thread_synchronize().expect("sync");
-    let trace = hs.trace().expect("sim trace");
-    let overlap = trace.overlap_time(SpanKind::Compute, SpanKind::Transfer);
+    let records = hs.take_obs_records();
+    let overlap = hs_obs::overlap_ns(
+        &hs_obs::spans(&records),
+        ObsKind::Compute,
+        ObsKind::Transfer,
+    );
     let wire = bytes as f64 / 6.5e9;
     assert!(
-        overlap.as_secs_f64() > wire * 0.8,
-        "b's transfer should ride under a's compute: overlap {overlap:?}, wire {wire:.4}s"
+        overlap as f64 * 1e-9 > wire * 0.8,
+        "b's transfer should ride under a's compute: overlap {overlap} ns, wire {wire:.4}s"
     );
+    assert_eq!(overlap, OVERLAP_NS);
 }
 
 #[test]

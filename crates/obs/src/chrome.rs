@@ -13,7 +13,7 @@
 //! sink); queueing is visible as `queue_us` in the args. Timestamps are
 //! microseconds, as the trace viewer expects.
 
-use crate::{json, ActionMeta, ObsKind, ObsPhase, ObsRecord};
+use crate::{json, spans, ObsRecord, Row};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -35,123 +35,41 @@ fn esc(s: &str) -> String {
     out
 }
 
-struct Lifecycle<'a> {
-    meta: &'a ActionMeta,
-    enqueued: u64,
-    phases: Vec<(ObsPhase, u64)>,
-}
-
-impl Lifecycle<'_> {
-    fn at(&self, p: ObsPhase) -> Option<u64> {
-        self.phases.iter().find(|(q, _)| *q == p).map(|(_, t)| *t)
-    }
-
-    fn end(&self) -> Option<(u64, bool)> {
-        for (p, t) in &self.phases {
-            match p {
-                ObsPhase::Completed => return Some((*t, true)),
-                ObsPhase::Failed => return Some((*t, false)),
-                _ => {}
-            }
-        }
-        None
-    }
-}
-
 const PID_STREAMS: u32 = 1;
 const PID_DMA: u32 = 2;
 
-/// Row assignment of an action: None = no span (sync, elided transfer).
-fn row(meta: &ActionMeta) -> Option<(u32, u32)> {
-    match meta.kind {
-        ObsKind::Compute => Some((PID_STREAMS, meta.stream)),
-        ObsKind::Transfer => meta.card.map(|c| (PID_DMA, c * 2 + u32::from(!meta.h2d))),
-        ObsKind::Sync => None,
+/// A row's (pid, tid): streams by index, then each card's h2d and d2h.
+fn pid_tid(row: Row) -> (u32, u32) {
+    match row {
+        Row::Stream(s) => (PID_STREAMS, s),
+        Row::Dma { card, h2d } => (PID_DMA, card * 2 + u32::from(!h2d)),
     }
 }
 
 /// Serialize lifecycle records to Chrome trace JSON (object format with a
-/// `traceEvents` array).
+/// `traceEvents` array): one `"X"` event per span of [`crate::spans`].
 pub fn chrome_trace_json(records: &[ObsRecord]) -> String {
-    // Assemble lifecycles by action id.
-    let mut actions: BTreeMap<u64, Lifecycle<'_>> = BTreeMap::new();
-    for rec in records {
-        match rec {
-            ObsRecord::Enqueued { action, t_ns, meta } => {
-                actions.insert(
-                    *action,
-                    Lifecycle {
-                        meta,
-                        enqueued: *t_ns,
-                        phases: Vec::new(),
-                    },
-                );
-            }
-            ObsRecord::Phase {
-                action,
-                phase,
-                t_ns,
-            } => {
-                if let Some(lc) = actions.get_mut(action) {
-                    lc.phases.push((*phase, *t_ns));
-                }
-            }
-            // Chaos records (retries, failure causes, degradation) describe
-            // recovery, not timeline spans; the chrome view skips them.
-            ObsRecord::Retry { .. } | ObsRecord::Failure { .. } | ObsRecord::Degraded { .. } => {}
-        }
-    }
-
     let us = |ns: u64| ns as f64 / 1000.0;
     let mut events: Vec<String> = Vec::new();
     let mut rows: BTreeMap<(u32, u32), String> = BTreeMap::new();
-    for lc in actions.values() {
-        let Some((pid, tid)) = row(lc.meta) else {
-            continue;
-        };
-        let Some((end, ok)) = lc.end() else {
-            continue; // still pending at export time
-        };
-        // An action that failed before reaching its sink (poisoned by a
-        // dependence, injected at dispatch, deadline expiry in the queue)
-        // never occupied the serial resource this row models — a span for
-        // it would overlap the genuinely-executing neighbours.
-        if !ok && lc.at(ObsPhase::SinkStart).is_none() {
-            continue;
-        }
-        // Sim mode derives sink_start as end - service; real mode stamps it
-        // on the sink thread. Fall back to dispatch/enqueue if missing.
-        let start = lc
-            .at(ObsPhase::SinkStart)
-            .or_else(|| lc.at(ObsPhase::Dispatched))
-            .unwrap_or(lc.enqueued)
-            .min(end);
-        let queue_from = lc
-            .at(ObsPhase::Dispatched)
-            .or_else(|| lc.at(ObsPhase::DepsResolved))
-            .unwrap_or(lc.enqueued);
-        let row_name = match lc.meta.kind {
-            ObsKind::Transfer => format!(
-                "card {} {}",
-                lc.meta.card.unwrap_or(0),
-                if lc.meta.h2d { "h2d" } else { "d2h" }
-            ),
-            _ => format!("stream {tid}"),
-        };
-        rows.entry((pid, tid)).or_insert(row_name);
+    for span in spans(records) {
+        let (pid, tid) = pid_tid(span.row);
+        rows.entry((pid, tid))
+            .or_insert_with(|| span.row.to_string());
+        let meta = span.meta;
         events.push(format!(
             "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{:.3},\"dur\":{:.3},\
              \"name\":\"{}\",\"args\":{{\"kind\":\"{}\",\"stream\":{},\"bytes\":{},\
              \"footprint\":{},\"queue_us\":{:.3},\"ok\":{}}}}}",
-            us(start),
-            us(end.saturating_sub(start)),
-            esc(&lc.meta.label),
-            lc.meta.kind.as_str(),
-            lc.meta.stream,
-            lc.meta.bytes,
-            lc.meta.footprint.len(),
-            us(start.saturating_sub(queue_from)),
-            ok,
+            us(span.start_ns),
+            us(span.end_ns - span.start_ns),
+            esc(&meta.label),
+            meta.kind.as_str(),
+            meta.stream,
+            meta.bytes,
+            meta.footprint.len(),
+            us(span.start_ns.saturating_sub(span.queue_ns)),
+            span.ok,
         ));
     }
 
@@ -268,22 +186,7 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ActionKind, ObsHub, ObsPhase};
-
-    fn meta(kind: ObsKind, stream: u32, card: Option<u32>, h2d: bool, label: &str) -> ActionMeta {
-        ActionMeta {
-            stream,
-            event: 0,
-            kind,
-            order: ActionKind::Normal,
-            card,
-            h2d,
-            bytes: 100,
-            footprint: Vec::new(),
-            waits: Vec::new(),
-            label: label.to_string(),
-        }
-    }
+    use crate::{test_meta as meta, ObsHub, ObsKind, ObsPhase};
 
     #[test]
     fn export_and_validate_roundtrip() {

@@ -6,12 +6,15 @@
 //! (enqueue → deps-resolved → dispatch → sink start → complete) plus
 //! runtime gauges (DMA queue depth, workgroup occupancy) and counters —
 //! and exports them as Chrome `chrome://tracing` JSON ([`chrome`]) or a
-//! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`. The
-//! `Enqueued` record's [`ActionMeta`] also carries the action's event id,
-//! ordering kind, footprint and waits, so one drained slice of records is
-//! what `hsan` folds into the trace it checks as well. The
-//! reader that validates those traces ([`json`]) is the workspace's JSON
-//! reader; `hsan` parses its trace and lock-order files with it.
+//! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`. Which
+//! action held which sink when is one fold of the records ([`spans`]): the
+//! Chrome export draws it, and overlap ([`overlap_ns`]) and Gantt charts
+//! are read from it. The `Enqueued` record's [`ActionMeta`] also carries
+//! the action's event id, ordering kind, footprint and waits, so one
+//! drained slice of records is what `hsan` folds into the trace it checks
+//! as well. The reader that validates those traces ([`json`]) is the
+//! workspace's JSON reader; `hsan` parses its trace and lock-order files
+//! with it.
 //!
 //! Design constraints:
 //!
@@ -27,6 +30,9 @@
 
 pub mod chrome;
 pub mod json;
+mod trace;
+
+pub use trace::{overlap_ns, spans, Row, Span};
 
 use hs_chaos::FailureCause;
 use parking_lot::Mutex;
@@ -489,6 +495,29 @@ impl MetricsSnapshot {
         }
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
+    }
+}
+
+/// An action description for unit tests of the record readers.
+#[cfg(test)]
+pub(crate) fn test_meta(
+    kind: ObsKind,
+    stream: u32,
+    card: Option<u32>,
+    h2d: bool,
+    label: &str,
+) -> ActionMeta {
+    ActionMeta {
+        stream,
+        event: 0,
+        kind,
+        order: ActionKind::Normal,
+        card,
+        h2d,
+        bytes: 100,
+        footprint: Vec::new(),
+        waits: Vec::new(),
+        label: label.to_string(),
     }
 }
 

@@ -7,33 +7,33 @@
 //! * a virtual clock with nanosecond resolution ([`Time`], [`Dur`]),
 //! * a deterministic event heap ([`Sim::schedule`]) with FIFO tie-breaking,
 //! * one-shot completion **tokens** ([`Token`]) with waiter callbacks and
-//!   all-of joins ([`Sim::when_all`]),
+//!   all-of / any-of joins ([`Sim::when_all`], [`Sim::join_any`]),
 //! * **servers** — serial or k-wide resources with FIFO queues
 //!   ([`Sim::server_create`], [`Sim::server_enqueue`]) used to model stream
-//!   compute sinks and DMA engines,
-//! * full-duplex **links** with a latency + bandwidth cost model
-//!   ([`Sim::link_create`], [`Sim::link_transfer`]), and
-//! * a span **trace** ([`TraceSpan`]) for verifying compute/transfer overlap
-//!   and computing makespans and utilization.
+//!   compute sinks and DMA directions, optionally gated on a counting
+//!   semaphore ([`Sim::sem_create`]) that models a domain's shared cores.
 //!
-//! Determinism: two runs of the same program produce identical traces. Ties
-//! in the event heap are broken by insertion sequence number, and all ids are
-//! dense indices handed out in creation order.
+//! The engine keeps no record of what ran: a job's completion time is its
+//! token's fire time, and the runtime's virtual-time executor stamps every
+//! action's lifecycle into the observability records, which is where Gantt
+//! charts and overlap are read from.
+//!
+//! Determinism: two runs of the same program fire every token at the same
+//! time. Ties in the event heap are broken by insertion sequence number, and
+//! all ids are dense indices handed out in creation order.
 
-pub mod server;
-pub mod time;
-pub mod token;
-pub mod trace;
+mod server;
+mod time;
+mod token;
 
-pub use server::{LinkId, SemId, ServerId};
+pub use server::{SemId, ServerId};
 pub use time::{Dur, Time};
 pub use token::Token;
-pub use trace::{SpanKind, Trace, TraceSpan};
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use server::{LinkState, SemState, ServerState};
+use server::{SemState, ServerState};
 use token::TokenState;
 
 /// A callback scheduled to run at a virtual time.
@@ -64,7 +64,7 @@ impl Ord for Scheduled {
 
 /// The discrete-event simulator.
 ///
-/// All state (tokens, servers, links, trace) lives inside the `Sim` so that
+/// All state (tokens, servers, semaphores) lives inside the `Sim` so that
 /// callbacks receive a single `&mut Sim` and cannot deadlock on borrows.
 pub struct Sim {
     now: Time,
@@ -72,10 +72,7 @@ pub struct Sim {
     heap: BinaryHeap<Reverse<Scheduled>>,
     tokens: Vec<TokenState>,
     servers: Vec<ServerState>,
-    links: Vec<LinkState>,
     sems: Vec<SemState>,
-    trace: Trace,
-    executed: u64,
 }
 
 impl Default for Sim {
@@ -93,33 +90,13 @@ impl Sim {
             heap: BinaryHeap::new(),
             tokens: Vec::new(),
             servers: Vec::new(),
-            links: Vec::new(),
             sems: Vec::new(),
-            trace: Trace::new(),
-            executed: 0,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Number of callbacks executed so far (useful for run-away detection in
-    /// tests).
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Access the recorded trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Enable or disable span recording. Disabled recording makes large
-    /// sweeps cheaper; token/server semantics are unaffected.
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_enabled(enabled);
     }
 
     /// Schedule `cb` to run `delay` after the current time.
@@ -145,7 +122,6 @@ impl Sim {
             Some(Reverse(s)) => {
                 debug_assert!(s.at >= self.now, "virtual time must be monotone");
                 self.now = s.at;
-                self.executed += 1;
                 (s.cb)(self);
                 true
             }
@@ -196,13 +172,6 @@ impl Sim {
     pub fn timer(&mut self, delay: Dur) -> Token {
         let tok = self.token_create();
         self.schedule(delay, move |sim| sim.token_fire(tok));
-        tok
-    }
-
-    /// Create a token that is already fired.
-    pub fn token_fired_now(&mut self) -> Token {
-        let tok = self.token_create();
-        self.token_fire(tok);
         tok
     }
 
@@ -279,13 +248,6 @@ impl Sim {
         }
     }
 
-    /// A token that fires when all of `toks` have fired.
-    pub fn join_all(&mut self, toks: &[Token]) -> Token {
-        let out = self.token_create();
-        self.when_all(toks, move |sim| sim.token_fire(out));
-        out
-    }
-
     /// A token that fires when any of `toks` fires.
     pub fn join_any(&mut self, toks: &[Token]) -> Token {
         let out = self.token_create();
@@ -308,35 +270,24 @@ impl Sim {
     // --------------------------------------------------------------- servers
 
     /// Create a resource with `width` concurrent slots (1 = serial server).
-    pub fn server_create(&mut self, name: impl Into<String>, width: usize) -> ServerId {
+    pub fn server_create(&mut self, width: usize) -> ServerId {
         assert!(width >= 1, "server width must be >= 1");
         let id = ServerId(self.servers.len());
-        self.servers.push(ServerState::new(name.into(), width));
+        self.servers.push(ServerState::new(width));
         id
     }
 
     /// Enqueue a job of `service` duration; the returned token fires when the
     /// job completes. Jobs are served FIFO among those enqueued.
+    ///
+    /// With a `gate` of `(sem, units)` the job also holds `units` of `sem`'s
+    /// capacity for its whole service time — the mechanism that keeps
+    /// overlapping streams of one domain within the domain's physical
+    /// cores. A gated head-of-queue job blocks its server until capacity
+    /// frees (FIFO among waiting servers).
     pub fn server_enqueue(
         &mut self,
         server: ServerId,
-        label: impl Into<String>,
-        kind: SpanKind,
-        service: Dur,
-    ) -> Token {
-        self.server_enqueue_gated(server, label, kind, service, None)
-    }
-
-    /// Like [`Sim::server_enqueue`], but the job also holds `units` of
-    /// `sem`'s capacity for its whole service time — the mechanism that
-    /// keeps overlapping streams of one domain within the domain's physical
-    /// cores. A gated head-of-queue job blocks its server until capacity
-    /// frees (FIFO among waiting servers).
-    pub fn server_enqueue_gated(
-        &mut self,
-        server: ServerId,
-        label: impl Into<String>,
-        kind: SpanKind,
         service: Dur,
         gate: Option<(SemId, u32)>,
     ) -> Token {
@@ -346,8 +297,6 @@ impl Sim {
         let done = self.token_create();
         let st = &mut self.servers[server.0];
         st.queue.push_back(server::Job {
-            label: label.into(),
-            kind,
             service,
             done,
             gate,
@@ -373,14 +322,11 @@ impl Sim {
                 let unblocked = sem_st.waiters.is_empty() || is_front;
                 let grantable = sem_st.available >= units && unblocked;
                 if !grantable {
+                    // A server already parked keeps its FIFO slot.
                     let st = &mut self.servers[server.0];
                     if !st.parked {
                         st.parked = true;
                         self.sems[sem.0].waiters.push_back(server);
-                    } else {
-                        // Still parked: keep the FIFO slot.
-                        let st2 = &mut self.servers[server.0];
-                        st2.parked = true;
                     }
                     return;
                 }
@@ -393,17 +339,6 @@ impl Sim {
             let st = &mut self.servers[server.0];
             let job = st.queue.pop_front().expect("non-empty checked above");
             st.busy += 1;
-            st.busy_time_acc += job.service;
-            let start = self.now;
-            let end = start + job.service;
-            let name = self.servers[server.0].name.clone();
-            self.trace.record(TraceSpan {
-                resource: name,
-                label: job.label.clone(),
-                kind: job.kind,
-                start,
-                end,
-            });
             let done = job.done;
             let gate = job.gate;
             self.schedule(job.service, move |sim| {
@@ -449,67 +384,6 @@ impl Sim {
                 return;
             }
         }
-    }
-
-    /// Current queue length (excluding in-service jobs).
-    pub fn server_queue_len(&self, server: ServerId) -> usize {
-        self.servers[server.0].queue.len()
-    }
-
-    /// Number of jobs currently in service.
-    pub fn server_busy(&self, server: ServerId) -> usize {
-        self.servers[server.0].busy
-    }
-
-    /// Total busy time accumulated by the server (sum over slots).
-    pub fn server_busy_time(&self, server: ServerId) -> Dur {
-        self.servers[server.0].busy_time_acc
-    }
-
-    // ----------------------------------------------------------------- links
-
-    /// Create a full-duplex link with `latency` and `bw_bytes_per_sec`
-    /// bandwidth in each direction.
-    pub fn link_create(
-        &mut self,
-        name: impl Into<String>,
-        latency: Dur,
-        bw_bytes_per_sec: f64,
-    ) -> LinkId {
-        assert!(bw_bytes_per_sec > 0.0, "bandwidth must be positive");
-        let name = name.into();
-        let fwd = self.server_create(format!("{name}:tx"), 1);
-        let rev = self.server_create(format!("{name}:rx"), 1);
-        let id = LinkId(self.links.len());
-        self.links.push(LinkState {
-            latency,
-            bw: bw_bytes_per_sec,
-            fwd,
-            rev,
-        });
-        id
-    }
-
-    /// Transfer cost on a link for `bytes`: latency + bytes/bandwidth.
-    pub fn link_cost(&self, link: LinkId, bytes: u64) -> Dur {
-        let l = &self.links[link.0];
-        l.latency + Dur::from_secs_f64(bytes as f64 / l.bw)
-    }
-
-    /// Enqueue a transfer. `forward = true` uses the tx direction. The DMA
-    /// engine for a direction is serial: transfers queue FIFO, matching a
-    /// PCIe DMA channel. Returns the completion token.
-    pub fn link_transfer(
-        &mut self,
-        link: LinkId,
-        forward: bool,
-        label: impl Into<String>,
-        bytes: u64,
-    ) -> Token {
-        let cost = self.link_cost(link, bytes);
-        let l = &self.links[link.0];
-        let server = if forward { l.fwd } else { l.rev };
-        self.server_enqueue(server, label, SpanKind::Transfer, cost)
     }
 }
 
@@ -587,7 +461,8 @@ mod tests {
     #[test]
     fn token_on_fire_after_fired_still_runs() {
         let mut sim = Sim::new();
-        let tok = sim.token_fired_now();
+        let tok = sim.token_create();
+        sim.token_fire(tok);
         let woke = crate::testcell::SyncCell::new(false);
         let w = woke.clone();
         sim.token_on_fire(tok, move |_| w.set(true));
@@ -635,9 +510,9 @@ mod tests {
     #[test]
     fn serial_server_serializes_jobs() {
         let mut sim = Sim::new();
-        let s = sim.server_create("cpu", 1);
-        let t1 = sim.server_enqueue(s, "a", SpanKind::Compute, Dur::from_micros(10));
-        let t2 = sim.server_enqueue(s, "b", SpanKind::Compute, Dur::from_micros(10));
+        let s = sim.server_create(1);
+        let t1 = sim.server_enqueue(s, Dur::from_micros(10), None);
+        let t2 = sim.server_enqueue(s, Dur::from_micros(10), None);
         sim.run();
         assert_eq!(
             sim.token_fire_time(t1),
@@ -652,10 +527,10 @@ mod tests {
     #[test]
     fn wide_server_runs_jobs_concurrently() {
         let mut sim = Sim::new();
-        let s = sim.server_create("pool", 2);
-        let t1 = sim.server_enqueue(s, "a", SpanKind::Compute, Dur::from_micros(10));
-        let t2 = sim.server_enqueue(s, "b", SpanKind::Compute, Dur::from_micros(10));
-        let t3 = sim.server_enqueue(s, "c", SpanKind::Compute, Dur::from_micros(10));
+        let s = sim.server_create(2);
+        let t1 = sim.server_enqueue(s, Dur::from_micros(10), None);
+        let t2 = sim.server_enqueue(s, Dur::from_micros(10), None);
+        let t3 = sim.server_enqueue(s, Dur::from_micros(10), None);
         sim.run();
         assert_eq!(
             sim.token_fire_time(t1),
@@ -669,54 +544,6 @@ mod tests {
             sim.token_fire_time(t3),
             Some(Time::ZERO + Dur::from_micros(20))
         );
-    }
-
-    #[test]
-    fn link_transfer_cost_is_latency_plus_bytes_over_bw() {
-        let mut sim = Sim::new();
-        // 1 GB/s, 10 us latency; 1 MB -> 10us + 1ms.
-        let l = sim.link_create("pcie0", Dur::from_micros(10), 1e9);
-        let t = sim.link_transfer(l, true, "h2d", 1_000_000);
-        sim.run();
-        let expect = Dur::from_micros(10) + Dur::from_secs_f64(1e-3);
-        assert_eq!(sim.token_fire_time(t), Some(Time::ZERO + expect));
-    }
-
-    #[test]
-    fn link_directions_are_independent() {
-        let mut sim = Sim::new();
-        let l = sim.link_create("pcie0", Dur::ZERO, 1e9);
-        let a = sim.link_transfer(l, true, "h2d", 1_000_000);
-        let b = sim.link_transfer(l, false, "d2h", 1_000_000);
-        sim.run();
-        // Both complete at 1 ms: full duplex.
-        assert_eq!(sim.token_fire_time(a), sim.token_fire_time(b));
-    }
-
-    #[test]
-    fn same_direction_transfers_queue() {
-        let mut sim = Sim::new();
-        let l = sim.link_create("pcie0", Dur::ZERO, 1e9);
-        let a = sim.link_transfer(l, true, "x", 1_000_000);
-        let b = sim.link_transfer(l, true, "y", 1_000_000);
-        sim.run();
-        let ta = sim.token_fire_time(a).expect("transfer a completes");
-        let tb = sim.token_fire_time(b).expect("transfer b completes");
-        assert_eq!(tb - ta, Dur::from_secs_f64(1e-3));
-    }
-
-    #[test]
-    fn trace_records_spans() {
-        let mut sim = Sim::new();
-        let s = sim.server_create("cpu", 1);
-        sim.server_enqueue(s, "job", SpanKind::Compute, Dur::from_micros(4));
-        sim.run();
-        let trace = sim.trace();
-        assert_eq!(trace.spans().len(), 1);
-        let span = &trace.spans()[0];
-        assert_eq!(span.resource, "cpu");
-        assert_eq!(span.label, "job");
-        assert_eq!(span.end - span.start, Dur::from_micros(4));
     }
 
     #[test]
@@ -734,15 +561,5 @@ mod tests {
         assert_eq!(sim.now(), Time::ZERO + Dur::from_micros(2));
         sim.run();
         assert_eq!(hit.get(), 3);
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut sim = Sim::new();
-        let s = sim.server_create("cpu", 1);
-        sim.server_enqueue(s, "a", SpanKind::Compute, Dur::from_micros(10));
-        sim.server_enqueue(s, "b", SpanKind::Compute, Dur::from_micros(5));
-        sim.run();
-        assert_eq!(sim.server_busy_time(s), Dur::from_micros(15));
     }
 }

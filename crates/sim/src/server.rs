@@ -1,34 +1,25 @@
-//! Resource servers and links.
+//! Resource servers and the semaphores that gate them.
 //!
 //! A **server** models a resource that serves jobs FIFO with `width`
 //! concurrent slots: an hStreams stream sink (one compute task at a time,
 //! expanded over the stream's cores) is a serial server; a DMA direction of a
 //! PCIe link is another serial server; a pool of independent cores is a wide
-//! server.
-//!
-//! A **link** is a pair of serial servers (tx/rx) with a latency+bandwidth
-//! cost model — the hStreams experiments assume full-duplex PCIe.
+//! server. A **semaphore** is a domain's core count, which the jobs of
+//! overlapping streams hold while in service.
 
 use crate::time::Dur;
 use crate::token::Token;
-use crate::trace::SpanKind;
 use std::collections::VecDeque;
 
 /// Handle to a server.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ServerId(pub(crate) usize);
 
-/// Handle to a full-duplex link.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct LinkId(pub(crate) usize);
-
 /// Handle to a counting semaphore (models shared domain capacity).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SemId(pub(crate) usize);
 
 pub(crate) struct Job {
-    pub label: String,
-    pub kind: SpanKind,
     pub service: Dur,
     pub done: Token,
     /// Capacity this job must hold while in service: (semaphore, units).
@@ -36,24 +27,20 @@ pub(crate) struct Job {
 }
 
 pub(crate) struct ServerState {
-    pub name: String,
     pub width: usize,
     pub busy: usize,
     pub queue: VecDeque<Job>,
-    pub busy_time_acc: Dur,
     /// Registered as a waiter on a semaphore (head job gated, capacity
     /// short). Cleared when the pump runs again.
     pub parked: bool,
 }
 
 impl ServerState {
-    pub fn new(name: String, width: usize) -> Self {
+    pub fn new(width: usize) -> Self {
         ServerState {
-            name,
             width,
             busy: 0,
             queue: VecDeque::new(),
-            busy_time_acc: Dur::ZERO,
             parked: false,
         }
     }
@@ -65,30 +52,17 @@ pub(crate) struct SemState {
     pub waiters: VecDeque<ServerId>,
 }
 
-pub(crate) struct LinkState {
-    pub latency: Dur,
-    pub bw: f64,
-    pub fwd: ServerId,
-    pub rev: ServerId,
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::{Dur, Sim, SpanKind, Time};
+    use crate::{Dur, Sim};
 
     #[test]
     fn fifo_order_is_respected_among_queued_jobs() {
         let mut sim = Sim::new();
-        let s = sim.server_create("q", 1);
-        let mut tokens = Vec::new();
-        for i in 0..4 {
-            tokens.push(sim.server_enqueue(
-                s,
-                format!("j{i}"),
-                SpanKind::Compute,
-                Dur::from_micros(1),
-            ));
-        }
+        let s = sim.server_create(1);
+        let tokens: Vec<_> = (0..4)
+            .map(|_| sim.server_enqueue(s, Dur::from_micros(1), None))
+            .collect();
         sim.run();
         let times: Vec<_> = tokens
             .iter()
@@ -103,32 +77,7 @@ mod tests {
     fn zero_width_is_rejected() {
         let mut sim = Sim::new();
         let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.server_create("bad", 0)));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.server_create(0)));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn queue_len_and_busy_reflect_state() {
-        let mut sim = Sim::new();
-        let s = sim.server_create("cpu", 1);
-        sim.server_enqueue(s, "a", SpanKind::Compute, Dur::from_micros(10));
-        sim.server_enqueue(s, "b", SpanKind::Compute, Dur::from_micros(10));
-        // Nothing has run yet, but enqueue pumps the first job into service.
-        assert_eq!(sim.server_busy(s), 1);
-        assert_eq!(sim.server_queue_len(s), 1);
-        sim.run_until(Time::ZERO + Dur::from_micros(10));
-        assert_eq!(sim.server_busy(s), 1);
-        assert_eq!(sim.server_queue_len(s), 0);
-        sim.run();
-        assert_eq!(sim.server_busy(s), 0);
-    }
-
-    #[test]
-    fn link_cost_scales_linearly_with_bytes() {
-        let mut sim = Sim::new();
-        let l = sim.link_create("pcie", Dur::from_micros(10), 2e9);
-        let c1 = sim.link_cost(l, 2_000_000);
-        let c2 = sim.link_cost(l, 4_000_000);
-        assert_eq!(c2.saturating_sub(c1), Dur::from_secs_f64(2_000_000.0 / 2e9));
     }
 }

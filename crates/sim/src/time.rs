@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, Sub};
 
 /// A virtual instant, in nanoseconds since simulation start.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -29,11 +29,6 @@ impl Time {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-9
     }
-
-    /// Duration since an earlier instant; saturates at zero.
-    pub fn since(self, earlier: Time) -> Dur {
-        Dur(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Dur {
@@ -44,12 +39,6 @@ impl Dur {
     }
     pub fn from_micros(us: u64) -> Dur {
         Dur(us.saturating_mul(1_000))
-    }
-    pub fn from_millis(ms: u64) -> Dur {
-        Dur(ms.saturating_mul(1_000_000))
-    }
-    pub fn from_secs(s: u64) -> Dur {
-        Dur(s.saturating_mul(1_000_000_000))
     }
 
     /// Convert from a float second count, rounding to the nearest nanosecond
@@ -76,16 +65,6 @@ impl Dur {
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 * 1e-3
     }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Dur) -> Dur {
-        Dur(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Scale a duration by a non-negative factor.
-    pub fn mul_f64(self, k: f64) -> Dur {
-        Dur::from_secs_f64(self.as_secs_f64() * k)
-    }
 }
 
 impl Add<Dur> for Time {
@@ -94,31 +73,17 @@ impl Add<Dur> for Time {
         Time(self.0.saturating_add(rhs.0))
     }
 }
-impl AddAssign<Dur> for Time {
-    fn add_assign(&mut self, rhs: Dur) {
-        *self = *self + rhs;
-    }
-}
+/// Duration since an earlier instant; saturates at zero.
 impl Sub<Time> for Time {
     type Output = Dur;
     fn sub(self, rhs: Time) -> Dur {
-        self.since(rhs)
+        Dur(self.0.saturating_sub(rhs.0))
     }
 }
 impl Add for Dur {
     type Output = Dur;
     fn add(self, rhs: Dur) -> Dur {
         Dur(self.0.saturating_add(rhs.0))
-    }
-}
-impl AddAssign for Dur {
-    fn add_assign(&mut self, rhs: Dur) {
-        *self = *self + rhs;
-    }
-}
-impl std::iter::Sum for Dur {
-    fn sum<I: Iterator<Item = Dur>>(iter: I) -> Dur {
-        iter.fold(Dur::ZERO, |a, b| a + b)
     }
 }
 
@@ -152,9 +117,9 @@ mod tests {
 
     #[test]
     fn conversions_round_trip() {
+        assert_eq!(Dur::from_nanos(7).as_nanos(), 7);
         assert_eq!(Dur::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(Dur::from_millis(2).as_nanos(), 2_000_000);
-        assert_eq!(Dur::from_secs(1).as_nanos(), 1_000_000_000);
+        assert_eq!(Dur::from_micros(3).as_micros_f64(), 3.0);
         assert!((Dur::from_secs_f64(0.5).as_secs_f64() - 0.5).abs() < 1e-12);
     }
 
@@ -173,15 +138,8 @@ mod tests {
     fn time_arithmetic() {
         let t = Time::ZERO + Dur::from_micros(10);
         assert_eq!(t - Time::ZERO, Dur::from_micros(10));
-        // Saturating: earlier.since(later) == 0.
-        assert_eq!(Time::ZERO.since(t), Dur::ZERO);
-    }
-
-    #[test]
-    fn dur_sum_and_scale() {
-        let total: Dur = [Dur::from_micros(1), Dur::from_micros(2)].into_iter().sum();
-        assert_eq!(total, Dur::from_micros(3));
-        assert_eq!(Dur::from_micros(10).mul_f64(0.5), Dur::from_micros(5));
+        // Saturating: earlier - later == 0.
+        assert_eq!(Time::ZERO - t, Dur::ZERO);
     }
 
     #[test]

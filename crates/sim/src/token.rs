@@ -16,11 +16,6 @@ impl Token {
     pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Raw id, stable within one `Sim`.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// A queued wake-up callback.
@@ -48,14 +43,6 @@ mod tests {
     use crate::Dur;
 
     #[test]
-    fn raw_ids_are_dense_and_ordered() {
-        let mut sim = Sim::new();
-        let a = sim.token_create();
-        let b = sim.token_create();
-        assert_eq!(a.raw() + 1, b.raw());
-    }
-
-    #[test]
     fn multiple_waiters_all_wake() {
         let mut sim = Sim::new();
         let tok = sim.token_create();
@@ -67,18 +54,5 @@ mod tests {
         sim.schedule(Dur::from_nanos(1), move |s| s.token_fire(tok));
         sim.run();
         assert_eq!(count.get(), 5);
-    }
-
-    #[test]
-    fn join_all_token_records_latest_time() {
-        let mut sim = Sim::new();
-        let a = sim.timer(Dur::from_micros(1));
-        let b = sim.timer(Dur::from_micros(4));
-        let j = sim.join_all(&[a, b]);
-        sim.run();
-        assert_eq!(
-            sim.token_fire_time(j),
-            Some(Time::ZERO + Dur::from_micros(4))
-        );
     }
 }

@@ -1,66 +1,74 @@
 //! Property tests of the discrete-event engine: virtual-time monotonicity,
 //! capacity limits, conservation of work, token join semantics, and
-//! determinism across repeated runs.
+//! determinism across repeated runs. The engine keeps no record of what
+//! ran, so each job is read back from its completion token: it ended at
+//! the token's fire time and started one service time earlier.
 
-use hs_sim::{Dur, Sim, SpanKind, Time};
+use hs_sim::{Dur, ServerId, Sim, Time, Token};
 use proptest::prelude::*;
+
+/// Enqueue one ungated job per duration on `server`, returning each job's
+/// completion token with its service time in ns.
+fn enqueue_all(sim: &mut Sim, server: ServerId, durs: &[u64]) -> Vec<(Token, u64)> {
+    durs.iter()
+        .map(|d| (sim.server_enqueue(server, Dur::from_nanos(*d), None), *d))
+        .collect()
+}
+
+/// A completed job's service window `(start, end)` in ns.
+fn window(sim: &Sim, (tok, service): (Token, u64)) -> (u64, u64) {
+    let end = sim.token_fire_time(tok).expect("job completes").as_nanos();
+    (end - service, end)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// A serial server conserves work: total busy time == sum of service
-    /// times, and the last completion equals the sum (no idling with a full
-    /// queue, no overlap).
+    /// A serial server conserves work: the last completion equals the sum
+    /// of service times (no idling with a full queue, no overlap).
     #[test]
     fn serial_server_conserves_work(durs in proptest::collection::vec(1u64..10_000, 1..40)) {
         let mut sim = Sim::new();
-        let s = sim.server_create("srv", 1);
-        let mut toks = Vec::new();
-        for (i, d) in durs.iter().enumerate() {
-            toks.push(sim.server_enqueue(s, format!("j{i}"), SpanKind::Compute, Dur::from_nanos(*d)));
-        }
+        let s = sim.server_create(1);
+        let toks = enqueue_all(&mut sim, s, &durs);
         sim.run();
         let total: u64 = durs.iter().sum();
-        prop_assert_eq!(sim.server_busy_time(s), Dur::from_nanos(total));
         let last = toks
             .iter()
-            .filter_map(|t| sim.token_fire_time(*t))
+            .filter_map(|(t, _)| sim.token_fire_time(*t))
             .max()
             .expect("jobs complete");
         prop_assert_eq!(last, Time(total));
     }
 
-    /// A width-k server never runs more than k jobs at once (verified via
-    /// the trace: at any span start, overlapping spans <= k).
+    /// A width-k server never runs more than k jobs at once: at any job's
+    /// start instant, at most k service windows contain it.
     #[test]
     fn wide_server_respects_capacity(
         durs in proptest::collection::vec(1u64..1000, 1..30),
         width in 1usize..5,
     ) {
         let mut sim = Sim::new();
-        let s = sim.server_create("pool", width);
-        for (i, d) in durs.iter().enumerate() {
-            sim.server_enqueue(s, format!("j{i}"), SpanKind::Compute, Dur::from_nanos(*d));
-        }
+        let s = sim.server_create(width);
+        let toks = enqueue_all(&mut sim, s, &durs);
         sim.run();
-        let spans = sim.trace().spans();
-        // Max instantaneous concurrency: at each span's start instant, count
-        // spans whose interval contains it.
-        for a in spans {
-            let concurrent = spans
+        let windows: Vec<(u64, u64)> = toks.into_iter().map(|t| window(&sim, t)).collect();
+        for (start, _) in &windows {
+            let concurrent = windows
                 .iter()
-                .filter(|b| b.start <= a.start && a.start < b.end)
+                .filter(|(b_start, b_end)| b_start <= start && start < b_end)
                 .count();
             prop_assert!(concurrent <= width, "{concurrent} > width {width}");
         }
     }
 
-    /// join_all fires at the max of its inputs, join_any at the min.
+    /// when_all fires at the max of its inputs, join_any at the min.
     #[test]
     fn joins_fire_at_extremes(delays in proptest::collection::vec(1u64..100_000, 1..20)) {
         let mut sim = Sim::new();
         let toks: Vec<_> = delays.iter().map(|d| sim.timer(Dur::from_nanos(*d))).collect();
-        let all = sim.join_all(&toks);
+        let all = sim.token_create();
+        sim.when_all(&toks, move |sim| sim.token_fire(all));
         let any = sim.join_any(&toks);
         sim.run();
         let max = *delays.iter().max().expect("non-empty");
@@ -69,45 +77,26 @@ proptest! {
         prop_assert_eq!(sim.token_fire_time(any), Some(Time(min)));
     }
 
-    /// Two identical programs produce identical traces (determinism).
+    /// Two identical programs complete every job at the same instants
+    /// (determinism).
     #[test]
     fn repeated_runs_are_identical(durs in proptest::collection::vec(1u64..5000, 1..25)) {
         let run = |durs: &[u64]| {
             let mut sim = Sim::new();
-            let a = sim.server_create("a", 1);
-            let b = sim.server_create("b", 2);
-            for (i, d) in durs.iter().enumerate() {
-                let srv = if i % 2 == 0 { a } else { b };
-                sim.server_enqueue(srv, format!("j{i}"), SpanKind::Compute, Dur::from_nanos(*d));
-            }
-            sim.run();
-            sim.trace()
-                .spans()
+            let a = sim.server_create(1);
+            let b = sim.server_create(2);
+            let toks: Vec<_> = durs
                 .iter()
-                .map(|s| (s.resource.clone(), s.label.clone(), s.start, s.end))
-                .collect::<Vec<_>>()
+                .enumerate()
+                .map(|(i, d)| {
+                    let srv = if i % 2 == 0 { a } else { b };
+                    (sim.server_enqueue(srv, Dur::from_nanos(*d), None), *d)
+                })
+                .collect();
+            sim.run();
+            toks.into_iter().map(|t| window(&sim, t)).collect::<Vec<_>>()
         };
         prop_assert_eq!(run(&durs), run(&durs));
-    }
-
-    /// Link transfers in one direction serialize; total duration is the sum
-    /// of the individual costs.
-    #[test]
-    fn link_direction_serializes(sizes in proptest::collection::vec(1u64..1_000_000, 1..15)) {
-        let mut sim = Sim::new();
-        let l = sim.link_create("pcie", Dur::from_nanos(100), 1e9);
-        let toks: Vec<_> = sizes
-            .iter()
-            .map(|b| sim.link_transfer(l, true, "x", *b))
-            .collect();
-        sim.run();
-        let expect: Dur = sizes.iter().map(|b| sim.link_cost(l, *b)).sum();
-        let last = toks
-            .iter()
-            .filter_map(|t| sim.token_fire_time(*t))
-            .max()
-            .expect("transfers complete");
-        prop_assert_eq!(last - Time::ZERO, expect);
     }
 
     /// Scheduled callbacks execute in non-decreasing time order.
@@ -129,7 +118,7 @@ proptest! {
 }
 
 mod gated {
-    use hs_sim::{Dur, Sim, SpanKind};
+    use hs_sim::{Dur, Sim};
 
     #[test]
     fn gated_jobs_share_domain_capacity() {
@@ -137,22 +126,10 @@ mod gated {
         // Two serial streams, each claiming 8 cores, on a 12-core domain:
         // their jobs cannot fully overlap.
         let dom = sim.sem_create(12);
-        let s1 = sim.server_create("s1", 1);
-        let s2 = sim.server_create("s2", 1);
-        let a = sim.server_enqueue_gated(
-            s1,
-            "a",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 8)),
-        );
-        let b = sim.server_enqueue_gated(
-            s2,
-            "b",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 8)),
-        );
+        let s1 = sim.server_create(1);
+        let s2 = sim.server_create(1);
+        let a = sim.server_enqueue(s1, Dur::from_micros(10), Some((dom, 8)));
+        let b = sim.server_enqueue(s2, Dur::from_micros(10), Some((dom, 8)));
         sim.run();
         let ta = sim.token_fire_time(a).expect("a completes");
         let tb = sim.token_fire_time(b).expect("b completes");
@@ -164,22 +141,10 @@ mod gated {
     fn gated_jobs_within_capacity_overlap() {
         let mut sim = Sim::new();
         let dom = sim.sem_create(12);
-        let s1 = sim.server_create("s1", 1);
-        let s2 = sim.server_create("s2", 1);
-        let a = sim.server_enqueue_gated(
-            s1,
-            "a",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 6)),
-        );
-        let b = sim.server_enqueue_gated(
-            s2,
-            "b",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 6)),
-        );
+        let s1 = sim.server_create(1);
+        let s2 = sim.server_create(1);
+        let a = sim.server_enqueue(s1, Dur::from_micros(10), Some((dom, 6)));
+        let b = sim.server_enqueue(s2, Dur::from_micros(10), Some((dom, 6)));
         sim.run();
         assert_eq!(sim.token_fire_time(a), sim.token_fire_time(b), "both fit");
     }
@@ -188,30 +153,12 @@ mod gated {
     fn waiting_servers_are_woken_fifo() {
         let mut sim = Sim::new();
         let dom = sim.sem_create(4);
-        let hog = sim.server_create("hog", 1);
-        let w1 = sim.server_create("w1", 1);
-        let w2 = sim.server_create("w2", 1);
-        let _h = sim.server_enqueue_gated(
-            hog,
-            "h",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 4)),
-        );
-        let a = sim.server_enqueue_gated(
-            w1,
-            "a",
-            SpanKind::Compute,
-            Dur::from_micros(1),
-            Some((dom, 4)),
-        );
-        let b = sim.server_enqueue_gated(
-            w2,
-            "b",
-            SpanKind::Compute,
-            Dur::from_micros(1),
-            Some((dom, 4)),
-        );
+        let hog = sim.server_create(1);
+        let w1 = sim.server_create(1);
+        let w2 = sim.server_create(1);
+        let _h = sim.server_enqueue(hog, Dur::from_micros(10), Some((dom, 4)));
+        let a = sim.server_enqueue(w1, Dur::from_micros(1), Some((dom, 4)));
+        let b = sim.server_enqueue(w2, Dur::from_micros(1), Some((dom, 4)));
         sim.run();
         let ta = sim.token_fire_time(a).expect("a");
         let tb = sim.token_fire_time(b).expect("b");
@@ -223,15 +170,9 @@ mod gated {
     fn mixed_gated_and_ungated_jobs_coexist() {
         let mut sim = Sim::new();
         let dom = sim.sem_create(2);
-        let s = sim.server_create("s", 2);
-        let g = sim.server_enqueue_gated(
-            s,
-            "g",
-            SpanKind::Compute,
-            Dur::from_micros(5),
-            Some((dom, 2)),
-        );
-        let u = sim.server_enqueue(s, "u", SpanKind::Transfer, Dur::from_micros(5));
+        let s = sim.server_create(2);
+        let g = sim.server_enqueue(s, Dur::from_micros(5), Some((dom, 2)));
+        let u = sim.server_enqueue(s, Dur::from_micros(5), None);
         sim.run();
         assert_eq!(
             sim.token_fire_time(g),
@@ -242,32 +183,20 @@ mod gated {
 }
 
 mod fairness {
-    use hs_sim::{Dur, Sim, SpanKind};
+    use hs_sim::{Dur, Sim};
 
     #[test]
     fn wide_request_does_not_starve_behind_narrow_stream() {
         let mut sim = Sim::new();
         let dom = sim.sem_create(8);
-        let narrow = sim.server_create("narrow", 1);
-        let wide = sim.server_create("wide", 1);
+        let narrow = sim.server_create(1);
+        let wide = sim.server_create(1);
         // A continuous stream of 4-unit jobs would always leave <8 free if
         // they could overtake; the parked 8-unit job must still get through.
-        for i in 0..10 {
-            sim.server_enqueue_gated(
-                narrow,
-                format!("n{i}"),
-                SpanKind::Compute,
-                Dur::from_micros(10),
-                Some((dom, 4)),
-            );
+        for _ in 0..10 {
+            sim.server_enqueue(narrow, Dur::from_micros(10), Some((dom, 4)));
         }
-        let big = sim.server_enqueue_gated(
-            wide,
-            "big",
-            SpanKind::Compute,
-            Dur::from_micros(10),
-            Some((dom, 8)),
-        );
+        let big = sim.server_enqueue(wide, Dur::from_micros(10), Some((dom, 8)));
         sim.run();
         let t_big = sim.token_fire_time(big).expect("wide job completes");
         // Without fairness the wide job runs last (>= 100us start). With
@@ -284,16 +213,12 @@ mod fairness {
     fn capacity_is_conserved_under_mixed_load() {
         let mut sim = Sim::new();
         let dom = sim.sem_create(12);
-        let servers: Vec<_> = (0..5)
-            .map(|i| sim.server_create(format!("s{i}"), 1))
-            .collect();
+        let servers: Vec<_> = (0..5).map(|_| sim.server_create(1)).collect();
         for round in 0..20 {
             for (i, s) in servers.iter().enumerate() {
                 let units = 1 + ((round + i) % 5) as u32 * 3;
-                sim.server_enqueue_gated(
+                sim.server_enqueue(
                     *s,
-                    format!("j{round}_{i}"),
-                    SpanKind::Compute,
                     Dur::from_micros(1 + (i as u64)),
                     Some((dom, units.min(12))),
                 );

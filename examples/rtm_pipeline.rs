@@ -2,14 +2,14 @@
 //!
 //! Real mode propagates a small wavefield under all three schemes and
 //! verifies each against the sequential reference; sim mode prints the
-//! compute/transfer overlap a pipelined run achieves (from the execution
-//! trace) and the speedup over synchronous offload.
+//! compute/transfer overlap a pipelined run achieves (folded from its obs
+//! records) and the speedup over synchronous offload.
 //!
 //! Run with: `cargo run --release --example rtm_pipeline`
 
 use hs_apps::rtm::{run, RtmConfig, Scheme};
 use hs_machine::{Device, PlatformCfg};
-use hs_sim::SpanKind;
+use hs_obs::ObsKind;
 use hstreams_core::{ExecMode, HStreams};
 
 fn main() {
@@ -47,19 +47,23 @@ fn main() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
     let t_sync = run(&mut hs, &mk(Scheme::SyncOffload)).expect("sync").secs;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.set_tracing(true);
+    hs.obs_enable(true);
     let t_async = run(&mut hs, &mk(Scheme::AsyncPipelined))
         .expect("async")
         .secs;
-    let trace = hs.trace().expect("sim trace");
-    let overlap = trace.overlap_time(SpanKind::Compute, SpanKind::Transfer);
+    let records = hs.take_obs_records();
+    let overlap = hs_obs::overlap_ns(
+        &hs_obs::spans(&records),
+        ObsKind::Compute,
+        ObsKind::Transfer,
+    );
     println!(
         "\nsim mode, 2 ranks on 2 cards, 40 steps:\n  synchronous offload: {t_sync:.3}s\n  async pipelined:     {t_async:.3}s  ({:.1}% faster)",
         (t_sync / t_async - 1.0) * 100.0
     );
     println!(
         "  compute/transfer overlap in the pipelined run: {:.3}s of {:.3}s",
-        overlap.as_secs_f64(),
+        overlap as f64 * 1e-9,
         t_async
     );
 }
