@@ -11,7 +11,7 @@
 //! Every data-parallel kernel *expands* across the executing stream's lanes
 //! (paper §II, Fig. 3): the output tile's rows are partitioned into
 //! micro-tile-aligned slabs and claimed dynamically by the stream's
-//! resident [`hs_coi::Workgroup`] — row slabs of C (GEMM/SYRK) and of B
+//! [`hs_coi::Workgroup`] — row slabs of C (GEMM/SYRK) and of B
 //! (the right-side TRSMs) are independent, so each lane runs the packed
 //! blocked kernel on its slab. Sequential factorizations (POTRF, LU)
 //! and the left-side TRSM (rows are coupled) stay single-lane.

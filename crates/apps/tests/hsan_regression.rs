@@ -99,8 +99,8 @@ fn matmul_and_cholesky_race_free_with_expansion() {
 }
 
 /// The expansion path itself, at a lane count the host cannot talk down: a
-/// two-lane pipeline running one of the apps' own tile kernels wakes its
-/// resident worker, once.
+/// two-lane pipeline running one of the apps' own tile kernels opens a
+/// parallel region every run.
 #[test]
 fn expansion_engages_on_an_explicit_two_lane_pipeline() {
     use hs_apps::kernels::{kernel_table, pack_dims};
@@ -131,9 +131,9 @@ fn expansion_engages_on_an_explicit_two_lane_pipeline() {
     }
     assert_eq!(pipe.lanes(), 2);
     assert_eq!(
-        pipe.workgroup().spawned(),
-        1,
-        "a 128-row tile on two lanes fans out to the one resident worker"
+        pipe.workgroup().regions(),
+        3,
+        "a 128-row tile on two lanes fans out: one parallel region per run"
     );
 }
 

@@ -209,9 +209,9 @@ proptest! {
                 }
             }
         }
-        // Expansion did engage: the wide pipelines woke their pools.
+        // Expansion did engage: the wide pipelines opened parallel regions.
         for pipe in &pipes[1..] {
-            prop_assert_eq!(pipe.workgroup().spawned(), pipe.lanes() - 1);
+            prop_assert!(pipe.workgroup().regions() > 0, "{} lanes", pipe.lanes());
         }
     }
 }

@@ -249,13 +249,13 @@ fn ordering_tag(o: OrderingMode) -> &'static str {
 /// of ten runs alternated with the change's: (config, source threads,
 /// actions/s, allocations per action, redundant dependence probes) of its
 /// out-of-order rows.
-const PRE_PR_REV: &str = "2db6926";
+const PRE_PR_REV: &str = "b1bab83";
 const PRE_PR_CORES: f64 = 2.0;
 const PRE_PR: [(&str, usize, f64, f64, f64); 4] = [
-    ("single", 1, 523_400.0, 4.124, 116_300.0),
-    ("single", 2, 468_200.0, 4.072, 37_250.0),
-    ("batch", 1, 597_000.0, 5.142, 14_280.0),
-    ("batch", 2, 535_700.0, 5.142, 3_102.0),
+    ("single", 1, 368_500.0, 4.132, 112_900.0),
+    ("single", 2, 393_600.0, 4.071, 34_150.0),
+    ("batch", 1, 572_100.0, 5.142, 13_280.0),
+    ("batch", 2, 567_200.0, 5.142, 3_440.0),
 ];
 
 /// Parse `"key": value` out of our own hand-written bench JSON (the

@@ -259,7 +259,7 @@ fn fill(seed: u64, v: &mut [f64]) {
     }
 }
 
-/// Row-slab expansion across a resident workgroup — the sink kernels'
+/// Row-slab expansion across a workgroup — the sink kernels'
 /// partitioning (see `hs_apps::kernels`), driven directly for the bench.
 fn gemm_expanded(wg: &Workgroup, a: &[f64], b: &[f64], c: &mut [f64], n: usize) {
     let bp = PackedB::pack(BSrc::Normal { b, ldb: n }, n, n);

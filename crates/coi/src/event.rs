@@ -6,7 +6,7 @@
 //! embeds one and hands out [`CoiEvent`]s that are views of itself — an
 //! action's event costs no allocation of its own. What waits on an event is
 //! a list of [`Dependent`]s walked in place at completion: never taken,
-//! never freed by the completing thread, so a sink thread that completes an
+//! never freed by the completing thread, so a pool worker that completes an
 //! action releases nothing the enqueuing thread allocated. The list goes
 //! when its owner sweeps the finished event ([`EventCore::retire`]) — or,
 //! for an event nobody sweeps, with the core.

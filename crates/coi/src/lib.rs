@@ -9,10 +9,14 @@
 //!
 //! * [`CoiRuntime`] — owns the fabric and the engine table (engine 0 is
 //!   the host).
-//! * [`pipeline::Pipeline`] — a sink thread executing [`RunFunction`]s in
-//!   arrival order, with a logical *width* (the stream's mask) and the
-//!   physical *lanes* [`RunCtx::par_for`] expands a task across (the
-//!   hStreams stream-width semantics on the machine that exists).
+//! * [`pipeline::Pipeline`] — a serial queue executing [`RunFunction`]s in
+//!   arrival order on the runtime's [`WorkerPool`], with a logical *width*
+//!   (the stream's mask) and the physical *lanes* [`RunCtx::par_for`]
+//!   expands a task across (the hStreams stream-width semantics on the
+//!   machine that exists).
+//! * [`workers::WorkerPool`] — the runtime's `host_cores` worker threads,
+//!   which run every in-process pipeline, DMA queue and expansion region
+//!   ([`workers::SerialQueue`]).
 //! * [`registry::FnRegistry`] — name → function table shared by all
 //!   processes, mirroring COI's symbol lookup of sink binaries (and letting
 //!   the same task code run on any engine, the paper's portability point).
@@ -29,6 +33,7 @@ pub mod pool;
 pub mod registry;
 pub mod server;
 pub mod small;
+pub mod workers;
 pub mod workgroup;
 
 pub use event::{CoiEvent, Dependent, EventCore, EventHost, EventStatus};
@@ -38,6 +43,7 @@ pub use registry::{FnRegistry, RunFunction};
 pub use server::{
     inflight_requests, request_shutdown, serve_tcp, serve_uds, shutdown_requested, WorkerState,
 };
+pub use workers::{QueueHandle, SerialQueue, WorkerPool, LIFO_CAP};
 pub use workgroup::Workgroup;
 
 use hs_chaos::ChaosHub;
@@ -70,6 +76,9 @@ pub struct CoiRuntime {
     /// Cores of this machine: the `host_cores` of [`physical_lanes`] for
     /// the in-process engines' streams.
     host_cores: usize,
+    /// One worker per core, spawned here: what every in-process pipeline,
+    /// DMA queue and expansion region runs on.
+    pool: Arc<WorkerPool>,
     obs: ObsHub,
     chaos: ChaosHub,
 }
@@ -101,12 +110,14 @@ impl CoiRuntime {
     ) -> std::io::Result<Arc<CoiRuntime>> {
         let n_engines = per_card.len() + 1;
         let fabric = Fabric::new_with_endpoints(n_engines, per_card, chaos.clone(), remotes)?;
+        let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         Ok(Arc::new(CoiRuntime {
             fabric: Arc::new(fabric),
             registry: Arc::new(FnRegistry::new()),
             pools: (0..n_engines).map(|_| BufferPool::new()).collect(),
             n_engines,
-            host_cores: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            host_cores,
+            pool: Arc::new(WorkerPool::new(host_cores, "hs-pool")),
             obs,
             chaos,
         }))
@@ -115,6 +126,11 @@ impl CoiRuntime {
     /// The observability hub shared by this runtime's pipelines/workgroups.
     pub fn obs(&self) -> &ObsHub {
         &self.obs
+    }
+
+    /// The worker pool under this runtime's in-process queues and regions.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
     /// The fault-injection hub shared with this runtime's fabric.
@@ -143,9 +159,9 @@ impl CoiRuntime {
         self.registry.register(name, f);
     }
 
-    /// Create a pipeline on `engine` with `width` threads for task
-    /// expansion: the explicit-lane constructor, logical width and physical
-    /// lanes both `width`. On a remote card its exec connection announces a
+    /// Create a pipeline on `engine` with `width` lanes for task expansion:
+    /// the explicit-lane constructor, logical width and physical lanes both
+    /// `width`. On a remote card its exec connection announces a
     /// stream spanning `width` cores of a card that size, which the worker
     /// runs on `width` lanes, up to its own cores.
     pub fn pipeline_create(self: &Arc<Self>, engine: EngineId, width: usize) -> Pipeline {
@@ -214,7 +230,7 @@ impl CoiRuntime {
     }
 
     /// Synchronous DMA between windows (callers place it on their own
-    /// threads; hStreams' executor runs these on per-direction DMA threads).
+    /// threads; hStreams' executor runs these on per-direction DMA queues).
     pub fn dma_copy(
         &self,
         src: WindowId,

@@ -1,16 +1,18 @@
-//! Pipelines: sink-side command execution threads.
+//! Pipelines: sink-side command queues.
 //!
 //! A COI pipeline is an in-order command queue bound to a set of sink CPUs.
-//! Here each pipeline is a dedicated thread that executes run functions in
-//! arrival order. Its *width* is the logical size of the stream it serves
-//! (the cores of the stream's mask on the modelled platform — what tuners
-//! and the wire see); its *lanes* are how many OS threads a task really
-//! expands across via [`RunCtx`]'s parallel helpers (the hStreams "task
-//! naturally expands to use all of the resources given to a stream"
-//! semantics, on the machine that exists), by [`physical_lanes`] — here for
-//! an in-process engine, in the worker for a remote card. A pipeline on a
-//! remote card holds that stream's exec connection to the worker, so the
-//! card's streams run there side by side as they would here.
+//! Here each pipeline is a [`SerialQueue`] that executes run functions in
+//! arrival order: on the runtime's worker pool for an in-process engine, on
+//! a thread of its own for a remote card, whose tasks block on the wire. Its
+//! *width* is the logical size of the stream it serves (the cores of the
+//! stream's mask on the modelled platform — what tuners and the wire see);
+//! its *lanes* are how many OS threads a task really expands across via
+//! [`RunCtx`]'s parallel helpers (the hStreams "task naturally expands to
+//! use all of the resources given to a stream" semantics, on the machine
+//! that exists), by [`physical_lanes`] — here for an in-process engine, in
+//! the worker for a remote card. A pipeline on a remote card holds that
+//! stream's exec connection to the worker, so the card's streams run there
+//! side by side as they would here.
 //!
 //! Ordering note: hStreams enqueues work to a pipeline only when its
 //! dependences are satisfied, so pipeline FIFO order is *dispatch* order,
@@ -20,16 +22,16 @@
 use crate::event::{CoiEvent, EventCore, EventHost, EventStatus};
 use crate::registry::FnRegistry;
 use crate::small::SmallVec;
+use crate::workers::{QueueHandle, SerialQueue, WorkerPool};
 use crate::workgroup::Workgroup;
 use crate::{CoiRuntime, EngineId};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, SendError, Sender};
 use hs_chaos::FailureCause;
 use hs_fabric::transport::{ExecReply, ExecRequest, TransportError};
 use hs_fabric::{ExecConn, NodeId, RangeGuard, WindowId, WindowMem};
 use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Buffer operand of a run function: window, byte range, writable?
 pub type BufAccess = (WindowId, Range<usize>, bool);
@@ -62,8 +64,8 @@ pub fn physical_lanes(mask_cores: u32, modelled_cores: u32, host_cores: usize) -
 pub trait SinkTask: Send + Sync {
     /// Function name, opaque argument bytes, operand windows.
     fn call(&self) -> (&str, &[u8], &[BufAccess]);
-    /// The task reached the front of the queue and is about to run (where
-    /// a traced caller stamps `SinkStart`).
+    /// The task reached the front of the queue and is about to run, on the
+    /// thread that runs it (where a traced caller stamps `SinkStart`).
     fn started(&self) {}
     /// The run's outcome; a panicking run function arrives as
     /// [`FailureCause::SinkPanic`], a stopped pipeline as an `Exec` failure.
@@ -72,10 +74,9 @@ pub trait SinkTask: Send + Sync {
 
 enum Command {
     Run(Arc<dyn SinkTask>),
-    /// Execute an arbitrary closure on the pipeline thread (bookkeeping
+    /// Execute an arbitrary closure in the pipeline's order (bookkeeping
     /// that must serialize with computes of the same stream).
     Call(Box<dyn FnOnce() + Send>, CoiEvent),
-    Stop,
 }
 
 /// The task behind [`PipelineHandle::run`]: event and command in one block.
@@ -109,14 +110,15 @@ fn status_of(result: Result<(), FailureCause>) -> EventStatus {
     }
 }
 
-/// Handle to a sink pipeline. Dropping the handle stops the thread after
-/// the queued commands drain.
+/// Handle to a sink pipeline. Dropping it closes the queue: later commands
+/// fail, the queued ones drain (see [`SerialQueue`]).
 pub struct Pipeline {
+    /// Held for its drop, which closes the queue.
+    _queue: SerialQueue<Command>,
     sender: PipelineHandle,
-    handle: Option<JoinHandle<()>>,
     engine: EngineId,
-    /// The resident expansion pool shared with the sink thread; its width
-    /// is this pipeline's lane count.
+    /// The expansion group shared with the sink; its width is this
+    /// pipeline's lane count.
     wg: Arc<Workgroup>,
 }
 
@@ -139,50 +141,38 @@ impl Pipeline {
             (1..=width).contains(&lanes),
             "pipeline lanes must be in 1..=width"
         );
-        let (tx, rx) = unbounded::<Command>();
-        // The resident expansion pool: lanes-1 parked workers, woken per
-        // parallel region — tasks expand without spawning threads.
-        let mut pool = Workgroup::new(lanes, format!("e{}", engine.0), affinity);
-        pool.set_obs(rt.obs().clone());
-        let wg = Arc::new(pool);
+        // Tasks expand over the runtime's pool: no thread of their own.
+        let wg = Arc::new(Workgroup::on(
+            rt.pool().clone(),
+            lanes,
+            affinity,
+            rt.obs().clone(),
+        ));
         let node = engine.node();
         let exec = rt.fabric().transport(node).as_remote().and_then(|remote| {
             let conn = remote.open_exec(width as u32, cores);
             conn.ok().map(|conn| (node, conn))
         });
+        // A remote card's tasks block on the wire: they get a thread of
+        // their own, so they never hold a worker that host compute could use.
+        let pool = if rt.fabric().is_remote(node) {
+            Arc::new(WorkerPool::new(1, &format!("coi-pipe-e{}", engine.0)))
+        } else {
+            rt.pool().clone()
+        };
         let sink = Sink {
             rt,
             width,
             wg: wg.clone(),
             exec,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("coi-pipe-e{}", engine.0))
-            .spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Command::Stop => break,
-                        Command::Call(f, done) => {
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                            match r {
-                                Ok(()) => done.signal(),
-                                Err(p) => done.fail(panic_msg(p.as_ref())),
-                            }
-                        }
-                        Command::Run(task) => {
-                            task.started();
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                sink.execute(&*task)
-                            }));
-                            task.finish(r.unwrap_or_else(|p| Err(panic_msg(p.as_ref()))));
-                        }
-                    }
-                }
-            })
-            .expect("spawning a pipeline thread");
+        let queue = SerialQueue::new(pool, move |cmd| sink.run(cmd));
         Pipeline {
-            sender: PipelineHandle { tx, width },
-            handle: Some(handle),
+            sender: PipelineHandle {
+                queue: queue.handle(),
+                width,
+            },
+            _queue: queue,
             engine,
             wg,
         }
@@ -198,12 +188,12 @@ impl Pipeline {
     }
 
     /// Physical lanes: the OS threads a parallel region of a task runs on
-    /// (the sink thread included).
+    /// (the one running the task included).
     pub fn lanes(&self) -> usize {
         self.wg.width()
     }
 
-    /// The pipeline's resident expansion pool (for diagnostics/tests).
+    /// The pipeline's expansion group (for diagnostics/tests).
     pub fn workgroup(&self) -> &Arc<Workgroup> {
         &self.wg
     }
@@ -227,7 +217,7 @@ impl Pipeline {
 /// A cloneable, thread-safe handle to a pipeline's command queue.
 #[derive(Clone)]
 pub struct PipelineHandle {
-    tx: Sender<Command>,
+    queue: QueueHandle<Command>,
     width: usize,
 }
 
@@ -239,7 +229,7 @@ impl PipelineHandle {
     /// Enqueue the caller's task. A stopped pipeline finishes it with an
     /// error at once.
     pub fn submit(&self, task: Arc<dyn SinkTask>) {
-        if let Err(SendError(Command::Run(task))) = self.tx.send(Command::Run(task)) {
+        if let Err(Command::Run(task)) = self.queue.push(Command::Run(task)) {
             task.finish(Err("pipeline stopped".into()));
         }
     }
@@ -260,22 +250,13 @@ impl PipelineHandle {
     pub fn call(&self, f: impl FnOnce() + Send + 'static) -> CoiEvent {
         let done = CoiEvent::new();
         if self
-            .tx
-            .send(Command::Call(Box::new(f), done.clone()))
+            .queue
+            .push(Command::Call(Box::new(f), done.clone()))
             .is_err()
         {
             done.fail("pipeline stopped");
         }
         done
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        let _ = self.sender.tx.send(Command::Stop);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -303,7 +284,7 @@ fn acquire_order(bufs: &[BufAccess]) -> Inline<usize> {
     order
 }
 
-/// What a pipeline's sink thread runs tasks with.
+/// What a pipeline's queue runs commands with.
 struct Sink {
     rt: Arc<CoiRuntime>,
     width: usize,
@@ -314,6 +295,20 @@ struct Sink {
 }
 
 impl Sink {
+    fn run(&self, cmd: Command) {
+        match cmd {
+            Command::Call(f, done) => match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+                Ok(()) => done.signal(),
+                Err(p) => done.fail(panic_msg(p.as_ref())),
+            },
+            Command::Run(task) => {
+                task.started();
+                let r = std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(&*task)));
+                task.finish(r.unwrap_or_else(|p| Err(panic_msg(p.as_ref()))));
+            }
+        }
+    }
+
     fn execute(&self, task: &dyn SinkTask) -> Result<(), FailureCause> {
         let rt = &*self.rt;
         let (name, args, bufs) = task.call();
@@ -534,9 +529,9 @@ impl<'a> RunCtx<'a> {
         self.wg.width()
     }
 
-    /// The stream's resident expansion pool. Clone the `Arc` *before*
-    /// taking `buf_mut` borrows, then expand with
-    /// [`Workgroup::par_for`]/[`Workgroup::par_chunks_mut`] — the pool
+    /// The stream's expansion group. Clone the `Arc` *before* taking
+    /// `buf_mut` borrows, then expand with
+    /// [`Workgroup::par_for`]/[`Workgroup::par_chunks_mut`] — the group
     /// handle is independent of the operand guards.
     pub fn workgroup(&self) -> &Arc<Workgroup> {
         &self.wg
@@ -605,7 +600,7 @@ impl<'a> RunCtx<'a> {
     }
 
     /// Dynamic-balanced parallel loop over `0..n` across the task's lanes,
-    /// executed by the stream's resident pool (no thread spawns).
+    /// on the runtime's worker pool (no thread spawns).
     pub fn par_for(&self, n: usize, f: impl Fn(usize) + Sync) {
         self.wg.par_for(n, f);
     }
@@ -620,7 +615,7 @@ fn held_mut<'g, 'a>(slot: &'g mut Option<RangeGuard<'a>>) -> &'g mut RangeGuard<
 }
 
 // Tasks that hold `buf_mut` borrows expand via `ctx.workgroup().clone()`
-// captured before the borrow — the pool handle does not alias the guards.
+// captured before the borrow — the group handle does not alias the guards.
 
 #[cfg(test)]
 mod tests {

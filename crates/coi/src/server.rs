@@ -9,11 +9,13 @@
 //! per-direction DMA channels — and the card's streams compute side by side,
 //! as in-process pipelines do.
 //!
-//! **Lanes.** A connection owns its expansion pool, sized once, at its
+//! **Lanes.** A connection owns its expansion group, sized once, at its
 //! `Hello`, by the in-process executor's rule ([`physical_lanes`]): the
 //! stream's width over the card's modelled cores, as a share of this
 //! machine's cores, and never more than this machine's cores whatever the
 //! peer sent. A connection that has not said `Hello` runs tasks on one lane.
+//! The groups of every connection share the worker's one [`WorkerPool`],
+//! one thread per core, started by the first group that needs it.
 //!
 //! Window memory on the worker is real [`WindowMem`]s with the same range
 //! locks as the in-process arena, so concurrent H2D writes and exec operand
@@ -25,6 +27,7 @@
 
 use crate::pipeline::{execute_on, physical_lanes};
 use crate::registry::FnRegistry;
+use crate::workers::WorkerPool;
 use crate::workgroup::Workgroup;
 use hs_fabric::proto::{self, ExecStatus, FrameHeader, Hello, Kind};
 use hs_fabric::{RangeGuard, WindowMem};
@@ -36,7 +39,7 @@ use std::ops::Range;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cooperative shutdown: a signal handler (or test) flips the flag with
 /// [`request_shutdown`]; every connection finishes the request it is
@@ -78,13 +81,14 @@ impl Drop for InflightGuard {
     }
 }
 
-/// Shared state of one worker process: its window table and its function
-/// registry. Expansion pools are the connections' own.
+/// Shared state of one worker process: its window table, its function
+/// registry and the pool its connections' expansion groups run on.
 pub struct WorkerState {
     windows: RwLock<HashMap<u64, Arc<WindowMem>>>,
     registry: Arc<FnRegistry>,
     /// Cores of this machine: the most lanes any task gets here.
     host_cores: usize,
+    pool: OnceLock<Arc<WorkerPool>>,
 }
 
 impl WorkerState {
@@ -98,6 +102,7 @@ impl WorkerState {
             windows: RwLock::new(HashMap::new()),
             registry,
             host_cores,
+            pool: OnceLock::new(),
         })
     }
 
@@ -110,16 +115,28 @@ impl WorkerState {
         self.windows.read().len()
     }
 
-    /// The expansion pool of a connection whose `Hello` is `hello`: the
+    /// The expansion group of a connection whose `Hello` is `hello`: the
     /// lanes [`physical_lanes`] gives a stream `hello.width` cores wide on a
     /// card of `hello.cores`, on this machine. Both numbers are the peer's —
     /// a stream's share of the modelled card, or garbage — and a mask wider
     /// than the card it names would get more lanes than the machine has, so
     /// the count is also held to this machine's cores: never a thread count
-    /// taken from the wire.
+    /// taken from the wire (the pool's threads are this machine's cores).
     fn workgroup(&self, hello: &Hello) -> Arc<Workgroup> {
         let lanes = physical_lanes(hello.width, hello.cores, self.host_cores).min(self.host_cores);
-        Arc::new(Workgroup::new(lanes, format!("wrk{lanes}"), None))
+        if lanes == 1 {
+            return Arc::new(Workgroup::new(1, "wrk1", None));
+        }
+        let pool = self.pool.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+            Arc::new(WorkerPool::new(cores, "hs-wrk-pool"))
+        });
+        Arc::new(Workgroup::on(
+            pool.clone(),
+            lanes,
+            None,
+            hs_obs::ObsHub::new(),
+        ))
     }
 
     fn window(&self, win: u64) -> Result<Arc<WindowMem>, String> {
@@ -250,7 +267,7 @@ impl WorkerState {
         Ok(())
     }
 
-    /// Run an `Exec` request on the connection's pool `wg`; the (status,
+    /// Run an `Exec` request on the connection's group `wg`; the (status,
     /// message) pair becomes the `ExecAck`. Panics are caught so a buggy
     /// kernel fails one task, not the worker — exactly the host-side sink
     /// contract.

@@ -4,114 +4,131 @@
 //! The original implementation spawned fresh OS threads through
 //! `std::thread::scope` on *every* parallel region — exactly the per-action
 //! overhead the paper's §III pooling discussion warns dominates small-tile
-//! streaming. [`Workgroup`] replaces that with a persistent pool: `width-1`
-//! resident worker threads per sink pipeline, parked on a condvar and woken
-//! by publishing a job in a shared epoch-stamped slot. `par_for` /
-//! `par_chunks_mut` become submit-to-resident-pool; after warm-up no thread
-//! is ever spawned on the compute path (asserted through
-//! [`Workgroup::spawned`] in `tests/workgroup_pool.rs`).
+//! streaming. A [`Workgroup`] runs its regions on a [`WorkerPool`] whose
+//! threads all exist before the first region: a pipeline's group on its
+//! runtime's pool ([`crate::CoiRuntime::pool`]), a group made by
+//! [`Workgroup::new`] on a pool of its own with `width - 1` workers. No
+//! thread is ever spawned on the compute path.
 //!
-//! Handoff protocol (memory ordering documented in DESIGN.md §9): the
-//! submitter publishes `(epoch+1, job)` under the slot mutex and notifies;
-//! workers wake, observe the new epoch, run the job, and decrement
-//! `active` under the same mutex — the mutex orders the job pointer
-//! publication before any worker dereferences it, and the final decrement
-//! before the submitter returns. The submitter always executes the job
-//! body itself too (it is worker 0), so a width-w group runs w ways.
+//! A region is a job on that pool (memory ordering in DESIGN.md §9): the
+//! submitter pushes up to `width - 1` helper tickets to the front of the
+//! pool's FIFO and runs the claim loop itself — it is lane 0, and finishes
+//! the region alone if no helper comes. Then it closes the region and waits
+//! for the helpers that entered before it closed. A helper that starts after
+//! the region has closed does nothing.
 //!
 //! The spawn-per-call scoped helpers are retained as free functions at the
 //! bottom: they are the reference implementation the pool is differentially
-//! tested against, and the fallback for one-shot callers with no pipeline.
+//! tested against.
 
+use crate::workers::{Job, WorkerPool};
 use hs_obs::ObsHub;
+use parking_lot::Mutex;
+use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// A type-erased reference to the current parallel job. The pointee is a
-/// `dyn Fn() + Sync` closure on the *submitter's stack*; the submit
-/// protocol guarantees it outlives every worker's use (the submitter does
-/// not return until `active == 0`).
-#[derive(Clone, Copy)]
+/// A type-erased reference to a region's job: a `dyn Fn() + Sync` closure
+/// on the *submitter's stack*. The region protocol guarantees it outlives
+/// every helper's use (the submitter does not return while a helper is
+/// inside the region).
 struct JobRef(*const (dyn Fn() + Sync));
 
-// SAFETY: the raw pointer is only dereferenced by pool workers while the
-// submitting thread is blocked in `run_job`, which keeps the pointee alive;
-// the pointee itself is `Sync` so shared calls from many threads are sound.
+// SAFETY: the pointer is only dereferenced by helpers inside an open region,
+// while the submitter is blocked in `run_job`, which keeps the pointee
+// alive; the pointee is `Sync`, so calls from many threads are sound.
 unsafe impl Send for JobRef {}
+// SAFETY: as for `Send` — sharing the pointer only ever shares the `Sync`
+// closure behind it.
+unsafe impl Sync for JobRef {}
 
-struct Slot {
-    /// Bumped once per published job; workers run each epoch exactly once.
-    epoch: u64,
-    job: Option<JobRef>,
-    /// Workers still running the current epoch's job.
-    active: usize,
-    /// First panic payload captured from a worker this epoch.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    shutdown: bool,
+/// `Region::state` bit: the submitter's claim loop is over; no helper may
+/// enter any more.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+
+/// One parallel region, shared by its submitter and its helper tickets.
+struct Region {
+    /// Helpers inside the region, plus [`CLOSED`].
+    state: AtomicUsize,
+    job: JobRef,
+    /// First panic payload captured from a helper.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    submitter: std::thread::Thread,
 }
 
-struct Shared {
-    slot: Mutex<Slot>,
-    /// Workers park here between jobs.
-    work_cv: Condvar,
-    /// The submitter parks here until `active` drains to zero.
-    done_cv: Condvar,
+impl Job for Region {
+    /// A helper ticket: enter unless closed, run the claim loop, leave.
+    fn run(self: Arc<Self>) {
+        let mut s = self.state.load(Ordering::Acquire);
+        loop {
+            if s & CLOSED != 0 {
+                return; // the submitter finished without us
+            }
+            match self
+                .state
+                .compare_exchange_weak(s, s + 1, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => break,
+                Err(now) => s = now,
+            }
+        }
+        // SAFETY: this helper entered before `CLOSED` was set, so the
+        // submitter waits in `run_job` until the decrement below: the
+        // closure behind the pointer is alive for the whole call.
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*self.job.0)() }));
+        if let Err(p) = r {
+            let mut first = self.panic.lock();
+            if first.is_none() {
+                *first = Some(p);
+            }
+        }
+        if self.state.fetch_sub(1, Ordering::AcqRel) == CLOSED + 1 {
+            self.submitter.unpark();
+        }
+    }
 }
 
-/// A persistent pool of `width - 1` resident worker threads (the submitter
-/// is the width-th). Workers are spawned lazily on the first parallel
-/// region that needs them and then live until the group is dropped.
+/// `width` expansion lanes over a [`WorkerPool`]: the submitter of a
+/// region is lane 0, pool workers are the others.
 pub struct Workgroup {
-    shared: Arc<Shared>,
+    pool: Arc<WorkerPool>,
     width: usize,
-    /// Advisory CPU affinity (the owning stream's mask bits); used for
-    /// worker naming/diagnostics — OS pinning is out of scope (DESIGN §10).
+    /// Advisory CPU affinity (the owning stream's mask bits), kept for
+    /// diagnostics — OS pinning is out of scope (DESIGN §10).
     affinity: Option<u128>,
-    label: String,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// OS threads this group has ever spawned — the "no spawns after
-    /// warm-up" regression guard. Per group, so tests that run side by side
-    /// cannot see each other's pools.
-    spawned: AtomicUsize,
-    /// Serializes parallel regions submitted from different threads.
-    submit: Mutex<()>,
-    /// Pool occupancy/spawn metrics sink (a disabled hub by default).
+    /// Parallel regions opened so far.
+    regions: AtomicU64,
+    /// Occupancy/region metrics sink (a disabled hub for a standalone group).
     obs: ObsHub,
 }
 
 impl Workgroup {
-    /// A group of `width` expansion lanes labelled `label` (used in worker
-    /// thread names). `affinity` carries the owning stream's CPU-mask bits.
+    /// A group of `width` lanes on a pool of its own: `width - 1` workers,
+    /// spawned here and named after `label`. `affinity` carries the owning
+    /// stream's CPU-mask bits.
     pub fn new(width: usize, label: impl Into<String>, affinity: Option<u128>) -> Workgroup {
         assert!(width >= 1, "workgroup width must be >= 1");
-        Workgroup {
-            shared: Arc::new(Shared {
-                slot: Mutex::new(Slot {
-                    epoch: 0,
-                    job: None,
-                    active: 0,
-                    panic: None,
-                    shutdown: false,
-                }),
-                work_cv: Condvar::new(),
-                done_cv: Condvar::new(),
-            }),
-            width,
-            affinity,
-            label: label.into(),
-            workers: Mutex::new(Vec::new()),
-            spawned: AtomicUsize::new(0),
-            submit: Mutex::new(()),
-            obs: ObsHub::new(),
-        }
+        let pool = WorkerPool::new(width - 1, &format!("hs-wg-{}", label.into()));
+        Workgroup::on(Arc::new(pool), width, affinity, ObsHub::new())
     }
 
-    /// Route pool metrics (occupancy gauge, region counter) to `hub`.
-    /// Called by the owning pipeline before the group is shared.
-    pub fn set_obs(&mut self, hub: ObsHub) {
-        self.obs = hub;
+    /// A group of `width` lanes whose regions run on `pool`'s workers,
+    /// reporting occupancy and regions to `obs`.
+    pub fn on(
+        pool: Arc<WorkerPool>,
+        width: usize,
+        affinity: Option<u128>,
+        obs: ObsHub,
+    ) -> Workgroup {
+        assert!(width >= 1, "workgroup width must be >= 1");
+        Workgroup {
+            pool,
+            width,
+            affinity,
+            regions: AtomicU64::new(0),
+            obs,
+        }
     }
 
     pub fn width(&self) -> usize {
@@ -123,85 +140,52 @@ impl Workgroup {
         self.affinity
     }
 
-    /// Resident worker threads currently alive (0 until first expansion).
-    pub fn resident_workers(&self) -> usize {
-        self.workers.lock().expect("workgroup mutex").len()
+    /// The pool this group's regions run on.
+    pub fn pool(&self) -> &Arc<WorkerPool> {
+        &self.pool
     }
 
-    /// Worker threads this group has spawned since it was created.
-    pub fn spawned(&self) -> usize {
-        self.spawned.load(Ordering::Relaxed)
+    /// Parallel regions opened so far. A width-1 group, and a loop too short
+    /// to split, run inline and open none.
+    pub fn regions(&self) -> u64 {
+        self.regions.load(Ordering::Relaxed)
     }
 
-    /// Spawn the resident workers if this is the first parallel region.
-    fn ensure_workers(&self) {
-        let mut ws = self.workers.lock().expect("workgroup mutex");
-        if !ws.is_empty() {
-            return;
-        }
-        // Name workers after the cores of the stream's mask when known.
-        let cores: Vec<u32> = match self.affinity {
-            Some(bits) => (0..128).filter(|i| (bits >> i) & 1 == 1).collect(),
-            None => (0..self.width as u32).collect(),
-        };
-        for w in 1..self.width {
-            let shared = self.shared.clone();
-            let core = cores.get(w).copied().unwrap_or(w as u32);
-            self.spawned.fetch_add(1, Ordering::Relaxed);
-            let h = std::thread::Builder::new()
-                .name(format!("hs-wg-{}-c{core}", self.label))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawning a workgroup worker");
-            ws.push(h);
-        }
-    }
-
-    /// Run `job` on all lanes of the group (submitter included) and wait
-    /// for every lane to finish. Worker panics are re-raised here, after
-    /// the slot state has been reset — a panicking task never poisons the
-    /// pool.
+    /// Run `job` on up to `width` lanes (submitter included) and return once
+    /// every lane that took part is done. Helper panics are re-raised here —
+    /// a panicking task fails its region, never the pool.
     fn run_job(&self, job: &(dyn Fn() + Sync)) {
         debug_assert!(self.width > 1, "width-1 groups run inline");
-        self.ensure_workers();
-        // Serialize whole parallel regions: a second submitter (pools are
-        // normally driven by a single pipeline thread, but benches may
-        // share one) waits for the previous region to fully drain.
-        let _region = self.submit.lock().expect("workgroup mutex");
+        self.regions.fetch_add(1, Ordering::Relaxed);
         self.obs.counter_add("wg.regions", 1);
         self.obs.gauge_add("wg.active_lanes", self.width as i64);
-        // SAFETY: lifetime erasure, see `JobRef`. `run_job` blocks below
-        // until `active == 0`, so `job` outlives all worker use; the
-        // transmute only widens lifetimes on an otherwise identical type.
+        // SAFETY: lifetime erasure, see `JobRef`. `run_job` does not return
+        // while a helper is inside the region, so `job` outlives all helper
+        // use; the transmute only widens lifetimes on an otherwise identical
+        // type.
         let erased = JobRef(unsafe {
             std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync + 'static)>(job)
                 as *const _
         });
-        {
-            let mut s = self.shared.slot.lock().expect("workgroup mutex");
-            debug_assert_eq!(s.active, 0, "previous job fully drained");
-            s.epoch += 1;
-            s.job = Some(erased);
-            s.active = self.width - 1;
-            self.shared.work_cv.notify_all();
-        }
-        // The submitter is lane 0: run the same claim-loop body inline.
+        let region = Arc::new(Region {
+            state: AtomicUsize::new(0),
+            job: erased,
+            panic: Mutex::new(None),
+            submitter: std::thread::current(),
+        });
+        let helpers = (self.width - 1).min(self.pool.size());
+        self.pool.push_helpers(region.clone(), helpers);
+        // The submitter is lane 0: the same claim loop, inline.
         let caller_panic = std::panic::catch_unwind(AssertUnwindSafe(job)).err();
-        // Wait for the workers to drain, then collect any worker panic.
-        let worker_panic = {
-            let mut s = self.shared.slot.lock().expect("workgroup mutex");
-            while s.active > 0 {
-                s = self.shared.done_cv.wait(s).expect("workgroup mutex");
+        if region.state.fetch_or(CLOSED, Ordering::AcqRel) != 0 {
+            while region.state.load(Ordering::Acquire) != CLOSED {
+                std::thread::park();
             }
-            s.job = None;
-            s.panic.take()
-        };
-        // Decrement occupancy before any unwind so the gauge stays balanced
-        // even when a task panics.
+        }
+        // Balance the occupancy gauge before any unwind.
         self.obs.gauge_add("wg.active_lanes", -(self.width as i64));
-        if let Some(p) = caller_panic.or(worker_panic) {
-            // Release the region lock before unwinding so a panicking task
-            // cannot poison the pool for the next parallel region.
-            drop(_region);
+        let helper_panic = region.panic.lock().take();
+        if let Some(p) = caller_panic.or(helper_panic) {
             std::panic::resume_unwind(p);
         }
     }
@@ -271,54 +255,6 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 // SAFETY: same — the pointer itself is only read (offset arithmetic).
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
-fn worker_loop(shared: &Shared) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut s = shared.slot.lock().expect("workgroup mutex");
-            loop {
-                if s.shutdown {
-                    return;
-                }
-                if s.epoch != seen {
-                    if let Some(j) = s.job {
-                        seen = s.epoch;
-                        break j;
-                    }
-                }
-                s = shared.work_cv.wait(s).expect("workgroup mutex");
-            }
-        };
-        // SAFETY: the submitter blocks in `run_job` until this worker
-        // decrements `active` below, so the closure behind the pointer is
-        // alive for the whole call.
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
-        let mut s = shared.slot.lock().expect("workgroup mutex");
-        if let Err(p) = r {
-            if s.panic.is_none() {
-                s.panic = Some(p);
-            }
-        }
-        s.active -= 1;
-        if s.active == 0 {
-            shared.done_cv.notify_all();
-        }
-    }
-}
-
-impl Drop for Workgroup {
-    fn drop(&mut self) {
-        {
-            let mut s = self.shared.slot.lock().expect("workgroup mutex");
-            s.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
-        for h in self.workers.lock().expect("workgroup mutex").drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// The shared claim loop: grab chunks of indices until the counter passes
 /// `n`. Run by every lane of a parallel region (pooled or scoped).
 fn claim_loop(counter: &AtomicUsize, chunk: usize, n: usize, f: &(dyn Fn(usize) + Sync)) {
@@ -337,8 +273,8 @@ fn claim_loop(counter: &AtomicUsize, chunk: usize, n: usize, f: &(dyn Fn(usize) 
 
 /// Dynamic-balanced parallel loop over `0..n` with `width` *freshly
 /// spawned* threads (including the caller). Reference implementation and
-/// fallback for one-shot callers; pipelines use the resident
-/// [`Workgroup`] instead.
+/// fallback for one-shot callers; pipelines use their [`Workgroup`]
+/// instead.
 pub fn par_for(width: usize, n: usize, f: impl Fn(usize) + Sync) {
     if width <= 1 || n <= 1 {
         for i in 0..n {

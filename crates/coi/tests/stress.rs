@@ -155,9 +155,12 @@ fn overlapping_reads_run_concurrently_across_pipelines() {
         .map(|p| p.run("read_slow", Bytes::new(), vec![(w.id(), 0..256, false)]))
         .collect();
     CoiEvent::wait_all(&events).expect("all run");
-    assert!(
-        peak.load(Ordering::SeqCst) >= 3,
-        "read-read overlap must be concurrent, peak {}",
-        peak.load(Ordering::SeqCst)
+    // Pipelines are queues on the runtime's pool: at most one per worker
+    // runs at a time, and read-read range locks never hold any of them back.
+    let reachable = pipes.len().min(rt.pool().size()) as u64;
+    assert_eq!(
+        peak.load(Ordering::SeqCst),
+        reachable,
+        "read-read overlap must be concurrent up to the pool's workers"
     );
 }

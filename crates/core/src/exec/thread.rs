@@ -1,13 +1,16 @@
 //! The real-thread executor.
 //!
-//! Streams map to COI pipelines (one sink thread each,
-//! [`hs_coi::physical_lanes`] threads for task expansion, here or in the
-//! worker of a remote card); transfers run on per-(card, direction) DMA
-//! worker threads, serialized per direction like PCIe DMA channels and
-//! optionally paced to link speed. Dependences resolve via event callbacks:
-//! the last completing dependence dispatches the action from its own thread,
-//! so the source never blocks and independent actions overtake blocked ones
-//! — the out-of-order-under-FIFO-semantics behaviour of the paper.
+//! Streams map to COI pipelines ([`hs_coi::physical_lanes`] lanes for task
+//! expansion, here or in the worker of a remote card); transfers run on
+//! per-(card, direction) DMA queues, serialized per direction like PCIe DMA
+//! channels and optionally paced to link speed. Pipelines and DMA queues
+//! are serial queues on the runtime's worker pool, `host_cores` threads
+//! however many streams there are; the ones whose items block — a remote
+//! card's, and every paced DMA queue — run on threads of their own instead.
+//! Dependences resolve via event callbacks: the last completing dependence
+//! dispatches the action from its own thread, so the source never blocks
+//! and independent actions overtake blocked ones — the
+//! out-of-order-under-FIFO-semantics behaviour of the paper.
 //!
 //! Error-path invariant: dispatch never panics. Malformed specs (bad stream
 //! index, real transfer without a card), dispatch after executor shutdown,
@@ -19,11 +22,11 @@ use super::{ActionSpec, BackendEvent, BatchDep, SubmitOpts};
 use crate::sync::{
     Arc, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OnceLock, Ordering, RwLock,
 };
-use crossbeam::channel::{unbounded, Sender};
 use hs_chaos::{ChaosHub, FailureCause, Injection, RetryPolicy};
 use hs_coi::pipeline::BufAccess;
 use hs_coi::{
-    CoiEvent, CoiRuntime, Dependent, EngineId, EventCore, EventHost, EventStatus, SinkTask,
+    CoiEvent, CoiRuntime, Dependent, EngineId, EventCore, EventHost, EventStatus, QueueHandle,
+    SerialQueue, SinkTask, WorkerPool,
 };
 use hs_fabric::Pacer;
 use hs_machine::PlatformCfg;
@@ -33,53 +36,8 @@ use std::sync::Weak;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-enum DmaMsg {
-    /// A transfer whose dependences resolved: the worker borrows the
-    /// caller's record for the copy and reports the result to it.
-    Job(Arc<ActionRun>),
-    /// Shutdown sentinel: the worker drains everything queued before it
-    /// (channel FIFO), then exits — dropping the receiver, so any *later*
-    /// send fails and the sender fails the action instead of panicking.
-    Stop,
-}
-
-struct DmaWorker {
-    tx: Sender<DmaMsg>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl DmaWorker {
-    fn spawn(name: String) -> DmaWorker {
-        let (tx, rx) = unbounded::<DmaMsg>();
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        DmaMsg::Job(run) => run.transfer(),
-                        DmaMsg::Stop => break,
-                    }
-                }
-            })
-            .expect("spawning a DMA worker thread");
-        DmaWorker {
-            tx,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for DmaWorker {
-    fn drop(&mut self) {
-        // A sentinel, not a channel swap: sender clones held by the dispatch
-        // context would otherwise keep the old receiver's loop blocked in
-        // recv() forever and this join would hang.
-        let _ = self.tx.send(DmaMsg::Stop);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
+/// A card's DMA direction: transfers in dispatch order, one at a time.
+type DmaQueue = SerialQueue<Arc<ActionRun>>;
 
 /// What the timer wheel does to an action's record when its instant comes.
 enum TimerJob {
@@ -187,8 +145,8 @@ impl Drop for TimerWheel {
     }
 }
 
-/// How long `Drop` waits for outstanding actions before tearing down sink
-/// threads. Bounded so an action with a never-resolvable dependence cannot
+/// How long `Drop` waits for outstanding actions before closing the sink
+/// and DMA queues. Bounded so an action with a never-resolvable dependence cannot
 /// hang shutdown; such actions fail cleanly when they later try to
 /// dispatch into closed channels.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
@@ -214,8 +172,8 @@ pub struct ThreadExec {
     pipes: Mutex<Vec<hs_coi::Pipeline>>,
     /// Cached dispatch context, shared by every in-flight action.
     ctx: RwLock<Arc<DispatchCtx>>,
-    /// Per card: [h2d, d2h] workers. Index = card domain index - 1.
-    dma: Vec<[DmaWorker; 2]>,
+    /// Per card: [h2d, d2h] queues. Index = card domain index - 1.
+    dma: Vec<[DmaQueue; 2]>,
     /// Measurement baseline: stamped at the *first submit*, not at `new()`,
     /// so pipeline/worker spawn cost does not leak into measured time.
     started: OnceLock<Instant>,
@@ -228,8 +186,8 @@ pub struct ThreadExec {
     /// Monotonic submission counter, used as the deterministic per-action
     /// salt for retry-backoff jitter.
     submitted: AtomicU64,
-    /// Declared last so sink/DMA threads are gone before the timer thread
-    /// (nothing can schedule after them).
+    /// Declared last so the sink and DMA queues are closed before the timer
+    /// thread goes (nothing can schedule after them).
     timer: TimerWheel,
 }
 
@@ -273,12 +231,20 @@ impl ThreadExec {
             .collect();
         let ncards = pacers.len();
         let coi = CoiRuntime::new_with_endpoints(pacers, obs.clone(), chaos.clone(), remotes)?;
-        let dma: Vec<[DmaWorker; 2]> = (0..ncards)
+        let dma: Vec<[DmaQueue; 2]> = (0..ncards)
             .map(|c| {
-                [
-                    DmaWorker::spawn(format!("hs-dma-c{c}-h2d")),
-                    DmaWorker::spawn(format!("hs-dma-c{c}-d2h")),
-                ]
+                // Paced and wire transfers block for their duration: each
+                // direction gets a thread of its own, so the runtime's workers
+                // stay on compute.
+                let blocking = paced || coi.fabric().is_remote(hs_fabric::NodeId(c as u16 + 1));
+                ["h2d", "d2h"].map(|dir| {
+                    let pool = if blocking {
+                        Arc::new(WorkerPool::new(1, &format!("hs-dma-c{c}-{dir}")))
+                    } else {
+                        coi.pool().clone()
+                    };
+                    SerialQueue::new(pool, ActionRun::transfer)
+                })
             })
             .collect();
         let timer = TimerWheel::spawn();
@@ -316,14 +282,8 @@ impl ThreadExec {
         &self.coi
     }
 
-    /// Expansion worker threads spawned by the live streams' workgroups.
-    pub fn spawned_workers(&self) -> usize {
-        let pipes = self.pipes.lock();
-        pipes.iter().map(|p| p.workgroup().spawned()).sum()
-    }
-
-    /// Physical lanes summed over the live streams: the OS threads their
-    /// tasks can occupy at once (sink threads included).
+    /// Physical lanes summed over the live streams: the lanes their tasks'
+    /// parallel regions ask the pool for.
     pub fn lanes(&self) -> usize {
         self.pipes.lock().iter().map(|p| p.lanes()).sum()
     }
@@ -341,9 +301,9 @@ impl ThreadExec {
     }
 
     /// Rebind stream `idx`'s sink pipeline to the host engine (card-loss
-    /// degradation). The old pipeline drops: its queued commands drain
-    /// against the lost card's windows (their results are discarded by the
-    /// replay) and its sink thread joins. The stream keeps its logical
+    /// degradation). The old pipeline drops: its queue closes and what it
+    /// holds drains against the lost card's windows (their results are
+    /// discarded by the replay). The stream keeps its logical
     /// width and mask; its lanes are worked out afresh for the host.
     pub fn remap_stream_to_host(&self, idx: usize) {
         let mut pipes = self.pipes.lock();
@@ -506,7 +466,7 @@ impl ThreadExec {
 fn make_ctx(
     coi: &Arc<CoiRuntime>,
     pipes: &[hs_coi::Pipeline],
-    dma: &[[DmaWorker; 2]],
+    dma: &[[DmaQueue; 2]],
     obs: &ObsHub,
     chaos: &ChaosHub,
     timer: &Arc<TimerShared>,
@@ -521,7 +481,7 @@ fn make_ctx(
         pipe_cards: pipes.iter().map(|p| p.engine().0 as u32).collect(),
         dma: dma
             .iter()
-            .map(|pair| [pair[0].tx.clone(), pair[1].tx.clone()])
+            .map(|pair| [pair[0].handle(), pair[1].handle()])
             .collect(),
         dma_queue_keys: (1..=dma.len())
             .map(|card| ["h2d", "d2h"].map(|dir| format!("dma.c{card}.{dir}.queue")))
@@ -564,9 +524,9 @@ impl Outstanding {
 
 impl Drop for ThreadExec {
     fn drop(&mut self) {
-        // Drain outstanding actions (bounded) before tearing down the sink
-        // and DMA threads, so normally-completing work finishes and only
-        // genuinely stuck actions see closed channels.
+        // Drain outstanding actions (bounded) before closing the sink and
+        // DMA queues, so normally-completing work finishes and only
+        // genuinely stuck actions see closed queues.
         let deadline = Instant::now() + DRAIN_BUDGET;
         let out = &mut self.outstanding.get_mut().runs;
         for run in out.iter() {
@@ -594,8 +554,8 @@ impl Drop for ThreadExec {
         for run in out.iter() {
             run.retire();
         }
-        // Fields then drop in declaration order: pipelines (join their sink
-        // threads) before DMA workers (Stop sentinel + join).
+        // Fields then drop in declaration order: pipelines, then DMA queues.
+        // Each closes, and what it still holds drains on its pool.
     }
 }
 
@@ -606,7 +566,7 @@ struct DispatchCtx {
     /// Engine index behind each pipeline (0 = host), for compute-site
     /// fault consultation.
     pipe_cards: Vec<u32>,
-    dma: Vec<[Sender<DmaMsg>; 2]>,
+    dma: Vec<[QueueHandle<Arc<ActionRun>>; 2]>,
     /// Queue-depth gauge names, per card and direction like `dma`.
     dma_queue_keys: Vec<[String; 2]>,
     obs: ObsHub,
@@ -618,7 +578,7 @@ struct DispatchCtx {
 /// spec (retained, not consumed, so transient-fault attempts re-dispatch
 /// it), the completion state `BackendEvent::Thread` hands out views of, the
 /// dependence countdown, and the retry state. The enqueuing thread allocates
-/// it; sink pipelines ([`SinkTask`]) and DMA workers borrow it through an
+/// it; sink pipelines ([`SinkTask`]) and DMA queues borrow it through an
 /// `Arc` and report each attempt's result to [`ActionRun::finish`]; producers
 /// list it as their [`Dependent`]. The outstanding list and the event-table
 /// slot hold the references that outlive completion, and both are swept on
@@ -691,7 +651,7 @@ impl ActionRun {
         }
     }
 
-    /// The DMA worker's half of a transfer: copy, then report.
+    /// The DMA queue's half of a transfer: copy, then report.
     fn transfer(self: Arc<Self>) {
         let ActionSpec::Transfer {
             card_domain: Some(card),
@@ -701,7 +661,7 @@ impl ActionRun {
             ..
         } = &self.spec
         else {
-            unreachable!("only real card transfers are queued on DMA workers");
+            unreachable!("only real card transfers are queued on DMA queues");
         };
         if self.obs.is_enabled() {
             let key = &self.ctx.dma_queue_keys[card - 1][usize::from(!h2d)];
@@ -768,11 +728,11 @@ impl SinkTask for ActionRun {
 }
 
 /// Run one attempt of an action whose dependences have all resolved (or
-/// whose backoff is over): route it to its sink pipeline or DMA worker,
+/// whose backoff is over): route it to its sink pipeline or DMA queue,
 /// which reports back through [`ActionRun::finish`].
 ///
 /// Never panics: a malformed spec, a stopped pipeline and a closed DMA
-/// channel all *finish the attempt with an error*, which reaches waiters and
+/// queue all *finish the attempt with an error*, which reaches waiters and
 /// dependents instead of aborting whichever thread ran the dispatch.
 fn dispatch_attempt(run: &Arc<ActionRun>) {
     if run.ev.is_complete() {
@@ -837,7 +797,7 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
                     "malformed transfer '{label}': real transfer without a card domain"
                 )));
             };
-            let Some(workers) = ctx.dma.get(card) else {
+            let Some(queues) = ctx.dma.get(card) else {
                 return refuse(FailureCause::Malformed(format!(
                     "malformed transfer '{label}': card domain {} out of range ({} cards)",
                     card + 1,
@@ -850,9 +810,9 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
             if let Some(key) = queue_key {
                 ctx.obs.gauge_add(key, 1);
             }
-            if workers[dir].send(DmaMsg::Job(run.clone())).is_err() {
+            if queues[dir].push(run.clone()).is_err() {
                 // Executor shut down between dependence resolution and
-                // dispatch: the channel's receiver is gone.
+                // dispatch: the queue is closed.
                 if let Some(key) = queue_key {
                     ctx.obs.gauge_add(key, -1);
                 }
@@ -886,7 +846,7 @@ mod tests {
                     .map(|m| physical_lanes(m.count(), modelled, host_cores))
                     .collect();
                 for (m, &l) in masks.iter().zip(&lanes) {
-                    assert!(l >= 1, "a stream always has its sink thread");
+                    assert!(l >= 1, "a stream always has one lane");
                     assert!(l <= m.count() as usize, "never wider than the mask");
                 }
                 let total: usize = lanes.iter().sum();
@@ -897,7 +857,7 @@ mod tests {
             }
         }
         // The two hosts the rule was sized on: this 2-core one runs every
-        // stream of the 28 + 60 core model on its sink thread alone; a real
+        // stream of the 28 + 60 core model on one lane; a real
         // 28-core host gives the halves of each domain 4 + 4 + 9 + 9.
         assert_eq!(physical_lanes(14, 88, 2), 1);
         assert_eq!(physical_lanes(30, 88, 2), 1);

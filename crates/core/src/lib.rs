@@ -22,8 +22,8 @@
 //!   properties ([`HStreams::buffer_create`]).
 //!
 //! Two executors run the same semantics: [`ExecMode::Threads`] executes
-//! tasks for real (sink pipelines over a COI/SCIF-like substrate, DMA worker
-//! threads, optional PCIe-speed pacing), and [`ExecMode::Sim`] replays the
+//! tasks for real (sink pipelines and DMA queues over a COI/SCIF-like
+//! substrate, run by one worker pool, optional PCIe-speed pacing), and [`ExecMode::Sim`] replays the
 //! schedule in virtual time with the calibrated cost model of
 //! [`hs_machine`] — the mode used to regenerate the paper's figures.
 //!
@@ -1473,8 +1473,6 @@ impl HStreams {
                 snap.extra
                     .insert(format!("{key}.rtt_us"), link.rtt_ns as f64 / 1e3);
             }
-            snap.extra
-                .insert("wg.spawned_workers".to_string(), t.spawned_workers() as f64);
             snap.extra.insert("wg.lanes".to_string(), t.lanes() as f64);
             // Window capacity the buffer pools hold registered, all domains:
             // against the bytes of the live buffers it is what pooling costs.

@@ -235,7 +235,7 @@ impl Fabric {
 
     /// DMA `len` bytes from `(src, src_off)` to `(dst, dst_off)`. Windows may
     /// live on any nodes; pacing applies when either side is a card. Blocks
-    /// until the copy completes (callers run it on sink/DMA threads).
+    /// until the copy completes (callers run it on sink and DMA queues).
     ///
     /// Local↔local copies are a range-locked `memcpy` stretched to the
     /// modelled link time. When either side is remote the payload crosses

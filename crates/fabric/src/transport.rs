@@ -112,7 +112,7 @@ pub struct LinkStats {
 }
 
 /// Backend for one fabric node's windows. See the module docs for the
-/// contract; all methods are callable concurrently from DMA workers,
+/// contract; all methods are callable concurrently from DMA queues,
 /// pipeline sinks and the front-end.
 pub trait Transport: Send + Sync {
     /// `"local"`, `"uds"`, `"tcp"` — for diagnostics and metrics.

@@ -101,7 +101,7 @@ pub fn spans(records: &[ObsRecord]) -> Vec<Span<'_>> {
                 return None;
             }
             // Sim mode derives sink_start as end - service; real mode
-            // stamps it on the sink thread.
+            // stamps it on the thread that runs the sink's queue item.
             let start_ns = sink_start
                 .or_else(|| at(ObsPhase::Dispatched))
                 .unwrap_or(enqueued)
