@@ -27,7 +27,7 @@ pub mod solver;
 pub mod tilebuf;
 pub mod tuned;
 
-use hstreams_core::{DomainId, Event, HStreams, HsResult, StreamId};
+use hstreams_core::{CpuMask, DomainId, Event, HStreams, HsResult, StreamId};
 
 /// Create `n` worker streams on `domain`, honoring an optional tuned mask
 /// width: `None` keeps the classic even partition of the domain's cores
@@ -61,7 +61,12 @@ pub fn domain_streams(
     };
     match mask_width {
         None => hs.app_init(&[(domain, n)]),
-        Some(w) => hs.app_init_masked(domain, n, w.clamp(1, (cores / n as u32).max(1))),
+        Some(w) => {
+            let w = w.clamp(1, (cores / n as u32).max(1));
+            (0..n as u32)
+                .map(|i| hs.stream_create(domain, CpuMask::range(i * w, w)))
+                .collect()
+        }
     }
 }
 

@@ -69,7 +69,7 @@ pub fn run_supernode(hs: &mut HStreams, cfg: &SupernodeConfig) -> HsResult<Super
         SupernodeTarget::CardOffload => DomainId(1),
         SupernodeTarget::HostStreams => DomainId::HOST,
     };
-    if target.0 >= hs.num_domains() {
+    if target.0 >= hs.platform().domains.len() {
         return Err(hstreams_core::HsError::UnknownDomain(target));
     }
     let mut streams = Vec::new();
@@ -268,7 +268,9 @@ pub fn run_workload(platform: &PlatformCfg, w: &Workload) -> HsResult<WorkloadRe
             events.push(ev);
         }
         // Level barrier: ancestors consume every child's contribution.
-        hs.event_wait_all(&events)?;
+        for ev in events {
+            hs.event_wait(ev)?;
+        }
     }
     let solver_secs = hs.now_secs() - t0;
 

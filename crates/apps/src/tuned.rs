@@ -6,7 +6,7 @@
 //! on whatever runtime the tuner hands it (sim for search, threads for
 //! validation). Validation runs the same schedule at a scaled-down
 //! problem size (`validate_n`) — but with one deliberate asymmetry: the
-//! probe holds the **tile fixed** across candidates ([`probe_tile`]) and
+//! probe holds the **tile fixed** across candidates (`probe_tile`) and
 //! lets the wall clock arbitrate only streams and mask width. Tile
 //! preference does not survive problem-size scaling (per-task wall time
 //! changes cache regime, measured non-monotone at probe sizes), so a

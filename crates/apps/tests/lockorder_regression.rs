@@ -90,7 +90,7 @@ fn pipelines_obey_the_documented_lock_order() {
     lockorder::enable();
     {
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let r = matmul::run(&mut hs, &cfg).expect("matmul runs");
         assert!(r.max_err.expect("verified") < 1e-10);
         hs.wal_checkpoint();

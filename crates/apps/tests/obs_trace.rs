@@ -66,7 +66,7 @@ fn traced_matmul_span_count_matches_enqueued_actions() {
     run(&mut hs, &cfg).expect("matmul runs");
 
     let expected = hs.stats().computes() + hs.stats().transfers() - hs.stats().transfers_elided();
-    let json = hs.export_chrome_trace();
+    let json = chrome::chrome_trace_json(&hs.take_obs_records());
     let check = chrome::validate(&json).expect("trace validates");
     assert_eq!(
         check.spans as u64, expected,
@@ -74,11 +74,11 @@ fn traced_matmul_span_count_matches_enqueued_actions() {
     );
     assert_eq!(
         check.stream_rows,
-        hs.num_streams(),
+        hs.stats().count("stream_create") as usize,
         "one trace row per stream"
     );
-    // Export drained the records: a second export is empty.
-    let empty = chrome::validate(&hs.export_chrome_trace());
+    // The first drain took the records: a second export is empty.
+    let empty = chrome::validate(&chrome::chrome_trace_json(&hs.take_obs_records()));
     assert!(empty.is_err() || empty.unwrap().spans == 0);
 }
 

@@ -39,7 +39,7 @@ pub struct CuEvent {
 
 /// A device pointer: (device, allocation id). The *caller* tracks one per
 /// (array, device) pair — the bookkeeping burden the paper contrasts with
-/// hStreams' single proxy address.
+/// hStreams' one id per buffer, whatever the domains it is instantiated in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DevPtr {
     pub device: DomainId,
@@ -91,7 +91,7 @@ impl CudaLike {
     }
 
     pub fn device_count(&self) -> usize {
-        self.hs.num_domains().saturating_sub(1)
+        self.hs.platform().domains.len().saturating_sub(1)
     }
 
     /// `cudaStreamCreate` — whole-device stream (CUDA cannot subdivide a

@@ -185,7 +185,7 @@ fn measure(
             hs.durability_opts(w.root, true, w.batch_ms)
                 .expect("durability on");
         } else {
-            hs.durability(w.root).expect("durability on");
+            hs.durability_opts(w.root, false, 0).expect("durability on");
         }
     }
     let lanes: Vec<Vec<Lane>> = (0..threads)

@@ -33,7 +33,7 @@ fn traced_run(path: &str, n: usize, records: &mut Vec<JsonRecord>) {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
     hs.obs_enable(true);
     let res = run(&mut hs, &cfg).expect("matmul runs");
-    let trace = hs.export_chrome_trace();
+    let trace = hs_obs::chrome::chrome_trace_json(&hs.take_obs_records());
     std::fs::write(path, &trace).unwrap_or_else(|e| panic!("writing trace {path}: {e}"));
     let spans = hs.stats().computes() + hs.stats().transfers() - hs.stats().transfers_elided();
     println!("wrote Chrome trace ({spans} expected spans) to {path}");
@@ -92,7 +92,7 @@ fn chaos_smoke(seed: u64) {
         hs.chaos_install(FaultPlan::smoke(seed));
         run(&mut hs, &cfg).expect("chaotic sim matmul must recover");
         assert_eq!(hs.degraded_cards(), &[1], "sim run degrades too");
-        let trace = hs.export_chrome_trace();
+        let trace = hs_obs::chrome::chrome_trace_json(&hs.take_obs_records());
         std::fs::write(&path, &trace).unwrap_or_else(|e| panic!("writing trace {path}: {e}"));
         println!("wrote chaotic Chrome trace to {path}");
     }

@@ -27,7 +27,7 @@ pub enum EventStatus {
 }
 
 /// Something released by an event's completion: a dependent action's
-/// countdown, or an [`CoiEvent::on_complete`] callback.
+/// countdown, or an [`EventCore::on_complete`] callback.
 pub trait Dependent: Send + Sync {
     /// The producer completed with `status` (never `Pending`). Runs on the
     /// completing thread, or inline on the registering thread when the

@@ -85,7 +85,7 @@ thread_local! {
     static LIFO: Cell<Option<Arc<dyn Job>>> = const { Cell::new(None) };
 }
 
-/// A fixed set of worker threads serving one FIFO of [`Job`]s, plus a LIFO
+/// A fixed set of worker threads serving one FIFO of `Job`s, plus a LIFO
 /// slot per worker. Every thread is spawned by [`WorkerPool::new`].
 pub struct WorkerPool {
     shared: Arc<Shared>,

@@ -187,9 +187,9 @@ mod tests {
         hs.app_memset(s, b, 0..64, 0x2a).expect("memset");
         hs.xfer_to_source(s, b, 0..64).expect("d2h");
         hs.stream_synchronize(s).expect("sync");
-        let mut out = [0u8; 64];
-        hs.buffer_read(b, 0, &mut out).expect("read");
-        assert!(out.iter().all(|&x| x == 0x2a));
+        let mut out = [0.0; 8];
+        hs.buffer_read_f64(b, 0, &mut out).expect("read");
+        assert!(out.iter().all(|x| x.to_le_bytes() == [0x2a; 8]));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Buffers: memory encapsulation with per-domain instantiation.
 //!
-//! A buffer owns a proxy-address interval (see [`crate::addrspace`]) and a
-//! set of *instantiations*, one per domain where a tuner materialized it.
+//! Every call names memory as a [`BufferId`] plus a byte offset — the
+//! (buffer, offset) pair the paper's source proxy address translates to —
+//! and a buffer owns a set of *instantiations*, one per domain where a
+//! tuner materialized it.
 //! Usage properties (read-only, access pattern) belong to the user; storage
 //! properties (memory type, affinity) belong to the tuner — the separation
 //! of concerns the paper emphasizes.
 
-use crate::addrspace::{AddrSpace, ProxyAddr};
 use crate::types::{BufferId, DomainId, HsError, HsResult};
 use hs_coi::PooledWindow;
 use serde::{Deserialize, Serialize};
@@ -57,7 +58,6 @@ pub struct BufferRec {
     pub id: BufferId,
     pub len: usize,
     pub props: BufProps,
-    pub proxy: ProxyAddr,
     pub inst: HashMap<DomainId, Instantiation>,
 }
 
@@ -96,11 +96,10 @@ impl BufferRec {
     }
 }
 
-/// All buffers plus the proxy address space.
+/// All buffers, by id.
 #[derive(Default)]
 pub struct BufferTable {
     bufs: HashMap<u64, BufferRec>,
-    addr: AddrSpace,
     next: u64,
 }
 
@@ -112,14 +111,12 @@ impl BufferTable {
     pub fn create(&mut self, len: usize, props: BufProps) -> BufferId {
         let id = BufferId(self.next);
         self.next += 1;
-        let proxy = self.addr.insert(id, len);
         self.bufs.insert(
             id.0,
             BufferRec {
                 id,
                 len,
                 props,
-                proxy,
                 inst: HashMap::new(),
             },
         );
@@ -137,14 +134,7 @@ impl BufferTable {
     /// Remove a buffer; returns its instantiations for the caller to free.
     pub fn destroy(&mut self, id: BufferId) -> HsResult<Vec<(DomainId, Instantiation)>> {
         let rec = self.bufs.remove(&id.0).ok_or(HsError::UnknownBuffer(id))?;
-        self.addr.remove(rec.proxy);
         Ok(rec.inst.into_iter().collect())
-    }
-
-    /// Resolve a proxy address to (buffer, offset) — the translation hStreams
-    /// performs for operands expressed as source addresses.
-    pub fn resolve_addr(&self, addr: ProxyAddr) -> Option<(BufferId, usize)> {
-        self.addr.resolve(addr)
     }
 
     /// Mutable walk over every buffer record (card-loss degradation drops
@@ -158,31 +148,11 @@ impl BufferTable {
     pub fn iter(&self) -> impl Iterator<Item = &BufferRec> {
         self.bufs.values()
     }
-
-    pub fn len(&self) -> usize {
-        self.bufs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bufs.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn create_assigns_proxy_interval() {
-        let mut t = BufferTable::new();
-        let b = t.create(256, BufProps::default());
-        let rec = t.get(b).expect("buffer exists");
-        assert_eq!(rec.len, 256);
-        let (rb, off) = t
-            .resolve_addr(crate::addrspace::ProxyAddr(rec.proxy.0 + 17))
-            .expect("interior address resolves");
-        assert_eq!((rb, off), (b, 17));
-    }
 
     #[test]
     fn unknown_buffer_is_error() {
@@ -191,16 +161,6 @@ mod tests {
             t.get(BufferId(9)).err(),
             Some(HsError::UnknownBuffer(BufferId(9)))
         );
-    }
-
-    #[test]
-    fn destroy_unmaps_proxy() {
-        let mut t = BufferTable::new();
-        let b = t.create(64, BufProps::default());
-        let proxy = t.get(b).expect("exists").proxy;
-        t.destroy(b).expect("destroy ok");
-        assert!(t.resolve_addr(proxy).is_none());
-        assert!(t.get(b).is_err());
     }
 
     #[test]

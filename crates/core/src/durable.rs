@@ -4,9 +4,9 @@
 //! card-loss degradation replays from, in the order they were appended —
 //! under the `Recovery` lock, while the enqueuing thread still holds its
 //! stream's lock, so that order is a valid sequential order of the program
-//! for any number of source threads. Once `HStreams::durability` gives it a
-//! stage, every entry is also framed into **one** `hs-wal` partition in the
-//! same order, so the action history survives death of the host process
+//! for any number of source threads. Once `HStreams::durability_opts` gives
+//! it a stage, every entry is also framed into **one** `hs-wal` partition in
+//! the same order, so the action history survives death of the host process
 //! itself and a torn tail is a prefix of that order. This module owns:
 //!
 //! * the hand-rolled wire encoding of `LoggedAction` (no serde, no
@@ -18,7 +18,7 @@
 //!   the `Recovery` lock;
 //! * checkpoint blob encode/decode (host+card buffer bytes at a quiesce
 //!   point, enabling watermark truncation of the log);
-//! * run-directory layout helpers, `HStreams::durability`/`recover` and
+//! * run-directory layout helpers, `HStreams::durability_opts`/`recover` and
 //!   the [`RecoveryReport`] the latter returns.
 //!
 //! Durability boundary: appends are buffered in userspace; `flush` at the
@@ -728,25 +728,20 @@ impl HStreams {
     /// in-memory logging with a note on the chaos log — it never fails an
     /// enqueue after this call succeeds.
     ///
+    /// Media durability: `fsync` syncs segment data to media on every
+    /// runtime flush, and `batch_ms > 0` group-commits those syncs —
+    /// flushes landing within `batch_ms` of the last fsync skip the
+    /// syscall (counted on the `wal.fsync_batched` counter) and ride the
+    /// next one, trading a bounded post-crash media-durability window for
+    /// one fsync per window instead of one per flush. `batch_ms` is ignored
+    /// when `fsync` is off; `(root, false, 0)` logs to the page cache only.
+    ///
     /// `root` must hold no prior run directories: an existing run is a
     /// crashed (or merely finished) generation that [`HStreams::recover`]
     /// treats as authoritative — and `recover` deletes every *newer* run
     /// as an interrupted-recovery leftover, so a fresh generation minted
     /// here over an old root would be destroyed by the next recovery.
     /// Recover the old run first, or point at a clean root.
-    pub fn durability(&self, root: impl AsRef<Path>) -> HsResult<u64> {
-        self.durability_opts(root, false, 0)
-    }
-
-    /// [`HStreams::durability`] with explicit media-durability knobs:
-    /// `fsync` syncs segment data to media on every runtime flush, and
-    /// `batch_ms > 0` group-commits those syncs — flushes landing within
-    /// `batch_ms` of the last fsync skip the syscall (counted on the
-    /// `wal.fsync_batched` counter) and ride the next one, trading a
-    /// bounded post-crash media-durability window for one fsync per
-    /// window instead of one per flush. `batch_ms` is ignored when
-    /// `fsync` is off. Same preconditions and return value as
-    /// [`HStreams::durability`].
     pub fn durability_opts(
         &self,
         root: impl AsRef<Path>,
@@ -816,7 +811,7 @@ impl HStreams {
     ///
     /// Call on a freshly initialized runtime after recreating the same
     /// kernels, streams and buffers the crashed run had (ids are assigned
-    /// in creation order, so "the same init code" suffices). `buffer_write`
+    /// in creation order, so "the same init code" suffices). `buffer_write_f64`
     /// is *not* logged — the restarted process re-applies its initial
     /// buffer contents as part of that init, except for state a checkpoint
     /// overlay restores. Afterwards the runtime is live and durable;
@@ -839,7 +834,7 @@ impl HStreams {
         };
         // Newer runs are partial re-logs from an interrupted recovery —
         // nothing else can mint a run over a non-empty root, because
-        // `durability()` refuses one. The oldest run is authoritative.
+        // `durability_opts()` refuses one. The oldest run is authoritative.
         for (_, dir) in &runs[1..] {
             let _ = std::fs::remove_dir_all(dir);
         }

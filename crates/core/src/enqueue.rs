@@ -25,7 +25,7 @@ use hs_obs::{ActionMeta, ObsAccess, ObsAction, ObsKind};
 use std::cell::Cell;
 use std::ops::Range;
 
-/// Per-action execution options for the `*_opts` enqueue variants.
+/// Per-action execution options for [`HStreams::enqueue_many_opts`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ActionOpts {
     /// Fail the action if it has not completed this long after submission
@@ -69,7 +69,7 @@ pub enum BatchAction {
 
 /// An action that passed validation: what [`HStreams::enqueue_built`]
 /// enqueues.
-struct BuiltAction {
+pub(crate) struct BuiltAction {
     spec: ActionSpec,
     footprint: Footprint,
     kind: ActionKind,
@@ -202,22 +202,8 @@ impl HStreams {
         operands: &[Operand],
         cost: CostHint,
     ) -> HsResult<Event> {
-        self.enqueue_compute_opts(s, func, args, operands, cost, ActionOpts::default())
-    }
-
-    /// Like [`HStreams::enqueue_compute`], with a deadline and/or retry
-    /// budget.
-    pub fn enqueue_compute_opts(
-        &self,
-        s: StreamId,
-        func: &str,
-        args: Bytes,
-        operands: &[Operand],
-        cost: CostHint,
-        opts: ActionOpts,
-    ) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_compute");
-        self.enqueue_one(s, opts, |built| {
+        self.enqueue_one(s, ActionOpts::default(), |built| {
             self.built_compute(built, s, func.to_string(), args, operands, cost)
         })
     }
@@ -233,21 +219,8 @@ impl HStreams {
         from: DomainId,
         to: DomainId,
     ) -> HsResult<Event> {
-        self.enqueue_xfer_opts(s, buf, range, from, to, ActionOpts::default())
-    }
-
-    /// Like [`HStreams::enqueue_xfer`], with a deadline and/or retry budget.
-    pub fn enqueue_xfer_opts(
-        &self,
-        s: StreamId,
-        buf: BufferId,
-        range: Range<usize>,
-        from: DomainId,
-        to: DomainId,
-        opts: ActionOpts,
-    ) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_xfer");
-        self.enqueue_one(s, opts, |built| {
+        self.enqueue_one(s, ActionOpts::default(), |built| {
             self.built_xfer(built, buf, range, from, to)
         })
     }
@@ -392,7 +365,7 @@ impl HStreams {
     //
     // Each validates one action and pushes it onto the call's list.
 
-    fn built_compute(
+    pub(crate) fn built_compute(
         &self,
         built: &mut Vec<BuiltAction>,
         s: StreamId,
@@ -419,7 +392,7 @@ impl HStreams {
         Ok(())
     }
 
-    fn built_xfer(
+    pub(crate) fn built_xfer(
         &self,
         built: &mut Vec<BuiltAction>,
         buf: BufferId,
@@ -629,7 +602,7 @@ impl HStreams {
     // --------------------------------------------------------------- the core
 
     /// Enqueue one action: a batch of one, its event returned by value.
-    fn enqueue_one(
+    pub(crate) fn enqueue_one(
         &self,
         s: StreamId,
         opts: ActionOpts,

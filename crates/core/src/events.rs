@@ -245,10 +245,9 @@ impl EventTable {
         // serializes the RMW pair and the gauge feeds metrics only.
         self.occ(id).fetch_add(1, Ordering::Relaxed);
         // Publication point. Release: pairs with the Acquire loads in
-        // `view_id`/`stream_of`/`compact`, so a reader that observes the
-        // stream id also observes the payload written above (`stream_of`
-        // reads no other field, but `view_id` relies on it for the
-        // Missing-vs-Retired distinction on a tombstoned slot).
+        // `view_id`/`compact`, so a reader that observes the stream id also
+        // observes the payload written above (`view_id` relies on it for
+        // the Missing-vs-Retired distinction on a tombstoned slot).
         slot.stream.store(stream.0, Ordering::Release);
         // The slot lock is held across the store: every slot state
         // transition (publish, tombstone, revive) is serialized by it.
@@ -326,17 +325,6 @@ impl EventTable {
         match &*slot.be.lock() {
             Some(be) => ok(be),
             None => true,
-        }
-    }
-
-    /// Producing stream of a published event.
-    pub fn stream_of(&self, ev: Event) -> Option<StreamId> {
-        let slot = self.slot(ev.0)?;
-        // Acquire: pairs with publish's Release store (same as `view_id`;
-        // here it only gates publication visibility — no payload read).
-        match slot.stream.load(Ordering::Acquire) {
-            UNPUBLISHED | TOMBSTONE => None,
-            s => Some(StreamId(s)),
         }
     }
 
@@ -482,7 +470,6 @@ mod tests {
             }
             _ => panic!("expected live thread event"),
         }
-        assert_eq!(t.stream_of(Event(id)), Some(StreamId(3)));
         assert!(matches!(t.view_id(id + 1), EventView::Missing));
     }
 

@@ -17,8 +17,8 @@
 //!   **out of order** as long as the sequential FIFO semantic is preserved:
 //!   dependences within a stream are derived from FIFO order plus
 //!   memory-operand overlap, and only from explicit events across streams.
-//! * **Buffers** — memory encapsulation with a unified source proxy address
-//!   space, per-domain instantiations and tuner-controlled storage
+//! * **Buffers** — memory encapsulation named by [`BufferId`] + byte
+//!   offset, with per-domain instantiations and tuner-controlled storage
 //!   properties ([`HStreams::buffer_create`]).
 //!
 //! Two executors run the same semantics: [`ExecMode::Threads`] executes
@@ -61,10 +61,9 @@
 //! assert_eq!(out, [2.0, 4.0, 6.0, 8.0]);
 //! ```
 
-pub mod addrspace;
-pub mod app;
-pub mod buffer;
-pub mod cpumask;
+mod app;
+mod buffer;
+mod cpumask;
 pub mod deps;
 mod durable;
 mod enqueue;
@@ -79,7 +78,7 @@ pub mod exec;
 pub mod lockorder;
 pub mod record;
 mod replay;
-pub mod stats;
+mod stats;
 pub mod stream;
 pub mod sync;
 pub mod types;
@@ -209,7 +208,7 @@ pub(crate) struct Inner {
     events: EventTable,
     exec: Executor,
     stats: ApiStats,
-    /// Sim-mode host shadows for `buffer_write`/`buffer_read`.
+    /// Sim-mode host shadows for `buffer_write_f64`/`buffer_read_f64`.
     sim_shadow: ClassedMutex<class::SimShadow, std::collections::HashMap<BufferId, Vec<u8>>>,
     /// Built-in app-API kernels registered once (see [`app`]).
     pub(crate) builtins: Once,
@@ -226,7 +225,7 @@ pub(crate) struct Inner {
     /// durability is on (the log then writes every entry to disk as well).
     recovery: ClassedMutex<class::Recovery, durable::RecoveryLog>,
     /// Durable logging enabled? Checked (one relaxed load) on every
-    /// enqueue; set once by [`HStreams::durability`] *after* the log got
+    /// enqueue; set once by [`HStreams::durability_opts`] *after* the log got
     /// its durable stage, so an enqueue that observes `true` always finds
     /// the stage behind the `recovery` lock.
     durable: AtomicBool,
@@ -375,11 +374,6 @@ impl HStreams {
         self.inner.chaos.arm(plan);
     }
 
-    /// Stop injecting faults (already-dead cards stay dead).
-    pub fn chaos_disarm(&self) {
-        self.inner.chaos.disarm();
-    }
-
     /// Should enqueues land in the recovery log? While a fault plan is
     /// armed (card-loss replay needs the entries) or durability is on (the
     /// WAL mirrors them to disk).
@@ -420,7 +414,7 @@ impl HStreams {
             .collect()
     }
 
-    pub fn num_domains(&self) -> usize {
+    pub(crate) fn num_domains(&self) -> usize {
         self.inner.platform.domains.len()
     }
 
@@ -428,7 +422,7 @@ impl HStreams {
         &self.inner.platform
     }
 
-    pub fn ordering(&self) -> OrderingMode {
+    pub(crate) fn ordering(&self) -> OrderingMode {
         self.inner.ordering
     }
 
@@ -463,10 +457,12 @@ impl HStreams {
 
     /// App-API convenience: for each `(domain, n)` divide the domain's cores
     /// evenly among `n` streams. Returns all created stream ids, in argument
-    /// order.
+    /// order. Every pair is checked before any stream is created: an
+    /// unknown domain, or an `n` of zero or above the domain's cores, fails
+    /// the call with nothing created.
     pub fn app_init(&self, streams_per_domain: &[(DomainId, usize)]) -> HsResult<Vec<StreamId>> {
         self.inner.stats.bump("app_init");
-        let mut out = Vec::new();
+        let mut masks = Vec::new();
         for &(domain, n) in streams_per_domain {
             let cores = self
                 .inner
@@ -475,46 +471,18 @@ impl HStreams {
                 .get(domain.0)
                 .ok_or(HsError::UnknownDomain(domain))?
                 .cores;
+            if n == 0 || n > cores as usize {
+                return Err(HsError::InvalidArg(format!(
+                    "app_init: {n} streams on the {cores} cores of domain {domain:?}"
+                )));
+            }
             for mask in CpuMask::partition_evenly(cores, n) {
-                out.push(self.stream_create(domain, mask)?);
+                masks.push((domain, mask));
             }
         }
-        Ok(out)
-    }
-
-    /// App-API convenience: `n` streams on `domain`, each sink bound to a
-    /// *disjoint* `width`-core mask — stream `i` gets cores `[i·width,
-    /// (i+1)·width)`. The tuner's mask-width knob: unlike
-    /// [`HStreams::app_init`]'s even partition, the width is explicit, so
-    /// `n · width` may deliberately undersubscribe the domain (leaving
-    /// cores idle) but may not oversubscribe it — that's an error, not a
-    /// silent overlap.
-    pub fn app_init_masked(
-        &self,
-        domain: DomainId,
-        n: usize,
-        width: u32,
-    ) -> HsResult<Vec<StreamId>> {
-        self.inner.stats.bump("app_init_masked");
-        let cores = self
-            .inner
-            .platform
-            .domains
-            .get(domain.0)
-            .ok_or(HsError::UnknownDomain(domain))?
-            .cores;
-        if width == 0 {
-            return Err(HsError::InvalidArg("app_init_masked: width 0".into()));
-        }
-        let demand = width as u64 * n as u64;
-        if demand > cores as u64 {
-            return Err(HsError::InvalidArg(format!(
-                "app_init_masked: {n} streams × {width} cores = {demand} exceeds the \
-                 {cores} cores of domain {domain:?}"
-            )));
-        }
-        (0..n as u32)
-            .map(|i| self.stream_create(domain, CpuMask::range(i * width, width)))
+        masks
+            .into_iter()
+            .map(|(domain, mask)| self.stream_create(domain, mask))
             .collect()
     }
 
@@ -532,20 +500,14 @@ impl HStreams {
         Ok(domain)
     }
 
-    /// Cores bound to a stream.
-    pub fn stream_cores(&self, s: StreamId) -> HsResult<u32> {
-        let cores = self.stream_arc(s)?.lock().cores();
-        Ok(cores)
-    }
-
-    pub fn num_streams(&self) -> usize {
+    pub(crate) fn num_streams(&self) -> usize {
         self.inner.streams.read().len()
     }
 
     // -------------------------------------------------------------- buffers
 
     /// Create a buffer of `len` bytes. The host instantiation is created
-    /// eagerly (the host is the source of the proxy address space); card
+    /// eagerly (the host holds the source copy of every buffer); card
     /// instantiations require explicit [`HStreams::buffer_instantiate`].
     pub fn buffer_create(&self, len: usize, props: BufProps) -> BufferId {
         self.inner.stats.bump("buffer_create");
@@ -645,36 +607,10 @@ impl HStreams {
         self.inner.buffers.read().get(buf).map(|r| r.len)
     }
 
-    /// Resolve a proxy address into (buffer, offset) — the source proxy
-    /// address translation of the paper.
-    pub fn resolve_addr(&self, addr: addrspace::ProxyAddr) -> Option<(BufferId, usize)> {
-        self.inner.buffers.read().resolve_addr(addr)
-    }
-
-    /// Proxy base address of a buffer.
-    pub fn buffer_addr(&self, buf: BufferId) -> HsResult<addrspace::ProxyAddr> {
-        self.inner.buffers.read().get(buf).map(|r| r.proxy)
-    }
-
-    /// Synchronously write into the buffer's **host** instantiation. Waits
-    /// for conflicting in-flight actions first (source↔stream dependences
-    /// are explicit in hStreams; this API is the explicit-sync entry point).
-    pub fn buffer_write(&self, buf: BufferId, offset: usize, data: &[u8]) -> HsResult<()> {
-        self.host_write_with(buf, offset..offset + data.len(), |dst| {
-            dst.copy_from_slice(data)
-        })
-    }
-
-    /// Synchronously read from the buffer's **host** instantiation, waiting
-    /// for conflicting in-flight actions first.
-    pub fn buffer_read(&self, buf: BufferId, offset: usize, out: &mut [u8]) -> HsResult<()> {
-        self.host_read_with(buf, offset..offset + out.len(), |src| {
-            out.copy_from_slice(src)
-        })
-    }
-
-    /// `f64` convenience over [`HStreams::buffer_write`] (`offset` in
-    /// elements): little-endian, straight into the host instantiation.
+    /// Synchronously write `data` into the buffer's **host** instantiation
+    /// at element `offset` (little-endian). Waits for conflicting in-flight
+    /// actions first (source↔stream dependences are explicit in hStreams;
+    /// this API is the explicit-sync entry point).
     pub fn buffer_write_f64(&self, buf: BufferId, offset: usize, data: &[f64]) -> HsResult<()> {
         self.host_write_with(buf, offset * 8..(offset + data.len()) * 8, |dst| {
             for (b, x) in dst.chunks_exact_mut(8).zip(data) {
@@ -683,7 +619,8 @@ impl HStreams {
         })
     }
 
-    /// `f64` convenience over [`HStreams::buffer_read`].
+    /// Synchronously read from the buffer's **host** instantiation at
+    /// element `offset`, waiting for conflicting in-flight actions first.
     pub fn buffer_read_f64(&self, buf: BufferId, offset: usize, out: &mut [f64]) -> HsResult<()> {
         self.host_read_with(buf, offset * 8..(offset + out.len()) * 8, |src| {
             for (x, b) in out.iter_mut().zip(src.chunks_exact(8)) {
@@ -776,14 +713,6 @@ impl HStreams {
         // Sim mode: tasks never run; names need no resolution.
     }
 
-    /// The stream that produced an event.
-    pub fn event_stream(&self, ev: Event) -> HsResult<StreamId> {
-        self.inner
-            .events
-            .stream_of(ev)
-            .ok_or(HsError::UnknownEvent(ev))
-    }
-
     /// Has this event's action completed **successfully**? This is the
     /// dependence-window retirement predicate: failed actions never retire,
     /// so later overlapping enqueues still inherit the poison. Tombstoned
@@ -865,7 +794,7 @@ impl HStreams {
     /// Tombstone completed-successful events in the global table (their
     /// backend handles drop; late waiters still resolve them as successes)
     /// and, while chaos is armed, prune recovery-log entries that can never
-    /// be replayed. Runs automatically every [`COMPACT_EVERY`] enqueues;
+    /// be replayed. Runs automatically every `COMPACT_EVERY` enqueues;
     /// public so long-running tests and services can force a sweep at a
     /// quiesce point.
     pub fn compact_now(&self) {
@@ -1096,13 +1025,6 @@ impl HStreams {
         self.inner.stats.bump("event_wait");
         self.wal_flush();
         self.wait_event_recovering(ev)
-    }
-
-    /// Wait for all events.
-    pub fn event_wait_all(&self, evs: &[Event]) -> HsResult<()> {
-        self.inner.stats.bump("event_wait_all");
-        self.wal_flush();
-        self.wait_events_recovering(evs)
     }
 
     /// Wait until any of the events *succeeds*; returns its index. Errors
@@ -1386,13 +1308,6 @@ impl HStreams {
     /// `hs_obs::chrome`, and for `hsan` via [`ActionTrace::from_records`]).
     pub fn take_obs_records(&self) -> Vec<ObsRecord> {
         self.inner.obs.take_records()
-    }
-
-    /// Export the lifecycle records collected so far as Chrome-trace JSON
-    /// (`chrome://tracing` / Perfetto), draining them. One row per stream,
-    /// one per DMA channel.
-    pub fn export_chrome_trace(&self) -> String {
-        hs_obs::chrome::chrome_trace_json(&self.take_obs_records())
     }
 
     /// A flat metrics snapshot: obs gauges/counters (workgroup occupancy,

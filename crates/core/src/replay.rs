@@ -446,8 +446,11 @@ impl HStreams {
                         cost,
                     } => {
                         self.enqueue_cross_wait(s, &deps)?;
-                        self.enqueue_compute_opts(s, func, args.clone(), operands, *cost, opts)
-                            .map(Some)
+                        self.inner.stats.bump("enqueue_compute");
+                        self.enqueue_one(s, opts, |b| {
+                            self.built_compute(b, s, func.clone(), args.clone(), operands, *cost)
+                        })
+                        .map(Some)
                     }
                     LoggedOp::Xfer {
                         buf,
@@ -456,8 +459,11 @@ impl HStreams {
                         to,
                     } => {
                         self.enqueue_cross_wait(s, &deps)?;
-                        self.enqueue_xfer_opts(s, *buf, range.clone(), *from, *to, opts)
-                            .map(Some)
+                        self.inner.stats.bump("enqueue_xfer");
+                        self.enqueue_one(s, opts, |b| {
+                            self.built_xfer(b, *buf, range.clone(), *from, *to)
+                        })
+                        .map(Some)
                     }
                 }
             });

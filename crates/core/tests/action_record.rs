@@ -6,9 +6,9 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, ActionOpts, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode,
-    FailureCause, FaultKind, FaultPlan, FaultSite, HStreams, HsError, Operand, RetryPolicy,
-    StreamId, TaskCtx,
+    Access, ActionOpts, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId, Event,
+    ExecMode, FailureCause, FaultKind, FaultPlan, FaultSite, HStreams, HsError, Operand,
+    RetryPolicy, StreamId, TaskCtx,
 };
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
@@ -73,8 +73,14 @@ fn compute(
         .map(|b| Operand::f64s(b, 0, N, Access::InOut))
         .into_iter()
         .collect();
-    hs.enqueue_compute_opts(s, func, Bytes::new(), &operands, CostHint::trivial(), opts)
-        .expect("enqueue")
+    let action = BatchAction::Compute {
+        func: func.to_string(),
+        args: Bytes::new(),
+        operands,
+        cost: CostHint::trivial(),
+    };
+    hs.enqueue_many_opts(s, vec![action], opts)
+        .expect("enqueue")[0]
 }
 
 fn read(hs: &HStreams, buf: BufferId) -> Vec<f64> {

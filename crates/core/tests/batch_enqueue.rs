@@ -192,7 +192,7 @@ fn drive_logged(
             hs.chaos_install(FaultPlan::new(1));
         }
         if durable {
-            let run = hs.durability(&root).expect("durability on");
+            let run = hs.durability_opts(&root, false, 0).expect("durability on");
             run_dir = Some(root.join(format!("run-{run:016x}")));
         }
     });

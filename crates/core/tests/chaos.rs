@@ -5,8 +5,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, ActionOpts, BufProps, CostHint, CpuMask, DomainId, ExecMode, FailureCause, FaultKind,
-    FaultPlan, FaultSite, HStreams, HsError, Operand, RetryPolicy, StreamId, TaskCtx,
+    Access, ActionOpts, BatchAction, BufProps, CostHint, CpuMask, DomainId, ExecMode, FailureCause,
+    FaultKind, FaultPlan, FaultSite, HStreams, HsError, Operand, RetryPolicy, StreamId, TaskCtx,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,18 +102,20 @@ fn deadline_expiry_fails_within_twice_the_deadline_and_poisons() {
     let deadline = Duration::from_millis(150);
     let t0 = Instant::now();
     let slow = hs
-        .enqueue_compute_opts(
+        .enqueue_many_opts(
             s,
-            "slow", // sleeps 400 ms, far past the deadline
-            Bytes::new(),
-            &[],
-            CostHint::trivial(),
+            vec![BatchAction::Compute {
+                func: "slow".into(), // sleeps 400 ms, far past the deadline
+                args: Bytes::new(),
+                operands: Vec::new(),
+                cost: CostHint::trivial(),
+            }],
             ActionOpts {
                 deadline: Some(deadline),
                 retry: None,
             },
         )
-        .expect("enqueue");
+        .expect("enqueue")[0];
     let dependent = hs.enqueue_event_wait(s, &[slow]).expect("dependent");
     let err = hs.event_wait(slow).expect_err("deadline must fail it");
     let waited = t0.elapsed();
@@ -151,18 +153,20 @@ fn sim_deadline_is_virtual_time() {
     let t0 = Instant::now();
     // ~1 TFLOP of DGEMM: several virtual seconds on one core.
     let ev = hs
-        .enqueue_compute_opts(
+        .enqueue_many_opts(
             s,
-            "bump",
-            Bytes::new(),
-            &[],
-            CostHint::new(hs_machine::KernelKind::Dgemm, 1e12, 512),
+            vec![BatchAction::Compute {
+                func: "bump".into(),
+                args: Bytes::new(),
+                operands: Vec::new(),
+                cost: CostHint::new(hs_machine::KernelKind::Dgemm, 1e12, 512),
+            }],
             ActionOpts {
                 deadline: Some(Duration::from_millis(5)),
                 retry: None,
             },
         )
-        .expect("enqueue");
+        .expect("enqueue")[0];
     let err = hs.event_wait(ev).expect_err("virtual deadline expires");
     assert!(
         matches!(err, HsError::ActionFailed(FailureCause::Timeout { .. })),

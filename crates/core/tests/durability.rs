@@ -142,7 +142,7 @@ fn crash_and_recover_matches_fault_free_on_both_executors() {
         let reference = fault_free(mode, 6);
         {
             let hs = runtime(mode);
-            hs.durability(&root).expect("durability on");
+            hs.durability_opts(&root, false, 0).expect("durability on");
             let (s0, s1, buf) = init_workload(&hs);
             enqueue_rounds(&hs, s0, s1, buf, 6);
             // One wait is enough to flush every append so far; the process
@@ -186,7 +186,7 @@ fn checkpoint_truncates_and_recovery_overlays() {
     let reference = fault_free(ExecMode::Threads, 8);
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 5);
         hs.thread_synchronize().expect("sync");
@@ -451,7 +451,7 @@ fn torn_tail_recovers_longest_prefix() {
     let steps = program(0x9e37_79b9_7f4a_7c15, 24);
     let (entries, logged) = {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         hs.chaos_install(
             FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Torn),
         );
@@ -479,7 +479,7 @@ fn torn_tail_recovers_longest_prefix() {
         let steps = program(rng_next(&mut seed), len);
         let entries = {
             let hs = runtime(ExecMode::Threads);
-            hs.durability(&root).expect("durability on");
+            hs.durability_opts(&root, false, 0).expect("durability on");
             let (streams, bufs) = init_program(&hs);
             let entries = drive(&hs, &streams, &bufs, &steps);
             hs.thread_synchronize().expect("sync");
@@ -533,7 +533,7 @@ fn torn_tail_recovers_longest_prefix() {
 fn wal_io_fault_degrades_to_in_memory() {
     let root = tmp_root("io");
     let hs = runtime(ExecMode::Threads);
-    hs.durability(&root).expect("durability on");
+    hs.durability_opts(&root, false, 0).expect("durability on");
     hs.chaos_install(FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Io));
     let (s0, s1, buf) = init_workload(&hs);
     enqueue_rounds(&hs, s0, s1, buf, 4);
@@ -562,7 +562,7 @@ fn double_crash_recovers_twice() {
     let reference = fault_free(ExecMode::Threads, 4);
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 4);
         hs.thread_synchronize().expect("sync");
@@ -597,7 +597,7 @@ fn checkpoint_survives_double_crash() {
     let reference = fault_free(ExecMode::Threads, 8);
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 5);
         hs.thread_synchronize().expect("sync");
@@ -632,8 +632,8 @@ fn checkpoint_survives_double_crash() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A root with an existing run on it is `recover()`'s job: `durability()`
-/// refuses it rather than minting a newer generation the next recovery
+/// A root with an existing run on it is `recover()`'s job:
+/// `durability_opts()` refuses it rather than minting a newer generation the next recovery
 /// would delete as an interrupted-recovery leftover (destroying the
 /// genuine new run and replaying stale data).
 #[test]
@@ -641,21 +641,21 @@ fn durability_refuses_root_with_existing_runs() {
     let root = tmp_root("dirty");
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 1);
         hs.thread_synchronize().expect("sync");
     }
     let hs = runtime(ExecMode::Threads);
     let err = hs
-        .durability(&root)
+        .durability_opts(&root, false, 0)
         .expect_err("dirty root must be refused");
     assert!(
         format!("{err}").contains("recover"),
         "error should point at recover(): {err}"
     );
-    // recover() on that root still works — and leaves a root durability()
-    // keeps refusing while a run exists.
+    // recover() on that root still works — and leaves a root
+    // durability_opts() keeps refusing while a run exists.
     let (_s0, _s1, _buf) = init_workload(&hs);
     hs.recover(&root).expect("recover instead");
     hs.thread_synchronize().expect("sync");
@@ -669,7 +669,7 @@ fn prior_card_loss_surfaces_in_recovery_report() {
     let root = tmp_root("prior");
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         hs.chaos_install(
             FaultPlan::new(3)
                 .with_trigger(FaultSite::CardOp { card: 1, nth: 2 }, FaultKind::CardDead),
@@ -701,7 +701,10 @@ fn durability_and_recover_require_a_fresh_runtime() {
     let (s0, s1, buf) = init_workload(&hs);
     enqueue_rounds(&hs, s0, s1, buf, 1);
     hs.thread_synchronize().expect("sync");
-    assert!(hs.durability(&root).is_err(), "late enable must fail");
+    assert!(
+        hs.durability_opts(&root, false, 0).is_err(),
+        "late enable must fail"
+    );
     assert!(hs.recover(&root).is_err(), "late recover must fail");
     // And recovering an empty root is a clear error, not a silent no-op.
     let fresh = runtime(ExecMode::Threads);
@@ -799,7 +802,7 @@ fn recovery_keeps_cycles_ordered_only_by_a_host_synchronize() {
     let expect: Vec<f64> = (0..N).map(|i| (i as f64 + 1.0) * 2.0 + 1.0).collect();
     {
         let hs = runtime(ExecMode::Threads);
-        hs.durability(&root).expect("durability on");
+        hs.durability_opts(&root, false, 0).expect("durability on");
         let (s0, s1, buf) = init_workload(&hs);
         two_source_threads(&hs, s0, s1, buf);
         hs.thread_synchronize().expect("sync");

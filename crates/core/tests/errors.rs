@@ -201,6 +201,37 @@ fn never_instantiated_operands_are_refused_in_both_executors() {
     }
 }
 
+/// `app_init` checks every `(domain, n)` before it creates a stream: zero
+/// streams, or more streams than the domain has cores, is `InvalidArg`
+/// (not a panic) and leaves the stream table as it was, in both executors
+/// — also when an earlier pair of the same call was valid.
+#[test]
+fn app_init_refuses_a_bad_partition_and_creates_nothing() {
+    for mode in BOTH {
+        let hs = rt_in(mode);
+        let made = hs
+            .app_init(&[(DomainId::HOST, 1)])
+            .expect("one host stream");
+        let card_cores = hs.domains()[1].cores as usize;
+        for bad in [
+            vec![(DomainId(1), 0)],
+            vec![(DomainId(1), card_cores + 1)],
+            vec![(DomainId::HOST, 1), (DomainId(1), 0)],
+        ] {
+            let err = hs.app_init(&bad).expect_err("a bad partition");
+            assert!(
+                matches!(err, HsError::InvalidArg(_)),
+                "{mode:?} {bad:?}: {err}"
+            );
+        }
+        // Nothing was created: the next stream takes the next id.
+        let next = hs
+            .stream_create(DomainId(1), CpuMask::first(1))
+            .expect("stream");
+        assert_eq!(next, StreamId(made.len() as u32), "{mode:?}");
+    }
+}
+
 #[test]
 fn empty_mask_and_wait_any_empty() {
     let hs = rt();

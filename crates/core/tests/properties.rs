@@ -1,54 +1,13 @@
-//! Property tests of the core data structures: proxy address space
-//! round-trips, CPU-mask partitions, and dependence-engine soundness
-//! (no dropped conflict edge, no spurious edge between disjoint accesses).
+//! Property tests of the core data structures: CPU-mask partitions and
+//! dependence-engine soundness (no dropped conflict edge, no spurious edge
+//! between disjoint accesses).
 
-use hstreams_core::addrspace::{AddrSpace, ProxyAddr};
 use hstreams_core::deps::{footprints_conflict, Footprint, FootprintItem};
 use hstreams_core::{BufferId, CpuMask, DomainId};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    /// Every interior address of every inserted buffer resolves to exactly
-    /// that buffer and offset.
-    #[test]
-    fn addrspace_round_trips(lens in proptest::collection::vec(1usize..10_000, 1..30)) {
-        let mut a = AddrSpace::new();
-        let bases: Vec<(ProxyAddr, usize)> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (a.insert(BufferId(i as u64), *l), *l))
-            .collect();
-        for (i, (base, len)) in bases.iter().enumerate() {
-            for off in [0, len / 2, len - 1] {
-                let got = a.resolve(ProxyAddr(base.0 + off as u64));
-                prop_assert_eq!(got, Some((BufferId(i as u64), off)));
-            }
-            prop_assert_eq!(a.resolve(ProxyAddr(base.0 + *len as u64)), None);
-        }
-    }
-
-    /// Removing a buffer unmaps exactly its interval and nothing else.
-    #[test]
-    fn addrspace_remove_is_precise(lens in proptest::collection::vec(1usize..5000, 2..20), victim in 0usize..19) {
-        let mut a = AddrSpace::new();
-        let bases: Vec<(ProxyAddr, usize)> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (a.insert(BufferId(i as u64), *l), *l))
-            .collect();
-        let v = victim % bases.len();
-        a.remove(bases[v].0);
-        for (i, (base, len)) in bases.iter().enumerate() {
-            let got = a.resolve(ProxyAddr(base.0 + (len - 1) as u64));
-            if i == v {
-                prop_assert_eq!(got, None);
-            } else {
-                prop_assert_eq!(got, Some((BufferId(i as u64), len - 1)));
-            }
-        }
-    }
 
     /// Even partitions cover all cores disjointly with sizes within one.
     #[test]

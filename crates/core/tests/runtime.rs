@@ -328,17 +328,6 @@ fn event_wait_any_returns_an_early_finisher() {
 }
 
 #[test]
-fn proxy_addresses_resolve_through_the_api() {
-    let hs = real_runtime(1);
-    let buf = hs.buffer_create(100, BufProps::default());
-    let base = hs.buffer_addr(buf).expect("addr");
-    let resolved = hs
-        .resolve_addr(hstreams_core::addrspace::ProxyAddr(base.0 + 60))
-        .expect("interior resolves");
-    assert_eq!(resolved, (buf, 60));
-}
-
-#[test]
 fn api_stats_count_calls() {
     let hs = real_runtime(1);
     let s = hs

@@ -10,7 +10,7 @@
 //!   column strips (contiguous per micro-tile, streamed from L2/L3);
 //! * an `MC`×`KC` block of A is packed into `MR`-high row strips that stay
 //!   L1/L2-resident while they sweep the whole B panel;
-//! * the innermost register kernel ([`RegKernel`]) keeps an `MR`×`NR` block
+//! * the innermost register kernel (`RegKernel`) keeps an `MR`×`NR` block
 //!   of C in vector registers — each packed element of A and B is reused
 //!   `NR` (resp. `MR`) times per load instead of once.
 //!
@@ -21,7 +21,7 @@
 //! intrinsics (LLVM vectorises the scalar loop at that shape across the
 //! wrong axis, with gathers). `MR`, `NR` and the solves' `TB` are const
 //! parameters of everything below — packing, the sweeps, the diagonal
-//! blocks — and [`with_isa`] is the one place an instantiation is chosen,
+//! blocks — and `with_isa` is the one place an instantiation is chosen,
 //! once per kernel call.
 //!
 //! **Bit contract.** A result is a function of (inputs, instantiation).
@@ -1438,7 +1438,7 @@ impl Isa {
 /// Rows per chunk when a compute task of `flops` floating-point operations
 /// partitions an m-row tile across a stream's `lanes` threads: ~2 chunks per
 /// lane for dynamic balance, rounded up to a micro-tile multiple so no lane
-/// gets a partial strip — over no more lanes than get [`MIN_LANE_US`] of work
+/// gets a partial strip — over no more lanes than get `MIN_LANE_US` of work
 /// each, and as one slab (`m` rows) when that is fewer than two: under
 /// AVX-512F a 64-tile GEMM is ~10 µs whole and stays together, a 128-tile
 /// (~80 µs) feeds up to five lanes. Slabs never change a bit, so neither does

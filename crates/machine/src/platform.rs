@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Role of a domain within the platform.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum DomainRole {
-    /// The host CPU: owns the source proxy address space; may also execute
+    /// The host CPU: holds the source copy of every buffer; may also execute
     /// work via host-as-target streams.
     Host,
     /// A coprocessor card reached over a link.

@@ -851,9 +851,11 @@ pub fn read_blob(path: &Path) -> io::Result<Option<Vec<u8>>> {
     if data.len() < 20 || data[..8] != BLOB_MAGIC {
         return Ok(None);
     }
-    let len = get_u64(&data[8..16]) as usize;
+    // Checked: a length field near `u64::MAX` is corruption, not an
+    // overflow.
+    let len = usize::try_from(get_u64(&data[8..16])).ok();
     let crc = get_u32(&data[16..20]);
-    if data.len() != 20 + len || crc32(&data[20..]) != crc {
+    if len.and_then(|n| n.checked_add(20)) != Some(data.len()) || crc32(&data[20..]) != crc {
         return Ok(None);
     }
     Ok(Some(data[20..].to_vec()))

@@ -100,7 +100,7 @@ fn result_checksum(hs: &HStreams, buf: BufferId) -> u64 {
 
 fn victim(root: &Path) -> ! {
     let hs = runtime();
-    hs.durability(root).expect("durability on");
+    hs.durability_opts(root, false, 0).expect("durability on");
     let (s0, s1, buf) = init_workload(&hs);
     enqueue_rounds(&hs, s0, s1, buf);
     hs.thread_synchronize().expect("sync");

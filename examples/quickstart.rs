@@ -46,8 +46,8 @@ fn main() {
     // A stream = a FIFO task queue whose sink is 4 cards cores.
     let s = hs.stream_create(card, CpuMask::first(4)).expect("stream");
 
-    // Buffers live in a unified proxy address space; instantiation per
-    // domain is the tuner's explicit call.
+    // Every call names a buffer by its id and a byte offset; instantiation
+    // per domain is the tuner's explicit call.
     let n = 1024;
     let x = hs.buffer_create(n * 8, BufProps::labeled("x"));
     let y = hs.buffer_create(n * 8, BufProps::labeled("y"));

@@ -122,7 +122,7 @@ fn main() {
             reference,
             r.max_err.expect("verified"),
         );
-        let json = hs.export_chrome_trace();
+        let json = hs_obs::chrome::chrome_trace_json(&hs.take_obs_records());
         std::fs::write(&out, &json).expect("write trace");
         let check = hs_obs::chrome::validate(&json).expect("trace is well-formed");
         println!(

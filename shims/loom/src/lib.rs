@@ -8,7 +8,7 @@
 //!
 //! # What it actually checks
 //!
-//! Inside [`model`], threads run **cooperatively serialized**: exactly one
+//! Inside [`model()`], threads run **cooperatively serialized**: exactly one
 //! model thread executes at a time, and every synchronization operation
 //! (atomic access, lock acquire, condvar op, spawn/join/yield) is a
 //! *schedule point* where the scheduler may switch threads. A DFS explorer

@@ -1,4 +1,4 @@
-//! Model entry points: [`model`] and [`Builder`].
+//! Model entry points: [`model()`] and [`Builder`].
 
 use crate::sched::{run_one, Explorer};
 use std::sync::{Arc, Mutex as StdMutex};
