@@ -1,8 +1,9 @@
 //! Negative regression: the paper's pipelines, recorded live and fed to the
 //! `hsan` happens-before analyzer, must produce **zero** findings — every
 //! cross-stream dependence in matmul and Cholesky is explicitly
-//! synchronized, all buffer lifecycles are sound, and the executors'
-//! completion orders linearize the FIFO semantics.
+//! synchronized, and the executors' completion orders linearize the FIFO
+//! semantics. (Buffer lifetimes and waited events are checked by the
+//! runtime at enqueue, `crates/core/tests/errors.rs`.)
 
 use hs_apps::cholesky::{self, CholConfig, CholVariant};
 use hs_apps::matmul::{self, MatmulConfig};
@@ -156,4 +157,40 @@ fn cholesky_variants_are_race_free_sim_mode() {
             "cholesky {variant:?}: expected clean, got:\n{report}"
         );
     }
+}
+
+/// A card-loss replay trace: the card dies mid-factorization, the lost
+/// actions re-run on the host behind their original events, and the fold
+/// keeps each event's first lifecycle. Every wait still names a lower event
+/// id — the invariant `hsan::hb` fills causal history by — and the trace
+/// has no race and no dangling wait. (Its FIFO check is not asserted: the
+/// fold keys a replayed event by its first lifecycle's failure, which can
+/// precede its predecessors' completions — ROADMAP, Known defects.)
+#[test]
+fn card_loss_replay_trace_waits_point_backwards() {
+    use hstreams_core::{FaultKind, FaultPlan, FaultSite};
+    let mut cfg = CholConfig::new(24, 6, CholVariant::MklAoLike);
+    cfg.streams_per_card = 2;
+    cfg.streams_host = 2;
+    cfg.verify = true;
+    let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
+    hs.chaos_install(
+        FaultPlan::new(3).with_trigger(FaultSite::CardOp { card: 1, nth: 7 }, FaultKind::CardDead),
+    );
+    hs.obs_enable(true);
+    let r = cholesky::run(&mut hs, &cfg).expect("degraded factorization completes");
+    assert_eq!(hs.degraded_cards(), &[1]);
+    assert!(r.max_err.expect("verified") < 1e-8);
+    let trace = hsan::ActionTrace::from_records(&hs, &hs.take_obs_records());
+    let waits: Vec<(u64, u64)> = trace
+        .actions()
+        .flat_map(|a| a.waits.iter().map(move |&w| (w, a.event)))
+        .collect();
+    assert!(!waits.is_empty(), "the factorization waits across streams");
+    for (w, ev) in waits {
+        assert!(w < ev, "event {ev} waits on {w}");
+    }
+    let report = hsan::check(&trace);
+    assert_eq!(report.count_of("race"), 0, "{report}");
+    assert_eq!(report.count_of("dangling-wait"), 0, "{report}");
 }

@@ -841,6 +841,12 @@ impl HStreams {
         let scanned = hs_wal::recover_dir(&src_dir).map_err(|e| {
             HsError::ExecFailed(format!("recover: scanning {}: {e}", src_dir.display()))
         })?;
+        if let Some(other) = scanned.run_id.filter(|&id| id != src_id) {
+            return Err(HsError::ExecFailed(format!(
+                "recover: {} holds segments of run {other:#x}, not its own run {src_id:#x}",
+                src_dir.display()
+            )));
+        }
         let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
             .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
             .and_then(|b| decode_checkpoint(&b));

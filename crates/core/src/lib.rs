@@ -87,7 +87,7 @@ pub use buffer::{BufProps, Instantiation, MemType};
 pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
 pub use enqueue::{ActionOpts, BatchAction};
-pub use record::{ActionRecord, ActionTrace, TraceOp};
+pub use record::{ActionRecord, ActionTrace};
 pub use stats::ApiStats;
 pub use stream::ActionKind;
 pub use types::{
@@ -414,10 +414,6 @@ impl HStreams {
             .collect()
     }
 
-    pub(crate) fn num_domains(&self) -> usize {
-        self.inner.platform.domains.len()
-    }
-
     pub fn platform(&self) -> &PlatformCfg {
         &self.inner.platform
     }
@@ -741,7 +737,7 @@ impl HStreams {
         // The source access conflicts with an action touching this buffer in
         // any domain (a transfer still in flight, a compute on a card copy
         // the user will overwrite next, ...). Conservative and simple.
-        let probe: Footprint = (0..self.num_domains())
+        let probe: Footprint = (0..self.inner.platform.domains.len())
             .map(|d| FootprintItem::new(DomainId(d), buf, range.clone(), write))
             .collect();
         let mut deps = Vec::new();

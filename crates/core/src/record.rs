@@ -10,11 +10,10 @@
 //! A live run is not recorded by a mechanism of its own: the `hs-obs`
 //! lifecycle records (`HStreams::obs_enable`) carry all of it, and
 //! [`ActionTrace::from_records`] folds one drained slice of them — the same
-//! slice the Chrome export reads. Such a trace has no buffer operations:
-//! the runtime refuses every buffer lifetime hazard at enqueue
-//! (`crates/core/tests/errors.rs`, both executors). Hand-written and JSON
-//! traces keep [`TraceOp`]'s buffer operations, and the analyzer checks
-//! them.
+//! slice the Chrome export reads. A trace holds actions only: the runtime
+//! refuses every buffer lifetime hazard and every wait on an event it has
+//! not reserved at enqueue (`crates/core/tests/errors.rs`, both executors),
+//! so every wait names a lower event id than its waiter.
 
 use crate::deps::{Footprint, FootprintItem};
 use crate::stream::ActionKind;
@@ -64,15 +63,6 @@ impl ActionRecord {
     }
 }
 
-/// One runtime operation, in program order.
-#[derive(Clone, Debug)]
-pub enum TraceOp {
-    Enqueue(ActionRecord),
-    BufferCreate { buffer: u64, len: usize },
-    BufferInstantiate { buffer: u64, domain: usize },
-    BufferDestroy { buffer: u64 },
-}
-
 /// Everything `hsan::check` needs.
 #[derive(Clone, Debug)]
 pub struct ActionTrace {
@@ -81,10 +71,8 @@ pub struct ActionTrace {
     pub ordering: OrderingMode,
     /// Number of streams that existed when the trace was taken.
     pub streams: u32,
-    /// Number of domains in the platform.
-    pub domains: usize,
-    /// Operations in program (source-thread) order.
-    pub ops: Vec<TraceOp>,
+    /// The enqueued actions, in event-id order.
+    pub actions: Vec<ActionRecord>,
     /// Observed completions as `(event id, order key)`, in completion
     /// order. The key is the timestamp of the event's first terminal
     /// lifecycle phase: wall nanoseconds in thread mode — stamped before
@@ -95,12 +83,9 @@ pub struct ActionTrace {
 }
 
 impl ActionTrace {
-    /// The enqueued actions, in enqueue order.
+    /// The enqueued actions, in event-id order.
     pub fn actions(&self) -> impl Iterator<Item = &ActionRecord> {
-        self.ops.iter().filter_map(|op| match op {
-            TraceOp::Enqueue(a) => Some(a),
-            _ => None,
-        })
+        self.actions.iter()
     }
 
     /// Fold lifecycle records drained from `hs` ([`HStreams::take_obs_records`])
@@ -141,8 +126,7 @@ impl ActionTrace {
         ActionTrace {
             ordering: hs.ordering(),
             streams: hs.num_streams() as u32,
-            domains: hs.num_domains(),
-            ops: actions.into_values().map(TraceOp::Enqueue).collect(),
+            actions: actions.into_values().collect(),
             completions,
         }
     }

@@ -391,7 +391,6 @@ fn batch_event_wait_validates_ids() {
 /// wait edges.
 #[test]
 fn batch_trace_matches_singles_trace() {
-    use hstreams_core::TraceOp;
     let ops = vec![Op::H2d, Op::AddK(2.0), Op::Marker, Op::D2h, Op::WaitRoot];
     let project = |rig: &Rig, splits: Option<&[usize]>| {
         rig.hs.obs_enable(true);
@@ -415,17 +414,15 @@ fn batch_trace_matches_singles_trace() {
         rig.hs.thread_synchronize().expect("sync");
         let trace = hstreams_core::ActionTrace::from_records(&rig.hs, &rig.hs.take_obs_records());
         trace
-            .ops
-            .iter()
-            .filter_map(|op| match op {
-                TraceOp::Enqueue(a) => Some((
+            .actions()
+            .map(|a| {
+                (
                     a.event,
                     a.stream,
                     a.kind,
                     a.footprint.clone(),
                     a.waits.clone(),
-                )),
-                _ => None,
+                )
             })
             .collect::<Vec<_>>()
     };

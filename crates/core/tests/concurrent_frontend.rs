@@ -138,12 +138,9 @@ fn concurrent_enqueue_shared_stream() {
     round();
     let trace = hstreams_core::ActionTrace::from_records(&hs, &hs.take_obs_records());
     let ids: Vec<u64> = trace
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            hstreams_core::TraceOp::Enqueue(a) if a.stream == s.0 => Some(a.event),
-            _ => None,
-        })
+        .actions()
+        .filter(|a| a.stream == s.0)
+        .map(|a| a.event)
         .collect();
     assert_eq!(ids.len(), nthreads * per);
     assert!(

@@ -662,6 +662,41 @@ fn durability_refuses_root_with_existing_runs() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A run directory holding a valid segment of another run, copied in under
+/// its own first segment's name, is refused rather than replayed: the scan
+/// names the other run, which is not the directory's.
+#[test]
+fn recover_refuses_a_segment_of_another_run() {
+    let (root, other) = (tmp_root("own-run"), tmp_root("other-run"));
+    for (dir, rounds) in [(&root, 2), (&other, 3)] {
+        let hs = runtime(ExecMode::Threads);
+        hs.durability_opts(dir, false, 0).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        enqueue_rounds(&hs, s0, s1, buf, rounds);
+        hs.thread_synchronize().expect("sync");
+    }
+    let first_segment = |dir: &Path| {
+        let run = std::fs::read_dir(dir)
+            .expect("root")
+            .map(|e| e.expect("entry").path())
+            .find(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("run-"))
+            })
+            .expect("a run directory");
+        run.join("p00000000-00000000.seg")
+    };
+    std::fs::copy(first_segment(&other), first_segment(&root)).expect("copy the segment in");
+    let hs = runtime(ExecMode::Threads);
+    let _ = init_workload(&hs);
+    let err = hs
+        .recover(&root)
+        .expect_err("another run's segment is refused");
+    assert!(err.to_string().contains("not its own run"), "{err}");
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&other);
+}
+
 /// Degradations land on the WAL's meta partition: a restarted process sees
 /// the crashed run's failure history in the recovery report.
 #[test]

@@ -11,6 +11,9 @@
 //!   on its immediate predecessor.
 //! * **Across streams**, the *only* edges are explicit event waits: action
 //!   `b` waiting on event `e` orders after the action that produced `e`.
+//!   That action is always earlier in the trace: the runtime refuses a wait
+//!   on an id it has not reserved yet, and the trace is in event-id order.
+//!   So every edge points backwards and the graph has no cycle.
 //!
 //! Happens-before is the transitive closure of those edges. Note that a
 //! per-stream vector clock (one counter per stream) cannot represent this
@@ -25,34 +28,26 @@ use hstreams_core::types::OrderingMode;
 use hstreams_core::{deps, ActionKind};
 use std::collections::HashMap;
 
-/// One word of bitset per 64 actions.
-fn words(n: usize) -> usize {
-    n.div_ceil(64)
-}
-
 /// The happens-before relation over the enqueued actions of one trace.
 pub struct HbGraph<'t> {
-    /// Actions in enqueue order (indices below refer to this list).
-    pub actions: Vec<&'t ActionRecord>,
+    /// Actions in trace order (indices below refer to this list).
+    pub actions: &'t [ActionRecord],
     /// Event id → action index.
     pub by_event: HashMap<u64, usize>,
-    /// Direct predecessors (dependence edges) per action.
+    /// Direct predecessors (dependence edges) per action; every one has a
+    /// lower index than its successor.
     pub preds: Vec<Vec<usize>>,
     /// `history[i]` has bit `j` set iff action `j` happens-before action `i`.
     history: Vec<Vec<u64>>,
-    /// A dependence cycle, if one exists (action indices, in edge order).
-    /// Only possible in externally-supplied traces with forward waits; the
-    /// live runtime validates waited events at enqueue. When set, `history`
-    /// is empty and `ordered` answers `false` for everything.
-    pub cycle: Option<Vec<usize>>,
-    /// Waits naming an event id no recorded action produced:
-    /// `(action index, missing event id)`.
+    /// Waits naming no earlier recorded action — an unknown event, or one
+    /// later in the trace: `(action index, missing event id)`. The runtime
+    /// refuses both at enqueue, so only a hand-built trace has one.
     pub dangling: Vec<(usize, u64)>,
 }
 
 impl<'t> HbGraph<'t> {
     pub fn build(trace: &'t ActionTrace) -> HbGraph<'t> {
-        let actions: Vec<&ActionRecord> = trace.actions().collect();
+        let actions = &trace.actions[..];
         let n = actions.len();
         let by_event: HashMap<u64, usize> = actions
             .iter()
@@ -71,9 +66,8 @@ impl<'t> HbGraph<'t> {
         for (i, a) in actions.iter().enumerate() {
             for &w in &a.waits {
                 match by_event.get(&w) {
-                    Some(&j) if j != i => preds[i].push(j),
-                    Some(_) => {}
-                    None => dangling.push((i, w)),
+                    Some(&j) if j < i => preds[i].push(j),
+                    _ => dangling.push((i, w)),
                 }
             }
         }
@@ -143,56 +137,20 @@ impl<'t> HbGraph<'t> {
             p.dedup();
         }
 
-        // Topological order (Kahn); the live runtime only ever produces
-        // edges from earlier to later enqueues, so this is a no-op there,
-        // but hand-written JSON traces may wait on later events.
-        let mut indeg: Vec<usize> = vec![0; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, ps) in preds.iter().enumerate() {
-            indeg[i] = ps.len();
-            for &j in ps {
-                succs[j].push(i);
-            }
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
-        while let Some(i) = queue.pop() {
-            topo.push(i);
-            for &j in &succs[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push(j);
-                }
-            }
-        }
-        if topo.len() < n {
-            let cycle = find_cycle(&preds, &indeg);
-            return HbGraph {
-                actions,
-                by_event,
-                preds,
-                history: Vec::new(),
-                cycle: Some(cycle),
-                dangling,
-            };
-        }
-
         // Causal history: union of predecessors' histories plus the
-        // predecessors themselves, in topological order.
-        let w = words(n);
-        let mut history = vec![vec![0u64; w]; n];
-        for &i in &topo {
-            // Split so `history[i]` can be written while reading others:
-            // preds are strictly before `i` in topo order, and self-edges
-            // were dropped above, so `j != i` always holds here.
-            let mut row = std::mem::take(&mut history[i]);
-            for &j in &preds[i] {
+        // predecessors themselves. Every edge points to a lower index, so
+        // one pass in index order sees each predecessor's row complete.
+        let w = n.div_ceil(64);
+        let mut history: Vec<Vec<u64>> = Vec::with_capacity(n);
+        for ps in &preds {
+            let mut row = vec![0u64; w];
+            for &j in ps {
                 row[j / 64] |= 1u64 << (j % 64);
                 for (acc, src) in row.iter_mut().zip(&history[j]) {
                     *acc |= *src;
                 }
             }
-            history[i] = row;
+            history.push(row);
         }
 
         HbGraph {
@@ -200,50 +158,18 @@ impl<'t> HbGraph<'t> {
             by_event,
             preds,
             history,
-            cycle: None,
             dangling,
         }
     }
 
     /// Does action `a` happen-before action `b`? (Strict: `ordered(i, i)`
-    /// is false.) Always false when the graph has a cycle.
+    /// is false.)
     pub fn ordered(&self, a: usize, b: usize) -> bool {
-        match self.history.get(b) {
-            Some(row) => row[a / 64] & (1u64 << (a % 64)) != 0,
-            None => false,
-        }
+        self.history[b][a / 64] & (1u64 << (a % 64)) != 0
     }
 
     /// Neither `a` happens-before `b` nor the reverse.
     pub fn concurrent(&self, a: usize, b: usize) -> bool {
         a != b && !self.ordered(a, b) && !self.ordered(b, a)
-    }
-}
-
-/// Walk predecessor edges among the nodes left with nonzero in-degree (all
-/// of which lie on or feed cycles) until a node repeats.
-fn find_cycle(preds: &[Vec<usize>], indeg: &[usize]) -> Vec<usize> {
-    let start = indeg
-        .iter()
-        .position(|&d| d > 0)
-        .expect("find_cycle only called when a cycle exists");
-    let mut seen_at: HashMap<usize, usize> = HashMap::new();
-    let mut path = vec![start];
-    let mut cur = start;
-    loop {
-        if let Some(&first) = seen_at.get(&cur) {
-            let mut cycle = path[first..path.len() - 1].to_vec();
-            // The walk followed b → pred(b); reverse to dependence order.
-            cycle.reverse();
-            return cycle;
-        }
-        seen_at.insert(cur, path.len() - 1);
-        let next = preds[cur]
-            .iter()
-            .copied()
-            .find(|&j| indeg[j] > 0)
-            .expect("a node on a cycle has a predecessor on a cycle");
-        path.push(next);
-        cur = next;
     }
 }

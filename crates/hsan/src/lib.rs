@@ -10,28 +10,26 @@
 //! * **Cross-stream races** — two actions in different streams whose
 //!   footprints conflict (same domain + buffer, overlapping bytes, at least
 //!   one write) with no happens-before path between them.
-//! * **Deadlocks** — cycles in the event-wait graph (only constructible in
-//!   hand-written traces; the live runtime validates waits at enqueue).
-//! * **Buffer lifetime hazards** — touching a buffer after it was
-//!   destroyed, beyond its length, or in a domain where it was never
-//!   instantiated.
+//! * **Dangling waits** — a wait naming no earlier action of the trace.
 //! * **FIFO-equivalence** — the executor's observed completion order must
 //!   be a linearization of the happens-before order: if `a` must precede
 //!   `b`, `a` must have completed no later than `b`.
 //!
-//! Use [`check`] from tests, or the `hsan` binary on a JSON trace
-//! (`cargo run -p hsan -- trace.json`; see [`json`] for the format).
-//! A live run is traced by its lifecycle records: `hs.obs_enable(true)`,
-//! run, then [`ActionTrace::from_records`] over `hs.take_obs_records()` —
-//! the slice the Chrome export reads too. Live traces carry no buffer
-//! operations (the runtime refuses every lifetime hazard at enqueue), so
-//! the lifetime checks speak to hand-written and JSON traces.
+//! A run is traced by its lifecycle records: `hs.obs_enable(true)`, run,
+//! then [`ActionTrace::from_records`] over `hs.take_obs_records()` — the
+//! slice the Chrome export reads too — and [`check`] it. Buffer lifetime
+//! hazards are not checked here: the runtime refuses them at enqueue. It
+//! refuses a wait on an event it has not reserved too, so a recorded trace
+//! has no dangling wait and no cycle; the dangling-wait check keeps
+//! [`check`] total for traces built by hand.
+//!
+//! The `hsan lock-order` binary checks a recorded lock-acquisition edge
+//! graph instead ([`lockorder`]).
 
 pub mod hb;
-pub mod json;
 pub mod lockorder;
 
-use hstreams_core::record::{ActionRecord, TraceOp};
+use hstreams_core::record::ActionRecord;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
@@ -84,27 +82,8 @@ pub enum Finding {
         /// Access kinds, `(first writes?, second writes?)`.
         writes: (bool, bool),
     },
-    /// A cycle in the dependence/event-wait graph: none of these actions
-    /// can ever dispatch.
-    Deadlock { cycle: Vec<ActionRef> },
-    /// A wait names an event no recorded action produced.
+    /// A wait names an event no earlier recorded action produced.
     DanglingWait { action: ActionRef, missing: u64 },
-    /// The buffer was destroyed earlier in the trace.
-    UseAfterFree { action: ActionRef, buffer: u64 },
-    /// The footprint touches the buffer in a domain it was never
-    /// instantiated in.
-    NeverInstantiated {
-        action: ActionRef,
-        buffer: u64,
-        domain: usize,
-    },
-    /// The footprint's range exceeds the buffer's length.
-    OutOfBounds {
-        action: ActionRef,
-        buffer: u64,
-        len: usize,
-        range: Range<usize>,
-    },
     /// `first` happens-before `second`, yet the executor reported `second`
     /// complete strictly earlier — the run was not linearizable to the
     /// FIFO semantics.
@@ -121,11 +100,7 @@ impl Finding {
     pub fn tag(&self) -> &'static str {
         match self {
             Finding::Race { .. } => "race",
-            Finding::Deadlock { .. } => "deadlock",
             Finding::DanglingWait { .. } => "dangling-wait",
-            Finding::UseAfterFree { .. } => "use-after-free",
-            Finding::NeverInstantiated { .. } => "never-instantiated",
-            Finding::OutOfBounds { .. } => "out-of-bounds",
             Finding::FifoViolation { .. } => "fifo-violation",
         }
     }
@@ -157,49 +132,10 @@ impl fmt::Display for Finding {
                     overlap.start, overlap.end
                 )
             }
-            Finding::Deadlock { cycle } => {
-                write!(
-                    f,
-                    "DEADLOCK: dependence cycle among {} actions: ",
-                    cycle.len()
-                )?;
-                for (i, a) in cycle.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " -> ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, " -> (back to start); none can ever dispatch")
-            }
             Finding::DanglingWait { action, missing } => write!(
                 f,
                 "DANGLING WAIT: {action} waits on event {missing}, which no \
-                 recorded action produced"
-            ),
-            Finding::UseAfterFree { action, buffer } => write!(
-                f,
-                "USE AFTER FREE: {action} touches buffer {buffer} after it \
-                 was destroyed"
-            ),
-            Finding::NeverInstantiated {
-                action,
-                buffer,
-                domain,
-            } => write!(
-                f,
-                "NOT INSTANTIATED: {action} touches buffer {buffer} in \
-                 domain {domain}, where it was never instantiated"
-            ),
-            Finding::OutOfBounds {
-                action,
-                buffer,
-                len,
-                range,
-            } => write!(
-                f,
-                "OUT OF BOUNDS: {action} touches bytes {}..{} of buffer \
-                 {buffer}, which is only {len} bytes long",
-                range.start, range.end
+                 earlier recorded action produced"
             ),
             Finding::FifoViolation {
                 first,
@@ -260,8 +196,8 @@ impl fmt::Display for Report {
     }
 }
 
-/// Analyze a recorded trace. Findings are ordered: deadlocks and dangling
-/// waits first, then races, lifetime hazards, and FIFO violations.
+/// Analyze a recorded trace. Findings are ordered: dangling waits first,
+/// then races, then FIFO violations.
 pub fn check(trace: &ActionTrace) -> Report {
     let g = hb::HbGraph::build(trace);
     let mut report = Report {
@@ -270,28 +206,14 @@ pub fn check(trace: &ActionTrace) -> Report {
         streams: trace.streams,
         pairs_checked: 0,
     };
-
-    if let Some(cycle) = &g.cycle {
-        report.findings.push(Finding::Deadlock {
-            cycle: cycle
-                .iter()
-                .map(|&i| ActionRef::new(g.actions[i]))
-                .collect(),
-        });
-    }
     for &(i, missing) in &g.dangling {
         report.findings.push(Finding::DanglingWait {
-            action: ActionRef::new(g.actions[i]),
+            action: ActionRef::new(&g.actions[i]),
             missing,
         });
     }
-    if g.cycle.is_none() {
-        check_races(&g, &mut report);
-    }
-    check_lifetimes(trace, &mut report);
-    if g.cycle.is_none() {
-        check_fifo(trace, &g, &mut report);
-    }
+    check_races(&g, &mut report);
+    check_fifo(trace, &g, &mut report);
     report
 }
 
@@ -315,7 +237,7 @@ fn check_races(g: &hb::HbGraph<'_>, report: &mut Report) {
     for ((domain, buffer), touches) in locs {
         for (n, &(i, ki)) in touches.iter().enumerate() {
             for &(j, kj) in &touches[n + 1..] {
-                let (a, b) = (g.actions[i], g.actions[j]);
+                let (a, b) = (&g.actions[i], &g.actions[j]);
                 if a.stream == b.stream || reported.contains(&(i.min(j), i.max(j))) {
                     continue;
                 }
@@ -335,76 +257,6 @@ fn check_races(g: &hb::HbGraph<'_>, report: &mut Report) {
                         overlap,
                         writes: (x.write, y.write),
                     });
-                }
-            }
-        }
-    }
-}
-
-/// Walk the trace in program order tracking each buffer's lifecycle.
-/// Buffers with no `BufferCreate` in the trace (every buffer of a live
-/// trace) have unknown provenance and are skipped.
-fn check_lifetimes(trace: &ActionTrace, report: &mut Report) {
-    struct BufState {
-        len: usize,
-        domains: HashSet<usize>,
-        destroyed: bool,
-    }
-    let mut bufs: HashMap<u64, BufState> = HashMap::new();
-    for op in &trace.ops {
-        match op {
-            TraceOp::BufferCreate { buffer, len } => {
-                bufs.insert(
-                    *buffer,
-                    BufState {
-                        len: *len,
-                        domains: HashSet::new(),
-                        destroyed: false,
-                    },
-                );
-            }
-            TraceOp::BufferInstantiate { buffer, domain } => {
-                if let Some(b) = bufs.get_mut(buffer) {
-                    b.domains.insert(*domain);
-                }
-            }
-            TraceOp::BufferDestroy { buffer } => {
-                if let Some(b) = bufs.get_mut(buffer) {
-                    b.destroyed = true;
-                }
-            }
-            TraceOp::Enqueue(a) => {
-                // One finding per (action, buffer, kind) even when several
-                // footprint items hit the same buffer.
-                let mut seen: HashSet<(u64, &'static str)> = HashSet::new();
-                for item in &a.footprint {
-                    let Some(b) = bufs.get(&item.buffer.0) else {
-                        continue;
-                    };
-                    if b.destroyed {
-                        if seen.insert((item.buffer.0, "uaf")) {
-                            report.findings.push(Finding::UseAfterFree {
-                                action: ActionRef::new(a),
-                                buffer: item.buffer.0,
-                            });
-                        }
-                        continue;
-                    }
-                    if item.range.end > b.len && seen.insert((item.buffer.0, "oob")) {
-                        report.findings.push(Finding::OutOfBounds {
-                            action: ActionRef::new(a),
-                            buffer: item.buffer.0,
-                            len: b.len,
-                            range: item.range.clone(),
-                        });
-                    }
-                    if !b.domains.contains(&item.domain.0) && seen.insert((item.buffer.0, "inst")) {
-                        report.findings.push(Finding::NeverInstantiated {
-                            action: ActionRef::new(a),
-                            buffer: item.buffer.0,
-                            domain: item.domain.0,
-                        });
-                    }
                 }
             }
         }
@@ -442,8 +294,8 @@ fn check_fifo(trace: &ActionTrace, g: &hb::HbGraph<'_>, report: &mut Report) {
             .any(|&(k, _)| k != i && k != j && g.ordered(i, k) && g.ordered(k, j));
         if !covered {
             report.findings.push(Finding::FifoViolation {
-                first: ActionRef::new(g.actions[i]),
-                second: ActionRef::new(g.actions[j]),
+                first: ActionRef::new(&g.actions[i]),
+                second: ActionRef::new(&g.actions[j]),
                 first_key: ki,
                 second_key: kj,
             });

@@ -35,7 +35,7 @@
 //! }
 //! ```
 
-use crate::json::{as_arr, as_obj, check_keys, get, get_str, get_u64};
+use hs_obs::json::Value;
 use hstreams_core::lockorder::LockClass;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -210,6 +210,42 @@ pub fn check_json(text: &str) -> Result<LockOrderReport, String> {
             .push(LockOrderFinding::UnknownClass { name });
     }
     Ok(report)
+}
+
+fn check_keys(obj: &BTreeMap<String, Value>, allowed: &[&str]) -> Result<(), String> {
+    for k in obj.keys() {
+        if !allowed.contains(&k.as_str()) {
+            return Err(format!("unknown key '{k}' (allowed: {allowed:?})"));
+        }
+    }
+    Ok(())
+}
+
+fn get<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v Value, String> {
+    obj.get(key).ok_or_else(|| format!("missing key '{key}'"))
+}
+
+fn as_obj<'v>(v: &'v Value, what: &str) -> Result<&'v BTreeMap<String, Value>, String> {
+    v.as_object()
+        .ok_or_else(|| format!("{what} must be an object"))
+}
+
+fn as_arr<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], String> {
+    v.as_array()
+        .ok_or_else(|| format!("{what} must be an array"))
+}
+
+fn get_str<'v>(obj: &'v BTreeMap<String, Value>, key: &str) -> Result<&'v str, String> {
+    get(obj, key)?
+        .as_str()
+        .ok_or_else(|| format!("{key} must be a string"))
+}
+
+fn get_u64(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+    match get(obj, key)? {
+        Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => Ok(*n as u64),
+        _ => Err(format!("{key} must be a non-negative integer")),
+    }
 }
 
 /// Check an edge multiset against the documented total order: report every

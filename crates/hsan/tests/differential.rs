@@ -274,19 +274,30 @@ fn batched_enqueue_is_hsan_equivalent_to_serial_replay() {
     }
 }
 
-/// The global trace of a concurrent run is itself a valid program order:
-/// every wait refers to an event recorded before it (an id is reserved
-/// before anyone can wait on it, and the fold orders actions by id).
+/// The global trace of every run is itself a valid program order: every
+/// wait names a lower event id, recorded before its waiter (an id is
+/// reserved before anyone can wait on it, and the fold orders actions by
+/// id). `hsan`'s happens-before graph rests on this: it fills causal
+/// history in trace order and reads a forward wait as dangling.
 #[test]
 fn concurrent_trace_wait_edges_point_backwards() {
-    for style in [Style::Concurrent, Style::Batched] {
-        let trace = run(ExecMode::Threads, style);
-        let mut seen = std::collections::HashSet::new();
-        for a in trace.actions() {
-            for w in &a.waits {
-                assert!(seen.contains(w), "wait on event {w} recorded before it");
+    for mode in [ExecMode::Threads, ExecMode::Sim] {
+        for style in [Style::Concurrent, Style::Serial, Style::Batched] {
+            let trace = run(mode, style);
+            let mut seen = std::collections::HashSet::new();
+            let mut waits = 0;
+            for a in trace.actions() {
+                for w in &a.waits {
+                    assert!(
+                        *w < a.event && seen.contains(w),
+                        "event {} waits on {w}, not recorded before it ({mode:?})",
+                        a.event
+                    );
+                    waits += 1;
+                }
+                seen.insert(a.event);
             }
-            seen.insert(a.event);
+            assert!(waits > 0, "the programs wait across actions ({mode:?})");
         }
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal JSON reader (the workspace has no serde_json) — enough to
-//! re-parse the documents this workspace emits (Chrome traces, `hsan`
-//! action traces and lock-order edge lists) and to reject malformed hand
-//! edits, with the byte offset of whatever was wrong.
+//! re-parse the documents this workspace emits (Chrome traces and
+//! lock-order edge lists) and to reject malformed hand edits, with the byte
+//! offset of whatever was wrong.
 
 use std::collections::BTreeMap;
 
@@ -58,10 +58,16 @@ impl Value {
     }
 }
 
-/// Parse one JSON document; anything but whitespace after it is an error.
+/// How many arrays and objects may nest. The reader recurses once per
+/// level, so a cap keeps hostile input from overflowing the stack; the
+/// documents this workspace writes nest four deep at most.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one JSON document; anything but whitespace after it is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut pos = 0usize;
-    let v = value(s, &mut pos)?;
+    let v = value(s, &mut pos, 0)?;
     skip_ws(s.as_bytes(), &mut pos);
     if pos != s.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -75,13 +81,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn value(s: &str, pos: &mut usize) -> Result<Value, String> {
+/// The value at `pos`, inside `depth` enclosing arrays and objects.
+fn value(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => object(s, pos),
-        Some(b'[') => array(s, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => object(s, pos, depth + 1),
+        Some(b'[') => array(s, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(string(s, pos)?)),
         Some(b't') => lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => lit(b, pos, "false", Value::Bool(false)),
@@ -159,7 +169,7 @@ fn string(s: &str, pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn array(s: &str, pos: &mut usize) -> Result<Value, String> {
+fn array(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     *pos += 1; // [
     let mut items = Vec::new();
@@ -169,7 +179,7 @@ fn array(s: &str, pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(value(s, pos)?);
+        items.push(value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -182,7 +192,7 @@ fn array(s: &str, pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn object(s: &str, pos: &mut usize) -> Result<Value, String> {
+fn object(s: &str, pos: &mut usize, depth: usize) -> Result<Value, String> {
     let b = s.as_bytes();
     *pos += 1; // {
     let mut map = BTreeMap::new();
@@ -202,7 +212,7 @@ fn object(s: &str, pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected : at byte {pos}"));
         }
         *pos += 1;
-        map.insert(key, value(s, pos)?);
+        map.insert(key, value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -245,5 +255,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\": ".repeat(n) + "1" + &"}".repeat(n);
+        for doc in [arrays, objects] {
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{MAX_DEPTH} deep parses");
+            let err = parse(&doc(MAX_DEPTH + 1)).expect_err("one deeper is refused");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 }

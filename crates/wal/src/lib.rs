@@ -666,8 +666,11 @@ pub struct RecordRead {
 /// Result of scanning a run directory.
 #[derive(Debug, Default)]
 pub struct Recovered {
-    /// Run id from the segment headers (0 if the directory had none).
-    pub run_id: u64,
+    /// Run id of the first valid segment header; a segment naming any
+    /// other run is dropped. `None` if the directory had no valid segment.
+    /// The caller knows which run the directory belongs to and must refuse
+    /// a scan that names another.
+    pub run_id: Option<u64>,
     /// Valid records, ordered by (partition, segment seq, file offset) —
     /// within a partition that is exactly append order.
     pub records: Vec<RecordRead>,
@@ -680,7 +683,8 @@ pub struct Recovered {
 /// Scan a run directory, returning the longest valid record prefix of every
 /// partition. Torn or corrupt tails are truncated in place (best effort)
 /// and reported in [`Recovered::torn`] — they are never an error and never
-/// yield a partial record.
+/// yield a partial record. A segment whose header disagrees with its file
+/// name (partition, seq) or with the run adopted so far is dropped whole.
 pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
     let mut segs: BTreeMap<u32, Vec<(u32, PathBuf)>> = BTreeMap::new();
     for ent in fs::read_dir(dir)? {
@@ -691,7 +695,6 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
         }
     }
     let mut out = Recovered::default();
-    let mut run_id: Option<u64> = None;
     for (part, mut files) in segs {
         files.sort_by_key(|(seq, _)| *seq);
         let mut partition_ok = true;
@@ -702,42 +705,22 @@ pub fn recover_dir(dir: &Path) -> io::Result<Recovered> {
                 ));
                 continue;
             }
-            match read_segment(&path, part, seq, run_id, &mut out) {
-                SegmentScan::Clean { seg_run_id } => {
-                    run_id.get_or_insert(seg_run_id);
-                }
-                SegmentScan::Torn { seg_run_id } => {
-                    if let Some(r) = seg_run_id {
-                        run_id.get_or_insert(r);
-                    }
-                    partition_ok = false;
-                }
-            }
+            partition_ok = read_segment(&path, part, seq, &mut out);
         }
     }
-    out.run_id = run_id.unwrap_or(0);
     Ok(out)
 }
 
-enum SegmentScan {
-    Clean { seg_run_id: u64 },
-    Torn { seg_run_id: Option<u64> },
-}
-
-fn read_segment(
-    path: &Path,
-    part: u32,
-    seq: u32,
-    expect_run: Option<u64>,
-    out: &mut Recovered,
-) -> SegmentScan {
+/// Append the valid records of one segment to `out`; `false` if any of it
+/// was dropped (the rest of its partition is then ignored).
+fn read_segment(path: &Path, part: u32, seq: u32, out: &mut Recovered) -> bool {
     let mut data = Vec::new();
     match File::open(path).and_then(|mut f| f.read_to_end(&mut data)) {
         Ok(_) => {}
         Err(e) => {
             out.torn
                 .push(format!("partition {part:#x} seq {seq}: unreadable: {e}"));
-            return SegmentScan::Torn { seg_run_id: None };
+            return false;
         }
     }
     if data.len() < HEADER_LEN
@@ -750,25 +733,29 @@ fn read_segment(
         ));
         out.truncated_bytes += data.len() as u64;
         truncate_file(path, 0, out);
-        return SegmentScan::Torn { seg_run_id: None };
+        return false;
     }
     let version = u16::from_le_bytes([data[8], data[9]]);
     let hdr_part = get_u32(&data[10..14]);
     let seg_run_id = get_u64(&data[14..22]);
-    if version != VERSION || hdr_part != part || expect_run.is_some_and(|r| r != seg_run_id) {
+    let hdr_seq = get_u32(&data[22..26]);
+    // The first valid header adopts its run; every later one must name it.
+    if version != VERSION
+        || hdr_part != part
+        || hdr_seq != seq
+        || *out.run_id.get_or_insert(seg_run_id) != seg_run_id
+    {
         out.torn.push(format!(
-            "partition {part:#x} seq {seq}: header mismatch \
-             (version {version}, partition {hdr_part:#x}, run {seg_run_id:#x}), segment dropped"
+            "partition {part:#x} seq {seq}: header mismatch (version {version}, partition \
+             {hdr_part:#x}, seq {hdr_seq}, run {seg_run_id:#x}), segment dropped"
         ));
         out.truncated_bytes += data.len() as u64;
-        return SegmentScan::Torn {
-            seg_run_id: Some(seg_run_id),
-        };
+        return false;
     }
     let mut off = HEADER_LEN;
     loop {
         if off == data.len() {
-            return SegmentScan::Clean { seg_run_id };
+            return true;
         }
         let rest = data.len() - off;
         if rest < RECORD_OVERHEAD {
@@ -796,9 +783,7 @@ fn read_segment(
     ));
     out.truncated_bytes += dropped as u64;
     truncate_file(path, off as u64, out);
-    SegmentScan::Torn {
-        seg_run_id: Some(seg_run_id),
-    }
+    false
 }
 
 fn truncate_file(path: &Path, len: u64, out: &mut Recovered) {
@@ -892,7 +877,7 @@ mod tests {
         }
         wal.flush().unwrap();
         let rec = recover_dir(&dir).unwrap();
-        assert_eq!(rec.run_id, 0xABCD);
+        assert_eq!(rec.run_id, Some(0xABCD));
         assert_eq!(rec.records.len(), 100);
         assert_eq!(rec.truncated_bytes, 0);
         for part in 0..3u32 {
