@@ -163,9 +163,9 @@ fn cholesky_variants_are_race_free_sim_mode() {
 /// actions re-run on the host behind their original events, and the fold
 /// keeps each event's first lifecycle. Every wait still names a lower event
 /// id — the invariant `hsan::hb` fills causal history by — and the trace
-/// has no race and no dangling wait. (Its FIFO check is not asserted: the
-/// fold keys a replayed event by its first lifecycle's failure, which can
-/// precede its predecessors' completions — ROADMAP, Known defects.)
+/// is clean: no race, no dangling wait, and, with an event keyed by its
+/// first completion rather than its lost lifecycle's failure, no FIFO
+/// violation.
 #[test]
 fn card_loss_replay_trace_waits_point_backwards() {
     use hstreams_core::{FaultKind, FaultPlan, FaultSite};
@@ -191,6 +191,5 @@ fn card_loss_replay_trace_waits_point_backwards() {
         assert!(w < ev, "event {ev} waits on {w}");
     }
     let report = hsan::check(&trace);
-    assert_eq!(report.count_of("race"), 0, "{report}");
-    assert_eq!(report.count_of("dangling-wait"), 0, "{report}");
+    assert!(report.is_clean(), "{report}");
 }

@@ -1,7 +1,8 @@
 //! Negative regression for the lock-order witness: run the paper's
 //! pipelines with acquisition recording on and assert the edge graph obeys
-//! the documented total order (DESIGN.md §13) — zero rank inversions, zero
-//! cycles — via the same `hsan lock-order` analysis CI runs.
+//! the documented total order (DESIGN.md §13): `lockorder::inversions()`
+//! is empty, and with it every cycle, since under a total order a cycle
+//! must contain an inverted edge.
 //!
 //! The edge multiset and enable flag are process-global, so the workloads
 //! run sequentially inside one `#[test]` with `clear()` between them.
@@ -15,10 +16,10 @@ use hstreams_core::{ExecMode, HStreams};
 fn assert_ordered(what: &str) {
     lockorder::disable();
     let edges = lockorder::edges();
-    let report = hsan::lockorder::check_json(&lockorder::edges_json()).expect("edges parse");
+    let inversions = lockorder::inversions();
     assert!(
-        report.is_clean(),
-        "{what}: lock-order violation in a live run:\n{report}"
+        inversions.is_empty(),
+        "{what}: lock-order violation in a live run: {inversions:?}"
     );
     // A real pipeline must actually exercise nested acquisition — a clean
     // report over an empty graph would prove nothing.

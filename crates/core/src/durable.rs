@@ -272,13 +272,14 @@ pub(crate) fn decode_action(ev: u64, payload: &[u8]) -> Option<LoggedAction> {
 /// One buffer instantiation in a checkpoint blob: (buffer id, domain, bytes).
 pub(crate) type CheckpointBuf = (u64, u32, Vec<u8>);
 
-/// Encode a quiesce-point checkpoint: the retirement watermark plus every
-/// buffer instantiation's bytes (`(buffer id, domain, bytes)`). Card
-/// instantiations are included because post-checkpoint actions may read
-/// card-resident data produced before the checkpoint — a host-only snapshot
-/// would silently lose it.
-pub(crate) fn encode_checkpoint(watermark: u64, bufs: &[CheckpointBuf]) -> Vec<u8> {
+/// Encode a quiesce-point checkpoint: the run it belongs to, the
+/// retirement watermark, and every buffer instantiation's bytes (`(buffer
+/// id, domain, bytes)`). Card instantiations are included because
+/// post-checkpoint actions may read card-resident data produced before the
+/// checkpoint — a host-only snapshot would silently lose it.
+pub(crate) fn encode_checkpoint(run_id: u64, watermark: u64, bufs: &[CheckpointBuf]) -> Vec<u8> {
     let mut out = Vec::new();
+    put_u64(&mut out, run_id);
     put_u64(&mut out, watermark);
     put_u32(&mut out, bufs.len() as u32);
     for (id, domain, bytes) in bufs {
@@ -289,10 +290,12 @@ pub(crate) fn encode_checkpoint(watermark: u64, bufs: &[CheckpointBuf]) -> Vec<u
     out
 }
 
-/// Decode a checkpoint blob; `None` on any structural mismatch (the blob's
-/// CRC framing already rejected torn writes — this guards format drift).
-pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, Vec<CheckpointBuf>)> {
+/// Decode a checkpoint blob into `(run id, watermark, buffers)`; `None` on
+/// any structural mismatch (the blob's CRC framing already rejected torn
+/// writes — this guards format drift).
+pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, u64, Vec<CheckpointBuf>)> {
     let mut r = Cursor::new(b);
+    let run_id = r.get_u64()?;
     let watermark = r.get_u64()?;
     let n = get_count(&mut r, 8 + 4 + 4)?; // id, domain, length of the bytes
     let mut bufs = Vec::with_capacity(n);
@@ -305,7 +308,7 @@ pub(crate) fn decode_checkpoint(b: &[u8]) -> Option<(u64, Vec<CheckpointBuf>)> {
     if r.remaining() != 0 {
         return None;
     }
-    Some((watermark, bufs))
+    Some((run_id, watermark, bufs))
 }
 
 // ---------------------------------------------------------------------------
@@ -362,6 +365,8 @@ pub(crate) fn fresh_run_id() -> u64 {
 /// (which take only `LockClass::Wal`, ranked just inside `Recovery`).
 pub(crate) struct WalShared {
     state: ClassedMutex<class::Wal, WalState>,
+    /// The run the writer logs for; its checkpoints carry it.
+    run_id: u64,
     /// Userspace-buffered bytes: lets wait entries skip the lock entirely
     /// when there is nothing to flush.
     pending: AtomicU64,
@@ -387,6 +392,7 @@ struct WalState {
 impl WalShared {
     pub(crate) fn new(wal: Wal, chaos: ChaosHub, obs: ObsHub) -> WalShared {
         WalShared {
+            run_id: wal.run_id(),
             state: ClassedMutex::new(WalState {
                 wal,
                 broken: false,
@@ -512,7 +518,7 @@ impl WalShared {
     /// quiesce point — all reserved event ids retired — so the snapshot and
     /// the watermark name the same instant. Returns true if written.
     pub(crate) fn checkpoint(&self, watermark: u64, bufs: &[(u64, u32, Vec<u8>)]) -> bool {
-        let payload = encode_checkpoint(watermark, bufs);
+        let payload = encode_checkpoint(self.run_id, watermark, bufs);
         let mut st = self.state.lock();
         if st.broken {
             return false;
@@ -847,9 +853,27 @@ impl HStreams {
                 src_dir.display()
             )));
         }
-        let ckpt = hs_wal::read_blob(&src_dir.join("checkpoint.blob"))
-            .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
-            .and_then(|b| decode_checkpoint(&b));
+        // A checkpoint that is there must be trusted or refused: the log
+        // records below its watermark were retired, so replaying the tail
+        // without it would run against init-state buffers.
+        let blob = src_dir.join("checkpoint.blob");
+        let ckpt = if blob.exists() {
+            let (run, wm, bufs) = hs_wal::read_blob(&blob)
+                .map_err(|e| HsError::ExecFailed(format!("recover: checkpoint: {e}")))?
+                .and_then(|b| decode_checkpoint(&b))
+                .ok_or_else(|| {
+                    HsError::ExecFailed(format!("recover: {} fails validation", blob.display()))
+                })?;
+            if run != src_id {
+                return Err(HsError::ExecFailed(format!(
+                    "recover: {} belongs to run {run:#x}, not its own run {src_id:#x}",
+                    blob.display()
+                )));
+            }
+            Some((wm, bufs))
+        } else {
+            None
+        };
         let mut report = RecoveryReport {
             run_id: src_id,
             torn: scanned.torn,
@@ -1183,9 +1207,9 @@ mod tests {
             (1, 1, Vec::new()),
             (7, 0, vec![0xFF; 100]),
         ];
-        let blob = encode_checkpoint(42, &bufs);
-        let (wm, back) = decode_checkpoint(&blob).expect("decodes");
-        assert_eq!(wm, 42);
+        let blob = encode_checkpoint(7, 42, &bufs);
+        let (run, wm, back) = decode_checkpoint(&blob).expect("decodes");
+        assert_eq!((run, wm), (7, 42));
         assert_eq!(back, bufs);
         assert!(decode_checkpoint(&blob[..blob.len() - 1]).is_none());
         let mut long = blob.clone();

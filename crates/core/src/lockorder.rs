@@ -1,5 +1,5 @@
 //! Lock-order witness: records which lock *classes* are held at each
-//! acquisition, for offline analysis by `hsan lock-order`.
+//! acquisition, and checks the record against the documented order.
 //!
 //! The runtime's deadlock-freedom argument is a total order on its eleven
 //! lock classes (DESIGN.md §13): every thread acquires locks in ascending
@@ -10,12 +10,10 @@
 //! calls [`acquiring`] on every acquisition, so coverage is every
 //! acquisition, by construction. While recording is [`enable`]d, every
 //! (held-class → acquired-class) pair is accumulated into a global edge
-//! multiset, and [`edges_json`] serializes it for the `hsan lock-order`
-//! subcommand, which reports rank inversions and cycles.
-//!
-//! The class list and ranks live here — in the runtime, next to the locks
-//! they describe — and `hsan` imports them, so the checker can never drift
-//! from the code it checks.
+//! multiset, and [`inversions`] returns the edges that break the order.
+//! Under a total order that is the whole check: a cycle of edges must
+//! somewhere acquire a class that does not outrank the one held, so every
+//! deadlock cycle shows as at least one inversion.
 //!
 //! Costs: the witness is always compiled. With recording disabled each
 //! acquisition costs one relaxed atomic load. Recording itself takes a
@@ -27,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -84,28 +81,6 @@ impl LockClass {
     pub fn rank(self) -> u8 {
         self as u8
     }
-
-    /// Stable wire name used in the edges JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockClass::World => "world",
-            LockClass::Streams => "streams",
-            LockClass::Stream => "stream",
-            LockClass::Buffers => "buffers",
-            LockClass::Recovery => "recovery",
-            LockClass::Wal => "wal",
-            LockClass::Degraded => "degraded",
-            LockClass::SimShadow => "sim_shadow",
-            LockClass::Compactor => "compactor",
-            LockClass::EventSlot => "event_slot",
-            LockClass::SimExec => "sim_exec",
-        }
-    }
-
-    /// Inverse of [`LockClass::name`].
-    pub fn from_name(name: &str) -> Option<LockClass> {
-        LockClass::ALL.iter().copied().find(|c| c.name() == name)
-    }
 }
 
 /// RAII witness for one held lock: created by [`acquiring`] immediately
@@ -152,21 +127,18 @@ pub fn edges() -> Vec<(LockClass, LockClass, u64)> {
         .collect()
 }
 
-/// The recorded edges in the `hsan lock-order` input format.
-pub fn edges_json() -> String {
-    let rows = edges();
-    let mut s = String::from("{\n  \"edges\": [\n");
-    for (i, (h, a, n)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"from\": \"{}\", \"to\": \"{}\", \"count\": {n}}}{comma}",
-            h.name(),
-            a.name()
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The recorded edges that break the documented order: the acquired class
+/// does not outrank the held one. A same-class nesting (two stream
+/// mutexes, say) is one too. Empty for a run that obeyed the order.
+pub fn inversions() -> Vec<(LockClass, LockClass, u64)> {
+    inverted(edges())
+}
+
+fn inverted(edges: Vec<(LockClass, LockClass, u64)>) -> Vec<(LockClass, LockClass, u64)> {
+    edges
+        .into_iter()
+        .filter(|&(held, acquired, _)| acquired.rank() <= held.rank())
+        .collect()
 }
 
 /// Witness an acquisition of `class`: one relaxed load while recording is
@@ -213,13 +185,49 @@ impl Drop for Acquired {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use LockClass::*;
 
     #[test]
-    fn ranks_are_dense_and_names_round_trip() {
+    fn ranks_are_dense() {
         for (i, c) in LockClass::ALL.iter().enumerate() {
             assert_eq!(c.rank() as usize, i);
-            assert_eq!(LockClass::from_name(c.name()), Some(*c));
         }
-        assert_eq!(LockClass::from_name("no-such-lock"), None);
+    }
+
+    #[test]
+    fn clean_graph_has_no_findings() {
+        let edges = vec![
+            (World, Stream, 10),
+            (Stream, EventSlot, 10),
+            (World, Buffers, 3),
+        ];
+        assert_eq!(inverted(edges), vec![]);
+    }
+
+    /// A two-class cycle shows as its one descending edge.
+    #[test]
+    fn inversion_and_two_cycle_both_reported() {
+        let edges = vec![(World, Stream, 5), (Stream, World, 1)];
+        assert_eq!(inverted(edges), vec![(Stream, World, 1)]);
+    }
+
+    #[test]
+    fn same_class_nesting_is_an_inversion() {
+        assert_eq!(
+            inverted(vec![(Stream, Stream, 2)]),
+            vec![(Stream, Stream, 2)]
+        );
+    }
+
+    /// Each hop but the last ascends: the cycle is caught at the one edge
+    /// that closes it.
+    #[test]
+    fn three_cycle_without_direct_back_edge() {
+        let edges = vec![
+            (World, Streams, 1),
+            (Streams, Stream, 1),
+            (Stream, World, 1),
+        ];
+        assert_eq!(inverted(edges), vec![(Stream, World, 1)]);
     }
 }

@@ -20,7 +20,7 @@ use crate::stream::ActionKind;
 use crate::types::{BufferId, DomainId, OrderingMode};
 use crate::HStreams;
 use hs_obs::{ActionMeta, ObsPhase, ObsRecord};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// One enqueued action, as the dependence engine saw it.
 #[derive(Clone, Debug)]
@@ -74,11 +74,12 @@ pub struct ActionTrace {
     /// The enqueued actions, in event-id order.
     pub actions: Vec<ActionRecord>,
     /// Observed completions as `(event id, order key)`, in completion
-    /// order. The key is the timestamp of the event's first terminal
-    /// lifecycle phase: wall nanoseconds in thread mode — stamped before
-    /// the completion is observable, so a dependent's key is never below
-    /// its producer's — and the virtual fire time in sim mode (ties = same
-    /// virtual instant).
+    /// order. The key is the timestamp of the event's first `Completed`
+    /// phase, or of its last terminal phase if no lifecycle completed:
+    /// wall nanoseconds in thread mode — stamped before the completion is
+    /// observable, so a dependent's key is never below its producer's —
+    /// and the virtual fire time in sim mode (ties = same virtual
+    /// instant).
     pub completions: Vec<(u64, u64)>,
 }
 
@@ -94,12 +95,19 @@ impl ActionTrace {
     /// waiter — and the first `Enqueued` record of an event is the one kept
     /// (a card-loss replay is a later lifecycle of the same event). Phases
     /// of lifecycles enqueued before the slice are skipped.
+    ///
+    /// An event completes once, at its first `Completed` phase. A lost
+    /// card fails its queued lifecycles in whatever order the loss reaches
+    /// them, so a `Failed` phase says nothing about dependence order and
+    /// stands in only for an event that never completed. Nor is a later
+    /// lifecycle's completion the key: a replay may re-run a producer that
+    /// completed before its dependents.
     pub fn from_records(hs: &HStreams, records: &[ObsRecord]) -> ActionTrace {
         let mut event_of: HashMap<u64, u64> = HashMap::new();
         let mut actions: BTreeMap<u64, ActionRecord> = BTreeMap::new();
-        let mut completions: Vec<(u64, u64)> = Vec::new();
-        let mut completed: HashSet<u64> = HashSet::new();
-        for rec in records {
+        // Event → (completed, key, index of the keying record).
+        let mut keys: HashMap<u64, (bool, u64, usize)> = HashMap::new();
+        for (i, rec) in records.iter().enumerate() {
             match rec {
                 ObsRecord::Enqueued { action, meta, .. } => {
                     event_of.insert(*action, meta.event);
@@ -109,25 +117,27 @@ impl ActionTrace {
                 }
                 ObsRecord::Phase {
                     action,
-                    phase: ObsPhase::Completed | ObsPhase::Failed,
+                    phase: phase @ (ObsPhase::Completed | ObsPhase::Failed),
                     t_ns,
                 } => {
                     if let Some(&ev) = event_of.get(action) {
-                        if completed.insert(ev) {
-                            completions.push((ev, *t_ns));
+                        if !keys.get(&ev).is_some_and(|&(completed, ..)| completed) {
+                            keys.insert(ev, (*phase == ObsPhase::Completed, *t_ns, i));
                         }
                     }
                 }
                 _ => {}
             }
         }
-        // Stable: equal keys keep the order their records were pushed in.
-        completions.sort_by_key(|&(_, key)| key);
+        // Equal keys keep the order their records came in.
+        let mut completions: Vec<(u64, u64, usize)> =
+            keys.into_iter().map(|(ev, (_, t, i))| (ev, t, i)).collect();
+        completions.sort_by_key(|&(_, t, i)| (t, i));
         ActionTrace {
             ordering: hs.ordering(),
             streams: hs.num_streams() as u32,
             actions: actions.into_values().collect(),
-            completions,
+            completions: completions.into_iter().map(|(ev, t, _)| (ev, t)).collect(),
         }
     }
 }

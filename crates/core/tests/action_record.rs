@@ -342,3 +342,54 @@ fn recorded_completion_order_puts_producers_before_their_dependents() {
         );
     }
 }
+
+/// A card-loss drain, written out by hand: an event's completion is keyed
+/// by its first `Completed` phase. Events 0 → 1 are a producer and its
+/// dependent whose first lifecycles failed in the opposite order when the
+/// card died, then were replayed in order. Events 2 → 3 completed, then
+/// the replay re-ran producer 2 because a replayed reader needed its
+/// result: the re-run must not move 2 behind 3.
+#[test]
+fn completions_are_keyed_by_the_first_completed_lifecycle() {
+    use hs_obs::{ActionMeta, ObsKind, ObsPhase, ObsRecord};
+    let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
+    let enqueued = |action: u64, event: u64| ObsRecord::Enqueued {
+        action,
+        t_ns: 0,
+        meta: ActionMeta {
+            stream: 0,
+            event,
+            kind: ObsKind::Compute,
+            order: hstreams_core::ActionKind::Normal,
+            card: None,
+            h2d: false,
+            bytes: 0,
+            footprint: Vec::new(),
+            waits: Vec::new(),
+            label: format!("a{action}"),
+        },
+    };
+    let phase = |action: u64, phase: ObsPhase, t_ns: u64| ObsRecord::Phase {
+        action,
+        phase,
+        t_ns,
+    };
+    let records = [
+        enqueued(0, 0),
+        enqueued(1, 1),
+        phase(1, ObsPhase::Failed, 10),
+        phase(0, ObsPhase::Failed, 20),
+        enqueued(2, 0),
+        phase(2, ObsPhase::Completed, 30),
+        enqueued(3, 1),
+        phase(3, ObsPhase::Completed, 40),
+        enqueued(4, 2),
+        phase(4, ObsPhase::Completed, 50),
+        enqueued(5, 3),
+        phase(5, ObsPhase::Completed, 60),
+        enqueued(6, 2),
+        phase(6, ObsPhase::Completed, 70),
+    ];
+    let trace = hstreams_core::ActionTrace::from_records(&hs, &records);
+    assert_eq!(trace.completions, vec![(0, 30), (1, 40), (2, 50), (3, 60)]);
+}

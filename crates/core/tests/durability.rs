@@ -662,6 +662,18 @@ fn durability_refuses_root_with_existing_runs() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The one run directory under `root`.
+fn run_dir(root: &Path) -> PathBuf {
+    std::fs::read_dir(root)
+        .expect("root")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("run-"))
+        })
+        .expect("a run directory")
+}
+
 /// A run directory holding a valid segment of another run, copied in under
 /// its own first segment's name, is refused rather than replayed: the scan
 /// names the other run, which is not the directory's.
@@ -675,17 +687,7 @@ fn recover_refuses_a_segment_of_another_run() {
         enqueue_rounds(&hs, s0, s1, buf, rounds);
         hs.thread_synchronize().expect("sync");
     }
-    let first_segment = |dir: &Path| {
-        let run = std::fs::read_dir(dir)
-            .expect("root")
-            .map(|e| e.expect("entry").path())
-            .find(|p| {
-                p.file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with("run-"))
-            })
-            .expect("a run directory");
-        run.join("p00000000-00000000.seg")
-    };
+    let first_segment = |dir: &Path| run_dir(dir).join("p00000000-00000000.seg");
     std::fs::copy(first_segment(&other), first_segment(&root)).expect("copy the segment in");
     let hs = runtime(ExecMode::Threads);
     let _ = init_workload(&hs);
@@ -693,6 +695,39 @@ fn recover_refuses_a_segment_of_another_run() {
         .recover(&root)
         .expect_err("another run's segment is refused");
     assert!(err.to_string().contains("not its own run"), "{err}");
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&other);
+}
+
+/// A checkpoint blob that is there but cannot be trusted is refused, not
+/// skipped: the records below its watermark were retired, so replaying
+/// the tail without it would run against init-state buffers. Refused are
+/// another run's valid blob copied in, and a blob that fails its CRC.
+#[test]
+fn recover_refuses_a_checkpoint_it_cannot_trust() {
+    let (root, other) = (tmp_root("own-ckpt"), tmp_root("other-ckpt"));
+    for dir in [&root, &other] {
+        let hs = runtime(ExecMode::Threads);
+        hs.durability_opts(dir, false, 0).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        enqueue_rounds(&hs, s0, s1, buf, 2);
+        hs.thread_synchronize().expect("sync");
+        hs.wal_checkpoint();
+    }
+    let blob = run_dir(&root).join("checkpoint.blob");
+    std::fs::copy(run_dir(&other).join("checkpoint.blob"), &blob).expect("copy the blob in");
+    let recover = || {
+        let hs = runtime(ExecMode::Threads);
+        let _ = init_no_input(&hs);
+        hs.recover(&root)
+            .expect_err("an untrusted checkpoint is refused")
+    };
+    let err = recover();
+    assert!(err.to_string().contains("not its own run"), "{err}");
+    let bytes = std::fs::read(&blob).expect("blob");
+    std::fs::write(&blob, &bytes[..bytes.len() - 1]).expect("truncate the blob");
+    let err = recover();
+    assert!(err.to_string().contains("fails validation"), "{err}");
     let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&other);
 }

@@ -5,7 +5,7 @@
 //! added edges to the multiset this test compares exactly. The two tests
 //! here take [`SERIAL`] for the same reason.
 
-use hstreams_core::lockorder::{acquiring, clear, disable, edges, edges_json, enable, LockClass};
+use hstreams_core::lockorder::{acquiring, clear, disable, edges, enable, LockClass};
 use hstreams_core::sync::{class, ClassedMutex, ClassedRwLock};
 
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -36,9 +36,6 @@ fn records_held_to_acquired_edges() {
         let _s = acquiring(LockClass::Streams);
     }
     assert_eq!(edges().len(), 3);
-    let json = edges_json();
-    assert!(json.contains("\"from\": \"world\""), "{json}");
-    assert!(json.contains("\"to\": \"event_slot\""), "{json}");
 
     // Out-of-order guard drop: dropping the outer guard first takes
     // `world` off the held stack, so the next acquisition records an

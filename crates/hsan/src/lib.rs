@@ -23,11 +23,10 @@
 //! has no dangling wait and no cycle; the dangling-wait check keeps
 //! [`check`] total for traces built by hand.
 //!
-//! The `hsan lock-order` binary checks a recorded lock-acquisition edge
-//! graph instead ([`lockorder`]).
+//! The runtime's lock order is checked where the locks live, by
+//! `hstreams_core::lockorder::inversions`.
 
 pub mod hb;
-pub mod lockorder;
 
 use hstreams_core::record::ActionRecord;
 use std::collections::{HashMap, HashSet};

@@ -1,7 +1,7 @@
 //! A minimal JSON reader (the workspace has no serde_json) — enough to
-//! re-parse the documents this workspace emits (Chrome traces and
-//! lock-order edge lists) and to reject malformed hand edits, with the byte
-//! offset of whatever was wrong.
+//! re-parse the Chrome traces this workspace emits ([`crate::chrome::validate`],
+//! the `validate_trace` binary) and to reject malformed hand edits, with the
+//! byte offset of whatever was wrong.
 
 use std::collections::BTreeMap;
 

@@ -12,9 +12,8 @@
 //! are read from it. The `Enqueued` record's [`ActionMeta`] also carries
 //! the action's event id, ordering kind, footprint and waits, so one
 //! drained slice of records is what `hsan` folds into the trace it checks
-//! as well. The reader that validates those traces ([`json`]) is the
-//! workspace's JSON reader; `hsan` parses its trace and lock-order files
-//! with it.
+//! as well. The reader that validates the Chrome export ([`json`]) is the
+//! workspace's JSON reader.
 //!
 //! Design constraints:
 //!
