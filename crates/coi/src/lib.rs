@@ -48,7 +48,6 @@ pub use workgroup::Workgroup;
 
 use hs_chaos::ChaosHub;
 use hs_fabric::{Endpoint, Fabric, NodeId, Pacer, WindowId};
-use hs_obs::ObsHub;
 use std::sync::Arc;
 
 /// Identifies an engine (device) in the COI sense. Engine 0 is the host.
@@ -79,7 +78,6 @@ pub struct CoiRuntime {
     /// One worker per core, spawned here: what every in-process pipeline,
     /// DMA queue and expansion region runs on.
     pool: Arc<WorkerPool>,
-    obs: ObsHub,
     chaos: ChaosHub,
 }
 
@@ -89,22 +87,20 @@ impl CoiRuntime {
     /// functional tests).
     pub fn new(n_cards: usize, pacer: Pacer) -> Arc<CoiRuntime> {
         let per_card = vec![pacer; n_cards];
-        Self::new_with_endpoints(per_card, ObsHub::new(), ChaosHub::default(), &[])
+        Self::new_with_endpoints(per_card, ChaosHub::default(), &[])
             .expect("no endpoint to connect: in-process construction is infallible")
     }
 
     /// The full constructor. Each card engine gets its own DMA pacer (index
-    /// `i` paces engine `i + 1`); lifecycle/gauge events go to `obs`;
-    /// `chaos` is the fault-injection hub wired into every DMA channel (and
-    /// consulted by dispatchers above). `remotes` backs some card engines
-    /// with out-of-process workers: it maps engine index (1-based; the host
-    /// cannot be remote) to the worker's endpoint, and an empty slice is
-    /// the all-in-process case. Connecting is synchronous — a worker that
+    /// `i` paces engine `i + 1`); `chaos` is the fault-injection hub wired
+    /// into every DMA channel (and consulted by dispatchers above).
+    /// `remotes` backs some card engines with out-of-process workers: it
+    /// maps engine index (1-based; the host cannot be remote) to the
+    /// worker's endpoint, and an empty slice is the all-in-process case. Connecting is synchronous — a worker that
     /// never comes up is an error here, while a worker that dies *later*
     /// surfaces as `CardLost` at first use.
     pub fn new_with_endpoints(
         per_card: Vec<Pacer>,
-        obs: ObsHub,
         chaos: ChaosHub,
         remotes: &[(usize, Endpoint)],
     ) -> std::io::Result<Arc<CoiRuntime>> {
@@ -118,14 +114,8 @@ impl CoiRuntime {
             n_engines,
             host_cores,
             pool: Arc::new(WorkerPool::new(host_cores, "hs-pool")),
-            obs,
             chaos,
         }))
-    }
-
-    /// The observability hub shared by this runtime's pipelines/workgroups.
-    pub fn obs(&self) -> &ObsHub {
-        &self.obs
     }
 
     /// The worker pool under this runtime's in-process queues and regions.

@@ -142,12 +142,7 @@ impl Pipeline {
             "pipeline lanes must be in 1..=width"
         );
         // Tasks expand over the runtime's pool: no thread of their own.
-        let wg = Arc::new(Workgroup::on(
-            rt.pool().clone(),
-            lanes,
-            affinity,
-            rt.obs().clone(),
-        ));
+        let wg = Arc::new(Workgroup::on(rt.pool().clone(), lanes, affinity));
         let node = engine.node();
         let exec = rt.fabric().transport(node).as_remote().and_then(|remote| {
             let conn = remote.open_exec(width as u32, cores);
@@ -354,7 +349,7 @@ impl Sink {
     /// host-side, or operands are mixed host/remote): fetch the remote operand
     /// bytes into private scratch windows, run the function locally, and write
     /// back the write-operands. The fallback uses the raw transport (not the
-    /// DMA engines) so the `dma.cN.*` gauges keep meaning "buffer instantiation
+    /// DMA engines) so the `dma.cN.*` rows keep meaning "buffer instantiation
     /// traffic" and stay comparable between Local and Remote transports.
     fn execute_remote(
         &self,

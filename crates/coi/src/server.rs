@@ -131,12 +131,7 @@ impl WorkerState {
             let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
             Arc::new(WorkerPool::new(cores, "hs-wrk-pool"))
         });
-        Arc::new(Workgroup::on(
-            pool.clone(),
-            lanes,
-            None,
-            hs_obs::ObsHub::new(),
-        ))
+        Arc::new(Workgroup::on(pool.clone(), lanes, None))
     }
 
     fn window(&self, win: u64) -> Result<Arc<WindowMem>, String> {
@@ -1023,13 +1018,8 @@ mod tests {
         let addr = spawn_tcp_server("127.0.0.1:0", registry).expect("bind");
         let ep = Endpoint::Tcp(addr.to_string());
         let chaos = ChaosHub::default();
-        let rt = CoiRuntime::new_with_endpoints(
-            vec![Pacer::unpaced()],
-            hs_obs::ObsHub::new(),
-            chaos.clone(),
-            &[(1, ep)],
-        )
-        .expect("connect");
+        let rt = CoiRuntime::new_with_endpoints(vec![Pacer::unpaced()], chaos.clone(), &[(1, ep)])
+            .expect("connect");
         let card = EngineId(1);
         let streams = [0, 1].map(|_| rt.pipeline_create_stream(card, 30, 60, None));
         let wins = [0, 1].map(|_| rt.buffer_alloc(card, 8, false));

@@ -33,6 +33,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -90,6 +91,8 @@ thread_local! {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
+    /// Parallel regions opened on this pool, by every group on it.
+    pub(crate) regions: AtomicU64,
 }
 
 impl WorkerPool {
@@ -112,12 +115,21 @@ impl WorkerPool {
                     .expect("spawning a pool worker")
             })
             .collect();
-        WorkerPool { shared, threads }
+        WorkerPool {
+            shared,
+            threads,
+            regions: AtomicU64::new(0),
+        }
     }
 
     /// Worker threads: every thread this pool has spawned or ever will.
     pub fn size(&self) -> usize {
         self.threads.len()
+    }
+
+    /// Parallel regions the [`crate::Workgroup`]s on this pool have opened.
+    pub fn regions(&self) -> u64 {
+        self.regions.load(Ordering::Relaxed)
     }
 
     fn on_worker(&self) -> bool {

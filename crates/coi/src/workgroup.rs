@@ -22,7 +22,6 @@
 //! tested against.
 
 use crate::workers::{Job, WorkerPool};
-use hs_obs::ObsHub;
 use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -99,8 +98,6 @@ pub struct Workgroup {
     affinity: Option<u128>,
     /// Parallel regions opened so far.
     regions: AtomicU64,
-    /// Occupancy/region metrics sink (a disabled hub for a standalone group).
-    obs: ObsHub,
 }
 
 impl Workgroup {
@@ -110,24 +107,18 @@ impl Workgroup {
     pub fn new(width: usize, label: impl Into<String>, affinity: Option<u128>) -> Workgroup {
         assert!(width >= 1, "workgroup width must be >= 1");
         let pool = WorkerPool::new(width - 1, &format!("hs-wg-{}", label.into()));
-        Workgroup::on(Arc::new(pool), width, affinity, ObsHub::new())
+        Workgroup::on(Arc::new(pool), width, affinity)
     }
 
-    /// A group of `width` lanes whose regions run on `pool`'s workers,
-    /// reporting occupancy and regions to `obs`.
-    pub fn on(
-        pool: Arc<WorkerPool>,
-        width: usize,
-        affinity: Option<u128>,
-        obs: ObsHub,
-    ) -> Workgroup {
+    /// A group of `width` lanes whose regions run on `pool`'s workers
+    /// (and count in the pool's [`WorkerPool::regions`]).
+    pub fn on(pool: Arc<WorkerPool>, width: usize, affinity: Option<u128>) -> Workgroup {
         assert!(width >= 1, "workgroup width must be >= 1");
         Workgroup {
             pool,
             width,
             affinity,
             regions: AtomicU64::new(0),
-            obs,
         }
     }
 
@@ -157,8 +148,7 @@ impl Workgroup {
     fn run_job(&self, job: &(dyn Fn() + Sync)) {
         debug_assert!(self.width > 1, "width-1 groups run inline");
         self.regions.fetch_add(1, Ordering::Relaxed);
-        self.obs.counter_add("wg.regions", 1);
-        self.obs.gauge_add("wg.active_lanes", self.width as i64);
+        self.pool.regions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: lifetime erasure, see `JobRef`. `run_job` does not return
         // while a helper is inside the region, so `job` outlives all helper
         // use; the transmute only widens lifetimes on an otherwise identical
@@ -182,8 +172,6 @@ impl Workgroup {
                 std::thread::park();
             }
         }
-        // Balance the occupancy gauge before any unwind.
-        self.obs.gauge_add("wg.active_lanes", -(self.width as i64));
         let helper_panic = region.panic.lock().take();
         if let Some(p) = caller_panic.or(helper_panic) {
             std::panic::resume_unwind(p);

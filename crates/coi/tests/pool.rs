@@ -11,7 +11,6 @@ use hs_coi::{
     WorkerPool, LIFO_CAP,
 };
 use hs_fabric::{Endpoint, Pacer};
-use hs_obs::ObsHub;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,7 +58,6 @@ fn blocked_card_streams_never_starve_host_compute() {
 
     let rt = CoiRuntime::new_with_endpoints(
         vec![Pacer::unpaced()],
-        ObsHub::new(),
         ChaosHub::default(),
         &[(1, Endpoint::Uds(path.clone()))],
     )

@@ -35,7 +35,6 @@ use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause, RetryPolicy, WalFault};
 use hs_fabric::proto::{put_u32, put_u64, Cursor};
 use hs_machine::KernelKind;
-use hs_obs::ObsHub;
 use hs_wal::{Wal, WalStats, META_PARTITION};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -371,7 +370,6 @@ pub(crate) struct WalShared {
     /// when there is nothing to flush.
     pending: AtomicU64,
     chaos: ChaosHub,
-    obs: ObsHub,
 }
 
 struct WalState {
@@ -384,13 +382,10 @@ struct WalState {
     /// Size of the last checkpoint's buffer snapshot: the throttle scales
     /// with it, so snapshot work amortizes against log growth.
     ckpt_blob_bytes: u64,
-    /// `fsync_batched` already pushed to the obs hub — the hub's counter is
-    /// cumulative (`counter_add`), so each publish sends only the delta.
-    published_fsync_batched: u64,
 }
 
 impl WalShared {
-    pub(crate) fn new(wal: Wal, chaos: ChaosHub, obs: ObsHub) -> WalShared {
+    pub(crate) fn new(wal: Wal, chaos: ChaosHub) -> WalShared {
         WalShared {
             run_id: wal.run_id(),
             state: ClassedMutex::new(WalState {
@@ -398,18 +393,15 @@ impl WalShared {
                 broken: false,
                 ckpt_bytes: 0,
                 ckpt_blob_bytes: 0,
-                published_fsync_batched: 0,
             }),
             pending: AtomicU64::new(0),
             chaos,
-            obs,
         }
     }
 
-    fn mark_broken(st: &mut WalState, chaos: &ChaosHub, obs: &ObsHub, why: &str) {
+    fn mark_broken(st: &mut WalState, chaos: &ChaosHub, why: &str) {
         if !st.broken {
             st.broken = true;
-            obs.counter_add("wal.io_errors", 1);
             chaos.note(format!("wal: durability lost: {why}"));
         }
     }
@@ -432,7 +424,7 @@ impl WalShared {
             Ok(n) => {
                 self.pending.fetch_add(n, Ordering::Relaxed);
             }
-            Err(e) => Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string()),
+            Err(e) => Self::mark_broken(&mut st, &self.chaos, &e.to_string()),
         }
     }
 
@@ -454,7 +446,7 @@ impl WalShared {
         }
         match self.chaos.check_wal() {
             Some(WalFault::Io) => {
-                Self::mark_broken(&mut st, &self.chaos, &self.obs, "injected wal io fault");
+                Self::mark_broken(&mut st, &self.chaos, "injected wal io fault");
                 self.pending.store(0, Ordering::Relaxed);
                 return;
             }
@@ -464,36 +456,17 @@ impl WalShared {
                     .flush()
                     .and_then(|()| st.wal.chop_tail(ACTION_PARTITION, 7));
                 if let Err(e) = r {
-                    Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string());
+                    Self::mark_broken(&mut st, &self.chaos, &e.to_string());
                 }
                 self.pending.store(0, Ordering::Relaxed);
-                self.publish_gauges(&mut st);
                 return;
             }
             None => {}
         }
         if let Err(e) = st.wal.flush() {
-            Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string());
+            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
         }
         self.pending.store(0, Ordering::Relaxed);
-        self.publish_gauges(&mut st);
-    }
-
-    fn publish_gauges(&self, st: &mut WalState) {
-        let s = st.wal.stats();
-        self.obs
-            .gauge_set("wal.appended_bytes", s.appended_bytes as i64);
-        self.obs.gauge_set("wal.segments", s.segments as i64);
-        self.obs.gauge_set("wal.fsync_us", s.fsync_us as i64);
-        self.obs.gauge_set("wal.fsyncs", s.fsyncs as i64);
-        // Group-commit evidence: how many flushes shared a later flush's
-        // fsync instead of paying their own (cumulative obs counter, so
-        // publish the delta since the last push).
-        let delta = s.fsync_batched - st.published_fsync_batched;
-        if delta > 0 {
-            self.obs.counter_add("wal.fsync_batched", delta);
-            st.published_fsync_batched = s.fsync_batched;
-        }
     }
 
     pub(crate) fn stats(&self) -> WalStats {
@@ -524,7 +497,7 @@ impl WalShared {
             return false;
         }
         if let Err(e) = st.wal.flush() {
-            Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string());
+            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
             return false;
         }
         self.pending.store(0, Ordering::Relaxed);
@@ -534,7 +507,7 @@ impl WalShared {
         // durability. A torn blob reads as absent either way (CRC).
         let fsync = st.wal.options().fsync;
         if let Err(e) = hs_wal::write_blob(&path, &payload, fsync) {
-            Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string());
+            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
             return false;
         }
         st.ckpt_blob_bytes = payload.len() as u64;
@@ -545,10 +518,9 @@ impl WalShared {
                         .note(format!("wal: checkpoint@{watermark}, {n} segments retired"));
                 }
             }
-            Err(e) => Self::mark_broken(&mut st, &self.chaos, &self.obs, &e.to_string()),
+            Err(e) => Self::mark_broken(&mut st, &self.chaos, &e.to_string()),
         }
         st.ckpt_bytes = st.wal.stats().appended_bytes;
-        self.publish_gauges(&mut st);
         true
     }
 
@@ -557,7 +529,7 @@ impl WalShared {
     /// too large for the on-disk envelope.
     pub(crate) fn poison(&self, why: &str) {
         let mut st = self.state.lock();
-        Self::mark_broken(&mut st, &self.chaos, &self.obs, why);
+        Self::mark_broken(&mut st, &self.chaos, why);
     }
 
     /// Append a metadata record (degradation cause) to the meta partition.
@@ -791,11 +763,7 @@ impl HStreams {
             .map_err(|e| HsError::ExecFailed(format!("wal: creating {}: {e}", dir.display())))?;
         let wal = Wal::create(&dir, run_id, opts)
             .map_err(|e| HsError::ExecFailed(format!("wal: opening {}: {e}", dir.display())))?;
-        let shared = Arc::new(WalShared::new(
-            wal,
-            self.inner.chaos.clone(),
-            self.inner.obs.clone(),
-        ));
+        let shared = Arc::new(WalShared::new(wal, self.inner.chaos.clone()));
         self.inner
             .wal
             .set(shared.clone())

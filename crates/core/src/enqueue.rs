@@ -374,7 +374,6 @@ impl HStreams {
         operands: &[Operand],
         cost: CostHint,
     ) -> HsResult<()> {
-        self.inner.stats.note_compute();
         let logged = self.log_actions().then(|| LoggedOp::Compute {
             func: func.clone(),
             args: args.clone(),
@@ -401,14 +400,6 @@ impl HStreams {
         to: DomainId,
     ) -> HsResult<()> {
         let (spec, footprint) = self.build_xfer_spec(buf, range.clone(), from, to)?;
-        let elided = matches!(
-            spec,
-            ActionSpec::Transfer {
-                card_domain: None,
-                ..
-            }
-        );
-        self.inner.stats.note_transfer(range.len() as u64, elided);
         let logged = self.log_actions().then_some(LoggedOp::Xfer {
             buf,
             range,
@@ -428,7 +419,6 @@ impl HStreams {
     /// A marker, or an event-wait on `waits` (whose ids the core checks
     /// against the event table).
     fn built_sync(&self, built: &mut Vec<BuiltAction>, kind: ActionKind, waits: &[Event]) {
-        self.inner.stats.note_sync();
         let logged = self.log_actions().then_some(LoggedOp::Sync);
         built.push(BuiltAction::new(
             ActionSpec::Noop,
@@ -772,6 +762,18 @@ impl HStreams {
             st.push(Event(id), footprint, kind);
         }
         ids.armed = false;
+        // Every check has passed: the call's actions count as enqueued.
+        for item in sc.built.iter() {
+            match &item.spec {
+                ActionSpec::Compute { .. } => inner.stats.note_compute(),
+                ActionSpec::Transfer {
+                    card_domain, bytes, ..
+                } => inner
+                    .stats
+                    .note_transfer(*bytes as u64, card_domain.is_none()),
+                ActionSpec::Noop => inner.stats.note_sync(),
+            }
+        }
         // One executor round-trip. Specs are taken out of their slots, not
         // drained through the list by value: a spec is a few hundred bytes,
         // and this path runs per action. Each lifecycle record is minted as
@@ -872,16 +874,6 @@ impl HStreams {
     /// reading instead of one clock round-trip (and, in sim mode, one
     /// executor lock) per action.
     pub(crate) fn mint_obs(&self, meta: ActionMeta, now_ns: Option<u64>) -> ObsAction {
-        // Per-kind enqueue counters surface in `metrics()` for both
-        // executors (gauges like DMA queue depth are thread-mode-only).
-        self.inner.obs.counter_add(
-            match meta.kind {
-                ObsKind::Compute => "actions.compute",
-                ObsKind::Transfer => "actions.transfer",
-                ObsKind::Sync => "actions.sync",
-            },
-            1,
-        );
         let now = now_ns.unwrap_or_else(|| self.source_now_ns());
         self.inner.obs.action(meta, now)
     }

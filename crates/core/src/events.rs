@@ -22,16 +22,15 @@
 //! so [`EventTable::len`] is exact and — the one call site runs under the
 //! stream lock — a stream's ids ascend in enqueue order.
 //!
-//! The occupancy gauge is sharded ([`OCC_SHARDS`] cache-padded packed
-//! words, folded on read) so concurrent publishers on different id ranges
-//! do not bounce a single counter line.
+//! Occupancy is kept nowhere but in the slots: [`EventTable::stats`]
+//! counts it from the slots of the live window, so a publish pays no
+//! counter of its own.
 
 use crate::exec::BackendEvent;
 #[cfg(debug_assertions)]
 use crate::sync::AtomicBool;
 use crate::sync::{class, AtomicU32, AtomicU64, ClassedMutex, OnceLock, Ordering};
 use crate::types::{Event, StreamId};
-use crossbeam::utils::CachePadded;
 
 /// log2 of the slots per segment.
 const SEG_BITS: u64 = 12;
@@ -40,17 +39,6 @@ const SEG_LEN: u64 = 1 << SEG_BITS;
 /// Maximum segments; the pointer array is preallocated (4096 · 8 B = 32 KiB)
 /// so segment lookup is a plain indexed load. Caps a run at ~16.7M events.
 const MAX_SEGS: usize = 4096;
-
-/// log2 of the occupancy shard stride: this many consecutive ids map to one
-/// shard, so a given id's publish/retire/revive steps all hit the same
-/// packed word and the borrow-carry arithmetic stays shard-local.
-const OCC_STRIDE_BITS: u64 = 5;
-
-/// Occupancy gauge shards (folded on read).
-#[cfg(not(loom))]
-const OCC_SHARDS: usize = 8;
-#[cfg(loom)]
-const OCC_SHARDS: usize = 2;
 
 /// Sentinel in `Slot::stream` until the slot is published.
 const UNPUBLISHED: u32 = u32::MAX;
@@ -82,24 +70,12 @@ pub enum EventView {
     Retired(StreamId),
 }
 
-/// Packed-occupancy step for one live → retired transition: adding
-/// `2³² − 1` to the packed word is `live −= 1, retired += 1` in one RMW
-/// (the low-half borrow carries into the high half); subtracting it is the
-/// reverse (un-retire). Sound only while `live ≥ 1` resp. `retired ≥ 1`,
-/// which the per-slot lock guarantees (see `publish`/`compact`/`overwrite`).
-const RETIRE_STEP: u64 = (1 << 32) - 1;
-/// Packed-occupancy step for tombstoning a never-published id: retired += 1
-/// with live untouched (the id was never live).
-const TOMBSTONE_STEP: u64 = 1 << 32;
-
-fn unpack_occupancy(packed: u64) -> (u64, u64) {
-    (packed & 0xFFFF_FFFF, packed >> 32)
-}
-
-/// Occupancy counters surfaced through `HStreams::metrics`.
+/// Occupancy surfaced through `HStreams::metrics`.
 pub struct TableStats {
     pub reserved: u64,
+    /// Published slots that still hold their backend.
     pub live: u64,
+    /// Tombstoned slots: completed successes and handed-back ids.
     pub retired: u64,
     pub watermark: u64,
     /// Reserved-but-never-published ids handed back by failed batches.
@@ -122,15 +98,6 @@ pub struct EventTable {
     /// Monotone except for [`EventTable::overwrite`], which rewinds it when
     /// card-loss replay revives a tombstoned slot below it.
     watermark: AtomicU64,
-    /// Sharded packed occupancy gauge: per shard, live count (published,
-    /// not tombstoned) in the low 32 bits, retired (tombstoned) count in
-    /// the high 32. One word per shard so the two counts move in a single
-    /// atomic step; [`EventTable::stats`] folds the shards (total ids ≪
-    /// 2³², so the halves never carry into each other under summation).
-    /// Shard = `id >> OCC_STRIDE_BITS` mod [`OCC_SHARDS`]: all of one id's
-    /// transitions hit one word, and publishers on different id ranges hit
-    /// different cache lines.
-    occupancy: Box<[CachePadded<AtomicU64>]>,
     /// Single-compactor guard; contenders skip (compaction is periodic).
     compactor: ClassedMutex<class::Compactor, ()>,
     /// Never-published ids handed back as tombstones.
@@ -148,9 +115,6 @@ impl EventTable {
             segs: (0..MAX_SEGS).map(|_| OnceLock::new()).collect(),
             next: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            occupancy: (0..OCC_SHARDS)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
             compactor: ClassedMutex::new(()),
             tombstoned: AtomicU64::new(0),
             #[cfg(debug_assertions)]
@@ -172,11 +136,6 @@ impl EventTable {
         let seg = (id >> SEG_BITS) as usize;
         let idx = (id & (SEG_LEN - 1)) as usize;
         self.segs.get(seg)?.get()?.get(idx)
-    }
-
-    /// The occupancy shard a given id's gauge transitions land in.
-    fn occ(&self, id: u64) -> &AtomicU64 {
-        &self.occupancy[((id >> OCC_STRIDE_BITS) as usize) % OCC_SHARDS]
     }
 
     /// Mint the next event id (one shared RMW) and make sure its segment
@@ -214,9 +173,7 @@ impl EventTable {
                 UNPUBLISHED,
                 "tombstone of a published/tombstoned slot {id}"
             );
-            // retired += 1, live untouched (never published) — under the
-            // slot lock, like every other slot state transition.
-            self.occ(id).fetch_add(TOMBSTONE_STEP, Ordering::Relaxed);
+            // Under the slot lock, like every other slot state transition.
             slot.stream.store(TOMBSTONE, Ordering::Release);
             drop(g);
             n += 1;
@@ -236,14 +193,6 @@ impl EventTable {
             "publish of a tombstoned event id {id}"
         );
         *g = Some(be);
-        // live += 1 under the slot lock, before it is released: tombstoning
-        // (live -= 1, in `compact`) also runs under the slot lock, so the
-        // decrement can never land before this increment and the gauge can
-        // never transiently underflow. (Bumping it after releasing the lock
-        // *would* underflow — the `loom_publish_vs_compact` observer thread
-        // catches exactly that mutation.) Relaxed is enough: the lock
-        // serializes the RMW pair and the gauge feeds metrics only.
-        self.occ(id).fetch_add(1, Ordering::Relaxed);
         // Publication point. Release: pairs with the Acquire loads in
         // `view_id`/`compact`, so a reader that observes the stream id also
         // observes the payload written above (`view_id` relies on it for
@@ -275,13 +224,9 @@ impl EventTable {
         debug_assert_ne!(slot.stream.load(Ordering::Acquire), UNPUBLISHED);
         let mut g = slot.be.lock();
         if g.is_none() {
-            // Un-retire: live += 1, retired -= 1 in one packed step. The
-            // slot lock serializes this with the tombstone that set `None`,
-            // so retired ≥ 1 here and the subtraction cannot borrow across
-            // the halves. Relaxed: gauge only, ordering via the slot lock.
-            self.occ(id).fetch_sub(RETIRE_STEP, Ordering::Relaxed);
-            // AcqRel for the RMW handshake with other rewinds; the next
-            // compactor re-reads the watermark under the compactor mutex.
+            // Un-retire. AcqRel for the RMW handshake with other rewinds;
+            // the next compactor re-reads the watermark under the compactor
+            // mutex.
             self.watermark.fetch_min(id, Ordering::AcqRel);
         }
         *g = Some(be);
@@ -365,13 +310,6 @@ impl EventTable {
                             Some(be) => match verdict(be) {
                                 Some(true) => {
                                     *g = None;
-                                    // live -= 1, retired += 1 in one packed
-                                    // step under the slot lock; publish
-                                    // incremented live before this slot
-                                    // became visible, so live ≥ 1 and the
-                                    // borrow stays within the low half.
-                                    // Relaxed: gauge only (see publish).
-                                    self.occ(id).fetch_add(RETIRE_STEP, Ordering::Relaxed);
                                     true
                                 }
                                 _ => false, // pending or failed: keep
@@ -397,23 +335,35 @@ impl EventTable {
         self.compacting.store(false, Ordering::Relaxed);
     }
 
+    /// Occupancy, counted from the slots: every id below the watermark is
+    /// retired, and the window `[watermark, len)` is scanned under the slot
+    /// locks — a published slot holding its backend is live, one without
+    /// it retired, an unpublished one neither. The scan costs the live
+    /// window, not the table; the counts are a snapshot, each slot read
+    /// once.
     pub fn stats(&self) -> TableStats {
-        // Fold the shards. Each shard's packed word is internally
-        // consistent (every id-state transition is a single RMW on its
-        // shard); the halves cannot carry into each other under summation
-        // because total ids ≪ 2³². The fold is a snapshot across shards —
-        // fine for a metrics gauge.
-        let mut packed = 0u64;
-        for c in self.occupancy.iter() {
-            packed = packed.wrapping_add(c.load(Ordering::Relaxed));
+        // Acquire: pairs with compact's Release store. Read before the
+        // length, so the watermark never exceeds it.
+        let watermark = self.watermark.load(Ordering::Acquire);
+        let reserved = self.len();
+        let (mut live, mut retired) = (0, watermark);
+        for id in watermark..reserved {
+            let Some(slot) = self.slot(id) else { continue };
+            // Acquire: pairs with publish's Release store (see `view_id`).
+            if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
+                continue;
+            }
+            if slot.be.lock().is_some() {
+                live += 1;
+            } else {
+                retired += 1;
+            }
         }
-        let (live, retired) = unpack_occupancy(packed);
         TableStats {
-            reserved: self.len(),
+            reserved,
             live,
             retired,
-            // Acquire: pairs with compact's Release store (metrics-only).
-            watermark: self.watermark.load(Ordering::Acquire),
+            watermark,
             tombstoned: self.tombstoned.load(Ordering::Relaxed),
         }
     }
@@ -483,7 +433,7 @@ mod tests {
         }
         assert_eq!(t.len(), n);
         assert!(matches!(t.view_id(SEG_LEN + 5), EventView::Live(..)));
-        // The sharded gauge folds across many strides (> OCC_SHARDS).
+        // The occupancy scan crosses the segment boundary.
         let st = t.stats();
         assert_eq!(st.live, n);
         assert_eq!(st.retired, 0);
@@ -634,7 +584,7 @@ mod tests {
     /// every op:
     ///
     /// * `watermark ≤ next` (reserved);
-    /// * `live + retired == published` (the packed gauge balances);
+    /// * `live + retired == published` (the slot counts balance);
     /// * every id below the watermark is retired;
     /// * failed events are never retired.
     mod properties {
@@ -814,14 +764,12 @@ mod loom_models {
     }
 
     /// Publish racing the compactor: on every interleaving the watermark
-    /// never passes a live or unpublished slot and the packed occupancy
-    /// gauge stays balanced (the old two-counter scheme could transiently
-    /// underflow `live` here).
+    /// never passes a live or unpublished slot, and once both are done the
+    /// slots count both events.
     #[test]
     fn loom_publish_vs_compact() {
-        // Three threads: exhaustive exploration blows the schedule budget,
-        // so bound preemptions CHESS-style (2 catches the torn-gauge and
-        // underflow interleavings; an env bound may tighten it further).
+        // Bound preemptions CHESS-style (an env bound may tighten it
+        // further).
         let mut b = loom::model::Builder::new();
         b.preemption_bound = Some(b.preemption_bound.map_or(2, |p| p.min(2)));
         b.check(|| {
@@ -833,23 +781,11 @@ mod loom_models {
             let publisher = loom::thread::spawn(move || {
                 t2.publish(id1, StreamId(1), done_event());
             });
-            // Concurrent metrics reader: the torn-snapshot victim. With
-            // the pre-fix protocol (live incremented *after* the slot
-            // becomes visible, on a separate counter) this observer can
-            // catch `live` mid-underflow at ~2⁶⁴.
-            let t3 = t.clone();
-            let observer = loom::thread::spawn(move || {
-                let st = t3.stats();
-                assert!(st.live <= 2, "live gauge underflowed: {}", st.live);
-                assert!(st.retired <= 2, "retired gauge overran: {}", st.retired);
-                assert!(st.live + st.retired <= 2, "gauge counted unpublished slots");
-            });
             t.compact(thread_verdict);
             publisher.join().unwrap();
-            observer.join().unwrap();
             let st = t.stats();
             assert!(st.watermark <= st.reserved);
-            assert_eq!(st.live + st.retired, 2, "gauge unbalanced after race");
+            assert_eq!(st.live + st.retired, 2, "slot counts unbalanced after race");
             for id in 0..st.watermark {
                 assert!(
                     matches!(t.view_id(id), EventView::Retired(_)),
@@ -866,7 +802,7 @@ mod loom_models {
     /// Un-retire (card-loss replay) against the sweep, under the world
     /// RwLock protocol `HStreams` uses: replay holds the write lock,
     /// compactors hold read locks. On every interleaving the revived slot
-    /// is re-collected (watermark rewind) and the gauge balances.
+    /// is re-collected (watermark rewind) and the slot counts balance.
     #[test]
     fn loom_unretire_vs_sweep() {
         loom::model(|| {

@@ -30,7 +30,7 @@ use hs_coi::{
 };
 use hs_fabric::Pacer;
 use hs_machine::PlatformCfg;
-use hs_obs::{ObsAction, ObsHub, ObsPhase};
+use hs_obs::{ObsAction, ObsPhase};
 use std::collections::BTreeMap;
 use std::sync::Weak;
 use std::thread::JoinHandle;
@@ -181,7 +181,6 @@ pub struct ThreadExec {
     /// drains these before joining workers. With the event table it is what
     /// keeps a finished record alive until an enqueuing thread frees it.
     outstanding: Mutex<Outstanding>,
-    obs: ObsHub,
     chaos: ChaosHub,
     /// Monotonic submission counter, used as the deterministic per-action
     /// salt for retry-backoff jitter.
@@ -196,13 +195,12 @@ impl ThreadExec {
     /// pacing (for real-mode overlap experiments); functional tests leave it
     /// off.
     pub fn new(platform: &PlatformCfg, paced: bool) -> ThreadExec {
-        Self::new_with_remotes(platform, paced, ObsHub::new(), ChaosHub::default(), &[])
+        Self::new_with_remotes(platform, paced, ChaosHub::default(), &[])
             .expect("in-process executor construction is infallible")
     }
 
-    /// Like [`Self::new`], routing lifecycle events and gauges to `obs`,
-    /// sharing `chaos` with every fabric DMA channel and dispatch point, and
-    /// with some card domains hosted by out-of-process workers: `remotes`
+    /// Like [`Self::new`], sharing `chaos` with every fabric DMA channel and
+    /// dispatch point, and with some card domains hosted by out-of-process workers: `remotes`
     /// maps card engine index (1-based —
     /// the host is engine 0 and cannot be remote) to the worker's endpoint.
     /// Connecting is synchronous, so a worker that never comes up errors
@@ -212,7 +210,6 @@ impl ThreadExec {
     pub fn new_with_remotes(
         platform: &PlatformCfg,
         paced: bool,
-        obs: ObsHub,
         chaos: ChaosHub,
         remotes: &[(usize, hs_fabric::Endpoint)],
     ) -> std::io::Result<ThreadExec> {
@@ -230,7 +227,7 @@ impl ThreadExec {
             })
             .collect();
         let ncards = pacers.len();
-        let coi = CoiRuntime::new_with_endpoints(pacers, obs.clone(), chaos.clone(), remotes)?;
+        let coi = CoiRuntime::new_with_endpoints(pacers, chaos.clone(), remotes)?;
         let dma: Vec<[DmaQueue; 2]> = (0..ncards)
             .map(|c| {
                 // Paced and wire transfers block for their duration: each
@@ -248,7 +245,7 @@ impl ThreadExec {
             })
             .collect();
         let timer = TimerWheel::spawn();
-        let ctx = Arc::new(make_ctx(&coi, &[], &dma, &obs, &chaos, &timer.shared));
+        let ctx = Arc::new(make_ctx(&coi, &[], &dma, &chaos, &timer.shared));
         let remote = |i: usize| coi.fabric().is_remote(hs_fabric::NodeId(i as u16));
         let in_process: u32 = platform
             .domains
@@ -271,7 +268,6 @@ impl ThreadExec {
             dma,
             started: OnceLock::new(),
             outstanding: Mutex::new(Outstanding::default()),
-            obs,
             chaos,
             submitted: AtomicU64::new(0),
             timer,
@@ -282,10 +278,14 @@ impl ThreadExec {
         &self.coi
     }
 
-    /// Physical lanes summed over the live streams: the lanes their tasks'
-    /// parallel regions ask the pool for.
-    pub fn lanes(&self) -> usize {
-        self.pipes.lock().iter().map(|p| p.lanes()).sum()
+    /// Each live stream's logical width and physical lanes (the lanes its
+    /// tasks' parallel regions ask the pool for), by stream index.
+    pub fn stream_shapes(&self) -> Vec<(usize, usize)> {
+        self.pipes
+            .lock()
+            .iter()
+            .map(|p| (p.width(), p.lanes()))
+            .collect()
     }
 
     /// Completion probes the outstanding list's sweeps have made so far
@@ -311,14 +311,13 @@ impl ThreadExec {
             return;
         }
         let (width, affinity) = (pipes[idx].width(), pipes[idx].workgroup().affinity());
-        pipes[idx] = self.stream_pipeline(idx, EngineId::HOST, width, affinity);
+        pipes[idx] = self.stream_pipeline(EngineId::HOST, width, affinity);
         self.rebuild_ctx(&pipes);
     }
 
-    /// The sink pipeline of stream `idx`, `width` cores wide, on `engine`.
+    /// A stream's sink pipeline, `width` cores wide, on `engine`.
     fn stream_pipeline(
         &self,
-        idx: usize,
         engine: EngineId,
         width: usize,
         affinity: Option<u128>,
@@ -327,16 +326,8 @@ impl ThreadExec {
         // cores: its tasks run over there, on lanes the worker sizes by the
         // same rule from the card's cores and its own.
         let modelled = self.modelled_cores[usize::from(engine.0)];
-        let pipe = self
-            .coi
-            .pipeline_create_stream(engine, width, modelled, affinity);
-        if self.obs.is_enabled() {
-            self.obs
-                .gauge_set(&format!("stream.{idx}.width"), width as i64);
-            self.obs
-                .gauge_set(&format!("stream.{idx}.lanes"), pipe.lanes() as i64);
-        }
-        pipe
+        self.coi
+            .pipeline_create_stream(engine, width, modelled, affinity)
     }
 
     /// Wall seconds since the first submit (0.0 before any work).
@@ -353,12 +344,7 @@ impl ThreadExec {
         // affinity, which stay the tuner-visible knobs (paper §II).
         let width = mask.count().max(1) as usize;
         let mut pipes = self.pipes.lock();
-        let pipe = self.stream_pipeline(
-            pipes.len(),
-            EngineId(domain_idx as u16),
-            width,
-            Some(mask.0),
-        );
+        let pipe = self.stream_pipeline(EngineId(domain_idx as u16), width, Some(mask.0));
         pipes.push(pipe);
         self.rebuild_ctx(&pipes);
     }
@@ -455,7 +441,6 @@ impl ThreadExec {
             &self.coi,
             pipes,
             &self.dma,
-            &self.obs,
             &self.chaos,
             &self.timer.shared,
         ));
@@ -467,7 +452,6 @@ fn make_ctx(
     coi: &Arc<CoiRuntime>,
     pipes: &[hs_coi::Pipeline],
     dma: &[[DmaQueue; 2]],
-    obs: &ObsHub,
     chaos: &ChaosHub,
     timer: &Arc<TimerShared>,
 ) -> DispatchCtx {
@@ -483,10 +467,6 @@ fn make_ctx(
             .iter()
             .map(|pair| [pair[0].handle(), pair[1].handle()])
             .collect(),
-        dma_queue_keys: (1..=dma.len())
-            .map(|card| ["h2d", "d2h"].map(|dir| format!("dma.c{card}.{dir}.queue")))
-            .collect(),
-        obs: obs.clone(),
         chaos: chaos.clone(),
         timer: timer.clone(),
     }
@@ -567,9 +547,6 @@ struct DispatchCtx {
     /// fault consultation.
     pipe_cards: Vec<u32>,
     dma: Vec<[QueueHandle<Arc<ActionRun>>; 2]>,
-    /// Queue-depth gauge names, per card and direction like `dma`.
-    dma_queue_keys: Vec<[String; 2]>,
-    obs: ObsHub,
     chaos: ChaosHub,
     timer: Arc<TimerShared>,
 }
@@ -654,8 +631,6 @@ impl ActionRun {
     /// The DMA queue's half of a transfer: copy, then report.
     fn transfer(self: Arc<Self>) {
         let ActionSpec::Transfer {
-            card_domain: Some(card),
-            h2d,
             bytes,
             real: Some(real),
             ..
@@ -663,10 +638,6 @@ impl ActionRun {
         else {
             unreachable!("only real card transfers are queued on DMA queues");
         };
-        if self.obs.is_enabled() {
-            let key = &self.ctx.dma_queue_keys[card - 1][usize::from(!h2d)];
-            self.ctx.obs.gauge_add(key, -1);
-        }
         self.obs.phase_wall(ObsPhase::SinkStart);
         let r = self
             .ctx
@@ -806,16 +777,9 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
             };
             let dir = usize::from(!h2d);
             obs.phase_wall(ObsPhase::Dispatched);
-            let queue_key = obs.is_enabled().then(|| &ctx.dma_queue_keys[card][dir]);
-            if let Some(key) = queue_key {
-                ctx.obs.gauge_add(key, 1);
-            }
             if queues[dir].push(run.clone()).is_err() {
                 // Executor shut down between dependence resolution and
                 // dispatch: the queue is closed.
-                if let Some(key) = queue_key {
-                    ctx.obs.gauge_add(key, -1);
-                }
                 refuse(FailureCause::from(format!(
                     "transfer '{label}' dropped: executor shut down before dispatch"
                 )));

@@ -317,15 +317,9 @@ impl HStreams {
         let obs = ObsHub::new();
         let chaos = ChaosHub::new();
         let connect = |paced: bool| {
-            exec::thread::ThreadExec::new_with_remotes(
-                &platform,
-                paced,
-                obs.clone(),
-                chaos.clone(),
-                remotes,
-            )
-            .map(Box::new)
-            .map_err(|e| HsError::ExecFailed(format!("connecting remote domains: {e}")))
+            exec::thread::ThreadExec::new_with_remotes(&platform, paced, chaos.clone(), remotes)
+                .map(Box::new)
+                .map_err(|e| HsError::ExecFailed(format!("connecting remote domains: {e}")))
         };
         let exec = match mode {
             ExecMode::Threads => Executor::Thread(connect(false)?),
@@ -874,7 +868,7 @@ impl HStreams {
             return;
         }
         let table = self.inner.events.stats();
-        if table.live != 0 || table.watermark != table.reserved {
+        if table.watermark != table.reserved {
             return;
         }
         let bufs = self.wal_snapshot_buffers();
@@ -1288,16 +1282,11 @@ impl HStreams {
     // ------------------------------------------------------- observability
 
     /// Enable/disable action-lifecycle recording (both executor modes) —
-    /// the one switch for the Chrome export, the metrics counters and
-    /// `hsan` alike. While disabled — the default — enqueues pay one
-    /// relaxed atomic load.
+    /// the one switch for the Chrome export and `hsan` alike. While
+    /// disabled — the default — enqueues pay one relaxed atomic load.
+    /// [`Self::metrics`] does not depend on it.
     pub fn obs_enable(&self, on: bool) {
         self.inner.obs.enable(on);
-    }
-
-    /// The lifecycle/metrics hub (shared with the executors and COI layer).
-    pub fn obs(&self) -> &ObsHub {
-        &self.inner.obs
     }
 
     /// Drain the lifecycle records collected so far (for export via
@@ -1306,12 +1295,20 @@ impl HStreams {
         self.inner.obs.take_records()
     }
 
-    /// A flat metrics snapshot: obs gauges/counters (workgroup occupancy,
-    /// DMA queue depths) plus derived DMA link utilization and worker-spawn
-    /// counts in real mode, event-table occupancy and front-end contention
-    /// counters in every mode. Mergeable into bench JSON via `hs-bench`.
+    /// A flat metrics snapshot, every row read from the component that
+    /// owns the number: accepted actions ([`ApiStats`]), event-table
+    /// occupancy, front-end contention and the WAL in every mode; DMA
+    /// bytes, ops and link utilization, stream shapes, expansion regions
+    /// and pool memory in real mode. Mergeable into bench JSON via
+    /// `hs-bench`.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.inner.obs.metrics();
+        let mut snap = MetricsSnapshot::default();
+        let api = &self.inner.stats;
+        snap.extra
+            .insert("actions.compute".into(), api.computes() as f64);
+        snap.extra
+            .insert("actions.transfer".into(), api.transfers() as f64);
+        snap.extra.insert("actions.sync".into(), api.syncs() as f64);
         let table = self.inner.events.stats();
         snap.extra
             .insert("events.reserved".into(), table.reserved as f64);
@@ -1343,6 +1340,9 @@ impl HStreams {
             snap.extra.insert("wal.segments".into(), ws.segments as f64);
             snap.extra.insert("wal.flushes".into(), ws.flushes as f64);
             snap.extra.insert("wal.fsync_us".into(), ws.fsync_us as f64);
+            snap.extra.insert("wal.fsyncs".into(), ws.fsyncs as f64);
+            snap.extra
+                .insert("wal.fsync_batched".into(), ws.fsync_batched as f64);
             snap.extra
                 .insert("wal.retired_segments".into(), ws.retired_segments as f64);
         }
@@ -1384,7 +1384,17 @@ impl HStreams {
                 snap.extra
                     .insert(format!("{key}.rtt_us"), link.rtt_ns as f64 / 1e3);
             }
-            snap.extra.insert("wg.lanes".to_string(), t.lanes() as f64);
+            let shapes = t.stream_shapes();
+            for (idx, (width, lanes)) in shapes.iter().enumerate() {
+                snap.extra
+                    .insert(format!("stream.{idx}.width"), *width as f64);
+                snap.extra
+                    .insert(format!("stream.{idx}.lanes"), *lanes as f64);
+            }
+            let lanes: usize = shapes.iter().map(|(_, lanes)| lanes).sum();
+            snap.extra.insert("wg.lanes".to_string(), lanes as f64);
+            snap.extra
+                .insert("wg.regions".to_string(), t.coi().pool().regions() as f64);
             // Window capacity the buffer pools hold registered, all domains:
             // against the bytes of the live buffers it is what pooling costs.
             let coi = t.coi();

@@ -2,11 +2,18 @@
 //! the `pub fn`s inside `impl HStreams` blocks under `src/` are pinned, so
 //! a new method — or a second spelling of an existing one — is a
 //! deliberate edit of `PINNED` (and of DESIGN.md's API inventory), never a
-//! side effect. A second test keeps the methods the end-to-end benchmark
-//! in `benchmark/` calls: that crate is frozen, and a rename would break
-//! its build.
+//! side effect. Two more tests keep what the end-to-end benchmark in
+//! `benchmark/` reads: the methods it calls (that crate is frozen, and a
+//! rename would break its build) and the `metrics()` rows its ledger
+//! copies (a missing row would read as 0 there, silently).
 
+use bytes::Bytes;
+use hs_machine::{Device, PlatformCfg};
+use hstreams_core::{
+    Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, HStreams, Operand, TaskCtx,
+};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Every `pub fn` of `HStreams`, sorted.
 const PINNED: &[&str] = &[
@@ -42,7 +49,6 @@ const PINNED: &[&str] = &[
     "metrics",
     "mode",
     "now_secs",
-    "obs",
     "obs_enable",
     "platform",
     "readmit_remote",
@@ -85,6 +91,28 @@ const BENCHMARK_CALLS: &[&str] = &[
     "wal_stats",
     "xfer_to_sink",
     "xfer_to_source",
+];
+
+/// The `metrics()` rows `benchmark/src` reads from a traced thread-mode run
+/// on one in-process card with durability on (`link.c1.*`, read only on a
+/// remote card, is covered by `tests/remote_transport.rs`).
+const BENCHMARK_METRICS: &[&str] = &[
+    "events.reserved",
+    "events.live",
+    "events.id_block.mints",
+    "frontend.stream_lock.contended",
+    "deps.redundant",
+    "wal.appended_bytes",
+    "wal.records",
+    "wal.flushes",
+    "wal.fsync_us",
+    "dma.c1.h2d.bytes",
+    "dma.c1.h2d.ops",
+    "dma.c1.h2d.utilization",
+    "dma.c1.d2h.bytes",
+    "dma.c1.d2h.ops",
+    "dma.c1.d2h.utilization",
+    "wg.regions",
 ];
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -159,5 +187,51 @@ fn the_benchmark_calls_are_public() {
     assert!(
         missing.is_empty(),
         "benchmark/ calls {missing:?}, which HStreams no longer has"
+    );
+}
+
+#[test]
+fn the_benchmark_metrics_are_emitted() {
+    let root = std::env::temp_dir().join(format!("hs-api-surface-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
+    hs.durability_opts(&root, true, 25).expect("durability on");
+    hs.obs_enable(true);
+    hs.register(
+        "inc",
+        Arc::new(|ctx: &mut TaskCtx| {
+            for x in ctx.buf_f64_mut(0) {
+                *x += 1.0;
+            }
+        }),
+    );
+    let s = hs
+        .stream_create(DomainId(1), CpuMask::first(2))
+        .expect("stream");
+    let b = hs.buffer_create(8 * 64, BufProps::default());
+    hs.buffer_instantiate(b, DomainId(1)).expect("inst");
+    hs.buffer_write_f64(b, 0, &[1.0; 64]).expect("init");
+    hs.xfer_to_sink(s, b, 0..8 * 64).expect("h2d");
+    hs.enqueue_compute(
+        s,
+        "inc",
+        Bytes::new(),
+        &[Operand::f64s(b, 0, 64, Access::InOut)],
+        CostHint::trivial(),
+    )
+    .expect("compute");
+    let done = hs.xfer_to_source(s, b, 0..8 * 64).expect("d2h");
+    hs.event_wait(done).expect("wait");
+    let rows = hs.metrics().rows();
+    let _ = hs.take_obs_records();
+    drop(hs);
+    let _ = std::fs::remove_dir_all(&root);
+    let missing: Vec<&&str> = BENCHMARK_METRICS
+        .iter()
+        .filter(|m| !rows.iter().any(|(n, _)| n == *m))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "benchmark/ reads {missing:?}, which metrics() no longer emits: {rows:?}"
     );
 }

@@ -310,15 +310,19 @@ fn batch_is_all_or_nothing() {
 /// as tombstones. Before the guard, each failing batch leaked its reserved
 /// ids as forever-unpublished slots, so the retirement watermark stalled
 /// and the table grew without bound. 10k failing batches: `events.live`
-/// stays flat and every leaked reservation shows up as a tombstone. With
-/// lifecycle records on, no record and no `actions.*` count names an item
-/// of a failed batch: they are what hsan reads as "enqueued".
+/// stays flat and every leaked reservation shows up as a tombstone. No
+/// lifecycle record (what hsan reads as "enqueued") and no action count
+/// names an item of a failed batch.
 #[test]
 fn failed_batches_tombstone_reserved_ids() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
     r.hs.obs_enable(true);
-    let counters0 = r.hs.obs().metrics().counters;
+    let counts = |hs: &HStreams| {
+        let st = hs.stats();
+        (st.computes(), st.transfers(), st.syncs())
+    };
+    let counts0 = counts(&r.hs);
     let live0 = r.hs.metrics().extra["events.live"];
     for i in 0..10_000u64 {
         // Two valid items reserve ids, then the bogus event-wait aborts
@@ -340,8 +344,8 @@ fn failed_batches_tombstone_reserved_ids() {
         records.len()
     );
     assert_eq!(
-        r.hs.obs().metrics().counters,
-        counters0,
+        counts(&r.hs),
+        counts0,
         "failed batches bumped the action counters"
     );
     r.hs.thread_synchronize().expect("sync");

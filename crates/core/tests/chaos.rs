@@ -232,10 +232,10 @@ fn card_loss_degrades_to_host_and_workload_completes() {
             let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
             let m = hs.metrics();
             for stream in 0..2 {
-                assert_eq!(m.gauges[&format!("stream.{stream}.width")].current, 30);
-                let lanes = m.gauges[&format!("stream.{stream}.lanes")].current;
+                assert_eq!(m.extra[&format!("stream.{stream}.width")], 30.0);
+                let lanes = m.extra[&format!("stream.{stream}.lanes")];
                 assert!(
-                    (1..=host_cores as i64).contains(&lanes),
+                    (1.0..=host_cores as f64).contains(&lanes),
                     "stream {stream}: {lanes} lanes on {host_cores} cores"
                 );
             }

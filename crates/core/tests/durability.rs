@@ -807,7 +807,10 @@ fn group_commit_run(tag: &str) -> PathBuf {
         .find(|(k, _)| k == "wal.fsync_batched")
         .map(|(_, v)| *v)
         .unwrap_or(0.0);
-    assert!(batched > 0.0, "obs counter mirrors the deferral: {rows:?}");
+    assert!(
+        batched > 0.0,
+        "the metrics row reports the deferral: {rows:?}"
+    );
     root
 }
 

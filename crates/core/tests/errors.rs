@@ -175,6 +175,35 @@ fn out_of_bounds_operands_and_ranges() {
     }
 }
 
+/// A compute whose operand fails validation is not an enqueued action: the
+/// action count `metrics()` reports as `actions.compute` stays put.
+#[test]
+fn refused_compute_is_not_counted() {
+    for mode in BOTH {
+        let hs = rt_in(mode);
+        let s = hs
+            .stream_create(DomainId(1), CpuMask::first(1))
+            .expect("stream");
+        let buf = hs.buffer_create(64, BufProps::default());
+        hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
+        let before = hs.stats().computes();
+        let err = hs.enqueue_compute(
+            s,
+            "f",
+            Bytes::new(),
+            &[Operand::new(buf, 60..72, Access::In)],
+            CostHint::trivial(),
+        );
+        assert!(matches!(err, Err(HsError::OutOfBounds { .. })), "{mode:?}");
+        assert_eq!(hs.stats().computes(), before, "{mode:?}");
+        assert_eq!(
+            hs.metrics().extra["actions.compute"],
+            before as f64,
+            "{mode:?}"
+        );
+    }
+}
+
 #[test]
 fn never_instantiated_operands_are_refused_in_both_executors() {
     for mode in BOTH {

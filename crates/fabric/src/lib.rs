@@ -233,15 +233,17 @@ impl Fabric {
         &self.engines[base + usize::from(!h2d)]
     }
 
-    /// DMA `len` bytes from `(src, src_off)` to `(dst, dst_off)`. Windows may
-    /// live on any nodes; pacing applies when either side is a card. Blocks
-    /// until the copy completes (callers run it on sink and DMA queues).
+    /// DMA `len` bytes from `(src, src_off)` to `(dst, dst_off)`. At least
+    /// one side is the host: a card↔card copy is
+    /// [`FabricError::CardToCard`], as in the paper, which moves data only
+    /// between the host and a card. Pacing applies when either side is a
+    /// card. Blocks until the copy completes (callers run it on sink and DMA
+    /// queues).
     ///
-    /// Local↔local copies are a range-locked `memcpy` stretched to the
-    /// modelled link time. When either side is remote the payload crosses
-    /// the transport and the engine paces the modelled budget *on top of*
-    /// measured wire time ([`DmaEngine::run_wire`]); remote↔remote goes
-    /// through a host staging buffer as two paced hops (D2H then H2D).
+    /// Local copies are a range-locked `memcpy` stretched to the modelled
+    /// link time. When the card is remote the payload crosses the transport
+    /// and the engine paces the modelled budget *on top of* measured wire
+    /// time ([`DmaEngine::run_wire`]).
     pub fn dma_copy(
         &self,
         src: WindowId,
@@ -256,36 +258,14 @@ impl Fabric {
         if src == dst {
             return Err(FabricError::OverlappingSelfCopy);
         }
-        match (self.is_remote(src.node), self.is_remote(dst.node)) {
-            (false, false) => {}
-            (false, true) => return self.dma_copy_h2d_wire(src, src_off, dst, dst_off, len),
-            (true, false) => return self.dma_copy_d2h_wire(src, src_off, dst, dst_off, len),
-            (true, true) => {
-                // Host-staged: fetch from the source worker, then deliver
-                // to the destination worker, each leg paced on its link.
-                let mut staging = vec![0u8; len];
-                self.check_remote_bounds(src, src_off, len)?;
-                self.check_remote_bounds(dst, dst_off, len)?;
-                let t_src = self.transport(src.node).clone();
-                self.engine(src.node, false)
-                    .run_wire(len, || {
-                        t_src
-                            .read(src.id, src_off, &mut staging)
-                            .map(drop)
-                            .map_err(|e| self.transport_err(src, e).into_cause())
-                    })
-                    .map_err(FabricError::Faulted)?;
-                let t_dst = self.transport(dst.node).clone();
-                self.engine(dst.node, true)
-                    .run_wire(len, || {
-                        t_dst
-                            .write(dst.id, dst_off, &staging)
-                            .map(drop)
-                            .map_err(|e| self.transport_err(dst, e).into_cause())
-                    })
-                    .map_err(FabricError::Faulted)?;
-                return Ok(());
-            }
+        if !src.node.is_host() && !dst.node.is_host() {
+            return Err(FabricError::CardToCard);
+        }
+        if self.is_remote(dst.node) {
+            return self.dma_copy_h2d_wire(src, src_off, dst, dst_off, len);
+        }
+        if self.is_remote(src.node) {
+            return self.dma_copy_d2h_wire(src, src_off, dst, dst_off, len);
         }
         let src_mem = self.window(src).ok_or(FabricError::NoSuchWindow(src))?;
         let dst_mem = self.window(dst).ok_or(FabricError::NoSuchWindow(dst))?;
@@ -385,6 +365,9 @@ pub enum FabricError {
     NoSuchWindow(WindowId),
     OutOfBounds,
     OverlappingSelfCopy,
+    /// Both endpoints are cards: data moves only between the host and a
+    /// card.
+    CardToCard,
     /// An armed chaos plan injected a fault into the DMA channel.
     Faulted(FailureCause),
 }
@@ -405,6 +388,7 @@ impl std::fmt::Display for FabricError {
             FabricError::NoSuchWindow(w) => write!(f, "no such window {w:?}"),
             FabricError::OutOfBounds => write!(f, "window access out of bounds"),
             FabricError::OverlappingSelfCopy => write!(f, "self-copy within one window"),
+            FabricError::CardToCard => write!(f, "card-to-card copy"),
             FabricError::Faulted(c) => write!(f, "dma fault: {c}"),
         }
     }
@@ -507,6 +491,16 @@ mod tests {
             f.dma_copy(h, 0, h, 4, 4),
             Err(FabricError::OverlappingSelfCopy)
         );
+    }
+
+    #[test]
+    fn card_to_card_copy_is_refused() {
+        let f = Fabric::new(3, Pacer::unpaced());
+        let a = f.register(NodeId(1), 8);
+        let b = f.register(NodeId(2), 8);
+        assert_eq!(f.dma_copy(a, 0, b, 0, 8), Err(FabricError::CardToCard));
+        assert_eq!(f.engine(NodeId(1), false).stats().ops, 0);
+        assert_eq!(f.engine(NodeId(2), true).stats().ops, 0);
     }
 
     #[test]

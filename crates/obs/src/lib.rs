@@ -3,10 +3,10 @@
 //! The paper's whole value proposition is *visible* concurrency: Fig. 6/7
 //! are timelines of computes and transfers overlapping across streams. This
 //! crate records exactly that — one lifecycle record per enqueued action
-//! (enqueue → deps-resolved → dispatch → sink start → complete) plus
-//! runtime gauges (DMA queue depth, workgroup occupancy) and counters —
-//! and exports them as Chrome `chrome://tracing` JSON ([`chrome`]) or a
-//! flat metrics snapshot ([`MetricsSnapshot`]) for `BENCH_*.json`. Which
+//! (enqueue → deps-resolved → dispatch → sink start → complete) — and
+//! exports them as Chrome `chrome://tracing` JSON ([`chrome`]). It keeps no
+//! counter: every number a run reports is read from the component that
+//! owns it, into a flat [`MetricsSnapshot`] for `BENCH_*.json`. Which
 //! action held which sink when is one fold of the records ([`spans`]): the
 //! Chrome export draws it, and overlap ([`overlap_ns`]) and Gantt charts
 //! are read from it. The `Enqueued` record's [`ActionMeta`] also carries
@@ -179,24 +179,15 @@ pub enum ObsRecord {
     },
 }
 
-/// A current/peak gauge (e.g. DMA queue depth, workgroup occupancy).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Gauge {
-    pub current: i64,
-    pub peak: i64,
-}
-
 struct Inner {
     enabled: AtomicBool,
     /// Wall-clock origin, stamped on first enable (real mode timestamps).
     t0: OnceLock<Instant>,
     next_action: AtomicU64,
     records: Mutex<Vec<ObsRecord>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    counters: Mutex<BTreeMap<String, u64>>,
 }
 
-/// The shared event/metrics hub. Clones share state; one hub per runtime.
+/// The shared lifecycle-record hub. Clones share state; one hub per runtime.
 #[derive(Clone)]
 pub struct ObsHub {
     inner: Arc<Inner>,
@@ -217,8 +208,6 @@ impl ObsHub {
                 t0: OnceLock::new(),
                 next_action: AtomicU64::new(0),
                 records: Mutex::new(Vec::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                counters: Mutex::new(BTreeMap::new()),
             }),
         }
     }
@@ -270,43 +259,6 @@ impl ObsHub {
         });
     }
 
-    /// Adjust a gauge by `delta`, tracking its peak. No-op when disabled.
-    pub fn gauge_add(&self, key: &str, delta: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut gauges = self.inner.gauges.lock();
-        let g = gauges.entry(key.to_string()).or_default();
-        g.current += delta;
-        g.peak = g.peak.max(g.current);
-    }
-
-    /// Set a gauge to an absolute value, tracking its peak. For externally
-    /// accumulated quantities (e.g. WAL bytes on disk) where the source owns
-    /// the running total and the hub only mirrors it. No-op when disabled.
-    pub fn gauge_set(&self, key: &str, value: i64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut gauges = self.inner.gauges.lock();
-        let g = gauges.entry(key.to_string()).or_default();
-        g.current = value;
-        g.peak = g.peak.max(g.current);
-    }
-
-    /// Bump a monotonic counter. No-op when disabled.
-    pub fn counter_add(&self, key: &str, n: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        *self
-            .inner
-            .counters
-            .lock()
-            .entry(key.to_string())
-            .or_insert(0) += n;
-    }
-
     /// Record a degradation event: `card` was lost, its streams were
     /// remapped to the host, and lost work was replayed. No-op when
     /// disabled (the chaos log still captures it).
@@ -321,8 +273,6 @@ impl ObsHub {
         if !self.is_enabled() {
             return;
         }
-        self.counter_add("chaos.degraded_cards", 1);
-        self.counter_add("chaos.replayed_actions", actions_replayed as u64);
         self.inner.records.lock().push(ObsRecord::Degraded {
             card,
             streams_remapped,
@@ -340,15 +290,6 @@ impl ObsHub {
     /// Number of records currently buffered.
     pub fn records_len(&self) -> usize {
         self.inner.records.lock().len()
-    }
-
-    /// Snapshot gauges and counters (records stay untouched).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            gauges: self.inner.gauges.lock().clone(),
-            counters: self.inner.counters.lock().clone(),
-            extra: BTreeMap::new(),
-        }
     }
 }
 
@@ -413,11 +354,9 @@ impl ObsAction {
 
     /// Record a scheduled retry: attempt `attempt` (1-based retry counter)
     /// will run after `backoff_us`. Stamps a `RetryScheduled` phase plus a
-    /// [`ObsRecord::Retry`] carrying the counter, and bumps
-    /// `chaos.retries`.
+    /// [`ObsRecord::Retry`] carrying the counter.
     pub fn retry(&self, attempt: u32, backoff_us: u64, t_ns: u64) {
         if let Some(hub) = &self.hub {
-            hub.counter_add("chaos.retries", 1);
             let mut records = hub.inner.records.lock();
             records.push(ObsRecord::Phase {
                 action: self.id,
@@ -441,10 +380,9 @@ impl ObsAction {
     }
 
     /// Record terminal failure with its structured cause (in addition to
-    /// the `Failed` phase). Bumps `chaos.failed.<tag>`.
+    /// the `Failed` phase).
     pub fn fail_cause(&self, cause: &FailureCause, attempts: u32, t_ns: u64) {
         if let Some(hub) = &self.hub {
-            hub.counter_add(&format!("chaos.failed.{}", cause.tag()), 1);
             let mut records = hub.inner.records.lock();
             records.push(ObsRecord::Phase {
                 action: self.id,
@@ -468,32 +406,18 @@ impl ObsAction {
     }
 }
 
-/// A flat snapshot of gauges/counters plus derived values (e.g. link
-/// utilization) for merging into bench JSON artifacts.
+/// A flat snapshot of the numbers a runtime reports, each read from the
+/// layer that owns it, for merging into bench JSON artifacts.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    pub gauges: BTreeMap<String, Gauge>,
-    pub counters: BTreeMap<String, u64>,
-    /// Derived values computed by the layer that owns the raw data.
+    /// Each value by its row name.
     pub extra: BTreeMap<String, f64>,
 }
 
 impl MetricsSnapshot {
-    /// Flatten to `(column, value)` rows: counters as-is, gauges as
-    /// `<key>.peak`, derived values as-is. Sorted by column name.
+    /// Flatten to `(column, value)` rows, sorted by column name.
     pub fn rows(&self) -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = Vec::new();
-        for (k, v) in &self.counters {
-            rows.push((k.clone(), *v as f64));
-        }
-        for (k, g) in &self.gauges {
-            rows.push((format!("{k}.peak"), g.peak as f64));
-        }
-        for (k, v) in &self.extra {
-            rows.push((k.clone(), *v));
-        }
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+        self.extra.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 }
 
@@ -546,11 +470,8 @@ mod tests {
         assert!(!a.is_enabled());
         a.phase(ObsPhase::Dispatched, 10);
         a.finish(true, 20);
-        hub.gauge_add("g", 1);
-        hub.counter_add("c", 1);
+        hub.degraded(1, 2, 3, 4, 30);
         assert_eq!(hub.records_len(), 0);
-        assert!(hub.metrics().gauges.is_empty());
-        assert!(hub.metrics().counters.is_empty());
     }
 
     #[test]
@@ -592,58 +513,17 @@ mod tests {
     }
 
     #[test]
-    fn gauge_tracks_peak() {
-        let hub = ObsHub::new();
-        hub.enable(true);
-        hub.gauge_add("q", 2);
-        hub.gauge_add("q", 3);
-        hub.gauge_add("q", -4);
-        let snap = hub.metrics();
-        assert_eq!(
-            snap.gauges["q"],
-            Gauge {
-                current: 1,
-                peak: 5
-            }
-        );
-        hub.counter_add("n", 2);
-        hub.counter_add("n", 3);
-        assert_eq!(hub.metrics().counters["n"], 5);
-    }
-
-    #[test]
-    fn gauge_set_is_absolute_and_tracks_peak() {
-        let hub = ObsHub::new();
-        hub.enable(true);
-        hub.gauge_set("w", 10);
-        hub.gauge_set("w", 4);
-        assert_eq!(
-            hub.metrics().gauges["w"],
-            Gauge {
-                current: 4,
-                peak: 10
-            }
-        );
-        let off = ObsHub::new();
-        off.gauge_set("w", 9);
-        assert!(off.metrics().gauges.is_empty());
-    }
-
-    #[test]
     fn snapshot_rows_are_flat_and_sorted() {
-        let hub = ObsHub::new();
-        hub.enable(true);
-        hub.gauge_add("z.depth", 3);
-        hub.counter_add("a.count", 7);
-        let mut snap = hub.metrics();
+        let mut snap = MetricsSnapshot::default();
+        snap.extra.insert("z.depth".into(), 3.0);
+        snap.extra.insert("a.count".into(), 7.0);
         snap.extra.insert("m.util".into(), 0.5);
-        let rows = snap.rows();
         assert_eq!(
-            rows,
+            snap.rows(),
             vec![
                 ("a.count".to_string(), 7.0),
                 ("m.util".to_string(), 0.5),
-                ("z.depth.peak".to_string(), 3.0),
+                ("z.depth".to_string(), 3.0),
             ]
         );
     }

@@ -21,7 +21,7 @@
 //! 3. **Validation.** The top-k candidates by sim cost re-run as short
 //!    wall-clock measurements on the thread executor, and the Spearman
 //!    rank correlation between the two orderings is reported as the cost
-//!    model's calibration (`tune.rank_corr_x1000` gauge). Whether wall
+//!    model's calibration ([`TuneOutcome::rank_corr`]). Whether wall
 //!    may *overrule* sim depends on what the wall is: on a host-only
 //!    platform the thread executor IS the target machine, so a rival
 //!    that is wall-faster by a clear margin ([`WALL_DEMOTION_MARGIN`])
@@ -219,9 +219,9 @@ pub struct TuneOutcome {
 pub trait Tune {
     /// Run the closed loop described at the crate root. The receiving
     /// runtime contributes its platform (machine signature, and the
-    /// template for candidate runtimes) and its obs hub (`tune.*`
-    /// gauges); candidates run on *fresh* runtimes, so the receiver's own
-    /// state — streams, buffers, enqueued work — is never touched.
+    /// template for candidate runtimes); candidates run on *fresh*
+    /// runtimes, so the receiver's own state — streams, buffers, enqueued
+    /// work — is never touched.
     fn tune(&self, spec: TuneSpec<'_>) -> HsResult<TuneOutcome>;
 }
 
@@ -242,7 +242,6 @@ impl Tune for HStreams {
             ));
         }
         let machine = MachineSig::of(self.platform());
-        let obs = self.obs();
 
         let cache = match &cache_dir {
             Some(dir) => Some(TunerCache::open(dir).map_err(|e| {
@@ -252,8 +251,6 @@ impl Tune for HStreams {
         };
         if let Some(cache) = &cache {
             if let Some(config) = cache.load(&workload, &machine) {
-                obs.gauge_set("tune.cache_hit", 1);
-                obs.gauge_set("tune.explored", 0);
                 return Ok(TuneOutcome {
                     config,
                     cache_hit: true,
@@ -299,15 +296,6 @@ impl Tune for HStreams {
         let best = search::descend(&grid, seed, &mut memo);
         let ranked = memo.ranked();
         let explored = simulated.get();
-        if std::env::var("HS_TUNE_DEBUG").is_ok() {
-            for (i, (p, c)) in ranked.iter().take(8).enumerate() {
-                eprintln!(
-                    "tune[{}]: sim rank {i}: {:?} cost {c:.6}s",
-                    workload.kind,
-                    cfg_of(*p)
-                );
-            }
-        }
         let Some(best) = best else {
             return Err(HsError::InvalidArg(format!(
                 "tune: no feasible candidate in the search space (target domain \
@@ -356,14 +344,6 @@ impl Tune for HStreams {
                             }
                         }
                     }
-                    if std::env::var("HS_TUNE_DEBUG").is_ok() {
-                        for (i, w) in walls.iter().enumerate() {
-                            eprintln!(
-                                "tune[{}]: wall[{i}] {:?} = {w:.6}s (sim {:.6}s)",
-                                workload.kind, cfgs[i].0, cfgs[i].1
-                            );
-                        }
-                    }
                     winner = cfgs[bi].0;
                     winner_sim = Some(cfgs[bi].1);
                     wall_secs = Some(walls[bi]);
@@ -375,12 +355,6 @@ impl Tune for HStreams {
         if let Some(cache) = &cache {
             // A failed store costs a future re-tune, nothing else.
             let _ = cache.store(&workload, &machine, &winner);
-        }
-        obs.gauge_set("tune.cache_hit", 0);
-        obs.gauge_set("tune.explored", explored as i64);
-        obs.gauge_set("tune.validated", wall_secs.map_or(0, |_| k as i64));
-        if let Some(r) = rank_corr {
-            obs.gauge_set("tune.rank_corr_x1000", (r * 1000.0).round() as i64);
         }
         Ok(TuneOutcome {
             config: winner,

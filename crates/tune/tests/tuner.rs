@@ -150,7 +150,6 @@ fn chosen_config_beats_grid_corners() {
 fn cache_round_trip_skips_search() {
     let dir = tmpdir("roundtrip");
     let hs = offload();
-    hs.obs_enable(true);
     let first = hs
         .tune(
             TuneSpec::new(workload(), space(), synth_runner)
@@ -162,7 +161,6 @@ fn cache_round_trip_skips_search() {
     assert!(first.explored > 0);
 
     let hs2 = offload();
-    hs2.obs_enable(true);
     let second = hs2
         .tune(
             TuneSpec::new(workload(), space(), synth_runner)
@@ -173,12 +171,6 @@ fn cache_round_trip_skips_search() {
     assert!(second.cache_hit, "second run must be served from the cache");
     assert_eq!(second.explored, 0, "a hit never simulates");
     assert_eq!(second.config, first.config);
-    let rows = hs2.metrics().rows();
-    let hit = rows
-        .iter()
-        .find(|(k, _)| k == "tune.cache_hit.peak")
-        .map(|(_, v)| *v);
-    assert_eq!(hit, Some(1.0), "tune.cache_hit gauge set: {rows:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
