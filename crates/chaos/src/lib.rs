@@ -309,8 +309,9 @@ pub enum FaultKind {
     Transient,
     /// Fail the op with a non-retryable injected fault.
     Fatal,
-    /// Panic inside the sink (compute sites only; on DMA sites this
-    /// degrades to `Fatal` — there is no sink closure to panic in).
+    /// Fail a compute as its panicking run function would, with
+    /// [`FailureCause::SinkPanic`] (compute sites only; on DMA sites this
+    /// degrades to `Fatal` — no run function runs there).
     SinkPanic,
     /// Kill the card the op targets: the op fails with
     /// [`FailureCause::CardLost`] and every later op on that card fails too.
@@ -435,16 +436,6 @@ impl FaultPlan {
             )
             .with_trigger(FaultSite::CardOp { card: 1, nth: 12 }, FaultKind::CardDead)
     }
-}
-
-/// What an injection check asks the caller to do.
-#[derive(Clone, PartialEq, Debug)]
-pub enum Injection {
-    /// Fail the op with this cause (without running it).
-    Fail(FailureCause),
-    /// Run a sink closure that panics with this message, so the real
-    /// catch-unwind path is exercised.
-    Panic(String),
 }
 
 /// What an armed WAL trigger asks the durable-log writer to do.
@@ -648,9 +639,10 @@ impl ChaosHub {
         self.inner.state.lock().log.clone()
     }
 
-    /// Consult the plan for the next DMA op on `(card, h2d)`. Must be called
-    /// from the (serialized) DMA channel so ordinals are deterministic.
-    pub fn check_dma(&self, card: u32, h2d: bool) -> Option<Injection> {
+    /// Consult the plan for the next DMA op on `(card, h2d)`: the cause to
+    /// fail it with, without running it. Must be called from the
+    /// (serialized) DMA channel so ordinals are deterministic.
+    pub fn check_dma(&self, card: u32, h2d: bool) -> Option<FailureCause> {
         if !self.is_armed() {
             return None;
         }
@@ -658,7 +650,7 @@ impl ChaosHub {
         let d = bump(&mut st.dma_ord, (card, h2d));
         let c = bump(&mut st.card_ord, card);
         if st.dead.contains(&card) {
-            return Some(Injection::Fail(FailureCause::CardLost { card }));
+            return Some(FailureCause::CardLost { card });
         }
         let plan = st.plan.as_ref()?.clone();
         for (i, trig) in plan.triggers.iter().enumerate() {
@@ -676,8 +668,8 @@ impl ChaosHub {
             };
             if hit {
                 st.fired[i] = true;
-                // DMA ops have no sink closure; a SinkPanic trigger on a
-                // DMA site degrades to a fatal injected fault.
+                // No run function runs on a DMA op; a SinkPanic trigger on
+                // a DMA site degrades to a fatal injected fault.
                 let kind = if trig.kind == FaultKind::SinkPanic {
                     FaultKind::Fatal
                 } else {
@@ -706,9 +698,10 @@ impl ChaosHub {
     }
 
     /// Consult the plan for the next compute dispatched in `stream`
-    /// (running on `card`, 0 = host). Must be called from the serialized
-    /// dispatch point of the stream so ordinals are deterministic.
-    pub fn check_compute(&self, stream: u32, card: u32) -> Option<Injection> {
+    /// (running on `card`, 0 = host): the cause to fail it with, without
+    /// running it. Must be called from the serialized dispatch point of the
+    /// stream so ordinals are deterministic.
+    pub fn check_compute(&self, stream: u32, card: u32) -> Option<FailureCause> {
         if !self.is_armed() {
             return None;
         }
@@ -720,7 +713,7 @@ impl ChaosHub {
             0
         };
         if card != 0 && st.dead.contains(&card) {
-            return Some(Injection::Fail(FailureCause::CardLost { card }));
+            return Some(FailureCause::CardLost { card });
         }
         let plan = st.plan.as_ref()?.clone();
         for (i, trig) in plan.triggers.iter().enumerate() {
@@ -752,33 +745,33 @@ impl ChaosHub {
         None
     }
 
-    fn fire(st: &mut State, site: &str, kind: FaultKind, card: u32) -> Injection {
+    fn fire(st: &mut State, site: &str, kind: FaultKind, card: u32) -> FailureCause {
         match kind {
             // WAL-only kinds landing on a DMA/compute site degrade to a
             // fatal injected fault — there is no log tail to tear here.
             FaultKind::Torn | FaultKind::Io | FaultKind::Fatal => {
                 st.log.push(format!("fatal@{site}"));
-                Injection::Fail(FailureCause::Injected {
+                FailureCause::Injected {
                     site: site.to_string(),
                     transient: false,
-                })
+                }
             }
             FaultKind::Transient => {
                 st.log.push(format!("transient@{site}"));
-                Injection::Fail(FailureCause::Injected {
+                FailureCause::Injected {
                     site: site.to_string(),
                     transient: true,
-                })
+                }
             }
             FaultKind::SinkPanic => {
                 st.log.push(format!("sink_panic@{site}"));
-                Injection::Panic(format!("chaos: injected sink panic at {site}"))
+                FailureCause::SinkPanic(format!("chaos: injected sink panic at {site}"))
             }
             FaultKind::CardDead => {
                 st.log.push(format!("card_dead@{site}"));
                 st.dead.insert(card);
                 st.log.push(format!("card {card} marked dead"));
-                Injection::Fail(FailureCause::CardLost { card })
+                FailureCause::CardLost { card }
             }
         }
     }
@@ -820,9 +813,9 @@ mod tests {
         assert_eq!(hub.check_dma(1, false), None); // wrong direction
         assert_eq!(hub.check_dma(2, true), None); // wrong card
         assert_eq!(hub.check_dma(1, true), None); // 2nd h2d op
-        let inj = hub.check_dma(1, true).expect("3rd h2d op faults");
-        match inj {
-            Injection::Fail(FailureCause::Injected { transient, .. }) => assert!(transient),
+        let cause = hub.check_dma(1, true).expect("3rd h2d op faults");
+        match cause {
+            FailureCause::Injected { transient, .. } => assert!(transient),
             other => panic!("unexpected injection {other:?}"),
         }
         assert_eq!(hub.check_dma(1, true), None, "trigger fires once");
@@ -836,12 +829,12 @@ mod tests {
                 .with_trigger(FaultSite::CardOp { card: 2, nth: 2 }, FaultKind::CardDead),
         );
         assert_eq!(hub.check_dma(2, true), None);
-        let inj = hub.check_compute(5, 2).expect("2nd card op kills card");
-        assert_eq!(inj, Injection::Fail(FailureCause::CardLost { card: 2 }));
+        let cause = hub.check_compute(5, 2).expect("2nd card op kills card");
+        assert_eq!(cause, FailureCause::CardLost { card: 2 });
         assert!(hub.is_card_dead(2));
         assert_eq!(
             hub.check_dma(2, false),
-            Some(Injection::Fail(FailureCause::CardLost { card: 2 }))
+            Some(FailureCause::CardLost { card: 2 })
         );
         assert_eq!(hub.check_compute(9, 1), None, "other cards unaffected");
     }
@@ -864,14 +857,24 @@ mod tests {
                     FaultKind::SinkPanic,
                 ),
         );
-        assert!(matches!(hub.check_compute(4, 1), Some(Injection::Panic(_))));
+        assert_eq!(
+            hub.check_compute(4, 1),
+            Some(FailureCause::SinkPanic(
+                "chaos: injected sink panic at compute(stream=4)#1".into()
+            ))
+        );
         assert!(matches!(
             hub.check_dma(1, true),
-            Some(Injection::Fail(FailureCause::Injected {
+            Some(FailureCause::Injected {
                 transient: false,
                 ..
-            }))
+            })
         ));
+        let log = hub.injected_log();
+        assert!(
+            log.contains(&"sink_panic@compute(stream=4)#1".to_string()),
+            "{log:?}"
+        );
     }
 
     #[test]
@@ -998,9 +1001,7 @@ mod tests {
                 .with_trigger(FaultSite::Compute { stream: 0, nth: 1 }, FaultKind::Torn),
         );
         match hub.check_compute(0, 0) {
-            Some(Injection::Fail(FailureCause::Injected { transient, .. })) => {
-                assert!(!transient)
-            }
+            Some(FailureCause::Injected { transient, .. }) => assert!(!transient),
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -17,9 +17,10 @@
 //! * [`workers::WorkerPool`] — the runtime's `host_cores` worker threads,
 //!   which run every in-process pipeline, DMA queue and expansion region
 //!   ([`workers::SerialQueue`]).
-//! * [`registry::FnRegistry`] — name → function table shared by all
-//!   processes, mirroring COI's symbol lookup of sink binaries (and letting
-//!   the same task code run on any engine, the paper's portability point).
+//! * [`registry::FnRegistry`] — name → function table shared by the
+//!   engines of one process, mirroring COI's symbol lookup of sink binaries
+//!   (and letting the same task code run on any engine, the paper's
+//!   portability point); a worker process holds its own.
 //! * [`event::CoiEvent`] — completion events with wait/poll, error-carrying
 //!   (a panicking run function *fails* the event instead of hanging the
 //!   host).
@@ -37,7 +38,7 @@ pub mod workers;
 pub mod workgroup;
 
 pub use event::{CoiEvent, Dependent, EventCore, EventHost, EventStatus};
-pub use pipeline::{execute_on, physical_lanes, Pipeline, PipelineHandle, RunCtx, SinkTask};
+pub use pipeline::{physical_lanes, Pipeline, PipelineHandle, RunCtx, SinkTask};
 pub use pool::{BufferPool, PoolStats, PooledWindow, WindowTooLarge};
 pub use registry::{FnRegistry, RunFunction};
 pub use server::{
@@ -144,7 +145,8 @@ impl CoiRuntime {
         &self.registry
     }
 
-    /// Register a run function available on every engine.
+    /// Register a run function for every engine this process hosts; a
+    /// remote card runs what its worker registered.
     pub fn register(&self, name: &str, f: RunFunction) {
         self.registry.register(name, f);
     }
@@ -165,8 +167,7 @@ impl CoiRuntime {
     /// the card alone for a remote one. Tasks expand across the
     /// [`physical_lanes`] of that machine: here, or in the worker, which
     /// learns `width` and `modelled_cores` from the stream's exec connection
-    /// (the pipeline then keeps one lane here, for the fetch-compute-writeback
-    /// fallback).
+    /// (a remote stream's pipeline runs nothing here, so it keeps one lane).
     pub fn pipeline_create_stream(
         self: &Arc<Self>,
         engine: EngineId,

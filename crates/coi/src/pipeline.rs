@@ -31,7 +31,7 @@ use hs_fabric::transport::{ExecReply, ExecRequest, TransportError};
 use hs_fabric::{ExecConn, NodeId, RangeGuard, WindowId, WindowMem};
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Buffer operand of a run function: window, byte range, writable?
 pub type BufAccess = (WindowId, Range<usize>, bool);
@@ -72,13 +72,6 @@ pub trait SinkTask: Send + Sync {
     fn finish(self: Arc<Self>, result: Result<(), FailureCause>);
 }
 
-enum Command {
-    Run(Arc<dyn SinkTask>),
-    /// Execute an arbitrary closure in the pipeline's order (bookkeeping
-    /// that must serialize with computes of the same stream).
-    Call(Box<dyn FnOnce() + Send>, CoiEvent),
-}
-
 /// The task behind [`PipelineHandle::run`]: event and command in one block.
 struct RunTask {
     ev: EventCore,
@@ -110,11 +103,11 @@ fn status_of(result: Result<(), FailureCause>) -> EventStatus {
     }
 }
 
-/// Handle to a sink pipeline. Dropping it closes the queue: later commands
+/// Handle to a sink pipeline. Dropping it closes the queue: later tasks
 /// fail, the queued ones drain (see [`SerialQueue`]).
 pub struct Pipeline {
     /// Held for its drop, which closes the queue.
-    _queue: SerialQueue<Command>,
+    _queue: SerialQueue<Arc<dyn SinkTask>>,
     sender: PipelineHandle,
     engine: EngineId,
     /// The expansion group shared with the sink; its width is this
@@ -125,9 +118,8 @@ pub struct Pipeline {
 impl Pipeline {
     /// A pipeline of `width` logical cores expanding over `lanes` threads
     /// here. On a remote card it opens the stream's exec connection, whose
-    /// `Hello` gives the worker `width` and the card's `cores`; a connection
-    /// that cannot be opened has poisoned the card, so its tasks fail as
-    /// `CardLost`.
+    /// `Hello` gives the worker `width` and the card's `cores`; a card that
+    /// is down leaves it to the first task after the card's `reconnect`.
     pub(crate) fn spawn(
         rt: Arc<CoiRuntime>,
         engine: EngineId,
@@ -144,24 +136,30 @@ impl Pipeline {
         // Tasks expand over the runtime's pool: no thread of their own.
         let wg = Arc::new(Workgroup::on(rt.pool().clone(), lanes, affinity));
         let node = engine.node();
-        let exec = rt.fabric().transport(node).as_remote().and_then(|remote| {
-            let conn = remote.open_exec(width as u32, cores);
-            conn.ok().map(|conn| (node, conn))
+        let remote = rt.fabric().is_remote(node).then(|| RemoteSink {
+            node,
+            width: width as u32,
+            cores,
+            conn: OnceLock::new(),
         });
+        if let Some(remote) = &remote {
+            // A card that is down now fails this stream's tasks as `CardLost`
+            // until it is reconnected.
+            let _ = remote.conn(&rt);
+        }
         // A remote card's tasks block on the wire: they get a thread of
         // their own, so they never hold a worker that host compute could use.
-        let pool = if rt.fabric().is_remote(node) {
+        let pool = if remote.is_some() {
             Arc::new(WorkerPool::new(1, &format!("coi-pipe-e{}", engine.0)))
         } else {
             rt.pool().clone()
         };
         let sink = Sink {
             rt,
-            width,
             wg: wg.clone(),
-            exec,
+            remote,
         };
-        let queue = SerialQueue::new(pool, move |cmd| sink.run(cmd));
+        let queue = SerialQueue::new(pool, move |task| sink.run(task));
         Pipeline {
             sender: PipelineHandle {
                 queue: queue.handle(),
@@ -193,7 +191,7 @@ impl Pipeline {
         &self.wg
     }
 
-    /// A cloneable handle that can enqueue commands from any thread.
+    /// A cloneable handle that can enqueue tasks from any thread.
     pub fn sender_handle(&self) -> PipelineHandle {
         self.sender.clone()
     }
@@ -202,17 +200,12 @@ impl Pipeline {
     pub fn run(&self, name: &str, args: Bytes, bufs: Vec<BufAccess>) -> CoiEvent {
         self.sender.run(name, args, bufs)
     }
-
-    /// See [`PipelineHandle::call`].
-    pub fn call(&self, f: impl FnOnce() + Send + 'static) -> CoiEvent {
-        self.sender.call(f)
-    }
 }
 
-/// A cloneable, thread-safe handle to a pipeline's command queue.
+/// A cloneable, thread-safe handle to a pipeline's task queue.
 #[derive(Clone)]
 pub struct PipelineHandle {
-    queue: QueueHandle<Command>,
+    queue: QueueHandle<Arc<dyn SinkTask>>,
     width: usize,
 }
 
@@ -224,7 +217,7 @@ impl PipelineHandle {
     /// Enqueue the caller's task. A stopped pipeline finishes it with an
     /// error at once.
     pub fn submit(&self, task: Arc<dyn SinkTask>) {
-        if let Err(Command::Run(task)) = self.queue.push(Command::Run(task)) {
+        if let Err(task) = self.queue.push(task) {
             task.finish(Err("pipeline stopped".into()));
         }
     }
@@ -240,82 +233,44 @@ impl PipelineHandle {
         self.submit(task.clone());
         CoiEvent::of(task)
     }
-
-    /// Enqueue an arbitrary closure; returns its completion event.
-    pub fn call(&self, f: impl FnOnce() + Send + 'static) -> CoiEvent {
-        let done = CoiEvent::new();
-        if self
-            .queue
-            .push(Command::Call(Box::new(f), done.clone()))
-            .is_err()
-        {
-            done.fail("pipeline stopped");
-        }
-        done
-    }
-}
-
-fn panic_msg(p: &(dyn std::any::Any + Send)) -> FailureCause {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        FailureCause::SinkPanic((*s).to_string())
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        FailureCause::SinkPanic(s.clone())
-    } else {
-        FailureCause::SinkPanic("<non-string payload>".to_string())
-    }
 }
 
 /// Operand lists of the usual size live on the sink's stack.
 type Inline<T> = SmallVec<T, 4>;
 
-/// Operand indices in canonical (window, offset) order: every pipeline takes
-/// its range locks in this order, so racing on shared operands cannot
-/// deadlock.
-fn acquire_order(bufs: &[BufAccess]) -> Inline<usize> {
-    let mut order: Inline<usize> = (0..bufs.len()).collect();
-    order
-        .as_mut_slice()
-        .sort_by_key(|&i| (bufs[i].0, bufs[i].1.start));
-    order
-}
-
-/// What a pipeline's queue runs commands with.
+/// What a pipeline's queue runs tasks with.
 struct Sink {
     rt: Arc<CoiRuntime>,
-    width: usize,
     wg: Arc<Workgroup>,
-    /// The stream's exec connection, on a pipeline whose engine is a remote
-    /// card (that card's node).
-    exec: Option<(NodeId, ExecConn)>,
+    /// Set on a pipeline whose engine is a remote card: its tasks run there.
+    remote: Option<RemoteSink>,
+}
+
+/// The remote card a pipeline's tasks run on, and the stream's exec
+/// connection to its worker.
+struct RemoteSink {
+    node: NodeId,
+    /// The stream's logical width and the card's modelled cores, for the
+    /// connection's `Hello`.
+    width: u32,
+    cores: u32,
+    /// Opened at spawn, or by the first task that finds the card up; a
+    /// `reconnect` of the card re-opens it in place.
+    conn: OnceLock<ExecConn>,
 }
 
 impl Sink {
-    fn run(&self, cmd: Command) {
-        match cmd {
-            Command::Call(f, done) => match std::panic::catch_unwind(AssertUnwindSafe(f)) {
-                Ok(()) => done.signal(),
-                Err(p) => done.fail(panic_msg(p.as_ref())),
-            },
-            Command::Run(task) => {
-                task.started();
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(&*task)));
-                task.finish(r.unwrap_or_else(|p| Err(panic_msg(p.as_ref()))));
-            }
-        }
+    fn run(&self, task: Arc<dyn SinkTask>) {
+        task.started();
+        let result = self.execute(&*task);
+        task.finish(result);
     }
 
     fn execute(&self, task: &dyn SinkTask) -> Result<(), FailureCause> {
         let rt = &*self.rt;
         let (name, args, bufs) = task.call();
-        // Any operand living on a remote node routes the whole task through
-        // the wire (the worker process owns that memory — there is no local
-        // view).
-        let remote = bufs
-            .iter()
-            .map(|(w, _, _)| w.node)
-            .find(|&n| rt.fabric().is_remote(n));
-        if let Some(node) = remote {
-            return self.execute_remote(node, name, args, bufs);
+        if let Some(remote) = &self.remote {
+            return remote.execute(rt, name, args, bufs);
         }
         let mut mems: Inline<Option<Arc<WindowMem>>> = Inline::new();
         for (w, _, _) in bufs {
@@ -326,160 +281,108 @@ impl Sink {
         }
         let mems = mems.as_slice();
         let operand = |i: usize| {
+            let (w, range, write) = &bufs[i];
             let mem = mems[i].as_deref().expect("every window resolved above");
-            (mem, bufs[i].1.clone(), bufs[i].2)
+            (*w, mem, range.clone(), *write)
         };
-        let order = acquire_order(bufs);
-        run_locked(
-            rt.registry(),
-            name,
-            args,
-            operand,
-            order.as_slice(),
-            &self.wg,
-        )
+        execute_on(rt.registry(), name, args, bufs.len(), operand, &self.wg)
     }
+}
 
-    /// Execute a task whose operands live (at least partly) on remote `node`.
-    ///
-    /// Fast path: every operand is on `node` and the worker knows the function —
-    /// one `Exec` frame on the stream's exec connection, zero data motion; the
-    /// worker runs it on the lanes it sized from that connection's `Hello`.
-    /// Fallback (worker replies `UnknownFn`, e.g. a closure registered only
-    /// host-side, or operands are mixed host/remote): fetch the remote operand
-    /// bytes into private scratch windows, run the function locally, and write
-    /// back the write-operands. The fallback uses the raw transport (not the
-    /// DMA engines) so the `dma.cN.*` rows keep meaning "buffer instantiation
-    /// traffic" and stay comparable between Local and Remote transports.
-    fn execute_remote(
+impl RemoteSink {
+    /// One `Exec` frame on the stream's exec connection, zero data motion;
+    /// the worker runs the function on the lanes it sized from that
+    /// connection's `Hello`, from its own registry. A name it lacks fails
+    /// the task as an unregistered name fails it here.
+    fn execute(
         &self,
-        node: NodeId,
+        rt: &CoiRuntime,
         name: &str,
         args: &[u8],
         bufs: &[BufAccess],
     ) -> Result<(), FailureCause> {
-        let rt = &*self.rt;
-        for (w, _, _) in bufs {
-            if rt.fabric().is_remote(w.node) && w.node != node {
-                return Err(FailureCause::Malformed(format!(
-                    "run function '{name}': operands span remote nodes {} and {}",
-                    node.0, w.node.0
-                )));
-            }
+        if let Some((w, _, _)) = bufs.iter().find(|(w, _, _)| w.node != self.node) {
+            return Err(FailureCause::Malformed(format!(
+                "run function '{name}': operand {w:?} is not on node {}",
+                self.node.0
+            )));
         }
-        let t = rt.fabric().transport(node).clone();
-        if bufs.iter().all(|(w, _, _)| w.node == node) {
-            let raw: Vec<(u64, u64, u64, bool)> = bufs
-                .iter()
-                .map(|(w, r, wr)| (w.raw(), r.start as u64, r.end as u64, *wr))
-                .collect();
-            let req = ExecRequest {
-                name,
-                args,
-                width: self.width as u32,
-                bufs: &raw,
-            };
-            let reply = match &self.exec {
-                Some((on, conn)) if *on == node => conn.exec(&req),
-                _ => t.exec(&req),
-            };
-            match reply {
-                Ok(ExecReply::Done) => return Ok(()),
-                Ok(ExecReply::UnknownFn) => {} // fall through to fetch-compute-writeback
-                Ok(ExecReply::Failed(msg)) => {
-                    return Err(match msg.strip_prefix("panic: ") {
-                        Some(p) => FailureCause::SinkPanic(p.to_string()),
-                        None => FailureCause::Exec(format!("remote exec '{name}': {msg}")),
-                    })
-                }
-                Err(e) => return Err(wire_cause(node, e)),
-            }
-        }
-        // Fetch-compute-writeback: remote operands become private scratch
-        // windows (no lock contention — each call gets fresh ones), local
-        // operands keep their real memories and canonical lock order.
-        let mut ops: Vec<(Arc<WindowMem>, Range<usize>, bool)> = Vec::with_capacity(bufs.len());
-        let mut fetched: Vec<usize> = Vec::new();
-        for (i, (w, range, wr)) in bufs.iter().enumerate() {
-            if w.node == node {
-                let len = range.len();
-                let scratch = Arc::new(WindowMem::new(len));
-                {
-                    let mut g = scratch
-                        .lock_range(0..len, true)
-                        .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
-                    t.read(w.raw(), range.start, g.as_mut_slice())
-                        .map_err(|e| wire_cause(node, e))?;
-                }
-                ops.push((scratch, 0..len, *wr));
-                fetched.push(i);
-            } else {
-                let mem = rt.fabric().window(*w).ok_or_else(|| {
-                    FailureCause::Exec(format!("run function '{name}': window {w:?} gone"))
-                })?;
-                ops.push((mem, range.clone(), *wr));
-            }
-        }
-        // Scratch windows are private, so ordering only matters among the real
-        // (local) operands — the canonical (window, offset) sort keeps them safe.
-        execute_on(
-            rt.registry(),
+        let raw: Vec<(u64, u64, u64, bool)> = bufs
+            .iter()
+            .map(|(w, r, wr)| (w.raw(), r.start as u64, r.end as u64, *wr))
+            .collect();
+        let req = ExecRequest {
             name,
             args,
-            &ops,
-            acquire_order(bufs).as_slice(),
-            &self.wg,
-        )?;
-        for i in fetched {
-            let (scratch, srange, wr) = &ops[i];
-            if *wr {
-                let g = scratch
-                    .lock_range(srange.clone(), false)
-                    .map_err(|e| FailureCause::Exec(format!("scratch for '{name}': {e}")))?;
-                t.write(bufs[i].0.raw(), bufs[i].1.start, g.as_slice())
-                    .map_err(|e| wire_cause(node, e))?;
-            }
+            width: self.width,
+            bufs: &raw,
+        };
+        let reply = self.conn(rt)?.exec(&req);
+        match reply.map_err(|e| wire_cause(self.node, e))? {
+            ExecReply::Done => Ok(()),
+            ExecReply::UnknownFn => Err(unknown_fn(name)),
+            ExecReply::Failed(msg) => Err(match msg.strip_prefix("panic: ") {
+                Some(p) => FailureCause::SinkPanic(p.to_string()),
+                None => FailureCause::Exec(format!("remote exec '{name}': {msg}")),
+            }),
         }
-        Ok(())
+    }
+
+    /// The stream's exec connection, opened on first use. The queue runs
+    /// one task at a time, so no two tasks race to open it.
+    fn conn(&self, rt: &CoiRuntime) -> Result<&ExecConn, FailureCause> {
+        if let Some(conn) = self.conn.get() {
+            return Ok(conn);
+        }
+        let domain = rt.fabric().transport(self.node).as_remote();
+        let domain = domain.expect("a remote node's transport is a remote domain");
+        let conn = domain
+            .open_exec(self.width, self.cores)
+            .map_err(|e| wire_cause(self.node, e))?;
+        Ok(self.conn.get_or_init(|| conn))
     }
 }
 
-/// Run a registered function against already-resolved operand memories.
-///
-/// This is the sink-side core shared by the in-process path above and the
-/// remote worker server ([`crate::server`]): look the function up, take the
-/// operand range locks in `acquire_order` (callers pass a canonical
-/// (window, offset) order so concurrent pipelines cannot deadlock), and call
-/// it with a [`RunCtx`] built over the guards.
-pub fn execute_on(
-    registry: &FnRegistry,
-    name: &str,
-    args: &[u8],
-    ops: &[(Arc<WindowMem>, Range<usize>, bool)],
-    acquire_order: &[usize],
-    wg: &Arc<Workgroup>,
-) -> Result<(), FailureCause> {
-    debug_assert_eq!(acquire_order.len(), ops.len());
-    let operand = |i: usize| (&*ops[i].0, ops[i].1.clone(), ops[i].2);
-    run_locked(registry, name, args, operand, acquire_order, wg)
+/// How the sink fails a task whose function no registry holds, on either
+/// side of the wire.
+fn unknown_fn(name: &str) -> FailureCause {
+    FailureCause::Malformed(format!("no run function named '{name}'"))
 }
 
-/// [`execute_on`] over an operand accessor (memory, byte range, writable?)
-/// instead of a slice, so the in-process sink need not build one.
-fn run_locked<'a>(
+fn panic_cause(p: &(dyn std::any::Any + Send)) -> FailureCause {
+    if let Some(s) = p.downcast_ref::<&str>() {
+        FailureCause::SinkPanic((*s).to_string())
+    } else if let Some(s) = p.downcast_ref::<String>() {
+        FailureCause::SinkPanic(s.clone())
+    } else {
+        FailureCause::SinkPanic("<non-string payload>".to_string())
+    }
+}
+
+/// Run a registered function against already-resolved operands: the sink
+/// core shared by the in-process pipeline above and the remote worker
+/// ([`crate::server`]). `operand(i)` is operand `i`'s lock-order key (its
+/// window's id), memory, byte range and writability. The range locks are
+/// taken in canonical (window, offset) order, so concurrent tasks cannot
+/// deadlock on shared operands, and a panicking function fails the task
+/// as [`FailureCause::SinkPanic`] instead of unwinding into the caller.
+pub(crate) fn execute_on<'a, K: Ord>(
     registry: &FnRegistry,
     name: &str,
     args: &'a [u8],
-    operand: impl Fn(usize) -> (&'a WindowMem, Range<usize>, bool),
-    acquire_order: &[usize],
+    n: usize,
+    operand: impl Fn(usize) -> (K, &'a WindowMem, Range<usize>, bool),
     wg: &Arc<Workgroup>,
 ) -> Result<(), FailureCause> {
-    let f = registry
-        .lookup(name)
-        .ok_or_else(|| FailureCause::Malformed(format!("no run function named '{name}'")))?;
-    let mut guards: Inline<Option<RangeGuard<'a>>> = acquire_order.iter().map(|_| None).collect();
-    for &i in acquire_order {
-        let (mem, range, write) = operand(i);
+    let f = registry.lookup(name).ok_or_else(|| unknown_fn(name))?;
+    let mut order: Inline<usize> = (0..n).collect();
+    order.as_mut_slice().sort_by_key(|&i| {
+        let (key, _, range, _) = operand(i);
+        (key, range.start)
+    });
+    let mut guards: Inline<Option<RangeGuard<'a>>> = (0..n).map(|_| None).collect();
+    for &i in order.as_slice() {
+        let (_, mem, range, write) = operand(i);
         let g = mem
             .lock_range(range, write)
             .map_err(|e| FailureCause::Exec(format!("run function '{name}': {e}")))?;
@@ -490,8 +393,7 @@ fn run_locked<'a>(
         guards,
         wg: wg.clone(),
     };
-    f(&mut ctx);
-    Ok(())
+    std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(|p| panic_cause(p.as_ref()))
 }
 
 /// Map a transport failure on `node` to the cause the executor understands:
@@ -625,12 +527,15 @@ mod tests {
     fn commands_execute_in_arrival_order() {
         let rt = rt1();
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = log.clone();
+        rt.register(
+            "log_arg",
+            Arc::new(move |ctx: &mut RunCtx| seen.lock().push(ctx.args()[0])),
+        );
         let pipe = rt.pipeline_create(EngineId(1), 1);
-        let mut events = Vec::new();
-        for i in 0..10 {
-            let log = log.clone();
-            events.push(pipe.call(move || log.lock().push(i)));
-        }
+        let events: Vec<_> = (0..10u8)
+            .map(|i| pipe.run("log_arg", Bytes::from(vec![i]), vec![]))
+            .collect();
         CoiEvent::wait_all(&events).expect("all complete");
         assert_eq!(*log.lock(), (0..10).collect::<Vec<_>>());
     }
@@ -639,6 +544,7 @@ mod tests {
     fn panicking_function_fails_event_but_pipeline_survives() {
         let rt = rt1();
         rt.register("boom", Arc::new(|_ctx: &mut RunCtx| panic!("kaput")));
+        rt.register("noop", Arc::new(|_ctx: &mut RunCtx| {}));
         let pipe = rt.pipeline_create(EngineId(1), 1);
         let ev = pipe.run("boom", Bytes::new(), vec![]);
         let err = ev.wait().expect_err("panic must fail the event");
@@ -646,8 +552,8 @@ mod tests {
             matches!(&err, FailureCause::SinkPanic(m) if m.contains("kaput")),
             "{err}"
         );
-        // The pipeline still processes subsequent commands.
-        let ev2 = pipe.call(|| {});
+        // The pipeline still processes subsequent tasks.
+        let ev2 = pipe.run("noop", Bytes::new(), vec![]);
         assert_eq!(ev2.wait(), Ok(()));
     }
 

@@ -2,9 +2,11 @@
 //!
 //! Real COI resolves run functions by symbol name inside the sink binary;
 //! hStreams builds its "invoke by function name" API on that. Here the
-//! registry is an explicit name → closure table shared by every engine —
-//! which is also the paper's portability argument: *the same task code runs
-//! on the host and the coprocessor*, so one registration serves all domains.
+//! registry is an explicit name → closure table shared by every engine this
+//! process hosts — the paper's portability argument: *the same task code
+//! runs on the host and the coprocessor*, so one registration serves all
+//! of them. A card in a worker process resolves names in the worker's own
+//! registry, as a COI sink resolves them in its own binary.
 
 use crate::pipeline::RunCtx;
 use parking_lot::RwLock;

@@ -22,20 +22,22 @@
 //! access are checked by construction rather than by trust in the host.
 //! Run functions resolve against a worker-local [`FnRegistry`] — the
 //! process-boundary analogue of COI loading a sink binary — and execute
-//! through the exact sink path the in-process pipelines use
-//! ([`crate::pipeline::execute_on`]).
+//! through the sink core the in-process pipelines use (`pipeline.rs`): the
+//! same canonical range-lock order, the same panic capture. A function the
+//! registry lacks is an `UnknownFn` status, which fails the task on the
+//! host as an unregistered name fails it in-process.
 
 use crate::pipeline::{execute_on, physical_lanes};
 use crate::registry::FnRegistry;
 use crate::workers::WorkerPool;
 use crate::workgroup::Workgroup;
+use hs_chaos::FailureCause;
 use hs_fabric::proto::{self, ExecStatus, FrameHeader, Hello, Kind};
 use hs_fabric::{RangeGuard, WindowMem};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::ops::Range;
 use std::os::unix::net::UnixListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -262,10 +264,10 @@ impl WorkerState {
         Ok(())
     }
 
-    /// Run an `Exec` request on the connection's group `wg`; the (status,
-    /// message) pair becomes the `ExecAck`. Panics are caught so a buggy
-    /// kernel fails one task, not the worker — exactly the host-side sink
-    /// contract.
+    /// Run an `Exec` request on the connection's group `wg` through the
+    /// in-process sink core; the (status, message) pair becomes the
+    /// `ExecAck`. A panicking function fails one task, not the worker —
+    /// exactly the host-side sink contract.
     fn exec(&self, payload: &[u8], wg: &Arc<Workgroup>) -> (ExecStatus, String) {
         let Some(fr) = proto::decode_exec(payload) else {
             return (ExecStatus::Failed, "malformed Exec payload".to_string());
@@ -273,41 +275,22 @@ impl WorkerState {
         if !self.registry.contains(fr.name) {
             return (ExecStatus::UnknownFn, String::new());
         }
-        let mut ops: Vec<(Arc<WindowMem>, Range<usize>, bool)> = Vec::with_capacity(fr.bufs.len());
-        for &(win, start, end, write) in &fr.bufs {
-            let mem = match self.window(win) {
-                Ok(m) => m,
+        let mut mems = Vec::with_capacity(fr.bufs.len());
+        for &(win, ..) in &fr.bufs {
+            match self.window(win) {
+                Ok(m) => mems.push(m),
                 Err(msg) => return (ExecStatus::Failed, msg),
-            };
-            ops.push((mem, start as usize..end as usize, write));
+            }
         }
-        // Canonical (window, offset) acquire order — concurrent execs from
-        // racing host pipelines must not deadlock on shared operands, same
-        // invariant as the host-side sink path.
-        let mut order: Vec<usize> = (0..fr.bufs.len()).collect();
-        order.sort_by_key(|&i| (fr.bufs[i].0, fr.bufs[i].1));
-        let name = fr.name;
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_on(&self.registry, name, fr.args, &ops, &order, wg)
-        }));
-        match r {
-            Ok(Ok(())) => (ExecStatus::Ok, String::new()),
-            Ok(Err(cause)) => (ExecStatus::Failed, cause.to_string()),
-            Err(p) => (
-                ExecStatus::Failed,
-                format!("panic: {}", panic_text(p.as_ref())),
-            ),
+        let operand = |i: usize| {
+            let (win, start, end, write) = fr.bufs[i];
+            (win, &*mems[i], start as usize..end as usize, write)
+        };
+        match execute_on(&self.registry, fr.name, fr.args, mems.len(), operand, wg) {
+            Ok(()) => (ExecStatus::Ok, String::new()),
+            Err(FailureCause::SinkPanic(msg)) => (ExecStatus::Failed, format!("panic: {msg}")),
+            Err(cause) => (ExecStatus::Failed, cause.to_string()),
         }
-    }
-}
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string payload>".to_string()
     }
 }
 
@@ -508,6 +491,8 @@ mod tests {
         t.alloc(7, 16).expect("alloc");
         t.write(7, 0, &[41u8; 16]).expect("write");
         let reply = t
+            .open_exec(1, 1)
+            .expect("exec connection")
             .exec(&ExecRequest {
                 name: "add1",
                 args: &[],
@@ -543,7 +528,8 @@ mod tests {
         ));
         // Unknown function and panicking function: both are ExecAck
         // statuses, not transport failures.
-        let r = t
+        let conn = t.open_exec(1, 1).expect("exec connection");
+        let r = conn
             .exec(&ExecRequest {
                 name: "nope",
                 args: &[],
@@ -552,7 +538,7 @@ mod tests {
             })
             .expect("exec rpc");
         assert_eq!(r, ExecReply::UnknownFn);
-        let r = t
+        let r = conn
             .exec(&ExecRequest {
                 name: "boom",
                 args: &[],
@@ -1043,13 +1029,17 @@ mod tests {
     }
 
     /// A TCP relay in front of a real worker that flips one bit of the
-    /// `nth` byte the host sends on its H2D channel.
-    fn corrupting_relay(worker: SocketAddr, nth: usize) -> SocketAddr {
+    /// `nth` byte the host sends on its H2D channel, and the count of
+    /// connections it has accepted.
+    fn corrupting_relay(worker: SocketAddr, nth: usize) -> (SocketAddr, Arc<AtomicUsize>) {
         use std::net::{Shutdown, TcpStream};
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("bound");
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let counter = accepted.clone();
         std::thread::spawn(move || {
             for down in listener.incoming() {
+                counter.fetch_add(1, Ordering::SeqCst);
                 let (Ok(down), Ok(up)) = (down, TcpStream::connect(worker)) else {
                     return;
                 };
@@ -1076,7 +1066,7 @@ mod tests {
                 std::thread::spawn(move || pump(up2, down2, false));
             }
         });
-        addr
+        (addr, accepted)
     }
 
     #[test]
@@ -1084,7 +1074,7 @@ mod tests {
         let worker = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
         // Past the Hello (24 bytes), the Write's envelope and head, well
         // into the first payload.
-        let relay = corrupting_relay(worker, 24 + 25 + 1000);
+        let (relay, _) = corrupting_relay(worker, 24 + 25 + 1000);
         let chaos = ChaosHub::default();
         let t = RemoteDomain::connect(&Endpoint::Tcp(relay.to_string()), 1, chaos.clone())
             .expect("connect");
@@ -1109,7 +1099,7 @@ mod tests {
     fn exec_connections_share_the_domains_poisoning_and_reconnect() {
         use hs_chaos::RetryPolicy;
         let first = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
-        let relay = corrupting_relay(first, 24 + 25 + 1000);
+        let (relay, _) = corrupting_relay(first, 24 + 25 + 1000);
         let chaos = ChaosHub::default();
         let t = RemoteDomain::connect(&Endpoint::Tcp(relay.to_string()), 1, chaos.clone())
             .expect("connect");
@@ -1146,5 +1136,48 @@ mod tests {
         let mut out = [0u8; 16];
         t.read(7, 0, &mut out).expect("read");
         assert_eq!(out, [42u8; 16]);
+    }
+
+    /// A pipeline created while its card is down has no exec connection:
+    /// its tasks fail as `CardLost`. After the card's `reconnect` its first
+    /// task opens the stream's connection and the later ones reuse it.
+    #[test]
+    fn pipeline_created_on_a_lost_card_runs_after_reconnect() {
+        use crate::{CoiRuntime, EngineId};
+        use hs_chaos::RetryPolicy;
+        use hs_fabric::Pacer;
+        let first = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        let (relay, _) = corrupting_relay(first, 24 + 25 + 1000);
+        let chaos = ChaosHub::default();
+        let ep = Endpoint::Tcp(relay.to_string());
+        let rt = CoiRuntime::new_with_endpoints(vec![Pacer::unpaced()], chaos.clone(), &[(1, ep)])
+            .expect("connect");
+        let card = EngineId(1);
+        let t = rt.fabric().transport(card.node()).clone();
+        t.write(1, 0, &[0x55u8; 4096])
+            .expect_err("corrupt in flight");
+        assert_eq!(chaos.dead_cards(), vec![1]);
+        let pipe = rt.pipeline_create_stream(card, 30, 60, None);
+        let lost = pipe.run("add1", bytes::Bytes::new(), vec![]).wait();
+        assert_eq!(lost, Err(FailureCause::CardLost { card: 1 }));
+
+        let second = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
+        let (relay, accepted) = corrupting_relay(second, usize::MAX);
+        let domain = t.as_remote().expect("a remote card");
+        domain
+            .reconnect(&Endpoint::Tcp(relay.to_string()), &RetryPolicy::standard(3))
+            .expect("reconnect");
+        let w = rt.buffer_alloc(card, 16, false);
+        t.write(w.id().raw(), 0, &[41u8; 16]).expect("write");
+        for i in 0..3 {
+            pipe.run("add1", bytes::Bytes::new(), vec![(w.id(), 0..16, true)])
+                .wait()
+                .unwrap_or_else(|e| panic!("task {i} after reconnect: {e}"));
+        }
+        let mut out = [0u8; 16];
+        t.read(w.id().raw(), 0, &mut out).expect("read");
+        assert_eq!(out, [44u8; 16]);
+        // The three fixed connections and the stream's one exec connection.
+        assert_eq!(accepted.load(Ordering::SeqCst), 4);
     }
 }

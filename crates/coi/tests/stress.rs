@@ -17,11 +17,21 @@ fn thousand_commands_across_pipelines_in_order_per_pipeline() {
     let pipes: Vec<_> = (0..4)
         .map(|i| rt.pipeline_create(EngineId(1 + (i % 2) as u16), 1))
         .collect();
+    // args: the pipeline's log index, then the command's ordinal.
+    let seen = logs.clone();
+    rt.register(
+        "log_ordinal",
+        Arc::new(move |ctx: &mut RunCtx| {
+            let (p, i) = ctx.args().split_at(1);
+            let i = u32::from_le_bytes(i.try_into().expect("4-byte ordinal"));
+            seen[p[0] as usize].lock().push(i);
+        }),
+    );
     let mut events = Vec::new();
     for i in 0..1000u32 {
         let p = (i % 4) as usize;
-        let log = logs[p].clone();
-        events.push(pipes[p].call(move || log.lock().push(i)));
+        let args = [&[p as u8][..], &i.to_le_bytes()].concat();
+        events.push(pipes[p].run("log_ordinal", Bytes::from(args), vec![]));
     }
     CoiEvent::wait_all(&events).expect("all complete");
     for (p, log) in logs.iter().enumerate() {

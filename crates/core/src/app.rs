@@ -6,12 +6,13 @@
 //! APIs".
 //!
 //! The compute-bearing app calls ship with built-in sink kernels
-//! (registered automatically on first use), so a user program can run a
-//! tiled DGEMM without registering anything — exactly what
-//! `hStreams_app_dgemm` offered.
+//! ([`app_kernels`], registered automatically on first use, and by the
+//! `hs-worker` that hosts a remote card), so a user program can run a tiled
+//! DGEMM without registering anything — exactly what `hStreams_app_dgemm`
+//! offered.
 
 use crate::types::{Access, BufferId, CostHint, Event, HsResult, Operand, StreamId};
-use crate::{HStreams, TaskCtx};
+use crate::{HStreams, TaskCtx, TaskFn};
 use bytes::Bytes;
 use hs_machine::KernelKind;
 use std::ops::Range;
@@ -63,12 +64,23 @@ fn builtin_dgemm(ctx: &mut TaskCtx) {
     }
 }
 
+/// The built-in sink kernels of the app calls, by name. A runtime
+/// registers them on first use; a worker hosting a remote card registers
+/// them at start, so an app call runs the same on every card.
+pub fn app_kernels() -> [(&'static str, TaskFn); 3] {
+    [
+        (K_MEMSET, Arc::new(builtin_memset)),
+        (K_COPY, Arc::new(builtin_copy)),
+        (K_DGEMM, Arc::new(builtin_dgemm)),
+    ]
+}
+
 impl HStreams {
     fn ensure_builtins(&self) {
         self.inner.builtins.call_once(|| {
-            self.register(K_MEMSET, Arc::new(builtin_memset));
-            self.register(K_COPY, Arc::new(builtin_copy));
-            self.register(K_DGEMM, Arc::new(builtin_dgemm));
+            for (name, f) in app_kernels() {
+                self.register(name, f);
+            }
         });
     }
 

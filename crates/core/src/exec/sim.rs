@@ -20,7 +20,7 @@
 
 use super::{ActionSpec, SubmitOpts};
 use crate::sync::Mutex;
-use hs_chaos::{ChaosHub, FailureCause, Injection, RetryPolicy};
+use hs_chaos::{ChaosHub, FailureCause, RetryPolicy};
 use hs_machine::{CostModel, PlatformCfg};
 use hs_obs::{ObsAction, ObsHub, ObsPhase};
 use hs_sim::{Dur, SemId, ServerId, Sim, Time, Token};
@@ -79,17 +79,11 @@ fn sim_attempt(sim: &mut Sim, act: Arc<SimAction>, attempt: u32) {
         act.obs.phase(ObsPhase::DepsResolved, now);
     }
     if act.chaos.is_armed() {
-        let inj = match act.site {
+        let injected = match act.site {
             SimSite::Compute { stream, card } => act.chaos.check_compute(stream, card),
             SimSite::Dma { card, h2d } => act.chaos.check_dma(card, h2d),
         };
-        if let Some(inj) = inj {
-            let cause = match inj {
-                Injection::Fail(c) => c,
-                // No real sink thread to unwind in virtual time; a panic
-                // injection becomes the failure it would have produced.
-                Injection::Panic(m) => FailureCause::SinkPanic(m),
-            };
+        if let Some(cause) = injected {
             if cause.is_transient() && attempt < act.retry.max_attempts {
                 let jitter = act.chaos.jitter01(act.salt ^ u64::from(attempt));
                 let backoff = act.retry.backoff_us(attempt, jitter);

@@ -22,7 +22,7 @@ use super::{ActionSpec, BackendEvent, BatchDep, SubmitOpts};
 use crate::sync::{
     Arc, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, OnceLock, Ordering, RwLock,
 };
-use hs_chaos::{ChaosHub, FailureCause, Injection, RetryPolicy};
+use hs_chaos::{ChaosHub, FailureCause, RetryPolicy};
 use hs_coi::pipeline::BufAccess;
 use hs_coi::{
     CoiEvent, CoiRuntime, Dependent, EngineId, EventCore, EventHost, EventStatus, QueueHandle,
@@ -728,24 +728,12 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
                 )));
             };
             obs.phase_wall(ObsPhase::Dispatched);
-            // Chaos consult at the compute site: injected failures finish
-            // the attempt without touching the sink; injected panics ride
-            // the real sink path so unwinding is exercised end to end.
+            // Chaos consult at the compute site: an injected fault finishes
+            // the attempt with its cause without touching the sink.
             if ctx.chaos.is_armed() {
                 let card = ctx.pipe_cards.get(stream_idx).copied().unwrap_or(0);
-                match ctx.chaos.check_compute(stream_idx as u32, card) {
-                    Some(Injection::Fail(c)) => return refuse(c),
-                    Some(Injection::Panic(msg)) => {
-                        let run = run.clone();
-                        let panicked = pipe.call(move || panic!("{msg}"));
-                        return panicked.on_complete(move |st| {
-                            run.finish(match st {
-                                EventStatus::Failed(m) => Err(m.clone()),
-                                _ => Ok(()),
-                            })
-                        });
-                    }
-                    None => {}
+                if let Some(cause) = ctx.chaos.check_compute(stream_idx as u32, card) {
+                    return refuse(cause);
                 }
             }
             pipe.submit(run.clone());

@@ -83,6 +83,7 @@ pub mod stream;
 pub mod sync;
 pub mod types;
 
+pub use app::app_kernels;
 pub use buffer::{BufProps, Instantiation, MemType};
 pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
@@ -694,7 +695,11 @@ impl HStreams {
 
     // ------------------------------------------------------------ registry
 
-    /// Register a sink-side task function, available in every domain.
+    /// Register a sink-side task function for the domains this process
+    /// hosts: the host and the in-process cards. A remote card's worker
+    /// runs what its own registry holds (`hs-worker` registers the app
+    /// kernels and [`app_kernels`]); a name it lacks fails the task as an
+    /// unregistered name fails it here.
     pub fn register(&self, name: &str, f: TaskFn) {
         self.inner.stats.bump("register");
         if let Executor::Thread(t) = &self.inner.exec {

@@ -210,6 +210,62 @@ fn fatal_injection_is_not_retried() {
     }
 }
 
+/// An injected sink panic fails the action as its panicking run function
+/// would, with the same cause in both executors: a dependent on the same
+/// stream fails poisoned by it, an independent action on another stream
+/// completes, and the log names the site.
+#[test]
+fn injected_sink_panic_fails_the_action_and_poisons_its_dependent() {
+    for mode in [ExecMode::Threads, ExecMode::Sim] {
+        let hs = runtime(mode);
+        hs.chaos_install(
+            FaultPlan::new(1)
+                .with_trigger(
+                    FaultSite::Compute { stream: 0, nth: 1 },
+                    FaultKind::SinkPanic,
+                )
+                .with_auto_degrade(false),
+        );
+        let card = DomainId(1);
+        let s0 = hs
+            .stream_create(card, CpuMask::range(0, 30))
+            .expect("stream");
+        let s1 = hs
+            .stream_create(card, CpuMask::range(30, 30))
+            .expect("stream");
+        let [a, b] = [0, 1].map(|_| {
+            let buf = hs.buffer_create(1024, BufProps::default());
+            hs.buffer_instantiate(buf, card).expect("instantiate");
+            buf
+        });
+        let bump = |s, buf| {
+            let op = Operand::f64s(buf, 0, 128, Access::InOut);
+            hs.enqueue_compute(s, "bump", Bytes::new(), &[op], CostHint::trivial())
+                .expect("enqueue")
+        };
+        let (panicked, dependent, independent) = (bump(s0, a), bump(s0, a), bump(s1, b));
+        let cause =
+            FailureCause::SinkPanic("chaos: injected sink panic at compute(stream=0)#1".into());
+        assert_eq!(
+            hs.event_wait(panicked),
+            Err(HsError::ActionFailed(cause.clone())),
+            "{mode:?}"
+        );
+        assert_eq!(
+            hs.event_wait(dependent),
+            Err(HsError::ActionFailed(FailureCause::poisoned_by(cause))),
+            "{mode:?}"
+        );
+        hs.event_wait(independent)
+            .unwrap_or_else(|e| panic!("{mode:?}: the other stream's action: {e}"));
+        assert_eq!(
+            hs.chaos().injected_log(),
+            ["sink_panic@compute(stream=0)#1"],
+            "{mode:?}"
+        );
+    }
+}
+
 /// Card-loss degradation at the core level: after a CardDead trigger, the
 /// card's streams remap to the host, the workload completes, and the
 /// runtime records the degradation.

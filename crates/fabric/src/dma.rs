@@ -7,7 +7,7 @@
 //! of one direction (like a DMA channel) and stretches each to its target
 //! duration, sleeping the bulk and spinning the tail for accuracy.
 
-use hs_chaos::{ChaosHub, FailureCause, Injection};
+use hs_chaos::{ChaosHub, FailureCause};
 use hs_machine::{LinkSpec, Overheads};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,13 +144,7 @@ impl DmaEngine {
     pub fn run(&self, bytes: usize, copy: impl FnOnce()) -> Result<(), FailureCause> {
         let _serial = self.channel.lock();
         if self.chaos.is_armed() {
-            if let Some(inj) = self.chaos.check_dma(self.card, self.h2d) {
-                let cause = match inj {
-                    Injection::Fail(c) => c,
-                    // No sink closure on the DMA path; chaos already
-                    // downgrades SinkPanic to a fatal fault, but stay total.
-                    Injection::Panic(m) => FailureCause::SinkPanic(m),
-                };
+            if let Some(cause) = self.chaos.check_dma(self.card, self.h2d) {
                 return Err(cause);
             }
         }
@@ -183,11 +177,7 @@ impl DmaEngine {
     ) -> Result<(), FailureCause> {
         let _serial = self.channel.lock();
         if self.chaos.is_armed() {
-            if let Some(inj) = self.chaos.check_dma(self.card, self.h2d) {
-                let cause = match inj {
-                    Injection::Fail(c) => c,
-                    Injection::Panic(m) => FailureCause::SinkPanic(m),
-                };
+            if let Some(cause) = self.chaos.check_dma(self.card, self.h2d) {
                 return Err(cause);
             }
         }

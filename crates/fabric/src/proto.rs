@@ -140,7 +140,7 @@ pub enum ExecStatus {
     /// Function ran to completion.
     Ok = 0,
     /// The worker has no function of that name registered — the host
-    /// falls back to fetch-compute-writeback.
+    /// fails the task as an unregistered name fails it in-process.
     UnknownFn = 1,
     /// The function ran and failed (panic or execution error); the
     /// message follows.
@@ -663,9 +663,12 @@ pub fn recv_frame(r: &mut impl Read) -> std::io::Result<(Kind, Vec<u8>, usize)> 
 /// One buffer operand of an `Exec` frame: raw window id, byte range, write?
 pub type ExecBuf = (u64, u64, u64, bool);
 
+/// Encoded size of an [`ExecBuf`].
+const EXEC_BUF_LEN: usize = 25;
+
 /// Encode an `Exec` payload.
 pub fn encode_exec(name: &str, args: &[u8], width: u32, bufs: &[ExecBuf]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(11 + name.len() + args.len() + bufs.len() * 25);
+    let mut p = Vec::with_capacity(11 + name.len() + args.len() + bufs.len() * EXEC_BUF_LEN);
     put_u32(&mut p, width);
     put_u16(&mut p, name.len() as u16);
     p.extend_from_slice(name.as_bytes());
@@ -698,6 +701,11 @@ pub fn decode_exec(payload: &[u8]) -> Option<ExecFrame<'_>> {
     let args_len = c.get_u32()? as usize;
     let args = c.get_bytes(args_len)?;
     let nbufs = c.get_u16()? as usize;
+    // The count is the peer's: refuse one the rest of the payload cannot
+    // hold before sizing anything by it.
+    if nbufs * EXEC_BUF_LEN > c.remaining() {
+        return None;
+    }
     let mut bufs = Vec::with_capacity(nbufs);
     for _ in 0..nbufs {
         let win = c.get_u64()?;
@@ -1121,6 +1129,11 @@ mod tests {
         for cut in 1..p.len() {
             assert!(decode_exec(&p[..p.len() - cut]).is_none());
         }
+        // A count of 65,535 operands and none of their bytes.
+        let mut p = encode_exec("k", &[], 1, &[]);
+        let n = p.len();
+        p[n - 2..].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(decode_exec(&p).is_none());
     }
 
     #[test]

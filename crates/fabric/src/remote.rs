@@ -464,14 +464,6 @@ impl Transport for RemoteDomain {
         Ok(rtt)
     }
 
-    /// A caller without a stream of its own (tests, diagnostics, a task whose
-    /// operands sit on a card its pipeline is not on) gets an exec
-    /// connection for this one request: a stream spanning `req.width` cores
-    /// of a card that size.
-    fn exec(&self, req: &ExecRequest<'_>) -> Result<ExecReply, TransportError> {
-        self.open_exec(req.width, req.width)?.exec(req)
-    }
-
     fn ping(&self) -> Result<Duration, TransportError> {
         self.link
             .ctrl(&self.chans[ROLE_CTRL], (Kind::Ping, Kind::Pong), &[])

@@ -86,13 +86,14 @@ pub struct ExecRequest<'a> {
     pub bufs: &'a [(u64, u64, u64, bool)],
 }
 
-/// Outcome of [`Transport::exec`].
+/// Outcome of an `Exec` on a card stream's connection
+/// ([`crate::remote::ExecConn::exec`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecReply {
     /// Ran to completion on the sink.
     Done,
-    /// The sink has no function of that name; the caller falls back to
-    /// fetch-compute-writeback on the host.
+    /// The worker's registry has no function of that name; the host fails
+    /// the task as an unregistered name fails it in-process.
     UnknownFn,
     /// Ran and failed (panic or exec error).
     Failed(String),
@@ -146,9 +147,6 @@ pub trait Transport: Send + Sync {
     /// Fetch `out.len()` bytes from `win` at `off`; returns measured wire
     /// time.
     fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<Duration, TransportError>;
-
-    /// Run a named function on the node against its windows.
-    fn exec(&self, req: &ExecRequest<'_>) -> Result<ExecReply, TransportError>;
 
     /// Round-trip probe.
     fn ping(&self) -> Result<Duration, TransportError>;
@@ -222,12 +220,6 @@ impl Transport for LocalTransport {
         Ok(Duration::ZERO)
     }
 
-    fn exec(&self, _req: &ExecRequest<'_>) -> Result<ExecReply, TransportError> {
-        // In-process nodes execute through the host's own pipelines and
-        // registry; there is no separate sink to hand the request to.
-        Ok(ExecReply::UnknownFn)
-    }
-
     fn ping(&self) -> Result<Duration, TransportError> {
         Ok(Duration::ZERO)
     }
@@ -270,13 +262,6 @@ mod tests {
         let t = LocalTransport::new();
         assert!(!t.is_remote());
         assert_eq!(t.kind(), "local");
-        let req = ExecRequest {
-            name: "f",
-            args: &[],
-            width: 1,
-            bufs: &[],
-        };
-        assert_eq!(t.exec(&req), Ok(ExecReply::UnknownFn));
         assert_eq!(t.link_stats(), LinkStats::default());
     }
 }

@@ -13,9 +13,10 @@
 //! * the paced `dma.cN.*` gauges must have byte parity with the local
 //!   transport (the model accounts the same traffic; `link.cN.*` reports
 //!   the raw framed bytes on top);
-//! * a task function registered on the host only still runs on the remote
-//!   card's stream, through the fetch-compute-writeback fallback, to the
-//!   same bits and the same `dma.cN.*` accounting;
+//! * a task runs on the remote card from the worker's registry: a function
+//!   registered on the host only fails there as an unregistered name fails
+//!   in-process, and the app calls' built-in kernels give the in-process
+//!   bits;
 //! * `kill -9` of the worker surfaces as a literal `CardLost`, runtime
 //!   drop stays fast, and — with a fault plan armed — mid-Cholesky death
 //!   degrades to the host and replays to the fault-free checksum.
@@ -26,8 +27,8 @@ use hs_apps::remote::WorkerProc;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::record::ActionTrace;
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, ExecMode, FaultKind, FaultPlan, FaultSite, HStreams,
-    Operand, TaskCtx,
+    Access, BufProps, CostHint, CpuMask, ExecMode, FailureCause, FaultKind, FaultPlan, FaultSite,
+    HStreams, HsError, Operand, TaskCtx,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -174,28 +175,28 @@ fn dma_gauges_have_byte_parity_local_vs_remote() {
     assert!(key(&remote, "link.c1.reqs") > 0.0);
 }
 
-/// A task function registered through `hs.register` exists on the host
-/// only: the worker answers `UnknownFn`, and the pipeline fetches the card
-/// operands over the raw transport, computes here and writes the written
-/// ones back (DESIGN.md §15). Same bits as the in-process card, and — the
-/// fallback bypasses the DMA engines — the same `dma.c1.*` accounting.
+/// A task function registered through `hs.register` only is in this
+/// process's registry, not the worker's: on a remote card it fails as the
+/// in-process card fails the same name left unregistered. The card stays
+/// healthy, and a function the worker holds runs next on the same stream.
 #[test]
-fn host_only_task_function_runs_on_a_remote_card_through_the_fallback() {
-    const N: usize = 300;
-    let run = |hs: HStreams| {
-        hs.register(
-            "host_only_scale_add",
-            std::sync::Arc::new(|ctx: &mut TaskCtx| {
-                let k = f64::from_le_bytes(ctx.args().try_into().expect("one f64"));
-                let x = ctx.buf_f64(0).to_vec();
-                for (y, x) in ctx.buf_f64_mut(1).iter_mut().zip(x) {
-                    *y = k * x + *y / 3.0;
-                }
-            }),
-        );
+fn unknown_function_fails_the_same_on_every_card() {
+    const N: usize = 64;
+    let run = |mut hs: HStreams, register: bool| {
+        hs_apps::kernels::register_all(&mut hs);
+        if register {
+            hs.register(
+                "host_only_scale",
+                std::sync::Arc::new(|ctx: &mut TaskCtx| {
+                    for y in ctx.buf_f64_mut(0) {
+                        *y *= 2.0;
+                    }
+                }),
+            );
+        }
         let card = hs.domains()[1].id;
         let s = hs.stream_create(card, CpuMask::first(4)).expect("stream");
-        let bufs = [0.1f64, 0.7].map(|phase| {
+        let [x, y] = [0.1f64, 0.7].map(|phase| {
             let buf = hs.buffer_create(N * 8, BufProps::default());
             hs.buffer_instantiate(buf, card).expect("instantiate");
             let data: Vec<f64> = (0..N).map(|i| (i as f64 + phase).sin()).collect();
@@ -203,49 +204,84 @@ fn host_only_task_function_runs_on_a_remote_card_through_the_fallback() {
             hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
             buf
         });
-        hs.enqueue_compute(
-            s,
-            "host_only_scale_add",
-            bytes::Bytes::copy_from_slice(&1.25f64.to_le_bytes()),
-            &[
-                Operand::f64s(bufs[0], 0, N, Access::In),
-                Operand::f64s(bufs[1], 0, N, Access::InOut),
-            ],
-            CostHint::trivial(),
-        )
-        .expect("enqueue");
-        hs.xfer_to_source(s, bufs[1], 0..N * 8).expect("d2h");
-        hs.stream_synchronize(s).expect("sync");
-        let mut out = vec![0.0; N];
-        hs.buffer_read_f64(bufs[1], 0, &mut out).expect("host read");
-        (out, hs.metrics().extra)
+        let scale = hs
+            .enqueue_compute(
+                s,
+                "host_only_scale",
+                bytes::Bytes::new(),
+                &[Operand::f64s(x, 0, N, Access::InOut)],
+                CostHint::trivial(),
+            )
+            .expect("enqueue");
+        let err = hs
+            .event_wait(scale)
+            .expect_err("the sink has no such function");
+        let touch = hs_apps::kernels::touch(y, N)
+            .enqueue(&hs, s)
+            .expect("enqueue");
+        hs.event_wait(touch)
+            .expect("a function the sink holds runs next");
+        assert!(hs.chaos().dead_cards().is_empty());
+        assert!(hs.degraded_cards().is_empty());
+        err
     };
 
-    let (local_out, local) = run(local_rt());
+    let local = run(local_rt(), false);
     let w = worker();
-    let (remote_out, remote) = run(remote_rt(&w));
-
-    assert!(local_out.iter().any(|y| *y != 0.0));
+    let remote = run(remote_rt(&w), true);
     assert_eq!(
-        local_out.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
-        remote_out.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
-        "the fallback must compute the bits the in-process card computes"
+        local,
+        HsError::ActionFailed(FailureCause::Malformed(
+            "no run function named 'host_only_scale'".into()
+        ))
     );
-    for k in [
-        "dma.c1.h2d.bytes",
-        "dma.c1.d2h.bytes",
-        "dma.c1.h2d.ops",
-        "dma.c1.d2h.ops",
-    ] {
-        assert_eq!(local[k], remote[k], "{k}: the fallback is not DMA traffic");
-        assert!(local[k] > 0.0, "{k}: the operands were staged");
-    }
-    // It did take the fallback: besides the one result transfer, the wire
-    // carried both operands back to the host for the compute.
-    assert!(
-        remote["link.c1.rx_bytes"] >= (3 * N * 8) as f64,
-        "fetched operands must show on the link: {} B received",
-        remote["link.c1.rx_bytes"]
+    assert_eq!(remote, local);
+}
+
+/// The app calls' built-in kernels are in the worker's registry too
+/// (`hstreams_core::app_kernels`): `app_dgemm`, `app_memset` and
+/// `app_memcpy` on a remote card give the in-process card's bits.
+#[test]
+fn app_builtins_run_in_the_worker_to_the_in_process_bits() {
+    let (m, n, k) = (5usize, 7, 3);
+    let run = |hs: HStreams| {
+        let card = hs.domains()[1].id;
+        let s = hs.stream_create(card, CpuMask::first(2)).expect("stream");
+        let [a, b, c, d] = [m * k, k * n, m * n, m * n].map(|len| {
+            let buf = hs.buffer_create(len * 8, BufProps::default());
+            hs.buffer_instantiate(buf, card).expect("instantiate");
+            buf
+        });
+        for (buf, len, phase) in [(a, m * k, 0.3), (b, k * n, 1.1), (c, m * n, 2.0)] {
+            let data: Vec<f64> = (0..len).map(|i| (i as f64 + phase).sin()).collect();
+            hs.buffer_write_f64(buf, 0, &data).expect("host write");
+            hs.xfer_to_sink(s, buf, 0..len * 8).expect("h2d");
+        }
+        hs.app_dgemm(s, a, b, c, m, n, k, true).expect("app_dgemm");
+        hs.app_memset(s, d, 0..m * n * 8, 0x3f).expect("app_memset");
+        // C's first row over D's.
+        hs.app_memcpy(s, c, 0..n * 8, d, 0..n * 8)
+            .expect("app_memcpy");
+        let mut bits = Vec::new();
+        for buf in [c, d] {
+            hs.xfer_to_source(s, buf, 0..m * n * 8).expect("d2h");
+            hs.stream_synchronize(s).expect("sync");
+            let mut out = vec![0.0; m * n];
+            hs.buffer_read_f64(buf, 0, &mut out).expect("host read");
+            bits.extend(out.iter().map(|v| v.to_bits()));
+        }
+        assert!(hs.chaos().dead_cards().is_empty());
+        bits
+    };
+
+    let local = run(local_rt());
+    let w = worker();
+    let remote = run(remote_rt(&w));
+    assert_eq!(local[m * n..m * n + n], local[..n], "memcpy copied C's row");
+    assert_eq!(local[m * n + n], f64::from_le_bytes([0x3f; 8]).to_bits());
+    assert_eq!(
+        local, remote,
+        "the worker must compute the bits the in-process card computes"
     );
 }
 
@@ -381,9 +417,10 @@ fn sigterm_mid_exec_completes_in_flight_work() {
     let chaos = hs_chaos::ChaosHub::default();
     let t = hs_fabric::RemoteDomain::connect(&w.endpoint(), 1, chaos.clone()).expect("connect");
     t.alloc(1, 64).expect("alloc");
+    let conn = t.open_exec(1, 1).expect("exec connection");
     let exec = std::thread::spawn(move || {
         let args = 400u32.to_le_bytes();
-        t.exec(&ExecRequest {
+        conn.exec(&ExecRequest {
             name: "sleep_ms",
             args: &args,
             width: 1,
