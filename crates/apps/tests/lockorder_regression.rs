@@ -78,10 +78,10 @@ fn pipelines_obey_the_documented_lock_order() {
     }
     assert_ordered("matmul/sim");
 
-    // Matmul, thread executor, durability on: every enqueue appends under
-    // the recovery lock (recovery → wal), wait entries flush the wal alone,
-    // and the checkpoint nests it under the compaction machinery — the wal
-    // class must slot into the total order, not just exist.
+    // Matmul, thread executor, durability on: every enqueue appends to the
+    // WAL under the recovery lock, wait entries flush under it, and the
+    // checkpoint takes it after gathering its buffer snapshot — the durable
+    // paths must slot into the total order, not just exist.
     let root = std::env::temp_dir().join(format!("hs-lockorder-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut cfg = MatmulConfig::new(24, 6);
@@ -95,13 +95,15 @@ fn pipelines_obey_the_documented_lock_order() {
         let r = matmul::run(&mut hs, &cfg).expect("matmul runs");
         assert!(r.max_err.expect("verified") < 1e-10);
         hs.wal_checkpoint();
+        let records = hs.wal_stats().expect("durable").records;
+        assert!(records > 0, "durable run logged no records");
     }
     let _ = std::fs::remove_dir_all(&root);
     assert!(
         lockorder::edges()
             .iter()
-            .any(|&(_, a, _)| a == LockClass::Wal),
-        "durable run never acquired the wal class — is the append path wired?"
+            .any(|&(_, a, _)| a == LockClass::Recovery),
+        "durable run never acquired the recovery class — is the append path wired?"
     );
     assert_ordered("matmul/threads+wal");
 }

@@ -83,139 +83,6 @@ impl FailureCause {
             FailureCause::Poisoned { .. } => "poisoned",
         }
     }
-
-    /// Wire serialization: tag byte, then length-prefixed fields, recursing
-    /// through poison chains. Stable across runs — durable logs and the
-    /// worker protocol persist failure causes in this form.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        match self {
-            FailureCause::Exec(m) => {
-                out.push(0);
-                put_str(out, m);
-            }
-            FailureCause::Malformed(m) => {
-                out.push(1);
-                put_str(out, m);
-            }
-            FailureCause::Injected { site, transient } => {
-                out.push(2);
-                put_str(out, site);
-                out.push(*transient as u8);
-            }
-            FailureCause::Timeout { deadline_ns } => {
-                out.push(3);
-                out.extend_from_slice(&deadline_ns.to_le_bytes());
-            }
-            FailureCause::CardLost { card } => {
-                out.push(4);
-                out.extend_from_slice(&card.to_le_bytes());
-            }
-            FailureCause::SinkPanic(m) => {
-                out.push(5);
-                put_str(out, m);
-            }
-            FailureCause::Poisoned { origin } => {
-                out.push(6);
-                origin.encode(out);
-            }
-        }
-    }
-
-    /// Encoded form as a fresh vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-
-    /// Inverse of [`FailureCause::encode`]. `None` on truncated or corrupt
-    /// input (including trailing garbage and absurd poison depth).
-    pub fn decode(bytes: &[u8]) -> Option<FailureCause> {
-        let (cause, used) = Self::decode_at(bytes, 0)?;
-        if used != bytes.len() {
-            return None;
-        }
-        Some(cause)
-    }
-
-    fn decode_at(b: &[u8], depth: u32) -> Option<(FailureCause, usize)> {
-        if depth > 64 {
-            return None;
-        }
-        fn get_str(b: &[u8]) -> Option<(String, usize)> {
-            if b.len() < 4 {
-                return None;
-            }
-            let len = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize;
-            if b.len() < 4 + len {
-                return None;
-            }
-            let s = std::str::from_utf8(&b[4..4 + len]).ok()?;
-            Some((s.to_string(), 4 + len))
-        }
-        let tag = *b.first()?;
-        let rest = &b[1..];
-        Some(match tag {
-            0 => {
-                let (m, n) = get_str(rest)?;
-                (FailureCause::Exec(m), 1 + n)
-            }
-            1 => {
-                let (m, n) = get_str(rest)?;
-                (FailureCause::Malformed(m), 1 + n)
-            }
-            2 => {
-                let (site, n) = get_str(rest)?;
-                let t = *rest.get(n)?;
-                if t > 1 {
-                    return None;
-                }
-                (
-                    FailureCause::Injected {
-                        site,
-                        transient: t == 1,
-                    },
-                    1 + n + 1,
-                )
-            }
-            3 => {
-                let v: [u8; 8] = rest.get(..8)?.try_into().ok()?;
-                (
-                    FailureCause::Timeout {
-                        deadline_ns: u64::from_le_bytes(v),
-                    },
-                    9,
-                )
-            }
-            4 => {
-                let v: [u8; 4] = rest.get(..4)?.try_into().ok()?;
-                (
-                    FailureCause::CardLost {
-                        card: u32::from_le_bytes(v),
-                    },
-                    5,
-                )
-            }
-            5 => {
-                let (m, n) = get_str(rest)?;
-                (FailureCause::SinkPanic(m), 1 + n)
-            }
-            6 => {
-                let (origin, n) = Self::decode_at(rest, depth + 1)?;
-                (
-                    FailureCause::Poisoned {
-                        origin: Arc::new(origin),
-                    },
-                    1 + n,
-                )
-            }
-            _ => return None,
-        })
-    }
 }
 
 impl std::fmt::Display for FailureCause {
@@ -937,39 +804,6 @@ mod tests {
         assert_eq!(a, hub.jitter01(17));
         assert_ne!(a, hub.jitter01(18));
         assert!((0.0..1.0).contains(&a));
-    }
-
-    #[test]
-    fn failure_cause_wire_round_trip() {
-        let cases = vec![
-            FailureCause::Exec("shutdown".into()),
-            FailureCause::Malformed("bad stream 7".into()),
-            FailureCause::Injected {
-                site: "dma(card=1,h2d=true)#2".into(),
-                transient: true,
-            },
-            FailureCause::Timeout {
-                deadline_ns: 1_234_567,
-            },
-            FailureCause::CardLost { card: 3 },
-            FailureCause::SinkPanic("boom — unicode ✓".into()),
-            FailureCause::poisoned_by(FailureCause::poisoned_by(FailureCause::CardLost {
-                card: 9,
-            })),
-        ];
-        for c in cases {
-            let bytes = c.to_bytes();
-            assert_eq!(FailureCause::decode(&bytes), Some(c.clone()), "{c}");
-            // Any strict prefix is truncated input: decode must refuse.
-            for cut in 0..bytes.len() {
-                assert_eq!(FailureCause::decode(&bytes[..cut]), None, "prefix {cut}");
-            }
-            // Trailing garbage refused too.
-            let mut long = bytes.clone();
-            long.push(0);
-            assert_eq!(FailureCause::decode(&long), None);
-        }
-        assert_eq!(FailureCause::decode(&[99]), None, "unknown tag");
     }
 
     #[test]

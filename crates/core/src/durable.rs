@@ -1,21 +1,20 @@
-//! Durable action log: the recovery log and its on-disk stage.
+//! Durable action log: the recovery log and its WAL writer.
 //!
 //! The recovery log is one sequence. [`RecoveryLog`] holds the entries
 //! card-loss degradation replays from, in the order they were appended —
 //! under the `Recovery` lock, while the enqueuing thread still holds its
 //! stream's lock, so that order is a valid sequential order of the program
 //! for any number of source threads. Once `HStreams::durability_opts` gives
-//! it a stage, every entry is also framed into **one** `hs-wal` partition in
-//! the same order, so the action history survives death of the host process
-//! itself and a torn tail is a prefix of that order. This module owns:
+//! it a writer, every entry is also appended to **one** `hs-wal` partition
+//! in the same order, so the action history survives death of the host
+//! process itself and a torn tail is a prefix of that order. The writer
+//! lives inside the log: appends, the wait-entry flushes and checkpoints all
+//! take the `Recovery` lock and nothing else. This module owns:
 //!
 //! * the hand-rolled wire encoding of `LoggedAction` (no serde, no
 //!   bincode — the WAL payload format is a stability surface of its own,
-//!   DESIGN.md §16);
+//!   DESIGN.md §16) and of the one metadata record, a lost card;
 //! * [`RecoveryLog`];
-//! * [`WalShared`], the writer handle behind `LockClass::Wal` that the
-//!   wait-entry flush hooks and the checkpoint path reach without taking
-//!   the `Recovery` lock;
 //! * checkpoint blob encode/decode (host+card buffer bytes at a quiesce
 //!   point, enabling watermark truncation of the log);
 //! * run-directory layout helpers, `HStreams::durability_opts`/`recover` and
@@ -24,11 +23,11 @@
 //! Durability boundary: appends are buffered in userspace; `flush` at the
 //! runtime's wait entries pushes them to the kernel page cache, which is
 //! exactly what surviving `kill -9` requires (media durability via fsync is
-//! an opt-in). A WAL I/O error never fails an enqueue: the writer marks
-//! itself broken, notes the loss of durability on the chaos log, and the
+//! an opt-in). A WAL I/O error never fails an enqueue: the log marks its
+//! writer broken, notes the loss of durability on the chaos log, and the
 //! run continues in-memory-only.
 
-use crate::sync::{class, AtomicU64, ClassedMutex, Ordering};
+use crate::sync::Ordering;
 use crate::types::{Access, BufferId, CostHint, DomainId, HsError, HsResult, Operand, StreamId};
 use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
@@ -38,7 +37,6 @@ use hs_machine::KernelKind;
 use hs_wal::{Wal, WalStats, META_PARTITION};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Event id used for metadata records (see [`hs_wal::META_PARTITION`]):
 /// above any real watermark, so retirement never deletes them mid-run.
@@ -357,22 +355,28 @@ pub(crate) fn fresh_run_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The shared WAL writer.
+// The metadata record.
 
-/// The durable writer, shared between the recovery log (appends while
-/// `LockClass::Recovery` is held) and the runtime's flush/checkpoint hooks
-/// (which take only `LockClass::Wal`, ranked just inside `Recovery`).
-pub(crate) struct WalShared {
-    state: ClassedMutex<class::Wal, WalState>,
-    /// The run the writer logs for; its checkpoints carry it.
-    run_id: u64,
-    /// Userspace-buffered bytes: lets wait entries skip the lock entirely
-    /// when there is nothing to flush.
-    pending: AtomicU64,
-    chaos: ChaosHub,
+/// Payload of the one metadata record the runtime writes, a lost card:
+/// tag 4, then the card number (u32 LE).
+fn card_lost_payload(card: u32) -> [u8; 5] {
+    let c = card.to_le_bytes();
+    [4, c[0], c[1], c[2], c[3]]
 }
 
-struct WalState {
+/// The inverse of [`card_lost_payload`]; any other payload is `None`.
+fn card_lost_from(payload: &[u8]) -> Option<u32> {
+    match *payload {
+        [4, a, b, c, d] => Some(u32::from_le_bytes([a, b, c, d])),
+        _ => None,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The recovery log.
+
+/// The log's durable half: the run's WAL writer and its bookkeeping.
+struct Durable {
     wal: Wal,
     /// An I/O error (real or injected) permanently broke durability for
     /// this run: appends become no-ops, noted once.
@@ -382,252 +386,63 @@ struct WalState {
     /// Size of the last checkpoint's buffer snapshot: the throttle scales
     /// with it, so snapshot work amortizes against log growth.
     ckpt_blob_bytes: u64,
-}
-
-impl WalShared {
-    pub(crate) fn new(wal: Wal, chaos: ChaosHub) -> WalShared {
-        WalShared {
-            run_id: wal.run_id(),
-            state: ClassedMutex::new(WalState {
-                wal,
-                broken: false,
-                ckpt_bytes: 0,
-                ckpt_blob_bytes: 0,
-            }),
-            pending: AtomicU64::new(0),
-            chaos,
-        }
-    }
-
-    fn mark_broken(st: &mut WalState, chaos: &ChaosHub, why: &str) {
-        if !st.broken {
-            st.broken = true;
-            chaos.note(format!("wal: durability lost: {why}"));
-        }
-    }
-
-    /// Append a batch of pre-framed records ([`hs_wal::frame_record`]
-    /// output) in one writer pass — the writer's one append path. Called
-    /// with `LockClass::Recovery` held (ranked outside `Wal`) or with no
-    /// lock at all; never fails the caller. One lock acquisition covers the
-    /// whole batch, which is what keeps the durable enqueue path off the
-    /// single-record lock cadence.
-    pub(crate) fn append_framed(&self, partition: u32, framed: &[u8], records: u64, max_ev: u64) {
-        if framed.is_empty() {
-            return;
-        }
-        let mut st = self.state.lock();
-        if st.broken {
-            return;
-        }
-        match st.wal.append_framed(partition, framed, records, max_ev) {
-            Ok(n) => {
-                self.pending.fetch_add(n, Ordering::Relaxed);
-            }
-            Err(e) => Self::mark_broken(&mut st, &self.chaos, &e.to_string()),
-        }
-    }
-
-    /// Push buffered appends to the page cache. Runs at the runtime's wait
-    /// entries (`event_wait*`, `stream_synchronize`) and at compaction —
-    /// the points where an application could observe completion and act on
-    /// it, so everything it could have observed is on disk first. Consults
-    /// the chaos hub: an injected [`WalFault::Torn`] flushes and then chops
-    /// the action partition's tail (what a mid-write crash leaves);
-    /// [`WalFault::Io`] breaks durability like a real I/O error.
-    pub(crate) fn flush(&self) {
-        if self.pending.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut st = self.state.lock();
-        if st.broken {
-            self.pending.store(0, Ordering::Relaxed);
-            return;
-        }
-        match self.chaos.check_wal() {
-            Some(WalFault::Io) => {
-                Self::mark_broken(&mut st, &self.chaos, "injected wal io fault");
-                self.pending.store(0, Ordering::Relaxed);
-                return;
-            }
-            Some(WalFault::Torn) => {
-                let r = st
-                    .wal
-                    .flush()
-                    .and_then(|()| st.wal.chop_tail(ACTION_PARTITION, 7));
-                if let Err(e) = r {
-                    Self::mark_broken(&mut st, &self.chaos, &e.to_string());
-                }
-                self.pending.store(0, Ordering::Relaxed);
-                return;
-            }
-            None => {}
-        }
-        if let Err(e) = st.wal.flush() {
-            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
-        }
-        self.pending.store(0, Ordering::Relaxed);
-    }
-
-    pub(crate) fn stats(&self) -> WalStats {
-        let st = self.state.lock();
-        st.wal.stats()
-    }
-
-    /// Should the runtime bother gathering a checkpoint snapshot? True once
-    /// enough log accumulated since the last checkpoint (and durability is
-    /// still intact). "Enough" scales with the last snapshot's size: a
-    /// checkpoint copies every buffer, so re-snapshotting before the log
-    /// grew by at least that much would spend more than it saves — the
-    /// checkpoint work stays a bounded fraction of the append work.
-    pub(crate) fn wants_checkpoint(&self) -> bool {
-        let st = self.state.lock();
-        let threshold = CHECKPOINT_MIN_BYTES.max(CHECKPOINT_BLOB_FACTOR * st.ckpt_blob_bytes);
-        !st.broken && st.wal.stats().appended_bytes - st.ckpt_bytes >= threshold
-    }
-
-    /// Publish a checkpoint blob (atomic tmp+rename) and retire every
-    /// segment fully below `watermark`. The caller gathered `bufs` at a
-    /// quiesce point — all reserved event ids retired — so the snapshot and
-    /// the watermark name the same instant. Returns true if written.
-    pub(crate) fn checkpoint(&self, watermark: u64, bufs: &[(u64, u32, Vec<u8>)]) -> bool {
-        let payload = encode_checkpoint(self.run_id, watermark, bufs);
-        let mut st = self.state.lock();
-        if st.broken {
-            return false;
-        }
-        if let Err(e) = st.wal.flush() {
-            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
-            return false;
-        }
-        self.pending.store(0, Ordering::Relaxed);
-        let path = st.wal.dir().join("checkpoint.blob");
-        // The blob inherits the log's durability boundary: page cache for
-        // process death, fsync only when the writer opted into media
-        // durability. A torn blob reads as absent either way (CRC).
-        let fsync = st.wal.options().fsync;
-        if let Err(e) = hs_wal::write_blob(&path, &payload, fsync) {
-            Self::mark_broken(&mut st, &self.chaos, &e.to_string());
-            return false;
-        }
-        st.ckpt_blob_bytes = payload.len() as u64;
-        match st.wal.retire(watermark) {
-            Ok(n) => {
-                if n > 0 {
-                    self.chaos
-                        .note(format!("wal: checkpoint@{watermark}, {n} segments retired"));
-                }
-            }
-            Err(e) => Self::mark_broken(&mut st, &self.chaos, &e.to_string()),
-        }
-        st.ckpt_bytes = st.wal.stats().appended_bytes;
-        true
-    }
-
-    /// Permanently break durability for this run (with the usual one-shot
-    /// note): for failures detected *outside* the writer, like a record
-    /// too large for the on-disk envelope.
-    pub(crate) fn poison(&self, why: &str) {
-        let mut st = self.state.lock();
-        Self::mark_broken(&mut st, &self.chaos, why);
-    }
-
-    /// Append a metadata record (degradation cause) to the meta partition.
-    /// Takes only `LockClass::Wal`; safe from the degradation path, which
-    /// holds the world lock exclusively.
-    pub(crate) fn append_meta(&self, cause: &FailureCause) {
-        let mut framed = Vec::new();
-        match hs_wal::frame_record(META_EV, &cause.to_bytes(), &mut framed) {
-            Ok(()) => self.append_framed(META_PARTITION, &framed, 1, META_EV),
-            Err(e) => self.poison(&e.to_string()),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The recovery log.
-
-/// How much framed data the log stages before handing it to the writer
-/// mid-stream (between wait-entry drains). Large enough to amortize the
-/// writer lock over hundreds of records, small enough that staging never
-/// holds more than a few buffer-writes' worth of history.
-const STAGE_DRAIN_BYTES: usize = 32 << 10;
-
-/// The log's durable half: concatenated [`hs_wal::frame_record`] output
-/// waiting for one batched writer pass.
-///
-/// Appends are *staged*: each entry is encoded and framed (CRC paid here,
-/// under the Recovery lock the caller already holds) and handed to the
-/// writer in batches — when the stage fills, and at every wait entry via
-/// [`RecoveryLog::drain`]. Batching keeps the per-enqueue durable cost to
-/// the encode + frame; the writer lock and its `BufWriter` are touched once
-/// per hundreds of records. The durability boundary is unchanged: before
-/// staging, a record this young sat in the writer's `BufWriter` at the same
-/// points in its life.
-struct Stage {
-    wal: Arc<WalShared>,
+    /// One action's encoded payload at a time.
     scratch: Vec<u8>,
-    buf: Vec<u8>,
-    records: u64,
-    max_ev: u64,
+    chaos: ChaosHub,
 }
 
-impl Stage {
-    fn push(&mut self, la: &LoggedAction) {
-        self.scratch.clear();
-        encode_action(la, &mut self.scratch);
-        if let Err(e) = hs_wal::frame_record(la.ev, &self.scratch, &mut self.buf) {
-            // An action too large for the record envelope cannot be made
-            // durable; like a disk error, that loses durability for the
-            // run — never the enqueue itself.
-            self.wal.poison(&format!("ev {}: {e}", la.ev));
-            return;
+impl Durable {
+    fn mark_broken(&mut self, why: &str) {
+        if !self.broken {
+            self.broken = true;
+            self.chaos.note(format!("wal: durability lost: {why}"));
         }
-        self.records += 1;
-        self.max_ev = self.max_ev.max(la.ev);
-        if self.buf.len() >= STAGE_DRAIN_BYTES {
-            self.drain();
-        }
-    }
-
-    fn drain(&mut self) {
-        self.wal
-            .append_framed(ACTION_PARTITION, &self.buf, self.records, self.max_ev);
-        self.buf.clear();
-        self.records = 0;
-        self.max_ev = 0;
     }
 }
 
 /// The recovery log behind `Inner::recovery`: the entries card-loss
 /// degradation replays from, in append order, and — once durability is on —
-/// the stage that writes every entry to the WAL's action partition in that
-/// same order (event ids are *not* globally ordered across threads; the
-/// log's order is the program's).
+/// the WAL writer every entry is appended to, in that same order (event ids
+/// are *not* globally ordered across threads; the log's order is the
+/// program's). Every method runs under the `Recovery` lock.
 #[derive(Default)]
 pub(crate) struct RecoveryLog {
     entries: Vec<LoggedAction>,
-    stage: Option<Stage>,
+    durable: Option<Durable>,
 }
 
 impl RecoveryLog {
-    /// Write every entry appended from now on through `wal` as well.
-    pub(crate) fn make_durable(&mut self, wal: Arc<WalShared>) {
-        self.stage = Some(Stage {
+    /// Append every entry from now on to `wal` as well. Refused when the
+    /// log already has a writer.
+    fn make_durable(&mut self, wal: Wal, chaos: ChaosHub) -> HsResult<()> {
+        if self.durable.is_some() {
+            return Err(HsError::InvalidArg("durability already enabled".into()));
+        }
+        self.durable = Some(Durable {
             wal,
+            broken: false,
+            ckpt_bytes: 0,
+            ckpt_blob_bytes: 0,
             scratch: Vec::new(),
-            buf: Vec::new(),
-            records: 0,
-            max_ev: 0,
+            chaos,
         });
+        Ok(())
     }
 
     /// Append `las` in order, leaving the vector empty (its capacity is the
-    /// enqueuing thread's to reuse).
+    /// enqueuing thread's to reuse). On a durable log each entry is encoded
+    /// and framed straight into the writer's buffer. A write error — or an
+    /// action too large for the record envelope — loses durability for the
+    /// run, never the enqueue itself.
     pub(crate) fn extend(&mut self, las: &mut Vec<LoggedAction>) {
-        if let Some(stage) = &mut self.stage {
+        if let Some(d) = self.durable.as_mut().filter(|d| !d.broken) {
             for la in las.iter() {
-                stage.push(la);
+                d.scratch.clear();
+                encode_action(la, &mut d.scratch);
+                if let Err(e) = d.wal.append(ACTION_PARTITION, la.ev, &d.scratch) {
+                    d.mark_broken(&format!("ev {}: {e}", la.ev));
+                    break;
+                }
             }
         }
         self.entries.append(las);
@@ -644,22 +459,102 @@ impl RecoveryLog {
         self.entries.retain(keep);
     }
 
-    /// Drop the in-memory entries (chaos re-arm). Staged records describe
-    /// real enqueues: they go to the writer first, so disk history stays
-    /// complete.
+    /// Drop the in-memory entries (chaos re-arm). Their records are already
+    /// with the writer, so disk history stays complete.
     pub(crate) fn clear(&mut self) {
-        self.drain();
         self.entries.clear();
     }
 
-    /// Hand staged durable records to the WAL writer (nothing to do for an
-    /// in-memory log). The runtime calls this at every wait entry, just
-    /// before the WAL flush, so everything an application could have
-    /// observed complete is framed and buffered before the flush pushes it
-    /// to the page cache.
-    pub(crate) fn drain(&mut self) {
-        if let Some(stage) = &mut self.stage {
-            stage.drain();
+    /// Push buffered appends to the page cache. Runs at the runtime's wait
+    /// entries (`event_wait*`, `stream_synchronize`) and at compaction —
+    /// the points where an application could observe completion and act on
+    /// it, so everything it could have observed is on disk first. Consults
+    /// the chaos hub: an injected [`WalFault::Torn`] flushes and then chops
+    /// the action partition's tail (what a mid-write crash leaves);
+    /// [`WalFault::Io`] breaks durability like a real I/O error.
+    pub(crate) fn flush(&mut self) {
+        let Some(d) = &mut self.durable else { return };
+        if d.wal.pending_bytes() == 0 || d.broken {
+            return;
+        }
+        let r = match d.chaos.check_wal() {
+            Some(WalFault::Io) => {
+                d.mark_broken("injected wal io fault");
+                return;
+            }
+            Some(WalFault::Torn) => d
+                .wal
+                .flush()
+                .and_then(|()| d.wal.chop_tail(ACTION_PARTITION, 7)),
+            None => d.wal.flush(),
+        };
+        if let Err(e) = r {
+            d.mark_broken(&e.to_string());
+        }
+    }
+
+    /// The writer's statistics; `None` for an in-memory log.
+    pub(crate) fn stats(&self) -> Option<WalStats> {
+        self.durable.as_ref().map(|d| d.wal.stats())
+    }
+
+    /// Should the runtime bother gathering a checkpoint snapshot? True once
+    /// enough log accumulated since the last checkpoint (and durability is
+    /// still intact). "Enough" scales with the last snapshot's size: a
+    /// checkpoint copies every buffer, so re-snapshotting before the log
+    /// grew by at least that much would spend more than it saves — the
+    /// checkpoint work stays a bounded fraction of the append work.
+    pub(crate) fn wants_checkpoint(&self) -> bool {
+        self.durable.as_ref().is_some_and(|d| {
+            let threshold = CHECKPOINT_MIN_BYTES.max(CHECKPOINT_BLOB_FACTOR * d.ckpt_blob_bytes);
+            !d.broken && d.wal.stats().appended_bytes - d.ckpt_bytes >= threshold
+        })
+    }
+
+    /// Publish a checkpoint blob (atomic tmp+rename) and retire every
+    /// segment fully below `watermark`. The caller gathered `bufs` at a
+    /// quiesce point — all reserved event ids retired — so the snapshot and
+    /// the watermark name the same instant. Returns true if written.
+    pub(crate) fn checkpoint(&mut self, watermark: u64, bufs: &[CheckpointBuf]) -> bool {
+        let Some(d) = self.durable.as_mut().filter(|d| !d.broken) else {
+            return false;
+        };
+        if let Err(e) = d.wal.flush() {
+            d.mark_broken(&e.to_string());
+            return false;
+        }
+        let payload = encode_checkpoint(d.wal.run_id(), watermark, bufs);
+        let path = d.wal.dir().join("checkpoint.blob");
+        // The blob inherits the log's durability boundary: page cache for
+        // process death, fsync only when the writer opted into media
+        // durability. A torn blob reads as absent either way (CRC).
+        let fsync = d.wal.options().fsync;
+        if let Err(e) = hs_wal::write_blob(&path, &payload, fsync) {
+            d.mark_broken(&e.to_string());
+            return false;
+        }
+        d.ckpt_blob_bytes = payload.len() as u64;
+        match d.wal.retire(watermark) {
+            Ok(0) => {}
+            Ok(n) => d
+                .chaos
+                .note(format!("wal: checkpoint@{watermark}, {n} segments retired")),
+            Err(e) => d.mark_broken(&e.to_string()),
+        }
+        d.ckpt_bytes = d.wal.stats().appended_bytes;
+        true
+    }
+
+    /// Record on the meta partition that `card` was lost. Safe from the
+    /// degradation path, which holds the world lock exclusively.
+    pub(crate) fn append_meta(&mut self, card: u32) {
+        if let Some(d) = self.durable.as_mut().filter(|d| !d.broken) {
+            if let Err(e) = d
+                .wal
+                .append(META_PARTITION, META_EV, &card_lost_payload(card))
+            {
+                d.mark_broken(&e.to_string());
+            }
         }
     }
 }
@@ -763,15 +658,13 @@ impl HStreams {
             .map_err(|e| HsError::ExecFailed(format!("wal: creating {}: {e}", dir.display())))?;
         let wal = Wal::create(&dir, run_id, opts)
             .map_err(|e| HsError::ExecFailed(format!("wal: opening {}: {e}", dir.display())))?;
-        let shared = Arc::new(WalShared::new(wal, self.inner.chaos.clone()));
-        self.inner
-            .wal
-            .set(shared.clone())
-            .map_err(|_| HsError::InvalidArg("durability already enabled".into()))?;
-        // Stage first, flag second: an enqueue that observes
+        // Writer first, flag second: an enqueue that observes
         // `durable == true` then takes the Recovery lock and must find the
-        // stage there.
-        self.inner.recovery.lock().make_durable(shared);
+        // writer there.
+        self.inner
+            .recovery
+            .lock()
+            .make_durable(wal, self.inner.chaos.clone())?;
         self.inner.durable.store(true, Ordering::Release);
         Ok(())
     }
@@ -854,8 +747,8 @@ impl HStreams {
         let mut actions: Vec<LoggedAction> = Vec::new();
         for r in scanned.records {
             if r.partition == META_PARTITION {
-                if let Some(cause) = FailureCause::decode(&r.payload) {
-                    report.prior_failures.push(cause);
+                if let Some(card) = card_lost_from(&r.payload) {
+                    report.prior_failures.push(FailureCause::CardLost { card });
                 }
                 continue;
             }
@@ -888,7 +781,7 @@ impl HStreams {
             // throttled checkpoint would replay the tail against
             // init-state buffers. Watermark 0: every re-logged record of
             // the new generation is above it.
-            ckpt_persisted = self.wal().is_some_and(|w| w.checkpoint(0, bufs));
+            ckpt_persisted = self.inner.recovery.lock().checkpoint(0, bufs);
         }
         self.replay_recovered(&actions, &mut report);
         self.wal_flush();
@@ -908,6 +801,10 @@ impl HStreams {
         Ok(report)
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/mutate.rs"]
+mod mutate;
 
 #[cfg(test)]
 mod tests {
@@ -1183,6 +1080,50 @@ mod tests {
         let mut long = blob.clone();
         long.push(9);
         assert!(decode_checkpoint(&long).is_none());
+    }
+
+    /// The meta record's bytes are pinned — they are what the seven-variant
+    /// failure-cause codec wrote for a lost card before the log carried
+    /// only that one record — and anything else on the meta partition is
+    /// no prior failure: every shorter prefix, a longer payload, any other
+    /// tag.
+    #[test]
+    fn card_lost_meta_payload_is_pinned() {
+        let payload = card_lost_payload(1);
+        assert_eq!(payload, [4, 1, 0, 0, 0]);
+        assert_eq!(card_lost_from(&payload), Some(1));
+        assert_eq!(card_lost_from(&card_lost_payload(u32::MAX)), Some(u32::MAX));
+        for cut in 0..payload.len() {
+            assert_eq!(card_lost_from(&payload[..cut]), None, "prefix {cut}");
+        }
+        assert_eq!(card_lost_from(&[4, 1, 0, 0, 0, 0]), None, "6 bytes");
+        for tag in [0, 1, 2, 3, 5, 6] {
+            assert_eq!(card_lost_from(&[tag, 1, 0, 0, 0]), None, "tag {tag}");
+        }
+    }
+
+    /// Untrusted bytes past the blob's CRC: 64 seeded mutations of a
+    /// checkpoint payload decode to nothing or to buffers that fit in the
+    /// bytes that were there — never a list sized beyond them, never a
+    /// panic.
+    #[test]
+    fn checkpoint_decode_survives_seeded_mutations() {
+        let bufs = vec![
+            (0u64, 0u32, vec![1u8, 2, 3]),
+            (1, 1, Vec::new()),
+            (7, 0, vec![0xFF; 100]),
+            (9, 1, (0..=255).collect()),
+        ];
+        let good = encode_checkpoint(7, 42, &bufs);
+        for seed in 0..64 {
+            let mut bad = good.clone();
+            super::mutate::mutate(&mut bad, seed);
+            if let Some((_, _, back)) = decode_checkpoint(&bad) {
+                assert!(back.capacity() <= bad.len(), "seed {seed}: list");
+                let bytes: usize = back.iter().map(|(_, _, b)| b.len()).sum();
+                assert!(bytes <= bad.len(), "seed {seed}: {bytes} bytes");
+            }
+        }
     }
 
     // --------------------------------------------- torn-write property

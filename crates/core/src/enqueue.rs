@@ -12,7 +12,7 @@
 //! its own.
 
 use crate::deps::{Footprint, FootprintItem};
-use crate::events::{EventTable, EventView};
+use crate::events::EventView;
 use crate::exec::{self, ActionSpec, BackendEvent, Executor, RealXfer, SubmitOpts};
 use crate::stream::{ActionKind, DepList};
 use crate::types::{
@@ -143,40 +143,6 @@ impl Drop for ScratchLease {
         sc.logs.clear();
         sc.backends.clear();
         let _ = SCRATCH.try_with(|cell| cell.set(std::mem::take(sc)));
-    }
-}
-
-/// The events of an in-flight enqueue, written into the caller's result
-/// slice as their ids are reserved. While armed, dropping the guard hands
-/// every id reserved so far back as a tombstone
-/// ([`EventTable::tombstone_reserved`]); the success path disarms once
-/// publishing is guaranteed. This is what keeps a failing (or panicking)
-/// enqueue from leaving reserved-but-never-published slots that stall the
-/// retirement watermark.
-struct Reserved<'a> {
-    events: &'a EventTable,
-    out: &'a mut [Event],
-    len: usize,
-    armed: bool,
-}
-
-impl Reserved<'_> {
-    fn push(&mut self, id: u64) {
-        self.out[self.len] = Event(id);
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[Event] {
-        &self.out[..self.len]
-    }
-}
-
-impl Drop for Reserved<'_> {
-    fn drop(&mut self) {
-        if self.armed && self.len != 0 {
-            self.events
-                .tombstone_reserved(self.as_slice().iter().map(|e| e.0));
-        }
     }
 }
 
@@ -640,8 +606,9 @@ impl HStreams {
     ///   recovery-log lock for all logged items;
     /// * all events publish before the stream lock is released, so
     ///   concurrent observers never see a window entry without its slot;
-    /// * all-or-nothing: a failure submits and publishes nothing, and every
-    ///   id reserved up to it is handed back as a tombstone.
+    /// * all-or-nothing: the one check that can fail, an event-wait on an
+    ///   id the table has not handed out, runs before the first id is
+    ///   reserved — a failed call reserves, submits and publishes nothing.
     fn enqueue_built(
         &self,
         s: StreamId,
@@ -652,6 +619,13 @@ impl HStreams {
         let inner = &*self.inner;
         let st_arc = self.stream_arc(s)?;
         let submit_opts = self.submit_opts(&opts);
+        // Every wait names an id handed out before this call — so none of
+        // the call's own — or the call fails here, before it reserves one.
+        let known = inner.events.len();
+        let mut waits = sc.built.iter().flat_map(|item| item.waits.iter());
+        if let Some(unknown) = waits.find(|e| e.0 >= known) {
+            return Err(HsError::UnknownEvent(*unknown));
+        }
         // One timestamp for the whole call (sim mode: one executor lock).
         let now_ns = inner.obs.is_enabled().then(|| self.source_now_ns());
         // Fine-grained per-stream window: contention here means multiple
@@ -665,27 +639,10 @@ impl HStreams {
             }
         };
         st.retire(|e| self.event_retired_ok(e));
-        let mut ids = Reserved {
-            events: &inner.events,
-            out,
-            len: 0,
-            armed: true,
-        };
         let mut dep_events = DepList::new();
-        for item in sc.built.iter_mut() {
+        for (n, item) in sc.built.iter_mut().enumerate() {
             let (kind, waits) = (item.kind, &item.waits);
             let footprint = std::mem::take(&mut item.footprint);
-            // Wait ids are checked here, where the call's own reservations
-            // are in the table. All-or-nothing: nothing has been submitted
-            // or published yet; dropping `ids` tombstones every id reserved
-            // so far, so earlier items' window entries read as retired
-            // (completed success — no dependence edges form on them) and the
-            // next retire sweep clears them; and no lifecycle record names
-            // an action that never submitted (they are minted after the
-            // loop).
-            if let Some(unknown) = waits.iter().find(|e| e.0 >= inner.events.len()) {
-                return Err(HsError::UnknownEvent(*unknown));
-            }
             // Event-waits depend on the awaited events plus the pending sync
             // barrier, if any (out-of-order mode: the wait replaces
             // `last_barrier`, so it must chain on the old one or a marker's
@@ -723,7 +680,7 @@ impl HStreams {
             // the table.
             let first_dep = sc.deps.len();
             for e in dep_events.iter() {
-                if let Some(j) = ids.as_slice().iter().position(|id| id == e) {
+                if let Some(j) = out[..n].iter().position(|id| id == e) {
                     sc.deps.push(exec::BatchDep::Internal(j));
                     continue;
                 }
@@ -756,12 +713,11 @@ impl HStreams {
                     retry: submit_opts.retry,
                 });
             }
-            ids.push(id);
+            out[n] = Event(id);
             item.deps = first_dep..sc.deps.len();
             // Window the item *now* so the next item's find_deps sees it.
             st.push(Event(id), footprint, kind);
         }
-        ids.armed = false;
         // Every check has passed: the call's actions count as enqueued.
         for item in sc.built.iter() {
             match &item.spec {
@@ -794,7 +750,7 @@ impl HStreams {
             inner.recovery.lock().extend(&mut sc.logs);
         }
         // Publish everything before the stream lock drops.
-        for (ev, be) in ids.as_slice().iter().zip(sc.backends.drain(..)) {
+        for (ev, be) in out.iter().zip(sc.backends.drain(..)) {
             inner.events.publish(ev.0, s, be);
         }
         Ok(())

@@ -42,15 +42,9 @@ const MAX_SEGS: usize = 4096;
 
 /// Sentinel in `Slot::stream` until the slot is published.
 const UNPUBLISHED: u32 = u32::MAX;
-/// Sentinel in `Slot::stream` for a reserved id handed back unused by a
-/// failed batch ([`EventTable::tombstone_reserved`]). Reads as `Retired`
-/// (no producing stream exists; the id was never returned to a caller, so
-/// nothing legitimately waits on it).
-const TOMBSTONE: u32 = u32::MAX - 1;
 
 struct Slot {
-    /// Producing stream id; `UNPUBLISHED` until [`EventTable::publish`],
-    /// `TOMBSTONE` for a reserved id a failed batch handed back.
+    /// Producing stream id; `UNPUBLISHED` until [`EventTable::publish`].
     /// Stored with `Release` after the payload so an `Acquire` reader that
     /// sees it set also sees the payload.
     stream: AtomicU32,
@@ -65,8 +59,7 @@ pub enum EventView {
     Missing,
     /// Pending or completed, backend handle still held.
     Live(BackendEvent, StreamId),
-    /// Tombstoned: completed successfully and compacted away (or a
-    /// reserved id a failed batch handed back).
+    /// Tombstoned: completed successfully and compacted away.
     Retired(StreamId),
 }
 
@@ -75,11 +68,9 @@ pub struct TableStats {
     pub reserved: u64,
     /// Published slots that still hold their backend.
     pub live: u64,
-    /// Tombstoned slots: completed successes and handed-back ids.
+    /// Tombstoned slots: completed successes.
     pub retired: u64,
     pub watermark: u64,
-    /// Reserved-but-never-published ids handed back by failed batches.
-    pub tombstoned: u64,
 }
 
 fn new_segment() -> Box<[Slot]> {
@@ -100,8 +91,6 @@ pub struct EventTable {
     watermark: AtomicU64,
     /// Single-compactor guard; contenders skip (compaction is periodic).
     compactor: ClassedMutex<class::Compactor, ()>,
-    /// Never-published ids handed back as tombstones.
-    tombstoned: AtomicU64,
     /// Debug-only tripwire for the quiesce contract: `overwrite` (which
     /// runs under the world *write* lock during degradation) must never
     /// race `compact` (which runs under the world *read* lock).
@@ -116,7 +105,6 @@ impl EventTable {
             next: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
             compactor: ClassedMutex::new(()),
-            tombstoned: AtomicU64::new(0),
             #[cfg(debug_assertions)]
             compacting: AtomicBool::new(false),
         }
@@ -156,31 +144,6 @@ impl EventTable {
         id
     }
 
-    /// Hand back ids that were [`EventTable::reserve`]d but will never be
-    /// published — a batch enqueue that validated, reserved, and then
-    /// failed before submit. The slots retire immediately (they read as
-    /// `Retired`, i.e. completed success, so nothing acquires a dependence
-    /// edge on them) and the compaction watermark crosses them instead of
-    /// stalling forever on a slot no one will ever fill.
-    pub fn tombstone_reserved(&self, ids: impl IntoIterator<Item = u64>) {
-        let mut n = 0;
-        for id in ids {
-            let slot = self.slot(id).expect("tombstone of unreserved id");
-            let g = slot.be.lock();
-            debug_assert!(g.is_none(), "tombstone of a published slot {id}");
-            debug_assert_eq!(
-                slot.stream.load(Ordering::Acquire),
-                UNPUBLISHED,
-                "tombstone of a published/tombstoned slot {id}"
-            );
-            // Under the slot lock, like every other slot state transition.
-            slot.stream.store(TOMBSTONE, Ordering::Release);
-            drop(g);
-            n += 1;
-        }
-        self.tombstoned.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Fill a reserved slot. Called once per id, after the backend accepted
     /// the submission.
     pub fn publish(&self, id: u64, stream: StreamId, be: BackendEvent) {
@@ -190,7 +153,7 @@ impl EventTable {
         debug_assert_eq!(
             slot.stream.load(Ordering::Acquire),
             UNPUBLISHED,
-            "publish of a tombstoned event id {id}"
+            "publish of an already published event id {id}"
         );
         *g = Some(be);
         // Publication point. Release: pairs with the Acquire loads in
@@ -364,7 +327,6 @@ impl EventTable {
             live,
             retired,
             watermark,
-            tombstoned: self.tombstoned.load(Ordering::Relaxed),
         }
     }
 }

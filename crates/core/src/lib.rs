@@ -119,9 +119,7 @@ use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
 use stats::ShardedU64;
 use std::ops::Range;
 use stream::{DepList, StreamState};
-use sync::{
-    class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, OnceLock, Ordering,
-};
+use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, Ordering};
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
 /// during card-loss degradation. Recorded only while a fault plan is armed.
@@ -226,12 +224,11 @@ pub(crate) struct Inner {
     /// durability is on (the log then writes every entry to disk as well).
     recovery: ClassedMutex<class::Recovery, durable::RecoveryLog>,
     /// Durable logging enabled? Checked (one relaxed load) on every
-    /// enqueue; set once by [`HStreams::durability_opts`] *after* the log got
-    /// its durable stage, so an enqueue that observes `true` always finds
-    /// the stage behind the `recovery` lock.
+    /// enqueue and wait entry, so an in-memory run never takes the
+    /// `recovery` lock to flush; set once by [`HStreams::durability_opts`]
+    /// *after* the log got its writer, so an enqueue that observes `true`
+    /// always finds the writer behind the `recovery` lock.
     durable: AtomicBool,
-    /// The shared WAL writer, installed at most once per runtime.
-    wal: OnceLock<Arc<durable::WalShared>>,
     /// Cards already degraded (each card degrades at most once).
     degraded: ClassedMutex<class::Degraded, Vec<u32>>,
     /// Degradation generation: bumped once per completed degradation. Wait
@@ -346,7 +343,6 @@ impl HStreams {
                 chaos,
                 recovery: ClassedMutex::new(durable::RecoveryLog::default()),
                 durable: AtomicBool::new(false),
-                wal: OnceLock::new(),
                 degraded: ClassedMutex::new(Vec::new()),
                 degrade_gen: AtomicU64::new(0),
                 compact_due: AtomicU64::new(COMPACT_EVERY),
@@ -842,23 +838,18 @@ impl HStreams {
 
     // ----------------------------------------------------------- durability
 
-    /// The shared WAL writer, when durability is on.
-    fn wal(&self) -> Option<&Arc<durable::WalShared>> {
-        if !self.inner.durable.load(Ordering::Acquire) {
-            return None;
-        }
-        self.inner.wal.get()
+    /// Is durability on? Lock-free: an in-memory run's waits never take
+    /// the `recovery` lock.
+    fn durable(&self) -> bool {
+        self.inner.durable.load(Ordering::Acquire)
     }
 
     /// Push buffered WAL appends to the kernel page cache. Runs at every
     /// wait entry: everything an application could have observed complete
-    /// is on disk before the wait returns. Drains the sink's staged frames
-    /// into the writer first (Recovery → Wal, the documented order), then
-    /// flushes. No-op when durability is off.
+    /// is on disk before the wait returns. No-op when durability is off.
     fn wal_flush(&self) {
-        if let Some(wal) = self.wal() {
-            self.inner.recovery.lock().drain();
-            wal.flush();
+        if self.durable() {
+            self.inner.recovery.lock().flush();
         }
     }
 
@@ -868,16 +859,20 @@ impl HStreams {
     /// hook); the quiesce requirement always holds, since a snapshot taken
     /// against in-flight writers would tear.
     fn wal_maybe_checkpoint(&self, force: bool) {
-        let Some(wal) = self.wal() else { return };
-        if !force && !wal.wants_checkpoint() {
+        if !self.durable() || !(force || self.inner.recovery.lock().wants_checkpoint()) {
             return;
         }
         let table = self.inner.events.stats();
         if table.watermark != table.reserved {
             return;
         }
+        // Gathered with the `recovery` lock released: `buffers` ranks
+        // before it.
         let bufs = self.wal_snapshot_buffers();
-        wal.checkpoint(table.watermark, &bufs);
+        self.inner
+            .recovery
+            .lock()
+            .checkpoint(table.watermark, &bufs);
     }
 
     /// Gather every buffer instantiation's bytes for a checkpoint. Card
@@ -971,7 +966,7 @@ impl HStreams {
 
     /// WAL statistics (None when durability is off).
     pub fn wal_stats(&self) -> Option<hs_wal::WalStats> {
-        self.wal().map(|w| w.stats())
+        self.inner.recovery.lock().stats()
     }
 
     // ---------------------------------------------------------------- waits
@@ -1166,10 +1161,9 @@ impl HStreams {
         ));
         // Durable runs record the degradation on the meta partition so a
         // restarted process learns the prior failure history.
-        if let Some(wal) = self.wal() {
-            wal.append_meta(&FailureCause::CardLost { card });
-        }
-        self.wal_flush();
+        let mut log = inner.recovery.lock();
+        log.append_meta(card);
+        log.flush();
         Ok(())
     }
 
@@ -1322,8 +1316,6 @@ impl HStreams {
             .insert("events.retired".into(), table.retired as f64);
         snap.extra
             .insert("events.watermark".into(), table.watermark as f64);
-        snap.extra
-            .insert("events.tombstoned".into(), table.tombstoned as f64);
         // One id per mint. Exported because the frozen benchmark's ledger
         // divides it by `events.reserved` (`core.id_rmw_per_action`).
         snap.extra

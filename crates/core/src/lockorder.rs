@@ -1,7 +1,7 @@
 //! Lock-order witness: records which lock *classes* are held at each
 //! acquisition, and checks the record against the documented order.
 //!
-//! The runtime's deadlock-freedom argument is a total order on its eleven
+//! The runtime's deadlock-freedom argument is a total order on its ten
 //! lock classes (DESIGN.md §13): every thread acquires locks in ascending
 //! [`LockClass::rank`] order, so a cycle in the waits-for graph is
 //! impossible. This module makes that argument *checkable*: a lock of one
@@ -42,34 +42,30 @@ pub enum LockClass {
     Stream = 2,
     /// The buffer-table RwLock (`Inner::buffers`).
     Buffers = 3,
-    /// The replay log (`Inner::recovery`).
+    /// The replay log and, on a durable run, its WAL writer
+    /// (`Inner::recovery`): appends, wait-entry flushes and checkpoints
+    /// all run under it.
     Recovery = 4,
-    /// The durable WAL writer (`durable::WalShared`). Appends happen while
-    /// the `Recovery` lock is held (the log entry and its on-disk record
-    /// must land atomically w.r.t. other enqueuers), so `Wal` ranks just
-    /// inside `Recovery`; flushes at wait entries take `Wal` alone.
-    Wal = 5,
     /// The degraded-cards list (`Inner::degraded`).
-    Degraded = 6,
+    Degraded = 5,
     /// Sim-mode host shadow map (`Inner::sim_shadow`).
-    SimShadow = 7,
+    SimShadow = 6,
     /// The single-compactor guard (`EventTable::compactor`).
-    Compactor = 8,
+    Compactor = 7,
     /// A per-slot event-table mutex (`Slot::be`).
-    EventSlot = 9,
+    EventSlot = 8,
     /// The serialized virtual-time executor (`Executor::Sim`).
-    SimExec = 10,
+    SimExec = 9,
 }
 
 impl LockClass {
     /// Every class, in rank order.
-    pub const ALL: [LockClass; 11] = [
+    pub const ALL: [LockClass; 10] = [
         LockClass::World,
         LockClass::Streams,
         LockClass::Stream,
         LockClass::Buffers,
         LockClass::Recovery,
-        LockClass::Wal,
         LockClass::Degraded,
         LockClass::SimShadow,
         LockClass::Compactor,

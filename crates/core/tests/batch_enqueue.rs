@@ -305,16 +305,15 @@ fn batch_is_all_or_nothing() {
     assert_eq!(out, [1.0; N], "no partial batch executed");
 }
 
-/// Regression for the reserve→publish crack: a batch that fails *after*
-/// earlier items already reserved their event ids must hand those ids back
-/// as tombstones. Before the guard, each failing batch leaked its reserved
-/// ids as forever-unpublished slots, so the retirement watermark stalled
-/// and the table grew without bound. 10k failing batches: `events.live`
-/// stays flat and every leaked reservation shows up as a tombstone. No
-/// lifecycle record (what hsan reads as "enqueued") and no action count
+/// A batch that fails reserves no event id: its event-waits are checked
+/// before the first id is minted, so a failed batch leaves no
+/// reserved-but-never-published slot for the retirement watermark to
+/// stall on. 10k failing batches, each two valid items ahead of a bogus
+/// event-wait: `events.reserved` does not move, and no lifecycle record
+/// (what hsan reads as "enqueued"), no action count and no buffer write
 /// names an item of a failed batch.
 #[test]
-fn failed_batches_tombstone_reserved_ids() {
+fn failed_batches_reserve_no_event_ids() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
     r.hs.obs_enable(true);
@@ -323,10 +322,8 @@ fn failed_batches_tombstone_reserved_ids() {
         (st.computes(), st.transfers(), st.syncs())
     };
     let counts0 = counts(&r.hs);
-    let live0 = r.hs.metrics().extra["events.live"];
+    let reserved0 = r.hs.metrics().extra["events.reserved"];
     for i in 0..10_000u64 {
-        // Two valid items reserve ids, then the bogus event-wait aborts
-        // the batch mid-loop.
         let batch = vec![
             op_to_batch(&r, &Op::AddK(1.0)),
             op_to_batch(&r, &Op::H2d),
@@ -337,6 +334,11 @@ fn failed_batches_tombstone_reserved_ids() {
         let err = r.hs.enqueue_many(r.s, batch).expect_err("bogus wait");
         assert!(matches!(err, HsError::UnknownEvent(_)), "{err:?}");
     }
+    assert_eq!(
+        r.hs.metrics().extra["events.reserved"],
+        reserved0,
+        "failed batches reserved event ids"
+    );
     let records = r.hs.take_obs_records();
     assert!(
         records.is_empty(),
@@ -352,19 +354,6 @@ fn failed_batches_tombstone_reserved_ids() {
     let mut out = [0.0; N];
     r.hs.buffer_read_f64(r.b, 0, &mut out).expect("read");
     assert_eq!(out, [1.0; N], "no item of a failed batch may run");
-    let m = r.hs.metrics();
-    let live = m.extra["events.live"];
-    assert!(
-        live <= live0,
-        "failed batches must not leave live events: {live0} -> {live}"
-    );
-    // Every id the failed batches reserved (2 per batch) came back as a
-    // tombstone, so the watermark can cross the whole range.
-    assert!(
-        m.extra["events.tombstoned"] >= 20_000.0,
-        "tombstoned: {}",
-        m.extra["events.tombstoned"]
-    );
 }
 
 /// The empty batch is a no-op returning no events.

@@ -9,10 +9,14 @@ use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
     Access, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode, FaultKind, FaultPlan,
-    FaultSite, HStreams, Operand, StreamId, TaskCtx,
+    FaultSite, HStreams, HsError, Operand, StreamId, TaskCtx,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+#[path = "support/mutate.rs"]
+mod mutate;
+use mutate::mutate;
 
 const N: usize = 64;
 
@@ -732,6 +736,88 @@ fn recover_refuses_a_checkpoint_it_cannot_trust() {
     let _ = std::fs::remove_dir_all(&other);
 }
 
+/// Untrusted bytes: a real run's `checkpoint.blob`, mutated 64 seeded ways,
+/// is refused every time — an `ExecFailed` naming the blob, no panic — and
+/// nothing of it is overlaid: the restarted runtime's buffer keeps its
+/// init state and no new generation is minted.
+#[test]
+fn recover_refuses_every_seeded_mutation_of_the_checkpoint_blob() {
+    let root = tmp_root("blob-mutations");
+    {
+        let hs = runtime(ExecMode::Threads);
+        hs.durability_opts(&root, false, 0).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        enqueue_rounds(&hs, s0, s1, buf, 2);
+        hs.thread_synchronize().expect("sync");
+        hs.wal_checkpoint();
+    }
+    let blob = run_dir(&root).join("checkpoint.blob");
+    let good = std::fs::read(&blob).expect("a checkpoint was written");
+    for seed in 0..64 {
+        let mut bad = good.clone();
+        mutate(&mut bad, seed);
+        std::fs::write(&blob, &bad).expect("write the mutated blob");
+        let hs = runtime(ExecMode::Threads);
+        let buf = init_no_input(&hs);
+        match hs.recover(&root) {
+            Err(HsError::ExecFailed(m)) => {
+                assert!(m.contains(&blob.display().to_string()), "seed {seed}: {m}")
+            }
+            other => panic!("seed {seed}: a mutated blob must be refused, got {other:?}"),
+        }
+        assert_eq!(read_result(&hs, buf), vec![0.0; N], "seed {seed}: overlaid");
+        assert!(hs.wal_stats().is_none(), "seed {seed}: durability enabled");
+        assert_eq!(run_count(&root), 1, "seed {seed}: a generation was minted");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A root holding several generations: the crashed run, a newer partial
+/// one (what an interrupted recovery leaves) and an entry that is no run at
+/// all. The oldest run is authoritative and replays to the fault-free
+/// result; the newer run is deleted; the other entry is not touched.
+#[test]
+fn recover_takes_the_oldest_of_several_generations() {
+    let root = tmp_root("generations");
+    let reference = fault_free(ExecMode::Threads, 4);
+    let run_a = {
+        let hs = runtime(ExecMode::Threads);
+        let id = hs.durability_opts(&root, false, 0).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        enqueue_rounds(&hs, s0, s1, buf, 4);
+        hs.thread_synchronize().expect("sync");
+        id
+    };
+    // Name the crashed run's directory before a second `run-` entry exists:
+    // `run_dir` takes the first one `read_dir` yields, in no set order.
+    let crashed = run_dir(&root);
+    let newer = root.join(format!("run-{:016x}", run_a + 1));
+    std::fs::create_dir_all(&newer).expect("newer run");
+    std::fs::copy(
+        crashed.join("p00000000-00000000.seg"),
+        newer.join("p00000000-00000000.seg"),
+    )
+    .expect("a segment in the newer run");
+    let other = root.join("not-a-run");
+    std::fs::write(&other, b"keep me").expect("non-run entry");
+
+    let hs = runtime(ExecMode::Threads);
+    let (_s0, _s1, buf) = init_workload(&hs);
+    let report = hs.recover(&root).expect("recover");
+    assert_eq!(report.run_id, run_a, "{report:?}");
+    assert_eq!(
+        (report.replayed, report.skipped),
+        (report.records, 0),
+        "{report:?}"
+    );
+    hs.thread_synchronize().expect("post-recover sync");
+    assert_eq!(read_result(&hs, buf), reference, "{report:?}");
+    assert!(!newer.exists(), "the newer generation is deleted");
+    assert_eq!(std::fs::read(&other).expect("kept"), b"keep me");
+    assert_eq!(run_count(&root), 1, "only the recovered generation is left");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Degradations land on the WAL's meta partition: a restarted process sees
 /// the crashed run's failure history in the recovery report.
 #[test]
@@ -903,5 +989,46 @@ fn durability_opts_zero_window_syncs_every_flush() {
     let stats = hs.wal_stats().expect("wal on");
     assert_eq!(stats.fsync_batched, 0, "no window, no deferral: {stats:?}");
     assert!(stats.fsyncs >= stats.flushes.min(1), "{stats:?}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// FNV-1a over bytes, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The record stream a sim-mode durable run leaves on disk — partition,
+/// event id and payload of every record, in order — is pinned: the writer
+/// may change how it frames and buffers, never what lands. Sim mode makes
+/// the enqueue-time dependences, and so the payloads, independent of timing.
+#[test]
+fn wal_record_stream_is_pinned() {
+    const PINNED_RECORDS: usize = 23;
+    const PINNED_DIGEST: u64 = 0xb362_12d5_ac0e_0fab;
+    let root = tmp_root("pinned-stream");
+    {
+        let hs = runtime(ExecMode::Sim);
+        hs.durability_opts(&root, false, 0).expect("durability on");
+        let (s0, s1, buf) = init_workload(&hs);
+        enqueue_rounds(&hs, s0, s1, buf, 6);
+        hs.thread_synchronize().expect("sync");
+    }
+    let records = hs_wal::recover_dir(&run_dir(&root)).expect("scan").records;
+    let digest = records.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
+        let h = fnv1a(h, &r.partition.to_le_bytes());
+        let h = fnv1a(h, &r.ev.to_le_bytes());
+        let h = fnv1a(h, &(r.payload.len() as u64).to_le_bytes());
+        fnv1a(h, &r.payload)
+    });
+    assert_eq!(
+        (records.len(), digest),
+        (PINNED_RECORDS, PINNED_DIGEST),
+        "record stream changed: {} records, digest {digest:#018x}",
+        records.len()
+    );
     let _ = std::fs::remove_dir_all(&root);
 }

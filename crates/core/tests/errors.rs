@@ -23,12 +23,12 @@ fn rt_in(mode: ExecMode) -> HStreams {
 const BOTH: [ExecMode; 2] = [ExecMode::Threads, ExecMode::Sim];
 
 /// The error of an enqueue that must fail before it reserves anything: the
-/// event table's length, retirement watermark and tombstone count are where
-/// they were (an id reserved and handed back would show in all three).
+/// event table's length and retirement watermark are where they were (an
+/// id reserved would show in both).
 fn fails_clean(hs: &HStreams, enqueue: impl FnOnce() -> HsResult<Event>) -> HsError {
     let table = || {
         let m = hs.metrics();
-        ["reserved", "watermark", "tombstoned"].map(|k| m.extra[&format!("events.{k}")])
+        ["reserved", "watermark"].map(|k| m.extra[&format!("events.{k}")])
     };
     let before = table();
     let err = enqueue().expect_err("the enqueue is invalid");

@@ -4,8 +4,9 @@
 //! directory per run, one file sequence per partition (the runtime keeps
 //! two: every action in one, metadata in [`META_PARTITION`]), each segment
 //! a fixed header followed by length-prefixed CRC32-checked records. The
-//! writer buffers appends in userspace and pushes them to the kernel page
-//! cache on [`Wal::flush`] — that is the durability boundary
+//! writer has one append path, [`Wal::append`], which frames each record
+//! straight into its partition's userspace buffer; [`Wal::flush`] pushes
+//! that buffer to the kernel page cache — that is the durability boundary
 //! against *process* death (`kill -9`); full media durability is an opt-in
 //! fsync per flush. Recovery ([`recover_dir`]) is torn-tail tolerant: each
 //! partition yields exactly the longest valid prefix of its record
@@ -125,52 +126,6 @@ fn body_len(payload: &[u8]) -> io::Result<u32> {
             ),
         )),
     }
-}
-
-/// Frame one record — length, CRC, event id, payload — into `out`: the
-/// exact bytes [`Wal::append`] would write. Callers that stage batches use
-/// this to pay the checksum outside the writer lock, then hand the
-/// concatenated frames to [`Wal::append_framed`]. An oversized payload
-/// (over the [`MAX_RECORD`] envelope the reader enforces) is rejected with
-/// `InvalidInput` and appends nothing.
-pub fn frame_record(ev: u64, payload: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
-    let len = body_len(payload)?;
-    put_u32(out, len);
-    let crc = crc32_update(crc32_update(0xFFFF_FFFF, &ev.to_le_bytes()), payload) ^ 0xFFFF_FFFF;
-    put_u32(out, crc);
-    put_u64(out, ev);
-    out.extend_from_slice(payload);
-    Ok(())
-}
-
-/// Walk a pre-framed batch's length prefixes (no CRC work) and confirm it
-/// is exactly `records` frames, each within the record-size envelope.
-fn validate_frames(framed: &[u8], records: u64) -> io::Result<()> {
-    let bad = |why: String| io::Error::new(io::ErrorKind::InvalidInput, why);
-    let mut off = 0usize;
-    let mut seen = 0u64;
-    while off < framed.len() {
-        if framed.len() - off < RECORD_OVERHEAD {
-            return Err(bad(format!("truncated frame header at offset {off}")));
-        }
-        let len = get_u32(&framed[off..off + 4]);
-        if !(8..=MAX_RECORD).contains(&len) {
-            return Err(bad(format!(
-                "frame length {len} at offset {off} outside [8, {MAX_RECORD}]"
-            )));
-        }
-        if framed.len() - off - RECORD_OVERHEAD < len as usize {
-            return Err(bad(format!("truncated frame body at offset {off}")));
-        }
-        off += RECORD_OVERHEAD + len as usize;
-        seen += 1;
-    }
-    if seen != records {
-        return Err(bad(format!(
-            "batch holds {seen} frames, caller said {records}"
-        )));
-    }
-    Ok(())
 }
 
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
@@ -419,14 +374,14 @@ impl Wal {
         })
     }
 
-    /// Append one record to `partition`. `ev` is the runtime event id the
-    /// record describes; retirement compares it against the watermark.
-    /// Buffered: the bytes reach the kernel only on rotation, buffer
-    /// overflow, or [`Wal::flush`]. Returns the framed byte count (header
-    /// plus payload) so callers can track unflushed volume without a
-    /// stats round-trip — this sits on the enqueue hot path. A payload over
-    /// the [`MAX_RECORD`] envelope is `InvalidInput` (the reader would
-    /// truncate the partition at it), with nothing written.
+    /// Append one record to `partition` — the writer's one append path.
+    /// `ev` is the runtime event id the record describes; retirement
+    /// compares it against the watermark. The record is CRC-framed straight
+    /// into the partition's buffer: the bytes reach the kernel only on
+    /// rotation, buffer overflow, or [`Wal::flush`]. Returns the framed
+    /// byte count (frame header plus payload). A payload over the
+    /// [`MAX_RECORD`] envelope is `InvalidInput` (the reader would truncate
+    /// the partition at it), with nothing written.
     pub fn append(&mut self, partition: u32, ev: u64, payload: &[u8]) -> io::Result<u64> {
         let len = body_len(payload)?;
         if !self.parts.contains_key(&partition) {
@@ -457,51 +412,6 @@ impl Wal {
         self.stats.records += 1;
         self.unflushed += framed;
         Ok(framed)
-    }
-
-    /// Append a batch of pre-framed records (concatenated
-    /// [`frame_record`] output) to `partition` in one writer pass. `records`
-    /// and `max_ev` describe the batch for segment metadata. The batch
-    /// lands in a single segment (records never straddle segments); like
-    /// single appends, a segment may overshoot `segment_bytes` by one
-    /// batch before rotating. Returns the byte count written. The batch's
-    /// frame structure is validated first (`records` frames, each length
-    /// within the [`MAX_RECORD`] envelope): a malformed batch is
-    /// `InvalidInput` with nothing written, because the reader would stop
-    /// the partition at the first bad length and silently drop everything
-    /// after it.
-    pub fn append_framed(
-        &mut self,
-        partition: u32,
-        framed: &[u8],
-        records: u64,
-        max_ev: u64,
-    ) -> io::Result<u64> {
-        if framed.is_empty() {
-            return Ok(0);
-        }
-        validate_frames(framed, records)?;
-        if !self.parts.contains_key(&partition) {
-            let p = self.open_segment(partition, 0)?;
-            self.parts.insert(partition, p);
-        }
-        let needs_rotation = {
-            let p = &self.parts[&partition];
-            p.bytes_in_active >= self.opts.segment_bytes && p.active.records > 0
-        };
-        if needs_rotation {
-            self.rotate(partition)?;
-        }
-        let p = self.parts.get_mut(&partition).expect("inserted above");
-        p.w.write_all(framed)?;
-        let len = framed.len() as u64;
-        p.bytes_in_active += len;
-        p.active.records += records;
-        p.active.max_ev = p.active.max_ev.max(max_ev);
-        self.stats.appended_bytes += len;
-        self.stats.records += records;
-        self.unflushed += len;
-        Ok(len)
     }
 
     fn rotate(&mut self, partition: u32) -> io::Result<()> {
@@ -1058,39 +968,14 @@ mod tests {
         let big = vec![0u8; MAX_RECORD as usize - 7];
         let err = wal.append(0, 1, &big).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        let mut framed = Vec::new();
-        assert!(frame_record(1, &big, &mut framed).is_err());
-        assert!(framed.is_empty(), "rejected frame leaves no bytes behind");
+        assert_eq!(wal.pending_bytes(), 0, "a rejected record writes nothing");
         // The boundary itself is fine: body of exactly MAX_RECORD bytes.
         let fits = vec![1u8; MAX_RECORD as usize - 8];
-        frame_record(2, &fits, &mut framed).unwrap();
         wal.append(0, 2, &fits).unwrap();
         wal.flush().unwrap();
         let rec = recover_dir(&dir).unwrap();
         assert_eq!(rec.records.len(), 1);
         assert_eq!(rec.records[0].payload.len(), fits.len());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn append_framed_rejects_malformed_batches() {
-        let dir = tmpdir("badbatch");
-        let mut wal = Wal::create(&dir, 1, WalOptions::default()).unwrap();
-        let mut good = Vec::new();
-        frame_record(1, b"ok", &mut good).unwrap();
-        wal.append_framed(0, &good, 1, 1).unwrap();
-        // Wrong record count.
-        assert!(wal.append_framed(0, &good, 2, 1).is_err());
-        // Truncated body.
-        assert!(wal.append_framed(0, &good[..good.len() - 1], 1, 1).is_err());
-        // Oversized length prefix: the reader would truncate the partition
-        // here, so the writer refuses it up front.
-        let mut bad = good.clone();
-        bad[0..4].copy_from_slice(&(MAX_RECORD + 1).to_le_bytes());
-        assert!(wal.append_framed(0, &bad, 1, 1).is_err());
-        wal.flush().unwrap();
-        let rec = recover_dir(&dir).unwrap();
-        assert_eq!(rec.records.len(), 1, "only the valid batch landed");
         let _ = fs::remove_dir_all(&dir);
     }
 
