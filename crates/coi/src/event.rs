@@ -27,7 +27,7 @@ pub enum EventStatus {
 }
 
 /// Something released by an event's completion: a dependent action's
-/// countdown, or an [`EventCore::on_complete`] callback.
+/// countdown.
 pub trait Dependent: Send + Sync {
     /// The producer completed with `status` (never `Pending`). Runs on the
     /// completing thread, or inline on the registering thread when the
@@ -202,13 +202,6 @@ impl EventCore {
         self.settled() == OK
     }
 
-    /// Run `cb` with the final status once the event completes. If the event
-    /// is already complete the callback runs inline on the calling thread;
-    /// otherwise it runs on the completing thread.
-    pub fn on_complete(&self, cb: impl FnOnce(&EventStatus) + Send + 'static) {
-        self.add_dependent(Arc::new(Callback(Mutex::new(Some(cb)))));
-    }
-
     /// Park on the condvar (until notified, or for `timeout`), counted as a
     /// waiter for the duration.
     fn park(&self, st: &mut MutexGuard<'_, EventState>, timeout: Option<Duration>) {
@@ -252,16 +245,6 @@ impl EventCore {
                 None => None,
             };
             self.park(&mut st, left);
-        }
-    }
-}
-
-struct Callback<F>(Mutex<Option<F>>);
-
-impl<F: FnOnce(&EventStatus) + Send> Dependent for Callback<F> {
-    fn resolved(self: Arc<Self>, status: &EventStatus) {
-        if let Some(cb) = self.0.lock().take() {
-            cb(status);
         }
     }
 }
@@ -535,42 +518,50 @@ mod tests {
         assert_eq!(r, Some(Ok(())));
     }
 
+    /// A dependent that records every status it is released with.
+    struct Recorder(Mutex<Vec<EventStatus>>);
+
+    impl Dependent for Recorder {
+        fn resolved(self: Arc<Self>, status: &EventStatus) {
+            self.0.lock().push(status.clone());
+        }
+    }
+
+    fn recorder() -> Arc<Recorder> {
+        Arc::new(Recorder(Mutex::new(Vec::new())))
+    }
+
     #[test]
     fn on_complete_fires_on_signal() {
         let ev = CoiEvent::new();
-        let hit = Arc::new(parking_lot::Mutex::new(None));
-        let h = hit.clone();
-        ev.on_complete(move |st| *h.lock() = Some(st.clone()));
-        assert!(hit.lock().is_none());
+        let hit = recorder();
+        ev.add_dependent(hit.clone());
+        assert!(hit.0.lock().is_empty());
         ev.signal();
-        assert_eq!(*hit.lock(), Some(EventStatus::Done));
+        assert_eq!(*hit.0.lock(), [EventStatus::Done]);
     }
 
     #[test]
     fn on_complete_after_completion_runs_inline() {
         let ev = CoiEvent::new();
         ev.fail("gone");
-        let hit = Arc::new(parking_lot::Mutex::new(None));
-        let h = hit.clone();
-        ev.on_complete(move |st| *h.lock() = Some(st.clone()));
+        let hit = recorder();
+        ev.add_dependent(hit.clone());
         assert_eq!(
-            *hit.lock(),
-            Some(EventStatus::Failed(FailureCause::Exec("gone".into())))
+            *hit.0.lock(),
+            [EventStatus::Failed(FailureCause::Exec("gone".into()))]
         );
     }
 
     #[test]
     fn multiple_callbacks_all_fire() {
         let ev = CoiEvent::new();
-        let count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let hit = recorder();
         for _ in 0..5 {
-            let c = count.clone();
-            ev.on_complete(move |_| {
-                c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            });
+            ev.add_dependent(hit.clone());
         }
         ev.signal();
-        assert_eq!(count.load(std::sync::atomic::Ordering::SeqCst), 5);
+        assert_eq!(*hit.0.lock(), vec![EventStatus::Done; 5]);
     }
 
     #[test]

@@ -7,12 +7,12 @@ use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause};
 use hs_coi::pipeline::{BufAccess, PipelineHandle};
 use hs_coi::{
-    serve_uds, CoiEvent, CoiRuntime, EngineId, FnRegistry, RunCtx, SerialQueue, SinkTask,
-    WorkerPool, LIFO_CAP,
+    serve_uds, CoiEvent, CoiRuntime, Dependent, EngineId, EventStatus, FnRegistry, RunCtx,
+    SerialQueue, SinkTask, WorkerPool, LIFO_CAP,
 };
 use hs_fabric::{Endpoint, Pacer};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Poll `cond` every millisecond for up to ten seconds.
@@ -268,18 +268,26 @@ fn a_push_racing_the_last_item_is_never_lost_or_run_beside_another() {
 }
 
 /// The last handle of a runtime goes on one of that runtime's own workers:
-/// a completion callback drops the test's handle while the pipeline's task
-/// holds the other, which goes when the worker finishes with the queue. The
-/// pool stops without joining the thread it is dropped on, and nothing hangs.
+/// a dependent of the task's event drops the test's handle while the
+/// pipeline's task holds the other, which goes when the worker finishes
+/// with the queue. The pool stops without joining the thread it is dropped
+/// on, and nothing hangs.
 #[test]
 fn the_last_runtime_handle_may_go_on_a_pool_worker() {
+    /// Drops the runtime handle it holds when released.
+    struct DropOnRelease(Mutex<Option<Arc<CoiRuntime>>>);
+    impl Dependent for DropOnRelease {
+        fn resolved(self: Arc<Self>, _: &EventStatus) {
+            drop(self.0.lock().expect("handle slot").take());
+        }
+    }
     for _ in 0..20 {
         let rt = CoiRuntime::new(1, Pacer::unpaced());
         rt.register("nop", Arc::new(|_ctx: &mut RunCtx| {}));
         let pipe = rt.pipeline_create(EngineId(1), 1);
         let ev = pipe.run("nop", Bytes::new(), vec![]);
         let gone = Arc::downgrade(&rt);
-        ev.on_complete(move |_| drop(rt));
+        ev.add_dependent(Arc::new(DropOnRelease(Mutex::new(Some(rt)))));
         drop(pipe);
         wait_until("the runtime to go", || gone.upgrade().is_none());
         assert_eq!(ev.wait(), Ok(()));

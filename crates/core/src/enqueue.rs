@@ -13,7 +13,7 @@
 
 use crate::deps::{Footprint, FootprintItem};
 use crate::events::EventView;
-use crate::exec::{self, ActionSpec, BackendEvent, Executor, RealXfer, SubmitOpts};
+use crate::exec::{self, ActionSpec, RealXfer, SubmitOpts};
 use crate::stream::{ActionKind, DepList};
 use crate::types::{
     BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, OrderingMode, StreamId,
@@ -21,6 +21,7 @@ use crate::types::{
 use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::RetryPolicy;
+use hs_coi::CoiEvent;
 use hs_obs::{ActionMeta, ObsAccess, ObsAction, ObsKind};
 use std::cell::Cell;
 use std::ops::Range;
@@ -115,7 +116,7 @@ struct Scratch {
     metas: Vec<ActionMeta>,
     logs: Vec<LoggedAction>,
     /// The items' completion events, as the executor hands them back.
-    backends: Vec<BackendEvent>,
+    backends: Vec<CoiEvent>,
 }
 
 thread_local! {
@@ -314,7 +315,7 @@ impl HStreams {
                 EventView::Live(be, ps) => {
                     // A completed *failure* is never pruned: the poison edge
                     // must still reach the dependent.
-                    let live = !self.inner.exec.completed_ok(&be);
+                    let live = !be.completed_ok();
                     if ps != s && (keep_complete || live) {
                         cross.push(*e);
                     }
@@ -415,7 +416,7 @@ impl HStreams {
         // Validate + resolve operands.
         let mut footprint: Footprint = Vec::with_capacity(operands.len());
         let mut bufs = exec::BufList::new();
-        let real = matches!(self.inner.exec, Executor::Thread(_));
+        let real = self.inner.exec.coi().is_some();
         let buffers = self.inner.buffers.read();
         for op in operands {
             let rec = buffers.get(op.buffer)?;
@@ -522,7 +523,7 @@ impl HStreams {
         };
         let h2d = !to.is_host();
         let bytes = range.len();
-        let real = if matches!(self.inner.exec, Executor::Thread(_)) && !elide {
+        let real = if self.inner.exec.coi().is_some() && !elide {
             let src = rec.window(from)?;
             let dst = rec.window(to)?;
             Some(RealXfer {
@@ -602,7 +603,7 @@ impl HStreams {
     ///   window before item *i+1*'s `find_deps`), and dependences on the
     ///   call's own items resolve to [`exec::BatchDep::Internal`] — no
     ///   event-table round-trip;
-    /// * **one** executor hand-off ([`Executor::submit_batch`]) and **one**
+    /// * **one** executor hand-off ([`exec::Executor::submit_batch`]) and **one**
     ///   recovery-log lock for all logged items;
     /// * all events publish before the stream lock is released, so
     ///   concurrent observers never see a window entry without its slot;

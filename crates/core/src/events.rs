@@ -26,11 +26,11 @@
 //! counts it from the slots of the live window, so a publish pays no
 //! counter of its own.
 
-use crate::exec::BackendEvent;
 #[cfg(debug_assertions)]
 use crate::sync::AtomicBool;
 use crate::sync::{class, AtomicU32, AtomicU64, ClassedMutex, OnceLock, Ordering};
 use crate::types::{Event, StreamId};
+use hs_coi::CoiEvent;
 
 /// log2 of the slots per segment.
 const SEG_BITS: u64 = 12;
@@ -50,7 +50,7 @@ struct Slot {
     stream: AtomicU32,
     /// `Some` while live; `None` after tombstoning (with `stream` still
     /// set, distinguishing "retired" from "never published").
-    be: ClassedMutex<class::EventSlot, Option<BackendEvent>>,
+    be: ClassedMutex<class::EventSlot, Option<CoiEvent>>,
 }
 
 /// What a table lookup found.
@@ -58,7 +58,7 @@ pub enum EventView {
     /// No such event (out of range, or reserved but not yet published).
     Missing,
     /// Pending or completed, backend handle still held.
-    Live(BackendEvent, StreamId),
+    Live(CoiEvent, StreamId),
     /// Tombstoned: completed successfully and compacted away.
     Retired(StreamId),
 }
@@ -146,7 +146,7 @@ impl EventTable {
 
     /// Fill a reserved slot. Called once per id, after the backend accepted
     /// the submission.
-    pub fn publish(&self, id: u64, stream: StreamId, be: BackendEvent) {
+    pub fn publish(&self, id: u64, stream: StreamId, be: CoiEvent) {
         let slot = self.slot(id).expect("publish of unreserved event id");
         let mut g = slot.be.lock();
         debug_assert!(g.is_none(), "double publish of event {id}");
@@ -175,7 +175,7 @@ impl EventTable {
     /// (degradation is stop-the-world), so no compactor — which holds the
     /// world *read* lock — is ever concurrent. Checked in debug builds via
     /// the `compacting` tripwire.
-    pub fn overwrite(&self, id: u64, be: BackendEvent) {
+    pub fn overwrite(&self, id: u64, be: CoiEvent) {
         #[cfg(debug_assertions)]
         debug_assert!(
             !self.compacting.load(Ordering::Relaxed),
@@ -222,7 +222,7 @@ impl EventTable {
     /// calls this once per pending action per enqueue). Tombstoned slots
     /// are retired successes by construction; unpublished or missing ids
     /// are not retired.
-    pub fn retired_ok(&self, ev: Event, ok: impl FnOnce(&BackendEvent) -> bool) -> bool {
+    pub fn retired_ok(&self, ev: Event, ok: impl FnOnce(&CoiEvent) -> bool) -> bool {
         let Some(slot) = self.slot(ev.0) else {
             return false;
         };
@@ -242,7 +242,7 @@ impl EventTable {
     /// concurrent callers return immediately. The scan starts at the
     /// retirement watermark (the longest fully-retired prefix), so steady
     /// state cost is proportional to the live window, not to table length.
-    pub fn compact(&self, verdict: impl Fn(&BackendEvent) -> Option<bool>) {
+    pub fn compact(&self, verdict: impl Fn(&CoiEvent) -> Option<bool>) {
         let Some(_g) = self.compactor.try_lock() else {
             return;
         };
@@ -339,33 +339,28 @@ mod tests {
     use super::*;
     use hs_coi::CoiEvent;
 
-    fn done_event() -> BackendEvent {
-        let e = CoiEvent::new();
-        e.signal();
-        BackendEvent::Thread(e)
+    fn done_event() -> CoiEvent {
+        CoiEvent::done()
     }
 
-    fn pending_event() -> BackendEvent {
-        BackendEvent::Thread(CoiEvent::new())
+    fn pending_event() -> CoiEvent {
+        CoiEvent::new()
     }
 
-    fn failed_event() -> BackendEvent {
+    fn failed_event() -> CoiEvent {
         let e = CoiEvent::new();
         e.fail("injected");
-        BackendEvent::Thread(e)
+        e
     }
 
-    /// The thread-mode compaction verdict, as `HStreams::compact_now`
+    /// The compaction verdict, as `HStreams::compact_now`
     /// states it: pending → `None`, success → `Some(true)`, failure →
     /// `Some(false)` (kept: failures feed poison edges and replay).
-    fn thread_verdict(be: &BackendEvent) -> Option<bool> {
-        match be {
-            BackendEvent::Thread(e) => match e.status() {
-                hs_coi::EventStatus::Pending => None,
-                hs_coi::EventStatus::Done => Some(true),
-                hs_coi::EventStatus::Failed(_) => Some(false),
-            },
-            BackendEvent::Sim(_) => None,
+    fn thread_verdict(e: &CoiEvent) -> Option<bool> {
+        match e.status() {
+            hs_coi::EventStatus::Pending => None,
+            hs_coi::EventStatus::Done => Some(true),
+            hs_coi::EventStatus::Failed(_) => Some(false),
         }
     }
 
@@ -376,7 +371,7 @@ mod tests {
         assert!(matches!(t.view_id(id), EventView::Missing), "unpublished");
         t.publish(id, StreamId(3), done_event());
         match t.view_id(id) {
-            EventView::Live(BackendEvent::Thread(e), s) => {
+            EventView::Live(e, s) => {
                 assert!(e.is_complete());
                 assert_eq!(s, StreamId(3));
             }
@@ -452,10 +447,7 @@ mod tests {
             };
             t.publish(id, StreamId(0), be);
         }
-        t.compact(|be| match be {
-            BackendEvent::Thread(e) => e.is_complete().then_some(true),
-            BackendEvent::Sim(_) => None,
-        });
+        t.compact(|e| e.is_complete().then_some(true));
         let st = t.stats();
         assert_eq!(st.retired, 9);
         assert_eq!(st.live, 1);
@@ -621,7 +613,7 @@ mod tests {
                         1 => {
                             let e = CoiEvent::new();
                             let id = t.reserve();
-                            t.publish(id, StreamId(0), BackendEvent::Thread(e.clone()));
+                            t.publish(id, StreamId(0), e.clone());
                             shadow.push(Shadow::Pending);
                             handles.push(e);
                         }
@@ -659,7 +651,7 @@ mod tests {
                         _ => {
                             if let Some(i) = shadow.iter().position(|s| *s == Shadow::Retired) {
                                 let e = CoiEvent::new();
-                                t.overwrite(i as u64, BackendEvent::Thread(e.clone()));
+                                t.overwrite(i as u64, e.clone());
                                 shadow[i] = Shadow::Pending;
                                 handles[i] = e;
                             }
@@ -681,20 +673,15 @@ mod loom_models {
     use crate::sync::{Arc, RwLock};
     use hs_coi::CoiEvent;
 
-    fn done_event() -> BackendEvent {
-        let e = CoiEvent::new();
-        e.signal();
-        BackendEvent::Thread(e)
+    fn done_event() -> CoiEvent {
+        CoiEvent::done()
     }
 
-    fn thread_verdict(be: &BackendEvent) -> Option<bool> {
-        match be {
-            BackendEvent::Thread(e) => match e.status() {
-                hs_coi::EventStatus::Pending => None,
-                hs_coi::EventStatus::Done => Some(true),
-                hs_coi::EventStatus::Failed(_) => Some(false),
-            },
-            BackendEvent::Sim(_) => None,
+    fn thread_verdict(e: &CoiEvent) -> Option<bool> {
+        match e.status() {
+            hs_coi::EventStatus::Pending => None,
+            hs_coi::EventStatus::Done => Some(true),
+            hs_coi::EventStatus::Failed(_) => Some(false),
         }
     }
 
@@ -710,11 +697,10 @@ mod loom_models {
             let t2 = t.clone();
             let reader = loom::thread::spawn(move || match t2.view_id(id) {
                 EventView::Missing => {} // published later: fine
-                EventView::Live(BackendEvent::Thread(e), s) => {
+                EventView::Live(e, s) => {
                     assert_eq!(s, StreamId(7), "stream id torn");
                     assert!(e.is_complete(), "payload not visible with stream id");
                 }
-                EventView::Live(..) => panic!("wrong backend variant"),
                 EventView::Retired(_) => panic!("retired without any compact"),
             });
             t.publish(id, StreamId(7), done_event());

@@ -112,7 +112,7 @@ use buffer::BufferTable;
 use bytes::Bytes;
 use deps::{Footprint, FootprintItem};
 use events::{EventTable, EventView};
-use exec::{BackendEvent, Executor};
+use exec::Executor;
 use hs_coi::EngineId;
 use hs_machine::{Device, DomainRole, PlatformCfg};
 use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
@@ -314,18 +314,8 @@ impl HStreams {
     ) -> HsResult<HStreams> {
         let obs = ObsHub::new();
         let chaos = ChaosHub::new();
-        let connect = |paced: bool| {
-            exec::thread::ThreadExec::new_with_remotes(&platform, paced, chaos.clone(), remotes)
-                .map(Box::new)
-                .map_err(|e| HsError::ExecFailed(format!("connecting remote domains: {e}")))
-        };
-        let exec = match mode {
-            ExecMode::Threads => Executor::Thread(connect(false)?),
-            ExecMode::ThreadsPaced => Executor::Thread(connect(true)?),
-            ExecMode::Sim => Executor::Sim(ClassedMutex::new(Box::new(
-                exec::sim::SimExec::new_with_obs_chaos(&platform, obs.clone(), chaos.clone()),
-            ))),
-        };
+        let exec = Executor::connect(&platform, mode, chaos.clone(), remotes)
+            .map_err(|e| HsError::ExecFailed(format!("connecting remote domains: {e}")))?;
         Ok(HStreams {
             inner: Arc::new(Inner {
                 platform,
@@ -527,15 +517,14 @@ impl HStreams {
         // The (possibly slow) allocation runs outside the table lock; the
         // insert re-checks under the write lock and frees the surplus window
         // if another thread instantiated the same (buffer, domain) meanwhile.
-        let inst = match &self.inner.exec {
-            Executor::Thread(t) => {
-                let w = t
-                    .coi()
+        let inst = match self.inner.exec.coi() {
+            Some(coi) => {
+                let w = coi
                     .try_buffer_alloc(EngineId(domain.0 as u16), len.max(8), pooled)
                     .map_err(|e| HsError::InvalidArg(format!("instantiate {buf:?}: {e}")))?;
                 Instantiation::Window(w)
             }
-            Executor::Sim(_) => {
+            None => {
                 // The paper: MIC-side allocation is synchronous (its
                 // asynchrony is "future work"), so it charges the source.
                 self.inner
@@ -554,19 +543,15 @@ impl HStreams {
                 }
                 Err(e) => {
                     // Destroyed while we allocated: release and report.
-                    if let (Instantiation::Window(w), Executor::Thread(t)) =
-                        (inst, &self.inner.exec)
-                    {
-                        t.coi().buffer_free(EngineId(domain.0 as u16), w);
+                    if let (Instantiation::Window(w), Some(coi)) = (inst, self.inner.exec.coi()) {
+                        coi.buffer_free(EngineId(domain.0 as u16), w);
                     }
                     return Err(e);
                 }
             }
         };
-        if let Some(Instantiation::Window(w)) = surplus {
-            if let Executor::Thread(t) = &self.inner.exec {
-                t.coi().buffer_free(EngineId(domain.0 as u16), w);
-            }
+        if let (Some(Instantiation::Window(w)), Some(coi)) = (surplus, self.inner.exec.coi()) {
+            coi.buffer_free(EngineId(domain.0 as u16), w);
         }
         Ok(())
     }
@@ -579,10 +564,10 @@ impl HStreams {
         let deps = self.conflicting_events(buf, 0..len, true);
         self.wait_events_recovering(&deps)?;
         let insts = self.inner.buffers.write().destroy(buf)?;
-        if let Executor::Thread(t) = &self.inner.exec {
+        if let Some(coi) = self.inner.exec.coi() {
             for (domain, inst) in insts {
                 if let Instantiation::Window(w) = inst {
-                    t.coi().buffer_free(EngineId(domain.0 as u16), w);
+                    coi.buffer_free(EngineId(domain.0 as u16), w);
                 }
             }
         }
@@ -629,13 +614,12 @@ impl HStreams {
         self.inner.buffers.read().get(buf)?.check_range(&range)?;
         let deps = self.conflicting_events(buf, range.clone(), true);
         self.wait_events_recovering(&deps)?;
-        match &self.inner.exec {
-            Executor::Thread(t) => {
+        match self.inner.exec.coi() {
+            Some(coi) => {
                 let buffers = self.inner.buffers.read();
                 let rec = buffers.get(buf)?;
                 let win = rec.window(DomainId::HOST)?;
-                let mem = t
-                    .coi()
+                let mem = coi
                     .fabric()
                     .window(win.id())
                     .ok_or_else(|| HsError::ExecFailed("host window vanished".into()))?;
@@ -644,7 +628,7 @@ impl HStreams {
                     .map_err(|e| HsError::ExecFailed(e.to_string()))?;
                 fill(g.as_mut_slice());
             }
-            Executor::Sim(_) => {
+            None => {
                 let len = self.buffer_len(buf)?;
                 let mut shadow = self.inner.sim_shadow.lock();
                 let bytes = shadow.entry(buf).or_insert_with(|| vec![0; len]);
@@ -666,13 +650,12 @@ impl HStreams {
         self.inner.buffers.read().get(buf)?.check_range(&range)?;
         let deps = self.conflicting_events(buf, range.clone(), false);
         self.wait_events_recovering(&deps)?;
-        match &self.inner.exec {
-            Executor::Thread(t) => {
+        match self.inner.exec.coi() {
+            Some(coi) => {
                 let buffers = self.inner.buffers.read();
                 let rec = buffers.get(buf)?;
                 let win = rec.window(DomainId::HOST)?;
-                let mem = t
-                    .coi()
+                let mem = coi
                     .fabric()
                     .window(win.id())
                     .ok_or_else(|| HsError::ExecFailed("host window vanished".into()))?;
@@ -681,7 +664,7 @@ impl HStreams {
                     .map_err(|e| HsError::ExecFailed(e.to_string()))?;
                 take(g.as_slice());
             }
-            Executor::Sim(_) => match self.inner.sim_shadow.lock().get(&buf) {
+            None => match self.inner.sim_shadow.lock().get(&buf) {
                 Some(shadow) => take(&shadow[range]),
                 None => take(&vec![0; range.len()]),
             },
@@ -698,8 +681,8 @@ impl HStreams {
     /// unregistered name fails it here.
     pub fn register(&self, name: &str, f: TaskFn) {
         self.inner.stats.bump("register");
-        if let Executor::Thread(t) = &self.inner.exec {
-            t.coi().register(name, f);
+        if let Some(coi) = self.inner.exec.coi() {
+            coi.register(name, f);
         }
         // Sim mode: tasks never run; names need no resolution.
     }
@@ -709,21 +692,18 @@ impl HStreams {
     /// so later overlapping enqueues still inherit the poison. Tombstoned
     /// entries completed successfully by construction.
     fn event_retired_ok(&self, e: Event) -> bool {
-        // Probe under the slot lock — no payload clone. Lock order is
-        // respected: EventSlot precedes SimExec, which `completed_ok` may
-        // take for the sim backend.
-        self.inner
-            .events
-            .retired_ok(e, |be| self.inner.exec.completed_ok(be))
+        // Probe under the slot lock — no payload clone; the event answers
+        // lock-free in both modes.
+        self.inner.events.retired_ok(e, |ev| ev.completed_ok())
     }
 
     /// Source-side "now" in nanoseconds (wall in thread mode, virtual in
     /// sim mode) for obs timestamps.
     fn source_now_ns(&self) -> u64 {
-        match &self.inner.exec {
-            Executor::Thread(_) => self.inner.obs.wall_ns(),
-            Executor::Sim(s) => s.lock().source_now_ns(),
-        }
+        self.inner
+            .exec
+            .source_ns()
+            .unwrap_or_else(|| self.inner.obs.wall_ns())
     }
 
     /// Events of pending actions conflicting with a source-side access of
@@ -791,12 +771,9 @@ impl HStreams {
     pub fn compact_now(&self) {
         let inner = &*self.inner;
         let _world = inner.world.read();
-        inner.events.compact(|be| {
-            if !inner.exec.is_complete(be) {
-                return None;
-            }
-            Some(inner.exec.failure_of(be).is_none())
-        });
+        inner
+            .events
+            .compact(|ev| ev.is_complete().then(|| ev.completed_ok()));
         if self.log_actions() {
             // An in-memory recovery entry is dead weight once no card loss
             // can make the replay need it (`replay::live`): it completed
@@ -819,7 +796,7 @@ impl HStreams {
                 .iter()
                 .map(|la| match inner.events.view_id(la.ev) {
                     EventView::Retired(_) => true,
-                    EventView::Live(be, _) => inner.exec.completed_ok(&be),
+                    EventView::Live(ev, _) => ev.completed_ok(),
                     EventView::Missing => false,
                 })
                 .collect();
@@ -882,15 +859,15 @@ impl HStreams {
     /// a quiesce point (no in-flight action holds any window range).
     fn wal_snapshot_buffers(&self) -> Vec<(u64, u32, Vec<u8>)> {
         let mut out = Vec::new();
-        match &self.inner.exec {
-            Executor::Thread(t) => {
+        match self.inner.exec.coi() {
+            Some(coi) => {
                 let buffers = self.inner.buffers.read();
                 for rec in buffers.iter() {
                     for (domain, inst) in &rec.inst {
                         let Instantiation::Window(w) = inst else {
                             continue;
                         };
-                        let Some(mem) = t.coi().fabric().window(w.id()) else {
+                        let Some(mem) = coi.fabric().window(w.id()) else {
                             continue;
                         };
                         let Ok(g) = mem.lock_range(0..rec.len, false) else {
@@ -900,7 +877,7 @@ impl HStreams {
                     }
                 }
             }
-            Executor::Sim(_) => {
+            None => {
                 // Sim mode: bytes only exist in the host shadow map.
                 for (buf, bytes) in self.inner.sim_shadow.lock().iter() {
                     out.push((buf.0, 0, bytes.clone()));
@@ -918,15 +895,15 @@ impl HStreams {
         for (id, domain, bytes) in bufs {
             let buf = BufferId(*id);
             let dom = DomainId(*domain as usize);
-            match &self.inner.exec {
-                Executor::Thread(t) => {
+            match self.inner.exec.coi() {
+                Some(coi) => {
                     let buffers = self.inner.buffers.read();
                     let mem = buffers
                         .get(buf)
                         .ok()
                         .filter(|rec| rec.len == bytes.len())
                         .and_then(|rec| rec.window(dom).ok())
-                        .and_then(|w| t.coi().fabric().window(w.id()));
+                        .and_then(|w| coi.fabric().window(w.id()));
                     let ok = match &mem {
                         Some(mem) => match mem.lock_range(0..bytes.len(), true) {
                             Ok(mut g) => {
@@ -944,7 +921,7 @@ impl HStreams {
                         ));
                     }
                 }
-                Executor::Sim(_) => {
+                None => {
                     if dom.is_host() {
                         self.inner.sim_shadow.lock().insert(buf, bytes.clone());
                     }
@@ -1102,16 +1079,7 @@ impl HStreams {
         // 1. Quiesce: settle every in-flight action's status. Everything
         //    completes — card ops fail fast against the dead set, failures
         //    poison dependents, and deadlines bound the rest.
-        match &inner.exec {
-            Executor::Sim(_) => inner.exec.run_all(),
-            Executor::Thread(_) => {
-                for id in 0..inner.events.len() {
-                    if let EventView::Live(BackendEvent::Thread(e), _) = inner.events.view_id(id) {
-                        let _ = e.wait();
-                    }
-                }
-            }
-        }
+        inner.exec.run_all();
         // 2. Remap the lost card's streams to host sinks. Stream ids stay
         //    valid; subsequent (and replayed) actions resolve on the host.
         //    `on_card[i]`: stream i sat on the lost card until now.
@@ -1144,9 +1112,9 @@ impl HStreams {
                 }
             }
         }
-        if let Executor::Thread(t) = &inner.exec {
+        if let Some(coi) = inner.exec.coi() {
             for w in freed {
-                t.coi().buffer_free(EngineId(card as u16), w);
+                coi.buffer_free(EngineId(card as u16), w);
             }
         }
         // 4. Replay the affected actions on the surviving domains.
@@ -1182,7 +1150,7 @@ impl HStreams {
     pub fn readmit_remote(&self, card: u32, endpoint: &Endpoint) -> HsResult<()> {
         use hs_fabric::Transport as _;
         let inner = &*self.inner;
-        let Executor::Thread(t) = &inner.exec else {
+        let Some(coi) = inner.exec.coi() else {
             return Err(HsError::ExecFailed(
                 "readmit_remote requires a thread-backed exec mode".to_string(),
             ));
@@ -1193,7 +1161,7 @@ impl HStreams {
         // Exclusive frontend: no enqueue may race the flip from dead to
         // live, or it could observe a half-revived card.
         let _world = inner.world.write();
-        let fabric = t.coi().fabric();
+        let fabric = coi.fabric();
         let transport = fabric.transport(hs_fabric::NodeId(card as u16));
         let Some(remote) = transport.as_remote() else {
             return Err(HsError::InvalidArg(format!(
@@ -1209,7 +1177,7 @@ impl HStreams {
         // The old worker's window allocations died with it; free-listed
         // pool windows for this engine are phantoms the empty replacement
         // has never heard of.
-        t.coi().pool_purge(EngineId(card as u16));
+        coi.pool_purge(EngineId(card as u16));
         inner.chaos.revive_card(card);
         inner.degraded.lock().retain(|c| *c != card);
         inner
@@ -1343,8 +1311,8 @@ impl HStreams {
             snap.extra
                 .insert("wal.retired_segments".into(), ws.retired_segments as f64);
         }
-        if let Executor::Thread(t) = &self.inner.exec {
-            let fabric = t.coi().fabric();
+        if let Some(coi) = self.inner.exec.coi() {
+            let fabric = coi.fabric();
             let wall = self.inner.exec.now_secs();
             for (card_idx, _) in self.inner.platform.cards() {
                 for h2d in [true, false] {
@@ -1381,7 +1349,7 @@ impl HStreams {
                 snap.extra
                     .insert(format!("{key}.rtt_us"), link.rtt_ns as f64 / 1e3);
             }
-            let shapes = t.stream_shapes();
+            let shapes = self.inner.exec.stream_shapes();
             for (idx, (width, lanes)) in shapes.iter().enumerate() {
                 snap.extra
                     .insert(format!("stream.{idx}.width"), *width as f64);
@@ -1391,10 +1359,9 @@ impl HStreams {
             let lanes: usize = shapes.iter().map(|(_, lanes)| lanes).sum();
             snap.extra.insert("wg.lanes".to_string(), lanes as f64);
             snap.extra
-                .insert("wg.regions".to_string(), t.coi().pool().regions() as f64);
+                .insert("wg.regions".to_string(), coi.pool().regions() as f64);
             // Window capacity the buffer pools hold registered, all domains:
             // against the bytes of the live buffers it is what pooling costs.
-            let coi = t.coi();
             let registered: u64 = coi
                 .engines()
                 .map(|e| coi.pool_stats(e).registered_bytes)

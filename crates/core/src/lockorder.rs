@@ -1,7 +1,7 @@
 //! Lock-order witness: records which lock *classes* are held at each
 //! acquisition, and checks the record against the documented order.
 //!
-//! The runtime's deadlock-freedom argument is a total order on its ten
+//! The runtime's deadlock-freedom argument is a total order on its eleven
 //! lock classes (DESIGN.md §13): every thread acquires locks in ascending
 //! [`LockClass::rank`] order, so a cycle in the waits-for graph is
 //! impossible. This module makes that argument *checkable*: a lock of one
@@ -54,13 +54,18 @@ pub enum LockClass {
     Compactor = 7,
     /// A per-slot event-table mutex (`Slot::be`).
     EventSlot = 8,
-    /// The serialized virtual-time executor (`Executor::Sim`).
+    /// The virtual clock's event heap, source clock and model service
+    /// (`exec::sim::VirtualClock`).
     SimExec = 9,
+    /// The virtual clock's inbox: what a heap event hands the clock to
+    /// schedule or serve before the next step. Pushed while a step holds
+    /// [`LockClass::SimExec`].
+    SimInbox = 10,
 }
 
 impl LockClass {
     /// Every class, in rank order.
-    pub const ALL: [LockClass; 10] = [
+    pub const ALL: [LockClass; 11] = [
         LockClass::World,
         LockClass::Streams,
         LockClass::Stream,
@@ -71,6 +76,7 @@ impl LockClass {
         LockClass::Compactor,
         LockClass::EventSlot,
         LockClass::SimExec,
+        LockClass::SimInbox,
     ];
 
     /// Position in the total acquisition order (0 = outermost).

@@ -356,7 +356,7 @@ impl HStreams {
         let failed: Vec<bool> = log
             .iter()
             .map(|la| match inner.events.view_id(la.ev) {
-                EventView::Live(be, _) => inner.exec.failure_of(&be).is_some(),
+                EventView::Live(ev, _) => ev.is_complete() && !ev.completed_ok(),
                 _ => false, // retired = success; missing = never published
             })
             .collect();

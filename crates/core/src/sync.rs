@@ -7,7 +7,7 @@
 //! instead, which is what makes the front-end protocols model-checkable
 //! (see DESIGN.md §14 and `tests/loom_frontend.rs`).
 //!
-//! A lock that belongs to one of the ten classes of the documented order
+//! A lock that belongs to one of the eleven classes of the documented order
 //! (DESIGN.md §13) is declared as a [`ClassedMutex`] / [`ClassedRwLock`]:
 //! the class is a type parameter, every acquisition is witnessed for
 //! [`crate::lockorder`] by the lock itself, and the guard carries the
@@ -70,7 +70,7 @@ pub mod class {
     }
     markers!(
         World, Streams, Stream, Buffers, Recovery, Degraded, SimShadow, Compactor, EventSlot,
-        SimExec
+        SimExec, SimInbox
     );
 }
 

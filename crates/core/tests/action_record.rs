@@ -393,3 +393,59 @@ fn completions_are_keyed_by_the_first_completed_lifecycle() {
     let trace = hstreams_core::ActionTrace::from_records(&hs, &records);
     assert_eq!(trace.completions, vec![(0, 30), (1, 40), (2, 50), (3, 60)]);
 }
+
+/// One lifecycle per action, in both modes: a compute whose first two
+/// attempts draw transient faults stamps `DepsResolved` once, at its first
+/// dispatch, and `Dispatched` once per attempt, after the chaos consult
+/// that decides the attempt — then the sink runs the third attempt.
+#[test]
+fn a_retried_compute_has_one_lifecycle_in_both_modes() {
+    use hs_obs::{ObsPhase, ObsRecord};
+    for mode in [ExecMode::Threads, ExecMode::Sim] {
+        let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
+        hs.register("noop", Arc::new(|_ctx: &mut TaskCtx| {}));
+        hs.obs_enable(true);
+        hs.chaos_install(
+            FaultPlan::new(3)
+                .with_trigger(
+                    FaultSite::Compute { stream: 0, nth: 1 },
+                    FaultKind::Transient,
+                )
+                .with_trigger(
+                    FaultSite::Compute { stream: 0, nth: 2 },
+                    FaultKind::Transient,
+                )
+                .with_retry(RetryPolicy::standard(3))
+                .with_auto_degrade(false),
+        );
+        let s = hs
+            .stream_create(DomainId::HOST, CpuMask::first(1))
+            .expect("stream");
+        let ev = compute(&hs, s, "noop", None, ActionOpts::default());
+        hs.event_wait(ev)
+            .unwrap_or_else(|e| panic!("third attempt succeeds ({mode:?}): {e}"));
+        let phases: Vec<ObsPhase> = hs
+            .take_obs_records()
+            .into_iter()
+            .filter_map(|r| match r {
+                ObsRecord::Phase { phase, .. } => Some(phase),
+                _ => None,
+            })
+            .collect();
+        use ObsPhase::*;
+        assert_eq!(
+            phases,
+            [
+                DepsResolved,
+                Dispatched,
+                RetryScheduled,
+                Dispatched,
+                RetryScheduled,
+                Dispatched,
+                SinkStart,
+                Completed
+            ],
+            "{mode:?}"
+        );
+    }
+}

@@ -335,3 +335,188 @@ fn card_loss_degrades_to_host_and_workload_completes() {
         ));
     }
 }
+
+/// One row of the conformance table: the action's name, its terminal
+/// status (`ok` or the failure's tag), the attempts it made (a failed
+/// action's `Failure.attempts`, a completed one's `Retry` records + 1, both
+/// read off the first lifecycle minted for its event) and the tag of its
+/// failure's root — the poison origin of a dependent.
+type ConformanceRow = (&'static str, &'static str, u32, &'static str);
+
+/// The scenario behind [`conformance_table_is_the_same_in_both_modes`],
+/// run under `mode`. Faults come from triggers at fixed sites, never from
+/// rates, and every stream that draws one is owned by one role, so no
+/// injection depends on how threads interleave. Card 1's chaos-visible ops
+/// are sequenced by the phase waits: the first h2d (faulted, then its
+/// retry) is card op #1 and #2, the compute behind it #3, and the compute
+/// the card dies under #4.
+fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
+    let card = DomainId(1);
+    let hs = runtime(mode);
+    hs.obs_enable(true);
+    hs.chaos_install(
+        FaultPlan::new(11)
+            .with_trigger(
+                FaultSite::Dma {
+                    card: 1,
+                    h2d: Some(true),
+                    nth: 1,
+                },
+                FaultKind::Transient,
+            )
+            .with_trigger(
+                FaultSite::Compute { stream: 1, nth: 1 },
+                FaultKind::Transient,
+            )
+            .with_trigger(
+                FaultSite::Compute { stream: 1, nth: 2 },
+                FaultKind::Transient,
+            )
+            .with_trigger(
+                FaultSite::Compute { stream: 1, nth: 3 },
+                FaultKind::Transient,
+            )
+            .with_trigger(
+                FaultSite::Compute { stream: 2, nth: 1 },
+                FaultKind::Transient,
+            )
+            .with_trigger(
+                FaultSite::Compute { stream: 3, nth: 1 },
+                FaultKind::SinkPanic,
+            )
+            .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead)
+            .with_retry(RetryPolicy::standard(3))
+            .with_auto_degrade(true),
+    );
+    let stream = |d: DomainId| hs.stream_create(d, CpuMask::first(1)).expect("stream");
+    let (s_dma, s_exhaust, s_deadline, s_panic, s_kill, s_free) = (
+        stream(card),
+        stream(DomainId::HOST),
+        stream(DomainId::HOST),
+        stream(DomainId::HOST),
+        stream(card),
+        stream(DomainId::HOST),
+    );
+    let buffer = |on_card: bool| {
+        let buf = hs.buffer_create(1024, BufProps::default());
+        if on_card {
+            hs.buffer_instantiate(buf, card).expect("instantiate");
+        }
+        buf
+    };
+    let compute = |s, func: &str, buf, cost, opts| {
+        let operands = vec![Operand::f64s(buf, 0, 128, Access::InOut)];
+        let action = BatchAction::Compute {
+            func: func.into(),
+            args: Bytes::new(),
+            operands,
+            cost,
+        };
+        hs.enqueue_many_opts(s, vec![action], opts)
+            .expect("enqueue")[0]
+    };
+    let plain = ActionOpts::default();
+    let mut events = Vec::new();
+    let mut settle = |named: &[(&'static str, hstreams_core::Event)]| {
+        for &(name, ev) in named {
+            events.push((name, ev, hs.event_wait(ev)));
+        }
+    };
+
+    // A transient DMA fault that one retry clears, and the compute behind it.
+    let a = buffer(true);
+    let h2d = hs
+        .enqueue_xfer(s_dma, a, 0..1024, DomainId::HOST, card)
+        .expect("h2d");
+    let behind_h2d = compute(s_dma, "bump", a, CostHint::trivial(), plain);
+    settle(&[("dma_retried", h2d), ("after_dma", behind_h2d)]);
+
+    // A transient compute fault on every attempt the budget allows; a
+    // deadline that expires during the second attempt of a retried compute
+    // (the `slow` sink sleeps 400 ms, the modelled DGEMM runs for virtual
+    // seconds); a sink panic; a dependent of each; one independent action.
+    let (x, y, z, w) = (buffer(false), buffer(false), buffer(false), buffer(false));
+    let exhausted = compute(s_exhaust, "noop", x, CostHint::trivial(), plain);
+    let after_exhausted = compute(s_exhaust, "noop", x, CostHint::trivial(), plain);
+    let deadline = ActionOpts {
+        deadline: Some(Duration::from_millis(200)),
+        retry: None,
+    };
+    let big = CostHint::new(hs_machine::KernelKind::Dgemm, 1e12, 512);
+    let timed_out = compute(s_deadline, "slow", y, big, deadline);
+    let after_timeout = compute(s_deadline, "noop", y, CostHint::trivial(), plain);
+    let panicked = compute(s_panic, "bump", z, CostHint::trivial(), plain);
+    let after_panic = compute(s_panic, "noop", z, CostHint::trivial(), plain);
+    let independent = compute(s_free, "bump", w, CostHint::trivial(), plain);
+    settle(&[
+        ("exhausted", exhausted),
+        ("after_exhausted", after_exhausted),
+        ("timed_out", timed_out),
+        ("after_timeout", after_timeout),
+        ("panicked", panicked),
+        ("after_panic", after_panic),
+        ("independent", independent),
+    ]);
+
+    // The card dies under a compute; waiting on it degrades to the host.
+    let b = buffer(true);
+    let killed = compute(s_kill, "bump", b, CostHint::trivial(), plain);
+    let after_kill = hs
+        .enqueue_xfer(s_kill, b, 0..1024, card, DomainId::HOST)
+        .expect("d2h");
+    settle(&[("killed", killed), ("after_kill", after_kill)]);
+
+    assert_eq!(hs.degraded_cards(), &[1], "the card died ({mode:?})");
+
+    let records = hs.take_obs_records();
+    let mut first = std::collections::HashMap::new();
+    for r in &records {
+        if let hs_obs::ObsRecord::Enqueued { action, meta, .. } = r {
+            first.entry(meta.event).or_insert(*action);
+        }
+    }
+    let attempts = |ev: hstreams_core::Event| {
+        let id = first[&ev.0];
+        let mut retries = 0;
+        for r in &records {
+            match r {
+                hs_obs::ObsRecord::Failure {
+                    action, attempts, ..
+                } if *action == id => return *attempts,
+                hs_obs::ObsRecord::Retry { action, .. } if *action == id => retries += 1,
+                _ => {}
+            }
+        }
+        retries + 1
+    };
+    events
+        .into_iter()
+        .map(|(name, ev, result)| match result {
+            Ok(()) => (name, "ok", attempts(ev), "-"),
+            Err(HsError::ActionFailed(cause)) => {
+                (name, cause.tag(), attempts(ev), cause.root().tag())
+            }
+            Err(other) => panic!("{name} ({mode:?}): {other}"),
+        })
+        .collect()
+}
+
+/// One fault plan, both executors: every action ends with the same status,
+/// after the same number of attempts, poisoned by the same origin.
+#[test]
+fn conformance_table_is_the_same_in_both_modes() {
+    let threads = conformance_table(ExecMode::Threads);
+    let sim = conformance_table(ExecMode::Sim);
+    let differ: Vec<_> = threads
+        .iter()
+        .zip(&sim)
+        .filter(|(t, s)| t != s)
+        .map(|(t, s)| format!("threads {t:?} / sim {s:?}"))
+        .collect();
+    assert!(
+        differ.is_empty(),
+        "the modes disagree:\n{}\nthread-mode table: {threads:#?}",
+        differ.join("\n")
+    );
+    assert_eq!(threads.len(), sim.len());
+}

@@ -13,10 +13,8 @@ use hs_coi::CoiEvent;
 use hs_fabric::NodeId;
 use hs_machine::{Device, PlatformCfg};
 use hs_obs::ObsAction;
-use hstreams_core::exec::sim::SimExec;
-use hstreams_core::exec::thread::ThreadExec;
-use hstreams_core::exec::{ActionSpec, BackendEvent, RealXfer, SubmitOpts};
-use hstreams_core::{CostHint, CpuMask};
+use hstreams_core::exec::{ActionSpec, Executor, RealXfer, SubmitOpts};
+use hstreams_core::{CostHint, CpuMask, ExecMode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,8 +33,8 @@ fn with_timeout<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
     h.join().expect("test body panicked");
 }
 
-fn thread_exec(cards: usize) -> ThreadExec {
-    let ex = ThreadExec::new(&PlatformCfg::hetero(Device::Hsw, cards), false);
+fn thread_exec(cards: usize) -> Executor {
+    let ex = Executor::new(&PlatformCfg::hetero(Device::Hsw, cards), ExecMode::Threads);
     ex.add_stream(0, CpuMask::first(1));
     ex.add_stream(1, CpuMask::first(1));
     ex
@@ -59,13 +57,13 @@ fn compute_spec(stream_idx: usize, func: &str) -> ActionSpec {
 fn drop_with_pending_actions_completes_instead_of_hanging() {
     with_timeout(10, || {
         let ex = thread_exec(1);
-        ex.coi().register(
+        ex.coi().expect("thread mode").register(
             "slow",
             Arc::new(|_ctx: &mut hstreams_core::TaskCtx| {
                 std::thread::sleep(Duration::from_millis(200));
             }),
         );
-        let fabric = ex.coi().fabric().clone();
+        let fabric = ex.coi().expect("thread mode").fabric().clone();
         let src = fabric.register(NodeId(0), 64);
         let dst = fabric.register(NodeId(1), 64);
         let compute = ex.submit(
@@ -87,7 +85,7 @@ fn drop_with_pending_actions_completes_instead_of_hanging() {
                 }),
                 label: "xfer:test".into(),
             },
-            &[BackendEvent::Thread(compute.clone())],
+            std::slice::from_ref(&compute),
             ObsAction::disabled(),
             SubmitOpts::default(),
         );
@@ -101,7 +99,7 @@ fn drop_with_pending_actions_completes_instead_of_hanging() {
 fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
     with_timeout(20, || {
         let ex = thread_exec(1);
-        let fabric = ex.coi().fabric().clone();
+        let fabric = ex.coi().expect("thread mode").fabric().clone();
         let src = fabric.register(NodeId(0), 64);
         let dst = fabric.register(NodeId(1), 64);
         // A dependence only this test can resolve: the transfer stays
@@ -118,7 +116,7 @@ fn late_dispatch_after_drop_fails_the_action_instead_of_panicking() {
                 }),
                 label: "xfer:late".into(),
             },
-            &[BackendEvent::Thread(gate.clone())],
+            std::slice::from_ref(&gate),
             ObsAction::disabled(),
             SubmitOpts::default(),
         );
@@ -141,7 +139,7 @@ fn submits_behind_a_gate_probe_the_in_flight_list_linearly() {
     const N: u64 = 20_000;
     let ex = thread_exec(1);
     let gate = CoiEvent::new();
-    let deps = [BackendEvent::Thread(gate.clone())];
+    let deps = [gate.clone()];
     let events: Vec<CoiEvent> = (0..N)
         .map(|_| {
             ex.submit(
@@ -172,7 +170,7 @@ fn pending_timers_do_not_keep_the_runtime_alive_past_drop() {
     use hs_chaos::{FaultKind, FaultPlan, FaultSite, RetryPolicy};
     with_timeout(20, || {
         let ex = thread_exec(1);
-        let coi = ex.coi().clone();
+        let coi = ex.coi().expect("thread mode").clone();
         ex.chaos().arm(
             FaultPlan::new(7)
                 .with_trigger(
@@ -222,12 +220,13 @@ fn a_held_head_event_does_not_pin_the_chain_behind_it() {
     const N: usize = 100_000;
     let ex = thread_exec(1);
     ex.coi()
+        .expect("thread mode")
         .register("nop", Arc::new(|_ctx: &mut hstreams_core::TaskCtx| {}));
     let gate = CoiEvent::new();
     let submit = |dep: &CoiEvent| {
         ex.submit(
             compute_spec(0, "nop"),
-            &[BackendEvent::Thread(dep.clone())],
+            std::slice::from_ref(dep),
             ObsAction::disabled(),
             SubmitOpts::default(),
         )
@@ -272,7 +271,7 @@ fn malformed_compute_fails_via_pending_dependence_path() {
     let gate = CoiEvent::new();
     let ev = ex.submit(
         compute_spec(99, "nosuch"),
-        &[BackendEvent::Thread(gate.clone())],
+        std::slice::from_ref(&gate),
         ObsAction::disabled(),
         SubmitOpts::default(),
     );
@@ -288,7 +287,7 @@ fn malformed_compute_fails_via_pending_dependence_path() {
 #[test]
 fn real_transfer_without_card_domain_fails_not_panics() {
     let ex = thread_exec(1);
-    let fabric = ex.coi().fabric().clone();
+    let fabric = ex.coi().expect("thread mode").fabric().clone();
     let src = fabric.register(NodeId(0), 64);
     let dst = fabric.register(NodeId(1), 64);
     let ev = ex.submit(
@@ -316,7 +315,7 @@ fn real_transfer_without_card_domain_fails_not_panics() {
 #[test]
 fn transfer_to_out_of_range_card_fails_not_panics() {
     let ex = thread_exec(1);
-    let fabric = ex.coi().fabric().clone();
+    let fabric = ex.coi().expect("thread mode").fabric().clone();
     let src = fabric.register(NodeId(0), 64);
     let dst = fabric.register(NodeId(1), 64);
     let ev = ex.submit(
@@ -346,8 +345,8 @@ fn each_card_paces_to_its_own_link() {
     // A PCIe card (6.5 GB/s) plus a fabric-attached remote node (3 GB/s):
     // their pacers must differ. Pre-fix, every card got card 1's link.
     let platform = PlatformCfg::hetero(Device::Hsw, 1).with_remote_node(Device::Hsw);
-    let ex = ThreadExec::new(&platform, true);
-    let fabric = ex.coi().fabric();
+    let ex = Executor::new(&platform, ExecMode::ThreadsPaced);
+    let fabric = ex.coi().expect("thread mode").fabric();
     let mb = 1 << 20;
     let t1 = fabric.engine(NodeId(1), true).pacer().target(mb, true);
     let t2 = fabric.engine(NodeId(2), true).pacer().target(mb, true);
@@ -362,7 +361,7 @@ fn elapsed_baseline_is_first_submit_not_construction() {
     let ex = thread_exec(1);
     std::thread::sleep(Duration::from_millis(60));
     assert_eq!(
-        ex.elapsed_secs(),
+        ex.now_secs(),
         0.0,
         "no submit yet: elapsed must be exactly zero"
     );
@@ -373,7 +372,7 @@ fn elapsed_baseline_is_first_submit_not_construction() {
         SubmitOpts::default(),
     );
     ev.wait().expect("noop completes");
-    let elapsed = ex.elapsed_secs();
+    let elapsed = ex.now_secs();
     assert!(
         elapsed < 0.05,
         "baseline must be the first submit, not new(): {elapsed}s"
@@ -382,26 +381,26 @@ fn elapsed_baseline_is_first_submit_not_construction() {
 
 #[test]
 fn sim_malformed_compute_fails_wait() {
-    let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1);
+    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    ex.add_stream(1, CpuMask::first(1));
     let tok = ex.submit(
         compute_spec(7, "ghost"),
         &[],
         ObsAction::disabled(),
         SubmitOpts::default(),
     );
-    let err = ex.wait(tok).expect_err("bad stream index must fail");
+    let err = ex.wait(&tok).expect_err("bad stream index must fail");
     assert!(
         err.to_string().contains("malformed compute 'ghost'"),
         "the message names the function: {err}"
     );
-    assert!(ex.is_complete(tok), "poisoned token still completes");
+    assert!(tok.is_complete(), "poisoned token still completes");
 }
 
 #[test]
 fn sim_transfer_to_out_of_range_card_fails_wait() {
-    let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1);
+    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    ex.add_stream(1, CpuMask::first(1));
     let tok = ex.submit(
         ActionSpec::Transfer {
             card_domain: Some(9),
@@ -414,7 +413,7 @@ fn sim_transfer_to_out_of_range_card_fails_wait() {
         ObsAction::disabled(),
         SubmitOpts::default(),
     );
-    let err = ex.wait(tok).expect_err("out-of-range card must fail");
+    let err = ex.wait(&tok).expect_err("out-of-range card must fail");
     assert!(
         err.to_string().contains("out of range"),
         "unexpected error: {err}"

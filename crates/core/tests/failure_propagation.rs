@@ -5,8 +5,7 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hs_obs::ObsAction;
-use hstreams_core::exec::sim::SimExec;
-use hstreams_core::exec::{ActionSpec, BackendEvent, SubmitOpts};
+use hstreams_core::exec::{ActionSpec, Executor, SubmitOpts};
 use hstreams_core::{
     Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, FailureCause, HStreams, HsError,
     Operand, TaskCtx,
@@ -123,10 +122,10 @@ fn thread_failure_poisons_fan_in_join() {
 
 #[test]
 fn sim_failure_poisons_chain_and_fan_in() {
-    let mut ex = SimExec::new(&PlatformCfg::hetero(Device::Knc, 1));
-    ex.add_stream(1);
+    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    ex.add_stream(1, CpuMask::first(1));
     let opts = SubmitOpts::default();
-    // Failure origin: a malformed compute (sim failures arise at submit).
+    // Failure origin: a malformed compute.
     let bad = ex.submit(
         ActionSpec::Compute {
             stream_idx: 42,
@@ -145,13 +144,13 @@ fn sim_failure_poisons_chain_and_fan_in() {
     // Chain: bad -> n1 -> n2.
     let n1 = ex.submit(
         ActionSpec::Noop,
-        &[BackendEvent::Sim(bad)],
+        std::slice::from_ref(&bad),
         ObsAction::disabled(),
         opts,
     );
     let n2 = ex.submit(
         ActionSpec::Noop,
-        &[BackendEvent::Sim(n1)],
+        std::slice::from_ref(&n1),
         ObsAction::disabled(),
         opts,
     );
@@ -159,20 +158,20 @@ fn sim_failure_poisons_chain_and_fan_in() {
     let good = ex.submit(ActionSpec::Noop, &[], ObsAction::disabled(), opts);
     let join = ex.submit(
         ActionSpec::Noop,
-        &[BackendEvent::Sim(good), BackendEvent::Sim(n2)],
+        &[good.clone(), n2.clone()],
         ObsAction::disabled(),
         opts,
     );
-    ex.wait(good).expect("good branch unaffected");
+    ex.wait(&good).expect("good branch unaffected");
     for tok in [n1, n2, join] {
-        let err = ex.wait(tok).expect_err("dependent poisoned");
+        let err = ex.wait(&tok).expect_err("dependent poisoned");
         assert!(err.to_string().contains("dependency failed"), "{err}");
-        assert!(ex.is_complete(tok), "poisoned tokens still complete");
+        assert!(tok.is_complete(), "poisoned tokens still complete");
     }
     // wait_any over an all-failed set must surface the failure, not spin.
     let lone = ex.submit(
         ActionSpec::Noop,
-        &[BackendEvent::Sim(bad)],
+        std::slice::from_ref(&bad),
         ObsAction::disabled(),
         opts,
     );

@@ -16,16 +16,13 @@
 #![cfg(loom)]
 
 use hstreams_core::events::{EventTable, EventView};
-use hstreams_core::exec::BackendEvent;
 use hstreams_core::stream::StreamState;
 use hstreams_core::sync::{Arc, Condvar, Mutex, RwLock};
 use hstreams_core::types::{DomainId, Event, StreamId};
 use hstreams_core::{ActionKind, CpuMask};
 
-fn done_event() -> BackendEvent {
-    let e = hs_coi::CoiEvent::new();
-    e.signal();
-    BackendEvent::Thread(e)
+fn done_event() -> hs_coi::CoiEvent {
+    hs_coi::CoiEvent::done()
 }
 
 /// The front-end state shared by the model threads: the stop-the-world
@@ -208,13 +205,10 @@ fn loom_replay_vs_enqueue_same_stream() {
         let fe = Arc::new(Frontend::new(1));
         // A retired action from before the card loss…
         let id0 = fe.enqueue(0);
-        fe.events.compact(|be| match be {
-            BackendEvent::Thread(e) => match e.status() {
-                hs_coi::EventStatus::Pending => None,
-                hs_coi::EventStatus::Done => Some(true),
-                hs_coi::EventStatus::Failed(_) => Some(false),
-            },
-            BackendEvent::Sim(_) => None,
+        fe.events.compact(|e| match e.status() {
+            hs_coi::EventStatus::Pending => None,
+            hs_coi::EventStatus::Done => Some(true),
+            hs_coi::EventStatus::Failed(_) => Some(false),
         });
         assert!(matches!(fe.events.view_id(id0), EventView::Retired(_)));
         let fe2 = fe.clone();

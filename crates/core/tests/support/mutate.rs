@@ -1,5 +1,6 @@
 //! Seeded mutation of untrusted bytes, shared by the checkpoint tests in
-//! `tests/durability.rs` and `src/durable.rs`.
+//! `tests/durability.rs` and `src/durable.rs` and by hs-wal's segment
+//! header test (`crates/wal/tests/segment_header.rs`).
 
 fn rng_next(s: &mut u64) -> u64 {
     *s ^= *s << 13;

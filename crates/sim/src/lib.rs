@@ -6,15 +6,19 @@
 //!
 //! * a virtual clock with nanosecond resolution ([`Time`], [`Dur`]),
 //! * a deterministic event heap ([`Sim::schedule`]) with FIFO tie-breaking,
-//! * one-shot completion **tokens** ([`Token`]) with waiter callbacks and
-//!   all-of / any-of joins ([`Sim::when_all`], [`Sim::join_any`]),
+//!   run to quiescence ([`Sim::run`]), to an instant ([`Sim::run_until`]) or
+//!   one event at a time by a caller that keeps state of its own in step
+//!   with the clock ([`Sim::step_until`]),
 //! * **servers** — serial or k-wide resources with FIFO queues
 //!   ([`Sim::server_create`], [`Sim::server_enqueue`]) used to model stream
 //!   compute sinks and DMA directions, optionally gated on a counting
 //!   semaphore ([`Sim::sem_create`]) that models a domain's shared cores.
+//!   A job's completion is a one-shot **token** ([`Token`]) whose waiters
+//!   run when it fires.
 //!
 //! The engine keeps no record of what ran: a job's completion time is its
-//! token's fire time, and the runtime's virtual-time executor stamps every
+//! token's fire time. The runtime's virtual clock drives this heap under
+//! the same action state machine as its thread executor, and stamps every
 //! action's lifecycle into the observability records, which is where Gantt
 //! charts and overlap are read from.
 //!
@@ -117,43 +121,32 @@ impl Sim {
         }));
     }
 
-    fn step(&mut self) -> bool {
-        match self.heap.pop() {
-            Some(Reverse(s)) => {
-                debug_assert!(s.at >= self.now, "virtual time must be monotone");
-                self.now = s.at;
-                (s.cb)(self);
-                true
-            }
-            None => false,
+    /// Run the earliest scheduled event if it is due by `limit`: the clock
+    /// moves to the event's time, `at` is told that time, then the event
+    /// runs. Returns `false`, running nothing, when no event is due by
+    /// `limit`.
+    pub fn step_until(&mut self, limit: Time, at: impl FnOnce(Time)) -> bool {
+        match self.heap.peek() {
+            Some(Reverse(top)) if top.at <= limit => {}
+            _ => return false,
         }
+        let Reverse(s) = self.heap.pop().expect("peeked above");
+        debug_assert!(s.at >= self.now, "virtual time must be monotone");
+        self.now = s.at;
+        at(s.at);
+        (s.cb)(self);
+        true
     }
 
     /// Run until no events remain. Returns the final time.
     pub fn run(&mut self) -> Time {
-        while self.step() {}
+        while self.step_until(Time(u64::MAX), |_| {}) {}
         self.now
-    }
-
-    /// Run until `tok` has fired (or the heap drains). Returns `true` if the
-    /// token fired.
-    pub fn run_until_fired(&mut self, tok: Token) -> bool {
-        while !self.token_fired(tok) {
-            if !self.step() {
-                return false;
-            }
-        }
-        true
     }
 
     /// Run until the clock reaches `t` (events at exactly `t` are executed).
     pub fn run_until(&mut self, t: Time) {
-        while let Some(Reverse(top)) = self.heap.peek() {
-            if top.at > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(t, |_| {}) {}
         if self.now < t {
             self.now = t;
         }
@@ -166,13 +159,6 @@ impl Sim {
         let id = Token(self.tokens.len() as u64);
         self.tokens.push(TokenState::new());
         id
-    }
-
-    /// Create a token that fires at `now + delay` (a timer).
-    pub fn timer(&mut self, delay: Dur) -> Token {
-        let tok = self.token_create();
-        self.schedule(delay, move |sim| sim.token_fire(tok));
-        tok
     }
 
     /// Has the token fired?
@@ -215,56 +201,6 @@ impl Sim {
         } else {
             self.tokens[tok.index()].waiters.push(Box::new(cb));
         }
-    }
-
-    /// Run `cb` once **all** of `toks` have fired. With an empty list the
-    /// callback runs at the current time.
-    pub fn when_all<F: FnOnce(&mut Sim) + Send + 'static>(&mut self, toks: &[Token], cb: F) {
-        let pending: Vec<Token> = toks
-            .iter()
-            .copied()
-            .filter(|t| !self.token_fired(*t))
-            .collect();
-        if pending.is_empty() {
-            self.schedule_at(self.now, cb);
-            return;
-        }
-        // Shared countdown; the last firing token runs the callback.
-        // (Sync primitives only because callbacks must be `Send` so the
-        // simulator can live behind a lock — execution stays single-threaded.)
-        let n = pending.len();
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(n));
-        let cb_cell = std::sync::Arc::new(std::sync::Mutex::new(Some(cb)));
-        for t in pending {
-            let counter = counter.clone();
-            let cb_cell = cb_cell.clone();
-            self.token_on_fire(t, move |sim| {
-                if counter.fetch_sub(1, std::sync::atomic::Ordering::Relaxed) == 1 {
-                    if let Some(f) = cb_cell.lock().expect("when_all cell").take() {
-                        f(sim);
-                    }
-                }
-            });
-        }
-    }
-
-    /// A token that fires when any of `toks` fires.
-    pub fn join_any(&mut self, toks: &[Token]) -> Token {
-        let out = self.token_create();
-        if toks.is_empty() {
-            self.token_fire(out);
-            return out;
-        }
-        let fired = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        for &t in toks {
-            let fired = fired.clone();
-            self.token_on_fire(t, move |sim| {
-                if !fired.swap(true, std::sync::atomic::Ordering::Relaxed) {
-                    sim.token_fire(out);
-                }
-            });
-        }
-        out
     }
 
     // --------------------------------------------------------------- servers
@@ -471,40 +407,21 @@ mod tests {
     }
 
     #[test]
-    fn when_all_waits_for_every_token() {
+    fn step_until_tells_the_time_before_the_event_runs() {
         let mut sim = Sim::new();
-        let a = sim.timer(Dur::from_micros(3));
-        let b = sim.timer(Dur::from_micros(7));
-        let c = sim.timer(Dur::from_micros(5));
-        let fired_at = crate::testcell::SyncCell::new(Time::ZERO);
-        let f = fired_at.clone();
-        sim.when_all(&[a, b, c], move |s| f.set(s.now()));
-        sim.run();
-        assert_eq!(fired_at.get(), Time::ZERO + Dur::from_micros(7));
-    }
-
-    #[test]
-    fn when_all_empty_fires_immediately() {
-        let mut sim = Sim::new();
-        let hit = crate::testcell::SyncCell::new(false);
-        let h = hit.clone();
-        sim.when_all(&[], move |_| h.set(true));
-        sim.run();
-        assert!(hit.get());
-        assert_eq!(sim.now(), Time::ZERO);
-    }
-
-    #[test]
-    fn join_any_fires_at_earliest() {
-        let mut sim = Sim::new();
-        let a = sim.timer(Dur::from_micros(9));
-        let b = sim.timer(Dur::from_micros(2));
-        let any = sim.join_any(&[a, b]);
-        sim.run_until_fired(any);
+        let heard = crate::testcell::SyncCell::new(Time::ZERO);
+        let h = heard.clone();
+        sim.schedule(Dur::from_micros(3), move |s| assert_eq!(h.get(), s.now()));
+        let not_due = Time::ZERO + Dur::from_micros(2);
+        assert!(!sim.step_until(not_due, |_| panic!("nothing is due")));
         assert_eq!(
-            sim.token_fire_time(any),
-            Some(Time::ZERO + Dur::from_micros(2))
+            sim.now(),
+            Time::ZERO,
+            "a step that runs nothing keeps the time"
         );
+        assert!(sim.step_until(Time(u64::MAX), |t| heard.set(t)));
+        assert_eq!(heard.get(), Time::ZERO + Dur::from_micros(3));
+        assert!(!sim.step_until(Time(u64::MAX), |_| {}), "the heap is empty");
     }
 
     #[test]

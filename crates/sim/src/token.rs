@@ -1,9 +1,7 @@
 //! One-shot completion tokens.
 //!
-//! A [`Token`] is the simulator-side analogue of an hStreams completion
-//! event: it fires exactly once, records its fire time, and wakes any
-//! registered waiter callbacks. Joins (`when_all` / `join_any`) are built on
-//! top in the `Sim` itself.
+//! A [`Token`] marks a server job's completion: it fires exactly once,
+//! records its fire time, and wakes any registered waiter callbacks.
 
 use crate::time::Time;
 use crate::Sim;

@@ -1,8 +1,8 @@
 //! Property tests of the discrete-event engine: virtual-time monotonicity,
-//! capacity limits, conservation of work, token join semantics, and
-//! determinism across repeated runs. The engine keeps no record of what
-//! ran, so each job is read back from its completion token: it ended at
-//! the token's fire time and started one service time earlier.
+//! capacity limits, conservation of work, and determinism across repeated
+//! runs. The engine keeps no record of what ran, so each job is read back
+//! from its completion token: it ended at the token's fire time and
+//! started one service time earlier.
 
 use hs_sim::{Dur, ServerId, Sim, Time, Token};
 use proptest::prelude::*;
@@ -60,21 +60,6 @@ proptest! {
                 .count();
             prop_assert!(concurrent <= width, "{concurrent} > width {width}");
         }
-    }
-
-    /// when_all fires at the max of its inputs, join_any at the min.
-    #[test]
-    fn joins_fire_at_extremes(delays in proptest::collection::vec(1u64..100_000, 1..20)) {
-        let mut sim = Sim::new();
-        let toks: Vec<_> = delays.iter().map(|d| sim.timer(Dur::from_nanos(*d))).collect();
-        let all = sim.token_create();
-        sim.when_all(&toks, move |sim| sim.token_fire(all));
-        let any = sim.join_any(&toks);
-        sim.run();
-        let max = *delays.iter().max().expect("non-empty");
-        let min = *delays.iter().min().expect("non-empty");
-        prop_assert_eq!(sim.token_fire_time(all), Some(Time(max)));
-        prop_assert_eq!(sim.token_fire_time(any), Some(Time(min)));
     }
 
     /// Two identical programs complete every job at the same instants

@@ -9,6 +9,9 @@ use hs_wal::{crc32, recover_dir, Wal, WalOptions, HEADER_LEN, VERSION};
 use std::fs;
 use std::path::{Path, PathBuf};
 
+#[path = "../../core/tests/support/mutate.rs"]
+mod mutate;
+
 const RUN: u64 = 0x5EED;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -126,4 +129,42 @@ fn a_copied_in_segment_of_another_run() {
     );
     let _ = fs::remove_dir_all(&own);
     let _ = fs::remove_dir_all(&foreign);
+}
+
+/// Untrusted header bytes: 64 seeded mutations (bit flips, an overwritten
+/// range, a truncation or an insertion — CRC left as the mutation leaves
+/// it) of the one segment of the middle partition of a three-partition run.
+/// Every scan drops that segment with a note and keeps the other two
+/// partitions' events exactly: no panic, no event the run did not write.
+#[test]
+fn seeded_mutations_of_a_segment_header_drop_only_that_segment() {
+    for seed in 0..64 {
+        let dir = tmpdir(&format!("mutated-{seed}"));
+        let mut wal = Wal::create(&dir, RUN, WalOptions::default()).unwrap();
+        for part in 0..3u32 {
+            let ev = u64::from(part) + 1;
+            wal.append(part, ev, &ev.to_le_bytes()).unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+        let mut segs: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        segs.sort();
+        assert_eq!(segs.len(), 3, "one segment per partition");
+        let data = fs::read(&segs[1]).unwrap();
+        let mut header = data[..HEADER_LEN].to_vec();
+        mutate::mutate(&mut header, seed);
+        header.extend_from_slice(&data[HEADER_LEN..]);
+        fs::write(&segs[1], header).unwrap();
+        let (evs, run, torn) = events(&dir);
+        assert_eq!(evs, [1, 3], "seed {seed}: {torn:?}");
+        assert_eq!(run, Some(RUN), "seed {seed}");
+        assert!(
+            torn.iter().any(|t| t.starts_with("partition 0x1 seq 0:")),
+            "seed {seed}: {torn:?}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
