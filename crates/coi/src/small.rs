@@ -97,6 +97,19 @@ impl<T: Default, const N: usize> SmallVec<T, N> {
         }
     }
 
+    /// Keep only the items `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let s = self.as_mut_slice();
+        let mut kept = 0;
+        for i in 0..s.len() {
+            if keep(&s[i]) {
+                s.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.truncate(kept);
+    }
+
     /// Sort ascending and drop duplicates, in place.
     pub fn sort_dedup(&mut self)
     where
@@ -122,6 +135,21 @@ impl<T: Default, const N: usize> SmallVec<T, N> {
 impl<T: Default, const N: usize> Default for SmallVec<T, N> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl<T: Default, const N: usize> std::ops::Deref for SmallVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<'a, T: Default, const N: usize> IntoIterator for &'a SmallVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 

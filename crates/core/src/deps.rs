@@ -16,6 +16,7 @@
 //! tile feed many concurrent consumers.
 
 use crate::types::{BufferId, DomainId};
+use hs_coi::small::SmallVec;
 use std::ops::Range;
 
 /// One touched location.
@@ -38,8 +39,17 @@ impl FootprintItem {
     }
 }
 
-/// The set of locations an action touches.
-pub type Footprint = Vec<FootprintItem>;
+/// `Default` exists only so inline footprints can fill their unused slots.
+impl Default for FootprintItem {
+    fn default() -> Self {
+        FootprintItem::new(DomainId::HOST, BufferId(0), 0..0, false)
+    }
+}
+
+/// The set of locations an action touches: inline for the usual few (a
+/// transfer has two items, a compute one per operand), as an action's
+/// operand windows are ([`crate::exec::BufList`]).
+pub type Footprint = SmallVec<FootprintItem, 4>;
 
 fn items_conflict(a: &FootprintItem, b: &FootprintItem) -> bool {
     a.domain == b.domain
@@ -50,7 +60,7 @@ fn items_conflict(a: &FootprintItem, b: &FootprintItem) -> bool {
 }
 
 /// Do two footprints carry a data dependence?
-pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
+pub fn footprints_conflict(a: &[FootprintItem], b: &[FootprintItem]) -> bool {
     a.iter().any(|x| b.iter().any(|y| items_conflict(x, y)))
 }
 
@@ -133,7 +143,7 @@ mod tests {
 
     #[test]
     fn empty_footprints_never_conflict() {
-        let e: Footprint = vec![];
+        let e = Footprint::new();
         let a = vec![item(1, 0, 0..10, true)];
         assert!(!footprints_conflict(&e, &a));
         assert!(!footprints_conflict(&e, &e));

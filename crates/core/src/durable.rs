@@ -1,19 +1,26 @@
 //! Durable action log: the recovery log and its WAL writer.
 //!
-//! The recovery log is one sequence. [`RecoveryLog`] holds the entries
-//! card-loss degradation replays from, in the order they were appended —
-//! under the `Recovery` lock, while the enqueuing thread still holds its
-//! stream's lock, so that order is a valid sequential order of the program
-//! for any number of source threads. Once `HStreams::durability_opts` gives
-//! it a writer, every entry is also appended to **one** `hs-wal` partition
-//! in the same order, so the action history survives death of the host
-//! process itself and a torn tail is a prefix of that order. The writer
-//! lives inside the log: appends, the wait-entry flushes and checkpoints all
-//! take the `Recovery` lock and nothing else. This module owns:
+//! The recovery log is one sequence of records, appended under the
+//! `Recovery` lock while the enqueuing thread still holds its stream's lock,
+//! so that order is a valid sequential order of the program for any number
+//! of source threads. It has two readers, each present only when wanted:
 //!
-//! * the hand-rolled wire encoding of `LoggedAction` (no serde, no
-//!   bincode — the WAL payload format is a stability surface of its own,
-//!   DESIGN.md §16) and of the one metadata record, a lost card;
+//! * once `HStreams::durability_opts` gives the log a writer, every record
+//!   goes to **one** `hs-wal` partition in that order, so the action
+//!   history survives death of the host process itself and a torn tail is a
+//!   prefix of that order;
+//! * while a fault plan is armed, the records are also kept in memory,
+//!   decoded — the mirror card-loss degradation replays from. A durable run
+//!   without a plan keeps no mirror: nothing could replay it.
+//!
+//! The writer lives inside the log: appends, the wait-entry flushes and
+//! checkpoints all take the `Recovery` lock and nothing else. This module
+//! owns:
+//!
+//! * the hand-rolled encoding of an action's record (no serde, no bincode —
+//!   the WAL payload format is a stability surface of its own, DESIGN.md
+//!   §16), written by the enqueue from the built action, and its decoder;
+//!   and the one metadata record, a lost card;
 //! * [`RecoveryLog`];
 //! * checkpoint blob encode/decode (host+card buffer bytes at a quiesce
 //!   point, enabling watermark truncation of the log);
@@ -28,7 +35,9 @@
 //! run continues in-memory-only.
 
 use crate::sync::Ordering;
-use crate::types::{Access, BufferId, CostHint, DomainId, HsError, HsResult, Operand, StreamId};
+use crate::types::{
+    Access, BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, StreamId,
+};
 use crate::{HStreams, LoggedAction, LoggedOp};
 use bytes::Bytes;
 use hs_chaos::{ChaosHub, FailureCause, RetryPolicy, WalFault};
@@ -110,71 +119,163 @@ fn access_from(tag: u8) -> Option<Access> {
     }
 }
 
+/// A kernel's tag is its index in `KernelKind::ALL`, which lists the kinds
+/// in declaration order: the discriminant (`kernel_tags_are_indices_in_all`
+/// checks the two agree).
 fn kernel_tag(k: KernelKind) -> u8 {
-    KernelKind::ALL
-        .iter()
-        .position(|c| *c == k)
-        .expect("every KernelKind is in ALL") as u8
+    k as u8
 }
 
 fn kernel_from(tag: u8) -> Option<KernelKind> {
     KernelKind::ALL.get(tag as usize).copied()
 }
 
-/// Encode a logged action's payload: flags, stream, [retry], dependences,
-/// op. The surrounding WAL frame already carries the event id, so it is not
-/// duplicated here. The flags byte elides the retry block in the common
-/// no-retry case — this encoder runs once per enqueue on durable runs, so
-/// the record stays as short as the action allows.
-pub(crate) fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
-    let retry_none = la.retry == RetryPolicy::none();
+// An action's record is a head — flags, stream, [retry], dependences — then
+// its op. The surrounding WAL frame already carries the event id, so it is
+// not duplicated here. The flags byte elides the retry block in the common
+// no-retry case, so the record stays as short as the action allows. The op
+// is encoded when the action is built, from the caller's own terms, and the
+// head once the enqueue has found the dependences; the enqueue
+// ([`Records::push`]) and recovery's decoder are the two ends of this one
+// encoding, and the replay mirror is decoded from the very bytes the WAL
+// gets.
+
+fn encode_head(out: &mut Vec<u8>, stream: StreamId, retry: &RetryPolicy, deps: &[Event]) {
+    let retry_none = *retry == RetryPolicy::none();
     out.push(if retry_none { 0 } else { 1 });
-    put_u32(out, la.stream.0);
+    put_u32(out, stream.0);
     if !retry_none {
-        put_u32(out, la.retry.max_attempts);
-        put_u64(out, la.retry.base_backoff_us);
-        put_f64(out, la.retry.multiplier);
-        put_f64(out, la.retry.jitter);
+        put_u32(out, retry.max_attempts);
+        put_u64(out, retry.base_backoff_us);
+        put_f64(out, retry.multiplier);
+        put_f64(out, retry.jitter);
     }
-    put_u32(out, la.deps.len() as u32);
-    for d in &la.deps {
-        put_u64(out, *d);
+    put_u32(out, deps.len() as u32);
+    for d in deps {
+        put_u64(out, d.0);
     }
+}
+
+/// A compute's op: tag 0, name, argument bytes, operands, cost.
+pub(crate) fn encode_compute(
+    out: &mut Vec<u8>,
+    func: &str,
+    args: &[u8],
+    operands: &[Operand],
+    cost: CostHint,
+) {
+    out.push(0);
+    put_bytes(out, func.as_bytes());
+    put_bytes(out, args);
+    put_u32(out, operands.len() as u32);
+    for op in operands {
+        put_u64(out, op.buffer.0);
+        put_u64(out, op.range.start as u64);
+        put_u64(out, op.range.end as u64);
+        out.push(access_tag(op.access));
+    }
+    out.push(kernel_tag(cost.kernel));
+    put_f64(out, cost.flops);
+    put_u64(out, cost.tile_n);
+}
+
+/// A transfer's op, with the endpoints the caller named: tag 1, buffer,
+/// range, from, to.
+pub(crate) fn encode_xfer(
+    out: &mut Vec<u8>,
+    buf: BufferId,
+    range: &std::ops::Range<usize>,
+    from: DomainId,
+    to: DomainId,
+) {
+    out.push(1);
+    put_u64(out, buf.0);
+    put_u64(out, range.start as u64);
+    put_u64(out, range.end as u64);
+    put_u32(out, from.0 as u32);
+    put_u32(out, to.0 as u32);
+}
+
+/// An event-wait's or a marker's op: tag 2.
+pub(crate) fn encode_sync(out: &mut Vec<u8>) {
+    out.push(2);
+}
+
+/// Encode a logged action's payload through the same parts the enqueue
+/// writes (the tests' way in: on-disk bytes are pinned against it).
+#[cfg(test)]
+fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
+    let deps: Vec<Event> = la.deps.iter().map(|&d| Event(d)).collect();
+    encode_head(out, la.stream, &la.retry, &deps);
     match &la.op {
         LoggedOp::Compute {
             func,
             args,
             operands,
             cost,
-        } => {
-            out.push(0);
-            put_bytes(out, func.as_bytes());
-            put_bytes(out, args);
-            put_u32(out, operands.len() as u32);
-            for op in operands {
-                put_u64(out, op.buffer.0);
-                put_u64(out, op.range.start as u64);
-                put_u64(out, op.range.end as u64);
-                out.push(access_tag(op.access));
-            }
-            out.push(kernel_tag(cost.kernel));
-            put_f64(out, cost.flops);
-            put_u64(out, cost.tile_n);
-        }
+        } => encode_compute(out, func, args, operands, *cost),
         LoggedOp::Xfer {
             buf,
             range,
             from,
             to,
-        } => {
-            out.push(1);
-            put_u64(out, buf.0);
-            put_u64(out, range.start as u64);
-            put_u64(out, range.end as u64);
-            put_u32(out, from.0 as u32);
-            put_u32(out, to.0 as u32);
-        }
-        LoggedOp::Sync => out.push(2),
+        } => encode_xfer(out, *buf, range, *from, *to),
+        LoggedOp::Sync => encode_sync(out),
+    }
+}
+
+/// One enqueue call's log records, back to back: what it appends to the
+/// WAL and, while a fault plan is armed, decodes into the replay mirror.
+/// Per source thread and reused across calls, so a call allocates nothing
+/// here once the lists have grown.
+#[derive(Default)]
+pub(crate) struct Records {
+    bytes: Vec<u8>,
+    /// Each record's event id and range of `bytes`.
+    spans: Vec<(u64, std::ops::Range<usize>)>,
+}
+
+impl Records {
+    /// Append action `ev`'s record: its head, then its op as encoded when
+    /// the action was built.
+    pub(crate) fn push(
+        &mut self,
+        ev: u64,
+        stream: StreamId,
+        retry: &RetryPolicy,
+        deps: &[Event],
+        op: &[u8],
+    ) {
+        let start = self.bytes.len();
+        encode_head(&mut self.bytes, stream, retry, deps);
+        self.bytes.extend_from_slice(op);
+        self.spans.push((ev, start..self.bytes.len()));
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.bytes.clear();
+        self.spans.clear();
+    }
+
+    /// Each record's event id and payload, in push order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        self.spans
+            .iter()
+            .map(|(ev, span)| (*ev, &self.bytes[span.clone()]))
+    }
+
+    /// The records as replay-mirror entries. The decoder accepts whatever
+    /// the encoder writes (`action_wire_round_trip`, and the torn-log
+    /// property over seeded actions), so every record yields its entry.
+    pub(crate) fn decode_into(&self, out: &mut Vec<LoggedAction>) {
+        out.extend(
+            self.iter()
+                .filter_map(|(ev, payload)| decode_action(ev, payload)),
+        );
     }
 }
 
@@ -386,8 +487,6 @@ struct Durable {
     /// Size of the last checkpoint's buffer snapshot: the throttle scales
     /// with it, so snapshot work amortizes against log growth.
     ckpt_blob_bytes: u64,
-    /// One action's encoded payload at a time.
-    scratch: Vec<u8>,
     chaos: ChaosHub,
 }
 
@@ -400,11 +499,12 @@ impl Durable {
     }
 }
 
-/// The recovery log behind `Inner::recovery`: the entries card-loss
-/// degradation replays from, in append order, and — once durability is on —
-/// the WAL writer every entry is appended to, in that same order (event ids
-/// are *not* globally ordered across threads; the log's order is the
-/// program's). Every method runs under the `Recovery` lock.
+/// The recovery log behind `Inner::recovery`: while a fault plan is armed,
+/// the entries card-loss degradation replays from, in append order, and —
+/// once durability is on — the WAL writer every record is appended to, in
+/// that same order (event ids are *not* globally ordered across threads;
+/// the log's order is the program's). Every method runs under the
+/// `Recovery` lock.
 #[derive(Default)]
 pub(crate) struct RecoveryLog {
     entries: Vec<LoggedAction>,
@@ -423,29 +523,28 @@ impl RecoveryLog {
             broken: false,
             ckpt_bytes: 0,
             ckpt_blob_bytes: 0,
-            scratch: Vec::new(),
             chaos,
         });
         Ok(())
     }
 
-    /// Append `las` in order, leaving the vector empty (its capacity is the
-    /// enqueuing thread's to reuse). On a durable log each entry is encoded
-    /// and framed straight into the writer's buffer. A write error — or an
-    /// action too large for the record envelope — loses durability for the
-    /// run, never the enqueue itself.
-    pub(crate) fn extend(&mut self, las: &mut Vec<LoggedAction>) {
+    /// Append one enqueue call's records in order: to the writer, on a
+    /// durable log, and `mirror` — the same records decoded, which the
+    /// enqueue builds only while a fault plan is armed — to the in-memory
+    /// entries, leaving the vector empty (its capacity is the enqueuing
+    /// thread's to reuse). A write error — or an action too large for the
+    /// record envelope — loses durability for the run, never the enqueue
+    /// itself.
+    pub(crate) fn append(&mut self, records: &Records, mirror: &mut Vec<LoggedAction>) {
         if let Some(d) = self.durable.as_mut().filter(|d| !d.broken) {
-            for la in las.iter() {
-                d.scratch.clear();
-                encode_action(la, &mut d.scratch);
-                if let Err(e) = d.wal.append(ACTION_PARTITION, la.ev, &d.scratch) {
-                    d.mark_broken(&format!("ev {}: {e}", la.ev));
+            for (ev, payload) in records.iter() {
+                if let Err(e) = d.wal.append(ACTION_PARTITION, ev, payload) {
+                    d.mark_broken(&format!("ev {ev}: {e}"));
                     break;
                 }
             }
         }
-        self.entries.append(las);
+        self.entries.append(mirror);
     }
 
     /// The in-memory entries, in log order.
@@ -949,6 +1048,14 @@ mod tests {
         let mut buf = Vec::new();
         encode_action(&sample_actions()[0], &mut buf);
         assert_eq!(buf, PINNED_SAMPLE_0);
+    }
+
+    #[test]
+    fn kernel_tags_are_indices_in_all() {
+        for (i, k) in KernelKind::ALL.iter().enumerate() {
+            assert_eq!(kernel_tag(*k) as usize, i, "{k:?}");
+            assert_eq!(kernel_from(kernel_tag(*k)), Some(*k));
+        }
     }
 
     /// The hand-written samples plus a dozen seeded records.

@@ -9,16 +9,21 @@
 //! actions and the core's lists live in a per-thread [`Scratch`] reused
 //! across calls and the reserved ids are written straight into the
 //! caller's result slice, so neither shape allocates working storage of
-//! its own.
+//! its own. While the recovery log wants them, an action's log record is
+//! encoded straight from what was built — its op by the builder, from the
+//! caller's own terms, its head by the core once the dependences are known
+//! ([`durable::Records`]) — so a durable enqueue allocates nothing more
+//! than an in-memory one.
 
 use crate::deps::{Footprint, FootprintItem};
+use crate::durable::{self, Records};
 use crate::events::EventView;
-use crate::exec::{self, ActionSpec, RealXfer, SubmitOpts};
+use crate::exec::{self, ActionSpec, FnId, RealXfer, SubmitOpts};
 use crate::stream::{ActionKind, DepList};
 use crate::types::{
     BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, OrderingMode, StreamId,
 };
-use crate::{HStreams, LoggedAction, LoggedOp};
+use crate::{HStreams, LoggedAction};
 use bytes::Bytes;
 use hs_chaos::RetryPolicy;
 use hs_coi::CoiEvent;
@@ -76,8 +81,9 @@ pub(crate) struct BuiltAction {
     kind: ActionKind,
     /// The events an event-wait names (empty for every other kind).
     waits: DepList,
-    /// The action in source terms, when the recovery log wants it.
-    logged: Option<LoggedOp>,
+    /// The action's op in the log's encoding — its range of
+    /// [`Built::ops`] — when the recovery log wants it.
+    op: Option<Range<usize>>,
     /// Filled in by the core: the action's slice of the call's dependence
     /// list.
     deps: Range<usize>,
@@ -89,7 +95,7 @@ impl BuiltAction {
         footprint: Footprint,
         kind: ActionKind,
         waits: &[Event],
-        logged: Option<LoggedOp>,
+        op: Option<Range<usize>>,
     ) -> BuiltAction {
         let mut list = DepList::new();
         list.extend_from_slice(waits);
@@ -98,9 +104,27 @@ impl BuiltAction {
             footprint,
             kind,
             waits: list,
-            logged,
+            op,
             deps: 0..0,
         }
+    }
+}
+
+/// The actions of one enqueue call, validated, in order.
+#[derive(Default)]
+pub(crate) struct Built {
+    actions: Vec<BuiltAction>,
+    /// The actions' ops in the log's encoding, back to back; written only
+    /// while the recovery log wants them.
+    ops: Vec<u8>,
+}
+
+impl Built {
+    /// Encode one op at the end of [`Built::ops`]; its range.
+    fn encode(&mut self, op: impl FnOnce(&mut Vec<u8>)) -> Range<usize> {
+        let start = self.ops.len();
+        op(&mut self.ops);
+        start..self.ops.len()
     }
 }
 
@@ -108,13 +132,21 @@ impl BuiltAction {
 #[derive(Default)]
 struct Scratch {
     /// The call's actions, in order.
-    built: Vec<BuiltAction>,
+    built: Built,
+    /// The action being enqueued's dependences, as event ids: kept here so
+    /// a window wider than its inline list spills once per thread, not once
+    /// per call.
+    dep_events: DepList,
     /// Every action's dependences, back to back (actions hold their range).
     deps: Vec<exec::BatchDep>,
     /// The actions' lifecycle metadata, index-aligned with `built` (empty
     /// while obs is off).
     metas: Vec<ActionMeta>,
-    logs: Vec<LoggedAction>,
+    /// The call's log records, while the recovery log wants them.
+    records: Records,
+    /// The records decoded for the replay mirror, while a fault plan is
+    /// armed.
+    mirror: Vec<LoggedAction>,
     /// The items' completion events, as the executor hands them back.
     backends: Vec<CoiEvent>,
 }
@@ -138,10 +170,13 @@ impl ScratchLease {
 impl Drop for ScratchLease {
     fn drop(&mut self) {
         let sc = &mut self.0;
-        sc.built.clear();
+        sc.built.actions.clear();
+        sc.built.ops.clear();
+        sc.dep_events.clear();
         sc.deps.clear();
         sc.metas.clear();
-        sc.logs.clear();
+        sc.records.clear();
+        sc.mirror.clear();
         sc.backends.clear();
         let _ = SCRATCH.try_with(|cell| cell.set(std::mem::take(sc)));
     }
@@ -171,7 +206,7 @@ impl HStreams {
     ) -> HsResult<Event> {
         self.inner.stats.bump("enqueue_compute");
         self.enqueue_one(s, ActionOpts::default(), |built| {
-            self.built_compute(built, s, func.to_string(), args, operands, cost)
+            self.built_compute(built, s, func.into(), args, operands, cost)
         })
     }
 
@@ -268,7 +303,9 @@ impl HStreams {
                         args,
                         operands,
                         cost,
-                    } => self.built_compute(built, s, func, args, &operands, cost)?,
+                    } => {
+                        self.built_compute(built, s, func.as_str().into(), args, &operands, cost)?
+                    }
                     BatchAction::Xfer {
                         buf,
                         range,
@@ -334,66 +371,47 @@ impl HStreams {
 
     pub(crate) fn built_compute(
         &self,
-        built: &mut Vec<BuiltAction>,
+        built: &mut Built,
         s: StreamId,
-        func: String,
+        func: FnId,
         args: Bytes,
         operands: &[Operand],
         cost: CostHint,
     ) -> HsResult<()> {
-        let logged = self.log_actions().then(|| LoggedOp::Compute {
-            func: func.clone(),
-            args: args.clone(),
-            operands: operands.to_vec(),
-            cost,
+        let op = self.log_actions().then(|| {
+            built.encode(|out| durable::encode_compute(out, func.name(), &args, operands, cost))
         });
         let (spec, footprint) = self.build_compute_spec(s, func, args, operands, cost)?;
-        built.push(BuiltAction::new(
-            spec,
-            footprint,
-            ActionKind::Normal,
-            &[],
-            logged,
-        ));
+        let action = BuiltAction::new(spec, footprint, ActionKind::Normal, &[], op);
+        built.actions.push(action);
         Ok(())
     }
 
     pub(crate) fn built_xfer(
         &self,
-        built: &mut Vec<BuiltAction>,
+        built: &mut Built,
         buf: BufferId,
         range: Range<usize>,
         from: DomainId,
         to: DomainId,
     ) -> HsResult<()> {
-        let (spec, footprint) = self.build_xfer_spec(buf, range.clone(), from, to)?;
-        let logged = self.log_actions().then_some(LoggedOp::Xfer {
-            buf,
-            range,
-            from,
-            to,
-        });
-        built.push(BuiltAction::new(
-            spec,
-            footprint,
-            ActionKind::Normal,
-            &[],
-            logged,
-        ));
+        let op = self
+            .log_actions()
+            .then(|| built.encode(|out| durable::encode_xfer(out, buf, &range, from, to)));
+        let (spec, footprint) = self.build_xfer_spec(buf, range, from, to)?;
+        let action = BuiltAction::new(spec, footprint, ActionKind::Normal, &[], op);
+        built.actions.push(action);
         Ok(())
     }
 
     /// A marker, or an event-wait on `waits` (whose ids the core checks
     /// against the event table).
-    fn built_sync(&self, built: &mut Vec<BuiltAction>, kind: ActionKind, waits: &[Event]) {
-        let logged = self.log_actions().then_some(LoggedOp::Sync);
-        built.push(BuiltAction::new(
-            ActionSpec::Noop,
-            Vec::new(),
-            kind,
-            waits,
-            logged,
-        ));
+    fn built_sync(&self, built: &mut Built, kind: ActionKind, waits: &[Event]) {
+        let op = self
+            .log_actions()
+            .then(|| built.encode(durable::encode_sync));
+        let action = BuiltAction::new(ActionSpec::Noop, Footprint::new(), kind, waits, op);
+        built.actions.push(action);
     }
 
     /// Validate + resolve a compute action against the stream's *current*
@@ -402,7 +420,7 @@ impl HStreams {
     pub(crate) fn build_compute_spec(
         &self,
         s: StreamId,
-        func: String,
+        func: FnId,
         args: Bytes,
         operands: &[Operand],
         cost: CostHint,
@@ -414,7 +432,7 @@ impl HStreams {
             (st.domain, dev, st.cores())
         };
         // Validate + resolve operands.
-        let mut footprint: Footprint = Vec::with_capacity(operands.len());
+        let mut footprint = Footprint::new();
         let mut bufs = exec::BufList::new();
         let real = self.inner.exec.coi().is_some();
         let buffers = self.inner.buffers.read();
@@ -457,7 +475,7 @@ impl HStreams {
             }
         }
         let label = if self.wants_labels() {
-            format!("{}@{}s{}", func, device.short(), s.0)
+            format!("{}@{}s{}", func.name(), device.short(), s.0)
         } else {
             String::new()
         };
@@ -533,14 +551,11 @@ impl HStreams {
         } else {
             None
         };
-        let footprint: Footprint = if elide {
-            vec![FootprintItem::new(from, buf, range.clone(), false)]
-        } else {
-            vec![
-                FootprintItem::new(from, buf, range.clone(), false),
-                FootprintItem::new(to, buf, range.clone(), true),
-            ]
-        };
+        let mut footprint = Footprint::new();
+        footprint.push(FootprintItem::new(from, buf, range.clone(), false));
+        if !elide {
+            footprint.push(FootprintItem::new(to, buf, range.clone(), true));
+        }
         let label = if self.wants_labels() {
             format!("xfer:{}:d{}->d{}", rec.label(), from.0, to.0)
         } else {
@@ -563,7 +578,7 @@ impl HStreams {
         &self,
         s: StreamId,
         opts: ActionOpts,
-        build: impl FnOnce(&mut Vec<BuiltAction>) -> HsResult<()>,
+        build: impl FnOnce(&mut Built) -> HsResult<()>,
     ) -> HsResult<Event> {
         let mut ev = [Event(0)];
         self.enqueue_actions(s, opts, &mut ev, build)?;
@@ -579,7 +594,7 @@ impl HStreams {
         s: StreamId,
         opts: ActionOpts,
         out: &mut [Event],
-        build: impl FnOnce(&mut Vec<BuiltAction>) -> HsResult<()>,
+        build: impl FnOnce(&mut Built) -> HsResult<()>,
     ) -> HsResult<()> {
         if out.is_empty() {
             return Ok(());
@@ -604,7 +619,8 @@ impl HStreams {
     ///   call's own items resolve to [`exec::BatchDep::Internal`] — no
     ///   event-table round-trip;
     /// * **one** executor hand-off ([`exec::Executor::submit_batch`]) and **one**
-    ///   recovery-log lock for all logged items;
+    ///   recovery-log lock for all logged items, whose records are encoded
+    ///   before it is taken;
     /// * all events publish before the stream lock is released, so
     ///   concurrent observers never see a window entry without its slot;
     /// * all-or-nothing: the one check that can fail, an event-wait on an
@@ -623,7 +639,7 @@ impl HStreams {
         // Every wait names an id handed out before this call — so none of
         // the call's own — or the call fails here, before it reserves one.
         let known = inner.events.len();
-        let mut waits = sc.built.iter().flat_map(|item| item.waits.iter());
+        let mut waits = sc.built.actions.iter().flat_map(|item| item.waits.iter());
         if let Some(unknown) = waits.find(|e| e.0 >= known) {
             return Err(HsError::UnknownEvent(*unknown));
         }
@@ -640,10 +656,10 @@ impl HStreams {
             }
         };
         st.retire(|e| self.event_retired_ok(e));
-        let mut dep_events = DepList::new();
-        for (n, item) in sc.built.iter_mut().enumerate() {
+        let dep_events = &mut sc.dep_events;
+        for (n, item) in sc.built.actions.iter_mut().enumerate() {
             let (kind, waits) = (item.kind, &item.waits);
-            let footprint = std::mem::take(&mut item.footprint);
+            let footprint = &item.footprint;
             // Event-waits depend on the awaited events plus the pending sync
             // barrier, if any (out-of-order mode: the wait replaces
             // `last_barrier`, so it must chain on the old one or a marker's
@@ -660,15 +676,11 @@ impl HStreams {
                         0
                     }
                     OrderingMode::StrictFifo => {
-                        st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
+                        st.find_deps(footprint, false, inner.ordering, dep_events)
                     }
                 },
-                ActionKind::Marker => {
-                    st.find_deps(&footprint, true, inner.ordering, &mut dep_events)
-                }
-                ActionKind::Normal => {
-                    st.find_deps(&footprint, false, inner.ordering, &mut dep_events)
-                }
+                ActionKind::Marker => st.find_deps(footprint, true, inner.ordering, dep_events),
+                ActionKind::Normal => st.find_deps(footprint, false, inner.ordering, dep_events),
             };
             if redundant != 0 {
                 inner.redundant.add(redundant);
@@ -702,17 +714,12 @@ impl HStreams {
             // Described while the footprint is at hand; minted once the whole
             // call has passed its checks.
             if now_ns.is_some() {
-                let meta = self.obs_meta(s, id, kind, &item.spec, &footprint, waits.as_slice());
+                let meta = self.obs_meta(s, id, kind, &item.spec, footprint, waits.as_slice());
                 sc.metas.push(meta);
             }
-            if let Some(op) = item.logged.take() {
-                sc.logs.push(LoggedAction {
-                    ev: id,
-                    stream: s,
-                    op,
-                    deps: dep_events.iter().map(|e| e.0).collect(),
-                    retry: submit_opts.retry,
-                });
+            if let Some(op) = item.op.clone() {
+                let (retry, deps) = (&submit_opts.retry, dep_events.as_slice());
+                sc.records.push(id, s, retry, deps, &sc.built.ops[op]);
             }
             out[n] = Event(id);
             item.deps = first_dep..sc.deps.len();
@@ -720,7 +727,7 @@ impl HStreams {
             st.push(Event(id), footprint, kind);
         }
         // Every check has passed: the call's actions count as enqueued.
-        for item in sc.built.iter() {
+        for item in sc.built.actions.iter() {
             match &item.spec {
                 ActionSpec::Compute { .. } => inner.stats.note_compute(),
                 ActionSpec::Transfer {
@@ -737,7 +744,7 @@ impl HStreams {
         // the executor takes its item — ahead of the phases the fast path
         // emits inside submit.
         let mut metas = sc.metas.drain(..);
-        let items = sc.built.iter_mut().map(|b| exec::BatchSubmitItem {
+        let items = sc.built.actions.iter_mut().map(|b| exec::BatchSubmitItem {
             spec: std::mem::replace(&mut b.spec, ActionSpec::Noop),
             deps: b.deps.clone(),
             obs: metas
@@ -747,8 +754,13 @@ impl HStreams {
         inner
             .exec
             .submit_batch(items, &sc.deps, submit_opts, &mut sc.backends);
-        if !sc.logs.is_empty() {
-            inner.recovery.lock().extend(&mut sc.logs);
+        if !sc.records.is_empty() {
+            // The replay mirror, decoded from the very bytes the WAL gets —
+            // outside the lock, and only while a plan could replay it.
+            if inner.chaos.is_armed() {
+                sc.records.decode_into(&mut sc.mirror);
+            }
+            inner.recovery.lock().append(&sc.records, &mut sc.mirror);
         }
         // Publish everything before the stream lock drops.
         for (ev, be) in out.iter().zip(sc.backends.drain(..)) {

@@ -309,7 +309,7 @@ mod tests {
             stream_idx,
             device: Device::Knc,
             cores,
-            func: String::new(),
+            func: "".into(),
             args: bytes::Bytes::new(),
             bufs: Default::default(),
             cost: CostHint::new(KernelKind::Dgemm, flops, 2000),

@@ -942,7 +942,7 @@ impl SinkTask for ActionRun {
         match &self.spec {
             ActionSpec::Compute {
                 func, args, bufs, ..
-            } => (func, args, bufs.as_slice()),
+            } => (func.name(), args, bufs.as_slice()),
             _ => unreachable!("only computes are queued on sink pipelines"),
         }
     }
@@ -985,7 +985,8 @@ fn dispatch_attempt(run: &Arc<ActionRun>) {
             let stream_idx = *stream_idx;
             let Some(&card) = ctx.engines.get(stream_idx) else {
                 return refuse(FailureCause::Malformed(format!(
-                    "malformed compute '{func}': no stream with index {stream_idx}"
+                    "malformed compute '{}': no stream with index {stream_idx}",
+                    func.name()
                 )));
             };
             // Chaos consult at the compute site: an injected fault finishes

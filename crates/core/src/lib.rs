@@ -122,7 +122,9 @@ use stream::{DepList, StreamState};
 use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, Ordering};
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
-/// during card-loss degradation. Recorded only while a fault plan is armed.
+/// during card-loss degradation or after a crash. Decoded from the action's
+/// log record: into the replay mirror while a fault plan is armed, and by
+/// `recover` from the WAL.
 #[derive(Clone)]
 enum LoggedOp {
     Compute {
@@ -219,9 +221,10 @@ pub(crate) struct Inner {
     /// channel. Disarmed (one relaxed atomic load per site) until
     /// [`HStreams::chaos_install`].
     chaos: ChaosHub,
-    /// Replayable record of enqueued actions, kept while a fault plan is
-    /// armed (card-loss degradation replays the affected subset) and/or
-    /// durability is on (the log then writes every entry to disk as well).
+    /// The action log: every enqueued action's record goes to the WAL
+    /// while durability is on, and into the in-memory replay mirror while a
+    /// fault plan is armed (card-loss degradation replays the affected
+    /// subset).
     recovery: ClassedMutex<class::Recovery, durable::RecoveryLog>,
     /// Durable logging enabled? Checked (one relaxed load) on every
     /// enqueue and wait entry, so an in-memory run never takes the
@@ -349,15 +352,16 @@ impl HStreams {
     /// default budget for transient faults, and — when
     /// [`FaultPlan::with_auto_degrade`] is on (the default) — a `CardDead`
     /// fault triggers card-loss degradation on the next wait that observes
-    /// it. Also starts the recovery log that degradation replays from.
+    /// it. Also starts the in-memory replay mirror that degradation replays
+    /// from.
     pub fn chaos_install(&self, plan: FaultPlan) {
         self.inner.recovery.lock().clear();
         self.inner.chaos.arm(plan);
     }
 
-    /// Should enqueues land in the recovery log? While a fault plan is
-    /// armed (card-loss replay needs the entries) or durability is on (the
-    /// WAL mirrors them to disk).
+    /// Should enqueues encode their log records? While a fault plan is
+    /// armed (card-loss replay needs the mirror) or durability is on (the
+    /// WAL needs the records).
     fn log_actions(&self) -> bool {
         self.inner.chaos.is_armed() || self.inner.durable.load(Ordering::Relaxed)
     }
@@ -764,7 +768,7 @@ impl HStreams {
 
     /// Tombstone completed-successful events in the global table (their
     /// backend handles drop; late waiters still resolve them as successes)
-    /// and, while chaos is armed, prune recovery-log entries that can never
+    /// and, while chaos is armed, prune replay-mirror entries that can never
     /// be replayed. Runs automatically every `COMPACT_EVERY` enqueues;
     /// public so long-running tests and services can force a sweep at a
     /// quiesce point.
@@ -774,15 +778,14 @@ impl HStreams {
         inner
             .events
             .compact(|ev| ev.is_complete().then(|| ev.completed_ok()));
-        if self.log_actions() {
-            // An in-memory recovery entry is dead weight once no card loss
+        if inner.chaos.is_armed() {
+            // A replay-mirror entry is dead weight once no card loss
             // can make the replay need it (`replay::live`): it completed
             // successfully and either touched the host only — host memory
             // survives — or left a result on a card that has since come
             // home or been overwritten there. Failed or pending actions
-            // always stay. This prunes the in-memory mirror only — on-disk
-            // WAL records are pruned solely by watermark retirement at a
-            // checkpoint.
+            // always stay. This prunes the mirror only — on-disk WAL records
+            // are pruned solely by watermark retirement at a checkpoint.
             let card_of_stream: Vec<Option<DomainId>> = {
                 let streams = inner.streams.read();
                 streams
@@ -846,6 +849,17 @@ impl HStreams {
         // Gathered with the `recovery` lock released: `buffers` ranks
         // before it.
         let bufs = self.wal_snapshot_buffers();
+        // Enqueues on other source threads were not stopped (they hold the
+        // world lock shared, as this sweep does): one that reserved an id
+        // while the buffers were copied may have run into the snapshot, and
+        // its record is at or above the watermark, so recovery would apply
+        // it twice. Any such action has moved the id counter; skip, and let
+        // a later quiesce point checkpoint. (An action reserved after this
+        // re-read ran after its buffers were copied, so the blob lacks it
+        // and the replay supplies it.)
+        if self.inner.events.len() != table.reserved {
+            return;
+        }
         self.inner
             .recovery
             .lock()

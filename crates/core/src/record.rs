@@ -15,7 +15,7 @@
 //! not reserved at enqueue (`crates/core/tests/errors.rs`, both executors),
 //! so every wait names a lower event id than its waiter.
 
-use crate::deps::{Footprint, FootprintItem};
+use crate::deps::FootprintItem;
 use crate::stream::ActionKind;
 use crate::types::{BufferId, DomainId, OrderingMode};
 use crate::HStreams;
@@ -34,7 +34,7 @@ pub struct ActionRecord {
     /// Human-readable label (kernel name, transfer description, "sync").
     pub label: String,
     /// The (domain, buffer, range, write) items the action touches.
-    pub footprint: Footprint,
+    pub footprint: Vec<FootprintItem>,
     /// Event ids this action explicitly waits on (cross-stream edges).
     pub waits: Vec<u64>,
 }

@@ -40,7 +40,7 @@
 //! between). An action that wrote several card ranges of which only some
 //! landed cannot be cut and is replayed whole.
 
-use crate::deps::Footprint;
+use crate::deps::{Footprint, FootprintItem};
 use crate::durable::RecoveryReport;
 use crate::events::EventView;
 use crate::exec::{self, ActionSpec, SubmitOpts};
@@ -259,7 +259,7 @@ impl Hazards {
     /// Append to `deps` the earlier replayed events `footprint` conflicts
     /// with (read-after-write, write-after-read, write-after-write), then
     /// record it as event `ev`.
-    fn order(&mut self, ev: u64, footprint: &Footprint, deps: &mut Vec<u64>) {
+    fn order(&mut self, ev: u64, footprint: &[FootprintItem], deps: &mut Vec<u64>) {
         for f in footprint {
             let accesses = self.by_loc.entry((f.buffer, f.domain)).or_default();
             deps.extend(
@@ -330,14 +330,17 @@ impl HStreams {
                 args,
                 operands,
                 cost,
-            } => self.build_compute_spec(la.stream, func.clone(), args.clone(), operands, *cost),
+            } => {
+                let func = func.as_str().into();
+                self.build_compute_spec(la.stream, func, args.clone(), operands, *cost)
+            }
             LoggedOp::Xfer {
                 buf,
                 range,
                 from,
                 to,
             } => self.build_xfer_spec(*buf, range.clone(), *from, *to),
-            LoggedOp::Sync => Ok((ActionSpec::Noop, Vec::new())),
+            LoggedOp::Sync => Ok((ActionSpec::Noop, Footprint::new())),
         }
     }
 
@@ -448,7 +451,8 @@ impl HStreams {
                         self.enqueue_cross_wait(s, &deps)?;
                         self.inner.stats.bump("enqueue_compute");
                         self.enqueue_one(s, opts, |b| {
-                            self.built_compute(b, s, func.clone(), args.clone(), operands, *cost)
+                            let func = func.as_str().into();
+                            self.built_compute(b, s, func, args.clone(), operands, *cost)
                         })
                         .map(Some)
                     }
@@ -486,7 +490,6 @@ impl HStreams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deps::FootprintItem;
     use crate::types::{Access as Acc, CostHint, Operand, StreamId};
     use bytes::Bytes;
     use hs_chaos::RetryPolicy;
@@ -762,11 +765,13 @@ mod tests {
                     range,
                     from,
                     to,
-                } => vec![
+                } => [
                     FootprintItem::new(*from, *buf, range.clone(), false),
                     FootprintItem::new(*to, *buf, range.clone(), true),
-                ],
-                LoggedOp::Sync => Vec::new(),
+                ]
+                .into_iter()
+                .collect(),
+                LoggedOp::Sync => Footprint::new(),
             },
         ))
     }

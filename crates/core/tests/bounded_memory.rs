@@ -120,3 +120,64 @@ fn recovery_log_is_bounded_while_chaos_is_armed() {
         );
     }
 }
+
+/// A durable run without a fault plan keeps no replay mirror — nothing
+/// could replay it — while every action still reaches the WAL; arming a plan
+/// on the same runtime starts the mirror, and the armed bound above holds
+/// there.
+#[test]
+fn a_durable_run_mirrors_nothing_until_a_plan_is_armed() {
+    let root = std::env::temp_dir().join(format!("hs-bounded-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let hs = runtime();
+    hs.durability_opts(&root, false, 0).expect("durable log");
+    let entries = |hs: &HStreams| metric(hs, "frontend.recovery.entries");
+    // One compute, read back before any sweep could prune its entry.
+    let s = hs
+        .stream_create(DomainId::HOST, CpuMask::first(1))
+        .expect("stream");
+    let b = hs.buffer_create(64, BufProps::default());
+    let probe = || {
+        let op = [Operand::new(b, 0..64, Access::InOut)];
+        hs.enqueue_compute(s, "nop", Bytes::new(), &op, CostHint::trivial())
+            .expect("enqueue");
+        let n = entries(&hs);
+        hs.stream_synchronize(s).expect("sync");
+        n
+    };
+    assert_eq!(probe(), 0.0, "no mirror entry for a durable action");
+    let (peak_live, peak_log) = run_cycles(&hs, DomainId::HOST);
+    assert!(
+        peak_live < LIVE_CEILING,
+        "live-event window: peak {peak_live}"
+    );
+    assert_eq!(peak_log, 0.0, "no mirror entry at any sample");
+    let enqueued = metric(&hs, "events.reserved");
+    assert_eq!(
+        enqueued,
+        (1 + CYCLES) as f64,
+        "the probe and one compute per cycle"
+    );
+    assert_eq!(metric(&hs, "wal.records"), enqueued, "every action logged");
+
+    hs.chaos_install(FaultPlan::new(7));
+    assert_eq!(probe(), 1.0, "arming a plan starts the mirror");
+    let (peak_live, peak_log) = run_cycles(&hs, DomainId(1));
+    assert!(
+        peak_live < LIVE_CEILING,
+        "armed: live-event window: peak {peak_live}"
+    );
+    assert!(
+        peak_log < LIVE_CEILING,
+        "armed: the mirror prunes replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
+    );
+    hs.compact_now();
+    assert_eq!(entries(&hs), 0.0);
+    assert_eq!(
+        metric(&hs, "wal.records"),
+        metric(&hs, "events.reserved"),
+        "armed: every action still logged"
+    );
+    drop(hs);
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -45,7 +45,7 @@ fn compute_spec(stream_idx: usize, func: &str) -> ActionSpec {
         stream_idx,
         device: Device::Hsw,
         cores: 1,
-        func: func.to_string(),
+        func: func.into(),
         args: Bytes::new(),
         bufs: Default::default(),
         cost: CostHint::trivial(),

@@ -69,7 +69,7 @@ impl Frontend {
         let mut ids = Vec::with_capacity(k);
         for _ in 0..k {
             let id = self.events.reserve();
-            st.push(Event(id), Vec::new(), ActionKind::Normal);
+            st.push(Event(id), &[], ActionKind::Normal);
             ids.push(id);
         }
         // One executor round-trip for the whole batch, then publish
