@@ -1,5 +1,7 @@
 //! Row-major dense matrices and test-support generators.
 
+use crate::microkernel::Isa;
+
 /// A square or rectangular row-major matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
@@ -47,22 +49,18 @@ impl Matrix {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
-    /// `C = A * B` (naive reference; use [`crate::blas3::dgemm`] for speed).
+    /// `C = A * B` for verification: each element is the naive i-k-j loop's,
+    /// bit for bit, on every instantiation of the register kernel — a
+    /// multiply then an add per term in k order, a zero of A skipped — run
+    /// register-tiled ([`crate::microkernel::Isa::matmul_ref`]). Its oracle is
+    /// `naive::dgemm(1.0, a, b, 0.0, zeros, ..)`. It is not
+    /// [`crate::blas3::dgemm`], which fuses and blocks k into `KC` slabs: the
+    /// check would then share its arithmetic with what it checks.
     pub fn matmul_ref(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut c = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.at(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    c.data[i * other.cols + j] += aik * other.at(k, j);
-                }
-            }
-        }
-        c
+        let (m, n, k) = (self.rows, other.cols, self.cols);
+        let data = Isa::widest().matmul_ref(&self.data, &other.data, m, n, k);
+        Matrix::from_vec(m, n, data)
     }
 
     pub fn transpose(&self) -> Matrix {
@@ -164,13 +162,15 @@ pub fn reconstruct_ldlt(l: &[f64], n: usize) -> Matrix {
     ld.matmul_ref(&lm.transpose())
 }
 
-/// Largest absolute element-wise difference.
+/// Largest absolute element-wise difference — NaN if any difference is NaN
+/// (a NaN on either side, or infinities of one sign on both), so a result
+/// that holds a NaN never verifies.
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
+        .fold(0.0, |m: f64, d| if m.is_nan() || m >= d { m } else { d })
 }
 
 #[cfg(test)]
@@ -194,6 +194,22 @@ mod tests {
         let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul_ref(&b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    #[test]
+    fn max_abs_diff_sees_nan() {
+        let want = [1.0, 2.0, 3.0];
+        assert_eq!(max_abs_diff(&[1.0, 2.5, 3.0], &want), 0.5);
+        // One NaN, first, middle or last, on either side; every entry NaN.
+        for at in 0..3 {
+            let mut got = want;
+            got[at] = f64::NAN;
+            assert!(max_abs_diff(&got, &want).is_nan(), "NaN at {at}");
+            assert!(max_abs_diff(&want, &got).is_nan(), "NaN at {at}");
+        }
+        assert!(max_abs_diff(&[f64::NAN; 3], &want).is_nan());
+        assert!(max_abs_diff(&[f64::INFINITY], &[f64::INFINITY]).is_nan());
+        assert_eq!(max_abs_diff(&[], &[]), 0.0);
     }
 
     #[test]

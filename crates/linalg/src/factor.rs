@@ -24,30 +24,16 @@ impl std::error::Error for FactorError {}
 
 /// In-place lower Cholesky of a row-major n×n matrix. On success the lower
 /// triangle holds `L` (the strict upper triangle is left untouched —
-/// callers that need a clean `L` zero it, as LAPACK callers do).
+/// callers that need a clean `L` zero it, as LAPACK callers do). On failure
+/// the index is the first pivot that is not positive; the lower triangle is
+/// then partly updated.
+///
+/// Right-looking ([`crate::microkernel::Isa::dpotrf`]), with the bits of the
+/// left-looking loop it replaced ([`crate::naive::dpotrf`]) on every
+/// instantiation: each element takes its subtractions in k order, a multiply
+/// then a subtract, before its one division.
 pub fn dpotrf(a: &mut [f64], n: usize) -> Result<(), FactorError> {
-    assert_eq!(a.len(), n * n, "A dims");
-    for j in 0..n {
-        // d = a[j][j] - sum_k<j L[j][k]^2
-        let mut d = a[j * n + j];
-        for k in 0..j {
-            let l = a[j * n + k];
-            d -= l * l;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(FactorError::NotPositiveDefinite(j));
-        }
-        let djj = d.sqrt();
-        a[j * n + j] = djj;
-        for i in j + 1..n {
-            let mut v = a[i * n + j];
-            for k in 0..j {
-                v -= a[i * n + k] * a[j * n + k];
-            }
-            a[i * n + j] = v / djj;
-        }
-    }
-    Ok(())
+    crate::microkernel::Isa::widest().dpotrf(a, n)
 }
 
 /// In-place LU with partial pivoting of a row-major n×n matrix. Returns the

@@ -10,9 +10,11 @@
 //! * [`microkernel`] — the packed, cache-blocked (MC/KC/NC), register-blocked
 //!   (MR×NR) GEMM fast path plus blocked SYRK/TRSM built on it;
 //! * [`naive`] — the retained reference loops (differential-test oracle);
-//! * [`factor`] — `dpotrf` (Cholesky), `dgetrf` (LU with partial pivoting),
-//!   `ldlt` (the Simulia-style symmetric-indefinite supernode kernel);
-//! * [`dense`] — a row-major matrix type, SPD generators, norms;
+//! * [`factor`] — `dpotrf` (Cholesky, right-looking), `dgetrf` (LU with
+//!   partial pivoting), `ldlt` (the Simulia-style symmetric-indefinite
+//!   supernode kernel);
+//! * [`dense`] — a row-major matrix type with the verification product
+//!   `matmul_ref`, SPD generators, norms;
 //! * [`tiled`] — tile maps, pack/unpack between a full matrix and per-tile
 //!   contiguous storage, and sequential tiled reference algorithms;
 //! * [`flops`] — the standard flop counts used as sim-mode cost hints.

@@ -40,9 +40,17 @@
 //! SYRK and the triangular solves feed the same packed strips to the same
 //! register kernel at every size (see "triangular kernels" below).
 //!
+//! Two sweeps here are not the register kernel's: the verification product
+//! behind `Matrix::matmul_ref` (`Reference`) and the Cholesky factorization
+//! (`Potrf`). They keep the naive loops' bits on every instantiation — a
+//! multiply then an add, never `madd` — and go through `with_isa` only to be
+//! compiled for its vector ISA.
+//!
 //! Differential tests against [`crate::naive`], per instantiation, live in
-//! `crates/linalg/tests/blocked_vs_naive.rs`.
+//! `crates/linalg/tests/blocked_vs_naive.rs`; the bit-for-bit ones of the two
+//! sweeps above in `crates/linalg/tests/reference_bits.rs`.
 
+use crate::factor::FactorError;
 use std::mem::MaybeUninit;
 
 /// Rows of A packed per macro-block (a multiple of every `MR`; the A block
@@ -948,6 +956,112 @@ pub fn dgemm_nt(
     );
 }
 
+// ------------------------------------------------------- reference product
+
+/// `C = A·B` for verification, `a` m×k and `b` k×n row-major: every element
+/// is the naive i-k-j loop's, bit for bit, on every instantiation —
+/// `c[i][j]` starts at +0.0 and adds `a[i][p]·b[p][j]` for p ascending, a
+/// multiply then an add (never `madd`: the fused instantiations would round
+/// once), with the term skipped where `a[i][p] == 0.0`, so an inf or a NaN
+/// of B behind a zero of A stays out. That is `naive::dgemm(1.0, a, b, 0.0,
+/// zeros, ..)`, its oracle.
+///
+/// What makes it fast is only the order the elements are visited in. It is
+/// GEMM's blocking with A read in place: B is packed a `KC`×`NC` panel at a
+/// time into `NR`-wide k-major strips (`pack_b`), and an `MR`×`NR` block of C
+/// is loaded, accumulated in registers over the panel's depth, and stored —
+/// a load and a store are exact, so a slab boundary changes no bit. A
+/// block's last steps, where every row of A holds a zero, add nothing and
+/// are not visited, so the zero half of a lower-triangular A (`L·Lᵀ`) costs
+/// no sweep; up to its first zero of A a block runs without the skip test.
+/// One allocation: the panel.
+struct Reference<'a> {
+    a: &'a [f64],
+    b: &'a [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+}
+
+impl Sweep for Reference<'_> {
+    type Out = Vec<f64>;
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) -> Vec<f64> {
+        let Reference { a, b, m, n, k } = self;
+        let mut c = vec![0.0; m * n];
+        if m == 0 || n == 0 || k == 0 {
+            return c;
+        }
+        let mut storage = Vec::<f64>::with_capacity(NC.min(n.next_multiple_of(NR)) * KC.min(k));
+        for (jc, nc, pc, kc) in panel_grid(n, k) {
+            let bsrc = BSrc::Normal { b, ldb: n };
+            let bp = pack_b(kern, bsrc, pc, kc, jc, nc, storage.spare_capacity_mut());
+            for row0 in (0..m).step_by(MR) {
+                let rows = MR.min(m - row0);
+                // A ragged block repeats its last row; those sums are dropped.
+                let arows: [&[f64]; MR] =
+                    std::array::from_fn(|i| &a[(row0 + i.min(rows - 1)) * k + pc..][..kc]);
+                // The block's steps end at the last that adds something.
+                let adds = |p: usize| arows.iter().any(|row| row[p] != 0.0);
+                let Some(last) = (0..kc).rev().find(|&p| adds(p)) else {
+                    continue;
+                };
+                let arows = arows.map(|row| &row[..=last]);
+                // Up to its first zero of A the block needs no skip test.
+                let dense = (0..=last)
+                    .find(|&p| arows.iter().any(|row| row[p] == 0.0))
+                    .unwrap_or(last + 1);
+                let head = arows.map(|row| &row[..dense]);
+                let tail = arows.map(|row| &row[dense..]);
+                for (bstrip, col0) in bp.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
+                    let live = NR.min(nc - col0);
+                    let (head_steps, tail_steps) =
+                        bstrip.as_chunks::<NR>().0[..=last].split_at(dense);
+                    let c = &mut c[row0 * n + jc + col0..];
+                    let mut acc = [[0.0f64; NR]; MR];
+                    for (i, acc) in acc.iter_mut().enumerate().take(rows) {
+                        acc[..live].copy_from_slice(&c[i * n..][..live]);
+                    }
+                    let acc = reference_tile(acc, &head, head_steps, false);
+                    let acc = reference_tile(acc, &tail, tail_steps, true);
+                    for (i, acc) in acc.iter().enumerate().take(rows) {
+                        c[i * n..][..live].copy_from_slice(&acc[..live]);
+                    }
+                }
+            }
+        }
+        c
+    }
+}
+
+/// One `MR`×`NR` block of [`Reference`]: `acc[i][j] += arows[i][p]·steps[p][j]`
+/// for p ascending, a multiply then an add, the term skipped where
+/// `arows[i][p] == 0.0` — unless the caller has ruled that out and passes
+/// `zeros` false, which leaves the k loop without a branch.
+#[inline(always)]
+fn reference_tile<const MR: usize, const NR: usize>(
+    mut acc: [[f64; NR]; MR],
+    arows: &[&[f64]; MR],
+    steps: &[[f64; NR]],
+    zeros: bool,
+) -> [[f64; NR]; MR] {
+    for row in arows {
+        assert_eq!(row.len(), steps.len(), "a row of A per step of B");
+    }
+    for (p, b) in steps.iter().enumerate() {
+        for i in 0..MR {
+            let aip = arows[i][p];
+            if !zeros || aip != 0.0 {
+                for j in 0..NR {
+                    acc[i][j] += aip * b[j];
+                }
+            }
+        }
+    }
+    acc
+}
+
 // ------------------------------------------------------ triangular kernels
 //
 // SYRK and the triangular solves run the same packed strips through the same
@@ -1312,6 +1426,56 @@ impl Sweep for TrsmLeft<'_> {
     }
 }
 
+// ---------------------------------------------------------------- Cholesky
+
+/// [`crate::factor::dpotrf`], right-looking: once column j is scaled it is
+/// copied to a contiguous scratch, and each row i below it takes its trailing
+/// update `a[i][j+1..=i] −= l[i][j]·l[j+1..=i][j]` as one contiguous
+/// multiply-then-subtract — a loop that vectorises, where the left-looking
+/// dot products run along strided columns. Every element still takes its
+/// subtractions in k order, a multiply then a subtract, and is divided once
+/// after the last, so the bits are the left-looking loop's
+/// ([`crate::naive::dpotrf`]) on every instantiation, a matrix that is not
+/// positive definite fails at the same pivot, and the strict upper triangle
+/// is neither read nor written. One allocation: the column.
+struct Potrf<'a> {
+    a: &'a mut [f64],
+    n: usize,
+}
+
+impl Sweep for Potrf<'_> {
+    type Out = Result<(), FactorError>;
+
+    #[inline(always)]
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, _kern: K) -> Self::Out {
+        let Potrf { a, n } = self;
+        let mut col = Vec::with_capacity(n);
+        for j in 0..n {
+            let d = a[j * n + j];
+            if d <= 0.0 || !d.is_finite() {
+                return Err(FactorError::NotPositiveDefinite(j));
+            }
+            let djj = d.sqrt();
+            a[j * n + j] = djj;
+            col.clear();
+            col.extend((j + 1..n).map(|i| a[i * n + j]));
+            for l in &mut col {
+                *l /= djj;
+            }
+            // Row i = j + 1 + t, columns j + 1 ..= i.
+            for (t, &lij) in col.iter().enumerate() {
+                let i = j + 1 + t;
+                a[i * n + j] = lij;
+                let row = &mut a[i * n + j + 1..=i * n + i];
+                for (x, &l) in row.iter_mut().zip(&col[..=t]) {
+                    *x -= lij * l;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The kernels as one chosen instantiation runs them. Not part of the API —
 /// the free functions above are, and they run [`Isa::widest`] — but public
 /// so that the differential tests and `kernel_gemm` reach every
@@ -1405,6 +1569,20 @@ impl Isa {
         assert_eq!(l.len(), m * m, "L dims");
         assert_eq!(b.len(), m * n, "B dims");
         with_isa(self, TrsmLeft { l, b, m, n });
+    }
+
+    /// [`crate::factor::dpotrf`].
+    pub fn dpotrf(self, a: &mut [f64], n: usize) -> Result<(), FactorError> {
+        assert_eq!(a.len(), n * n, "A dims");
+        with_isa(self, Potrf { a, n })
+    }
+
+    /// [`crate::dense::Matrix::matmul_ref`] on row-major slices: `a` m×k,
+    /// `b` k×n, the m×n product returned.
+    pub fn matmul_ref(self, a: &[f64], b: &[f64], m: usize, n: usize, k: usize) -> Vec<f64> {
+        assert_eq!(a.len(), m * k, "A dims");
+        assert_eq!(b.len(), k * n, "B dims");
+        with_isa(self, Reference { a, b, m, n, k })
     }
 }
 

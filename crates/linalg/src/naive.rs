@@ -1,11 +1,15 @@
-//! Reference (naive) level-3 kernels, retained verbatim from the original
-//! `blas3` module when the packed/blocked fast path (see
-//! [`crate::microkernel`]) replaced them on the hot path.
+//! Reference (naive) kernels, retained verbatim when a fast path replaced
+//! them: the level-3 loops of the original `blas3` module (see
+//! [`crate::microkernel`]) and the left-looking Cholesky of `factor`.
 //!
 //! These loops are the *oracle* for differential testing: simple enough to
 //! audit by eye, streaming-friendly loop orders (i-k-j with the `a[i][k]`
 //! scalar hoisted), and bit-for-bit stable across refactors of the fast
-//! path. Nothing but tests calls them.
+//! path. Nothing but tests and benches calls them. Two fast paths must
+//! match them bit for bit, not just within rounding: `dgemm(1.0, a, b, 0.0,
+//! zeros, ..)` is `Matrix::matmul_ref`, and `dpotrf` is `factor::dpotrf`.
+
+use crate::factor::FactorError;
 
 /// `C = alpha * A(m×k) * B(k×n) + beta * C(m×n)` — row-major, no transposes.
 #[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
@@ -145,4 +149,32 @@ pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
             row[j] = v / u[j * n + j];
         }
     }
+}
+
+/// In-place lower Cholesky, left-looking: column j takes all its
+/// subtractions, in k order, when the sweep reaches it. The strict upper
+/// triangle is never touched.
+pub fn dpotrf(a: &mut [f64], n: usize) -> Result<(), FactorError> {
+    assert_eq!(a.len(), n * n, "A dims");
+    for j in 0..n {
+        // d = a[j][j] - sum_k<j L[j][k]^2
+        let mut d = a[j * n + j];
+        for k in 0..j {
+            let l = a[j * n + k];
+            d -= l * l;
+        }
+        if d <= 0.0 || !d.is_finite() {
+            return Err(FactorError::NotPositiveDefinite(j));
+        }
+        let djj = d.sqrt();
+        a[j * n + j] = djj;
+        for i in j + 1..n {
+            let mut v = a[i * n + j];
+            for k in 0..j {
+                v -= a[i * n + k] * a[j * n + k];
+            }
+            a[i * n + j] = v / djj;
+        }
+    }
+    Ok(())
 }

@@ -20,7 +20,7 @@
 //! stands behind every tiny tile an application can enqueue: the packed
 //! path is the only path, at every size.
 
-use hs_linalg::dense::{random_spd, reconstruct_llt, zero_upper};
+use hs_linalg::dense::{max_abs_diff, random_spd, reconstruct_llt, zero_upper};
 use hs_linalg::factor::dpotrf;
 use hs_linalg::microkernel::{BSrc, Isa, Tile, KC, MC, NC};
 use hs_linalg::{microkernel, naive};
@@ -39,13 +39,11 @@ fn fill(seed: u64, v: &mut [f64]) {
     }
 }
 
-/// Relative max-norm error between two buffers.
+/// Relative max-norm error between two buffers: NaN if either holds a NaN,
+/// so a NaN result never passes `<= TOL`.
 fn rel_err(got: &[f64], want: &[f64]) -> f64 {
     let scale = want.iter().fold(1.0f64, |m, x| m.max(x.abs()));
-    got.iter()
-        .zip(want)
-        .fold(0.0f64, |m, (g, w)| m.max((g - w).abs()))
-        / scale
+    max_abs_diff(got, want) / scale
 }
 
 const TOL: f64 = 1e-10;
