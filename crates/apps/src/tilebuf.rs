@@ -55,11 +55,15 @@ impl TileBufs {
         Ok(())
     }
 
-    /// Write a full matrix into the host instantiations (real mode).
+    /// Write a full matrix into the host instantiations (real mode), a tile
+    /// at a time through one scratch tile.
     pub fn write_matrix(&self, hs: &mut HStreams, a: &Matrix) -> HsResult<()> {
-        let tiles = self.map.pack(a);
-        for (idx, t) in tiles.iter().enumerate() {
-            hs.buffer_write_f64(self.bufs[idx], 0, t)?;
+        let mut t = Vec::with_capacity(self.map.b * self.map.b);
+        for i in 0..self.map.nt {
+            for j in 0..self.map.nt {
+                self.map.pack_tile(a, i, j, &mut t);
+                hs.buffer_write_f64(self.buf(i, j), 0, &t)?;
+            }
         }
         Ok(())
     }
@@ -80,17 +84,19 @@ impl TileBufs {
         Ok(Some(a))
     }
 
-    /// Read the host instantiations back into a full matrix (real mode).
+    /// Read the host instantiations back into a full matrix (real mode), a
+    /// tile at a time through one scratch tile.
     pub fn read_matrix(&self, hs: &mut HStreams) -> HsResult<Matrix> {
-        let mut tiles = Vec::with_capacity(self.map.nt * self.map.nt);
+        let mut a = Matrix::zeros(self.map.n, self.map.n);
+        let mut t = Vec::with_capacity(self.map.b * self.map.b);
         for i in 0..self.map.nt {
             for j in 0..self.map.nt {
-                let mut t = vec![0.0f64; self.map.dim(i) * self.map.dim(j)];
+                t.resize(self.map.dim(i) * self.map.dim(j), 0.0);
                 hs.buffer_read_f64(self.buf(i, j), 0, &mut t)?;
-                tiles.push(t);
+                self.map.unpack_tile(&t, i, j, &mut a);
             }
         }
-        Ok(self.map.unpack(&tiles))
+        Ok(a)
     }
 }
 
@@ -107,6 +113,24 @@ mod tests {
         let tb = TileBufs::create(&mut hs, map, "A");
         let a = hs_linalg::dense::random(10, 10, 3);
         tb.write_matrix(&mut hs, &a).expect("write");
+        let back = tb.read_matrix(&mut hs).expect("read");
+        assert_eq!(a, back);
+    }
+
+    #[test]
+    fn ragged_matrix_round_trip_through_tile_buffers() {
+        // 1030 = 16 tiles of 64 and a ragged edge of 6, in both dimensions.
+        let mut hs = HStreams::init(PlatformCfg::native(Device::Hsw), ExecMode::Threads);
+        let map = TileMap::new(1030, 64);
+        assert_eq!((map.nt, map.dim(16)), (17, 6));
+        let tb = TileBufs::create(&mut hs, map, "A");
+        let a = hs_linalg::dense::random(1030, 1030, 4);
+        tb.write_matrix(&mut hs, &a).expect("write");
+        let mut edge = vec![0.0; 6 * 64];
+        hs.buffer_read_f64(tb.buf(16, 3), 0, &mut edge)
+            .expect("read");
+        assert_eq!(edge[..64], a.as_slice()[1024 * 1030 + 3 * 64..][..64]);
+        assert_eq!(edge[5 * 64..], a.as_slice()[1029 * 1030 + 3 * 64..][..64]);
         let back = tb.read_matrix(&mut hs).expect("read");
         assert_eq!(a, back);
     }

@@ -15,7 +15,11 @@
 //! * `reference/n512`, `reference/n1024` — `Matrix::matmul_ref`, what every
 //!   app run is verified against, against `naive::dgemm`, the loop whose bits
 //!   it must keep: the two alternated in one run, each row with the oracle's
-//!   rate, the speedup and whether every bit is equal.
+//!   rate, the speedup, whether every bit is equal and the `lanes` the
+//!   product split across on this host; the product forced onto one lane,
+//!   like the oracle, is alternated with them (`one_lane_speedup`).
+//!   `reference_llt/n1024` is the Cholesky check's shape, L·Lᵀ for a
+//!   lower-triangular L read transposed in place, the same way.
 //! * `potrf/t64`, `potrf/t128` of config `bare` — `factor::dpotrf` against
 //!   `naive::dpotrf`, alternated on a burst of restored tiles, no pipeline
 //!   around either: at a 64-tile a sink pipeline's per-task cost is a third
@@ -46,16 +50,16 @@
 //!
 //! Writes `BENCH_kernel_gemm.json` at the workspace root. `HS_BENCH_SMOKE=1`
 //! is the minimal CI run (fewest samples, smallest GEMM size and
-//! `reference/n1024` only);
+//! `reference/n1024` and `reference_llt/n1024` only);
 //! `HS_BENCH_CHECK=1` gates, each within this one run so that the host's
 //! speed cancels: `expand/t128` on 2 lanes at 0.8× its single-lane rate or
 //! better (hosts with 2+ cores) — expansion may not cost more than it buys;
 //! single-lane `syrk/t64` at 0.5× and `trsm_rlt/t64` at 0.3× the
 //! single-lane `expand/t64` rate or better (the parent of PR 21: 0.31× and
 //! 0.17×) — a triangular tile kernel may not fall back out of the packed
-//! micro-kernel; every `reference/*` row bit-equal to the naive loop, and —
-//! on an instantiation with 256-bit vectors or wider — `reference/n1024` at
-//! 3× its rate or better and bare `potrf/t64` at 2× `naive::dpotrf` or
+//! micro-kernel; every `reference*` row bit-equal to the naive loop, and —
+//! on an instantiation with 256-bit vectors or wider — `reference/n1024` on
+//! one lane at 3× its rate or better and bare `potrf/t64` at 2× `naive::dpotrf` or
 //! better: the verification product and the factorization may not fall back
 //! toward the loops they replaced; and — in the smoke configuration, where
 //! `Avx512f` is dispatched: the run the floor was recorded in — single-lane
@@ -273,34 +277,28 @@ fn fill(seed: u64, v: &mut [f64]) {
     }
 }
 
-/// Median seconds of `oracle` and of `kernel` on `state` over `rounds`
-/// rounds that alternate them, each run after `setup`: the host's speed
-/// moves from one second to the next, and two runs taken side by side share
-/// it.
-fn paired_secs<S>(
+/// Median seconds of each of `legs` on `state` over `rounds` rounds that
+/// alternate them, each run after `setup`: the host's speed moves from one
+/// second to the next, and runs taken side by side share it.
+fn alternated_secs<S, const L: usize>(
     rounds: usize,
     state: &mut S,
     setup: impl Fn(&mut S),
-    oracle: impl Fn(&mut S),
-    kernel: impl Fn(&mut S),
-) -> (f64, f64) {
-    let mut secs = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+    legs: [&dyn Fn(&mut S); L],
+) -> [f64; L] {
+    let mut secs = [(); L].map(|_| Vec::with_capacity(rounds));
     for _ in 0..rounds {
-        for (side, run) in [&oracle as &dyn Fn(&mut S), &kernel]
-            .into_iter()
-            .enumerate()
-        {
+        for (side, run) in legs.iter().enumerate() {
             setup(state);
             let t = std::time::Instant::now();
             run(state);
             secs[side].push(t.elapsed().as_secs_f64());
         }
     }
-    let [oracle, kernel] = secs.map(|mut s| {
+    secs.map(|mut s| {
         s.sort_by(f64::total_cmp);
         s[s.len() / 2]
-    });
-    (oracle, kernel)
+    })
 }
 
 /// Row-slab expansion across a workgroup — the sink kernels'
@@ -553,48 +551,113 @@ fn main() {
         "\nblocked/naive at largest size: {speedup:.2}x  (acceptance floor: 3x single-thread at n=512)"
     );
 
-    // ---- reference/*: the verification product against its oracle loop.
-    let mut t = Table::new(vec!["n", "oracle", "matmul_ref", "speedup", "bits"]);
+    // ---- reference/*: the verification product against its oracle loop,
+    // on a dense A·B and on the Cholesky check's L·Lᵀ (`reference_llt`: a
+    // lower-triangular L read transposed in place, as `reconstruct_llt`
+    // does). Each row runs on the lanes `Matrix::matmul_ref` picks on this
+    // host and, alternated with it, on one lane; the oracle runs on one.
+    let mut t = Table::new(vec![
+        "row",
+        "lanes",
+        "oracle",
+        "matmul_ref",
+        "speedup",
+        "one lane",
+        "speedup",
+        "bits",
+    ]);
     let mut reference = Vec::new();
-    for &n in if smoke { &[1024][..] } else { &[512, 1024][..] } {
+    let rows: &[(&str, usize)] = if smoke {
+        &[("reference", 1024), ("reference_llt", 1024)]
+    } else {
+        &[
+            ("reference", 512),
+            ("reference", 1024),
+            ("reference_llt", 1024),
+        ]
+    };
+    for &(row, n) in rows {
+        let llt = row == "reference_llt";
         let mut a = vec![0.0; n * n];
         let mut b = vec![0.0; n * n];
         fill(0x7e57 + n as u64, &mut a);
-        fill(0x0dd5 + n as u64, &mut b);
-        let mut out = (vec![0.0; n * n], Vec::new());
-        let (oracle, tiled) = paired_secs(
+        if llt {
+            // B is Lᵀ, explicit for the oracle.
+            zero_upper(&mut a, n);
+            for (i, l_row) in a.chunks_exact(n).enumerate() {
+                for (j, &x) in l_row.iter().enumerate() {
+                    b[j * n + i] = x;
+                }
+            }
+        } else {
+            fill(0x0dd5 + n as u64, &mut b);
+        }
+        let src = if llt {
+            BSrc::Trans { bt: &a, ldbt: n }
+        } else {
+            BSrc::Normal { b: &b, ldb: n }
+        };
+        let lanes = isa.matmul_ref_lanes(n, n, n);
+        let mut out = [vec![0.0; n * n], Vec::new(), Vec::new()];
+        let [oracle, split, one] = alternated_secs(
             if smoke { 3 } else { 5 },
             &mut out,
             |_| {},
-            |(want, _)| naive::dgemm(1.0, &a, &b, 0.0, black_box(want), n, n, n),
-            |(_, got)| *got = black_box(isa.matmul_ref(&a, &b, n, n, n)),
+            [
+                &|[want, _, _]: &mut [Vec<f64>; 3]| {
+                    naive::dgemm(1.0, &a, &b, 0.0, black_box(want), n, n, n)
+                },
+                &|[_, got, _]: &mut [Vec<f64>; 3]| {
+                    *got = black_box(if llt {
+                        isa.matmul_ref_nt(&a, &a, n, n, n)
+                    } else {
+                        isa.matmul_ref(&a, &b, n, n, n)
+                    })
+                },
+                &|[_, _, got]: &mut [Vec<f64>; 3]| {
+                    *got = black_box(isa.matmul_ref_split(&a, src, n, n, n, 1))
+                },
+            ],
         );
-        let (want, got) = out;
-        let bit_equal = got
-            .iter()
-            .zip(&want)
-            .all(|(x, y)| x.to_bits() == y.to_bits());
-        let flops = flops::gemm(n, n, n);
-        let (oracle, tiled) = (flops / oracle / 1e9, flops / tiled / 1e9);
-        let speedup = tiled / oracle;
+        let [want, got, got_one] = out;
+        let bit_equal = [got, got_one].iter().all(|got| {
+            got.iter()
+                .zip(&want)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+        });
+        // The terms the naive loop adds: all of them, or — the zero half of
+        // L skipped — n·n·(n+1) of the 2n³.
+        let flops = if llt {
+            (n * n * (n + 1)) as f64
+        } else {
+            flops::gemm(n, n, n)
+        };
+        let [oracle, split, one] = [oracle, split, one].map(|secs| flops / secs / 1e9);
+        let (speedup, one_speedup) = (split / oracle, one / oracle);
+        let name = format!("{row}/n{n}");
         t.row(vec![
-            n.to_string(),
+            name.clone(),
+            lanes.to_string(),
             f(oracle),
-            f(tiled),
+            f(split),
             format!("{speedup:.2}x"),
+            f(one),
+            format!("{one_speedup:.2}x"),
             if bit_equal { "equal" } else { "DIFFER" }.to_string(),
         ]);
-        let mut r = now(JsonRecord::new(format!("reference/n{n}"), n, tiled), 1);
+        let mut r = now(JsonRecord::new(name.clone(), n, split), lanes);
         r.metrics.extend([
             ("oracle_gflops".to_string(), oracle),
             ("speedup".to_string(), speedup),
+            ("one_lane_gflops".to_string(), one),
+            ("one_lane_speedup".to_string(), one_speedup),
             ("bit_equal".to_string(), f64::from(u8::from(bit_equal))),
         ]);
         records.push(r);
-        reference.push((n, speedup, bit_equal));
+        reference.push((name, one_speedup, bit_equal));
     }
     t.print(&format!(
-        "kernel_gemm — Matrix::matmul_ref ({}) against naive::dgemm, Gflop/s",
+        "kernel_gemm — Matrix::matmul_ref ({}) against naive::dgemm on one lane, Gflop/s",
         isa.name()
     ));
 
@@ -615,12 +678,11 @@ fn main() {
                 }
             }
         };
-        let (oracle, kernel) = paired_secs(
+        let [oracle, kernel] = alternated_secs(
             if smoke { 30 } else { 200 },
             &mut burst,
             |burst| burst.iter_mut().for_each(|c| c.copy_from_slice(&spd)),
-            run(naive::dpotrf),
-            run(factor::dpotrf),
+            [&run(naive::dpotrf), &run(factor::dpotrf)],
         );
         let flops = flops::potrf(tile) * BURST as f64;
         let (oracle, kernel) = (flops / oracle / 1e9, flops / kernel / 1e9);
@@ -804,27 +866,28 @@ fn main() {
         } else {
             " — not armed on the baseline"
         };
-        for &(n, speedup, bit_equal) in &reference {
-            // The floor is on the benchmark's size; at 512 the kernel reads
-            // 3.5-3.9x, too close to it to gate.
-            let floored = n == 1024;
+        for (row, speedup, bit_equal) in &reference {
+            // The floor is on the benchmark's dense size, one lane against
+            // one lane, so that a split cannot hide a per-lane fall-back; at
+            // 512 the kernel reads 3.5-3.9x, too close to it to gate.
+            let floored = row == "reference/n1024";
             println!(
-                "floor gate: reference/n{n} Matrix::matmul_ref at {speedup:.2}x naive::dgemm \
+                "floor gate: {row} Matrix::matmul_ref on one lane at {speedup:.2}x naive::dgemm \
                  ({}), bits {}",
                 if floored {
                     format!("floor 3x{arming}")
                 } else {
                     "reported".into()
                 },
-                if bit_equal { "equal" } else { "DIFFER" }
+                if *bit_equal { "equal" } else { "DIFFER" }
             );
             assert!(
                 bit_equal,
-                "Matrix::matmul_ref at n={n} differs in a bit from the naive loop it must equal"
+                "Matrix::matmul_ref on {row} differs in a bit from the naive loop it must equal"
             );
             assert!(
-                !(armed && floored) || speedup >= 3.0,
-                "Matrix::matmul_ref at n={n} has fallen back toward the naive loop: \
+                !(armed && floored) || *speedup >= 3.0,
+                "Matrix::matmul_ref on {row} has fallen back toward the naive loop: \
                  {speedup:.2}x < 3x"
             );
         }

@@ -52,7 +52,8 @@ impl Matrix {
     /// `C = A * B` for verification: each element is the naive i-k-j loop's,
     /// bit for bit, on every instantiation of the register kernel — a
     /// multiply then an add per term in k order, a zero of A skipped — run
-    /// register-tiled ([`crate::microkernel::Isa::matmul_ref`]). Its oracle is
+    /// register-tiled and split by rows across the host's cores
+    /// ([`crate::microkernel::Isa::matmul_ref`]). Its oracle is
     /// `naive::dgemm(1.0, a, b, 0.0, zeros, ..)`. It is not
     /// [`crate::blas3::dgemm`], which fuses and blocks k into `KC` slabs: the
     /// check would then share its arithmetic with what it checks.
@@ -63,6 +64,18 @@ impl Matrix {
         Matrix::from_vec(m, n, data)
     }
 
+    /// `C = A·Bᵀ` for verification, `other` holding B: the bits of
+    /// `self.matmul_ref(&other.transpose())`, with Bᵀ read in place.
+    pub fn matmul_ref_nt(&self, other: &Matrix) -> Matrix {
+        assert_eq!(self.cols, other.cols, "inner dimensions must agree");
+        let (m, n, k) = (self.rows, other.rows, self.cols);
+        let data = Isa::widest().matmul_ref_nt(&self.data, &other.data, m, n, k);
+        Matrix::from_vec(m, n, data)
+    }
+
+    /// An explicit transposed copy. The products read a transposed operand
+    /// in place ([`Matrix::matmul_ref_nt`]); tests build their oracles'
+    /// operands with this.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -118,7 +131,7 @@ pub fn random_diag_dominant(n: usize, seed: u64) -> Matrix {
 /// Random symmetric positive-definite matrix: `B Bᵀ + n·I`.
 pub fn random_spd(n: usize, seed: u64) -> Matrix {
     let b = random(n, n, seed);
-    let mut a = b.matmul_ref(&b.transpose());
+    let mut a = b.matmul_ref_nt(&b);
     for i in 0..n {
         a.data[i * n + i] += n as f64;
     }
@@ -136,8 +149,7 @@ pub fn zero_upper(a: &mut [f64], n: usize) {
 
 /// `L Lᵀ` for a lower-triangular row-major `L`.
 pub fn reconstruct_llt(l: &[f64], n: usize) -> Matrix {
-    let lm = Matrix::from_vec(n, n, l.to_vec());
-    lm.matmul_ref(&lm.transpose())
+    Matrix::from_vec(n, n, Isa::widest().matmul_ref_nt(l, l, n, n, n))
 }
 
 /// `L D Lᵀ` for unit-lower-triangular `L` (diagonal of `l` holds D).
@@ -159,18 +171,29 @@ pub fn reconstruct_ldlt(l: &[f64], n: usize) -> Matrix {
             ld.set(r, c, v);
         }
     }
-    ld.matmul_ref(&lm.transpose())
+    ld.matmul_ref_nt(&lm)
 }
 
 /// Largest absolute element-wise difference — NaN if any difference is NaN
 /// (a NaN on either side, or infinities of one sign on both), so a result
 /// that holds a NaN never verifies.
+///
+/// Branch-free: a running max taken by a compare and a select, which passes
+/// a NaN by, and a NaN flag beside it.
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter()
+    let (max, nan) = a
+        .iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
-        .fold(0.0, |m: f64, d| if m.is_nan() || m >= d { m } else { d })
+        .fold((0.0, false), |(m, nan), d| {
+            (if d > m { d } else { m }, nan | d.is_nan())
+        });
+    if nan {
+        f64::NAN
+    } else {
+        max
+    }
 }
 
 #[cfg(test)]

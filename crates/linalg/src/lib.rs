@@ -13,8 +13,9 @@
 //! * [`factor`] — `dpotrf` (Cholesky, right-looking), `dgetrf` (LU with
 //!   partial pivoting), `ldlt` (the Simulia-style symmetric-indefinite
 //!   supernode kernel);
-//! * [`dense`] — a row-major matrix type with the verification product
-//!   `matmul_ref`, SPD generators, norms;
+//! * [`dense`] — a row-major matrix type with the verification products
+//!   `matmul_ref` and `matmul_ref_nt` (Bᵀ read in place), SPD generators,
+//!   norms;
 //! * [`tiled`] — tile maps, pack/unpack between a full matrix and per-tile
 //!   contiguous storage, and sequential tiled reference algorithms;
 //! * [`flops`] — the standard flop counts used as sim-mode cost hints.

@@ -44,7 +44,9 @@
 //! behind `Matrix::matmul_ref` (`Reference`) and the Cholesky factorization
 //! (`Potrf`). They keep the naive loops' bits on every instantiation — a
 //! multiply then an add, never `madd` — and go through `with_isa` only to be
-//! compiled for its vector ISA.
+//! compiled for its vector ISA. The verification product is also the one
+//! kernel here that starts threads: it splits C by rows over scoped threads
+//! ([`Isa::matmul_ref_split`]), being off the runtime's compute path.
 //!
 //! Differential tests against [`crate::naive`], per instantiation, live in
 //! `crates/linalg/tests/blocked_vs_naive.rs`; the bit-for-bit ones of the two
@@ -958,80 +960,96 @@ pub fn dgemm_nt(
 
 // ------------------------------------------------------- reference product
 
-/// `C = A·B` for verification, `a` m×k and `b` k×n row-major: every element
-/// is the naive i-k-j loop's, bit for bit, on every instantiation —
-/// `c[i][j]` starts at +0.0 and adds `a[i][p]·b[p][j]` for p ascending, a
-/// multiply then an add (never `madd`: the fused instantiations would round
-/// once), with the term skipped where `a[i][p] == 0.0`, so an inf or a NaN
-/// of B behind a zero of A stays out. That is `naive::dgemm(1.0, a, b, 0.0,
-/// zeros, ..)`, its oracle.
+/// `C = A·B` for verification, `a` m×k row-major and `b` either layout of
+/// [`BSrc`]: every element is the naive i-k-j loop's, bit for bit, on every
+/// instantiation — `c[i][j]` starts at +0.0 and adds `a[i][p]·b[p][j]` for p
+/// ascending, a multiply then an add (never `madd`: the fused instantiations
+/// would round once), with the term skipped where `a[i][p] == 0.0`, so an inf
+/// or a NaN of B behind a zero of A stays out. That is `naive::dgemm(1.0, a,
+/// b, 0.0, zeros, ..)`, its oracle.
 ///
 /// What makes it fast is only the order the elements are visited in. It is
 /// GEMM's blocking with A read in place: B is packed a `KC`×`NC` panel at a
-/// time into `NR`-wide k-major strips (`pack_b`), and an `MR`×`NR` block of C
-/// is loaded, accumulated in registers over the panel's depth, and stored —
-/// a load and a store are exact, so a slab boundary changes no bit. A
-/// block's last steps, where every row of A holds a zero, add nothing and
-/// are not visited, so the zero half of a lower-triangular A (`L·Lᵀ`) costs
-/// no sweep; up to its first zero of A a block runs without the skip test.
-/// One allocation: the panel.
+/// time into `NR`-wide k-major strips (`pack_b`, which reads a transposed B
+/// as readily as a row-major one), and an `MR`×`NR` block of C is loaded,
+/// accumulated in registers over the panel's depth, and stored — a load and
+/// a store are exact, so a slab boundary changes no bit. A block's last
+/// steps, where every row of A holds a zero, add nothing and are not
+/// visited, so the zero half of a lower-triangular A (`L·Lᵀ`) costs no
+/// sweep; up to its first zero of A a block runs without the skip test.
+///
+/// One lane's share: the row slabs of C dealt to it by
+/// [`Isa::matmul_ref_split`], swept panel by panel, each panel packed once
+/// for all of them. An element's sum depends on nothing but its own row of A
+/// and column of B, so which slab or lane it falls in moves no bit. One
+/// allocation: the panel.
 struct Reference<'a> {
     a: &'a [f64],
-    b: &'a [f64],
-    m: usize,
+    b: BSrc<'a>,
+    /// `(first row, rows × n elements of C)`, disjoint, each a whole number
+    /// of `MR` blocks but the matrix's last.
+    slabs: Vec<(usize, &'a mut [f64])>,
     n: usize,
     k: usize,
 }
 
 impl Sweep for Reference<'_> {
-    type Out = Vec<f64>;
+    type Out = ();
 
     #[inline(always)]
-    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) -> Vec<f64> {
-        let Reference { a, b, m, n, k } = self;
-        let mut c = vec![0.0; m * n];
-        if m == 0 || n == 0 || k == 0 {
-            return c;
+    fn run<const MR: usize, const NR: usize, K: RegKernel<MR, NR>>(self, kern: K) {
+        let Reference {
+            a,
+            b,
+            mut slabs,
+            n,
+            k,
+        } = self;
+        if n == 0 || k == 0 || slabs.is_empty() {
+            return;
         }
         let mut storage = Vec::<f64>::with_capacity(NC.min(n.next_multiple_of(NR)) * KC.min(k));
         for (jc, nc, pc, kc) in panel_grid(n, k) {
-            let bsrc = BSrc::Normal { b, ldb: n };
-            let bp = pack_b(kern, bsrc, pc, kc, jc, nc, storage.spare_capacity_mut());
-            for row0 in (0..m).step_by(MR) {
-                let rows = MR.min(m - row0);
-                // A ragged block repeats its last row; those sums are dropped.
-                let arows: [&[f64]; MR] =
-                    std::array::from_fn(|i| &a[(row0 + i.min(rows - 1)) * k + pc..][..kc]);
-                // The block's steps end at the last that adds something.
-                let adds = |p: usize| arows.iter().any(|row| row[p] != 0.0);
-                let Some(last) = (0..kc).rev().find(|&p| adds(p)) else {
-                    continue;
-                };
-                let arows = arows.map(|row| &row[..=last]);
-                // Up to its first zero of A the block needs no skip test.
-                let dense = (0..=last)
-                    .find(|&p| arows.iter().any(|row| row[p] == 0.0))
-                    .unwrap_or(last + 1);
-                let head = arows.map(|row| &row[..dense]);
-                let tail = arows.map(|row| &row[dense..]);
-                for (bstrip, col0) in bp.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
-                    let live = NR.min(nc - col0);
-                    let (head_steps, tail_steps) =
-                        bstrip.as_chunks::<NR>().0[..=last].split_at(dense);
-                    let c = &mut c[row0 * n + jc + col0..];
-                    let mut acc = [[0.0f64; NR]; MR];
-                    for (i, acc) in acc.iter_mut().enumerate().take(rows) {
-                        acc[..live].copy_from_slice(&c[i * n..][..live]);
-                    }
-                    let acc = reference_tile(acc, &head, head_steps, false);
-                    let acc = reference_tile(acc, &tail, tail_steps, true);
-                    for (i, acc) in acc.iter().enumerate().take(rows) {
-                        c[i * n..][..live].copy_from_slice(&acc[..live]);
+            let bp = pack_b(kern, b, pc, kc, jc, nc, storage.spare_capacity_mut());
+            for (first, slab) in &mut slabs {
+                let m = slab.len() / n;
+                for r0 in (0..m).step_by(MR) {
+                    let rows = MR.min(m - r0);
+                    // A ragged block repeats its last row; those sums are
+                    // dropped.
+                    let arows: [&[f64]; MR] = std::array::from_fn(|i| {
+                        &a[(*first + r0 + i.min(rows - 1)) * k + pc..][..kc]
+                    });
+                    // The block's steps end at the last that adds something.
+                    let adds = |p: usize| arows.iter().any(|row| row[p] != 0.0);
+                    let Some(last) = (0..kc).rev().find(|&p| adds(p)) else {
+                        continue;
+                    };
+                    let arows = arows.map(|row| &row[..=last]);
+                    // Up to its first zero of A the block needs no skip test.
+                    let dense = (0..=last)
+                        .find(|&p| arows.iter().any(|row| row[p] == 0.0))
+                        .unwrap_or(last + 1);
+                    let head = arows.map(|row| &row[..dense]);
+                    let tail = arows.map(|row| &row[dense..]);
+                    for (bstrip, col0) in bp.chunks_exact(kc * NR).zip((0..nc).step_by(NR)) {
+                        let live = NR.min(nc - col0);
+                        let (head_steps, tail_steps) =
+                            bstrip.as_chunks::<NR>().0[..=last].split_at(dense);
+                        let c = &mut slab[r0 * n + jc + col0..];
+                        let mut acc = [[0.0f64; NR]; MR];
+                        for (i, acc) in acc.iter_mut().enumerate().take(rows) {
+                            acc[..live].copy_from_slice(&c[i * n..][..live]);
+                        }
+                        let acc = reference_tile(acc, &head, head_steps, false);
+                        let acc = reference_tile(acc, &tail, tail_steps, true);
+                        for (i, acc) in acc.iter().enumerate().take(rows) {
+                            c[i * n..][..live].copy_from_slice(&acc[..live]);
+                        }
                     }
                 }
             }
         }
-        c
     }
 }
 
@@ -1580,9 +1598,80 @@ impl Isa {
     /// [`crate::dense::Matrix::matmul_ref`] on row-major slices: `a` m×k,
     /// `b` k×n, the m×n product returned.
     pub fn matmul_ref(self, a: &[f64], b: &[f64], m: usize, n: usize, k: usize) -> Vec<f64> {
-        assert_eq!(a.len(), m * k, "A dims");
         assert_eq!(b.len(), k * n, "B dims");
-        with_isa(self, Reference { a, b, m, n, k })
+        let lanes = self.matmul_ref_lanes(m, n, k);
+        self.matmul_ref_split(a, BSrc::Normal { b, ldb: n }, m, n, k, lanes)
+    }
+
+    /// [`crate::dense::Matrix::matmul_ref_nt`] on row-major slices: `a` m×k,
+    /// `bt` n×k, the m×n product `a·btᵀ` returned.
+    pub fn matmul_ref_nt(self, a: &[f64], bt: &[f64], m: usize, n: usize, k: usize) -> Vec<f64> {
+        assert_eq!(bt.len(), n * k, "Bᵀ dims");
+        let lanes = self.matmul_ref_lanes(m, n, k);
+        self.matmul_ref_split(a, BSrc::Trans { bt, ldbt: k }, m, n, k, lanes)
+    }
+
+    /// How many lanes [`Isa::matmul_ref`] splits an m×n×k product across
+    /// on this host: one per core, over no more lanes than get
+    /// [`SPAWN_LANE_US`] of work each at the instantiation's nominal rate,
+    /// the work counted as if A were dense; one (no thread started) when
+    /// that is fewer than two.
+    pub fn matmul_ref_lanes(self, m: usize, n: usize, k: usize) -> usize {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let flops = 2.0 * m as f64 * n as f64 * k as f64;
+        let fed = (flops / self.lane_flops_per_us() / SPAWN_LANE_US) as usize;
+        cores.min(fed).max(1)
+    }
+
+    /// The reference product on exactly `lanes` lanes (at most one per
+    /// `MR`-row block of C): C is cut into row slabs of a whole number of
+    /// blocks, written in place, and dealt to the lanes snake-wise — lane
+    /// order forward on one round, backward on the next — so a pair of
+    /// rounds gives every lane the same share of a dense A and of a
+    /// triangular one, whose rows cost in proportion to their index. The
+    /// caller is lane 0; the others are scoped threads. Any split has the
+    /// same bits.
+    pub fn matmul_ref_split(
+        self,
+        a: &[f64],
+        b: BSrc<'_>,
+        m: usize,
+        n: usize,
+        k: usize,
+        lanes: usize,
+    ) -> Vec<f64> {
+        assert_eq!(a.len(), m * k, "A dims");
+        let mut c = vec![0.0; m * n];
+        if c.is_empty() {
+            return c;
+        }
+        let lanes = lanes.clamp(1, m.div_ceil(self.tile().mr));
+        // `DEAL_ROUNDS` slabs per lane; a slab is never less than a block.
+        let rows = m
+            .div_ceil(lanes * DEAL_ROUNDS)
+            .next_multiple_of(self.tile().mr);
+        let mut dealt: Vec<Vec<(usize, &mut [f64])>> = (0..lanes).map(|_| Vec::new()).collect();
+        for (s, slab) in c.chunks_mut(rows * n).enumerate() {
+            let (round, seat) = (s / lanes, s % lanes);
+            let lane = if round % 2 == 0 {
+                seat
+            } else {
+                lanes - 1 - seat
+            };
+            dealt[lane].push((s * rows, slab));
+        }
+        // Every lane is dealt a slab: slabs are single blocks, of which
+        // there are at least `lanes`, or fewer than m / lanes rows each.
+        let sweep = |slabs| with_isa(self, Reference { a, b, slabs, n, k });
+        let mut dealt = dealt.into_iter();
+        let own = dealt.next().expect("one lane at least");
+        std::thread::scope(|scope| {
+            for slabs in dealt {
+                scope.spawn(move || sweep(slabs));
+            }
+            sweep(own);
+        });
+        c
     }
 }
 
@@ -1594,11 +1683,26 @@ impl Isa {
 /// what a region costs does not depend on how fast the lanes multiply.
 const MIN_LANE_US: f64 = 16.0;
 
+/// The same for a lane of the reference product, which starts a thread of
+/// its own: spawning and joining a scoped thread takes ~30 µs on a quiet
+/// 2-core host and several times that on a busy one, so a lane is started
+/// only for ~100 µs of work. Counted at [`Isa::lane_flops_per_us`], a rate
+/// the reference product (a multiply and an add, a zero test) runs below, so
+/// a lane's real share is longer still.
+const SPAWN_LANE_US: f64 = 100.0;
+
+/// Snake rounds of row slabs per lane in [`Isa::matmul_ref_split`]: one
+/// pair balances a triangular A exactly. Two pairs measured the same at
+/// n = 1024 on 2 lanes (AVX-512F; medians of 31 alternated runs, A·B 77.2
+/// against 77.7 ms, L·Lᵀ 43.1 against 42.4 ms), so one pair it is.
+const DEAL_ROUNDS: usize = 2;
+
 impl Isa {
     /// Flop per µs one lane sustains on a packed 64-tile under this
     /// instantiation, to the nearest few (bare `gemm_strided`: 12, 36 and
-    /// 50 Gflop/s on the recording host). Only [`expansion_rows`] reads it, to
-    /// turn [`MIN_LANE_US`] into work; it never reaches a result.
+    /// 50 Gflop/s on the recording host). Only [`expansion_rows`] and
+    /// [`Isa::matmul_ref_lanes`] read it, to turn [`MIN_LANE_US`] and
+    /// [`SPAWN_LANE_US`] into work; it never reaches a result.
     fn lane_flops_per_us(self) -> f64 {
         match self {
             Isa::Baseline => 12e3,

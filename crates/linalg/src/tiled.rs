@@ -56,21 +56,27 @@ impl TileMap {
     /// Extract all tiles from a row-major matrix; tile (i,j) is returned at
     /// index `id(i, j)`, each tile row-major contiguous.
     pub fn pack(&self, a: &Matrix) -> Vec<Vec<f64>> {
-        assert_eq!((a.rows, a.cols), (self.n, self.n), "matrix dims");
         let mut tiles = Vec::with_capacity(self.nt * self.nt);
         for ti in 0..self.nt {
             for tj in 0..self.nt {
-                let (h, w) = (self.dim(ti), self.dim(tj));
-                let mut t = Vec::with_capacity(h * w);
-                for r in 0..h {
-                    for c in 0..w {
-                        t.push(a.at(ti * self.b + r, tj * self.b + c));
-                    }
-                }
+                let mut t = Vec::with_capacity(self.dim(ti) * self.dim(tj));
+                self.pack_tile(a, ti, tj, &mut t);
                 tiles.push(t);
             }
         }
         tiles
+    }
+
+    /// Replace `tile`'s contents with tile (ti, tj) of `a`, row-major
+    /// contiguous: one slice copy per tile row.
+    pub fn pack_tile(&self, a: &Matrix, ti: usize, tj: usize, tile: &mut Vec<f64>) {
+        assert_eq!((a.rows, a.cols), (self.n, self.n), "matrix dims");
+        let w = self.dim(tj);
+        let rows = a.as_slice()[ti * self.b * self.n..].chunks(self.n);
+        tile.clear();
+        for row in rows.take(self.dim(ti)) {
+            tile.extend_from_slice(&row[tj * self.b..][..w]);
+        }
     }
 
     /// Rebuild the full matrix from tile storage.
@@ -79,17 +85,22 @@ impl TileMap {
         let mut a = Matrix::zeros(self.n, self.n);
         for ti in 0..self.nt {
             for tj in 0..self.nt {
-                let (h, w) = (self.dim(ti), self.dim(tj));
-                let t = &tiles[self.id(ti, tj)];
-                assert_eq!(t.len(), h * w, "tile ({ti},{tj}) storage");
-                for r in 0..h {
-                    for c in 0..w {
-                        a.set(ti * self.b + r, tj * self.b + c, t[r * w + c]);
-                    }
-                }
+                self.unpack_tile(&tiles[self.id(ti, tj)], ti, tj, &mut a);
             }
         }
         a
+    }
+
+    /// Write tile (ti, tj), row-major contiguous, into its place in `a`: one
+    /// slice copy per tile row.
+    pub fn unpack_tile(&self, tile: &[f64], ti: usize, tj: usize, a: &mut Matrix) {
+        assert_eq!((a.rows, a.cols), (self.n, self.n), "matrix dims");
+        let (h, w) = (self.dim(ti), self.dim(tj));
+        assert_eq!(tile.len(), h * w, "tile ({ti},{tj}) storage");
+        let rows = a.as_mut_slice()[ti * self.b * self.n..].chunks_mut(self.n);
+        for (row, t) in rows.zip(tile.chunks_exact(w)) {
+            row[tj * self.b..][..w].copy_from_slice(t);
+        }
     }
 }
 

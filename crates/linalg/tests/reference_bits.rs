@@ -5,7 +5,10 @@
 //! * `Matrix::matmul_ref` — what every app run is verified against — is
 //!   `naive::dgemm(1.0, a, b, 0.0, zeros, ..)`: per element +0.0, then
 //!   `a[i][k]·b[k][j]` added for k ascending, a multiply then an add, a zero
-//!   of A skipped. So an inf or a NaN of B behind a zero of A stays out.
+//!   of A skipped. So an inf or a NaN of B behind a zero of A stays out. The
+//!   same holds with B read transposed (`matmul_ref_nt`, how `random_spd`
+//!   and `reconstruct_llt` call it) and whatever row slabs and lanes the
+//!   product is split across.
 //! * `factor::dpotrf`, right-looking, is `naive::dpotrf`, the left-looking
 //!   loop it replaced: the same lower triangle, the same failing pivot, the
 //!   strict upper triangle neither read nor written.
@@ -14,9 +17,9 @@
 //! these inputs hold is the x86 default NaN, the one an inf − inf makes:
 //! every NaN a sum can meet then has the same bits.
 
-use hs_linalg::dense::{random_spd, Matrix};
+use hs_linalg::dense::{self, random_spd, reconstruct_llt, zero_upper, Matrix};
 use hs_linalg::factor::{self, FactorError};
-use hs_linalg::microkernel::Isa;
+use hs_linalg::microkernel::{BSrc, Isa};
 use hs_linalg::naive;
 
 /// splitmix64 mapped to [-1, 1).
@@ -233,4 +236,205 @@ fn dpotrf_fails_at_the_left_looking_loops_pivot() {
             }
         }
     }
+}
+
+/// `bt`, the n×k transpose of the k×n `b`.
+fn transposed(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+    let mut bt = vec![0.0; n * k];
+    for (p, row) in b.chunks_exact(n.max(1)).take(k).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            bt[j * k + p] = x;
+        }
+    }
+    bt
+}
+
+/// `isa.matmul_ref_nt(a, bᵀ)` against the oracle on `b`, bit for bit.
+fn check_matmul_nt(a: &[f64], b: &[f64], (m, n, k): (usize, usize, usize), what: &str) {
+    let mut want = vec![0.0; m * n];
+    naive::dgemm(1.0, a, b, 0.0, &mut want, m, n, k);
+    let bt = transposed(b, k, n);
+    for isa in Isa::supported() {
+        let got = isa.matmul_ref_nt(a, &bt, m, n, k);
+        let what = format!("{what}, B transposed, m={m} n={n} k={k} on {isa:?}");
+        assert_bits(&got, &want, &what);
+    }
+}
+
+#[test]
+fn matmul_ref_nt_is_the_naive_loop_at_every_shape() {
+    let mut shapes: Vec<_> = DIMS
+        .iter()
+        .flat_map(|&m| DIMS.iter().flat_map(move |&n| DIMS.map(|k| (m, n, k))))
+        .collect();
+    shapes.extend([(130, 67, 129), (19, 300, 600)]);
+    for (m, n, k) in shapes {
+        let seed = (m * 10_000 + n * 100 + k) as u64;
+        let a = random(seed, m * k);
+        let b = random(seed + 1, k * n);
+        check_matmul_nt(&a, &b, (m, n, k), "dense");
+    }
+}
+
+#[test]
+fn matmul_ref_nt_keeps_the_zero_skip() {
+    for (m, n, k) in [(9, 17, 33), (40, 33, 70), (130, 67, 129), (33, 20, 300)] {
+        // Triangular A; zeros of A in front of inf and NaN of B; inf and NaN
+        // where A is not zero — the inputs `matmul_ref_keeps_the_zero_skip`
+        // gives the row-major B.
+        let mut lower = random(11, m * k);
+        let mut upper = lower.clone();
+        for (at, (l, u)) in lower.iter_mut().zip(&mut upper).enumerate() {
+            let (i, p) = (at / k, at % k);
+            if p > i {
+                *l = 0.0;
+            } else if p < i {
+                *u = 0.0;
+            }
+        }
+        let b = random(12, k * n);
+        check_matmul_nt(&lower, &b, (m, n, k), "lower-triangular A");
+        check_matmul_nt(&upper, &b, (m, n, k), "upper-triangular A");
+
+        let mut a = random(13, m * k);
+        let mut b = random(14, k * n);
+        for (at, x) in a.iter_mut().enumerate() {
+            let (i, p) = (at / k, at % k);
+            if i % 5 == 0 || p % 3 == 0 || at % 7 == 3 {
+                *x = if at % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        for (at, x) in b.iter_mut().enumerate() {
+            let (p, j) = (at / n, at % n);
+            if p % 3 == 0 || (p % 3 == 1 && j % 4 == 0) {
+                *x = [f64::INFINITY, f64::NEG_INFINITY, NAN][j % 3];
+            }
+        }
+        check_matmul_nt(&a, &b, (m, n, k), "zeros of A in front of inf and NaN");
+
+        let mut a = random(15, m * k);
+        let mut b = random(16, k * n);
+        for (at, x) in a.iter_mut().enumerate() {
+            match at % 97 {
+                5 => *x = f64::INFINITY,
+                6 => *x = NAN,
+                7 => *x = 0.0,
+                _ => {}
+            }
+        }
+        for (at, x) in b.iter_mut().enumerate() {
+            match at % 89 {
+                1 => *x = f64::NEG_INFINITY,
+                2 => *x = NAN,
+                _ => {}
+            }
+        }
+        check_matmul_nt(&a, &b, (m, n, k), "inf and NaN on both sides");
+    }
+}
+
+#[test]
+fn matrix_matmul_ref_nt_is_matmul_ref_on_an_explicit_transpose() {
+    for (m, n, k) in [(33, 9, 17), (1, 1, 1), (0, 4, 3), (200, 300, 150)] {
+        let a = Matrix::from_vec(m, k, random(31 + m as u64, m * k));
+        let b = Matrix::from_vec(n, k, random(32 + n as u64, n * k));
+        let got = a.matmul_ref_nt(&b);
+        let want = a.matmul_ref(&b.transpose());
+        assert_eq!((got.rows, got.cols), (m, n));
+        assert_bits(got.as_slice(), want.as_slice(), "Matrix::matmul_ref_nt");
+    }
+}
+
+#[test]
+fn matmul_ref_split_changes_no_bit() {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    // m ragged against every `MR` and against the slab (181 rows on two
+    // lanes are slabs of 24: seven whole and one of 13), n past `NC` and k
+    // past `KC`, so each slab's blocks are stored and reloaded.
+    let (m, n, k) = (181, 300, 300);
+    let dense_a = random(41, m * k);
+    let mut lower = random(42, m * k);
+    for (at, x) in lower.iter_mut().enumerate() {
+        if at % k > at / k {
+            *x = 0.0;
+        }
+    }
+    let b = random(43, k * n);
+    let bt = transposed(&b, k, n);
+    for (a, what) in [(&dense_a, "dense A"), (&lower, "lower-triangular A")] {
+        let mut want = vec![0.0; m * n];
+        naive::dgemm(1.0, a, &b, 0.0, &mut want, m, n, k);
+        for isa in Isa::supported() {
+            if cores >= 2 {
+                assert!(isa.matmul_ref_lanes(m, n, k) >= 2, "{m}x{n}x{k} splits");
+            }
+            for lanes in 1..=4 {
+                for src in [
+                    BSrc::Normal { b: &b, ldb: n },
+                    BSrc::Trans { bt: &bt, ldbt: k },
+                ] {
+                    let got = isa.matmul_ref_split(a, src, m, n, k, lanes);
+                    let layout = if matches!(src, BSrc::Normal { .. }) {
+                        ""
+                    } else {
+                        ", B transposed"
+                    };
+                    let what = format!("{what}{layout} on {lanes} lanes, {isa:?}");
+                    assert_bits(&got, &want, &what);
+                }
+            }
+        }
+    }
+    // L·Lᵀ, the Cholesky check's shape, split; and more lanes asked for than
+    // C has blocks.
+    for (n, lanes) in [(181, 3), (9, 4), (3, 4)] {
+        let mut l = random(44 + n as u64, n * n);
+        zero_upper(&mut l, n);
+        let mut want = vec![0.0; n * n];
+        naive::dgemm(1.0, &l, &transposed(&l, n, n), 0.0, &mut want, n, n, n);
+        for isa in Isa::supported() {
+            let got = isa.matmul_ref_split(&l, BSrc::Trans { bt: &l, ldbt: n }, n, n, n, lanes);
+            assert_bits(
+                &got,
+                &want,
+                &format!("L·Lᵀ n={n} on {lanes} lanes, {isa:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn spd_input_and_cholesky_check_keep_the_parents_bits_at_1024() {
+    // The parent built both products on an explicit transpose; the oracle
+    // on that transpose is their bits.
+    let n = 1024;
+    let b = dense::random(n, n, 31);
+    let mut want = vec![0.0; n * n];
+    naive::dgemm(
+        1.0,
+        b.as_slice(),
+        b.transpose().as_slice(),
+        0.0,
+        &mut want,
+        n,
+        n,
+        n,
+    );
+    for i in 0..n {
+        want[i * n + i] += n as f64;
+    }
+    let spd = random_spd(n, 31);
+    assert_bits(spd.as_slice(), &want, "random_spd(1024, 31)");
+
+    let mut l = spd;
+    factor::dpotrf(l.as_mut_slice(), n).expect("random_spd is positive definite");
+    zero_upper(l.as_mut_slice(), n);
+    let lt = l.transpose();
+    let mut want = vec![0.0; n * n];
+    naive::dgemm(1.0, l.as_slice(), lt.as_slice(), 0.0, &mut want, n, n, n);
+    assert_bits(
+        reconstruct_llt(l.as_slice(), n).as_slice(),
+        &want,
+        "reconstruct_llt n=1024",
+    );
 }
