@@ -22,7 +22,7 @@
 
 use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
-use hs_linalg::dense::{max_abs_diff, random_spd, reconstruct_ldlt};
+use hs_linalg::dense::{max_abs_diff, random_spd};
 use hs_linalg::{flops, TileMap};
 use hs_machine::{Device, KernelKind, PlatformCfg};
 use hstreams_core::{CpuMask, DomainId, ExecMode, HStreams, HsResult};
@@ -301,15 +301,6 @@ pub fn fig8_speedups(host: Device, w: &Workload) -> HsResult<(f64, f64)> {
     ))
 }
 
-/// Real-mode numerical check of the LDLᵀ kernel itself (small dense front).
-pub fn verify_ldlt_kernel(n: usize) -> f64 {
-    let a = random_spd(n, 5);
-    let mut f = a.clone();
-    hs_linalg::factor::ldlt(f.as_mut_slice(), n).expect("factors");
-    let r = reconstruct_ldlt(f.as_slice(), n);
-    max_abs_diff(r.as_slice(), a.as_slice())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,11 +370,6 @@ mod tests {
             (1.5..2.6).contains(&ratio),
             "IVB/HSW ratio {ratio:.2} (paper: 4.27/2.24 = 1.91)"
         );
-    }
-
-    #[test]
-    fn ldlt_kernel_reconstructs() {
-        assert!(verify_ldlt_kernel(32) < 1e-9);
     }
 
     #[test]

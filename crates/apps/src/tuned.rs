@@ -22,7 +22,6 @@
 //! template, space, validate_n))` and uses the returned config.
 
 use crate::cholesky::CholConfig;
-use crate::lu::LuConfig;
 use crate::matmul::MatmulConfig;
 use hs_tune::{SearchSpace, TuneSpec, TunedConfig, WorkloadSig};
 use hstreams_core::HStreams;
@@ -141,30 +140,6 @@ pub fn cholesky_spec(
     spec(sig, template, space, validate_n, cholesky_config, fit, run)
 }
 
-/// Apply the tuned knobs to an LU template.
-pub fn lu_config(template: &LuConfig, t: &TunedConfig) -> LuConfig {
-    let mut c = template.clone();
-    c.tile = t.tile;
-    c.streams = t.streams_per_card as usize;
-    c.mask_width = Some(t.mask_width);
-    c
-}
-
-/// A tuning spec for the tiled LU schedules.
-pub fn lu_spec(
-    mut template: LuConfig,
-    space: SearchSpace,
-    validate_n: Option<usize>,
-) -> TuneSpec<'static> {
-    template.verify = false;
-    let sig = WorkloadSig::new("lu", template.n as u64, 8);
-    // Same as Cholesky: real-mode getrf pivots on zeros unless the verify
-    // path seeds the matrix.
-    let fit = |c: &mut LuConfig, n| (c.n, c.verify) = (n, true);
-    let run = |hs: &mut HStreams, c: &LuConfig| crate::lu::run(hs, c).ok().map(|r| r.secs);
-    spec(sig, template, space, validate_n, lu_config, fit, run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,17 +164,5 @@ mod tests {
             .expect("tunes");
         assert_eq!(a.config, b.config, "same seed, same spec, same pick");
         assert!(a.explored > 0);
-    }
-
-    #[test]
-    fn lu_spec_runs_and_respects_feasibility() {
-        let template = crate::lu::LuConfig::new(800, 200, crate::lu::LuVariant::TiledOffload);
-        let hs = HStreams::init(PlatformCfg::offload(Device::Hsw, 1), ExecMode::Sim);
-        let out = hs
-            .tune(lu_spec(template, small_space(), None))
-            .expect("tunes");
-        let cores = hs.domains()[1].cores;
-        assert!(out.config.mask_width * out.config.streams_per_card <= cores);
-        assert!(out.config.tile <= 800);
     }
 }

@@ -90,10 +90,6 @@ impl CudaLike {
         self.hs.register(name, f);
     }
 
-    pub fn device_count(&self) -> usize {
-        self.hs.platform().domains.len().saturating_sub(1)
-    }
-
     /// `cudaStreamCreate` — whole-device stream (CUDA cannot subdivide a
     /// device into core groups: "Unlike CUDA Streams, hStreams allows the
     /// possibility of dividing the computing resources into smaller
@@ -214,12 +210,6 @@ impl CudaLike {
         self.bump("cudaEventDestroy");
     }
 
-    /// `cudaStreamSynchronize`.
-    pub fn stream_synchronize(&mut self, s: CuStream) -> HsResult<()> {
-        self.bump("cudaStreamSynchronize");
-        self.hs.stream_synchronize(s.inner)
-    }
-
     /// `cudaDeviceSynchronize`.
     pub fn device_synchronize(&mut self) -> HsResult<()> {
         self.bump("cudaDeviceSynchronize");
@@ -239,10 +229,6 @@ impl CudaLike {
     /// Measured API counts: (unique APIs, total calls).
     pub fn api_counts(&self) -> (usize, u64) {
         (self.api.len(), self.api.values().sum())
-    }
-
-    pub fn api_rows(&self) -> Vec<(&'static str, u64)> {
-        self.api.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
     /// Elapsed (virtual or wall) seconds.
@@ -311,7 +297,7 @@ mod tests {
         )
         .expect("launch");
         cu.memcpy_d2h_async(s, d, 0..32).expect("d2h");
-        cu.stream_synchronize(s).expect("sync");
+        cu.device_synchronize().expect("sync");
         let mut out = [0.0; 4];
         cu.host_read_f64(h, 0, &mut out).expect("read");
         assert_eq!(out, [2.0, 3.0, 4.0, 5.0]);
@@ -433,14 +419,11 @@ mod tests {
         let h = cu.host_alloc(32);
         let d = cu.malloc(dev, h).expect("malloc");
         cu.memcpy_h2d_async(s, d, 0..32).expect("h2d");
-        cu.stream_synchronize(s).expect("sync");
+        cu.device_synchronize().expect("sync");
         let (unique, total) = cu.api_counts();
         assert!(unique >= 5);
         assert!(total >= 5);
-        assert!(cu
-            .api_rows()
-            .iter()
-            .any(|(k, v)| *k == "cudaMalloc" && *v == 1));
+        assert_eq!(cu.api.get("cudaMalloc"), Some(&1));
     }
 
     #[test]

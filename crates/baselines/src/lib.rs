@@ -15,9 +15,6 @@
 //!   whole-device target regions, synchronous transfers, no device
 //!   subdivision. Version 4.5: adds async (`nowait` + `depend`) but still no
 //!   subdivision — the two gaps the paper calls out.
-//! * [`offload_streams::OffloadStreams`] — the Intel-compiler Offload
-//!   Streams shape: offload-only streams with `signal`/`wait` clauses and no
-//!   cross-device convenience functions.
 //!
 //! Both are built *on top of* `hstreams-core` (with
 //! [`hstreams_core::OrderingMode::StrictFifo`] where appropriate), so the
@@ -26,8 +23,6 @@
 
 pub mod cuda;
 pub mod offload;
-pub mod offload_streams;
 
 pub use cuda::{CuEvent, CuStream, CudaLike, DevPtr};
 pub use offload::{OffloadModel, OmpVersion};
-pub use offload_streams::{OffStream, OffloadStreams};

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use hs_machine::PlatformCfg;
 use hstreams_core::{
     Access, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsResult,
-    Operand, StreamId, TaskFn,
+    Operand, StreamId,
 };
 use std::ops::Range;
 
@@ -51,27 +51,11 @@ impl OffloadModel {
         }
     }
 
-    pub fn version(&self) -> OmpVersion {
-        self.version
-    }
-
-    pub fn register(&mut self, name: &str, f: TaskFn) {
-        self.hs.register(name, f);
-    }
-
     /// `omp_target_alloc` / implicit `map(alloc:)`.
     pub fn map_alloc(&mut self, len: usize, device: DomainId) -> HsResult<BufferId> {
         let b = self.hs.buffer_create(len, BufProps::default());
         self.hs.buffer_instantiate(b, device)?;
         Ok(b)
-    }
-
-    pub fn host_write_f64(&mut self, b: BufferId, off: usize, data: &[f64]) -> HsResult<()> {
-        self.hs.buffer_write_f64(b, off, data)
-    }
-
-    pub fn host_read_f64(&mut self, b: BufferId, off: usize, out: &mut [f64]) -> HsResult<()> {
-        self.hs.buffer_read_f64(b, off, out)
     }
 
     /// One `#pragma omp target` region on `device`: map inputs to the
@@ -151,10 +135,6 @@ impl OffloadModel {
     pub fn stats(&self) -> &hstreams_core::ApiStats {
         self.hs.stats()
     }
-
-    pub fn hstreams(&mut self) -> &mut HStreams {
-        &mut self.hs
-    }
 }
 
 #[cfg(test)]
@@ -164,8 +144,8 @@ mod tests {
     use std::sync::Arc;
 
     fn model(v: OmpVersion) -> OffloadModel {
-        let mut m = OffloadModel::new(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads, v);
-        m.register(
+        let m = OffloadModel::new(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads, v);
+        m.hs.register(
             "scale3",
             Arc::new(|ctx: &mut hstreams_core::TaskCtx| {
                 let n = ctx.num_bufs();
@@ -182,7 +162,7 @@ mod tests {
         let mut m = model(OmpVersion::V40);
         let dev = DomainId(1);
         let b = m.map_alloc(8 * 2, dev).expect("alloc");
-        m.host_write_f64(b, 0, &[2.0, 5.0]).expect("write");
+        m.hs.buffer_write_f64(b, 0, &[2.0, 5.0]).expect("write");
         let ev = m
             .target(
                 dev,
@@ -196,7 +176,7 @@ mod tests {
             .expect("target");
         assert!(ev.is_none(), "4.0 regions are synchronous");
         let mut out = [0.0; 2];
-        m.host_read_f64(b, 0, &mut out).expect("read");
+        m.hs.buffer_read_f64(b, 0, &mut out).expect("read");
         assert_eq!(out, [6.0, 15.0]);
     }
 
@@ -205,7 +185,7 @@ mod tests {
         let mut m = model(OmpVersion::V45);
         let dev = DomainId(1);
         let b = m.map_alloc(8 * 2, dev).expect("alloc");
-        m.host_write_f64(b, 0, &[1.0, 1.0]).expect("write");
+        m.hs.buffer_write_f64(b, 0, &[1.0, 1.0]).expect("write");
         let e1 = m
             .target(
                 dev,
@@ -232,7 +212,7 @@ mod tests {
             .expect("event");
         m.taskwait().expect("taskwait");
         let mut out = [0.0; 2];
-        m.host_read_f64(b, 0, &mut out).expect("read");
+        m.hs.buffer_read_f64(b, 0, &mut out).expect("read");
         assert_eq!(out, [9.0, 9.0]);
     }
 

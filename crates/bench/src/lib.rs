@@ -264,12 +264,6 @@ pub fn x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
-/// Compare a measured value against the paper's and annotate.
-pub fn vs_paper(measured: f64, paper: f64) -> String {
-    let rel = measured / paper;
-    format!("{} (paper {}, {:.0}%)", f(measured), f(paper), rel * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +289,5 @@ mod tests {
         assert_eq!(f(56.78), "56.8");
         assert_eq!(f(3.456), "3.46");
         assert_eq!(x(1.449), "1.45x");
-        assert!(vs_paper(900.0, 902.0).contains("paper"));
     }
 }

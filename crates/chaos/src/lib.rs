@@ -376,12 +376,6 @@ impl ChaosHub {
         self.inner.armed.store(true, Ordering::Release);
     }
 
-    /// Stop injecting. Dead cards stay dead — disarming mid-run must not
-    /// resurrect hardware.
-    pub fn disarm(&self) {
-        self.inner.armed.store(false, Ordering::Release);
-    }
-
     #[inline]
     pub fn is_armed(&self) -> bool {
         self.inner.armed.load(Ordering::Relaxed)

@@ -61,10 +61,6 @@ impl EngineId {
     pub fn node(self) -> NodeId {
         NodeId(self.0)
     }
-
-    pub fn is_host(self) -> bool {
-        self.0 == 0
-    }
 }
 
 /// The COI runtime: fabric + per-engine state.
@@ -79,7 +75,6 @@ pub struct CoiRuntime {
     /// One worker per core, spawned here: what every in-process pipeline,
     /// DMA queue and expansion region runs on.
     pool: Arc<WorkerPool>,
-    chaos: ChaosHub,
 }
 
 impl CoiRuntime {
@@ -106,7 +101,7 @@ impl CoiRuntime {
         remotes: &[(usize, Endpoint)],
     ) -> std::io::Result<Arc<CoiRuntime>> {
         let n_engines = per_card.len() + 1;
-        let fabric = Fabric::new_with_endpoints(n_engines, per_card, chaos.clone(), remotes)?;
+        let fabric = Fabric::new_with_endpoints(n_engines, per_card, chaos, remotes)?;
         let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         Ok(Arc::new(CoiRuntime {
             fabric: Arc::new(fabric),
@@ -115,22 +110,12 @@ impl CoiRuntime {
             n_engines,
             host_cores,
             pool: Arc::new(WorkerPool::new(host_cores, "hs-pool")),
-            chaos,
         }))
     }
 
     /// The worker pool under this runtime's in-process queues and regions.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// The fault-injection hub shared with this runtime's fabric.
-    pub fn chaos(&self) -> &ChaosHub {
-        &self.chaos
-    }
-
-    pub fn num_engines(&self) -> usize {
-        self.n_engines
     }
 
     pub fn engines(&self) -> impl Iterator<Item = EngineId> + '_ {
@@ -244,8 +229,7 @@ mod tests {
         let rt = CoiRuntime::new(2, Pacer::unpaced());
         let engines: Vec<_> = rt.engines().collect();
         assert_eq!(engines.len(), 3);
-        assert!(engines[0].is_host());
-        assert!(!engines[2].is_host());
+        assert_eq!(engines, [EngineId(0), EngineId(1), EngineId(2)]);
     }
 
     #[test]

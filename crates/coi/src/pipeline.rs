@@ -210,10 +210,6 @@ pub struct PipelineHandle {
 }
 
 impl PipelineHandle {
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Enqueue the caller's task. A stopped pipeline finishes it with an
     /// error at once.
     pub fn submit(&self, task: Arc<dyn SinkTask>) {
@@ -421,11 +417,6 @@ impl<'a> RunCtx<'a> {
         self.args
     }
 
-    /// Number of OS threads this task may expand across.
-    pub fn lanes(&self) -> usize {
-        self.wg.width()
-    }
-
     /// The stream's expansion group. Clone the `Arc` *before* taking
     /// `buf_mut` borrows, then expand with
     /// [`Workgroup::par_for`]/[`Workgroup::par_chunks_mut`] — the group
@@ -565,7 +556,7 @@ mod tests {
         rt.register(
             "probe",
             Arc::new(move |ctx: &mut RunCtx| {
-                *seen2.lock() = (ctx.lanes(), ctx.args().to_vec());
+                *seen2.lock() = (ctx.workgroup().width(), ctx.args().to_vec());
             }),
         );
         let pipe = rt.pipeline_create(EngineId(1), 3);

@@ -170,6 +170,7 @@ impl BufferPool {
     }
 
     /// Number of windows currently on free lists.
+    #[cfg(test)]
     pub fn free_count(&self) -> usize {
         self.free.lock().values().map(Vec::len).sum()
     }

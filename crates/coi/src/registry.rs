@@ -42,15 +42,18 @@ impl FnRegistry {
         self.table.read().contains_key(name)
     }
 
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.table.read().len()
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Registered names, sorted (diagnostics).
+    #[cfg(test)]
     pub fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.table.read().keys().cloned().collect();
         v.sort();

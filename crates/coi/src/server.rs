@@ -108,15 +108,6 @@ impl WorkerState {
         })
     }
 
-    pub fn registry(&self) -> &Arc<FnRegistry> {
-        &self.registry
-    }
-
-    /// Number of live windows (diagnostics/tests).
-    pub fn window_count(&self) -> usize {
-        self.windows.read().len()
-    }
-
     /// The expansion group of a connection whose `Hello` is `hello`: the
     /// lanes [`physical_lanes`] gives a stream `hello.width` cores wide on a
     /// card of `hello.cores`, on this machine. Both numbers are the peer's —
@@ -786,7 +777,7 @@ mod tests {
                 panic!("len {len}: want Err then Pong, got {replies:?}");
             };
             assert!(String::from_utf8_lossy(msg).contains("cap"), "len {len}");
-            assert_eq!(state.window_count(), 0, "len {len} allocated");
+            assert_eq!(state.windows.read().len(), 0, "len {len} allocated");
         }
         // Too short for its two fields.
         let (result, replies) = serve_bytes(&state, &frame(Kind::Alloc, &[0; 15], &[]));
@@ -811,7 +802,7 @@ mod tests {
                     "bit {bit}: no ack and no Pong after a corrupt frame, got {replies:?}"
                 );
             }
-            assert_eq!(state.window_count(), 0, "a corrupt Alloc allocated");
+            assert_eq!(state.windows.read().len(), 0, "a corrupt Alloc allocated");
             // And the untouched frame allocates exactly what it names.
             let free = frame(Kind::Free, &1u64.to_le_bytes(), &[]);
             let (result, replies) = serve_bytes(&state, &good);
@@ -845,11 +836,11 @@ mod tests {
             assert_eq!(refused.map(|w| w.id()), Err(WindowTooLarge(len)));
         }
         assert_eq!(pool.stats(), PoolStats::default());
-        assert_eq!(state.window_count(), 0);
+        assert_eq!(state.windows.read().len(), 0);
         let w = pool.alloc(&fabric, NodeId(1), 5000, true).expect("alloc");
         assert_eq!(fabric.win_len(w.id()), Some(8192));
         assert_eq!(pool.stats().registered_bytes, 8192);
-        assert_eq!(state.window_count(), 1);
+        assert_eq!(state.windows.read().len(), 1);
     }
 
     fn hello_frame(width: u32, cores: u32) -> Vec<u8> {
@@ -861,7 +852,7 @@ mod tests {
         frame(Kind::Hello, &hello.encode(), &[])
     }
 
-    /// `ctx.lanes()` of a task run on a connection that said `hello` (none:
+    /// The lanes of a task run on a connection that said `hello` (none:
     /// no `Hello` at all), on a worker with `cores` cores. The `lanes`
     /// kernel writes its lane count into its operand.
     fn lanes_on(cores: usize, hello: Option<(u32, u32)>) -> usize {
@@ -869,7 +860,7 @@ mod tests {
         registry.register(
             "lanes",
             Arc::new(|ctx: &mut RunCtx| {
-                let lanes = ctx.lanes() as u64;
+                let lanes = ctx.workgroup().width() as u64;
                 ctx.buf_mut(0).copy_from_slice(&lanes.to_le_bytes());
             }),
         );

@@ -36,6 +36,7 @@ impl<T: Default, const N: usize> SmallVec<T, N> {
 
     /// Did this vector ever overflow its inline capacity? (Once spilled, a
     /// `clear` keeps the heap allocation for reuse.)
+    #[cfg(test)]
     pub fn spilled(&self) -> bool {
         self.heap.is_some()
     }

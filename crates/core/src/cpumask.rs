@@ -17,7 +17,10 @@ impl CpuMask {
 
     /// Mask of cores `[start, start+count)`.
     pub fn range(start: u32, count: u32) -> CpuMask {
-        assert!(start + count <= 128, "mask supports up to 128 cores");
+        assert!(
+            start.checked_add(count).is_some_and(|end| end <= 128),
+            "mask supports up to 128 cores"
+        );
         if count == 0 {
             return CpuMask(0);
         }
@@ -40,18 +43,6 @@ impl CpuMask {
 
     pub fn is_empty(&self) -> bool {
         self.0 == 0
-    }
-
-    pub fn contains(&self, core: u32) -> bool {
-        core < 128 && (self.0 >> core) & 1 == 1
-    }
-
-    pub fn intersects(&self, other: &CpuMask) -> bool {
-        self.0 & other.0 != 0
-    }
-
-    pub fn union(&self, other: &CpuMask) -> CpuMask {
-        CpuMask(self.0 | other.0)
     }
 
     /// Divide `cores` cores evenly into `n` contiguous masks; the first
@@ -96,15 +87,20 @@ mod tests {
     fn range_masks() {
         let m = CpuMask::range(4, 3);
         assert_eq!(m.count(), 3);
-        assert!(m.contains(4) && m.contains(5) && m.contains(6));
-        assert!(!m.contains(3) && !m.contains(7));
+        assert_eq!(m.0, 0b111 << 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask supports up to 128 cores")]
+    fn range_past_the_last_core_panics_instead_of_wrapping() {
+        let _ = CpuMask::range(u32::MAX, 2);
     }
 
     #[test]
     fn full_128_core_mask() {
         let m = CpuMask::range(0, 128);
         assert_eq!(m.count(), 128);
-        assert!(m.contains(127));
+        assert_eq!(m.0, u128::MAX);
     }
 
     #[test]
@@ -122,7 +118,7 @@ mod tests {
             assert_eq!(total, cores, "{cores} cores into {n}");
             for i in 0..n {
                 for j in i + 1..n {
-                    assert!(!parts[i].intersects(&parts[j]), "parts must be disjoint");
+                    assert_eq!(parts[i].0 & parts[j].0, 0, "parts must be disjoint");
                 }
             }
             // Sizes differ by at most one.
@@ -148,14 +144,6 @@ mod tests {
     #[should_panic(expected = "fewer cores")]
     fn partition_more_streams_than_cores_panics() {
         let _ = CpuMask::partition_evenly(2, 3);
-    }
-
-    #[test]
-    fn union_and_intersect() {
-        let a = CpuMask::range(0, 4);
-        let b = CpuMask::range(4, 4);
-        assert!(!a.intersects(&b));
-        assert_eq!(a.union(&b).count(), 8);
     }
 
     #[test]

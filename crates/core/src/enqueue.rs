@@ -730,11 +730,9 @@ impl HStreams {
         for item in sc.built.actions.iter() {
             match &item.spec {
                 ActionSpec::Compute { .. } => inner.stats.note_compute(),
-                ActionSpec::Transfer {
-                    card_domain, bytes, ..
-                } => inner
-                    .stats
-                    .note_transfer(*bytes as u64, card_domain.is_none()),
+                ActionSpec::Transfer { card_domain, .. } => {
+                    inner.stats.note_transfer(card_domain.is_none())
+                }
                 ActionSpec::Noop => inner.stats.note_sync(),
             }
         }

@@ -228,8 +228,8 @@ impl Sinks {
         remotes: &[(usize, hs_fabric::Endpoint)],
     ) -> std::io::Result<Sinks> {
         let paced = mode == ExecMode::ThreadsPaced;
-        // Each card paces to its *own* link: heterogeneous platforms mix
-        // e.g. a PCIe card with a slower fabric-attached remote node.
+        // Each card paces to its *own* link: a platform may put its cards
+        // on links of different speeds.
         let pacers: Vec<Pacer> = platform
             .cards()
             .map(|(_, c)| {

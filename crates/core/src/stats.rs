@@ -91,7 +91,6 @@ pub struct ApiStats {
     actions_compute: ShardedU64,
     actions_transfer: ShardedU64,
     actions_sync: ShardedU64,
-    bytes_transferred: ShardedU64,
     transfers_elided: ShardedU64,
 }
 
@@ -126,9 +125,8 @@ impl ApiStats {
         self.actions_compute.incr();
     }
 
-    pub fn note_transfer(&self, bytes: u64, elided: bool) {
+    pub fn note_transfer(&self, elided: bool) {
         self.actions_transfer.incr();
-        self.bytes_transferred.add(bytes);
         if elided {
             self.transfers_elided.incr();
         }
@@ -168,16 +166,13 @@ impl ApiStats {
         self.actions_sync.get()
     }
 
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes_transferred.get()
-    }
-
     /// Host-as-target transfers that were aliased away.
     pub fn transfers_elided(&self) -> u64 {
         self.transfers_elided.get()
     }
 
     /// (name, count) rows, sorted by name.
+    #[cfg(test)]
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
         let mut merged: BTreeMap<&'static str, u64> = self
             .counts
@@ -214,12 +209,11 @@ mod tests {
     fn action_counters() {
         let s = ApiStats::new();
         s.note_compute();
-        s.note_transfer(100, false);
-        s.note_transfer(50, true);
+        s.note_transfer(false);
+        s.note_transfer(true);
         s.note_sync();
         assert_eq!(s.computes(), 1);
         assert_eq!(s.transfers(), 2);
-        assert_eq!(s.bytes_transferred(), 150);
         assert_eq!(s.transfers_elided(), 1);
         assert_eq!(s.syncs(), 1);
     }

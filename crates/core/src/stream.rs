@@ -42,10 +42,6 @@ impl Hasher for LocHasher {
     fn write_usize(&mut self, v: usize) {
         self.mix(v as u64);
     }
-
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
 }
 
 impl LocHasher {
@@ -124,11 +120,6 @@ impl StreamState {
         self.enqueued
     }
 
-    /// Currently pending (not yet observed complete) actions.
-    pub fn pending_len(&self) -> usize {
-        self.all.len()
-    }
-
     /// Drop retired actions. `is_complete` queries the event table. Cheap
     /// when called every enqueue: a full sweep runs only periodically or
     /// when the window grows; in between only the prefix is trimmed (actions
@@ -182,12 +173,6 @@ impl StreamState {
     /// chain for the older ones).
     pub fn sync_chain(&self) -> Option<Event> {
         self.last_barrier
-    }
-
-    /// Events of all pending actions, in enqueue (= ascending id) order.
-    /// A borrow — callers iterate or copy under the stream's lock.
-    pub fn pending(&self) -> &[Event] {
-        &self.all
     }
 
     /// The lowest-id pending event strictly after `last` (None = from the
@@ -427,7 +412,7 @@ mod tests {
         // Force a full sweep regardless of the amortization counter.
         s.since_full_retire = 1000;
         s.retire(|e| e == Event(0));
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(s.all.len(), 1);
         let deps = deps_of(
             &mut s,
             &fp(0, 0..10, false),
@@ -446,7 +431,7 @@ mod tests {
         s.push(Event(1), &fp(0, 5..15, true), ActionKind::Normal);
         // Cheap prefix retire: event 0 leaves `all` but stays in `by_loc`.
         s.retire(|e| e == Event(0));
-        assert_eq!(s.pending_len(), 1);
+        assert_eq!(s.all.len(), 1);
         let mut out = DepList::new();
         let redundant = s.find_deps(
             &fp(0, 0..10, false),
@@ -489,7 +474,7 @@ mod tests {
             s.push(Event(i), &fp(0, 0..4096, true), ActionKind::Normal);
         }
         assert_eq!(s.index_entries(), 1, "dominated entries pruned");
-        assert_eq!(s.pending_len(), 50, "the ordered window is untouched");
+        assert_eq!(s.all.len(), 50, "the ordered window is untouched");
         let deps = deps_of(
             &mut s,
             &fp(0, 0..4096, true),
@@ -562,7 +547,7 @@ mod tests {
         }
         // Events 0..5 complete: even the cheap path trims the prefix.
         s.retire(|e| e.0 < 5);
-        assert_eq!(s.pending_len(), 5);
+        assert_eq!(s.all.len(), 5);
     }
 
     #[test]
@@ -586,7 +571,7 @@ mod tests {
         let mut s = stream();
         s.push(Event(3), &fp(0, 0..1, false), ActionKind::Normal);
         s.push(Event(5), &fp(1, 0..1, false), ActionKind::Normal);
-        assert_eq!(s.pending(), &[Event(3), Event(5)]);
+        assert_eq!(s.all, [Event(3), Event(5)]);
     }
 
     #[test]

@@ -83,14 +83,17 @@ impl Operand {
         }
     }
 
+    #[cfg(test)]
     pub fn input(buffer: BufferId, range: Range<usize>) -> Operand {
         Self::new(buffer, range, Access::In)
     }
 
+    #[cfg(test)]
     pub fn output(buffer: BufferId, range: Range<usize>) -> Operand {
         Self::new(buffer, range, Access::Out)
     }
 
+    #[cfg(test)]
     pub fn inout(buffer: BufferId, range: Range<usize>) -> Operand {
         Self::new(buffer, range, Access::InOut)
     }

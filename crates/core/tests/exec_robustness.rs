@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use hs_coi::CoiEvent;
 use hs_fabric::NodeId;
-use hs_machine::{Device, PlatformCfg};
+use hs_machine::{Device, DomainCfg, LinkSpec, PlatformCfg};
 use hs_obs::ObsAction;
 use hstreams_core::exec::{ActionSpec, Executor, RealXfer, SubmitOpts};
 use hstreams_core::{CostHint, CpuMask, ExecMode};
@@ -342,9 +342,16 @@ fn transfer_to_out_of_range_card_fails_not_panics() {
 
 #[test]
 fn each_card_paces_to_its_own_link() {
-    // A PCIe card (6.5 GB/s) plus a fabric-attached remote node (3 GB/s):
-    // their pacers must differ. Pre-fix, every card got card 1's link.
-    let platform = PlatformCfg::hetero(Device::Hsw, 1).with_remote_node(Device::Hsw);
+    // A PCIe card (6.5 GB/s) plus a card behind a 3 GB/s link: their
+    // pacers must differ. Pre-fix, every card got card 1's link.
+    let mut platform = PlatformCfg::hetero(Device::Hsw, 1);
+    let mut slow = DomainCfg::knc_card();
+    slow.link = Some(LinkSpec {
+        latency_us: 40.0,
+        h2d_bytes_per_sec: 3.0e9,
+        d2h_bytes_per_sec: 3.0e9,
+    });
+    platform.domains.push(slow);
     let ex = Executor::new(&platform, ExecMode::ThreadsPaced);
     let fabric = ex.coi().expect("thread mode").fabric();
     let mb = 1 << 20;
@@ -352,7 +359,7 @@ fn each_card_paces_to_its_own_link() {
     let t2 = fabric.engine(NodeId(2), true).pacer().target(mb, true);
     assert!(
         t2 > t1,
-        "remote node must pace slower than the PCIe card: {t1:?} vs {t2:?}"
+        "the slow card must pace slower than the PCIe card: {t1:?} vs {t2:?}"
     );
 }
 

@@ -32,10 +32,6 @@ impl Pacer {
         }
     }
 
-    pub fn is_paced(&self) -> bool {
-        self.spec.is_some()
-    }
-
     /// Target wall-clock duration for `bytes` in the given direction.
     pub fn target(&self, bytes: usize, h2d: bool) -> Duration {
         match &self.spec {
@@ -95,10 +91,6 @@ pub struct DmaEngine {
 }
 
 impl DmaEngine {
-    pub fn new(pacer: Pacer, h2d: bool) -> DmaEngine {
-        DmaEngine::new_chaos(pacer, h2d, 0, ChaosHub::default())
-    }
-
     /// A channel that consults `chaos` (armed or not) before every op,
     /// identifying itself as `(card, h2d)`.
     pub fn new_chaos(pacer: Pacer, h2d: bool, card: u32, chaos: ChaosHub) -> DmaEngine {
@@ -117,11 +109,6 @@ impl DmaEngine {
     /// The pacer this channel stretches transfers with.
     pub fn pacer(&self) -> &Pacer {
         &self.pacer
-    }
-
-    /// Direction of this channel (`true` = host-to-device).
-    pub fn is_h2d(&self) -> bool {
-        self.h2d
     }
 
     /// Snapshot of cumulative channel activity.
@@ -201,7 +188,7 @@ mod tests {
     fn unpaced_target_is_zero() {
         let p = Pacer::unpaced();
         assert_eq!(p.target(1 << 20, true), Duration::ZERO);
-        assert!(!p.is_paced());
+        assert!(p.spec.is_none());
     }
 
     #[test]
@@ -228,7 +215,7 @@ mod tests {
     #[test]
     fn engine_stretches_fast_copies() {
         let p = Pacer::pcie(LinkSpec::pcie_knc(), Overheads::paper());
-        let e = DmaEngine::new(p.clone(), true);
+        let e = DmaEngine::new_chaos(p.clone(), true, 0, ChaosHub::default());
         let start = Instant::now();
         e.run(256 * 1024, || {}).expect("no chaos armed");
         let elapsed = start.elapsed();
@@ -240,7 +227,12 @@ mod tests {
     #[test]
     fn engine_serializes_same_direction() {
         let p = Pacer::pcie(LinkSpec::pcie_knc(), Overheads::paper());
-        let e = std::sync::Arc::new(DmaEngine::new(p.clone(), true));
+        let e = std::sync::Arc::new(DmaEngine::new_chaos(
+            p.clone(),
+            true,
+            0,
+            ChaosHub::default(),
+        ));
         let start = Instant::now();
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -270,7 +262,7 @@ mod tests {
         // from before the io started) nor under-count (max(io, target)).
         let link = LinkSpec::pcie_knc();
         let p = Pacer::pcie(link, Overheads::paper());
-        let e = DmaEngine::new(p.clone(), true);
+        let e = DmaEngine::new_chaos(p.clone(), true, 0, ChaosHub::default());
         let bytes = 64 << 20; // ~10ms modelled at KNC PCIe bandwidth
         let target = p.target(bytes, true);
         assert!(target > Duration::from_millis(5), "target {target:?}");
@@ -302,7 +294,7 @@ mod tests {
 
     #[test]
     fn run_wire_failure_delivers_no_stats() {
-        let e = DmaEngine::new(Pacer::unpaced(), true);
+        let e = DmaEngine::new_chaos(Pacer::unpaced(), true, 0, ChaosHub::default());
         let err = e
             .run_wire(64, || Err(FailureCause::CardLost { card: 1 }))
             .expect_err("io failed");

@@ -249,11 +249,6 @@ impl RemoteDomain {
             std::io::Error::new(std::io::ErrorKind::TimedOut, "reconnect: no attempts")
         }))
     }
-
-    /// Has this domain been poisoned by a failed operation?
-    pub fn is_dead(&self) -> bool {
-        self.link.dead.load(Ordering::Acquire)
-    }
 }
 
 impl Link {
@@ -585,7 +580,7 @@ mod tests {
     }
 
     fn assert_card_lost(t: &RemoteDomain, chaos: &ChaosHub) {
-        assert!(t.is_dead());
+        assert!(t.link.dead.load(Ordering::Acquire));
         assert_eq!(chaos.dead_cards(), vec![3]);
         // Poisoned: later calls fail fast, on every channel.
         assert!(matches!(t.ping(), Err(TransportError::Closed(_))));

@@ -199,14 +199,6 @@ pub struct RangeGuard<'a> {
 }
 
 impl RangeGuard<'_> {
-    pub fn range(&self) -> Range<usize> {
-        self.range.clone()
-    }
-
-    pub fn is_write(&self) -> bool {
-        self.write
-    }
-
     /// Shared view of the locked bytes.
     pub fn as_slice(&self) -> &[u8] {
         let len = self.range.end - self.range.start;

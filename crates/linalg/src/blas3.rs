@@ -28,26 +28,6 @@ pub fn dgemm(
     microkernel::dgemm(alpha, a, b, beta, c, m, n, k);
 }
 
-/// `C = alpha * A(m×k) * B(k×n)ᵀ + beta * C(m×n)` where `b` is stored as
-/// n×k row-major (i.e. we multiply by its transpose). Used by the tiled
-/// Cholesky trailing update `A_ij -= A_ik · A_jkᵀ`.
-#[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
-pub fn dgemm_nt(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), n * k, "B dims (stored n×k)");
-    assert_eq!(c.len(), m * n, "C dims");
-    microkernel::dgemm_nt(alpha, a, b, beta, c, m, n, k);
-}
-
 /// Symmetric rank-k update, lower: `C = C - A·Aᵀ` restricted to the lower
 /// triangle of the n×n tile `C`, with `A` n×k row-major.
 pub fn dsyrk_ln(a: &[f64], c: &mut [f64], n: usize, k: usize) {
@@ -73,15 +53,6 @@ pub fn dtrsm_llu(l: &[f64], b: &mut [f64], m: usize, n: usize) {
     assert_eq!(l.len(), m * m, "L dims");
     assert_eq!(b.len(), m * n, "B dims");
     microkernel::dtrsm_llu(l, b, m, n);
-}
-
-/// Triangular solve, right/upper/non-unit: `B = B·U⁻¹` with `U` n×n upper
-/// (from [`crate::factor::lu_nopiv`]) and `B` m×n — the block-LU
-/// column-panel update `A_ik ← A_ik U_kk⁻¹`.
-pub fn dtrsm_runn(u: &[f64], b: &mut [f64], m: usize, n: usize) {
-    assert_eq!(u.len(), n * n, "U dims");
-    assert_eq!(b.len(), m * n, "B dims");
-    microkernel::dtrsm_runn(u, b, m, n);
 }
 
 #[cfg(test)]
@@ -133,37 +104,6 @@ mod tests {
         dgemm(1.0, a.as_slice(), b.as_slice(), 0.0, &mut c, m, n, k);
         let expect = a.matmul_ref(&b);
         assert!(max_abs_diff(&c, expect.as_slice()) < 1e-10);
-    }
-
-    #[test]
-    fn dgemm_nt_matches_explicit_transpose() {
-        let (m, n, k) = (6, 4, 8);
-        let a = random(m, k, 6);
-        let bt = random(n, k, 7); // stored n×k
-        let mut c = random(m, n, 8);
-        let mut c2 = c.clone();
-        let b = Matrix::from_vec(n, k, bt.as_slice().to_vec()).transpose();
-        dgemm(
-            -1.0,
-            a.as_slice(),
-            b.as_slice(),
-            1.0,
-            c2.as_mut_slice(),
-            m,
-            n,
-            k,
-        );
-        dgemm_nt(
-            -1.0,
-            a.as_slice(),
-            bt.as_slice(),
-            1.0,
-            c.as_mut_slice(),
-            m,
-            n,
-            k,
-        );
-        assert!(max_abs_diff(c.as_slice(), c2.as_slice()) < 1e-12);
     }
 
     #[test]
@@ -234,23 +174,6 @@ mod tests {
         let mut x = l.matmul_ref(&b0);
         dtrsm_llu(lu.as_slice(), x.as_mut_slice(), m, n);
         assert!(max_abs_diff(x.as_slice(), b0.as_slice()) < 1e-10);
-    }
-
-    #[test]
-    fn dtrsm_runn_inverts_right_multiply() {
-        let (m, n) = (5usize, 6usize);
-        let mut lu = crate::dense::random_diag_dominant(n, 19);
-        crate::factor::lu_nopiv(lu.as_mut_slice(), n).expect("factors");
-        let mut u = Matrix::zeros(n, n);
-        for r in 0..n {
-            for c in r..n {
-                u.set(r, c, lu.at(r, c));
-            }
-        }
-        let b0 = random(m, n, 20);
-        let mut x = b0.matmul_ref(&u);
-        dtrsm_runn(lu.as_slice(), x.as_mut_slice(), m, n);
-        assert!(max_abs_diff(x.as_slice(), b0.as_slice()) < 1e-9);
     }
 
     #[test]

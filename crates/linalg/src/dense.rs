@@ -45,6 +45,7 @@ impl Matrix {
     }
 
     /// Frobenius norm.
+    #[cfg(test)]
     pub fn fro_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
@@ -150,28 +151,6 @@ pub fn zero_upper(a: &mut [f64], n: usize) {
 /// `L Lᵀ` for a lower-triangular row-major `L`.
 pub fn reconstruct_llt(l: &[f64], n: usize) -> Matrix {
     Matrix::from_vec(n, n, Isa::widest().matmul_ref_nt(l, l, n, n, n))
-}
-
-/// `L D Lᵀ` for unit-lower-triangular `L` (diagonal of `l` holds D).
-#[allow(clippy::needless_range_loop)]
-pub fn reconstruct_ldlt(l: &[f64], n: usize) -> Matrix {
-    let mut lm = Matrix::zeros(n, n);
-    let mut d = vec![0.0; n];
-    for r in 0..n {
-        d[r] = l[r * n + r];
-        lm.set(r, r, 1.0);
-        for c in 0..r {
-            lm.set(r, c, l[r * n + c]);
-        }
-    }
-    let mut ld = lm.clone();
-    for r in 0..n {
-        for c in 0..n {
-            let v = ld.at(r, c) * d[c];
-            ld.set(r, c, v);
-        }
-    }
-    ld.matmul_ref_nt(&lm)
 }
 
 /// Largest absolute element-wise difference — NaN if any difference is NaN

@@ -1,12 +1,12 @@
 //! Factorization kernels: Cholesky (DPOTRF), LU with partial pivoting
-//! (DGETRF) and LDLᵀ (the Simulia-style symmetric solver kernel).
+//! (DGETRF) and LU without pivoting (the block-LU diagonal kernel).
 
 /// Errors from factorization kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FactorError {
     /// Leading minor `k` is not positive definite (DPOTRF).
     NotPositiveDefinite(usize),
-    /// Exactly singular pivot at column `k` (DGETRF / LDLT).
+    /// Exactly singular pivot at column `k` (DGETRF / block LU).
     SingularPivot(usize),
 }
 
@@ -74,33 +74,6 @@ pub fn dgetrf(a: &mut [f64], n: usize) -> Result<Vec<usize>, FactorError> {
     Ok(piv)
 }
 
-/// In-place LDLᵀ (no pivoting — the supernode kernel operates on
-/// pre-ordered, numerically safe fronts, mirroring the solver's use). After
-/// return the strict lower triangle holds unit-`L` and the diagonal holds
-/// `D`.
-pub fn ldlt(a: &mut [f64], n: usize) -> Result<(), FactorError> {
-    assert_eq!(a.len(), n * n, "A dims");
-    for j in 0..n {
-        let mut d = a[j * n + j];
-        for k in 0..j {
-            let l = a[j * n + k];
-            d -= l * l * a[k * n + k];
-        }
-        if d == 0.0 || !d.is_finite() {
-            return Err(FactorError::SingularPivot(j));
-        }
-        a[j * n + j] = d;
-        for i in j + 1..n {
-            let mut v = a[i * n + j];
-            for k in 0..j {
-                v -= a[i * n + k] * a[j * n + k] * a[k * n + k];
-            }
-            a[i * n + j] = v / d;
-        }
-    }
-    Ok(())
-}
-
 /// In-place LU **without pivoting** (block-LU diagonal kernel). Valid for
 /// diagonally dominant blocks, as block (tile) LU requires; returns the
 /// column of the first vanishing pivot otherwise. After return, `a` holds
@@ -126,9 +99,7 @@ pub fn lu_nopiv(a: &mut [f64], n: usize) -> Result<(), FactorError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::{
-        max_abs_diff, random_spd, reconstruct_ldlt, reconstruct_llt, zero_upper, Matrix,
-    };
+    use crate::dense::{max_abs_diff, random_spd, reconstruct_llt, zero_upper, Matrix};
 
     #[test]
     fn dpotrf_reconstructs() {
@@ -205,28 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn ldlt_reconstructs_spd() {
-        for n in [2usize, 8, 20] {
-            let a = random_spd(n, 100 + n as u64);
-            let mut f = a.clone();
-            ldlt(f.as_mut_slice(), n).expect("factors");
-            let r = reconstruct_ldlt(f.as_slice(), n);
-            let err = max_abs_diff(r.as_slice(), a.as_slice());
-            assert!(err < 1e-8 * n as f64, "n={n} err={err}");
-        }
-    }
-
-    #[test]
-    fn ldlt_handles_negative_definite_blocks() {
-        // Symmetric indefinite but with non-zero leading minors:
-        // diag(-2, 3) in a rotated basis stays factorable without pivoting.
-        let mut a = vec![-2.0, 0.5, 0.5, 3.0];
-        ldlt(&mut a, 2).expect("indefinite but factorable");
-        let r = reconstruct_ldlt(&a, 2);
-        assert!(max_abs_diff(r.as_slice(), &[-2.0, 0.5, 0.5, 3.0]) < 1e-12);
-    }
-
-    #[test]
     fn lu_nopiv_reconstructs_diag_dominant() {
         let n = 10;
         let a = crate::dense::random_diag_dominant(n, 42);
@@ -252,23 +201,5 @@ mod tests {
     fn lu_nopiv_detects_zero_pivot() {
         let mut a = vec![0.0, 1.0, 1.0, 0.0];
         assert_eq!(lu_nopiv(&mut a, 2), Err(FactorError::SingularPivot(0)));
-    }
-
-    #[test]
-    fn dpotrf_agrees_with_ldlt_on_spd() {
-        let n = 10;
-        let a = random_spd(n, 55);
-        let mut c = a.clone();
-        let mut d = a.clone();
-        dpotrf(c.as_mut_slice(), n).expect("chol");
-        ldlt(d.as_mut_slice(), n).expect("ldlt");
-        // L_chol[i][j] == L_ldlt[i][j] * sqrt(D[j]).
-        for i in 0..n {
-            for j in 0..=i {
-                let dj = d.at(j, j).sqrt();
-                let expect = if i == j { dj } else { d.at(i, j) * dj };
-                assert!((c.at(i, j) - expect).abs() < 1e-9);
-            }
-        }
     }
 }

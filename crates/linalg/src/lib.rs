@@ -11,13 +11,12 @@
 //!   (MR×NR) GEMM fast path plus blocked SYRK/TRSM built on it;
 //! * [`naive`] — the retained reference loops (differential-test oracle);
 //! * [`factor`] — `dpotrf` (Cholesky, right-looking), `dgetrf` (LU with
-//!   partial pivoting), `ldlt` (the Simulia-style symmetric-indefinite
-//!   supernode kernel);
+//!   partial pivoting), `lu_nopiv` (the block-LU diagonal kernel);
 //! * [`dense`] — a row-major matrix type with the verification products
 //!   `matmul_ref` and `matmul_ref_nt` (Bᵀ read in place), SPD generators,
 //!   norms;
-//! * [`tiled`] — tile maps, pack/unpack between a full matrix and per-tile
-//!   contiguous storage, and sequential tiled reference algorithms;
+//! * [`tiled`] — tile maps and pack/unpack between a full matrix and
+//!   per-tile contiguous storage;
 //! * [`flops`] — the standard flop counts used as sim-mode cost hints.
 //!
 //! The kernels favour clarity + cache-friendly loop orders over peak
@@ -35,7 +34,7 @@ pub mod tiled;
 
 pub use blas3::{dgemm, dsyrk_ln, dtrsm_rlt};
 pub use dense::Matrix;
-pub use factor::{dgetrf, dpotrf, ldlt};
+pub use factor::{dgetrf, dpotrf};
 pub use tiled::TileMap;
 
 #[cfg(test)]

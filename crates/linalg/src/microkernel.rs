@@ -929,35 +929,6 @@ pub fn dgemm(
     gemm_strided(alpha, a, k, BSrc::Normal { b, ldb: n }, beta, c, n, m, n, k);
 }
 
-/// Blocked `C = alpha·A·Bᵀ + beta·C` with `b` stored n×k row-major.
-#[allow(clippy::too_many_arguments)] // the BLAS signature is the interface
-pub fn dgemm_nt(
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    assert_eq!(a.len(), m * k, "A dims");
-    assert_eq!(b.len(), n * k, "B dims (stored n×k)");
-    assert_eq!(c.len(), m * n, "C dims");
-    gemm_strided(
-        alpha,
-        a,
-        k,
-        BSrc::Trans { bt: b, ldbt: k },
-        beta,
-        c,
-        n,
-        m,
-        n,
-        k,
-    );
-}
-
 // ------------------------------------------------------- reference product
 
 /// `C = A·B` for verification, `a` m×k row-major and `b` either layout of

@@ -1,11 +1,9 @@
 //! Property tests of the linear-algebra kernels: random shapes and random
 //! (seeded) matrices against the naive references and algebraic identities.
 
-use hs_linalg::blas3::{dgemm, dgemm_nt, dsyrk_ln, dtrsm_rlt};
+use hs_linalg::blas3::{dgemm, dsyrk_ln, dtrsm_rlt};
 use hs_linalg::dense::{max_abs_diff, random, random_spd, zero_upper, Matrix};
-use hs_linalg::factor::{dgetrf, dpotrf, ldlt};
-use hs_linalg::tiled::{tiled_cholesky, tiled_matmul};
-use hs_linalg::TileMap;
+use hs_linalg::factor::{dgetrf, dpotrf};
 use proptest::prelude::*;
 
 proptest! {
@@ -24,20 +22,6 @@ proptest! {
     }
 
     #[test]
-    fn dgemm_nt_equals_gemm_with_transpose(
-        m in 1usize..10, n in 1usize..10, k in 1usize..10, seed in 0u64..1000,
-    ) {
-        let a = random(m, k, seed);
-        let bt = random(n, k, seed + 2);
-        let b = Matrix::from_vec(n, k, bt.as_slice().to_vec()).transpose();
-        let mut c1 = random(m, n, seed + 3);
-        let mut c2 = c1.clone();
-        dgemm(-1.0, a.as_slice(), b.as_slice(), 1.0, c1.as_mut_slice(), m, n, k);
-        dgemm_nt(-1.0, a.as_slice(), bt.as_slice(), 1.0, c2.as_mut_slice(), m, n, k);
-        prop_assert!(max_abs_diff(c1.as_slice(), c2.as_slice()) < 1e-12);
-    }
-
-    #[test]
     fn cholesky_reconstructs_random_spd(n in 1usize..24, seed in 0u64..1000) {
         let a = random_spd(n, seed);
         let mut l = a.clone();
@@ -45,36 +29,6 @@ proptest! {
         zero_upper(l.as_mut_slice(), n);
         let r = hs_linalg::dense::reconstruct_llt(l.as_slice(), n);
         prop_assert!(max_abs_diff(r.as_slice(), a.as_slice()) < 1e-7 * (n as f64 + 1.0));
-    }
-
-    #[test]
-    fn tiled_cholesky_equals_unblocked(n in 2usize..20, b in 1usize..8, seed in 0u64..500) {
-        let map = TileMap::new(n, b);
-        let a = random_spd(n, seed);
-        // Unblocked.
-        let mut l0 = a.clone();
-        prop_assert!(dpotrf(l0.as_mut_slice(), n).is_ok());
-        zero_upper(l0.as_mut_slice(), n);
-        // Tiled.
-        let mut tiles = map.pack(&a);
-        prop_assert!(tiled_cholesky(map, &mut tiles).is_ok());
-        let mut l1 = map.unpack(&tiles);
-        zero_upper(l1.as_mut_slice(), n);
-        prop_assert!(max_abs_diff(l0.as_slice(), l1.as_slice()) < 1e-8 * (n as f64 + 1.0));
-    }
-
-    #[test]
-    fn tiled_matmul_equals_reference(n in 1usize..16, b in 1usize..7, seed in 0u64..500) {
-        let map = TileMap::new(n, b);
-        let a = random(n, n, seed);
-        let bm = random(n, n, seed + 9);
-        let at = map.pack(&a);
-        let bt = map.pack(&bm);
-        let mut ct = map.pack(&Matrix::zeros(n, n));
-        tiled_matmul(map, &at, &bt, &mut ct);
-        let c = map.unpack(&ct);
-        let expect = a.matmul_ref(&bm);
-        prop_assert!(max_abs_diff(c.as_slice(), expect.as_slice()) < 1e-10);
     }
 
     #[test]
@@ -133,21 +87,5 @@ proptest! {
         }
         let r = l.matmul_ref(&u);
         prop_assert!(max_abs_diff(r.as_slice(), pa.as_slice()) < 1e-9 * (n as f64 + 1.0));
-    }
-
-    #[test]
-    fn ldlt_matches_cholesky_on_spd(n in 1usize..16, seed in 0u64..500) {
-        let a = random_spd(n, seed + 11);
-        let mut c = a.clone();
-        let mut d = a.clone();
-        prop_assert!(dpotrf(c.as_mut_slice(), n).is_ok());
-        prop_assert!(ldlt(d.as_mut_slice(), n).is_ok());
-        for i in 0..n {
-            for j in 0..=i {
-                let dj = d.at(j, j).sqrt();
-                let expect = if i == j { dj } else { d.at(i, j) * dj };
-                prop_assert!((c.at(i, j) - expect).abs() < 1e-8);
-            }
-        }
     }
 }

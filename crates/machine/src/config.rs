@@ -141,11 +141,6 @@ impl DeviceSpec {
         self.sockets * self.cores_per_socket
     }
 
-    /// Total hardware threads.
-    pub fn total_threads(&self) -> u32 {
-        self.total_cores() * self.threads_per_core
-    }
-
     /// DP flops per core per cycle.
     ///
     /// Without FMA (IVB) a core issues one SIMD mul + one SIMD add per cycle
@@ -195,18 +190,6 @@ impl LinkSpec {
             latency_us: 10.0,
             h2d_bytes_per_sec: 6.5e9,
             d2h_bytes_per_sec: 6.5e9,
-        }
-    }
-
-    /// A cluster fabric link to a remote node (the paper's "offload over
-    /// fabric" COI feature, exercised between Xeon nodes but not reported
-    /// because it was "still in development"): higher latency, lower
-    /// large-transfer bandwidth than a local PCIe card.
-    pub fn fabric() -> LinkSpec {
-        LinkSpec {
-            latency_us: 40.0,
-            h2d_bytes_per_sec: 3.0e9,
-            d2h_bytes_per_sec: 3.0e9,
         }
     }
 }
@@ -273,8 +256,9 @@ mod tests {
 
     #[test]
     fn fig2_thread_counts() {
-        assert_eq!(Device::Knc.spec().total_threads(), 244);
-        assert_eq!(Device::Hsw.spec().total_threads(), 56);
+        let threads = |d: Device| d.spec().total_cores() * d.spec().threads_per_core;
+        assert_eq!(threads(Device::Knc), 244);
+        assert_eq!(threads(Device::Hsw), 56);
     }
 
     #[test]

@@ -43,6 +43,7 @@ impl KernelKind {
         KernelKind::FixedUs,
     ];
 
+    #[cfg(test)]
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Dgemm => "dgemm",
@@ -68,19 +69,8 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Cost model with the paper's §III overhead constants.
-    pub fn paper_calibrated() -> CostModel {
-        CostModel {
-            overheads: Overheads::paper(),
-        }
-    }
-
     pub fn with_overheads(overheads: Overheads) -> CostModel {
         CostModel { overheads }
-    }
-
-    pub fn overheads(&self) -> &Overheads {
-        &self.overheads
     }
 
     /// Achieved rate in Gflop/s for a kernel at tile dimension `tile_n`
@@ -177,7 +167,7 @@ mod tests {
     use super::*;
 
     fn cm() -> CostModel {
-        CostModel::paper_calibrated()
+        CostModel::with_overheads(Overheads::paper())
     }
 
     #[test]
@@ -215,7 +205,7 @@ mod tests {
         let link = LinkSpec::pcie_knc();
         let small = cm().transfer_dur(&link, 4 * 1024, true);
         // 4 KB is overhead-dominated: 10us latency + 25us fixed.
-        assert!(small.as_micros_f64() > 30.0 && small.as_micros_f64() < 45.0);
+        assert!(small > Dur::from_micros(30) && small < Dur::from_micros(45));
         let big = cm().transfer_dur(&link, 64 << 20, true);
         let ideal = (64 << 20) as f64 / 6.5e9;
         let overhead = big.as_secs_f64() / ideal - 1.0;
@@ -230,14 +220,14 @@ mod tests {
     fn host_invoke_is_negligible_vs_card() {
         let host = cm().invoke_dur(Device::Hsw);
         let card = cm().invoke_dur(Device::Knc);
-        assert!(card.as_nanos() > 10 * host.as_nanos());
+        assert!(card.0 > 10 * host.0);
     }
 
     #[test]
     fn pooled_alloc_is_much_cheaper() {
         let no_pool = cm().alloc_dur(false);
         let pool = cm().alloc_dur(true);
-        assert!(no_pool.as_nanos() > 20 * pool.as_nanos());
+        assert!(no_pool.0 > 20 * pool.0);
     }
 
     #[test]

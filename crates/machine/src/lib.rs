@@ -34,7 +34,7 @@ mod tests {
     fn public_reexports_are_usable() {
         let spec = Device::Hsw.spec();
         assert!(spec.peak_dp_gflops() > 1000.0);
-        let cm = CostModel::paper_calibrated();
+        let cm = CostModel::with_overheads(Overheads::paper());
         let t = cm.kernel_secs(
             Device::Hsw,
             spec.total_cores(),

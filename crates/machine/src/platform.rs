@@ -37,18 +37,6 @@ impl DomainCfg {
         }
     }
 
-    /// A remote node reached over the cluster fabric (experimental in the
-    /// paper; fully supported here — it is just a non-host domain with a
-    /// slower link).
-    pub fn remote_node(device: Device) -> DomainCfg {
-        DomainCfg {
-            device,
-            role: DomainRole::Card,
-            cores: device.spec().total_cores(),
-            link: Some(LinkSpec::fabric()),
-        }
-    }
-
     pub fn knc_card() -> DomainCfg {
         DomainCfg {
             device: Device::Knc,
@@ -104,13 +92,6 @@ impl PlatformCfg {
         p
     }
 
-    /// Append a remote node (streams over fabric) to the platform.
-    pub fn with_remote_node(mut self, device: Device) -> PlatformCfg {
-        self.domains.push(DomainCfg::remote_node(device));
-        self.name = format!("{} + remote {}", self.name, device.short());
-        self
-    }
-
     pub fn host(&self) -> &DomainCfg {
         &self.domains[0]
     }
@@ -163,17 +144,6 @@ mod tests {
         let p = PlatformCfg::hetero(Device::Ivb, 2);
         let idxs: Vec<usize> = p.cards().map(|(i, _)| i).collect();
         assert_eq!(idxs, vec![1, 2]);
-    }
-
-    #[test]
-    fn remote_node_is_a_linked_domain() {
-        let p = PlatformCfg::native(Device::Hsw).with_remote_node(Device::Hsw);
-        assert_eq!(p.domains.len(), 2);
-        let (_, remote) = p.cards().next().expect("remote domain present");
-        let link = remote.link.expect("fabric link");
-        assert!(link.latency_us > LinkSpec::pcie_knc().latency_us);
-        assert!(link.h2d_bytes_per_sec < LinkSpec::pcie_knc().h2d_bytes_per_sec);
-        assert!(p.name.contains("remote"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use hs_machine::{CostModel, Device, KernelKind, LinkSpec, Overheads, PlatformCfg
 use proptest::prelude::*;
 
 fn cm() -> CostModel {
-    CostModel::paper_calibrated()
+    CostModel::with_overheads(Overheads::paper())
 }
 
 proptest! {

@@ -49,13 +49,6 @@ impl Value {
             _ => None,
         }
     }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// How many arrays and objects may nest. The reader recurses once per

@@ -77,19 +77,6 @@ pub enum ObsPhase {
     Failed,
 }
 
-impl ObsPhase {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ObsPhase::DepsResolved => "deps_resolved",
-            ObsPhase::Dispatched => "dispatched",
-            ObsPhase::SinkStart => "sink_start",
-            ObsPhase::RetryScheduled => "retry_scheduled",
-            ObsPhase::Completed => "completed",
-            ObsPhase::Failed => "failed",
-        }
-    }
-}
-
 /// How an action participates in its stream's ordering (`hstreams-core`
 /// re-exports it as `hstreams_core::ActionKind`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -286,11 +273,6 @@ impl ObsHub {
     pub fn take_records(&self) -> Vec<ObsRecord> {
         std::mem::take(&mut *self.inner.records.lock())
     }
-
-    /// Number of records currently buffered.
-    pub fn records_len(&self) -> usize {
-        self.inner.records.lock().len()
-    }
 }
 
 /// Per-action lifecycle handle, cheap to clone and inert when the hub was
@@ -305,15 +287,6 @@ impl ObsAction {
     /// An inert handle: every method is a no-op.
     pub fn disabled() -> ObsAction {
         ObsAction::default()
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.hub.is_some()
-    }
-
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Record a lifecycle phase at an explicit timestamp (virtual time).
@@ -467,11 +440,11 @@ mod tests {
     fn disabled_hub_records_nothing() {
         let hub = ObsHub::new();
         let a = hub.action(meta(0, "x"), 0);
-        assert!(!a.is_enabled());
+        assert!(a.hub.is_none());
         a.phase(ObsPhase::Dispatched, 10);
         a.finish(true, 20);
         hub.degraded(1, 2, 3, 4, 30);
-        assert_eq!(hub.records_len(), 0);
+        assert!(hub.take_records().is_empty());
     }
 
     #[test]
@@ -486,7 +459,7 @@ mod tests {
         assert_eq!(recs.len(), 4);
         match &recs[0] {
             ObsRecord::Enqueued { action, t_ns, meta } => {
-                assert_eq!(*action, a.id());
+                assert_eq!(*action, a.id);
                 assert_eq!(*t_ns, 5);
                 assert_eq!(meta.stream, 1);
             }
@@ -500,7 +473,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(hub.records_len(), 0, "take_records drains");
+        assert!(hub.take_records().is_empty(), "take_records drains");
     }
 
     #[test]
@@ -509,7 +482,7 @@ mod tests {
         hub.enable(true);
         let a = hub.action(meta(0, "a"), 0);
         let b = hub.action(meta(0, "b"), 1);
-        assert_eq!(b.id(), a.id() + 1);
+        assert_eq!(b.id, a.id + 1);
     }
 
     #[test]

@@ -299,12 +299,6 @@ impl OmpSs {
         self.stream_busy_est[device.0][stream_key % n] += dur;
     }
 
-    /// Override the modelled per-buffer allocation stall (µs); exposed for
-    /// ablations (0 = pooled-like behaviour).
-    pub fn set_alloc_stall_us(&mut self, us: f64) {
-        self.alloc_stall_us = us;
-    }
-
     pub fn register(&mut self, name: &str, f: TaskFn) {
         match &mut self.be {
             Be::Hs { hs, .. } => hs.register(name, f),

@@ -161,11 +161,6 @@ impl Sim {
         id
     }
 
-    /// Has the token fired?
-    pub fn token_fired(&self, tok: Token) -> bool {
-        self.tokens[tok.index()].fired
-    }
-
     /// Virtual time at which the token fired (None if unfired).
     pub fn token_fire_time(&self, tok: Token) -> Option<Time> {
         let st = &self.tokens[tok.index()];
@@ -384,7 +379,7 @@ mod tests {
         let woke = crate::testcell::SyncCell::new(false);
         let w = woke.clone();
         sim.token_on_fire(tok, move |_| w.set(true));
-        assert!(!sim.token_fired(tok));
+        assert_eq!(sim.token_fire_time(tok), None);
         sim.schedule(Dur::from_micros(1), move |s| s.token_fire(tok));
         sim.run();
         assert!(woke.get());

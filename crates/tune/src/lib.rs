@@ -93,37 +93,6 @@ impl SearchSpace {
         }
     }
 
-    /// A reasonable default grid for a dense-tiled workload of dimension
-    /// `n` on a target domain with `cores` cores: stream counts up to 8,
-    /// mask widths in powers of two up to the full domain, tiles spanning
-    /// roughly n/24 … n/4. Callers with sweep tables of their own (the
-    /// fig6/fig7 grids) should pass those instead.
-    pub fn default_for(n: usize, cores: u32) -> SearchSpace {
-        let streams: Vec<u32> = [1u32, 2, 3, 4, 6, 8]
-            .into_iter()
-            .filter(|s| *s <= cores.max(1))
-            .collect();
-        let mut widths: Vec<u32> = Vec::new();
-        let mut w = 1u32;
-        while w <= cores.max(1) {
-            widths.push(w);
-            w *= 2;
-        }
-        if !widths.contains(&cores) && cores > 0 {
-            widths.push(cores);
-        }
-        let mut tiles: Vec<usize> = [24usize, 16, 12, 8, 6, 4]
-            .into_iter()
-            .map(|d| (n / d).max(1))
-            .collect();
-        tiles.dedup();
-        SearchSpace {
-            streams_per_card: streams,
-            mask_widths: widths,
-            tiles,
-        }
-    }
-
     fn is_empty(&self) -> bool {
         self.streams_per_card.is_empty() || self.mask_widths.is_empty() || self.tiles.is_empty()
     }

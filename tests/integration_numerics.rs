@@ -107,42 +107,3 @@ fn cholesky_all_variants_agree_on_same_matrix() {
         assert!(err < 1e-8, "{variant:?} err {err}");
     }
 }
-
-#[test]
-fn remote_node_domain_works_end_to_end() {
-    // The paper's "offload over fabric" feature: a second Xeon node as a
-    // stream target. Apps treat any non-host domain uniformly, so the
-    // hetero matmul runs unchanged with a remote node instead of a card —
-    // the retargetability claim of §II.
-    let platform = PlatformCfg::native(Device::Hsw).with_remote_node(Device::Ivb);
-    let mut hs = HStreams::init(platform, ExecMode::Threads);
-    let mut cfg = hs_apps::matmul::MatmulConfig::new(20, 5);
-    cfg.streams_per_card = 2;
-    cfg.streams_host = 2;
-    cfg.verify = true;
-    let r = hs_apps::matmul::run(&mut hs, &cfg).expect("runs over fabric");
-    assert!(r.max_err.expect("verified") < 1e-10);
-}
-
-#[test]
-fn remote_node_is_slower_to_reach_than_a_local_card_in_sim() {
-    let secs = |platform: PlatformCfg| {
-        let hs = HStreams::init(platform, ExecMode::Sim);
-        let dev = hstreams_core::DomainId(1);
-        let s = hs
-            .stream_create(dev, hstreams_core::CpuMask::first(4))
-            .expect("stream");
-        let bytes = 256 << 20;
-        let b = hs.buffer_create(bytes, Default::default());
-        hs.buffer_instantiate(b, dev).expect("inst");
-        hs.xfer_to_sink(s, b, 0..bytes).expect("h2d");
-        hs.stream_synchronize(s).expect("sync");
-        hs.now_secs()
-    };
-    let card = secs(PlatformCfg::hetero(Device::Hsw, 1));
-    let remote = secs(PlatformCfg::native(Device::Hsw).with_remote_node(Device::Hsw));
-    assert!(
-        remote > card * 1.5,
-        "fabric link must be slower than PCIe: {remote:.4}s vs {card:.4}s"
-    );
-}
