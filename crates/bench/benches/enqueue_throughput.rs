@@ -9,8 +9,10 @@
 //! evidence: `frontend.stream_lock.contended`, `deps.redundant`, and
 //! `allocs_per_action` — heap allocations on every thread of the process
 //! per enqueued action, counted (by a counting global allocator) over a
-//! second, untimed pass of the same drive. The `pre_pr` rows are the parent
-//! commit measured with its own copy of this file.
+//! second, untimed pass of the same drive — and `worker_wakes_per_action` /
+//! `worker_parks_per_action`, the worker pool's `workers.wakes` and
+//! `workers.parks` over the timed pass per action. The `pre_pr` rows are
+//! the parent commit measured with its own copy of this file.
 //! A row with more source threads than the host has cores is omitted, with
 //! the reason printed: it would measure the scheduler. The `wal_on` row
 //! repeats the single-thread drive with durable logging enabled and gates
@@ -137,24 +139,38 @@ struct Evidence {
     deps_redundant: f64,
     /// Heap allocations per action, summed over every thread.
     allocs_per_action: f64,
+    /// Worker-pool notifies per action over the timed pass.
+    wakes_per_action: f64,
+    /// Worker parks per action over the timed pass.
+    parks_per_action: f64,
     wal_flushes: f64,
     wal_fsyncs: f64,
     wal_fsync_batched: f64,
 }
 
-fn evidence(hs: &HStreams, allocs_per_action: f64) -> Evidence {
+/// The `metrics()` rows named `keys`, 0 for a row that is absent.
+fn rows<const N: usize>(hs: &HStreams, keys: [&str; N]) -> [f64; N] {
     let rows = hs.metrics().rows();
-    let get = |key: &str| {
+    keys.map(|key| {
         rows.iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| *v)
             .unwrap_or(0.0)
-    };
+    })
+}
+
+const WORKER_ROWS: [&str; 2] = ["workers.wakes", "workers.parks"];
+
+fn evidence(hs: &HStreams, allocs_per_action: f64, workers_per_action: [f64; 2]) -> Evidence {
+    let [lock_contended, deps_redundant] =
+        rows(hs, ["frontend.stream_lock.contended", "deps.redundant"]);
     let wal = hs.wal_stats();
     Evidence {
-        lock_contended: get("frontend.stream_lock.contended"),
-        deps_redundant: get("deps.redundant"),
+        lock_contended,
+        deps_redundant,
         allocs_per_action,
+        wakes_per_action: workers_per_action[0],
+        parks_per_action: workers_per_action[1],
         wal_flushes: wal.as_ref().map_or(0.0, |s| s.flushes as f64),
         wal_fsyncs: wal.as_ref().map_or(0.0, |s| s.fsyncs as f64),
         wal_fsync_batched: wal.as_ref().map_or(0.0, |s| s.fsync_batched as f64),
@@ -219,13 +235,16 @@ fn measure(
             });
         }
     };
+    let workers_before = rows(&hs, WORKER_ROWS);
     let start = std::time::Instant::now();
     pass();
     let rate = total as f64 / start.elapsed().as_secs_f64();
+    let workers_after = rows(&hs, WORKER_ROWS);
+    let workers = std::array::from_fn(|i| (workers_after[i] - workers_before[i]) / total as f64);
     // Counted apart from the timed pass: the counters are shared atomics.
     let (driver, others) = counting_alloc::counted(pass);
     let allocs = (driver.allocs + others.allocs) as f64 / total as f64;
-    (rate, evidence(&hs, allocs))
+    (rate, evidence(&hs, allocs, workers))
 }
 
 /// The `name` of an out-of-order row driven by `threads` source threads.
@@ -368,6 +387,7 @@ fn main() {
         "vs 1T",
         "contended",
         "allocs/act",
+        "wakes/act",
     ]);
 
     let mut single = 0.0;
@@ -421,6 +441,7 @@ fn main() {
                     format!("{:.2}x", rate / base),
                     format!("{:.0}", ev.lock_contended),
                     format!("{:.2}", ev.allocs_per_action),
+                    format!("{:.3}", ev.wakes_per_action),
                 ]);
                 let name = row_name(t);
                 records.push(
@@ -436,6 +457,8 @@ fn main() {
                             ("stream_lock_contended".to_string(), ev.lock_contended),
                             ("deps_redundant".to_string(), ev.deps_redundant),
                             ("allocs_per_action".to_string(), ev.allocs_per_action),
+                            ("worker_wakes_per_action".to_string(), ev.wakes_per_action),
+                            ("worker_parks_per_action".to_string(), ev.parks_per_action),
                         ]),
                 );
             }
@@ -522,6 +545,7 @@ fn main() {
         format!("{:.2}x", wal_rate / wal_base),
         format!("{:.0}", wal_ev.lock_contended),
         format!("{:.2}", wal_ev.allocs_per_action),
+        format!("{:.3}", wal_ev.wakes_per_action),
     ]);
     records.push(
         JsonRecord::new("wal_on", actions, 0.0)
@@ -536,6 +560,14 @@ fn main() {
                 ("overhead_us".to_string(), overhead_us),
                 ("host_cores".to_string(), cores as f64),
                 ("allocs_per_action".to_string(), wal_ev.allocs_per_action),
+                (
+                    "worker_wakes_per_action".to_string(),
+                    wal_ev.wakes_per_action,
+                ),
+                (
+                    "worker_parks_per_action".to_string(),
+                    wal_ev.parks_per_action,
+                ),
             ]),
     );
     println!(
@@ -581,6 +613,7 @@ fn main() {
         format!("{:.2}x", fsync_rate / wal_base),
         format!("{:.0}", fsync_ev.lock_contended),
         format!("{:.2}", fsync_ev.allocs_per_action),
+        format!("{:.3}", fsync_ev.wakes_per_action),
     ]);
     records.push(
         JsonRecord::new("wal_fsync", actions, 0.0)
@@ -644,6 +677,7 @@ fn main() {
             "-".to_string(),
             "-".to_string(),
             format!("{allocs:.2}"),
+            "-".to_string(),
         ]);
     }
     table.print("enqueue throughput (thread executor, host streams)");

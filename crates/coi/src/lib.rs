@@ -27,6 +27,8 @@
 //! * [`pool::BufferPool`] — the buffer pool (§III's "pool of 2MB buffers")
 //!   whose absence the paper's overhead analysis flags as significant:
 //!   per-size-class free lists, windows sized to their data.
+//! * [`sync`] — the lock, condvar, atomics and threads [`workers`] is built
+//!   from, which the pool's loom models swap for the model checker's.
 
 pub mod event;
 pub mod pipeline;
@@ -34,6 +36,7 @@ pub mod pool;
 pub mod registry;
 pub mod server;
 pub mod small;
+pub mod sync;
 pub mod workers;
 pub mod workgroup;
 
@@ -44,7 +47,7 @@ pub use registry::{FnRegistry, RunFunction};
 pub use server::{
     inflight_requests, request_shutdown, serve_tcp, serve_uds, shutdown_requested, WorkerState,
 };
-pub use workers::{QueueHandle, SerialQueue, WorkerPool, LIFO_CAP};
+pub use workers::{QueueHandle, SerialQueue, WorkerPool, WorkerStats, LIFO_CAP, SPIN};
 pub use workgroup::Workgroup;
 
 use hs_chaos::ChaosHub;

@@ -18,6 +18,20 @@
 //! A worker takes at most [`LIFO_CAP`] jobs in a row from its slot before it
 //! serves the FIFO, so a chain that feeds itself cannot starve the pool.
 //!
+//! **Waking.** A worker that finds the FIFO empty first spins: it polls a
+//! count of queued jobs for up to [`SPIN`] (yielding its core between
+//! polls), and only then parks on the condvar. One worker per pool spins at
+//! a time, and a one-worker pool never does. A push wakes a parked worker
+//! only for a job nobody else will take: the spinner takes one, and a
+//! parked worker that a notify is already on its way to (the FIFO's
+//! `notified` count) takes another. A worker that takes a job from the
+//! FIFO and leaves more behind hands the rest on by the same rule. A
+//! stream fed faster than once per [`SPIN`] therefore wakes a worker once
+//! per idle spell, not once per push. [`WorkerPool::stats`] counts the
+//! notifies (`wakes`), the parks and the jobs a spinner took
+//! (`spin_takes`); an in-process runtime's `metrics()` reads them as
+//! `workers.*`.
+//!
 //! **Blocking queues.** A queue whose items block (a remote card's exec
 //! connection, wire or paced DMA) is the same queue on a pool of its own
 //! with one worker: a blocked item never holds a worker that ready compute
@@ -29,16 +43,20 @@
 //! once the FIFO is empty and joins them, unless the drop runs on one of
 //! them — then every worker is left to finish on its own.
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{
+    spawn, yield_now, AtomicU64, AtomicUsize, Condvar, JoinHandle, Mutex, Ordering, SpinBudget,
+};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Jobs a worker takes from its LIFO slot in a row before it serves the FIFO.
 pub const LIFO_CAP: u32 = 4;
+
+/// How long a worker that finds the FIFO empty polls it before it parks.
+pub const SPIN: Duration = Duration::from_micros(50);
 
 /// A unit of work on a [`WorkerPool`].
 pub(crate) trait Job: Send + Sync {
@@ -47,19 +65,43 @@ pub(crate) trait Job: Send + Sync {
 
 struct Fifo {
     jobs: VecDeque<Arc<dyn Job>>,
-    /// Workers parked on the condvar: a push wakes one only if there is one.
+    /// Workers parked on the condvar.
     idle: usize,
+    /// Parked workers a notify is already on its way to; at most `idle`.
+    notified: usize,
+    /// A worker is polling `Shared::queued` instead of parking.
+    spinner: bool,
     shutdown: bool,
+}
+
+impl Fifo {
+    /// Parked workers to notify for `runnable` jobs just made takeable: the
+    /// spinner takes one, each worker already notified another. The
+    /// returned workers count as notified from here on.
+    fn claim_wakes(&mut self, runnable: usize) -> usize {
+        let spare = runnable.saturating_sub(usize::from(self.spinner));
+        let wake = spare.min(self.idle - self.notified);
+        self.notified += wake;
+        wake
+    }
 }
 
 struct Shared {
     fifo: Mutex<Fifo>,
     cv: Condvar,
+    /// `fifo.jobs.len()`, stored under the lock, for the spinner to poll
+    /// without taking it.
+    queued: AtomicUsize,
+    /// More than one worker: a one-worker pool never spins.
+    spins: bool,
+    wakes: AtomicU64,
+    parks: AtomicU64,
+    spin_takes: AtomicU64,
 }
 
 impl Shared {
     /// Queue `n` runs of `job` — at the front for region helpers, which a
-    /// running item waits on — and wake up to as many parked workers.
+    /// running item waits on — and wake the parked workers they need.
     fn push(&self, job: Arc<dyn Job>, n: usize, front: bool) {
         let wake = {
             let mut f = self.fifo.lock();
@@ -71,12 +113,34 @@ impl Shared {
             } else {
                 f.jobs.push_back(job);
             }
-            n.min(f.idle)
+            self.queued.store(f.jobs.len(), Ordering::Relaxed);
+            f.claim_wakes(n)
         };
-        for _ in 0..wake {
+        self.wake(wake);
+    }
+
+    /// Send the notifies [`Fifo::claim_wakes`] claimed.
+    fn wake(&self, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.wakes.fetch_add(n as u64, Ordering::Relaxed);
+        for _ in 0..n {
             self.cv.notify_one();
         }
     }
+}
+
+/// What a [`WorkerPool`]'s workers did about running out of work, counted
+/// since the pool started.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkerStats {
+    /// Notifies sent to parked workers.
+    pub wakes: u64,
+    /// Times a worker parked on an empty FIFO.
+    pub parks: u64,
+    /// Jobs a worker took from the FIFO after spinning for them.
+    pub spin_takes: u64,
 }
 
 thread_local! {
@@ -102,17 +166,21 @@ impl WorkerPool {
             fifo: Mutex::new(Fifo {
                 jobs: VecDeque::new(),
                 idle: 0,
+                notified: 0,
+                spinner: false,
                 shutdown: false,
             }),
             cv: Condvar::new(),
+            queued: AtomicUsize::new(0),
+            spins: size > 1,
+            wakes: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            spin_takes: AtomicU64::new(0),
         });
         let threads = (0..size)
             .map(|i| {
                 let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || work(&shared))
-                    .expect("spawning a pool worker")
+                spawn(format!("{name}-{i}"), move || work(&shared))
             })
             .collect();
         WorkerPool {
@@ -130,6 +198,20 @@ impl WorkerPool {
     /// Parallel regions the [`crate::Workgroup`]s on this pool have opened.
     pub fn regions(&self) -> u64 {
         self.regions.load(Ordering::Relaxed)
+    }
+
+    /// Wake-ups, parks and spinner takes so far.
+    pub fn stats(&self) -> WorkerStats {
+        WorkerStats {
+            wakes: self.shared.wakes.load(Ordering::Relaxed),
+            parks: self.shared.parks.load(Ordering::Relaxed),
+            spin_takes: self.shared.spin_takes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Workers parked on the condvar right now.
+    pub fn parked(&self) -> usize {
+        self.shared.fifo.lock().idle
     }
 
     fn on_worker(&self) -> bool {
@@ -208,19 +290,47 @@ fn work(shared: &Arc<Shared>) {
                 if let Some(job) = spilled {
                     f.jobs.push_back(job);
                 }
+                let mut spun = false;
                 loop {
                     if let Some(job) = f.jobs.pop_front() {
-                        if !f.jobs.is_empty() && f.idle > 0 {
-                            shared.cv.notify_one();
+                        shared.queued.store(f.jobs.len(), Ordering::Relaxed);
+                        if spun {
+                            shared.spin_takes.fetch_add(1, Ordering::Relaxed);
                         }
+                        let wake = if f.jobs.is_empty() {
+                            0
+                        } else {
+                            f.claim_wakes(1)
+                        };
+                        drop(f);
+                        shared.wake(wake);
                         break job;
                     }
                     if f.shutdown {
                         return;
                     }
+                    if shared.spins && !spun && !f.spinner {
+                        f.spinner = true;
+                        drop(f);
+                        let mut budget = SpinBudget::new(SPIN);
+                        while shared.queued.load(Ordering::Relaxed) == 0 && budget.left() {
+                            std::hint::spin_loop();
+                            yield_now();
+                        }
+                        f = shared.fifo.lock();
+                        f.spinner = false;
+                        spun = true;
+                        // Back to the top: a push that found this worker
+                        // spinning woke nobody, so its job is this
+                        // worker's to take.
+                        continue;
+                    }
                     f.idle += 1;
+                    shared.parks.fetch_add(1, Ordering::Relaxed);
                     shared.cv.wait(&mut f);
                     f.idle -= 1;
+                    f.notified = f.notified.saturating_sub(1);
+                    spun = false;
                 }
             }
         };

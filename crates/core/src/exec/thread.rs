@@ -350,6 +350,8 @@ pub struct Executor {
     /// Monotonic submission counter, used as the deterministic per-action
     /// salt for retry-backoff jitter.
     submitted: AtomicU64,
+    /// Wall-time [`Self::wait`]s that found their event still pending.
+    blocking_waits: AtomicU64,
     /// Wall time's timer thread. Declared last so the sink and DMA queues
     /// are closed before it goes (nothing can schedule after them).
     _wheel: Option<TimerWheel>,
@@ -410,6 +412,7 @@ impl Executor {
             chaos,
             cards,
             submitted: AtomicU64::new(0),
+            blocking_waits: AtomicU64::new(0),
             _wheel: wheel,
         })
     }
@@ -582,9 +585,19 @@ impl Executor {
     /// any more is an error, not a hang.
     pub fn wait(&self, ev: &CoiEvent) -> Result<(), FailureCause> {
         match &self.clock {
-            Clock::Wall(_) => ev.wait(),
+            Clock::Wall(_) => {
+                if !ev.is_complete() {
+                    self.blocking_waits.fetch_add(1, Ordering::Relaxed);
+                }
+                ev.wait()
+            }
             Clock::Virtual(v) => v.wait(ev),
         }
+    }
+
+    /// Wall-time waits that blocked: their event was still pending.
+    pub fn blocking_waits(&self) -> u64 {
+        self.blocking_waits.load(Ordering::Relaxed)
     }
 
     /// Wait until any of the events *succeeds*; returns its index. Errors

@@ -1374,6 +1374,17 @@ impl HStreams {
             snap.extra.insert("wg.lanes".to_string(), lanes as f64);
             snap.extra
                 .insert("wg.regions".to_string(), coi.pool().regions() as f64);
+            let workers = coi.pool().stats();
+            snap.extra
+                .insert("workers.wakes".to_string(), workers.wakes as f64);
+            snap.extra
+                .insert("workers.parks".to_string(), workers.parks as f64);
+            snap.extra
+                .insert("workers.spin_takes".to_string(), workers.spin_takes as f64);
+            snap.extra.insert(
+                "exec.blocking_waits".to_string(),
+                self.inner.exec.blocking_waits() as f64,
+            );
             // Window capacity the buffer pools hold registered, all domains:
             // against the bytes of the live buffers it is what pooling costs.
             let registered: u64 = coi

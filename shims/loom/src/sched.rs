@@ -146,7 +146,15 @@ pub(crate) struct Ctx {
 }
 
 pub(crate) fn current() -> Option<Ctx> {
-    CTX.with(|c| c.borrow().clone())
+    let ctx = CTX.with(|c| c.borrow().clone())?;
+    // A thread unwinding out of an aborted run runs its destructors outside
+    // the model: a lock, notify or join there would otherwise raise
+    // `LoomAbort` inside a destructor, and a panic during unwinding aborts
+    // the process instead of reporting the failure.
+    if std::thread::panicking() && ctx.sched.st().abort.is_some() {
+        return None;
+    }
+    Some(ctx)
 }
 
 fn set_current(ctx: Option<Ctx>) {

@@ -24,7 +24,15 @@ impl<T> JoinHandle<T> {
         match self.0 {
             Repr::Os(h) => h.join(),
             Repr::Model { tid, sched, slot } => {
-                let ctx = current().expect("loom(shim): model JoinHandle joined outside its model");
+                let Some(ctx) = current() else {
+                    // Unwinding out of an aborted run: the target unwinds
+                    // too, and `model::Builder::check` waits for it.
+                    assert!(
+                        std::thread::panicking(),
+                        "loom(shim): model JoinHandle joined outside its model"
+                    );
+                    return Err(Box::new("loom(shim): run aborted"));
+                };
                 ctx.sched.yield_point(ctx.tid);
                 // No yield between the check and the block: we hold the
                 // active token, so the target can't finish in between.
