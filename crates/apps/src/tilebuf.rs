@@ -141,7 +141,16 @@ mod tests {
         let map = TileMap::new(10, 4);
         let tb = TileBufs::create(&mut hs, map, "A");
         assert_eq!(tb.bufs.len(), 9);
-        assert_eq!(hs.buffer_len(tb.buf(0, 0)).expect("len"), 128);
-        assert_eq!(hs.buffer_len(tb.buf(2, 2)).expect("len"), 2 * 2 * 8);
+        assert_eq!((tb.bytes(0, 0), tb.bytes(2, 2)), (128, 2 * 2 * 8));
+        // A read one element past a tile is refused with the buffer's length.
+        for (i, j) in [(0, 0), (2, 2)] {
+            let mut past = vec![0.0; tb.bytes(i, j) / 8 + 1];
+            match hs.buffer_read_f64(tb.buf(i, j), 0, &mut past) {
+                Err(hstreams_core::HsError::OutOfBounds { len, .. }) => {
+                    assert_eq!(len, tb.bytes(i, j), "tile ({i}, {j})")
+                }
+                other => panic!("tile ({i}, {j}): {other:?}"),
+            }
+        }
     }
 }

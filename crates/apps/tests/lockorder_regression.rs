@@ -94,7 +94,7 @@ fn pipelines_obey_the_documented_lock_order() {
         hs.durability_opts(&root, false, 0).expect("durability on");
         let r = matmul::run(&mut hs, &cfg).expect("matmul runs");
         assert!(r.max_err.expect("verified") < 1e-10);
-        hs.wal_checkpoint();
+        hstreams_core::testing::wal_checkpoint(&hs);
         let records = hs.wal_stats().expect("durable").records;
         assert!(records > 0, "durable run logged no records");
     }

@@ -6,8 +6,21 @@
 
 use hs_apps::matmul::{run, MatmulConfig};
 use hs_machine::{Device, PlatformCfg};
-use hs_obs::{chrome, ObsRecord};
+use hs_obs::{chrome, ObsKind, ObsRecord};
 use hstreams_core::{ExecMode, HStreams};
+
+/// Computes plus the transfers not aliased away: the actions that hold a
+/// sink, one trace span each.
+fn executed_actions(hs: &HStreams) -> u64 {
+    let m = hs.metrics().extra;
+    (m["actions.compute"] + m["actions.transfer"] - m["actions.transfer_elided"]) as u64
+}
+
+/// The accepted actions by kind: compute, transfer, sync.
+fn action_counts(hs: &HStreams) -> [f64; 3] {
+    let m = hs.metrics().extra;
+    ["compute", "transfer", "sync"].map(|kind| m[&format!("actions.{kind}")])
+}
 
 /// One `take_obs_records()` feeds the Chrome export (a span per compute and
 /// non-elided transfer) and hsan (a clean trace with one action per
@@ -18,8 +31,7 @@ fn one_drain_two_consumers(mode: ExecMode, cfg: &MatmulConfig) {
     run(&mut hs, cfg).expect("matmul runs");
     let records = hs.take_obs_records();
 
-    let stats = hs.stats();
-    let executed = stats.computes() + stats.transfers() - stats.transfers_elided();
+    let executed = executed_actions(&hs);
     let check = chrome::validate(&chrome::chrome_trace_json(&records)).expect("trace validates");
     assert_eq!(
         check.spans as u64, executed,
@@ -65,7 +77,7 @@ fn traced_matmul_span_count_matches_enqueued_actions() {
     hs.obs_enable(true);
     run(&mut hs, &cfg).expect("matmul runs");
 
-    let expected = hs.stats().computes() + hs.stats().transfers() - hs.stats().transfers_elided();
+    let expected = executed_actions(&hs);
     let json = chrome::chrome_trace_json(&hs.take_obs_records());
     let check = chrome::validate(&json).expect("trace validates");
     assert_eq!(
@@ -73,8 +85,8 @@ fn traced_matmul_span_count_matches_enqueued_actions() {
         "one span per compute + non-elided transfer"
     );
     assert_eq!(
-        check.stream_rows,
-        hs.stats().count("stream_create") as usize,
+        check.stream_rows as f64,
+        hs.metrics().extra["api.stream_create"],
         "one trace row per stream"
     );
     // The first drain took the records: a second export is empty.
@@ -89,10 +101,16 @@ fn metrics_snapshot_has_action_counters() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
     hs.obs_enable(true);
     run(&mut hs, &cfg).expect("matmul runs");
-    let rows = hs.metrics().rows();
-    let get = |k: &str| rows.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
-    assert_eq!(get("actions.compute"), Some(hs.stats().computes() as f64));
-    assert_eq!(get("actions.transfer"), Some(hs.stats().transfers() as f64));
+    let m = hs.metrics().extra;
+    let records = hs.take_obs_records();
+    let spans = hs_obs::spans(&records);
+    let held = |kind| spans.iter().filter(|s| s.meta.kind == kind).count() as f64;
+    assert!(m["actions.compute"] > 0.0);
+    assert_eq!(m["actions.compute"], held(ObsKind::Compute));
+    assert_eq!(
+        m["actions.transfer"] - m["actions.transfer_elided"],
+        held(ObsKind::Transfer)
+    );
 }
 
 #[test]
@@ -102,10 +120,11 @@ fn disabled_hub_records_nothing() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
     run(&mut hs, &cfg).expect("matmul runs");
     assert!(hs.take_obs_records().is_empty(), "no sink, no records");
-    // The action counts are the runtime's own, recorded or not.
-    let m = hs.metrics();
-    let st = hs.stats();
-    assert_eq!(m.extra["actions.compute"], st.computes() as f64);
-    assert_eq!(m.extra["actions.transfer"], st.transfers() as f64);
-    assert_eq!(m.extra["actions.sync"], st.syncs() as f64);
+    // The action counts are the runtime's own, recorded or not: the same
+    // run with the hub on counts the same.
+    let mut traced = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
+    traced.obs_enable(true);
+    run(&mut traced, &cfg).expect("matmul runs");
+    assert!(action_counts(&hs)[0] > 0.0);
+    assert_eq!(action_counts(&hs), action_counts(&traced));
 }

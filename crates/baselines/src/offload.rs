@@ -132,8 +132,11 @@ impl OffloadModel {
         self.hs.now_secs()
     }
 
-    pub fn stats(&self) -> &hstreams_core::ApiStats {
-        self.hs.stats()
+    /// Measured API counts of the runtime underneath: (unique APIs, total
+    /// calls), read from its `api.unique` / `api.calls` metrics rows.
+    pub fn api_counts(&self) -> (usize, u64) {
+        let m = self.hs.metrics().extra;
+        (m["api.unique"] as usize, m["api.calls"] as u64)
     }
 }
 

@@ -40,7 +40,8 @@ fn hstreams_run() -> (usize, u64, f64) {
     let mut cfg = MatmulConfig::new(N, TILE);
     cfg.host_participates = false;
     let r = hs_matmul(&mut hs, &cfg).expect("hStreams matmul");
-    (hs.stats().unique_apis(), hs.stats().total_calls(), r.gflops)
+    let m = hs.metrics().extra;
+    (m["api.unique"] as usize, m["api.calls"] as u64, r.gflops)
 }
 
 fn cuda_like_run() -> (usize, u64, f64) {
@@ -171,11 +172,8 @@ fn omp_run(version: OmpVersion, tiled: bool) -> (usize, u64, f64) {
         m.taskwait().expect("wait");
     }
     let secs = m.now_secs() - t0;
-    (
-        m.stats().unique_apis(),
-        m.stats().total_calls(),
-        flops::gflops(flops::matmul_total(N), secs),
-    )
+    let (unique, total) = m.api_counts();
+    (unique, total, flops::gflops(flops::matmul_total(N), secs))
 }
 
 fn ompss_run(derate: f64) -> (usize, u64, f64) {

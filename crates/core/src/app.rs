@@ -94,7 +94,7 @@ impl HStreams {
         value: u8,
     ) -> HsResult<Event> {
         self.ensure_builtins();
-        self.stats().bump("app_memset");
+        self.inner.stats.bump("app_memset");
         self.enqueue_compute(
             s,
             K_MEMSET,
@@ -120,7 +120,7 @@ impl HStreams {
             ));
         }
         self.ensure_builtins();
-        self.stats().bump("app_memcpy");
+        self.inner.stats.bump("app_memcpy");
         self.enqueue_compute(
             s,
             K_COPY,
@@ -149,7 +149,7 @@ impl HStreams {
         accumulate: bool,
     ) -> HsResult<Event> {
         self.ensure_builtins();
-        self.stats().bump("app_dgemm");
+        self.inner.stats.bump("app_dgemm");
         let mut args = Vec::with_capacity(16);
         for v in [m as u32, n as u32, k as u32, u32::from(accumulate)] {
             args.extend_from_slice(&v.to_le_bytes());

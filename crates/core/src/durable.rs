@@ -31,8 +31,8 @@
 //! runtime's wait entries pushes them to the kernel page cache, which is
 //! exactly what surviving `kill -9` requires (media durability via fsync is
 //! an opt-in). A WAL I/O error never fails an enqueue: the log marks its
-//! writer broken, notes the loss of durability on the chaos log, and the
-//! run continues in-memory-only.
+//! writer broken, notes the loss of durability on the chaos log and as the
+//! `wal.broken` row of `metrics()`, and the run continues in-memory-only.
 
 use crate::sync::Ordering;
 use crate::types::{
@@ -597,6 +597,11 @@ impl RecoveryLog {
         self.durable.as_ref().map(|d| d.wal.stats())
     }
 
+    /// True once an I/O error broke the writer (appends are no-ops since).
+    pub(crate) fn broken(&self) -> bool {
+        self.durable.as_ref().is_some_and(|d| d.broken)
+    }
+
     /// Should the runtime bother gathering a checkpoint snapshot? True once
     /// enough log accumulated since the last checkpoint (and durability is
     /// still intact). "Enough" scales with the last snapshot's size: a
@@ -671,8 +676,8 @@ pub struct RecoveryReport {
     /// Actions re-enqueued through the normal paths.
     pub replayed: u32,
     /// Records dropped: undecodable payloads, vanished streams/buffers, or
-    /// sync deps that could not be scheduled. Each is noted on the chaos
-    /// log; a non-zero count means the recovered state may be incomplete.
+    /// sync deps that could not be scheduled. Each is named in `remarks`;
+    /// a non-zero count means the recovered state may be incomplete.
     pub skipped: u32,
     /// Records below the checkpoint watermark (already captured by the
     /// checkpoint overlay; not replayed).
@@ -685,6 +690,10 @@ pub struct RecoveryReport {
     pub prior_failures: Vec<FailureCause>,
     /// Watermark of the checkpoint that was overlaid, if any.
     pub checkpoint_watermark: Option<u64>,
+    /// What recovery had to work around, one line each: skipped records,
+    /// checkpoint buffers it could not overlay, a checkpoint it could not
+    /// persist into the new run. Empty for a clean recovery.
+    pub remarks: Vec<String>,
 }
 
 // ---------------------------------------------------------------------------
@@ -859,9 +868,9 @@ impl HStreams {
                 Some(la) => actions.push(la),
                 None => {
                     report.skipped += 1;
-                    self.inner
-                        .chaos
-                        .note(format!("recover: undecodable record ev {}", r.ev));
+                    report
+                        .remarks
+                        .push(format!("recover: undecodable record ev {}", r.ev));
                 }
             }
         }
@@ -871,7 +880,7 @@ impl HStreams {
         self.enable_durability(root, new_id, hs_wal::WalOptions::default())?;
         let mut ckpt_persisted = true;
         if let Some((_, bufs)) = &ckpt {
-            self.wal_overlay_checkpoint(bufs);
+            self.wal_overlay_checkpoint(bufs, &mut report.remarks);
             // Persist the overlaid state into the new generation *now*:
             // the source checkpoint is the only copy of the pre-watermark
             // buffer state (its log records were retired), so until the
@@ -892,7 +901,7 @@ impl HStreams {
             // already noted as lost): keep the source run — it is still
             // the only durable copy of the pre-watermark state, and a
             // later recover() will pick it (the oldest) again.
-            self.inner.chaos.note(format!(
+            report.remarks.push(format!(
                 "recover: checkpoint not persisted into run {new_id:016x}; \
                  keeping source run {src_id:016x}"
             ));

@@ -81,6 +81,8 @@ mod replay;
 mod stats;
 pub mod stream;
 pub mod sync;
+#[doc(hidden)]
+pub mod testing;
 pub mod types;
 
 pub use app::app_kernels;
@@ -89,14 +91,14 @@ pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
 pub use enqueue::{ActionOpts, BatchAction};
 pub use record::{ActionRecord, ActionTrace};
-pub use stats::ApiStats;
 pub use stream::ActionKind;
 pub use types::{
     Access, BufferId, CostHint, DomainId, Event, HsError, HsResult, Operand, OrderingMode, StreamId,
 };
 
 /// Fault-injection surface (re-exported from `hs-chaos`): install a
-/// [`FaultPlan`] with [`HStreams::chaos_install`], tune per-action
+/// [`FaultPlan`] with [`HStreams::chaos_install`] (which hands back the
+/// [`ChaosHub`] for its injected-fault log), tune per-action
 /// [`RetryPolicy`]s via [`ActionOpts`], and inspect structured
 /// [`FailureCause`]s from [`HsError::ActionFailed`].
 pub use hs_chaos::{ChaosHub, FailureCause, FaultKind, FaultPlan, FaultSite, RetryPolicy, Trigger};
@@ -116,7 +118,7 @@ use exec::Executor;
 use hs_coi::EngineId;
 use hs_machine::{Device, DomainRole, PlatformCfg};
 use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
-use stats::ShardedU64;
+use stats::{ApiStats, ShardedU64};
 use std::ops::Range;
 use stream::{DepList, StreamState};
 use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, Ordering};
@@ -178,6 +180,9 @@ pub struct DomainInfo {
     pub cores: u32,
     pub threads: u32,
     pub ram_bytes: u64,
+    /// A card lost and degraded to the host (its streams run there), until
+    /// [`HStreams::readmit_remote`] brings it back.
+    pub degraded: bool,
 }
 
 /// Enqueues between amortized event-table / recovery-log compactions.
@@ -329,7 +334,7 @@ impl HStreams {
                 buffers: ClassedRwLock::new(BufferTable::new()),
                 events: EventTable::new(),
                 exec,
-                stats: ApiStats::new(),
+                stats: ApiStats::default(),
                 sim_shadow: ClassedMutex::new(std::collections::HashMap::new()),
                 builtins: Once::new(),
                 obs,
@@ -353,10 +358,12 @@ impl HStreams {
     /// [`FaultPlan::with_auto_degrade`] is on (the default) — a `CardDead`
     /// fault triggers card-loss degradation on the next wait that observes
     /// it. Also starts the in-memory replay mirror that degradation replays
-    /// from.
-    pub fn chaos_install(&self, plan: FaultPlan) {
+    /// from. Returns the hub (a shared handle) for inspecting the
+    /// injected-fault log and the dead cards.
+    pub fn chaos_install(&self, plan: FaultPlan) -> ChaosHub {
         self.inner.recovery.lock().clear();
         self.inner.chaos.arm(plan);
+        self.inner.chaos.clone()
     }
 
     /// Should enqueues encode their log records? While a fault plan is
@@ -366,20 +373,11 @@ impl HStreams {
         self.inner.chaos.is_armed() || self.inner.durable.load(Ordering::Relaxed)
     }
 
-    /// The fault-injection hub (for inspecting the injected-fault log).
-    pub fn chaos(&self) -> &ChaosHub {
-        &self.inner.chaos
-    }
-
-    /// Cards that have been degraded to the host so far.
-    pub fn degraded_cards(&self) -> Vec<u32> {
-        self.inner.degraded.lock().clone()
-    }
-
     // ------------------------------------------------------------ discovery
 
     /// Enumerate domains and their properties.
     pub fn domains(&self) -> Vec<DomainInfo> {
+        let degraded = self.inner.degraded.lock();
         self.inner
             .platform
             .domains
@@ -394,6 +392,7 @@ impl HStreams {
                     cores: d.cores,
                     threads: d.cores * spec.threads_per_core,
                     ram_bytes: spec.ram_bytes(),
+                    degraded: degraded.contains(&(i as u32)),
                 }
             })
             .collect()
@@ -579,7 +578,7 @@ impl HStreams {
         Ok(())
     }
 
-    pub fn buffer_len(&self, buf: BufferId) -> HsResult<usize> {
+    pub(crate) fn buffer_len(&self, buf: BufferId) -> HsResult<usize> {
         self.inner.buffers.read().get(buf).map(|r| r.len)
     }
 
@@ -770,9 +769,8 @@ impl HStreams {
     /// backend handles drop; late waiters still resolve them as successes)
     /// and, while chaos is armed, prune replay-mirror entries that can never
     /// be replayed. Runs automatically every `COMPACT_EVERY` enqueues;
-    /// public so long-running tests and services can force a sweep at a
-    /// quiesce point.
-    pub fn compact_now(&self) {
+    /// [`testing::compact_now`] forces a sweep at a point a test picks.
+    pub(crate) fn compact_now(&self) {
         let inner = &*self.inner;
         let _world = inner.world.read();
         inner
@@ -904,8 +902,8 @@ impl HStreams {
     /// Write a checkpoint's buffer bytes back into the live instantiations
     /// (thread mode) or the host shadow map (sim mode). Mismatches — a
     /// buffer or instantiation the restarted application did not recreate —
-    /// are noted and skipped, never fatal.
-    fn wal_overlay_checkpoint(&self, bufs: &[(u64, u32, Vec<u8>)]) {
+    /// are skipped with a line in `remarks`, never fatal.
+    fn wal_overlay_checkpoint(&self, bufs: &[(u64, u32, Vec<u8>)], remarks: &mut Vec<String>) {
         for (id, domain, bytes) in bufs {
             let buf = BufferId(*id);
             let dom = DomainId(*domain as usize);
@@ -929,7 +927,7 @@ impl HStreams {
                         None => false,
                     };
                     if !ok {
-                        self.inner.chaos.note(format!(
+                        remarks.push(format!(
                             "recover: checkpoint overlay skipped buf {id} domain {domain} \
                              (not recreated or size mismatch)"
                         ));
@@ -949,8 +947,8 @@ impl HStreams {
     /// amortized cadence, without the appended-bytes throttle. No-op when
     /// durability is off. Compacts first: the quiesce requirement
     /// (`watermark == reserved`) only holds once the retirement watermark
-    /// sweeps forward.
-    pub fn wal_checkpoint(&self) {
+    /// sweeps forward. Reached from tests through [`testing::wal_checkpoint`].
+    pub(crate) fn wal_checkpoint(&self) {
         self.compact_now();
         self.wal_maybe_checkpoint(true);
     }
@@ -1242,10 +1240,6 @@ impl HStreams {
 
     // ------------------------------------------------------------- metrics
 
-    pub fn stats(&self) -> &ApiStats {
-        &self.inner.stats
-    }
-
     /// Elapsed time: virtual seconds (sim) or wall seconds (threads).
     pub fn now_secs(&self) -> f64 {
         self.inner.exec.now_secs()
@@ -1277,19 +1271,18 @@ impl HStreams {
     }
 
     /// A flat metrics snapshot, every row read from the component that
-    /// owns the number: accepted actions ([`ApiStats`]), event-table
-    /// occupancy, front-end contention and the WAL in every mode; DMA
-    /// bytes, ops and link utilization, stream shapes, expansion regions
-    /// and pool memory in real mode. Mergeable into bench JSON via
+    /// owns the number: accepted actions by kind (`actions.*`) and API
+    /// calls by name (`api.*`), event-table occupancy, front-end
+    /// contention, the cards marked dead (`chaos.dead_cards`, armed plan or
+    /// not) and the WAL (`wal.broken` once durability is lost) in every
+    /// mode; DMA bytes, ops and link utilization, stream shapes, expansion
+    /// regions and pool memory in real mode. Mergeable into bench JSON via
     /// `hs-bench`.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let api = &self.inner.stats;
-        snap.extra
-            .insert("actions.compute".into(), api.computes() as f64);
-        snap.extra
-            .insert("actions.transfer".into(), api.transfers() as f64);
-        snap.extra.insert("actions.sync".into(), api.syncs() as f64);
+        for (name, n) in self.inner.stats.rows() {
+            snap.extra.insert(name, n as f64);
+        }
         let table = self.inner.events.stats();
         snap.extra
             .insert("events.reserved".into(), table.reserved as f64);
@@ -1312,6 +1305,10 @@ impl HStreams {
             "frontend.recovery.entries".into(),
             self.inner.recovery.lock().entries().len() as f64,
         );
+        snap.extra.insert(
+            "chaos.dead_cards".into(),
+            self.inner.chaos.dead_cards().len() as f64,
+        );
         if let Some(ws) = self.wal_stats() {
             snap.extra
                 .insert("wal.appended_bytes".into(), ws.appended_bytes as f64);
@@ -1324,6 +1321,9 @@ impl HStreams {
                 .insert("wal.fsync_batched".into(), ws.fsync_batched as f64);
             snap.extra
                 .insert("wal.retired_segments".into(), ws.retired_segments as f64);
+            let broken = self.inner.recovery.lock().broken();
+            snap.extra
+                .insert("wal.broken".into(), f64::from(u8::from(broken)));
         }
         if let Some(coi) = self.inner.exec.coi() {
             let fabric = coi.fabric();

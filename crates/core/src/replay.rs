@@ -478,9 +478,9 @@ impl HStreams {
                 }
                 Err(e) => {
                     report.skipped += 1;
-                    self.inner
-                        .chaos
-                        .note(format!("recover: replay of ev {} failed: {e}", la.ev));
+                    report
+                        .remarks
+                        .push(format!("recover: replay of ev {} failed: {e}", la.ev));
                 }
             }
         }

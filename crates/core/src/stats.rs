@@ -72,9 +72,10 @@ impl ShardedU64 {
 /// Hot-path API names with dedicated counters: the per-action enqueue
 /// entry points must not pay the name map's read-lock + tree lookup, so
 /// [`ApiStats::bump`] routes these (by pointer — they are interned
-/// `&'static str` literals in `lib.rs`) to plain fields. The map-based
-/// views fold them back in under their names.
-pub const HOT_APIS: [&str; 5] = [
+/// `&'static str` literals in `lib.rs`) to plain fields. [`ApiStats::rows`]
+/// folds them back in under their names. A `static`, so each hot name has
+/// one address: the one [`hot_index`] compares against.
+static HOT_APIS: [&str; 5] = [
     "enqueue_compute",
     "enqueue_xfer",
     "enqueue_marker",
@@ -82,9 +83,10 @@ pub const HOT_APIS: [&str; 5] = [
     "enqueue_many",
 ];
 
-/// Counts of API invocations by name.
+/// Counts of API invocations by name, and of accepted actions by kind.
+/// Read only through [`ApiStats::rows`], which `HStreams::metrics` emits.
 #[derive(Default)]
-pub struct ApiStats {
+pub(crate) struct ApiStats {
     counts: RwLock<BTreeMap<&'static str, ShardedU64>>,
     /// One counter per [`HOT_APIS`] entry, index-aligned.
     hot: [ShardedU64; HOT_APIS.len()],
@@ -97,18 +99,16 @@ pub struct ApiStats {
 /// The hot slot for an API name, if it has one. Pointer comparison first:
 /// call sites pass the same literals `HOT_APIS` holds, so the common case
 /// is a few pointer equality checks with no byte scan; a content-equal
-/// string from elsewhere still matches via the fallback.
+/// string from elsewhere still matches via the fallback. The comparison is
+/// of the whole `&str` (address and length): a prefix of a hot name starts
+/// at the same address but is another name.
 fn hot_index(api: &str) -> Option<usize> {
     HOT_APIS
         .iter()
-        .position(|h| std::ptr::eq(h.as_ptr(), api.as_ptr()) || *h == api)
+        .position(|h| std::ptr::eq(*h, api) || *h == api)
 }
 
 impl ApiStats {
-    pub fn new() -> ApiStats {
-        ApiStats::default()
-    }
-
     pub fn bump(&self, api: &'static str) {
         if let Some(i) = hot_index(api) {
             self.hot[i].incr();
@@ -136,57 +136,31 @@ impl ApiStats {
         self.actions_sync.incr();
     }
 
-    /// Distinct API entry points used.
-    pub fn unique_apis(&self) -> usize {
-        self.counts.read().len() + self.hot.iter().filter(|c| c.get() > 0).count()
-    }
-
-    /// Total API invocations.
-    pub fn total_calls(&self) -> u64 {
-        self.counts.read().values().map(|v| v.get()).sum::<u64>()
-            + self.hot.iter().map(|c| c.get()).sum::<u64>()
-    }
-
-    pub fn count(&self, api: &str) -> u64 {
-        if let Some(i) = hot_index(api) {
-            return self.hot[i].get();
-        }
-        self.counts.read().get(api).map(|v| v.get()).unwrap_or(0)
-    }
-
-    pub fn computes(&self) -> u64 {
-        self.actions_compute.get()
-    }
-
-    pub fn transfers(&self) -> u64 {
-        self.actions_transfer.get()
-    }
-
-    pub fn syncs(&self) -> u64 {
-        self.actions_sync.get()
-    }
-
-    /// Host-as-target transfers that were aliased away.
-    pub fn transfers_elided(&self) -> u64 {
-        self.transfers_elided.get()
-    }
-
-    /// (name, count) rows, sorted by name.
-    #[cfg(test)]
-    pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        let mut merged: BTreeMap<&'static str, u64> = self
-            .counts
-            .read()
+    /// Every count as a named row: accepted actions by kind
+    /// (`actions.compute`, `actions.transfer`, `actions.sync`, and
+    /// `actions.transfer_elided`, the host-as-target transfers aliased
+    /// away), then API invocations in total (`api.calls`), the distinct
+    /// entry points used (`api.unique`) and each one's calls
+    /// (`api.<name>`, sorted by name).
+    pub fn rows(&self) -> Vec<(String, u64)> {
+        let counts = self.counts.read();
+        let per_name: BTreeMap<String, u64> = counts
             .iter()
-            .map(|(k, v)| (*k, v.get()))
+            .map(|(name, c)| (*name, c))
+            .chain(HOT_APIS.into_iter().zip(&self.hot))
+            .map(|(name, c)| (format!("api.{name}"), c.get()))
+            .filter(|(_, n)| *n > 0)
             .collect();
-        for (name, c) in HOT_APIS.iter().zip(&self.hot) {
-            let n = c.get();
-            if n > 0 {
-                *merged.entry(name).or_insert(0) += n;
-            }
-        }
-        merged.into_iter().collect()
+        let totals = [
+            ("actions.compute", self.actions_compute.get()),
+            ("actions.transfer", self.actions_transfer.get()),
+            ("actions.sync", self.actions_sync.get()),
+            ("actions.transfer_elided", self.transfers_elided.get()),
+            ("api.calls", per_name.values().sum()),
+            ("api.unique", per_name.len() as u64),
+        ];
+        let totals = totals.map(|(row, n)| (row.to_string(), n));
+        totals.into_iter().chain(per_name).collect()
     }
 }
 
@@ -194,57 +168,80 @@ impl ApiStats {
 mod tests {
     use super::*;
 
+    fn row(s: &ApiStats, name: &str) -> Option<u64> {
+        s.rows()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+    }
+
     #[test]
     fn bump_and_count() {
-        let s = ApiStats::new();
+        let s = ApiStats::default();
         s.bump("stream_create");
         s.bump("stream_create");
         s.bump("buffer_create");
-        assert_eq!(s.count("stream_create"), 2);
-        assert_eq!(s.unique_apis(), 2);
-        assert_eq!(s.total_calls(), 3);
+        assert_eq!(row(&s, "api.stream_create"), Some(2));
+        assert_eq!(row(&s, "api.unique"), Some(2));
+        assert_eq!(row(&s, "api.calls"), Some(3));
     }
 
     #[test]
     fn action_counters() {
-        let s = ApiStats::new();
+        let s = ApiStats::default();
         s.note_compute();
         s.note_transfer(false);
         s.note_transfer(true);
         s.note_sync();
-        assert_eq!(s.computes(), 1);
-        assert_eq!(s.transfers(), 2);
-        assert_eq!(s.transfers_elided(), 1);
-        assert_eq!(s.syncs(), 1);
+        assert_eq!(row(&s, "actions.compute"), Some(1));
+        assert_eq!(row(&s, "actions.transfer"), Some(2));
+        assert_eq!(row(&s, "actions.transfer_elided"), Some(1));
+        assert_eq!(row(&s, "actions.sync"), Some(1));
     }
 
     #[test]
     fn hot_apis_fold_into_map_views() {
-        let s = ApiStats::new();
+        let s = ApiStats::default();
         s.bump("enqueue_compute");
         s.bump("enqueue_compute");
         s.bump("enqueue_many");
         s.bump("stream_create");
-        assert_eq!(s.count("enqueue_compute"), 2);
-        assert_eq!(s.count("enqueue_many"), 1);
-        assert_eq!(s.total_calls(), 4);
-        assert_eq!(s.unique_apis(), 3);
-        let rows = s.rows();
-        assert!(rows.contains(&("enqueue_compute", 2)));
-        assert!(rows.contains(&("stream_create", 1)));
+        assert_eq!(row(&s, "api.enqueue_compute"), Some(2));
+        assert_eq!(row(&s, "api.enqueue_many"), Some(1));
+        assert_eq!(row(&s, "api.stream_create"), Some(1));
+        assert_eq!(row(&s, "api.calls"), Some(4));
+        assert_eq!(row(&s, "api.unique"), Some(3));
         // A content-equal non-literal name still routes to the hot slot.
-        let dynamic = String::from("enqueue_compute");
-        assert_eq!(s.count(&dynamic), 2);
+        let dynamic: &'static str = String::from("enqueue_compute").leak();
+        s.bump(dynamic);
+        assert_eq!(row(&s, "api.enqueue_compute"), Some(3));
+        assert_eq!(row(&s, "api.unique"), Some(3));
+    }
+
+    #[test]
+    fn a_prefix_of_a_hot_name_is_another_name() {
+        // Starts at the address `hot_index` compares against, but is
+        // "enqueue".
+        let hot: &'static str = HOT_APIS[0];
+        let prefix = &hot[.."enqueue".len()];
+        let s = ApiStats::default();
+        s.bump(prefix);
+        assert_eq!(row(&s, "api.enqueue"), Some(1));
+        assert_eq!(row(&s, "api.enqueue_compute"), None);
     }
 
     #[test]
     fn rows_sorted_by_name() {
-        let s = ApiStats::new();
+        let s = ApiStats::default();
         s.bump("zz");
         s.bump("aa");
-        let rows = s.rows();
-        assert_eq!(rows[0].0, "aa");
-        assert_eq!(rows[1].0, "zz");
+        let names: Vec<String> = s
+            .rows()
+            .into_iter()
+            .map(|(n, _)| n)
+            .filter(|n| n.starts_with("api.") && n != "api.calls" && n != "api.unique")
+            .collect();
+        assert_eq!(names, ["api.aa", "api.zz"]);
     }
 
     #[test]
@@ -265,7 +262,7 @@ mod tests {
 
     #[test]
     fn bump_through_shared_refs_across_threads() {
-        let s = ApiStats::new();
+        let s = ApiStats::default();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -275,6 +272,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(s.count("enqueue_compute"), 4000);
+        assert_eq!(row(&s, "api.enqueue_compute"), Some(4000));
     }
 }

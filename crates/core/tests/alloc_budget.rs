@@ -406,7 +406,8 @@ fn measure(rig: &Rig, leg: &str) -> Leg {
     let mut cheapest = |batched_from: usize| {
         (0..REPEATS)
             .map(|_| {
-                let (d, e) = counting_alloc::counted(|| rig.hs.wal_checkpoint());
+                let (d, e) =
+                    counting_alloc::counted(|| hstreams_core::testing::wal_checkpoint(&rig.hs));
                 checkpoint = d.allocs + e.allocs;
                 drives += 1;
                 let (d, e) = count(batched_from, true);

@@ -2,7 +2,9 @@
 //! the `pub fn`s inside `impl HStreams` blocks under `src/` are pinned, so
 //! a new method — or a second spelling of an existing one — is a
 //! deliberate edit of `PINNED` (and of DESIGN.md's API inventory), never a
-//! side effect. Two more tests keep what the end-to-end benchmark in
+//! side effect. The hidden `testing` module's functions are pinned the
+//! same way, so the test back door cannot grow into a second API. Two more
+//! tests keep what the end-to-end benchmark in
 //! `benchmark/` reads: the methods it calls (that crate is frozen, and a
 //! rename would break its build) and the `metrics()` rows its ledger
 //! copies (a missing row would read as 0 there, silently).
@@ -24,14 +26,10 @@ const PINNED: &[&str] = &[
     "buffer_create",
     "buffer_destroy",
     "buffer_instantiate",
-    "buffer_len",
     "buffer_read_f64",
     "buffer_write_f64",
-    "chaos",
     "chaos_install",
     "charge_source_secs",
-    "compact_now",
-    "degraded_cards",
     "domains",
     "durability_opts",
     "enqueue_compute",
@@ -54,17 +52,19 @@ const PINNED: &[&str] = &[
     "readmit_remote",
     "recover",
     "register",
-    "stats",
     "stream_create",
     "stream_domain",
     "stream_synchronize",
     "take_obs_records",
     "thread_synchronize",
-    "wal_checkpoint",
     "wal_stats",
     "xfer_to_sink",
     "xfer_to_source",
 ];
+
+/// Every `pub` item of `hstreams_core::testing` (`src/testing.rs`), all of
+/// them functions.
+const TESTING_PINNED: &[&str] = &["compact_now", "wal_checkpoint"];
 
 /// The `HStreams` methods `benchmark/src` calls.
 const BENCHMARK_CALLS: &[&str] = &[
@@ -174,6 +174,29 @@ fn hstreams_public_methods_are_pinned() {
          one is a deliberate edit of PINNED and of DESIGN.md's API inventory.",
         names.len(),
         PINNED.len()
+    );
+}
+
+#[test]
+fn the_testing_hooks_are_pinned() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/testing.rs");
+    let text = std::fs::read_to_string(&path).expect("read src/testing.rs");
+    let items: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("pub"))
+        .map(|l| {
+            let name = l
+                .strip_prefix("pub fn ")
+                .unwrap_or_else(|| panic!("hstreams_core::testing holds functions only: {l:?}"));
+            name.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or_default()
+        })
+        .collect();
+    assert_eq!(
+        items, TESTING_PINNED,
+        "hstreams_core::testing moved: a new hook is a deliberate edit of \
+         TESTING_PINNED, and a hook a product path needs belongs on HStreams"
     );
 }
 

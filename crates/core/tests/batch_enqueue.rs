@@ -121,7 +121,13 @@ fn run_single(rig: &Rig, op: &Op) -> Event {
 }
 
 /// What a drive leaves behind: (host data, computes, transfers, syncs).
-type Outcome = ([f64; N], u64, u64, u64);
+type Outcome = ([f64; N], [f64; 3]);
+
+/// The accepted actions by kind: compute, transfer, sync.
+fn counts(hs: &HStreams) -> [f64; 3] {
+    let m = hs.metrics().extra;
+    ["compute", "transfer", "sync"].map(|kind| m[&format!("actions.{kind}")])
+}
 
 /// Drive `ops` through `rig`, batched into chunks of the given sizes
 /// (an empty `splits` means one enqueue per op), then synchronize and
@@ -159,8 +165,7 @@ fn settle(rig: &Rig) -> Outcome {
     // shadow, which both variants treat identically.
     let mut out = [0.0; N];
     rig.hs.buffer_read_f64(rig.b, 0, &mut out).expect("read");
-    let st = rig.hs.stats();
-    (out, st.computes(), st.transfers(), st.syncs())
+    (out, counts(&rig.hs))
 }
 
 /// One WAL record as read back from disk: (stream, event, payload — the
@@ -285,7 +290,6 @@ fn batch_equals_singles_with_sync_kinds() {
 fn batch_is_all_or_nothing() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
-    let before = r.hs.stats().total_calls();
     let bogus = BufferId(9999);
     let batch = vec![
         op_to_batch(&r, &Op::AddK(1.0)),
@@ -298,7 +302,6 @@ fn batch_is_all_or_nothing() {
     ];
     let err = r.hs.enqueue_many(r.s, batch).expect_err("bogus buffer");
     assert!(matches!(err, HsError::UnknownBuffer(_)), "{err:?}");
-    let _ = before;
     r.hs.thread_synchronize().expect("sync");
     let mut out = [0.0; N];
     r.hs.buffer_read_f64(r.b, 0, &mut out).expect("read");
@@ -317,10 +320,6 @@ fn failed_batches_reserve_no_event_ids() {
     let r = rig(ExecMode::Threads);
     r.hs.thread_synchronize().expect("root settles");
     r.hs.obs_enable(true);
-    let counts = |hs: &HStreams| {
-        let st = hs.stats();
-        (st.computes(), st.transfers(), st.syncs())
-    };
     let counts0 = counts(&r.hs);
     let reserved0 = r.hs.metrics().extra["events.reserved"];
     for i in 0..10_000u64 {

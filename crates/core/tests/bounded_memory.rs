@@ -82,7 +82,7 @@ fn event_table_memory_is_flat_over_100k_cycles() {
     );
     // A final forced sweep at a quiesce point retires everything: the
     // watermark catches up to the reserved count and no live slots remain.
-    hs.compact_now();
+    hstreams_core::testing::compact_now(&hs);
     let reserved = metric(&hs, "events.reserved");
     let watermark = metric(&hs, "events.watermark");
     let live = metric(&hs, "events.live");
@@ -112,7 +112,7 @@ fn recovery_log_is_bounded_while_chaos_is_armed() {
             peak_log < LIVE_CEILING,
             "{domain:?}: recovery log must prune replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
         );
-        hs.compact_now();
+        hstreams_core::testing::compact_now(&hs);
         let entries = metric(&hs, "frontend.recovery.entries");
         assert_eq!(
             entries, 0.0,
@@ -171,7 +171,7 @@ fn a_durable_run_mirrors_nothing_until_a_plan_is_armed() {
         peak_log < LIVE_CEILING,
         "armed: the mirror prunes replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
     );
-    hs.compact_now();
+    hstreams_core::testing::compact_now(&hs);
     assert_eq!(entries(&hs), 0.0);
     assert_eq!(
         metric(&hs, "wal.records"),

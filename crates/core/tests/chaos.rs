@@ -11,6 +11,15 @@ use hstreams_core::{
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The domains degraded to the host, by index.
+fn degraded(hs: &HStreams) -> Vec<usize> {
+    hs.domains()
+        .iter()
+        .filter(|d| d.degraded)
+        .map(|d| d.id.0)
+        .collect()
+}
+
 fn runtime(mode: ExecMode) -> HStreams {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
     hs.register(
@@ -64,16 +73,16 @@ fn same_seed_injects_identically_across_runs() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let run = |seed: u64| {
             let mut hs = runtime(mode);
-            hs.chaos_install(
+            let chaos = hs.chaos_install(
                 FaultPlan::new(seed)
                     .with_dma_fault_rate(0.25)
                     .with_compute_fault_rate(0.25)
                     .with_retry(RetryPolicy::standard(8)),
             );
             pipelined_workload(&mut hs, 10).expect("transient-only faults + budget must succeed");
-            let mut log = hs.chaos().injected_log();
+            let mut log = chaos.injected_log();
             log.sort();
-            (log, hs.degraded_cards().to_vec())
+            (log, degraded(&hs))
         };
         let (log_a, deg_a) = run(42);
         let (log_b, deg_b) = run(42);
@@ -184,7 +193,7 @@ fn sim_deadline_is_virtual_time() {
 fn fatal_injection_is_not_retried() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let hs = runtime(mode);
-        hs.chaos_install(
+        let chaos = hs.chaos_install(
             FaultPlan::new(1)
                 .with_trigger(FaultSite::Compute { stream: 0, nth: 1 }, FaultKind::Fatal)
                 .with_retry(RetryPolicy::standard(8))
@@ -203,7 +212,7 @@ fn fatal_injection_is_not_retried() {
             other => panic!("expected injected cause, got {other} ({mode:?})"),
         }
         assert_eq!(
-            hs.chaos().injected_log().len(),
+            chaos.injected_log().len(),
             1,
             "exactly one injection: no retries of a permanent fault ({mode:?})"
         );
@@ -218,7 +227,7 @@ fn fatal_injection_is_not_retried() {
 fn injected_sink_panic_fails_the_action_and_poisons_its_dependent() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let hs = runtime(mode);
-        hs.chaos_install(
+        let chaos = hs.chaos_install(
             FaultPlan::new(1)
                 .with_trigger(
                     FaultSite::Compute { stream: 0, nth: 1 },
@@ -259,7 +268,7 @@ fn injected_sink_panic_fails_the_action_and_poisons_its_dependent() {
         hs.event_wait(independent)
             .unwrap_or_else(|e| panic!("{mode:?}: the other stream's action: {e}"));
         assert_eq!(
-            hs.chaos().injected_log(),
+            chaos.injected_log(),
             ["sink_panic@compute(stream=0)#1"],
             "{mode:?}"
         );
@@ -274,13 +283,13 @@ fn card_loss_degrades_to_host_and_workload_completes() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let mut hs = runtime(mode);
         hs.obs_enable(true);
-        hs.chaos_install(
+        let chaos = hs.chaos_install(
             FaultPlan::new(5)
                 .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead),
         );
         pipelined_workload(&mut hs, 8).expect("degradation must let the workload complete");
-        assert_eq!(hs.degraded_cards(), &[1], "card 1 degraded ({mode:?})");
-        assert!(hs.chaos().is_card_dead(1));
+        assert_eq!(degraded(&hs), [1], "card 1 degraded ({mode:?})");
+        assert!(chaos.is_card_dead(1));
         if mode == ExecMode::Threads {
             // The remapped streams keep their logical width (a 30-core
             // share of the lost card) but get the host's lanes for it, not
@@ -306,7 +315,8 @@ fn card_loss_degrades_to_host_and_workload_completes() {
         // So do transfers that still name the lost card: its copy of a
         // buffer is the host's now, so they alias away like the replayed
         // ones instead of failing with `NotInstantiated`.
-        let (card, elided) = (DomainId(1), hs.stats().transfers_elided());
+        let elided = |hs: &HStreams| hs.metrics().extra["actions.transfer_elided"];
+        let (card, before) = (DomainId(1), elided(&hs));
         let buf = hs.buffer_create(64, BufProps::default());
         hs.buffer_write_f64(buf, 0, &[1.0; 8]).expect("fill");
         hs.enqueue_xfer(s, buf, 0..64, DomainId::HOST, card)
@@ -322,7 +332,7 @@ fn card_loss_degrades_to_host_and_workload_completes() {
         hs.enqueue_xfer(s, buf, 0..64, card, DomainId::HOST)
             .expect("d2h from the lost card");
         hs.stream_synchronize(s).expect("settles on the host");
-        assert_eq!(hs.stats().transfers_elided(), elided + 2, "{mode:?}");
+        assert_eq!(elided(&hs), before + 2.0, "{mode:?}");
         if mode == ExecMode::Threads {
             let mut out = [0.0; 8];
             hs.buffer_read_f64(buf, 0, &mut out).expect("read back");
@@ -466,7 +476,7 @@ fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
         .expect("d2h");
     settle(&[("killed", killed), ("after_kill", after_kill)]);
 
-    assert_eq!(hs.degraded_cards(), &[1], "the card died ({mode:?})");
+    assert_eq!(degraded(&hs), [1], "the card died ({mode:?})");
 
     let records = hs.take_obs_records();
     let mut first = std::collections::HashMap::new();

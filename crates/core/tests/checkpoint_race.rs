@@ -92,7 +92,7 @@ fn a_checkpoint_never_takes_in_an_action_it_also_replays() {
             let mut rounds = 0;
             while !done.load(Ordering::Acquire) {
                 bump(&hs, pairs[0]);
-                hs.wal_checkpoint();
+                hstreams_core::testing::wal_checkpoint(&hs);
                 rounds += 1;
             }
             rounds

@@ -20,6 +20,15 @@ use mutate::mutate;
 
 const N: usize = 64;
 
+/// The domains degraded to the host, by index.
+fn degraded(hs: &HStreams) -> Vec<usize> {
+    hs.domains()
+        .iter()
+        .filter(|d| d.degraded)
+        .map(|d| d.id.0)
+        .collect()
+}
+
 fn tmp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!(
         "hs-durability-{tag}-{}-{:?}",
@@ -195,7 +204,7 @@ fn checkpoint_truncates_and_recovery_overlays() {
         enqueue_rounds(&hs, s0, s1, buf, 5);
         hs.thread_synchronize().expect("sync");
         let before = hs.wal_stats().expect("stats").records;
-        hs.wal_checkpoint();
+        hstreams_core::testing::wal_checkpoint(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 3);
         hs.thread_synchronize().expect("sync 2");
         assert!(before > 0);
@@ -423,10 +432,14 @@ fn recover_consistent_cut(root: &Path, entries: &[Entry]) -> hstreams_core::Reco
     let report = hs.recover(root).expect("recover");
     assert_eq!(report.skipped, 0, "{report:?}");
     assert_eq!(report.replayed, report.records, "{report:?}");
-    let notes = hs.chaos().injected_log();
     assert!(
-        !notes.iter().any(|l| l.contains("recover:")),
-        "recovery had nothing to remark on: {notes:?}"
+        report.remarks.is_empty(),
+        "recovery had nothing to remark on: {report:?}"
+    );
+    assert_eq!(
+        hs.metrics().extra["wal.broken"],
+        0.0,
+        "the re-log into the new run kept durability"
     );
     hs.thread_synchronize().expect("post-recover sync");
     let prefix = &entries[..report.records as usize];
@@ -538,14 +551,16 @@ fn wal_io_fault_degrades_to_in_memory() {
     let root = tmp_root("io");
     let hs = runtime(ExecMode::Threads);
     hs.durability_opts(&root, false, 0).expect("durability on");
-    hs.chaos_install(FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Io));
+    let chaos =
+        hs.chaos_install(FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Io));
     let (s0, s1, buf) = init_workload(&hs);
     enqueue_rounds(&hs, s0, s1, buf, 4);
     hs.thread_synchronize()
         .expect("the run itself must succeed");
     let expected: Vec<f64> = (0..N).map(|i| i as f64 + 4.0).collect();
     assert_eq!(read_result(&hs, buf), expected);
-    let log = hs.chaos().injected_log();
+    assert_eq!(hs.metrics().extra["wal.broken"], 1.0, "loss flagged");
+    let log = chaos.injected_log();
     assert!(
         log.iter().any(|l| l.contains("io@wal#1")),
         "io fault injected: {log:?}"
@@ -605,7 +620,7 @@ fn checkpoint_survives_double_crash() {
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 5);
         hs.thread_synchronize().expect("sync");
-        hs.wal_checkpoint();
+        hstreams_core::testing::wal_checkpoint(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 3);
         hs.thread_synchronize().expect("sync 2");
         // Crash 1: rounds 1–5 exist only in the checkpoint blob.
@@ -716,7 +731,7 @@ fn recover_refuses_a_checkpoint_it_cannot_trust() {
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 2);
         hs.thread_synchronize().expect("sync");
-        hs.wal_checkpoint();
+        hstreams_core::testing::wal_checkpoint(&hs);
     }
     let blob = run_dir(&root).join("checkpoint.blob");
     std::fs::copy(run_dir(&other).join("checkpoint.blob"), &blob).expect("copy the blob in");
@@ -749,7 +764,7 @@ fn recover_refuses_every_seeded_mutation_of_the_checkpoint_blob() {
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 2);
         hs.thread_synchronize().expect("sync");
-        hs.wal_checkpoint();
+        hstreams_core::testing::wal_checkpoint(&hs);
     }
     let blob = run_dir(&root).join("checkpoint.blob");
     let good = std::fs::read(&blob).expect("a checkpoint was written");
@@ -833,7 +848,7 @@ fn prior_card_loss_surfaces_in_recovery_report() {
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 4);
         hs.thread_synchronize().expect("degraded run completes");
-        assert_eq!(hs.degraded_cards(), vec![1], "card 1 degraded");
+        assert_eq!(degraded(&hs), [1], "card 1 degraded");
     }
     let hs = runtime(ExecMode::Threads);
     let (_s0, _s1, _buf) = init_workload(&hs);

@@ -182,7 +182,7 @@ fn host_as_target_stream_elides_transfers() {
     .expect("compute");
     hs.xfer_to_source(s, buf, 0..32).expect("elided");
     hs.stream_synchronize(s).expect("sync");
-    assert_eq!(hs.stats().transfers_elided(), 2);
+    assert_eq!(hs.metrics().extra["actions.transfer_elided"], 2.0);
     let mut out = [0.0; 4];
     hs.buffer_read_f64(buf, 0, &mut out).expect("read");
     assert_eq!(out, [2.0, 3.0, 4.0, 5.0]);
@@ -337,11 +337,11 @@ fn api_stats_count_calls() {
     hs.buffer_instantiate(buf, DomainId(1)).expect("inst");
     hs.xfer_to_sink(s, buf, 0..64).expect("xfer");
     hs.stream_synchronize(s).expect("sync");
-    let st = hs.stats();
-    assert_eq!(st.count("stream_create"), 1);
-    assert_eq!(st.count("enqueue_xfer"), 1);
-    assert!(st.unique_apis() >= 4);
-    assert_eq!(st.transfers(), 1);
+    let st = hs.metrics().extra;
+    assert_eq!(st["api.stream_create"], 1.0);
+    assert_eq!(st["api.enqueue_xfer"], 1.0);
+    assert!(st["api.unique"] >= 4.0);
+    assert_eq!(st["actions.transfer"], 1.0);
 }
 
 /// The matmul (n=256, tile=64) tile set — A, B and C, sixteen 32 KiB tiles

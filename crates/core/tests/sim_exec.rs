@@ -168,13 +168,14 @@ fn sim_and_thread_agree_on_elision_counts() {
         .expect("compute");
         hs.xfer_to_source(sc, b, 0..4096).expect("d2h");
         hs.thread_synchronize().expect("sync");
+        let m = hs.metrics().extra;
         (
-            hs.stats().transfers(),
-            hs.stats().transfers_elided(),
-            hs.stats().computes(),
+            m["actions.transfer"],
+            m["actions.transfer_elided"],
+            m["actions.compute"],
             // Action-level API calls only: Threads mode makes one extra
             // `register` call that Sim mode does not need.
-            hs.stats().total_calls() - hs.stats().count("register"),
+            m["api.calls"] - m.get("api.register").copied().unwrap_or(0.0),
         )
     };
     assert_eq!(run(ExecMode::Threads), run(ExecMode::Sim));

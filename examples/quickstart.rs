@@ -84,11 +84,9 @@ fn main() {
         "\ny[0..4] = {:?}  (expected 15.0 = 2 + (3+10)*1)",
         &out[..4]
     );
+    let m = hs.metrics().extra;
     println!(
         "api calls: {} unique, {} total; transfers: {} ({} elided)",
-        hs.stats().unique_apis(),
-        hs.stats().total_calls(),
-        hs.stats().transfers(),
-        hs.stats().transfers_elided()
+        m["api.unique"], m["api.calls"], m["actions.transfer"], m["actions.transfer_elided"]
     );
 }

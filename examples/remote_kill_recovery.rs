@@ -8,6 +8,10 @@
 //!    degrades card 1's streams to the host, replays the lost work from
 //!    the recovery log, and still produces the fault-free checksum.
 //!    The run's action lifecycle is exported as Chrome-trace JSON.
+//! 3. Starts a fresh worker, re-admits it as card 1
+//!    (`HStreams::readmit_remote`) and re-runs the matmul on the same
+//!    runtime: card work resumes over the new wire, bit-identical to the
+//!    in-process run.
 //!
 //! Build the worker first, then run:
 //! `cargo run --release --example remote_kill_recovery [out.json]`
@@ -91,7 +95,7 @@ fn main() {
     drop(local);
 
     let mut kill_after = Duration::from_millis(40);
-    loop {
+    let mut hs = loop {
         let w = WorkerProc::spawn().expect("spawn hs-worker");
         let mut hs = remote_rt(&w);
         hs.chaos_install(FaultPlan::new(7)); // arm recovery log + auto-degrade
@@ -109,7 +113,7 @@ fn main() {
             reference,
             "degraded replay must reach the fault-free checksum"
         );
-        if hs.degraded_cards() != vec![1] {
+        if !hs.domains()[1].degraded {
             // The run outpaced the kill; tighten the fuse and go again
             // (at zero the kill lands before the first remote op, which
             // still degrades — the loop terminates).
@@ -129,6 +133,28 @@ fn main() {
             "wrote {out}: {} spans on {} rows — open at chrome://tracing",
             check.spans, check.rows
         );
-        break;
-    }
+        break hs;
+    };
+
+    // --- 3. a restarted worker is re-admitted and card work resumes ---
+    let w = WorkerProc::spawn().expect("spawn hs-worker");
+    hs.readmit_remote(1, &w.endpoint())
+        .expect("re-admit the fresh worker as card 1");
+    assert!(!hs.domains()[1].degraded, "readmission brings card 1 back");
+    // The link's counters run on across the reconnect: only the growth
+    // from here on is the new wire's matmul traffic.
+    let link_reqs = |hs: &HStreams| hs.metrics().extra["link.c1.reqs"];
+    let reqs_before = link_reqs(&hs);
+    let after = matmul::run(&mut hs, &matmul_cfg()).expect("matmul after readmission");
+    assert_eq!(
+        after.checksum, lr.checksum,
+        "matmul on the re-admitted card must be bit-identical to the in-process run"
+    );
+    let reqs = link_reqs(&hs) - reqs_before;
+    assert!(reqs > 0.0, "the re-admitted card's link carried the work");
+    println!(
+        "matmul n=24 after re-admitting a fresh worker as card 1: checksum {:016x} == local, \
+         {reqs:.0} reqs over the new link",
+        after.checksum.expect("verified"),
+    );
 }

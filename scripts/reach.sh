@@ -11,7 +11,9 @@
 #   test_only.txt  kept only by test binaries
 #   unreached.txt  kept by no binary
 #
-# Writes the three lists under target/reach/ and prints their counts.
+# Writes the three lists under target/reach/ and prints their counts, then
+# how many of the public HStreams methods fall in each class (a method that
+# is in neither list counts as unreached).
 # Run from anywhere: scripts/reach.sh (no flags; offline; about two minutes
 # on two cores). Names are demangled with c++filt, hashes stripped and
 # generic instances collapsed to their path; closures are left out.
@@ -91,3 +93,26 @@ done | xargs nm --defined-only 2>/dev/null | awk '$2 ~ /^[TtWw]$/ {print $3}' | 
 for class in product test_only unreached; do
     printf '%-10s %6d\n' "$class" "$(wc -l <"$out/$class.txt")"
 done
+
+# The public API's size by class: the `pub fn`s of `HStreams` as listed in
+# `PINNED` of crates/core/tests/api_surface.rs, which that test holds equal
+# to the source. A method of an `impl` block in a submodule demangles as
+# `hstreams_core::<module>::<impl hstreams_core::HStreams>::<name>`.
+methods=$(awk '
+    /^const PINNED: / { inside = 1; next }
+    inside && /^\];/ { exit }
+    inside { gsub(/[ ",]/, ""); print }
+' "$root/crates/core/tests/api_surface.rs")
+declare -A per_class=([product]=0 [test_only]=0 [unreached]=0)
+for m in $methods; do
+    class=unreached
+    for c in product test_only; do
+        if grep -qE "^hstreams_core::(HStreams|[a-z_]+::<impl hstreams_core::HStreams>)::$m\$" "$out/$c.txt"; then
+            class=$c
+            break
+        fi
+    done
+    per_class[$class]=$((per_class[$class] + 1))
+done
+printf 'HStreams pub fns %d: product %d / test_only %d / unreached %d\n' \
+    "$(echo "$methods" | wc -w)" "${per_class[product]}" "${per_class[test_only]}" "${per_class[unreached]}"
