@@ -234,7 +234,9 @@ pub struct Trigger {
 }
 
 /// A complete injection schedule: explicit triggers plus seeded random
-/// fault rates, with the retry policy chaotic runs should apply by default.
+/// fault rates, with the retry budget for the transients it injects. It
+/// says only what to inject: recovering from a lost card is the runtime's
+/// own policy, armed plan or not.
 #[derive(Clone, PartialEq, Debug)]
 pub struct FaultPlan {
     pub seed: u64,
@@ -245,9 +247,6 @@ pub struct FaultPlan {
     pub compute_fault_rate: f64,
     /// Default retry policy for actions enqueued while this plan is armed.
     pub retry: RetryPolicy,
-    /// Degrade (remap streams to host, replay lost work) on card loss
-    /// instead of letting the failure propagate to the app.
-    pub auto_degrade: bool,
 }
 
 impl FaultPlan {
@@ -258,7 +257,6 @@ impl FaultPlan {
             dma_fault_rate: 0.0,
             compute_fault_rate: 0.0,
             retry: RetryPolicy::standard(4),
-            auto_degrade: true,
         }
     }
 
@@ -279,11 +277,6 @@ impl FaultPlan {
 
     pub fn with_retry(mut self, retry: RetryPolicy) -> FaultPlan {
         self.retry = retry;
-        self
-    }
-
-    pub fn with_auto_degrade(mut self, on: bool) -> FaultPlan {
-        self.auto_degrade = on;
         self
     }
 
@@ -362,7 +355,9 @@ impl ChaosHub {
         ChaosHub::default()
     }
 
-    /// Install `plan` and start injecting. Resets all site ordinals.
+    /// Install `plan` and start injecting. Resets all site ordinals; the
+    /// dead cards stay dead (liveness is the runtime's state, not the
+    /// plan's).
     pub fn arm(&self, plan: FaultPlan) {
         let mut st = self.inner.state.lock();
         st.fired = vec![false; plan.triggers.len()];
@@ -371,7 +366,6 @@ impl ChaosHub {
         st.stream_ord.clear();
         st.card_ord.clear();
         st.wal_ord = 0;
-        st.dead.clear();
         st.log.clear();
         self.inner.armed.store(true, Ordering::Release);
     }
@@ -398,17 +392,6 @@ impl ChaosHub {
             .plan
             .as_ref()
             .map_or_else(RetryPolicy::none, |p| p.retry)
-    }
-
-    pub fn auto_degrade(&self) -> bool {
-        self.is_armed()
-            && self
-                .inner
-                .state
-                .lock()
-                .plan
-                .as_ref()
-                .is_some_and(|p| p.auto_degrade)
     }
 
     /// Deterministic jitter draw in `[0, 1)` for retry backoff: a pure
@@ -869,5 +852,24 @@ mod tests {
         ));
         assert!(hub.injected_log().is_empty());
         assert!(hub.check_dma(1, true).is_some(), "ordinals reset");
+    }
+
+    #[test]
+    fn rearming_keeps_dead_cards_dead() {
+        let hub = ChaosHub::new();
+        hub.arm(
+            FaultPlan::new(1)
+                .with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead),
+        );
+        assert_eq!(
+            hub.check_dma(1, true),
+            Some(FailureCause::CardLost { card: 1 })
+        );
+        hub.arm(FaultPlan::new(2));
+        assert_eq!(hub.dead_cards(), [1], "a re-arm revives no card");
+        assert_eq!(
+            hub.check_dma(1, true),
+            Some(FailureCause::CardLost { card: 1 })
+        );
     }
 }

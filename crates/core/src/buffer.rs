@@ -4,32 +4,18 @@
 //! (buffer, offset) pair the paper's source proxy address translates to —
 //! and a buffer owns a set of *instantiations*, one per domain where a
 //! tuner materialized it.
-//! Usage properties (read-only, access pattern) belong to the user; storage
-//! properties (memory type, affinity) belong to the tuner — the separation
-//! of concerns the paper emphasizes.
+//! Usage properties (read-only, access pattern) belong to the user; where a
+//! buffer is instantiated belongs to the tuner — the separation of concerns
+//! the paper emphasizes. The paper's memory kinds (high-bandwidth,
+//! persistent) are not modelled: every instantiation is plain RAM.
 
 use crate::types::{BufferId, DomainId, HsError, HsResult};
 use hs_coi::PooledWindow;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Storage class for an instantiation. The paper: "The hStreams allocation
-/// APIs support allocation for different memory types, e.g. for
-/// high-bandwidth or persistent memory, whereas OpenMP does not." In the
-/// reproduction the class is recorded and reported, but all classes map to
-/// host RAM.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum MemType {
-    #[default]
-    Ddr,
-    HighBandwidth,
-    Persistent,
-}
-
-/// User-declared usage + tuner-declared storage properties.
+/// User-declared usage properties.
 #[derive(Clone, Debug, Default)]
 pub struct BufProps {
-    pub mem_type: MemType,
     /// Declared read-only (the runtime rejects write operands on it).
     pub read_only: bool,
     /// Optional label used in traces.

@@ -9,9 +9,11 @@
 //!   goes to **one** `hs-wal` partition in that order, so the action
 //!   history survives death of the host process itself and a torn tail is a
 //!   prefix of that order;
-//! * while a fault plan is armed, the records are also kept in memory,
-//!   decoded — the mirror card-loss degradation replays from. A durable run
-//!   without a plan keeps no mirror: nothing could replay it.
+//! * while a card can be lost (a remote domain, or a fault plan armed),
+//!   the records are also kept in memory, decoded — the mirror card-loss
+//!   degradation replays from. A durable run whose cards are all
+//!   in-process and which arms no plan keeps no mirror: nothing could
+//!   replay it.
 //!
 //! The writer lives inside the log: appends, the wait-entry flushes and
 //! checkpoints all take the `Recovery` lock and nothing else. This module
@@ -225,7 +227,7 @@ fn encode_action(la: &LoggedAction, out: &mut Vec<u8>) {
 }
 
 /// One enqueue call's log records, back to back: what it appends to the
-/// WAL and, while a fault plan is armed, decodes into the replay mirror.
+/// WAL and, while a card can be lost, decodes into the replay mirror.
 /// Per source thread and reused across calls, so a call allocates nothing
 /// here once the lists have grown.
 #[derive(Default)]
@@ -499,7 +501,7 @@ impl Durable {
     }
 }
 
-/// The recovery log behind `Inner::recovery`: while a fault plan is armed,
+/// The recovery log behind `Inner::recovery`: while a card can be lost,
 /// the entries card-loss degradation replays from, in append order, and —
 /// once durability is on — the WAL writer every record is appended to, in
 /// that same order (event ids are *not* globally ordered across threads;
@@ -530,7 +532,7 @@ impl RecoveryLog {
 
     /// Append one enqueue call's records in order: to the writer, on a
     /// durable log, and `mirror` — the same records decoded, which the
-    /// enqueue builds only while a fault plan is armed — to the in-memory
+    /// enqueue builds only while a card can be lost — to the in-memory
     /// entries, leaving the vector empty (its capacity is the enqueuing
     /// thread's to reuse). A write error — or an action too large for the
     /// record envelope — loses durability for the run, never the enqueue
@@ -556,12 +558,6 @@ impl RecoveryLog {
     /// only by watermark retirement, never here.
     pub(crate) fn retain(&mut self, keep: impl FnMut(&LoggedAction) -> bool) {
         self.entries.retain(keep);
-    }
-
-    /// Drop the in-memory entries (chaos re-arm). Their records are already
-    /// with the writer, so disk history stays complete.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// Push buffered appends to the page cache. Runs at the runtime's wait

@@ -144,8 +144,8 @@ struct Scratch {
     metas: Vec<ActionMeta>,
     /// The call's log records, while the recovery log wants them.
     records: Records,
-    /// The records decoded for the replay mirror, while a fault plan is
-    /// armed.
+    /// The records decoded for the replay mirror, while a card can be
+    /// lost.
     mirror: Vec<LoggedAction>,
     /// The items' completion events, as the executor hands them back.
     backends: Vec<CoiEvent>,
@@ -754,8 +754,8 @@ impl HStreams {
             .submit_batch(items, &sc.deps, submit_opts, &mut sc.backends);
         if !sc.records.is_empty() {
             // The replay mirror, decoded from the very bytes the WAL gets —
-            // outside the lock, and only while a plan could replay it.
-            if inner.chaos.is_armed() {
+            // outside the lock, and only while a card loss could replay it.
+            if self.can_lose_card() {
                 sc.records.decode_into(&mut sc.mirror);
             }
             inner.recovery.lock().append(&sc.records, &mut sc.mirror);

@@ -86,7 +86,7 @@ pub mod testing;
 pub mod types;
 
 pub use app::app_kernels;
-pub use buffer::{BufProps, Instantiation, MemType};
+pub use buffer::{BufProps, Instantiation};
 pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
 pub use enqueue::{ActionOpts, BatchAction};
@@ -125,7 +125,7 @@ use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once,
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
 /// during card-loss degradation or after a crash. Decoded from the action's
-/// log record: into the replay mirror while a fault plan is armed, and by
+/// log record: into the replay mirror while a card can be lost, and by
 /// `recover` from the WAL.
 #[derive(Clone)]
 enum LoggedOp {
@@ -227,10 +227,17 @@ pub(crate) struct Inner {
     /// [`HStreams::chaos_install`].
     chaos: ChaosHub,
     /// The action log: every enqueued action's record goes to the WAL
-    /// while durability is on, and into the in-memory replay mirror while a
-    /// fault plan is armed (card-loss degradation replays the affected
+    /// while durability is on, and into the in-memory replay mirror while
+    /// a card can be lost (card-loss degradation replays the affected
     /// subset).
     recovery: ClassedMutex<class::Recovery, durable::RecoveryLog>,
+    /// Can a card be lost? True from init when any domain is remote (its
+    /// worker is a process that can die) and from the first
+    /// [`HStreams::chaos_install`] on (a plan can kill an in-process
+    /// card). While it holds, enqueues keep the replay mirror and a
+    /// `CardLost` degrades its card; an all-in-process runtime with no
+    /// plan keeps neither. Never cleared.
+    can_lose_card: AtomicBool,
     /// Durable logging enabled? Checked (one relaxed load) on every
     /// enqueue and wait entry, so an in-memory run never takes the
     /// `recovery` lock to flush; set once by [`HStreams::durability_opts`]
@@ -298,9 +305,12 @@ impl HStreams {
     /// maps card domain index (1-based; domain 0, the host, cannot be
     /// remote) to the worker's endpoint. Only thread-backed modes can talk
     /// to a wire; [`ExecMode::Sim`] returns [`HsError::InvalidArg`].
-    /// Connection failures surface as [`HsError::ExecFailed`] — a worker
-    /// that dies *after* init surfaces as `CardLost` at first use and
-    /// drives the normal degradation path.
+    /// Connection failures surface as [`HsError::ExecFailed`]. A worker
+    /// that dies *after* init surfaces as `CardLost` at the first wait
+    /// that observes it, which degrades the card: its streams move to the
+    /// host and the affected actions replay there from the in-memory
+    /// mirror, which a runtime with a remote domain keeps from its first
+    /// enqueue. No fault plan is needed.
     pub fn init_remote(
         platform: PlatformCfg,
         mode: ExecMode,
@@ -340,6 +350,7 @@ impl HStreams {
                 obs,
                 chaos,
                 recovery: ClassedMutex::new(durable::RecoveryLog::default()),
+                can_lose_card: AtomicBool::new(!remotes.is_empty()),
                 durable: AtomicBool::new(false),
                 degraded: ClassedMutex::new(Vec::new()),
                 degrade_gen: AtomicU64::new(0),
@@ -353,24 +364,33 @@ impl HStreams {
     // ------------------------------------------------------ fault injection
 
     /// Arm a deterministic fault-injection plan: its sites are consulted at
-    /// every DMA channel and compute dispatch, its retry policy becomes the
-    /// default budget for transient faults, and — when
-    /// [`FaultPlan::with_auto_degrade`] is on (the default) — a `CardDead`
-    /// fault triggers card-loss degradation on the next wait that observes
-    /// it. Also starts the in-memory replay mirror that degradation replays
-    /// from. Returns the hub (a shared handle) for inspecting the
-    /// injected-fault log and the dead cards.
+    /// every DMA channel and compute dispatch, and its retry policy becomes
+    /// the default budget for the transients it injects. A `CardDead`
+    /// fault is a lost card like any other: the next wait that observes it
+    /// degrades the card. Re-arming replaces the plan and resets its site
+    /// ordinals; the replay mirror and the dead cards stay. Returns the hub
+    /// (a shared handle) for inspecting the injected-fault log and the dead
+    /// cards.
+    ///
+    /// A plan can kill an in-process card, so from the first call on the
+    /// runtime keeps the replay mirror. On a runtime whose cards are all
+    /// in-process, card work enqueued before that first call is not in the
+    /// mirror, and a card lost afterwards cannot replay it.
     pub fn chaos_install(&self, plan: FaultPlan) -> ChaosHub {
-        self.inner.recovery.lock().clear();
+        self.inner.can_lose_card.store(true, Ordering::Relaxed);
         self.inner.chaos.arm(plan);
         self.inner.chaos.clone()
     }
 
-    /// Should enqueues encode their log records? While a fault plan is
-    /// armed (card-loss replay needs the mirror) or durability is on (the
-    /// WAL needs the records).
+    /// Should enqueues encode their log records? While a card can be lost
+    /// (card-loss replay needs the mirror) or durability is on (the WAL
+    /// needs the records).
     fn log_actions(&self) -> bool {
-        self.inner.chaos.is_armed() || self.inner.durable.load(Ordering::Relaxed)
+        self.can_lose_card() || self.inner.durable.load(Ordering::Relaxed)
+    }
+
+    fn can_lose_card(&self) -> bool {
+        self.inner.can_lose_card.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------ discovery
@@ -767,8 +787,8 @@ impl HStreams {
 
     /// Tombstone completed-successful events in the global table (their
     /// backend handles drop; late waiters still resolve them as successes)
-    /// and, while chaos is armed, prune replay-mirror entries that can never
-    /// be replayed. Runs automatically every `COMPACT_EVERY` enqueues;
+    /// and, while a card can be lost, prune replay-mirror entries that can
+    /// never be replayed. Runs automatically every `COMPACT_EVERY` enqueues;
     /// [`testing::compact_now`] forces a sweep at a point a test picks.
     pub(crate) fn compact_now(&self) {
         let inner = &*self.inner;
@@ -776,7 +796,7 @@ impl HStreams {
         inner
             .events
             .compact(|ev| ev.is_complete().then(|| ev.completed_ok()));
-        if inner.chaos.is_armed() {
+        if self.can_lose_card() {
             // A replay-mirror entry is dead weight once no card loss
             // can make the replay need it (`replay::live`): it completed
             // successfully and either touched the host only — host memory
@@ -1049,16 +1069,16 @@ impl HStreams {
     // --------------------------------------------- card-loss degradation
 
     /// If `cause` is rooted in a lost card that has not been degraded yet
-    /// (and the armed plan wants auto-degradation), stop the world, degrade
-    /// that card and return `true` — the caller re-waits on the replayed
-    /// events. `seen_gen` is the degradation generation the caller loaded
+    /// (and the runtime kept the mirror its replay needs), stop the world,
+    /// degrade that card and return `true` — the caller re-waits on the
+    /// replayed events. `seen_gen` is the degradation generation the caller loaded
     /// before its failed wait: when stale, another thread already degraded
     /// and the caller simply re-waits.
     fn try_degrade(&self, cause: &FailureCause, seen_gen: u64) -> HsResult<bool> {
         let FailureCause::CardLost { card } = *cause.root() else {
             return Ok(false);
         };
-        if !self.inner.chaos.auto_degrade() {
+        if !self.can_lose_card() {
             return Ok(false);
         }
         if card == 0 || card as usize >= self.inner.platform.domains.len() {

@@ -111,14 +111,10 @@ fn root_of(e: HsError) -> FailureCause {
 #[test]
 fn transient_fault_is_retried_and_dependents_never_see_it() {
     let (hs, _release) = runtime();
-    let chaos = hs.chaos_install(
-        FaultPlan::new(3)
-            .with_trigger(
-                FaultSite::Compute { stream: 0, nth: 1 },
-                FaultKind::Transient,
-            )
-            .with_auto_degrade(false),
-    );
+    let chaos = hs.chaos_install(FaultPlan::new(3).with_trigger(
+        FaultSite::Compute { stream: 0, nth: 1 },
+        FaultKind::Transient,
+    ));
     let (s, other) = (card_stream(&hs), card_stream(&hs));
     let buf = card_buffer(&hs);
     hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
@@ -305,6 +301,49 @@ fn card_loss_mid_accumulate_chain_applies_every_update_once() {
     }
 }
 
+/// Re-arming a plan replaces what is injected, not what the runtime has
+/// recorded: a `bump` whose result is still only on the card stays in the
+/// replay mirror across the re-arm, so losing the card afterwards re-runs it
+/// on the host and the buffer reads the one update.
+#[test]
+fn rearming_a_plan_keeps_the_replay_mirror() {
+    let (hs, _release) = runtime();
+    hs.chaos_install(FaultPlan::new(1));
+    let s = card_stream(&hs);
+    let buf = card_buffer(&hs);
+    hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
+    compute(&hs, s, "bump", Some(buf), ActionOpts::default());
+    hs.stream_synchronize(s).expect("card work done");
+    hs.chaos_install(
+        FaultPlan::new(2).with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead),
+    );
+    hs.xfer_to_source(s, buf, 0..N * 8).expect("d2h");
+    hs.thread_synchronize()
+        .expect("degradation completes the d2h");
+    assert_eq!(degraded(&hs), [1]);
+    assert_eq!(read(&hs, buf), vec![1.0; N], "the card's bump was replayed");
+}
+
+/// Card liveness is the runtime's state: a second plan revives no card
+/// that the first one killed.
+#[test]
+fn rearming_a_plan_keeps_a_dead_card_dead() {
+    let (hs, _release) = runtime();
+    hs.chaos_install(
+        FaultPlan::new(1).with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead),
+    );
+    let s = card_stream(&hs);
+    let buf = card_buffer(&hs);
+    hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
+    hs.stream_synchronize(s)
+        .expect("degradation completes the h2d");
+    let dead = |hs: &HStreams| hs.metrics().extra["chaos.dead_cards"];
+    assert_eq!(dead(&hs), 1.0);
+    hs.chaos_install(FaultPlan::new(2));
+    assert_eq!(dead(&hs), 1.0, "the re-arm revived no card");
+    assert_eq!(degraded(&hs), [1]);
+}
+
 /// With lifecycle records on, the fold orders a producer's completion
 /// before those of dependents that dispatch and complete inside its
 /// completion walk — on the single and on the batched enqueue path.
@@ -424,8 +463,7 @@ fn a_retried_compute_has_one_lifecycle_in_both_modes() {
                     FaultSite::Compute { stream: 0, nth: 2 },
                     FaultKind::Transient,
                 )
-                .with_retry(RetryPolicy::standard(3))
-                .with_auto_degrade(false),
+                .with_retry(RetryPolicy::standard(3)),
         );
         let s = hs
             .stream_create(DomainId::HOST, CpuMask::first(1))

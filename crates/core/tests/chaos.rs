@@ -196,8 +196,7 @@ fn fatal_injection_is_not_retried() {
         let chaos = hs.chaos_install(
             FaultPlan::new(1)
                 .with_trigger(FaultSite::Compute { stream: 0, nth: 1 }, FaultKind::Fatal)
-                .with_retry(RetryPolicy::standard(8))
-                .with_auto_degrade(false),
+                .with_retry(RetryPolicy::standard(8)),
         );
         let card = DomainId(1);
         let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
@@ -227,14 +226,10 @@ fn fatal_injection_is_not_retried() {
 fn injected_sink_panic_fails_the_action_and_poisons_its_dependent() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let hs = runtime(mode);
-        let chaos = hs.chaos_install(
-            FaultPlan::new(1)
-                .with_trigger(
-                    FaultSite::Compute { stream: 0, nth: 1 },
-                    FaultKind::SinkPanic,
-                )
-                .with_auto_degrade(false),
-        );
+        let chaos = hs.chaos_install(FaultPlan::new(1).with_trigger(
+            FaultSite::Compute { stream: 0, nth: 1 },
+            FaultKind::SinkPanic,
+        ));
         let card = DomainId(1);
         let s0 = hs
             .stream_create(card, CpuMask::range(0, 30))
@@ -395,8 +390,7 @@ fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
                 FaultKind::SinkPanic,
             )
             .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead)
-            .with_retry(RetryPolicy::standard(3))
-            .with_auto_degrade(true),
+            .with_retry(RetryPolicy::standard(3)),
     );
     let stream = |d: DomainId| hs.stream_create(d, CpuMask::first(1)).expect("stream");
     let (s_dma, s_exhaust, s_deadline, s_panic, s_kill, s_free) = (

@@ -204,8 +204,7 @@ fn racing_enqueue_wait_against_card_loss() {
     let hs = rt(ExecMode::Threads);
     let chaos = hs.chaos_install(
         FaultPlan::new(11)
-            .with_trigger(FaultSite::CardOp { card: 1, nth: 40 }, FaultKind::CardDead)
-            .with_auto_degrade(true),
+            .with_trigger(FaultSite::CardOp { card: 1, nth: 40 }, FaultKind::CardDead),
     );
     let card = DomainId(1);
     let nthreads = 4usize;
@@ -246,7 +245,7 @@ fn racing_enqueue_wait_against_card_loss() {
                             Err(HsError::ActionFailed(c)) => {
                                 // Residual failure that degradation could
                                 // not replay (e.g. plan kept the card dead
-                                // before auto-degrade kicked in elsewhere).
+                                // before degradation kicked in elsewhere).
                                 assert!(
                                     matches!(
                                         c.root(),

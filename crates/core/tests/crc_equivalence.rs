@@ -1,5 +1,5 @@
 //! The workspace has two CRC-32 implementations: hs-fabric's (every wire
-//! frame) and hs-wal's (every log record). ROADMAP item 2 merges them into
+//! frame) and hs-wal's (every log record). ROADMAP item 5 merges them into
 //! one codec crate; until then this crate — the one that sees both — pins
 //! them to the same function, so the merge cannot change a byte on the wire
 //! or on disk.

@@ -171,14 +171,10 @@ fn pending_timers_do_not_keep_the_runtime_alive_past_drop() {
     with_timeout(20, || {
         let ex = thread_exec(1);
         let coi = ex.coi().expect("thread mode").clone();
-        ex.chaos().arm(
-            FaultPlan::new(7)
-                .with_trigger(
-                    FaultSite::Compute { stream: 0, nth: 1 },
-                    FaultKind::Transient,
-                )
-                .with_auto_degrade(false),
-        );
+        ex.chaos().arm(FaultPlan::new(7).with_trigger(
+            FaultSite::Compute { stream: 0, nth: 1 },
+            FaultKind::Transient,
+        ));
         let done = ex.submit(
             ActionSpec::Noop,
             &[],

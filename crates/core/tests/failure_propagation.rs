@@ -190,14 +190,10 @@ fn wait_any_over_all_failed_set_returns_first_cause() {
         // A non-retryable injected fault on the stream's first compute is
         // the one failure origin that behaves identically on both
         // executors.
-        hs.chaos_install(
-            hstreams_core::FaultPlan::new(7)
-                .with_trigger(
-                    hstreams_core::FaultSite::Compute { stream: 0, nth: 1 },
-                    hstreams_core::FaultKind::Fatal,
-                )
-                .with_auto_degrade(false),
-        );
+        hs.chaos_install(hstreams_core::FaultPlan::new(7).with_trigger(
+            hstreams_core::FaultSite::Compute { stream: 0, nth: 1 },
+            hstreams_core::FaultKind::Fatal,
+        ));
         let card = DomainId(1);
         let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
         let bad = hs

@@ -6,7 +6,9 @@
 //! 2. Runs the Fig. 5 Cholesky against a fresh worker and `kill -9`s it
 //!    mid-factorization: the runtime surfaces a literal `CardLost`,
 //!    degrades card 1's streams to the host, replays the lost work from
-//!    the recovery log, and still produces the fault-free checksum.
+//!    the recovery log, and still produces the fault-free checksum. No
+//!    fault plan is armed: a runtime with a remote card recovers on its
+//!    own.
 //!    The run's action lifecycle is exported as Chrome-trace JSON.
 //! 3. Starts a fresh worker, re-admits it as card 1
 //!    (`HStreams::readmit_remote`) and re-runs the matmul on the same
@@ -21,7 +23,7 @@ use hs_apps::cholesky::{self, CholConfig, CholVariant};
 use hs_apps::matmul::{self, MatmulConfig};
 use hs_apps::remote::WorkerProc;
 use hs_machine::{Device, PlatformCfg};
-use hstreams_core::{ExecMode, FaultPlan, HStreams};
+use hstreams_core::{ExecMode, HStreams};
 use std::time::Duration;
 
 fn matmul_cfg() -> MatmulConfig {
@@ -98,7 +100,6 @@ fn main() {
     let mut hs = loop {
         let w = WorkerProc::spawn().expect("spawn hs-worker");
         let mut hs = remote_rt(&w);
-        hs.chaos_install(FaultPlan::new(7)); // arm recovery log + auto-degrade
         hs.obs_enable(true);
         let killer = std::thread::spawn(move || {
             let mut w = w;
