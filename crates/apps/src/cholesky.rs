@@ -35,7 +35,7 @@
 
 use crate::kernels::{self, register_all, Call};
 use crate::tilebuf::TileBufs;
-use crate::wait_for;
+use crate::xfer_after;
 use hs_linalg::dense::{max_abs_diff, random_spd, reconstruct_llt, zero_upper, Matrix};
 use hs_linalg::{flops, TileMap};
 use hs_machine::KernelKind;
@@ -152,16 +152,16 @@ pub(crate) fn right_looking_on(
         let bk = map.dim(k);
         // The diagonal factor on stream 0.
         let s0 = streams[0];
-        wait_for(hs, s0, &[tile_ev[map.id(k, k)]])?;
-        let diag_ev = diag(ta.buf(k, k), bk).enqueue(hs, s0)?;
+        let diag_ev = diag(ta.buf(k, k), bk).enqueue(hs, s0, &[tile_ev[map.id(k, k)]])?;
         tile_ev[map.id(k, k)] = Some(diag_ev);
         // TRSMs round-robin across the streams.
         let mut trsm_ev: Vec<Option<Event>> = vec![None; nt];
         for i in k + 1..nt {
             let s = streams[rr % streams.len()];
             rr += 1;
-            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(i, k)]])?;
-            let ev = kernels::trsm(ta.buf(k, k), ta.buf(i, k), map.dim(i), bk).enqueue(hs, s)?;
+            let after = [Some(diag_ev), tile_ev[map.id(i, k)]];
+            let ev =
+                kernels::trsm(ta.buf(k, k), ta.buf(i, k), map.dim(i), bk).enqueue(hs, s, &after)?;
             trsm_ev[i] = Some(ev);
             tile_ev[map.id(i, k)] = Some(ev);
         }
@@ -170,8 +170,9 @@ pub(crate) fn right_looking_on(
             for j in k + 1..=i {
                 let s = streams[rr % streams.len()];
                 rr += 1;
-                wait_for(hs, s, &[trsm_ev[i], trsm_ev[j], tile_ev[map.id(i, j)]])?;
-                let ev = trailing_update(map, |r, c| ta.buf(r, c), (i, j, k)).enqueue(hs, s)?;
+                let after = [trsm_ev[i], trsm_ev[j], tile_ev[map.id(i, j)]];
+                let ev =
+                    trailing_update(map, |r, c| ta.buf(r, c), (i, j, k)).enqueue(hs, s, &after)?;
                 tile_ev[map.id(i, j)] = Some(ev);
             }
         }
@@ -180,8 +181,9 @@ pub(crate) fn right_looking_on(
     for i in 0..nt {
         for j in 0..=i {
             let s = streams[(i + j) % streams.len()];
-            wait_for(hs, s, &[tile_ev[map.id(i, j)]])?;
-            hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), target, DomainId::HOST)?;
+            let (buf, range) = (ta.buf(i, j), 0..ta.bytes(i, j));
+            let after = [tile_ev[map.id(i, j)]];
+            xfer_after(hs, s, buf, range, target, DomainId::HOST, &after)?;
         }
     }
     Ok(())
@@ -291,8 +293,8 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
             let bk = map.dim(k);
             // Panel: POTRF + TRSMs on the machine-wide host stream, reading
             // host copies made current by col_ev.
-            wait_for(hs, panel_stream, &[col_ev[k]])?;
-            let potrf_ev = kernels::potrf(ta.buf(k, k), bk).enqueue(hs, panel_stream)?;
+            let potrf_ev =
+                kernels::potrf(ta.buf(k, k), bk).enqueue(hs, panel_stream, &[col_ev[k]])?;
             // DTRSMs round-robin across the host worker streams ("each
             // subsequent compute ... is round-robin'd across the available
             // streams"); only DPOTRF uses the machine-wide stream. The L_kk
@@ -302,8 +304,9 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                 let bi = map.dim(i);
                 let s = host_workers[host_rr % host_workers.len()];
                 host_rr += 1;
-                wait_for(hs, s, &[col_ev[i], Some(potrf_ev)])?;
-                let ev = kernels::trsm(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s)?;
+                let after = [col_ev[i], Some(potrf_ev)];
+                let ev =
+                    kernels::trsm(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s, &after)?;
                 trsm_ev[i] = Some(ev);
             }
             // Broadcast the L column to every card.
@@ -313,10 +316,16 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                     let streams = &card_streams[ci];
                     let s = streams[card_rr[ci] % streams.len()];
                     card_rr[ci] += 1;
-                    wait_for(hs, s, &[trsm_ev[i]])?;
-                    let bi = map.dim(i);
-                    let ev =
-                        hs.enqueue_xfer(s, ta.buf(i, k), 0..bi * bk * 8, DomainId::HOST, *card)?;
+                    let range = 0..map.dim(i) * bk * 8;
+                    let ev = xfer_after(
+                        hs,
+                        s,
+                        ta.buf(i, k),
+                        range,
+                        DomainId::HOST,
+                        *card,
+                        &[trsm_ev[i]],
+                    )?;
                     bcast_ev[ci][i] = Some(ev);
                 }
             }
@@ -338,9 +347,9 @@ pub fn run(hs: &mut HStreams, cfg: &CholConfig) -> HsResult<CholResult> {
                         card_rr[ci] += 1;
                         (s, bcast_ev[ci][i], bcast_ev[ci][j])
                     };
-                    wait_for(hs, s, &[lik_ev, ljk_ev, upd_ev[map.id(i, j)]])?;
-                    let ev =
-                        trailing_update(&map, |r, c| ta.buf(r, c), (i, j, k)).enqueue(hs, s)?;
+                    let after = [lik_ev, ljk_ev, upd_ev[map.id(i, j)]];
+                    let ev = trailing_update(&map, |r, c| ta.buf(r, c), (i, j, k))
+                        .enqueue(hs, s, &after)?;
                     upd_ev[map.id(i, j)] = Some(ev);
                     // The (k+1)-column tile becomes next panel input.
                     if j == k + 1 {

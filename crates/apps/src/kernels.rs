@@ -32,7 +32,8 @@ use hs_machine::KernelKind;
 use hs_ompss::{DataAccess, DataId, OmpSs};
 use hstreams_core::Access::{self, In, InOut, Out};
 use hstreams_core::{
-    BufferId, CostHint, DomainId, Event, HStreams, HsResult, Operand, StreamId, TaskCtx, TaskFn,
+    BatchAction, BufferId, CostHint, DomainId, Event, HStreams, HsResult, Operand, StreamId,
+    TaskCtx, TaskFn,
 };
 use std::sync::Arc;
 
@@ -114,7 +115,7 @@ pub(crate) fn dims<const N: usize>(ctx: &TaskCtx) -> [usize; N] {
 /// written, which flop formula — is stated once, next to the code that
 /// unpacks it. Generic over the operand handle: a [`BufferId`] call is
 /// enqueued into a stream, a [`DataId`] call is submitted as an OmpSs task.
-/// Operands are held inline; a call allocates only its packed dims.
+/// Operands are held inline until the call is enqueued.
 pub struct Call<H> {
     name: &'static str,
     args: Bytes,
@@ -144,12 +145,20 @@ impl<H: Copy> Call<H> {
 }
 
 impl Call<BufferId> {
-    /// Enqueue the call into stream `s`.
-    pub fn enqueue(self, hs: &HStreams, s: StreamId) -> HsResult<Event> {
-        let ops = self
-            .ops
-            .map(|(buf, count, access)| Operand::f64s(buf, 0, count, access));
-        hs.enqueue_compute(s, self.name, self.args, &ops[..self.n], self.cost)
+    /// Enqueue the call into stream `s`, ordered after whichever of `after`
+    /// exist: edges of this task alone ([`hstreams_core::ActionOpts::after`]).
+    pub fn enqueue(self, hs: &HStreams, s: StreamId, after: &[Option<Event>]) -> HsResult<Event> {
+        let operands = self.ops[..self.n]
+            .iter()
+            .map(|&(buf, count, access)| Operand::f64s(buf, 0, count, access))
+            .collect();
+        let action = BatchAction::Compute {
+            func: self.name.into(),
+            args: self.args,
+            operands,
+            cost: self.cost,
+        };
+        crate::enqueue_after(hs, s, action, after)
     }
 }
 

@@ -27,7 +27,10 @@ pub mod solver;
 pub mod tilebuf;
 pub mod tuned;
 
-use hstreams_core::{CpuMask, DomainId, Event, HStreams, HsResult, StreamId};
+use hstreams_core::{
+    ActionOpts, BatchAction, BufferId, CpuMask, DomainId, Event, HStreams, HsResult, StreamId,
+};
+use std::ops::Range;
 
 /// Create `n` worker streams on `domain`, honoring an optional tuned mask
 /// width: `None` keeps the classic even partition of the domain's cores
@@ -70,14 +73,42 @@ pub fn domain_streams(
     }
 }
 
-/// Make stream `s` wait for whichever of `events` exist, in the order
-/// given; none at all enqueues nothing. A schedule's dependence tables hold
-/// `None` for "nothing produced this yet" (a tile not staged, a copy that
-/// aliased away), so its wait sets are written as the table lookups.
-pub(crate) fn wait_for(hs: &HStreams, s: StreamId, events: &[Option<Event>]) -> HsResult<()> {
-    let waits: Vec<Event> = events.iter().flatten().copied().collect();
-    if !waits.is_empty() {
-        hs.enqueue_cross_wait(s, &waits)?;
-    }
-    Ok(())
+/// Enqueue `action` on stream `s`, ordered after whichever of `after`
+/// exist ([`ActionOpts::after`]: edges of this action alone, no sync action
+/// and no gate on the stream's later actions). A schedule's dependence
+/// tables hold `None` for "nothing produced this yet" (a tile not staged, a
+/// copy that aliased away), so its wait sets are written as the table
+/// lookups.
+pub(crate) fn enqueue_after(
+    hs: &HStreams,
+    s: StreamId,
+    action: BatchAction,
+    after: &[Option<Event>],
+) -> HsResult<Event> {
+    let after: Vec<Event> = after.iter().flatten().copied().collect();
+    let opts = ActionOpts {
+        after: &after,
+        ..ActionOpts::default()
+    };
+    Ok(hs.enqueue_many_opts(s, vec![action], opts)?[0])
+}
+
+/// [`HStreams::enqueue_xfer`] of `buf[range]`, ordered after whichever of
+/// `after` exist ([`enqueue_after`]).
+pub(crate) fn xfer_after(
+    hs: &HStreams,
+    s: StreamId,
+    buf: BufferId,
+    range: Range<usize>,
+    from: DomainId,
+    to: DomainId,
+    after: &[Option<Event>],
+) -> HsResult<Event> {
+    let action = BatchAction::Xfer {
+        buf,
+        range,
+        from,
+        to,
+    };
+    enqueue_after(hs, s, action, after)
 }

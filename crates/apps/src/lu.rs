@@ -20,7 +20,7 @@
 
 use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
-use crate::wait_for;
+use crate::xfer_after;
 use hs_linalg::dense::{max_abs_diff, random_diag_dominant, Matrix};
 use hs_linalg::{flops, TileMap};
 use hstreams_core::{BufferId, CpuMask, DomainId, Event, HStreams, HsResult};
@@ -98,7 +98,7 @@ fn run_untiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, 
         None
     };
     let t0 = hs.now_secs();
-    kernels::whole_getrf(buf, n).enqueue(hs, s)?;
+    kernels::whole_getrf(buf, n).enqueue(hs, s, &[])?;
     hs.stream_synchronize(s)?;
     let secs = hs.now_secs() - t0;
     let max_err = match a_ref {
@@ -145,8 +145,8 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
     for k in 0..nt {
         let bk = map.dim(k);
         let s0 = streams[0];
-        wait_for(hs, s0, &[tile_ev[map.id(k, k)]])?;
-        let diag_ev = kernels::lu_nopiv(ta.buf(k, k), bk).enqueue(hs, s0)?;
+        let diag_ev =
+            kernels::lu_nopiv(ta.buf(k, k), bk).enqueue(hs, s0, &[tile_ev[map.id(k, k)]])?;
         tile_ev[map.id(k, k)] = Some(diag_ev);
         // Row panel (A_kj <- L^-1 A_kj) and column panel (A_ik <- A_ik U^-1).
         let mut row_ev: Vec<Option<Event>> = vec![None; nt];
@@ -155,8 +155,9 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
             let bj = map.dim(j);
             let s = streams[rr % streams.len()];
             rr += 1;
-            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(k, j)]])?;
-            let ev = kernels::trsm_llu(ta.buf(k, k), ta.buf(k, j), bk, bj).enqueue(hs, s)?;
+            let after = [Some(diag_ev), tile_ev[map.id(k, j)]];
+            let ev =
+                kernels::trsm_llu(ta.buf(k, k), ta.buf(k, j), bk, bj).enqueue(hs, s, &after)?;
             row_ev[j] = Some(ev);
             tile_ev[map.id(k, j)] = Some(ev);
         }
@@ -164,8 +165,9 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
             let bi = map.dim(i);
             let s = streams[rr % streams.len()];
             rr += 1;
-            wait_for(hs, s, &[Some(diag_ev), tile_ev[map.id(i, k)]])?;
-            let ev = kernels::trsm_runn(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s)?;
+            let after = [Some(diag_ev), tile_ev[map.id(i, k)]];
+            let ev =
+                kernels::trsm_runn(ta.buf(k, k), ta.buf(i, k), bi, bk).enqueue(hs, s, &after)?;
             col_ev[i] = Some(ev);
             tile_ev[map.id(i, k)] = Some(ev);
         }
@@ -176,9 +178,9 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
                 let bj = map.dim(j);
                 let s = streams[rr % streams.len()];
                 rr += 1;
-                wait_for(hs, s, &[col_ev[i], row_ev[j], tile_ev[map.id(i, j)]])?;
+                let after = [col_ev[i], row_ev[j], tile_ev[map.id(i, j)]];
                 let ev = kernels::gemm_sub(ta.buf(i, k), ta.buf(k, j), ta.buf(i, j), [bi, bj, bk])
-                    .enqueue(hs, s)?;
+                    .enqueue(hs, s, &after)?;
                 tile_ev[map.id(i, j)] = Some(ev);
             }
         }
@@ -188,8 +190,9 @@ fn run_tiled(hs: &mut HStreams, cfg: &LuConfig, real: bool) -> HsResult<(f64, Op
         for i in 0..nt {
             for j in 0..nt {
                 let s = streams[(i + j) % streams.len()];
-                wait_for(hs, s, &[tile_ev[map.id(i, j)]])?;
-                hs.enqueue_xfer(s, ta.buf(i, j), 0..ta.bytes(i, j), target, DomainId::HOST)?;
+                let (buf, range) = (ta.buf(i, j), 0..ta.bytes(i, j));
+                let after = [tile_ev[map.id(i, j)]];
+                xfer_after(hs, s, buf, range, target, DomainId::HOST, &after)?;
             }
         }
     }

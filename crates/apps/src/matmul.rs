@@ -16,7 +16,6 @@
 
 use crate::kernels::{self, register_all};
 use crate::tilebuf::TileBufs;
-use crate::wait_for;
 use hs_linalg::dense::{max_abs_diff, random};
 use hs_linalg::{flops, TileMap};
 use hs_machine::KernelKind;
@@ -230,16 +229,18 @@ pub fn run(hs: &mut HStreams, cfg: &MatmulConfig) -> HsResult<MatmulResult> {
             dev_row_rr[di] += 1;
             for k in 0..nt {
                 let kk = map.dim(k);
-                if !dev.is_host() {
-                    // A arrives via the card's stream 0, B via whichever
-                    // stream carried it; cross-stream consumers synchronize
-                    // explicitly ("if the predecessor is in the same domain
-                    // but a different stream, a synchronization action is
-                    // needed").
-                    wait_for(hs, s, &[Some(a_ev[di][i * nt + k]), b_ev[k]])?;
-                }
+                // A arrives via the card's stream 0, B via whichever stream
+                // carried it; cross-stream consumers synchronize explicitly
+                // ("if the predecessor is in the same domain but a different
+                // stream, a synchronization action is needed"), here as
+                // edges of the GEMM alone.
+                let after = if dev.is_host() {
+                    [None; 2]
+                } else {
+                    [Some(a_ev[di][i * nt + k]), b_ev[k]]
+                };
                 let (a, b, c) = (ta.buf(i, k), tb.buf(k, j), tc.buf(i, j));
-                kernels::gemm_nn(a, b, c, [mi, nj, kk], cfg.tile, k == 0).enqueue(hs, s)?;
+                kernels::gemm_nn(a, b, c, [mi, nj, kk], cfg.tile, k == 0).enqueue(hs, s, &after)?;
             }
             hs.enqueue_xfer(s, tc.buf(i, j), 0..tc.bytes(i, j), dev, DomainId::HOST)?;
         }

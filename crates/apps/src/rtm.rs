@@ -30,8 +30,8 @@ use bytes::Bytes;
 use hs_linalg::flops;
 use hs_machine::{Device, KernelKind};
 use hstreams_core::{
-    Access, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, HStreams, HsResult, Operand,
-    StreamId, TaskCtx,
+    Access, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, HStreams,
+    HsResult, Operand, StreamId, TaskCtx,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -440,7 +440,6 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                 // one d2h it needs.
                 for r in 0..cfg.ranks {
                     for (dir, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane * 8) {
-                        let waits: Vec<Event> = d2h[r][dir].into_iter().collect();
                         // In HostOnly mode the producing compute is in a
                         // different (host) stream: wait on the rank stream.
                         let cp = copy_between(
@@ -450,12 +449,14 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                             boundary,
                             ranks[nb].fields[ni],
                             ghost.clone(),
-                            &waits,
+                            d2h[r][dir],
                             if offload { None } else { Some(ranks[r].stream) },
                         )?;
                         if offload {
-                            hs.enqueue_cross_wait(ranks[nb].stream, &[cp])?;
-                            ranks[nb].xfer(hs, ni, ghost, false)?;
+                            let nbr = &ranks[nb];
+                            let (host, dev) = (DomainId::HOST, nbr.device);
+                            let buf = nbr.fields[ni];
+                            crate::xfer_after(hs, nbr.stream, buf, ghost, host, dev, &[Some(cp)])?;
                         }
                     }
                 }
@@ -532,7 +533,7 @@ fn exchange(
     for r in 0..cfg.ranks {
         for (_, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane_bytes) {
             let (src, dst) = (ranks[r].fields[ni], ranks[nb].fields[ni]);
-            copy_between(hs, exchange_stream, src, boundary, dst, ghost, &[], None)?;
+            copy_between(hs, exchange_stream, src, boundary, dst, ghost, None, None)?;
         }
     }
     hs.thread_synchronize()?;
@@ -543,9 +544,10 @@ fn exchange(
     hs.thread_synchronize()
 }
 
-/// Copy `src[sr]` into `dst[dr]` on the exchange stream, after `waits` and,
-/// optionally, everything pending in `also_after` (host-only mode, where
-/// the producer is a host stream rather than a d2h transfer).
+/// Copy `src[sr]` into `dst[dr]` on the exchange stream, ordered after
+/// `after` — the d2h that brought `src[sr]` home — and, optionally, after
+/// everything pending in `also_after` (host-only mode, where the producer
+/// is a host stream rather than a d2h transfer).
 #[allow(clippy::too_many_arguments)]
 fn copy_between(
     hs: &mut HStreams,
@@ -554,31 +556,21 @@ fn copy_between(
     sr: Range<usize>,
     dst: BufferId,
     dr: Range<usize>,
-    waits: &[Event],
+    after: Option<Event>,
     also_after: Option<StreamId>,
 ) -> HsResult<Event> {
-    let mut evs: Vec<Event> = waits.to_vec();
-    if let Some(s) = also_after {
-        let marker = hs.enqueue_marker(s)?;
-        evs.push(marker);
-    }
-    if !evs.is_empty() {
-        hs.enqueue_event_wait(exchange_stream, &evs)?;
-    }
-    let len = sr.len();
-    assert_eq!(len, dr.len(), "halo windows must match");
-    let ops = [
-        Operand::new(src, sr, Access::In),
-        Operand::new(dst, dr, Access::Out),
-    ];
-    let ev = hs.enqueue_compute(
-        exchange_stream,
-        "rtm_copy",
-        Bytes::new(),
-        &ops,
-        CostHint::trivial(),
-    )?;
-    Ok(ev)
+    let marker = also_after.map(|s| hs.enqueue_marker(s)).transpose()?;
+    assert_eq!(sr.len(), dr.len(), "halo windows must match");
+    let copy = BatchAction::Compute {
+        func: "rtm_copy".into(),
+        args: Bytes::new(),
+        operands: vec![
+            Operand::new(src, sr, Access::In),
+            Operand::new(dst, dr, Access::Out),
+        ],
+        cost: CostHint::trivial(),
+    };
+    crate::enqueue_after(hs, exchange_stream, copy, &[after, marker])
 }
 
 fn hs_device(hs: &HStreams, d: DomainId) -> Device {

@@ -259,7 +259,7 @@ pub fn run_workload(platform: &PlatformCfg, w: &Workload) -> HsResult<WorkloadRe
                 hs.buffer_instantiate(buf, dev)?;
                 hs.enqueue_xfer(s, buf, 0..bytes, DomainId::HOST, dev)?;
             }
-            let ev = kernels::potrf_as_ldlt(buf, *n).enqueue(&hs, s)?;
+            let ev = kernels::potrf_as_ldlt(buf, *n).enqueue(&hs, s, &[])?;
             let ev = if !dev.is_host() {
                 hs.enqueue_xfer(s, buf, 0..bytes, dev, DomainId::HOST)?
             } else {

@@ -31,9 +31,10 @@ use hs_obs::{ActionMeta, ObsAccess, ObsAction, ObsKind};
 use std::cell::Cell;
 use std::ops::Range;
 
-/// Per-action execution options for [`HStreams::enqueue_many_opts`].
+/// Per-action options for [`HStreams::enqueue_many_opts`], applied to
+/// every action of the call.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ActionOpts {
+pub struct ActionOpts<'a> {
     /// Fail the action if it has not completed this long after submission
     /// (wall time in thread modes, virtual time in sim mode). Expiry fails
     /// the action with [`crate::FailureCause::Timeout`] and poisons
@@ -42,6 +43,13 @@ pub struct ActionOpts {
     /// Retry budget for transient injected faults. Defaults to the armed
     /// fault plan's policy (or no retries when chaos is off).
     pub retry: Option<RetryPolicy>,
+    /// Events, typically of other streams, that each action of the call
+    /// orders after: extra dependence edges of those actions alone. Unlike
+    /// [`HStreams::enqueue_event_wait`], no sync action is enqueued and
+    /// later actions of the stream are not gated; a failed event poisons
+    /// the actions as any dependence does. Every id must have been handed
+    /// out before the call.
+    pub after: &'a [Event],
 }
 
 /// One action of a batched [`HStreams::enqueue_many`] submission, in
@@ -283,13 +291,14 @@ impl HStreams {
         self.enqueue_many_opts(s, actions, ActionOpts::default())
     }
 
-    /// Like [`HStreams::enqueue_many`], with a deadline and/or retry
-    /// budget applied to every action of the batch.
+    /// Like [`HStreams::enqueue_many`], with a deadline, a retry budget
+    /// and/or [`ActionOpts::after`] edges applied to every action of the
+    /// batch.
     pub fn enqueue_many_opts(
         &self,
         s: StreamId,
         actions: Vec<BatchAction>,
-        opts: ActionOpts,
+        opts: ActionOpts<'_>,
     ) -> HsResult<Vec<Event>> {
         self.inner.stats.bump("enqueue_many");
         let mut evs = vec![Event(0); actions.len()];
@@ -321,48 +330,6 @@ impl HStreams {
             Ok(())
         })?;
         Ok(evs)
-    }
-
-    /// Like [`HStreams::enqueue_event_wait`], but **only** for dependences
-    /// that actually cross streams: events produced by `s` itself are
-    /// dropped (the FIFO + operand semantics already order them — the
-    /// paper's recipe: "Otherwise, the FIFO semantic will manage the
-    /// dependences within a stream implicitly"), and if nothing remains no
-    /// synchronization action is enqueued at all — preserving `s`'s
-    /// out-of-order freedom. Returns the barrier's event when one was
-    /// needed.
-    pub fn enqueue_cross_wait(&self, s: StreamId, events: &[Event]) -> HsResult<Option<Event>> {
-        // While lifecycle records are on, already-complete events are kept:
-        // waiting on them is a no-op at runtime (fast-path dispatch), but the
-        // recorded wait edge is what lets hsan prove the dependence was
-        // synchronized — pruning it would make a correctly-synced run look
-        // racy.
-        let keep_complete = self.inner.obs.is_enabled();
-        let mut cross = Vec::with_capacity(events.len());
-        for e in events {
-            match self.inner.events.view(*e) {
-                EventView::Missing => return Err(HsError::UnknownEvent(*e)),
-                // Tombstoned = completed success: prunable like any other
-                // complete event.
-                EventView::Retired(ps) => {
-                    if ps != s && keep_complete {
-                        cross.push(*e);
-                    }
-                }
-                EventView::Live(be, ps) => {
-                    // A completed *failure* is never pruned: the poison edge
-                    // must still reach the dependent.
-                    let live = !be.completed_ok();
-                    if ps != s && (keep_complete || live) {
-                        cross.push(*e);
-                    }
-                }
-            }
-        }
-        if cross.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(self.enqueue_event_wait(s, &cross)?))
     }
 
     // ---------------------------------------------------------- the builders
@@ -577,7 +544,7 @@ impl HStreams {
     pub(crate) fn enqueue_one(
         &self,
         s: StreamId,
-        opts: ActionOpts,
+        opts: ActionOpts<'_>,
         build: impl FnOnce(&mut Built) -> HsResult<()>,
     ) -> HsResult<Event> {
         let mut ev = [Event(0)];
@@ -592,7 +559,7 @@ impl HStreams {
     fn enqueue_actions(
         &self,
         s: StreamId,
-        opts: ActionOpts,
+        opts: ActionOpts<'_>,
         out: &mut [Event],
         build: impl FnOnce(&mut Built) -> HsResult<()>,
     ) -> HsResult<()> {
@@ -623,24 +590,26 @@ impl HStreams {
     ///   before it is taken;
     /// * all events publish before the stream lock is released, so
     ///   concurrent observers never see a window entry without its slot;
-    /// * all-or-nothing: the one check that can fail, an event-wait on an
-    ///   id the table has not handed out, runs before the first id is
-    ///   reserved — a failed call reserves, submits and publishes nothing.
+    /// * all-or-nothing: the one check that can fail, an event-wait or an
+    ///   [`ActionOpts::after`] edge on an id the table has not handed out,
+    ///   runs before the first id is reserved — a failed call reserves,
+    ///   submits and publishes nothing.
     fn enqueue_built(
         &self,
         s: StreamId,
         sc: &mut Scratch,
-        opts: ActionOpts,
+        opts: ActionOpts<'_>,
         out: &mut [Event],
     ) -> HsResult<()> {
         let inner = &*self.inner;
         let st_arc = self.stream_arc(s)?;
         let submit_opts = self.submit_opts(&opts);
-        // Every wait names an id handed out before this call — so none of
-        // the call's own — or the call fails here, before it reserves one.
+        // Every wait and edge names an id handed out before this call — so
+        // none of the call's own — or the call fails here, before it
+        // reserves one.
         let known = inner.events.len();
-        let mut waits = sc.built.actions.iter().flat_map(|item| item.waits.iter());
-        if let Some(unknown) = waits.find(|e| e.0 >= known) {
+        let waits = sc.built.actions.iter().flat_map(|item| item.waits.iter());
+        if let Some(unknown) = waits.chain(opts.after).find(|e| e.0 >= known) {
             return Err(HsError::UnknownEvent(*unknown));
         }
         // One timestamp for the whole call (sim mode: one executor lock).
@@ -667,7 +636,8 @@ impl HStreams {
             // StrictFifo on the stream's previous action, or the strict
             // chain would break at every wait. Markers depend on everything
             // pending; normal actions on their operand conflicts (or the
-            // chain, in strict mode).
+            // chain, in strict mode). Every action of the call adds the
+            // `after` edges, which gate it alone.
             dep_events.clear();
             let redundant = match kind {
                 ActionKind::EventWait => match inner.ordering {
@@ -686,6 +656,7 @@ impl HStreams {
                 inner.redundant.add(redundant);
             }
             dep_events.extend_from_slice(waits.as_slice());
+            dep_events.extend_from_slice(opts.after);
             dep_events.sort_dedup();
             // Dependences on the call's own items point at
             // reserved-but-unpublished slots; route them straight to the
@@ -698,9 +669,9 @@ impl HStreams {
                     continue;
                 }
                 match inner.events.view(*e) {
-                    EventView::Live(be, _) => sc.deps.push(exec::BatchDep::External(be)),
+                    EventView::Live(be) => sc.deps.push(exec::BatchDep::External(be)),
                     // Tombstoned = completed success: nothing to wait on.
-                    EventView::Retired(_) => {}
+                    EventView::Retired => {}
                     // Only an awaited event whose slot another thread is
                     // still publishing: its enqueue has not returned, so
                     // it cannot be a dependence source yet. Intra-stream
@@ -714,7 +685,8 @@ impl HStreams {
             // Described while the footprint is at hand; minted once the whole
             // call has passed its checks.
             if now_ns.is_some() {
-                let meta = self.obs_meta(s, id, kind, &item.spec, footprint, waits.as_slice());
+                let waits = waits.iter().chain(opts.after);
+                let meta = self.obs_meta(s, id, kind, &item.spec, footprint, waits);
                 sc.metas.push(meta);
             }
             if let Some(op) = item.op.clone() {
@@ -762,13 +734,13 @@ impl HStreams {
         }
         // Publish everything before the stream lock drops.
         for (ev, be) in out.iter().zip(sc.backends.drain(..)) {
-            inner.events.publish(ev.0, s, be);
+            inner.events.publish(ev.0, be);
         }
         Ok(())
     }
 
     /// Resolve per-action options against the armed plan's defaults.
-    fn submit_opts(&self, opts: &ActionOpts) -> SubmitOpts {
+    fn submit_opts(&self, opts: &ActionOpts<'_>) -> SubmitOpts {
         SubmitOpts {
             deadline_ns: opts.deadline.map(|d| d.as_nanos() as u64),
             retry: opts.retry.unwrap_or_else(|| {
@@ -784,14 +756,14 @@ impl HStreams {
     /// The lifecycle metadata of action `event` (stream `s`, ordering
     /// `order`), about to be submitted: what the Chrome export draws and
     /// what `hsan` folds ([`crate::record`]).
-    pub(crate) fn obs_meta(
+    pub(crate) fn obs_meta<'w>(
         &self,
         s: StreamId,
         event: u64,
         order: ActionKind,
         spec: &ActionSpec,
         footprint: &Footprint,
-        waits: &[Event],
+        waits: impl Iterator<Item = &'w Event>,
     ) -> ActionMeta {
         let (kind, card, h2d, bytes) = match spec {
             ActionSpec::Compute { .. } => (
@@ -830,7 +802,7 @@ impl HStreams {
                     write: f.write,
                 })
                 .collect(),
-            waits: waits.iter().map(|e| e.0).collect(),
+            waits: waits.map(|e| e.0).collect(),
             label: spec.label().to_string(),
         }
     }

@@ -1,6 +1,5 @@
 //! The global event table: an append-only, segmented store mapping each
-//! [`Event`](crate::types::Event) id to its backend completion handle and
-//! producing stream.
+//! [`Event`](crate::types::Event) id to its backend completion handle.
 //!
 //! Three properties drive the design:
 //!
@@ -13,9 +12,9 @@
 //!   rather than being write-once.
 //! * **Bounded memory.** Completed *successful* events are tombstoned by
 //!   [`EventTable::compact`] — the backend handle (and whatever it retains:
-//!   callbacks, status, sim bookkeeping) is dropped while the slot keeps the
-//!   producing stream, so late waiters still resolve the event as a
-//!   completed success. Failures are never tombstoned: their cause feeds
+//!   callbacks, status, sim bookkeeping) is dropped while the slot stays
+//!   published, so late waiters still resolve the event as a completed
+//!   success. Failures are never tombstoned: their cause feeds
 //!   poison edges, `wait_any` verdicts and the card-loss replay closure.
 //!
 //! Ids come from one counter ([`EventTable::reserve`] is one `fetch_add`),
@@ -26,10 +25,8 @@
 //! counts it from the slots of the live window, so a publish pays no
 //! counter of its own.
 
-#[cfg(debug_assertions)]
-use crate::sync::AtomicBool;
-use crate::sync::{class, AtomicU32, AtomicU64, ClassedMutex, OnceLock, Ordering};
-use crate::types::{Event, StreamId};
+use crate::sync::{class, AtomicBool, AtomicU64, ClassedMutex, OnceLock, Ordering};
+use crate::types::Event;
 use hs_coi::CoiEvent;
 
 /// log2 of the slots per segment.
@@ -40,15 +37,11 @@ const SEG_LEN: u64 = 1 << SEG_BITS;
 /// so segment lookup is a plain indexed load. Caps a run at ~16.7M events.
 const MAX_SEGS: usize = 4096;
 
-/// Sentinel in `Slot::stream` until the slot is published.
-const UNPUBLISHED: u32 = u32::MAX;
-
 struct Slot {
-    /// Producing stream id; `UNPUBLISHED` until [`EventTable::publish`].
-    /// Stored with `Release` after the payload so an `Acquire` reader that
-    /// sees it set also sees the payload.
-    stream: AtomicU32,
-    /// `Some` while live; `None` after tombstoning (with `stream` still
+    /// Set by [`EventTable::publish`], with `Release` after the payload so
+    /// an `Acquire` reader that sees it set also sees the payload.
+    published: AtomicBool,
+    /// `Some` while live; `None` after tombstoning (with `published` still
     /// set, distinguishing "retired" from "never published").
     be: ClassedMutex<class::EventSlot, Option<CoiEvent>>,
 }
@@ -58,9 +51,9 @@ pub enum EventView {
     /// No such event (out of range, or reserved but not yet published).
     Missing,
     /// Pending or completed, backend handle still held.
-    Live(CoiEvent, StreamId),
+    Live(CoiEvent),
     /// Tombstoned: completed successfully and compacted away.
-    Retired(StreamId),
+    Retired,
 }
 
 /// Occupancy surfaced through `HStreams::metrics`.
@@ -76,7 +69,7 @@ pub struct TableStats {
 fn new_segment() -> Box<[Slot]> {
     (0..SEG_LEN)
         .map(|_| Slot {
-            stream: AtomicU32::new(UNPUBLISHED),
+            published: AtomicBool::new(false),
             be: ClassedMutex::new(None),
         })
         .collect()
@@ -146,21 +139,20 @@ impl EventTable {
 
     /// Fill a reserved slot. Called once per id, after the backend accepted
     /// the submission.
-    pub fn publish(&self, id: u64, stream: StreamId, be: CoiEvent) {
+    pub fn publish(&self, id: u64, be: CoiEvent) {
         let slot = self.slot(id).expect("publish of unreserved event id");
         let mut g = slot.be.lock();
         debug_assert!(g.is_none(), "double publish of event {id}");
-        debug_assert_eq!(
-            slot.stream.load(Ordering::Acquire),
-            UNPUBLISHED,
+        debug_assert!(
+            !slot.published.load(Ordering::Acquire),
             "publish of an already published event id {id}"
         );
         *g = Some(be);
         // Publication point. Release: pairs with the Acquire loads in
-        // `view_id`/`compact`, so a reader that observes the stream id also
+        // `view_id`/`compact`, so a reader that observes the flag also
         // observes the payload written above (`view_id` relies on it for
         // the Missing-vs-Retired distinction on a tombstoned slot).
-        slot.stream.store(stream.0, Ordering::Release);
+        slot.published.store(true, Ordering::Release);
         // The slot lock is held across the store: every slot state
         // transition (publish, tombstone, revive) is serialized by it.
     }
@@ -184,7 +176,7 @@ impl EventTable {
         let slot = self.slot(id).expect("overwrite of unreserved event id");
         // Acquire: pairs with publish's Release store — overwrite is only
         // legal on a slot whose publication we have observed.
-        debug_assert_ne!(slot.stream.load(Ordering::Acquire), UNPUBLISHED);
+        debug_assert!(slot.published.load(Ordering::Acquire));
         let mut g = slot.be.lock();
         if g.is_none() {
             // Un-retire. AcqRel for the RMW handshake with other rewinds;
@@ -203,17 +195,16 @@ impl EventTable {
         let Some(slot) = self.slot(id) else {
             return EventView::Missing;
         };
-        // Acquire: pairs with publish's Release store. Observing the
-        // stream id set means the payload write is visible, so a `None`
-        // under the slot lock below can only mean "tombstoned", never
-        // "not yet published" — the Missing/Retired distinction.
-        let s = slot.stream.load(Ordering::Acquire);
-        if s == UNPUBLISHED {
+        // Acquire: pairs with publish's Release store. Observing the flag
+        // set means the payload write is visible, so a `None` under the
+        // slot lock below can only mean "tombstoned", never "not yet
+        // published" — the Missing/Retired distinction.
+        if !slot.published.load(Ordering::Acquire) {
             return EventView::Missing;
         }
         match &*slot.be.lock() {
-            Some(be) => EventView::Live(be.clone(), StreamId(s)),
-            None => EventView::Retired(StreamId(s)),
+            Some(be) => EventView::Live(be.clone()),
+            None => EventView::Retired,
         }
     }
 
@@ -227,7 +218,7 @@ impl EventTable {
             return false;
         };
         // Acquire: pairs with publish's Release store (see `view_id`).
-        if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
+        if !slot.published.load(Ordering::Acquire) {
             return false;
         }
         match &*slot.be.lock() {
@@ -262,9 +253,9 @@ impl EventTable {
                 Some(slot) => {
                     // Acquire: pairs with publish's Release store — only
                     // published slots are candidates; a mid-publish slot
-                    // (payload written, stream not yet stored) is skipped
+                    // (payload written, flag not yet stored) is skipped
                     // and retried next sweep.
-                    if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
+                    if !slot.published.load(Ordering::Acquire) {
                         false // mid-publish on another thread
                     } else {
                         let mut g = slot.be.lock();
@@ -313,7 +304,7 @@ impl EventTable {
         for id in watermark..reserved {
             let Some(slot) = self.slot(id) else { continue };
             // Acquire: pairs with publish's Release store (see `view_id`).
-            if slot.stream.load(Ordering::Acquire) == UNPUBLISHED {
+            if !slot.published.load(Ordering::Acquire) {
                 continue;
             }
             if slot.be.lock().is_some() {
@@ -369,12 +360,9 @@ mod tests {
         let t = EventTable::new();
         let id = t.reserve();
         assert!(matches!(t.view_id(id), EventView::Missing), "unpublished");
-        t.publish(id, StreamId(3), done_event());
+        t.publish(id, done_event());
         match t.view_id(id) {
-            EventView::Live(e, s) => {
-                assert!(e.is_complete());
-                assert_eq!(s, StreamId(3));
-            }
+            EventView::Live(e) => assert!(e.is_complete()),
             _ => panic!("expected live thread event"),
         }
         assert!(matches!(t.view_id(id + 1), EventView::Missing));
@@ -386,7 +374,7 @@ mod tests {
         let n = SEG_LEN + 10;
         for i in 0..n {
             assert_eq!(t.reserve(), i);
-            t.publish(i, StreamId(0), done_event());
+            t.publish(i, done_event());
         }
         assert_eq!(t.len(), n);
         assert!(matches!(t.view_id(SEG_LEN + 5), EventView::Live(..)));
@@ -408,7 +396,7 @@ mod tests {
                         (0..PER)
                             .map(|_| {
                                 let id = t.reserve();
-                                t.publish(id, StreamId(0), done_event());
+                                t.publish(id, done_event());
                                 id
                             })
                             .collect::<Vec<u64>>()
@@ -445,14 +433,14 @@ mod tests {
             } else {
                 done_event()
             };
-            t.publish(id, StreamId(0), be);
+            t.publish(id, be);
         }
         t.compact(|e| e.is_complete().then_some(true));
         let st = t.stats();
         assert_eq!(st.retired, 9);
         assert_eq!(st.live, 1);
         assert_eq!(st.watermark, 5, "watermark stops at the pending slot");
-        assert!(matches!(t.view_id(3), EventView::Retired(_)));
+        assert!(matches!(t.view_id(3), EventView::Retired));
         assert!(matches!(t.view_id(5), EventView::Live(..)));
     }
 
@@ -460,9 +448,9 @@ mod tests {
     fn overwrite_revives_a_tombstoned_slot() {
         let t = EventTable::new();
         let id = t.reserve();
-        t.publish(id, StreamId(1), done_event());
+        t.publish(id, done_event());
         t.compact(|_| Some(true));
-        assert!(matches!(t.view_id(id), EventView::Retired(_)));
+        assert!(matches!(t.view_id(id), EventView::Retired));
         t.overwrite(id, pending_event());
         assert!(matches!(t.view_id(id), EventView::Live(..)));
         let st = t.stats();
@@ -476,7 +464,7 @@ mod tests {
         for _ in 0..100 {
             for _ in 0..64 {
                 let id = t.reserve();
-                t.publish(id, StreamId(0), done_event());
+                t.publish(id, done_event());
             }
             t.compact(|_| Some(true));
         }
@@ -491,7 +479,7 @@ mod tests {
         for i in 0..6 {
             let id = t.reserve();
             let be = if i == 2 { failed_event() } else { done_event() };
-            t.publish(id, StreamId(0), be);
+            t.publish(id, be);
         }
         t.compact(thread_verdict);
         let st = t.stats();
@@ -509,7 +497,7 @@ mod tests {
         let t = EventTable::new();
         for _ in 0..8 {
             let id = t.reserve();
-            t.publish(id, StreamId(0), done_event());
+            t.publish(id, done_event());
         }
         t.compact(thread_verdict);
         assert_eq!(t.stats().watermark, 8);
@@ -576,13 +564,13 @@ mod tests {
                 let view = t.view_id(id as u64);
                 if (id as u64) < st.watermark {
                     assert!(
-                        matches!(view, EventView::Retired(_)),
+                        matches!(view, EventView::Retired),
                         "watermark passed non-retired id {id} ({s:?})"
                     );
                 }
                 match s {
                     Shadow::Retired => {
-                        assert!(matches!(view, EventView::Retired(_)))
+                        assert!(matches!(view, EventView::Retired))
                     }
                     _ => assert!(
                         matches!(view, EventView::Live(..)),
@@ -605,7 +593,7 @@ mod tests {
                         // Publish an already-completed success.
                         0 => {
                             let id = t.reserve();
-                            t.publish(id, StreamId(0), done_event());
+                            t.publish(id, done_event());
                             shadow.push(Shadow::Done);
                             handles.push(CoiEvent::done());
                         }
@@ -613,14 +601,14 @@ mod tests {
                         1 => {
                             let e = CoiEvent::new();
                             let id = t.reserve();
-                            t.publish(id, StreamId(0), e.clone());
+                            t.publish(id, e.clone());
                             shadow.push(Shadow::Pending);
                             handles.push(e);
                         }
                         // Publish an already-failed action.
                         2 => {
                             let id = t.reserve();
-                            t.publish(id, StreamId(0), failed_event());
+                            t.publish(id, failed_event());
                             shadow.push(Shadow::Failed);
                             handles.push(CoiEvent::done());
                         }
@@ -687,8 +675,8 @@ mod loom_models {
 
     /// Publish racing a reader: the Release store / Acquire load pairing
     /// means the reader sees either Missing (not yet published) or the
-    /// fully-written payload with the right stream id — never a torn
-    /// UNPUBLISHED/payload mix, and never a spurious Retired.
+    /// fully-written payload — never the flag without the payload, and
+    /// never a spurious Retired.
     #[test]
     fn loom_publish_vs_reader() {
         loom::model(|| {
@@ -697,13 +685,12 @@ mod loom_models {
             let t2 = t.clone();
             let reader = loom::thread::spawn(move || match t2.view_id(id) {
                 EventView::Missing => {} // published later: fine
-                EventView::Live(e, s) => {
-                    assert_eq!(s, StreamId(7), "stream id torn");
-                    assert!(e.is_complete(), "payload not visible with stream id");
+                EventView::Live(e) => {
+                    assert!(e.is_complete(), "payload not visible with the flag");
                 }
-                EventView::Retired(_) => panic!("retired without any compact"),
+                EventView::Retired => panic!("retired without any compact"),
             });
-            t.publish(id, StreamId(7), done_event());
+            t.publish(id, done_event());
             reader.join().unwrap();
             assert!(matches!(t.view_id(id), EventView::Live(..)));
             let st = t.stats();
@@ -723,11 +710,11 @@ mod loom_models {
         b.check(|| {
             let t = Arc::new(EventTable::new());
             let id0 = t.reserve();
-            t.publish(id0, StreamId(0), done_event());
+            t.publish(id0, done_event());
             let id1 = t.reserve();
             let t2 = t.clone();
             let publisher = loom::thread::spawn(move || {
-                t2.publish(id1, StreamId(1), done_event());
+                t2.publish(id1, done_event());
             });
             t.compact(thread_verdict);
             publisher.join().unwrap();
@@ -736,7 +723,7 @@ mod loom_models {
             assert_eq!(st.live + st.retired, 2, "slot counts unbalanced after race");
             for id in 0..st.watermark {
                 assert!(
-                    matches!(t.view_id(id), EventView::Retired(_)),
+                    matches!(t.view_id(id), EventView::Retired),
                     "watermark passed a non-retired slot"
                 );
             }
@@ -758,7 +745,7 @@ mod loom_models {
             let t = Arc::new(EventTable::new());
             for _ in 0..2 {
                 let id = t.reserve();
-                t.publish(id, StreamId(0), done_event());
+                t.publish(id, done_event());
             }
             t.compact(thread_verdict);
             assert_eq!(t.stats().watermark, 2);

@@ -816,8 +816,8 @@ impl HStreams {
                 .entries()
                 .iter()
                 .map(|la| match inner.events.view_id(la.ev) {
-                    EventView::Retired(_) => true,
-                    EventView::Live(ev, _) => ev.completed_ok(),
+                    EventView::Retired => true,
+                    EventView::Live(ev) => ev.completed_ok(),
                     EventView::Missing => false,
                 })
                 .collect();
@@ -998,8 +998,8 @@ impl HStreams {
                     return Err(HsError::UnknownEvent(ev));
                 }
                 // Tombstoned: completed successfully and compacted.
-                EventView::Retired(_) => return Ok(()),
-                EventView::Live(be, _) => match self.inner.exec.wait(&be) {
+                EventView::Retired => return Ok(()),
+                EventView::Live(be) => match self.inner.exec.wait(&be) {
                     Ok(()) => return Ok(()),
                     Err(c) => {
                         if self.try_degrade(&c, gen)? {
@@ -1050,8 +1050,8 @@ impl HStreams {
                         return Err(HsError::UnknownEvent(*ev));
                     }
                     // Tombstoned = already a success.
-                    EventView::Retired(_) => return Ok(i),
-                    EventView::Live(be, _) => bes.push(be),
+                    EventView::Retired => return Ok(i),
+                    EventView::Live(be) => bes.push(be),
                 }
             }
             match self.inner.exec.wait_any(&bes) {

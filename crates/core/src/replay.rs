@@ -359,7 +359,7 @@ impl HStreams {
         let failed: Vec<bool> = log
             .iter()
             .map(|la| match inner.events.view_id(la.ev) {
-                EventView::Live(ev, _) => ev.is_complete() && !ev.completed_ok(),
+                EventView::Live(ev) => ev.is_complete() && !ev.completed_ok(),
                 _ => false, // retired = success; missing = never published
             })
             .collect();
@@ -376,7 +376,7 @@ impl HStreams {
                 .deps
                 .iter()
                 .filter_map(|d| match inner.events.view_id(*d) {
-                    EventView::Live(be, _) => Some(exec::BatchDep::External(be)),
+                    EventView::Live(be) => Some(exec::BatchDep::External(be)),
                     _ => None,
                 })
                 .collect();
@@ -387,7 +387,7 @@ impl HStreams {
                     _ => ActionKind::Normal,
                 };
                 let (s, ev) = (la.stream, la.ev);
-                let meta = self.obs_meta(s, ev, kind, &step.action, &step.footprint, &[]);
+                let meta = self.obs_meta(s, ev, kind, &step.action, &step.footprint, [].iter());
                 self.mint_obs(meta, None)
             });
             // One action per hand-off: its event must be in the table
@@ -413,30 +413,30 @@ impl HStreams {
     }
 
     /// Re-enqueue recovered actions — `actions` is the crashed run's log,
-    /// or a prefix of it — through the public enqueues, in log order. An
-    /// enqueue re-derives the dependences inside its own stream from the
-    /// operands; the ones that cross streams are issued first, as one
-    /// [`HStreams::enqueue_cross_wait`] on the replayed events (an event
-    /// of the stream itself, or one already complete, is dropped there). A
-    /// `Sync` entry waits on its logged dependences alone. A dependence
-    /// absent from the recovered set was complete before the crash. An
-    /// entry is resolved here for its footprint — which also refuses one
-    /// that cannot run before any wait is enqueued on its behalf — and once
-    /// more by the enqueue that takes it; recovery is not a hot path.
+    /// or a prefix of it — through the public enqueues, in log order, one
+    /// action per entry. An enqueue re-derives the dependences inside its
+    /// own stream from the operands; the logged ones, mapped onto the
+    /// replayed events, ride along as [`ActionOpts::after`] edges. A `Sync`
+    /// entry waits on its logged dependences alone. A dependence absent
+    /// from the recovered set was complete before the crash. An entry is
+    /// resolved here for its footprint — which also refuses one that cannot
+    /// run — and once more by the enqueue that takes it; recovery is not a
+    /// hot path.
     pub(crate) fn replay_recovered(&self, actions: &[LoggedAction], report: &mut RecoveryReport) {
         let mut mapped: HashMap<u64, Event> = HashMap::new();
         for (la, step) in in_log_order(actions, |_| true, |la| self.resolve_logged(la)) {
             let s = la.stream;
-            let opts = ActionOpts {
-                deadline: None,
-                retry: Some(la.retry),
-            };
             let replay = step.and_then(|step| {
                 let deps: Vec<Event> = step
                     .deps
                     .iter()
                     .filter_map(|d| mapped.get(d).copied())
                     .collect();
+                let opts = ActionOpts {
+                    deadline: None,
+                    retry: Some(la.retry),
+                    after: &deps,
+                };
                 match &la.op {
                     // Every awaited event predates the recovered set: the
                     // wait is satisfied by construction.
@@ -448,7 +448,6 @@ impl HStreams {
                         operands,
                         cost,
                     } => {
-                        self.enqueue_cross_wait(s, &deps)?;
                         self.inner.stats.bump("enqueue_compute");
                         self.enqueue_one(s, opts, |b| {
                             let func = func.as_str().into();
@@ -462,7 +461,6 @@ impl HStreams {
                         from,
                         to,
                     } => {
-                        self.enqueue_cross_wait(s, &deps)?;
                         self.inner.stats.bump("enqueue_xfer");
                         self.enqueue_one(s, opts, |b| {
                             self.built_xfer(b, *buf, range.clone(), *from, *to)

@@ -133,6 +133,7 @@ fn transient_fault_is_retried_and_dependents_never_see_it() {
                 multiplier: 1.0,
                 jitter: 0.0,
             }),
+            ..ActionOpts::default()
         },
     );
     let after = hs.enqueue_event_wait(other, &[retried]).expect("wait");
@@ -161,6 +162,7 @@ fn deadline_beats_a_queued_attempt() {
         ActionOpts {
             deadline: Some(deadline),
             retry: None,
+            ..ActionOpts::default()
         },
     );
     let dependent = hs.enqueue_event_wait(other, &[late]).expect("dependent");

@@ -33,7 +33,6 @@ const PINNED: &[&str] = &[
     "domains",
     "durability_opts",
     "enqueue_compute",
-    "enqueue_cross_wait",
     "enqueue_event_wait",
     "enqueue_many",
     "enqueue_many_opts",

@@ -122,6 +122,7 @@ fn deadline_expiry_fails_within_twice_the_deadline_and_poisons() {
             ActionOpts {
                 deadline: Some(deadline),
                 retry: None,
+                ..ActionOpts::default()
             },
         )
         .expect("enqueue")[0];
@@ -173,6 +174,7 @@ fn sim_deadline_is_virtual_time() {
             ActionOpts {
                 deadline: Some(Duration::from_millis(5)),
                 retry: None,
+                ..ActionOpts::default()
             },
         )
         .expect("enqueue")[0];
@@ -445,6 +447,7 @@ fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
     let deadline = ActionOpts {
         deadline: Some(Duration::from_millis(200)),
         retry: None,
+        ..ActionOpts::default()
     };
     let big = CostHint::new(hs_machine::KernelKind::Dgemm, 1e12, 512);
     let timed_out = compute(s_deadline, "slow", y, big, deadline);

@@ -190,6 +190,38 @@ fn crash_and_recover_matches_fault_free_on_both_executors() {
     }
 }
 
+/// Recovery replays one action per logged record: a cross-stream
+/// dependence becomes an `after` edge of the replayed action, never a sync
+/// action of its own, so the recovered program counts exactly the actions
+/// the crashed one enqueued (its own event waits included), on both
+/// executors.
+#[test]
+fn a_recovered_program_enqueues_the_actions_it_logged() {
+    let actions = |hs: &HStreams| -> Vec<(String, f64)> {
+        let rows = hs.metrics().extra.into_iter();
+        rows.filter(|(name, _)| name.starts_with("actions."))
+            .collect()
+    };
+    for mode in [ExecMode::Threads, ExecMode::Sim] {
+        let root = tmp_root("counts");
+        let logged = {
+            let hs = runtime(mode);
+            hs.durability_opts(&root, false, 0).expect("durability on");
+            let (s0, s1, buf) = init_workload(&hs);
+            enqueue_rounds(&hs, s0, s1, buf, 6);
+            hs.thread_synchronize().expect("sync");
+            actions(&hs)
+        };
+        let hs = runtime(mode);
+        init_workload(&hs);
+        let report = hs.recover(&root).expect("recover");
+        hs.thread_synchronize().expect("post-recover sync");
+        assert_eq!(report.replayed, report.records, "{report:?}");
+        assert_eq!(actions(&hs), logged, "mode {mode:?}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
 /// A checkpoint at a quiesce point truncates the log; recovery overlays the
 /// snapshot (card windows included) and replays only post-checkpoint
 /// records — without re-running the pre-checkpoint work.

@@ -8,8 +8,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, Event, ExecMode, HStreams, HsError, HsResult,
-    Operand, StreamId,
+    Access, ActionOpts, BatchAction, BufProps, CostHint, CpuMask, DomainId, Event, ExecMode,
+    HStreams, HsError, HsResult, Operand, StreamId,
 };
 
 fn rt() -> HStreams {
@@ -120,6 +120,16 @@ fn unknown_domain_and_event() {
     assert!(matches!(
         fails_clean(&hs, || hs.enqueue_event_wait(s, &[next])),
         HsError::UnknownEvent(_)
+    ));
+    // An `after` edge is checked the same way, for the whole call.
+    let after = ActionOpts {
+        after: &[first, next],
+        ..ActionOpts::default()
+    };
+    let two = || vec![BatchAction::Marker, BatchAction::Marker];
+    assert!(matches!(
+        fails_clean(&hs, || Ok(hs.enqueue_many_opts(s, two(), after)?[0])),
+        HsError::UnknownEvent(e) if e == next
     ));
     let (tx, rx) = std::sync::mpsc::channel();
     let waiter = hs.clone();

@@ -75,7 +75,7 @@ impl Frontend {
         // One executor round-trip for the whole batch, then publish
         // everything while the window lock is still held.
         for &id in &ids {
-            self.events.publish(id, StreamId(s as u32), done_event());
+            self.events.publish(id, done_event());
         }
         ids
     }
@@ -210,7 +210,7 @@ fn loom_replay_vs_enqueue_same_stream() {
             hs_coi::EventStatus::Done => Some(true),
             hs_coi::EventStatus::Failed(_) => Some(false),
         });
-        assert!(matches!(fe.events.view_id(id0), EventView::Retired(_)));
+        assert!(matches!(fe.events.view_id(id0), EventView::Retired));
         let fe2 = fe.clone();
         let enq = loom::thread::spawn(move || fe2.enqueue(0));
         {

@@ -7,7 +7,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, HStreams, HsError, Operand, TaskCtx,
+    Access, ActionOpts, BatchAction, BufProps, CostHint, CpuMask, DomainId, ExecMode, HStreams,
+    HsError, Operand, OrderingMode, TaskCtx,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -325,6 +326,146 @@ fn event_wait_any_returns_an_early_finisher() {
     let idx = hs.event_wait_any(&[slow, fast]).expect("one finishes");
     assert_eq!(idx, 1, "the fast compute finishes first");
     hs.thread_synchronize().expect("sync");
+}
+
+/// A producer on stream `a` held on a host-controlled gate; on stream `b`,
+/// an action ordered after the producer by an [`ActionOpts::after`] edge,
+/// then an independent action (disjoint buffer). The edge gates its own
+/// action only: under `OutOfOrder` the independent action runs while the
+/// gate is still shut, under `StrictFifo` it keeps its place behind the
+/// edge-carrying one. Returns (did the independent action run before the
+/// gate opened, the order `b`'s actions ran in).
+fn edge_then_independent(ordering: OrderingMode) -> (bool, Vec<char>) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
+    use std::time::{Duration, Instant};
+    let gate = Arc::new(AtomicBool::new(false));
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let hs = HStreams::init_with_ordering(
+        PlatformCfg::hetero(Device::Hsw, 1),
+        ExecMode::Threads,
+        ordering,
+    );
+    let held = gate.clone();
+    hs.register(
+        "hold",
+        Arc::new(move |_ctx: &mut TaskCtx| {
+            // Bounded, so a run that never opens the gate still ends.
+            let t0 = Instant::now();
+            while !held.load(Ordering::Acquire) && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }),
+    );
+    let log = ran.clone();
+    hs.register(
+        "note",
+        Arc::new(move |ctx: &mut TaskCtx| log.lock().unwrap().push(ctx.args()[0] as char)),
+    );
+    let a = hs
+        .stream_create(DomainId::HOST, CpuMask::first(1))
+        .expect("a");
+    let b = hs
+        .stream_create(DomainId::HOST, CpuMask::first(1))
+        .expect("b");
+    let [p, x, y] = [0; 3].map(|_| hs.buffer_create(64, BufProps::default()));
+    let compute = |func: &str, tag: &[u8], buf| BatchAction::Compute {
+        func: func.into(),
+        args: Bytes::copy_from_slice(tag),
+        operands: vec![Operand::f64s(buf, 0, 8, Access::InOut)],
+        cost: CostHint::trivial(),
+    };
+    let producer = hs
+        .enqueue_many(a, vec![compute("hold", b"P", p)])
+        .expect("producer")[0];
+    let opts = ActionOpts {
+        after: &[producer],
+        ..ActionOpts::default()
+    };
+    hs.enqueue_many_opts(b, vec![compute("note", b"E", x)], opts)
+        .expect("edge-carrying action");
+    let independent = hs
+        .enqueue_many(b, vec![compute("note", b"I", y)])
+        .expect("independent action")[0];
+    // Out of order the independent action runs with the gate shut: give it
+    // up to 5 s. Strict FIFO must not run it: 100 ms shows nothing overtook.
+    let patience = match ordering {
+        OrderingMode::OutOfOrder => Duration::from_secs(5),
+        OrderingMode::StrictFifo => Duration::from_millis(100),
+    };
+    let t0 = Instant::now();
+    let early = loop {
+        if ran.lock().unwrap().contains(&'I') {
+            break true;
+        }
+        if t0.elapsed() > patience {
+            break false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    gate.store(true, Ordering::Release);
+    hs.event_wait(independent).expect("independent completes");
+    hs.thread_synchronize().expect("sync");
+    let order = ran.lock().unwrap().clone();
+    (early, order)
+}
+
+#[test]
+fn an_edge_gates_only_its_own_action() {
+    let (early, order) = edge_then_independent(OrderingMode::OutOfOrder);
+    assert!(
+        early,
+        "out of order: the independent action waited for the gate ({order:?})"
+    );
+    assert_eq!(order, ['I', 'E']);
+    let (early, order) = edge_then_independent(OrderingMode::StrictFifo);
+    assert!(
+        !early,
+        "strict FIFO: the independent action overtook the edge"
+    );
+    assert_eq!(order, ['E', 'I']);
+}
+
+/// Tracing observes the program, it does not change it: an edge on an
+/// event that has already completed enqueues the same actions with
+/// lifecycle records off and on.
+#[test]
+fn tracing_does_not_change_the_program() {
+    let counts = |traced: bool| {
+        let hs = real_runtime(1);
+        hs.obs_enable(traced);
+        let s1 = hs
+            .stream_create(DomainId::HOST, CpuMask::first(1))
+            .expect("s1");
+        let s2 = hs
+            .stream_create(DomainId::HOST, CpuMask::first(1))
+            .expect("s2");
+        let (x, y) = (
+            hs.buffer_create(64, BufProps::default()),
+            hs.buffer_create(64, BufProps::default()),
+        );
+        let axpy = |buf| BatchAction::Compute {
+            func: "axpyk".into(),
+            args: k_args(1.0),
+            operands: vec![Operand::f64s(buf, 0, 8, Access::InOut)],
+            cost: CostHint::trivial(),
+        };
+        let done = hs.enqueue_many(s1, vec![axpy(x)]).expect("producer")[0];
+        hs.event_wait(done).expect("producer completes");
+        let opts = ActionOpts {
+            after: &[done],
+            ..ActionOpts::default()
+        };
+        hs.enqueue_many_opts(s2, vec![axpy(y)], opts)
+            .expect("edge on a completed event");
+        hs.thread_synchronize().expect("sync");
+        let rows = hs.metrics().extra.into_iter();
+        rows.filter(|(name, _)| name.starts_with("actions."))
+            .collect::<Vec<_>>()
+    };
+    let (plain, traced) = (counts(false), counts(true));
+    assert!(!plain.is_empty());
+    assert_eq!(plain, traced, "obs on enqueued another program");
 }
 
 #[test]

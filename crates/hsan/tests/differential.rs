@@ -8,13 +8,17 @@
 //! This is the correctness contract of the concurrent front-end: source
 //! threads may interleave arbitrarily in the global trace, but each
 //! stream's program order — the thing the paper's FIFO semantic is stated
-//! in terms of — is exactly what its source thread enqueued.
+//! in terms of — is exactly what its source thread enqueued. The programs
+//! order actions both ways the runtime offers: event-wait sync actions and
+//! `ActionOpts::after` edges on normal actions (one call per action, or a
+//! run of them in one batch), so the edges hsan draws from the records are
+//! checked against what the runtime enforced.
 
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId, Event, ExecMode,
-    HStreams, Operand, StreamId, TaskCtx,
+    Access, ActionKind, ActionOpts, BatchAction, BufProps, BufferId, CostHint, CpuMask, DomainId,
+    Event, ExecMode, HStreams, Operand, StreamId, TaskCtx,
 };
 use std::sync::Arc;
 
@@ -36,6 +40,15 @@ enum Op {
     WaitPrev {
         back: usize,
     },
+    /// A compute ordered after op `target`'s action by an `after` edge.
+    /// The generator emits these in runs sharing one target, which the
+    /// batched interpretation enqueues as one call.
+    After {
+        target: usize,
+        buf: usize,
+        chunk: usize,
+        access: Access,
+    },
 }
 
 /// Tiny deterministic LCG (same constants as glibc's) — the property must
@@ -54,23 +67,48 @@ impl Lcg {
 
 fn gen_program(seed: u64) -> Vec<Op> {
     let mut rng = Lcg(seed);
-    (0..OPS_PER_THREAD)
-        .map(|i| match rng.next() % 8 {
-            0 => Op::Marker,
-            1 if i > 0 => Op::WaitPrev {
-                back: (rng.next() as usize % i.min(8)).max(1),
-            },
-            r => Op::Compute {
-                buf: rng.next() as usize % BUFS_PER_THREAD,
-                chunk: 1 + rng.next() as usize % 4,
-                access: match r % 3 {
-                    0 => Access::In,
-                    1 => Access::Out,
-                    _ => Access::InOut,
-                },
-            },
-        })
-        .collect()
+    let mut prog = Vec::with_capacity(OPS_PER_THREAD);
+    while prog.len() < OPS_PER_THREAD {
+        let i = prog.len();
+        let back = |rng: &mut Lcg| (rng.next() as usize % i.min(8)).max(1);
+        let operand = |rng: &mut Lcg, r: u64| {
+            let (buf, chunk) = (
+                rng.next() as usize % BUFS_PER_THREAD,
+                1 + rng.next() as usize % 4,
+            );
+            let access = match r % 3 {
+                0 => Access::In,
+                1 => Access::Out,
+                _ => Access::InOut,
+            };
+            (buf, chunk, access)
+        };
+        match rng.next() % 10 {
+            0 => prog.push(Op::Marker),
+            1 if i > 0 => prog.push(Op::WaitPrev {
+                back: back(&mut rng),
+            }),
+            2 if i > 0 => {
+                let target = i - back(&mut rng);
+                let run = (1 + rng.next() as usize % 3).min(OPS_PER_THREAD - i);
+                for _ in 0..run {
+                    let r = rng.next();
+                    let (buf, chunk, access) = operand(&mut rng, r);
+                    prog.push(Op::After {
+                        target,
+                        buf,
+                        chunk,
+                        access,
+                    });
+                }
+            }
+            r => {
+                let (buf, chunk, access) = operand(&mut rng, r);
+                prog.push(Op::Compute { buf, chunk, access });
+            }
+        }
+    }
+    prog
 }
 
 fn runtime(mode: ExecMode) -> HStreams {
@@ -98,16 +136,41 @@ fn interpret(hs: &HStreams, stream: StreamId, bufs: &[BufferId], prog: &[Op]) {
                 let target = produced[produced.len() - back.min(produced.len())];
                 hs.enqueue_event_wait(stream, &[target]).expect("wait")
             }
+            Op::After {
+                target,
+                buf,
+                chunk,
+                access,
+            } => {
+                let opts = ActionOpts {
+                    after: &[produced[target]],
+                    ..ActionOpts::default()
+                };
+                let action = mix(bufs[buf], chunk, access);
+                hs.enqueue_many_opts(stream, vec![action], opts)
+                    .expect("after")[0]
+            }
         };
         produced.push(ev);
+    }
+}
+
+/// The `mix` compute of `chunk` KiB of `buf`.
+fn mix(buf: BufferId, chunk: usize, access: Access) -> BatchAction {
+    BatchAction::Compute {
+        func: "mix".into(),
+        args: Bytes::new(),
+        operands: vec![Operand::new(buf, 0..chunk * 1024, access)],
+        cost: CostHint::trivial(),
     }
 }
 
 /// Like [`interpret`], but through `enqueue_many`: ops accumulate into
 /// batches of at most 16, flushed early before each `WaitPrev` (the
 /// awaited event must exist before its batch — batch-internal ids are not
-/// knowable by the caller). One event per op, in program order, exactly
-/// as the one-at-a-time interpretation produces.
+/// knowable by the caller), and a run of `After` ops sharing a target is
+/// one `enqueue_many_opts` call carrying the edge. One event per op, in
+/// program order, exactly as the one-at-a-time interpretation produces.
 fn interpret_batched(hs: &HStreams, stream: StreamId, bufs: &[BufferId], prog: &[Op]) {
     fn flush(
         hs: &HStreams,
@@ -124,15 +187,36 @@ fn interpret_batched(hs: &HStreams, stream: StreamId, bufs: &[BufferId], prog: &
     }
     let mut produced: Vec<Event> = Vec::with_capacity(prog.len());
     let mut pending: Vec<BatchAction> = Vec::new();
-    for op in prog {
-        match *op {
-            Op::Compute { buf, chunk, access } => pending.push(BatchAction::Compute {
-                func: "mix".into(),
-                args: Bytes::new(),
-                operands: vec![Operand::new(bufs[buf], 0..chunk * 1024, access)],
-                cost: CostHint::trivial(),
-            }),
+    let mut i = 0;
+    while i < prog.len() {
+        match prog[i] {
+            Op::Compute { buf, chunk, access } => pending.push(mix(bufs[buf], chunk, access)),
             Op::Marker => pending.push(BatchAction::Marker),
+            Op::After { target, .. } => {
+                flush(hs, stream, &mut pending, &mut produced);
+                let run: Vec<BatchAction> = prog[i..]
+                    .iter()
+                    .map_while(|op| match *op {
+                        Op::After {
+                            target: t,
+                            buf,
+                            chunk,
+                            access,
+                        } if t == target => Some(mix(bufs[buf], chunk, access)),
+                        _ => None,
+                    })
+                    .collect();
+                i += run.len();
+                let opts = ActionOpts {
+                    after: &[produced[target]],
+                    ..ActionOpts::default()
+                };
+                let evs = hs
+                    .enqueue_many_opts(stream, run, opts)
+                    .expect("after batch");
+                produced.extend(evs);
+                continue;
+            }
             Op::WaitPrev { back } => {
                 flush(hs, stream, &mut pending, &mut produced);
                 let target = produced[produced.len() - back.min(produced.len())];
@@ -144,6 +228,7 @@ fn interpret_batched(hs: &HStreams, stream: StreamId, bufs: &[BufferId], prog: &
         if pending.len() >= 16 {
             flush(hs, stream, &mut pending, &mut produced);
         }
+        i += 1;
     }
     flush(hs, stream, &mut pending, &mut produced);
 }
@@ -285,7 +370,7 @@ fn concurrent_trace_wait_edges_point_backwards() {
         for style in [Style::Concurrent, Style::Serial, Style::Batched] {
             let trace = run(mode, style);
             let mut seen = std::collections::HashSet::new();
-            let mut waits = 0;
+            let (mut waits, mut edges) = (0, 0);
             for a in trace.actions() {
                 for w in &a.waits {
                     assert!(
@@ -294,10 +379,12 @@ fn concurrent_trace_wait_edges_point_backwards() {
                         a.event
                     );
                     waits += 1;
+                    edges += usize::from(a.kind == ActionKind::Normal);
                 }
                 seen.insert(a.event);
             }
             assert!(waits > 0, "the programs wait across actions ({mode:?})");
+            assert!(edges > 0, "the programs carry `after` edges ({mode:?})");
         }
     }
 }

@@ -5,8 +5,14 @@
 //! with transfers riding underneath computes. The same drained records are
 //! folded into an `hsan` trace and checked; any finding exits 1.
 //!
+//! Then a small hetero Cholesky runs traced on real threads and is checked
+//! the same way. Its cross-stream waits are edges of the tasks they guard,
+//! so a traced run enqueues no sync action: a non-zero `actions.sync` row
+//! exits 1 too.
+//!
 //! Run with: `cargo run --release --example trace_matmul [out.json]`
 
+use hs_apps::cholesky::{self, CholConfig, CholVariant};
 use hs_apps::matmul::{run, MatmulConfig};
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{ExecMode, HStreams};
@@ -43,7 +49,26 @@ fn main() {
     for (k, v) in hs.metrics().rows() {
         println!("  {k:<28} {v:.3}");
     }
-    if !report.is_clean() {
+    let mut clean = report.is_clean();
+
+    let mut cfg = CholConfig::new(384, 48, CholVariant::Hetero);
+    cfg.verify = true;
+    let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
+    hs.obs_enable(true);
+    let res = cholesky::run(&mut hs, &cfg).expect("cholesky runs");
+    let report = hsan::check(&hsan::ActionTrace::from_records(
+        &hs,
+        &hs.take_obs_records(),
+    ));
+    let syncs = hs.metrics().extra["actions.sync"];
+    println!(
+        "\ntraced hetero cholesky n={} tile={}: max err {:.2e}, {syncs} sync actions\n{report}",
+        cfg.n,
+        cfg.tile,
+        res.max_err.expect("verified")
+    );
+    clean &= report.is_clean() && syncs == 0.0;
+    if !clean {
         std::process::exit(1);
     }
 }

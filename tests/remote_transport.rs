@@ -228,7 +228,7 @@ fn unknown_function_fails_the_same_on_every_card() {
             .event_wait(scale)
             .expect_err("the sink has no such function");
         let touch = hs_apps::kernels::touch(y, N)
-            .enqueue(&hs, s)
+            .enqueue(&hs, s, &[])
             .expect("enqueue");
         hs.event_wait(touch)
             .expect("a function the sink holds runs next");
