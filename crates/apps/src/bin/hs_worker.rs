@@ -2,10 +2,9 @@
 //!
 //! Hosts the worker side of the hs-fabric framed protocol: window
 //! allocation, checksummed H2D/D2H transfers and kernel execution, with
-//! the full `hs-apps` kernel table and the app calls' built-in kernels
-//! (`hstreams_core::app_kernels`) registered, so matmul/Cholesky tiles and
-//! `app_memset`/`app_memcpy`/`app_dgemm` run here. A task function this
-//! registry lacks fails its task on the host.
+//! the full `hs-apps` kernel table registered, so matmul/Cholesky tiles
+//! run here. A task function this registry lacks fails its task on the
+//! host.
 //!
 //! Usage:
 //!   hs-worker --uds /path/to/socket
@@ -74,9 +73,6 @@ fn main() {
     install_sigterm();
     let registry = std::sync::Arc::new(FnRegistry::new());
     for (name, f) in hs_apps::kernels::kernel_table() {
-        registry.register(name, f);
-    }
-    for (name, f) in hstreams_core::app_kernels() {
         registry.register(name, f);
     }
 

@@ -351,14 +351,19 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     }
 
     let t0 = hs.now_secs();
-    // Ship the initial fields to the cards.
+    // Ship the initial fields to the cards. shipped[r][f]: the h2d that
+    // reads rank r's host copy of field f.
+    let mut shipped: Vec<[Option<Event>; 3]> = vec![[None; 3]; cfg.ranks];
     if offload {
-        for rank in &ranks {
-            for f in 0..3 {
-                rank.xfer(hs, f, 0..alloc_bytes, false)?;
+        for (rank, shipped) in ranks.iter().zip(&mut shipped) {
+            for (f, ev) in shipped.iter_mut().enumerate() {
+                *ev = Some(rank.xfer(hs, f, 0..alloc_bytes, false)?);
             }
         }
     }
+    // touched[r]: the last exchange's copies that read or write rank r's
+    // host field; its results-home d2h must not overtake them.
+    let mut touched: Vec<Vec<Option<Event>>> = vec![Vec::new(); cfg.ranks];
 
     // Byte helpers (plane windows).
     let planes_bytes = |z0: usize, z1: usize| (z0 * plane * 8)..(z1 * plane * 8);
@@ -384,7 +389,7 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
 
     // Field rotation: indices into rank.fields for (prev, cur, next).
     let mut rot = [0usize, 1, 2];
-    for _step in 0..cfg.steps {
+    for step in 0..cfg.steps {
         let (pi, ci, ni) = (rot[0], rot[1], rot[2]);
         // Enqueue one compute covering planes [z0, z1) of the interior.
         let compute = |hs: &mut HStreams, r: usize, z0: usize, z1: usize, halo: bool| {
@@ -436,12 +441,24 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                 }
                 // Exchange: host copies between rank buffers (r's bottom
                 // boundary -> (r+1)'s top ghost, r's top boundary -> (r-1)'s
-                // bottom ghost), then ghost h2d. Each copy waits only on the
-                // one d2h it needs.
+                // bottom ghost), then ghost h2d. Each copy waits on the one
+                // d2h it needs and, in the first step, on the neighbour's
+                // initial h2d of the field whose ghosts it overwrites (later
+                // steps are ordered after it through the neighbours'
+                // computes).
+                for t in &mut touched {
+                    t.clear();
+                }
                 for r in 0..cfg.ranks {
                     for (dir, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane * 8) {
                         // In HostOnly mode the producing compute is in a
                         // different (host) stream: wait on the rank stream.
+                        let producer = if offload {
+                            None
+                        } else {
+                            Some(hs.enqueue_marker(ranks[r].stream)?)
+                        };
+                        let shipped = if step == 0 { shipped[nb][ni] } else { None };
                         let cp = copy_between(
                             hs,
                             exchange_stream,
@@ -449,9 +466,10 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
                             boundary,
                             ranks[nb].fields[ni],
                             ghost.clone(),
-                            d2h[r][dir],
-                            if offload { None } else { Some(ranks[r].stream) },
+                            &[d2h[r][dir], producer, shipped],
                         )?;
+                        touched[r].push(Some(cp));
+                        touched[nb].push(Some(cp));
                         if offload {
                             let nbr = &ranks[nb];
                             let (host, dev) = (DomainId::HOST, nbr.device);
@@ -478,8 +496,17 @@ pub fn run(hs: &mut HStreams, cfg: &RtmConfig) -> HsResult<RtmResult> {
     // Results home to the host.
     let ci = rot[1];
     if offload {
-        for rank in &ranks {
-            rank.xfer(hs, ci, 0..alloc_bytes, true)?;
+        for (rank, touched) in ranks.iter().zip(&touched) {
+            let (buf, dev) = (rank.fields[ci], rank.device);
+            crate::xfer_after(
+                hs,
+                rank.stream,
+                buf,
+                0..alloc_bytes,
+                dev,
+                DomainId::HOST,
+                touched,
+            )?;
         }
     }
     hs.thread_synchronize()?;
@@ -533,7 +560,7 @@ fn exchange(
     for r in 0..cfg.ranks {
         for (_, nb, boundary, ghost) in hops(r, cfg.ranks, nzl, plane_bytes) {
             let (src, dst) = (ranks[r].fields[ni], ranks[nb].fields[ni]);
-            copy_between(hs, exchange_stream, src, boundary, dst, ghost, None, None)?;
+            copy_between(hs, exchange_stream, src, boundary, dst, ghost, &[])?;
         }
     }
     hs.thread_synchronize()?;
@@ -545,10 +572,9 @@ fn exchange(
 }
 
 /// Copy `src[sr]` into `dst[dr]` on the exchange stream, ordered after
-/// `after` — the d2h that brought `src[sr]` home — and, optionally, after
-/// everything pending in `also_after` (host-only mode, where the producer
-/// is a host stream rather than a d2h transfer).
-#[allow(clippy::too_many_arguments)]
+/// whichever of `after` exist: the d2h that brought `src[sr]` home (or, in
+/// host-only mode, a marker on the producing host stream) and any earlier
+/// reader of `dst[dr]`.
 fn copy_between(
     hs: &mut HStreams,
     exchange_stream: StreamId,
@@ -556,10 +582,8 @@ fn copy_between(
     sr: Range<usize>,
     dst: BufferId,
     dr: Range<usize>,
-    after: Option<Event>,
-    also_after: Option<StreamId>,
+    after: &[Option<Event>],
 ) -> HsResult<Event> {
-    let marker = also_after.map(|s| hs.enqueue_marker(s)).transpose()?;
     assert_eq!(sr.len(), dr.len(), "halo windows must match");
     let copy = BatchAction::Compute {
         func: "rtm_copy".into(),
@@ -570,7 +594,7 @@ fn copy_between(
         ],
         cost: CostHint::trivial(),
     };
-    crate::enqueue_after(hs, exchange_stream, copy, &[after, marker])
+    crate::enqueue_after(hs, exchange_stream, copy, after)
 }
 
 fn hs_device(hs: &HStreams, d: DomainId) -> Device {

@@ -7,6 +7,7 @@
 
 use hs_apps::cholesky::{self, CholConfig, CholVariant};
 use hs_apps::matmul::{self, MatmulConfig};
+use hs_apps::rtm::{self, RtmConfig, Scheme};
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{ExecMode, HStreams};
 
@@ -175,6 +176,23 @@ fn cholesky_variants_are_race_free_sim_mode() {
 /// is clean: no race, no dangling wait, and, with an event keyed by its
 /// first completion rather than its lost lifecycle's failure, no FIFO
 /// violation.
+/// RTM's pipelined scheme orders every cross-stream touch of a host field
+/// with an edge: the first exchange's ghost copies wait on the neighbour's
+/// initial h2d of that field, and each rank's results-home d2h waits on
+/// the last exchange's copies that read or write its host field. Without
+/// those edges this run reported 8 races.
+#[test]
+fn rtm_async_pipelined_is_race_free_sim_mode() {
+    let cfg = RtmConfig {
+        ranks: 3,
+        ..RtmConfig::small(Scheme::AsyncPipelined)
+    };
+    let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 3), ExecMode::Sim);
+    hs.obs_enable(true);
+    rtm::run(&mut hs, &cfg).expect("rtm runs");
+    assert_clean(&mut hs, "rtm-async/sim");
+}
+
 #[test]
 fn card_loss_replay_trace_waits_point_backwards() {
     use hstreams_core::{FaultKind, FaultPlan, FaultSite};
@@ -185,7 +203,8 @@ fn card_loss_replay_trace_waits_point_backwards() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
     hs.chaos_install(
         FaultPlan::new(3).with_trigger(FaultSite::CardOp { card: 1, nth: 7 }, FaultKind::CardDead),
-    );
+    )
+    .expect("fault plan");
     hs.obs_enable(true);
     let r = cholesky::run(&mut hs, &cfg).expect("degraded factorization completes");
     assert_eq!(degraded(&hs), [1]);

@@ -59,7 +59,9 @@ fn chaos_smoke(seed: u64) {
     cfg.verify = true;
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
     hs.obs_enable(true);
-    let chaos = hs.chaos_install(FaultPlan::smoke(seed));
+    let chaos = hs
+        .chaos_install(FaultPlan::smoke(seed))
+        .expect("fault plan");
     let res = run(&mut hs, &cfg).expect("chaotic matmul must recover and complete");
     let err = res.max_err.expect("verified");
     assert!(
@@ -86,7 +88,8 @@ fn chaos_smoke(seed: u64) {
         cfg.streams_host = 2;
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
         hs.obs_enable(true);
-        hs.chaos_install(FaultPlan::smoke(seed));
+        hs.chaos_install(FaultPlan::smoke(seed))
+            .expect("fault plan");
         run(&mut hs, &cfg).expect("chaotic sim matmul must recover");
         assert!(hs.domains()[1].degraded, "sim run degrades too");
         let trace = hs_obs::chrome::chrome_trace_json(&hs.take_obs_records());

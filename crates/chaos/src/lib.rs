@@ -265,21 +265,6 @@ impl FaultPlan {
         self
     }
 
-    pub fn with_dma_fault_rate(mut self, rate: f64) -> FaultPlan {
-        self.dma_fault_rate = rate;
-        self
-    }
-
-    pub fn with_compute_fault_rate(mut self, rate: f64) -> FaultPlan {
-        self.compute_fault_rate = rate;
-        self
-    }
-
-    pub fn with_retry(mut self, retry: RetryPolicy) -> FaultPlan {
-        self.retry = retry;
-        self
-    }
-
     /// The fixed-shape smoke plan CI and the bench harness share: one
     /// transient DMA fault early on card 1 plus a mid-run loss of card 1.
     /// `seed` perturbs nothing structural — it feeds retry jitter — so the
@@ -400,14 +385,6 @@ impl ChaosHub {
     pub fn jitter01(&self, salt: u64) -> f64 {
         let seed = self.seed();
         unit(mix(seed, 0x6A17, salt))
-    }
-
-    /// True if `card` has been marked dead.
-    pub fn is_card_dead(&self, card: u32) -> bool {
-        if !self.is_armed() && self.inner.state.lock().dead.is_empty() {
-            return false;
-        }
-        self.inner.state.lock().dead.contains(&card)
     }
 
     /// Mark `card` dead (used by CardDead triggers and by tests that kill a
@@ -675,7 +652,7 @@ mod tests {
         assert_eq!(hub.check_dma(2, true), None);
         let cause = hub.check_compute(5, 2).expect("2nd card op kills card");
         assert_eq!(cause, FailureCause::CardLost { card: 2 });
-        assert!(hub.is_card_dead(2));
+        assert!(hub.dead_cards().contains(&2));
         assert_eq!(
             hub.check_dma(2, false),
             Some(FailureCause::CardLost { card: 2 })
@@ -725,7 +702,10 @@ mod tests {
     fn rate_draws_are_deterministic_per_seed() {
         let run = |seed: u64| {
             let hub = ChaosHub::new();
-            hub.arm(FaultPlan::new(seed).with_dma_fault_rate(0.3));
+            hub.arm(FaultPlan {
+                dma_fault_rate: 0.3,
+                ..FaultPlan::new(seed)
+            });
             let mut hits = Vec::new();
             for i in 0..50 {
                 if hub.check_dma(1, i % 2 == 0).is_some() {
@@ -823,9 +803,9 @@ mod tests {
         hub.arm(FaultPlan::new(1));
         assert!(!hub.revive_card(2), "not dead yet");
         hub.mark_card_dead(2);
-        assert!(hub.is_card_dead(2));
+        assert!(hub.dead_cards().contains(&2));
         assert!(hub.revive_card(2));
-        assert!(!hub.is_card_dead(2));
+        assert!(!hub.dead_cards().contains(&2));
         assert_eq!(hub.check_dma(2, true), None, "ops flow again");
     }
 

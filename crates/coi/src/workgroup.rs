@@ -16,10 +16,6 @@
 //! the region alone if no helper comes. Then it closes the region and waits
 //! for the helpers that entered before it closed. A helper that starts after
 //! the region has closed does nothing.
-//!
-//! The spawn-per-call scoped helpers are retained as free functions at the
-//! bottom: they are the reference implementation the pool is differentially
-//! tested against.
 
 use crate::workers::{Job, WorkerPool};
 use parking_lot::Mutex;
@@ -244,7 +240,7 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// The shared claim loop: grab chunks of indices until the counter passes
-/// `n`. Run by every lane of a parallel region (pooled or scoped).
+/// `n`. Run by every lane of a parallel region.
 fn claim_loop(counter: &AtomicUsize, chunk: usize, n: usize, f: &(dyn Fn(usize) + Sync)) {
     loop {
         let start = counter.fetch_add(chunk, Ordering::Relaxed);
@@ -257,82 +253,28 @@ fn claim_loop(counter: &AtomicUsize, chunk: usize, n: usize, f: &(dyn Fn(usize) 
     }
 }
 
-// ------------------------------------------------- spawn-per-call fallback
-
-/// Dynamic-balanced parallel loop over `0..n` with `width` *freshly
-/// spawned* threads (including the caller). Reference implementation and
-/// fallback for one-shot callers; pipelines use their [`Workgroup`]
-/// instead.
-pub fn par_for(width: usize, n: usize, f: impl Fn(usize) + Sync) {
-    if width <= 1 || n <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let counter = AtomicUsize::new(0);
-    let chunk = n.div_ceil(width * 4).max(1);
-    std::thread::scope(|s| {
-        for _ in 1..width {
-            s.spawn(|| claim_loop(&counter, chunk, n, &f));
-        }
-        claim_loop(&counter, chunk, n, &f);
-    });
-}
-
-/// Split `data` into chunks of `chunk_len` and process them with `width`
-/// freshly spawned threads. Chunks are distributed round-robin (static),
-/// which keeps the mutable-aliasing story trivial: every chunk is moved
-/// into exactly one worker's list.
-pub fn par_chunks_mut<T: Send>(
-    width: usize,
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    if width <= 1 || data.len() <= chunk_len {
-        for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, c);
-        }
-        return;
-    }
-    let mut per_thread: Vec<Vec<(usize, &mut [T])>> = (0..width).map(|_| Vec::new()).collect();
-    for (i, c) in data.chunks_mut(chunk_len).enumerate() {
-        per_thread[i % width].push((i, c));
-    }
-    std::thread::scope(|s| {
-        let mut iter = per_thread.into_iter();
-        let mine = iter.next().expect("width >= 1");
-        for list in iter {
-            let f = &f;
-            s.spawn(move || {
-                for (i, c) in list {
-                    f(i, c);
-                }
-            });
-        }
-        for (i, c) in mine {
-            f(i, c);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// A group of `width` lanes on a shared pool of one worker: the region
+    /// gets at most one helper, whatever its width.
+    fn on_one_worker(width: usize) -> Workgroup {
+        Workgroup::on(Arc::new(WorkerPool::new(1, "shared")), width, None)
+    }
+
     #[test]
     fn par_for_visits_every_index_once() {
         for width in [1, 2, 4, 7] {
+            let wg = on_one_worker(width);
             let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-            par_for(width, 1000, |i| {
+            wg.par_for(1000, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "width {width}: every index exactly once"
+                "width {width} on one worker: every index exactly once"
             );
         }
     }
@@ -357,18 +299,20 @@ mod tests {
     #[test]
     fn par_for_handles_edge_sizes() {
         let count = AtomicUsize::new(0);
-        par_for(4, 0, |_| {
+        let wg = Workgroup::new(4, "edges", None);
+        wg.par_for(0, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 0);
-        par_for(4, 1, |_| {
+        wg.par_for(1, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1);
-        par_for(8, 3, |_| {
+        Workgroup::new(8, "edges8", None).par_for(3, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 4);
+        assert_eq!(wg.regions(), 0, "a loop too short to split opens no region");
     }
 
     #[test]
@@ -388,7 +332,7 @@ mod tests {
     #[test]
     fn par_chunks_mut_writes_disjoint_chunks() {
         let mut data = vec![0u32; 103];
-        par_chunks_mut(4, &mut data, 10, |idx, chunk| {
+        on_one_worker(4).par_chunks_mut(&mut data, 10, |idx, chunk| {
             for x in chunk {
                 *x = idx as u32 + 1;
             }
@@ -400,17 +344,20 @@ mod tests {
 
     #[test]
     fn par_chunks_mut_single_thread_path() {
+        let wg = Workgroup::new(1, "one", None);
         let mut data = vec![0u8; 16];
-        par_chunks_mut(1, &mut data, 4, |idx, chunk| chunk.fill(idx as u8));
+        wg.par_chunks_mut(&mut data, 4, |idx, chunk| chunk.fill(idx as u8));
         assert_eq!(&data[12..16], &[3, 3, 3, 3]);
+        assert_eq!(wg.regions(), 0, "a width-1 group runs inline");
     }
 
     #[test]
     fn par_for_balances_uneven_work() {
         // Just a smoke check that heavy early iterations don't serialize the
         // loop: the elapsed must be well under the serial sum.
+        let wg = Workgroup::new(4, "uneven", None);
         let t0 = std::time::Instant::now();
-        par_for(4, 8, |i| {
+        wg.par_for(8, |i| {
             let d = if i < 2 { 20 } else { 5 };
             std::thread::sleep(std::time::Duration::from_millis(d));
         });
@@ -425,27 +372,26 @@ mod tests {
     #[should_panic(expected = "chunk_len must be positive")]
     fn zero_chunk_len_panics() {
         let mut data = vec![0u8; 4];
-        par_chunks_mut(2, &mut data, 0, |_, _| {});
+        Workgroup::new(2, "zero", None).par_chunks_mut(&mut data, 0, |_, _| {});
     }
 
     #[test]
     fn pooled_differential_vs_scoped() {
-        // The pool and the scoped reference must produce identical results
-        // for a reduction written via disjoint slots.
+        // The pool must produce what a sequential loop over the same chunks
+        // produces, for a reduction written via disjoint slots.
         let n = 777;
+        let fill = |idx: usize, chunk: &mut [u64]| {
+            for (o, x) in chunk.iter_mut().enumerate() {
+                *x = (idx * 1000 + o) as u64;
+            }
+        };
         let wg = Workgroup::new(3, "diff", None);
         let mut pooled = vec![0u64; n];
-        let mut scoped = vec![0u64; n];
-        wg.par_chunks_mut(&mut pooled, 13, |idx, chunk| {
-            for (o, x) in chunk.iter_mut().enumerate() {
-                *x = (idx * 1000 + o) as u64;
-            }
-        });
-        par_chunks_mut(3, &mut scoped, 13, |idx, chunk| {
-            for (o, x) in chunk.iter_mut().enumerate() {
-                *x = (idx * 1000 + o) as u64;
-            }
-        });
-        assert_eq!(pooled, scoped);
+        let mut sequential = vec![0u64; n];
+        wg.par_chunks_mut(&mut pooled, 13, fill);
+        for (idx, chunk) in sequential.chunks_mut(13).enumerate() {
+            fill(idx, chunk);
+        }
+        assert_eq!(pooled, sequential);
     }
 }

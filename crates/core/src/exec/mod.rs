@@ -11,8 +11,8 @@
 //! * the **service** that runs a dispatched compute or transfer — COI
 //!   pipelines and DMA queues, or the cost model's servers (`sim.rs`).
 //!
-//! `ExecMode::Threads` and `ThreadsPaced` pair the wall clock with the
-//! pools; `ExecMode::Sim` pairs the virtual clock with the model.
+//! `ExecMode::Threads` pairs the wall clock with the pools;
+//! `ExecMode::Sim` pairs the virtual clock with the model.
 
 mod sim;
 mod thread;

@@ -17,11 +17,10 @@
 //! either the COI pools — streams map to COI pipelines
 //! ([`hs_coi::physical_lanes`] lanes for task expansion, here or in the
 //! worker of a remote card), transfers to per-(card, direction) DMA queues,
-//! serialized per direction like PCIe DMA channels and optionally paced to
-//! link speed; pipelines and DMA queues are serial queues on the runtime's
-//! worker pool, except that the ones whose items block — a remote card's,
-//! and every paced DMA queue — run on threads of their own — or the cost
-//! model's servers.
+//! serialized per direction like PCIe DMA channels; pipelines and DMA
+//! queues are serial queues on the runtime's worker pool, except that a
+//! remote card's, whose items block on the wire, run on threads of their
+//! own — or the cost model's servers.
 //!
 //! Error-path invariant: dispatch never panics. Malformed specs (bad stream
 //! index, real transfer without a card), dispatch after executor shutdown,
@@ -223,32 +222,18 @@ enum Sinks {
 impl Sinks {
     fn pools(
         platform: &PlatformCfg,
-        mode: ExecMode,
         chaos: &ChaosHub,
         remotes: &[(usize, hs_fabric::Endpoint)],
     ) -> std::io::Result<Sinks> {
-        let paced = mode == ExecMode::ThreadsPaced;
-        // Each card paces to its *own* link: a platform may put its cards
-        // on links of different speeds.
-        let pacers: Vec<Pacer> = platform
-            .cards()
-            .map(|(_, c)| {
-                if paced {
-                    let link = c.link.unwrap_or(hs_machine::LinkSpec::pcie_knc());
-                    Pacer::pcie(link, platform.overheads)
-                } else {
-                    Pacer::unpaced()
-                }
-            })
-            .collect();
-        let ncards = pacers.len();
-        let coi = CoiRuntime::new_with_endpoints(pacers, chaos.clone(), remotes)?;
+        let ncards = platform.cards().count();
+        let coi =
+            CoiRuntime::new_with_endpoints(vec![Pacer::unpaced(); ncards], chaos.clone(), remotes)?;
         let dma: Vec<[DmaQueue; 2]> = (0..ncards)
             .map(|c| {
-                // Paced and wire transfers block for their duration: each
-                // direction gets a thread of its own, so the runtime's workers
-                // stay on compute.
-                let blocking = paced || coi.fabric().is_remote(hs_fabric::NodeId(c as u16 + 1));
+                // Wire transfers block for their duration: each direction
+                // of a remote card gets a thread of its own, so the
+                // runtime's workers stay on compute.
+                let blocking = coi.fabric().is_remote(hs_fabric::NodeId(c as u16 + 1));
                 ["h2d", "d2h"].map(|dir| {
                     let pool = if blocking {
                         Arc::new(WorkerPool::new(1, &format!("hs-dma-c{c}-{dir}")))
@@ -366,15 +351,14 @@ impl Executor {
     }
 
     /// Like [`Self::new`], sharing `chaos` with every fabric DMA channel and
-    /// dispatch point, and — thread modes only — with some card domains
+    /// dispatch point, and — thread mode only — with some card domains
     /// hosted by out-of-process workers: `remotes` maps card engine index
     /// (1-based — the host is engine 0 and cannot be remote) to the
     /// worker's endpoint. Connecting is synchronous, so a worker that never
     /// comes up errors here; one that dies later surfaces as `CardLost` at
-    /// first use. The card's pacer still models the link *on top of*
-    /// measured wire time (see `DmaEngine::run_wire`), so paced runs stay
-    /// meaningful. [`ExecMode::ThreadsPaced`] paces DMA to link speed (for
-    /// real-mode overlap experiments); functional tests leave it off.
+    /// first use. `mode` picks the clock and the service: the COI pools on
+    /// the wall clock ([`ExecMode::Threads`], DMA unpaced) or the cost
+    /// model on the virtual clock ([`ExecMode::Sim`]).
     pub fn connect(
         platform: &PlatformCfg,
         mode: ExecMode,
@@ -391,8 +375,8 @@ impl Executor {
                 };
                 (sinks, Clock::Virtual(clock), None)
             }
-            ExecMode::Threads | ExecMode::ThreadsPaced => {
-                let sinks = Sinks::pools(platform, mode, &chaos, remotes)?;
+            ExecMode::Threads => {
+                let sinks = Sinks::pools(platform, &chaos, remotes)?;
                 let wheel = TimerWheel::spawn();
                 (sinks, Clock::Wall(wheel.shared.clone()), Some(wheel))
             }
@@ -438,11 +422,6 @@ impl Executor {
     #[doc(hidden)]
     pub fn sweep_probes(&self) -> u64 {
         self.outstanding.lock().probes
-    }
-
-    /// The fault-injection hub shared with the fabric and dispatch points.
-    pub fn chaos(&self) -> &ChaosHub {
-        &self.chaos
     }
 
     /// Register a new stream's sink; streams are indexed densely in

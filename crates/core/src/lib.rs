@@ -61,7 +61,6 @@
 //! assert_eq!(out, [2.0, 4.0, 6.0, 8.0]);
 //! ```
 
-mod app;
 mod buffer;
 mod cpumask;
 pub mod deps;
@@ -85,7 +84,6 @@ pub mod sync;
 pub mod testing;
 pub mod types;
 
-pub use app::app_kernels;
 pub use buffer::{BufProps, Instantiation};
 pub use cpumask::CpuMask;
 pub use durable::RecoveryReport;
@@ -121,7 +119,7 @@ use hs_obs::{MetricsSnapshot, ObsHub, ObsRecord};
 use stats::{ApiStats, ShardedU64};
 use std::ops::Range;
 use stream::{DepList, StreamState};
-use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Once, Ordering};
+use sync::{class, Arc, AtomicBool, AtomicU64, ClassedMutex, ClassedRwLock, Ordering};
 
 /// What an enqueued action was, in source terms — enough to re-enqueue it
 /// during card-loss degradation or after a crash. Decoded from the action's
@@ -162,9 +160,6 @@ struct LoggedAction {
 pub enum ExecMode {
     /// Real threads, unpaced DMA (functional testing, examples).
     Threads,
-    /// Real threads with DMA paced to the platform's link speed (real-time
-    /// overlap experiments).
-    ThreadsPaced,
     /// Virtual time with the calibrated cost model (figure regeneration).
     Sim,
 }
@@ -216,8 +211,6 @@ pub(crate) struct Inner {
     stats: ApiStats,
     /// Sim-mode host shadows for `buffer_write_f64`/`buffer_read_f64`.
     sim_shadow: ClassedMutex<class::SimShadow, std::collections::HashMap<BufferId, Vec<u8>>>,
-    /// Built-in app-API kernels registered once (see [`app`]).
-    pub(crate) builtins: Once,
     /// Action-lifecycle observability hub, shared with both executors and
     /// the COI layer — and what `hsan` reads ([`record`]). Disabled
     /// (near-zero cost) until [`HStreams::obs_enable`].
@@ -346,7 +339,6 @@ impl HStreams {
                 exec,
                 stats: ApiStats::default(),
                 sim_shadow: ClassedMutex::new(std::collections::HashMap::new()),
-                builtins: Once::new(),
                 obs,
                 chaos,
                 recovery: ClassedMutex::new(durable::RecoveryLog::default()),
@@ -372,14 +364,20 @@ impl HStreams {
     /// (a shared handle) for inspecting the injected-fault log and the dead
     /// cards.
     ///
-    /// A plan can kill an in-process card, so from the first call on the
-    /// runtime keeps the replay mirror. On a runtime whose cards are all
-    /// in-process, card work enqueued before that first call is not in the
-    /// mirror, and a card lost afterwards cannot replay it.
-    pub fn chaos_install(&self, plan: FaultPlan) -> ChaosHub {
+    /// A plan can kill an in-process card, and a lost card replays its work
+    /// from the replay mirror. A runtime whose cards are all in-process
+    /// keeps that mirror from its first plan on, so that plan is refused
+    /// (`InvalidArg`) once an action has been enqueued: work the mirror
+    /// never saw could not be replayed.
+    pub fn chaos_install(&self, plan: FaultPlan) -> HsResult<ChaosHub> {
+        if !self.can_lose_card() && self.inner.events.len() != 0 {
+            return Err(HsError::InvalidArg(
+                "the first fault plan must be armed before any action is enqueued".into(),
+            ));
+        }
         self.inner.can_lose_card.store(true, Ordering::Relaxed);
         self.inner.chaos.arm(plan);
-        self.inner.chaos.clone()
+        Ok(self.inner.chaos.clone())
     }
 
     /// Should enqueues encode their log records? While a card can be lost
@@ -699,9 +697,9 @@ impl HStreams {
 
     /// Register a sink-side task function for the domains this process
     /// hosts: the host and the in-process cards. A remote card's worker
-    /// runs what its own registry holds (`hs-worker` registers the app
-    /// kernels and [`app_kernels`]); a name it lacks fails the task as an
-    /// unregistered name fails it here.
+    /// runs what its own registry holds (`hs-worker` registers the apps'
+    /// kernel table); a name it lacks fails the task as an unregistered
+    /// name fails it here.
     pub fn register(&self, name: &str, f: TaskFn) {
         self.inner.stats.bump("register");
         if let Some(coi) = self.inner.exec.coi() {

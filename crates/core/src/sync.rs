@@ -35,13 +35,13 @@ pub use parking_lot::{
 #[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub use std::sync::{Once, OnceLock};
+pub use std::sync::OnceLock;
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub use loom::sync::{
-    Condvar, Mutex, MutexGuard, Once, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    Condvar, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
     WaitTimeoutResult,
 };
 

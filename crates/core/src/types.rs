@@ -82,21 +82,6 @@ impl Operand {
             access,
         }
     }
-
-    #[cfg(test)]
-    pub fn input(buffer: BufferId, range: Range<usize>) -> Operand {
-        Self::new(buffer, range, Access::In)
-    }
-
-    #[cfg(test)]
-    pub fn output(buffer: BufferId, range: Range<usize>) -> Operand {
-        Self::new(buffer, range, Access::Out)
-    }
-
-    #[cfg(test)]
-    pub fn inout(buffer: BufferId, range: Range<usize>) -> Operand {
-        Self::new(buffer, range, Access::InOut)
-    }
 }
 
 /// Cost information for the virtual-time executor. Real-mode execution
@@ -169,16 +154,6 @@ pub enum HsError {
     InvalidArg(String),
 }
 
-impl HsError {
-    /// The structured cause, when this error carries one.
-    pub fn cause(&self) -> Option<&hs_chaos::FailureCause> {
-        match self {
-            HsError::ActionFailed(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for HsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -228,9 +203,9 @@ mod tests {
     #[test]
     fn operand_constructors_set_access() {
         let b = BufferId(1);
-        assert_eq!(Operand::input(b, 0..4).access, Access::In);
-        assert_eq!(Operand::output(b, 0..4).access, Access::Out);
-        assert_eq!(Operand::inout(b, 0..4).access, Access::InOut);
+        for access in [Access::In, Access::Out, Access::InOut] {
+            assert_eq!(Operand::new(b, 0..4, access).access, access);
+        }
     }
 
     #[test]

@@ -111,10 +111,12 @@ fn root_of(e: HsError) -> FailureCause {
 #[test]
 fn transient_fault_is_retried_and_dependents_never_see_it() {
     let (hs, _release) = runtime();
-    let chaos = hs.chaos_install(FaultPlan::new(3).with_trigger(
-        FaultSite::Compute { stream: 0, nth: 1 },
-        FaultKind::Transient,
-    ));
+    let chaos = hs
+        .chaos_install(FaultPlan::new(3).with_trigger(
+            FaultSite::Compute { stream: 0, nth: 1 },
+            FaultKind::Transient,
+        ))
+        .expect("fault plan");
     let (s, other) = (card_stream(&hs), card_stream(&hs));
     let buf = card_buffer(&hs);
     hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
@@ -234,7 +236,8 @@ fn card_loss_mid_chain_replays_in_order_behind_the_same_events() {
                 nth: dies_at,
             },
             FaultKind::CardDead,
-        ));
+        ))
+        .expect("fault plan");
         let s = card_stream(&hs);
         let buf = card_buffer(&hs);
         let mut events = Vec::new();
@@ -279,7 +282,8 @@ fn card_loss_mid_accumulate_chain_applies_every_update_once() {
                     nth: dies_at,
                 },
                 FaultKind::CardDead,
-            ));
+            ))
+            .expect("fault plan");
             let s = card_stream(&hs);
             let buf = card_buffer(&hs);
             for round in 1..=ROUNDS {
@@ -310,7 +314,7 @@ fn card_loss_mid_accumulate_chain_applies_every_update_once() {
 #[test]
 fn rearming_a_plan_keeps_the_replay_mirror() {
     let (hs, _release) = runtime();
-    hs.chaos_install(FaultPlan::new(1));
+    hs.chaos_install(FaultPlan::new(1)).expect("fault plan");
     let s = card_stream(&hs);
     let buf = card_buffer(&hs);
     hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
@@ -318,12 +322,43 @@ fn rearming_a_plan_keeps_the_replay_mirror() {
     hs.stream_synchronize(s).expect("card work done");
     hs.chaos_install(
         FaultPlan::new(2).with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead),
-    );
+    )
+    .expect("fault plan");
     hs.xfer_to_source(s, buf, 0..N * 8).expect("d2h");
     hs.thread_synchronize()
         .expect("degradation completes the d2h");
     assert_eq!(degraded(&hs), [1]);
     assert_eq!(read(&hs, buf), vec![1.0; N], "the card's bump was replayed");
+}
+
+/// On a runtime whose cards are all in-process, the replay mirror starts
+/// with the first plan, so that plan is refused once an action has been
+/// enqueued. Accepted, it killed card 1 at the d2h: the `bump` below was in
+/// no mirror, the card degraded with nothing to replay, the sync returned
+/// Ok and the host read 0.0 where 1.0 is due.
+#[test]
+fn a_first_plan_after_card_work_is_refused() {
+    let (hs, _release) = runtime();
+    let s = card_stream(&hs);
+    let buf = card_buffer(&hs);
+    hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
+    compute(&hs, s, "bump", Some(buf), ActionOpts::default());
+    hs.stream_synchronize(s).expect("card work done");
+    let plan =
+        FaultPlan::new(2).with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead);
+    let armed = hs.chaos_install(plan);
+    assert!(
+        matches!(armed, Err(HsError::InvalidArg(_))),
+        "a first plan after enqueues must be refused"
+    );
+    hs.xfer_to_source(s, buf, 0..N * 8).expect("d2h");
+    hs.thread_synchronize().expect("no card was lost");
+    assert!(degraded(&hs).is_empty());
+    assert_eq!(
+        read(&hs, buf),
+        vec![1.0; N],
+        "the card's bump reached the host"
+    );
 }
 
 /// Card liveness is the runtime's state: a second plan revives no card
@@ -333,7 +368,8 @@ fn rearming_a_plan_keeps_a_dead_card_dead() {
     let (hs, _release) = runtime();
     hs.chaos_install(
         FaultPlan::new(1).with_trigger(FaultSite::CardOp { card: 1, nth: 1 }, FaultKind::CardDead),
-    );
+    )
+    .expect("fault plan");
     let s = card_stream(&hs);
     let buf = card_buffer(&hs);
     hs.xfer_to_sink(s, buf, 0..N * 8).expect("h2d");
@@ -341,7 +377,7 @@ fn rearming_a_plan_keeps_a_dead_card_dead() {
         .expect("degradation completes the h2d");
     let dead = |hs: &HStreams| hs.metrics().extra["chaos.dead_cards"];
     assert_eq!(dead(&hs), 1.0);
-    hs.chaos_install(FaultPlan::new(2));
+    hs.chaos_install(FaultPlan::new(2)).expect("fault plan");
     assert_eq!(dead(&hs), 1.0, "the re-arm revived no card");
     assert_eq!(degraded(&hs), [1]);
 }
@@ -455,8 +491,9 @@ fn a_retried_compute_has_one_lifecycle_in_both_modes() {
         let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), mode);
         hs.register("noop", Arc::new(|_ctx: &mut TaskCtx| {}));
         hs.obs_enable(true);
-        hs.chaos_install(
-            FaultPlan::new(3)
+        hs.chaos_install(FaultPlan {
+            retry: RetryPolicy::standard(3),
+            ..FaultPlan::new(3)
                 .with_trigger(
                     FaultSite::Compute { stream: 0, nth: 1 },
                     FaultKind::Transient,
@@ -465,8 +502,8 @@ fn a_retried_compute_has_one_lifecycle_in_both_modes() {
                     FaultSite::Compute { stream: 0, nth: 2 },
                     FaultKind::Transient,
                 )
-                .with_retry(RetryPolicy::standard(3)),
-        );
+        })
+        .expect("fault plan");
         let s = hs
             .stream_create(DomainId::HOST, CpuMask::first(1))
             .expect("stream");

@@ -19,10 +19,7 @@ use std::sync::Arc;
 
 /// Every `pub fn` of `HStreams`, sorted.
 const PINNED: &[&str] = &[
-    "app_dgemm",
     "app_init",
-    "app_memcpy",
-    "app_memset",
     "buffer_create",
     "buffer_destroy",
     "buffer_instantiate",

@@ -194,7 +194,7 @@ fn drive_logged(
     let mut run_dir = None;
     let mut rig = rig_with(ExecMode::Threads, |hs| {
         if chaos {
-            hs.chaos_install(FaultPlan::new(1));
+            hs.chaos_install(FaultPlan::new(1)).expect("fault plan");
         }
         if durable {
             let run = hs.durability_opts(&root, false, 0).expect("durability on");

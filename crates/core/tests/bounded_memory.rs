@@ -8,7 +8,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, FaultPlan, HStreams, Operand, TaskCtx,
+    Access, BufProps, BufferId, CostHint, CpuMask, DomainId, ExecMode, FaultPlan, HStreams,
+    HsError, Operand, StreamId, TaskCtx,
 };
 use std::sync::Arc;
 
@@ -102,7 +103,7 @@ fn event_table_memory_is_flat_over_100k_cycles() {
 fn recovery_log_is_bounded_while_chaos_is_armed() {
     for domain in [DomainId::HOST, DomainId(1)] {
         let hs = runtime();
-        hs.chaos_install(FaultPlan::new(7));
+        hs.chaos_install(FaultPlan::new(7)).expect("fault plan");
         let (peak_live, peak_log) = run_cycles(&hs, domain);
         assert!(
             peak_live < LIVE_CEILING,
@@ -122,47 +123,68 @@ fn recovery_log_is_bounded_while_chaos_is_armed() {
 }
 
 /// A durable run without a fault plan keeps no replay mirror — nothing
-/// could replay it — while every action still reaches the WAL; arming a plan
-/// on the same runtime starts the mirror, and the armed bound above holds
-/// there.
+/// could replay it — while every action still reaches the WAL. A plan
+/// arrives too late once actions are enqueued (the mirror would miss them)
+/// and is refused; a durable run armed before its first enqueue keeps the
+/// mirror, and the armed bound above holds there.
 #[test]
 fn a_durable_run_mirrors_nothing_until_a_plan_is_armed() {
-    let root = std::env::temp_dir().join(format!("hs-bounded-durable-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let hs = runtime();
-    hs.durability_opts(&root, false, 0).expect("durable log");
+    let tmp = std::env::temp_dir();
+    let roots = ["plain", "armed"].map(|run| {
+        let root = tmp.join(format!("hs-bounded-durable-{run}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    });
+    let durable = |root| {
+        let hs = runtime();
+        hs.durability_opts(root, false, 0).expect("durable log");
+        let s = hs
+            .stream_create(DomainId::HOST, CpuMask::first(1))
+            .expect("stream");
+        let b = hs.buffer_create(64, BufProps::default());
+        (hs, s, b)
+    };
     let entries = |hs: &HStreams| metric(hs, "frontend.recovery.entries");
     // One compute, read back before any sweep could prune its entry.
-    let s = hs
-        .stream_create(DomainId::HOST, CpuMask::first(1))
-        .expect("stream");
-    let b = hs.buffer_create(64, BufProps::default());
-    let probe = || {
-        let op = [Operand::new(b, 0..64, Access::InOut)];
-        hs.enqueue_compute(s, "nop", Bytes::new(), &op, CostHint::trivial())
+    let probe = |(hs, s, b): &(HStreams, StreamId, BufferId)| {
+        let op = [Operand::new(*b, 0..64, Access::InOut)];
+        hs.enqueue_compute(*s, "nop", Bytes::new(), &op, CostHint::trivial())
             .expect("enqueue");
-        let n = entries(&hs);
-        hs.stream_synchronize(s).expect("sync");
+        let n = entries(hs);
+        hs.stream_synchronize(*s).expect("sync");
         n
     };
-    assert_eq!(probe(), 0.0, "no mirror entry for a durable action");
-    let (peak_live, peak_log) = run_cycles(&hs, DomainId::HOST);
+
+    let plain = durable(&roots[0]);
+    let hs = &plain.0;
+    assert_eq!(probe(&plain), 0.0, "no mirror entry for a durable action");
+    let (peak_live, peak_log) = run_cycles(hs, DomainId::HOST);
     assert!(
         peak_live < LIVE_CEILING,
         "live-event window: peak {peak_live}"
     );
     assert_eq!(peak_log, 0.0, "no mirror entry at any sample");
-    let enqueued = metric(&hs, "events.reserved");
+    let enqueued = metric(hs, "events.reserved");
     assert_eq!(
         enqueued,
         (1 + CYCLES) as f64,
         "the probe and one compute per cycle"
     );
-    assert_eq!(metric(&hs, "wal.records"), enqueued, "every action logged");
+    assert_eq!(metric(hs, "wal.records"), enqueued, "every action logged");
+    assert!(
+        matches!(
+            hs.chaos_install(FaultPlan::new(7)),
+            Err(HsError::InvalidArg(_))
+        ),
+        "a first plan after enqueues is refused"
+    );
+    assert_eq!(probe(&plain), 0.0, "a refused plan starts no mirror");
 
-    hs.chaos_install(FaultPlan::new(7));
-    assert_eq!(probe(), 1.0, "arming a plan starts the mirror");
-    let (peak_live, peak_log) = run_cycles(&hs, DomainId(1));
+    let armed = durable(&roots[1]);
+    let hs = &armed.0;
+    hs.chaos_install(FaultPlan::new(7)).expect("fault plan");
+    assert_eq!(probe(&armed), 1.0, "arming a plan starts the mirror");
+    let (peak_live, peak_log) = run_cycles(hs, DomainId(1));
     assert!(
         peak_live < LIVE_CEILING,
         "armed: live-event window: peak {peak_live}"
@@ -171,13 +193,15 @@ fn a_durable_run_mirrors_nothing_until_a_plan_is_armed() {
         peak_log < LIVE_CEILING,
         "armed: the mirror prunes replay-dead entries: peak {peak_log} >= {LIVE_CEILING}"
     );
-    hstreams_core::testing::compact_now(&hs);
-    assert_eq!(entries(&hs), 0.0);
+    hstreams_core::testing::compact_now(hs);
+    assert_eq!(entries(hs), 0.0);
     assert_eq!(
-        metric(&hs, "wal.records"),
-        metric(&hs, "events.reserved"),
+        metric(hs, "wal.records"),
+        metric(hs, "events.reserved"),
         "armed: every action still logged"
     );
-    drop(hs);
-    let _ = std::fs::remove_dir_all(&root);
+    drop((plain, armed));
+    for root in roots {
+        let _ = std::fs::remove_dir_all(root);
+    }
 }

@@ -73,12 +73,14 @@ fn same_seed_injects_identically_across_runs() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let run = |seed: u64| {
             let mut hs = runtime(mode);
-            let chaos = hs.chaos_install(
-                FaultPlan::new(seed)
-                    .with_dma_fault_rate(0.25)
-                    .with_compute_fault_rate(0.25)
-                    .with_retry(RetryPolicy::standard(8)),
-            );
+            let chaos = hs
+                .chaos_install(FaultPlan {
+                    dma_fault_rate: 0.25,
+                    compute_fault_rate: 0.25,
+                    retry: RetryPolicy::standard(8),
+                    ..FaultPlan::new(seed)
+                })
+                .expect("fault plan");
             pipelined_workload(&mut hs, 10).expect("transient-only faults + budget must succeed");
             let mut log = chaos.injected_log();
             log.sort();
@@ -195,11 +197,13 @@ fn sim_deadline_is_virtual_time() {
 fn fatal_injection_is_not_retried() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let hs = runtime(mode);
-        let chaos = hs.chaos_install(
-            FaultPlan::new(1)
-                .with_trigger(FaultSite::Compute { stream: 0, nth: 1 }, FaultKind::Fatal)
-                .with_retry(RetryPolicy::standard(8)),
-        );
+        let chaos = hs
+            .chaos_install(FaultPlan {
+                retry: RetryPolicy::standard(8),
+                ..FaultPlan::new(1)
+                    .with_trigger(FaultSite::Compute { stream: 0, nth: 1 }, FaultKind::Fatal)
+            })
+            .expect("fault plan");
         let card = DomainId(1);
         let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
         let ev = hs
@@ -228,10 +232,12 @@ fn fatal_injection_is_not_retried() {
 fn injected_sink_panic_fails_the_action_and_poisons_its_dependent() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let hs = runtime(mode);
-        let chaos = hs.chaos_install(FaultPlan::new(1).with_trigger(
-            FaultSite::Compute { stream: 0, nth: 1 },
-            FaultKind::SinkPanic,
-        ));
+        let chaos = hs
+            .chaos_install(FaultPlan::new(1).with_trigger(
+                FaultSite::Compute { stream: 0, nth: 1 },
+                FaultKind::SinkPanic,
+            ))
+            .expect("fault plan");
         let card = DomainId(1);
         let s0 = hs
             .stream_create(card, CpuMask::range(0, 30))
@@ -280,13 +286,15 @@ fn card_loss_degrades_to_host_and_workload_completes() {
     for mode in [ExecMode::Threads, ExecMode::Sim] {
         let mut hs = runtime(mode);
         hs.obs_enable(true);
-        let chaos = hs.chaos_install(
-            FaultPlan::new(5)
-                .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead),
-        );
+        let chaos = hs
+            .chaos_install(
+                FaultPlan::new(5)
+                    .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead),
+            )
+            .expect("fault plan");
         pipelined_workload(&mut hs, 8).expect("degradation must let the workload complete");
         assert_eq!(degraded(&hs), [1], "card 1 degraded ({mode:?})");
-        assert!(chaos.is_card_dead(1));
+        assert!(chaos.dead_cards().contains(&1));
         if mode == ExecMode::Threads {
             // The remapped streams keep their logical width (a 30-core
             // share of the lost card) but get the host's lanes for it, not
@@ -361,8 +369,9 @@ fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
     let card = DomainId(1);
     let hs = runtime(mode);
     hs.obs_enable(true);
-    hs.chaos_install(
-        FaultPlan::new(11)
+    hs.chaos_install(FaultPlan {
+        retry: RetryPolicy::standard(3),
+        ..FaultPlan::new(11)
             .with_trigger(
                 FaultSite::Dma {
                     card: 1,
@@ -392,8 +401,8 @@ fn conformance_table(mode: ExecMode) -> Vec<ConformanceRow> {
                 FaultKind::SinkPanic,
             )
             .with_trigger(FaultSite::CardOp { card: 1, nth: 4 }, FaultKind::CardDead)
-            .with_retry(RetryPolicy::standard(3)),
-    );
+    })
+    .expect("fault plan");
     let stream = |d: DomainId| hs.stream_create(d, CpuMask::first(1)).expect("stream");
     let (s_dma, s_exhaust, s_deadline, s_panic, s_kill, s_free) = (
         stream(card),

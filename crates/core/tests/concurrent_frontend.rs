@@ -202,10 +202,12 @@ fn concurrent_cross_stream_event_waits() {
 #[test]
 fn racing_enqueue_wait_against_card_loss() {
     let hs = rt(ExecMode::Threads);
-    let chaos = hs.chaos_install(
-        FaultPlan::new(11)
-            .with_trigger(FaultSite::CardOp { card: 1, nth: 40 }, FaultKind::CardDead),
-    );
+    let chaos = hs
+        .chaos_install(
+            FaultPlan::new(11)
+                .with_trigger(FaultSite::CardOp { card: 1, nth: 40 }, FaultKind::CardDead),
+        )
+        .expect("fault plan");
     let card = DomainId(1);
     let nthreads = 4usize;
     let streams: Vec<StreamId> = (0..nthreads)
@@ -269,7 +271,7 @@ fn racing_enqueue_wait_against_card_loss() {
         let _ = hs.stream_synchronize(s);
     }
     assert_eq!(degraded(&hs), [1], "card 1 was degraded");
-    assert!(chaos.is_card_dead(1));
+    assert!(chaos.dead_cards().contains(&1));
     // Racing waiters must not degrade the card twice: one degradation, one
     // replay of the lost work.
     let log = chaos.injected_log();

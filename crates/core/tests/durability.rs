@@ -503,7 +503,8 @@ fn torn_tail_recovers_longest_prefix() {
         hs.durability_opts(&root, false, 0).expect("durability on");
         hs.chaos_install(
             FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Torn),
-        );
+        )
+        .expect("fault plan");
         let (streams, bufs) = init_program(&hs);
         let entries = drive(&hs, &streams, &bufs, &steps);
         // The first real flush — a host wait inside the program, or this
@@ -583,8 +584,9 @@ fn wal_io_fault_degrades_to_in_memory() {
     let root = tmp_root("io");
     let hs = runtime(ExecMode::Threads);
     hs.durability_opts(&root, false, 0).expect("durability on");
-    let chaos =
-        hs.chaos_install(FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Io));
+    let chaos = hs
+        .chaos_install(FaultPlan::new(7).with_trigger(FaultSite::Wal { nth: 1 }, FaultKind::Io))
+        .expect("fault plan");
     let (s0, s1, buf) = init_workload(&hs);
     enqueue_rounds(&hs, s0, s1, buf, 4);
     hs.thread_synchronize()
@@ -876,7 +878,8 @@ fn prior_card_loss_surfaces_in_recovery_report() {
         hs.chaos_install(
             FaultPlan::new(3)
                 .with_trigger(FaultSite::CardOp { card: 1, nth: 2 }, FaultKind::CardDead),
-        );
+        )
+        .expect("fault plan");
         let (s0, s1, buf) = init_workload(&hs);
         enqueue_rounds(&hs, s0, s1, buf, 4);
         hs.thread_synchronize().expect("degraded run completes");

@@ -193,7 +193,8 @@ fn wait_any_over_all_failed_set_returns_first_cause() {
         hs.chaos_install(hstreams_core::FaultPlan::new(7).with_trigger(
             hstreams_core::FaultSite::Compute { stream: 0, nth: 1 },
             hstreams_core::FaultKind::Fatal,
-        ));
+        ))
+        .expect("fault plan");
         let card = DomainId(1);
         let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
         let bad = hs

@@ -107,6 +107,7 @@ impl DmaEngine {
     }
 
     /// The pacer this channel stretches transfers with.
+    #[cfg(test)]
     pub fn pacer(&self) -> &Pacer {
         &self.pacer
     }

@@ -39,7 +39,7 @@ fn card_loss_plan(seed: u64, nth: u64) -> FaultPlan {
 #[test]
 fn matmul_survives_mid_run_card_loss_with_correct_result() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Threads);
-    hs.chaos_install(card_loss_plan(11, 9));
+    hs.chaos_install(card_loss_plan(11, 9)).expect("fault plan");
     let r = matmul::run(&mut hs, &matmul_cfg(24, 6)).expect("degraded run completes");
     assert_eq!(degraded(&hs), &[1], "card 1 must have been degraded");
     assert!(
@@ -52,7 +52,7 @@ fn matmul_survives_mid_run_card_loss_with_correct_result() {
 #[test]
 fn matmul_survives_card_loss_in_sim_mode() {
     let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);
-    hs.chaos_install(card_loss_plan(11, 9));
+    hs.chaos_install(card_loss_plan(11, 9)).expect("fault plan");
     let mut cfg = matmul_cfg(600, 100);
     cfg.verify = false;
     matmul::run(&mut hs, &cfg).expect("sim degraded run completes");
@@ -69,7 +69,7 @@ fn matmul_survives_card_loss_in_sim_mode() {
 fn cholesky_survives_mid_run_card_loss_with_correct_result() {
     for variant in [CholVariant::Hetero, CholVariant::MklAoLike] {
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-        hs.chaos_install(card_loss_plan(3, 7));
+        hs.chaos_install(card_loss_plan(3, 7)).expect("fault plan");
         let mut cfg = CholConfig::new(24, 6, variant);
         cfg.streams_per_card = 2;
         cfg.streams_host = 2;
@@ -93,14 +93,16 @@ proptest! {
     /// (threads) and completes deterministically (sim), for any seed.
     #[test]
     fn transient_faults_with_budget_are_invisible(seed in any::<u64>()) {
-        let plan = || FaultPlan::new(seed)
-            .with_dma_fault_rate(0.2)
-            .with_compute_fault_rate(0.1)
-            .with_retry(RetryPolicy::standard(10));
+        let plan = || FaultPlan {
+            dma_fault_rate: 0.2,
+            compute_fault_rate: 0.1,
+            retry: RetryPolicy::standard(10),
+            ..FaultPlan::new(seed)
+        };
 
         // Threads: numerically identical to the fault-free run.
         let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Threads);
-        hs.chaos_install(plan());
+        hs.chaos_install(plan()).expect("fault plan");
         let r = matmul::run(&mut hs, &matmul_cfg(18, 6)).expect("retries absorb the faults");
         prop_assert!(degraded(&hs).is_empty(), "no card death in a transient-only plan");
         prop_assert!(
@@ -112,7 +114,7 @@ proptest! {
         // time (every backoff and injection is a pure function of it).
         let sim_run = || {
             let mut hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim);
-            let chaos = hs.chaos_install(plan());
+            let chaos = hs.chaos_install(plan()).expect("fault plan");
             let mut cfg = matmul_cfg(600, 100);
             cfg.verify = false;
             let secs = matmul::run(&mut hs, &cfg).expect("sim run completes").secs;
