@@ -167,7 +167,7 @@ const PINNED: &[(&str, u64, u64)] = &[
     ("rtm/sync_offload", 0x68df198b839b9264, 0x3f5cb2da18a0f1e4),
     (
         "rtm/async_pipelined",
-        0x3ee5c24e1d6be043,
+        0x7523c636eafd5329,
         0x3f54c4973804421e,
     ),
 ];
