@@ -47,14 +47,12 @@ pub trait EventHost: Send + Sync {
     fn completed(&self, _status: &EventStatus) {}
 }
 
+/// An event's lock-protected state. Waiters park on the core's `cv`, which
+/// counts them itself: a completion publishes the status under this lock
+/// and notifies, and with nobody parked the notify is no system call
+/// (`shims/parking_lot`'s `Condvar`).
 struct EventState {
     status: EventStatus,
-    /// Threads parked on `cv`. Counted under the state lock — the lock a
-    /// waiter holds from its status check until it parks and a completer
-    /// holds while it publishes the status — so a completion either sees
-    /// the waiter and notifies it, or the waiter sees the completion and
-    /// never parks. With nobody parked, completion skips the futex syscall.
-    waiters: u32,
     /// Registered while pending, frozen at completion, dropped by
     /// [`EventCore::retire`] or with the core. Inline for four: counted at
     /// every registration on the runtime's `smallact` benchmark workload, a
@@ -98,7 +96,6 @@ impl EventCore {
         EventCore {
             state: Mutex::new(EventState {
                 status: EventStatus::Pending,
-                waiters: 0,
                 dependents: SmallVec::new(),
                 walked: 0,
             }),
@@ -121,9 +118,7 @@ impl EventCore {
             let settled = if new == EventStatus::Done { OK } else { FAILED };
             st.status = new;
             self.settled.store(settled, Ordering::Release);
-            if st.waiters > 0 {
-                self.cv.notify_all();
-            }
+            self.cv.notify_all();
             st.status.clone()
         };
         // The list is frozen now (registrations that find the event complete
@@ -206,17 +201,14 @@ impl EventCore {
         self.settled() == OK
     }
 
-    /// Park on the condvar (until notified, or for `timeout`), counted as a
-    /// waiter for the duration.
+    /// Park on the condvar until notified, or for `timeout`.
     fn park(&self, st: &mut MutexGuard<'_, EventState>, timeout: Option<Duration>) {
-        st.waiters += 1;
         match timeout {
             Some(t) => {
                 self.cv.wait_for(st, t);
             }
             None => self.cv.wait(st),
         }
-        st.waiters -= 1;
     }
 
     /// Block until complete; `Err` carries the failure cause.
@@ -400,7 +392,6 @@ mod tests {
             ev.signal();
             let woke = waiter.join().expect("waiter thread");
             assert_eq!(woke, Some(Ok(())), "waiter slept through the signal");
-            assert_eq!(ev.state.lock().waiters, 0, "waiter count returns to zero");
         }
     }
 

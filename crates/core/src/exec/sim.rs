@@ -295,7 +295,7 @@ mod tests {
     use super::super::{ActionSpec, Executor, SubmitOpts};
     use crate::types::CostHint;
     use crate::ExecMode;
-    use hs_chaos::FailureCause;
+    use hs_chaos::{ChaosHub, FailureCause};
     use hs_coi::CoiEvent;
     use hs_machine::{Device, KernelKind, PlatformCfg};
     use hs_obs::ObsHub;
@@ -318,7 +318,13 @@ mod tests {
     }
 
     fn sim() -> Executor {
-        Executor::new(&PlatformCfg::hetero(Device::Hsw, 1), ExecMode::Sim)
+        Executor::connect(
+            &PlatformCfg::hetero(Device::Hsw, 1),
+            ExecMode::Sim,
+            ChaosHub::default(),
+            &[],
+        )
+        .expect("an in-process executor")
     }
 
     /// A stream's mask; the model reads only its domain.

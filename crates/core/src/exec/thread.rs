@@ -343,20 +343,14 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// An executor for `platform` in `mode`, every domain in this process,
-    /// with a chaos hub of its own.
-    pub fn new(platform: &PlatformCfg, mode: ExecMode) -> Executor {
-        Self::connect(platform, mode, ChaosHub::default(), &[])
-            .expect("in-process executor construction is infallible")
-    }
-
-    /// Like [`Self::new`], sharing `chaos` with every fabric DMA channel and
-    /// dispatch point, and — thread mode only — with some card domains
-    /// hosted by out-of-process workers: `remotes` maps card engine index
-    /// (1-based — the host is engine 0 and cannot be remote) to the
-    /// worker's endpoint. Connecting is synchronous, so a worker that never
-    /// comes up errors here; one that dies later surfaces as `CardLost` at
-    /// first use. `mode` picks the clock and the service: the COI pools on
+    /// An executor for `platform` in `mode`, sharing `chaos` with every
+    /// fabric DMA channel and dispatch point, and — thread mode only — with
+    /// the card domains hosted by out-of-process workers: `remotes` maps
+    /// card engine index (1-based — the host is engine 0 and cannot be
+    /// remote) to the worker's endpoint; with none, every domain is in this
+    /// process and construction cannot fail. Connecting is synchronous, so a
+    /// worker that never comes up errors here; one that dies later surfaces
+    /// as `CardLost` at first use. `mode` picks the clock and the service: the COI pools on
     /// the wall clock ([`ExecMode::Threads`], DMA unpaced) or the cost
     /// model on the virtual clock ([`ExecMode::Sim`]).
     pub fn connect(

@@ -13,7 +13,7 @@ use hs_fabric::NodeId;
 use hs_machine::{Device, PlatformCfg};
 use hs_obs::ObsAction;
 use hstreams_core::exec::{ActionSpec, Executor, RealXfer, SubmitOpts};
-use hstreams_core::{CostHint, CpuMask, ExecMode};
+use hstreams_core::{ChaosHub, CostHint, CpuMask, ExecMode};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,13 @@ fn with_timeout<F: FnOnce() + Send + 'static>(secs: u64, f: F) {
 }
 
 fn thread_exec(cards: usize) -> Executor {
-    let ex = Executor::new(&PlatformCfg::hetero(Device::Hsw, cards), ExecMode::Threads);
+    let ex = Executor::connect(
+        &PlatformCfg::hetero(Device::Hsw, cards),
+        ExecMode::Threads,
+        ChaosHub::default(),
+        &[],
+    )
+    .expect("an in-process executor");
     ex.add_stream(0, CpuMask::first(1));
     ex.add_stream(1, CpuMask::first(1));
     ex
@@ -166,7 +172,7 @@ fn submits_behind_a_gate_probe_the_in_flight_list_linearly() {
 /// `CoiRuntime` with its windows, sockets and DMA channels.)
 #[test]
 fn pending_timers_do_not_keep_the_runtime_alive_past_drop() {
-    use hs_chaos::{ChaosHub, FaultKind, FaultPlan, FaultSite, RetryPolicy};
+    use hs_chaos::{FaultKind, FaultPlan, FaultSite, RetryPolicy};
     with_timeout(20, || {
         let chaos = ChaosHub::default();
         let platform = PlatformCfg::hetero(Device::Hsw, 1);
@@ -364,7 +370,13 @@ fn elapsed_baseline_is_first_submit_not_construction() {
 
 #[test]
 fn sim_malformed_compute_fails_wait() {
-    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    let ex = Executor::connect(
+        &PlatformCfg::hetero(Device::Knc, 1),
+        ExecMode::Sim,
+        ChaosHub::default(),
+        &[],
+    )
+    .expect("an in-process executor");
     ex.add_stream(1, CpuMask::first(1));
     let tok = ex.submit(
         compute_spec(7, "ghost"),
@@ -382,7 +394,13 @@ fn sim_malformed_compute_fails_wait() {
 
 #[test]
 fn sim_transfer_to_out_of_range_card_fails_wait() {
-    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    let ex = Executor::connect(
+        &PlatformCfg::hetero(Device::Knc, 1),
+        ExecMode::Sim,
+        ChaosHub::default(),
+        &[],
+    )
+    .expect("an in-process executor");
     ex.add_stream(1, CpuMask::first(1));
     let tok = ex.submit(
         ActionSpec::Transfer {

@@ -7,8 +7,8 @@ use hs_machine::{Device, PlatformCfg};
 use hs_obs::ObsAction;
 use hstreams_core::exec::{ActionSpec, Executor, SubmitOpts};
 use hstreams_core::{
-    Access, BufProps, CostHint, CpuMask, DomainId, ExecMode, FailureCause, HStreams, HsError,
-    Operand, TaskCtx,
+    Access, BufProps, ChaosHub, CostHint, CpuMask, DomainId, ExecMode, FailureCause, HStreams,
+    HsError, Operand, TaskCtx,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -122,7 +122,13 @@ fn thread_failure_poisons_fan_in_join() {
 
 #[test]
 fn sim_failure_poisons_chain_and_fan_in() {
-    let ex = Executor::new(&PlatformCfg::hetero(Device::Knc, 1), ExecMode::Sim);
+    let ex = Executor::connect(
+        &PlatformCfg::hetero(Device::Knc, 1),
+        ExecMode::Sim,
+        ChaosHub::default(),
+        &[],
+    )
+    .expect("an in-process executor");
     ex.add_stream(1, CpuMask::first(1));
     let opts = SubmitOpts::default();
     // Failure origin: a malformed compute.

@@ -17,7 +17,7 @@
 
 use hstreams_core::events::{EventTable, EventView};
 use hstreams_core::stream::StreamState;
-use hstreams_core::sync::{Arc, Condvar, Mutex, RwLock};
+use hstreams_core::sync::{Arc, AtomicUsize, Condvar, Mutex, Ordering, RwLock};
 use hstreams_core::types::{DomainId, Event, StreamId};
 use hstreams_core::{ActionKind, CpuMask};
 
@@ -237,50 +237,76 @@ fn loom_replay_vs_enqueue_same_stream() {
     });
 }
 
-/// The wake-on-demand protocol of `hs_coi::EventCore`: completion notifies
-/// the condvar only when the waiter count, kept under the state lock, is
-/// non-zero. A model of the protocol, not of the compiled code — hs-coi is
-/// built on parking_lot and cannot take a loom edge (the frozen `benchmark/`
-/// workspace locks its dependency set); the compiled code is raced by
-/// `a_waiter_racing_the_completion_is_never_left_asleep` in hs-coi.
-/// `count_under_lock: false` is the tempting variant — check the status,
-/// drop the lock, then announce the wait — which opens the window for a
-/// completion to see no waiter and skip the wake-up one is about to need.
-fn wake_on_demand_model(count_under_lock: bool) {
+/// Where the steps of the wake-on-demand rule fall, in the model below.
+#[derive(Clone, Copy, Debug)]
+enum WakeOrder {
+    /// `shims/parking_lot`'s `Condvar`, which every condvar on a hot path
+    /// (`EventCore`, `WindowMem`, the worker pool, the timer wheel) is: the
+    /// waiter counts itself inside the wait, under the lock that checked
+    /// the predicate; the notifier publishes the predicate under the lock
+    /// and reads the count after unlocking, as `WindowMem::release` does.
+    Shim,
+    /// The tempting waiter: check the predicate, drop the lock, then count
+    /// itself — a completion in that window sees no sleeper.
+    WaiterCountsOutsideTheLock,
+    /// The tempting notifier: read the count before publishing the
+    /// predicate — a waiter that counts itself in between is never woken.
+    NotifierReadsFirst,
+}
+
+/// The wake-on-demand rule of the `parking_lot` shim's `Condvar`: a notify
+/// goes to the condvar only while the sleeper count is non-zero. A model of
+/// the rule, not of the compiled shim — the shim is built on `std::sync`
+/// and cannot take a loom edge (the frozen `benchmark/` workspace locks its
+/// dependency set); the compiled code is raced by the shim's own ping-pong
+/// test and by `a_waiter_racing_the_completion_is_never_left_asleep` in
+/// hs-coi.
+fn wake_on_demand_model(order: WakeOrder) {
     loom::model(move || {
-        // (done, parked waiters)
-        let ev = Arc::new((Mutex::new((false, 0u32)), Condvar::new()));
+        // (done, the condvar, its sleepers)
+        let ev = Arc::new((Mutex::new(false), Condvar::new(), AtomicUsize::new(0)));
         let ev2 = ev.clone();
         let waiter = loom::thread::spawn(move || {
-            let mut st = ev2.0.lock();
-            while !st.0 {
-                if !count_under_lock {
-                    drop(st);
-                    st = ev2.0.lock();
+            let (m, cv, sleepers) = &*ev2;
+            let mut done = m.lock();
+            while !*done {
+                if let WakeOrder::WaiterCountsOutsideTheLock = order {
+                    drop(done);
+                    sleepers.fetch_add(1, Ordering::Relaxed);
+                    done = m.lock();
+                } else {
+                    sleepers.fetch_add(1, Ordering::Relaxed);
                 }
-                st.1 += 1;
-                ev2.1.wait(&mut st);
-                st.1 -= 1;
+                cv.wait(&mut done);
+                sleepers.fetch_sub(1, Ordering::Relaxed);
             }
         });
-        {
-            let mut st = ev.0.lock();
-            st.0 = true;
-            if st.1 > 0 {
-                ev.1.notify_all();
-            }
+        let (m, cv, sleepers) = &*ev;
+        let early = matches!(order, WakeOrder::NotifierReadsFirst)
+            .then(|| sleepers.load(Ordering::Relaxed));
+        *m.lock() = true;
+        let asleep = early.unwrap_or_else(|| sleepers.load(Ordering::Relaxed));
+        if asleep > 0 {
+            cv.notify_all();
         }
         // A waiter left asleep is a deadlock, which the scheduler reports.
         waiter.join().unwrap();
     });
 }
 
-/// A waiter racing the completion is never left asleep, on every schedule —
-/// and the model does find the lost wake-up when the count is published
-/// outside the critical section that checked the status.
+/// A waiter racing the notifier is never left asleep, on every schedule —
+/// and the model does find the lost wake-up in each tempting reordering.
 #[test]
 fn loom_completion_wakes_a_racing_waiter() {
-    wake_on_demand_model(true);
-    let lost = std::panic::catch_unwind(|| wake_on_demand_model(false));
-    assert!(lost.is_err(), "the model missed the lost wake-up schedule");
+    wake_on_demand_model(WakeOrder::Shim);
+    for order in [
+        WakeOrder::WaiterCountsOutsideTheLock,
+        WakeOrder::NotifierReadsFirst,
+    ] {
+        let lost = std::panic::catch_unwind(|| wake_on_demand_model(order));
+        assert!(
+            lost.is_err(),
+            "the model missed the lost wake-up of {order:?}"
+        );
+    }
 }

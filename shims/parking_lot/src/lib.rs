@@ -4,6 +4,7 @@
 //! poison at all closely enough for this workspace, whose lock holders never
 //! intentionally panic.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{self, TryLockError};
 use std::time::Duration;
 
@@ -97,24 +98,41 @@ impl WaitTimeoutResult {
     }
 }
 
+/// A condition variable that counts the threads inside [`Condvar::wait`] /
+/// [`Condvar::wait_for`] and skips the notify while the count is zero, as
+/// parking_lot does: std's futex condvar enters the kernel on every notify,
+/// whoever is waiting.
+///
+/// The count goes up under the caller's mutex, before std's wait releases
+/// it, and down once the wait returns. A notifier that changed the
+/// predicate under that mutex — and notifies after, with the lock held or
+/// not — therefore reads a count that includes every waiter that checked
+/// the old predicate: the waiter's increment precedes its unlock, which
+/// precedes the notifier's lock. A waiter that checks after the change
+/// sees the new predicate and does not wait.
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    /// Threads between the increment in a wait and its return.
+    sleepers: AtomicU32,
 }
 
 impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: sync::Condvar::new(),
+            sleepers: AtomicU32::new(0),
         }
     }
 
     /// Block until notified. Takes `&mut guard` like parking_lot (std takes
     /// the guard by value); the guard is moved out and back in.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
         replace_guard(guard, |g| {
             self.inner.wait(g).unwrap_or_else(|e| e.into_inner())
         });
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub fn wait_for<T>(
@@ -123,6 +141,7 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let mut timed_out = false;
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
         replace_guard(guard, |g| {
             let (g, res) = self
                 .inner
@@ -131,15 +150,22 @@ impl Condvar {
             timed_out = res.timed_out();
             g
         });
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
         WaitTimeoutResult { timed_out }
     }
 
+    // Relaxed suffices: the increment this load must see is ordered before
+    // it by the mutex the waiter released and the notifier then took.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -200,6 +226,91 @@ mod tests {
             cv.notify_all();
         }
         t.join().expect("waiter exits");
+    }
+
+    /// Run `f` on its own thread; panic if it is not done in `secs` (a
+    /// waiter left asleep hangs instead of failing).
+    fn within(secs: u64, f: impl FnOnce() + Send + 'static) {
+        let t = std::thread::spawn(f);
+        let deadline = std::time::Instant::now() + Duration::from_secs(secs);
+        while !t.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a waiter was left asleep"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        t.join().expect("no panic");
+    }
+
+    #[test]
+    fn a_notify_after_unlock_never_leaves_the_other_side_asleep() {
+        // Two threads hand a turn back and forth in `WindowMem::release`'s
+        // order: flip the predicate under the lock, unlock, then notify. A
+        // notify that skipped a waiter which had checked the old predicate
+        // would stop the ping-pong.
+        const ROUNDS: u32 = 10_000;
+        within(60, || {
+            let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
+            let play = |pair: Arc<(Mutex<u32>, Condvar)>, parity: u32| {
+                move || {
+                    let (m, cv) = &*pair;
+                    for _ in 0..ROUNDS {
+                        let mut turn = m.lock();
+                        while *turn % 2 != parity {
+                            cv.wait(&mut turn);
+                        }
+                        *turn += 1;
+                        drop(turn);
+                        cv.notify_one();
+                    }
+                }
+            };
+            let odd = std::thread::spawn(play(pair.clone(), 1));
+            play(pair.clone(), 0)();
+            odd.join().expect("odd side finishes");
+            assert_eq!(*pair.0.lock(), 2 * ROUNDS);
+            assert_eq!(pair.1.sleepers.load(Ordering::Relaxed), 0);
+        });
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_sleeper_counted() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(2)).timed_out());
+        assert_eq!(cv.sleepers.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn notify_all_wakes_every_waiter() {
+        within(60, || {
+            let pair = Arc::new((Mutex::new(false), Condvar::new()));
+            let waiters: Vec<_> = (0..4)
+                .map(|_| {
+                    let pair = pair.clone();
+                    std::thread::spawn(move || {
+                        let (m, cv) = &*pair;
+                        let mut go = m.lock();
+                        while !*go {
+                            cv.wait(&mut go);
+                        }
+                    })
+                })
+                .collect();
+            let (m, cv) = &*pair;
+            // All four inside `wait`, so one notify has to wake each of them.
+            while cv.sleepers.load(Ordering::Relaxed) < 4 {
+                std::thread::yield_now();
+            }
+            *m.lock() = true;
+            cv.notify_all();
+            for w in waiters {
+                w.join().expect("waiter exits");
+            }
+            assert_eq!(cv.sleepers.load(Ordering::Relaxed), 0);
+        });
     }
 
     #[test]
