@@ -132,7 +132,7 @@ fn bench_transfers(c: &mut Criterion) {
     let mut g = c.benchmark_group("transfers");
     g.sample_size(20);
     for kb in [64usize, 1024, 8192] {
-        g.bench_function(format!("h2d {kb} KB (unpaced)"), |b| {
+        g.bench_function(format!("h2d {kb} KB"), |b| {
             let hs = runtime();
             let s = hs
                 .stream_create(DomainId(1), CpuMask::first(2))

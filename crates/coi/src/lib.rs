@@ -81,30 +81,29 @@ pub struct CoiRuntime {
 }
 
 impl CoiRuntime {
-    /// A runtime with the host plus `n_cards` in-process card engines.
-    /// `pacer` controls real-time DMA pacing (use [`Pacer::unpaced`] for
-    /// functional tests).
-    pub fn new(n_cards: usize, pacer: Pacer) -> Arc<CoiRuntime> {
-        let per_card = vec![pacer; n_cards];
-        Self::new_with_endpoints(per_card, ChaosHub::default(), &[])
+    /// A runtime with the host plus `n_cards` in-process card engines. The
+    /// [`Pacer`] is accepted and ignored: DMA is no longer paced, and the
+    /// argument stays only while the frozen benchmark passes one.
+    pub fn new(n_cards: usize, _pacer: Pacer) -> Arc<CoiRuntime> {
+        Self::new_with_endpoints(n_cards, ChaosHub::default(), &[])
             .expect("no endpoint to connect: in-process construction is infallible")
     }
 
-    /// The full constructor. Each card engine gets its own DMA pacer (index
-    /// `i` paces engine `i + 1`); `chaos` is the fault-injection hub wired
-    /// into every DMA channel (and consulted by dispatchers above).
-    /// `remotes` backs some card engines with out-of-process workers: it
-    /// maps engine index (1-based; the host cannot be remote) to the
-    /// worker's endpoint, and an empty slice is the all-in-process case. Connecting is synchronous — a worker that
+    /// The full constructor: the host plus `n_cards` card engines. `chaos`
+    /// is the fault-injection hub wired into every DMA channel (and
+    /// consulted by dispatchers above). `remotes` backs some card engines
+    /// with out-of-process workers: it maps engine index (1-based; the host
+    /// cannot be remote) to the worker's endpoint, and an empty slice is
+    /// the all-in-process case. Connecting is synchronous — a worker that
     /// never comes up is an error here, while a worker that dies *later*
     /// surfaces as `CardLost` at first use.
     pub fn new_with_endpoints(
-        per_card: Vec<Pacer>,
+        n_cards: usize,
         chaos: ChaosHub,
         remotes: &[(usize, Endpoint)],
     ) -> std::io::Result<Arc<CoiRuntime>> {
-        let n_engines = per_card.len() + 1;
-        let fabric = Fabric::new_with_endpoints(n_engines, per_card, chaos, remotes)?;
+        let n_engines = n_cards + 1;
+        let fabric = Fabric::new_with_endpoints(n_engines, chaos, remotes)?;
         let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         Ok(Arc::new(CoiRuntime {
             fabric: Arc::new(fabric),

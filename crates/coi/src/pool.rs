@@ -179,10 +179,9 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs_fabric::Pacer;
 
     fn fabric() -> Fabric {
-        Fabric::new(2, Pacer::unpaced())
+        Fabric::new(2)
     }
 
     fn alloc(p: &BufferPool, f: &Fabric, len: usize, pooled: bool) -> PooledWindow {

@@ -820,15 +820,14 @@ mod tests {
     #[test]
     fn remote_pool_alloc_above_the_cap_is_refused_on_the_host() {
         use crate::pool::{BufferPool, PoolStats, WindowTooLarge};
-        use hs_fabric::{Fabric, NodeId, Pacer};
+        use hs_fabric::{Fabric, NodeId};
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let ep = Endpoint::Tcp(listener.local_addr().expect("addr").to_string());
         let state = WorkerState::new(test_registry());
         let serving = state.clone();
         std::thread::spawn(move || accept_tcp(listener, serving));
         let fabric =
-            Fabric::new_with_endpoints(2, vec![Pacer::unpaced()], ChaosHub::default(), &[(1, ep)])
-                .expect("connect");
+            Fabric::new_with_endpoints(2, ChaosHub::default(), &[(1, ep)]).expect("connect");
         let pool = BufferPool::new();
         let len = proto::MAX_WINDOW as usize + 1;
         for pooled in [true, false] {
@@ -970,7 +969,6 @@ mod tests {
     #[test]
     fn two_card_streams_compute_side_by_side_in_the_worker() {
         use crate::{CoiRuntime, EngineId};
-        use hs_fabric::Pacer;
         use std::sync::atomic::AtomicUsize;
         use std::time::{Duration, Instant};
 
@@ -995,8 +993,7 @@ mod tests {
         let addr = spawn_tcp_server("127.0.0.1:0", registry).expect("bind");
         let ep = Endpoint::Tcp(addr.to_string());
         let chaos = ChaosHub::default();
-        let rt = CoiRuntime::new_with_endpoints(vec![Pacer::unpaced()], chaos.clone(), &[(1, ep)])
-            .expect("connect");
+        let rt = CoiRuntime::new_with_endpoints(1, chaos.clone(), &[(1, ep)]).expect("connect");
         let card = EngineId(1);
         let streams = [0, 1].map(|_| rt.pipeline_create_stream(card, 30, 60, None));
         let wins = [0, 1].map(|_| rt.buffer_alloc(card, 8, false));
@@ -1136,13 +1133,11 @@ mod tests {
     fn pipeline_created_on_a_lost_card_runs_after_reconnect() {
         use crate::{CoiRuntime, EngineId};
         use hs_chaos::RetryPolicy;
-        use hs_fabric::Pacer;
         let first = spawn_tcp_server("127.0.0.1:0", test_registry()).expect("bind");
         let (relay, _) = corrupting_relay(first, 24 + 25 + 1000);
         let chaos = ChaosHub::default();
         let ep = Endpoint::Tcp(relay.to_string());
-        let rt = CoiRuntime::new_with_endpoints(vec![Pacer::unpaced()], chaos.clone(), &[(1, ep)])
-            .expect("connect");
+        let rt = CoiRuntime::new_with_endpoints(1, chaos.clone(), &[(1, ep)]).expect("connect");
         let card = EngineId(1);
         let t = rt.fabric().transport(card.node()).clone();
         t.write(1, 0, &[0x55u8; 4096])

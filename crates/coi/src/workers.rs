@@ -33,7 +33,7 @@
 //! `workers.*`.
 //!
 //! **Blocking queues.** A queue whose items block (a remote card's exec
-//! connection, wire or paced DMA) is the same queue on a pool of its own
+//! connection, its wire DMA) is the same queue on a pool of its own
 //! with one worker: a blocked item never holds a worker that ready compute
 //! could use.
 //!

@@ -56,12 +56,9 @@ fn blocked_card_streams_never_starve_host_compute() {
     std::thread::spawn(move || serve_uds(&serving, Arc::new(worker)));
     wait_until("the worker's socket", || path.exists());
 
-    let rt = CoiRuntime::new_with_endpoints(
-        vec![Pacer::unpaced()],
-        ChaosHub::default(),
-        &[(1, Endpoint::Uds(path.clone()))],
-    )
-    .expect("connect");
+    let rt =
+        CoiRuntime::new_with_endpoints(1, ChaosHub::default(), &[(1, Endpoint::Uds(path.clone()))])
+            .expect("connect");
     let counted = host_done.clone();
     rt.register(
         "count",

@@ -40,7 +40,6 @@ use hs_coi::{
     CoiEvent, CoiRuntime, Dependent, EngineId, EventCore, EventHost, EventStatus, QueueHandle,
     SerialQueue, SinkTask, WorkerPool,
 };
-use hs_fabric::Pacer;
 use hs_machine::PlatformCfg;
 use hs_obs::{ObsAction, ObsPhase};
 use hs_sim::ServerId;
@@ -226,8 +225,7 @@ impl Sinks {
         remotes: &[(usize, hs_fabric::Endpoint)],
     ) -> std::io::Result<Sinks> {
         let ncards = platform.cards().count();
-        let coi =
-            CoiRuntime::new_with_endpoints(vec![Pacer::unpaced(); ncards], chaos.clone(), remotes)?;
+        let coi = CoiRuntime::new_with_endpoints(ncards, chaos.clone(), remotes)?;
         let dma: Vec<[DmaQueue; 2]> = (0..ncards)
             .map(|c| {
                 // Wire transfers block for their duration: each direction
@@ -351,7 +349,7 @@ impl Executor {
     /// process and construction cannot fail. Connecting is synchronous, so a
     /// worker that never comes up errors here; one that dies later surfaces
     /// as `CardLost` at first use. `mode` picks the clock and the service: the COI pools on
-    /// the wall clock ([`ExecMode::Threads`], DMA unpaced) or the cost
+    /// the wall clock ([`ExecMode::Threads`]) or the cost
     /// model on the virtual clock ([`ExecMode::Sim`]).
     pub fn connect(
         platform: &PlatformCfg,
@@ -823,13 +821,18 @@ impl ActionRun {
         self.ev.complete(EventStatus::Failed(cause), self);
     }
 
-    /// Stamp a lifecycle phase at the clock's time: the hub's wall clock,
-    /// read only while recording is on, or the virtual now.
-    fn stamp(&self, phase: ObsPhase) {
+    /// The clock's time for a lifecycle stamp: the hub's wall clock, read
+    /// only while this action is recorded, or the virtual now.
+    fn now_ns(&self) -> u64 {
         match &self.ctx.clock {
-            Clock::Wall(_) => self.obs.phase_wall(phase),
-            Clock::Virtual(v) => self.obs.phase(phase, v.now_ns()),
+            Clock::Wall(_) => self.obs.wall_ns(),
+            Clock::Virtual(v) => v.now_ns(),
         }
+    }
+
+    /// Stamp a lifecycle phase at the clock's time.
+    fn stamp(&self, phase: ObsPhase) {
+        self.obs.phase(phase, self.now_ns());
     }
 
     /// The result of one attempt, from whichever thread ran it: success
@@ -849,10 +852,7 @@ impl ActionRun {
         if cause.is_transient() && made < self.retry.max_attempts {
             let jitter = self.ctx.chaos.jitter01(self.salt ^ u64::from(made));
             let backoff = self.retry.backoff_us(made, jitter);
-            match &self.ctx.clock {
-                Clock::Wall(_) => self.obs.retry_wall(made, backoff),
-                Clock::Virtual(v) => self.obs.retry(made, backoff, v.now_ns()),
-            }
+            self.obs.retry(made, backoff, self.now_ns());
             let ctx = self.ctx.clone();
             ctx.clock.after(backoff * 1_000, TimerJob::Attempt(self));
         } else {
@@ -875,7 +875,7 @@ impl ActionRun {
                 "malformed transfer: a DMA queue needs the transfer's windows".into(),
             )));
         };
-        self.obs.phase_wall(ObsPhase::SinkStart);
+        self.stamp(ObsPhase::SinkStart);
         let r = coi.dma_copy(real.src.0, real.src.1, real.dst.0, real.dst.1, *bytes);
         self.finish(r.map_err(|e| e.into_cause()));
     }
@@ -889,13 +889,10 @@ impl EventHost for ActionRun {
     fn completed(&self, status: &EventStatus) {
         // Attempts made; one for an action that never dispatched.
         let attempts = self.attempts.load(Ordering::Relaxed).max(1);
-        match (&self.ctx.clock, status) {
-            (Clock::Wall(_), EventStatus::Failed(c)) => self.obs.fail_cause_wall(c, attempts),
-            (Clock::Wall(_), _) => self.obs.finish_wall(true),
-            (Clock::Virtual(v), EventStatus::Failed(c)) => {
-                self.obs.fail_cause(c, attempts, v.now_ns())
-            }
-            (Clock::Virtual(v), _) => self.obs.finish(true, v.now_ns()),
+        let now = self.now_ns();
+        match status {
+            EventStatus::Failed(c) => self.obs.fail_cause(c, attempts, now),
+            _ => self.obs.finish(true, now),
         }
     }
 }
@@ -934,7 +931,7 @@ impl SinkTask for ActionRun {
     }
 
     fn started(&self) {
-        self.obs.phase_wall(ObsPhase::SinkStart);
+        self.stamp(ObsPhase::SinkStart);
     }
 
     fn finish(self: Arc<Self>, result: Result<(), FailureCause>) {

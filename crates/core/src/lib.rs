@@ -23,7 +23,7 @@
 //!
 //! Two executors run the same semantics: [`ExecMode::Threads`] executes
 //! tasks for real (sink pipelines and DMA queues over a COI/SCIF-like
-//! substrate, run by one worker pool, optional PCIe-speed pacing), and [`ExecMode::Sim`] replays the
+//! substrate, run by one worker pool), and [`ExecMode::Sim`] replays the
 //! schedule in virtual time with the calibrated cost model of
 //! [`hs_machine`] — the mode used to regenerate the paper's figures.
 //!
@@ -158,7 +158,8 @@ struct LoggedAction {
 /// How the runtime executes actions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecMode {
-    /// Real threads, unpaced DMA (functional testing, examples).
+    /// Real threads; a transfer takes its `memcpy` or wire time
+    /// (functional testing, examples).
     Threads,
     /// Virtual time with the calibrated cost model (figure regeneration).
     Sim,
@@ -296,7 +297,9 @@ impl HStreams {
     /// Initialize with some card domains hosted by out-of-process workers
     /// (`hs-worker` processes reached over Unix/TCP sockets). `remotes`
     /// maps card domain index (1-based; domain 0, the host, cannot be
-    /// remote) to the worker's endpoint. Only thread-backed modes can talk
+    /// remote) to the worker's endpoint; an index that is not a card of
+    /// `platform`, or one named twice, is [`HsError::InvalidArg`], checked
+    /// before anything connects. Only thread-backed modes can talk
     /// to a wire; [`ExecMode::Sim`] returns [`HsError::InvalidArg`].
     /// Connection failures surface as [`HsError::ExecFailed`]. A worker
     /// that dies *after* init surfaces as `CardLost` at the first wait
@@ -313,6 +316,19 @@ impl HStreams {
             return Err(HsError::InvalidArg(
                 "remote domains require a thread-backed exec mode".to_string(),
             ));
+        }
+        for (i, (idx, _)) in remotes.iter().enumerate() {
+            if !platform.cards().any(|(card, _)| card == *idx) {
+                return Err(HsError::InvalidArg(format!(
+                    "remote domain {idx} is not a card of {}",
+                    platform.name
+                )));
+            }
+            if remotes[..i].iter().any(|(earlier, _)| earlier == idx) {
+                return Err(HsError::InvalidArg(format!(
+                    "remote domain {idx} is named twice"
+                )));
+            }
         }
         Self::init_full(platform, mode, OrderingMode::OutOfOrder, remotes)
     }
@@ -1365,7 +1381,7 @@ impl HStreams {
             }
             // Remote cards additionally report raw link traffic: what the
             // wire actually carried (frame headers included), next to the
-            // modelled `dma.cN.*` totals the pacer accounts for.
+            // payload `dma.cN.*` totals the DMA channels count.
             for (card_idx, _) in self.inner.platform.cards() {
                 let node = hs_fabric::NodeId(card_idx as u16);
                 if !fabric.is_remote(node) {

@@ -8,8 +8,8 @@
 use bytes::Bytes;
 use hs_machine::{Device, PlatformCfg};
 use hstreams_core::{
-    Access, ActionOpts, BatchAction, BufProps, CostHint, CpuMask, DomainId, Event, ExecMode,
-    HStreams, HsError, HsResult, Operand, StreamId,
+    Access, ActionOpts, BatchAction, BufProps, CostHint, CpuMask, DomainId, Endpoint, Event,
+    ExecMode, HStreams, HsError, HsResult, Operand, StreamId,
 };
 
 fn rt() -> HStreams {
@@ -263,6 +263,40 @@ fn app_init_refuses_a_bad_partition_and_creates_nothing() {
             .stream_create(DomainId(1), CpuMask::first(1))
             .expect("stream");
         assert_eq!(next, StreamId(made.len() as u32), "{mode:?}");
+    }
+}
+
+#[test]
+fn init_remote_refuses_bad_card_indices_before_connecting() {
+    // No worker listens here: a check that reached the connect would fail
+    // as `ExecFailed`, not `InvalidArg`.
+    let nowhere = || {
+        Endpoint::Uds(
+            std::env::temp_dir().join(format!("hs-no-worker-{}.sock", std::process::id())),
+        )
+    };
+    for remotes in [
+        vec![(0, nowhere())],
+        vec![(2, nowhere())],
+        vec![(1, nowhere()), (1, nowhere())],
+    ] {
+        let indices: Vec<usize> = remotes.iter().map(|(i, _)| *i).collect();
+        let init = std::panic::catch_unwind(|| {
+            HStreams::init_remote(
+                PlatformCfg::hetero(Device::Hsw, 1),
+                ExecMode::Threads,
+                &remotes,
+            )
+            .map(drop)
+        });
+        let Ok(result) = init else {
+            panic!("cards {indices:?}: init_remote panicked");
+        };
+        let err = result.expect_err("a bad card index");
+        assert!(
+            matches!(err, HsError::InvalidArg(_)),
+            "cards {indices:?}: {err}"
+        );
     }
 }
 

@@ -99,6 +99,38 @@ fn trace_shows_compute_transfer_overlap() {
     assert_eq!(overlap, OVERLAP_NS);
 }
 
+/// A sim-mode transfer occupies its card's DMA row for exactly the cost
+/// model's price, which is what `sec3_overheads` reads §III's rows from.
+#[test]
+fn sim_transfer_span_is_the_cost_models_price() {
+    let platform = PlatformCfg::hetero(Device::Hsw, 1);
+    let cost = platform.cost_model();
+    let link = platform.domains[1].link.expect("a card domain has a link");
+    let hs = HStreams::init(platform, ExecMode::Sim);
+    let card = DomainId(1);
+    let s = hs.stream_create(card, CpuMask::first(1)).expect("stream");
+    hs.obs_enable(true);
+    for (bytes, h2d) in [(4 << 10, true), (128 << 10, false), (4 << 20, true)] {
+        let b = hs.buffer_create(bytes, BufProps::default());
+        hs.buffer_instantiate(b, card).expect("inst");
+        let (from, to) = if h2d {
+            (DomainId::HOST, card)
+        } else {
+            (card, DomainId::HOST)
+        };
+        let ev = hs.enqueue_xfer(s, b, 0..bytes, from, to).expect("xfer");
+        hs.event_wait(ev).expect("wait");
+        let records = hs.take_obs_records();
+        let spans = hs_obs::spans(&records);
+        let [span] = spans.as_slice() else {
+            panic!("{bytes} B: expected one span, got {}", spans.len());
+        };
+        assert_eq!(span.row, hs_obs::Row::Dma { card: 1, h2d });
+        let price = cost.transfer_dur(&link, bytes as u64, h2d);
+        assert_eq!(span.end_ns - span.start_ns, price.0, "{bytes} B h2d={h2d}");
+    }
+}
+
 #[test]
 fn sim_event_wait_any_picks_earliest() {
     let hs = HStreams::init(PlatformCfg::hetero(Device::Hsw, 2), ExecMode::Sim);

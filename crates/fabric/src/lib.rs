@@ -4,9 +4,10 @@
 //! sits on SCIF (Symmetric Communications Interface), "which abstracts
 //! low-level network hardware". This crate is that bottom layer for the
 //! reproduction: since no Xeon Phi exists, each *node* is a memory arena
-//! living in host RAM, and DMA between nodes is a real `memcpy` that can be
-//! **paced** to PCIe-like bandwidth/latency so that real-mode runs exhibit
-//! the same overlap behaviour the paper measures.
+//! living in host RAM (or in a worker process behind a socket), and DMA
+//! between nodes is a real `memcpy` or wire call. The fabric moves bytes;
+//! it does not price them — the modelled link time is the sim layer's
+//! (`hs_machine::CostModel::transfer_dur`).
 //!
 //! Components:
 //!
@@ -15,9 +16,8 @@
 //!   **range lock**: concurrent readers of one range are allowed, writers get
 //!   exclusivity; this makes out-of-order DMA sound even if an upper layer
 //!   mis-schedules (it blocks instead of racing).
-//! * [`dma::Pacer`] — converts a [`hs_machine::LinkSpec`] into real-time
-//!   pacing for DMA operations (per-direction serialization like a DMA
-//!   channel).
+//! * [`dma::DmaEngine`] — one serialized DMA channel per (card,
+//!   direction), with fault injection and byte/op counters.
 
 pub mod dma;
 pub mod proto;
@@ -77,36 +77,25 @@ pub struct Fabric {
 
 impl Fabric {
     /// Create a fabric of `n_nodes` nodes (>= 1; node 0 is the host), all
-    /// in-process. Card nodes get a pair of DMA engines paced by `pacer`
-    /// (use [`Pacer::unpaced`] for functional tests).
-    pub fn new(n_nodes: usize, pacer: Pacer) -> Fabric {
-        let per_card = vec![pacer; n_nodes.saturating_sub(1)];
-        Fabric::new_with_endpoints(n_nodes, per_card, ChaosHub::default(), &[])
+    /// in-process, each card node with a pair of DMA channels.
+    pub fn new(n_nodes: usize) -> Fabric {
+        Fabric::new_with_endpoints(n_nodes, ChaosHub::default(), &[])
             .expect("no endpoint to connect: in-process construction is infallible")
     }
 
-    /// The full constructor. Each card node gets its *own* pacer — required
-    /// for heterogeneous platforms where cards sit on different links (a
-    /// card's `DomainCfg::link`): `per_card[i]`
-    /// paces node `i + 1`, both directions sharing the spec. `chaos` is the
-    /// fault-injection hub the DMA channels consult (one relaxed load per op
-    /// when disarmed). Each `(node_index, endpoint)` pair backs that card
-    /// node with a connected [`RemoteDomain`] worker instead of the default
-    /// in-process [`LocalTransport`]; node 0 (the host) must stay local, and
-    /// an empty slice is the all-in-process case. Connection failures
-    /// surface here, at init, rather than on first use.
+    /// The full constructor. `chaos` is the fault-injection hub the DMA
+    /// channels consult (one relaxed load per op when disarmed). Each
+    /// `(node_index, endpoint)` pair backs that card node with a connected
+    /// [`RemoteDomain`] worker instead of the default in-process
+    /// [`LocalTransport`]; node 0 (the host) must stay local, and an empty
+    /// slice is the all-in-process case. Connection failures surface here,
+    /// at init, rather than on first use.
     pub fn new_with_endpoints(
         n_nodes: usize,
-        per_card: Vec<Pacer>,
         chaos: ChaosHub,
         endpoints: &[(usize, Endpoint)],
     ) -> std::io::Result<Fabric> {
         assert!(n_nodes >= 1, "fabric needs at least the host node");
-        assert_eq!(
-            per_card.len(),
-            n_nodes - 1,
-            "need exactly one pacer per card node"
-        );
         let mut nodes: Vec<NodeCtl> = (0..n_nodes).map(|_| NodeCtl::local()).collect();
         for (idx, ep) in endpoints {
             assert!(*idx != 0, "the host node cannot be remote");
@@ -114,14 +103,11 @@ impl Fabric {
             nodes[*idx].transport =
                 Arc::new(RemoteDomain::connect(ep, *idx as u32, chaos.clone())?);
         }
-        let engines = per_card
-            .iter()
-            .enumerate()
-            .flat_map(|(i, p)| {
-                let card = (i + 1) as u32;
+        let engines = (1..n_nodes as u32)
+            .flat_map(|card| {
                 [
-                    DmaEngine::new_chaos(p.clone(), true, card, chaos.clone()),
-                    DmaEngine::new_chaos(p.clone(), false, card, chaos.clone()),
+                    DmaEngine::new_chaos(true, card, chaos.clone()),
+                    DmaEngine::new_chaos(false, card, chaos.clone()),
                 ]
             })
             .collect();
@@ -232,14 +218,12 @@ impl Fabric {
     /// DMA `len` bytes from `(src, src_off)` to `(dst, dst_off)`. At least
     /// one side is the host: a card↔card copy is
     /// [`FabricError::CardToCard`], as in the paper, which moves data only
-    /// between the host and a card. Pacing applies when either side is a
-    /// card. Blocks until the copy completes (callers run it on sink and DMA
-    /// queues).
+    /// between the host and a card. A copy that touches a card runs on that
+    /// card's DMA channel for its direction ([`DmaEngine::run`]). Blocks
+    /// until the copy completes (callers run it on sink and DMA queues).
     ///
-    /// Local copies are a range-locked `memcpy` stretched to the modelled
-    /// link time. When the card is remote the payload crosses the transport
-    /// and the engine paces the modelled budget *on top of* measured wire
-    /// time ([`DmaEngine::run_wire`]).
+    /// Local copies are a range-locked `memcpy`. When the card is remote
+    /// the payload crosses the transport.
     pub fn dma_copy(
         &self,
         src: WindowId,
@@ -284,23 +268,18 @@ impl Fabric {
                 .lock_range(src_off..src_off + len, false)
                 .map_err(|_| FabricError::OutOfBounds)?;
         }
-        let pace_card = if !dst.node.is_host() {
-            Some((dst.node, true))
-        } else if !src.node.is_host() {
-            Some((src.node, false))
-        } else {
-            None
+        let mut copy = || {
+            wr.as_mut_slice().copy_from_slice(rd.as_slice());
+            Ok(())
         };
-        match pace_card {
-            Some((card, h2d)) => self
-                .engine(card, h2d)
-                .run(len, || {
-                    wr.as_mut_slice().copy_from_slice(rd.as_slice());
-                })
-                .map_err(FabricError::Faulted)?,
-            None => wr.as_mut_slice().copy_from_slice(rd.as_slice()),
+        if !dst.node.is_host() {
+            self.engine(dst.node, true).run(len, copy)
+        } else if !src.node.is_host() {
+            self.engine(src.node, false).run(len, copy)
+        } else {
+            copy()
         }
-        Ok(())
+        .map_err(FabricError::Faulted)
     }
 
     /// Local source → remote destination: hold the source range read-locked
@@ -321,9 +300,8 @@ impl Fabric {
             .map_err(|_| FabricError::OutOfBounds)?;
         let t = self.transport(dst.node).clone();
         self.engine(dst.node, true)
-            .run_wire(len, || {
+            .run(len, || {
                 t.write(dst.id, dst_off, rd.as_slice())
-                    .map(drop)
                     .map_err(|e| self.transport_err(dst, e).into_cause())
             })
             .map_err(FabricError::Faulted)
@@ -346,9 +324,8 @@ impl Fabric {
             .map_err(|_| FabricError::OutOfBounds)?;
         let t = self.transport(src.node).clone();
         self.engine(src.node, false)
-            .run_wire(len, || {
+            .run(len, || {
                 t.read(src.id, src_off, wr.as_mut_slice())
-                    .map(drop)
                     .map_err(|e| self.transport_err(src, e).into_cause())
             })
             .map_err(FabricError::Faulted)
@@ -396,7 +373,7 @@ mod tests {
     use super::*;
 
     fn fabric2() -> Fabric {
-        Fabric::new(2, Pacer::unpaced())
+        Fabric::new(2)
     }
 
     #[test]
@@ -491,7 +468,7 @@ mod tests {
 
     #[test]
     fn card_to_card_copy_is_refused() {
-        let f = Fabric::new(3, Pacer::unpaced());
+        let f = Fabric::new(3);
         let a = f.register(NodeId(1), 8);
         let b = f.register(NodeId(2), 8);
         assert_eq!(f.dma_copy(a, 0, b, 0, 8), Err(FabricError::CardToCard));
@@ -515,27 +492,42 @@ mod tests {
     }
 
     #[test]
-    fn per_card_pacers_differ() {
-        use hs_machine::{LinkSpec, Overheads};
-        let fast = Pacer::pcie(LinkSpec::pcie_knc(), Overheads::paper());
-        let slow_link = LinkSpec {
-            latency_us: 40.0,
-            h2d_bytes_per_sec: 3.0e9,
-            d2h_bytes_per_sec: 3.0e9,
-        };
-        let slow = Pacer::pcie(slow_link, Overheads::paper());
-        let pacers = vec![fast.clone(), slow.clone()];
-        let f = Fabric::new_with_endpoints(3, pacers, ChaosHub::default(), &[]).expect("local");
-        let mb = 1 << 20;
-        assert_eq!(
-            f.engine(NodeId(1), true).pacer().target(mb, true),
-            fast.target(mb, true)
+    fn faulted_local_copy_delivers_nothing_and_counts_nothing() {
+        use hs_chaos::{FaultKind, FaultPlan, FaultSite};
+        let chaos = ChaosHub::new();
+        chaos.arm(FaultPlan::new(1).with_trigger(
+            FaultSite::Dma {
+                card: 1,
+                h2d: Some(true),
+                nth: 1,
+            },
+            FaultKind::Transient,
+        ));
+        let f = Fabric::new_with_endpoints(2, chaos, &[]).expect("in-process");
+        let h = f.register(NodeId::HOST, 8);
+        let d = f.register(NodeId(1), 8);
+        f.window(h)
+            .expect("window exists")
+            .lock_range(0..8, true)
+            .expect("in bounds")
+            .as_mut_slice()
+            .fill(9);
+        let err = f.dma_copy(h, 0, d, 0, 8).expect_err("1st h2d faulted");
+        assert!(
+            matches!(err, FabricError::Faulted(ref c) if c.is_transient()),
+            "{err}"
         );
+        let mem = f.window(d).expect("window exists");
         assert_eq!(
-            f.engine(NodeId(2), true).pacer().target(mb, true),
-            slow.target(mb, true)
+            mem.lock_range(0..8, false).expect("in bounds").as_slice(),
+            &[0; 8]
         );
-        assert_ne!(fast.target(mb, true), slow.target(mb, true));
+        assert_eq!(f.engine(NodeId(1), true).stats().ops, 0);
+        f.dma_copy(h, 0, d, 0, 8).expect("2nd h2d clean");
+        assert_eq!(
+            mem.lock_range(0..8, false).expect("in bounds").as_slice(),
+            &[9; 8]
+        );
     }
 
     #[test]
@@ -553,7 +545,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_dma_is_safe() {
-        let f = std::sync::Arc::new(Fabric::new(2, Pacer::unpaced()));
+        let f = std::sync::Arc::new(Fabric::new(2));
         let h = f.register(NodeId::HOST, 1 << 16);
         let d = f.register(NodeId(1), 1 << 16);
         {

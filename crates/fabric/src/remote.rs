@@ -419,11 +419,11 @@ impl Transport for RemoteDomain {
         None
     }
 
-    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<Duration, TransportError> {
+    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<(), TransportError> {
         let mut head = [0u8; 16];
         head[..8].copy_from_slice(&win.to_le_bytes());
         head[8..].copy_from_slice(&(off as u64).to_le_bytes());
-        let (ack, sent_crc, rtt) = self.link.rpc(
+        let (ack, sent_crc, _) = self.link.rpc(
             &self.chans[ROLE_H2D],
             (Kind::Write, Kind::WriteAck),
             &head,
@@ -440,10 +440,10 @@ impl Transport for RemoteDomain {
                 "H2D payload CRC mismatch: sent {sent_crc:#010x}, worker stored {acked:#010x}"
             )));
         }
-        Ok(rtt)
+        Ok(())
     }
 
-    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<Duration, TransportError> {
+    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<(), TransportError> {
         let mut p = [0u8; 24];
         p[..8].copy_from_slice(&win.to_le_bytes());
         p[8..16].copy_from_slice(&(off as u64).to_le_bytes());
@@ -451,12 +451,11 @@ impl Transport for RemoteDomain {
         // A `ReadData` of any other length fails in `recv_payload_into` as a
         // protocol violation, before a byte of it is received.
         let kinds = (Kind::Read, Kind::ReadData);
-        let (_, _, rtt) = self
-            .link
+        self.link
             .rpc(&self.chans[ROLE_D2H], kinds, &p, &[], |h, s| {
                 h.recv_payload_into(s, out)
-            })?;
-        Ok(rtt)
+            })
+            .map(drop)
     }
 
     fn ping(&self) -> Result<Duration, TransportError> {

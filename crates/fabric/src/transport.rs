@@ -11,10 +11,9 @@
 //!
 //! * `window()` returns `Some` **only** for local transports; remote memory
 //!   is never directly addressable (that is the point).
-//! * `write`/`read` move payload bytes and return the *measured wire time*
-//!   of the operation, so the per-card [`crate::dma::Pacer`] can model the
-//!   link **on top of** real transfer cost instead of instead of it
-//!   ([`crate::dma::DmaEngine::run_wire`]).
+//! * `write`/`read` move payload bytes and nothing else: the fabric runs
+//!   them on the card's DMA channel ([`crate::dma::DmaEngine::run`]), which
+//!   counts them, and no layer below the sim prices them.
 //! * Errors are sticky for [`TransportError::Closed`]: once a remote peer
 //!   is gone the transport poisons itself and every subsequent call fails
 //!   fast without touching the socket — a dead card must not stall drains
@@ -141,12 +140,11 @@ pub trait Transport: Send + Sync {
     /// The window's arena — local transports only; `None` on remote.
     fn window(&self, win: u64) -> Option<Arc<WindowMem>>;
 
-    /// Deliver `data` into `win` at `off`; returns measured wire time.
-    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<Duration, TransportError>;
+    /// Deliver `data` into `win` at `off`.
+    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<(), TransportError>;
 
-    /// Fetch `out.len()` bytes from `win` at `off`; returns measured wire
-    /// time.
-    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<Duration, TransportError>;
+    /// Fetch `out.len()` bytes from `win` at `off`.
+    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<(), TransportError>;
 
     /// Round-trip probe.
     fn ping(&self) -> Result<Duration, TransportError>;
@@ -202,22 +200,22 @@ impl Transport for LocalTransport {
         self.windows.lock().get(&win).cloned()
     }
 
-    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<Duration, TransportError> {
+    fn write(&self, win: u64, off: usize, data: &[u8]) -> Result<(), TransportError> {
         let mem = self.window(win).ok_or(TransportError::NoSuchWindow(win))?;
         let mut g = mem
             .lock_range(off..off + data.len(), true)
             .map_err(|_| TransportError::OutOfBounds)?;
         g.as_mut_slice().copy_from_slice(data);
-        Ok(Duration::ZERO)
+        Ok(())
     }
 
-    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<Duration, TransportError> {
+    fn read(&self, win: u64, off: usize, out: &mut [u8]) -> Result<(), TransportError> {
         let mem = self.window(win).ok_or(TransportError::NoSuchWindow(win))?;
         let g = mem
             .lock_range(off..off + out.len(), false)
             .map_err(|_| TransportError::OutOfBounds)?;
         out.copy_from_slice(g.as_slice());
-        Ok(Duration::ZERO)
+        Ok(())
     }
 
     fn ping(&self) -> Result<Duration, TransportError> {
@@ -237,7 +235,7 @@ mod tests {
     fn local_round_trip_and_zero() {
         let t = LocalTransport::new();
         t.alloc(1, 16).expect("alloc");
-        assert_eq!(t.write(1, 4, &[7, 8, 9]), Ok(Duration::ZERO));
+        assert_eq!(t.write(1, 4, &[7, 8, 9]), Ok(()));
         let mut out = [0u8; 3];
         t.read(1, 4, &mut out).expect("read");
         assert_eq!(out, [7, 8, 9]);

@@ -1,7 +1,7 @@
 //! Property tests of the fabric: randomized DMA programs against a simple
 //! byte-array model, and range-lock behaviour under random access patterns.
 
-use hs_fabric::{Fabric, NodeId, Pacer};
+use hs_fabric::{Fabric, NodeId};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ proptest! {
     /// Any sequential DMA program produces the same bytes as the model.
     #[test]
     fn dma_program_matches_model(ops in proptest::collection::vec(op_strategy(), 1..40)) {
-        let fabric = Fabric::new(2, Pacer::unpaced());
+        let fabric = Fabric::new(2);
         let host = fabric.register(NodeId::HOST, SIZE);
         let card = fabric.register(NodeId(1), SIZE);
         let mut m_host = [0u8; SIZE];
@@ -78,7 +78,7 @@ proptest! {
     fn try_lock_greedy_admission(
         reqs in proptest::collection::vec((0usize..100, 1usize..40, any::<bool>()), 1..12),
     ) {
-        let fabric = Fabric::new(1, Pacer::unpaced());
+        let fabric = Fabric::new(1);
         let w = fabric.register(NodeId::HOST, 128);
         let mem = fabric.window(w).expect("window");
         let mut held: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
@@ -108,7 +108,7 @@ mod concurrency {
         // 16 threads each own a disjoint 512-byte region and round-trip it
         // h2d/d2h many times; final contents must be each thread's last
         // pattern.
-        let fabric = std::sync::Arc::new(Fabric::new(2, Pacer::unpaced()));
+        let fabric = std::sync::Arc::new(Fabric::new(2));
         let host = fabric.register(NodeId::HOST, 16 * 512);
         let card = fabric.register(NodeId(1), 16 * 512);
         std::thread::scope(|s| {

@@ -289,17 +289,16 @@ impl ObsAction {
         ObsAction::default()
     }
 
-    /// Record a lifecycle phase at an explicit timestamp (virtual time).
+    /// The hub's wall clock ([`ObsHub::wall_ns`]), read only on a live
+    /// handle: an inert one answers 0 without reading a clock.
+    pub fn wall_ns(&self) -> u64 {
+        self.hub.as_ref().map_or(0, ObsHub::wall_ns)
+    }
+
+    /// Record a lifecycle phase at an explicit timestamp.
     pub fn phase(&self, phase: ObsPhase, t_ns: u64) {
         if let Some(hub) = &self.hub {
             hub.phase(self.id, phase, t_ns);
-        }
-    }
-
-    /// Record a lifecycle phase stamped with the hub's wall clock.
-    pub fn phase_wall(&self, phase: ObsPhase) {
-        if let Some(hub) = &self.hub {
-            hub.phase(self.id, phase, hub.wall_ns());
         }
     }
 
@@ -311,18 +310,6 @@ impl ObsAction {
             ObsPhase::Failed
         };
         self.phase(phase, t_ns);
-    }
-
-    /// Record the terminal phase stamped with the hub's wall clock.
-    pub fn finish_wall(&self, ok: bool) {
-        if let Some(hub) = &self.hub {
-            let phase = if ok {
-                ObsPhase::Completed
-            } else {
-                ObsPhase::Failed
-            };
-            hub.phase(self.id, phase, hub.wall_ns());
-        }
     }
 
     /// Record a scheduled retry: attempt `attempt` (1-based retry counter)
@@ -345,13 +332,6 @@ impl ObsAction {
         }
     }
 
-    /// Like [`Self::retry`], stamped with the hub's wall clock.
-    pub fn retry_wall(&self, attempt: u32, backoff_us: u64) {
-        if let Some(hub) = &self.hub {
-            self.retry(attempt, backoff_us, hub.wall_ns());
-        }
-    }
-
     /// Record terminal failure with its structured cause (in addition to
     /// the `Failed` phase).
     pub fn fail_cause(&self, cause: &FailureCause, attempts: u32, t_ns: u64) {
@@ -368,13 +348,6 @@ impl ObsAction {
                 attempts,
                 t_ns,
             });
-        }
-    }
-
-    /// Like [`Self::fail_cause`], stamped with the hub's wall clock.
-    pub fn fail_cause_wall(&self, cause: &FailureCause, attempts: u32) {
-        if let Some(hub) = &self.hub {
-            self.fail_cause(cause, attempts, hub.wall_ns());
         }
     }
 }
@@ -474,6 +447,19 @@ mod tests {
             }
         ));
         assert!(hub.take_records().is_empty(), "take_records drains");
+    }
+
+    #[test]
+    fn only_a_live_handle_reads_the_wall_clock() {
+        let hub = ObsHub::new();
+        assert_eq!(hub.action(meta(0, "off"), 0).wall_ns(), 0);
+        hub.enable(true);
+        let live = hub.action(meta(0, "on"), 0);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let t = live.wall_ns();
+        assert!(t >= 1_000_000, "{t} ns since the first enable");
+        assert!(live.wall_ns() >= t, "the wall clock does not run back");
+        assert_eq!(ObsAction::disabled().wall_ns(), 0);
     }
 
     #[test]

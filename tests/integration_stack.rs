@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 #[test]
 fn fabric_layer_alone_moves_data() {
-    let fabric = Fabric::new(3, Pacer::unpaced());
+    let fabric = Fabric::new(3);
     let host = fabric.register(NodeId::HOST, 4096);
     let card1 = fabric.register(NodeId(1), 4096);
     let card2 = fabric.register(NodeId(2), 4096);

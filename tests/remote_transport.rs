@@ -147,8 +147,8 @@ fn cholesky_over_the_wire_is_bit_identical_hsan_clean_and_same_projection() {
     );
 }
 
-/// Satellite: the pacer accounts *modelled* traffic identically whether
-/// the bytes moved through memcpy or a socket — `dma.cN.*` has byte/op
+/// The DMA channels count payload traffic identically whether the bytes
+/// moved through memcpy or a socket — `dma.cN.*` has byte/op
 /// parity across transports, and the wire adds `link.cN.*` on top.
 #[test]
 fn dma_gauges_have_byte_parity_local_vs_remote() {
@@ -172,13 +172,13 @@ fn dma_gauges_have_byte_parity_local_vs_remote() {
         assert_eq!(
             key(&local, k),
             key(&remote, k),
-            "{k}: modelled DMA accounting must not depend on the transport"
+            "{k}: DMA accounting must not depend on the transport"
         );
         assert!(key(&local, k) > 0.0, "{k}: the workload must move bytes");
     }
 
     // The local transport has no wire; the remote one must report real
-    // framed traffic (headers included, so tx > modelled h2d payload).
+    // framed traffic (headers included, so tx > the h2d payload).
     assert!(!local.contains_key("link.c1.tx_bytes"));
     assert!(key(&remote, "link.c1.tx_bytes") > key(&remote, "dma.c1.h2d.bytes"));
     assert!(key(&remote, "link.c1.rx_bytes") > 0.0);
